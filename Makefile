@@ -22,7 +22,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/rsl/
 	$(GO) test -run=^$$ -fuzz=FuzzVet -fuzztime=30s ./internal/vet/
 
-# Optimizer hot-path benchmark, gated against the committed BENCH_3.json.
+# Optimizer hot-path benchmark, gated against the committed BENCH_14.json.
 bench:
 	sh scripts/bench.sh
 

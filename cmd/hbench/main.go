@@ -8,8 +8,8 @@
 //	hbench            # run every experiment (T1 F2a F2b F3 F4 F7 A1 A2 A3)
 //	hbench F7 A1      # run selected experiments
 //	hbench -list      # list experiment ids
-//	hbench -json BENCH_3.json             # run the hot-path bench, write report
-//	hbench -json out.json -baseline BENCH_3.json -tolerance 15
+//	hbench -json BENCH_14.json -bench-nodes 64,256,1024   # run the hot-path bench, write report
+//	hbench -json out.json -baseline BENCH_14.json -tolerance 15
 //	                  # ...and fail if the hot path regressed >15% vs baseline
 package main
 
@@ -138,16 +138,16 @@ func compareBaseline(report *experiments.OptBenchReport, baselinePath string, to
 			base.GOOS, base.GOARCH, base.GoMaxProcs, report.GOOS, report.GOARCH, report.GoMaxProcs)
 	}
 	type key struct {
-		shape string
-		nodes int
+		shape        string
+		nodes, procs int
 	}
 	baseByKey := make(map[key]experiments.OptBenchPoint, len(base.Points))
 	for _, p := range base.Points {
-		baseByKey[key{p.Shape, p.Nodes}] = p
+		baseByKey[key{p.Shape, p.Nodes, p.Procs}] = p
 	}
 	regressed := 0
 	for _, p := range report.Points {
-		b, ok := baseByKey[key{p.Shape, p.Nodes}]
+		b, ok := baseByKey[key{p.Shape, p.Nodes, p.Procs}]
 		if !ok || b.SerialNsPerReeval <= 0 || b.ParallelNsPerReeval <= 0 {
 			continue
 		}
@@ -166,7 +166,7 @@ func compareBaseline(report *experiments.OptBenchReport, baselinePath string, to
 				status = "slower (not enforced)"
 			}
 		}
-		fmt.Printf("%-5s n=%-4d serial %+6.1f%% parallel %+6.1f%% [%s]\n", p.Shape, p.Nodes, serialPct, parPct, status)
+		fmt.Printf("%-5s n=%-4d procs=%-2d serial %+6.1f%% parallel %+6.1f%% [%s]\n", p.Shape, p.Nodes, p.Procs, serialPct, parPct, status)
 	}
 	if regressed > 0 {
 		return fmt.Errorf("bench: %d point(s) regressed more than %.0f%% vs %s", regressed, tolerancePct, baselinePath)

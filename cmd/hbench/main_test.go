@@ -46,7 +46,8 @@ func TestRunBenchJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if len(rep.Points) != 2 || rep.Bench != "optimizer-hot-path" {
+	// Two shapes at GOMAXPROCS 1 and, where it differs, at the process's own.
+	if (len(rep.Points) != 2 && len(rep.Points) != 4) || rep.Bench != "optimizer-hot-path" {
 		t.Fatalf("unexpected report: %+v", rep)
 	}
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"harmony/internal/match"
+	"harmony/internal/namespace"
 	"harmony/internal/replog"
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
@@ -262,6 +263,7 @@ func (c *Controller) Restore(st *PersistedState) error {
 		app := &appState{
 			instance:     pa.Instance,
 			bundle:       bundles[0],
+			ownerPath:    namespace.InstancePath(bundles[0].App, pa.Instance),
 			source:       pa.Source,
 			choice:       pa.Choice,
 			assignment:   pa.Assignment,

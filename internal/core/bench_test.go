@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"harmony/internal/cluster"
@@ -110,6 +112,48 @@ func BenchmarkForceChoice(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ctrl.ForceChoice(inst, Choice{Option: options[i%2]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// wideBagRSL is the bench harness's wide-greedy job: workerNodes 1..32 on
+// exclusive nodes with an explicit work/n + 1.2 n^2 model.
+func wideBagRSL(name string, job int, work float64) string {
+	var values, perf strings.Builder
+	for n := 1; n <= 32; n++ {
+		fmt.Fprintf(&values, " %d", n)
+		fmt.Fprintf(&perf, " {%d %g}", n, work/float64(n)+1.2*float64(n*n))
+	}
+	return fmt.Sprintf(`harmonyBundle %s:%d parallelism {
+	{workers
+		{variable workerNodes {%s}}
+		{node worker * {seconds {%g / workerNodes}} {memory 32} {replicate workerNodes} {exclusive 1}}
+		{performance {%s}}
+	}
+}`, name, job, values.String(), work, perf.String())
+}
+
+// BenchmarkWideGreedyCycle is one arrival and departure beside 8 residents
+// x 32 choices on 256 nodes: the repo benchmark's wide-greedy workload
+// without the wire.
+func BenchmarkWideGreedyCycle(b *testing.B) {
+	ctrl := benchController(b, 256, Config{})
+	defer ctrl.Stop()
+	for job := 1; job <= 8; job++ {
+		if _, _, err := ctrl.Register(benchBundle(b, wideBagRSL(fmt.Sprintf("Bag%d", job), job, 300))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	arrival := benchBundle(b, wideBagRSL("Job", 9, 310))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst, _, err := ctrl.Register(arrival)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ctrl.Unregister(inst); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -172,6 +172,9 @@ type Config struct {
 type appState struct {
 	instance int
 	bundle   *rsl.BundleSpec
+	// ownerPath is the app's namespace path and claim owner, built once:
+	// every evaluation names every application.
+	ownerPath string
 	// source is the RSL text the bundle was decoded from, kept so replicated
 	// snapshots (see apply.go) can rebuild the bundle on a follower. Empty
 	// for bundles registered directly with a decoded spec.
@@ -192,9 +195,7 @@ type appState struct {
 	static *bundleStatic
 }
 
-func (a *appState) owner() string {
-	return namespace.InstancePath(a.bundle.App, a.instance)
-}
+func (a *appState) owner() string { return a.ownerPath }
 
 // Controller is the Harmony adaptation controller.
 type Controller struct {
@@ -392,6 +393,7 @@ func (c *Controller) registerAt(bundle *rsl.BundleSpec, source string, now time.
 	app := &appState{
 		instance:     inst,
 		bundle:       bundle,
+		ownerPath:    namespace.InstancePath(bundle.App, inst),
 		source:       source,
 		registeredAt: now,
 		lastSwitch:   -1,

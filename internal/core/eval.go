@@ -29,7 +29,7 @@ type otherApp struct {
 	owner string
 	opt   *rsl.OptionSpec
 	asg   *match.Assignment
-	hosts map[string]bool
+	hosts hostSet
 	// pred is the prediction against the evaluation base state (the
 	// committed ledger minus the evaluated app's claim). Candidates whose
 	// placement does not touch any of this app's hosts reuse it; candidates
@@ -162,25 +162,40 @@ func (c *Controller) MemoStats() (hits, misses uint64) {
 	return c.memoHits, c.memoMisses
 }
 
+// hostSet is the set of nodes an assignment touches, one bit per node at
+// the node's index in the evaluation snapshot's hostname-ordered table.
+type hostSet []uint64
+
 // assignmentHostSet collects the distinct hosts an assignment touches.
-func assignmentHostSet(asg *match.Assignment) map[string]bool {
+func assignmentHostSet(view *resource.Snapshot, asg *match.Assignment) hostSet {
+	var set hostSet
 	if asg == nil {
-		return nil
+		return set
 	}
-	set := make(map[string]bool, len(asg.Nodes))
 	for _, n := range asg.Nodes {
-		set[n.Hostname] = true
+		i, ok := view.NodeIndex(n.Hostname)
+		if !ok {
+			continue
+		}
+		w := i / 64
+		if w >= len(set) {
+			set = append(set, make(hostSet, w+1-len(set))...)
+		}
+		set[w] |= 1 << (i % 64)
 	}
 	return set
 }
 
-// hostsIntersect reports whether any host of hosts appears in set. A trial
+// intersects reports whether two host sets share a member. A trial
 // reservation only perturbs the nodes it loads and the links between its
 // own hosts, so two assignments with disjoint host sets cannot affect each
 // other's predictions.
-func hostsIntersect(hosts []string, set map[string]bool) bool {
-	for _, h := range hosts {
-		if set[h] {
+func (a hostSet) intersects(b hostSet) bool {
+	if len(b) < len(a) {
+		a = a[:len(b)]
+	}
+	for i, w := range a {
+		if w&b[i] != 0 {
 			return true
 		}
 	}
@@ -201,8 +216,8 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 			app.claim = nil
 		}
 	}
-	appHosts := assignmentHostSet(app.assignment)
-	ctx := &evalContext{app: app, base: snap}
+	appHosts := assignmentHostSet(snap, app.assignment)
+	ctx := &evalContext{app: app, base: snap, others: make([]otherApp, 0, len(c.order))}
 	for _, id := range c.order {
 		other := c.apps[id]
 		if other == app {
@@ -217,9 +232,9 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 			owner: other.owner(),
 			opt:   other.bundle.Option(other.choice.Option),
 			asg:   other.assignment,
-			hosts: assignmentHostSet(other.assignment),
+			hosts: assignmentHostSet(snap, other.assignment),
 		}
-		if app.claim == nil || !hostSetsIntersect(appHosts, o.hosts) {
+		if app.claim == nil || !appHosts.intersects(o.hosts) {
 			// Releasing the app's claim cannot change this prediction, so
 			// it equals the committed-state prediction: memoizable.
 			o.pred, o.err = c.cachedPredictLocked(o.opt, o.asg)
@@ -231,19 +246,6 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 		ctx.others = append(ctx.others, o)
 	}
 	return ctx
-}
-
-// hostSetsIntersect reports whether two host sets share a member.
-func hostSetsIntersect(a, b map[string]bool) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for h := range a {
-		if b[h] {
-			return true
-		}
-	}
-	return false
 }
 
 // evaluateChoice trial-reserves one choice in a private fork of the base
@@ -276,7 +278,7 @@ func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, err
 		return candidate{}, err
 	}
 
-	candHosts := asg.Hosts()
+	candHosts := assignmentHostSet(fork, asg)
 	jobs := make([]objective.JobPrediction, 0, len(ctx.others)+1)
 	for i := range ctx.others {
 		o := &ctx.others[i]
@@ -284,7 +286,7 @@ func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, err
 			return candidate{}, o.err
 		}
 		p := o.pred
-		if hostsIntersect(candHosts, o.hosts) {
+		if candHosts.intersects(o.hosts) {
 			// The candidate loads hosts this application runs on: its
 			// contention-scaled prediction changes, re-predict in the fork.
 			if p, err = c.predictOptionView(fork, o.opt, o.asg, true); err != nil {

@@ -1,0 +1,216 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"harmony/internal/cluster"
+	"harmony/internal/match"
+	"harmony/internal/replog"
+	"harmony/internal/simclock"
+)
+
+// The hashes below were recorded on the commit before internal/resource
+// moved from hostname-keyed maps to dense indices (PR 14's parent), by
+// running this very test there. TestParallelMatchesSerial and
+// TestPruningBitIdentical compare the current code with itself; this test
+// compares it with what the map-based ledger decided. A hash changes only
+// when a decision, placement, claim or prediction changes, so a mismatch
+// after a representation change is a behaviour change.
+
+// goldenDBRSL is the Figure 3 client with a wildcard client host and a
+// memory grant ladder, so free memory differs between nodes and the
+// best-fit and worst-fit orders part from first-fit.
+func goldenDBRSL(i int) string {
+	return fmt.Sprintf(`
+harmonyBundle DBclient%d:%d where {
+	{QS
+		{node server sp2-01 {seconds 5} {memory 20}}
+		{node client * {os linux} {seconds 1} {memory 2}}
+		{link client server 2}
+	}
+	{DS
+		{node server sp2-01 {seconds 1} {memory 20}}
+		{node client * {os linux} {memory >=17} {seconds 10}}
+		{link client server {44 + (client.memory > 24 ? 24 : client.memory) - 17}}
+	}
+}`, i, i)
+}
+
+// goldenCacheRSL places a memory-only node: it charges no CPU load, so idle
+// nodes end up with different free memory, the case where the three
+// strategies scan in different orders.
+func goldenCacheRSL(i int) string {
+	return fmt.Sprintf(`
+harmonyBundle Cache%d:%d tier {
+	{small
+		{node store * {memory 40}}
+		{node front * {seconds 4} {memory 8}}
+	}
+	{large
+		{node store * {memory >=64}}
+		{node front * {seconds 3} {memory 8}}
+	}
+}`, i, i)
+}
+
+// goldenScript is one seeded churn log over a cluster of the given size.
+type goldenScript struct {
+	name    string
+	nodes   int
+	entries int
+	maxLive int
+	// rsl renders the i-th registration.
+	rsl func(rng *rand.Rand, i int, hosts []string) string
+	// workers bounds the forced workerNodes value.
+	workers int
+}
+
+var goldenScripts = []goldenScript{
+	{
+		name: "fig4", nodes: 6, entries: 60, maxLive: 4, workers: 3,
+		rsl: func(rng *rand.Rand, i int, _ []string) string {
+			if rng.Intn(3) == 0 {
+				return goldenCacheRSL(i)
+			}
+			return replayBagRSL(i)
+		},
+	},
+	{
+		name: "fig7", nodes: 6, entries: 60, maxLive: 4, workers: 3,
+		rsl: func(rng *rand.Rand, i int, hosts []string) string {
+			switch rng.Intn(4) {
+			case 0:
+				return goldenDBRSL(i)
+			case 1:
+				return goldenCacheRSL(i)
+			}
+			return replayDBRSL(i, hosts[rng.Intn(len(hosts))])
+		},
+	},
+	{
+		name: "wide", nodes: 256, entries: 40, maxLive: 8, workers: 32,
+		rsl: func(rng *rand.Rand, i int, _ []string) string {
+			if rng.Intn(4) == 0 {
+				return goldenCacheRSL(i)
+			}
+			return wideBagRSL(fmt.Sprintf("Bag%d", i), i, 270+float64(rng.Intn(601))/10)
+		},
+	},
+}
+
+// log generates the script's entries: the genReplayLog mix of registrations,
+// departures, node lifecycle changes, forced choices and re-evaluations.
+func (s goldenScript) log(hosts []string) []replog.Entry {
+	rng := rand.New(rand.NewSource(int64(len(s.name)*1000 + s.nodes)))
+	var entries []replog.Entry
+	now := time.Duration(0)
+	nextReg := 0
+	var live []int
+	down := map[string]bool{}
+	for i := 0; i < s.entries; i++ {
+		now += time.Duration(rng.Intn(5000)) * time.Millisecond
+		e := replog.Entry{Index: uint64(i + 1), Term: 1, Time: now}
+		k := rng.Intn(10)
+		if len(live) < s.maxLive/2 {
+			k = 0 // fill the machine first so the later churn has residents
+		} else if k < 4 && len(live) >= s.maxLive {
+			k = 4
+		}
+		switch {
+		case k < 4:
+			nextReg++
+			e.Op, e.RSL = replog.OpRegister, s.rsl(rng, nextReg, hosts)
+			live = append(live, nextReg)
+		case k < 6:
+			e.Op = replog.OpUnregister
+			j := rng.Intn(len(live))
+			e.Instance = live[j]
+			live = append(live[:j], live[j+1:]...)
+		case k < 7:
+			h := hosts[rng.Intn(len(hosts))]
+			e.Op, e.Hostname = replog.OpNodeState, h
+			if down[h] {
+				e.State = "up"
+				delete(down, h)
+			} else {
+				e.State = []string{"down", "drain"}[rng.Intn(2)]
+				down[h] = true
+			}
+		case k < 8:
+			e.Op = replog.OpForceChoice
+			e.Instance = live[rng.Intn(len(live))]
+			e.Choice = &replog.Choice{
+				Option: "workers",
+				Vars:   map[string]float64{"workerNodes": float64(1 + rng.Intn(s.workers))},
+			}
+		default:
+			e.Op = replog.OpReevaluate
+		}
+		entries = append(entries, e)
+	}
+	return entries
+}
+
+// run applies the script on a fresh controller and returns the SHA-256 over
+// EncodeState after every entry, so a transient divergence that a later
+// entry happens to heal still changes the hash.
+func (s goldenScript) run(t *testing.T, strategy match.Strategy) string {
+	t.Helper()
+	cl, err := cluster.NewSP2(s.nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := simclock.New()
+	defer clock.Stop()
+	ctrl, err := New(Config{Cluster: cl, Clock: clock, Strategy: strategy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Stop()
+	hosts := cl.Hosts()[1:] // sp2-01 is the shared database server
+	h := sha256.New()
+	for _, e := range s.log(hosts) {
+		e := e
+		_, _ = ctrl.Apply(&e) // failures are part of the script; state shows them
+		data, err := ctrl.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(data)
+	}
+	if err := ctrl.Ledger().CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestGoldenStateHashes(t *testing.T) {
+	golden := map[string]string{
+		"fig4/first-fit": "2f2b5d19da00658c46e5002721950942f991112cb31ad219a6e8918980148dc1",
+		"fig4/best-fit":  "3eda62ded47db3b0986d9179b924a4b89a0a58a8538d7a70fdcb1eb130b3ab1f",
+		"fig4/worst-fit": "8b5295da2eaf5d6c2d38e9e0ff0909979b1f2734460971a86bb71b2de0ea6584",
+		"fig7/first-fit": "aa7845dbb913d6028d60eba7ee04b9a01237e165b2304db7ab972d3b86dd05b8",
+		"fig7/best-fit":  "aa7845dbb913d6028d60eba7ee04b9a01237e165b2304db7ab972d3b86dd05b8",
+		"fig7/worst-fit": "26c48ec1d6fe0268fcaed8df950e9f6a9d2d82c668f432d46634632d62e3d1af",
+		"wide/first-fit": "4b2eaf701afe4be2658a137ae77aa744e9530eb1f4e3bdfba651003dc920ef6c",
+		"wide/best-fit":  "487e347df7c2c56db4c6686600ad4cb6fa867d2e8b454699ba6aa86c559a602e",
+		"wide/worst-fit": "12b3942dd5d9811c4ebea6868ea43cbf94d5cf0db3448d1f05160237b903708a",
+	}
+	for _, s := range goldenScripts {
+		for _, strategy := range []match.Strategy{match.FirstFit, match.BestFit, match.WorstFit} {
+			s, strategy := s, strategy
+			name := s.name + "/" + strategy.String()
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				if got := s.run(t, strategy); got != golden[name] {
+					t.Errorf("EncodeState hash = %s, want %s (recorded on the parent commit)", got, golden[name])
+				}
+			})
+		}
+	}
+}

@@ -357,35 +357,34 @@ func analyzeChoice(opt *rsl.OptionSpec, ch Choice) choiceStatic {
 	return st
 }
 
-// availability is a one-pass aggregate of an evaluation snapshot: the set
-// of healthy nodes and memoized eligibility counts per demand shape.
+// availability is a one-pass aggregate of an evaluation snapshot: its node
+// table, the number of healthy nodes in it, and memoized eligibility counts
+// per demand shape.
 type availability struct {
-	nodes  []resource.NodeState
-	byHost map[string]*resource.NodeState
+	nodes  []resource.NodeState // hostname order
+	up     int
 	counts map[eligKey]int
 }
 
 // newAvailability scans the view's nodes once. Only HealthUp nodes accept
 // placements, matching the matcher's scan.
 func newAvailability(view *resource.Snapshot) *availability {
-	all := view.Nodes()
-	av := &availability{}
-	for i := range all {
-		if all[i].Health == resource.HealthUp {
-			av.nodes = append(av.nodes, all[i])
-		}
-	}
-	av.byHost = make(map[string]*resource.NodeState, len(av.nodes))
+	av := &availability{nodes: view.Nodes()}
 	for i := range av.nodes {
-		av.byHost[av.nodes[i].Node.Hostname] = &av.nodes[i]
+		if av.nodes[i].Health == resource.HealthUp {
+			av.up++
+		}
 	}
 	return av
 }
 
-// eligible mirrors the matcher's firstFit preconditions for one healthy
-// node against one replica of a demand.
+// eligible mirrors the matcher's firstFit preconditions for one node
+// against one replica of a demand.
 func eligible(ns *resource.NodeState, d *specDemand) bool {
 	host := ns.Node.Hostname
+	if ns.Health != resource.HealthUp {
+		return false
+	}
 	if d.pattern != "*" && d.pattern != host {
 		return false
 	}
@@ -432,7 +431,7 @@ func (av *availability) eligibleCount(d *specDemand) int {
 // fixed-host replicas stack their grants on one machine's free memory via
 // the same iterative comparison the matcher's scratch state performs.
 func (av *availability) feasible(st *choiceStatic) bool {
-	if st.wildcard > len(av.nodes) {
+	if st.wildcard > av.up {
 		return false
 	}
 	for i := range st.specs {
@@ -443,10 +442,11 @@ func (av *availability) feasible(st *choiceStatic) bool {
 			}
 			continue
 		}
-		ns, ok := av.byHost[d.pattern]
-		if !ok {
+		i, ok := resource.FindNode(av.nodes, d.pattern)
+		if !ok || av.nodes[i].Health != resource.HealthUp {
 			return false
 		}
+		ns := &av.nodes[i]
 		if d.pin != "" && d.pin != ns.Node.Hostname {
 			return false
 		}

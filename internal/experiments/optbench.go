@@ -16,11 +16,12 @@ import (
 // snapshot-based candidate evaluator of internal/core) on workloads shaped
 // like the paper's Figure 4 (variable-parallelism jobs on an SP-2) and
 // Figure 7 (query-shipping/data-shipping database clients), at several
-// cluster sizes. It measures a full re-evaluation pass — every registered
-// application's candidate set scored under the system objective — serially
-// (EvalWorkers=1) and in parallel (EvalWorkers=GOMAXPROCS), and reports
-// ns/pass, candidate evaluations per second, speedup, and prediction-memo
-// hit rate. cmd/hbench -json serializes the report as BENCH_3.json and
+// cluster sizes, at GOMAXPROCS 1 and at the process's own GOMAXPROCS. It
+// measures a full re-evaluation pass — every registered application's
+// candidate set scored under the system objective — serially (EvalWorkers=1)
+// and in parallel (EvalWorkers=GOMAXPROCS), and reports ns/pass, candidate
+// evaluations per second, speedup, and prediction-memo hit rate. cmd/hbench
+// -json serializes the report (BENCH_14.json is the committed baseline) and
 // scripts/bench.sh gates CI on it.
 
 // OptBenchConfig parameterizes the hot-path benchmark.
@@ -50,8 +51,11 @@ func DefaultOptBenchConfig() OptBenchConfig {
 
 // OptBenchPoint is one measured (shape, cluster size) sample.
 type OptBenchPoint struct {
-	Shape               string  `json:"shape"`
-	Nodes               int     `json:"nodes"`
+	Shape string `json:"shape"`
+	Nodes int    `json:"nodes"`
+	// Procs is the GOMAXPROCS the point was measured at; the parallel mode
+	// runs that many evaluation workers.
+	Procs               int     `json:"go_max_procs"`
 	Apps                int     `json:"apps"`
 	ChoicesPerPass      int     `json:"choices_per_pass"`
 	SerialNsPerReeval   float64 `json:"serial_ns_per_reeval"`
@@ -73,13 +77,18 @@ type OptBenchPoint struct {
 	ParallelIters    int    `json:"parallel_iters"`
 }
 
-// OptBenchReport is the machine-readable benchmark output (BENCH_3.json).
+// OptBenchReport is the machine-readable benchmark output (BENCH_14.json).
+// GoMaxProcs is the process's setting, the larger of the two every point is
+// measured at.
 type OptBenchReport struct {
-	Bench      string          `json:"bench"`
-	GoMaxProcs int             `json:"go_max_procs"`
-	GOOS       string          `json:"goos"`
-	GOARCH     string          `json:"goarch"`
-	Points     []OptBenchPoint `json:"points"`
+	Bench      string `json:"bench"`
+	GoMaxProcs int    `json:"go_max_procs"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	// Notes is commentary kept with a committed baseline: what the numbers
+	// were measured for and what they showed. A fresh run has none.
+	Notes  []string        `json:"notes,omitempty"`
+	Points []OptBenchPoint `json:"points"`
 }
 
 // EnvMatches reports whether two reports were measured in comparable
@@ -218,23 +227,33 @@ func RunOptBench(cfg OptBenchConfig) (*OptBenchReport, error) {
 	if cfg.MaxIters <= 0 {
 		cfg.MaxIters = 100
 	}
-	parWorkers := cfg.ParallelWorkers
-	if parWorkers <= 0 {
-		parWorkers = runtime.GOMAXPROCS(0)
-	}
+	maxProcs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(maxProcs)
 	report := &OptBenchReport{
 		Bench:      "optimizer-hot-path",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
+		GoMaxProcs: maxProcs,
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 	}
+	procsList := []int{1}
+	if maxProcs > 1 {
+		procsList = append(procsList, maxProcs)
+	}
 	for _, shape := range cfg.Shapes {
 		for _, nodes := range cfg.NodeCounts {
-			pt, err := runOptBenchPoint(shape, nodes, parWorkers, cfg.MinMeasure, cfg.MaxIters)
-			if err != nil {
-				return nil, err
+			for _, procs := range procsList {
+				runtime.GOMAXPROCS(procs)
+				parWorkers := cfg.ParallelWorkers
+				if parWorkers <= 0 {
+					parWorkers = procs
+				}
+				pt, err := runOptBenchPoint(shape, nodes, parWorkers, cfg.MinMeasure, cfg.MaxIters)
+				if err != nil {
+					return nil, err
+				}
+				pt.Procs = procs
+				report.Points = append(report.Points, *pt)
 			}
-			report.Points = append(report.Points, *pt)
 		}
 	}
 	return report, nil
@@ -322,8 +341,8 @@ func OptBenchResult(report *OptBenchReport) *Result {
 			prunedPct = 100 * float64(pruned) / float64(p.PruneConsidered)
 		}
 		res.Rows = append(res.Rows, fmt.Sprintf(
-			"%-5s n=%-4d apps=%-4d choices/pass=%-5d serial=%.2fms parallel=%.2fms speedup=%.2fx evals/s=%.0f memo=%.0f%% pruned=%.0f%%",
-			p.Shape, p.Nodes, p.Apps, p.ChoicesPerPass,
+			"%-5s n=%-4d procs=%-2d apps=%-4d choices/pass=%-5d serial=%.2fms parallel=%.2fms speedup=%.2fx evals/s=%.0f memo=%.0f%% pruned=%.0f%%",
+			p.Shape, p.Nodes, p.Procs, p.Apps, p.ChoicesPerPass,
 			p.SerialNsPerReeval/1e6, p.ParallelNsPerReeval/1e6, p.Speedup,
 			p.ParallelEvalsPerSec, p.MemoHitRate*100, prunedPct))
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -17,10 +18,19 @@ func TestOptBenchSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(rep.Points))
+	// Two shapes, each at GOMAXPROCS 1 and, where it differs, at the
+	// process's own.
+	want := 2
+	if runtime.GOMAXPROCS(0) > 1 {
+		want = 4
+	}
+	if len(rep.Points) != want {
+		t.Fatalf("points = %d, want %d", len(rep.Points), want)
 	}
 	for _, p := range rep.Points {
+		if p.Procs != 1 && p.Procs != rep.GoMaxProcs {
+			t.Errorf("%s/%d: measured at GOMAXPROCS %d, want 1 or %d", p.Shape, p.Nodes, p.Procs, rep.GoMaxProcs)
+		}
 		if p.Apps <= 0 || p.ChoicesPerPass <= 0 {
 			t.Errorf("%s/%d: degenerate workload: %+v", p.Shape, p.Nodes, p)
 		}
@@ -38,7 +48,7 @@ func TestOptBenchSmall(t *testing.T) {
 		t.Fatalf("environment not recorded: %+v", rep)
 	}
 	res := OptBenchResult(rep)
-	if !res.Passed() || len(res.Rows) != 2 {
+	if !res.Passed() || len(res.Rows) != want {
 		t.Fatalf("result formatting broken: %+v", res)
 	}
 }

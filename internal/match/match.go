@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
@@ -139,6 +140,25 @@ func (m *Matcher) WithView(view resource.View) *Matcher {
 	return &Matcher{ledger: view, strategy: m.strategy}
 }
 
+// scratch is the working memory of one Match call, addressed by a node's
+// index in the view's hostname-ordered table. Calls take one from the pool
+// and hand it back, so a worker evaluating many candidates reuses the same
+// buffers instead of building a table and three maps per candidate.
+type scratch struct {
+	// states is the view's node table; capacity is charged against it as
+	// replicas are placed.
+	states []resource.NodeState
+	// order lists indices into states in the order the strategy scans them.
+	order []int32
+	// used marks nodes the request may not take: excluded by the caller, or
+	// already given to a wildcard replica of this request.
+	used []bool
+	// seconds is each node spec's CPU requirement, by spec index.
+	seconds []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // Match computes a first-fit assignment without reserving anything. Use
 // Reserve to commit the returned assignment.
 func (m *Matcher) Match(req Request) (*Assignment, error) {
@@ -147,10 +167,16 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 	}
 	opt := req.Option
 	asg := &Assignment{Option: opt.Name}
-	used := make(map[string]bool)
-	for k := range req.ExcludeHosts {
-		if req.ExcludeHosts[k] {
-			used[k] = true
+
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.states = m.ledger.AppendNodes(sc.states[:0])
+	states := sc.states
+	sc.used = append(sc.used[:0], make([]bool, len(states))...)
+	used := sc.used
+	for host, excluded := range req.ExcludeHosts {
+		if i, ok := resource.FindNode(states, host); ok && excluded {
+			used[i] = true
 		}
 	}
 
@@ -158,21 +184,21 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 	// spread onto idle machines), with the configured strategy breaking
 	// ties: first-fit by hostname, best-fit by least free memory,
 	// worst-fit by most free memory.
-	states := m.ledger.Nodes()
-	m.orderStates(states)
+	sc.order = m.scanOrder(states, sc.order[:0])
 
-	// CPU demand per local name is the node's busy fraction of the job:
+	// CPU demand per node spec is the node's busy fraction of the job:
 	// the share of the job's critical-path seconds spent there. A database
 	// server doing 1 of a job's 10 seconds is charged 0.1 CPUs, not 1.0.
-	specCPULoad := make(map[string]float64, len(opt.Nodes))
+	sc.seconds = sc.seconds[:0]
 	maxSeconds := 0.0
 
-	for _, spec := range opt.Nodes {
-		replicas, err := replicaCount(&spec, req.Env)
+	for i := range opt.Nodes {
+		spec := &opt.Nodes[i]
+		replicas, err := replicaCount(spec, req.Env)
 		if err != nil {
 			return nil, noFit(opt.Name, "node %s: %v", spec.LocalName, err)
 		}
-		needMem, memOp, err := memoryRequirement(&spec, req.Env)
+		needMem, memOp, err := memoryRequirement(spec, req.Env)
 		if err != nil {
 			return nil, noFit(opt.Name, "node %s: %v", spec.LocalName, err)
 		}
@@ -195,33 +221,41 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 				}
 			}
 		}
-		seconds, err := secondsRequirement(&spec, req.Env)
+		seconds, err := secondsRequirement(spec, req.Env)
 		if err != nil {
 			return nil, noFit(opt.Name, "node %s: %v", spec.LocalName, err)
 		}
-		exclusive, err := exclusiveRequirement(&spec, req.Env)
+		exclusive, err := exclusiveRequirement(spec, req.Env)
 		if err != nil {
 			return nil, noFit(opt.Name, "node %s: %v", spec.LocalName, err)
 		}
 
-		specCPULoad[spec.LocalName] = seconds
+		sc.seconds = append(sc.seconds, seconds)
 		if seconds > maxSeconds {
 			maxSeconds = seconds
 		}
 
+		if asg.Nodes == nil {
+			asg.Nodes = make([]NodeAssignment, 0, replicas)
+		}
+		// A node that turned one replica of this spec away turns the next
+		// away too (capacity only shrinks within a call), so each replica's
+		// scan resumes where the last one stopped instead of at the front.
+		from := 0
 		for r := 0; r < replicas; r++ {
-			host, err := m.firstFit(states, &spec, grant, exclusive, used)
+			from, err = firstFit(states, sc.order, from, spec, grant, exclusive, used)
 			if err != nil {
 				return nil, noFit(opt.Name, "node %s replica %d: %v", spec.LocalName, r+1, err)
 			}
 			// Fixed-host specs may stack multiple local names on the same
 			// machine; wildcard placements take distinct hosts.
+			at := sc.order[from]
 			if spec.HostPattern == "*" {
-				used[host] = true
+				used[at] = true
 			}
 			asg.Nodes = append(asg.Nodes, NodeAssignment{
 				LocalName: spec.LocalName,
-				Hostname:  host,
+				Hostname:  states[at].Node.Hostname,
 				Seconds:   seconds,
 				MemoryMB:  grant,
 			})
@@ -231,15 +265,19 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 	// Assign busy-fraction CPU loads now that the critical path is known.
 	for i := range asg.Nodes {
 		if maxSeconds > 0 {
-			asg.Nodes[i].CPULoad = specCPULoad[asg.Nodes[i].LocalName] / maxSeconds
+			asg.Nodes[i].CPULoad = secondsOf(opt, sc.seconds, asg.Nodes[i].LocalName) / maxSeconds
 		} else {
 			asg.Nodes[i].CPULoad = DefaultCPULoad
 		}
 	}
+	if len(opt.Links) == 0 && opt.Communication == nil {
+		return asg, nil
+	}
 
 	// Evaluate links with granted memory visible to the expressions.
 	linkEnv := rsl.ChainEnv{asg.MemoryEnv(), req.Env}
-	for _, ls := range opt.Links {
+	for i := range opt.Links {
+		ls := &opt.Links[i]
 		hostA, okA := hostFor(asg, ls.A)
 		hostB, okB := hostFor(asg, ls.B)
 		if !okA || !okB {
@@ -328,8 +366,8 @@ func (m *Matcher) Reserve(owner string, asg *Assignment) (*resource.Claim, error
 		})
 	}
 	// Spread aggregate communication evenly over host pairs.
-	hosts := asg.Hosts()
-	if asg.CommunicationMbps > 0 && len(hosts) > 1 {
+	if asg.CommunicationMbps > 0 {
+		hosts := asg.Hosts()
 		pairs := len(hosts) * (len(hosts) - 1) / 2
 		per := asg.CommunicationMbps / float64(pairs)
 		for i := 0; i < len(hosts); i++ {
@@ -347,41 +385,60 @@ func (m *Matcher) Reserve(owner string, asg *Assignment) (*resource.Claim, error
 	return claim, nil
 }
 
-// firstFit scans nodes (pre-sorted least-loaded first) for the first
-// machine satisfying the spec with the requested grant. Exclusive specs
-// — the paper's space-shared parallel workers, which the SP-2 allocator
-// dedicates whole nodes to — only accept idle machines.
-func (m *Matcher) firstFit(states []resource.NodeState, spec *rsl.NodeSpec, grantMem float64, exclusive bool, used map[string]bool) (string, error) {
-	var lastReason string
-	for i := range states {
+// rejection is why firstFit passed over a node. Only the last one is ever
+// reported, so the scan records the kind and the text is built once, on
+// failure, instead of once per node passed over.
+type rejection int
+
+const (
+	rejectNone rejection = iota
+	rejectHealth
+	rejectUsed
+	rejectOS
+	rejectMemory
+	rejectBusy // the remaining case: an exclusive spec met a loaded node
+)
+
+// firstFit scans order (least-loaded first) from place from for the first
+// machine satisfying the spec with the requested grant, and returns its
+// place in order: where the next replica of the same spec resumes. The
+// machine found is looked at again then, so a wildcard spec that runs out of
+// machines still reports the last one it passed over, as a scan from the
+// front would. Exclusive specs — the paper's space-shared parallel workers,
+// which the SP-2 allocator dedicates whole nodes to — only accept idle
+// machines.
+func firstFit(states []resource.NodeState, order []int32, from int, spec *rsl.NodeSpec, grantMem float64, exclusive bool, used []bool) (int, error) {
+	wildcard := spec.HostPattern == "*"
+	osTag, hasOS := spec.Tags["os"]
+	hasOS = hasOS && osTag.IsString
+	hnTag, hasHostname := spec.Tags["hostname"]
+	hasHostname = hasHostname && hnTag.IsString
+	why, whyAt := rejectNone, 0
+	for k := from; k < len(order); k++ {
+		i := int(order[k])
 		ns := &states[i]
 		host := ns.Node.Hostname
-		if spec.HostPattern != "*" && spec.HostPattern != host {
+		switch {
+		case !wildcard && spec.HostPattern != host:
 			continue
-		}
-		if ns.Health != resource.HealthUp {
+		case ns.Health != resource.HealthUp:
 			// Draining and down nodes accept no new placements; existing
 			// claims on a draining node survive until their owner moves.
-			lastReason = fmt.Sprintf("%s is %s", host, ns.Health)
+			why, whyAt = rejectHealth, i
 			continue
-		}
-		if spec.HostPattern == "*" && used[host] {
-			lastReason = "remaining hosts already used"
+		case wildcard && used[i]:
+			why, whyAt = rejectUsed, i
 			continue
-		}
-		if osTag, ok := spec.Tags["os"]; ok && osTag.IsString && osTag.Str != ns.Node.OS {
-			lastReason = fmt.Sprintf("%s runs %s, need %s", host, ns.Node.OS, osTag.Str)
+		case hasOS && osTag.Str != ns.Node.OS:
+			why, whyAt = rejectOS, i
 			continue
-		}
-		if hnTag, ok := spec.Tags["hostname"]; ok && hnTag.IsString && hnTag.Str != host {
+		case hasHostname && hnTag.Str != host:
 			continue
-		}
-		if ns.FreeMemoryMB < grantMem {
-			lastReason = fmt.Sprintf("%s has %g MB free, need %g MB", host, ns.FreeMemoryMB, grantMem)
+		case ns.FreeMemoryMB < grantMem:
+			why, whyAt = rejectMemory, i
 			continue
-		}
-		if exclusive && ns.CPULoad > 0 {
-			lastReason = fmt.Sprintf("%s is busy (load %g), spec requires an idle node", host, ns.CPULoad)
+		case exclusive && ns.CPULoad > 0:
+			why, whyAt = rejectBusy, i
 			continue
 		}
 		// Found: charge the scratch state so later replicas in this same
@@ -390,18 +447,39 @@ func (m *Matcher) firstFit(states []resource.NodeState, spec *rsl.NodeSpec, gran
 		if exclusive {
 			ns.CPULoad += DefaultCPULoad
 		}
-		return host, nil
+		return k, nil
 	}
-	if spec.HostPattern != "*" {
-		if lastReason == "" {
-			lastReason = fmt.Sprintf("host %s not registered", spec.HostPattern)
+	if why == rejectNone {
+		if !wildcard {
+			return 0, fmt.Errorf("host %s not registered", spec.HostPattern)
 		}
-		return "", errors.New(lastReason)
+		return 0, errors.New("no registered hosts")
 	}
-	if lastReason == "" {
-		lastReason = "no registered hosts"
+	ns := &states[whyAt]
+	host := ns.Node.Hostname
+	switch why {
+	case rejectHealth:
+		return 0, fmt.Errorf("%s is %s", host, ns.Health)
+	case rejectUsed:
+		return 0, errors.New("remaining hosts already used")
+	case rejectOS:
+		return 0, fmt.Errorf("%s runs %s, need %s", host, ns.Node.OS, osTag.Str)
+	case rejectMemory:
+		return 0, fmt.Errorf("%s has %g MB free, need %g MB", host, ns.FreeMemoryMB, grantMem)
+	default:
+		return 0, fmt.Errorf("%s is busy (load %g), spec requires an idle node", host, ns.CPULoad)
 	}
-	return "", errors.New(lastReason)
+}
+
+// secondsOf is the CPU requirement of the node spec called local. Two specs
+// may share a local name; the later one's requirement stands for both.
+func secondsOf(opt *rsl.OptionSpec, seconds []float64, local string) float64 {
+	for i := len(opt.Nodes) - 1; i >= 0; i-- {
+		if opt.Nodes[i].LocalName == local {
+			return seconds[i]
+		}
+	}
+	return 0
 }
 
 func hostFor(asg *Assignment, localName string) (string, bool) {

@@ -346,3 +346,53 @@ func TestAssignmentHelpers(t *testing.T) {
 		t.Fatalf("MemoryEnv = %v", env)
 	}
 }
+
+// wideBundleSrc is the 256-node benchmark shape: up to 32 exclusive workers
+// with an explicit model and no links.
+const wideBundleSrc = `
+harmonyBundle Bag:1 parallelism {
+	{workers
+		{variable workerNodes {1 2 4 8 16 32}}
+		{node worker * {seconds {300 / workerNodes}} {memory 32} {replicate workerNodes} {exclusive 1}}
+		{performance {{1 300} {2 160} {4 90} {8 70} {16 60} {32 55}}}
+	}
+}
+`
+
+// TestMatchAllocations holds Match, on the 256-node shape and on a snapshot
+// fork with residents in place as the controller calls it, to what its
+// result needs: the assignment and its node list. The node table, the scan
+// order and the used set come from reused scratch; a map or a fresh table per
+// call shows up here.
+func TestMatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	m, c := sp2Matcher(t, 256)
+	opt := mustBundle(t, wideBundleSrc).Option("workers")
+	for _, workers := range []float64{4, 8, 16} {
+		asg, err := m.Match(Request{Option: opt, Env: rsl.MapEnv{"workerNodes": workers}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Reserve("resident", asg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := c.Ledger().Snapshot()
+	req := Request{Option: opt, Env: rsl.MapEnv{"workerNodes": 32}}
+	var asg *Assignment
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if asg, err = m.WithView(snap).Match(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(asg.Nodes) != 32 || asg.Nodes[0].Hostname != "sp2-117" {
+		t.Fatalf("placed %d workers from %s, want 32 from sp2-117 (the 29th name in hostname order)", len(asg.Nodes), asg.Nodes[0].Hostname)
+	}
+	// The matcher copy, the assignment and its nodes.
+	if allocs > 3 {
+		t.Errorf("Match allocates %.0f objects per call on 256 nodes, want at most 3", allocs)
+	}
+}

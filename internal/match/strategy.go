@@ -3,7 +3,7 @@ package match
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"harmony/internal/resource"
 )
@@ -72,27 +72,58 @@ func (m *Matcher) Strategy() Strategy {
 	return m.strategy
 }
 
-// orderStates sorts the scratch node states according to the strategy.
-// Load remains the primary key for every strategy — placing work on busy
-// machines is never preferable under the contention model — with the
-// memory criterion breaking ties.
-func (m *Matcher) orderStates(states []resource.NodeState) {
+// compareKey orders two nodes by the strategy's key: load first for every
+// strategy — placing work on busy machines is never preferable under the
+// contention model — then the memory criterion.
+func compareKey(strategy Strategy, a, b *resource.NodeState) int {
+	switch {
+	case a.CPULoad < b.CPULoad:
+		return -1
+	case a.CPULoad > b.CPULoad:
+		return 1
+	case strategy == FirstFit || a.FreeMemoryMB == b.FreeMemoryMB:
+		return 0
+	case (a.FreeMemoryMB < b.FreeMemoryMB) == (strategy == BestFit):
+		return -1
+	}
+	return 1
+}
+
+// scanOrder appends to order the indices of states in the order the
+// strategy scans them: by key, and within a key by index, which is the
+// hostname order states arrives in. The node states themselves stay where
+// they are.
+//
+// Most of a cluster usually shares the smallest key (idle, memory
+// untouched), and hostname order already sorts nodes of one key. So those
+// are emitted in one pass and only the rest is sorted.
+func (m *Matcher) scanOrder(states []resource.NodeState, order []int32) []int32 {
+	if len(states) == 0 {
+		return order
+	}
 	strategy := m.Strategy()
-	sort.SliceStable(states, func(i, j int) bool {
-		a, b := &states[i], &states[j]
-		if a.CPULoad != b.CPULoad {
-			return a.CPULoad < b.CPULoad
+	first := &states[0]
+	for i := range states {
+		if compareKey(strategy, &states[i], first) < 0 {
+			first = &states[i]
 		}
-		switch strategy {
-		case BestFit:
-			if a.FreeMemoryMB != b.FreeMemoryMB {
-				return a.FreeMemoryMB < b.FreeMemoryMB
-			}
-		case WorstFit:
-			if a.FreeMemoryMB != b.FreeMemoryMB {
-				return a.FreeMemoryMB > b.FreeMemoryMB
-			}
+	}
+	order = append(order, make([]int32, len(states))...)
+	lo, hi := 0, len(order)
+	for i := range states {
+		if compareKey(strategy, &states[i], first) == 0 {
+			order[lo] = int32(i)
+			lo++
+		} else {
+			hi--
+			order[hi] = int32(i)
 		}
-		return a.Node.Hostname < b.Node.Hostname
+	}
+	slices.SortFunc(order[hi:], func(i, j int32) int {
+		if c := compareKey(strategy, &states[i], &states[j]); c != 0 {
+			return c
+		}
+		return int(i - j)
 	})
+	return order
 }

@@ -63,13 +63,7 @@ func (p *Predictor) Default(asg *match.Assignment, selfReserved bool) (Predictio
 	if asg == nil {
 		return Prediction{}, errors.New("predict: nil assignment")
 	}
-	// Sum our own load per host first (multiple processes may share a host).
-	selfLoad := make(map[string]float64, len(asg.Nodes))
-	if !selfReserved {
-		for _, n := range asg.Nodes {
-			selfLoad[n.Hostname] += n.CPULoad
-		}
-	}
+	selfLoad := selfLoadByHost(asg, selfReserved)
 	cpu := 0.0
 	for _, n := range asg.Nodes {
 		ns, err := p.ledger.Node(n.Hostname)
@@ -90,6 +84,21 @@ func (p *Predictor) Default(asg *match.Assignment, selfReserved bool) (Predictio
 		return Prediction{}, err
 	}
 	return Prediction{Seconds: cpu * scale, CPUSeconds: cpu, CommScale: scale}, nil
+}
+
+// selfLoadByHost sums the assignment's own CPU load per host (several
+// processes may share one), for predicting a placement the view does not
+// hold yet. A reserved assignment is already in the view: nil, which reads
+// as zero for every host.
+func selfLoadByHost(asg *match.Assignment, selfReserved bool) map[string]float64 {
+	if selfReserved {
+		return nil
+	}
+	selfLoad := make(map[string]float64, len(asg.Nodes))
+	for _, n := range asg.Nodes {
+		selfLoad[n.Hostname] += n.CPULoad
+	}
+	return selfLoad
 }
 
 // commScale finds the worst over-subscription among the assignment's links.
@@ -188,12 +197,7 @@ func (p *Predictor) Explicit(points []rsl.PerfPoint, asg *match.Assignment, self
 // cpuContention is the worst slowdown factor among assigned nodes: nominal
 // speed divided by contention-scaled effective speed.
 func (p *Predictor) cpuContention(asg *match.Assignment, selfReserved bool) (float64, error) {
-	selfLoad := make(map[string]float64, len(asg.Nodes))
-	if !selfReserved {
-		for _, n := range asg.Nodes {
-			selfLoad[n.Hostname] += n.CPULoad
-		}
-	}
+	selfLoad := selfLoadByHost(asg, selfReserved)
 	worst := 1.0
 	for _, n := range asg.Nodes {
 		ns, err := p.ledger.Node(n.Hostname)

@@ -9,7 +9,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -212,44 +214,124 @@ func (ls LinkState) Utilization() float64 {
 	return ls.ReservedMbps / ls.Link.BandwidthMbps
 }
 
+// FindNode bisects a node table in hostname order, as Nodes returns it, for
+// hostname: its index and true, or where it would be inserted and false.
+func FindNode(states []NodeState, hostname string) (int, bool) {
+	return slices.BinarySearchFunc(states, hostname, func(ns NodeState, h string) int {
+		return strings.Compare(ns.Node.Hostname, h)
+	})
+}
+
+// topology is the cluster's inventory: which nodes and links exist, and
+// where each one sits in the tables of the ledger and its snapshots. It holds
+// everything reservations never change, so a snapshot shares its ledger's
+// topology instead of copying it, and the ledger clones it before the first
+// AddNode or AddLink that follows a snapshot.
+type topology struct {
+	// ids numbers the nodes in order of registration. It is the only table
+	// keyed by a string; everything past the API boundary is addressed by
+	// index. Node ids exist so that pair never has to move a row when a
+	// hostname sorts into the middle.
+	ids map[string]int32
+	// pos maps a node id to the node's index in hostname order.
+	pos []int32
+	// links holds the link descriptors by link id, in order of registration.
+	links []Link
+	// pair is the lower triangle (diagonal included) of the node-id by
+	// node-id matrix of link id + 1; 0 means no link.
+	pair []int32
+}
+
+func (t *topology) clone() *topology {
+	c := &topology{
+		ids:   make(map[string]int32, len(t.ids)),
+		pos:   slices.Clone(t.pos),
+		links: slices.Clone(t.links),
+		pair:  slices.Clone(t.pair),
+	}
+	for h, id := range t.ids {
+		c.ids[h] = id
+	}
+	return c
+}
+
+// node resolves a hostname to its index in hostname order.
+func (t *topology) node(hostname string) (int, bool) {
+	id, ok := t.ids[hostname]
+	if !ok {
+		return 0, false
+	}
+	return int(t.pos[id]), true
+}
+
+// pairSlot is where pair keeps the link between two node ids.
+func pairSlot(a, b int32) int {
+	if a < b {
+		a, b = b, a
+	}
+	return int(a)*(int(a)+1)/2 + int(b)
+}
+
+// link resolves a host pair, in either direction, to its link id.
+func (t *topology) link(a, b string) (int, bool) {
+	ia, ok := t.ids[a]
+	if !ok {
+		return 0, false
+	}
+	ib, ok := t.ids[b]
+	if !ok {
+		return 0, false
+	}
+	id := t.pair[pairSlot(ia, ib)]
+	return int(id) - 1, id != 0
+}
+
 // Ledger tracks registered nodes/links and outstanding claims. It is safe
 // for concurrent use.
 type Ledger struct {
-	mu      sync.Mutex
-	nodes   map[string]*nodeEntry
-	links   map[string]*linkEntry
-	claims  map[uint64]*Claim
-	nextID  uint64
-	baseMem map[string]float64
+	mu sync.Mutex
+	// topo indexes the tables below. topoShared is set once a snapshot
+	// holds it; the next AddNode or AddLink then works on a clone.
+	topo       *topology
+	topoShared bool
+	// states holds every node in hostname order. The order the matcher
+	// scans in is how the table is stored, not a sort applied on the way out.
+	states []NodeState
+	// reserved is the bandwidth reserved on each link, by link id. It is by
+	// far the longest column and most claims leave it alone, so snapshots
+	// share it the way they share topo: reservedShared is set once one holds
+	// it, and the next write to it works on a clone.
+	reserved       []float64
+	reservedShared bool
+	// claims holds the outstanding claims in id order.
+	claims []*Claim
+	nextID uint64
 	// snapCache is the immutable base shared by snapshots taken since the
 	// last mutation; any write to the ledger drops it (see Snapshot).
 	snapCache *snapBase
 }
 
-type nodeEntry struct {
-	node    Node
-	freeMem float64
-	cpuLoad float64
-	health  NodeHealth
-}
-
-func (e *nodeEntry) state() NodeState {
-	return NodeState{Node: e.node, FreeMemoryMB: e.freeMem, CPULoad: e.cpuLoad, Health: e.health}
-}
-
-type linkEntry struct {
-	link     Link
-	reserved float64
-}
-
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{
-		nodes:   make(map[string]*nodeEntry),
-		links:   make(map[string]*linkEntry),
-		claims:  make(map[uint64]*Claim),
-		baseMem: make(map[string]float64),
+	return &Ledger{topo: &topology{ids: make(map[string]int32)}}
+}
+
+// ownTopology returns the topology for writing, cloning it first if a
+// snapshot shares it.
+func (l *Ledger) ownTopology() *topology {
+	if l.topoShared {
+		l.topo, l.topoShared = l.topo.clone(), false
 	}
+	return l.topo
+}
+
+// ownReserved returns the reserved column for writing, cloning it first if a
+// snapshot shares it.
+func (l *Ledger) ownReserved() []float64 {
+	if l.reservedShared {
+		l.reserved, l.reservedShared = slices.Clone(l.reserved), false
+	}
+	return l.reserved
 }
 
 // AddNode registers (or replaces an unclaimed) node.
@@ -259,11 +341,26 @@ func (l *Ledger) AddNode(n Node) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if old, exists := l.nodes[n.Hostname]; exists && (old.cpuLoad > 0 || old.freeMem != old.node.MemoryMB) {
-		return fmt.Errorf("resource: node %s has outstanding claims", n.Hostname)
+	fresh := NodeState{Node: n, FreeMemoryMB: n.MemoryMB}
+	p, exists := FindNode(l.states, n.Hostname)
+	if exists {
+		if old := &l.states[p]; old.CPULoad > 0 || old.FreeMemoryMB != old.Node.MemoryMB {
+			return fmt.Errorf("resource: node %s has outstanding claims", n.Hostname)
+		}
+		l.states[p] = fresh
+		l.snapCache = nil
+		return nil
 	}
-	l.nodes[n.Hostname] = &nodeEntry{node: n, freeMem: n.MemoryMB}
-	l.baseMem[n.Hostname] = n.MemoryMB
+	t := l.ownTopology()
+	l.states = slices.Insert(l.states, p, fresh)
+	for id := range t.pos {
+		if int(t.pos[id]) >= p {
+			t.pos[id]++
+		}
+	}
+	t.ids[n.Hostname] = int32(len(t.pos))
+	t.pos = append(t.pos, int32(p))
+	t.pair = append(t.pair, make([]int32, len(t.pos))...)
 	l.snapCache = nil
 	return nil
 }
@@ -275,13 +372,24 @@ func (l *Ledger) AddLink(lk Link) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.nodes[lk.A]; !ok {
+	ia, ok := l.topo.ids[lk.A]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, lk.A)
 	}
-	if _, ok := l.nodes[lk.B]; !ok {
+	ib, ok := l.topo.ids[lk.B]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, lk.B)
 	}
-	l.links[lk.Key()] = &linkEntry{link: lk}
+	t := l.ownTopology()
+	slot := pairSlot(ia, ib)
+	if id := t.pair[slot]; id != 0 {
+		t.links[id-1] = lk
+		l.ownReserved()[id-1] = 0
+	} else {
+		t.links = append(t.links, lk)
+		l.reserved = append(l.ownReserved(), 0)
+		t.pair[slot] = int32(len(t.links))
+	}
 	l.snapCache = nil
 	return nil
 }
@@ -290,11 +398,11 @@ func (l *Ledger) AddLink(lk Link) error {
 func (l *Ledger) Node(hostname string) (NodeState, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.nodes[hostname]
+	p, ok := l.topo.node(hostname)
 	if !ok {
 		return NodeState{}, fmt.Errorf("%w: %s", ErrUnknownNode, hostname)
 	}
-	return e.state(), nil
+	return l.states[p], nil
 }
 
 // SetNodeHealth transitions a node's lifecycle state. Claims already placed
@@ -303,27 +411,22 @@ func (l *Ledger) Node(hostname string) (NodeState, error) {
 func (l *Ledger) SetNodeHealth(hostname string, h NodeHealth) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.nodes[hostname]
+	p, ok := l.topo.node(hostname)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, hostname)
 	}
-	if e.health == h {
+	if l.states[p].Health == h {
 		return nil
 	}
-	e.health = h
+	l.states[p].Health = h
 	l.snapCache = nil
 	return nil
 }
 
 // NodeHealth reports a node's lifecycle state.
 func (l *Ledger) NodeHealth(hostname string) (NodeHealth, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e, ok := l.nodes[hostname]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownNode, hostname)
-	}
-	return e.health, nil
+	ns, err := l.Node(hostname)
+	return ns.Health, err
 }
 
 // ClaimsOn reports the outstanding claims holding resources on hostname,
@@ -356,41 +459,86 @@ func (l *Ledger) EvictHost(hostname string) []*Claim {
 func (l *Ledger) Link(a, b string) (LinkState, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.links[LinkKey(a, b)]
+	id, ok := l.topo.link(a, b)
 	if !ok {
 		return LinkState{}, fmt.Errorf("%w: %s-%s", ErrUnknownLink, a, b)
 	}
-	return LinkState{Link: e.link, ReservedMbps: e.reserved}, nil
+	return LinkState{Link: l.topo.links[id], ReservedMbps: l.reserved[id]}, nil
 }
 
 // Nodes returns snapshots of all nodes sorted by hostname.
-func (l *Ledger) Nodes() []NodeState {
+func (l *Ledger) Nodes() []NodeState { return l.AppendNodes(nil) }
+
+// AppendNodes appends every node's state to dst in hostname order.
+func (l *Ledger) AppendNodes(dst []NodeState) []NodeState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]NodeState, 0, len(l.nodes))
-	for _, e := range l.nodes {
-		out = append(out, e.state())
-	}
-	sortNodeStates(out)
-	return out
-}
-
-// sortNodeStates orders node states by hostname, the scan order the matcher
-// relies on. Ledger.Nodes and Snapshot.Nodes must agree on it.
-func sortNodeStates(states []NodeState) {
-	sort.Slice(states, func(i, j int) bool { return states[i].Node.Hostname < states[j].Node.Hostname })
+	return append(dst, l.states...)
 }
 
 // Links returns snapshots of all links sorted by key.
 func (l *Ledger) Links() []LinkState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]LinkState, 0, len(l.links))
-	for _, e := range l.links {
-		out = append(out, LinkState{Link: e.link, ReservedMbps: e.reserved})
+	out := make([]LinkState, len(l.reserved))
+	for id, lk := range l.topo.links {
+		out[id] = LinkState{Link: lk, ReservedMbps: l.reserved[id]}
 	}
+	// Link ids follow registration, not the key order callers are promised.
 	sort.Slice(out, func(i, j int) bool { return out[i].Link.Key() < out[j].Link.Key() })
 	return out
+}
+
+// resolve validates node and link claims against the free memory freeMem
+// reports per node index, and appends each claim's place in the tables to at:
+// the node claims' indices in hostname order, then the link claims' ids.
+// Ledger and Snapshot both reserve through it, so they accept and refuse the
+// same claims with the same words.
+func (t *topology) resolve(at []int, nodes []NodeClaim, links []LinkClaim, freeMem func(pos int) float64) ([]int, error) {
+	for _, nc := range nodes {
+		p, ok := t.node(nc.Hostname)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", ErrUnknownNode, nc.Hostname)
+		}
+		if nc.MemoryMB < 0 || nc.CPULoad < 0 {
+			return nil, fmt.Errorf("resource: negative claim on %s", nc.Hostname)
+		}
+		if free := freeMem(p); nc.MemoryMB > free {
+			return nil, fmt.Errorf("%w: %s memory (need %g MB, free %g MB)",
+				ErrInsufficient, nc.Hostname, nc.MemoryMB, free)
+		}
+		at = append(at, p)
+	}
+	for _, lc := range links {
+		id, ok := t.link(lc.A, lc.B)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s-%s", ErrUnknownLink, lc.A, lc.B)
+		}
+		if lc.BandwidthMbps < 0 {
+			return nil, fmt.Errorf("resource: negative bandwidth claim on %s-%s", lc.A, lc.B)
+		}
+		at = append(at, id)
+	}
+	return at, nil
+}
+
+// charge validates the claims and, if every one is acceptable, applies them
+// all; Reserve and RestoreClaim differ only in the claim they then record.
+func (l *Ledger) charge(nodes []NodeClaim, links []LinkClaim) error {
+	var buf [32]int
+	at, err := l.topo.resolve(buf[:0], nodes, links, func(p int) float64 { return l.states[p].FreeMemoryMB })
+	if err != nil {
+		return err
+	}
+	l.snapCache = nil
+	for i, nc := range nodes {
+		l.states[at[i]].FreeMemoryMB -= nc.MemoryMB
+		l.states[at[i]].CPULoad += nc.CPULoad
+	}
+	for i, lc := range links {
+		l.ownReserved()[at[len(nodes)+i]] += lc.BandwidthMbps
+	}
+	return nil
 }
 
 // Reserve atomically applies every node and link claim, or none on failure.
@@ -401,76 +549,68 @@ func (l *Ledger) Links() []LinkState {
 func (l *Ledger) Reserve(owner string, nodes []NodeClaim, links []LinkClaim) (*Claim, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Validate first.
-	for _, nc := range nodes {
-		e, ok := l.nodes[nc.Hostname]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownNode, nc.Hostname)
-		}
-		if nc.MemoryMB < 0 || nc.CPULoad < 0 {
-			return nil, fmt.Errorf("resource: negative claim on %s", nc.Hostname)
-		}
-		if nc.MemoryMB > e.freeMem {
-			return nil, fmt.Errorf("%w: %s memory (need %g MB, free %g MB)",
-				ErrInsufficient, nc.Hostname, nc.MemoryMB, e.freeMem)
-		}
-	}
-	for _, lc := range links {
-		if _, ok := l.links[LinkKey(lc.A, lc.B)]; !ok {
-			return nil, fmt.Errorf("%w: %s-%s", ErrUnknownLink, lc.A, lc.B)
-		}
-		if lc.BandwidthMbps < 0 {
-			return nil, fmt.Errorf("resource: negative bandwidth claim on %s-%s", lc.A, lc.B)
-		}
-	}
-	// Apply.
-	l.snapCache = nil
-	for _, nc := range nodes {
-		e := l.nodes[nc.Hostname]
-		e.freeMem -= nc.MemoryMB
-		e.cpuLoad += nc.CPULoad
-	}
-	for _, lc := range links {
-		l.links[LinkKey(lc.A, lc.B)].reserved += lc.BandwidthMbps
+	if err := l.charge(nodes, links); err != nil {
+		return nil, err
 	}
 	l.nextID++
 	c := &Claim{ID: l.nextID, Owner: owner}
 	c.Nodes = append(c.Nodes, nodes...)
 	c.Links = append(c.Links, links...)
-	l.claims[c.ID] = c
+	l.claims = append(l.claims, c)
 	return c, nil
+}
+
+// findClaim locates id in a slice of claims held in id order.
+func findClaim(claims []*Claim, id uint64) (int, bool) {
+	i := sort.Search(len(claims), func(i int) bool { return claims[i].ID >= id })
+	return i, i < len(claims) && claims[i].ID == id
+}
+
+// releaseNode returns a node claim's memory and load, clamped at the node's
+// installed memory and at an idle CPU.
+func releaseNode(freeMem, cpuLoad, installedMB float64, nc NodeClaim) (float64, float64) {
+	freeMem += nc.MemoryMB
+	cpuLoad -= nc.CPULoad
+	if cpuLoad < 1e-12 {
+		cpuLoad = 0
+	}
+	if freeMem > installedMB {
+		freeMem = installedMB
+	}
+	return freeMem, cpuLoad
+}
+
+// releaseBandwidth returns a link claim's bandwidth, clamped at zero.
+func releaseBandwidth(reserved float64, lc LinkClaim) float64 {
+	reserved -= lc.BandwidthMbps
+	if reserved < 1e-12 {
+		reserved = 0
+	}
+	return reserved
 }
 
 // Release returns a claim's resources to the pool.
 func (l *Ledger) Release(id uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	c, ok := l.claims[id]
+	i, ok := findClaim(l.claims, id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownClaim, id)
 	}
+	c := l.claims[i]
 	l.snapCache = nil
 	for _, nc := range c.Nodes {
-		if e, ok := l.nodes[nc.Hostname]; ok {
-			e.freeMem += nc.MemoryMB
-			e.cpuLoad -= nc.CPULoad
-			if e.cpuLoad < 1e-12 {
-				e.cpuLoad = 0
-			}
-			if e.freeMem > e.node.MemoryMB {
-				e.freeMem = e.node.MemoryMB
-			}
+		if p, ok := l.topo.node(nc.Hostname); ok {
+			st := &l.states[p]
+			st.FreeMemoryMB, st.CPULoad = releaseNode(st.FreeMemoryMB, st.CPULoad, st.Node.MemoryMB, nc)
 		}
 	}
 	for _, lc := range c.Links {
-		if e, ok := l.links[LinkKey(lc.A, lc.B)]; ok {
-			e.reserved -= lc.BandwidthMbps
-			if e.reserved < 1e-12 {
-				e.reserved = 0
-			}
+		if lid, ok := l.topo.link(lc.A, lc.B); ok {
+			l.ownReserved()[lid] = releaseBandwidth(l.reserved[lid], lc)
 		}
 	}
-	delete(l.claims, id)
+	l.claims = slices.Delete(l.claims, i, i+1)
 	return nil
 }
 
@@ -478,12 +618,11 @@ func (l *Ledger) Release(id uint64) error {
 func (l *Ledger) Claims() []*Claim {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]*Claim, 0, len(l.claims))
-	for _, c := range l.claims {
+	out := make([]*Claim, len(l.claims))
+	for i, c := range l.claims {
 		cp := *c
-		out = append(out, &cp)
+		out[i] = &cp
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -519,29 +658,35 @@ const conservationEpsilon = 1e-6
 func (l *Ledger) CheckConservation() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	wantMem := make(map[string]float64, len(l.nodes))
-	wantLoad := make(map[string]float64, len(l.nodes))
-	wantBw := make(map[string]float64, len(l.links))
+	wantMem := make([]float64, len(l.states))
+	wantLoad := make([]float64, len(l.states))
+	wantBw := make([]float64, len(l.reserved))
 	for _, c := range l.claims {
 		for _, nc := range c.Nodes {
-			wantMem[nc.Hostname] += nc.MemoryMB
-			wantLoad[nc.Hostname] += nc.CPULoad
+			if p, ok := l.topo.node(nc.Hostname); ok {
+				wantMem[p] += nc.MemoryMB
+				wantLoad[p] += nc.CPULoad
+			}
 		}
 		for _, lc := range c.Links {
-			wantBw[LinkKey(lc.A, lc.B)] += lc.BandwidthMbps
+			if id, ok := l.topo.link(lc.A, lc.B); ok {
+				wantBw[id] += lc.BandwidthMbps
+			}
 		}
 	}
-	for h, e := range l.nodes {
-		if used := e.node.MemoryMB - e.freeMem; math.Abs(used-wantMem[h]) > conservationEpsilon {
-			return fmt.Errorf("resource: node %s memory not conserved: %g MB in use, claims total %g MB", h, used, wantMem[h])
+	for p, st := range l.states {
+		h := st.Node.Hostname
+		if used := st.Node.MemoryMB - st.FreeMemoryMB; math.Abs(used-wantMem[p]) > conservationEpsilon {
+			return fmt.Errorf("resource: node %s memory not conserved: %g MB in use, claims total %g MB", h, used, wantMem[p])
 		}
-		if math.Abs(e.cpuLoad-wantLoad[h]) > conservationEpsilon {
-			return fmt.Errorf("resource: node %s load not conserved: %g charged, claims total %g", h, e.cpuLoad, wantLoad[h])
+		if math.Abs(st.CPULoad-wantLoad[p]) > conservationEpsilon {
+			return fmt.Errorf("resource: node %s load not conserved: %g charged, claims total %g", h, st.CPULoad, wantLoad[p])
 		}
 	}
-	for k, e := range l.links {
-		if math.Abs(e.reserved-wantBw[k]) > conservationEpsilon {
-			return fmt.Errorf("resource: link %s bandwidth not conserved: %g Mbps reserved, claims total %g Mbps", k, e.reserved, wantBw[k])
+	for id, reserved := range l.reserved {
+		if math.Abs(reserved-wantBw[id]) > conservationEpsilon {
+			return fmt.Errorf("resource: link %s bandwidth not conserved: %g Mbps reserved, claims total %g Mbps",
+				l.topo.links[id].Key(), reserved, wantBw[id])
 		}
 	}
 	return nil

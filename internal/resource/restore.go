@@ -1,6 +1,9 @@
 package resource
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RestoreClaim reinstates a claim with its original ID, used when a replica
 // rebuilds its ledger from a replicated snapshot rather than by replaying
@@ -13,43 +16,17 @@ func (l *Ledger) RestoreClaim(c Claim) error {
 	if c.ID == 0 {
 		return fmt.Errorf("resource: restore claim: zero id")
 	}
-	if _, ok := l.claims[c.ID]; ok {
+	at, ok := findClaim(l.claims, c.ID)
+	if ok {
 		return fmt.Errorf("resource: restore claim: duplicate id %d", c.ID)
 	}
-	for _, nc := range c.Nodes {
-		e, ok := l.nodes[nc.Hostname]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownNode, nc.Hostname)
-		}
-		if nc.MemoryMB < 0 || nc.CPULoad < 0 {
-			return fmt.Errorf("resource: negative claim on %s", nc.Hostname)
-		}
-		if nc.MemoryMB > e.freeMem {
-			return fmt.Errorf("%w: %s memory (need %g MB, free %g MB)",
-				ErrInsufficient, nc.Hostname, nc.MemoryMB, e.freeMem)
-		}
-	}
-	for _, lc := range c.Links {
-		if _, ok := l.links[LinkKey(lc.A, lc.B)]; !ok {
-			return fmt.Errorf("%w: %s-%s", ErrUnknownLink, lc.A, lc.B)
-		}
-		if lc.BandwidthMbps < 0 {
-			return fmt.Errorf("resource: negative bandwidth claim on %s-%s", lc.A, lc.B)
-		}
-	}
-	l.snapCache = nil
-	for _, nc := range c.Nodes {
-		e := l.nodes[nc.Hostname]
-		e.freeMem -= nc.MemoryMB
-		e.cpuLoad += nc.CPULoad
-	}
-	for _, lc := range c.Links {
-		l.links[LinkKey(lc.A, lc.B)].reserved += lc.BandwidthMbps
+	if err := l.charge(c.Nodes, c.Links); err != nil {
+		return err
 	}
 	cp := c
 	cp.Nodes = append([]NodeClaim(nil), c.Nodes...)
 	cp.Links = append([]LinkClaim(nil), c.Links...)
-	l.claims[cp.ID] = &cp
+	l.claims = slices.Insert(l.claims, at, &cp)
 	if cp.ID > l.nextID {
 		l.nextID = cp.ID
 	}
@@ -70,10 +47,8 @@ func (l *Ledger) ClaimSeq() uint64 {
 func (l *Ledger) SetClaimSeq(seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for id := range l.claims {
-		if id > seq {
-			seq = id
-		}
+	if n := len(l.claims); n > 0 && l.claims[n-1].ID > seq {
+		seq = l.claims[n-1].ID
 	}
 	l.nextID = seq
 }

@@ -1,15 +1,25 @@
 package resource
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // View is the read/reserve surface shared by the live Ledger and
 // hypothetical Snapshots of it. The matcher and predictor operate against a
 // View, so the controller can evaluate candidate configurations
 // side-effect-free: trial reservations land in a snapshot fork instead of
 // the shared ledger.
+//
+// Both implementations store their nodes in hostname order, so the order
+// Nodes and AppendNodes report is the order of the table itself: no
+// implementation sorts, and none can disagree with another about the order.
 type View interface {
 	// Nodes returns snapshots of all nodes sorted by hostname.
 	Nodes() []NodeState
+	// AppendNodes appends what Nodes returns to dst, so a caller that scans
+	// the nodes repeatedly can reuse one buffer.
+	AppendNodes(dst []NodeState) []NodeState
 	// Node returns the state of one node.
 	Node(hostname string) (NodeState, error)
 	// Link returns the state of one link.
@@ -25,22 +35,30 @@ var (
 	_ View = (*Snapshot)(nil)
 )
 
-// snapNode is one node's state captured in a snapshot layer.
-type snapNode struct {
-	node    Node
-	freeMem float64
-	cpuLoad float64
-	health  NodeHealth
-}
-
 // snapBase is the immutable capture of a ledger taken by Ledger.Snapshot.
 // It is shared by every fork of the snapshot and never written after
-// construction.
+// construction. The topology and the reserved column are the ledger's own,
+// shared until the ledger next writes to them; the rest are copies.
 type snapBase struct {
-	nodes  map[string]snapNode
-	links  map[string]linkEntry
-	claims map[uint64]*Claim
-	nextID uint64
+	topo     *topology
+	states   []NodeState // hostname order
+	reserved []float64   // by link id
+	claims   []*Claim    // id order
+	nextID   uint64
+}
+
+// nodeDelta is one node's free memory and load as a snapshot layer left
+// them. Health and the node description never change inside a snapshot.
+type nodeDelta struct {
+	pos     int32 // index in hostname order
+	freeMem float64
+	cpuLoad float64
+}
+
+// linkDelta is one link's reservation as a snapshot layer left it.
+type linkDelta struct {
+	id       int32
+	reserved float64
 }
 
 // Snapshot is a copy-on-write view of a Ledger at the moment Snapshot() was
@@ -50,6 +68,9 @@ type snapBase struct {
 // application's claim once in a parent snapshot and then trial-reserve many
 // candidate placements in cheap per-candidate forks.
 //
+// Nodes reports the base's hostname-ordered table with the overlays written
+// over it by index, so it agrees with Ledger.Nodes on order by construction.
+//
 // A Snapshot is NOT safe for concurrent use; forks are independent and may
 // be used from different goroutines concurrently (the shared layers are
 // read-only once forked).
@@ -57,38 +78,35 @@ type Snapshot struct {
 	base   *snapBase
 	parent *Snapshot // frozen once forked from
 
-	nodes    map[string]snapNode // copy-on-write overlay
-	links    map[string]linkEntry
-	claims   map[uint64]*Claim
-	released map[uint64]bool
+	// The overlay: what this layer changed, at most one entry per node and
+	// link. nodes is in index order and bisected; links holds the handful of
+	// links one placement names and is searched linearly.
+	nodes    []nodeDelta
+	links    []linkDelta
+	claims   []*Claim // reserved in this layer and still held
+	released []uint64 // ids this layer released
 	nextID   uint64
 }
 
 // Snapshot captures the ledger's current state as a copy-on-write view.
-// The capture cost is O(nodes + links + claims) after a mutation and O(1)
-// while the ledger is unchanged (the immutable base is cached and shared);
+// After a mutation the capture copies the node table and the claim list; the
+// link descriptions, the name index and the reserved-bandwidth column are
+// shared, the ledger cloning one before it next writes to it. While the
+// ledger is unchanged the capture is O(1), the immutable base being cached.
 // Fork calls are O(1) plus the size of the fork's own mutations.
 func (l *Ledger) Snapshot() *Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.snapCache == nil {
-		base := &snapBase{
-			nodes:  make(map[string]snapNode, len(l.nodes)),
-			links:  make(map[string]linkEntry, len(l.links)),
-			claims: make(map[uint64]*Claim, len(l.claims)),
+		l.topoShared, l.reservedShared = true, true
+		l.snapCache = &snapBase{
+			topo:     l.topo,
+			states:   slices.Clone(l.states),
+			reserved: l.reserved,
+			// Claims are immutable after creation, so sharing pointers is safe.
+			claims: slices.Clone(l.claims),
 			nextID: l.nextID,
 		}
-		for h, e := range l.nodes {
-			base.nodes[h] = snapNode{node: e.node, freeMem: e.freeMem, cpuLoad: e.cpuLoad, health: e.health}
-		}
-		for k, e := range l.links {
-			base.links[k] = *e
-		}
-		for id, c := range l.claims {
-			// Claims are immutable after creation, so sharing pointers is safe.
-			base.claims[id] = c
-		}
-		l.snapCache = base
 	}
 	return &Snapshot{base: l.snapCache, nextID: l.snapCache.nextID}
 }
@@ -100,91 +118,121 @@ func (s *Snapshot) Fork() *Snapshot {
 	return &Snapshot{base: s.base, parent: s, nextID: s.nextID}
 }
 
-// lookupNode walks the overlay chain for a node's current state.
-func (s *Snapshot) lookupNode(hostname string) (snapNode, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if cur.nodes != nil {
-			if n, ok := cur.nodes[hostname]; ok {
-				return n, true
-			}
-		}
-	}
-	n, ok := s.base.nodes[hostname]
-	return n, ok
+// findNode locates index pos in a layer's node overlay, which is kept in
+// index order: a placement of hundreds of nodes is looked up and written
+// node by node, and a linear search would make that quadratic.
+func findNode(nodes []nodeDelta, pos int) (int, bool) {
+	return slices.BinarySearchFunc(nodes, pos, func(d nodeDelta, pos int) int { return int(d.pos) - pos })
 }
 
-// lookupLink walks the overlay chain for a link's current state.
-func (s *Snapshot) lookupLink(key string) (linkEntry, bool) {
+// nodeAt walks the overlay chain for the free memory and load of the node at
+// index pos.
+func (s *Snapshot) nodeAt(pos int) (freeMem, cpuLoad float64) {
 	for cur := s; cur != nil; cur = cur.parent {
-		if cur.links != nil {
-			if e, ok := cur.links[key]; ok {
-				return e, true
+		if i, ok := findNode(cur.nodes, pos); ok {
+			return cur.nodes[i].freeMem, cur.nodes[i].cpuLoad
+		}
+	}
+	st := &s.base.states[pos]
+	return st.FreeMemoryMB, st.CPULoad
+}
+
+// reservedAt walks the overlay chain for a link's reserved bandwidth.
+func (s *Snapshot) reservedAt(id int) float64 {
+	for cur := s; cur != nil; cur = cur.parent {
+		for i := range cur.links {
+			if d := &cur.links[i]; int(d.id) == id {
+				return d.reserved
 			}
 		}
 	}
-	e, ok := s.base.links[key]
-	return e, ok
+	return s.base.reserved[id]
 }
 
 // lookupClaim finds an outstanding claim, honouring releases recorded in
 // any layer of the chain.
 func (s *Snapshot) lookupClaim(id uint64) (*Claim, bool) {
 	for cur := s; cur != nil; cur = cur.parent {
-		if cur.released != nil && cur.released[id] {
+		if slices.Contains(cur.released, id) {
 			return nil, false
 		}
-		if cur.claims != nil {
-			if c, ok := cur.claims[id]; ok {
+		for _, c := range cur.claims {
+			if c.ID == id {
 				return c, true
 			}
 		}
 	}
-	c, ok := s.base.claims[id]
-	return c, ok
+	if i, ok := findClaim(s.base.claims, id); ok {
+		return s.base.claims[i], true
+	}
+	return nil, false
 }
 
-func (s *Snapshot) setNode(hostname string, n snapNode) {
-	if s.nodes == nil {
-		s.nodes = make(map[string]snapNode)
+func (s *Snapshot) setNode(pos int, freeMem, cpuLoad float64) {
+	d := nodeDelta{pos: int32(pos), freeMem: freeMem, cpuLoad: cpuLoad}
+	if i, ok := findNode(s.nodes, pos); ok {
+		s.nodes[i] = d
+	} else {
+		s.nodes = slices.Insert(s.nodes, i, d)
 	}
-	s.nodes[hostname] = n
 }
 
-func (s *Snapshot) setLink(key string, e linkEntry) {
-	if s.links == nil {
-		s.links = make(map[string]linkEntry)
+func (s *Snapshot) setReserved(id int, reserved float64) {
+	for i := range s.links {
+		if d := &s.links[i]; int(d.id) == id {
+			d.reserved = reserved
+			return
+		}
 	}
-	s.links[key] = e
+	s.links = append(s.links, linkDelta{id: int32(id), reserved: reserved})
 }
 
 // Nodes returns the state of all nodes sorted by hostname, matching
 // Ledger.Nodes ordering exactly (the matcher's scan order depends on it).
-func (s *Snapshot) Nodes() []NodeState {
-	out := make([]NodeState, 0, len(s.base.nodes))
-	for h := range s.base.nodes {
-		n, _ := s.lookupNode(h)
-		out = append(out, NodeState{Node: n.node, FreeMemoryMB: n.freeMem, CPULoad: n.cpuLoad, Health: n.health})
+func (s *Snapshot) Nodes() []NodeState { return s.AppendNodes(nil) }
+
+// AppendNodes appends every node's state to dst in hostname order: a copy of
+// the base table with each layer's changes written over it, oldest first.
+func (s *Snapshot) AppendNodes(dst []NodeState) []NodeState {
+	dst = append(dst, s.base.states...)
+	s.patch(dst[len(dst)-len(s.base.states):])
+	return dst
+}
+
+func (s *Snapshot) patch(out []NodeState) {
+	if s.parent != nil {
+		s.parent.patch(out)
 	}
-	sortNodeStates(out)
-	return out
+	for _, d := range s.nodes {
+		out[d.pos].FreeMemoryMB, out[d.pos].CPULoad = d.freeMem, d.cpuLoad
+	}
+}
+
+// NodeIndex reports a node's index in the slice Nodes returns, for callers
+// that keep per-node scratch addressed by index instead of by hostname. It
+// holds for every fork of the snapshot.
+func (s *Snapshot) NodeIndex(hostname string) (int, bool) {
+	return s.base.topo.node(hostname)
 }
 
 // Node returns the snapshot state of one node.
 func (s *Snapshot) Node(hostname string) (NodeState, error) {
-	n, ok := s.lookupNode(hostname)
+	p, ok := s.base.topo.node(hostname)
 	if !ok {
 		return NodeState{}, fmt.Errorf("%w: %s", ErrUnknownNode, hostname)
 	}
-	return NodeState{Node: n.node, FreeMemoryMB: n.freeMem, CPULoad: n.cpuLoad, Health: n.health}, nil
+	ns := s.base.states[p]
+	ns.FreeMemoryMB, ns.CPULoad = s.nodeAt(p)
+	return ns, nil
 }
 
 // Link returns the snapshot state of one link.
 func (s *Snapshot) Link(a, b string) (LinkState, error) {
-	e, ok := s.lookupLink(LinkKey(a, b))
+	id, ok := s.base.topo.link(a, b)
 	if !ok {
 		return LinkState{}, fmt.Errorf("%w: %s-%s", ErrUnknownLink, a, b)
 	}
-	return LinkState{Link: e.link, ReservedMbps: e.reserved}, nil
+	return LinkState{Link: s.base.topo.links[id], ReservedMbps: s.reservedAt(id)}, nil
 }
 
 // Reserve applies node and link claims to the snapshot overlay with the
@@ -192,88 +240,54 @@ func (s *Snapshot) Link(a, b string) (LinkState, error) {
 // reservation is byte-identical to what committing it would produce.
 func (s *Snapshot) Reserve(owner string, nodes []NodeClaim, links []LinkClaim) (*Claim, error) {
 	// Validate first.
-	for _, nc := range nodes {
-		e, ok := s.lookupNode(nc.Hostname)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownNode, nc.Hostname)
-		}
-		if nc.MemoryMB < 0 || nc.CPULoad < 0 {
-			return nil, fmt.Errorf("resource: negative claim on %s", nc.Hostname)
-		}
-		if nc.MemoryMB > e.freeMem {
-			return nil, fmt.Errorf("%w: %s memory (need %g MB, free %g MB)",
-				ErrInsufficient, nc.Hostname, nc.MemoryMB, e.freeMem)
-		}
-	}
-	for _, lc := range links {
-		if _, ok := s.lookupLink(LinkKey(lc.A, lc.B)); !ok {
-			return nil, fmt.Errorf("%w: %s-%s", ErrUnknownLink, lc.A, lc.B)
-		}
-		if lc.BandwidthMbps < 0 {
-			return nil, fmt.Errorf("resource: negative bandwidth claim on %s-%s", lc.A, lc.B)
-		}
+	var buf [32]int
+	at, err := s.base.topo.resolve(buf[:0], nodes, links, func(p int) float64 {
+		freeMem, _ := s.nodeAt(p)
+		return freeMem
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Apply into the overlay.
-	for _, nc := range nodes {
-		e, _ := s.lookupNode(nc.Hostname)
-		e.freeMem -= nc.MemoryMB
-		e.cpuLoad += nc.CPULoad
-		s.setNode(nc.Hostname, e)
+	s.nodes = slices.Grow(s.nodes, len(nodes))
+	for i, nc := range nodes {
+		freeMem, cpuLoad := s.nodeAt(at[i])
+		s.setNode(at[i], freeMem-nc.MemoryMB, cpuLoad+nc.CPULoad)
 	}
-	for _, lc := range links {
-		key := LinkKey(lc.A, lc.B)
-		e, _ := s.lookupLink(key)
-		e.reserved += lc.BandwidthMbps
-		s.setLink(key, e)
+	for i, lc := range links {
+		id := at[len(nodes)+i]
+		s.setReserved(id, s.reservedAt(id)+lc.BandwidthMbps)
 	}
 	s.nextID++
 	c := &Claim{ID: s.nextID, Owner: owner}
 	c.Nodes = append(c.Nodes, nodes...)
 	c.Links = append(c.Links, links...)
-	if s.claims == nil {
-		s.claims = make(map[uint64]*Claim)
-	}
-	s.claims[c.ID] = c
+	s.claims = append(s.claims, c)
 	return c, nil
 }
 
 // Release returns a claim's resources to the snapshot, whether the claim
 // was created in this snapshot or captured from the underlying ledger. The
-// clamping mirrors Ledger.Release exactly.
+// clamping is Ledger.Release's own.
 func (s *Snapshot) Release(id uint64) error {
 	c, ok := s.lookupClaim(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownClaim, id)
 	}
+	t := s.base.topo
 	for _, nc := range c.Nodes {
-		if e, ok := s.lookupNode(nc.Hostname); ok {
-			e.freeMem += nc.MemoryMB
-			e.cpuLoad -= nc.CPULoad
-			if e.cpuLoad < 1e-12 {
-				e.cpuLoad = 0
-			}
-			if e.freeMem > e.node.MemoryMB {
-				e.freeMem = e.node.MemoryMB
-			}
-			s.setNode(nc.Hostname, e)
+		if p, ok := t.node(nc.Hostname); ok {
+			freeMem, cpuLoad := s.nodeAt(p)
+			freeMem, cpuLoad = releaseNode(freeMem, cpuLoad, s.base.states[p].Node.MemoryMB, nc)
+			s.setNode(p, freeMem, cpuLoad)
 		}
 	}
 	for _, lc := range c.Links {
-		key := LinkKey(lc.A, lc.B)
-		if e, ok := s.lookupLink(key); ok {
-			e.reserved -= lc.BandwidthMbps
-			if e.reserved < 1e-12 {
-				e.reserved = 0
-			}
-			s.setLink(key, e)
+		if lid, ok := t.link(lc.A, lc.B); ok {
+			s.setReserved(lid, releaseBandwidth(s.reservedAt(lid), lc))
 		}
 	}
-	if s.claims != nil {
-		delete(s.claims, id)
-	}
-	if s.released == nil {
-		s.released = make(map[uint64]bool)
-	}
-	s.released[id] = true
+	s.claims = slices.DeleteFunc(s.claims, func(held *Claim) bool { return held.ID == id })
+	s.released = append(s.released, id)
 	return nil
 }

@@ -497,13 +497,13 @@ func (r *Replica) Propose(e *replog.Entry) (*core.ApplyResult, *sessionRecord, e
 	if e.Time < now {
 		e.Time = now
 	}
-	idx := r.log.Append(e)
-	if r.store != nil {
-		if err := r.store.AppendEntries([]replog.Entry{*e}); err != nil {
-			r.cfg.Logf("harmony: replica %s: persist entry %d: %v", r.cfg.ID, idx, err)
-		}
-	}
+	// Register interest in the outcome in the same critical section that
+	// makes the entry visible: once it is in the log the heartbeat may ship,
+	// commit and apply it at any moment, well inside the fsync below, and
+	// applyCommitted keeps an outcome only for an index already marked. It
+	// takes outMu to look, so it cannot look between the append and the mark.
 	r.outMu.Lock()
+	idx := r.log.Append(e)
 	r.interested[idx] = true
 	r.outMu.Unlock()
 	defer func() {
@@ -512,6 +512,11 @@ func (r *Replica) Propose(e *replog.Entry) (*core.ApplyResult, *sessionRecord, e
 		delete(r.outcomes, idx)
 		r.outMu.Unlock()
 	}()
+	if r.store != nil {
+		if err := r.store.AppendEntries([]replog.Entry{*e}); err != nil {
+			r.cfg.Logf("harmony: replica %s: persist entry %d: %v", r.cfg.ID, idx, err)
+		}
+	}
 
 	// Ship to the peers until a majority holds the entry. A freshly elected
 	// leader may need several rounds per laggard (nextIndex backs off one

@@ -481,3 +481,38 @@ func TestReplicationDocInSync(t *testing.T) {
 		}
 	}
 }
+
+// TestProposeOutcomeSurvivesEarlyApply is the regression test for the lost
+// proposal outcome: between Propose's append to the in-memory log and the
+// end of its fsync, the leader's heartbeat may commit and apply the entry. It
+// must find the proposer's interest already registered, or the outcome is
+// dropped and the client is told "applied without outcome". A goroutine
+// stands in for the heartbeat and commits and applies as fast as it can, so
+// nearly every proposal's entry is applied while its persist is under way.
+func TestProposeOutcomeSurvivesEarlyApply(t *testing.T) {
+	nodes := startTestCluster(t, 1, time.Second, 0)
+	rep := waitLeader(t, nodes).rep
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				rep.advanceCommit()
+				rep.applyCommitted()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	for i := 0; i < 300; i++ {
+		if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
+			t.Fatalf("proposal %d: %v", i, err)
+		}
+	}
+}

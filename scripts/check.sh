@@ -7,7 +7,7 @@
 #     CI runs exactly this script.
 #   - `make lint` runs just the harmonylint sweep (project invariants:
 #     lockdiscipline, viewpurity, memoinvalidation, goroutinelife,
-#     protoexhaustive — see docs/ANALYZERS.md). Suppress a finding only
+#     protoexhaustive, replaydeterminism — see docs/ANALYZERS.md). Suppress a finding only
 #     with a justified `//harmonylint:allow <check> <reason>` directive;
 #     reasonless or stale directives are themselves reported.
 #   - Tests run shuffled in CI (`go test -shuffle=on`); keep tests free of
@@ -26,6 +26,41 @@ if [ -n "$unformatted" ]; then
 	echo "$unformatted" >&2
 	exit 1
 fi
+
+echo "== workflow YAML (duplicate keys)"
+# A mapping that names a key twice is invalid YAML, and GitHub then drops the
+# whole workflow without a word: the gates below would not run in CI at all.
+# Keys are compared per mapping: a shallower line or a new "- " item closes
+# the deeper mappings, and the lines of a block scalar are not keys.
+for wf in .github/workflows/*.yml; do
+	awk -v file="$wf" '
+		/^[ ]*(#|$)/ { next }
+		{
+			col = match($0, /[^ ]/) - 1
+			if (scalar >= 0 && col > scalar) next
+			scalar = -1
+			line = substr($0, col + 1)
+			if (line ~ /^- /) {
+				for (k in seen) { split(k, p, SUBSEP); if (p[1] + 0 > col) delete seen[k] }
+				col += 2
+				line = substr(line, 3)
+			}
+			for (k in seen) { split(k, p, SUBSEP); if (p[1] + 0 > col) delete seen[k] }
+			if (match(line, /^[A-Za-z0-9_.-]+:( |$)/)) {
+				key = substr(line, 1, RLENGTH)
+				sub(/: ?$/, "", key)
+				if ((col, key) in seen) {
+					printf "%s:%d: duplicate key \"%s\" (first at line %d)\n", file, NR, key, seen[col, key]
+					bad = 1
+				}
+				seen[col, key] = NR
+				if (line ~ /: [|>][+-]?$/) scalar = col
+			}
+		}
+		BEGIN { scalar = -1 }
+		END { exit bad }
+	' "$wf" >&2
+done
 
 echo "== go vet"
 go vet ./...
