@@ -385,15 +385,16 @@ func TestClusterStatusJSON(t *testing.T) {
 }
 
 func TestClusterStatusErrors(t *testing.T) {
-	// Against a non-replicated server the member answers with a wire error:
-	// the row carries it, and with no member healthy the command fails.
+	// A plain server is a cluster of one: it answers with its own row.
 	plain := startServer(t)
 	var out strings.Builder
-	if err := run([]string{"-addr", plain, "cluster", "status"}, nil, &out); err == nil {
-		t.Error("cluster status against a non-replicated server succeeded")
+	if err := run([]string{"-addr", plain, "cluster", "status"}, nil, &out); err != nil {
+		t.Errorf("cluster status against a plain server: %v", err)
 	}
-	if !strings.Contains(out.String(), "not replicated") {
-		t.Errorf("output %q does not explain the member is not replicated", out.String())
+	for _, want := range []string{plain, "leader"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output %q does not mention %q", out.String(), want)
+		}
 	}
 	if err := run([]string{"-addr", plain, "cluster"}, nil, io.Discard); err == nil {
 		t.Error("cluster without a verb accepted")

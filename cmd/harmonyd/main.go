@@ -6,12 +6,12 @@
 // Usage:
 //
 //	harmonyd [-addr :9989] [-sp2 8 | -resources cluster.rsl]
-//	         [-objective mean] [-reeval 30s] [-exhaustive]
+//	         [-objective mean] [-exhaustive]
 //	         [-vet warn|reject|off]
 //	         [-lease-ttl 30s] [-lease-grace 1m]
+//	         [-data-dir /var/lib/harmony] [-snapshot-every 64]
 //	         [-peer-addr :9990] [-peers host2:9990,host3:9990]
-//	         [-advertise host1:9989] [-data-dir /var/lib/harmony]
-//	         [-snapshot-every 64] [-election-timeout 300ms]
+//	         [-advertise host1:9989] [-election-timeout 300ms]
 //
 // The resource file contains harmonyNode declarations, e.g.
 //
@@ -23,14 +23,16 @@
 // demand provably cannot fit next to the running workload is refused at
 // the front door instead of failing inside the controller.
 //
-// -peer-addr turns the daemon into one member of a replicated controller
-// cluster (see docs/REPLICATION.md): every ledger mutation is committed to a
-// majority of -peers before it is acknowledged, and clients given every
-// member in their address list survive this daemon's death. In replica mode
-// the elected leader drives the cluster's virtual clock through the log
-// (one replicated tick per second, which also re-harmonizes, subsuming
-// -reeval), and sensor polling is disabled — live metrics are leader-local
-// and never enter the log.
+// Every daemon is a member of a replicated controller cluster (see
+// docs/REPLICATION.md) and acknowledges a ledger mutation once a majority of
+// the cluster holds it in its log. Without -peer-addr the cluster is this
+// daemon alone; with -data-dir it then recovers its ledger and sessions from
+// that log after a crash. -peer-addr and -peers name the other members, and
+// clients given every member in their address list survive this daemon's
+// death. The leader drives the cluster's virtual clock through the log — one
+// replicated tick per second, which is also the periodic re-evaluation — and
+// polls the cluster sensors; live metrics are leader-local and never enter
+// the log.
 package main
 
 import (
@@ -58,15 +60,14 @@ func run(args []string) error {
 	sp2 := fs.Int("sp2", 0, "build a simulated n-node SP-2 cluster")
 	resources := fs.String("resources", "", "RSL file of harmonyNode declarations")
 	objectiveName := fs.String("objective", "mean", "objective function: mean|total|throughput|max|weighted")
-	reeval := fs.Duration("reeval", 30*time.Second, "periodic re-evaluation interval (virtual time; 0 disables)")
 	exhaustive := fs.Bool("exhaustive", false, "use the exhaustive optimizer instead of greedy")
 	vetFlag := fs.String("vet", "warn", "static-analyze incoming bundles: warn (log findings), reject (refuse error-severity specs, judged jointly with the admitted workload), off")
 	leaseTTL := fs.Duration("lease-ttl", 0, "drop connections silent for this long; clients renew with heartbeats (0 disables)")
 	leaseGrace := fs.Duration("lease-grace", 0, "keep a disconnected client's registration parked this long for session resume (0 unregisters immediately)")
-	peerAddr := fs.String("peer-addr", "", "replication listen address; enables replica mode")
+	peerAddr := fs.String("peer-addr", "", "replication listen address (needed to have -peers)")
 	peers := fs.String("peers", "", "comma-separated -peer-addr addresses of the other cluster members")
 	advertise := fs.String("advertise", "", "client address advertised for leader redirects (default: -addr)")
-	dataDir := fs.String("data-dir", "", "directory for the durable replicated log and snapshots")
+	dataDir := fs.String("data-dir", "", "directory for the durable log and snapshots (default: in memory only)")
 	snapshotEvery := fs.Int("snapshot-every", 0, "fold the log into a snapshot every n applied entries (0: default, negative: never)")
 	electionTimeout := fs.Duration("election-timeout", 0, "replication election timeout (0: default)")
 	if err := fs.Parse(args); err != nil {
@@ -77,12 +78,14 @@ func run(args []string) error {
 		return err
 	}
 	if *peerAddr == "" {
-		for flagName, set := range map[string]bool{
-			"-peers": *peers != "", "-advertise": *advertise != "", "-data-dir": *dataDir != "",
-			"-snapshot-every": *snapshotEvery != 0, "-election-timeout": *electionTimeout != 0,
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-peers", *peers != ""}, {"-advertise", *advertise != ""}, {"-election-timeout", *electionTimeout != 0},
 		} {
-			if set {
-				return fmt.Errorf("%s requires -peer-addr (replica mode)", flagName)
+			if f.set {
+				return fmt.Errorf("%s requires -peer-addr", f.name)
 			}
 		}
 	}
@@ -132,55 +135,50 @@ func run(args []string) error {
 	clock := harmony.NewClock()
 	defer clock.Stop()
 	ctrl, err := harmony.NewController(harmony.ControllerConfig{
-		Cluster:        cl,
-		Clock:          clock,
-		Objective:      obj,
-		Bus:            harmony.NewMetricBus(0),
-		ReevalInterval: *reeval,
-		Exhaustive:     *exhaustive,
+		Cluster:    cl,
+		Clock:      clock,
+		Objective:  obj,
+		Bus:        harmony.NewMetricBus(0),
+		Exhaustive: *exhaustive,
 	})
 	if err != nil {
 		return err
 	}
 	defer ctrl.Stop()
 
-	// In replica mode the controller is a state machine driven by the
-	// replicated log: its own periodic scheduler stays off (mutations may
-	// only enter through committed entries), and the leader re-harmonizes
-	// through replicated clock ticks instead.
-	var rep *harmony.Replica
-	if *peerAddr != "" {
-		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
+	// The controller is a state machine driven by the replicated log: its own
+	// periodic scheduler stays off (mutations may only enter through
+	// committed entries), and the leader re-harmonizes through replicated
+	// clock ticks instead.
+	var peerList []string
+	for _, p := range strings.Split(*peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peerList = append(peerList, p)
 		}
-		clientAddr := *advertise
-		if clientAddr == "" {
-			clientAddr = *addr
-		}
-		rep, err = harmony.NewReplica(*peerAddr, harmony.ReplicaConfig{
-			Peers:           peerList,
-			ClientAddr:      clientAddr,
-			Controller:      ctrl,
-			DataDir:         *dataDir,
-			SnapshotEvery:   *snapshotEvery,
-			ElectionTimeout: *electionTimeout,
-			LeaseGrace:      *leaseGrace,
-			Logf:            log.Printf,
-		})
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := rep.Close(); cerr != nil {
-				log.Printf("harmonyd: replica close: %v", cerr)
-			}
-		}()
-		log.Printf("harmonyd: replica on %s (%d peer(s))", *peerAddr, len(peerList))
-	} else if err := ctrl.Start(); err != nil {
+	}
+	clientAddr := *advertise
+	if clientAddr == "" {
+		clientAddr = *addr
+	}
+	rep, err := harmony.NewReplica(*peerAddr, harmony.ReplicaConfig{
+		Peers:           peerList,
+		ClientAddr:      clientAddr,
+		Controller:      ctrl,
+		DataDir:         *dataDir,
+		SnapshotEvery:   *snapshotEvery,
+		ElectionTimeout: *electionTimeout,
+		Logf:            log.Printf,
+	})
+	if err != nil {
 		return err
+	}
+	defer func() {
+		if cerr := rep.Close(); cerr != nil {
+			log.Printf("harmonyd: replica close: %v", cerr)
+		}
+	}()
+	if *peerAddr != "" {
+		log.Printf("harmonyd: replica on %s (%d peer(s))", *peerAddr, len(peerList))
 	}
 	if err := ctrl.Subscribe(func(ev harmony.Event) {
 		kind := "reconfigured"
@@ -219,11 +217,11 @@ func run(args []string) error {
 
 	// The controller runs on virtual time; in the daemon, wall time drives
 	// it one-to-one, which fires periodic re-evaluation and granularity
-	// windows, and polls the cluster sensors ("updates in Harmony are on
-	// the order of seconds not micro-seconds", Section 3.1). In replica
-	// mode only the leader maps wall time in, and it does so through the
-	// log: Advance replicates the tick so every member's clock moves in
-	// step, and a deposed leader simply stops ticking.
+	// windows ("updates in Harmony are on the order of seconds not
+	// micro-seconds", Section 3.1). Only the leader maps wall time in, and it
+	// does so through the log: Advance replicates the tick so every member's
+	// clock moves in step, and a deposed leader simply stops ticking. The
+	// leader also polls the cluster sensors.
 	stopTicker := make(chan struct{})
 	tickerDone := make(chan struct{})
 	go func() {
@@ -234,16 +232,13 @@ func run(args []string) error {
 		for {
 			select {
 			case <-ticker.C:
-				now := time.Since(start)
-				if rep != nil {
-					if rep.IsLeader() {
-						if err := rep.Advance(now); err != nil {
-							log.Printf("harmonyd: advance: %v", err)
-						}
-					}
+				if !rep.IsLeader() {
 					continue
 				}
-				clock.AdvanceTo(now)
+				now := time.Since(start)
+				if err := rep.Advance(now); err != nil {
+					log.Printf("harmonyd: advance: %v", err)
+				}
 				if err := harmony.PollSensors(bus, now, sensors); err != nil {
 					log.Printf("harmonyd: sensors: %v", err)
 				}

@@ -50,7 +50,6 @@ func (n *repSoakNode) start(t *testing.T) {
 		DataDir:         n.dir,
 		SnapshotEvery:   8, // aggressive: exercise compaction + install
 		ElectionTimeout: 80 * time.Millisecond,
-		LeaseGrace:      500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -199,11 +199,10 @@ func (a *appState) owner() string { return a.ownerPath }
 
 // Controller is the Harmony adaptation controller.
 type Controller struct {
-	cfg       Config
-	ledger    *resource.Ledger
-	matcher   *match.Matcher
-	predictor *predict.Predictor
-	ns        *namespace.Tree
+	cfg     Config
+	ledger  *resource.Ledger
+	matcher *match.Matcher
+	ns      *namespace.Tree
 
 	mu           sync.Mutex
 	apps         map[int]*appState
@@ -279,25 +278,10 @@ func New(cfg Config) (*Controller, error) {
 		cfg:               cfg,
 		ledger:            ledger,
 		matcher:           matcher,
-		predictor:         predict.New(ledger),
 		ns:                namespace.New(),
 		apps:              make(map[int]*appState),
 		monotoneObjective: isMonotoneObjective(cfg.Objective),
 	}, nil
-}
-
-// predictOption routes a prediction through the configured model stack:
-// the application's explicit model when present (the Table 1 "performance"
-// tag), otherwise the critical-path refinement when enabled, otherwise the
-// default contention model.
-func (c *Controller) predictOption(opt *rsl.OptionSpec, asg *match.Assignment, selfReserved bool) (predict.Prediction, error) {
-	if opt != nil && len(opt.Performance) > 0 {
-		return c.predictor.Explicit(opt.Performance, asg, selfReserved)
-	}
-	if c.cfg.UseCriticalPath {
-		return c.predictor.CriticalPath(asg, selfReserved, c.cfg.CriticalPathParams)
-	}
-	return c.predictor.ForOption(opt, asg, selfReserved)
 }
 
 // SetObjective replaces the objective function at runtime ("in the future
@@ -694,7 +678,7 @@ func (c *Controller) refreshPredictionsLocked() {
 			continue
 		}
 		opt := a.bundle.Option(a.choice.Option)
-		pred, err := c.cachedPredictLocked(opt, a.assignment)
+		pred, err := c.cachedPredictViewLocked(c.ledger, opt, a.assignment, 0)
 		if err == nil {
 			a.predicted = pred.Seconds
 		}
@@ -744,7 +728,7 @@ func (c *Controller) adoptLocked(app *appState, cand candidate, now time.Duratio
 	c.refreshPredictionsLocked()
 	// A just-registered app is not in c.order yet; predict it directly.
 	opt := app.bundle.Option(cand.choice.Option)
-	if pred, err := c.cachedPredictLocked(opt, cand.assignment); err == nil {
+	if pred, err := c.cachedPredictViewLocked(c.ledger, opt, cand.assignment, 0); err == nil {
 		app.predicted = pred.Seconds
 	}
 	c.writeNamespaceLocked(app)

@@ -62,10 +62,13 @@ func (c *Controller) evalWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// predictOptionView routes a prediction like predictOption, but against an
-// arbitrary resource view (a snapshot fork holding a trial reservation).
+// predictOptionView routes a prediction against a resource view (the
+// committed ledger, or a snapshot fork holding a trial reservation) through
+// the configured model stack: the application's explicit model when present
+// (the Table 1 "performance" tag), otherwise the critical-path refinement
+// when enabled, otherwise the default contention model.
 func (c *Controller) predictOptionView(view resource.View, opt *rsl.OptionSpec, asg *match.Assignment, selfReserved bool) (predict.Prediction, error) {
-	p := c.predictor.WithView(view)
+	p := predict.NewWithView(view)
 	if opt != nil && len(opt.Performance) > 0 {
 		return p.Explicit(opt.Performance, asg, selfReserved)
 	}
@@ -92,39 +95,15 @@ type predMemoKey struct {
 	excl uint64
 }
 
-// cachedPredictLocked predicts (option, assignment) against the committed
-// ledger with every claim in place, memoizing the result until the next
-// ledger mutation. refreshPredictionsLocked and the per-re-evaluation
-// "other apps" vector hit this cache, so the jobs vector is computed once
-// per re-evaluation instead of once per candidate.
-func (c *Controller) cachedPredictLocked(opt *rsl.OptionSpec, asg *match.Assignment) (predict.Prediction, error) {
-	if asg == nil {
-		return predict.Prediction{}, fmt.Errorf("core: nil assignment")
-	}
-	key := predMemoKey{opt: opt, fp: asg.Fingerprint()}
-	if p, ok := c.predMemo[key]; ok {
-		c.memoHits++
-		return p, nil
-	}
-	p, err := c.predictOption(opt, asg, true)
-	if err != nil {
-		return p, err
-	}
-	c.memoMisses++
-	if c.predMemo == nil {
-		c.predMemo = make(map[predMemoKey]predict.Prediction)
-	}
-	c.predMemo[key] = p
-	return p, nil
-}
-
-// cachedPredictViewLocked memoizes a prediction against the committed
-// ledger minus one released claim (the evaluated app's own), keyed by that
-// claim's id. Within one pass every candidate context rebuilds the same
-// minus-one-app view, and across passes the view recurs until the next
-// ledger mutation clears the memo — previously these predictions were
-// recomputed every time, which is why shared-host (Figure 7-shaped)
-// workloads measured a ~0 memo hit rate.
+// cachedPredictViewLocked memoizes a prediction until the next ledger
+// mutation, against either the committed ledger with every claim in place
+// (view c.ledger, excl 0) or the committed ledger minus one released claim
+// (the evaluated app's own), keyed by that claim's id. refreshPredictionsLocked
+// and the per-re-evaluation "other apps" vector hit the first, so the jobs
+// vector is computed once per re-evaluation instead of once per candidate.
+// Within one pass every candidate context rebuilds the same minus-one-app
+// view, and across passes the view recurs until the memo is cleared; without
+// the second, shared-host (Figure 7-shaped) workloads have a ~0 hit rate.
 func (c *Controller) cachedPredictViewLocked(view resource.View, opt *rsl.OptionSpec, asg *match.Assignment, excl uint64) (predict.Prediction, error) {
 	if asg == nil {
 		return predict.Prediction{}, fmt.Errorf("core: nil assignment")
@@ -237,7 +216,7 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 		if app.claim == nil || !appHosts.intersects(o.hosts) {
 			// Releasing the app's claim cannot change this prediction, so
 			// it equals the committed-state prediction: memoizable.
-			o.pred, o.err = c.cachedPredictLocked(o.opt, o.asg)
+			o.pred, o.err = c.cachedPredictViewLocked(c.ledger, o.opt, o.asg, 0)
 		} else {
 			// The prediction depends on which claim was released, so it is
 			// memoized under that claim's id.

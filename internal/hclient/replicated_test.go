@@ -37,7 +37,6 @@ func (n *repNode) start(t *testing.T) {
 		ClientAddr:      n.clientAddr,
 		Controller:      n.ctrl,
 		ElectionTimeout: 80 * time.Millisecond,
-		LeaseGrace:      3 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

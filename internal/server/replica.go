@@ -52,9 +52,11 @@ var ErrNoQuorum = errors.New("server: proposal did not reach a quorum")
 
 // ReplicaConfig parameterizes one replica.
 type ReplicaConfig struct {
-	// ID names the replica; defaults to the peer listener's address.
+	// ID names the replica; defaults to the peer listener's address, or
+	// without one to ClientAddr.
 	ID string
-	// Peers are the other replicas' peer addresses (empty for single-node).
+	// Peers are the other replicas' peer addresses. A member without peers
+	// is a cluster of one: it leads from construction and commits alone.
 	Peers []string
 	// ClientAddr is this replica's advertised client address, shipped to
 	// followers so they can redirect clients to the leader.
@@ -62,7 +64,10 @@ type ReplicaConfig struct {
 	// Controller is the replicated state machine. Required.
 	Controller *core.Controller
 	// DataDir, when set, persists the log, snapshots and election state so
-	// the replica recovers after a crash. Empty keeps everything in memory.
+	// the replica recovers after a crash. Empty keeps everything in memory;
+	// a member with neither peers nor DataDir then has nobody to ship state
+	// to and nothing to recover, so it compacts by dropping applied entries
+	// instead of serializing the controller.
 	DataDir string
 	// ElectionTimeout is the base follower timeout before standing for
 	// election (randomized per round); default 300ms.
@@ -73,10 +78,6 @@ type ReplicaConfig struct {
 	// SnapshotEvery compacts the log after this many applied entries;
 	// default 64, negative disables.
 	SnapshotEvery int
-	// LeaseGrace bounds how long a session survives without a client after
-	// failover before its instances are unregistered; the attached server's
-	// LeaseGrace takes precedence. Default 5s.
-	LeaseGrace time.Duration
 	// Logf logs replication events; nil discards.
 	Logf func(format string, args ...any)
 }
@@ -121,6 +122,10 @@ type Replica struct {
 	electionReset time.Time
 	closed        bool
 	srv           *Server // attached client-facing server, if any
+	// durable is the highest log index the store holds (with a store), and
+	// storeTorn that its last write failed, perhaps part-way through.
+	durable   uint64
+	storeTorn bool
 
 	proposeMu sync.Mutex // serializes Propose
 	applyMu   sync.Mutex // serializes state-machine application
@@ -146,10 +151,20 @@ type Replica struct {
 	wg   sync.WaitGroup
 }
 
+// failoverGraceFloor is the least time a new leader waits for the clients of
+// the sessions it inherited: it has no connection to judge them by, so even
+// a deployment that ends dropped connections at once gives them this long
+// to find it.
+const failoverGraceFloor = 5 * time.Second
+
 // NewReplica starts a replica listening for peer traffic on peerAddr
-// (":0" picks an ephemeral port). When cfg.DataDir holds prior state the
-// replica recovers its log, snapshot and election state from it.
+// (":0" picks an ephemeral port; "" opens no listener, for a member without
+// peers). When cfg.DataDir holds prior state the replica recovers its log,
+// snapshot and election state from it.
 func NewReplica(peerAddr string, cfg ReplicaConfig) (*Replica, error) {
+	if peerAddr == "" {
+		return NewReplicaFromListener(nil, cfg)
+	}
 	ln, err := net.Listen("tcp", peerAddr)
 	if err != nil {
 		return nil, fmt.Errorf("server: replica listen: %w", err)
@@ -159,11 +174,19 @@ func NewReplica(peerAddr string, cfg ReplicaConfig) (*Replica, error) {
 
 // NewReplicaFromListener starts a replica on an existing peer listener
 // (tests and the chaos harness pre-bind listeners so every replica knows
-// its peers' addresses before any of them starts). The replica owns ln.
-func NewReplicaFromListener(ln net.Listener, cfg ReplicaConfig) (*Replica, error) {
+// its peers' addresses before any of them starts). The replica owns ln,
+// which may be nil for a member without peers.
+func NewReplicaFromListener(ln net.Listener, cfg ReplicaConfig) (_ *Replica, err error) {
+	defer func() {
+		if err != nil && ln != nil {
+			_ = ln.Close()
+		}
+	}()
 	if cfg.Controller == nil {
-		_ = ln.Close()
 		return nil, errors.New("server: replica config needs a controller")
+	}
+	if ln == nil && len(cfg.Peers) > 0 {
+		return nil, errors.New("server: a replica with peers needs a peer address")
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -177,11 +200,11 @@ func NewReplicaFromListener(ln net.Listener, cfg ReplicaConfig) (*Replica, error
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = 64
 	}
-	if cfg.LeaseGrace <= 0 {
-		cfg.LeaseGrace = 5 * time.Second
+	if cfg.ID == "" && ln != nil {
+		cfg.ID = ln.Addr().String()
 	}
 	if cfg.ID == "" {
-		cfg.ID = ln.Addr().String()
+		cfg.ID = cfg.ClientAddr // no peer listener: go by the client address
 	}
 	r := &Replica{
 		cfg:           cfg,
@@ -204,40 +227,76 @@ func NewReplicaFromListener(ln net.Listener, cfg ReplicaConfig) (*Replica, error
 	if cfg.DataDir != "" {
 		store, persisted, err := replog.OpenStore(cfg.DataDir)
 		if err != nil {
-			_ = ln.Close()
 			return nil, err
 		}
 		r.store = store
 		r.term = persisted.State.Term
 		r.votedFor = persisted.State.VotedFor
 		if err := r.log.Restore(persisted.Snapshot, persisted.Entries); err != nil {
-			_ = ln.Close()
+			_ = store.Close()
 			return nil, err
 		}
+		r.durable = r.log.LastIndex()
+		// A crash can leave half an entry at the end of the file; the first
+		// write rewrites the tail rather than append behind it.
+		r.storeTorn = true
 		if persisted.Snapshot.Index > 0 {
 			if err := r.installState(persisted.Snapshot); err != nil {
-				_ = ln.Close()
+				_ = store.Close()
 				return nil, fmt.Errorf("server: replica recover: %w", err)
 			}
 			cfg.Logf("harmony: replica %s: recovered snapshot@%d + %d log entries",
 				cfg.ID, persisted.Snapshot.Index, len(persisted.Entries))
 		}
 	}
-	r.wg.Add(2)
-	go r.acceptPeers()
+	if len(r.peers) == 0 {
+		// A cluster of one is its own majority: it takes the next term now
+		// instead of waiting out an election nobody can contest.
+		r.mu.Lock()
+		r.term++
+		r.votedFor = cfg.ID
+		r.persistHardStateLocked()
+		r.becomeLeaderLocked()
+		r.mu.Unlock()
+	}
+	if ln != nil {
+		r.wg.Add(1)
+		go r.acceptPeers()
+	}
+	r.wg.Add(1)
 	go r.tick()
+	if len(r.peers) == 0 {
+		// The new term's first entry, as after any election: it commits (and
+		// so applies) whatever the recovered log held.
+		if _, _, err := r.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
+			_ = r.Close()
+			return nil, fmt.Errorf("server: replica start: %w", err)
+		}
+	}
 	return r, nil
 }
 
-// Addr reports the peer listener's address.
-func (r *Replica) Addr() string { return r.listener.Addr().String() }
+// Addr reports the peer listener's address ("" without one).
+func (r *Replica) Addr() string {
+	if r.listener == nil {
+		return ""
+	}
+	return r.listener.Addr().String()
+}
 
 // attach links the client-facing server so the replica can close client
-// connections on step-down and clear pending buffers on unregister.
+// connections on step-down and clear pending buffers on unregister. The
+// server also brings the grace window, so a member already leading (a
+// cluster of one restarted on its data directory) starts the inherited
+// sessions' windows here.
 func (r *Replica) attach(s *Server) {
 	r.mu.Lock()
 	r.srv = s
+	leader := r.role == roleLeader
 	r.mu.Unlock()
+	if leader {
+		r.armGraceTimersAfterFailover()
+	}
 }
 
 // Close stops the replica. The controller and any attached server are left
@@ -251,7 +310,10 @@ func (r *Replica) Close() error {
 	r.closed = true
 	r.mu.Unlock()
 	close(r.stop)
-	err := r.listener.Close()
+	var err error
+	if r.listener != nil {
+		err = r.listener.Close()
+	}
 	for _, p := range r.peers {
 		p.connMu.Lock()
 		if p.conn != nil {
@@ -265,12 +327,7 @@ func (r *Replica) Close() error {
 		_ = nc.Close()
 	}
 	r.inMu.Unlock()
-	r.graceMu.Lock()
-	for tok, t := range r.graceTimers {
-		t.Stop()
-		delete(r.graceTimers, tok)
-	}
-	r.graceMu.Unlock()
+	r.cancelGraceTimers()
 	r.wg.Wait()
 	if r.store != nil {
 		_ = r.store.Close()
@@ -416,14 +473,7 @@ func (r *Replica) runElection() {
 		r.mu.Unlock()
 		return
 	}
-	r.role = roleLeader
-	r.leaderID = r.cfg.ID
-	r.leaderClient = r.cfg.ClientAddr
-	last := r.log.LastIndex()
-	for _, p := range r.peers {
-		p.nextIndex = last + 1
-		p.matchIndex = 0
-	}
+	r.becomeLeaderLocked()
 	r.mu.Unlock()
 	r.cfg.Logf("harmony: replica %s: elected leader, term %d", r.cfg.ID, term)
 	// Commit an entry in the new term immediately: the no-op doubles as a
@@ -435,6 +485,18 @@ func (r *Replica) runElection() {
 			r.armGraceTimersAfterFailover()
 		}
 	}()
+}
+
+// becomeLeaderLocked takes the leader role for the current term (r.mu held).
+func (r *Replica) becomeLeaderLocked() {
+	r.role = roleLeader
+	r.leaderID = r.cfg.ID
+	r.leaderClient = r.cfg.ClientAddr
+	last := r.log.LastIndex()
+	for _, p := range r.peers {
+		p.nextIndex = last + 1
+		p.matchIndex = 0
+	}
 }
 
 // observeTerm steps down when a higher term is seen anywhere.
@@ -512,10 +574,11 @@ func (r *Replica) Propose(e *replog.Entry) (*core.ApplyResult, *sessionRecord, e
 		delete(r.outcomes, idx)
 		r.outMu.Unlock()
 	}()
-	if r.store != nil {
-		if err := r.store.AppendEntries([]replog.Entry{*e}); err != nil {
-			r.cfg.Logf("harmony: replica %s: persist entry %d: %v", r.cfg.ID, idx, err)
-		}
+	// An entry this member could not write is not acknowledged on its word:
+	// the proposer hears the error, and the entry commits only if a majority
+	// of the others holds it (or a later write succeeds and carries it).
+	if err := r.persist([]replog.Entry{*e}); err != nil {
+		return nil, nil, fmt.Errorf("server: persist entry %d: %w", idx, err)
 	}
 
 	// Ship to the peers until a majority holds the entry. A freshly elected
@@ -555,6 +618,36 @@ func (r *Replica) Propose(e *replog.Entry) (*core.ApplyResult, *sessionRecord, e
 		return nil, nil, fmt.Errorf("server: entry %d applied without outcome", idx)
 	}
 	return out.res, out.sn, out.err
+}
+
+// persist writes entries the in-memory log just took to the store (no store:
+// nothing to do). It appends when the file holds exactly what precedes them
+// and rewrites the whole tail otherwise — a follower that truncated a
+// conflicting suffix, or any member whose last write failed — so a failed
+// write never leaves a gap or a torn line behind a later success.
+func (r *Replica) persist(fresh []replog.Entry) error {
+	if r.store == nil || len(fresh) == 0 {
+		return nil
+	}
+	r.mu.Lock()
+	inOrder := !r.storeTorn && fresh[0].Index == r.durable+1
+	r.mu.Unlock()
+	var err error
+	if inOrder {
+		err = r.store.AppendEntries(fresh)
+	} else {
+		var tail []replog.Entry
+		if tail, err = r.log.EntriesFrom(r.log.Snapshot().Index + 1); err == nil {
+			err = r.store.RewriteLog(tail)
+		}
+	}
+	r.mu.Lock()
+	r.storeTorn = err != nil
+	if err == nil {
+		r.durable = fresh[len(fresh)-1].Index
+	}
+	r.mu.Unlock()
+	return err
 }
 
 // Advance replicates a re-harmonization entry stamped at virtual time now
@@ -686,7 +779,10 @@ func (r *Replica) advanceCommit() {
 	commit := r.log.Commit()
 	candidate := commit
 	for idx := last; idx > commit; idx-- {
-		count := 1 // self
+		count := 0
+		if r.store == nil || r.durable >= idx {
+			count = 1 // self
+		}
 		for _, p := range r.peers {
 			if p.matchIndex >= idx {
 				count++
@@ -805,21 +901,29 @@ type snapshotPayload struct {
 
 // takeSnapshotLocked folds the applied prefix into a snapshot (applyMu held).
 func (r *Replica) takeSnapshotLocked() {
+	last, err := r.log.Entry(r.lastApplied)
+	if err != nil {
+		return
+	}
+	snap := replog.Snapshot{Index: last.Index, Term: last.Term, Time: last.Time}
+	if r.store == nil && len(r.peers) == 0 {
+		// Nobody to ship state to and nothing to recover: the applied entries
+		// are simply dropped, and the controller is never serialized.
+		r.log.CompactTo(snap)
+		r.appliedSince = 0
+		return
+	}
 	st, err := r.ctrl.State()
 	if err != nil {
 		r.cfg.Logf("harmony: replica %s: snapshot: %v", r.cfg.ID, err)
 		return
 	}
-	term, err := r.log.Term(r.lastApplied)
-	if err != nil {
-		return
-	}
-	data, err := json.Marshal(&snapshotPayload{Controller: st, Sessions: r.sessions.snapshot()})
+	snap.Time = st.Now
+	snap.Data, err = json.Marshal(&snapshotPayload{Controller: st, Sessions: r.sessions.snapshot()})
 	if err != nil {
 		r.cfg.Logf("harmony: replica %s: snapshot: %v", r.cfg.ID, err)
 		return
 	}
-	snap := replog.Snapshot{Index: r.lastApplied, Term: term, Time: st.Now, Data: data}
 	r.log.CompactTo(snap)
 	r.appliedSince = 0
 	r.snapTakenAt = time.Now()
@@ -832,7 +936,7 @@ func (r *Replica) takeSnapshotLocked() {
 			r.cfg.Logf("harmony: replica %s: persist snapshot: %v", r.cfg.ID, err)
 		}
 	}
-	r.cfg.Logf("harmony: replica %s: snapshot@%d (%d bytes)", r.cfg.ID, snap.Index, len(data))
+	r.cfg.Logf("harmony: replica %s: snapshot@%d (%d bytes)", r.cfg.ID, snap.Index, len(snap.Data))
 }
 
 // installState replaces the controller and session table from a snapshot.
@@ -865,8 +969,11 @@ func (r *Replica) armGraceTimersAfterFailover() {
 	r.mu.Lock()
 	srv := r.srv
 	r.mu.Unlock()
+	if srv == nil {
+		return // no clients to wait for yet: attach arms the timers
+	}
 	for _, token := range r.sessions.tokens() {
-		if srv != nil && srv.hasLiveSession(token) {
+		if srv.hasLiveSession(token) {
 			continue // resumed before we got here
 		}
 		if rec, ok := r.sessions.get(token); ok && !rec.Parked {
@@ -900,7 +1007,7 @@ func (r *Replica) cancelGraceTimer(token string) {
 }
 
 // cancelGraceTimers drops every pending expiry (step-down: the new leader
-// owns the grace windows now).
+// owns the grace windows now; or shutdown).
 func (r *Replica) cancelGraceTimers() {
 	r.graceMu.Lock()
 	defer r.graceMu.Unlock()
@@ -910,6 +1017,8 @@ func (r *Replica) cancelGraceTimers() {
 	}
 }
 
+// graceDuration is the attached server's lease grace; a deployment without
+// one still gives failed-over sessions failoverGraceFloor.
 func (r *Replica) graceDuration() time.Duration {
 	r.mu.Lock()
 	srv := r.srv
@@ -917,7 +1026,7 @@ func (r *Replica) graceDuration() time.Duration {
 	if srv != nil && srv.cfg.LeaseGrace > 0 {
 		return srv.cfg.LeaseGrace
 	}
-	return r.cfg.LeaseGrace
+	return failoverGraceFloor
 }
 
 // expireSession proposes the replicated end of a lapsed session.
@@ -1076,33 +1185,20 @@ func (r *Replica) handleAppendEntries(msg *protocol.Message) *protocol.Message {
 	term := r.term
 	r.mu.Unlock()
 
-	prevLast := r.log.LastIndex()
-	ok := r.log.TryAppend(msg.PrevIndex, msg.PrevTerm, msg.Entries)
-	reply := &protocol.Message{Type: protocol.TypeAppendReply, Term: term, From: r.cfg.ID, Success: ok}
-	if ok {
-		reply.MatchIndex = msg.PrevIndex + uint64(len(msg.Entries))
-		if r.store != nil && len(msg.Entries) > 0 {
-			if msg.PrevIndex == prevLast {
-				fresh := msg.Entries
-				for len(fresh) > 0 && fresh[0].Index <= prevLast {
-					fresh = fresh[1:]
-				}
-				if err := r.store.AppendEntries(fresh); err != nil {
-					r.cfg.Logf("harmony: replica %s: persist append: %v", r.cfg.ID, err)
-				}
-			} else {
-				// Truncation or overlap: rewrite the whole tail.
-				tail, err := r.log.EntriesFrom(r.log.Snapshot().Index + 1)
-				if err == nil {
-					if err := r.store.RewriteLog(tail); err != nil {
-						r.cfg.Logf("harmony: replica %s: rewrite log: %v", r.cfg.ID, err)
-					}
-				}
-			}
-		}
-		r.log.SetCommit(msg.CommitIndex)
-		r.applyCommitted()
+	reply := &protocol.Message{Type: protocol.TypeAppendReply, Term: term, From: r.cfg.ID}
+	if !r.log.TryAppend(msg.PrevIndex, msg.PrevTerm, msg.Entries) {
+		return reply
 	}
+	// The leader counts a success as a copy on disk; after a failed write it
+	// backs off and sends again, and persist then rewrites the tail.
+	if err := r.persist(msg.Entries); err != nil {
+		r.cfg.Logf("harmony: replica %s: persist append: %v", r.cfg.ID, err)
+		return reply
+	}
+	reply.Success = true
+	reply.MatchIndex = msg.PrevIndex + uint64(len(msg.Entries))
+	r.log.SetCommit(msg.CommitIndex)
+	r.applyCommitted()
 	return reply
 }
 
@@ -1135,6 +1231,10 @@ func (r *Replica) handleInstallSnapshot(msg *protocol.Message) *protocol.Message
 	if r.store != nil {
 		if err := r.store.SaveSnapshot(snap, nil); err != nil {
 			r.cfg.Logf("harmony: replica %s: persist snapshot: %v", r.cfg.ID, err)
+		} else {
+			r.mu.Lock()
+			r.durable = snap.Index
+			r.mu.Unlock()
 		}
 	}
 	r.cfg.Logf("harmony: replica %s: installed snapshot@%d from %s", r.cfg.ID, snap.Index, msg.From)

@@ -2,10 +2,12 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/protocol"
 	"harmony/internal/replog"
+	"harmony/internal/rsl"
 	"harmony/internal/simclock"
 )
 
@@ -54,7 +57,6 @@ func (n *testNode) start(t *testing.T) {
 		ElectionTimeout:   electionT,
 		HeartbeatInterval: electionT / 4,
 		SnapshotEvery:     n.snapEvery,
-		LeaseGrace:        n.grace,
 	})
 	if err != nil {
 		t.Fatalf("NewReplica(%s): %v", n.peerAddr, err)
@@ -514,5 +516,152 @@ func TestProposeOutcomeSurvivesEarlyApply(t *testing.T) {
 		if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
 			t.Fatalf("proposal %d: %v", i, err)
 		}
+	}
+}
+
+// A member without peers is its own majority: it leads from construction
+// and takes a proposal at once, with no election timeout to sleep through.
+func TestPeerlessReplicaLeadsFromConstruction(t *testing.T) {
+	cl, err := cluster.NewSP2(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := core.New(core.Config{Cluster: cl, Clock: simclock.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Stop()
+	rep, err := NewReplica("", ReplicaConfig{Controller: ctrl, ElectionTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
+		t.Fatalf("first proposal: %v", err)
+	}
+	if st := rep.Status(); st.Role != roleLeader || st.Term != 1 || st.CommitIndex != 2 {
+		t.Fatalf("status = %+v, want leader of term 1 with its no-op and the proposal committed", st)
+	}
+	if _, err := NewReplica("", ReplicaConfig{Controller: ctrl, Peers: []string{"127.0.0.1:1"}}); err == nil {
+		t.Fatal("replica with peers but no peer address accepted")
+	}
+}
+
+// The member a plain server builds for itself has no store and no peers, so
+// it bounds its log by dropping applied entries: the controller is never
+// serialized, which an application registered beside the server — off the
+// log, without RSL source — would make fail.
+func TestEmbeddedReplicaLogStaysBounded(t *testing.T) {
+	var logged []string
+	var logMu sync.Mutex
+	srv, ctrl := startTestServer(t, Config{Logf: func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}})
+	bundles, _, err := rsl.DecodeScript(dbRSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ctrl.Register(bundles[0]); err != nil {
+		t.Fatal(err)
+	}
+	rep := srv.rep
+	for i := 0; i < 10000; i++ {
+		if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
+			t.Fatalf("proposal %d: %v", i, err)
+		}
+		if held := rep.log.LastIndex() - rep.log.Snapshot().Index; held > uint64(rep.cfg.SnapshotEvery) {
+			t.Fatalf("after proposal %d the log holds %d entries, want at most %d", i, held, rep.cfg.SnapshotEvery)
+		}
+	}
+	if rep.log.Snapshot().Index == 0 || rep.log.Snapshot().Data != nil {
+		t.Fatalf("compaction point = %+v, want a dataless one past index 0", rep.log.Snapshot())
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, "snapshot") {
+			t.Fatalf("the embedded member serialized the controller: %q", line)
+		}
+	}
+}
+
+// A member that cannot write an entry to its store must not vouch for it:
+// the proposer hears the error and the entry stays uncommitted. The next
+// write that succeeds carries the entry along, so the file has no gap.
+func TestFailedPersistIsNotAnAck(t *testing.T) {
+	nodes := startTestCluster(t, 1, time.Second, 0)
+	rep := waitLeader(t, nodes).rep
+	if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
+		t.Fatal(err)
+	}
+	commit := rep.log.Commit()
+	if err := rep.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpReevaluate}); err == nil {
+		t.Fatal("proposal acknowledged although the store refused the entry")
+	}
+	rep.advanceCommit()
+	if got := rep.log.Commit(); got != commit {
+		t.Fatalf("commit index moved %d -> %d on an entry no disk holds", commit, got)
+	}
+	// The store works again (a rewrite reopens the file): both entries land.
+	if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
+		t.Fatalf("proposal after the store recovered: %v", err)
+	}
+	last := rep.log.LastIndex()
+	if rep.log.Commit() != last {
+		t.Fatalf("commit = %d, want %d", rep.log.Commit(), last)
+	}
+	nodes[0].kill()
+	_, persisted, err := replog.OpenStore(nodes[0].dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(persisted.Entries); n == 0 || persisted.Entries[n-1].Index != last {
+		t.Fatalf("recovered %d entries, want a contiguous tail ending at %d", n, last)
+	}
+}
+
+// A follower whose store refuses an append answers Success false — the leader
+// must not count a copy no disk holds — and heals on the leader's resend.
+func TestFollowerFailedPersistRejectsAppend(t *testing.T) {
+	cl, err := cluster.NewSP2(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := core.New(core.Config{Cluster: cl, Clock: simclock.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Stop()
+	// The peer is unreachable and the election far off: the member stays a
+	// follower and this test plays its leader.
+	rep, err := NewReplica("127.0.0.1:0", ReplicaConfig{
+		Controller: ctrl, Peers: []string{"127.0.0.1:1"}, DataDir: t.TempDir(), ElectionTimeout: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	appendEntry := func(index uint64) *protocol.Message {
+		return rep.handlePeer(&protocol.Message{
+			Type: protocol.TypeAppendEntries, Term: 1, From: "leader", PrevIndex: index - 1, PrevTerm: uint64(min(index-1, 1)),
+			Entries: []replog.Entry{{Index: index, Term: 1, Op: replog.OpReevaluate}},
+		})
+	}
+	if reply := appendEntry(1); !reply.Success {
+		t.Fatalf("first append = %+v", reply)
+	}
+	if err := rep.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if reply := appendEntry(2); reply.Success {
+		t.Fatalf("append acknowledged although the store refused it: %+v", reply)
+	}
+	if reply := appendEntry(2); !reply.Success || reply.MatchIndex != 2 {
+		t.Fatalf("resent append = %+v, want success at index 2", reply)
 	}
 }

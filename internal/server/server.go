@@ -24,9 +24,7 @@ import (
 	"harmony/internal/metric"
 	"harmony/internal/namespace"
 	"harmony/internal/protocol"
-	"harmony/internal/resource"
-	"harmony/internal/rsl"
-	"harmony/internal/vet"
+	"harmony/internal/replog"
 )
 
 // VetMode selects how the server treats static-analysis findings on
@@ -90,14 +88,22 @@ type Config struct {
 	// LeaseGrace, when positive, parks a dying connection's registrations
 	// for this long instead of unregistering them immediately: a client
 	// that reconnects and presents its resume token within the grace window
-	// gets its instances back without re-running bundle setup.
+	// gets its instances back without re-running bundle setup. A session
+	// holding no instance is never parked. After a leader failover the new
+	// leader has no connection to judge by and gives every inherited session
+	// this long, or five seconds when it is zero.
 	LeaseGrace time.Duration
-	// Replica, when set, routes every ledger-mutating request through the
-	// replicated log instead of calling the controller directly: mutations
-	// are proposed, committed on a majority and applied deterministically,
-	// so a follower can take over with an identical ledger. Followers
-	// answer mutations with a not_leader redirect. Reads (status, report,
-	// heartbeat) stay local.
+	// Replica is the replicated log every ledger- and session-mutating
+	// request goes through: mutations are proposed, committed on a majority
+	// and applied deterministically, so a follower can take over with an
+	// identical ledger. Followers answer mutations with a not_leader
+	// redirect. Reads (status, report, heartbeat) stay local. When nil the
+	// server builds a private member of its own — no peers, no listener, no
+	// store — and closes it on Close, so a standalone server takes the same
+	// path as a cluster. Code that mutates Controller directly beside such
+	// a server (ForceChoice, MarkNodeDown) bypasses the log; that is
+	// harmless only there, where one volatile member cannot diverge from
+	// itself.
 	Replica *Replica
 	// Logf logs server events; nil discards.
 	Logf func(format string, args ...any)
@@ -108,25 +114,17 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	listener net.Listener
+	rep      *Replica
+	ownsRep  bool // rep was built by Serve, not supplied in cfg
 
 	mu      sync.Mutex
 	conns   map[*conn]struct{}
 	byInst  map[int]*conn
 	pending map[int]map[string]protocol.VarValue
-	parked  map[string]*parkedSession
 	closed  bool
 
 	stopSweep chan struct{}
 	wg        sync.WaitGroup
-}
-
-// parkedSession holds a dead connection's registrations through the lease
-// grace window, keyed by resume token.
-type parkedSession struct {
-	appID     string
-	instances []int
-	variables map[string]protocol.VarValue
-	timer     *time.Timer
 }
 
 type conn struct {
@@ -183,19 +181,29 @@ func Serve(ln net.Listener, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		listener:  ln,
+		rep:       cfg.Replica,
 		conns:     make(map[*conn]struct{}),
 		byInst:    make(map[int]*conn),
 		pending:   make(map[int]map[string]protocol.VarValue),
-		parked:    make(map[string]*parkedSession),
 		stopSweep: make(chan struct{}),
 	}
 	if err := cfg.Controller.Subscribe(s.onEvent); err != nil {
 		_ = ln.Close()
 		return nil, err
 	}
-	if cfg.Replica != nil {
-		cfg.Replica.attach(s)
+	if s.rep == nil {
+		rep, err := NewReplicaFromListener(nil, ReplicaConfig{
+			ClientAddr: ln.Addr().String(),
+			Controller: cfg.Controller,
+			Logf:       cfg.Logf,
+		})
+		if err != nil {
+			_ = ln.Close()
+			return nil, err
+		}
+		s.rep, s.ownsRep = rep, true
 	}
+	s.rep.attach(s)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	if cfg.LeaseTTL > 0 {
@@ -206,7 +214,7 @@ func Serve(ln net.Listener, cfg Config) (*Server, error) {
 }
 
 // sweepLeases closes connections whose lease has lapsed. The serve loop's
-// cleanup then parks or unregisters their sessions as configured.
+// cleanup then parks or ends their sessions as configured.
 func (s *Server) sweepLeases(ttl time.Duration) {
 	defer s.wg.Done()
 	interval := ttl / 4
@@ -248,21 +256,14 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	for token, ps := range s.parked {
-		ps.timer.Stop()
-		delete(s.parked, token)
-	}
 	s.mu.Unlock()
 	close(s.stopSweep)
 	err := s.listener.Close()
-	for _, c := range conns {
-		_ = c.netConn.Close()
-	}
+	s.closeClientConns() // closed is set: the accept loop adds no more
 	s.wg.Wait()
+	if s.ownsRep {
+		_ = s.rep.Close()
+	}
 	return err
 }
 
@@ -438,8 +439,14 @@ func (c *conn) serve() {
 	}
 }
 
+// cleanup handles a dying connection. Instances are never unregistered
+// directly — that would mutate the ledger off-log. The leader either parks
+// the session and arms a grace timer whose expiry proposes its end, or,
+// without a grace window or with nothing to hold, proposes the end at once;
+// a follower (or a deposed leader) does nothing, because the real leader's
+// grace timers own every session.
 func (c *conn) cleanup() {
-	s := c.srv
+	s, r := c.srv, c.srv.rep
 	c.mu.Lock()
 	instances := make([]int, 0, len(c.instances))
 	for id := range c.instances {
@@ -447,13 +454,7 @@ func (c *conn) cleanup() {
 	}
 	sort.Ints(instances)
 	token := c.resumeToken
-	appID := c.appID
-	variables := c.variables
 	c.mu.Unlock()
-	if r := s.cfg.Replica; r != nil {
-		c.cleanupReplicated(r, instances, token)
-		return
-	}
 	s.mu.Lock()
 	delete(s.conns, c)
 	for _, id := range instances {
@@ -461,341 +462,37 @@ func (c *conn) cleanup() {
 			delete(s.byInst, id)
 		}
 	}
-	// Within the grace window a reconnecting client can reclaim its
-	// registrations by resume token; only after it lapses does the dropped
-	// connection become an implicit harmony_end.
-	park := s.cfg.LeaseGrace > 0 && token != "" && len(instances) > 0 && !s.closed
-	if park {
-		ps := &parkedSession{appID: appID, instances: instances, variables: variables}
-		ps.timer = time.AfterFunc(s.cfg.LeaseGrace, func() { s.expireParked(token) })
-		s.parked[token] = ps
-		s.cfg.Logf("harmony: %s: parking %d instance(s) for %v", c.netConn.RemoteAddr(), len(instances), s.cfg.LeaseGrace)
-	}
+	closed := s.closed
 	s.mu.Unlock()
-	if !park {
-		for _, id := range instances {
-			s.unregisterDead(id)
-		}
-	}
 	_ = c.netConn.Close()
-}
-
-// unregisterDead drops one instance whose owner is gone for good.
-func (s *Server) unregisterDead(id int) {
-	if _, err := s.cfg.Controller.Unregister(id); err != nil {
-		s.cfg.Logf("harmony: unregister %d on disconnect: %v", id, err)
-	}
-	s.mu.Lock()
-	delete(s.pending, id)
-	s.mu.Unlock()
-}
-
-// expireParked ends a parked session whose grace window lapsed unresumed.
-func (s *Server) expireParked(token string) {
-	s.mu.Lock()
-	ps, ok := s.parked[token]
-	if !ok {
-		s.mu.Unlock()
+	if closed || !r.IsLeader() {
 		return
 	}
-	delete(s.parked, token)
-	s.mu.Unlock()
-	s.cfg.Logf("harmony: session %s: grace expired, unregistering %d instance(s)", token[:8], len(ps.instances))
-	for _, id := range ps.instances {
-		s.unregisterDead(id)
-	}
-}
-
-func errReply(format string, args ...any) *protocol.Message {
-	return &protocol.Message{Type: protocol.TypeError, Error: fmt.Sprintf(format, args...)}
-}
-
-func (c *conn) handle(msg *protocol.Message) *protocol.Message {
-	// In a replicated deployment every mutation goes through the log; only
-	// reads and connection-local bookkeeping fall through to the legacy
-	// switch below.
-	if r := c.srv.cfg.Replica; r != nil {
-		if reply, handled := c.handleReplicated(r, msg); handled {
-			return reply
-		}
-	}
-	switch msg.Type {
-	case protocol.TypeStartup:
-		if msg.AppID == "" {
-			return errReply("startup requires appId")
-		}
-		token := newResumeToken()
-		c.mu.Lock()
-		c.appID = msg.AppID
-		c.resumeToken = token
-		c.mu.Unlock()
-		return &protocol.Message{Type: protocol.TypeAck, AppID: msg.AppID, ResumeToken: token}
-
-	case protocol.TypeHeartbeat:
-		// The read itself renewed the lease; the ack lets clients measure
-		// liveness round-trips.
-		return &protocol.Message{Type: protocol.TypeAck}
-
-	case protocol.TypeResume:
-		return c.handleResume(msg)
-
-	case protocol.TypeNodeState:
-		return c.handleNodeState(msg)
-
-	case protocol.TypeBundleSetup:
-		return c.handleBundleSetup(msg)
-
-	case protocol.TypeAddVariable:
-		if msg.Name == "" {
-			return errReply("add_variable requires a name")
-		}
-		c.mu.Lock()
-		c.variables[msg.Name] = msg.Value
-		c.mu.Unlock()
-		return &protocol.Message{Type: protocol.TypeAck, Name: msg.Name}
-
-	case protocol.TypeReport:
-		if msg.Name == "" {
-			return errReply("report requires a name")
-		}
-		if c.srv.cfg.Bus != nil {
-			_ = c.srv.cfg.Bus.ReportValue(msg.Name, msg.Value.Num, 0)
-		}
-		return &protocol.Message{Type: protocol.TypeAck, Name: msg.Name}
-
-	case protocol.TypeEnd:
-		c.mu.Lock()
-		known := c.instances[msg.Instance]
-		c.mu.Unlock()
-		if !known {
-			return errReply("end: instance %d not owned by this connection", msg.Instance)
-		}
-		if _, err := c.srv.cfg.Controller.Unregister(msg.Instance); err != nil {
-			return errReply("end: %v", err)
-		}
-		c.mu.Lock()
-		delete(c.instances, msg.Instance)
-		c.mu.Unlock()
-		c.srv.mu.Lock()
-		delete(c.srv.byInst, msg.Instance)
-		delete(c.srv.pending, msg.Instance)
-		c.srv.mu.Unlock()
-		return &protocol.Message{Type: protocol.TypeAck, Instance: msg.Instance}
-
-	case protocol.TypeStatus:
-		apps := c.srv.cfg.Controller.Apps()
-		reply := &protocol.Message{
-			Type:      protocol.TypeStatusReply,
-			Objective: c.srv.cfg.Controller.Objective(),
-		}
-		for _, a := range apps {
-			reply.Apps = append(reply.Apps, protocol.AppStatus{
-				Instance:         a.Instance,
-				App:              a.App,
-				Bundle:           a.Bundle,
-				Option:           a.Choice.Option,
-				Hosts:            a.Hosts,
-				PredictedSeconds: a.PredictedSeconds,
-				Switches:         a.Switches,
-			})
-		}
-		return reply
-
-	case protocol.TypeReevaluate:
-		c.srv.cfg.Controller.Reevaluate()
-		return &protocol.Message{Type: protocol.TypeAck}
-
-	case protocol.TypeClusterStatus:
-		return errReply("cluster_status: this server is not replicated")
-
-	default:
-		// Server-originated types (ack, error, status_reply, update) are not
-		// valid requests; answering them (and anything unregistered) with a
-		// wire error keeps the dispatch exhaustive as the protocol grows.
-		return errReply("unknown message type %q", msg.Type)
-	}
-}
-
-// handleResume re-binds a parked (or still-nominally-live) session to this
-// connection: the client presents the resume token from its startup ack and
-// gets its instance ids back without re-registering.
-func (c *conn) handleResume(msg *protocol.Message) *protocol.Message {
-	token := msg.ResumeToken
 	if token == "" {
-		return errReply("resume requires a resumeToken")
-	}
-	s := c.srv
-	s.mu.Lock()
-	ps, ok := s.parked[token]
-	if ok {
-		delete(s.parked, token)
-		ps.timer.Stop()
-	} else {
-		// The old connection may not have died server-side yet (the lease
-		// has not lapsed): steal the session from it so its eventual cleanup
-		// finds nothing to park or unregister.
-		var old *conn
-		for oc := range s.conns {
-			if oc == c {
-				continue
-			}
-			oc.mu.Lock()
-			match := oc.resumeToken == token
-			oc.mu.Unlock()
-			if match {
-				old = oc
-				break
+		// No session (the client never sent startup): end any registrations
+		// outright.
+		for _, id := range instances {
+			if _, _, err := r.Propose(&replog.Entry{Op: replog.OpUnregister, Instance: id}); err != nil {
+				s.cfg.Logf("harmony: unregister %d on disconnect: %v", id, err)
 			}
 		}
-		if old == nil {
-			s.mu.Unlock()
-			return errReply("resume: unknown or expired token")
-		}
-		old.mu.Lock()
-		ps = &parkedSession{appID: old.appID, variables: old.variables}
-		for id := range old.instances {
-			ps.instances = append(ps.instances, id)
-		}
-		sort.Ints(ps.instances)
-		old.instances = make(map[int]bool)
-		old.variables = make(map[string]protocol.VarValue)
-		old.resumeToken = ""
-		old.mu.Unlock()
+		return
 	}
-	c.mu.Lock()
-	c.appID = ps.appID
-	c.resumeToken = token
-	for _, id := range ps.instances {
-		c.instances[id] = true
+	// Within the grace window a reconnecting client can reclaim its
+	// registrations by resume token; only after it lapses does the dropped
+	// connection become an implicit harmony_end. Propose is bounded, and
+	// this runs on the dying connection's serve goroutine.
+	park := s.cfg.LeaseGrace > 0 && len(instances) > 0
+	op := replog.OpSessionExpire
+	if park {
+		op = replog.OpSessionPark
 	}
-	for k, v := range ps.variables {
-		if _, exists := c.variables[k]; !exists {
-			c.variables[k] = v
-		}
+	if _, _, err := r.Propose(&replog.Entry{Op: op, Token: token}); err != nil {
+		s.cfg.Logf("harmony: %s session %.8s: %v", op, token, err)
+		return
 	}
-	c.mu.Unlock()
-	for _, id := range ps.instances {
-		s.byInst[id] = c
-	}
-	s.mu.Unlock()
-	s.cfg.Logf("harmony: %s: resumed session %s (%d instance(s))", c.netConn.RemoteAddr(), token[:8], len(ps.instances))
-	// Reconfigurations that landed while the client was away are flushed
-	// now; clients must tolerate updates arriving before the resume ack.
-	if !s.cfg.ManualFlush {
-		for _, id := range ps.instances {
-			s.FlushPendingVars(id)
-		}
-	}
-	return &protocol.Message{Type: protocol.TypeAck, ResumeToken: token, Instances: ps.instances}
-}
-
-// handleNodeState applies an operator-driven node lifecycle transition.
-func (c *conn) handleNodeState(msg *protocol.Message) *protocol.Message {
-	if msg.Hostname == "" {
-		return errReply("node_state requires a hostname")
-	}
-	h, err := resource.ParseNodeHealth(msg.State)
-	if err != nil {
-		return errReply("node_state: %v", err)
-	}
-	ctrl := c.srv.cfg.Controller
-	switch h {
-	case resource.HealthDown:
-		_, err = ctrl.MarkNodeDown(msg.Hostname)
-	case resource.HealthDraining:
-		_, err = ctrl.DrainNode(msg.Hostname)
-	case resource.HealthUp:
-		_, err = ctrl.MarkNodeUp(msg.Hostname)
-	}
-	if err != nil {
-		return errReply("node_state: %v", err)
-	}
-	c.srv.cfg.Logf("harmony: node %s marked %s by %s", msg.Hostname, h, c.netConn.RemoteAddr())
-	return &protocol.Message{Type: protocol.TypeAck, Hostname: msg.Hostname, State: h.String()}
-}
-
-func (c *conn) handleBundleSetup(msg *protocol.Message) *protocol.Message {
-	if reply := c.vetBundle(msg.RSL); reply != nil {
-		return reply
-	}
-	bundles, _, err := rsl.DecodeScript(msg.RSL)
-	if err != nil {
-		return errReply("bundle_setup: %v", err)
-	}
-	if len(bundles) != 1 {
-		return errReply("bundle_setup: expected exactly one harmonyBundle, got %d", len(bundles))
-	}
-	inst, events, err := c.srv.cfg.Controller.Register(bundles[0])
-	if err != nil {
-		return errReply("bundle_setup: %v", err)
-	}
-	return c.ackBundleSetup(inst, events)
-}
-
-// vetBundle statically analyzes an incoming spec per the configured vet
-// mode, returning a non-nil rejection reply when the bundle must not be
-// admitted.
-func (c *conn) vetBundle(src string) *protocol.Message {
-	if c.srv.cfg.Vet != VetOff {
-		rep := vet.Script(src, vet.Options{
-			ExtraNodes: c.srv.cfg.Controller.ClusterNodes(),
-		})
-		for _, d := range rep.Diags {
-			c.srv.cfg.Logf("harmony: vet: %s", d)
-		}
-		if c.srv.cfg.Vet == VetReject {
-			if d, bad := rep.FirstError(); bad {
-				return errReply("bundle_setup: vet: %s", d)
-			}
-		}
-		// Judge the incoming spec jointly with everything already admitted:
-		// even an individually-fine bundle is rejected when the combined
-		// best-case demand provably exceeds the cluster.
-		specs := make([]vet.WorkloadSpec, 0, 2)
-		if admitted := c.srv.cfg.Controller.Bundles(); len(admitted) > 0 {
-			specs = append(specs, vet.WorkloadSpec{File: "admitted", Bundles: admitted})
-		}
-		specs = append(specs, vet.WorkloadSpec{File: "incoming", Src: src})
-		wrep := vet.Workload(specs, vet.Options{
-			ExtraNodes: c.srv.cfg.Controller.ClusterNodes(),
-		})
-		for _, d := range wrep.Diags {
-			c.srv.cfg.Logf("harmony: vet: %s", d)
-		}
-		if c.srv.cfg.Vet == VetReject {
-			if d, bad := wrep.FirstError(); bad {
-				return errReply("bundle_setup: vet: %s", d)
-			}
-		}
-	}
-	return nil
-}
-
-// ackBundleSetup binds a fresh instance to this connection and builds the
-// registration ack, folding the initial configuration into it so the
-// application can start without waiting for a separate update.
-func (c *conn) ackBundleSetup(inst int, events []core.Event) *protocol.Message {
-	c.mu.Lock()
-	c.instances[inst] = true
-	c.mu.Unlock()
-	c.srv.mu.Lock()
-	c.srv.byInst[inst] = c
-	c.srv.mu.Unlock()
-
-	var initialVars map[string]protocol.VarValue
-	for _, ev := range events {
-		if ev.Instance == inst {
-			initialVars = c.srv.eventVars(ev)
-			// Consume the buffered copy created by onEvent.
-			c.srv.mu.Lock()
-			delete(c.srv.pending, inst)
-			c.srv.mu.Unlock()
-			break
-		}
-	}
-	return &protocol.Message{
-		Type:     protocol.TypeAck,
-		Instance: inst,
-		Vars:     initialVars,
+	if park {
+		r.armGraceTimer(token)
+		s.cfg.Logf("harmony: %s: parked session %.8s for %v", c.netConn.RemoteAddr(), token, s.cfg.LeaseGrace)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -124,7 +125,7 @@ func (t *sessionTable) resume(token string) (*sessionRecord, error) {
 	defer t.mu.Unlock()
 	rec, ok := t.m[token]
 	if !ok {
-		return nil, fmt.Errorf("server: unknown or expired session")
+		return nil, errors.New("unknown or expired token")
 	}
 	rec.Parked = false
 	return rec.clone(), nil

@@ -68,6 +68,15 @@ go vet ./...
 echo "== go test -race -shuffle=on"
 go test -race -shuffle=on ./...
 
+echo "== bench harness (vet + tests against this checkout's API)"
+# bench/ is a module of its own, so ./... above does not reach it; an API
+# break against the harness should fail here, not in the benchmark gate.
+# The environment is bench/run.sh's; nothing under bench/ is written.
+(
+	export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off
+	go -C bench vet . && go -C bench test .
+)
+
 echo "== harmonyctl lint (examples/specs against the reference cluster)"
 sarif_out="${SARIF_OUT:-$(mktemp)}"
 lint_sarif=$(mktemp)
