@@ -127,6 +127,9 @@ func readLogFile(path string, snapIndex uint64) ([]Entry, error) {
 
 // AppendEntries durably appends entries to the log file.
 func (s *Store) AppendEntries(entries []Entry) error {
+	if len(entries) == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var buf []byte

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"harmony/internal/cluster"
+	"harmony/internal/consensus"
 	"harmony/internal/core"
 	"harmony/internal/protocol"
 	"harmony/internal/replog"
@@ -49,14 +51,13 @@ func (n *testNode) start(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.rep, err = NewReplica(n.peerAddr, ReplicaConfig{
-		ID:                n.peerAddr,
-		Peers:             n.peers,
-		ClientAddr:        n.clientAddr,
-		Controller:        n.ctrl,
-		DataDir:           n.dir,
-		ElectionTimeout:   electionT,
-		HeartbeatInterval: electionT / 4,
-		SnapshotEvery:     n.snapEvery,
+		ID:              n.peerAddr,
+		Peers:           n.peers,
+		ClientAddr:      n.clientAddr,
+		Controller:      n.ctrl,
+		DataDir:         n.dir,
+		ElectionTimeout: electionT,
+		SnapshotEvery:   n.snapEvery,
 	})
 	if err != nil {
 		t.Fatalf("NewReplica(%s): %v", n.peerAddr, err)
@@ -144,6 +145,14 @@ func waitLeader(t *testing.T, nodes []*testNode) *testNode {
 	}
 	t.Fatal("no leader elected")
 	return nil
+}
+
+// settle has the loop take a tick and returns once it has.
+func settle(rep *Replica) {
+	done := make(chan struct{})
+	rep.post(event{in: consensus.Input{Kind: consensus.Tick}})
+	rep.post(event{run: func() { close(done) }})
+	<-done
 }
 
 // waitTrue polls cond until it holds or the deadline lapses.
@@ -470,7 +479,7 @@ func TestReplicationDocInSync(t *testing.T) {
 		t.Fatalf("docs/REPLICATION.md missing: %v", err)
 	}
 	for _, sym := range []string{
-		"NewReplica", "Apply", "Advance", "replog.Entry",
+		"NewReplica", "Apply", "Advance", "replog.Entry", "Step", "internal/consensus",
 		"append_entries", "install_snapshot", "not_leader",
 		"SnapshotEvery", "DataDir", "LeaseGrace", "OpSessionExpire",
 		"ClusterStatus", "cluster status", "CheckConservation",
@@ -484,39 +493,43 @@ func TestReplicationDocInSync(t *testing.T) {
 	}
 }
 
-// TestProposeOutcomeSurvivesEarlyApply is the regression test for the lost
-// proposal outcome: between Propose's append to the in-memory log and the
-// end of its fsync, the leader's heartbeat may commit and apply the entry. It
-// must find the proposer's interest already registered, or the outcome is
-// dropped and the client is told "applied without outcome". A goroutine
-// stands in for the heartbeat and commits and applies as fast as it can, so
-// nearly every proposal's entry is applied while its persist is under way.
+// TestProposeOutcomeSurvivesEarlyApply guards the hand-over of outcomes from
+// the loop to the proposers. The window it was written for — a heartbeat
+// applying an entry before its proposer had registered interest — closed when
+// one goroutine came to own both; what can still go wrong is a waiter bound
+// to the wrong index, released twice or never. Eight proposers share a
+// durable three-member leader while heartbeats run: every call must return,
+// and return the outcome of its own entry.
 func TestProposeOutcomeSurvivesEarlyApply(t *testing.T) {
-	nodes := startTestCluster(t, 1, time.Second, 0)
+	nodes := startTestCluster(t, 3, time.Second, 0)
 	rep := waitLeader(t, nodes).rep
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
+	const proposers, each = 8, 300
+	var wg sync.WaitGroup
+	for p := 0; p < proposers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			token := fmt.Sprintf("session-%d", p)
+			if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpSessionStart, Token: token, AppID: token}); err != nil {
+				t.Errorf("proposer %d: start: %v", p, err)
 				return
-			default:
-				rep.advanceCommit()
-				rep.applyCommitted()
 			}
-		}
-	}()
-	defer func() {
-		close(stop)
-		<-done
-	}()
-	for i := 0; i < 300; i++ {
-		if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
-			t.Fatalf("proposal %d: %v", i, err)
-		}
+			for i := 0; i < each; i++ {
+				// A resume answers with the session it names: an outcome that
+				// crossed over from another proposer's entry shows.
+				_, rec, err := rep.Propose(&replog.Entry{Op: replog.OpSessionResume, Token: token})
+				if err != nil {
+					t.Errorf("proposer %d, proposal %d: %v", p, i, err)
+					return
+				}
+				if rec == nil || rec.Token != token {
+					t.Errorf("proposer %d, proposal %d: got the outcome of %+v", p, i, rec)
+					return
+				}
+			}
+		}(p)
 	}
+	wg.Wait()
 }
 
 // A member without peers is its own majority: it leads from construction
@@ -603,7 +616,7 @@ func TestFailedPersistIsNotAnAck(t *testing.T) {
 	if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpReevaluate}); err == nil {
 		t.Fatal("proposal acknowledged although the store refused the entry")
 	}
-	rep.advanceCommit()
+	settle(rep)
 	if got := rep.log.Commit(); got != commit {
 		t.Fatalf("commit index moved %d -> %d on an entry no disk holds", commit, got)
 	}
@@ -628,24 +641,7 @@ func TestFailedPersistIsNotAnAck(t *testing.T) {
 // A follower whose store refuses an append answers Success false — the leader
 // must not count a copy no disk holds — and heals on the leader's resend.
 func TestFollowerFailedPersistRejectsAppend(t *testing.T) {
-	cl, err := cluster.NewSP2(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := core.New(core.Config{Cluster: cl, Clock: simclock.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Stop()
-	// The peer is unreachable and the election far off: the member stays a
-	// follower and this test plays its leader.
-	rep, err := NewReplica("127.0.0.1:0", ReplicaConfig{
-		Controller: ctrl, Peers: []string{"127.0.0.1:1"}, DataDir: t.TempDir(), ElectionTimeout: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
+	rep, _ := lonelyFollower(t, t.TempDir())
 	appendEntry := func(index uint64) *protocol.Message {
 		return rep.handlePeer(&protocol.Message{
 			Type: protocol.TypeAppendEntries, Term: 1, From: "leader", PrevIndex: index - 1, PrevTerm: uint64(min(index-1, 1)),
@@ -663,5 +659,99 @@ func TestFollowerFailedPersistRejectsAppend(t *testing.T) {
 	}
 	if reply := appendEntry(2); !reply.Success || reply.MatchIndex != 2 {
 		t.Fatalf("resent append = %+v, want success at index 2", reply)
+	}
+}
+
+// lonelyFollower starts a durable member whose only peer is unreachable and
+// whose election is far off: it stays a follower, and the test plays the
+// rest of the cluster through handlePeer.
+func lonelyFollower(t *testing.T, dir string) (*Replica, *core.Controller) {
+	t.Helper()
+	cl, err := cluster.NewSP2(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := core.New(core.Config{Cluster: cl, Clock: simclock.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.Stop)
+	rep, err := NewReplica("127.0.0.1:0", ReplicaConfig{
+		Controller: ctrl, Peers: []string{"127.0.0.1:1"}, DataDir: dir, ElectionTimeout: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rep.Close() })
+	return rep, ctrl
+}
+
+// A vote the member could not write down is a vote a crash forgets — it could
+// then vote again in the same term — so it is not granted. (Closing the store
+// does not reach the hard state, which is written by rename; losing the
+// directory does.)
+func TestFailedHardStateSaveGrantsNoVote(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	rep, _ := lonelyFollower(t, dir)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	ask := &protocol.Message{Type: protocol.TypeVoteRequest, Term: 5, From: "candidate"}
+	if reply := rep.handlePeer(ask); reply.Granted {
+		t.Fatalf("vote granted although the hard state could not be saved: %+v", reply)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if reply := rep.handlePeer(ask); !reply.Granted {
+		t.Fatalf("vote refused once the store works again: %+v", reply)
+	}
+	_ = rep.Close()
+	_, persisted, err := replog.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if persisted.State != (replog.HardState{Term: 5, VotedFor: "candidate"}) {
+		t.Fatalf("recovered hard state %+v, want the granted vote", persisted.State)
+	}
+}
+
+// A snapshot the member could not write down is not acknowledged: the leader
+// would count a copy that a restart does not find. The leader's resend finds
+// it installed in memory and must still see it written before it hears yes.
+func TestFailedSnapshotSaveIsNotAnAck(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	rep, ctrl := lonelyFollower(t, dir)
+	st, err := ctrl.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(&snapshotPayload{Controller: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	install := &protocol.Message{
+		Type: protocol.TypeInstallSnapshot, Term: 1, From: "leader",
+		Snapshot: &replog.Snapshot{Index: 3, Term: 1, Data: data},
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if reply := rep.handlePeer(install); reply.Success {
+		t.Fatalf("install acknowledged although the snapshot could not be saved: %+v", reply)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if reply := rep.handlePeer(install); !reply.Success || reply.MatchIndex != 3 {
+		t.Fatalf("resent install = %+v, want success at index 3", reply)
+	}
+	_ = rep.Close()
+	_, persisted, err := replog.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if persisted.Snapshot.Index != 3 {
+		t.Fatalf("recovered snapshot@%d, want the acknowledged snapshot@3", persisted.Snapshot.Index)
 	}
 }

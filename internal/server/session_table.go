@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"harmony/internal/protocol"
 )
@@ -38,10 +37,10 @@ func (r *sessionRecord) clone() *sessionRecord {
 // sessionTable is the replicated session state, mutated only by applied log
 // entries so every replica holds the same table. All methods called from
 // the apply path are deterministic (no clocks, no randomness, no
-// map-iteration-order-dependent results).
+// map-iteration-order-dependent results). It has no lock: the replica's loop
+// goroutine is its only user.
 type sessionTable struct {
-	mu sync.Mutex
-	m  map[string]*sessionRecord
+	m map[string]*sessionRecord
 }
 
 func newSessionTable() *sessionTable {
@@ -50,8 +49,6 @@ func newSessionTable() *sessionTable {
 
 // start records a fresh session (OpSessionStart).
 func (t *sessionTable) start(token, appID string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if _, ok := t.m[token]; ok {
 		return fmt.Errorf("server: session %s already exists", token)
 	}
@@ -61,8 +58,6 @@ func (t *sessionTable) start(token, appID string) error {
 
 // setVar records a declared variable (OpSessionVar).
 func (t *sessionTable) setVar(token, name string, v protocol.VarValue) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rec, ok := t.m[token]
 	if !ok {
 		return fmt.Errorf("server: unknown session %s", token)
@@ -76,8 +71,6 @@ func (t *sessionTable) setVar(token, name string, v protocol.VarValue) error {
 
 // bind attaches a registered instance to a session (OpRegister apply).
 func (t *sessionTable) bind(token string, instance int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rec, ok := t.m[token]
 	if !ok {
 		return
@@ -94,8 +87,6 @@ func (t *sessionTable) bind(token string, instance int) {
 // unbindInstance detaches an instance from whichever session holds it
 // (OpUnregister apply).
 func (t *sessionTable) unbindInstance(instance int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, rec := range t.m {
 		for i, id := range rec.Instances {
 			if id == instance {
@@ -108,8 +99,6 @@ func (t *sessionTable) unbindInstance(instance int) {
 
 // park marks a session disconnected (OpSessionPark).
 func (t *sessionTable) park(token string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rec, ok := t.m[token]
 	if !ok {
 		return fmt.Errorf("server: unknown session %s", token)
@@ -121,8 +110,6 @@ func (t *sessionTable) park(token string) error {
 // resume re-activates a session (OpSessionResume) and returns a copy for
 // the leader to rebind onto the resuming connection.
 func (t *sessionTable) resume(token string) (*sessionRecord, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rec, ok := t.m[token]
 	if !ok {
 		return nil, errors.New("unknown or expired token")
@@ -134,8 +121,6 @@ func (t *sessionTable) resume(token string) (*sessionRecord, error) {
 // expire removes a session (OpSessionExpire) and returns the instances the
 // applier must unregister, in sorted order.
 func (t *sessionTable) expire(token string) ([]int, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rec, ok := t.m[token]
 	if !ok {
 		return nil, false
@@ -146,8 +131,6 @@ func (t *sessionTable) expire(token string) ([]int, bool) {
 
 // get returns a copy of one session.
 func (t *sessionTable) get(token string) (*sessionRecord, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rec, ok := t.m[token]
 	if !ok {
 		return nil, false
@@ -158,8 +141,6 @@ func (t *sessionTable) get(token string) (*sessionRecord, bool) {
 // tokens lists all session tokens, sorted (used by a new leader to arm
 // grace timers after failover).
 func (t *sessionTable) tokens() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]string, 0, len(t.m))
 	for tok := range t.m {
 		out = append(out, tok)
@@ -170,8 +151,6 @@ func (t *sessionTable) tokens() []string {
 
 // snapshot serializes the table deterministically (sorted by token).
 func (t *sessionTable) snapshot() []sessionRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]sessionRecord, 0, len(t.m))
 	for _, rec := range t.m {
 		out = append(out, *rec.clone())
@@ -182,8 +161,6 @@ func (t *sessionTable) snapshot() []sessionRecord {
 
 // restore replaces the table wholesale (snapshot install).
 func (t *sessionTable) restore(recs []sessionRecord) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.m = make(map[string]*sessionRecord, len(recs))
 	for i := range recs {
 		rec := recs[i]
