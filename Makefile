@@ -12,7 +12,7 @@ test:
 check:
 	sh scripts/check.sh
 
-# Project invariant analyzers (lockdiscipline, viewpurity, memoinvalidation,
+# The five project invariant analyzers (lockdiscipline, viewpurity,
 # goroutinelife, protoexhaustive, replaydeterminism); see docs/ANALYZERS.md.
 lint:
 	$(GO) run ./cmd/harmonylint ./...
@@ -22,7 +22,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/rsl/
 	$(GO) test -run=^$$ -fuzz=FuzzVet -fuzztime=30s ./internal/vet/
 
-# Optimizer hot-path benchmark, gated against the committed BENCH_14.json.
+# Optimizer hot-path benchmark, gated against the committed BENCH_19.json.
 bench:
 	sh scripts/bench.sh
 

@@ -8,8 +8,8 @@
 //	hbench            # run every experiment (T1 F2a F2b F3 F4 F7 A1 A2 A3)
 //	hbench F7 A1      # run selected experiments
 //	hbench -list      # list experiment ids
-//	hbench -json BENCH_14.json -bench-nodes 64,256,1024   # run the hot-path bench, write report
-//	hbench -json out.json -baseline BENCH_14.json -tolerance 15
+//	hbench -json BENCH_19.json -bench-nodes 64,256,1024   # run the hot-path bench, write report
+//	hbench -json out.json -baseline BENCH_19.json -tolerance 15
 //	                  # ...and fail if the hot path regressed >15% vs baseline
 package main
 

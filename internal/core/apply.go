@@ -237,7 +237,6 @@ func (c *Controller) Restore(st *PersistedState) error {
 			_ = c.ledger.SetNodeHealth(ns.Node.Hostname, resource.HealthUp)
 		}
 	}
-	c.invalidatePredictionMemoLocked()
 
 	// Install the persisted state: health first so restored claims validate
 	// against the same capacity picture the source ledger had (claims are

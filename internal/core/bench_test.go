@@ -158,3 +158,78 @@ func BenchmarkWideGreedyCycle(b *testing.B) {
 		}
 	}
 }
+
+// crowdRSL is the bench harness's db-crowd client: the Figure 3 bundle
+// pinned to one client host beside the shared dbserver.
+func crowdRSL(instance, host int) string {
+	h := fmt.Sprintf("dbclient%03d", host)
+	return fmt.Sprintf(`harmonyBundle DBclient:%d where {
+	{QS
+		{node server dbserver {seconds 5} {memory 20}}
+		{node client %s {os linux} {seconds 1} {memory 2}}
+		{link client server 2}
+	}
+	{DS
+		{node server dbserver {seconds 1} {memory 20}}
+		{node client %s {os linux} {memory >=17} {seconds 10}}
+		{link client server {44 + (client.memory > 24 ? 24 : client.memory) - 17}}
+	}
+}`, instance, h, h)
+}
+
+// crowdController builds the db-crowd cluster (one server whose memory
+// scales with the population, 127 client hosts) with residents clients
+// pinned to the first hosts.
+func crowdController(tb testing.TB, residents int, cfg Config) *Controller {
+	tb.Helper()
+	const hosts = 127
+	decls := []*rsl.NodeDecl{{Hostname: "dbserver", Speed: 1, MemoryMB: 64 + 24*(hosts+1), OS: "linux", CPUs: 1}}
+	for i := 1; i <= hosts; i++ {
+		decls = append(decls, &rsl.NodeDecl{Hostname: fmt.Sprintf("dbclient%03d", i), Speed: 1, MemoryMB: 64, OS: "linux", CPUs: 1})
+	}
+	cl, err := cluster.New(cluster.Config{}, decls)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg.Cluster = cl
+	cfg.Clock = simclock.New()
+	ctrl, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 1; i <= residents; i++ {
+		bundles, _, err := rsl.DecodeScript(crowdRSL(i, i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, _, err := ctrl.Register(bundles[0]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ctrl
+}
+
+// BenchmarkCrowdCycle is one arrival and departure beside 64 pinned
+// Figure-3 residents sharing one server on 128 hosts: the repo benchmark's
+// db-crowd workload without the wire. Every event changes dbserver's load,
+// so every resident's five choices are re-evaluated against the other 63.
+func BenchmarkCrowdCycle(b *testing.B) {
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ctrl := crowdController(b, 64, Config{EvalWorkers: workers})
+			defer ctrl.Stop()
+			arrival := benchBundle(b, crowdRSL(65, 65))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inst, _, err := ctrl.Register(arrival)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ctrl.Unregister(inst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"harmony/internal/cluster"
@@ -153,8 +154,9 @@ type Config struct {
 	// predict.DefaultCriticalPathParams.
 	CriticalPathParams predict.CriticalPathParams
 	// EvalWorkers bounds candidate-evaluation parallelism: 0 uses
-	// GOMAXPROCS, 1 forces the serial path. Parallel and serial runs pick
-	// byte-identical winners (see internal/core/eval.go).
+	// GOMAXPROCS, 1 forces the serial path; evaluations too small to repay
+	// a hand-off stay on the caller whatever the bound. Parallel and serial
+	// runs pick byte-identical winners (see internal/core/eval.go).
 	EvalWorkers int
 	// DisablePruning turns off static candidate pruning (see
 	// internal/core/prune.go). Pruning is semantics-preserving — winners,
@@ -178,9 +180,12 @@ type appState struct {
 	// source is the RSL text the bundle was decoded from, kept so replicated
 	// snapshots (see apply.go) can rebuild the bundle on a follower. Empty
 	// for bundles registered directly with a decoded spec.
-	source       string
-	choice       Choice
-	assignment   *match.Assignment
+	source     string
+	choice     Choice
+	assignment *match.Assignment
+	// placed is assignment resolved to ledger indices; read it through
+	// placedFor, which notices when it is missing or out of date.
+	placed       *resolved
 	claim        *resource.Claim
 	predicted    float64
 	lastSwitch   time.Duration
@@ -212,12 +217,13 @@ type Controller struct {
 	reevalTimer  simclock.EventID
 	stopped      bool
 
-	// predMemo caches committed-state predictions keyed by (option,
-	// assignment fingerprint, excluded claim); cleared on every ledger
-	// mutation.
-	predMemo   map[predMemoKey]predict.Prediction
-	memoHits   uint64
-	memoMisses uint64
+	// evalCtx is the evaluation context, refilled for every evaluation
+	// (one is alive at a time).
+	evalCtx evalContext
+	// predictions counts model evaluations (MemoStats); candidate workers
+	// add to it. fanOuts counts evaluations that used the worker pool.
+	predictions atomic.Uint64
+	fanOuts     uint64
 	// prune counts static-pruning activity; monotoneObjective gates the
 	// model-based dominance rule (see internal/core/prune.go).
 	prune             PruneStats
@@ -453,7 +459,6 @@ func (c *Controller) unregisterAt(instance int, now time.Duration) ([]Event, err
 			c.mu.Unlock()
 			return nil, fmt.Errorf("core: release on unregister: %w", err)
 		}
-		c.invalidatePredictionMemoLocked()
 	}
 	_ = c.ns.Delete(app.owner())
 	delete(c.apps, instance)
@@ -668,19 +673,23 @@ func (c *Controller) jobsLocked() []objective.JobPrediction {
 	return jobs
 }
 
+// predictCommittedLocked predicts an application against the committed
+// ledger state (all claims reserved), as captured in view.
+func (c *Controller) predictCommittedLocked(view *resource.Snapshot, a *appState) {
+	opt := a.bundle.Option(a.choice.Option)
+	c.predictions.Add(1)
+	pred, err := c.predictIndexed(predict.Indexed{View: view}, opt, a.placedFor(view).pl)
+	if err == nil {
+		a.predicted = pred.Seconds
+	}
+}
+
 // refreshPredictionsLocked recomputes every application's predicted time
-// against current ledger state (all claims reserved). Predictions are
-// memoized, so after one adoption only the changed contention is recomputed.
-func (c *Controller) refreshPredictionsLocked() {
+// against current ledger state.
+func (c *Controller) refreshPredictionsLocked(view *resource.Snapshot) {
 	for _, id := range c.order {
-		a := c.apps[id]
-		if a.assignment == nil {
-			continue
-		}
-		opt := a.bundle.Option(a.choice.Option)
-		pred, err := c.cachedPredictViewLocked(c.ledger, opt, a.assignment, 0)
-		if err == nil {
-			a.predicted = pred.Seconds
+		if a := c.apps[id]; a.assignment != nil {
+			c.predictCommittedLocked(view, a)
 		}
 	}
 }
@@ -700,9 +709,6 @@ func (c *Controller) adoptLocked(app *appState, cand candidate, now time.Duratio
 		}
 		app.claim = nil
 	}
-	// Committed state changed (or is about to): memoized predictions for
-	// the old state no longer apply.
-	c.invalidatePredictionMemoLocked()
 	claim, err := c.matcher.Reserve(app.owner(), cand.assignment)
 	if err != nil {
 		if prevClaim != nil {
@@ -725,12 +731,11 @@ func (c *Controller) adoptLocked(app *appState, cand candidate, now time.Duratio
 		app.lastSwitch = now
 	}
 	app.choice = cand.choice
-	c.refreshPredictionsLocked()
+	// The snapshot is the one the next evaluation starts from.
+	committed := c.ledger.Snapshot()
+	c.refreshPredictionsLocked(committed)
 	// A just-registered app is not in c.order yet; predict it directly.
-	opt := app.bundle.Option(cand.choice.Option)
-	if pred, err := c.cachedPredictViewLocked(c.ledger, opt, cand.assignment, 0); err == nil {
-		app.predicted = pred.Seconds
-	}
+	c.predictCommittedLocked(committed, app)
 	c.writeNamespaceLocked(app)
 	return Event{
 		Instance:         app.instance,

@@ -16,20 +16,42 @@ import (
 
 // This file implements side-effect-free candidate evaluation: every
 // hypothetical placement is trial-reserved in a copy-on-write fork of a
-// ledger snapshot, never in the shared ledger. Because candidates no longer
-// contend for the real ledger, the controller fans bestChoiceLocked out over
-// a worker pool (Config.EvalWorkers, default GOMAXPROCS) and still returns
-// results byte-identical to the serial path: every candidate is evaluated
-// against the same immutable base snapshot and the reduction walks results
-// in enumeration order with the same strict-improvement comparison.
+// ledger snapshot, never in the shared ledger. Because candidates do not
+// contend for the real ledger, the controller can fan an evaluation that is
+// large enough to repay it out over a worker pool (Config.EvalWorkers,
+// default GOMAXPROCS) and still return results byte-identical to the serial
+// path: every candidate is evaluated against the same immutable base
+// snapshot and the reduction walks results in enumeration order with the
+// same strict-improvement comparison.
+
+// resolved is a resident's placement as candidate evaluation reads it: the
+// assignment's hosts and links as indices into the ledger's tables, and the
+// hosts again as a set. It is derived from an assignment and a topology and
+// from nothing else, so it is rebuilt rather than persisted: placedFor
+// resolves on first use after adoption or restore (adoption predicts every
+// resident, so that is when), and again when nodes or links were added to
+// the cluster.
+type resolved struct {
+	pl    *predict.Placement
+	hosts hostSet
+}
+
+// placedFor returns the app's assignment resolved against view's topology.
+// The app must hold an assignment.
+func (a *appState) placedFor(view *resource.Snapshot) *resolved {
+	if p := a.placed; p == nil || p.pl.Assignment() != a.assignment || !p.pl.Resolved(view) {
+		pl := predict.Resolve(view, a.assignment)
+		a.placed = &resolved{pl: pl, hosts: placementHostSet(pl)}
+	}
+	return a.placed
+}
 
 // otherApp is one already-placed application whose predicted time
 // contributes to the objective while a candidate is evaluated.
 type otherApp struct {
-	owner string
-	opt   *rsl.OptionSpec
-	asg   *match.Assignment
-	hosts hostSet
+	owner  string
+	opt    *rsl.OptionSpec
+	placed *resolved
 	// pred is the prediction against the evaluation base state (the
 	// committed ledger minus the evaluated app's claim). Candidates whose
 	// placement does not touch any of this app's hosts reuse it; candidates
@@ -40,13 +62,27 @@ type otherApp struct {
 }
 
 // evalContext is the shared, immutable input to one bestChoice evaluation:
-// a base snapshot with the evaluated app's own claim released, plus the
-// base predictions of every other application. Workers must not mutate it.
+// a base snapshot with the evaluated app's own claim released, the node
+// table and CPU load column read out of it once, and the base predictions
+// of every other application. Workers must not mutate it. The controller has
+// one (Controller.evalCtx) and refills it for every evaluation, so a pass
+// over N applications does not allocate N node tables: a context is dead
+// once the next one is built.
 type evalContext struct {
 	app    *appState
 	base   *resource.Snapshot
+	nodes  []resource.NodeState // base's node table, hostname order
+	loads  []float64            // nodes[i].CPULoad: what predictions read
 	others []otherApp
 }
+
+// candScratch is the working memory of one candidate evaluation.
+type candScratch struct {
+	loads []float64
+	jobs  []objective.JobPrediction
+}
+
+var candScratchPool = sync.Pool{New: func() any { return new(candScratch) }}
 
 // evalResult is one candidate's outcome, slotted by enumeration index.
 type evalResult struct {
@@ -62,105 +98,41 @@ func (c *Controller) evalWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// predictOptionView routes a prediction against a resource view (the
-// committed ledger, or a snapshot fork holding a trial reservation) through
-// the configured model stack: the application's explicit model when present
-// (the Table 1 "performance" tag), otherwise the critical-path refinement
-// when enabled, otherwise the default contention model.
-func (c *Controller) predictOptionView(view resource.View, opt *rsl.OptionSpec, asg *match.Assignment, selfReserved bool) (predict.Prediction, error) {
-	p := predict.NewWithView(view)
-	if opt != nil && len(opt.Performance) > 0 {
-		return p.Explicit(opt.Performance, asg, selfReserved)
+// predictIndexed routes the prediction of a placement the view already
+// holds through the configured model stack: the application's explicit model
+// when present (the Table 1 "performance" tag), otherwise the critical-path
+// refinement when enabled, otherwise the default contention model.
+func (c *Controller) predictIndexed(in predict.Indexed, opt *rsl.OptionSpec, pl *predict.Placement) (predict.Prediction, error) {
+	if c.cfg.UseCriticalPath && (opt == nil || len(opt.Performance) == 0) {
+		return in.CriticalPath(pl, true, c.cfg.CriticalPathParams)
 	}
-	if c.cfg.UseCriticalPath {
-		return p.CriticalPath(asg, selfReserved, c.cfg.CriticalPathParams)
-	}
-	return p.ForOption(opt, asg, selfReserved)
+	return in.ForOption(opt, pl, true)
 }
 
-// predMemoKey identifies a memoized prediction: the option (by identity —
-// option specs are immutable and owned by their bundle), the assignment's
-// resource fingerprint, and the claim hypothetically released from the
-// view the prediction was computed against (0 = the committed ledger with
-// every claim in place). The excl dimension is what makes re-evaluation
-// hit the cache on shared-host workloads: each app's evaluation predicts
-// every other app against "committed minus my claim", a state that recurs
-// identically across passes until the ledger actually changes. Entries are
-// only valid for the committed ledger state they were computed against;
-// the memo is cleared whenever a claim is adopted or released
-// (invalidatePredictionMemoLocked).
-type predMemoKey struct {
-	opt  *rsl.OptionSpec
-	fp   uint64
-	excl uint64
-}
-
-// cachedPredictViewLocked memoizes a prediction until the next ledger
-// mutation, against either the committed ledger with every claim in place
-// (view c.ledger, excl 0) or the committed ledger minus one released claim
-// (the evaluated app's own), keyed by that claim's id. refreshPredictionsLocked
-// and the per-re-evaluation "other apps" vector hit the first, so the jobs
-// vector is computed once per re-evaluation instead of once per candidate.
-// Within one pass every candidate context rebuilds the same minus-one-app
-// view, and across passes the view recurs until the memo is cleared; without
-// the second, shared-host (Figure 7-shaped) workloads have a ~0 hit rate.
-func (c *Controller) cachedPredictViewLocked(view resource.View, opt *rsl.OptionSpec, asg *match.Assignment, excl uint64) (predict.Prediction, error) {
-	if asg == nil {
-		return predict.Prediction{}, fmt.Errorf("core: nil assignment")
-	}
-	key := predMemoKey{opt: opt, fp: asg.Fingerprint(), excl: excl}
-	if p, ok := c.predMemo[key]; ok {
-		c.memoHits++
-		return p, nil
-	}
-	p, err := c.predictOptionView(view, opt, asg, true)
-	if err != nil {
-		return p, err
-	}
-	c.memoMisses++
-	if c.predMemo == nil {
-		c.predMemo = make(map[predMemoKey]predict.Prediction)
-	}
-	c.predMemo[key] = p
-	return p, nil
-}
-
-// invalidatePredictionMemoLocked drops every memoized prediction. Called on
-// adoption and release: any committed ledger change can shift contention.
-func (c *Controller) invalidatePredictionMemoLocked() {
-	if len(c.predMemo) > 0 {
-		c.predMemo = make(map[predMemoKey]predict.Prediction, len(c.predMemo))
-	}
-}
-
-// MemoStats reports prediction-memo hits and misses since construction
-// (used by benchmarks and tests to verify the cache is doing work).
+// MemoStats reports 0 hits and, as misses, the number of predictions made
+// since construction. There is no prediction memo: a prediction over a
+// resolved placement costs less than any key that could deduplicate it (see
+// docs/OPTIMIZER.md). The signature is what the bench harness calls.
 func (c *Controller) MemoStats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.memoHits, c.memoMisses
+	return 0, c.predictions.Load()
 }
 
 // hostSet is the set of nodes an assignment touches, one bit per node at
 // the node's index in the evaluation snapshot's hostname-ordered table.
 type hostSet []uint64
 
-// assignmentHostSet collects the distinct hosts an assignment touches.
-func assignmentHostSet(view *resource.Snapshot, asg *match.Assignment) hostSet {
+// placementHostSet collects the distinct registered hosts a placement uses.
+func placementHostSet(pl *predict.Placement) hostSet {
 	var set hostSet
-	if asg == nil {
-		return set
-	}
-	for _, n := range asg.Nodes {
-		i, ok := view.NodeIndex(n.Hostname)
-		if !ok {
+	for _, pos := range pl.NodeIndices() {
+		if pos < 0 {
 			continue
 		}
-		w := i / 64
+		w := int(pos) / 64
 		if w >= len(set) {
 			set = append(set, make(hostSet, w+1-len(set))...)
 		}
-		set[w] |= 1 << (i % 64)
+		set[w] |= 1 << (pos % 64)
 	}
 	return set
 }
@@ -183,8 +155,9 @@ func (a hostSet) intersects(b hostSet) bool {
 
 // newEvalContextLocked snapshots the ledger, hypothetically releases the
 // app's own claim inside the snapshot (the paper's "one bundle at a time"
-// precondition), and precomputes every other application's base prediction.
-// The shared ledger is not touched.
+// precondition), reads the snapshot's node table and load column out once,
+// and predicts every other application against that base. The shared ledger
+// is not touched.
 func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 	snap := c.ledger.Snapshot()
 	if app.claim != nil {
@@ -195,8 +168,16 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 			app.claim = nil
 		}
 	}
-	appHosts := assignmentHostSet(snap, app.assignment)
-	ctx := &evalContext{app: app, base: snap, others: make([]otherApp, 0, len(c.order))}
+	ctx := &c.evalCtx
+	ctx.app, ctx.base = app, snap
+	ctx.nodes = snap.AppendNodes(ctx.nodes[:0])
+	ctx.loads = ctx.loads[:0]
+	for i := range ctx.nodes {
+		ctx.loads = append(ctx.loads, ctx.nodes[i].CPULoad)
+	}
+	in := predict.Indexed{View: snap, Loads: ctx.loads}
+	clear(ctx.others) // drop the last evaluation's pointers
+	ctx.others = ctx.others[:0]
 	for _, id := range c.order {
 		other := c.apps[id]
 		if other == app {
@@ -208,22 +189,14 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 			continue
 		}
 		o := otherApp{
-			owner: other.owner(),
-			opt:   other.bundle.Option(other.choice.Option),
-			asg:   other.assignment,
-			hosts: assignmentHostSet(snap, other.assignment),
+			owner:  other.owner(),
+			opt:    other.bundle.Option(other.choice.Option),
+			placed: other.placedFor(snap),
 		}
-		if app.claim == nil || !appHosts.intersects(o.hosts) {
-			// Releasing the app's claim cannot change this prediction, so
-			// it equals the committed-state prediction: memoizable.
-			o.pred, o.err = c.cachedPredictViewLocked(c.ledger, o.opt, o.asg, 0)
-		} else {
-			// The prediction depends on which claim was released, so it is
-			// memoized under that claim's id.
-			o.pred, o.err = c.cachedPredictViewLocked(snap, o.opt, o.asg, app.claim.ID)
-		}
+		o.pred, o.err = c.predictIndexed(in, o.opt, o.placed.pl)
 		ctx.others = append(ctx.others, o)
 	}
+	c.predictions.Add(uint64(len(ctx.others)))
 	return ctx
 }
 
@@ -251,30 +224,46 @@ func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, err
 	if _, err := matcher.Reserve(app.owner(), asg); err != nil {
 		return candidate{}, err
 	}
+	pl := predict.Resolve(fork, asg)
+	hosts := placementHostSet(pl)
 
-	pred, err := c.predictOptionView(fork, opt, asg, true)
+	// The fork's load column is the base's with the entries the trial
+	// reservation wrote: the candidate's own nodes and nothing else.
+	sc := candScratchPool.Get().(*candScratch)
+	defer candScratchPool.Put(sc)
+	sc.loads = append(sc.loads[:0], ctx.loads...)
+	for _, pos := range pl.NodeIndices() {
+		if pos >= 0 {
+			sc.loads[pos] = fork.LoadAt(int(pos))
+		}
+	}
+	in := predict.Indexed{View: fork, Loads: sc.loads}
+	pred, err := c.predictIndexed(in, opt, pl)
 	if err != nil {
 		return candidate{}, err
 	}
 
-	candHosts := assignmentHostSet(fork, asg)
-	jobs := make([]objective.JobPrediction, 0, len(ctx.others)+1)
+	predictions := uint64(1)
+	jobs := sc.jobs[:0]
 	for i := range ctx.others {
 		o := &ctx.others[i]
 		if o.err != nil {
 			return candidate{}, o.err
 		}
 		p := o.pred
-		if candHosts.intersects(o.hosts) {
+		if hosts.intersects(o.placed.hosts) {
 			// The candidate loads hosts this application runs on: its
 			// contention-scaled prediction changes, re-predict in the fork.
-			if p, err = c.predictOptionView(fork, o.opt, o.asg, true); err != nil {
+			predictions++
+			if p, err = c.predictIndexed(in, o.opt, o.placed.pl); err != nil {
 				return candidate{}, err
 			}
 		}
 		jobs = append(jobs, objective.JobPrediction{App: o.owner, Seconds: p.Seconds})
 	}
 	jobs = append(jobs, objective.JobPrediction{App: app.owner(), Seconds: pred.Seconds})
+	sc.jobs = jobs
+	c.predictions.Add(predictions)
 
 	friction := 0.0
 	frictionWarn := ""
@@ -299,37 +288,57 @@ func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, err
 	}, nil
 }
 
-// evaluateChoices evaluates every choice against the context, serially or
-// on a bounded worker pool. Results are slotted by index, so downstream
-// reduction is order-identical in both modes.
-func (c *Controller) evaluateChoices(ctx *evalContext, choices []Choice) []evalResult {
-	results := make([]evalResult, len(choices))
-	workers := c.evalWorkers()
-	if workers > len(choices) {
-		workers = len(choices)
-	}
-	if workers <= 1 {
-		for i, ch := range choices {
-			results[i].cand, results[i].err = c.evaluateChoice(ctx, ch)
-		}
-		return results
-	}
+// fanOutMinSize is the evaluation size — candidates x (nodes + other
+// applications), what one candidate's match, column copy and re-predictions
+// are proportional to — below which evaluateChoices stays on the calling
+// goroutine. Handing work to a second goroutine costs 15-30 us on the
+// reference box (2 vCPU, go1.24: wake-up, the claim counter's cache line,
+// WaitGroup), and a db-crowd evaluation (5 x (128 + 63) = 955) is ~40 us of
+// work in all, so fanning it out ran at 0.86x of serial; a wide-greedy one
+// (32 x (256 + 8) = 8448) is ~1 ms and still gains.
+const fanOutMinSize = 4096
+
+// fanOut calls fn once for every index below n, on up to workers goroutines
+// of which the caller is one, and returns when all calls have.
+func fanOut(n, workers int, fn func(i int)) {
 	var next atomic.Int64
+	claim := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers && w < n; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(choices) {
-					return
-				}
-				results[i].cand, results[i].err = c.evaluateChoice(ctx, choices[i])
-			}
+			claim()
 		}()
 	}
+	claim()
 	wg.Wait()
+}
+
+// evaluateChoices evaluates every choice against the context, on the
+// calling goroutine or, when the evaluation is large enough to repay the
+// hand-off, on a bounded worker pool the caller is part of. Results are
+// slotted by index, so downstream reduction is order-identical in both modes.
+func (c *Controller) evaluateChoices(ctx *evalContext, choices []Choice) []evalResult {
+	results := make([]evalResult, len(choices))
+	workers := c.evalWorkers()
+	if len(choices)*(len(ctx.nodes)+len(ctx.others)) < fanOutMinSize {
+		workers = 1
+	}
+	if workers > 1 && len(choices) > 1 {
+		c.fanOuts++
+	}
+	fanOut(len(choices), workers, func(i int) {
+		results[i].cand, results[i].err = c.evaluateChoice(ctx, choices[i])
+	})
 	return results
 }
 

@@ -115,44 +115,79 @@ func TestParallelMatchesSerial(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			serial, par, clocks := newPairedControllers(t, 4+rng.Intn(5))
-			var live [][2]int // [serial instance, parallel instance]
-			nOps := 12 + rng.Intn(8)
-			for op := 0; op < nOps; op++ {
-				bump := time.Duration(1+rng.Intn(5)) * time.Second
-				for _, ck := range clocks {
-					ck.AdvanceTo(ck.Now() + bump)
+			runParallelMatchesSerial(t, seed, rng, 4+rng.Intn(5), genBundle)
+		})
+	}
+	// On the small clusters above a greedy evaluation is below
+	// fanOutMinSize and both controllers evaluate it on the calling
+	// goroutine; only the joint search fans out there. This shape is above
+	// it: 32 choices x 136 nodes.
+	for seed := int64(7); seed <= 8; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("fanout/seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			serial, par := runParallelMatchesSerial(t, seed, rng, 136, func(t *testing.T, rng *rand.Rand, i int) *rsl.BundleSpec {
+				if rng.Intn(3) == 0 {
+					return genBundle(t, rng, i)
 				}
-				switch k := rng.Intn(4); {
-				case k < 2 || len(live) == 0: // register
-					bundleRng := rand.New(rand.NewSource(seed*1000 + int64(op)))
-					si, _, serr := serial.Register(genBundle(t, bundleRng, op))
-					bundleRng = rand.New(rand.NewSource(seed*1000 + int64(op)))
-					pi, _, perr := par.Register(genBundle(t, bundleRng, op))
-					if (serr == nil) != (perr == nil) {
-						t.Fatalf("op %d: register feasibility diverged: serial=%v parallel=%v", op, serr, perr)
-					}
-					if serr == nil {
-						live = append(live, [2]int{si, pi})
-					}
-				case k == 2: // unregister
-					idx := rng.Intn(len(live))
-					pair := live[idx]
-					if _, err := serial.Unregister(pair[0]); err != nil {
-						t.Fatalf("op %d: serial unregister: %v", op, err)
-					}
-					if _, err := par.Unregister(pair[1]); err != nil {
-						t.Fatalf("op %d: parallel unregister: %v", op, err)
-					}
-					live = append(live[:idx], live[idx+1:]...)
-				default: // explicit re-evaluation pass
-					serial.Reevaluate()
-					par.Reevaluate()
-				}
-				requireSameState(t, fmt.Sprintf("op %d", op), serial, par)
+				return decodeBundle(t, wideBagRSL(fmt.Sprintf("Gen%d", i), i, 270+float64(rng.Intn(601))/10))
+			})
+			if n := fanOutCount(par); n == 0 {
+				t.Error("the parallel controller never fanned an evaluation out: serial was compared with serial")
+			}
+			if n := fanOutCount(serial); n != 0 {
+				t.Errorf("the serial controller fanned out %d evaluations", n)
 			}
 		})
 	}
+}
+
+func fanOutCount(c *Controller) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fanOuts
+}
+
+// runParallelMatchesSerial is one seeded run of TestParallelMatchesSerial on
+// a cluster of the given size, with bundles drawn from gen.
+func runParallelMatchesSerial(t *testing.T, seed int64, rng *rand.Rand, nodes int, gen func(*testing.T, *rand.Rand, int) *rsl.BundleSpec) (serial, par *Controller) {
+	serial, par, clocks := newPairedControllers(t, nodes)
+	var live [][2]int // [serial instance, parallel instance]
+	nOps := 12 + rng.Intn(8)
+	for op := 0; op < nOps; op++ {
+		bump := time.Duration(1+rng.Intn(5)) * time.Second
+		for _, ck := range clocks {
+			ck.AdvanceTo(ck.Now() + bump)
+		}
+		switch k := rng.Intn(4); {
+		case k < 2 || len(live) == 0: // register
+			bundleRng := rand.New(rand.NewSource(seed*1000 + int64(op)))
+			si, _, serr := serial.Register(gen(t, bundleRng, op))
+			bundleRng = rand.New(rand.NewSource(seed*1000 + int64(op)))
+			pi, _, perr := par.Register(gen(t, bundleRng, op))
+			if (serr == nil) != (perr == nil) {
+				t.Fatalf("op %d: register feasibility diverged: serial=%v parallel=%v", op, serr, perr)
+			}
+			if serr == nil {
+				live = append(live, [2]int{si, pi})
+			}
+		case k == 2: // unregister
+			idx := rng.Intn(len(live))
+			pair := live[idx]
+			if _, err := serial.Unregister(pair[0]); err != nil {
+				t.Fatalf("op %d: serial unregister: %v", op, err)
+			}
+			if _, err := par.Unregister(pair[1]); err != nil {
+				t.Fatalf("op %d: parallel unregister: %v", op, err)
+			}
+			live = append(live[:idx], live[idx+1:]...)
+		default: // explicit re-evaluation pass
+			serial.Reevaluate()
+			par.Reevaluate()
+		}
+		requireSameState(t, fmt.Sprintf("op %d", op), serial, par)
+	}
+	return serial, par
 }
 
 // TestParallelMatchesSerialExhaustive checks the same property for the
@@ -193,14 +228,17 @@ func TestParallelMatchesSerialExhaustive(t *testing.T) {
 // TestConcurrentRegisterUnregisterStress hammers one controller with
 // concurrent Register/Unregister/Reevaluate/Apps calls. Run with -race in
 // CI; here it asserts the final state is clean (no leaked reservations).
+// One of the callers registers 32-choice bags, evaluations large enough
+// (32 x 136 nodes, above fanOutMinSize) to go through the worker pool, so
+// the race detector sees candidates of one context on several goroutines.
 func TestConcurrentRegisterUnregisterStress(t *testing.T) {
-	cl, err := cluster.NewSP2(8)
+	cl, err := cluster.NewSP2(136)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock := simclock.New()
 	defer clock.Stop()
-	ctrl, err := New(Config{Cluster: cl, Clock: clock})
+	ctrl, err := New(Config{Cluster: cl, Clock: clock, EvalWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,6 +254,9 @@ func TestConcurrentRegisterUnregisterStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < opsPerWorker; i++ {
 				src := fmt.Sprintf(`harmonyBundle Stress%d_%d:%d s {{only {node x * {seconds 3} {memory 2}}}}`, w, i, w*opsPerWorker+i+1)
+				if w == 0 {
+					src = wideBagRSL(fmt.Sprintf("Stress%d_%d", w, i), i+1, 300)
+				}
 				bundles, _, err := rsl.DecodeScript(src)
 				if err != nil {
 					t.Errorf("decode: %v", err)
@@ -237,6 +278,9 @@ func TestConcurrentRegisterUnregisterStress(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if fanOutCount(ctrl) == 0 {
+		t.Error("no evaluation was fanned out: the stress ran every candidate on its caller's goroutine")
+	}
 	if n := len(ctrl.Apps()); n != 0 {
 		t.Fatalf("%d apps leaked", n)
 	}
@@ -408,29 +452,6 @@ func badAssignment() *match.Assignment {
 	}
 }
 
-// TestPredictionMemoEffective verifies the memo actually short-circuits
-// work: re-evaluating a multi-app system hits the cache for the unchanged
-// "other apps" vector.
-func TestPredictionMemoEffective(t *testing.T) {
-	ctrl, _ := newController(t, 8, Config{})
-	for i := 1; i <= 3; i++ {
-		src := fmt.Sprintf(`harmonyBundle Memo%d:%d s {{only {node x * {seconds 6} {memory 4}}}}`, i, i)
-		bundles, _, err := rsl.DecodeScript(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := ctrl.Register(bundles[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h0, _ := ctrl.MemoStats()
-	ctrl.Reevaluate()
-	h1, m1 := ctrl.MemoStats()
-	if h1 <= h0 {
-		t.Fatalf("re-evaluation hit the memo %d times (was %d); misses=%d", h1, h0, m1)
-	}
-}
-
 // TestOptimizerDocInSync keeps docs/OPTIMIZER.md honest: the exported knobs
 // and types it describes must be the ones that exist, and the doc must
 // mention each piece of the evaluation architecture.
@@ -441,7 +462,7 @@ func TestOptimizerDocInSync(t *testing.T) {
 	}
 	for _, sym := range []string{
 		"EvalWorkers", "WarnFunc", "Warnings", "MemoStats",
-		"Snapshot", "Fork", "Fingerprint", "Reevaluate",
+		"Snapshot", "Fork", "Placement", "Reevaluate",
 		"PruneStats", "DisablePruning",
 	} {
 		if !strings.Contains(string(doc), sym) {

@@ -11,12 +11,15 @@ import (
 	"harmony/internal/cluster"
 	"harmony/internal/match"
 	"harmony/internal/replog"
+	"harmony/internal/resource"
 	"harmony/internal/simclock"
 )
 
 // The hashes below were recorded on the commit before internal/resource
 // moved from hostname-keyed maps to dense indices (PR 14's parent), by
-// running this very test there. TestParallelMatchesSerial and
+// running this very test there; the crowd hashes on the commit before
+// candidate evaluation stopped reading the ledger by hostname (PR 19's
+// parent), the same way. TestParallelMatchesSerial and
 // TestPruningBitIdentical compare the current code with itself; this test
 // compares it with what the map-based ledger decided. A hash changes only
 // when a decision, placement, claim or prediction changes, so a mismatch
@@ -68,6 +71,13 @@ type goldenScript struct {
 	rsl func(rng *rand.Rand, i int, hosts []string) string
 	// workers bounds the forced workerNodes value.
 	workers int
+	// serverMB, when set, is sp2-01's installed memory in place of the
+	// SP-2's 128 MB, so the shared server admits maxLive clients.
+	serverMB float64
+	// pinUp offers rsl only the hosts that are up. An arrival pinned to a
+	// down host fits nowhere, which sends Register into the joint search
+	// over every resident's choices: exponential, fine at maxLive 4 only.
+	pinUp bool
 }
 
 var goldenScripts = []goldenScript{
@@ -101,6 +111,14 @@ var goldenScripts = []goldenScript{
 			return wideBagRSL(fmt.Sprintf("Bag%d", i), i, 270+float64(rng.Intn(601))/10)
 		},
 	},
+	{
+		// The db-crowd shape: every resident names its two hosts outright
+		// and all of them read sp2-01's load.
+		name: "crowd", nodes: 48, entries: 120, maxLive: 32, workers: 3, serverMB: 1024, pinUp: true,
+		rsl: func(rng *rand.Rand, i int, hosts []string) string {
+			return replayDBRSL(i, hosts[rng.Intn(len(hosts))])
+		},
+	},
 }
 
 // log generates the script's entries: the genReplayLog mix of registrations,
@@ -124,7 +142,16 @@ func (s goldenScript) log(hosts []string) []replog.Entry {
 		switch {
 		case k < 4:
 			nextReg++
-			e.Op, e.RSL = replog.OpRegister, s.rsl(rng, nextReg, hosts)
+			offered := hosts
+			if s.pinUp {
+				offered = nil
+				for _, h := range hosts {
+					if !down[h] {
+						offered = append(offered, h)
+					}
+				}
+			}
+			e.Op, e.RSL = replog.OpRegister, s.rsl(rng, nextReg, offered)
 			live = append(live, nextReg)
 		case k < 6:
 			e.Op = replog.OpUnregister
@@ -165,6 +192,12 @@ func (s goldenScript) run(t *testing.T, strategy match.Strategy) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s.serverMB > 0 {
+		server := resource.Node{Hostname: "sp2-01", Speed: 1, MemoryMB: s.serverMB, OS: "linux", CPUs: 1}
+		if err := cl.Ledger().AddNode(server); err != nil {
+			t.Fatal(err)
+		}
+	}
 	clock := simclock.New()
 	defer clock.Stop()
 	ctrl, err := New(Config{Cluster: cl, Clock: clock, Strategy: strategy})
@@ -200,6 +233,10 @@ func TestGoldenStateHashes(t *testing.T) {
 		"wide/first-fit": "4b2eaf701afe4be2658a137ae77aa744e9530eb1f4e3bdfba651003dc920ef6c",
 		"wide/best-fit":  "487e347df7c2c56db4c6686600ad4cb6fa867d2e8b454699ba6aa86c559a602e",
 		"wide/worst-fit": "12b3942dd5d9811c4ebea6868ea43cbf94d5cf0db3448d1f05160237b903708a",
+		// Every crowd host is named, so the strategy has nothing to order.
+		"crowd/first-fit": "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
+		"crowd/best-fit":  "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
+		"crowd/worst-fit": "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
 	}
 	for _, s := range goldenScripts {
 		for _, strategy := range []match.Strategy{match.FirstFit, match.BestFit, match.WorstFit} {

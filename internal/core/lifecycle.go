@@ -68,7 +68,6 @@ func (c *Controller) dropEvictedClaimsLocked(evicted []*resource.Claim) []*appSt
 	if len(evicted) == 0 {
 		return nil
 	}
-	c.invalidatePredictionMemoLocked()
 	byClaim := make(map[uint64]bool, len(evicted))
 	for _, cl := range evicted {
 		byClaim[cl.ID] = true
@@ -80,7 +79,7 @@ func (c *Controller) dropEvictedClaimsLocked(evicted []*resource.Claim) []*appSt
 			continue
 		}
 		app.claim = nil
-		app.assignment = nil
+		app.assignment, app.placed = nil, nil
 		app.predicted = 0
 		_ = c.ns.Delete(app.owner())
 		affected = append(affected, app)

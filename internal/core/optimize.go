@@ -3,12 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"harmony/internal/match"
 	"harmony/internal/objective"
+	"harmony/internal/predict"
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
 )
@@ -114,7 +113,7 @@ func (c *Controller) expandGrants(opt *rsl.OptionSpec, varSets []map[string]floa
 func (c *Controller) bestChoiceLocked(app *appState, now time.Duration, forInitial bool) (candidate, error) {
 	bs := c.staticForLocked(app)
 	ctx := c.newEvalContextLocked(app)
-	choices := c.pruneChoicesLocked(bs, app.choice, ctx.base)
+	choices := c.pruneChoicesLocked(bs, app.choice, ctx.nodes)
 	results := c.evaluateChoices(ctx, choices)
 	return c.reduceCandidatesLocked(app, results, forInitial)
 }
@@ -218,12 +217,14 @@ func (c *Controller) reevaluateExhaustiveLocked(now time.Duration, skipInstance 
 		}
 	}
 	perApp := make([][]Choice, len(ids))
+	nodes := base.AppendNodes(c.evalCtx.nodes[:0])
+	c.evalCtx.nodes = nodes
 	for i, id := range ids {
 		app := c.apps[id]
 		// Prune against the all-released base: reservations at deeper
 		// search levels only shrink capacity, so a candidate infeasible
 		// here is infeasible in every branch.
-		perApp[i] = c.pruneChoicesLocked(c.staticForLocked(app), app.choice, base)
+		perApp[i] = c.pruneChoicesLocked(c.staticForLocked(app), app.choice, nodes)
 	}
 
 	best := c.searchExhaustive(base, ids, perApp, skipInstance)
@@ -248,7 +249,6 @@ func (c *Controller) reevaluateExhaustiveLocked(now time.Duration, skipInstance 
 		}
 		app.claim = nil
 	}
-	c.invalidatePredictionMemoLocked()
 	var events []Event
 	for i, id := range ids {
 		app := c.apps[id]
@@ -310,31 +310,10 @@ func (c *Controller) searchExhaustive(base *resource.Snapshot, ids []int, perApp
 		return br
 	}
 	workers := c.evalWorkers()
-	if workers > len(top) {
-		workers = len(top)
+	if workers > 1 && len(top) > 1 {
+		c.fanOuts++
 	}
-	if workers <= 1 || len(ids) == 0 {
-		for i := range top {
-			branches[i] = runBranch(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(top) {
-						return
-					}
-					branches[i] = runBranch(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanOut(len(top), workers, func(i int) { branches[i] = runBranch(i) })
 	best := comboResult{score: math.Inf(1)}
 	for _, br := range branches {
 		best.warns = append(best.warns, br.warns...)
@@ -360,7 +339,8 @@ func (c *Controller) tryChoice(view *resource.Snapshot, id int, ch Choice, br *c
 	if _, err := matcher.Reserve(app.owner(), asg); err != nil {
 		return nil, candidate{}, false
 	}
-	pred, err := c.predictOptionView(fork, opt, asg, true)
+	c.predictions.Add(1)
+	pred, err := c.predictIndexed(predict.Indexed{View: fork}, opt, predict.Resolve(fork, asg))
 	if err != nil {
 		return nil, candidate{}, false
 	}

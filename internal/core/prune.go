@@ -366,10 +366,10 @@ type availability struct {
 	counts map[eligKey]int
 }
 
-// newAvailability scans the view's nodes once. Only HealthUp nodes accept
-// placements, matching the matcher's scan.
-func newAvailability(view *resource.Snapshot) *availability {
-	av := &availability{nodes: view.Nodes()}
+// newAvailability scans the evaluation snapshot's node table once. Only
+// HealthUp nodes accept placements, matching the matcher's scan.
+func newAvailability(nodes []resource.NodeState) *availability {
+	av := &availability{nodes: nodes}
 	for i := range av.nodes {
 		if av.nodes[i].Health == resource.HealthUp {
 			av.up++
@@ -472,14 +472,15 @@ func (av *availability) feasible(st *choiceStatic) bool {
 // candidate the friction surcharge never applies to, so an identical
 // earlier candidate does not subsume it. If every choice would be pruned,
 // nothing is: evaluating the full set preserves the no-feasible-option
-// error's diagnostic detail. In the exhaustive search the view is the
-// all-released base snapshot; deeper levels only ever shrink capacity, so
-// infeasibility against the base holds for every branch.
-func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, view *resource.Snapshot) []Choice {
+// error's diagnostic detail. nodes is the evaluation snapshot's node table;
+// in the exhaustive search that of the all-released base snapshot: deeper
+// levels only ever shrink capacity, so infeasibility against the base holds
+// for every branch.
+func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes []resource.NodeState) []Choice {
 	if c.cfg.DisablePruning {
 		return bs.choices
 	}
-	av := newAvailability(view)
+	av := newAvailability(nodes)
 	kept := make([]Choice, 0, len(bs.choices))
 	seen := make(map[string]bool, len(bs.choices))
 	var unreachable, dominated uint64

@@ -300,30 +300,3 @@ func TestFig4ShapePruneCounter(t *testing.T) {
 		t.Fatalf("steady-state re-evaluation pruned no unreachable candidates: before=%+v after=%+v", before, after)
 	}
 }
-
-// TestPredictionMemoHitsAcrossPasses is the regression test for the memo
-// key missing the excluded claim: with a Figure 7-shaped workload (shared
-// database server host) the minus-one-claim predictions of the *other*
-// applications are identical from one steady-state pass to the next and
-// must be served from the memo, not recomputed.
-func TestPredictionMemoHitsAcrossPasses(t *testing.T) {
-	ctrl, clock := newFig7Controller(t, 3, Config{EvalWorkers: 1})
-	for i := 1; i <= 3; i++ {
-		src := fig7ShapeRSL(i, fmt.Sprintf("dbclient%03d", i))
-		if _, _, err := ctrl.Register(decodeBundle(t, src)); err != nil {
-			t.Fatalf("register client %d: %v", i, err)
-		}
-	}
-	// Settle: let any post-registration switches happen first.
-	for pass := 1; pass <= 2; pass++ {
-		clock.AdvanceTo(time.Duration(pass) * 4000 * time.Second)
-		ctrl.Reevaluate()
-	}
-	h0, _ := ctrl.MemoStats()
-	clock.AdvanceTo(3 * 4000 * time.Second)
-	ctrl.Reevaluate()
-	h1, _ := ctrl.MemoStats()
-	if h1 <= h0 {
-		t.Fatalf("no memo hits on a repeated steady-state pass: before=%d after=%d", h0, h1)
-	}
-}

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// TestStatsReadsDuringReevaluate hammers the PruneStats and MemoStats
-// accessors from reader goroutines while re-evaluation passes mutate the
-// counters they report, so the race detector proves the accessors
-// synchronize with the optimizer instead of reading the counters bare.
+// TestStatsReadsDuringReevaluate hammers the PruneStats accessor from
+// reader goroutines while re-evaluation passes mutate the counters it
+// reports, so the race detector proves the accessor synchronizes with the
+// optimizer instead of reading the counters bare.
 func TestStatsReadsDuringReevaluate(t *testing.T) {
 	ctrl, clock := newController(t, 16, Config{EvalWorkers: 4})
 	for j := 1; j <= 3; j++ {
@@ -30,7 +30,6 @@ func TestStatsReadsDuringReevaluate(t *testing.T) {
 					return
 				default:
 					_ = ctrl.PruneStats()
-					_, _ = ctrl.MemoStats()
 				}
 			}
 		}()
@@ -46,8 +45,5 @@ func TestStatsReadsDuringReevaluate(t *testing.T) {
 	// The counters must have moved and still be readable after the passes.
 	if ps := ctrl.PruneStats(); ps == (PruneStats{}) {
 		t.Errorf("five re-evaluation passes left PruneStats untouched: %+v", ps)
-	}
-	if hits, misses := ctrl.MemoStats(); hits+misses == 0 {
-		t.Error("five re-evaluation passes recorded no memo traffic")
 	}
 }

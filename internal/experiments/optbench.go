@@ -20,9 +20,9 @@ import (
 // measures a full re-evaluation pass — every registered application's
 // candidate set scored under the system objective — serially (EvalWorkers=1)
 // and in parallel (EvalWorkers=GOMAXPROCS), and reports ns/pass, candidate
-// evaluations per second, speedup, and prediction-memo hit rate. cmd/hbench
-// -json serializes the report (BENCH_14.json is the committed baseline) and
-// scripts/bench.sh gates CI on it.
+// evaluations per second, speedup, and the share of candidates pruned.
+// cmd/hbench -json serializes the report (BENCH_19.json is the committed
+// baseline) and scripts/bench.sh gates CI on it.
 
 // OptBenchConfig parameterizes the hot-path benchmark.
 type OptBenchConfig struct {
@@ -63,13 +63,9 @@ type OptBenchPoint struct {
 	SerialEvalsPerSec   float64 `json:"serial_evals_per_sec"`
 	ParallelEvalsPerSec float64 `json:"parallel_evals_per_sec"`
 	Speedup             float64 `json:"speedup"`
-	MemoHitRate         float64 `json:"memo_hit_rate"`
-	// MemoHits/MemoMisses and the Prune* counters are deltas over the
-	// serial measurement window (the same window MemoHitRate is computed
-	// from), so points are comparable across runs of different lengths
-	// only via their per-iteration ratios.
-	MemoHits         uint64 `json:"memo_hits"`
-	MemoMisses       uint64 `json:"memo_misses"`
+	// The Prune* counters are deltas over the serial measurement window, so
+	// points are comparable across runs of different lengths only via their
+	// per-iteration ratios.
 	PruneConsidered  uint64 `json:"prune_considered"`
 	PruneUnreachable uint64 `json:"prune_unreachable"`
 	PruneDominated   uint64 `json:"prune_dominated"`
@@ -77,7 +73,7 @@ type OptBenchPoint struct {
 	ParallelIters    int    `json:"parallel_iters"`
 }
 
-// OptBenchReport is the machine-readable benchmark output (BENCH_14.json).
+// OptBenchReport is the machine-readable benchmark output (BENCH_19.json).
 // GoMaxProcs is the process's setting, the larger of the two every point is
 // measured at.
 type OptBenchReport struct {
@@ -276,10 +272,8 @@ func runOptBenchPoint(shape string, nodes, parWorkers int, minDur time.Duration,
 	evalsPerPass, _ := serial.EvaluationCount()
 	apps := len(serial.Apps())
 
-	h0, m0 := serial.MemoStats()
 	p0 := serial.PruneStats()
 	serialNs, serialIters := measureReevals(serial, sClock, minDur, maxIters)
-	h1, m1 := serial.MemoStats()
 	p1 := serial.PruneStats()
 	parNs, parIters := measureReevals(par, pClock, minDur, maxIters)
 
@@ -300,10 +294,6 @@ func runOptBenchPoint(shape string, nodes, parWorkers int, minDur time.Duration,
 		}
 	}
 
-	hitRate := 0.0
-	if dh, dm := h1-h0, m1-m0; dh+dm > 0 {
-		hitRate = float64(dh) / float64(dh+dm)
-	}
 	pt := &OptBenchPoint{
 		Shape:               shape,
 		Nodes:               nodes,
@@ -313,9 +303,6 @@ func runOptBenchPoint(shape string, nodes, parWorkers int, minDur time.Duration,
 		ParallelNsPerReeval: parNs,
 		SerialIters:         serialIters,
 		ParallelIters:       parIters,
-		MemoHitRate:         hitRate,
-		MemoHits:            h1 - h0,
-		MemoMisses:          m1 - m0,
 		PruneConsidered:     p1.Considered - p0.Considered,
 		PruneUnreachable:    p1.Unreachable - p0.Unreachable,
 		PruneDominated:      p1.Dominated - p0.Dominated,
@@ -341,10 +328,10 @@ func OptBenchResult(report *OptBenchReport) *Result {
 			prunedPct = 100 * float64(pruned) / float64(p.PruneConsidered)
 		}
 		res.Rows = append(res.Rows, fmt.Sprintf(
-			"%-5s n=%-4d procs=%-2d apps=%-4d choices/pass=%-5d serial=%.2fms parallel=%.2fms speedup=%.2fx evals/s=%.0f memo=%.0f%% pruned=%.0f%%",
+			"%-5s n=%-4d procs=%-2d apps=%-4d choices/pass=%-5d serial=%.2fms parallel=%.2fms speedup=%.2fx evals/s=%.0f pruned=%.0f%%",
 			p.Shape, p.Nodes, p.Procs, p.Apps, p.ChoicesPerPass,
 			p.SerialNsPerReeval/1e6, p.ParallelNsPerReeval/1e6, p.Speedup,
-			p.ParallelEvalsPerSec, p.MemoHitRate*100, prunedPct))
+			p.ParallelEvalsPerSec, prunedPct))
 	}
 	allPositive := true
 	for _, p := range report.Points {

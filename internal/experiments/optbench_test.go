@@ -40,9 +40,6 @@ func TestOptBenchSmall(t *testing.T) {
 		if !(p.SerialEvalsPerSec > 0) || !(p.ParallelEvalsPerSec > 0) {
 			t.Errorf("%s/%d: non-positive rate: %+v", p.Shape, p.Nodes, p)
 		}
-		if p.MemoHitRate < 0 || p.MemoHitRate > 1 {
-			t.Errorf("%s/%d: memo hit rate out of range: %g", p.Shape, p.Nodes, p.MemoHitRate)
-		}
 	}
 	if rep.GoMaxProcs < 1 || rep.GOOS == "" || rep.GOARCH == "" {
 		t.Fatalf("environment not recorded: %+v", rep)

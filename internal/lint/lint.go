@@ -7,8 +7,6 @@
 //     mutex held, and never lock or unlock it themselves.
 //   - viewpurity: functions evaluating against a resource.View snapshot do
 //     not mutate the live ledger or type-assert the view back to it.
-//   - memoinvalidation: every live-ledger claim write is paired with
-//     invalidatePredictionMemoLocked.
 //   - goroutinelife: every spawned goroutine has a shutdown path (stop/done
 //     channel, context, or WaitGroup registration).
 //   - protoexhaustive: switches over registered wire-message enums cover
@@ -105,7 +103,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LockDiscipline,
 		ViewPurity,
-		MemoInvalidation,
 		GoroutineLife,
 		ProtoExhaustive,
 		ReplayDeterminism,

@@ -43,7 +43,7 @@ func escapeSwitch(v resource.View) int {
 }
 
 // mutateOutsideView runs with no view in scope, so live-ledger writes are
-// this function's own business (memoinvalidation polices the pairing).
+// this function's own business.
 func (e *evalCtx) mutateOutsideView(host string) {
 	e.ledger.EvictHost(host)
 }

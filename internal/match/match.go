@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"harmony/internal/resource"
@@ -170,7 +171,16 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	sc.states = m.ledger.AppendNodes(sc.states[:0])
+	if namesEveryHost(opt) {
+		m.namedTable(sc, opt)
+	} else {
+		sc.states = m.ledger.AppendNodes(sc.states[:0])
+		// Nodes are scanned least-loaded first (so concurrent applications
+		// spread onto idle machines), with the configured strategy breaking
+		// ties: first-fit by hostname, best-fit by least free memory,
+		// worst-fit by most free memory.
+		sc.order = m.scanOrder(sc.states, sc.order[:0])
+	}
 	states := sc.states
 	sc.used = append(sc.used[:0], make([]bool, len(states))...)
 	used := sc.used
@@ -179,12 +189,6 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 			used[i] = true
 		}
 	}
-
-	// Nodes are scanned least-loaded first (so concurrent applications
-	// spread onto idle machines), with the configured strategy breaking
-	// ties: first-fit by hostname, best-fit by least free memory,
-	// worst-fit by most free memory.
-	sc.order = m.scanOrder(states, sc.order[:0])
 
 	// CPU demand per node spec is the node's busy fraction of the job:
 	// the share of the job's critical-path seconds spent there. A database
@@ -340,6 +344,40 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 	}
 
 	return asg, nil
+}
+
+// namesEveryHost reports whether no node spec of the option is a wildcard.
+func namesEveryHost(opt *rsl.OptionSpec) bool {
+	for i := range opt.Nodes {
+		if opt.Nodes[i].HostPattern == "*" {
+			return false
+		}
+	}
+	return true
+}
+
+// namedTable fills the scratch table for an option that names every host it
+// runs on: just those hosts, looked up instead of scanned for. A named spec
+// only ever considers the row of its own host, so the rest of the cluster and
+// the order of the scan cannot change which machine it gets, what capacity a
+// stacked replica finds left there, or why it is turned away. The rows stay
+// in hostname order, as firstFit's callers expect of the table; a host that
+// is not registered has no row, which is how firstFit learns of it.
+func (m *Matcher) namedTable(sc *scratch, opt *rsl.OptionSpec) {
+	sc.states, sc.order = sc.states[:0], sc.order[:0]
+	for i := range opt.Nodes {
+		host := opt.Nodes[i].HostPattern
+		at, dup := resource.FindNode(sc.states, host)
+		if dup {
+			continue
+		}
+		if ns, err := m.ledger.Node(host); err == nil {
+			sc.states = slices.Insert(sc.states, at, ns)
+		}
+	}
+	for i := range sc.states {
+		sc.order = append(sc.order, int32(i))
+	}
 }
 
 // Reserve commits an assignment to the ledger, returning the claim to

@@ -1,12 +1,6 @@
 package predict
 
-import (
-	"errors"
-	"fmt"
-
-	"harmony/internal/match"
-	"harmony/internal/resource"
-)
+import "harmony/internal/match"
 
 // CriticalPathParams tunes the refined communication model the paper
 // sketches in Section 3.4: "a better way of modeling communication costs
@@ -24,6 +18,16 @@ func DefaultCriticalPathParams() CriticalPathParams {
 	return CriticalPathParams{OccupancySecondsPerMbit: 1e-3}
 }
 
+// CriticalPath applies the critical-path model to an assignment; see
+// Indexed.CriticalPath.
+func (p *Predictor) CriticalPath(asg *match.Assignment, selfReserved bool, params CriticalPathParams) (Prediction, error) {
+	in, pl, err := p.resolve(asg)
+	if err != nil {
+		return Prediction{}, err
+	}
+	return in.CriticalPath(pl, selfReserved, params)
+}
+
 // CriticalPath predicts response time by serializing computation,
 // communication occupancy, and wire time instead of applying the default
 // model's multiplicative contention factor:
@@ -36,11 +40,9 @@ func DefaultCriticalPathParams() CriticalPathParams {
 // endpoints' CPUs per megabit. The paper notes this refinement is "not
 // difficult or computationally expensive, but less convenient" — it needs
 // the volumes the rate×duration product supplies.
-func (p *Predictor) CriticalPath(asg *match.Assignment, selfReserved bool, params CriticalPathParams) (Prediction, error) {
-	if asg == nil {
-		return Prediction{}, errors.New("predict: nil assignment")
-	}
-	base, err := p.Default(asg, selfReserved)
+func (in Indexed) CriticalPath(pl *Placement, selfReserved bool, params CriticalPathParams) (Prediction, error) {
+	pl = in.current(pl)
+	base, err := in.Default(pl, selfReserved)
 	if err != nil {
 		return Prediction{}, err
 	}
@@ -50,38 +52,18 @@ func (p *Predictor) CriticalPath(asg *match.Assignment, selfReserved bool, param
 	// communication requirement.
 	volume := 0.0
 	wire := 0.0
-	addLink := func(a, b string, rateMbps float64) error {
-		if a == b || rateMbps <= 0 {
-			return nil
+	for k := range pl.links {
+		rate := pl.links[k].rate
+		if rate <= 0 {
+			continue
 		}
-		ls, err := p.ledger.Link(a, b)
+		lk, reserved, err := in.link(pl, k)
 		if err != nil {
-			return fmt.Errorf("predict: %w", err)
-		}
-		v := rateMbps * cpu
-		volume += v
-		avail := availableMbps(ls, rateMbps, selfReserved)
-		wire += v / avail
-		return nil
-	}
-	for _, l := range asg.Links {
-		if err := addLink(l.HostA, l.HostB, l.BandwidthMbps); err != nil {
 			return Prediction{}, err
 		}
-	}
-	if asg.CommunicationMbps > 0 {
-		hosts := asg.Hosts()
-		if len(hosts) > 1 {
-			pairs := len(hosts) * (len(hosts) - 1) / 2
-			per := asg.CommunicationMbps / float64(pairs)
-			for i := 0; i < len(hosts); i++ {
-				for j := i + 1; j < len(hosts); j++ {
-					if err := addLink(hosts[i], hosts[j], per); err != nil {
-						return Prediction{}, err
-					}
-				}
-			}
-		}
+		v := rate * cpu
+		volume += v
+		wire += v / availableMbps(lk.BandwidthMbps, reserved, rate, selfReserved)
 	}
 
 	occupancy := params.OccupancySecondsPerMbit * volume
@@ -97,16 +79,16 @@ func (p *Predictor) CriticalPath(asg *match.Assignment, selfReserved bool, param
 // link: capacity minus other reservations (our own rate is excluded when
 // not yet reserved, subtracted back out when it is), floored at a 10%
 // share so saturated links yield large-but-finite wire times.
-func availableMbps(ls resource.LinkState, ourRate float64, selfReserved bool) float64 {
-	others := ls.ReservedMbps
+func availableMbps(capacity, reserved, ourRate float64, selfReserved bool) float64 {
+	others := reserved
 	if selfReserved {
 		others -= ourRate
 		if others < 0 {
 			others = 0
 		}
 	}
-	avail := ls.Link.BandwidthMbps - others
-	floor := ls.Link.BandwidthMbps * 0.1
+	avail := capacity - others
+	floor := capacity * 0.1
 	if avail < floor {
 		avail = floor
 	}

@@ -25,8 +25,11 @@ type Prediction struct {
 	CommScale float64
 }
 
-// Predictor computes response-time predictions against a resource view
-// (the live ledger, or a snapshot for hypothetical evaluation).
+// Predictor predicts assignments named by hostname against a resource view
+// (the live ledger, or a snapshot for hypothetical evaluation). It is the
+// front door for callers that predict a placement once; each call resolves
+// the assignment against the view and hands it to the model in Indexed,
+// where the arithmetic lives.
 type Predictor struct {
 	ledger resource.View
 }
@@ -47,86 +50,77 @@ func (p *Predictor) WithView(view resource.View) *Predictor {
 	return &Predictor{ledger: view}
 }
 
-// Default applies the paper's default model to an assignment.
-//
-// The compute component is the slowest node placement: each placement of S
-// reference-seconds on a node runs at the node's contention-scaled
-// effective speed. When selfReserved is false the assignment's own CPU load
-// and bandwidth are added on top of the ledger state (evaluating a
-// hypothetical placement); when true the ledger already includes them
-// (re-evaluating a running application).
-//
-// The network component is a multiplicative slowdown: the worst
-// over-subscription among the links the assignment uses stretches the
-// response time proportionally, modelling senders that must share the wire.
-func (p *Predictor) Default(asg *match.Assignment, selfReserved bool) (Prediction, error) {
+// resolve reads the view by index and resolves asg against it.
+func (p *Predictor) resolve(asg *match.Assignment) (Indexed, *Placement, error) {
 	if asg == nil {
-		return Prediction{}, errors.New("predict: nil assignment")
+		return Indexed{}, nil, errors.New("predict: nil assignment")
 	}
-	selfLoad := selfLoadByHost(asg, selfReserved)
-	cpu := 0.0
-	for _, n := range asg.Nodes {
-		ns, err := p.ledger.Node(n.Hostname)
-		if err != nil {
-			return Prediction{}, fmt.Errorf("predict: %w", err)
-		}
-		load := ns.CPULoad + selfLoad[n.Hostname]
-		speed := resource.EffectiveSpeed(ns.Node.Speed, ns.Node.CPUs, load)
-		if speed <= 0 {
-			return Prediction{}, fmt.Errorf("predict: node %s has no capacity", n.Hostname)
-		}
-		if t := n.Seconds / speed; t > cpu {
-			cpu = t
-		}
-	}
-	scale, err := p.commScale(asg, selfReserved)
+	snap := p.ledger.Indexed()
+	return Indexed{View: snap}, Resolve(snap, asg), nil
+}
+
+// Default applies the paper's default model to an assignment; see
+// Indexed.Default.
+func (p *Predictor) Default(asg *match.Assignment, selfReserved bool) (Prediction, error) {
+	in, pl, err := p.resolve(asg)
 	if err != nil {
 		return Prediction{}, err
 	}
-	return Prediction{Seconds: cpu * scale, CPUSeconds: cpu, CommScale: scale}, nil
+	return in.Default(pl, selfReserved)
 }
 
-// selfLoadByHost sums the assignment's own CPU load per host (several
-// processes may share one), for predicting a placement the view does not
-// hold yet. A reserved assignment is already in the view: nil, which reads
-// as zero for every host.
-func selfLoadByHost(asg *match.Assignment, selfReserved bool) map[string]float64 {
-	if selfReserved {
-		return nil
-	}
-	selfLoad := make(map[string]float64, len(asg.Nodes))
-	for _, n := range asg.Nodes {
-		selfLoad[n.Hostname] += n.CPULoad
-	}
-	return selfLoad
+// Placement is an assignment resolved against one topology: where each of
+// its nodes sits in the hostname-ordered node table and the id of each link
+// it loads, in the order the models visit them. Resolving is the only step
+// of a prediction that looks anything up by hostname, so a caller that
+// predicts one assignment many times (the controller predicts every resident
+// once per candidate of every other resident) resolves it once. A Placement
+// is immutable and holds for every snapshot of the topology it was resolved
+// against; Resolved tells whether a given snapshot is one.
+type Placement struct {
+	asg   *match.Assignment
+	topo  resource.Topology
+	nodes []int32 // index of each asg.Nodes entry's host; -1: not registered
+	links []placedLink
 }
 
-// commScale finds the worst over-subscription among the assignment's links.
-func (p *Predictor) commScale(asg *match.Assignment, selfReserved bool) (float64, error) {
-	worst := 1.0
-	consider := func(a, b string, ourBW float64) error {
+// placedLink is one link the assignment loads: the explicit links between
+// distinct hosts in spec order, then the communication tag's share on every
+// host pair in Hosts() order.
+type placedLink struct {
+	id   int32 // -1: the hosts are not linked
+	a, b string
+	rate float64
+}
+
+// Resolve resolves asg against the snapshot's topology. It cannot fail: a
+// host or link the topology does not know is marked, and the model reports
+// it when it reaches it, as reading by hostname would.
+func Resolve(snap *resource.Snapshot, asg *match.Assignment) *Placement {
+	pl := &Placement{
+		asg:   asg,
+		topo:  snap.Topology(),
+		nodes: make([]int32, len(asg.Nodes)),
+	}
+	for i := range asg.Nodes {
+		pos, ok := snap.NodeIndex(asg.Nodes[i].Hostname)
+		if !ok {
+			pos = -1
+		}
+		pl.nodes[i] = int32(pos)
+	}
+	add := func(a, b string, rate float64) {
 		if a == b {
-			return nil
+			return
 		}
-		ls, err := p.ledger.Link(a, b)
-		if err != nil {
-			return fmt.Errorf("predict: %w", err)
+		id, ok := snap.LinkIndex(a, b)
+		if !ok {
+			id = -1
 		}
-		reserved := ls.ReservedMbps
-		if !selfReserved {
-			reserved += ourBW
-		}
-		if ls.Link.BandwidthMbps > 0 {
-			if u := reserved / ls.Link.BandwidthMbps; u > worst {
-				worst = u
-			}
-		}
-		return nil
+		pl.links = append(pl.links, placedLink{id: int32(id), a: a, b: b, rate: rate})
 	}
 	for _, l := range asg.Links {
-		if err := consider(l.HostA, l.HostB, l.BandwidthMbps); err != nil {
-			return 0, err
-		}
+		add(l.HostA, l.HostB, l.BandwidthMbps)
 	}
 	if asg.CommunicationMbps > 0 {
 		hosts := asg.Hosts()
@@ -135,10 +129,139 @@ func (p *Predictor) commScale(asg *match.Assignment, selfReserved bool) (float64
 			per := asg.CommunicationMbps / float64(pairs)
 			for i := 0; i < len(hosts); i++ {
 				for j := i + 1; j < len(hosts); j++ {
-					if err := consider(hosts[i], hosts[j], per); err != nil {
-						return 0, err
-					}
+					add(hosts[i], hosts[j], per)
 				}
+			}
+		}
+	}
+	return pl
+}
+
+// Assignment returns the assignment the placement resolves.
+func (pl *Placement) Assignment() *match.Assignment { return pl.asg }
+
+// Resolved reports whether the placement's indices are the snapshot's: they
+// stop being so when a node or link is added to the cluster.
+func (pl *Placement) Resolved(snap *resource.Snapshot) bool {
+	return pl.topo == snap.Topology()
+}
+
+// NodeIndices returns the node-table index of each node placement's host, in
+// assignment order, -1 standing for a host that is not registered. The slice
+// is the placement's own and must not be written to.
+func (pl *Placement) NodeIndices() []int32 { return pl.nodes }
+
+// selfLoad sums the assignment's own CPU load on the host at index pos
+// (several of its processes may share one), in placement order.
+func (pl *Placement) selfLoad(pos int32) float64 {
+	load := 0.0
+	for j, at := range pl.nodes {
+		if at == pos {
+			load += pl.asg.Nodes[j].CPULoad
+		}
+	}
+	return load
+}
+
+// Indexed is where the models read the cluster from: a snapshot, by node
+// index and link id. Loads, when set, is a dense copy of the snapshot's CPU
+// load column (index = node index) read instead of walking the snapshot's
+// overlay chain; it is a read cache only and must agree with View.
+type Indexed struct {
+	View  *resource.Snapshot
+	Loads []float64
+}
+
+// current returns pl, resolved afresh if View is not of pl's topology.
+func (in Indexed) current(pl *Placement) *Placement {
+	if !pl.Resolved(in.View) {
+		return Resolve(in.View, pl.asg)
+	}
+	return pl
+}
+
+// speeds reports the nominal and the contention-scaled effective speed of
+// the node the i-th placement runs on. When selfReserved is false the
+// assignment's own load on that host is added to what the view holds.
+func (in Indexed) speeds(pl *Placement, i int, selfReserved bool) (nominal, effective float64, err error) {
+	pos := pl.nodes[i]
+	if pos < 0 {
+		_, err := in.View.Node(pl.asg.Nodes[i].Hostname)
+		return 0, 0, fmt.Errorf("predict: %w", err)
+	}
+	var load float64
+	if in.Loads != nil {
+		load = in.Loads[pos]
+	} else {
+		load = in.View.LoadAt(int(pos))
+	}
+	if !selfReserved {
+		load += pl.selfLoad(pos)
+	}
+	node := in.View.NodeAt(int(pos))
+	effective = resource.EffectiveSpeed(node.Speed, node.CPUs, load)
+	if effective <= 0 {
+		return 0, 0, fmt.Errorf("predict: node %s has no capacity", node.Hostname)
+	}
+	return node.Speed, effective, nil
+}
+
+// link reports the description and reserved bandwidth of the k-th link the
+// placement loads.
+func (in Indexed) link(pl *Placement, k int) (*resource.Link, float64, error) {
+	l := &pl.links[k]
+	if l.id < 0 {
+		_, err := in.View.Link(l.a, l.b)
+		return nil, 0, fmt.Errorf("predict: %w", err)
+	}
+	return in.View.LinkAt(int(l.id)), in.View.ReservedAt(int(l.id)), nil
+}
+
+// Default applies the paper's default model to a resolved assignment.
+//
+// The compute component is the slowest node placement: each placement of S
+// reference-seconds on a node runs at the node's contention-scaled
+// effective speed. When selfReserved is false the assignment's own CPU load
+// and bandwidth are added on top of the view's state (evaluating a
+// hypothetical placement); when true the view already includes them
+// (re-evaluating a running application).
+//
+// The network component is a multiplicative slowdown: the worst
+// over-subscription among the links the assignment uses stretches the
+// response time proportionally, modelling senders that must share the wire.
+func (in Indexed) Default(pl *Placement, selfReserved bool) (Prediction, error) {
+	pl = in.current(pl)
+	cpu := 0.0
+	for i := range pl.nodes {
+		_, speed, err := in.speeds(pl, i, selfReserved)
+		if err != nil {
+			return Prediction{}, err
+		}
+		if t := pl.asg.Nodes[i].Seconds / speed; t > cpu {
+			cpu = t
+		}
+	}
+	scale, err := in.commScale(pl, selfReserved)
+	if err != nil {
+		return Prediction{}, err
+	}
+	return Prediction{Seconds: cpu * scale, CPUSeconds: cpu, CommScale: scale}, nil
+}
+
+// commScale finds the worst over-subscription among the assignment's links.
+func (in Indexed) commScale(pl *Placement, selfReserved bool) (float64, error) {
+	worst := 1.0
+	for k := range pl.links {
+		lk, reserved, err := in.link(pl, k)
+		if err != nil {
+			return 0, err
+		}
+		if !selfReserved {
+			reserved += pl.links[k].rate
+		}
+		if lk.BandwidthMbps > 0 {
+			if u := reserved / lk.BandwidthMbps; u > worst {
+				worst = u
 			}
 		}
 	}
@@ -170,23 +293,31 @@ func Interpolate(points []rsl.PerfPoint, x float64) (float64, error) {
 	return last.Y, nil // unreachable with sorted points
 }
 
+// Explicit applies an application-supplied piecewise-linear model to an
+// assignment; see Indexed.Explicit.
+func (p *Predictor) Explicit(points []rsl.PerfPoint, asg *match.Assignment, selfReserved bool) (Prediction, error) {
+	in, pl, err := p.resolve(asg)
+	if err != nil {
+		return Prediction{}, err
+	}
+	return in.Explicit(points, pl, selfReserved)
+}
+
 // Explicit applies an application-supplied piecewise-linear model: the
 // curve gives the unloaded running time at the assignment's node count, and
 // the same contention factors as the default model stretch it when the
 // chosen nodes or links are shared.
-func (p *Predictor) Explicit(points []rsl.PerfPoint, asg *match.Assignment, selfReserved bool) (Prediction, error) {
-	if asg == nil {
-		return Prediction{}, errors.New("predict: nil assignment")
-	}
-	base, err := Interpolate(points, float64(len(asg.Nodes)))
+func (in Indexed) Explicit(points []rsl.PerfPoint, pl *Placement, selfReserved bool) (Prediction, error) {
+	pl = in.current(pl)
+	base, err := Interpolate(points, float64(len(pl.nodes)))
 	if err != nil {
 		return Prediction{}, err
 	}
-	cpuScale, err := p.cpuContention(asg, selfReserved)
+	cpuScale, err := in.cpuContention(pl, selfReserved)
 	if err != nil {
 		return Prediction{}, err
 	}
-	commScale, err := p.commScale(asg, selfReserved)
+	commScale, err := in.commScale(pl, selfReserved)
 	if err != nil {
 		return Prediction{}, err
 	}
@@ -196,20 +327,14 @@ func (p *Predictor) Explicit(points []rsl.PerfPoint, asg *match.Assignment, self
 
 // cpuContention is the worst slowdown factor among assigned nodes: nominal
 // speed divided by contention-scaled effective speed.
-func (p *Predictor) cpuContention(asg *match.Assignment, selfReserved bool) (float64, error) {
-	selfLoad := selfLoadByHost(asg, selfReserved)
+func (in Indexed) cpuContention(pl *Placement, selfReserved bool) (float64, error) {
 	worst := 1.0
-	for _, n := range asg.Nodes {
-		ns, err := p.ledger.Node(n.Hostname)
+	for i := range pl.nodes {
+		nominal, eff, err := in.speeds(pl, i, selfReserved)
 		if err != nil {
-			return 0, fmt.Errorf("predict: %w", err)
+			return 0, err
 		}
-		load := ns.CPULoad + selfLoad[n.Hostname]
-		eff := resource.EffectiveSpeed(ns.Node.Speed, ns.Node.CPUs, load)
-		if eff <= 0 {
-			return 0, fmt.Errorf("predict: node %s has no capacity", n.Hostname)
-		}
-		if s := ns.Node.Speed / eff; s > worst {
+		if s := nominal / eff; s > worst {
 			worst = s
 		}
 	}
@@ -223,8 +348,20 @@ func (p *Predictor) ForOption(opt *rsl.OptionSpec, asg *match.Assignment, selfRe
 	if opt == nil {
 		return Prediction{}, errors.New("predict: nil option")
 	}
-	if len(opt.Performance) > 0 {
-		return p.Explicit(opt.Performance, asg, selfReserved)
+	in, pl, err := p.resolve(asg)
+	if err != nil {
+		return Prediction{}, err
 	}
-	return p.Default(asg, selfReserved)
+	return in.ForOption(opt, pl, selfReserved)
+}
+
+// ForOption is Predictor.ForOption for a resolved assignment.
+func (in Indexed) ForOption(opt *rsl.OptionSpec, pl *Placement, selfReserved bool) (Prediction, error) {
+	if opt == nil {
+		return Prediction{}, errors.New("predict: nil option")
+	}
+	if len(opt.Performance) > 0 {
+		return in.Explicit(opt.Performance, pl, selfReserved)
+	}
+	return in.Default(pl, selfReserved)
 }

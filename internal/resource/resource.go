@@ -466,6 +466,10 @@ func (l *Ledger) Link(a, b string) (LinkState, error) {
 	return LinkState{Link: l.topo.links[id], ReservedMbps: l.reserved[id]}, nil
 }
 
+// Indexed implements View: the ledger is read by index through a snapshot of
+// it, which costs nothing while the ledger is unchanged.
+func (l *Ledger) Indexed() *Snapshot { return l.Snapshot() }
+
 // Nodes returns snapshots of all nodes sorted by hostname.
 func (l *Ledger) Nodes() []NodeState { return l.AppendNodes(nil) }
 

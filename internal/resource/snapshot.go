@@ -28,6 +28,9 @@ type View interface {
 	Reserve(owner string, nodes []NodeClaim, links []LinkClaim) (*Claim, error)
 	// Release returns a claim's resources to the pool.
 	Release(id uint64) error
+	// Indexed returns the snapshot through which the view is read by index
+	// instead of by hostname: a Snapshot is its own, the Ledger captures one.
+	Indexed() *Snapshot
 }
 
 var (
@@ -129,6 +132,9 @@ func findNode(nodes []nodeDelta, pos int) (int, bool) {
 // index pos.
 func (s *Snapshot) nodeAt(pos int) (freeMem, cpuLoad float64) {
 	for cur := s; cur != nil; cur = cur.parent {
+		if len(cur.nodes) == 0 {
+			continue
+		}
 		if i, ok := findNode(cur.nodes, pos); ok {
 			return cur.nodes[i].freeMem, cur.nodes[i].cpuLoad
 		}
@@ -137,8 +143,9 @@ func (s *Snapshot) nodeAt(pos int) (freeMem, cpuLoad float64) {
 	return st.FreeMemoryMB, st.CPULoad
 }
 
-// reservedAt walks the overlay chain for a link's reserved bandwidth.
-func (s *Snapshot) reservedAt(id int) float64 {
+// ReservedAt reports the bandwidth reserved on the link with the given id
+// (see LinkIndex), walking the overlay chain.
+func (s *Snapshot) ReservedAt(id int) float64 {
 	for cur := s; cur != nil; cur = cur.parent {
 		for i := range cur.links {
 			if d := &cur.links[i]; int(d.id) == id {
@@ -208,11 +215,46 @@ func (s *Snapshot) patch(out []NodeState) {
 	}
 }
 
+// Indexed implements View: a snapshot is read by index as it stands.
+func (s *Snapshot) Indexed() *Snapshot { return s }
+
+// Topology names the inventory of nodes and links a snapshot was taken over.
+// Node indices and link ids mean the same thing in two snapshots exactly when
+// their Topology values are equal: the ledger never writes to a topology a
+// snapshot holds, so AddNode (which re-sorts the indices) and AddLink always
+// show up as a different value. Holding one keeps it from being reused.
+type Topology struct{ t *topology }
+
+// Topology reports which inventory the snapshot's indices refer to. It is
+// the same for every fork.
+func (s *Snapshot) Topology() Topology { return Topology{s.base.topo} }
+
 // NodeIndex reports a node's index in the slice Nodes returns, for callers
 // that keep per-node scratch addressed by index instead of by hostname. It
-// holds for every fork of the snapshot.
+// holds for every fork of the snapshot, and for any snapshot of the same
+// Topology.
 func (s *Snapshot) NodeIndex(hostname string) (int, bool) {
 	return s.base.topo.node(hostname)
+}
+
+// LinkIndex reports the id of the link between two hosts, in either
+// direction; like a node index it holds across snapshots of one Topology.
+func (s *Snapshot) LinkIndex(a, b string) (int, bool) {
+	return s.base.topo.link(a, b)
+}
+
+// NodeAt returns the description of the node at index pos. It points into
+// the shared base and must not be written through.
+func (s *Snapshot) NodeAt(pos int) *Node { return &s.base.states[pos].Node }
+
+// LinkAt returns the description of the link with the given id. It points
+// into the shared topology and must not be written through.
+func (s *Snapshot) LinkAt(id int) *Link { return &s.base.topo.links[id] }
+
+// LoadAt reports the CPU load on the node at index pos.
+func (s *Snapshot) LoadAt(pos int) float64 {
+	_, cpuLoad := s.nodeAt(pos)
+	return cpuLoad
 }
 
 // Node returns the snapshot state of one node.
@@ -232,7 +274,7 @@ func (s *Snapshot) Link(a, b string) (LinkState, error) {
 	if !ok {
 		return LinkState{}, fmt.Errorf("%w: %s-%s", ErrUnknownLink, a, b)
 	}
-	return LinkState{Link: s.base.topo.links[id], ReservedMbps: s.reservedAt(id)}, nil
+	return LinkState{Link: s.base.topo.links[id], ReservedMbps: s.ReservedAt(id)}, nil
 }
 
 // Reserve applies node and link claims to the snapshot overlay with the
@@ -256,7 +298,7 @@ func (s *Snapshot) Reserve(owner string, nodes []NodeClaim, links []LinkClaim) (
 	}
 	for i, lc := range links {
 		id := at[len(nodes)+i]
-		s.setReserved(id, s.reservedAt(id)+lc.BandwidthMbps)
+		s.setReserved(id, s.ReservedAt(id)+lc.BandwidthMbps)
 	}
 	s.nextID++
 	c := &Claim{ID: s.nextID, Owner: owner}
@@ -284,7 +326,7 @@ func (s *Snapshot) Release(id uint64) error {
 	}
 	for _, lc := range c.Links {
 		if lid, ok := t.link(lc.A, lc.B); ok {
-			s.setReserved(lid, releaseBandwidth(s.reservedAt(lid), lc))
+			s.setReserved(lid, releaseBandwidth(s.ReservedAt(lid), lc))
 		}
 	}
 	s.claims = slices.DeleteFunc(s.claims, func(held *Claim) bool { return held.ID == id })

@@ -2,19 +2,19 @@
 # Benchmark gate: measure the optimizer's evaluation hot path (fig4 and fig7
 # shapes, at GOMAXPROCS 1 and N) and fail when it regresses more than
 # BENCH_TOLERANCE_PCT (default 15%) against the committed baseline
-# BENCH_14.json. The comparison is only enforced when the
+# BENCH_19.json. The comparison is only enforced when the
 # baseline was recorded in a comparable environment (same GOMAXPROCS, OS,
 # arch) — cross-machine deltas are printed as information.
 #
 # Usage:
-#   scripts/bench.sh                 # compare against BENCH_14.json if present
+#   scripts/bench.sh                 # compare against BENCH_19.json if present
 #   BENCH_OUT=out.json scripts/bench.sh
 #   BENCH_NODES=64,256 scripts/bench.sh # smaller sweep: 1024 nodes takes minutes
 set -eu
 
 cd "$(dirname "$0")/.."
 
-baseline="BENCH_14.json"
+baseline="BENCH_19.json"
 out="${BENCH_OUT:-bench-current.json}"
 nodes="${BENCH_NODES:-64,256,1024}"
 tolerance="${BENCH_TOLERANCE_PCT:-15}"

@@ -5,9 +5,9 @@
 # CONTRIBUTING notes:
 #   - Run `sh scripts/check.sh` (or `make check`) before sending a change;
 #     CI runs exactly this script.
-#   - `make lint` runs just the harmonylint sweep (project invariants:
-#     lockdiscipline, viewpurity, memoinvalidation, goroutinelife,
-#     protoexhaustive, replaydeterminism — see docs/ANALYZERS.md). Suppress a finding only
+#   - `make lint` runs just the harmonylint sweep (five project invariants:
+#     lockdiscipline, viewpurity, goroutinelife, protoexhaustive,
+#     replaydeterminism — see docs/ANALYZERS.md). Suppress a finding only
 #     with a justified `//harmonylint:allow <check> <reason>` directive;
 #     reasonless or stale directives are themselves reported.
 #   - Tests run shuffled in CI (`go test -shuffle=on`); keep tests free of
@@ -76,6 +76,9 @@ echo "== bench harness (vet + tests against this checkout's API)"
 	export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off
 	go -C bench vet . && go -C bench test .
 )
+# The in-process twin of the benchmark's db-crowd workload: a few cycles, so
+# the point the harness's numbers are explained with cannot rot.
+go test -run '^$' -bench 'CrowdCycle' -benchtime 20x ./internal/core
 
 echo "== harmonyctl lint (examples/specs against the reference cluster)"
 sarif_out="${SARIF_OUT:-$(mktemp)}"
