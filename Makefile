@@ -17,12 +17,27 @@ check:
 lint:
 	$(GO) run ./cmd/harmonylint ./...
 
-# Short fuzz smoke of the parser->decoder->analyzer pipeline.
-fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/rsl/
-	$(GO) test -run=^$$ -fuzz=FuzzVet -fuzztime=30s ./internal/vet/
+# Short fuzz smoke of every fuzz target, one after the other. This list is the
+# only one: CI's fuzz-smoke job runs `make fuzz FUZZTIME=10s`. Every
+# FuzzRecover execution writes and fsyncs a store, and left at its default the
+# minimizer would spend the whole budget on the first new input; the cap is
+# harmless for the other targets.
+FUZZTIME ?= 30s
+FUZZ_TARGETS = \
+	FuzzParse:./internal/rsl/ \
+	FuzzVet:./internal/vet/ \
+	FuzzInterval:./internal/vet/absint/ \
+	FuzzDominance:./internal/bounds/ \
+	FuzzDecodeMessage:./internal/protocol/ \
+	FuzzRecover:./internal/replog/
 
-# Optimizer hot-path benchmark, gated against the committed BENCH_19.json.
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "== $${t%%:*} ($${t#*:})"; \
+		$(GO) test -run='^$$' -fuzz="$${t%%:*}" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s "$${t#*:}"; \
+	done
+
+# Optimizer hot-path benchmark, gated against the committed BENCH_20.json.
 bench:
 	sh scripts/bench.sh
 

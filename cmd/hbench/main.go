@@ -8,8 +8,10 @@
 //	hbench            # run every experiment (T1 F2a F2b F3 F4 F7 A1 A2 A3)
 //	hbench F7 A1      # run selected experiments
 //	hbench -list      # list experiment ids
-//	hbench -json BENCH_19.json -bench-nodes 64,256,1024   # run the hot-path bench, write report
-//	hbench -json out.json -baseline BENCH_19.json -tolerance 15
+//	hbench -json BENCH_20.json -bench-nodes 64,256,1024,fig4:4096
+//	                  # run the hot-path bench (fig4 and fig7 at three sizes,
+//	                  # fig4 alone at a fourth), write report
+//	hbench -json out.json -baseline BENCH_20.json -tolerance 15
 //	                  # ...and fail if the hot path regressed >15% vs baseline
 package main
 
@@ -38,7 +40,7 @@ func run(args []string) error {
 	jsonOut := fs.String("json", "", "run the optimizer hot-path benchmark and write the JSON report to this path")
 	baseline := fs.String("baseline", "", "compare the benchmark against this committed report")
 	tolerance := fs.Float64("tolerance", 15, "allowed hot-path slowdown vs baseline, percent")
-	benchNodes := fs.String("bench-nodes", "8,64,256", "comma-separated cluster sizes for the benchmark")
+	benchNodes := fs.String("bench-nodes", "8,64,256", "comma-separated cluster sizes for the benchmark; shape:size (fig4:4096) measures that shape only")
 	benchMin := fs.Duration("bench-min", 200*time.Millisecond, "minimum measurement time per benchmark point")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,12 +76,12 @@ func run(args []string) error {
 // runBench measures the hot path, writes the report, and (with a baseline)
 // gates on regressions.
 func runBench(outPath, baselinePath string, tolerancePct float64, nodesCSV string, minMeasure time.Duration) error {
-	nodes, err := parseNodes(nodesCSV)
+	nodes, shapeNodes, err := parseNodes(nodesCSV)
 	if err != nil {
 		return err
 	}
 	cfg := experiments.DefaultOptBenchConfig()
-	cfg.NodeCounts = nodes
+	cfg.NodeCounts, cfg.ShapeNodeCounts = nodes, shapeNodes
 	cfg.MinMeasure = minMeasure
 	report, err := experiments.RunOptBench(cfg)
 	if err != nil {
@@ -100,23 +102,35 @@ func runBench(outPath, baselinePath string, tolerancePct float64, nodesCSV strin
 	return compareBaseline(report, baselinePath, tolerancePct)
 }
 
-func parseNodes(csv string) ([]int, error) {
-	var out []int
+// parseNodes splits the -bench-nodes list into the sizes every shape is
+// measured at and the sizes written shape:size, measured for that shape only.
+func parseNodes(csv string) (all []int, byShape map[string][]int, err error) {
 	for _, part := range strings.Split(csv, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bench: bad node count %q", part)
+		shape, size, only := strings.Cut(part, ":")
+		if !only {
+			shape, size = "", part
 		}
-		out = append(out, n)
+		n, err := strconv.Atoi(size)
+		if err != nil || n < 1 || (only && shape == "") {
+			return nil, nil, fmt.Errorf("bench: bad node count %q", part)
+		}
+		if !only {
+			all = append(all, n)
+			continue
+		}
+		if byShape == nil {
+			byShape = make(map[string][]int)
+		}
+		byShape[shape] = append(byShape[shape], n)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("bench: no node counts in %q", csv)
+	if len(all)+len(byShape) == 0 {
+		return nil, nil, fmt.Errorf("bench: no node counts in %q", csv)
 	}
-	return out, nil
+	return all, byShape, nil
 }
 
 // compareBaseline fails when a point's re-evaluation time regressed more

@@ -120,8 +120,13 @@ func BenchmarkForceChoice(b *testing.B) {
 // wideBagRSL is the bench harness's wide-greedy job: workerNodes 1..32 on
 // exclusive nodes with an explicit work/n + 1.2 n^2 model.
 func wideBagRSL(name string, job int, work float64) string {
+	return bagRSL(name, job, 32, work)
+}
+
+// bagRSL is wideBagRSL with workerNodes 1..max.
+func bagRSL(name string, job, max int, work float64) string {
 	var values, perf strings.Builder
-	for n := 1; n <= 32; n++ {
+	for n := 1; n <= max; n++ {
 		fmt.Fprintf(&values, " %d", n)
 		fmt.Fprintf(&perf, " {%d %g}", n, work/float64(n)+1.2*float64(n*n))
 	}
@@ -136,26 +141,30 @@ func wideBagRSL(name string, job int, work float64) string {
 
 // BenchmarkWideGreedyCycle is one arrival and departure beside 8 residents
 // x 32 choices on 256 nodes: the repo benchmark's wide-greedy workload
-// without the wire.
+// without the wire. fanOutMinSize is derived from the two settings.
 func BenchmarkWideGreedyCycle(b *testing.B) {
-	ctrl := benchController(b, 256, Config{})
-	defer ctrl.Stop()
-	for job := 1; job <= 8; job++ {
-		if _, _, err := ctrl.Register(benchBundle(b, wideBagRSL(fmt.Sprintf("Bag%d", job), job, 300))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	arrival := benchBundle(b, wideBagRSL("Job", 9, 310))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst, _, err := ctrl.Register(arrival)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ctrl.Unregister(inst); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ctrl := benchController(b, 256, Config{EvalWorkers: workers})
+			defer ctrl.Stop()
+			for job := 1; job <= 8; job++ {
+				if _, _, err := ctrl.Register(benchBundle(b, wideBagRSL(fmt.Sprintf("Bag%d", job), job, 300))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			arrival := benchBundle(b, wideBagRSL("Job", 9, 310))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inst, _, err := ctrl.Register(arrival)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ctrl.Unregister(inst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -218,8 +218,9 @@ type Controller struct {
 	stopped      bool
 
 	// evalCtx is the evaluation context, refilled for every evaluation
-	// (one is alive at a time).
-	evalCtx evalContext
+	// (one is alive at a time); evalContexts counts the refills.
+	evalCtx      evalContext
+	evalContexts uint64
 	// predictions counts model evaluations (MemoStats); candidate workers
 	// add to it. fanOuts counts evaluations that used the worker pool.
 	predictions atomic.Uint64

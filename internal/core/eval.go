@@ -15,14 +15,14 @@ import (
 )
 
 // This file implements side-effect-free candidate evaluation: every
-// hypothetical placement is trial-reserved in a copy-on-write fork of a
-// ledger snapshot, never in the shared ledger. Because candidates do not
-// contend for the real ledger, the controller can fan an evaluation that is
-// large enough to repay it out over a worker pool (Config.EvalWorkers,
-// default GOMAXPROCS) and still return results byte-identical to the serial
-// path: every candidate is evaluated against the same immutable base
-// snapshot and the reduction walks results in enumeration order with the
-// same strict-improvement comparison.
+// hypothetical placement is matched against, and trial-reserved in, private
+// copies of the columns of a ledger snapshot, never in the shared ledger.
+// Because candidates do not contend for the real ledger, the controller can
+// fan an evaluation that is large enough to repay it out over a worker pool
+// (Config.EvalWorkers, default GOMAXPROCS) and still return results
+// byte-identical to the serial path: every candidate is evaluated against the
+// same immutable base and the reduction walks results in enumeration order
+// with the same strict-improvement comparison.
 
 // resolved is a resident's placement as candidate evaluation reads it: the
 // assignment's hosts and links as indices into the ledger's tables, and the
@@ -55,31 +55,37 @@ type otherApp struct {
 	// pred is the prediction against the evaluation base state (the
 	// committed ledger minus the evaluated app's claim). Candidates whose
 	// placement does not touch any of this app's hosts reuse it; candidates
-	// that do share hosts re-predict in their fork, because their trial
-	// reservation changes this app's contention.
+	// that do share hosts re-predict over their trial columns, because their
+	// trial reservation changes this app's contention.
 	pred predict.Prediction
 	err  error
 }
 
 // evalContext is the shared, immutable input to one bestChoice evaluation:
-// a base snapshot with the evaluated app's own claim released, the node
-// table and CPU load column read out of it once, and the base predictions
-// of every other application. Workers must not mutate it. The controller has
-// one (Controller.evalCtx) and refills it for every evaluation, so a pass
-// over N applications does not allocate N node tables: a context is dead
-// once the next one is built.
+// a base snapshot with the evaluated app's own claim released, its node table
+// and its columns read out once, the matcher's scan over that table, and the
+// base predictions of every other application. Candidates and workers share
+// all of it read-only (the scan works out its order once, under its own
+// sync.Once, for the first candidate with a wildcard spec) and charge copies.
+// The controller has one (Controller.evalCtx) and refills it for every
+// evaluation, so a pass over N applications does not allocate N node tables:
+// a context is dead once the next one is built, and nothing in it — the scan
+// least of all — is valid for any base but its own.
 type evalContext struct {
 	app    *appState
 	base   *resource.Snapshot
 	nodes  []resource.NodeState // base's node table, hostname order
-	loads  []float64            // nodes[i].CPULoad: what predictions read
+	cols   resource.Columns     // base's free memory, load and reserved bandwidth
+	scan   match.Scan           // over nodes
 	others []otherApp
 }
 
 // candScratch is the working memory of one candidate evaluation.
 type candScratch struct {
-	loads []float64
-	jobs  []objective.JobPrediction
+	// cols is the candidate's trial state: the context's columns with the
+	// candidate's own claims charged.
+	cols resource.Columns
+	jobs []objective.JobPrediction
 }
 
 var candScratchPool = sync.Pool{New: func() any { return new(candScratch) }}
@@ -155,9 +161,9 @@ func (a hostSet) intersects(b hostSet) bool {
 
 // newEvalContextLocked snapshots the ledger, hypothetically releases the
 // app's own claim inside the snapshot (the paper's "one bundle at a time"
-// precondition), reads the snapshot's node table and load column out once,
-// and predicts every other application against that base. The shared ledger
-// is not touched.
+// precondition), reads the snapshot's node table and columns out once, aims
+// the scan at them, and predicts every other application against that base.
+// The shared ledger is not touched.
 func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 	snap := c.ledger.Snapshot()
 	if app.claim != nil {
@@ -171,11 +177,10 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 	ctx := &c.evalCtx
 	ctx.app, ctx.base = app, snap
 	ctx.nodes = snap.AppendNodes(ctx.nodes[:0])
-	ctx.loads = ctx.loads[:0]
-	for i := range ctx.nodes {
-		ctx.loads = append(ctx.loads, ctx.nodes[i].CPULoad)
-	}
-	in := predict.Indexed{View: snap, Loads: ctx.loads}
+	snap.ReadColumns(&ctx.cols)
+	ctx.scan.Reset(snap, c.matcher.Strategy(), ctx.nodes)
+	c.evalContexts++
+	in := predict.Indexed{View: snap, Loads: ctx.cols.CPULoad, Reserved: ctx.cols.ReservedMbps}
 	clear(ctx.others) // drop the last evaluation's pointers
 	ctx.others = ctx.others[:0]
 	for _, id := range c.order {
@@ -200,20 +205,19 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 	return ctx
 }
 
-// evaluateChoice trial-reserves one choice in a private fork of the base
-// snapshot and computes the system objective with every other application's
-// claim in place. It has no side effects and is safe to call concurrently
-// for different choices of the same context.
+// evaluateChoice matches one choice over the context's scan, trial-reserves
+// it in a private copy of the context's columns and computes the system
+// objective with every other application's claim in place. It has no side
+// effects and is safe to call concurrently for different choices of the same
+// context.
 func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, error) {
 	app := ctx.app
 	opt := app.bundle.Option(ch.Option)
 	if opt == nil {
 		return candidate{}, fmt.Errorf("core: option %q not in bundle", ch.Option)
 	}
-	fork := ctx.base.Fork()
-	matcher := c.matcher.WithView(fork)
 	env := rsl.MapEnv(ch.Vars)
-	asg, err := matcher.Match(match.Request{
+	asg, err := ctx.scan.Match(match.Request{
 		Option:       opt,
 		Env:          env,
 		MemoryGrants: ch.Grants,
@@ -221,23 +225,16 @@ func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, err
 	if err != nil {
 		return candidate{}, err
 	}
-	if _, err := matcher.Reserve(app.owner(), asg); err != nil {
-		return candidate{}, err
-	}
-	pl := predict.Resolve(fork, asg)
-	hosts := placementHostSet(pl)
-
-	// The fork's load column is the base's with the entries the trial
-	// reservation wrote: the candidate's own nodes and nothing else.
 	sc := candScratchPool.Get().(*candScratch)
 	defer candScratchPool.Put(sc)
-	sc.loads = append(sc.loads[:0], ctx.loads...)
-	for _, pos := range pl.NodeIndices() {
-		if pos >= 0 {
-			sc.loads[pos] = fork.LoadAt(int(pos))
-		}
+	sc.cols.CopyFrom(&ctx.cols)
+	if err := match.ReserveColumns(&sc.cols, ctx.base, app.owner(), asg); err != nil {
+		return candidate{}, err
 	}
-	in := predict.Indexed{View: fork, Loads: sc.loads}
+	pl := predict.Resolve(ctx.base, asg)
+	hosts := placementHostSet(pl)
+
+	in := predict.Indexed{View: ctx.base, Loads: sc.cols.CPULoad, Reserved: sc.cols.ReservedMbps}
 	pred, err := c.predictIndexed(in, opt, pl)
 	if err != nil {
 		return candidate{}, err
@@ -253,7 +250,7 @@ func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, err
 		p := o.pred
 		if hosts.intersects(o.placed.hosts) {
 			// The candidate loads hosts this application runs on: its
-			// contention-scaled prediction changes, re-predict in the fork.
+			// contention-scaled prediction changes, re-predict on the trial.
 			predictions++
 			if p, err = c.predictIndexed(in, o.opt, o.placed.pl); err != nil {
 				return candidate{}, err
@@ -288,14 +285,19 @@ func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, err
 	}, nil
 }
 
-// fanOutMinSize is the evaluation size — candidates x (nodes + other
-// applications), what one candidate's match, column copy and re-predictions
-// are proportional to — below which evaluateChoices stays on the calling
-// goroutine. Handing work to a second goroutine costs 15-30 us on the
-// reference box (2 vCPU, go1.24: wake-up, the claim counter's cache line,
-// WaitGroup), and a db-crowd evaluation (5 x (128 + 63) = 955) is ~40 us of
-// work in all, so fanning it out ran at 0.86x of serial; a wide-greedy one
-// (32 x (256 + 8) = 8448) is ~1 ms and still gains.
+// fanOutMinSize is the evaluation size below which evaluateChoices stays on
+// the calling goroutine. The size is what the candidates cost between them:
+// one unit per replica a candidate places (matched, charged and predicted by
+// index, so a candidate no longer costs the length of the node table) and one
+// per other application it may overlap and re-predict — about 0.13 us a unit
+// on the reference box (2 vCPU, go1.24). Handing work to a second goroutine
+// costs tens of microseconds (wake-up, the claim counter's cache line, the
+// WaitGroup, and a collector that wants the other core), so small evaluations
+// lose by it. Measured with BenchmarkWideGreedyCycle's shape at workers=0
+// over workers=1, choices 1..N beside 8 residents, with the threshold at 0:
+// N=32 (size 784, 80 us an evaluation: the wide-greedy workload) ran at 0.78x
+// of serial, N=48 (1560) at 0.91x, N=64 (2592) at 1.04x, N=96 (5424) at
+// 1.15x. A db-crowd evaluation is 5 x (2 + 63) = 325.
 const fanOutMinSize = 4096
 
 // fanOut calls fn once for every index below n, on up to workers goroutines
@@ -325,12 +327,13 @@ func fanOut(n, workers int, fn func(i int)) {
 
 // evaluateChoices evaluates every choice against the context, on the
 // calling goroutine or, when the evaluation is large enough to repay the
-// hand-off, on a bounded worker pool the caller is part of. Results are
+// hand-off, on a bounded worker pool the caller is part of. replicas is the
+// number of node placements the choices make between them. Results are
 // slotted by index, so downstream reduction is order-identical in both modes.
-func (c *Controller) evaluateChoices(ctx *evalContext, choices []Choice) []evalResult {
+func (c *Controller) evaluateChoices(ctx *evalContext, choices []Choice, replicas int) []evalResult {
 	results := make([]evalResult, len(choices))
 	workers := c.evalWorkers()
-	if len(choices)*(len(ctx.nodes)+len(ctx.others)) < fanOutMinSize {
+	if replicas+len(choices)*len(ctx.others) < fanOutMinSize {
 		workers = 1
 	}
 	if workers > 1 && len(choices) > 1 {

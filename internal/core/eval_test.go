@@ -121,16 +121,17 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// On the small clusters above a greedy evaluation is below
 	// fanOutMinSize and both controllers evaluate it on the calling
 	// goroutine; only the joint search fans out there. This shape is above
-	// it: 32 choices x 136 nodes.
+	// it while the machine has 96 idle nodes: choices 1..96 place 4656
+	// replicas between them.
 	for seed := int64(7); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("fanout/seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			serial, par := runParallelMatchesSerial(t, seed, rng, 136, func(t *testing.T, rng *rand.Rand, i int) *rsl.BundleSpec {
+			serial, par := runParallelMatchesSerial(t, seed, rng, 160, func(t *testing.T, rng *rand.Rand, i int) *rsl.BundleSpec {
 				if rng.Intn(3) == 0 {
 					return genBundle(t, rng, i)
 				}
-				return decodeBundle(t, wideBagRSL(fmt.Sprintf("Gen%d", i), i, 270+float64(rng.Intn(601))/10))
+				return decodeBundle(t, bagRSL(fmt.Sprintf("Gen%d", i), i, 96, 270+float64(rng.Intn(601))/10))
 			})
 			if n := fanOutCount(par); n == 0 {
 				t.Error("the parallel controller never fanned an evaluation out: serial was compared with serial")
@@ -228,9 +229,10 @@ func TestParallelMatchesSerialExhaustive(t *testing.T) {
 // TestConcurrentRegisterUnregisterStress hammers one controller with
 // concurrent Register/Unregister/Reevaluate/Apps calls. Run with -race in
 // CI; here it asserts the final state is clean (no leaked reservations).
-// One of the callers registers 32-choice bags, evaluations large enough
-// (32 x 136 nodes, above fanOutMinSize) to go through the worker pool, so
-// the race detector sees candidates of one context on several goroutines.
+// One of the callers registers 96-choice bags, evaluations large enough
+// (4656 replicas to place, above fanOutMinSize) to go through the worker
+// pool, so the race detector sees candidates of one context on several
+// goroutines.
 func TestConcurrentRegisterUnregisterStress(t *testing.T) {
 	cl, err := cluster.NewSP2(136)
 	if err != nil {
@@ -255,7 +257,7 @@ func TestConcurrentRegisterUnregisterStress(t *testing.T) {
 			for i := 0; i < opsPerWorker; i++ {
 				src := fmt.Sprintf(`harmonyBundle Stress%d_%d:%d s {{only {node x * {seconds 3} {memory 2}}}}`, w, i, w*opsPerWorker+i+1)
 				if w == 0 {
-					src = wideBagRSL(fmt.Sprintf("Stress%d_%d", w, i), i+1, 300)
+					src = bagRSL(fmt.Sprintf("Stress%d_%d", w, i), i+1, 96, 300)
 				}
 				bundles, _, err := rsl.DecodeScript(src)
 				if err != nil {

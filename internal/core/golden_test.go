@@ -19,7 +19,9 @@ import (
 // moved from hostname-keyed maps to dense indices (PR 14's parent), by
 // running this very test there; the crowd hashes on the commit before
 // candidate evaluation stopped reading the ledger by hostname (PR 19's
-// parent), the same way. TestParallelMatchesSerial and
+// parent), the widecomm hashes on the commit before a greedy candidate's
+// trial reservation moved from a snapshot fork to index-addressed columns
+// (PR 20's parent), the same way. TestParallelMatchesSerial and
 // TestPruningBitIdentical compare the current code with itself; this test
 // compares it with what the map-based ledger decided. A hash changes only
 // when a decision, placement, claim or prediction changes, so a mismatch
@@ -59,6 +61,21 @@ harmonyBundle Cache%d:%d tier {
 		{node front * {seconds 3} {memory 8}}
 	}
 }`, i, i)
+}
+
+// goldenCommRSL is a bag whose workers talk all to all: a wildcard spec under
+// a communication tag, so a candidate's trial reservation charges every link
+// between its hosts and the prediction reads reserved bandwidth as well as
+// load. Two bags sharing a host pair over-subscribe the link.
+func goldenCommRSL(i int, work float64) string {
+	return fmt.Sprintf(`
+harmonyBundle Comm%d:%d parallelism {
+	{workers
+		{variable workerNodes {1 2 3 4 5 6 7 8}}
+		{node worker * {os linux} {seconds {%g / workerNodes}} {memory 24} {replicate workerNodes}}
+		{communication {90 * workerNodes ^ 2}}
+	}
+}`, i, i, work)
 }
 
 // goldenScript is one seeded churn log over a cluster of the given size.
@@ -117,6 +134,17 @@ var goldenScripts = []goldenScript{
 		name: "crowd", nodes: 48, entries: 120, maxLive: 32, workers: 3, serverMB: 1024, pinUp: true,
 		rsl: func(rng *rand.Rand, i int, hosts []string) string {
 			return replayDBRSL(i, hosts[rng.Intn(len(hosts))])
+		},
+	},
+	{
+		// Wildcard specs whose placement also loads links: communicating
+		// bags beside Figure-3 clients with a wildcard client host.
+		name: "widecomm", nodes: 48, entries: 100, maxLive: 16, workers: 8,
+		rsl: func(rng *rand.Rand, i int, _ []string) string {
+			if rng.Intn(4) == 0 {
+				return goldenDBRSL(i)
+			}
+			return goldenCommRSL(i, 40+float64(rng.Intn(401))/10)
 		},
 	},
 }
@@ -234,9 +262,12 @@ func TestGoldenStateHashes(t *testing.T) {
 		"wide/best-fit":  "487e347df7c2c56db4c6686600ad4cb6fa867d2e8b454699ba6aa86c559a602e",
 		"wide/worst-fit": "12b3942dd5d9811c4ebea6868ea43cbf94d5cf0db3448d1f05160237b903708a",
 		// Every crowd host is named, so the strategy has nothing to order.
-		"crowd/first-fit": "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
-		"crowd/best-fit":  "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
-		"crowd/worst-fit": "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
+		"crowd/first-fit":    "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
+		"crowd/best-fit":     "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
+		"crowd/worst-fit":    "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
+		"widecomm/first-fit": "27266c93b3e700ea59626b7ecd3c429e5b1a8a6802248c3b781628c1e4c5bc60",
+		"widecomm/best-fit":  "50463f666b32287126cec23c15b4f214ab8ca14b5dee16fdb0438c5ca8326caa",
+		"widecomm/worst-fit": "bb48a12d7d668ff749f0b6fba04a72ef15b4273815d843ca2eb312935ea040aa",
 	}
 	for _, s := range goldenScripts {
 		for _, strategy := range []match.Strategy{match.FirstFit, match.BestFit, match.WorstFit} {

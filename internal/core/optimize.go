@@ -106,15 +106,15 @@ func (c *Controller) expandGrants(opt *rsl.OptionSpec, varSets []map[string]floa
 }
 
 // bestChoiceLocked finds the objective-minimizing feasible choice for app.
-// Evaluation is side-effect-free: candidates are trial-reserved in forks of
-// a ledger snapshot, never in the shared ledger, so the app's real claim
-// stays in place until adoption. When forInitial is true, the friction of
+// Evaluation is side-effect-free: candidates are trial-reserved in copies of
+// a ledger snapshot's columns, never in the shared ledger, so the app's real
+// claim stays in place until adoption. When forInitial is true, the friction of
 // the chosen option is not charged (nothing is switching).
 func (c *Controller) bestChoiceLocked(app *appState, now time.Duration, forInitial bool) (candidate, error) {
 	bs := c.staticForLocked(app)
 	ctx := c.newEvalContextLocked(app)
-	choices := c.pruneChoicesLocked(bs, app.choice, ctx.nodes)
-	results := c.evaluateChoices(ctx, choices)
+	choices, replicas := c.pruneChoicesLocked(bs, app.choice, ctx.nodes)
+	results := c.evaluateChoices(ctx, choices, replicas)
 	return c.reduceCandidatesLocked(app, results, forInitial)
 }
 
@@ -224,7 +224,7 @@ func (c *Controller) reevaluateExhaustiveLocked(now time.Duration, skipInstance 
 		// Prune against the all-released base: reservations at deeper
 		// search levels only shrink capacity, so a candidate infeasible
 		// here is infeasible in every branch.
-		perApp[i] = c.pruneChoicesLocked(c.staticForLocked(app), app.choice, nodes)
+		perApp[i], _ = c.pruneChoicesLocked(c.staticForLocked(app), app.choice, nodes)
 	}
 
 	best := c.searchExhaustive(base, ids, perApp, skipInstance)
@@ -326,7 +326,10 @@ func (c *Controller) searchExhaustive(base *resource.Snapshot, ids []int, perApp
 }
 
 // tryChoice matches and trial-reserves one choice for one app in a fresh
-// fork of view, returning the fork, the candidate, and whether it fits.
+// fork of view, returning the fork, the candidate, and whether it fits. The
+// joint search is the one place that forks: its trial states nest, each level
+// reserving on top of the branch above it, which is what an overlay chain is
+// for.
 func (c *Controller) tryChoice(view *resource.Snapshot, id int, ch Choice, br *comboResult) (*resource.Snapshot, candidate, bool) {
 	app := c.apps[id]
 	opt := app.bundle.Option(ch.Option)

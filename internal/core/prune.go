@@ -12,8 +12,8 @@ import (
 	"harmony/internal/rsl"
 )
 
-// This file implements static candidate pruning: before any snapshot fork
-// or matcher call, each enumerated choice is checked against per-bundle
+// This file implements static candidate pruning: before any matcher call or
+// trial reservation, each enumerated choice is checked against per-bundle
 // facts computed once at first evaluation (the relational dominance proofs
 // of internal/bounds plus a concrete per-choice resource demand) and
 // against a cheap aggregate view of the evaluation snapshot. Every rule is
@@ -64,8 +64,10 @@ type choiceStatic struct {
 	// specs are the resolved per-spec demands (empty when alwaysFails).
 	specs []specDemand
 	// wildcard is the total replica count over wildcard specs; they all
-	// take distinct hosts within one Match.
+	// take distinct hosts within one Match. replicas is the count over all
+	// specs: the placements evaluating the choice makes.
 	wildcard int
+	replicas int
 }
 
 // deadKind classifies why an option's choices can be skipped wholesale.
@@ -281,6 +283,7 @@ func analyzeChoice(opt *rsl.OptionSpec, ch Choice) choiceStatic {
 			replicas: replicas, grant: grant, exclusive: exclusive,
 		}
 		st.specs = append(st.specs, d)
+		st.replicas += replicas
 		if d.pattern == "*" {
 			st.wildcard += replicas
 		}
@@ -475,13 +478,19 @@ func (av *availability) feasible(st *choiceStatic) bool {
 // error's diagnostic detail. nodes is the evaluation snapshot's node table;
 // in the exhaustive search that of the all-released base snapshot: deeper
 // levels only ever shrink capacity, so infeasibility against the base holds
-// for every branch.
-func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes []resource.NodeState) []Choice {
+// for every branch. The second result is the number of node placements the
+// returned choices make between them, which is what evaluating them costs.
+func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes []resource.NodeState) ([]Choice, int) {
+	all := 0
+	for i := range bs.stat {
+		all += bs.stat[i].replicas
+	}
 	if c.cfg.DisablePruning {
-		return bs.choices
+		return bs.choices, all
 	}
 	av := newAvailability(nodes)
 	kept := make([]Choice, 0, len(bs.choices))
+	replicas := 0
 	seen := make(map[string]bool, len(bs.choices))
 	var unreachable, dominated uint64
 	monotone := c.monotoneObjective
@@ -492,6 +501,7 @@ func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes 
 				seen[st.sig] = true
 			}
 			kept = append(kept, ch)
+			replicas += st.replicas
 			continue
 		}
 		dead := bs.optDead[ch.Option]
@@ -507,13 +517,14 @@ func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes 
 				seen[st.sig] = true
 			}
 			kept = append(kept, ch)
+			replicas += st.replicas
 		}
 	}
 	c.prune.Considered += uint64(len(bs.choices))
 	if len(kept) == 0 {
-		return bs.choices
+		return bs.choices, all
 	}
 	c.prune.Unreachable += unreachable
 	c.prune.Dominated += dominated
-	return kept
+	return kept, replicas
 }

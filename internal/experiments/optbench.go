@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"harmony/internal/cluster"
@@ -21,7 +22,7 @@ import (
 // candidate set scored under the system objective — serially (EvalWorkers=1)
 // and in parallel (EvalWorkers=GOMAXPROCS), and reports ns/pass, candidate
 // evaluations per second, speedup, and the share of candidates pruned.
-// cmd/hbench -json serializes the report (BENCH_19.json is the committed
+// cmd/hbench -json serializes the report (BENCH_20.json is the committed
 // baseline) and scripts/bench.sh gates CI on it.
 
 // OptBenchConfig parameterizes the hot-path benchmark.
@@ -30,6 +31,10 @@ type OptBenchConfig struct {
 	Shapes []string
 	// NodeCounts are the cluster sizes to measure.
 	NodeCounts []int
+	// ShapeNodeCounts are further sizes measured for one shape only (fig7
+	// registers a client per node, each arrival re-evaluating every resident,
+	// so it cannot follow fig4 to the largest sizes).
+	ShapeNodeCounts map[string][]int
 	// MinMeasure is the minimum wall-clock per measurement.
 	MinMeasure time.Duration
 	// MaxIters caps re-evaluation passes per measurement.
@@ -73,7 +78,7 @@ type OptBenchPoint struct {
 	ParallelIters    int    `json:"parallel_iters"`
 }
 
-// OptBenchReport is the machine-readable benchmark output (BENCH_19.json).
+// OptBenchReport is the machine-readable benchmark output (BENCH_20.json).
 // GoMaxProcs is the process's setting, the larger of the two every point is
 // measured at.
 type OptBenchReport struct {
@@ -214,8 +219,13 @@ func measureReevals(ctrl *core.Controller, clock *simclock.Clock, minDur time.Du
 
 // RunOptBench measures every configured (shape, nodes) point.
 func RunOptBench(cfg OptBenchConfig) (*OptBenchReport, error) {
-	if len(cfg.Shapes) == 0 || len(cfg.NodeCounts) == 0 {
+	if len(cfg.Shapes) == 0 || len(cfg.NodeCounts)+len(cfg.ShapeNodeCounts) == 0 {
 		return nil, fmt.Errorf("optbench: config selects no workloads")
+	}
+	for shape := range cfg.ShapeNodeCounts {
+		if !slices.Contains(cfg.Shapes, shape) {
+			return nil, fmt.Errorf("optbench: sizes given for unknown shape %q", shape)
+		}
 	}
 	if cfg.MinMeasure <= 0 {
 		cfg.MinMeasure = 200 * time.Millisecond
@@ -236,7 +246,7 @@ func RunOptBench(cfg OptBenchConfig) (*OptBenchReport, error) {
 		procsList = append(procsList, maxProcs)
 	}
 	for _, shape := range cfg.Shapes {
-		for _, nodes := range cfg.NodeCounts {
+		for _, nodes := range slices.Concat(cfg.NodeCounts, cfg.ShapeNodeCounts[shape]) {
 			for _, procs := range procsList {
 				runtime.GOMAXPROCS(procs)
 				parWorkers := cfg.ParallelWorkers

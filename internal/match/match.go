@@ -33,6 +33,10 @@ type NodeAssignment struct {
 	MemoryMB float64
 	// CPULoad is the steady-state CPU demand charged while running.
 	CPULoad float64
+
+	// pos is the machine's index in the node table Match placed it from;
+	// see Assignment.topo.
+	pos int32
 }
 
 // LinkAssignment binds one link requirement to a concrete host pair.
@@ -43,6 +47,9 @@ type LinkAssignment struct {
 	HostA, HostB string
 	// BandwidthMbps is the requirement placed on the link.
 	BandwidthMbps float64
+
+	// id is the link's id where HostA and HostB differ; see Assignment.topo.
+	id int32
 }
 
 // Assignment is a complete placement of one option onto the cluster.
@@ -56,6 +63,17 @@ type Assignment struct {
 	// CommunicationMbps is the aggregate all-pairs requirement from the
 	// communication tag (0 when absent).
 	CommunicationMbps float64
+
+	// Match knows the table index of every host it picks and the id of every
+	// link it checks, so it leaves them here (in pos, id and comm) for whoever
+	// reserves or predicts the assignment next to use instead of asking the
+	// name map again. They index the inventory topo names and are ignored for
+	// any other; the zero topo is an assignment Match did not produce (decoded
+	// from a replicated state, built by hand). None of it is ever encoded.
+	topo resource.Topology
+	// comm holds the link id of every pair of Hosts(), in the order Reserve
+	// claims them, for an option with a communication tag.
+	comm []int32
 }
 
 // Hosts returns the distinct hostnames used, in assignment order.
@@ -69,6 +87,66 @@ func (a *Assignment) Hosts() []string {
 		}
 	}
 	return hosts
+}
+
+// EachLink calls fn for every link that reserving the assignment loads, in
+// the order it is claimed and the prediction models visit it: the explicit
+// links between distinct hosts in spec order, then the communication tag's
+// requirement spread evenly over every pair of Hosts().
+func (a *Assignment) EachLink(fn func(hostA, hostB string, mbps float64)) {
+	for i := range a.Links {
+		if l := &a.Links[i]; l.HostA != l.HostB {
+			fn(l.HostA, l.HostB, l.BandwidthMbps)
+		}
+	}
+	if a.CommunicationMbps > 0 {
+		hosts := a.Hosts()
+		pairs := len(hosts) * (len(hosts) - 1) / 2
+		per := a.CommunicationMbps / float64(pairs)
+		for i := 0; i < len(hosts); i++ {
+			for j := i + 1; j < len(hosts); j++ {
+				fn(hosts[i], hosts[j], per)
+			}
+		}
+	}
+}
+
+// Places appends to at where the assignment sits in snap's tables: the index
+// of each node placement's host, then the id of each link EachLink visits, -1
+// standing for a host that is not registered or a pair that is not linked.
+// That is the form resource.Columns.Reserve takes. What Match recorded is
+// used when snap is of the inventory Match placed the option on; otherwise
+// every name is looked up.
+func (a *Assignment) Places(snap *resource.Snapshot, at []int32) []int32 {
+	if a.topo != snap.Topology() {
+		for i := range a.Nodes {
+			pos, ok := snap.NodeIndex(a.Nodes[i].Hostname)
+			if !ok {
+				pos = -1
+			}
+			at = append(at, int32(pos))
+		}
+		a.EachLink(func(hostA, hostB string, _ float64) {
+			id, ok := snap.LinkIndex(hostA, hostB)
+			if !ok {
+				id = -1
+			}
+			at = append(at, int32(id))
+		})
+		return at
+	}
+	for i := range a.Nodes {
+		at = append(at, a.Nodes[i].pos)
+	}
+	for i := range a.Links {
+		if l := &a.Links[i]; l.HostA != l.HostB {
+			at = append(at, l.id)
+		}
+	}
+	if a.CommunicationMbps > 0 {
+		at = append(at, a.comm...)
+	}
+	return at
 }
 
 // TotalSeconds sums the reference-CPU seconds across all placements.
@@ -141,24 +219,113 @@ func (m *Matcher) WithView(view resource.View) *Matcher {
 	return &Matcher{ledger: view, strategy: m.strategy}
 }
 
-// scratch is the working memory of one Match call, addressed by a node's
-// index in the view's hostname-ordered table. Calls take one from the pool
-// and hand it back, so a worker evaluating many candidates reuses the same
-// buffers instead of building a table and three maps per candidate.
-type scratch struct {
-	// states is the view's node table; capacity is charged against it as
-	// replicas are placed.
-	states []resource.NodeState
-	// order lists indices into states in the order the strategy scans them.
+// Scan is one view's node table as Match reads it: the rows in hostname
+// order, the order the strategy scans them in, and their free memory and load
+// as columns. It holds for the state of the view it was built from and for no
+// other, so whoever owns it resets it whenever that state changes. Between
+// resets any number of goroutines may Match over it at once: a call reads the
+// rows (health, OS, hostname) where they are and charges the replicas it
+// places to its own copy of the two columns, so nothing a call does is seen by
+// another. The order and the columns are built by the first call whose option
+// has a wildcard spec; options that name every host never need them.
+type Scan struct {
+	snap     *resource.Snapshot
+	strategy Strategy
+	rows     []resource.NodeState
+
+	once   sync.Once
+	order  []int32
+	free   []float64
+	load   []float64
+	builds int
+}
+
+// Reset aims the scan at a snapshot, to be scanned in the strategy's order.
+// rows must be the snapshot's node table (AppendNodes) and must not change
+// while the scan is in use; it is not read for options that name every host,
+// so a caller that only matches those may pass nil. Reset must not run beside
+// Match.
+func (s *Scan) Reset(snap *resource.Snapshot, strategy Strategy, rows []resource.NodeState) {
+	s.snap, s.strategy, s.rows = snap, strategy, rows
+	s.once = sync.Once{}
+}
+
+// Builds reports how many times the scan order has been worked out since the
+// scan was made: at most once per Reset.
+func (s *Scan) Builds() int { return s.builds }
+
+// build orders the rows and reads their columns out. Nodes are scanned
+// least-loaded first (so concurrent applications spread onto idle machines),
+// with the configured strategy breaking ties: first-fit by hostname, best-fit
+// by least free memory, worst-fit by most free memory.
+func (s *Scan) build() {
+	s.builds++
+	s.order = scanOrder(s.strategy, s.rows, s.order[:0])
+	s.free, s.load = s.free[:0], s.load[:0]
+	for i := range s.rows {
+		s.free = append(s.free, s.rows[i].FreeMemoryMB)
+		s.load = append(s.load, s.rows[i].CPULoad)
+	}
+}
+
+// table is the node table of one Match call.
+type table struct {
+	// rows holds the nodes in hostname order. Only what a placement cannot
+	// change is read from them: description and health.
+	rows []resource.NodeState
+	// order lists row numbers in the order the strategy scans them.
 	order []int32
-	// used marks nodes the request may not take: excluded by the caller, or
+	// free and load are the rows' free memory and CPU load, private to the
+	// call and charged as replicas are placed.
+	free, load []float64
+	// pos maps a row to the node's index in the view's table; nil when rows
+	// is that table.
+	pos []int32
+}
+
+// at is the index in the view's node table of the node in the given row.
+func (t *table) at(row int32) int32 {
+	if t.pos == nil {
+		return row
+	}
+	return t.pos[row]
+}
+
+// scratch is the working memory of one Match call, addressed by row. Calls
+// take one from the pool and hand it back, so a worker evaluating many
+// candidates reuses the same buffers.
+type scratch struct {
+	free, load []float64
+	// rows, order and pos make up the table of an option that names its hosts.
+	rows  []resource.NodeState
+	order []int32
+	pos   []int32
+	// used marks rows the request may not take: excluded by the caller, or
 	// already given to a wildcard replica of this request.
 	used []bool
 	// seconds is each node spec's CPU requirement, by spec index.
 	seconds []float64
+	// hosts is the node index of each distinct host placed, in placement order.
+	hosts []int32
+	// own is the scan of a Match call that was not given one.
+	own     Scan
+	ownRows []resource.NodeState
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// demand is what one node spec asks of a machine, resolved once per spec
+// instead of once per replica.
+type demand struct {
+	pattern     string // spec.HostPattern
+	wildcard    bool
+	os          string // the string os tag, when hasOS
+	hasOS       bool
+	hostname    string // the string hostname tag, when hasHostname
+	hasHostname bool
+	grant       float64
+	exclusive   bool
+}
 
 // Match computes a first-fit assignment without reserving anything. Use
 // Reserve to commit the returned assignment.
@@ -166,26 +333,45 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 	if req.Option == nil {
 		return nil, errors.New("match: nil option")
 	}
-	opt := req.Option
-	asg := &Assignment{Option: opt.Name}
-
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	if namesEveryHost(opt) {
-		m.namedTable(sc, opt)
-	} else {
-		sc.states = m.ledger.AppendNodes(sc.states[:0])
-		// Nodes are scanned least-loaded first (so concurrent applications
-		// spread onto idle machines), with the configured strategy breaking
-		// ties: first-fit by hostname, best-fit by least free memory,
-		// worst-fit by most free memory.
-		sc.order = m.scanOrder(sc.states, sc.order[:0])
+	sc.ownRows = sc.ownRows[:0]
+	if !namesEveryHost(req.Option) {
+		sc.ownRows = m.ledger.AppendNodes(sc.ownRows)
 	}
-	states := sc.states
-	sc.used = append(sc.used[:0], make([]bool, len(states))...)
+	sc.own.Reset(m.ledger.Indexed(), m.Strategy(), sc.ownRows)
+	return sc.own.match(req, sc)
+}
+
+// Match is Matcher.Match over the scan's snapshot, sharing the scan with
+// every other call instead of reading and ordering the table again.
+func (s *Scan) Match(req Request) (*Assignment, error) {
+	if req.Option == nil {
+		return nil, errors.New("match: nil option")
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return s.match(req, sc)
+}
+
+func (s *Scan) match(req Request, sc *scratch) (*Assignment, error) {
+	opt := req.Option
+	snap := s.snap
+	asg := &Assignment{Option: opt.Name}
+
+	var t table
+	if namesEveryHost(opt) {
+		t = sc.namedTable(snap, opt)
+	} else {
+		s.once.Do(s.build)
+		sc.free = append(sc.free[:0], s.free...)
+		sc.load = append(sc.load[:0], s.load...)
+		t = table{rows: s.rows, order: s.order, free: sc.free, load: sc.load}
+	}
+	sc.used = append(sc.used[:0], make([]bool, len(t.rows))...)
 	used := sc.used
 	for host, excluded := range req.ExcludeHosts {
-		if i, ok := resource.FindNode(states, host); ok && excluded {
+		if i, ok := resource.FindNode(t.rows, host); ok && excluded {
 			used[i] = true
 		}
 	}
@@ -239,6 +425,14 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 			maxSeconds = seconds
 		}
 
+		d := demand{pattern: spec.HostPattern, wildcard: spec.HostPattern == "*", grant: grant, exclusive: exclusive}
+		if tag, ok := spec.Tags["os"]; ok && tag.IsString {
+			d.os, d.hasOS = tag.Str, true
+		}
+		if tag, ok := spec.Tags["hostname"]; ok && tag.IsString {
+			d.hostname, d.hasHostname = tag.Str, true
+		}
+
 		if asg.Nodes == nil {
 			asg.Nodes = make([]NodeAssignment, 0, replicas)
 		}
@@ -247,24 +441,26 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 		// scan resumes where the last one stopped instead of at the front.
 		from := 0
 		for r := 0; r < replicas; r++ {
-			from, err = firstFit(states, sc.order, from, spec, grant, exclusive, used)
+			from, err = firstFit(&t, from, &d, used)
 			if err != nil {
 				return nil, noFit(opt.Name, "node %s replica %d: %v", spec.LocalName, r+1, err)
 			}
 			// Fixed-host specs may stack multiple local names on the same
 			// machine; wildcard placements take distinct hosts.
-			at := sc.order[from]
-			if spec.HostPattern == "*" {
-				used[at] = true
+			row := t.order[from]
+			if d.wildcard {
+				used[row] = true
 			}
 			asg.Nodes = append(asg.Nodes, NodeAssignment{
 				LocalName: spec.LocalName,
-				Hostname:  states[at].Node.Hostname,
+				Hostname:  t.rows[row].Node.Hostname,
 				Seconds:   seconds,
 				MemoryMB:  grant,
+				pos:       t.at(row),
 			})
 		}
 	}
+	asg.topo = snap.Topology()
 
 	// Assign busy-fraction CPU loads now that the critical path is known.
 	for i := range asg.Nodes {
@@ -282,8 +478,8 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 	linkEnv := rsl.ChainEnv{asg.MemoryEnv(), req.Env}
 	for i := range opt.Links {
 		ls := &opt.Links[i]
-		hostA, okA := hostFor(asg, ls.A)
-		hostB, okB := hostFor(asg, ls.B)
+		a, okA := nodeFor(asg, ls.A)
+		b, okB := nodeFor(asg, ls.B)
 		if !okA || !okB {
 			return nil, noFit(opt.Name, "link %s-%s references unknown node name", ls.A, ls.B)
 		}
@@ -294,31 +490,34 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 		if bw < 0 {
 			return nil, noFit(opt.Name, "link %s-%s bandwidth %g is negative", ls.A, ls.B, bw)
 		}
-		if hostA != hostB {
-			state, err := m.ledger.Link(hostA, hostB)
-			if err != nil {
-				return nil, noFit(opt.Name, "no link between %s and %s", hostA, hostB)
+		la := LinkAssignment{
+			LocalA: ls.A, LocalB: ls.B,
+			HostA: a.Hostname, HostB: b.Hostname,
+			BandwidthMbps: bw,
+		}
+		if a.pos != b.pos {
+			id, ok := snap.LinkBetween(int(a.pos), int(b.pos))
+			if !ok {
+				return nil, noFit(opt.Name, "no link between %s and %s", la.HostA, la.HostB)
 			}
-			if bw > state.Link.BandwidthMbps {
+			link := snap.LinkAt(id)
+			if bw > link.BandwidthMbps {
 				return nil, noFit(opt.Name, "link %s-%s needs %g Mbps, capacity %g Mbps",
-					hostA, hostB, bw, state.Link.BandwidthMbps)
+					la.HostA, la.HostB, bw, link.BandwidthMbps)
 			}
 			if ls.Latency != nil {
 				maxLat, err := ls.Latency.Eval(linkEnv)
 				if err != nil {
 					return nil, noFit(opt.Name, "link %s-%s latency: %v", ls.A, ls.B, err)
 				}
-				if state.Link.LatencyMs > maxLat {
+				if link.LatencyMs > maxLat {
 					return nil, noFit(opt.Name, "link %s-%s latency %g ms exceeds %g ms",
-						hostA, hostB, state.Link.LatencyMs, maxLat)
+						la.HostA, la.HostB, link.LatencyMs, maxLat)
 				}
 			}
+			la.id = int32(id)
 		}
-		asg.Links = append(asg.Links, LinkAssignment{
-			LocalA: ls.A, LocalB: ls.B,
-			HostA: hostA, HostB: hostB,
-			BandwidthMbps: bw,
-		})
+		asg.Links = append(asg.Links, la)
 	}
 
 	// Aggregate communication: all assigned hosts must be fully connected
@@ -332,12 +531,23 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 		if comm < 0 {
 			return nil, noFit(opt.Name, "communication %g is negative", comm)
 		}
-		hosts := asg.Hosts()
+		// The distinct hosts in placement order: Hosts(), by index.
+		hosts := sc.hosts[:0]
+		for i := range asg.Nodes {
+			if pos := asg.Nodes[i].pos; !slices.Contains(hosts, pos) {
+				hosts = append(hosts, pos)
+			}
+		}
+		sc.hosts = hosts
+		asg.comm = make([]int32, 0, len(hosts)*(len(hosts)-1)/2)
 		for i := 0; i < len(hosts); i++ {
 			for j := i + 1; j < len(hosts); j++ {
-				if _, err := m.ledger.Link(hosts[i], hosts[j]); err != nil {
-					return nil, noFit(opt.Name, "communication requires link %s-%s", hosts[i], hosts[j])
+				id, ok := snap.LinkBetween(int(hosts[i]), int(hosts[j]))
+				if !ok {
+					return nil, noFit(opt.Name, "communication requires link %s-%s",
+						snap.NodeAt(int(hosts[i])).Hostname, snap.NodeAt(int(hosts[j])).Hostname)
 				}
+				asg.comm = append(asg.comm, int32(id))
 			}
 		}
 		asg.CommunicationMbps = comm
@@ -357,27 +567,48 @@ func namesEveryHost(opt *rsl.OptionSpec) bool {
 }
 
 // namedTable fills the scratch table for an option that names every host it
-// runs on: just those hosts, looked up instead of scanned for. A named spec
+// runs on: just those hosts, looked up instead of scanned for — the one time
+// their names are looked up, the index found going with the row. A named spec
 // only ever considers the row of its own host, so the rest of the cluster and
 // the order of the scan cannot change which machine it gets, what capacity a
 // stacked replica finds left there, or why it is turned away. The rows stay
 // in hostname order, as firstFit's callers expect of the table; a host that
 // is not registered has no row, which is how firstFit learns of it.
-func (m *Matcher) namedTable(sc *scratch, opt *rsl.OptionSpec) {
-	sc.states, sc.order = sc.states[:0], sc.order[:0]
+func (sc *scratch) namedTable(snap *resource.Snapshot, opt *rsl.OptionSpec) table {
+	sc.rows, sc.order, sc.pos = sc.rows[:0], sc.order[:0], sc.pos[:0]
 	for i := range opt.Nodes {
 		host := opt.Nodes[i].HostPattern
-		at, dup := resource.FindNode(sc.states, host)
+		row, dup := resource.FindNode(sc.rows, host)
 		if dup {
 			continue
 		}
-		if ns, err := m.ledger.Node(host); err == nil {
-			sc.states = slices.Insert(sc.states, at, ns)
+		if pos, ok := snap.NodeIndex(host); ok {
+			sc.rows = slices.Insert(sc.rows, row, snap.StateAt(pos))
+			sc.pos = slices.Insert(sc.pos, row, int32(pos))
 		}
 	}
-	for i := range sc.states {
+	sc.free, sc.load = sc.free[:0], sc.load[:0]
+	for i := range sc.rows {
 		sc.order = append(sc.order, int32(i))
+		sc.free = append(sc.free, sc.rows[i].FreeMemoryMB)
+		sc.load = append(sc.load, sc.rows[i].CPULoad)
 	}
+	return table{rows: sc.rows, order: sc.order, free: sc.free, load: sc.load, pos: sc.pos}
+}
+
+// appendClaims appends the claims that reserving the assignment makes.
+func (a *Assignment) appendClaims(nodes []resource.NodeClaim, links []resource.LinkClaim) ([]resource.NodeClaim, []resource.LinkClaim) {
+	for _, n := range a.Nodes {
+		nodes = append(nodes, resource.NodeClaim{
+			Hostname: n.Hostname,
+			MemoryMB: n.MemoryMB,
+			CPULoad:  n.CPULoad,
+		})
+	}
+	a.EachLink(func(hostA, hostB string, mbps float64) {
+		links = append(links, resource.LinkClaim{A: hostA, B: hostB, BandwidthMbps: mbps})
+	})
+	return nodes, links
 }
 
 // Reserve commits an assignment to the ledger, returning the claim to
@@ -386,41 +617,30 @@ func (m *Matcher) Reserve(owner string, asg *Assignment) (*resource.Claim, error
 	if asg == nil {
 		return nil, errors.New("match: nil assignment")
 	}
-	nodeClaims := make([]resource.NodeClaim, 0, len(asg.Nodes))
-	for _, n := range asg.Nodes {
-		nodeClaims = append(nodeClaims, resource.NodeClaim{
-			Hostname: n.Hostname,
-			MemoryMB: n.MemoryMB,
-			CPULoad:  n.CPULoad,
-		})
-	}
-	linkClaims := make([]resource.LinkClaim, 0, len(asg.Links))
-	for _, l := range asg.Links {
-		if l.HostA == l.HostB {
-			continue
-		}
-		linkClaims = append(linkClaims, resource.LinkClaim{
-			A: l.HostA, B: l.HostB, BandwidthMbps: l.BandwidthMbps,
-		})
-	}
-	// Spread aggregate communication evenly over host pairs.
-	if asg.CommunicationMbps > 0 {
-		hosts := asg.Hosts()
-		pairs := len(hosts) * (len(hosts) - 1) / 2
-		per := asg.CommunicationMbps / float64(pairs)
-		for i := 0; i < len(hosts); i++ {
-			for j := i + 1; j < len(hosts); j++ {
-				linkClaims = append(linkClaims, resource.LinkClaim{
-					A: hosts[i], B: hosts[j], BandwidthMbps: per,
-				})
-			}
-		}
-	}
+	nodeClaims, linkClaims := asg.appendClaims(make([]resource.NodeClaim, 0, len(asg.Nodes)),
+		make([]resource.LinkClaim, 0, len(asg.Links)+len(asg.comm)))
 	claim, err := m.ledger.Reserve(owner, nodeClaims, linkClaims)
 	if err != nil {
 		return nil, fmt.Errorf("match: reserve %s: %w", owner, err)
 	}
 	return claim, nil
+}
+
+// ReserveColumns charges the assignment to cols, which hold snap's state or
+// what earlier trials made of it, as Reserve charges it to a view: the same
+// claims in the same order through the same checks, so a refusal reads the
+// same. Nothing records the charge; the columns are the caller's to discard.
+func ReserveColumns(cols *resource.Columns, snap *resource.Snapshot, owner string, asg *Assignment) error {
+	var (
+		nodeBuf [32]resource.NodeClaim
+		linkBuf [8]resource.LinkClaim
+		atBuf   [40]int32
+	)
+	nodeClaims, linkClaims := asg.appendClaims(nodeBuf[:0], linkBuf[:0])
+	if err := cols.Reserve(nodeClaims, linkClaims, asg.Places(snap, atBuf[:0])); err != nil {
+		return fmt.Errorf("match: reserve %s: %w", owner, err)
+	}
+	return nil
 }
 
 // rejection is why firstFit passed over a node. Only the last one is ever
@@ -437,63 +657,57 @@ const (
 	rejectBusy // the remaining case: an exclusive spec met a loaded node
 )
 
-// firstFit scans order (least-loaded first) from place from for the first
-// machine satisfying the spec with the requested grant, and returns its
-// place in order: where the next replica of the same spec resumes. The
-// machine found is looked at again then, so a wildcard spec that runs out of
-// machines still reports the last one it passed over, as a scan from the
-// front would. Exclusive specs — the paper's space-shared parallel workers,
-// which the SP-2 allocator dedicates whole nodes to — only accept idle
-// machines.
-func firstFit(states []resource.NodeState, order []int32, from int, spec *rsl.NodeSpec, grantMem float64, exclusive bool, used []bool) (int, error) {
-	wildcard := spec.HostPattern == "*"
-	osTag, hasOS := spec.Tags["os"]
-	hasOS = hasOS && osTag.IsString
-	hnTag, hasHostname := spec.Tags["hostname"]
-	hasHostname = hasHostname && hnTag.IsString
+// firstFit scans the table's order (least-loaded first) from place from for
+// the first machine satisfying the demand, and returns its place in order:
+// where the next replica of the same spec resumes. The machine found is
+// looked at again then, so a wildcard spec that runs out of machines still
+// reports the last one it passed over, as a scan from the front would.
+// Exclusive specs — the paper's space-shared parallel workers, which the SP-2
+// allocator dedicates whole nodes to — only accept idle machines.
+func firstFit(t *table, from int, d *demand, used []bool) (int, error) {
 	why, whyAt := rejectNone, 0
-	for k := from; k < len(order); k++ {
-		i := int(order[k])
-		ns := &states[i]
+	for k := from; k < len(t.order); k++ {
+		i := int(t.order[k])
+		ns := &t.rows[i]
 		host := ns.Node.Hostname
 		switch {
-		case !wildcard && spec.HostPattern != host:
+		case !d.wildcard && d.pattern != host:
 			continue
 		case ns.Health != resource.HealthUp:
 			// Draining and down nodes accept no new placements; existing
 			// claims on a draining node survive until their owner moves.
 			why, whyAt = rejectHealth, i
 			continue
-		case wildcard && used[i]:
+		case d.wildcard && used[i]:
 			why, whyAt = rejectUsed, i
 			continue
-		case hasOS && osTag.Str != ns.Node.OS:
+		case d.hasOS && d.os != ns.Node.OS:
 			why, whyAt = rejectOS, i
 			continue
-		case hasHostname && hnTag.Str != host:
+		case d.hasHostname && d.hostname != host:
 			continue
-		case ns.FreeMemoryMB < grantMem:
+		case t.free[i] < d.grant:
 			why, whyAt = rejectMemory, i
 			continue
-		case exclusive && ns.CPULoad > 0:
+		case d.exclusive && t.load[i] > 0:
 			why, whyAt = rejectBusy, i
 			continue
 		}
-		// Found: charge the scratch state so later replicas in this same
+		// Found: charge the call's columns so later replicas in this same
 		// Match call see reduced capacity.
-		ns.FreeMemoryMB -= grantMem
-		if exclusive {
-			ns.CPULoad += DefaultCPULoad
+		t.free[i] -= d.grant
+		if d.exclusive {
+			t.load[i] += DefaultCPULoad
 		}
 		return k, nil
 	}
 	if why == rejectNone {
-		if !wildcard {
-			return 0, fmt.Errorf("host %s not registered", spec.HostPattern)
+		if !d.wildcard {
+			return 0, fmt.Errorf("host %s not registered", d.pattern)
 		}
 		return 0, errors.New("no registered hosts")
 	}
-	ns := &states[whyAt]
+	ns := &t.rows[whyAt]
 	host := ns.Node.Hostname
 	switch why {
 	case rejectHealth:
@@ -501,11 +715,11 @@ func firstFit(states []resource.NodeState, order []int32, from int, spec *rsl.No
 	case rejectUsed:
 		return 0, errors.New("remaining hosts already used")
 	case rejectOS:
-		return 0, fmt.Errorf("%s runs %s, need %s", host, ns.Node.OS, osTag.Str)
+		return 0, fmt.Errorf("%s runs %s, need %s", host, ns.Node.OS, d.os)
 	case rejectMemory:
-		return 0, fmt.Errorf("%s has %g MB free, need %g MB", host, ns.FreeMemoryMB, grantMem)
+		return 0, fmt.Errorf("%s has %g MB free, need %g MB", host, t.free[whyAt], d.grant)
 	default:
-		return 0, fmt.Errorf("%s is busy (load %g), spec requires an idle node", host, ns.CPULoad)
+		return 0, fmt.Errorf("%s is busy (load %g), spec requires an idle node", host, t.load[whyAt])
 	}
 }
 
@@ -520,13 +734,14 @@ func secondsOf(opt *rsl.OptionSpec, seconds []float64, local string) float64 {
 	return 0
 }
 
-func hostFor(asg *Assignment, localName string) (string, bool) {
-	for _, n := range asg.Nodes {
-		if n.LocalName == localName {
-			return n.Hostname, true
+// nodeFor finds the first placement of the node spec called localName.
+func nodeFor(asg *Assignment, localName string) (*NodeAssignment, bool) {
+	for i := range asg.Nodes {
+		if asg.Nodes[i].LocalName == localName {
+			return &asg.Nodes[i], true
 		}
 	}
-	return "", false
+	return nil, false
 }
 
 func replicaCount(spec *rsl.NodeSpec, env rsl.Env) (int, error) {

@@ -97,11 +97,10 @@ func compareKey(strategy Strategy, a, b *resource.NodeState) int {
 // Most of a cluster usually shares the smallest key (idle, memory
 // untouched), and hostname order already sorts nodes of one key. So those
 // are emitted in one pass and only the rest is sorted.
-func (m *Matcher) scanOrder(states []resource.NodeState, order []int32) []int32 {
+func scanOrder(strategy Strategy, states []resource.NodeState, order []int32) []int32 {
 	if len(states) == 0 {
 		return order
 	}
-	strategy := m.Strategy()
 	first := &states[0]
 	for i := range states {
 		if compareKey(strategy, &states[i], first) < 0 {

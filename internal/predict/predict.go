@@ -84,9 +84,8 @@ type Placement struct {
 	links []placedLink
 }
 
-// placedLink is one link the assignment loads: the explicit links between
-// distinct hosts in spec order, then the communication tag's share on every
-// host pair in Hosts() order.
+// placedLink is one link the assignment loads, in match.Assignment.EachLink's
+// order.
 type placedLink struct {
 	id   int32 // -1: the hosts are not linked
 	a, b string
@@ -95,44 +94,21 @@ type placedLink struct {
 
 // Resolve resolves asg against the snapshot's topology. It cannot fail: a
 // host or link the topology does not know is marked, and the model reports
-// it when it reaches it, as reading by hostname would.
+// it when it reaches it, as reading by hostname would. An assignment that
+// Match placed on this topology brings its indices with it and nothing is
+// looked up.
 func Resolve(snap *resource.Snapshot, asg *match.Assignment) *Placement {
+	at := asg.Places(snap, make([]int32, 0, len(asg.Nodes)+len(asg.Links)))
 	pl := &Placement{
 		asg:   asg,
 		topo:  snap.Topology(),
-		nodes: make([]int32, len(asg.Nodes)),
+		nodes: at[:len(asg.Nodes):len(asg.Nodes)],
 	}
-	for i := range asg.Nodes {
-		pos, ok := snap.NodeIndex(asg.Nodes[i].Hostname)
-		if !ok {
-			pos = -1
-		}
-		pl.nodes[i] = int32(pos)
-	}
-	add := func(a, b string, rate float64) {
-		if a == b {
-			return
-		}
-		id, ok := snap.LinkIndex(a, b)
-		if !ok {
-			id = -1
-		}
-		pl.links = append(pl.links, placedLink{id: int32(id), a: a, b: b, rate: rate})
-	}
-	for _, l := range asg.Links {
-		add(l.HostA, l.HostB, l.BandwidthMbps)
-	}
-	if asg.CommunicationMbps > 0 {
-		hosts := asg.Hosts()
-		if len(hosts) > 1 {
-			pairs := len(hosts) * (len(hosts) - 1) / 2
-			per := asg.CommunicationMbps / float64(pairs)
-			for i := 0; i < len(hosts); i++ {
-				for j := i + 1; j < len(hosts); j++ {
-					add(hosts[i], hosts[j], per)
-				}
-			}
-		}
+	if ids := at[len(asg.Nodes):]; len(ids) > 0 {
+		pl.links = make([]placedLink, 0, len(ids))
+		asg.EachLink(func(a, b string, rate float64) {
+			pl.links = append(pl.links, placedLink{id: ids[len(pl.links)], a: a, b: b, rate: rate})
+		})
 	}
 	return pl
 }
@@ -164,12 +140,16 @@ func (pl *Placement) selfLoad(pos int32) float64 {
 }
 
 // Indexed is where the models read the cluster from: a snapshot, by node
-// index and link id. Loads, when set, is a dense copy of the snapshot's CPU
-// load column (index = node index) read instead of walking the snapshot's
-// overlay chain; it is a read cache only and must agree with View.
+// index and link id. Loads and Reserved, when set, are the CPU load by node
+// index and the reserved bandwidth by link id that the models read in place
+// of the snapshot's own (resource.Columns holds such a pair): either a dense
+// copy of the snapshot's state, or that state with a trial reservation on top
+// that the snapshot knows nothing of. The node and link descriptions always
+// come from View.
 type Indexed struct {
-	View  *resource.Snapshot
-	Loads []float64
+	View     *resource.Snapshot
+	Loads    []float64
+	Reserved []float64
 }
 
 // current returns pl, resolved afresh if View is not of pl's topology.
@@ -213,6 +193,9 @@ func (in Indexed) link(pl *Placement, k int) (*resource.Link, float64, error) {
 	if l.id < 0 {
 		_, err := in.View.Link(l.a, l.b)
 		return nil, 0, fmt.Errorf("predict: %w", err)
+	}
+	if in.Reserved != nil {
+		return in.View.LinkAt(int(l.id)), in.Reserved[l.id], nil
 	}
 	return in.View.LinkAt(int(l.id)), in.View.ReservedAt(int(l.id)), nil
 }

@@ -233,8 +233,10 @@ type topology struct {
 	// index. Node ids exist so that pair never has to move a row when a
 	// hostname sorts into the middle.
 	ids map[string]int32
-	// pos maps a node id to the node's index in hostname order.
-	pos []int32
+	// pos maps a node id to the node's index in hostname order, and byPos
+	// maps the index back to the id.
+	pos   []int32
+	byPos []int32
 	// links holds the link descriptors by link id, in order of registration.
 	links []Link
 	// pair is the lower triangle (diagonal included) of the node-id by
@@ -246,6 +248,7 @@ func (t *topology) clone() *topology {
 	c := &topology{
 		ids:   make(map[string]int32, len(t.ids)),
 		pos:   slices.Clone(t.pos),
+		byPos: slices.Clone(t.byPos),
 		links: slices.Clone(t.links),
 		pair:  slices.Clone(t.pair),
 	}
@@ -283,6 +286,12 @@ func (t *topology) link(a, b string) (int, bool) {
 		return 0, false
 	}
 	id := t.pair[pairSlot(ia, ib)]
+	return int(id) - 1, id != 0
+}
+
+// linkAt resolves a pair of node indices, in either direction, to its link id.
+func (t *topology) linkAt(a, b int) (int, bool) {
+	id := t.pair[pairSlot(t.byPos[a], t.byPos[b])]
 	return int(id) - 1, id != 0
 }
 
@@ -326,7 +335,8 @@ func (l *Ledger) ownTopology() *topology {
 }
 
 // ownReserved returns the reserved column for writing, cloning it first if a
-// snapshot shares it.
+// snapshot shares it. A column a snapshot has seen is therefore never written
+// again, which Columns relies on to tell whether its copy is still good.
 func (l *Ledger) ownReserved() []float64 {
 	if l.reservedShared {
 		l.reserved, l.reservedShared = slices.Clone(l.reserved), false
@@ -358,6 +368,7 @@ func (l *Ledger) AddNode(n Node) error {
 			t.pos[id]++
 		}
 	}
+	t.byPos = slices.Insert(t.byPos, p, int32(len(t.pos)))
 	t.ids[n.Hostname] = int32(len(t.pos))
 	t.pos = append(t.pos, int32(p))
 	t.pair = append(t.pair, make([]int32, len(t.pos))...)
@@ -493,45 +504,62 @@ func (l *Ledger) Links() []LinkState {
 	return out
 }
 
-// resolve validates node and link claims against the free memory freeMem
-// reports per node index, and appends each claim's place in the tables to at:
-// the node claims' indices in hostname order, then the link claims' ids.
-// Ledger and Snapshot both reserve through it, so they accept and refuse the
-// same claims with the same words.
-func (t *topology) resolve(at []int, nodes []NodeClaim, links []LinkClaim, freeMem func(pos int) float64) ([]int, error) {
+// locate appends each claim's place in the tables to at: the node claims'
+// indices in hostname order, then the link claims' ids, -1 standing for a node
+// or link that is not registered.
+func (t *topology) locate(at []int32, nodes []NodeClaim, links []LinkClaim) []int32 {
 	for _, nc := range nodes {
 		p, ok := t.node(nc.Hostname)
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownNode, nc.Hostname)
+			p = -1
 		}
-		if nc.MemoryMB < 0 || nc.CPULoad < 0 {
-			return nil, fmt.Errorf("resource: negative claim on %s", nc.Hostname)
-		}
-		if free := freeMem(p); nc.MemoryMB > free {
-			return nil, fmt.Errorf("%w: %s memory (need %g MB, free %g MB)",
-				ErrInsufficient, nc.Hostname, nc.MemoryMB, free)
-		}
-		at = append(at, p)
+		at = append(at, int32(p))
 	}
 	for _, lc := range links {
 		id, ok := t.link(lc.A, lc.B)
 		if !ok {
-			return nil, fmt.Errorf("%w: %s-%s", ErrUnknownLink, lc.A, lc.B)
+			id = -1
+		}
+		at = append(at, int32(id))
+	}
+	return at
+}
+
+// checkClaims decides whether node and link claims, at the places locate
+// reports for them, may be reserved against the free memory freeMem reports
+// per node index. Every claim is judged against the state before any of them
+// is applied. Ledger, Snapshot and Columns all reserve through it, so they
+// accept and refuse the same claims with the same words.
+func checkClaims(at []int32, nodes []NodeClaim, links []LinkClaim, freeMem func(pos int) float64) error {
+	for i, nc := range nodes {
+		if at[i] < 0 {
+			return fmt.Errorf("%w: %s", ErrUnknownNode, nc.Hostname)
+		}
+		if nc.MemoryMB < 0 || nc.CPULoad < 0 {
+			return fmt.Errorf("resource: negative claim on %s", nc.Hostname)
+		}
+		if free := freeMem(int(at[i])); nc.MemoryMB > free {
+			return fmt.Errorf("%w: %s memory (need %g MB, free %g MB)",
+				ErrInsufficient, nc.Hostname, nc.MemoryMB, free)
+		}
+	}
+	for i, lc := range links {
+		if at[len(nodes)+i] < 0 {
+			return fmt.Errorf("%w: %s-%s", ErrUnknownLink, lc.A, lc.B)
 		}
 		if lc.BandwidthMbps < 0 {
-			return nil, fmt.Errorf("resource: negative bandwidth claim on %s-%s", lc.A, lc.B)
+			return fmt.Errorf("resource: negative bandwidth claim on %s-%s", lc.A, lc.B)
 		}
-		at = append(at, id)
 	}
-	return at, nil
+	return nil
 }
 
 // charge validates the claims and, if every one is acceptable, applies them
 // all; Reserve and RestoreClaim differ only in the claim they then record.
 func (l *Ledger) charge(nodes []NodeClaim, links []LinkClaim) error {
-	var buf [32]int
-	at, err := l.topo.resolve(buf[:0], nodes, links, func(p int) float64 { return l.states[p].FreeMemoryMB })
-	if err != nil {
+	var buf [32]int32
+	at := l.topo.locate(buf[:0], nodes, links)
+	if err := checkClaims(at, nodes, links, func(p int) float64 { return l.states[p].FreeMemoryMB }); err != nil {
 		return err
 	}
 	l.snapCache = nil

@@ -8,8 +8,9 @@ import (
 // View is the read/reserve surface shared by the live Ledger and
 // hypothetical Snapshots of it. The matcher and predictor operate against a
 // View, so the controller can evaluate candidate configurations
-// side-effect-free: trial reservations land in a snapshot fork instead of
-// the shared ledger.
+// side-effect-free: trial reservations land in a snapshot fork (the joint
+// search, whose trial states nest) or in Columns read from a snapshot (the
+// greedy search, one trial at a time) instead of the shared ledger.
 //
 // Both implementations store their nodes in hostname order, so the order
 // Nodes and AppendNodes report is the order of the table itself: no
@@ -243,6 +244,12 @@ func (s *Snapshot) LinkIndex(a, b string) (int, bool) {
 	return s.base.topo.link(a, b)
 }
 
+// LinkBetween reports the id of the link between the nodes at two indices, in
+// either direction.
+func (s *Snapshot) LinkBetween(posA, posB int) (int, bool) {
+	return s.base.topo.linkAt(posA, posB)
+}
+
 // NodeAt returns the description of the node at index pos. It points into
 // the shared base and must not be written through.
 func (s *Snapshot) NodeAt(pos int) *Node { return &s.base.states[pos].Node }
@@ -257,15 +264,20 @@ func (s *Snapshot) LoadAt(pos int) float64 {
 	return cpuLoad
 }
 
+// StateAt returns the state of the node at index pos.
+func (s *Snapshot) StateAt(pos int) NodeState {
+	ns := s.base.states[pos]
+	ns.FreeMemoryMB, ns.CPULoad = s.nodeAt(pos)
+	return ns
+}
+
 // Node returns the snapshot state of one node.
 func (s *Snapshot) Node(hostname string) (NodeState, error) {
 	p, ok := s.base.topo.node(hostname)
 	if !ok {
 		return NodeState{}, fmt.Errorf("%w: %s", ErrUnknownNode, hostname)
 	}
-	ns := s.base.states[p]
-	ns.FreeMemoryMB, ns.CPULoad = s.nodeAt(p)
-	return ns, nil
+	return s.StateAt(p), nil
 }
 
 // Link returns the snapshot state of one link.
@@ -282,8 +294,9 @@ func (s *Snapshot) Link(a, b string) (LinkState, error) {
 // reservation is byte-identical to what committing it would produce.
 func (s *Snapshot) Reserve(owner string, nodes []NodeClaim, links []LinkClaim) (*Claim, error) {
 	// Validate first.
-	var buf [32]int
-	at, err := s.base.topo.resolve(buf[:0], nodes, links, func(p int) float64 {
+	var buf [32]int32
+	at := s.base.topo.locate(buf[:0], nodes, links)
+	err := checkClaims(at, nodes, links, func(p int) float64 {
 		freeMem, _ := s.nodeAt(p)
 		return freeMem
 	})
@@ -293,11 +306,12 @@ func (s *Snapshot) Reserve(owner string, nodes []NodeClaim, links []LinkClaim) (
 	// Apply into the overlay.
 	s.nodes = slices.Grow(s.nodes, len(nodes))
 	for i, nc := range nodes {
-		freeMem, cpuLoad := s.nodeAt(at[i])
-		s.setNode(at[i], freeMem-nc.MemoryMB, cpuLoad+nc.CPULoad)
+		p := int(at[i])
+		freeMem, cpuLoad := s.nodeAt(p)
+		s.setNode(p, freeMem-nc.MemoryMB, cpuLoad+nc.CPULoad)
 	}
 	for i, lc := range links {
-		id := at[len(nodes)+i]
+		id := int(at[len(nodes)+i])
 		s.setReserved(id, s.ReservedAt(id)+lc.BandwidthMbps)
 	}
 	s.nextID++

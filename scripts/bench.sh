@@ -2,21 +2,24 @@
 # Benchmark gate: measure the optimizer's evaluation hot path (fig4 and fig7
 # shapes, at GOMAXPROCS 1 and N) and fail when it regresses more than
 # BENCH_TOLERANCE_PCT (default 15%) against the committed baseline
-# BENCH_19.json. The comparison is only enforced when the
+# BENCH_20.json. The comparison is only enforced when the
 # baseline was recorded in a comparable environment (same GOMAXPROCS, OS,
 # arch) — cross-machine deltas are printed as information.
 #
 # Usage:
-#   scripts/bench.sh                 # compare against BENCH_19.json if present
+#   scripts/bench.sh                 # compare against BENCH_20.json if present
 #   BENCH_OUT=out.json scripts/bench.sh
 #   BENCH_NODES=64,256 scripts/bench.sh # smaller sweep: 1024 nodes takes minutes
+# A size written shape:size is measured for that shape only; the default sweep
+# takes fig4 alone to 4096 nodes (fig7 would register 4095 clients, each
+# arrival re-evaluating every resident).
 set -eu
 
 cd "$(dirname "$0")/.."
 
-baseline="BENCH_19.json"
+baseline="BENCH_20.json"
 out="${BENCH_OUT:-bench-current.json}"
-nodes="${BENCH_NODES:-64,256,1024}"
+nodes="${BENCH_NODES:-64,256,1024,fig4:4096}"
 tolerance="${BENCH_TOLERANCE_PCT:-15}"
 
 if [ ! -f "$baseline" ]; then
