@@ -8,10 +8,11 @@
 //	hbench            # run every experiment (T1 F2a F2b F3 F4 F7 A1 A2 A3)
 //	hbench F7 A1      # run selected experiments
 //	hbench -list      # list experiment ids
-//	hbench -json BENCH_20.json -bench-nodes 64,256,1024,fig4:4096
+//	hbench -json BENCH_21.json -bench-nodes 64,256,1024,fig4:4096,accommodate:2,accommodate:4
 //	                  # run the hot-path bench (fig4 and fig7 at three sizes,
-//	                  # fig4 alone at a fourth), write report
-//	hbench -json out.json -baseline BENCH_20.json -tolerance 15
+//	                  # fig4 alone at a fourth, the joint search making room
+//	                  # beside 2 and 4 residents), write report
+//	hbench -json out.json -baseline BENCH_21.json -tolerance 15
 //	                  # ...and fail if the hot path regressed >15% vs baseline
 package main
 
@@ -40,7 +41,7 @@ func run(args []string) error {
 	jsonOut := fs.String("json", "", "run the optimizer hot-path benchmark and write the JSON report to this path")
 	baseline := fs.String("baseline", "", "compare the benchmark against this committed report")
 	tolerance := fs.Float64("tolerance", 15, "allowed hot-path slowdown vs baseline, percent")
-	benchNodes := fs.String("bench-nodes", "8,64,256", "comma-separated cluster sizes for the benchmark; shape:size (fig4:4096) measures that shape only")
+	benchNodes := fs.String("bench-nodes", "8,64,256", "comma-separated cluster sizes for the benchmark; shape:size (fig4:4096) measures that shape only, accommodate:N the joint search beside N residents")
 	benchMin := fs.Duration("bench-min", 200*time.Millisecond, "minimum measurement time per benchmark point")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -133,8 +134,9 @@ func parseNodes(csv string) (all []int, byShape map[string][]int, err error) {
 	return all, byShape, nil
 }
 
-// compareBaseline fails when a point's re-evaluation time regressed more
-// than tolerancePct against the baseline. Absolute timings only transfer
+// compareBaseline fails when a point's re-evaluation or accommodation time
+// regressed more than tolerancePct against the baseline, or an accommodation
+// the baseline finished no longer does. Absolute timings only transfer
 // between runs of the same environment (GOMAXPROCS, OS, arch); when the
 // environments differ, deltas are reported as informational only.
 func compareBaseline(report *experiments.OptBenchReport, baselinePath string, tolerancePct float64) error {
@@ -152,33 +154,47 @@ func compareBaseline(report *experiments.OptBenchReport, baselinePath string, to
 			base.GOOS, base.GOARCH, base.GoMaxProcs, report.GOOS, report.GOARCH, report.GoMaxProcs)
 	}
 	type key struct {
-		shape        string
-		nodes, procs int
+		shape                 string
+		nodes, procs, choices int
+	}
+	// times are what a point is judged by: a pass serially and in parallel,
+	// or an accommodation.
+	times := func(p experiments.OptBenchPoint) (a, b float64) {
+		if p.Shape == "accommodate" {
+			return p.NsPerAccommodation, p.NsPerAccommodation
+		}
+		return p.SerialNsPerReeval, p.ParallelNsPerReeval
 	}
 	baseByKey := make(map[key]experiments.OptBenchPoint, len(base.Points))
 	for _, p := range base.Points {
-		baseByKey[key{p.Shape, p.Nodes, p.Procs}] = p
+		baseByKey[key{p.Shape, p.Nodes, p.Procs, p.Choices}] = p
 	}
 	regressed := 0
 	for _, p := range report.Points {
-		b, ok := baseByKey[key{p.Shape, p.Nodes, p.Procs}]
-		if !ok || b.SerialNsPerReeval <= 0 || b.ParallelNsPerReeval <= 0 {
+		b, ok := baseByKey[key{p.Shape, p.Nodes, p.Procs, p.Choices}]
+		baseSerial, basePar := times(b)
+		if !ok || baseSerial <= 0 || basePar <= 0 {
 			continue
 		}
-		serialPct := (p.SerialNsPerReeval - b.SerialNsPerReeval) / b.SerialNsPerReeval * 100
-		parPct := (p.ParallelNsPerReeval - b.ParallelNsPerReeval) / b.ParallelNsPerReeval * 100
+		serial, par := times(p)
+		serialPct := (serial - baseSerial) / baseSerial * 100
+		parPct := (par - basePar) / basePar * 100
 		worst := serialPct
 		if parPct > worst {
 			worst = parPct
 		}
 		status := "ok"
-		if worst > tolerancePct {
+		if worst > tolerancePct || p.DNF {
 			if enforce {
 				status = "REGRESSED"
 				regressed++
 			} else {
 				status = "slower (not enforced)"
 			}
+		}
+		if p.Shape == "accommodate" {
+			fmt.Printf("%-5s n=%-4d procs=%-2d choices=%d accommodation %+6.1f%% [%s]\n", "accom", p.Nodes, p.Procs, p.Choices, serialPct, status)
+			continue
 		}
 		fmt.Printf("%-5s n=%-4d procs=%-2d serial %+6.1f%% parallel %+6.1f%% [%s]\n", p.Shape, p.Nodes, p.Procs, serialPct, parPct, status)
 	}

@@ -97,3 +97,42 @@ func TestRunBenchBadNodes(t *testing.T) {
 		t.Fatal("bad -bench-nodes accepted")
 	}
 }
+
+// TestRunBenchAccommodateGate runs the joint-search shape alone and holds it
+// to the gate: itself as baseline passes, a baseline a thousand times faster
+// does not.
+func TestRunBenchAccommodateGate(t *testing.T) {
+	dir := t.TempDir()
+	out := dir + "/bench.json"
+	args := []string{"-bench-nodes", "accommodate:2", "-bench-min", "5ms"}
+	if err := run(append([]string{"-json", out}, args...)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep experiments.OptBenchReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rep.Points); n != 2 && n != 4 {
+		t.Fatalf("points = %d, want one per choice count and GOMAXPROCS setting: %+v", n, rep.Points)
+	}
+	if err := run(append([]string{"-json", dir + "/bench2.json", "-baseline", out, "-tolerance", "400"}, args...)); err != nil {
+		t.Fatalf("self-comparison failed: %v", err)
+	}
+	for i := range rep.Points {
+		rep.Points[i].NsPerAccommodation /= 1000
+	}
+	fast, err := json.Marshal(&rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(out, fast, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append([]string{"-json", dir + "/bench3.json", "-baseline", out, "-tolerance", "15"}, args...)); err == nil {
+		t.Fatal("1000x slowdown of the accommodation passed the regression gate")
+	}
+}

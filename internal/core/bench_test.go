@@ -242,3 +242,38 @@ func BenchmarkCrowdCycle(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSqueezeCycle is one arrival and departure on a 10-node machine
+// that Figure-4 bags of up to 8 exclusive workers already fill: the repo
+// benchmark's squeeze-small workload without the wire (residents=2), and the
+// same with twice the residents. The arrival fits nowhere, so Register's joint
+// search shrinks every resident to make room, and the departure's greedy pass
+// lets them grow back. trials/op is what the search costs in its own unit, and
+// repeats exactly.
+func BenchmarkSqueezeCycle(b *testing.B) {
+	for _, residents := range []int{2, 4} {
+		b.Run(fmt.Sprintf("residents=%d", residents), func(b *testing.B) {
+			ctrl := benchController(b, 10, Config{})
+			defer ctrl.Stop()
+			for job := 1; job <= residents; job++ {
+				if _, _, err := ctrl.Register(benchBundle(b, bagRSL(fmt.Sprintf("Bag%d", job), job, 8, 300))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			arrival := benchBundle(b, bagRSL("Job", residents+1, 8, 310))
+			trials := ctrl.JointTrials()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inst, _, err := ctrl.Register(arrival)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ctrl.Unregister(inst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ctrl.JointTrials()-trials)/float64(b.N), "trials/op")
+		})
+	}
+}

@@ -229,6 +229,8 @@ type Controller struct {
 	// model-based dominance rule (see internal/core/prune.go).
 	prune             PruneStats
 	monotoneObjective bool
+	// jointTrials counts the choices the joint search has tried (JointTrials).
+	jointTrials uint64
 	// warnings is a bounded ring of recent controller warnings.
 	warnings []string
 }

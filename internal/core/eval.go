@@ -118,7 +118,10 @@ func (c *Controller) predictIndexed(in predict.Indexed, opt *rsl.OptionSpec, pl 
 // MemoStats reports 0 hits and, as misses, the number of predictions made
 // since construction. There is no prediction memo: a prediction over a
 // resolved placement costs less than any key that could deduplicate it (see
-// docs/OPTIMIZER.md). The signature is what the bench harness calls.
+// docs/OPTIMIZER.md).
+//
+// Deprecated: it exists for the bench harness, which still calls it, and goes
+// when the harness stops (ROADMAP item 6).
 func (c *Controller) MemoStats() (hits, misses uint64) {
 	return 0, c.predictions.Load()
 }
@@ -178,7 +181,7 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 	ctx.app, ctx.base = app, snap
 	ctx.nodes = snap.AppendNodes(ctx.nodes[:0])
 	snap.ReadColumns(&ctx.cols)
-	ctx.scan.Reset(snap, c.matcher.Strategy(), ctx.nodes)
+	ctx.scan.Reset(snap, c.matcher.Strategy(), ctx.nodes, &ctx.cols)
 	c.evalContexts++
 	in := predict.Indexed{View: snap, Loads: ctx.cols.CPULoad, Reserved: ctx.cols.ReservedMbps}
 	clear(ctx.others) // drop the last evaluation's pointers
@@ -228,7 +231,7 @@ func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, err
 	sc := candScratchPool.Get().(*candScratch)
 	defer candScratchPool.Put(sc)
 	sc.cols.CopyFrom(&ctx.cols)
-	if err := match.ReserveColumns(&sc.cols, ctx.base, app.owner(), asg); err != nil {
+	if err := match.ReserveColumns(&sc.cols, ctx.base, app.owner(), asg, nil); err != nil {
 		return candidate{}, err
 	}
 	pl := predict.Resolve(ctx.base, asg)
@@ -262,19 +265,7 @@ func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, err
 	sc.jobs = jobs
 	c.predictions.Add(predictions)
 
-	friction := 0.0
-	frictionWarn := ""
-	if opt.Friction != nil {
-		f, ferr := opt.Friction.Eval(rsl.ChainEnv{asg.MemoryEnv(), env})
-		switch {
-		case ferr != nil:
-			// Surfaced by the reduction (once per distinct message) instead
-			// of being silently treated as zero friction.
-			frictionWarn = fmt.Sprintf("core: %s option %s: friction evaluation failed: %v", app.bundle.App, opt.Name, ferr)
-		case f > 0:
-			friction = f
-		}
-	}
+	friction, frictionWarn := frictionCost(app, opt, asg, env)
 	return candidate{
 		choice:       ch,
 		assignment:   asg,
@@ -283,6 +274,25 @@ func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, err
 		friction:     friction,
 		frictionWarn: frictionWarn,
 	}, nil
+}
+
+// frictionCost evaluates the option's friction expression for a placement of
+// it, with the granted memory and the choice's variables (env) in scope. It
+// does not depend on the hosts. An expression that cannot be evaluated costs
+// nothing and comes back as a warning, which whoever reduces the candidates
+// surfaces (once per distinct message) instead of silently reading it as zero.
+func frictionCost(app *appState, opt *rsl.OptionSpec, asg *match.Assignment, env rsl.Env) (friction float64, warn string) {
+	if opt.Friction == nil {
+		return 0, ""
+	}
+	f, err := opt.Friction.Eval(rsl.ChainEnv{asg.MemoryEnv(), env})
+	switch {
+	case err != nil:
+		return 0, fmt.Sprintf("core: %s option %s: friction evaluation failed: %v", app.bundle.App, opt.Name, err)
+	case f > 0:
+		return f, ""
+	}
+	return 0, ""
 }
 
 // fanOutMinSize is the evaluation size below which evaluateChoices stays on

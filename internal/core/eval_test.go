@@ -120,9 +120,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	// On the small clusters above a greedy evaluation is below
 	// fanOutMinSize and both controllers evaluate it on the calling
-	// goroutine; only the joint search fans out there. This shape is above
-	// it while the machine has 96 idle nodes: choices 1..96 place 4656
-	// replicas between them.
+	// goroutine, and the joint search is serial by construction. This shape
+	// is above it while the machine has 96 idle nodes: choices 1..96 place
+	// 4656 replicas between them.
 	for seed := int64(7); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("fanout/seed%d", seed), func(t *testing.T) {
@@ -192,7 +192,10 @@ func runParallelMatchesSerial(t *testing.T, seed int64, rng *rand.Rand, nodes in
 }
 
 // TestParallelMatchesSerialExhaustive checks the same property for the
-// exhaustive (A2) search, whose first level fans out over the worker pool.
+// exhaustive (A2) search. The joint search itself is one serial walk whatever
+// EvalWorkers says; what the two controllers can still differ in is the greedy
+// evaluations around it (the arrival's first placement, re-admission of
+// degraded applications).
 func TestParallelMatchesSerialExhaustive(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))

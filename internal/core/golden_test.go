@@ -21,11 +21,12 @@ import (
 // candidate evaluation stopped reading the ledger by hostname (PR 19's
 // parent), the widecomm hashes on the commit before a greedy candidate's
 // trial reservation moved from a snapshot fork to index-addressed columns
-// (PR 20's parent), the same way. TestParallelMatchesSerial and
-// TestPruningBitIdentical compare the current code with itself; this test
-// compares it with what the map-based ledger decided. A hash changes only
-// when a decision, placement, claim or prediction changes, so a mismatch
-// after a representation change is a behaviour change.
+// (PR 20's parent), the squeeze hashes on the commit before the joint search
+// stopped forking a snapshot per trial (PR 21's parent), the same way.
+// TestParallelMatchesSerial and TestPruningBitIdentical compare the current
+// code with itself; this test compares it with what the map-based ledger
+// decided. A hash changes only when a decision, placement, claim or prediction
+// changes, so a mismatch after a representation change is a behaviour change.
 
 // goldenDBRSL is the Figure 3 client with a wildcard client host and a
 // memory grant ladder, so free memory differs between nodes and the
@@ -145,6 +146,20 @@ var goldenScripts = []goldenScript{
 				return goldenDBRSL(i)
 			}
 			return goldenCommRSL(i, 40+float64(rng.Intn(401))/10)
+		},
+	},
+	{
+		// The squeeze shape: Figure-4 bags on exclusive nodes fill the
+		// machine, so most arrivals fit nowhere and Register's joint search
+		// shrinks the residents to accommodate them, or finds that it cannot.
+		// The memory-only caches leave idle nodes with different free memory,
+		// which is what parts the three strategies.
+		name: "squeeze", nodes: 10, entries: 120, maxLive: 8, workers: 8,
+		rsl: func(rng *rand.Rand, i int, _ []string) string {
+			if rng.Intn(5) == 0 {
+				return goldenCacheRSL(i)
+			}
+			return bagRSL(fmt.Sprintf("Bag%d", i), i, 8, 270+float64(rng.Intn(601))/10)
 		},
 	},
 }
@@ -268,6 +283,9 @@ func TestGoldenStateHashes(t *testing.T) {
 		"widecomm/first-fit": "27266c93b3e700ea59626b7ecd3c429e5b1a8a6802248c3b781628c1e4c5bc60",
 		"widecomm/best-fit":  "50463f666b32287126cec23c15b4f214ab8ca14b5dee16fdb0438c5ca8326caa",
 		"widecomm/worst-fit": "bb48a12d7d668ff749f0b6fba04a72ef15b4273815d843ca2eb312935ea040aa",
+		"squeeze/first-fit":  "ec444a96d4f09ed4ccdf420a0da976a3deb1a6f316746fa3910a052002872f1e",
+		"squeeze/best-fit":   "7566bb797191f0596ceb1a2e5289c76abd2a70cd139f835ad4d24f8c49b6a5ff",
+		"squeeze/worst-fit":  "19551d91addca36b29321d51eb2fbfadd897269b99e1524bd6851539535540ec",
 	}
 	for _, s := range goldenScripts {
 		for _, strategy := range []match.Strategy{match.FirstFit, match.BestFit, match.WorstFit} {

@@ -1,0 +1,319 @@
+package core
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"harmony/internal/match"
+	"harmony/internal/namespace"
+	"harmony/internal/objective"
+	"harmony/internal/predict"
+	"harmony/internal/resource"
+	"harmony/internal/rsl"
+)
+
+// searchByFork is the joint search as it was before it walked one trial state:
+// every trial forks the snapshot of the level above, matches on the bare fork
+// (which reads and orders the node table itself), reserves through the view
+// and predicts by walking the fork's overlay chain; every request is resolved
+// again at every inner node. It shares nothing with searchJoint but the
+// problem, and is the reference searchJoint is held to. Warnings are collected
+// per first-level choice, as the walk that fanned those out collected them.
+func (c *Controller) searchByFork(base *resource.Snapshot, ids []int, perApp [][]Choice, skipInstance int) comboResult {
+	best := comboResult{score: math.Inf(1)}
+	for _, ch := range perApp[0] {
+		br := comboResult{score: math.Inf(1)}
+		if fork, cd, ok := c.tryChoiceByFork(base, ids[0], ch, &br); ok {
+			c.walkByFork(fork, ids, perApp, skipInstance, 1, []candidate{cd}, &br)
+		}
+		best.warns = append(best.warns, br.warns...)
+		if br.combo != nil && br.score < best.score {
+			best.score = br.score
+			best.combo = br.combo
+		}
+	}
+	return best
+}
+
+// tryChoiceByFork matches and trial-reserves one choice for one app in a fresh
+// fork of view, returning the fork, the candidate, and whether it fits.
+func (c *Controller) tryChoiceByFork(view *resource.Snapshot, id int, ch Choice, br *comboResult) (*resource.Snapshot, candidate, bool) {
+	app := c.apps[id]
+	opt := app.bundle.Option(ch.Option)
+	fork := view.Fork()
+	matcher := c.matcher.WithView(fork)
+	asg, err := matcher.Match(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants})
+	if err != nil {
+		return nil, candidate{}, false
+	}
+	if _, err := matcher.Reserve(app.owner(), asg); err != nil {
+		return nil, candidate{}, false
+	}
+	c.predictions.Add(1)
+	pred, err := c.predictIndexed(predict.Indexed{View: fork}, opt, predict.Resolve(fork, asg))
+	if err != nil {
+		return nil, candidate{}, false
+	}
+	friction := 0.0
+	if opt.Friction != nil {
+		f, ferr := opt.Friction.Eval(rsl.ChainEnv{asg.MemoryEnv(), rsl.MapEnv(ch.Vars)})
+		switch {
+		case ferr != nil:
+			br.addWarn(fmt.Sprintf("core: %s option %s: friction evaluation failed: %v", app.bundle.App, opt.Name, ferr))
+		case f > 0:
+			friction = f
+		}
+	}
+	return fork, candidate{choice: ch, assignment: asg, predicted: pred.Seconds, friction: friction}, true
+}
+
+// walkByFork recurses over the remaining applications' choices.
+func (c *Controller) walkByFork(view *resource.Snapshot, ids []int, perApp [][]Choice, skipInstance, level int, acc []candidate, br *comboResult) {
+	if level == len(ids) {
+		jobs := make([]objective.JobPrediction, 0, len(acc))
+		for _, cd := range acc {
+			jobs = append(jobs, objective.JobPrediction{Seconds: cd.predicted})
+		}
+		// Fixed (skipped) apps still count toward the objective.
+		if skipInstance != 0 {
+			if fixed, ok := c.apps[skipInstance]; ok {
+				jobs = append(jobs, objective.JobPrediction{Seconds: fixed.predicted})
+			}
+		}
+		score := c.cfg.Objective(jobs)
+		if !c.cfg.IgnoreFriction {
+			for j, cd := range acc {
+				if !cd.choice.Equal(c.apps[ids[j]].choice) {
+					score += cd.friction / float64(len(jobs))
+				}
+			}
+		}
+		if score < br.score {
+			br.score = score
+			br.combo = append([]candidate(nil), acc...)
+		}
+		return
+	}
+	for _, ch := range perApp[level] {
+		fork, cd, ok := c.tryChoiceByFork(view, ids[level], ch, br)
+		if !ok {
+			continue
+		}
+		c.walkByFork(fork, ids, perApp, skipInstance, level+1, append(acc, cd), br)
+	}
+}
+
+// addWarn appends a deduplicated warning to the branch result.
+func (br *comboResult) addWarn(msg string) {
+	for _, w := range br.warns {
+		if w == msg {
+			return
+		}
+	}
+	br.warns = append(br.warns, msg)
+}
+
+// jointRSL draws one application for the differential test: wildcard bags
+// whose load reorders the scan from one level to the next, exclusive bags
+// under an explicit model, named and half-named clients with links and a
+// memory-grant ladder, bags under a communication tag, a memory-only cache
+// (which parts best-fit and worst-fit from first-fit), and a bundle one of
+// whose friction expressions cannot be evaluated.
+func jointRSL(rng *rand.Rand, i int, hosts []string) string {
+	switch rng.Intn(7) {
+	case 0:
+		return fmt.Sprintf(`harmonyBundle Bag%d:%d parallelism {
+	{workers
+		{variable workerNodes {1 2 3}}
+		{node worker * {os linux} {seconds {%d / workerNodes}} {memory %d} {replicate workerNodes}}
+	}
+}`, i, i, 8+rng.Intn(30), 16+8*rng.Intn(3))
+	case 1:
+		return bagRSL(fmt.Sprintf("Excl%d", i), i, 4, 60+float64(rng.Intn(900))/10)
+	case 2:
+		return replayDBRSL(i, hosts[rng.Intn(len(hosts))])
+	case 3:
+		return goldenDBRSL(i)
+	case 4:
+		return fmt.Sprintf(`harmonyBundle Comm%d:%d parallelism {
+	{workers
+		{variable workerNodes {1 2 3 4}}
+		{node worker * {seconds {%d / workerNodes}} {memory 24} {replicate workerNodes}}
+		{communication {%d * workerNodes ^ 2}}
+	}
+}`, i, i, 20+rng.Intn(40), 30+rng.Intn(90))
+	case 5:
+		return goldenCacheRSL(i)
+	}
+	return fmt.Sprintf(`harmonyBundle Fric%d:%d speed {
+	{slow {node x * {seconds %d} {memory 8}} {friction {nosuch * 2}}}
+	{fast {node x * {seconds %d} {memory >=20}} {node y %s {seconds 1} {memory 4}} {link x y {x.memory / 4}} {friction {x.memory / 4}}}
+}`, i, i, 10+rng.Intn(10), 3+rng.Intn(5), hosts[rng.Intn(len(hosts))])
+}
+
+// jointTally counts what the differential test compared, so that it can tell
+// a script that no longer reaches the cases it was written for.
+type jointTally struct {
+	problems, deep, infeasible, warned, degraded, skipped int
+	trials                                                uint64
+}
+
+// compareJointSearchesLocked poses the joint problem the controller would
+// search now, with skip held fixed, to searchJoint and to searchByFork, and
+// requires one answer: the same combination or none, the score and every
+// prediction and friction cost bit for bit, the same placements down to the
+// positions they carry and the bytes they encode to, the same warnings in the
+// same order, and as many predictions made.
+func compareJointSearchesLocked(t *testing.T, c *Controller, skip int, what string, tally *jointTally) {
+	t.Helper()
+	base, ids, perApp, degraded := c.jointProblemLocked(skip)
+	if len(ids) == 0 {
+		return
+	}
+	p0, t0 := c.predictions.Load(), c.jointTrials
+	got := c.searchJoint(base, ids, perApp, skip)
+	p1 := c.predictions.Load()
+	want := c.searchByFork(base, ids, perApp, skip)
+	p2 := c.predictions.Load()
+
+	tally.problems++
+	tally.trials += c.jointTrials - t0
+	if len(ids) >= 3 {
+		tally.deep++
+	}
+	if len(degraded) > 0 {
+		tally.degraded++
+	}
+	if skip != 0 {
+		tally.skipped++
+	}
+	if len(want.warns) > 0 {
+		tally.warned++
+	}
+	if p1-p0 != p2-p1 {
+		t.Fatalf("%s: %d predictions, the fork walk made %d", what, p1-p0, p2-p1)
+	}
+	if !reflect.DeepEqual(got.warns, want.warns) {
+		t.Fatalf("%s: warnings differ:\n  got %q\n want %q", what, got.warns, want.warns)
+	}
+	if (got.combo == nil) != (want.combo == nil) {
+		t.Fatalf("%s: found a combination: %v, the fork walk: %v", what, got.combo != nil, want.combo != nil)
+	}
+	if want.combo == nil {
+		tally.infeasible++
+		return
+	}
+	if math.Float64bits(got.score) != math.Float64bits(want.score) {
+		t.Fatalf("%s: score %v, the fork walk's %v", what, got.score, want.score)
+	}
+	for i := range want.combo {
+		g, w := got.combo[i], want.combo[i]
+		owner := c.apps[ids[i]].owner()
+		if !g.choice.Equal(w.choice) {
+			t.Fatalf("%s: %s gets %s, the fork walk gives it %s", what, owner, g.choice, w.choice)
+		}
+		if math.Float64bits(g.predicted) != math.Float64bits(w.predicted) || math.Float64bits(g.friction) != math.Float64bits(w.friction) {
+			t.Fatalf("%s: %s %s: predicted %v friction %v, the fork walk's %v and %v", what, owner, g.choice, g.predicted, g.friction, w.predicted, w.friction)
+		}
+		ga, wa := g.assignment, w.assignment
+		if ga.Option != wa.Option || ga.CommunicationMbps != wa.CommunicationMbps ||
+			!reflect.DeepEqual(ga.Nodes, wa.Nodes) || !reflect.DeepEqual(ga.Links, wa.Links) ||
+			!reflect.DeepEqual(ga.Places(base, nil), wa.Places(base, nil)) {
+			t.Fatalf("%s: %s %s: placements differ:\n  got %+v\n want %+v", what, owner, g.choice, ga, wa)
+		}
+		gj, _ := json.Marshal(ga)
+		wj, _ := json.Marshal(wa)
+		if string(gj) != string(wj) {
+			t.Fatalf("%s: %s %s: placements encode differently:\n  got %s\n want %s", what, owner, g.choice, gj, wj)
+		}
+	}
+}
+
+// compareJointSearches is compareJointSearchesLocked on the controller as it
+// stands, with no application and then with the last one held fixed: the two
+// problems a controller in Exhaustive mode poses.
+func compareJointSearches(t *testing.T, c *Controller, what string, tally *jointTally) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	compareJointSearchesLocked(t, c, 0, what, tally)
+	if n := len(c.order); n > 1 {
+		compareJointSearchesLocked(t, c, c.order[n-1], what+", the last application fixed", tally)
+	}
+}
+
+// compareOnArrival poses the problem Register falls back to when the bundle
+// fits nowhere — every resident and the arrival, nobody placed — whether or
+// not this arrival would have to fall back.
+func compareOnArrival(t *testing.T, c *Controller, bundle *rsl.BundleSpec, what string, tally *jointTally) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	inst := c.nextInstance + 1
+	c.apps[inst] = &appState{instance: inst, bundle: bundle, ownerPath: namespace.InstancePath(bundle.App, inst), lastSwitch: -1}
+	c.order = append(c.order, inst)
+	compareJointSearchesLocked(t, c, 0, what, tally)
+	delete(c.apps, inst)
+	c.order = c.order[:len(c.order)-1]
+}
+
+// TestJointSearchMatchesForkWalk holds the joint search to the walk it
+// replaced on seeded random systems of two to five applications — under all
+// three strategies, with and without the critical-path model, on controllers
+// that search jointly at every event (Exhaustive) and on controllers that do
+// so only to make room for an arrival — before every arrival, after every
+// event, with a node down and with an application evicted and degraded.
+func TestJointSearchMatchesForkWalk(t *testing.T) {
+	var tally jointTally
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, strategy := range []match.Strategy{match.FirstFit, match.BestFit, match.WorstFit} {
+			for _, exhaustive := range []bool{false, true} {
+				what := fmt.Sprintf("seed %d, %s, exhaustive %v", seed, strategy, exhaustive)
+				rng := rand.New(rand.NewSource(seed))
+				nodes := 5 + rng.Intn(4)
+				cfg := Config{Strategy: strategy, Exhaustive: exhaustive, UseCriticalPath: seed%4 == 0}
+				c, _ := newController(t, nodes, cfg)
+				hosts := c.cfg.Cluster.Hosts()[1:]
+				apps := 2 + rng.Intn(4)
+				var insts []int
+				arrive := func(i int) {
+					bundle := decodeBundle(t, jointRSL(rng, i, hosts))
+					at := fmt.Sprintf("%s, arrival %d", what, i)
+					compareOnArrival(t, c, bundle, "before "+at, &tally)
+					if inst, _, err := c.Register(bundle); err == nil {
+						insts = append(insts, inst)
+					}
+					compareJointSearches(t, c, "after "+at, &tally)
+				}
+				for i := 1; i <= apps; i++ {
+					arrive(i)
+				}
+				// A client pinned to a host that then fails cannot be placed
+				// again: it stays registered, degraded, outside the search.
+				pinned := hosts[rng.Intn(len(hosts))]
+				if inst, _, err := c.Register(decodeBundle(t, replayDBRSL(apps+1, pinned))); err == nil {
+					insts = append(insts, inst)
+				}
+				if _, err := c.MarkNodeDown(pinned); err != nil {
+					t.Fatal(err)
+				}
+				compareJointSearches(t, c, what+", a host down", &tally)
+				arrive(apps + 2)
+				if len(insts) > 1 {
+					if _, err := c.Unregister(insts[0]); err != nil {
+						t.Fatal(err)
+					}
+					compareJointSearches(t, c, what+", a departure", &tally)
+				}
+			}
+		}
+	}
+	t.Logf("%+v", tally)
+	if tally.problems < 400 || tally.deep < 200 || tally.infeasible == 0 || tally.warned < 10 || tally.degraded < 10 || tally.skipped < 100 {
+		t.Errorf("the systems drawn no longer cover what the test is for: %+v", tally)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"harmony/internal/match"
@@ -172,25 +173,24 @@ func (c *Controller) granularityAllowsLocked(app *appState, now time.Duration) b
 	return now-app.lastSwitch >= time.Duration(g*float64(time.Second))
 }
 
-// comboResult is the best full-system configuration found in one branch of
-// the exhaustive search.
+// comboResult is the best full-system configuration a joint search found.
 type comboResult struct {
 	score float64
 	combo []candidate
 	warns []string
 }
 
-// reevaluateExhaustiveLocked searches the full cross product of all
-// applications' choices (the A2 ablation baseline). Exponential: intended
-// for small systems only. The search runs over snapshot forks — the shared
-// ledger is only touched if a strictly better combination is adopted — and
-// fans the first application's choices out over the worker pool.
-func (c *Controller) reevaluateExhaustiveLocked(now time.Duration, skipInstance int) []Event {
+// jointProblemLocked sets up a joint search: the applications that take part
+// (ids, registration order, without skipInstance and the degraded ones, which
+// are returned apart), a snapshot with every one of their claims released, and
+// each one's choices pruned against that all-released base — reservations at
+// deeper search levels only shrink capacity, so a candidate infeasible here is
+// infeasible in every branch.
+func (c *Controller) jointProblemLocked(skipInstance int) (base *resource.Snapshot, ids []int, perApp [][]Choice, degraded []int) {
 	// Degraded apps are searched separately afterwards: the cross product
 	// requires every participating app to be placeable in a branch, so one
 	// unplaceable evictee would otherwise veto the whole reshuffle.
-	ids := make([]int, 0, len(c.order))
-	var degraded []int
+	ids = make([]int, 0, len(c.order))
 	for _, id := range c.order {
 		if id == skipInstance {
 			continue
@@ -202,9 +202,9 @@ func (c *Controller) reevaluateExhaustiveLocked(now time.Duration, skipInstance 
 		ids = append(ids, id)
 	}
 	if len(ids) == 0 {
-		return c.readmitDegradedLocked(now, degraded, nil)
+		return nil, nil, nil, degraded
 	}
-	base := c.ledger.Snapshot()
+	base = c.ledger.Snapshot()
 	// Hypothetically release every movable app inside the snapshot.
 	for _, id := range ids {
 		app := c.apps[id]
@@ -216,18 +216,27 @@ func (c *Controller) reevaluateExhaustiveLocked(now time.Duration, skipInstance 
 			app.claim = nil
 		}
 	}
-	perApp := make([][]Choice, len(ids))
+	perApp = make([][]Choice, len(ids))
 	nodes := base.AppendNodes(c.evalCtx.nodes[:0])
 	c.evalCtx.nodes = nodes
 	for i, id := range ids {
 		app := c.apps[id]
-		// Prune against the all-released base: reservations at deeper
-		// search levels only shrink capacity, so a candidate infeasible
-		// here is infeasible in every branch.
 		perApp[i], _ = c.pruneChoicesLocked(c.staticForLocked(app), app.choice, nodes)
 	}
+	return base, ids, perApp, degraded
+}
 
-	best := c.searchExhaustive(base, ids, perApp, skipInstance)
+// reevaluateExhaustiveLocked searches the full cross product of all
+// applications' choices: the A2 ablation baseline, and how Register makes
+// room for an arrival that fits nowhere. Exponential: intended for small
+// systems only. The search never touches the shared ledger, which changes
+// only if a combination is adopted.
+func (c *Controller) reevaluateExhaustiveLocked(now time.Duration, skipInstance int) []Event {
+	base, ids, perApp, degraded := c.jointProblemLocked(skipInstance)
+	if len(ids) == 0 {
+		return c.readmitDegradedLocked(now, degraded, nil)
+	}
+	best := c.searchJoint(base, ids, perApp, skipInstance)
 	for _, w := range best.warns {
 		c.warnLocked(w)
 	}
@@ -292,118 +301,186 @@ func (c *Controller) readmitDegradedLocked(now time.Duration, degraded []int, ev
 	return events
 }
 
-// searchExhaustive walks the cross product of all applications' choices.
-// The first level fans out over the worker pool, one snapshot fork per
-// top-level choice; deeper levels recurse serially, forking per choice so
-// serial and parallel runs perform identical floating-point arithmetic.
-// Branch results reduce in enumeration order with strict improvement, so
-// the winner is byte-identical to a fully serial depth-first walk.
-func (c *Controller) searchExhaustive(base *resource.Snapshot, ids []int, perApp [][]Choice, skipInstance int) comboResult {
-	top := perApp[0]
-	branches := make([]comboResult, len(top))
-	runBranch := func(i int) comboResult {
-		br := comboResult{score: math.Inf(1)}
-		fork, cd, ok := c.tryChoice(base, ids[0], top[i], &br)
-		if ok {
-			c.walkExhaustive(fork, ids, perApp, skipInstance, 1, []candidate{cd}, &br)
-		}
-		return br
-	}
-	workers := c.evalWorkers()
-	if workers > 1 && len(top) > 1 {
-		c.fanOuts++
-	}
-	fanOut(len(top), workers, func(i int) { branches[i] = runBranch(i) })
-	best := comboResult{score: math.Inf(1)}
-	for _, br := range branches {
-		best.warns = append(best.warns, br.warns...)
-		if br.combo != nil && br.score < best.score {
-			best.score = br.score
-			best.combo = br.combo
-		}
-	}
-	return best
+// jointSearch is one depth-first walk of the cross product of the
+// applications' choices, one application a level. There is one trial state,
+// cols: a level charges its choice to it by index, the levels below see the
+// charge, and on the way back up the level restores what it wrote, so every
+// sibling is tried on the very bits the one before it was. A trial is a
+// first-fit over columns, a charge and one prediction by index; what does not
+// depend on where a choice lands is worked out once per choice, before the
+// walk (match.Plan), and nothing is formatted or allocated for a choice that
+// does not fit. Leaves are adopted on strict improvement in enumeration
+// order.
+type jointSearch struct {
+	c      *Controller
+	base   *resource.Snapshot
+	rows   []resource.NodeState // base's node table: descriptions and health
+	cols   resource.Columns
+	undo   resource.Undo
+	levels []jointLevel
+	// fixed is the skipped application, which still counts toward the
+	// objective with the prediction it holds.
+	fixed *appState
+	jobs  []objective.JobPrediction
+	best  comboResult
+	// branchWarns is where the warnings of the current first-level choice
+	// start in best.warns: a warning is reported once per such branch.
+	branchWarns int
+	predictions uint64
 }
 
-// tryChoice matches and trial-reserves one choice for one app in a fresh
-// fork of view, returning the fork, the candidate, and whether it fits. The
-// joint search is the one place that forks: its trial states nest, each level
-// reserving on top of the branch above it, which is what an overlay chain is
-// for.
-func (c *Controller) tryChoice(view *resource.Snapshot, id int, ch Choice, br *comboResult) (*resource.Snapshot, candidate, bool) {
-	app := c.apps[id]
-	opt := app.bundle.Option(ch.Option)
-	fork := view.Fork()
-	matcher := c.matcher.WithView(fork)
-	asg, err := matcher.Match(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants})
-	if err != nil {
-		return nil, candidate{}, false
-	}
-	if _, err := matcher.Reserve(app.owner(), asg); err != nil {
-		return nil, candidate{}, false
-	}
-	c.predictions.Add(1)
-	pred, err := c.predictIndexed(predict.Indexed{View: fork}, opt, predict.Resolve(fork, asg))
-	if err != nil {
-		return nil, candidate{}, false
-	}
-	friction := 0.0
-	if opt.Friction != nil {
-		f, ferr := opt.Friction.Eval(rsl.ChainEnv{asg.MemoryEnv(), rsl.MapEnv(ch.Vars)})
-		switch {
-		case ferr != nil:
-			br.addWarn(fmt.Sprintf("core: %s option %s: friction evaluation failed: %v", app.bundle.App, opt.Name, ferr))
-		case f > 0:
-			friction = f
-		}
-	}
-	return fork, candidate{choice: ch, assignment: asg, predicted: pred.Seconds, friction: friction}, true
+// jointLevel is one application of a joint search: its choices, the scan of
+// the state the levels above it left (every choice of the level is matched
+// against that one state, so they share its order), and the trial that is
+// charged while the levels below are walked.
+type jointLevel struct {
+	app     *appState
+	choices []jointChoice
+	scan    match.Scan
+	// trial is the choice being tried; asg and placed are its placement,
+	// overwritten by the level's next trial, predicted its prediction.
+	trial     *jointChoice
+	asg       match.Assignment
+	placed    predict.Placement
+	predicted float64
 }
 
-// walkExhaustive recurses over the remaining applications' choices.
-func (c *Controller) walkExhaustive(view *resource.Snapshot, ids []int, perApp [][]Choice, skipInstance, level int, acc []candidate, br *comboResult) {
-	if level == len(ids) {
-		jobs := make([]objective.JobPrediction, 0, len(acc))
-		for _, cd := range acc {
-			jobs = append(jobs, objective.JobPrediction{Seconds: cd.predicted})
-		}
-		// Fixed (skipped) apps still count toward the objective.
-		if skipInstance != 0 {
-			if fixed, ok := c.apps[skipInstance]; ok {
-				jobs = append(jobs, objective.JobPrediction{Seconds: fixed.predicted})
+// jointChoice is one choice of one application, resolved once per search.
+type jointChoice struct {
+	choice Choice
+	opt    *rsl.OptionSpec
+	plan   *match.Plan
+	// switches is whether adopting the choice changes the application's.
+	switches bool
+	// The friction cost reads the granted memory and the choice's variables,
+	// not the hosts: it is evaluated when the choice first fits.
+	frictionKnown bool
+	friction      float64
+	frictionWarn  string
+}
+
+// searchJoint finds the best combination of one choice per application over
+// base, which holds none of their claims. The winner is what a walk that
+// forked base for every trial would pick, bit for bit (searchByFork, in the
+// tests, is that walk).
+func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]Choice, skipInstance int) comboResult {
+	js := &jointSearch{c: c, base: base, rows: c.evalCtx.nodes, levels: make([]jointLevel, len(ids))}
+	js.best.score = math.Inf(1)
+	// Fixed (skipped) apps still count toward the objective.
+	js.fixed = c.apps[skipInstance]
+	base.ReadColumns(&js.cols)
+	for i, id := range ids {
+		lv := &js.levels[i]
+		lv.app = c.apps[id]
+		lv.choices = make([]jointChoice, len(perApp[i]))
+		for k, ch := range perApp[i] {
+			opt := lv.app.bundle.Option(ch.Option)
+			lv.choices[k] = jointChoice{
+				choice:   ch,
+				opt:      opt,
+				plan:     match.NewPlan(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants}),
+				switches: !ch.Equal(lv.app.choice),
 			}
 		}
-		score := c.cfg.Objective(jobs)
-		if !c.cfg.IgnoreFriction {
-			for j, cd := range acc {
-				if !cd.choice.Equal(c.apps[ids[j]].choice) {
-					score += cd.friction / float64(len(jobs))
-				}
-			}
-		}
-		if score < br.score {
-			br.score = score
-			br.combo = append([]candidate(nil), acc...)
-		}
+	}
+	js.walk(0)
+	c.predictions.Add(js.predictions)
+	return js.best
+}
+
+// walk tries every choice of the application at level on the state the
+// levels above it charged, and under each that fits walks the levels below.
+func (js *jointSearch) walk(level int) {
+	if level == len(js.levels) {
+		js.leaf()
 		return
 	}
-	for _, ch := range perApp[level] {
-		fork, cd, ok := c.tryChoice(view, ids[level], ch, br)
-		if !ok {
-			continue
+	lv := &js.levels[level]
+	lv.scan.Reset(js.base, js.c.matcher.Strategy(), js.rows, &js.cols)
+	for k := range lv.choices {
+		if level == 0 {
+			js.branchWarns = len(js.best.warns)
 		}
-		c.walkExhaustive(fork, ids, perApp, skipInstance, level+1, append(acc, cd), br)
+		mark := js.undo.Mark()
+		if js.try(lv, &lv.choices[k]) {
+			js.walk(level + 1)
+		}
+		js.cols.Restore(&js.undo, mark)
 	}
 }
 
-// addWarn appends a deduplicated warning to the branch result.
-func (br *comboResult) addWarn(msg string) {
-	for _, w := range br.warns {
-		if w == msg {
-			return
+// try places, charges and predicts one choice on the trial state, and reports
+// whether it fits. The charge of a choice that fits is left in place for the
+// caller to restore.
+func (js *jointSearch) try(lv *jointLevel, jc *jointChoice) bool {
+	c := js.c
+	c.jointTrials++
+	if !lv.scan.Place(jc.plan, &lv.asg) {
+		return false
+	}
+	if err := match.ReserveColumns(&js.cols, js.base, lv.app.owner(), &lv.asg, &js.undo); err != nil {
+		return false
+	}
+	js.predictions++
+	in := predict.Indexed{View: js.base, Loads: js.cols.CPULoad, Reserved: js.cols.ReservedMbps}
+	pred, err := c.predictIndexed(in, jc.opt, lv.placed.Resolve(js.base, &lv.asg))
+	if err != nil {
+		return false
+	}
+	if !jc.frictionKnown {
+		jc.frictionKnown = true
+		jc.friction, jc.frictionWarn = frictionCost(lv.app, jc.opt, &lv.asg, rsl.MapEnv(jc.choice.Vars))
+	}
+	if w := jc.frictionWarn; w != "" && !slices.Contains(js.best.warns[js.branchWarns:], w) {
+		js.best.warns = append(js.best.warns, w)
+	}
+	lv.trial, lv.predicted = jc, pred.Seconds
+	return true
+}
+
+// leaf scores the combination the levels hold and keeps it if it is strictly
+// better than the best so far. Only then are the trial assignments copied out
+// of the levels' buffers.
+func (js *jointSearch) leaf() {
+	jobs := js.jobs[:0]
+	for i := range js.levels {
+		jobs = append(jobs, objective.JobPrediction{Seconds: js.levels[i].predicted})
+	}
+	if js.fixed != nil {
+		jobs = append(jobs, objective.JobPrediction{Seconds: js.fixed.predicted})
+	}
+	js.jobs = jobs
+	score := js.c.cfg.Objective(jobs)
+	if !js.c.cfg.IgnoreFriction {
+		for i := range js.levels {
+			if jc := js.levels[i].trial; jc.switches {
+				score += jc.friction / float64(len(jobs))
+			}
 		}
 	}
-	br.warns = append(br.warns, msg)
+	if score < js.best.score {
+		js.best.score = score
+		js.best.combo = make([]candidate, len(js.levels))
+		for i := range js.levels {
+			lv := &js.levels[i]
+			js.best.combo[i] = candidate{
+				choice:     lv.trial.choice,
+				assignment: lv.asg.Clone(),
+				predicted:  lv.predicted,
+				friction:   lv.trial.friction,
+			}
+		}
+	}
+}
+
+// JointTrials reports how many choices the joint search has tried — matched,
+// and when they fit charged and predicted — since construction: the unit the
+// search's cost is counted in. It depends on the applications and the cluster
+// alone, so it repeats exactly from run to run.
+func (c *Controller) JointTrials() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.jointTrials
 }
 
 // EvaluationCount reports how many (choice, app) evaluations a greedy pass

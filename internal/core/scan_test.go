@@ -299,17 +299,16 @@ func TestOneScanPerEvaluation(t *testing.T) {
 	}
 }
 
-// TestGreedySearchNeverForks reads the package's source: a snapshot is forked
-// and an assignment reserved through a view only by the joint search and by
-// adoption, and a node table is read out of a snapshot only where an
-// evaluation base is built — once per base, since neither function loops over
-// it. Candidate evaluation (evaluateChoice and what it calls in this package)
-// does none of the three for any option shape.
-func TestGreedySearchNeverForks(t *testing.T) {
+// TestSearchNeverForks reads the package's source: nothing in it forks a
+// snapshot — neither search does, a greedy candidate and a joint trial being
+// charged to columns — an assignment is reserved through a view only by
+// adoption, and a node table is read out of a snapshot only where a search's
+// base is built, once per base, since neither function loops over it.
+func TestSearchNeverForks(t *testing.T) {
 	allowed := map[string]map[string]bool{
-		"Fork":        {"tryChoice": true},
-		"Reserve":     {"tryChoice": true, "adoptLocked": true, "reevaluateExhaustiveLocked": true},
-		"AppendNodes": {"newEvalContextLocked": true, "reevaluateExhaustiveLocked": true},
+		"Fork":        {},
+		"Reserve":     {"adoptLocked": true, "reevaluateExhaustiveLocked": true},
+		"AppendNodes": {"newEvalContextLocked": true, "jointProblemLocked": true},
 	}
 	seen := map[string]int{}
 	fset := token.NewFileSet()
@@ -342,8 +341,8 @@ func TestGreedySearchNeverForks(t *testing.T) {
 			}
 		}
 	}
-	for name := range allowed {
-		if seen[name] == 0 {
+	for name, callers := range allowed {
+		if len(callers) > 0 && seen[name] == 0 {
 			t.Errorf("no call of %s found: the test no longer reads what it thinks it reads", name)
 		}
 	}

@@ -21,20 +21,27 @@ import (
 // measures a full re-evaluation pass — every registered application's
 // candidate set scored under the system objective — serially (EvalWorkers=1)
 // and in parallel (EvalWorkers=GOMAXPROCS), and reports ns/pass, candidate
-// evaluations per second, speedup, and the share of candidates pruned.
-// cmd/hbench -json serializes the report (BENCH_20.json is the committed
+// evaluations per second, speedup, and the share of candidates pruned. A
+// third shape, accommodate, measures the joint search instead: one arrival on
+// a machine its residents fill, in ns and in trials per accommodation.
+// cmd/hbench -json serializes the report (BENCH_21.json is the committed
 // baseline) and scripts/bench.sh gates CI on it.
 
 // OptBenchConfig parameterizes the hot-path benchmark.
 type OptBenchConfig struct {
-	// Shapes selects workload shapes: "fig4", "fig7".
+	// Shapes selects workload shapes: "fig4", "fig7", "accommodate".
 	Shapes []string
-	// NodeCounts are the cluster sizes to measure.
+	// NodeCounts are the cluster sizes to measure fig4 and fig7 at.
 	NodeCounts []int
 	// ShapeNodeCounts are further sizes measured for one shape only (fig7
 	// registers a client per node, each arrival re-evaluating every resident,
-	// so it cannot follow fig4 to the largest sizes).
+	// so it cannot follow fig4 to the largest sizes). The accommodate shape
+	// has no others, and its sizes are resident counts: the machine is five
+	// nodes per resident, which the residents fill.
 	ShapeNodeCounts map[string][]int
+	// Deadline is how long one accommodation may take before its point, and
+	// every larger one, is recorded as not finished; 0 means 30 s.
+	Deadline time.Duration
 	// MinMeasure is the minimum wall-clock per measurement.
 	MinMeasure time.Duration
 	// MaxIters caps re-evaluation passes per measurement.
@@ -47,7 +54,7 @@ type OptBenchConfig struct {
 // for.
 func DefaultOptBenchConfig() OptBenchConfig {
 	return OptBenchConfig{
-		Shapes:     []string{"fig4", "fig7"},
+		Shapes:     []string{"fig4", "fig7", "accommodate"},
 		NodeCounts: []int{8, 64, 256},
 		MinMeasure: 200 * time.Millisecond,
 		MaxIters:   100,
@@ -76,9 +83,20 @@ type OptBenchPoint struct {
 	PruneDominated   uint64 `json:"prune_dominated"`
 	SerialIters      int    `json:"serial_iters"`
 	ParallelIters    int    `json:"parallel_iters"`
+
+	// An accommodate point has these in place of everything from
+	// ChoicesPerPass on: Residents bags of Choices choices each (workerNodes
+	// 1..Choices) fill the machine, and one more arrives. TrialsPerAccommodation
+	// is the joint search's own count (core.Controller.JointTrials) and repeats
+	// exactly; DNF marks a point whose first accommodation outran the deadline.
+	Residents              int     `json:"residents,omitempty"`
+	Choices                int     `json:"choices,omitempty"`
+	NsPerAccommodation     float64 `json:"ns_per_accommodation,omitempty"`
+	TrialsPerAccommodation uint64  `json:"trials_per_accommodation,omitempty"`
+	DNF                    bool    `json:"dnf,omitempty"`
 }
 
-// OptBenchReport is the machine-readable benchmark output (BENCH_20.json).
+// OptBenchReport is the machine-readable benchmark output (BENCH_21.json).
 // GoMaxProcs is the process's setting, the larger of the two every point is
 // measured at.
 type OptBenchReport struct {
@@ -88,7 +106,10 @@ type OptBenchReport struct {
 	GOARCH     string `json:"goarch"`
 	// Notes is commentary kept with a committed baseline: what the numbers
 	// were measured for and what they showed. A fresh run has none.
-	Notes  []string        `json:"notes,omitempty"`
+	Notes []string `json:"notes,omitempty"`
+	// Parent holds, in a committed baseline, the accommodate points measured
+	// on the parent commit: what the change's points are read against.
+	Parent []OptBenchPoint `json:"parent,omitempty"`
 	Points []OptBenchPoint `json:"points"`
 }
 
@@ -246,6 +267,9 @@ func RunOptBench(cfg OptBenchConfig) (*OptBenchReport, error) {
 		procsList = append(procsList, maxProcs)
 	}
 	for _, shape := range cfg.Shapes {
+		if shape == "accommodate" {
+			continue // measured last, below
+		}
 		for _, nodes := range slices.Concat(cfg.NodeCounts, cfg.ShapeNodeCounts[shape]) {
 			for _, procs := range procsList {
 				runtime.GOMAXPROCS(procs)
@@ -262,7 +286,144 @@ func RunOptBench(cfg OptBenchConfig) (*OptBenchReport, error) {
 			}
 		}
 	}
+	// The accommodate points come last and smallest first: a search that
+	// outruns the deadline cannot be stopped, so nothing is measured beside it.
+	unfinished := false
+	for _, residents := range cfg.ShapeNodeCounts["accommodate"] {
+		for _, choices := range accommodateChoices {
+			for _, procs := range procsList {
+				pt := &OptBenchPoint{Shape: "accommodate", Nodes: 5 * residents, Residents: residents, Choices: choices, DNF: true}
+				if !unfinished {
+					runtime.GOMAXPROCS(procs)
+					var err error
+					if pt, err = runAccommodatePoint(residents, choices, cfg); err != nil {
+						return nil, err
+					}
+					unfinished = pt.DNF
+				}
+				pt.Procs = procs
+				report.Points = append(report.Points, *pt)
+			}
+		}
+	}
 	return report, nil
+}
+
+// accommodateChoices are the choice counts every accommodate point is measured
+// with: a bag may run on 1..5 or on 1..9 workers.
+var accommodateChoices = []int{5, 9}
+
+// runAccommodatePoint measures one arrival on a full machine: residents
+// Figure-4 bags, each on the five exclusive workers that are its optimum, hold
+// all 5 x residents nodes, so the arrival fits nowhere and Register searches
+// the cross product of everybody's choices for the combination that makes
+// room. The departure that follows (not timed) lets the residents grow back,
+// so every accommodation does the same work. The time is the minimum over
+// three blocks, as in measureReevals; a point whose first accommodation alone
+// takes longer than a block is measured by that one.
+func runAccommodatePoint(residents, choices int, cfg OptBenchConfig) (*OptBenchPoint, error) {
+	nodes := 5 * residents
+	pt := &OptBenchPoint{Shape: "accommodate", Nodes: nodes, Apps: residents, Residents: residents, Choices: choices}
+	cl, err := cluster.NewSP2(nodes)
+	if err != nil {
+		return nil, err
+	}
+	clock := simclock.New()
+	ctrl, err := core.New(core.Config{Cluster: cl, Clock: clock, EvalWorkers: 1})
+	if err != nil {
+		clock.Stop()
+		return nil, err
+	}
+	bag := func(job int, work float64) (*rsl.BundleSpec, error) {
+		src, err := figure4RSL(job, choices, work, 1.2)
+		if err != nil {
+			return nil, err
+		}
+		bundles, _, err := rsl.DecodeScript(src)
+		if err != nil {
+			return nil, err
+		}
+		return bundles[0], nil
+	}
+	for job := 1; job <= residents; job++ {
+		b, err := bag(job, 300)
+		if err == nil {
+			_, _, err = ctrl.Register(b)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("optbench accommodate register job %d: %w", job, err)
+		}
+	}
+	arrival, err := bag(residents+1, 310)
+	if err != nil {
+		return nil, err
+	}
+	accommodate := func() (time.Duration, error) {
+		start := time.Now()
+		inst, _, err := ctrl.Register(arrival)
+		took := time.Since(start)
+		if err == nil {
+			_, err = ctrl.Unregister(inst)
+		}
+		return took, err
+	}
+
+	// The first accommodation runs against the deadline. One that outruns it
+	// is left running, with its controller: there is no way to stop it.
+	type outcome struct {
+		took time.Duration
+		err  error
+	}
+	first := make(chan outcome, 1)
+	trials := ctrl.JointTrials()
+	//harmonylint:allow goroutinelife one Register call, which returns when its search does; past the deadline nothing waits for it, by design
+	go func() {
+		took, err := accommodate()
+		first <- outcome{took, err}
+	}()
+	deadline := cfg.Deadline
+	if deadline <= 0 {
+		deadline = 30 * time.Second
+	}
+	var o outcome
+	select {
+	case o = <-first:
+	case <-time.After(deadline):
+		pt.DNF = true
+		return pt, nil
+	}
+	defer clock.Stop()
+	defer ctrl.Stop()
+	if o.err != nil {
+		return nil, fmt.Errorf("optbench accommodate %dx%d: %w", residents, choices, o.err)
+	}
+	pt.TrialsPerAccommodation = ctrl.JointTrials() - trials
+	pt.NsPerAccommodation, pt.SerialIters = float64(o.took.Nanoseconds()), 1
+	if o.took >= cfg.MinMeasure {
+		return pt, nil
+	}
+	pt.SerialIters = 0
+	for block := 0; block < 3; block++ {
+		var total time.Duration
+		n := 0
+		for n == 0 || (total < cfg.MinMeasure && n < cfg.MaxIters) {
+			took, err := accommodate()
+			if err != nil {
+				return nil, fmt.Errorf("optbench accommodate %dx%d: %w", residents, choices, err)
+			}
+			total += took
+			n++
+		}
+		if per := float64(total.Nanoseconds()) / float64(n); block == 0 || per < pt.NsPerAccommodation {
+			pt.NsPerAccommodation = per
+		}
+		pt.SerialIters += n
+	}
+	if got := ctrl.JointTrials() - trials; got != uint64(pt.SerialIters+1)*pt.TrialsPerAccommodation {
+		return nil, fmt.Errorf("optbench accommodate %dx%d: %d trials over %d accommodations, the first took %d: the count does not repeat",
+			residents, choices, got, pt.SerialIters+1, pt.TrialsPerAccommodation)
+	}
+	return pt, nil
 }
 
 func runOptBenchPoint(shape string, nodes, parWorkers int, minDur time.Duration, maxIters int) (*OptBenchPoint, error) {
@@ -332,6 +493,16 @@ func runOptBenchPoint(shape string, nodes, parWorkers int, minDur time.Duration,
 func OptBenchResult(report *OptBenchReport) *Result {
 	res := &Result{ID: "B3", Title: "optimizer hot path: serial vs parallel snapshot evaluation"}
 	for _, p := range report.Points {
+		if p.Shape == "accommodate" {
+			took := "did not finish"
+			if !p.DNF {
+				took = fmt.Sprintf("%.3fms trials=%d ns/trial=%.0f", p.NsPerAccommodation/1e6, p.TrialsPerAccommodation,
+					p.NsPerAccommodation/float64(p.TrialsPerAccommodation))
+			}
+			res.Rows = append(res.Rows, fmt.Sprintf("%-5s n=%-4d procs=%-2d residents=%d choices=%d accommodation=%s",
+				"accom", p.Nodes, p.Procs, p.Residents, p.Choices, took))
+			continue
+		}
 		pruned := p.PruneUnreachable + p.PruneDominated
 		prunedPct := 0.0
 		if p.PruneConsidered > 0 {
@@ -345,6 +516,10 @@ func OptBenchResult(report *OptBenchReport) *Result {
 	}
 	allPositive := true
 	for _, p := range report.Points {
+		if p.Shape == "accommodate" {
+			allPositive = allPositive && (p.DNF || (p.NsPerAccommodation > 0 && p.TrialsPerAccommodation > 0))
+			continue
+		}
 		if !(p.SerialEvalsPerSec > 0 && p.ParallelEvalsPerSec > 0) {
 			allPositive = false
 		}

@@ -72,3 +72,51 @@ func TestOptBenchRejectsEmptyConfig(t *testing.T) {
 		t.Fatal("empty config accepted")
 	}
 }
+
+// TestOptBenchAccommodate measures the joint search beside two residents and
+// checks the count it is reported in: 5 choices tried under each of the
+// 1 + 5 + 25 inner nodes, 9 under each of 1 + 9 + 45 (a third bag only fits
+// beside two that leave it a node), the same at every accommodation.
+func TestOptBenchAccommodate(t *testing.T) {
+	cfg := OptBenchConfig{
+		Shapes:          []string{"accommodate"},
+		ShapeNodeCounts: map[string][]int{"accommodate": {2}},
+		MinMeasure:      5 * time.Millisecond,
+		MaxIters:        3,
+	}
+	rep, err := RunOptBench(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]uint64{5: 155, 9: 495}
+	for _, p := range rep.Points {
+		if p.Shape != "accommodate" || p.Nodes != 10 || p.Residents != 2 || p.DNF {
+			t.Fatalf("unexpected point: %+v", p)
+		}
+		if p.TrialsPerAccommodation != want[p.Choices] || !(p.NsPerAccommodation > 0) || p.SerialIters < 1 {
+			t.Errorf("%d choices: %+v, want %d trials", p.Choices, p, want[p.Choices])
+		}
+	}
+	if n := len(rep.Points); n != 2 && n != 4 {
+		t.Fatalf("points = %d, want one per choice count and GOMAXPROCS setting", n)
+	}
+	if res := OptBenchResult(rep); !res.Passed() || len(res.Rows) != len(rep.Points) {
+		t.Fatalf("result formatting broken: %+v", res)
+	}
+
+	// An accommodation that outruns the deadline is reported as such, and so
+	// is every point after it, unmeasured.
+	cfg.Deadline = time.Nanosecond
+	rep, err = RunOptBench(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rep.Points {
+		if !p.DNF || p.NsPerAccommodation != 0 {
+			t.Errorf("point past the deadline: %+v", p)
+		}
+	}
+	if res := OptBenchResult(rep); !res.Passed() {
+		t.Fatalf("unfinished points fail the report: %+v", res)
+	}
+}

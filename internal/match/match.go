@@ -169,18 +169,35 @@ func (a *Assignment) MemoryEnv() rsl.MapEnv {
 	return env
 }
 
-// NoFitError reports why an option could not be placed.
+// NoFitError reports why an option could not be placed. It holds what the
+// message is made of and writes it when asked: a search tries many placements
+// that do not fit and reads the reason of at most one.
 type NoFitError struct {
 	Option string
-	Reason string
+
+	// format picks what the message quotes from the operands by index: %[1]s to
+	// %[3]s are a, b and c, %[4]g and %[5]g are x and y, %[6]v is err.
+	format  string
+	a, b, c string
+	x, y    float64
+	err     error
+	// spec and replica, when replica is not 0, name the replica of a node spec
+	// that no machine would take.
+	spec    string
+	replica int
 }
 
 func (e *NoFitError) Error() string {
-	return fmt.Sprintf("match: option %q does not fit: %s", e.Option, e.Reason)
+	return fmt.Sprintf("match: option %q does not fit: %s", e.Option, e.Reason())
 }
 
-func noFit(option, format string, args ...any) error {
-	return &NoFitError{Option: option, Reason: fmt.Sprintf(format, args...)}
+// Reason is why the option does not fit, without naming the option.
+func (e *NoFitError) Reason() string {
+	why := fmt.Sprintf(e.format, e.a, e.b, e.c, e.x, e.y, e.err)
+	if e.replica > 0 {
+		return fmt.Sprintf("node %s replica %d: %s", e.spec, e.replica, why)
+	}
+	return why
 }
 
 // Request carries everything needed to place one option.
@@ -219,23 +236,26 @@ func (m *Matcher) WithView(view resource.View) *Matcher {
 	return &Matcher{ledger: view, strategy: m.strategy}
 }
 
-// Scan is one view's node table as Match reads it: the rows in hostname
+// Scan is one state's node table as Match reads it: the rows in hostname
 // order, the order the strategy scans them in, and their free memory and load
-// as columns. It holds for the state of the view it was built from and for no
-// other, so whoever owns it resets it whenever that state changes. Between
-// resets any number of goroutines may Match over it at once: a call reads the
-// rows (health, OS, hostname) where they are and charges the replicas it
-// places to its own copy of the two columns, so nothing a call does is seen by
-// another. The order and the columns are built by the first call whose option
-// has a wildcard spec; options that name every host never need them.
+// as columns. It holds for the state it was aimed at and for no other, so
+// whoever owns it resets it whenever that state changes. Between resets any
+// number of goroutines may Match over it at once: a call reads the rows
+// (health, OS, hostname) where they are and charges the replicas it places to
+// its own copy of the two columns, so nothing a call does is seen by another.
+// The order is built by the first call whose option has a wildcard spec;
+// options that name every host never need it.
 type Scan struct {
 	snap     *resource.Snapshot
 	strategy Strategy
 	rows     []resource.NodeState
+	// cols, when set, is where free memory and load are read from in place of
+	// the rows' own: the snapshot's state with trial reservations on top.
+	cols *resource.Columns
 
 	once   sync.Once
 	order  []int32
-	free   []float64
+	free   []float64 // the rows' own, read out when cols is nil
 	load   []float64
 	builds int
 }
@@ -243,10 +263,12 @@ type Scan struct {
 // Reset aims the scan at a snapshot, to be scanned in the strategy's order.
 // rows must be the snapshot's node table (AppendNodes) and must not change
 // while the scan is in use; it is not read for options that name every host,
-// so a caller that only matches those may pass nil. Reset must not run beside
-// Match.
-func (s *Scan) Reset(snap *resource.Snapshot, strategy Strategy, rows []resource.NodeState) {
-	s.snap, s.strategy, s.rows = snap, strategy, rows
+// so a caller that only matches those may pass nil. cols, when not nil, holds
+// the free memory and load to match against by node index — the rows then give
+// only what a reservation cannot change — and must hold still until the next
+// Reset. Reset must not run beside Match.
+func (s *Scan) Reset(snap *resource.Snapshot, strategy Strategy, rows []resource.NodeState, cols *resource.Columns) {
+	s.snap, s.strategy, s.rows, s.cols = snap, strategy, rows, cols
 	s.once = sync.Once{}
 }
 
@@ -254,18 +276,29 @@ func (s *Scan) Reset(snap *resource.Snapshot, strategy Strategy, rows []resource
 // scan was made: at most once per Reset.
 func (s *Scan) Builds() int { return s.builds }
 
-// build orders the rows and reads their columns out. Nodes are scanned
-// least-loaded first (so concurrent applications spread onto idle machines),
-// with the configured strategy breaking ties: first-fit by hostname, best-fit
-// by least free memory, worst-fit by most free memory.
+// build orders the rows. Nodes are scanned least-loaded first (so concurrent
+// applications spread onto idle machines), with the configured strategy
+// breaking ties: first-fit by hostname, best-fit by least free memory,
+// worst-fit by most free memory.
 func (s *Scan) build() {
 	s.builds++
-	s.order = scanOrder(s.strategy, s.rows, s.order[:0])
-	s.free, s.load = s.free[:0], s.load[:0]
-	for i := range s.rows {
-		s.free = append(s.free, s.rows[i].FreeMemoryMB)
-		s.load = append(s.load, s.rows[i].CPULoad)
+	if s.cols == nil {
+		s.free, s.load = s.free[:0], s.load[:0]
+		for i := range s.rows {
+			s.free = append(s.free, s.rows[i].FreeMemoryMB)
+			s.load = append(s.load, s.rows[i].CPULoad)
+		}
 	}
+	free, load := s.columns()
+	s.order = scanOrder(s.strategy, load, free, s.order[:0])
+}
+
+// columns returns the free memory and load Match starts from, by row.
+func (s *Scan) columns() (free, load []float64) {
+	if s.cols != nil {
+		return s.cols.FreeMemoryMB, s.cols.CPULoad
+	}
+	return s.free, s.load
 }
 
 // table is the node table of one Match call.
@@ -303,10 +336,10 @@ type scratch struct {
 	// used marks rows the request may not take: excluded by the caller, or
 	// already given to a wildcard replica of this request.
 	used []bool
-	// seconds is each node spec's CPU requirement, by spec index.
-	seconds []float64
 	// hosts is the node index of each distinct host placed, in placement order.
 	hosts []int32
+	// plan is the request of a Match call, resolved.
+	plan Plan
 	// own is the scan of a Match call that was not given one.
 	own     Scan
 	ownRows []resource.NodeState
@@ -314,8 +347,7 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// demand is what one node spec asks of a machine, resolved once per spec
-// instead of once per replica.
+// demand is what one node spec asks of a machine.
 type demand struct {
 	pattern     string // spec.HostPattern
 	wildcard    bool
@@ -325,6 +357,209 @@ type demand struct {
 	hasHostname bool
 	grant       float64
 	exclusive   bool
+}
+
+// Plan is a Request with everything that does not depend on where the option
+// lands worked out once — replica counts, memory grants, seconds, busy
+// fractions, what each spec asks of a machine, link bandwidths and latency
+// bounds — so that trying the option against one more state is a scan over
+// columns and no expression is evaluated again. A request that cannot be
+// resolved still makes a plan: placing it fails where, and in the words,
+// matching the request spec by spec would have.
+type Plan struct {
+	opt     *rsl.OptionSpec
+	env     rsl.Env
+	exclude map[string]bool
+
+	specs []planSpec
+	nodes int // replicas over all specs
+	// fail is why resolving stopped at node spec len(specs). It is reported
+	// once every spec before it is placed.
+	fail *NoFitError
+
+	// The links are resolved when a placement first gets as far as needing
+	// them: they read the granted memory, and a plan placed once (Match) whose
+	// nodes do not fit should not pay for them.
+	linked bool
+	links  []planLink
+	comm   float64
+	// linkFail is why resolving stopped at link len(links), or at the
+	// communication tag when every link resolved.
+	linkFail *NoFitError
+}
+
+// planSpec is one node spec, resolved.
+type planSpec struct {
+	local    string
+	replicas int
+	demand   demand
+	seconds  float64
+	cpuLoad  float64
+}
+
+// planLink is one link spec, resolved. a and b are the ends' places in
+// Assignment.Nodes.
+type planLink struct {
+	spec   *rsl.LinkSpec
+	a, b   int
+	bw     float64
+	maxLat float64
+	latErr error
+}
+
+// NewPlan resolves a request for any number of Place calls.
+func NewPlan(req Request) *Plan {
+	p := new(Plan)
+	p.resolve(req)
+	return p
+}
+
+// resolve makes p the plan of req, reusing p's storage.
+func (p *Plan) resolve(req Request) {
+	opt := req.Option
+	*p = Plan{opt: opt, env: req.Env, exclude: req.ExcludeHosts, specs: p.specs[:0], links: p.links[:0]}
+
+	// CPU demand per node spec is the node's busy fraction of the job:
+	// the share of the job's critical-path seconds spent there. A database
+	// server doing 1 of a job's 10 seconds is charged 0.1 CPUs, not 1.0.
+	maxSeconds := 0.0
+	for i := range opt.Nodes {
+		spec := &opt.Nodes[i]
+		ps := planSpec{local: spec.LocalName}
+		var err error
+		if ps.replicas, err = replicaCount(spec, req.Env); err != nil {
+			p.fail = specFailed(spec, err)
+			return
+		}
+		needMem, memOp, err := memoryRequirement(spec, req.Env)
+		if err != nil {
+			p.fail = specFailed(spec, err)
+			return
+		}
+		grant := needMem
+		if g, ok := req.MemoryGrants[spec.LocalName]; ok {
+			bound := "differs from exact requirement"
+			switch memOp {
+			case rsl.OpMin:
+				ok, bound = !(g < needMem), "below minimum"
+			case rsl.OpMax:
+				ok, bound = !(g > needMem), "above maximum"
+			default:
+				ok = g == needMem
+			}
+			if !ok {
+				p.fail = &NoFitError{format: "node %[1]s: grant %[4]g MB %[2]s %[5]g MB", a: spec.LocalName, b: bound, x: g, y: needMem}
+				return
+			}
+			grant = g
+		}
+		if ps.seconds, err = secondsRequirement(spec, req.Env); err != nil {
+			p.fail = specFailed(spec, err)
+			return
+		}
+		exclusive, err := exclusiveRequirement(spec, req.Env)
+		if err != nil {
+			p.fail = specFailed(spec, err)
+			return
+		}
+		if ps.seconds > maxSeconds {
+			maxSeconds = ps.seconds
+		}
+		d := demand{pattern: spec.HostPattern, wildcard: spec.HostPattern == "*", grant: grant, exclusive: exclusive}
+		if tag, ok := spec.Tags["os"]; ok && tag.IsString {
+			d.os, d.hasOS = tag.Str, true
+		}
+		if tag, ok := spec.Tags["hostname"]; ok && tag.IsString {
+			d.hostname, d.hasHostname = tag.Str, true
+		}
+		ps.demand = d
+		p.specs = append(p.specs, ps)
+		p.nodes += ps.replicas
+	}
+	// Busy-fraction CPU loads, now that the critical path is known. Two specs
+	// may share a local name; the later one's requirement stands for both.
+	for i := range p.specs {
+		ps := &p.specs[i]
+		ps.cpuLoad = DefaultCPULoad
+		if maxSeconds > 0 {
+			ps.cpuLoad = p.specs[p.last(ps.local)].seconds / maxSeconds
+		}
+	}
+}
+
+// specFailed is the misfit of a node spec one of whose requirements cannot be
+// evaluated, or evaluates to something no machine could be asked for.
+func specFailed(spec *rsl.NodeSpec, err error) *NoFitError {
+	return &NoFitError{format: "node %[1]s: %[6]v", a: spec.LocalName, err: err}
+}
+
+// last finds the last node spec called local, -1 when there is none.
+func (p *Plan) last(local string) int {
+	for i := len(p.specs) - 1; i >= 0; i-- {
+		if p.specs[i].local == local {
+			return i
+		}
+	}
+	return -1
+}
+
+// resolveLinks evaluates the option's links and communication tag with the
+// granted memory visible to the expressions (Assignment.MemoryEnv, which does
+// not depend on the hosts).
+func (p *Plan) resolveLinks() {
+	p.linked = true
+	granted := make(rsl.MapEnv, 2*len(p.specs))
+	for i := range p.specs {
+		granted[p.specs[i].local+".memory"] = p.specs[i].demand.grant
+		granted[p.specs[i].local+".seconds"] = p.specs[i].seconds
+	}
+	linkEnv := rsl.ChainEnv{granted, p.env}
+	for i := range p.opt.Links {
+		ls := &p.opt.Links[i]
+		// A link joins the first placements of its two node specs.
+		l := planLink{spec: ls, a: p.offset(ls.A), b: p.offset(ls.B)}
+		if l.a < 0 || l.b < 0 {
+			p.linkFail = &NoFitError{format: "link %[1]s-%[2]s references unknown node name", a: ls.A, b: ls.B}
+			return
+		}
+		var err error
+		if l.bw, err = ls.Bandwidth.Eval(linkEnv); err != nil {
+			p.linkFail = &NoFitError{format: "link %[1]s-%[2]s bandwidth: %[6]v", a: ls.A, b: ls.B, err: err}
+			return
+		}
+		if l.bw < 0 {
+			p.linkFail = &NoFitError{format: "link %[1]s-%[2]s bandwidth %[4]g is negative", a: ls.A, b: ls.B, x: l.bw}
+			return
+		}
+		if ls.Latency != nil {
+			l.maxLat, l.latErr = ls.Latency.Eval(linkEnv)
+		}
+		p.links = append(p.links, l)
+	}
+	if p.opt.Communication != nil {
+		comm, err := p.opt.Communication.Eval(linkEnv)
+		switch {
+		case err != nil:
+			p.linkFail = &NoFitError{format: "communication: %[6]v", err: err}
+		case comm < 0:
+			p.linkFail = &NoFitError{format: "communication %[4]g is negative", x: comm}
+		default:
+			p.comm = comm
+		}
+	}
+}
+
+// offset is the place in Assignment.Nodes of the first placement of the node
+// spec called local, -1 when there is none.
+func (p *Plan) offset(local string) int {
+	at := 0
+	for i := range p.specs {
+		if p.specs[i].local == local {
+			return at
+		}
+		at += p.specs[i].replicas
+	}
+	return -1
 }
 
 // Match computes a first-fit assignment without reserving anything. Use
@@ -339,12 +574,12 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 	if !namesEveryHost(req.Option) {
 		sc.ownRows = m.ledger.AppendNodes(sc.ownRows)
 	}
-	sc.own.Reset(m.ledger.Indexed(), m.Strategy(), sc.ownRows)
+	sc.own.Reset(m.ledger.Indexed(), m.Strategy(), sc.ownRows, nil)
 	return sc.own.match(req, sc)
 }
 
-// Match is Matcher.Match over the scan's snapshot, sharing the scan with
-// every other call instead of reading and ordering the table again.
+// Match is Matcher.Match over the scan's state, sharing the scan with every
+// other call instead of reading and ordering the table again.
 func (s *Scan) Match(req Request) (*Assignment, error) {
 	if req.Option == nil {
 		return nil, errors.New("match: nil option")
@@ -355,182 +590,139 @@ func (s *Scan) Match(req Request) (*Assignment, error) {
 }
 
 func (s *Scan) match(req Request, sc *scratch) (*Assignment, error) {
-	opt := req.Option
+	sc.plan.resolve(req)
+	asg := new(Assignment)
+	var why NoFitError
+	if !s.place(&sc.plan, asg, sc, &why) {
+		err := why
+		err.Option = req.Option.Name
+		return nil, &err
+	}
+	return asg, nil
+}
+
+// Place is Match for a request resolved beforehand, into an assignment the
+// caller owns and may hand in again and again: what asg held is overwritten,
+// and is of no use when the plan does not fit. That is all Place reports of a
+// misfit, which costs it no formatting and no allocation.
+func (s *Scan) Place(p *Plan, asg *Assignment) bool {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return s.place(p, asg, sc, nil)
+}
+
+// place places the plan over the scan's state, leaving in why, when it is not
+// nil, the reason it does not fit.
+func (s *Scan) place(p *Plan, asg *Assignment, sc *scratch, why *NoFitError) bool {
+	misfit := func(e NoFitError) bool {
+		if why != nil {
+			*why = e
+		}
+		return false
+	}
+	opt := p.opt
 	snap := s.snap
-	asg := &Assignment{Option: opt.Name}
+	*asg = Assignment{Option: opt.Name, Nodes: asg.Nodes[:0], Links: asg.Links[:0], comm: asg.comm[:0]}
 
 	var t table
 	if namesEveryHost(opt) {
-		t = sc.namedTable(snap, opt)
+		t = s.namedTable(sc, opt)
 	} else {
 		s.once.Do(s.build)
-		sc.free = append(sc.free[:0], s.free...)
-		sc.load = append(sc.load[:0], s.load...)
+		free, load := s.columns()
+		sc.free = append(sc.free[:0], free...)
+		sc.load = append(sc.load[:0], load...)
 		t = table{rows: s.rows, order: s.order, free: sc.free, load: sc.load}
 	}
 	sc.used = append(sc.used[:0], make([]bool, len(t.rows))...)
 	used := sc.used
-	for host, excluded := range req.ExcludeHosts {
+	for host, excluded := range p.exclude {
 		if i, ok := resource.FindNode(t.rows, host); ok && excluded {
 			used[i] = true
 		}
 	}
 
-	// CPU demand per node spec is the node's busy fraction of the job:
-	// the share of the job's critical-path seconds spent there. A database
-	// server doing 1 of a job's 10 seconds is charged 0.1 CPUs, not 1.0.
-	sc.seconds = sc.seconds[:0]
-	maxSeconds := 0.0
-
-	for i := range opt.Nodes {
-		spec := &opt.Nodes[i]
-		replicas, err := replicaCount(spec, req.Env)
-		if err != nil {
-			return nil, noFit(opt.Name, "node %s: %v", spec.LocalName, err)
-		}
-		needMem, memOp, err := memoryRequirement(spec, req.Env)
-		if err != nil {
-			return nil, noFit(opt.Name, "node %s: %v", spec.LocalName, err)
-		}
-		grant := needMem
-		if g, ok := req.MemoryGrants[spec.LocalName]; ok {
-			switch memOp {
-			case rsl.OpMin:
-				if g < needMem {
-					return nil, noFit(opt.Name, "node %s: grant %g MB below minimum %g MB", spec.LocalName, g, needMem)
-				}
-				grant = g
-			case rsl.OpMax:
-				if g > needMem {
-					return nil, noFit(opt.Name, "node %s: grant %g MB above maximum %g MB", spec.LocalName, g, needMem)
-				}
-				grant = g
-			default:
-				if g != needMem {
-					return nil, noFit(opt.Name, "node %s: grant %g MB differs from exact requirement %g MB", spec.LocalName, g, needMem)
-				}
-			}
-		}
-		seconds, err := secondsRequirement(spec, req.Env)
-		if err != nil {
-			return nil, noFit(opt.Name, "node %s: %v", spec.LocalName, err)
-		}
-		exclusive, err := exclusiveRequirement(spec, req.Env)
-		if err != nil {
-			return nil, noFit(opt.Name, "node %s: %v", spec.LocalName, err)
-		}
-
-		sc.seconds = append(sc.seconds, seconds)
-		if seconds > maxSeconds {
-			maxSeconds = seconds
-		}
-
-		d := demand{pattern: spec.HostPattern, wildcard: spec.HostPattern == "*", grant: grant, exclusive: exclusive}
-		if tag, ok := spec.Tags["os"]; ok && tag.IsString {
-			d.os, d.hasOS = tag.Str, true
-		}
-		if tag, ok := spec.Tags["hostname"]; ok && tag.IsString {
-			d.hostname, d.hasHostname = tag.Str, true
-		}
-
-		if asg.Nodes == nil {
-			asg.Nodes = make([]NodeAssignment, 0, replicas)
-		}
+	asg.Nodes = slices.Grow(asg.Nodes, p.nodes)
+	for i := range p.specs {
+		ps := &p.specs[i]
 		// A node that turned one replica of this spec away turns the next
 		// away too (capacity only shrinks within a call), so each replica's
 		// scan resumes where the last one stopped instead of at the front.
 		from := 0
-		for r := 0; r < replicas; r++ {
-			from, err = firstFit(&t, from, &d, used)
-			if err != nil {
-				return nil, noFit(opt.Name, "node %s replica %d: %v", spec.LocalName, r+1, err)
+		for r := 0; r < ps.replicas; r++ {
+			var ok bool
+			if from, ok = firstFit(&t, from, &ps.demand, used, why); !ok {
+				if why != nil {
+					why.spec, why.replica = ps.local, r+1
+				}
+				return false
 			}
 			// Fixed-host specs may stack multiple local names on the same
 			// machine; wildcard placements take distinct hosts.
 			row := t.order[from]
-			if d.wildcard {
+			if ps.demand.wildcard {
 				used[row] = true
 			}
 			asg.Nodes = append(asg.Nodes, NodeAssignment{
-				LocalName: spec.LocalName,
+				LocalName: ps.local,
 				Hostname:  t.rows[row].Node.Hostname,
-				Seconds:   seconds,
-				MemoryMB:  grant,
+				Seconds:   ps.seconds,
+				MemoryMB:  ps.demand.grant,
+				CPULoad:   ps.cpuLoad,
 				pos:       t.at(row),
 			})
 		}
 	}
+	if p.fail != nil {
+		return misfit(*p.fail)
+	}
 	asg.topo = snap.Topology()
-
-	// Assign busy-fraction CPU loads now that the critical path is known.
-	for i := range asg.Nodes {
-		if maxSeconds > 0 {
-			asg.Nodes[i].CPULoad = secondsOf(opt, sc.seconds, asg.Nodes[i].LocalName) / maxSeconds
-		} else {
-			asg.Nodes[i].CPULoad = DefaultCPULoad
-		}
-	}
 	if len(opt.Links) == 0 && opt.Communication == nil {
-		return asg, nil
+		return true
 	}
 
-	// Evaluate links with granted memory visible to the expressions.
-	linkEnv := rsl.ChainEnv{asg.MemoryEnv(), req.Env}
-	for i := range opt.Links {
-		ls := &opt.Links[i]
-		a, okA := nodeFor(asg, ls.A)
-		b, okB := nodeFor(asg, ls.B)
-		if !okA || !okB {
-			return nil, noFit(opt.Name, "link %s-%s references unknown node name", ls.A, ls.B)
-		}
-		bw, err := ls.Bandwidth.Eval(linkEnv)
-		if err != nil {
-			return nil, noFit(opt.Name, "link %s-%s bandwidth: %v", ls.A, ls.B, err)
-		}
-		if bw < 0 {
-			return nil, noFit(opt.Name, "link %s-%s bandwidth %g is negative", ls.A, ls.B, bw)
-		}
+	if !p.linked {
+		p.resolveLinks()
+	}
+	for i := range p.links {
+		l := &p.links[i]
+		a, b := &asg.Nodes[l.a], &asg.Nodes[l.b]
 		la := LinkAssignment{
-			LocalA: ls.A, LocalB: ls.B,
+			LocalA: l.spec.A, LocalB: l.spec.B,
 			HostA: a.Hostname, HostB: b.Hostname,
-			BandwidthMbps: bw,
+			BandwidthMbps: l.bw,
 		}
 		if a.pos != b.pos {
 			id, ok := snap.LinkBetween(int(a.pos), int(b.pos))
 			if !ok {
-				return nil, noFit(opt.Name, "no link between %s and %s", la.HostA, la.HostB)
+				return misfit(NoFitError{format: "no link between %[1]s and %[2]s", a: la.HostA, b: la.HostB})
 			}
 			link := snap.LinkAt(id)
-			if bw > link.BandwidthMbps {
-				return nil, noFit(opt.Name, "link %s-%s needs %g Mbps, capacity %g Mbps",
-					la.HostA, la.HostB, bw, link.BandwidthMbps)
+			if l.bw > link.BandwidthMbps {
+				return misfit(NoFitError{format: "link %[1]s-%[2]s needs %[4]g Mbps, capacity %[5]g Mbps",
+					a: la.HostA, b: la.HostB, x: l.bw, y: link.BandwidthMbps})
 			}
-			if ls.Latency != nil {
-				maxLat, err := ls.Latency.Eval(linkEnv)
-				if err != nil {
-					return nil, noFit(opt.Name, "link %s-%s latency: %v", ls.A, ls.B, err)
+			if l.spec.Latency != nil {
+				if l.latErr != nil {
+					return misfit(NoFitError{format: "link %[1]s-%[2]s latency: %[6]v", a: l.spec.A, b: l.spec.B, err: l.latErr})
 				}
-				if link.LatencyMs > maxLat {
-					return nil, noFit(opt.Name, "link %s-%s latency %g ms exceeds %g ms",
-						la.HostA, la.HostB, link.LatencyMs, maxLat)
+				if link.LatencyMs > l.maxLat {
+					return misfit(NoFitError{format: "link %[1]s-%[2]s latency %[4]g ms exceeds %[5]g ms",
+						a: la.HostA, b: la.HostB, x: link.LatencyMs, y: l.maxLat})
 				}
 			}
 			la.id = int32(id)
 		}
 		asg.Links = append(asg.Links, la)
 	}
+	if p.linkFail != nil {
+		return misfit(*p.linkFail)
+	}
 
 	// Aggregate communication: all assigned hosts must be fully connected
 	// (Section 3.3: "communication is general and all nodes must be fully
 	// connected").
 	if opt.Communication != nil {
-		comm, err := opt.Communication.Eval(linkEnv)
-		if err != nil {
-			return nil, noFit(opt.Name, "communication: %v", err)
-		}
-		if comm < 0 {
-			return nil, noFit(opt.Name, "communication %g is negative", comm)
-		}
 		// The distinct hosts in placement order: Hosts(), by index.
 		hosts := sc.hosts[:0]
 		for i := range asg.Nodes {
@@ -539,21 +731,22 @@ func (s *Scan) match(req Request, sc *scratch) (*Assignment, error) {
 			}
 		}
 		sc.hosts = hosts
-		asg.comm = make([]int32, 0, len(hosts)*(len(hosts)-1)/2)
+		if asg.comm == nil {
+			asg.comm = make([]int32, 0, len(hosts)*(len(hosts)-1)/2)
+		}
 		for i := 0; i < len(hosts); i++ {
 			for j := i + 1; j < len(hosts); j++ {
 				id, ok := snap.LinkBetween(int(hosts[i]), int(hosts[j]))
 				if !ok {
-					return nil, noFit(opt.Name, "communication requires link %s-%s",
-						snap.NodeAt(int(hosts[i])).Hostname, snap.NodeAt(int(hosts[j])).Hostname)
+					return misfit(NoFitError{format: "communication requires link %[1]s-%[2]s",
+						a: snap.NodeAt(int(hosts[i])).Hostname, b: snap.NodeAt(int(hosts[j])).Hostname})
 				}
 				asg.comm = append(asg.comm, int32(id))
 			}
 		}
-		asg.CommunicationMbps = comm
+		asg.CommunicationMbps = p.comm
 	}
-
-	return asg, nil
+	return true
 }
 
 // namesEveryHost reports whether no node spec of the option is a wildcard.
@@ -574,7 +767,7 @@ func namesEveryHost(opt *rsl.OptionSpec) bool {
 // stacked replica finds left there, or why it is turned away. The rows stay
 // in hostname order, as firstFit's callers expect of the table; a host that
 // is not registered has no row, which is how firstFit learns of it.
-func (sc *scratch) namedTable(snap *resource.Snapshot, opt *rsl.OptionSpec) table {
+func (s *Scan) namedTable(sc *scratch, opt *rsl.OptionSpec) table {
 	sc.rows, sc.order, sc.pos = sc.rows[:0], sc.order[:0], sc.pos[:0]
 	for i := range opt.Nodes {
 		host := opt.Nodes[i].HostPattern
@@ -582,18 +775,40 @@ func (sc *scratch) namedTable(snap *resource.Snapshot, opt *rsl.OptionSpec) tabl
 		if dup {
 			continue
 		}
-		if pos, ok := snap.NodeIndex(host); ok {
-			sc.rows = slices.Insert(sc.rows, row, snap.StateAt(pos))
+		if pos, ok := s.snap.NodeIndex(host); ok {
+			sc.rows = slices.Insert(sc.rows, row, s.snap.StateAt(pos))
 			sc.pos = slices.Insert(sc.pos, row, int32(pos))
 		}
 	}
 	sc.free, sc.load = sc.free[:0], sc.load[:0]
 	for i := range sc.rows {
 		sc.order = append(sc.order, int32(i))
-		sc.free = append(sc.free, sc.rows[i].FreeMemoryMB)
-		sc.load = append(sc.load, sc.rows[i].CPULoad)
+		free, load := sc.rows[i].FreeMemoryMB, sc.rows[i].CPULoad
+		if s.cols != nil {
+			free, load = s.cols.FreeMemoryMB[sc.pos[i]], s.cols.CPULoad[sc.pos[i]]
+		}
+		sc.free = append(sc.free, free)
+		sc.load = append(sc.load, load)
 	}
 	return table{rows: sc.rows, order: sc.order, free: sc.free, load: sc.load, pos: sc.pos}
+}
+
+// Clone returns a copy of the assignment that shares no storage with it, for
+// a caller that is about to place into a again.
+func (a *Assignment) Clone() *Assignment {
+	c := *a
+	// An empty list is nil in an assignment Match returns, and is encoded so.
+	c.Nodes, c.Links, c.comm = nil, nil, nil
+	if len(a.Nodes) > 0 {
+		c.Nodes = slices.Clone(a.Nodes)
+	}
+	if len(a.Links) > 0 {
+		c.Links = slices.Clone(a.Links)
+	}
+	if len(a.comm) > 0 {
+		c.comm = slices.Clone(a.comm)
+	}
+	return &c
 }
 
 // appendClaims appends the claims that reserving the assignment makes.
@@ -629,23 +844,25 @@ func (m *Matcher) Reserve(owner string, asg *Assignment) (*resource.Claim, error
 // ReserveColumns charges the assignment to cols, which hold snap's state or
 // what earlier trials made of it, as Reserve charges it to a view: the same
 // claims in the same order through the same checks, so a refusal reads the
-// same. Nothing records the charge; the columns are the caller's to discard.
-func ReserveColumns(cols *resource.Columns, snap *resource.Snapshot, owner string, asg *Assignment) error {
+// same. Nothing records the charge but undo, when it is not nil, for
+// Columns.Restore to take it back; otherwise the columns are the caller's to
+// discard.
+func ReserveColumns(cols *resource.Columns, snap *resource.Snapshot, owner string, asg *Assignment, undo *resource.Undo) error {
 	var (
 		nodeBuf [32]resource.NodeClaim
 		linkBuf [8]resource.LinkClaim
 		atBuf   [40]int32
 	)
 	nodeClaims, linkClaims := asg.appendClaims(nodeBuf[:0], linkBuf[:0])
-	if err := cols.Reserve(nodeClaims, linkClaims, asg.Places(snap, atBuf[:0])); err != nil {
+	if err := cols.Charge(nodeClaims, linkClaims, asg.Places(snap, atBuf[:0]), undo); err != nil {
 		return fmt.Errorf("match: reserve %s: %w", owner, err)
 	}
 	return nil
 }
 
 // rejection is why firstFit passed over a node. Only the last one is ever
-// reported, so the scan records the kind and the text is built once, on
-// failure, instead of once per node passed over.
+// reported, so the scan records the kind and the message is put together once,
+// on failure, instead of once per node passed over.
 type rejection int
 
 const (
@@ -661,11 +878,12 @@ const (
 // the first machine satisfying the demand, and returns its place in order:
 // where the next replica of the same spec resumes. The machine found is
 // looked at again then, so a wildcard spec that runs out of machines still
-// reports the last one it passed over, as a scan from the front would.
-// Exclusive specs — the paper's space-shared parallel workers, which the SP-2
-// allocator dedicates whole nodes to — only accept idle machines.
-func firstFit(t *table, from int, d *demand, used []bool) (int, error) {
-	why, whyAt := rejectNone, 0
+// reports the last one it passed over, as a scan from the front would. When
+// there is none it leaves the reason in why, unless why is nil. Exclusive
+// specs — the paper's space-shared parallel workers, which the SP-2 allocator
+// dedicates whole nodes to — only accept idle machines.
+func firstFit(t *table, from int, d *demand, used []bool, why *NoFitError) (int, bool) {
+	reject, whyAt := rejectNone, 0
 	for k := from; k < len(t.order); k++ {
 		i := int(t.order[k])
 		ns := &t.rows[i]
@@ -676,21 +894,21 @@ func firstFit(t *table, from int, d *demand, used []bool) (int, error) {
 		case ns.Health != resource.HealthUp:
 			// Draining and down nodes accept no new placements; existing
 			// claims on a draining node survive until their owner moves.
-			why, whyAt = rejectHealth, i
+			reject, whyAt = rejectHealth, i
 			continue
 		case d.wildcard && used[i]:
-			why, whyAt = rejectUsed, i
+			reject, whyAt = rejectUsed, i
 			continue
 		case d.hasOS && d.os != ns.Node.OS:
-			why, whyAt = rejectOS, i
+			reject, whyAt = rejectOS, i
 			continue
 		case d.hasHostname && d.hostname != host:
 			continue
 		case t.free[i] < d.grant:
-			why, whyAt = rejectMemory, i
+			reject, whyAt = rejectMemory, i
 			continue
 		case d.exclusive && t.load[i] > 0:
-			why, whyAt = rejectBusy, i
+			reject, whyAt = rejectBusy, i
 			continue
 		}
 		// Found: charge the call's columns so later replicas in this same
@@ -699,49 +917,33 @@ func firstFit(t *table, from int, d *demand, used []bool) (int, error) {
 		if d.exclusive {
 			t.load[i] += DefaultCPULoad
 		}
-		return k, nil
+		return k, true
 	}
-	if why == rejectNone {
-		if !d.wildcard {
-			return 0, fmt.Errorf("host %s not registered", d.pattern)
+	if why == nil {
+		return 0, false
+	}
+	if reject == rejectNone {
+		*why = NoFitError{format: "host %[1]s not registered", a: d.pattern}
+		if d.wildcard {
+			*why = NoFitError{format: "%[1]s", a: "no registered hosts"}
 		}
-		return 0, errors.New("no registered hosts")
+		return 0, false
 	}
 	ns := &t.rows[whyAt]
 	host := ns.Node.Hostname
-	switch why {
+	switch reject {
 	case rejectHealth:
-		return 0, fmt.Errorf("%s is %s", host, ns.Health)
+		*why = NoFitError{format: "%[1]s is %[2]s", a: host, b: ns.Health.String()}
 	case rejectUsed:
-		return 0, errors.New("remaining hosts already used")
+		*why = NoFitError{format: "%[1]s", a: "remaining hosts already used"}
 	case rejectOS:
-		return 0, fmt.Errorf("%s runs %s, need %s", host, ns.Node.OS, d.os)
+		*why = NoFitError{format: "%[1]s runs %[2]s, need %[3]s", a: host, b: ns.Node.OS, c: d.os}
 	case rejectMemory:
-		return 0, fmt.Errorf("%s has %g MB free, need %g MB", host, t.free[whyAt], d.grant)
+		*why = NoFitError{format: "%[1]s has %[4]g MB free, need %[5]g MB", a: host, x: t.free[whyAt], y: d.grant}
 	default:
-		return 0, fmt.Errorf("%s is busy (load %g), spec requires an idle node", host, t.load[whyAt])
+		*why = NoFitError{format: "%[1]s is busy (load %[4]g), spec requires an idle node", a: host, x: t.load[whyAt]}
 	}
-}
-
-// secondsOf is the CPU requirement of the node spec called local. Two specs
-// may share a local name; the later one's requirement stands for both.
-func secondsOf(opt *rsl.OptionSpec, seconds []float64, local string) float64 {
-	for i := len(opt.Nodes) - 1; i >= 0; i-- {
-		if opt.Nodes[i].LocalName == local {
-			return seconds[i]
-		}
-	}
-	return 0
-}
-
-// nodeFor finds the first placement of the node spec called localName.
-func nodeFor(asg *Assignment, localName string) (*NodeAssignment, bool) {
-	for i := range asg.Nodes {
-		if asg.Nodes[i].LocalName == localName {
-			return &asg.Nodes[i], true
-		}
-	}
-	return nil, false
+	return 0, false
 }
 
 func replicaCount(spec *rsl.NodeSpec, env rsl.Env) (int, error) {

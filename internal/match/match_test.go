@@ -156,8 +156,8 @@ func TestMatchInsufficientNodes(t *testing.T) {
 	if !errors.As(err, &nf) {
 		t.Fatalf("err = %v, want NoFitError", err)
 	}
-	if !strings.Contains(nf.Reason, "replica") {
-		t.Fatalf("reason = %q", nf.Reason)
+	if !strings.Contains(nf.Reason(), "replica") {
+		t.Fatalf("reason = %q", nf.Reason())
 	}
 }
 
@@ -230,7 +230,7 @@ func TestMatchLinkCapacityExceeded(t *testing.T) {
 		{link x y 1000}}}`)
 	_, err := m.Match(Request{Option: &b.Options[0]})
 	var nf *NoFitError
-	if !errors.As(err, &nf) || !strings.Contains(nf.Reason, "capacity") {
+	if !errors.As(err, &nf) || !strings.Contains(nf.Reason(), "capacity") {
 		t.Fatalf("err = %v", err)
 	}
 }

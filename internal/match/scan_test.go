@@ -147,7 +147,7 @@ func TestSharedScanMatchesBareView(t *testing.T) {
 				}
 
 				var scan Scan
-				scan.Reset(snap, strategy, snap.AppendNodes(nil))
+				scan.Reset(snap, strategy, snap.AppendNodes(nil), nil)
 				check := func(i int) {
 					asg, err := scan.Match(reqs[i])
 					if got := fmt.Sprint(err); got != want[i].err {
@@ -184,7 +184,7 @@ func TestScanNeverBuiltForNamedOptions(t *testing.T) {
 	l := scanTestLedger(t, 1, 16)
 	snap := l.Snapshot()
 	var scan Scan
-	scan.Reset(snap, FirstFit, nil)
+	scan.Reset(snap, FirstFit, nil, nil)
 	named := mustBundle(t, `harmonyBundle T:1 b {{o {node s h00 {seconds 1} {memory 2}} {node c h05 {seconds 4} {memory 2}} {link c s 3}}}`).Option("o")
 	got, err := scan.Match(Request{Option: named})
 	if err != nil {

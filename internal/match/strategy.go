@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-
-	"harmony/internal/resource"
 )
 
 // Strategy orders candidate nodes during matching. The paper's prototype
@@ -72,54 +70,63 @@ func (m *Matcher) Strategy() Strategy {
 	return m.strategy
 }
 
-// compareKey orders two nodes by the strategy's key: load first for every
-// strategy — placing work on busy machines is never preferable under the
-// contention model — then the memory criterion.
-func compareKey(strategy Strategy, a, b *resource.NodeState) int {
+// compareKey orders the nodes at indices a and b of the load and free-memory
+// columns by the strategy's key: load first for every strategy — placing work
+// on busy machines is never preferable under the contention model — then the
+// memory criterion.
+func compareKey(strategy Strategy, load, free []float64, a, b int32) int {
 	switch {
-	case a.CPULoad < b.CPULoad:
+	case load[a] < load[b]:
 		return -1
-	case a.CPULoad > b.CPULoad:
+	case load[a] > load[b]:
 		return 1
-	case strategy == FirstFit || a.FreeMemoryMB == b.FreeMemoryMB:
+	case strategy == FirstFit || free[a] == free[b]:
 		return 0
-	case (a.FreeMemoryMB < b.FreeMemoryMB) == (strategy == BestFit):
+	case (free[a] < free[b]) == (strategy == BestFit):
 		return -1
 	}
 	return 1
 }
 
-// scanOrder appends to order the indices of states in the order the
-// strategy scans them: by key, and within a key by index, which is the
-// hostname order states arrives in. The node states themselves stay where
-// they are.
+// scanOrder appends to order, which must be empty, the indices of a node
+// table, whose load and free memory the two columns hold, in the order the
+// strategy scans them: by key,
+// and within a key by index, which is the hostname order of the table.
 //
 // Most of a cluster usually shares the smallest key (idle, memory
 // untouched), and hostname order already sorts nodes of one key. So those
 // are emitted in one pass and only the rest is sorted.
-func scanOrder(strategy Strategy, states []resource.NodeState, order []int32) []int32 {
-	if len(states) == 0 {
+func scanOrder(strategy Strategy, load, free []float64, order []int32) []int32 {
+	if len(load) == 0 {
 		return order
 	}
-	first := &states[0]
-	for i := range states {
-		if compareKey(strategy, &states[i], first) < 0 {
-			first = &states[i]
+	first := int32(0)
+	for i := range load {
+		if compareKey(strategy, load, free, int32(i), first) < 0 {
+			first = int32(i)
 		}
 	}
-	order = append(order, make([]int32, len(states))...)
-	lo, hi := 0, len(order)
-	for i := range states {
-		if compareKey(strategy, &states[i], first) == 0 {
+	smallest := 0
+	for i := range load {
+		if compareKey(strategy, load, free, int32(i), first) == 0 {
+			smallest++
+		}
+	}
+	// Both parts are filled in index order, so when the rest share one key too
+	// (a machine of idle and of equally busy nodes) the sort finds them sorted.
+	order = append(order, make([]int32, len(load))...)
+	lo, hi := 0, smallest
+	for i := range load {
+		if compareKey(strategy, load, free, int32(i), first) == 0 {
 			order[lo] = int32(i)
 			lo++
 		} else {
-			hi--
 			order[hi] = int32(i)
+			hi++
 		}
 	}
-	slices.SortFunc(order[hi:], func(i, j int32) int {
-		if c := compareKey(strategy, &states[i], &states[j]); c != 0 {
+	slices.SortFunc(order[smallest:], func(i, j int32) int {
+		if c := compareKey(strategy, load, free, i, j); c != 0 {
 			return c
 		}
 		return int(i - j)

@@ -9,6 +9,7 @@ package predict
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"harmony/internal/match"
 	"harmony/internal/resource"
@@ -75,11 +76,13 @@ func (p *Predictor) Default(asg *match.Assignment, selfReserved bool) (Predictio
 // of a prediction that looks anything up by hostname, so a caller that
 // predicts one assignment many times (the controller predicts every resident
 // once per candidate of every other resident) resolves it once. A Placement
-// is immutable and holds for every snapshot of the topology it was resolved
-// against; Resolved tells whether a given snapshot is one.
+// holds for every snapshot of the topology it was resolved against (Resolved
+// tells whether a given snapshot is one) and changes only if its owner
+// resolves another assignment into it.
 type Placement struct {
 	asg   *match.Assignment
 	topo  resource.Topology
+	at    []int32 // asg.Places: nodes, then the ids links carries
 	nodes []int32 // index of each asg.Nodes entry's host; -1: not registered
 	links []placedLink
 }
@@ -98,14 +101,21 @@ type placedLink struct {
 // Match placed on this topology brings its indices with it and nothing is
 // looked up.
 func Resolve(snap *resource.Snapshot, asg *match.Assignment) *Placement {
-	at := asg.Places(snap, make([]int32, 0, len(asg.Nodes)+len(asg.Links)))
-	pl := &Placement{
-		asg:   asg,
-		topo:  snap.Topology(),
-		nodes: at[:len(asg.Nodes):len(asg.Nodes)],
-	}
-	if ids := at[len(asg.Nodes):]; len(ids) > 0 {
-		pl.links = make([]placedLink, 0, len(ids))
+	pl := &Placement{at: make([]int32, 0, len(asg.Nodes)+len(asg.Links))}
+	return pl.Resolve(snap, asg)
+}
+
+// Resolve makes pl the placement Resolve(snap, asg) returns, in pl's own
+// storage, and returns pl: for a caller that resolves one trial assignment
+// after another and keeps none. Whoever held pl's previous contents sees them
+// change.
+func (pl *Placement) Resolve(snap *resource.Snapshot, asg *match.Assignment) *Placement {
+	pl.at = asg.Places(snap, pl.at[:0])
+	pl.asg, pl.topo = asg, snap.Topology()
+	pl.nodes = pl.at[:len(asg.Nodes):len(asg.Nodes)]
+	pl.links = pl.links[:0]
+	if ids := pl.at[len(asg.Nodes):]; len(ids) > 0 {
+		pl.links = slices.Grow(pl.links, len(ids))
 		asg.EachLink(func(a, b string, rate float64) {
 			pl.links = append(pl.links, placedLink{id: ids[len(pl.links)], a: a, b: b, rate: rate})
 		})

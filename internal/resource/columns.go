@@ -4,15 +4,18 @@ import "slices"
 
 // Columns holds what reservations change in a snapshot — free memory and CPU
 // load by node index, reserved bandwidth by link id — as three dense columns
-// a caller owns. It is the trial state of the controller's greedy search: one
-// candidate's claims are charged to a private Columns by index and the
-// prediction models read the result directly, where a Snapshot fork would
-// record each write in an overlay and walk the overlay chain on each read.
+// a caller owns. It is the trial state of the controller's searches: a greedy
+// candidate's claims are charged to a private Columns by index, the joint
+// search charges one Columns level by level and restores it on the way back
+// up, and the prediction models read the result directly, where a Snapshot
+// fork would record each write in an overlay and walk the overlay chain on
+// each read.
 // The node descriptions, health and link descriptions are not here; they do
 // not change under a reservation and are read from the snapshot.
 //
 // Fill a Columns with Snapshot.ReadColumns or CopyFrom and write to it only
-// through Reserve; the columns themselves are exported for reading. A Columns
+// through Reserve, or Charge and Restore; the columns themselves are exported
+// for reading. A Columns
 // is not safe for concurrent use, but any number of goroutines may CopyFrom
 // one that none of them writes.
 type Columns struct {
@@ -102,17 +105,64 @@ func (c *Columns) CopyFrom(src *Columns) {
 // caller vouches that the indices are of the topology the columns were read
 // from. Nothing is recorded: there is no claim to release.
 func (c *Columns) Reserve(nodes []NodeClaim, links []LinkClaim, at []int32) error {
+	return c.Charge(nodes, links, at, nil)
+}
+
+// Undo is the log of what charges wrote over in a Columns: for every entry
+// written, the values it held before, in the order of the writes.
+type Undo struct{ saved []savedEntry }
+
+// savedEntry is one node's free memory and load (at >= 0, a node index) or
+// one link's reserved bandwidth (at < 0, the complement of a link id) as they
+// stood before a write.
+type savedEntry struct {
+	at   int32
+	a, b float64
+}
+
+// Mark is the log's length now; Restore takes the columns back to it.
+func (u *Undo) Mark() int { return len(u.saved) }
+
+// Charge is Reserve that also logs in undo, when it is not nil, what every
+// entry it writes held before. A refused charge writes and logs nothing.
+func (c *Columns) Charge(nodes []NodeClaim, links []LinkClaim, at []int32, undo *Undo) error {
 	err := checkClaims(at, nodes, links, func(p int) float64 { return c.FreeMemoryMB[p] })
 	if err != nil {
 		return err
 	}
 	for i, nc := range nodes {
-		c.FreeMemoryMB[at[i]] -= nc.MemoryMB
-		c.CPULoad[at[i]] += nc.CPULoad
+		p := at[i]
+		if undo != nil {
+			undo.saved = append(undo.saved, savedEntry{p, c.FreeMemoryMB[p], c.CPULoad[p]})
+		}
+		c.FreeMemoryMB[p] -= nc.MemoryMB
+		c.CPULoad[p] += nc.CPULoad
 	}
 	for i, lc := range links {
-		id := int(at[len(nodes)+i])
-		c.setReserved(id, c.ReservedMbps[id]+lc.BandwidthMbps)
+		id := at[len(nodes)+i]
+		if undo != nil {
+			undo.saved = append(undo.saved, savedEntry{at: ^id, a: c.ReservedMbps[id]})
+		}
+		c.setReserved(int(id), c.ReservedMbps[id]+lc.BandwidthMbps)
 	}
 	return nil
+}
+
+// Restore takes back every charge logged since mark, newest first, by writing
+// each saved value over the entry it was read from. The columns end up holding
+// the very bits they held at the mark, which adding the claims back could not
+// promise: (x - m) + m need not be x in floating point, and a search that tries
+// thousands of siblings on one state would hand each a slightly different one.
+// Charges must be restored in the reverse of the order they were made in, and
+// nothing else may write to the columns in between.
+func (c *Columns) Restore(undo *Undo, mark int) {
+	for i := len(undo.saved) - 1; i >= mark; i-- {
+		if e := undo.saved[i]; e.at >= 0 {
+			c.FreeMemoryMB[e.at], c.CPULoad[e.at] = e.a, e.b
+		} else {
+			c.ReservedMbps[^e.at] = e.a
+			c.dirty = c.dirty[:len(c.dirty)-1] // the charge's own entry
+		}
+	}
+	undo.saved = undo.saved[:mark]
 }

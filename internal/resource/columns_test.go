@@ -208,3 +208,77 @@ func TestColumnsReusedAcrossStates(t *testing.T) {
 		requireColumnsEqualSnapshot(t, fmt.Sprintf("step %d: base after its trials", step), &base, snap, links)
 	}
 }
+
+// TestColumnsRestoreIsExact walks one Columns the way the joint search does
+// — charge, go deeper, come back, restore, try the next sibling — beside a
+// stack of snapshot forks, one per level. Whatever the depth, and however many
+// siblings were charged and restored before, the columns must hold bit for bit
+// what the fork at that depth holds: the values restored are the ones saved,
+// not the ones subtraction would arrive at. Claims stack on one node and on
+// one link, some are refused (and must leave no trace in the log), and once
+// the walk is over the columns must be re-aimable like any other.
+func TestColumnsRestoreIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	l, residents := columnsTestLedger(t, rng, 8)
+	links := len(l.Links())
+	snap := l.Snapshot()
+	if err := snap.Release(residents[2].ID); err != nil {
+		t.Fatal(err)
+	}
+	var cols Columns
+	var undo Undo
+	snap.ReadColumns(&cols)
+	host := func() string { return fmt.Sprintf("n%02d", 1+rng.Intn(6)) } // n00-n07 is the unlinked pair
+	charged, refused := 0, 0
+	var walk func(view *Snapshot, depth int)
+	walk = func(view *Snapshot, depth int) {
+		requireColumnsEqualSnapshot(t, fmt.Sprintf("depth %d on entry", depth), &cols, view, links)
+		if depth == 4 {
+			return
+		}
+		for sibling := 0; sibling < 3; sibling++ {
+			a, b := host(), host()
+			nodes := []NodeClaim{
+				{Hostname: a, MemoryMB: rng.Float64() * 3, CPULoad: rng.Float64() / 3},
+				{Hostname: b, MemoryMB: 0.1, CPULoad: 1.0 / 3},
+				{Hostname: a, MemoryMB: rng.Float64(), CPULoad: 0.7},
+			}
+			var lks []LinkClaim
+			if a != b {
+				lks = []LinkClaim{{A: a, B: b, BandwidthMbps: rng.Float64() * 10}, {A: b, B: a, BandwidthMbps: 0.1}}
+			}
+			if rng.Intn(6) == 0 {
+				nodes[1].MemoryMB = 1e6 // refused
+			}
+			fork := view.Fork()
+			_, forkErr := fork.Reserve("trial", nodes, lks)
+			mark := undo.Mark()
+			colsErr := cols.Charge(nodes, lks, snap.base.topo.locate(nil, nodes, lks), &undo)
+			if fmt.Sprint(forkErr) != fmt.Sprint(colsErr) {
+				t.Fatalf("depth %d: fork says %v, columns say %v", depth, forkErr, colsErr)
+			}
+			if colsErr != nil {
+				refused++
+				if undo.Mark() != mark {
+					t.Fatalf("depth %d: a refused charge logged %d entries", depth, undo.Mark()-mark)
+				}
+			} else {
+				charged++
+				walk(fork, depth+1)
+			}
+			cols.Restore(&undo, mark)
+			requireColumnsEqualSnapshot(t, fmt.Sprintf("depth %d after sibling %d", depth, sibling), &cols, view, links)
+		}
+	}
+	walk(snap, 0)
+	if undo.Mark() != 0 || charged < 30 || refused == 0 {
+		t.Fatalf("log holds %d entries after %d charges and %d refusals", undo.Mark(), charged, refused)
+	}
+	// Nothing of the walk is left for the next user of the columns.
+	var trial Columns
+	trial.CopyFrom(&cols)
+	requireColumnsEqualSnapshot(t, "a copy after the walk", &trial, snap, links)
+	other := l.Snapshot()
+	other.ReadColumns(&cols)
+	requireColumnsEqualSnapshot(t, "re-aimed after the walk", &cols, other, links)
+}

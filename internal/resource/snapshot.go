@@ -8,9 +8,9 @@ import (
 // View is the read/reserve surface shared by the live Ledger and
 // hypothetical Snapshots of it. The matcher and predictor operate against a
 // View, so the controller can evaluate candidate configurations
-// side-effect-free: trial reservations land in a snapshot fork (the joint
-// search, whose trial states nest) or in Columns read from a snapshot (the
-// greedy search, one trial at a time) instead of the shared ledger.
+// side-effect-free: trial reservations land in Columns read from a snapshot
+// (both of the controller's searches) or in a snapshot fork, never in the
+// shared ledger.
 //
 // Both implementations store their nodes in hostname order, so the order
 // Nodes and AppendNodes report is the order of the table itself: no

@@ -76,10 +76,12 @@ echo "== bench harness (vet + tests against this checkout's API)"
 	export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off
 	go -C bench vet . && go -C bench test .
 )
-# The in-process twins of the benchmark's db-crowd and wide-greedy workloads:
-# a few cycles, so the points the harness's numbers are explained with cannot
-# rot.
-go test -run '^$' -bench 'CrowdCycle|WideGreedyCycle' -benchtime 20x ./internal/core
+# The in-process twins of the benchmark's db-crowd, wide-greedy and
+# squeeze-small workloads: a few cycles, so the points the harness's numbers
+# are explained with cannot rot. (The joint search the squeeze twin times is
+# held to the fork walk it replaced by TestJointSearchMatchesForkWalk, which
+# ran under the race detector with the rest above.)
+go test -run '^$' -bench 'CrowdCycle|WideGreedyCycle|SqueezeCycle' -benchtime 20x ./internal/core
 
 echo "== harmonyctl lint (examples/specs against the reference cluster)"
 sarif_out="${SARIF_OUT:-$(mktemp)}"
