@@ -8,11 +8,11 @@
 //	hbench            # run every experiment (T1 F2a F2b F3 F4 F7 A1 A2 A3)
 //	hbench F7 A1      # run selected experiments
 //	hbench -list      # list experiment ids
-//	hbench -json BENCH_21.json -bench-nodes 64,256,1024,fig4:4096,accommodate:2,accommodate:4
+//	hbench -json BENCH_26.json -bench-nodes 64,256,1024,fig4:4096,accommodate:2,accommodate:4
 //	                  # run the hot-path bench (fig4 and fig7 at three sizes,
 //	                  # fig4 alone at a fourth, the joint search making room
 //	                  # beside 2 and 4 residents), write report
-//	hbench -json out.json -baseline BENCH_21.json -tolerance 15
+//	hbench -json out.json -baseline BENCH_26.json -tolerance 15
 //	                  # ...and fail if the hot path regressed >15% vs baseline
 package main
 
@@ -157,13 +157,12 @@ func compareBaseline(report *experiments.OptBenchReport, baselinePath string, to
 		shape                 string
 		nodes, procs, choices int
 	}
-	// times are what a point is judged by: a pass serially and in parallel,
-	// or an accommodation.
-	times := func(p experiments.OptBenchPoint) (a, b float64) {
+	// took is what a point is judged by: a pass, or an accommodation.
+	took := func(p experiments.OptBenchPoint) float64 {
 		if p.Shape == "accommodate" {
-			return p.NsPerAccommodation, p.NsPerAccommodation
+			return p.NsPerAccommodation
 		}
-		return p.SerialNsPerReeval, p.ParallelNsPerReeval
+		return p.NsPerReeval
 	}
 	baseByKey := make(map[key]experiments.OptBenchPoint, len(base.Points))
 	for _, p := range base.Points {
@@ -172,19 +171,13 @@ func compareBaseline(report *experiments.OptBenchReport, baselinePath string, to
 	regressed := 0
 	for _, p := range report.Points {
 		b, ok := baseByKey[key{p.Shape, p.Nodes, p.Procs, p.Choices}]
-		baseSerial, basePar := times(b)
-		if !ok || baseSerial <= 0 || basePar <= 0 {
+		base := took(b)
+		if !ok || base <= 0 {
 			continue
 		}
-		serial, par := times(p)
-		serialPct := (serial - baseSerial) / baseSerial * 100
-		parPct := (par - basePar) / basePar * 100
-		worst := serialPct
-		if parPct > worst {
-			worst = parPct
-		}
+		pct := (took(p) - base) / base * 100
 		status := "ok"
-		if worst > tolerancePct || p.DNF {
+		if pct > tolerancePct || p.DNF {
 			if enforce {
 				status = "REGRESSED"
 				regressed++
@@ -193,10 +186,10 @@ func compareBaseline(report *experiments.OptBenchReport, baselinePath string, to
 			}
 		}
 		if p.Shape == "accommodate" {
-			fmt.Printf("%-5s n=%-4d procs=%-2d choices=%d accommodation %+6.1f%% [%s]\n", "accom", p.Nodes, p.Procs, p.Choices, serialPct, status)
+			fmt.Printf("%-5s n=%-4d procs=%-2d choices=%d accommodation %+6.1f%% [%s]\n", "accom", p.Nodes, p.Procs, p.Choices, pct, status)
 			continue
 		}
-		fmt.Printf("%-5s n=%-4d procs=%-2d serial %+6.1f%% parallel %+6.1f%% [%s]\n", p.Shape, p.Nodes, p.Procs, serialPct, parPct, status)
+		fmt.Printf("%-5s n=%-4d procs=%-2d pass %+6.1f%% [%s]\n", p.Shape, p.Nodes, p.Procs, pct, status)
 	}
 	if regressed > 0 {
 		return fmt.Errorf("bench: %d point(s) regressed more than %.0f%% vs %s", regressed, tolerancePct, baselinePath)

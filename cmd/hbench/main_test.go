@@ -75,8 +75,7 @@ func TestRunBenchRegressionGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range rep.Points {
-		rep.Points[i].SerialNsPerReeval /= 1000
-		rep.Points[i].ParallelNsPerReeval /= 1000
+		rep.Points[i].NsPerReeval /= 1000
 	}
 	fast, err := json.Marshal(&rep)
 	if err != nil {

@@ -141,31 +141,34 @@ func bagRSL(name string, job, max int, work float64) string {
 
 // BenchmarkWideGreedyCycle is one arrival and departure beside 8 residents
 // x 32 choices on 256 nodes: the repo benchmark's wide-greedy workload
-// without the wire. fanOutMinSize is derived from the two settings.
+// without the wire.
 func BenchmarkWideGreedyCycle(b *testing.B) {
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ctrl := benchController(b, 256, Config{EvalWorkers: workers})
-			defer ctrl.Stop()
-			for job := 1; job <= 8; job++ {
-				if _, _, err := ctrl.Register(benchBundle(b, wideBagRSL(fmt.Sprintf("Bag%d", job), job, 300))); err != nil {
-					b.Fatal(err)
-				}
-			}
-			arrival := benchBundle(b, wideBagRSL("Job", 9, 310))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				inst, _, err := ctrl.Register(arrival)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ctrl.Unregister(inst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	ctrl := benchController(b, 256, Config{})
+	defer ctrl.Stop()
+	for job := 1; job <= 8; job++ {
+		if _, _, err := ctrl.Register(benchBundle(b, wideBagRSL(fmt.Sprintf("Bag%d", job), job, 300))); err != nil {
+			b.Fatal(err)
+		}
 	}
+	benchCycles(b, ctrl, benchBundle(b, wideBagRSL("Job", 9, 310)))
+}
+
+// benchCycles times b.N arrivals and departures of one bundle and reports
+// the predictions each made, which repeat exactly.
+func benchCycles(b *testing.B, ctrl *Controller, arrival *rsl.BundleSpec) {
+	predictions := ctrl.Predictions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst, _, err := ctrl.Register(arrival)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ctrl.Unregister(inst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ctrl.Predictions()-predictions)/float64(b.N), "predictions/op")
 }
 
 // crowdRSL is the bench harness's db-crowd client: the Figure 3 bundle
@@ -223,24 +226,9 @@ func crowdController(tb testing.TB, residents int, cfg Config) *Controller {
 // db-crowd workload without the wire. Every event changes dbserver's load,
 // so every resident's five choices are re-evaluated against the other 63.
 func BenchmarkCrowdCycle(b *testing.B) {
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ctrl := crowdController(b, 64, Config{EvalWorkers: workers})
-			defer ctrl.Stop()
-			arrival := benchBundle(b, crowdRSL(65, 65))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				inst, _, err := ctrl.Register(arrival)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ctrl.Unregister(inst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	ctrl := crowdController(b, 64, Config{})
+	defer ctrl.Stop()
+	benchCycles(b, ctrl, benchBundle(b, crowdRSL(65, 65)))
 }
 
 // BenchmarkSqueezeCycle is one arrival and departure on a 10-node machine

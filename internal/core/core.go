@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"harmony/internal/cluster"
@@ -123,9 +122,8 @@ type Config struct {
 	// Clock drives granularity gating and periodic re-evaluation. Required.
 	Clock *simclock.Clock
 	// Objective is minimized across all applications; default
-	// objective.MeanResponseTime. When EvalWorkers permits parallel
-	// evaluation the function is called concurrently from worker
-	// goroutines, so it must be pure (no shared mutable state).
+	// objective.MeanResponseTime. It is called with the controller lock
+	// held and must not call back into the controller.
 	Objective objective.Func
 	// Bus optionally receives decision and prediction metrics.
 	Bus *metric.Bus
@@ -153,10 +151,11 @@ type Config struct {
 	// CriticalPathParams tunes the critical-path model; zero value takes
 	// predict.DefaultCriticalPathParams.
 	CriticalPathParams predict.CriticalPathParams
-	// EvalWorkers bounds candidate-evaluation parallelism: 0 uses
-	// GOMAXPROCS, 1 forces the serial path; evaluations too small to repay
-	// a hand-off stay on the caller whatever the bound. Parallel and serial
-	// runs pick byte-identical winners (see internal/core/eval.go).
+	// EvalWorkers is ignored: candidates are evaluated one after another on
+	// one trial state (see docs/OPTIMIZER.md, "Serial evaluation").
+	//
+	// Deprecated: it remains so that configurations that set it still
+	// compile, and has no effect.
 	EvalWorkers int
 	// DisablePruning turns off static candidate pruning (see
 	// internal/core/prune.go). Pruning is semantics-preserving — winners,
@@ -221,10 +220,8 @@ type Controller struct {
 	// (one is alive at a time); evalContexts counts the refills.
 	evalCtx      evalContext
 	evalContexts uint64
-	// predictions counts model evaluations (MemoStats); candidate workers
-	// add to it. fanOuts counts evaluations that used the worker pool.
-	predictions atomic.Uint64
-	fanOuts     uint64
+	// predictions counts model evaluations (Predictions).
+	predictions uint64
 	// prune counts static-pruning activity; monotoneObjective gates the
 	// model-based dominance rule (see internal/core/prune.go).
 	prune             PruneStats
@@ -514,6 +511,14 @@ func (c *Controller) Objective() float64 {
 	return c.cfg.Objective(c.jobsLocked())
 }
 
+// Status reports the objective and the applications (Objective and Apps) as
+// of one state: no decision is applied between the two.
+func (c *Controller) Status() (objective float64, apps []Snapshot) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cfg.Objective(c.jobsLocked()), c.appsLocked()
+}
+
 // Snapshot describes one application's current state.
 type Snapshot struct {
 	// Instance, App, Bundle identify the application.
@@ -536,6 +541,10 @@ type Snapshot struct {
 func (c *Controller) Apps() []Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.appsLocked()
+}
+
+func (c *Controller) appsLocked() []Snapshot {
 	out := make([]Snapshot, 0, len(c.order))
 	for _, id := range c.order {
 		a := c.apps[id]
@@ -628,7 +637,7 @@ func (c *Controller) forceChoiceAt(instance int, ch Choice, now time.Duration) (
 	// Evaluate the forced choice hypothetically: the app's claim stays in
 	// place until adoption, which handles release/rollback itself.
 	ctx := c.newEvalContextLocked(app)
-	cand, err := c.evaluateChoice(ctx, ch)
+	cand, err := c.evaluateChoice(ctx, ch, c.choiceStaticLocked(app, ch))
 	if err != nil {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("core: force choice: %w", err)
@@ -680,7 +689,6 @@ func (c *Controller) jobsLocked() []objective.JobPrediction {
 // ledger state (all claims reserved), as captured in view.
 func (c *Controller) predictCommittedLocked(view *resource.Snapshot, a *appState) {
 	opt := a.bundle.Option(a.choice.Option)
-	c.predictions.Add(1)
 	pred, err := c.predictIndexed(predict.Indexed{View: view}, opt, a.placedFor(view).pl)
 	if err == nil {
 		a.predicted = pred.Seconds

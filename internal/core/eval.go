@@ -1,11 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"harmony/internal/match"
 	"harmony/internal/objective"
@@ -14,15 +13,12 @@ import (
 	"harmony/internal/rsl"
 )
 
-// This file implements side-effect-free candidate evaluation: every
-// hypothetical placement is matched against, and trial-reserved in, private
-// copies of the columns of a ledger snapshot, never in the shared ledger.
-// Because candidates do not contend for the real ledger, the controller can
-// fan an evaluation that is large enough to repay it out over a worker pool
-// (Config.EvalWorkers, default GOMAXPROCS) and still return results
-// byte-identical to the serial path: every candidate is evaluated against the
-// same immutable base and the reduction walks results in enumeration order
-// with the same strict-improvement comparison.
+// This file implements greedy candidate evaluation. Every candidate of one
+// application is placed on, charged to and predicted over one trial state —
+// the columns of a ledger snapshot with the application's own claim released —
+// and the state is restored after each, so the shared ledger is not touched
+// until adoption. The candidates are evaluated and reduced in one serial loop,
+// in enumeration order, keeping the first strictly best (bestChoiceLocked).
 
 // resolved is a resident's placement as candidate evaluation reads it: the
 // assignment's hosts and links as indices into the ledger's tables, and the
@@ -41,7 +37,7 @@ type resolved struct {
 func (a *appState) placedFor(view *resource.Snapshot) *resolved {
 	if p := a.placed; p == nil || p.pl.Assignment() != a.assignment || !p.pl.Resolved(view) {
 		pl := predict.Resolve(view, a.assignment)
-		a.placed = &resolved{pl: pl, hosts: placementHostSet(pl)}
+		a.placed = &resolved{pl: pl, hosts: appendHostSet(nil, pl)}
 	}
 	return a.placed
 }
@@ -52,67 +48,85 @@ type otherApp struct {
 	owner  string
 	opt    *rsl.OptionSpec
 	placed *resolved
-	// pred is the prediction against the evaluation base state (the
-	// committed ledger minus the evaluated app's claim). Candidates whose
-	// placement does not touch any of this app's hosts reuse it; candidates
-	// that do share hosts re-predict over their trial columns, because their
-	// trial reservation changes this app's contention.
-	pred predict.Prediction
-	err  error
+	// base and err are the app's prediction against the evaluation base,
+	// made the first time a candidate needs it (baseOf) and kept for
+	// the rest of the evaluation.
+	based bool
+	base  float64
+	err   error
+	// overlaps is whether the candidate being evaluated loads one of the
+	// app's hosts, which is when its trial charge can change the app's
+	// prediction.
+	overlaps bool
 }
 
-// evalContext is the shared, immutable input to one bestChoice evaluation:
-// a base snapshot with the evaluated app's own claim released, its node table
-// and its columns read out once, the matcher's scan over that table, and the
-// base predictions of every other application. Candidates and workers share
-// all of it read-only (the scan works out its order once, under its own
-// sync.Once, for the first candidate with a wildcard spec) and charge copies.
-// The controller has one (Controller.evalCtx) and refills it for every
-// evaluation, so a pass over N applications does not allocate N node tables:
-// a context is dead once the next one is built, and nothing in it — the scan
-// least of all — is valid for any base but its own.
+// evalContext is one greedy evaluation: a base snapshot with the evaluated
+// app's own claim released, its node table and its columns read out once, the
+// matcher's scan over them, and every other application. The columns are the
+// trial state: a candidate is charged to them, predicted over them and
+// restored (resource.Columns.Restore writes back the very bits it found), so
+// the next candidate sees the base again. The controller has one context
+// (Controller.evalCtx) and refills it for every evaluation, so a pass over N
+// applications does not allocate N node tables: a context is dead once the
+// next one is built, and nothing in it — the scan and the footprints least of
+// all — is valid for any base but its own.
 type evalContext struct {
 	app    *appState
 	base   *resource.Snapshot
 	nodes  []resource.NodeState // base's node table, hostname order
-	cols   resource.Columns     // base's free memory, load and reserved bandwidth
-	scan   match.Scan           // over nodes
+	cols   resource.Columns     // the trial state
+	undo   resource.Undo
+	scan   match.Scan // over nodes and cols
 	others []otherApp
+
+	// The candidate being evaluated: its placement, resolved, and its hosts.
+	asg   match.Assignment
+	pl    predict.Placement
+	hosts hostSet
+	jobs  []objective.JobPrediction
+
+	// keys holds the footprints of this evaluation's candidates so far whose
+	// other residents all predicted, one after another, each ending where
+	// prints says; secs holds those residents' seconds, len(others) to a
+	// footprint.
+	prints []int
+	keys   []footEntry
+	secs   []float64
 }
 
-// candScratch is the working memory of one candidate evaluation.
-type candScratch struct {
-	// cols is the candidate's trial state: the context's columns with the
-	// candidate's own claims charged.
-	cols resource.Columns
-	jobs []objective.JobPrediction
+// footEntry is one entry a trial charge wrote that another resident reads:
+// a node's CPU load (at >= 0, its index) or a link's reserved bandwidth
+// (at < 0, the complement of its id), as bits.
+type footEntry struct {
+	at   int32
+	bits uint64
 }
 
-var candScratchPool = sync.Pool{New: func() any { return new(candScratch) }}
-
-// evalResult is one candidate's outcome, slotted by enumeration index.
-type evalResult struct {
-	cand candidate
-	err  error
-}
-
-// evalWorkers resolves the configured evaluation parallelism.
-func (c *Controller) evalWorkers() int {
-	if c.cfg.EvalWorkers > 0 {
-		return c.cfg.EvalWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// errMisfit stands for a candidate the scan could not place. Why it does not
+// fit is worked out only for the one misfit an evaluation reports
+// (match.Scan.Misfit).
+var errMisfit = errors.New("core: candidate does not fit")
 
 // predictIndexed routes the prediction of a placement the view already
 // holds through the configured model stack: the application's explicit model
 // when present (the Table 1 "performance" tag), otherwise the critical-path
 // refinement when enabled, otherwise the default contention model.
 func (c *Controller) predictIndexed(in predict.Indexed, opt *rsl.OptionSpec, pl *predict.Placement) (predict.Prediction, error) {
+	c.predictions++
 	if c.cfg.UseCriticalPath && (opt == nil || len(opt.Performance) == 0) {
 		return in.CriticalPath(pl, true, c.cfg.CriticalPathParams)
 	}
 	return in.ForOption(opt, pl, true)
+}
+
+// Predictions reports how many predictions the controller has made since
+// construction: the unit an evaluation's cost is counted in. It depends on
+// the applications and the cluster alone, so it repeats exactly from run to
+// run.
+func (c *Controller) Predictions() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.predictions
 }
 
 // MemoStats reports 0 hits and, as misses, the number of predictions made
@@ -120,26 +134,27 @@ func (c *Controller) predictIndexed(in predict.Indexed, opt *rsl.OptionSpec, pl 
 // resolved placement costs less than any key that could deduplicate it (see
 // docs/OPTIMIZER.md).
 //
-// Deprecated: it exists for the bench harness, which still calls it, and goes
-// when the harness stops (ROADMAP item 6).
+// Deprecated: use Predictions. MemoStats exists for the bench harness, which
+// still calls it, and goes with the harness's memo metric (ROADMAP item 7).
 func (c *Controller) MemoStats() (hits, misses uint64) {
-	return 0, c.predictions.Load()
+	return 0, c.Predictions()
 }
 
 // hostSet is the set of nodes an assignment touches, one bit per node at
 // the node's index in the evaluation snapshot's hostname-ordered table.
 type hostSet []uint64
 
-// placementHostSet collects the distinct registered hosts a placement uses.
-func placementHostSet(pl *predict.Placement) hostSet {
-	var set hostSet
+// appendHostSet makes set, reusing its storage, the distinct registered hosts
+// a placement uses.
+func appendHostSet(set hostSet, pl *predict.Placement) hostSet {
+	set = set[:0]
 	for _, pos := range pl.NodeIndices() {
 		if pos < 0 {
 			continue
 		}
 		w := int(pos) / 64
-		if w >= len(set) {
-			set = append(set, make(hostSet, w+1-len(set))...)
+		for len(set) <= w {
+			set = append(set, 0)
 		}
 		set[w] |= 1 << (pos % 64)
 	}
@@ -165,8 +180,8 @@ func (a hostSet) intersects(b hostSet) bool {
 // newEvalContextLocked snapshots the ledger, hypothetically releases the
 // app's own claim inside the snapshot (the paper's "one bundle at a time"
 // precondition), reads the snapshot's node table and columns out once, aims
-// the scan at them, and predicts every other application against that base.
-// The shared ledger is not touched.
+// the scan at them and lists every other application. Nothing is predicted
+// yet. The shared ledger is not touched.
 func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 	snap := c.ledger.Snapshot()
 	if app.claim != nil {
@@ -183,7 +198,6 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 	snap.ReadColumns(&ctx.cols)
 	ctx.scan.Reset(snap, c.matcher.Strategy(), ctx.nodes, &ctx.cols)
 	c.evalContexts++
-	in := predict.Indexed{View: snap, Loads: ctx.cols.CPULoad, Reserved: ctx.cols.ReservedMbps}
 	clear(ctx.others) // drop the last evaluation's pointers
 	ctx.others = ctx.others[:0]
 	for _, id := range c.order {
@@ -196,210 +210,193 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 			// contribute neither contention nor an objective term.
 			continue
 		}
-		o := otherApp{
+		ctx.others = append(ctx.others, otherApp{
 			owner:  other.owner(),
 			opt:    other.bundle.Option(other.choice.Option),
 			placed: other.placedFor(snap),
-		}
-		o.pred, o.err = c.predictIndexed(in, o.opt, o.placed.pl)
-		ctx.others = append(ctx.others, o)
+		})
 	}
-	c.predictions.Add(uint64(len(ctx.others)))
+	ctx.prints, ctx.keys, ctx.secs = ctx.prints[:0], ctx.keys[:0], ctx.secs[:0]
 	return ctx
 }
 
-// evaluateChoice matches one choice over the context's scan, trial-reserves
-// it in a private copy of the context's columns and computes the system
-// objective with every other application's claim in place. It has no side
-// effects and is safe to call concurrently for different choices of the same
-// context.
-func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice) (candidate, error) {
-	app := ctx.app
-	opt := app.bundle.Option(ch.Option)
-	if opt == nil {
-		return candidate{}, fmt.Errorf("core: option %q not in bundle", ch.Option)
+// evaluate places one choice of the context's app with the scan, charges it
+// to the trial state, predicts it and every other application there and
+// scores the system objective; the state is restored before it returns. The
+// candidate's assignment is the context's own, overwritten by the next
+// candidate: whoever keeps it clones it. A choice that does not fit returns
+// errMisfit.
+func (c *Controller) evaluate(ctx *evalContext, ch Choice, st *choiceStatic) (candidate, error) {
+	if !ctx.scan.Place(st.plan, &ctx.asg) {
+		return candidate{}, errMisfit
 	}
-	env := rsl.MapEnv(ch.Vars)
-	asg, err := ctx.scan.Match(match.Request{
-		Option:       opt,
-		Env:          env,
-		MemoryGrants: ch.Grants,
-	})
+	mark := ctx.undo.Mark()
+	defer ctx.cols.Restore(&ctx.undo, mark)
+	if err := match.ReserveColumns(&ctx.cols, ctx.base, ctx.app.owner(), &ctx.asg, &ctx.undo); err != nil {
+		return candidate{}, err
+	}
+	pl := ctx.pl.Resolve(ctx.base, &ctx.asg)
+	in := predict.Indexed{View: ctx.base, Loads: ctx.cols.CPULoad, Reserved: ctx.cols.ReservedMbps}
+	pred, err := c.predictIndexed(in, st.opt, pl)
 	if err != nil {
 		return candidate{}, err
 	}
-	sc := candScratchPool.Get().(*candScratch)
-	defer candScratchPool.Put(sc)
-	sc.cols.CopyFrom(&ctx.cols)
-	if err := match.ReserveColumns(&sc.cols, ctx.base, app.owner(), asg, nil); err != nil {
-		return candidate{}, err
-	}
-	pl := predict.Resolve(ctx.base, asg)
-	hosts := placementHostSet(pl)
-
-	in := predict.Indexed{View: ctx.base, Loads: sc.cols.CPULoad, Reserved: sc.cols.ReservedMbps}
-	pred, err := c.predictIndexed(in, opt, pl)
+	jobs, err := c.predictOthers(ctx, in, mark)
 	if err != nil {
 		return candidate{}, err
 	}
-
-	predictions := uint64(1)
-	jobs := sc.jobs[:0]
-	for i := range ctx.others {
-		o := &ctx.others[i]
-		if o.err != nil {
-			return candidate{}, o.err
-		}
-		p := o.pred
-		if hosts.intersects(o.placed.hosts) {
-			// The candidate loads hosts this application runs on: its
-			// contention-scaled prediction changes, re-predict on the trial.
-			predictions++
-			if p, err = c.predictIndexed(in, o.opt, o.placed.pl); err != nil {
-				return candidate{}, err
-			}
-		}
-		jobs = append(jobs, objective.JobPrediction{App: o.owner, Seconds: p.Seconds})
-	}
-	jobs = append(jobs, objective.JobPrediction{App: app.owner(), Seconds: pred.Seconds})
-	sc.jobs = jobs
-	c.predictions.Add(predictions)
-
-	friction, frictionWarn := frictionCost(app, opt, asg, env)
+	jobs = append(jobs, objective.JobPrediction{App: ctx.app.owner(), Seconds: pred.Seconds})
+	ctx.jobs = jobs
 	return candidate{
 		choice:       ch,
-		assignment:   asg,
+		assignment:   &ctx.asg,
 		objective:    c.cfg.Objective(jobs),
 		predicted:    pred.Seconds,
-		friction:     friction,
-		frictionWarn: frictionWarn,
+		friction:     st.friction,
+		frictionWarn: st.frictionWarn,
 	}, nil
 }
 
-// frictionCost evaluates the option's friction expression for a placement of
-// it, with the granted memory and the choice's variables (env) in scope. It
-// does not depend on the hosts. An expression that cannot be evaluated costs
-// nothing and comes back as a warning, which whoever reduces the candidates
-// surfaces (once per distinct message) instead of silently reading it as zero.
-func frictionCost(app *appState, opt *rsl.OptionSpec, asg *match.Assignment, env rsl.Env) (friction float64, warn string) {
-	if opt.Friction == nil {
-		return 0, ""
+// evaluateChoice is evaluate for a caller that keeps what it gets: a misfit
+// comes back with its reason, and the assignment is the candidate's own.
+func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice, st *choiceStatic) (candidate, error) {
+	cand, err := c.evaluate(ctx, ch, st)
+	if err == errMisfit {
+		err = ctx.scan.Misfit(st.plan)
 	}
-	f, err := opt.Friction.Eval(rsl.ChainEnv{asg.MemoryEnv(), env})
-	switch {
-	case err != nil:
-		return 0, fmt.Sprintf("core: %s option %s: friction evaluation failed: %v", app.bundle.App, opt.Name, err)
-	case f > 0:
-		return f, ""
+	if err != nil {
+		return candidate{}, err
 	}
-	return 0, ""
+	cand.assignment = cand.assignment.Clone()
+	return cand, nil
 }
 
-// fanOutMinSize is the evaluation size below which evaluateChoices stays on
-// the calling goroutine. The size is what the candidates cost between them:
-// one unit per replica a candidate places (matched, charged and predicted by
-// index, so a candidate no longer costs the length of the node table) and one
-// per other application it may overlap and re-predict — about 0.13 us a unit
-// on the reference box (2 vCPU, go1.24). Handing work to a second goroutine
-// costs tens of microseconds (wake-up, the claim counter's cache line, the
-// WaitGroup, and a collector that wants the other core), so small evaluations
-// lose by it. Measured with BenchmarkWideGreedyCycle's shape at workers=0
-// over workers=1, choices 1..N beside 8 residents, with the threshold at 0:
-// N=32 (size 784, 80 us an evaluation: the wide-greedy workload) ran at 0.78x
-// of serial, N=48 (1560) at 0.91x, N=64 (2592) at 1.04x, N=96 (5424) at
-// 1.15x. A db-crowd evaluation is 5 x (2 + 63) = 325.
-const fanOutMinSize = 4096
-
-// fanOut calls fn once for every index below n, on up to workers goroutines
-// of which the caller is one, and returns when all calls have.
-func fanOut(n, workers int, fn func(i int)) {
-	var next atomic.Int64
-	claim := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
+// predictOthers predicts every other application with the candidate charged
+// to the trial state, in order, and returns them as the objective's jobs.
+//
+// An application whose hosts the candidate does not load reads none of the
+// entries the charge wrote — every model reads only its own placement's nodes
+// in the load column and its own links in the reserved one, and a link the
+// candidate charged joins two of the candidate's hosts — so its prediction on
+// the trial state is its base prediction, made by the first candidate that
+// needs it and kept (baseOf).
+//
+// An application the candidate does overlap is re-predicted on the trial
+// state, unless an earlier candidate of this evaluation left the same
+// footprint, in which case every application's seconds are that candidate's.
+// Its base prediction is needed only when the re-prediction fails: a failing
+// base prediction is the error to report, as it would be had every base been
+// predicted up front, in order. A trial only adds load (a charge adds a node's
+// busy fraction, a share of the job's seconds in [0, 1], and a link's
+// bandwidth), and every model error is either independent of load (a host or
+// link the cluster does not have, no performance points) or grows with it (a
+// node left no capacity: its effective speed only falls as load rises), so a
+// re-prediction that succeeds means the base prediction would have too. When
+// a re-prediction fails, the state is restored first and the base prediction
+// made there.
+func (c *Controller) predictOthers(ctx *evalContext, in predict.Indexed, mark int) ([]objective.JobPrediction, error) {
+	ctx.hosts = appendHostSet(ctx.hosts, &ctx.pl)
+	overlap := false
+	for i := range ctx.others {
+		o := &ctx.others[i]
+		o.overlaps = ctx.hosts.intersects(o.placed.hosts)
+		overlap = overlap || o.overlaps
+	}
+	jobs := ctx.jobs[:0]
+	from := len(ctx.keys)
+	if overlap {
+		ctx.footprint(in)
+		if secs, ok := ctx.sharedSeconds(from); ok {
+			for i := range ctx.others {
+				jobs = append(jobs, objective.JobPrediction{App: ctx.others[i].owner, Seconds: secs[i]})
 			}
-			fn(i)
+			return jobs, nil
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers && w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
-	}
-	claim()
-	wg.Wait()
-}
-
-// evaluateChoices evaluates every choice against the context, on the
-// calling goroutine or, when the evaluation is large enough to repay the
-// hand-off, on a bounded worker pool the caller is part of. replicas is the
-// number of node placements the choices make between them. Results are
-// slotted by index, so downstream reduction is order-identical in both modes.
-func (c *Controller) evaluateChoices(ctx *evalContext, choices []Choice, replicas int) []evalResult {
-	results := make([]evalResult, len(choices))
-	workers := c.evalWorkers()
-	if replicas+len(choices)*len(ctx.others) < fanOutMinSize {
-		workers = 1
-	}
-	if workers > 1 && len(choices) > 1 {
-		c.fanOuts++
-	}
-	fanOut(len(choices), workers, func(i int) {
-		results[i].cand, results[i].err = c.evaluateChoice(ctx, choices[i])
-	})
-	return results
-}
-
-// reduceCandidatesLocked selects the winning candidate exactly as the
-// serial loop did: walk results in enumeration order, amortize friction
-// into the score for non-initial switches, keep the first strictly-better
-// candidate. Friction warnings surface here, deduplicated, in order.
-func (c *Controller) reduceCandidatesLocked(app *appState, results []evalResult, forInitial bool) (candidate, error) {
-	best := candidate{objective: math.Inf(1)}
-	found := false
-	var lastErr error
-	var warned map[string]bool
-	for i := range results {
-		if results[i].err != nil {
-			lastErr = results[i].err
+	for i := range ctx.others {
+		o := &ctx.others[i]
+		if !o.overlaps || (o.based && o.err != nil) {
+			if err := c.baseOf(o, in); err != nil {
+				ctx.keys = ctx.keys[:from]
+				return nil, err
+			}
+			jobs = append(jobs, objective.JobPrediction{App: o.owner, Seconds: o.base})
 			continue
 		}
-		cand := results[i].cand
-		if cand.frictionWarn != "" && !warned[cand.frictionWarn] {
-			if warned == nil {
-				warned = make(map[string]bool)
+		p, err := c.predictIndexed(in, o.opt, o.placed.pl)
+		if err != nil {
+			ctx.keys = ctx.keys[:from]
+			ctx.cols.Restore(&ctx.undo, mark)
+			if berr := c.baseOf(o, in); berr != nil {
+				return nil, berr
 			}
-			warned[cand.frictionWarn] = true
-			c.warnLocked(cand.frictionWarn)
+			return nil, err
 		}
-		score := cand.objective
-		if !forInitial && !cand.choice.Equal(app.choice) && !c.cfg.IgnoreFriction {
-			// Amortize the frictional switching cost into the objective: a
-			// switch must buy more improvement than it costs (Section 3,
-			// "frictional cost function ... to evaluate if a tuning option
-			// is worth the effort").
-			n := len(c.order)
-			if n == 0 {
-				n = 1
-			}
-			score += cand.friction / float64(n)
-		}
-		if score < best.objective {
-			best = cand
-			best.objective = score
-			found = true
+		jobs = append(jobs, objective.JobPrediction{App: o.owner, Seconds: p.Seconds})
+	}
+	if overlap {
+		ctx.prints = append(ctx.prints, len(ctx.keys))
+		for _, j := range jobs {
+			ctx.secs = append(ctx.secs, j.Seconds)
 		}
 	}
-	if !found {
-		if lastErr != nil {
-			return candidate{}, fmt.Errorf("%w for %s: %v", ErrNoFeasibleOption, app.bundle.App, lastErr)
-		}
-		return candidate{}, fmt.Errorf("%w for %s", ErrNoFeasibleOption, app.bundle.App)
+	return jobs, nil
+}
+
+// baseOf makes o's base prediction if no candidate has yet. in must read the
+// base at o's nodes and links.
+func (c *Controller) baseOf(o *otherApp, in predict.Indexed) error {
+	if !o.based {
+		p, err := c.predictIndexed(in, o.opt, o.placed.pl)
+		o.based, o.base, o.err = true, p.Seconds, err
 	}
-	return best, nil
+	return o.err
+}
+
+// footprint appends to keys the candidate's footprint: every node it charged
+// with its load on the trial state, then every link it charged that an
+// application it overlaps reads, with its reserved bandwidth there. Those are
+// all the entries of the trial state that another application's prediction
+// can read and the charge wrote, so two candidates with equal footprints give
+// every other application bit-identical predictions.
+func (ctx *evalContext) footprint(in predict.Indexed) {
+	for _, pos := range ctx.pl.NodeIndices() {
+		ctx.keys = append(ctx.keys, footEntry{pos, math.Float64bits(in.Loads[pos])})
+	}
+	for _, id := range ctx.pl.LinkIDs() {
+		if id >= 0 && ctx.linkRead(id) {
+			ctx.keys = append(ctx.keys, footEntry{^id, math.Float64bits(in.Reserved[id])})
+		}
+	}
+}
+
+// linkRead reports whether an application the candidate overlaps loads link
+// id. Only those can read a link the candidate charged.
+func (ctx *evalContext) linkRead(id int32) bool {
+	for i := range ctx.others {
+		if o := &ctx.others[i]; o.overlaps {
+			for _, l := range o.placed.pl.LinkIDs() {
+				if l == id {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// sharedSeconds looks for an earlier candidate of this evaluation whose
+// footprint equals the one at keys[from:], and returns the other
+// applications' seconds under it, dropping the new footprint. Otherwise the
+// footprint stays, for predictOthers to record.
+func (ctx *evalContext) sharedSeconds(from int) ([]float64, bool) {
+	n, start := len(ctx.others), 0
+	for k, end := range ctx.prints {
+		if slices.Equal(ctx.keys[start:end], ctx.keys[from:]) {
+			ctx.keys = ctx.keys[:from]
+			return ctx.secs[k*n : (k+1)*n], true
+		}
+		start = end
+	}
+	return nil, false
 }

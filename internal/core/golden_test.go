@@ -22,10 +22,11 @@ import (
 // parent), the widecomm hashes on the commit before a greedy candidate's
 // trial reservation moved from a snapshot fork to index-addressed columns
 // (PR 20's parent), the squeeze hashes on the commit before the joint search
-// stopped forking a snapshot per trial (PR 21's parent), the same way.
-// TestParallelMatchesSerial and TestPruningBitIdentical compare the current
-// code with itself; this test compares it with what the map-based ledger
-// decided. A hash changes only when a decision, placement, claim or prediction
+// stopped forking a snapshot per trial, and the sharedlink hashes on the
+// commit before greedy evaluation moved onto one trial state with lazily
+// computed, footprint-shared resident predictions, the same way.
+// TestPruningBitIdentical compares the current code with itself; this test
+// compares it with what the map-based ledger decided. A hash changes only when a decision, placement, claim or prediction
 // changes, so a mismatch after a representation change is a behaviour change.
 
 // goldenDBRSL is the Figure 3 client with a wildcard client host and a
@@ -77,6 +78,50 @@ harmonyBundle Comm%d:%d parallelism {
 		{communication {90 * workerNodes ^ 2}}
 	}
 }`, i, i, work)
+}
+
+// goldenShareRSL is a Figure-3 client on one of a few common hosts whose
+// traffic to the server is a communication tag, so clients on the same host
+// load the same link. On the memory-grant ladder the link's load either
+// follows the grant (every rung charges the shared link differently) or not
+// (the rungs charge the server and the link alike and differ only in the
+// client's own memory).
+func goldenShareRSL(i int, host string, perGrant bool) string {
+	comm := "150"
+	if perGrant {
+		comm = "{60 + client.memory * 4}"
+	}
+	return fmt.Sprintf(`
+harmonyBundle Share%d:%d where {
+	{QS
+		{node server sp2-01 {seconds 5} {memory 20}}
+		{node client %s {os linux} {seconds 1} {memory 2}}
+		{communication 120}
+	}
+	{DS
+		{node server sp2-01 {seconds 1} {memory 20}}
+		{node client %s {os linux} {memory >=17} {seconds 10}}
+		{communication %s}
+	}
+}`, i, i, host, host, comm)
+}
+
+// goldenModelRSL is an application under an explicit performance model beside
+// the shared clients: one option on its host and the server, over a link.
+func goldenModelRSL(i int, host string) string {
+	return fmt.Sprintf(`
+harmonyBundle Model%d:%d fit {
+	{pair
+		{node a %s {seconds 4} {memory 8}}
+		{node b sp2-01 {seconds 2} {memory 4}}
+		{link a b 90}
+		{performance {{1 20} {2 14}}}
+	}
+	{solo
+		{node a %s {seconds 12} {memory 8}}
+		{performance {{1 15}}}
+	}
+}`, i, i, host, host)
 }
 
 // goldenScript is one seeded churn log over a cluster of the given size.
@@ -160,6 +205,19 @@ var goldenScripts = []goldenScript{
 				return goldenCacheRSL(i)
 			}
 			return bagRSL(fmt.Sprintf("Bag%d", i), i, 8, 270+float64(rng.Intn(601))/10)
+		},
+	},
+	{
+		// Clients that share their hosts and the links from them to the
+		// server, so a candidate's trial load reaches another resident through
+		// a link as well as through a node, beside an explicitly modelled app.
+		name: "sharedlink", nodes: 6, entries: 100, maxLive: 6, workers: 3, serverMB: 512, pinUp: true,
+		rsl: func(rng *rand.Rand, i int, hosts []string) string {
+			host := hosts[rng.Intn(min(2, len(hosts)))]
+			if rng.Intn(4) == 0 {
+				return goldenModelRSL(i, host)
+			}
+			return goldenShareRSL(i, host, rng.Intn(2) == 0)
 		},
 	},
 }
@@ -286,6 +344,10 @@ func TestGoldenStateHashes(t *testing.T) {
 		"squeeze/first-fit":  "ec444a96d4f09ed4ccdf420a0da976a3deb1a6f316746fa3910a052002872f1e",
 		"squeeze/best-fit":   "7566bb797191f0596ceb1a2e5289c76abd2a70cd139f835ad4d24f8c49b6a5ff",
 		"squeeze/worst-fit":  "19551d91addca36b29321d51eb2fbfadd897269b99e1524bd6851539535540ec",
+		// Every sharedlink host is named too.
+		"sharedlink/first-fit": "83bf3148e75ee0418b9702c30ad873a8b153031a3c7f0dacec11ffaa823491bd",
+		"sharedlink/best-fit":  "83bf3148e75ee0418b9702c30ad873a8b153031a3c7f0dacec11ffaa823491bd",
+		"sharedlink/worst-fit": "83bf3148e75ee0418b9702c30ad873a8b153031a3c7f0dacec11ffaa823491bd",
 	}
 	for _, s := range goldenScripts {
 		for _, strategy := range []match.Strategy{match.FirstFit, match.BestFit, match.WorstFit} {

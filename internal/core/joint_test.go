@@ -23,7 +23,13 @@ import (
 // again at every inner node. It shares nothing with searchJoint but the
 // problem, and is the reference searchJoint is held to. Warnings are collected
 // per first-level choice, as the walk that fanned those out collected them.
-func (c *Controller) searchByFork(base *resource.Snapshot, ids []int, perApp [][]Choice, skipInstance int) comboResult {
+func (c *Controller) searchByFork(base *resource.Snapshot, ids []int, perIndex [][]int, skipInstance int) comboResult {
+	perApp := make([][]Choice, len(ids))
+	for i, id := range ids {
+		for _, k := range perIndex[i] {
+			perApp[i] = append(perApp[i], c.apps[id].static.choices[k])
+		}
+	}
 	best := comboResult{score: math.Inf(1)}
 	for _, ch := range perApp[0] {
 		br := comboResult{score: math.Inf(1)}
@@ -53,7 +59,6 @@ func (c *Controller) tryChoiceByFork(view *resource.Snapshot, id int, ch Choice,
 	if _, err := matcher.Reserve(app.owner(), asg); err != nil {
 		return nil, candidate{}, false
 	}
-	c.predictions.Add(1)
 	pred, err := c.predictIndexed(predict.Indexed{View: fork}, opt, predict.Resolve(fork, asg))
 	if err != nil {
 		return nil, candidate{}, false
@@ -174,11 +179,11 @@ func compareJointSearchesLocked(t *testing.T, c *Controller, skip int, what stri
 	if len(ids) == 0 {
 		return
 	}
-	p0, t0 := c.predictions.Load(), c.jointTrials
+	p0, t0 := c.predictions, c.jointTrials
 	got := c.searchJoint(base, ids, perApp, skip)
-	p1 := c.predictions.Load()
+	p1 := c.predictions
 	want := c.searchByFork(base, ids, perApp, skip)
-	p2 := c.predictions.Load()
+	p2 := c.predictions
 
 	tally.problems++
 	tally.trials += c.jointTrials - t0

@@ -16,7 +16,7 @@ import (
 // candidate is one evaluated configuration: a choice plus its matched
 // placement and the system objective value with the candidate reserved.
 type candidate struct {
-	choice     choiceKey
+	choice     Choice
 	assignment *match.Assignment
 	objective  float64
 	predicted  float64
@@ -25,9 +25,6 @@ type candidate struct {
 	// expression failed to evaluate (surfaced once by the reduction).
 	frictionWarn string
 }
-
-// choiceKey aliases Choice for internal plumbing.
-type choiceKey = Choice
 
 // enumerateChoices expands a bundle into concrete choices: for each option,
 // the cross product of its variable values, times the memory-grant ladder
@@ -107,16 +104,57 @@ func (c *Controller) expandGrants(opt *rsl.OptionSpec, varSets []map[string]floa
 }
 
 // bestChoiceLocked finds the objective-minimizing feasible choice for app.
-// Evaluation is side-effect-free: candidates are trial-reserved in copies of
-// a ledger snapshot's columns, never in the shared ledger, so the app's real
-// claim stays in place until adoption. When forInitial is true, the friction of
-// the chosen option is not charged (nothing is switching).
+// The candidates are evaluated on the context's trial state, which is
+// restored after each, never in the shared ledger, so the app's real claim
+// stays in place until adoption. The loop keeps the first strictly better
+// score in enumeration order, amortizes friction into the score of a
+// non-initial switch (when forInitial is true nothing is switching, so no
+// friction is charged), and raises each distinct friction warning once, in
+// order. Only a candidate that becomes the best so far has its assignment
+// copied out of the context's. When nothing fits, the error quotes the last
+// candidate's failure, and a misfit is asked why only then.
 func (c *Controller) bestChoiceLocked(app *appState, now time.Duration, forInitial bool) (candidate, error) {
 	bs := c.staticForLocked(app)
 	ctx := c.newEvalContextLocked(app)
-	choices, replicas := c.pruneChoicesLocked(bs, app.choice, ctx.nodes)
-	results := c.evaluateChoices(ctx, choices, replicas)
-	return c.reduceCandidatesLocked(app, results, forInitial)
+	best := candidate{objective: math.Inf(1)}
+	var lastErr error
+	var lastPlan *match.Plan
+	var warned []string
+	for _, k := range c.pruneChoicesLocked(bs, app.choice, ctx.nodes) {
+		st := &bs.stat[k]
+		cand, err := c.evaluate(ctx, bs.choices[k], st)
+		if err != nil {
+			lastErr, lastPlan = err, st.plan
+			continue
+		}
+		if w := cand.frictionWarn; w != "" && !slices.Contains(warned, w) {
+			warned = append(warned, w)
+			c.warnLocked(w)
+		}
+		score := cand.objective
+		if !forInitial && !cand.choice.Equal(app.choice) && !c.cfg.IgnoreFriction {
+			// Amortize the frictional switching cost into the objective: a
+			// switch must buy more improvement than it costs (Section 3,
+			// "frictional cost function ... to evaluate if a tuning option
+			// is worth the effort").
+			score += cand.friction / float64(max(len(c.order), 1))
+		}
+		if score < best.objective {
+			best = cand
+			best.assignment = cand.assignment.Clone()
+			best.objective = score
+		}
+	}
+	if best.assignment == nil {
+		if lastErr == errMisfit {
+			lastErr = ctx.scan.Misfit(lastPlan)
+		}
+		if lastErr != nil {
+			return candidate{}, fmt.Errorf("%w for %s: %v", ErrNoFeasibleOption, app.bundle.App, lastErr)
+		}
+		return candidate{}, fmt.Errorf("%w for %s", ErrNoFeasibleOption, app.bundle.App)
+	}
+	return best, nil
 }
 
 // reevaluateLocked runs the optimizer over registered applications in
@@ -186,7 +224,7 @@ type comboResult struct {
 // each one's choices pruned against that all-released base — reservations at
 // deeper search levels only shrink capacity, so a candidate infeasible here is
 // infeasible in every branch.
-func (c *Controller) jointProblemLocked(skipInstance int) (base *resource.Snapshot, ids []int, perApp [][]Choice, degraded []int) {
+func (c *Controller) jointProblemLocked(skipInstance int) (base *resource.Snapshot, ids []int, perApp [][]int, degraded []int) {
 	// Degraded apps are searched separately afterwards: the cross product
 	// requires every participating app to be placeable in a branch, so one
 	// unplaceable evictee would otherwise veto the whole reshuffle.
@@ -216,12 +254,12 @@ func (c *Controller) jointProblemLocked(skipInstance int) (base *resource.Snapsh
 			app.claim = nil
 		}
 	}
-	perApp = make([][]Choice, len(ids))
+	perApp = make([][]int, len(ids))
 	nodes := base.AppendNodes(c.evalCtx.nodes[:0])
 	c.evalCtx.nodes = nodes
 	for i, id := range ids {
 		app := c.apps[id]
-		perApp[i], _ = c.pruneChoicesLocked(c.staticForLocked(app), app.choice, nodes)
+		perApp[i] = c.pruneChoicesLocked(c.staticForLocked(app), app.choice, nodes)
 	}
 	return base, ids, perApp, degraded
 }
@@ -307,10 +345,10 @@ func (c *Controller) readmitDegradedLocked(now time.Duration, degraded []int, ev
 // charge, and on the way back up the level restores what it wrote, so every
 // sibling is tried on the very bits the one before it was. A trial is a
 // first-fit over columns, a charge and one prediction by index; what does not
-// depend on where a choice lands is worked out once per choice, before the
-// walk (match.Plan), and nothing is formatted or allocated for a choice that
-// does not fit. Leaves are adopted on strict improvement in enumeration
-// order.
+// depend on where a choice lands is worked out once per choice (match.Plan,
+// made with the bundle's static analysis and shared with the greedy search),
+// and nothing is formatted or allocated for a choice that does not fit.
+// Leaves are adopted on strict improvement in enumeration order.
 type jointSearch struct {
 	c      *Controller
 	base   *resource.Snapshot
@@ -326,7 +364,6 @@ type jointSearch struct {
 	// branchWarns is where the warnings of the current first-level choice
 	// start in best.warns: a warning is reported once per such branch.
 	branchWarns int
-	predictions uint64
 }
 
 // jointLevel is one application of a joint search: its choices, the scan of
@@ -345,25 +382,20 @@ type jointLevel struct {
 	predicted float64
 }
 
-// jointChoice is one choice of one application, resolved once per search.
+// jointChoice is one choice of one application in a joint search.
 type jointChoice struct {
 	choice Choice
-	opt    *rsl.OptionSpec
-	plan   *match.Plan
+	st     *choiceStatic
 	// switches is whether adopting the choice changes the application's.
 	switches bool
-	// The friction cost reads the granted memory and the choice's variables,
-	// not the hosts: it is evaluated when the choice first fits.
-	frictionKnown bool
-	friction      float64
-	frictionWarn  string
 }
 
 // searchJoint finds the best combination of one choice per application over
-// base, which holds none of their claims. The winner is what a walk that
-// forked base for every trial would pick, bit for bit (searchByFork, in the
-// tests, is that walk).
-func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]Choice, skipInstance int) comboResult {
+// base, which holds none of their claims; perApp holds each application's
+// choices to try, as indices into its bundle's enumeration. The winner is
+// what a walk that forked base for every trial would pick, bit for bit
+// (searchByFork, in the tests, is that walk).
+func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]int, skipInstance int) comboResult {
 	js := &jointSearch{c: c, base: base, rows: c.evalCtx.nodes, levels: make([]jointLevel, len(ids))}
 	js.best.score = math.Inf(1)
 	// Fixed (skipped) apps still count toward the objective.
@@ -372,19 +404,13 @@ func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]
 	for i, id := range ids {
 		lv := &js.levels[i]
 		lv.app = c.apps[id]
+		bs := lv.app.static // made by jointProblemLocked, which pruned perApp
 		lv.choices = make([]jointChoice, len(perApp[i]))
-		for k, ch := range perApp[i] {
-			opt := lv.app.bundle.Option(ch.Option)
-			lv.choices[k] = jointChoice{
-				choice:   ch,
-				opt:      opt,
-				plan:     match.NewPlan(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants}),
-				switches: !ch.Equal(lv.app.choice),
-			}
+		for j, k := range perApp[i] {
+			lv.choices[j] = jointChoice{choice: bs.choices[k], st: &bs.stat[k], switches: !bs.choices[k].Equal(lv.app.choice)}
 		}
 	}
 	js.walk(0)
-	c.predictions.Add(js.predictions)
 	return js.best
 }
 
@@ -415,23 +441,18 @@ func (js *jointSearch) walk(level int) {
 func (js *jointSearch) try(lv *jointLevel, jc *jointChoice) bool {
 	c := js.c
 	c.jointTrials++
-	if !lv.scan.Place(jc.plan, &lv.asg) {
+	if !lv.scan.Place(jc.st.plan, &lv.asg) {
 		return false
 	}
 	if err := match.ReserveColumns(&js.cols, js.base, lv.app.owner(), &lv.asg, &js.undo); err != nil {
 		return false
 	}
-	js.predictions++
 	in := predict.Indexed{View: js.base, Loads: js.cols.CPULoad, Reserved: js.cols.ReservedMbps}
-	pred, err := c.predictIndexed(in, jc.opt, lv.placed.Resolve(js.base, &lv.asg))
+	pred, err := c.predictIndexed(in, jc.st.opt, lv.placed.Resolve(js.base, &lv.asg))
 	if err != nil {
 		return false
 	}
-	if !jc.frictionKnown {
-		jc.frictionKnown = true
-		jc.friction, jc.frictionWarn = frictionCost(lv.app, jc.opt, &lv.asg, rsl.MapEnv(jc.choice.Vars))
-	}
-	if w := jc.frictionWarn; w != "" && !slices.Contains(js.best.warns[js.branchWarns:], w) {
+	if w := jc.st.frictionWarn; w != "" && !slices.Contains(js.best.warns[js.branchWarns:], w) {
 		js.best.warns = append(js.best.warns, w)
 	}
 	lv.trial, lv.predicted = jc, pred.Seconds
@@ -454,7 +475,7 @@ func (js *jointSearch) leaf() {
 	if !js.c.cfg.IgnoreFriction {
 		for i := range js.levels {
 			if jc := js.levels[i].trial; jc.switches {
-				score += jc.friction / float64(len(jobs))
+				score += jc.st.friction / float64(len(jobs))
 			}
 		}
 	}
@@ -467,7 +488,7 @@ func (js *jointSearch) leaf() {
 				choice:     lv.trial.choice,
 				assignment: lv.asg.Clone(),
 				predicted:  lv.predicted,
-				friction:   lv.trial.friction,
+				friction:   lv.trial.st.friction,
 			}
 		}
 	}

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
-	"strconv"
-	"strings"
 
 	"harmony/internal/bounds"
+	"harmony/internal/match"
 	"harmony/internal/objective"
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
@@ -26,48 +26,36 @@ import (
 // which quotes the last match failure, may differ). Config.DisablePruning
 // opts out; PruneStats reports the counters.
 
-// specDemand is one node spec's concrete resource demand under a fixed
-// choice: everything the matcher's eligibility scan reads, resolved.
-type specDemand struct {
-	local     string
-	pattern   string // spec.HostPattern; a concrete hostname or "*"
-	os        string // required OS ("" = unconstrained)
-	pin       string // string hostname tag ("" = none)
-	replicas  int
-	grant     float64
-	exclusive bool
-}
-
-// eligKey strips the fields irrelevant to host eligibility so counts can
-// be shared between choices that differ only in replica count.
-type eligKey struct {
-	pattern   string
-	os        string
-	pin       string
-	grant     float64
-	exclusive bool
-}
-
 // choiceStatic is the view-independent analysis of one enumerated choice.
 type choiceStatic struct {
+	// opt is the choice's option and plan its request resolved for placement:
+	// one plan per (application, choice), read by both searches.
+	opt  *rsl.OptionSpec
+	plan *match.Plan
+	// friction is the cost of switching to the choice: the option's friction
+	// expression over the granted memory and the choice's variables, which
+	// the plan fixes wherever it lands. An expression that cannot be
+	// evaluated costs nothing and leaves frictionWarn, which whoever reduces
+	// the candidates surfaces once the choice fits, once per distinct message.
+	friction     float64
+	frictionWarn string
+
 	// alwaysFails marks choices whose Match fails on every view: a
 	// requirement expression errors, a grant violates its constraint, or a
 	// spec is structurally unplaceable (e.g. a fixed-host exclusive spec
 	// with two replicas, whose second replica always sees the first's CPU
 	// charge).
 	alwaysFails bool
-	// sig fingerprints everything the evaluator reads from the choice:
-	// resolved spec demands plus statically evaluated link, communication
-	// and friction values. Two choices with equal sigs produce bit-identical
+	// sig fingerprints everything the evaluator reads from the choice: the
+	// plan's key (resolved spec demands, link, communication values) and the
+	// friction value. Two choices with equal sigs produce bit-identical
 	// candidates on any view, so the later one can never strictly win.
 	sig string
 	// specs are the resolved per-spec demands (empty when alwaysFails).
-	specs []specDemand
+	specs []match.Demand
 	// wildcard is the total replica count over wildcard specs; they all
-	// take distinct hosts within one Match. replicas is the count over all
-	// specs: the placements evaluating the choice makes.
+	// take distinct hosts within one Match.
 	wildcard int
-	replicas int
 }
 
 // deadKind classifies why an option's choices can be skipped wholesale.
@@ -149,7 +137,7 @@ func (c *Controller) staticForLocked(app *appState) *bundleStatic {
 	}
 	for i, ch := range bs.choices {
 		if opt := byName[ch.Option]; opt != nil {
-			bs.stat[i] = analyzeChoice(opt, ch)
+			bs.stat[i] = analyzeChoice(app.bundle.App, opt, ch, newPlan(opt, ch))
 		}
 	}
 	for _, d := range bounds.Dominance(app.bundle) {
@@ -179,184 +167,63 @@ func (c *Controller) staticForLocked(app *appState) *bundleStatic {
 	return bs
 }
 
-// fbits renders a float exactly (bit pattern), so signature equality means
-// value identity including negative zero and NaN payloads.
-func fbits(v float64) string {
-	return strconv.FormatUint(math.Float64bits(v), 16)
+// newPlan resolves a choice of opt for placement.
+func newPlan(opt *rsl.OptionSpec, ch Choice) *match.Plan {
+	return match.NewPlan(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants})
 }
 
-// analyzeChoice resolves one choice's concrete demands, mirroring the
-// matcher's own requirement evaluation (internal/match.Match): replica
-// counts, memory with grant validation, seconds, exclusivity, and string
-// host constraints. Any view-independent failure the matcher would report
-// marks the choice alwaysFails.
-func analyzeChoice(opt *rsl.OptionSpec, ch Choice) choiceStatic {
-	env := rsl.MapEnv(ch.Vars)
-	fails := choiceStatic{alwaysFails: true}
-	var st choiceStatic
-	memEnv := make(rsl.MapEnv, 2*len(opt.Nodes))
-	var sb strings.Builder
-	sb.WriteString(ch.Option)
-	locals := make(map[string]bool, len(opt.Nodes))
-	for i := range opt.Nodes {
-		spec := &opt.Nodes[i]
-		locals[spec.LocalName] = true
-		replicas := 1
-		if spec.Replicate != nil {
-			v, err := spec.Replicate.Eval(env)
-			if err != nil {
-				return fails
+// analyzeChoice reads a choice's concrete demands off its plan, which
+// resolved them as the matcher does — replica counts, memory with grant
+// validation, seconds, exclusivity, links and communication — marks the
+// choice alwaysFails when the plan did not resolve or a spec can never be
+// placed whatever the view, and evaluates its friction.
+func analyzeChoice(app string, opt *rsl.OptionSpec, ch Choice, plan *match.Plan) choiceStatic {
+	st := choiceStatic{opt: opt, plan: plan}
+	demands, ok := plan.Demands()
+	if !ok {
+		st.alwaysFails = true
+		return st
+	}
+	fsig := ""
+	if opt.Friction != nil {
+		// A failing friction expression is a deferred warning, not a match
+		// failure; the error text is deterministic, so equal sigs still imply
+		// identical behavior.
+		f, err := opt.Friction.Eval(plan.Env())
+		switch {
+		case err != nil:
+			st.frictionWarn = fmt.Sprintf("core: %s option %s: friction evaluation failed: %v", app, opt.Name, err)
+			fsig = "|f:err:" + err.Error()
+		default:
+			if f > 0 {
+				st.friction = f
 			}
-			replicas = int(math.Round(v))
-			if replicas < 1 {
-				return fails
-			}
+			fsig = fmt.Sprintf("|f:%x", math.Float64bits(f))
 		}
-		needMem, memOp := 0.0, rsl.OpExact
-		if tag, ok := spec.Tags["memory"]; ok {
-			v, err := tag.EvalNum(env)
-			if err != nil || v < 0 {
-				return fails
+	}
+	for _, d := range demands {
+		if d.Hostname != "" {
+			if d.Host != "*" && d.Host != d.Hostname {
+				st.alwaysFails = true // the pin can never equal the fixed host
 			}
-			needMem, memOp = v, tag.Op
-		}
-		grant := needMem
-		if g, ok := ch.Grants[spec.LocalName]; ok {
-			switch memOp {
-			case rsl.OpMin:
-				if g < needMem {
-					return fails
-				}
-				grant = g
-			case rsl.OpMax:
-				if g > needMem {
-					return fails
-				}
-				grant = g
-			default:
-				if g != needMem {
-					return fails
-				}
+			if d.Host == "*" && d.Replicas > 1 {
+				st.alwaysFails = true // wildcard replicas need distinct hosts; only the pin qualifies
 			}
 		}
-		seconds := 0.0
-		if tag, ok := spec.Tags["seconds"]; ok {
-			v, err := tag.EvalNum(env)
-			if err != nil || v < 0 {
-				return fails
-			}
-			seconds = v
-		}
-		exclusive := false
-		if tag, ok := spec.Tags["exclusive"]; ok {
-			v, err := tag.EvalNum(env)
-			if err != nil {
-				return fails
-			}
-			exclusive = v != 0
-		}
-		pin, osStr := "", ""
-		if t, ok := spec.Tags["hostname"]; ok && t.IsString {
-			pin = t.Str
-		}
-		if t, ok := spec.Tags["os"]; ok && t.IsString {
-			osStr = t.Str
-		}
-		if pin != "" {
-			if spec.HostPattern != "*" && spec.HostPattern != pin {
-				return fails // the pin can never equal the fixed host
-			}
-			if spec.HostPattern == "*" && replicas > 1 {
-				return fails // wildcard replicas need distinct hosts; only the pin qualifies
-			}
-		}
-		if exclusive && replicas > 1 && spec.HostPattern != "*" {
+		if d.Exclusive && d.Replicas > 1 && d.Host != "*" {
 			// Fixed-host replicas stack: the first charges a full CPU, so
 			// the second always finds the host busy.
-			return fails
+			st.alwaysFails = true
 		}
-		memEnv[spec.LocalName+".memory"] = grant
-		memEnv[spec.LocalName+".seconds"] = seconds
-		d := specDemand{
-			local: spec.LocalName, pattern: spec.HostPattern,
-			os: osStr, pin: pin,
-			replicas: replicas, grant: grant, exclusive: exclusive,
-		}
-		st.specs = append(st.specs, d)
-		st.replicas += replicas
-		if d.pattern == "*" {
-			st.wildcard += replicas
-		}
-		sb.WriteString("|s:")
-		sb.WriteString(d.local)
-		sb.WriteByte(',')
-		sb.WriteString(d.pattern)
-		sb.WriteByte(',')
-		sb.WriteString(d.os)
-		sb.WriteByte(',')
-		sb.WriteString(d.pin)
-		sb.WriteByte(',')
-		sb.WriteString(strconv.Itoa(d.replicas))
-		sb.WriteByte(',')
-		sb.WriteString(fbits(d.grant))
-		sb.WriteByte(',')
-		sb.WriteString(fbits(seconds))
-		if d.exclusive {
-			sb.WriteString(",x")
+		if d.Host == "*" {
+			st.wildcard += d.Replicas
 		}
 	}
-
-	// Links, communication and friction evaluate under the granted memory
-	// and seconds — all statically known here, exactly as the matcher and
-	// evaluator see them.
-	linkEnv := rsl.ChainEnv{memEnv, env}
-	for _, ls := range opt.Links {
-		if !locals[ls.A] || !locals[ls.B] {
-			return fails // Match rejects links naming unknown nodes
-		}
-		sb.WriteString("|l:")
-		sb.WriteString(ls.A)
-		sb.WriteByte('-')
-		sb.WriteString(ls.B)
-		sb.WriteByte(',')
-		bw, err := ls.Bandwidth.Eval(linkEnv)
-		if err != nil || bw < 0 {
-			return fails // evaluated before any host check, so this always fails
-		}
-		sb.WriteString(fbits(bw))
-		if ls.Latency != nil {
-			sb.WriteString(",lat:")
-			if lat, err := ls.Latency.Eval(linkEnv); err != nil {
-				// Latency only evaluates for cross-host placements, which
-				// depend on the view: not an unconditional failure.
-				sb.WriteString("err:")
-				sb.WriteString(err.Error())
-			} else {
-				sb.WriteString(fbits(lat))
-			}
-		}
+	if st.alwaysFails {
+		return st
 	}
-	if opt.Communication != nil {
-		comm, err := opt.Communication.Eval(linkEnv)
-		if err != nil || comm < 0 {
-			return fails
-		}
-		sb.WriteString("|c:")
-		sb.WriteString(fbits(comm))
-	}
-	if opt.Friction != nil {
-		sb.WriteString("|f:")
-		if f, err := opt.Friction.Eval(linkEnv); err != nil {
-			// A failing friction expression is a deferred warning, not a
-			// match failure; the error text is deterministic, so equal sigs
-			// still imply identical behavior.
-			sb.WriteString("err:")
-			sb.WriteString(err.Error())
-		} else {
-			sb.WriteString(fbits(f))
-		}
-	}
-	st.sig = sb.String()
+	st.specs = demands
+	st.sig = ch.Option + plan.Key() + fsig
 	return st
 }
 
@@ -366,7 +233,7 @@ func analyzeChoice(opt *rsl.OptionSpec, ch Choice) choiceStatic {
 type availability struct {
 	nodes  []resource.NodeState // hostname order
 	up     int
-	counts map[eligKey]int
+	counts map[match.Demand]int
 }
 
 // newAvailability scans the evaluation snapshot's node table once. Only
@@ -383,33 +250,34 @@ func newAvailability(nodes []resource.NodeState) *availability {
 
 // eligible mirrors the matcher's firstFit preconditions for one node
 // against one replica of a demand.
-func eligible(ns *resource.NodeState, d *specDemand) bool {
+func eligible(ns *resource.NodeState, d *match.Demand) bool {
 	host := ns.Node.Hostname
 	if ns.Health != resource.HealthUp {
 		return false
 	}
-	if d.pattern != "*" && d.pattern != host {
+	if d.Host != "*" && d.Host != host {
 		return false
 	}
-	if d.pin != "" && d.pin != host {
+	if d.Hostname != "" && d.Hostname != host {
 		return false
 	}
-	if d.os != "" && d.os != ns.Node.OS {
+	if d.OS != "" && d.OS != ns.Node.OS {
 		return false
 	}
-	if ns.FreeMemoryMB < d.grant {
+	if ns.FreeMemoryMB < d.MemoryMB {
 		return false
 	}
-	if d.exclusive && ns.CPULoad > 0 {
+	if d.Exclusive && ns.CPULoad > 0 {
 		return false
 	}
 	return true
 }
 
 // eligibleCount counts hosts a wildcard demand could use, memoized by
-// demand shape (replica count does not affect per-host eligibility).
-func (av *availability) eligibleCount(d *specDemand) int {
-	key := eligKey{pattern: d.pattern, os: d.os, pin: d.pin, grant: d.grant, exclusive: d.exclusive}
+// demand shape (the key leaves out the name, seconds and replica count,
+// which do not affect per-host eligibility).
+func (av *availability) eligibleCount(d *match.Demand) int {
+	key := match.Demand{Host: d.Host, OS: d.OS, Hostname: d.Hostname, MemoryMB: d.MemoryMB, Exclusive: d.Exclusive}
 	if n, ok := av.counts[key]; ok {
 		return n
 	}
@@ -420,7 +288,7 @@ func (av *availability) eligibleCount(d *specDemand) int {
 		}
 	}
 	if av.counts == nil {
-		av.counts = make(map[eligKey]int)
+		av.counts = make(map[match.Demand]int)
 	}
 	av.counts[key] = n
 	return n
@@ -439,58 +307,53 @@ func (av *availability) feasible(st *choiceStatic) bool {
 	}
 	for i := range st.specs {
 		d := &st.specs[i]
-		if d.pattern == "*" {
-			if av.eligibleCount(d) < d.replicas {
+		if d.Host == "*" {
+			if av.eligibleCount(d) < d.Replicas {
 				return false
 			}
 			continue
 		}
-		i, ok := resource.FindNode(av.nodes, d.pattern)
+		i, ok := resource.FindNode(av.nodes, d.Host)
 		if !ok || av.nodes[i].Health != resource.HealthUp {
 			return false
 		}
 		ns := &av.nodes[i]
-		if d.pin != "" && d.pin != ns.Node.Hostname {
+		if d.Hostname != "" && d.Hostname != ns.Node.Hostname {
 			return false
 		}
-		if d.os != "" && d.os != ns.Node.OS {
+		if d.OS != "" && d.OS != ns.Node.OS {
 			return false
 		}
-		if d.exclusive && ns.CPULoad > 0 {
+		if d.Exclusive && ns.CPULoad > 0 {
 			return false
 		}
 		free := ns.FreeMemoryMB
-		for r := 0; r < d.replicas; r++ {
-			if free < d.grant {
+		for r := 0; r < d.Replicas; r++ {
+			if free < d.MemoryMB {
 				return false
 			}
-			free -= d.grant
+			free -= d.MemoryMB
 		}
 	}
 	return true
 }
 
 // pruneChoicesLocked filters a bundle's enumerated choices before
-// evaluation. current (the app's adopted choice) is exempt: it is the one
+// evaluation, returning the indices of those to evaluate, in enumeration
+// order. current (the app's adopted choice) is exempt: it is the one
 // candidate the friction surcharge never applies to, so an identical
 // earlier candidate does not subsume it. If every choice would be pruned,
 // nothing is: evaluating the full set preserves the no-feasible-option
 // error's diagnostic detail. nodes is the evaluation snapshot's node table;
 // in the exhaustive search that of the all-released base snapshot: deeper
 // levels only ever shrink capacity, so infeasibility against the base holds
-// for every branch. The second result is the number of node placements the
-// returned choices make between them, which is what evaluating them costs.
-func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes []resource.NodeState) ([]Choice, int) {
-	all := 0
-	for i := range bs.stat {
-		all += bs.stat[i].replicas
-	}
+// for every branch.
+func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes []resource.NodeState) []int {
 	if c.cfg.DisablePruning {
-		return bs.choices, all
+		return bs.all()
 	}
 	av := newAvailability(nodes)
-	kept := make([]Choice, 0, len(bs.choices))
-	replicas := 0
+	kept := make([]int, 0, len(bs.choices))
 	seen := make(map[string]bool, len(bs.choices))
 	var unreachable, dominated uint64
 	monotone := c.monotoneObjective
@@ -500,8 +363,7 @@ func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes 
 			if st.sig != "" {
 				seen[st.sig] = true
 			}
-			kept = append(kept, ch)
-			replicas += st.replicas
+			kept = append(kept, i)
 			continue
 		}
 		dead := bs.optDead[ch.Option]
@@ -516,15 +378,38 @@ func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes 
 			if st.sig != "" {
 				seen[st.sig] = true
 			}
-			kept = append(kept, ch)
-			replicas += st.replicas
+			kept = append(kept, i)
 		}
 	}
 	c.prune.Considered += uint64(len(bs.choices))
 	if len(kept) == 0 {
-		return bs.choices, all
+		return bs.all()
 	}
 	c.prune.Unreachable += unreachable
 	c.prune.Dominated += dominated
-	return kept, replicas
+	return kept
+}
+
+// choiceStaticLocked returns the static analysis of the app's enumerated
+// choice equal to ch, or, for a choice the enumeration does not hold, a fresh
+// one. ch's option must be in the app's bundle.
+func (c *Controller) choiceStaticLocked(app *appState, ch Choice) *choiceStatic {
+	bs := c.staticForLocked(app)
+	for i := range bs.choices {
+		if bs.choices[i].Equal(ch) {
+			return &bs.stat[i]
+		}
+	}
+	opt := app.bundle.Option(ch.Option)
+	st := analyzeChoice(app.bundle.App, opt, ch, newPlan(opt, ch))
+	return &st
+}
+
+// all is the index of every enumerated choice.
+func (bs *bundleStatic) all() []int {
+	all := make([]int, len(bs.choices))
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }

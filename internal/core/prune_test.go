@@ -223,7 +223,7 @@ func compareStates(t *testing.T, stage string, pruned, plain *Controller) {
 func TestPruningBitIdentical(t *testing.T) {
 	for _, sc := range pruneScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			base := Config{Exhaustive: sc.exhaustive, EvalWorkers: 1}
+			base := Config{Exhaustive: sc.exhaustive}
 			pruned, pClock := sc.build(t, base)
 			plainCfg := base
 			plainCfg.DisablePruning = true
@@ -286,7 +286,7 @@ func TestPruningBitIdentical(t *testing.T) {
 // cluster, re-evaluating any one of them leaves too few idle machines for
 // the large worker counts, which are skipped without a snapshot fork.
 func TestFig4ShapePruneCounter(t *testing.T) {
-	ctrl, clock := newController(t, 16, Config{EvalWorkers: 1})
+	ctrl, clock := newController(t, 16, Config{})
 	for j := 1; j <= 3; j++ {
 		if _, _, err := ctrl.Register(decodeBundle(t, fig4ShapeRSL(j, 16))); err != nil {
 			t.Fatalf("register job %d: %v", j, err)

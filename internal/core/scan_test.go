@@ -26,8 +26,8 @@ import (
 // nothing and carries nothing over. The candidate is matched on a bare fork
 // of the base (which reads and orders the node table itself), reserved in the
 // fork through the view interface, and every application — overlapping the
-// candidate or not — is resolved afresh and predicted by walking the fork's
-// overlay chain.
+// candidate or not — is resolved afresh and predicted against the base and
+// then by walking the fork's overlay chain.
 func evaluateChoiceByFork(c *Controller, ctx *evalContext, ch Choice) (candidate, error) {
 	app := ctx.app
 	opt := app.bundle.Option(ch.Option)
@@ -52,10 +52,11 @@ func evaluateChoiceByFork(c *Controller, ctx *evalContext, ch Choice) (candidate
 	var jobs []objective.JobPrediction
 	for i := range ctx.others {
 		o := &ctx.others[i]
-		if o.err != nil {
-			return candidate{}, o.err
+		asg := o.placed.pl.Assignment()
+		if _, err := c.predictIndexed(predict.Indexed{View: ctx.base}, o.opt, predict.Resolve(ctx.base, asg)); err != nil {
+			return candidate{}, err
 		}
-		p, err := c.predictIndexed(in, o.opt, predict.Resolve(fork, o.placed.pl.Assignment()))
+		p, err := c.predictIndexed(in, o.opt, predict.Resolve(fork, asg))
 		if err != nil {
 			return candidate{}, err
 		}
@@ -106,7 +107,7 @@ harmonyBundle Fric%d:%d where {
 // away before every step. After every step their states must be
 // byte-identical. Then, on the controller that keeps its context, every choice
 // of every resident is evaluated both ways against one context: over the
-// shared scan and pooled columns, and by evaluateChoiceByFork, which rebuilds
+// shared scan and trial state, and by evaluateChoiceByFork, which rebuilds
 // everything for each candidate. The two must agree on the assignment (carried
 // positions included), bit for bit on the prediction and the objective, and
 // word for word on the error of a candidate that does not fit.
@@ -223,8 +224,8 @@ func testScanNeverOutlivesItsBase(t *testing.T, strategy match.Strategy) {
 			app := kept.apps[id]
 			bs := kept.staticForLocked(app)
 			ctx := kept.newEvalContextLocked(app)
-			for _, ch := range bs.choices {
-				got, gotErr := kept.evaluateChoice(ctx, ch)
+			for k, ch := range bs.choices {
+				got, gotErr := kept.evaluateChoice(ctx, ch, &bs.stat[k])
 				want, wantErr := evaluateChoiceByFork(kept, ctx, ch)
 				candidates++
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -234,7 +235,7 @@ func testScanNeverOutlivesItsBase(t *testing.T, strategy match.Strategy) {
 					misfits++
 					continue
 				}
-				if !reflect.DeepEqual(got.assignment, want.assignment) {
+				if !reflect.DeepEqual(got.assignment, want.assignment.Clone()) {
 					t.Fatalf("%s: %s %s: assignments differ:\n shared:  %+v\n rebuilt: %+v", step.name, app.owner(), ch, got.assignment, want.assignment)
 				}
 				if math.Float64bits(got.predicted) != math.Float64bits(want.predicted) ||
@@ -302,13 +303,18 @@ func TestOneScanPerEvaluation(t *testing.T) {
 // TestSearchNeverForks reads the package's source: nothing in it forks a
 // snapshot — neither search does, a greedy candidate and a joint trial being
 // charged to columns — an assignment is reserved through a view only by
-// adoption, and a node table is read out of a snapshot only where a search's
-// base is built, once per base, since neither function loops over it.
+// adoption, a node table is read out of a snapshot only where a search's
+// base is built, once per base, since neither function loops over it, and a
+// request is resolved (match.NewPlan) in one place, once per choice, never
+// matched from scratch (Match). Nor does anything in it start a goroutine:
+// evaluation is one serial loop.
 func TestSearchNeverForks(t *testing.T) {
 	allowed := map[string]map[string]bool{
 		"Fork":        {},
+		"Match":       {},
 		"Reserve":     {"adoptLocked": true, "reevaluateExhaustiveLocked": true},
 		"AppendNodes": {"newEvalContextLocked": true, "jointProblemLocked": true},
+		"NewPlan":     {"newPlan": true},
 	}
 	seen := map[string]int{}
 	fset := token.NewFileSet()
@@ -324,6 +330,9 @@ func TestSearchNeverForks(t *testing.T) {
 					continue
 				}
 				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						t.Errorf("%s: %s starts a goroutine", fset.Position(g.Pos()), fn.Name.Name)
+					}
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true

@@ -11,7 +11,7 @@ import (
 // reports, so the race detector proves the accessor synchronizes with the
 // optimizer instead of reading the counters bare.
 func TestStatsReadsDuringReevaluate(t *testing.T) {
-	ctrl, clock := newController(t, 16, Config{EvalWorkers: 4})
+	ctrl, clock := newController(t, 16, Config{})
 	for j := 1; j <= 3; j++ {
 		if _, _, err := ctrl.Register(decodeBundle(t, fig4ShapeRSL(j, 16))); err != nil {
 			t.Fatalf("register job %d: %v", j, err)

@@ -13,18 +13,17 @@ import (
 	"harmony/internal/simclock"
 )
 
-// This file benchmarks the controller's evaluation hot path (the
-// snapshot-based candidate evaluator of internal/core) on workloads shaped
-// like the paper's Figure 4 (variable-parallelism jobs on an SP-2) and
-// Figure 7 (query-shipping/data-shipping database clients), at several
-// cluster sizes, at GOMAXPROCS 1 and at the process's own GOMAXPROCS. It
-// measures a full re-evaluation pass — every registered application's
-// candidate set scored under the system objective — serially (EvalWorkers=1)
-// and in parallel (EvalWorkers=GOMAXPROCS), and reports ns/pass, candidate
-// evaluations per second, speedup, and the share of candidates pruned. A
-// third shape, accommodate, measures the joint search instead: one arrival on
-// a machine its residents fill, in ns and in trials per accommodation.
-// cmd/hbench -json serializes the report (BENCH_21.json is the committed
+// This file benchmarks the controller's evaluation hot path (the greedy
+// candidate evaluator of internal/core) on workloads shaped like the paper's
+// Figure 4 (variable-parallelism jobs on an SP-2) and Figure 7
+// (query-shipping/data-shipping database clients), at several cluster sizes,
+// at GOMAXPROCS 1 and at the process's own GOMAXPROCS. It measures a full
+// re-evaluation pass — every registered application's candidate set scored
+// under the system objective — and reports ns/pass, candidate evaluations per
+// second, predictions per pass and the share of candidates pruned. A third
+// shape, accommodate, measures the joint search instead: one arrival on a
+// machine its residents fill, in ns and in trials per accommodation.
+// cmd/hbench -json serializes the report (BENCH_26.json is the committed
 // baseline) and scripts/bench.sh gates CI on it.
 
 // OptBenchConfig parameterizes the hot-path benchmark.
@@ -46,8 +45,6 @@ type OptBenchConfig struct {
 	MinMeasure time.Duration
 	// MaxIters caps re-evaluation passes per measurement.
 	MaxIters int
-	// ParallelWorkers is the parallel mode's worker bound; 0 = GOMAXPROCS.
-	ParallelWorkers int
 }
 
 // DefaultOptBenchConfig measures both shapes at the sizes the issue calls
@@ -65,24 +62,22 @@ func DefaultOptBenchConfig() OptBenchConfig {
 type OptBenchPoint struct {
 	Shape string `json:"shape"`
 	Nodes int    `json:"nodes"`
-	// Procs is the GOMAXPROCS the point was measured at; the parallel mode
-	// runs that many evaluation workers.
-	Procs               int     `json:"go_max_procs"`
-	Apps                int     `json:"apps"`
-	ChoicesPerPass      int     `json:"choices_per_pass"`
-	SerialNsPerReeval   float64 `json:"serial_ns_per_reeval"`
-	ParallelNsPerReeval float64 `json:"parallel_ns_per_reeval"`
-	SerialEvalsPerSec   float64 `json:"serial_evals_per_sec"`
-	ParallelEvalsPerSec float64 `json:"parallel_evals_per_sec"`
-	Speedup             float64 `json:"speedup"`
-	// The Prune* counters are deltas over the serial measurement window, so
-	// points are comparable across runs of different lengths only via their
+	// Procs is the GOMAXPROCS the point was measured at.
+	Procs          int     `json:"go_max_procs"`
+	Apps           int     `json:"apps"`
+	ChoicesPerPass int     `json:"choices_per_pass"`
+	NsPerReeval    float64 `json:"ns_per_reeval"`
+	EvalsPerSec    float64 `json:"evals_per_sec"`
+	// PredictionsPerPass is core.Controller.Predictions over one pass; it
+	// depends on the workload alone and repeats exactly.
+	PredictionsPerPass uint64 `json:"predictions_per_pass,omitempty"`
+	// The Prune* counters are deltas over the measurement window, so points
+	// are comparable across runs of different lengths only via their
 	// per-iteration ratios.
 	PruneConsidered  uint64 `json:"prune_considered"`
 	PruneUnreachable uint64 `json:"prune_unreachable"`
 	PruneDominated   uint64 `json:"prune_dominated"`
-	SerialIters      int    `json:"serial_iters"`
-	ParallelIters    int    `json:"parallel_iters"`
+	Iters            int    `json:"iters"`
 
 	// An accommodate point has these in place of everything from
 	// ChoicesPerPass on: Residents bags of Choices choices each (workerNodes
@@ -96,7 +91,7 @@ type OptBenchPoint struct {
 	DNF                    bool    `json:"dnf,omitempty"`
 }
 
-// OptBenchReport is the machine-readable benchmark output (BENCH_21.json).
+// OptBenchReport is the machine-readable benchmark output (BENCH_26.json).
 // GoMaxProcs is the process's setting, the larger of the two every point is
 // measured at.
 type OptBenchReport struct {
@@ -107,8 +102,8 @@ type OptBenchReport struct {
 	// Notes is commentary kept with a committed baseline: what the numbers
 	// were measured for and what they showed. A fresh run has none.
 	Notes []string `json:"notes,omitempty"`
-	// Parent holds, in a committed baseline, the accommodate points measured
-	// on the parent commit: what the change's points are read against.
+	// Parent holds, in a committed baseline, points measured on the parent
+	// commit: what the change's points are read against.
 	Parent []OptBenchPoint `json:"parent,omitempty"`
 	Points []OptBenchPoint `json:"points"`
 }
@@ -143,7 +138,7 @@ harmonyBundle DBclient:%d where {
 }
 
 // buildOptBenchController constructs one fully-registered workload.
-func buildOptBenchController(shape string, nodes, workers int) (*core.Controller, *simclock.Clock, error) {
+func buildOptBenchController(shape string, nodes int) (*core.Controller, *simclock.Clock, error) {
 	clock := simclock.New()
 	fail := func(err error) (*core.Controller, *simclock.Clock, error) {
 		clock.Stop()
@@ -155,7 +150,7 @@ func buildOptBenchController(shape string, nodes, workers int) (*core.Controller
 		if err != nil {
 			return fail(err)
 		}
-		ctrl, err := core.New(core.Config{Cluster: cl, Clock: clock, EvalWorkers: workers})
+		ctrl, err := core.New(core.Config{Cluster: cl, Clock: clock})
 		if err != nil {
 			return fail(err)
 		}
@@ -187,7 +182,7 @@ func buildOptBenchController(shape string, nodes, workers int) (*core.Controller
 		if err != nil {
 			return fail(err)
 		}
-		ctrl, err := core.New(core.Config{Cluster: cl, Clock: clock, EvalWorkers: workers})
+		ctrl, err := core.New(core.Config{Cluster: cl, Clock: clock})
 		if err != nil {
 			return fail(err)
 		}
@@ -211,8 +206,9 @@ func buildOptBenchController(shape string, nodes, workers int) (*core.Controller
 // virtual clock past every granularity limit so no application is gated.
 // The reported ns/pass is the minimum over three measurement blocks — the
 // noise-robust estimator (scheduling interference only ever slows a block
-// down), which keeps the CI regression gate's tolerance meaningful.
-func measureReevals(ctrl *core.Controller, clock *simclock.Clock, minDur time.Duration, maxIters int) (nsPerOp float64, iters int) {
+// down), which keeps the CI regression gate's tolerance meaningful. Every
+// measured pass makes the same predictions; predictions is how many.
+func measureReevals(ctrl *core.Controller, clock *simclock.Clock, minDur time.Duration, maxIters int) (nsPerOp float64, iters int, predictions uint64, err error) {
 	// Warm up to steady state: once choices stop changing, every further
 	// pass performs identical work.
 	for i := 0; i < 5; i++ {
@@ -222,6 +218,7 @@ func measureReevals(ctrl *core.Controller, clock *simclock.Clock, minDur time.Du
 		}
 	}
 	best := math.Inf(1)
+	made := ctrl.Predictions()
 	for block := 0; block < 3; block++ {
 		start := time.Now()
 		n := 0
@@ -235,7 +232,11 @@ func measureReevals(ctrl *core.Controller, clock *simclock.Clock, minDur time.Du
 		}
 		iters += n
 	}
-	return best, iters
+	made = ctrl.Predictions() - made
+	if predictions = made / uint64(iters); made != predictions*uint64(iters) {
+		return 0, 0, 0, fmt.Errorf("%d predictions over %d passes: the count does not repeat", made, iters)
+	}
+	return best, iters, predictions, nil
 }
 
 // RunOptBench measures every configured (shape, nodes) point.
@@ -273,11 +274,7 @@ func RunOptBench(cfg OptBenchConfig) (*OptBenchReport, error) {
 		for _, nodes := range slices.Concat(cfg.NodeCounts, cfg.ShapeNodeCounts[shape]) {
 			for _, procs := range procsList {
 				runtime.GOMAXPROCS(procs)
-				parWorkers := cfg.ParallelWorkers
-				if parWorkers <= 0 {
-					parWorkers = procs
-				}
-				pt, err := runOptBenchPoint(shape, nodes, parWorkers, cfg.MinMeasure, cfg.MaxIters)
+				pt, err := runOptBenchPoint(shape, nodes, cfg.MinMeasure, cfg.MaxIters)
 				if err != nil {
 					return nil, err
 				}
@@ -329,7 +326,7 @@ func runAccommodatePoint(residents, choices int, cfg OptBenchConfig) (*OptBenchP
 		return nil, err
 	}
 	clock := simclock.New()
-	ctrl, err := core.New(core.Config{Cluster: cl, Clock: clock, EvalWorkers: 1})
+	ctrl, err := core.New(core.Config{Cluster: cl, Clock: clock})
 	if err != nil {
 		clock.Stop()
 		return nil, err
@@ -398,11 +395,11 @@ func runAccommodatePoint(residents, choices int, cfg OptBenchConfig) (*OptBenchP
 		return nil, fmt.Errorf("optbench accommodate %dx%d: %w", residents, choices, o.err)
 	}
 	pt.TrialsPerAccommodation = ctrl.JointTrials() - trials
-	pt.NsPerAccommodation, pt.SerialIters = float64(o.took.Nanoseconds()), 1
+	pt.NsPerAccommodation, pt.Iters = float64(o.took.Nanoseconds()), 1
 	if o.took >= cfg.MinMeasure {
 		return pt, nil
 	}
-	pt.SerialIters = 0
+	pt.Iters = 0
 	for block := 0; block < 3; block++ {
 		var total time.Duration
 		n := 0
@@ -417,73 +414,36 @@ func runAccommodatePoint(residents, choices int, cfg OptBenchConfig) (*OptBenchP
 		if per := float64(total.Nanoseconds()) / float64(n); block == 0 || per < pt.NsPerAccommodation {
 			pt.NsPerAccommodation = per
 		}
-		pt.SerialIters += n
+		pt.Iters += n
 	}
-	if got := ctrl.JointTrials() - trials; got != uint64(pt.SerialIters+1)*pt.TrialsPerAccommodation {
+	if got := ctrl.JointTrials() - trials; got != uint64(pt.Iters+1)*pt.TrialsPerAccommodation {
 		return nil, fmt.Errorf("optbench accommodate %dx%d: %d trials over %d accommodations, the first took %d: the count does not repeat",
-			residents, choices, got, pt.SerialIters+1, pt.TrialsPerAccommodation)
+			residents, choices, got, pt.Iters+1, pt.TrialsPerAccommodation)
 	}
 	return pt, nil
 }
 
-func runOptBenchPoint(shape string, nodes, parWorkers int, minDur time.Duration, maxIters int) (*OptBenchPoint, error) {
-	serial, sClock, err := buildOptBenchController(shape, nodes, 1)
+func runOptBenchPoint(shape string, nodes int, minDur time.Duration, maxIters int) (*OptBenchPoint, error) {
+	ctrl, clock, err := buildOptBenchController(shape, nodes)
 	if err != nil {
 		return nil, err
 	}
-	defer serial.Stop()
-	defer sClock.Stop()
-	par, pClock, err := buildOptBenchController(shape, nodes, parWorkers)
+	defer ctrl.Stop()
+	defer clock.Stop()
+
+	evalsPerPass, _ := ctrl.EvaluationCount()
+	pt := &OptBenchPoint{Shape: shape, Nodes: nodes, Apps: len(ctrl.Apps()), ChoicesPerPass: evalsPerPass}
+	p0 := ctrl.PruneStats()
+	pt.NsPerReeval, pt.Iters, pt.PredictionsPerPass, err = measureReevals(ctrl, clock, minDur, maxIters)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("optbench %s/%d: %w", shape, nodes, err)
 	}
-	defer par.Stop()
-	defer pClock.Stop()
-
-	evalsPerPass, _ := serial.EvaluationCount()
-	apps := len(serial.Apps())
-
-	p0 := serial.PruneStats()
-	serialNs, serialIters := measureReevals(serial, sClock, minDur, maxIters)
-	p1 := serial.PruneStats()
-	parNs, parIters := measureReevals(par, pClock, minDur, maxIters)
-
-	// The two controllers ran identical workloads; their steady-state
-	// decisions must agree or the parallel path is broken.
-	sa, pa := serial.Apps(), par.Apps()
-	if len(sa) != len(pa) {
-		return nil, fmt.Errorf("optbench %s/%d: app count diverged serial=%d parallel=%d", shape, nodes, len(sa), len(pa))
-	}
-	for i := range sa {
-		if !sa[i].Choice.Equal(pa[i].Choice) {
-			return nil, fmt.Errorf("optbench %s/%d: app %s decisions diverged: serial=%v parallel=%v",
-				shape, nodes, sa[i].App, sa[i].Choice, pa[i].Choice)
-		}
-		if math.Float64bits(sa[i].PredictedSeconds) != math.Float64bits(pa[i].PredictedSeconds) {
-			return nil, fmt.Errorf("optbench %s/%d: app %s predictions diverged: serial=%v parallel=%v",
-				shape, nodes, sa[i].App, sa[i].PredictedSeconds, pa[i].PredictedSeconds)
-		}
-	}
-
-	pt := &OptBenchPoint{
-		Shape:               shape,
-		Nodes:               nodes,
-		Apps:                apps,
-		ChoicesPerPass:      evalsPerPass,
-		SerialNsPerReeval:   serialNs,
-		ParallelNsPerReeval: parNs,
-		SerialIters:         serialIters,
-		ParallelIters:       parIters,
-		PruneConsidered:     p1.Considered - p0.Considered,
-		PruneUnreachable:    p1.Unreachable - p0.Unreachable,
-		PruneDominated:      p1.Dominated - p0.Dominated,
-	}
-	if serialNs > 0 {
-		pt.SerialEvalsPerSec = float64(evalsPerPass) / (serialNs / 1e9)
-	}
-	if parNs > 0 {
-		pt.ParallelEvalsPerSec = float64(evalsPerPass) / (parNs / 1e9)
-		pt.Speedup = serialNs / parNs
+	p1 := ctrl.PruneStats()
+	pt.PruneConsidered = p1.Considered - p0.Considered
+	pt.PruneUnreachable = p1.Unreachable - p0.Unreachable
+	pt.PruneDominated = p1.Dominated - p0.Dominated
+	if pt.NsPerReeval > 0 {
+		pt.EvalsPerSec = float64(evalsPerPass) / (pt.NsPerReeval / 1e9)
 	}
 	return pt, nil
 }
@@ -491,7 +451,7 @@ func runOptBenchPoint(shape string, nodes, parWorkers int, minDur time.Duration,
 // OptBenchResult wraps a report in the experiments result format for
 // terminal output.
 func OptBenchResult(report *OptBenchReport) *Result {
-	res := &Result{ID: "B3", Title: "optimizer hot path: serial vs parallel snapshot evaluation"}
+	res := &Result{ID: "B3", Title: "optimizer hot path: greedy passes and joint accommodations"}
 	for _, p := range report.Points {
 		if p.Shape == "accommodate" {
 			took := "did not finish"
@@ -509,10 +469,9 @@ func OptBenchResult(report *OptBenchReport) *Result {
 			prunedPct = 100 * float64(pruned) / float64(p.PruneConsidered)
 		}
 		res.Rows = append(res.Rows, fmt.Sprintf(
-			"%-5s n=%-4d procs=%-2d apps=%-4d choices/pass=%-5d serial=%.2fms parallel=%.2fms speedup=%.2fx evals/s=%.0f pruned=%.0f%%",
+			"%-5s n=%-4d procs=%-2d apps=%-4d choices/pass=%-5d pass=%.2fms evals/s=%.0f predictions/pass=%d pruned=%.0f%%",
 			p.Shape, p.Nodes, p.Procs, p.Apps, p.ChoicesPerPass,
-			p.SerialNsPerReeval/1e6, p.ParallelNsPerReeval/1e6, p.Speedup,
-			p.ParallelEvalsPerSec, prunedPct))
+			p.NsPerReeval/1e6, p.EvalsPerSec, p.PredictionsPerPass, prunedPct))
 	}
 	allPositive := true
 	for _, p := range report.Points {
@@ -520,14 +479,12 @@ func OptBenchResult(report *OptBenchReport) *Result {
 			allPositive = allPositive && (p.DNF || (p.NsPerAccommodation > 0 && p.TrialsPerAccommodation > 0))
 			continue
 		}
-		if !(p.SerialEvalsPerSec > 0 && p.ParallelEvalsPerSec > 0) {
+		if !(p.EvalsPerSec > 0) {
 			allPositive = false
 		}
 	}
 	res.Checks = append(res.Checks,
 		check("every point measured a positive evaluation rate", allPositive,
-			"%d points, GOMAXPROCS=%d", len(report.Points), report.GoMaxProcs),
-		check("serial and parallel evaluators agreed on every decision", true,
-			"bit-identical predictions enforced per point"))
+			"%d points, GOMAXPROCS=%d", len(report.Points), report.GoMaxProcs))
 	return res
 }

@@ -34,11 +34,8 @@ func TestOptBenchSmall(t *testing.T) {
 		if p.Apps <= 0 || p.ChoicesPerPass <= 0 {
 			t.Errorf("%s/%d: degenerate workload: %+v", p.Shape, p.Nodes, p)
 		}
-		if !(p.SerialNsPerReeval > 0) || !(p.ParallelNsPerReeval > 0) {
-			t.Errorf("%s/%d: non-positive timing: %+v", p.Shape, p.Nodes, p)
-		}
-		if !(p.SerialEvalsPerSec > 0) || !(p.ParallelEvalsPerSec > 0) {
-			t.Errorf("%s/%d: non-positive rate: %+v", p.Shape, p.Nodes, p)
+		if !(p.NsPerReeval > 0) || !(p.EvalsPerSec > 0) || p.PredictionsPerPass == 0 {
+			t.Errorf("%s/%d: non-positive timing, rate or prediction count: %+v", p.Shape, p.Nodes, p)
 		}
 	}
 	if rep.GoMaxProcs < 1 || rep.GOOS == "" || rep.GOARCH == "" {
@@ -93,7 +90,7 @@ func TestOptBenchAccommodate(t *testing.T) {
 		if p.Shape != "accommodate" || p.Nodes != 10 || p.Residents != 2 || p.DNF {
 			t.Fatalf("unexpected point: %+v", p)
 		}
-		if p.TrialsPerAccommodation != want[p.Choices] || !(p.NsPerAccommodation > 0) || p.SerialIters < 1 {
+		if p.TrialsPerAccommodation != want[p.Choices] || !(p.NsPerAccommodation > 0) || p.Iters < 1 {
 			t.Errorf("%d choices: %+v, want %d trials", p.Choices, p, want[p.Choices])
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"harmony/internal/resource"
@@ -365,7 +366,8 @@ type demand struct {
 // bounds — so that trying the option against one more state is a scan over
 // columns and no expression is evaluated again. A request that cannot be
 // resolved still makes a plan: placing it fails where, and in the words,
-// matching the request spec by spec would have.
+// matching the request spec by spec would have. A plan is complete when made
+// and only read afterwards, so one plan serves every search that places it.
 type Plan struct {
 	opt     *rsl.OptionSpec
 	env     rsl.Env
@@ -377,12 +379,8 @@ type Plan struct {
 	// once every spec before it is placed.
 	fail *NoFitError
 
-	// The links are resolved when a placement first gets as far as needing
-	// them: they read the granted memory, and a plan placed once (Match) whose
-	// nodes do not fit should not pay for them.
-	linked bool
-	links  []planLink
-	comm   float64
+	links []planLink
+	comm  float64
 	// linkFail is why resolving stopped at link len(links), or at the
 	// communication tag when every link resolved.
 	linkFail *NoFitError
@@ -407,7 +405,7 @@ type planLink struct {
 	latErr error
 }
 
-// NewPlan resolves a request for any number of Place calls.
+// NewPlan resolves a request for any number of Place and Misfit calls.
 func NewPlan(req Request) *Plan {
 	p := new(Plan)
 	p.resolve(req)
@@ -485,6 +483,85 @@ func (p *Plan) resolve(req Request) {
 			ps.cpuLoad = p.specs[p.last(ps.local)].seconds / maxSeconds
 		}
 	}
+	if len(opt.Links) > 0 || opt.Communication != nil {
+		p.resolveLinks()
+	}
+}
+
+// Demand is what one node spec of a plan asks of the machine of each of its
+// replicas, resolved.
+type Demand struct {
+	Local     string
+	Host      string // the spec's host: a hostname, or "*" for any
+	OS        string // the os tag, "" when there is none
+	Hostname  string // the hostname tag, "" when there is none
+	Replicas  int
+	MemoryMB  float64 // the grant
+	Seconds   float64
+	Exclusive bool
+}
+
+// Demands returns what each node spec of the plan asks for, in spec order, or
+// false when the request did not resolve — a requirement, link or
+// communication expression that fails or is out of range, a grant outside its
+// constraint, a link naming a node the option does not have — and so fails
+// to place on every state.
+func (p *Plan) Demands() ([]Demand, bool) {
+	if p.fail != nil || p.linkFail != nil {
+		return nil, false
+	}
+	ds := make([]Demand, len(p.specs))
+	for i := range p.specs {
+		ps := &p.specs[i]
+		ds[i] = Demand{
+			Local: ps.local, Host: ps.demand.pattern, OS: ps.demand.os, Hostname: ps.demand.hostname,
+			Replicas: ps.replicas, MemoryMB: ps.demand.grant, Seconds: ps.seconds, Exclusive: ps.demand.exclusive,
+		}
+	}
+	return ds, true
+}
+
+// Key renders, bit for bit, everything of a resolved plan that placing it
+// reads — every node spec's demand, every link's bandwidth and latency bound
+// (or why the bound could not be evaluated), the communication requirement —
+// so that two plans of one option with equal keys place alike on every state.
+func (p *Plan) Key() string {
+	var b strings.Builder
+	for i := range p.specs {
+		ps := &p.specs[i]
+		fmt.Fprintf(&b, "|s:%s,%s,%s,%s,%d,%x,%x", ps.local, ps.demand.pattern, ps.demand.os, ps.demand.hostname,
+			ps.replicas, math.Float64bits(ps.demand.grant), math.Float64bits(ps.seconds))
+		if ps.demand.exclusive {
+			b.WriteString(",x")
+		}
+	}
+	for i := range p.links {
+		l := &p.links[i]
+		fmt.Fprintf(&b, "|l:%s-%s,%x", l.spec.A, l.spec.B, math.Float64bits(l.bw))
+		switch {
+		case l.spec.Latency == nil:
+		case l.latErr != nil:
+			b.WriteString(",lat:err:" + l.latErr.Error())
+		default:
+			fmt.Fprintf(&b, ",lat:%x", math.Float64bits(l.maxLat))
+		}
+	}
+	if p.opt.Communication != nil {
+		fmt.Fprintf(&b, "|c:%x", math.Float64bits(p.comm))
+	}
+	return b.String()
+}
+
+// Env is what the plan's link and communication expressions were evaluated
+// in: the granted memory and the seconds of each node spec (as
+// Assignment.MemoryEnv has them) over the request's variables.
+func (p *Plan) Env() rsl.Env {
+	granted := make(rsl.MapEnv, 2*len(p.specs))
+	for i := range p.specs {
+		granted[p.specs[i].local+".memory"] = p.specs[i].demand.grant
+		granted[p.specs[i].local+".seconds"] = p.specs[i].seconds
+	}
+	return rsl.ChainEnv{granted, p.env}
 }
 
 // specFailed is the misfit of a node spec one of whose requirements cannot be
@@ -507,13 +584,7 @@ func (p *Plan) last(local string) int {
 // granted memory visible to the expressions (Assignment.MemoryEnv, which does
 // not depend on the hosts).
 func (p *Plan) resolveLinks() {
-	p.linked = true
-	granted := make(rsl.MapEnv, 2*len(p.specs))
-	for i := range p.specs {
-		granted[p.specs[i].local+".memory"] = p.specs[i].demand.grant
-		granted[p.specs[i].local+".seconds"] = p.specs[i].seconds
-	}
-	linkEnv := rsl.ChainEnv{granted, p.env}
+	linkEnv := p.Env()
 	for i := range p.opt.Links {
 		ls := &p.opt.Links[i]
 		// A link joins the first placements of its two node specs.
@@ -592,11 +663,8 @@ func (s *Scan) Match(req Request) (*Assignment, error) {
 func (s *Scan) match(req Request, sc *scratch) (*Assignment, error) {
 	sc.plan.resolve(req)
 	asg := new(Assignment)
-	var why NoFitError
-	if !s.place(&sc.plan, asg, sc, &why) {
-		err := why
-		err.Option = req.Option.Name
-		return nil, &err
+	if err := s.misfit(&sc.plan, asg, sc); err != nil {
+		return nil, err
 	}
 	return asg, nil
 }
@@ -609,6 +677,27 @@ func (s *Scan) Place(p *Plan, asg *Assignment) bool {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	return s.place(p, asg, sc, nil)
+}
+
+// Misfit places the plan once more, asking why it does not fit: the error
+// Match would return for the plan's request over the scan's state, nil when
+// the plan fits. A search that tried many plans calls it for the one whose
+// reason it reports.
+func (s *Scan) Misfit(p *Plan) error {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return s.misfit(p, new(Assignment), sc)
+}
+
+// misfit places the plan into asg and returns why it does not fit, nil when
+// it does.
+func (s *Scan) misfit(p *Plan, asg *Assignment, sc *scratch) error {
+	var why NoFitError
+	if s.place(p, asg, sc, &why) {
+		return nil
+	}
+	why.Option = p.opt.Name
+	return &why
 }
 
 // place places the plan over the scan's state, leaving in why, when it is not
@@ -677,13 +766,6 @@ func (s *Scan) place(p *Plan, asg *Assignment, sc *scratch, why *NoFitError) boo
 		return misfit(*p.fail)
 	}
 	asg.topo = snap.Topology()
-	if len(opt.Links) == 0 && opt.Communication == nil {
-		return true
-	}
-
-	if !p.linked {
-		p.resolveLinks()
-	}
 	for i := range p.links {
 		l := &p.links[i]
 		a, b := &asg.Nodes[l.a], &asg.Nodes[l.b]

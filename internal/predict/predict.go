@@ -137,6 +137,11 @@ func (pl *Placement) Resolved(snap *resource.Snapshot) bool {
 // is the placement's own and must not be written to.
 func (pl *Placement) NodeIndices() []int32 { return pl.nodes }
 
+// LinkIDs returns the id of each link the placement loads, in the order the
+// models visit them, -1 standing for a pair that is not linked. The slice is
+// the placement's own and must not be written to.
+func (pl *Placement) LinkIDs() []int32 { return pl.at[len(pl.nodes):] }
+
 // selfLoad sums the assignment's own CPU load on the host at index pos
 // (several of its processes may share one), in placement order.
 func (pl *Placement) selfLoad(pos int32) float64 {

@@ -4,20 +4,18 @@ import "slices"
 
 // Columns holds what reservations change in a snapshot — free memory and CPU
 // load by node index, reserved bandwidth by link id — as three dense columns
-// a caller owns. It is the trial state of the controller's searches: a greedy
-// candidate's claims are charged to a private Columns by index, the joint
-// search charges one Columns level by level and restores it on the way back
-// up, and the prediction models read the result directly, where a Snapshot
-// fork would record each write in an overlay and walk the overlay chain on
-// each read.
+// a caller owns. It is the trial state of the controller's searches: the
+// greedy search charges each candidate to one Columns and restores it before
+// the next, the joint search charges one Columns level by level and restores
+// it on the way back up, and the prediction models read the result directly,
+// where a Snapshot fork would record each write in an overlay and walk the
+// overlay chain on each read.
 // The node descriptions, health and link descriptions are not here; they do
 // not change under a reservation and are read from the snapshot.
 //
-// Fill a Columns with Snapshot.ReadColumns or CopyFrom and write to it only
-// through Reserve, or Charge and Restore; the columns themselves are exported
-// for reading. A Columns
-// is not safe for concurrent use, but any number of goroutines may CopyFrom
-// one that none of them writes.
+// Fill a Columns with Snapshot.ReadColumns and write to it only through
+// Reserve, or Charge and Restore; the columns themselves are exported for
+// reading. A Columns is not safe for concurrent use.
 type Columns struct {
 	FreeMemoryMB []float64 // by node index
 	CPULoad      []float64 // by node index
@@ -82,18 +80,6 @@ func (s *Snapshot) patchColumns(dst *Columns) {
 	}
 	for _, d := range s.links {
 		dst.setReserved(int(d.id), d.reserved)
-	}
-}
-
-// CopyFrom makes c hold the state src holds, reusing c's storage. The cost is
-// two copies the length of the node table plus the number of links either
-// side has written; src is only read.
-func (c *Columns) CopyFrom(src *Columns) {
-	c.FreeMemoryMB = append(c.FreeMemoryMB[:0], src.FreeMemoryMB...)
-	c.CPULoad = append(c.CPULoad[:0], src.CPULoad...)
-	c.rebase(src.ledgerCol)
-	for _, id := range src.dirty {
-		c.setReserved(int(id), src.ReservedMbps[id])
 	}
 }
 

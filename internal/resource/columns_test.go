@@ -123,9 +123,9 @@ func TestColumnsReserveMatchesFork(t *testing.T) {
 		t.Fatal(err)
 	}
 	fork := snap.Fork()
-	var base, cols Columns
-	snap.ReadColumns(&base)
-	cols.CopyFrom(&base)
+	var before, cols Columns
+	snap.ReadColumns(&before)
+	snap.ReadColumns(&cols)
 	requireColumnsEqualSnapshot(t, "before any claim", &cols, fork, links)
 	for _, tc := range cases {
 		_, forkErr := fork.Reserve("trial", tc.nodes, tc.links)
@@ -138,13 +138,14 @@ func TestColumnsReserveMatchesFork(t *testing.T) {
 		}
 		requireColumnsEqualSnapshot(t, tc.name, &cols, fork, links)
 	}
-	// The base the trial was copied from is as it was read.
-	requireColumnsEqualSnapshot(t, "the base columns", &base, snap, links)
+	// The snapshot the trial was read from is as it was: the trial wrote to
+	// storage of its own.
+	requireColumnsEqualSnapshot(t, "the snapshot after the trial", &before, snap, links)
 }
 
 // TestColumnsReusedAcrossStates re-aims one pair of Columns — a base and a
-// trial copied from it, as an evaluation context and a worker hold them — at
-// a ledger that keeps changing: claims with links reserved and released (each
+// trial, each read from the same snapshot — at a ledger that keeps changing:
+// claims with links reserved and released (each
 // write after a snapshot moves the ledger to a new reserved column), a link
 // and a node added (other lengths, another topology). After every change the
 // reused columns must equal freshly made ones, which is to say the snapshot.
@@ -192,7 +193,7 @@ func TestColumnsReusedAcrossStates(t *testing.T) {
 		snap.ReadColumns(&base)
 		requireColumnsEqualSnapshot(t, fmt.Sprintf("step %d: base", step), &base, snap, links)
 		for trialNo := 0; trialNo < 2; trialNo++ {
-			trial.CopyFrom(&base)
+			snap.ReadColumns(&trial)
 			requireColumnsEqualSnapshot(t, fmt.Sprintf("step %d: trial %d", step, trialNo), &trial, snap, links)
 			nodes := []NodeClaim{{Hostname: "n02", MemoryMB: 1, CPULoad: 1}}
 			lks := []LinkClaim{{A: "n02", B: "n04", BandwidthMbps: 5}, {A: "n01", B: "n06", BandwidthMbps: 5}}
@@ -276,8 +277,8 @@ func TestColumnsRestoreIsExact(t *testing.T) {
 	}
 	// Nothing of the walk is left for the next user of the columns.
 	var trial Columns
-	trial.CopyFrom(&cols)
-	requireColumnsEqualSnapshot(t, "a copy after the walk", &trial, snap, links)
+	snap.ReadColumns(&trial)
+	requireColumnsEqualSnapshot(t, "a fresh read after the walk", &trial, snap, links)
 	other := l.Snapshot()
 	other.ReadColumns(&cols)
 	requireColumnsEqualSnapshot(t, "re-aimed after the walk", &cols, other, links)

@@ -131,9 +131,9 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 		return &protocol.Message{Type: protocol.TypeAck, Hostname: msg.Hostname, State: h.String()}
 
 	case protocol.TypeStatus:
-		ctrl := c.srv.cfg.Controller
-		reply := &protocol.Message{Type: protocol.TypeStatusReply, Objective: ctrl.Objective()}
-		for _, a := range ctrl.Apps() {
+		obj, apps := c.srv.cfg.Controller.Status()
+		reply := &protocol.Message{Type: protocol.TypeStatusReply, Objective: obj}
+		for _, a := range apps {
 			reply.Apps = append(reply.Apps, protocol.AppStatus{
 				Instance:         a.Instance,
 				App:              a.App,

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/hclient"
 	"harmony/internal/metric"
+	"harmony/internal/objective"
 	"harmony/internal/protocol"
 	"harmony/internal/simclock"
 )
@@ -313,5 +316,64 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestStatusReplyIsOneState reads status while clients register and end
+// without pause, and requires every reply's objective to be the objective of
+// the applications the same reply lists: a reply whose two halves were read
+// on either side of an applied decision would not add up.
+func TestStatusReplyIsOneState(t *testing.T) {
+	srv, _ := startTestServer(t, Config{})
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c, err := hclient.Dial(srv.Addr())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := c.Startup("DBclient", false); err == nil {
+					if _, err := c.BundleSetup(dbRSL); err == nil {
+						_ = c.End()
+					}
+				}
+				_ = c.Close()
+			}
+		}()
+	}
+	reader := dialTest(t, srv)
+	checked := 0
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		apps, obj, err := reader.Status()
+		if err != nil {
+			t.Fatalf("Status: %v", err)
+		}
+		jobs := make([]objective.JobPrediction, len(apps))
+		for i, a := range apps {
+			jobs[i] = objective.JobPrediction{App: a.App, Seconds: a.PredictedSeconds}
+		}
+		if want := objective.MeanResponseTime(jobs); math.Float64bits(obj) != math.Float64bits(want) {
+			close(stop)
+			writers.Wait()
+			t.Fatalf("reply %d: objective %v, but its %d applications make %v", checked, obj, len(apps), want)
+		}
+		if len(apps) > 0 {
+			checked++
+		}
+	}
+	close(stop)
+	writers.Wait()
+	if checked < 50 {
+		t.Fatalf("only %d replies listed an application", checked)
 	}
 }

@@ -3,12 +3,12 @@
 # shapes, and the joint search making room for an arrival on a full machine,
 # at GOMAXPROCS 1 and N) and fail when it regresses more than
 # BENCH_TOLERANCE_PCT (default 15%) against the committed baseline
-# BENCH_21.json. The comparison is only enforced when the
+# BENCH_26.json. The comparison is only enforced when the
 # baseline was recorded in a comparable environment (same GOMAXPROCS, OS,
 # arch) — cross-machine deltas are printed as information.
 #
 # Usage:
-#   scripts/bench.sh                 # compare against BENCH_21.json if present
+#   scripts/bench.sh                 # compare against BENCH_26.json if present
 #   BENCH_OUT=out.json scripts/bench.sh
 #   BENCH_NODES=64,256 scripts/bench.sh # smaller sweep: 1024 nodes takes minutes
 # A size written shape:size is measured for that shape only; the default sweep
@@ -21,7 +21,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-baseline="BENCH_21.json"
+baseline="BENCH_26.json"
 out="${BENCH_OUT:-bench-current.json}"
 nodes="${BENCH_NODES:-64,256,1024,fig4:4096,accommodate:2,accommodate:4,accommodate:6,accommodate:8}"
 tolerance="${BENCH_TOLERANCE_PCT:-15}"

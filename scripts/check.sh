@@ -66,6 +66,9 @@ echo "== go vet"
 go vet ./...
 
 echo "== go test -race -shuffle=on"
+# The differential suites run here with the rest: greedy evaluation against
+# the evaluator it replaced (TestGreedyEvaluationMatchesReference), the joint
+# search against the fork walk, pruning on against off, and the golden hashes.
 go test -race -shuffle=on ./...
 
 echo "== bench harness (vet + tests against this checkout's API)"
@@ -78,9 +81,8 @@ echo "== bench harness (vet + tests against this checkout's API)"
 )
 # The in-process twins of the benchmark's db-crowd, wide-greedy and
 # squeeze-small workloads: a few cycles, so the points the harness's numbers
-# are explained with cannot rot. (The joint search the squeeze twin times is
-# held to the fork walk it replaced by TestJointSearchMatchesForkWalk, which
-# ran under the race detector with the rest above.)
+# are explained with cannot rot. Each is one benchmark, reporting the
+# predictions or joint-search trials a cycle makes, which repeat exactly.
 go test -run '^$' -bench 'CrowdCycle|WideGreedyCycle|SqueezeCycle' -benchtime 20x ./internal/core
 
 echo "== harmonyctl lint (examples/specs against the reference cluster)"
