@@ -12,8 +12,8 @@ test:
 check:
 	sh scripts/check.sh
 
-# The five project invariant analyzers (lockdiscipline, viewpurity,
-# goroutinelife, protoexhaustive, replaydeterminism); see docs/ANALYZERS.md.
+# The four project invariant analyzers (lockdiscipline, goroutinelife,
+# protoexhaustive, replaydeterminism); see docs/ANALYZERS.md.
 lint:
 	$(GO) run ./cmd/harmonylint ./...
 

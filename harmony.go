@@ -49,11 +49,9 @@ import (
 	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/hclient"
-	"harmony/internal/match"
 	"harmony/internal/metric"
 	"harmony/internal/namespace"
 	"harmony/internal/objective"
-	"harmony/internal/predict"
 	"harmony/internal/protocol"
 	"harmony/internal/rsl"
 	"harmony/internal/server"
@@ -129,32 +127,6 @@ type (
 // Attach it to a client-facing server via ServerConfig.Replica.
 func NewReplica(peerAddr string, cfg ReplicaConfig) (*Replica, error) {
 	return server.NewReplica(peerAddr, cfg)
-}
-
-// Matching and prediction policy types.
-type (
-	// MatchStrategy orders candidate nodes during matching (first-fit,
-	// best-fit, worst-fit).
-	MatchStrategy = match.Strategy
-	// CriticalPathParams tunes the serialized occupancy+wire communication
-	// model (the Section 3.4 refinement).
-	CriticalPathParams = predict.CriticalPathParams
-)
-
-// Matching strategies.
-const (
-	// FirstFit is the paper's policy (Section 4.1).
-	FirstFit = match.FirstFit
-	// BestFit packs tightly to avoid fragmentation.
-	BestFit = match.BestFit
-	// WorstFit balances residual capacity.
-	WorstFit = match.WorstFit
-)
-
-// MatchStrategyByName resolves a strategy ("first-fit", "best-fit",
-// "worst-fit").
-func MatchStrategyByName(name string) (MatchStrategy, error) {
-	return match.StrategyByName(name)
 }
 
 // Supporting types.

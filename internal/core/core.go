@@ -140,28 +140,12 @@ type Config struct {
 	// IgnoreFriction disables frictional-cost gating so every nominal
 	// improvement triggers a switch (the A1 ablation baseline).
 	IgnoreFriction bool
-	// Strategy selects the matcher's node-ordering policy (first-fit by
-	// default; best-fit/worst-fit implement the fragmentation-avoiding
-	// policies Section 4.1 names as future work).
-	Strategy match.Strategy
-	// UseCriticalPath replaces the default multiplicative communication
-	// model with the serialized occupancy+wire-time refinement of
-	// Section 3.4 for options without an explicit performance model.
-	UseCriticalPath bool
-	// CriticalPathParams tunes the critical-path model; zero value takes
-	// predict.DefaultCriticalPathParams.
-	CriticalPathParams predict.CriticalPathParams
 	// EvalWorkers is ignored: candidates are evaluated one after another on
 	// one trial state (see docs/OPTIMIZER.md, "Serial evaluation").
 	//
 	// Deprecated: it remains so that configurations that set it still
 	// compile, and has no effect.
 	EvalWorkers int
-	// DisablePruning turns off static candidate pruning (see
-	// internal/core/prune.go). Pruning is semantics-preserving — winners,
-	// predictions and objectives are bit-identical either way — so this
-	// knob exists for measurement and differential testing, not safety.
-	DisablePruning bool
 	// WarnFunc, when set, receives controller warnings (friction
 	// expressions that fail to evaluate, stale claims, failed rollbacks) as
 	// they are raised. It runs with the controller lock held and must not
@@ -222,10 +206,11 @@ type Controller struct {
 	evalContexts uint64
 	// predictions counts model evaluations (Predictions).
 	predictions uint64
-	// prune counts static-pruning activity; monotoneObjective gates the
-	// model-based dominance rule (see internal/core/prune.go).
-	prune             PruneStats
-	monotoneObjective bool
+	// prune counts static-pruning activity (see internal/core/prune.go).
+	prune PruneStats
+	// disablePruning evaluates every enumerated choice: the reference the
+	// differential tests hold pruning to.
+	disablePruning bool
 	// jointTrials counts the choices the joint search has tried (JointTrials).
 	jointTrials uint64
 	// warnings is a bounded ring of recent controller warnings.
@@ -270,23 +255,13 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.GrantSteps == nil {
 		cfg.GrantSteps = []float64{0, 8, 16, 32}
 	}
-	if cfg.CriticalPathParams == (predict.CriticalPathParams{}) {
-		cfg.CriticalPathParams = predict.DefaultCriticalPathParams()
-	}
 	ledger := cfg.Cluster.Ledger()
-	matcher := match.New(ledger)
-	if cfg.Strategy != 0 {
-		if err := matcher.SetStrategy(cfg.Strategy); err != nil {
-			return nil, err
-		}
-	}
 	return &Controller{
-		cfg:               cfg,
-		ledger:            ledger,
-		matcher:           matcher,
-		ns:                namespace.New(),
-		apps:              make(map[int]*appState),
-		monotoneObjective: isMonotoneObjective(cfg.Objective),
+		cfg:     cfg,
+		ledger:  ledger,
+		matcher: match.New(ledger),
+		ns:      namespace.New(),
+		apps:    make(map[int]*appState),
 	}, nil
 }
 
@@ -300,7 +275,6 @@ func (c *Controller) SetObjective(fn objective.Func) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cfg.Objective = fn
-	c.monotoneObjective = isMonotoneObjective(fn)
 	return nil
 }
 

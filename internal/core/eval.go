@@ -107,15 +107,11 @@ type footEntry struct {
 // (match.Scan.Misfit).
 var errMisfit = errors.New("core: candidate does not fit")
 
-// predictIndexed routes the prediction of a placement the view already
-// holds through the configured model stack: the application's explicit model
-// when present (the Table 1 "performance" tag), otherwise the critical-path
-// refinement when enabled, otherwise the default contention model.
+// predictIndexed predicts a placement the view already holds: with the
+// application's explicit model when present (the Table 1 "performance" tag),
+// otherwise with the default contention model.
 func (c *Controller) predictIndexed(in predict.Indexed, opt *rsl.OptionSpec, pl *predict.Placement) (predict.Prediction, error) {
 	c.predictions++
-	if c.cfg.UseCriticalPath && (opt == nil || len(opt.Performance) == 0) {
-		return in.CriticalPath(pl, true, c.cfg.CriticalPathParams)
-	}
 	return in.ForOption(opt, pl, true)
 }
 
@@ -196,7 +192,7 @@ func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
 	ctx.app, ctx.base = app, snap
 	ctx.nodes = snap.AppendNodes(ctx.nodes[:0])
 	snap.ReadColumns(&ctx.cols)
-	ctx.scan.Reset(snap, c.matcher.Strategy(), ctx.nodes, &ctx.cols)
+	ctx.scan.Reset(snap, ctx.nodes, &ctx.cols)
 	c.evalContexts++
 	clear(ctx.others) // drop the last evaluation's pointers
 	ctx.others = ctx.others[:0]

@@ -434,14 +434,14 @@ func TestOptimizerDocInSync(t *testing.T) {
 	for _, sym := range []string{
 		"WarnFunc", "Warnings", "MemoStats", "Predictions",
 		"Snapshot", "Fork", "Placement", "Reevaluate",
-		"PruneStats", "DisablePruning", "Misfit", "footprint",
+		"PruneStats", "Misfit", "footprint",
 		"`EvalWorkers` is deprecated and ignored",
 	} {
 		if !strings.Contains(string(doc), sym) {
 			t.Errorf("docs/OPTIMIZER.md does not mention %s", sym)
 		}
 	}
-	for _, gone := range []string{"fanOutMinSize", "CopyFrom", "candScratch"} {
+	for _, gone := range []string{"fanOutMinSize", "CopyFrom", "candScratch", "DisablePruning", "UseCriticalPath", "BestFit", "Dominance"} {
 		if strings.Contains(string(doc), gone) {
 			t.Errorf("docs/OPTIMIZER.md still describes %s, which no longer exists", gone)
 		}

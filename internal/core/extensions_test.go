@@ -3,10 +3,7 @@ package core
 import (
 	"testing"
 
-	"harmony/internal/match"
 	"harmony/internal/objective"
-	"harmony/internal/predict"
-	"harmony/internal/rsl"
 )
 
 func TestSetObjectiveRuntime(t *testing.T) {
@@ -39,71 +36,8 @@ func TestSetObjectiveRuntime(t *testing.T) {
 	}
 }
 
-func TestConfigStrategyWiredThrough(t *testing.T) {
-	ctrl, _ := newController(t, 2, Config{Strategy: match.BestFit})
-	if got := ctrl.matcher.Strategy(); got != match.BestFit {
-		t.Fatalf("strategy = %v", got)
-	}
-	// Invalid strategy rejected at construction.
-	cl := ctrl.cfg.Cluster
-	if _, err := New(Config{Cluster: cl, Clock: ctrl.cfg.Clock, Strategy: match.Strategy(99)}); err == nil {
-		t.Fatal("bad strategy accepted")
-	}
-}
-
-func TestCriticalPathModelChangesDecision(t *testing.T) {
-	// An option with heavy communication looks free under the default
-	// model on an idle cluster (scale 1) but expensive under the
-	// critical-path model — so the two controllers pick different options.
-	src := `
-harmonyBundle App:1 b {
-	{chatty
-		{node x sp2-01 {seconds 10} {memory 1}}
-		{node y sp2-02 {seconds 10} {memory 1}}
-		{link x y 300}
-	}
-	{quiet
-		{node x sp2-01 {seconds 12} {memory 1}}
-		{node y sp2-02 {seconds 12} {memory 1}}
-		{link x y 1}
-	}
-}`
-	run := func(useCP bool) string {
-		ctrl, _ := newController(t, 2, Config{UseCriticalPath: useCP})
-		bundles, _, err := rsl.DecodeScript(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst, _, err := ctrl.Register(bundles[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch, err := ctrl.CurrentChoice(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ch.Option
-	}
-	if got := run(false); got != "chatty" {
-		t.Fatalf("default model chose %q, want chatty (10s beats 12s, comm free)", got)
-	}
-	// Critical path: chatty = 10 + wire(300*10/320=9.4s) + occupancy >
-	// quiet = 12 + wire(12*1/320=0.04).
-	if got := run(true); got != "quiet" {
-		t.Fatalf("critical-path model chose %q, want quiet", got)
-	}
-}
-
-func TestCriticalPathParamsDefaulted(t *testing.T) {
-	ctrl, _ := newController(t, 1, Config{UseCriticalPath: true})
-	if ctrl.cfg.CriticalPathParams == (predict.CriticalPathParams{}) {
-		t.Fatal("params not defaulted")
-	}
-}
-
 func TestPredictOptionPrefersExplicitModel(t *testing.T) {
-	// Even with UseCriticalPath, an explicit performance tag wins.
-	ctrl, _ := newController(t, 8, Config{UseCriticalPath: true})
+	ctrl, _ := newController(t, 8, Config{})
 	inst, _, err := ctrl.Register(bagBundle(t))
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"harmony/internal/cluster"
-	"harmony/internal/match"
 	"harmony/internal/replog"
 	"harmony/internal/resource"
 	"harmony/internal/simclock"
@@ -30,8 +29,7 @@ import (
 // changes, so a mismatch after a representation change is a behaviour change.
 
 // goldenDBRSL is the Figure 3 client with a wildcard client host and a
-// memory grant ladder, so free memory differs between nodes and the
-// best-fit and worst-fit orders part from first-fit.
+// memory grant ladder, so free memory differs between nodes.
 func goldenDBRSL(i int) string {
 	return fmt.Sprintf(`
 harmonyBundle DBclient%d:%d where {
@@ -49,8 +47,7 @@ harmonyBundle DBclient%d:%d where {
 }
 
 // goldenCacheRSL places a memory-only node: it charges no CPU load, so idle
-// nodes end up with different free memory, the case where the three
-// strategies scan in different orders.
+// nodes end up with different free memory.
 func goldenCacheRSL(i int) string {
 	return fmt.Sprintf(`
 harmonyBundle Cache%d:%d tier {
@@ -197,8 +194,7 @@ var goldenScripts = []goldenScript{
 		// The squeeze shape: Figure-4 bags on exclusive nodes fill the
 		// machine, so most arrivals fit nowhere and Register's joint search
 		// shrinks the residents to accommodate them, or finds that it cannot.
-		// The memory-only caches leave idle nodes with different free memory,
-		// which is what parts the three strategies.
+		// The memory-only caches leave idle nodes with different free memory.
 		name: "squeeze", nodes: 10, entries: 120, maxLive: 8, workers: 8,
 		rsl: func(rng *rand.Rand, i int, _ []string) string {
 			if rng.Intn(5) == 0 {
@@ -287,7 +283,7 @@ func (s goldenScript) log(hosts []string) []replog.Entry {
 // run applies the script on a fresh controller and returns the SHA-256 over
 // EncodeState after every entry, so a transient divergence that a later
 // entry happens to heal still changes the hash.
-func (s goldenScript) run(t *testing.T, strategy match.Strategy) string {
+func (s goldenScript) run(t *testing.T) string {
 	t.Helper()
 	cl, err := cluster.NewSP2(s.nodes)
 	if err != nil {
@@ -301,7 +297,7 @@ func (s goldenScript) run(t *testing.T, strategy match.Strategy) string {
 	}
 	clock := simclock.New()
 	defer clock.Stop()
-	ctrl, err := New(Config{Cluster: cl, Clock: clock, Strategy: strategy})
+	ctrl, err := New(Config{Cluster: cl, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,42 +319,25 @@ func (s goldenScript) run(t *testing.T, strategy match.Strategy) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// TestGoldenStateHashes replays every script and compares the hash of the
+// states it went through with the one recorded, under first-fit matching.
 func TestGoldenStateHashes(t *testing.T) {
 	golden := map[string]string{
-		"fig4/first-fit": "2f2b5d19da00658c46e5002721950942f991112cb31ad219a6e8918980148dc1",
-		"fig4/best-fit":  "3eda62ded47db3b0986d9179b924a4b89a0a58a8538d7a70fdcb1eb130b3ab1f",
-		"fig4/worst-fit": "8b5295da2eaf5d6c2d38e9e0ff0909979b1f2734460971a86bb71b2de0ea6584",
-		"fig7/first-fit": "aa7845dbb913d6028d60eba7ee04b9a01237e165b2304db7ab972d3b86dd05b8",
-		"fig7/best-fit":  "aa7845dbb913d6028d60eba7ee04b9a01237e165b2304db7ab972d3b86dd05b8",
-		"fig7/worst-fit": "26c48ec1d6fe0268fcaed8df950e9f6a9d2d82c668f432d46634632d62e3d1af",
-		"wide/first-fit": "4b2eaf701afe4be2658a137ae77aa744e9530eb1f4e3bdfba651003dc920ef6c",
-		"wide/best-fit":  "487e347df7c2c56db4c6686600ad4cb6fa867d2e8b454699ba6aa86c559a602e",
-		"wide/worst-fit": "12b3942dd5d9811c4ebea6868ea43cbf94d5cf0db3448d1f05160237b903708a",
-		// Every crowd host is named, so the strategy has nothing to order.
-		"crowd/first-fit":    "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
-		"crowd/best-fit":     "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
-		"crowd/worst-fit":    "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
-		"widecomm/first-fit": "27266c93b3e700ea59626b7ecd3c429e5b1a8a6802248c3b781628c1e4c5bc60",
-		"widecomm/best-fit":  "50463f666b32287126cec23c15b4f214ab8ca14b5dee16fdb0438c5ca8326caa",
-		"widecomm/worst-fit": "bb48a12d7d668ff749f0b6fba04a72ef15b4273815d843ca2eb312935ea040aa",
-		"squeeze/first-fit":  "ec444a96d4f09ed4ccdf420a0da976a3deb1a6f316746fa3910a052002872f1e",
-		"squeeze/best-fit":   "7566bb797191f0596ceb1a2e5289c76abd2a70cd139f835ad4d24f8c49b6a5ff",
-		"squeeze/worst-fit":  "19551d91addca36b29321d51eb2fbfadd897269b99e1524bd6851539535540ec",
-		// Every sharedlink host is named too.
-		"sharedlink/first-fit": "83bf3148e75ee0418b9702c30ad873a8b153031a3c7f0dacec11ffaa823491bd",
-		"sharedlink/best-fit":  "83bf3148e75ee0418b9702c30ad873a8b153031a3c7f0dacec11ffaa823491bd",
-		"sharedlink/worst-fit": "83bf3148e75ee0418b9702c30ad873a8b153031a3c7f0dacec11ffaa823491bd",
+		"fig4":       "2f2b5d19da00658c46e5002721950942f991112cb31ad219a6e8918980148dc1",
+		"fig7":       "aa7845dbb913d6028d60eba7ee04b9a01237e165b2304db7ab972d3b86dd05b8",
+		"wide":       "4b2eaf701afe4be2658a137ae77aa744e9530eb1f4e3bdfba651003dc920ef6c",
+		"crowd":      "2c6789f4bed6c659752a73b49a11ce20f7305ed4fa47ea49a4fd1dacbf5aafd2",
+		"widecomm":   "27266c93b3e700ea59626b7ecd3c429e5b1a8a6802248c3b781628c1e4c5bc60",
+		"squeeze":    "ec444a96d4f09ed4ccdf420a0da976a3deb1a6f316746fa3910a052002872f1e",
+		"sharedlink": "83bf3148e75ee0418b9702c30ad873a8b153031a3c7f0dacec11ffaa823491bd",
 	}
 	for _, s := range goldenScripts {
-		for _, strategy := range []match.Strategy{match.FirstFit, match.BestFit, match.WorstFit} {
-			s, strategy := s, strategy
-			name := s.name + "/" + strategy.String()
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				if got := s.run(t, strategy); got != golden[name] {
-					t.Errorf("EncodeState hash = %s, want %s (recorded on the parent commit)", got, golden[name])
-				}
-			})
-		}
+		s := s
+		t.Run(s.name, func(t *testing.T) {
+			t.Parallel()
+			if got := s.run(t); got != golden[s.name] {
+				t.Errorf("EncodeState hash = %s, want %s (recorded on the parent commit)", got, golden[s.name])
+			}
+		})
 	}
 }

@@ -63,7 +63,7 @@ func newCopyEvaluation(c *Controller, app *appState) *copyEvaluation {
 	}
 	r := &copyEvaluation{c: c, app: app, base: snap}
 	snap.ReadColumns(&r.cols)
-	r.scan.Reset(snap, c.matcher.Strategy(), snap.AppendNodes(nil), &r.cols)
+	r.scan.Reset(snap, snap.AppendNodes(nil), &r.cols)
 	in := predict.Indexed{View: snap, Loads: r.cols.CPULoad, Reserved: r.cols.ReservedMbps}
 	for _, id := range c.order {
 		other := c.apps[id]
@@ -281,9 +281,8 @@ func greedyRSL(t *testing.T, rng *rand.Rand, i int, hosts []string) *rsl.BundleS
 // state charged and restored per candidate, plans made once per bundle,
 // other applications' base predictions made lazily and their re-predictions
 // shared between candidates of one footprint — to copyEvaluation, on seeded
-// random systems under all three strategies, with and without the
-// critical-path model, with pruning on and (every other seed, so that
-// candidates that do not fit are evaluated too) off. Before every arrival the arrival's own evaluation is
+// random systems with pruning on and off (so that candidates that do not fit
+// are evaluated too). Before every arrival the arrival's own evaluation is
 // compared, after every event every resident's, and once per system with one
 // resident's placement naming a host the cluster does not have, so that its
 // prediction fails. Every candidate must come out the same, bit for bit or
@@ -291,13 +290,9 @@ func greedyRSL(t *testing.T, rng *rand.Rand, i int, hosts []string) *rsl.BundleS
 // pass's own loop.
 func TestGreedyEvaluationMatchesReference(t *testing.T) {
 	var tally greedyTally
-	for seed := int64(1); seed <= 6; seed++ {
-		for _, strategy := range []match.Strategy{match.FirstFit, match.BestFit, match.WorstFit} {
-			for _, critical := range []bool{false, true} {
-				what := fmt.Sprintf("seed %d, %s, critical path %v", seed, strategy, critical)
-				cfg := Config{Strategy: strategy, UseCriticalPath: critical, DisablePruning: seed%2 == 0}
-				runGreedyReference(t, seed, cfg, what, &tally)
-			}
+	for seed := int64(1); seed <= 12; seed++ {
+		for _, pruning := range []bool{true, false} {
+			runGreedyReference(t, seed, !pruning, fmt.Sprintf("seed %d, pruning %v", seed, pruning), &tally)
 		}
 	}
 	t.Logf("%+v", tally)
@@ -307,7 +302,7 @@ func TestGreedyEvaluationMatchesReference(t *testing.T) {
 	}
 }
 
-func runGreedyReference(t *testing.T, seed int64, cfg Config, what string, tally *greedyTally) {
+func runGreedyReference(t *testing.T, seed int64, disablePruning bool, what string, tally *greedyTally) {
 	rng := rand.New(rand.NewSource(seed))
 	cl, err := cluster.NewSP2(5 + rng.Intn(4))
 	if err != nil {
@@ -317,12 +312,12 @@ func runGreedyReference(t *testing.T, seed int64, cfg Config, what string, tally
 		t.Fatal(err)
 	}
 	var warned []string
-	cfg.Cluster, cfg.Clock = cl, simclock.New()
-	cfg.WarnFunc = func(w string) { warned = append(warned, w) }
+	cfg := Config{Cluster: cl, Clock: simclock.New(), WarnFunc: func(w string) { warned = append(warned, w) }}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.disablePruning = disablePruning
 	t.Cleanup(c.Stop)
 	hosts := cl.Hosts()[1:]
 	compareAll := func(at string) {

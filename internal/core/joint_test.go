@@ -125,9 +125,8 @@ func (br *comboResult) addWarn(msg string) {
 // jointRSL draws one application for the differential test: wildcard bags
 // whose load reorders the scan from one level to the next, exclusive bags
 // under an explicit model, named and half-named clients with links and a
-// memory-grant ladder, bags under a communication tag, a memory-only cache
-// (which parts best-fit and worst-fit from first-fit), and a bundle one of
-// whose friction expressions cannot be evaluated.
+// memory-grant ladder, bags under a communication tag, a memory-only cache,
+// and a bundle one of whose friction expressions cannot be evaluated.
 func jointRSL(rng *rand.Rand, i int, hosts []string) string {
 	switch rng.Intn(7) {
 	case 0:
@@ -267,21 +266,21 @@ func compareOnArrival(t *testing.T, c *Controller, bundle *rsl.BundleSpec, what 
 }
 
 // TestJointSearchMatchesForkWalk holds the joint search to the walk it
-// replaced on seeded random systems of two to five applications — under all
-// three strategies, with and without the critical-path model, on controllers
-// that search jointly at every event (Exhaustive) and on controllers that do
-// so only to make room for an arrival — before every arrival, after every
-// event, with a node down and with an application evicted and degraded.
+// replaced on seeded random systems of two to five applications — with
+// pruning on and off, on controllers that search jointly at every event
+// (Exhaustive) and on controllers that do so only to make room for an arrival
+// — before every arrival, after every event, with a node down and with an
+// application evicted and degraded.
 func TestJointSearchMatchesForkWalk(t *testing.T) {
 	var tally jointTally
 	for seed := int64(1); seed <= 8; seed++ {
-		for _, strategy := range []match.Strategy{match.FirstFit, match.BestFit, match.WorstFit} {
+		for _, pruning := range []bool{true, false} {
 			for _, exhaustive := range []bool{false, true} {
-				what := fmt.Sprintf("seed %d, %s, exhaustive %v", seed, strategy, exhaustive)
+				what := fmt.Sprintf("seed %d, pruning %v, exhaustive %v", seed, pruning, exhaustive)
 				rng := rand.New(rand.NewSource(seed))
 				nodes := 5 + rng.Intn(4)
-				cfg := Config{Strategy: strategy, Exhaustive: exhaustive, UseCriticalPath: seed%4 == 0}
-				c, _ := newController(t, nodes, cfg)
+				c, _ := newController(t, nodes, Config{Exhaustive: exhaustive})
+				c.disablePruning = !pruning
 				hosts := c.cfg.Cluster.Hosts()[1:]
 				apps := 2 + rng.Intn(4)
 				var insts []int

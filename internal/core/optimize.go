@@ -422,7 +422,7 @@ func (js *jointSearch) walk(level int) {
 		return
 	}
 	lv := &js.levels[level]
-	lv.scan.Reset(js.base, js.c.matcher.Strategy(), js.rows, &js.cols)
+	lv.scan.Reset(js.base, js.rows, &js.cols)
 	for k := range lv.choices {
 		if level == 0 {
 			js.branchWarns = len(js.best.warns)

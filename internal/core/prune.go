@@ -2,29 +2,22 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"reflect"
 
-	"harmony/internal/bounds"
 	"harmony/internal/match"
-	"harmony/internal/objective"
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
 )
 
 // This file implements static candidate pruning: before any matcher call or
-// trial reservation, each enumerated choice is checked against per-bundle
-// facts computed once at first evaluation (the relational dominance proofs
-// of internal/bounds plus a concrete per-choice resource demand) and
-// against a cheap aggregate view of the evaluation snapshot. Every rule is
-// a proof that the skipped candidate could not have changed the outcome:
-// either its Match must fail on the same view, or an earlier candidate
-// always ties or beats it under the controller's strict-improvement
-// reduction. Pruning is therefore semantics-preserving — the winning
-// choice, its prediction and the objective are bit-identical with pruning
-// on or off (only the diagnostic text inside an ErrNoFeasibleOption error,
-// which quotes the last match failure, may differ). Config.DisablePruning
-// opts out; PruneStats reports the counters.
+// trial reservation, each enumerated choice is checked against its concrete
+// resource demand, resolved once at first evaluation, and against a cheap
+// aggregate view of the evaluation snapshot. Every rule is a proof that the
+// skipped candidate's Match must fail on the same view, so it could never
+// have been adopted, warned about or scored. Pruning is therefore
+// semantics-preserving — the winning choice, its prediction, the objective
+// and the warnings are bit-identical with pruning on or off (only the
+// diagnostic text inside an ErrNoFeasibleOption error, which quotes the last
+// match failure, may differ). PruneStats reports the counters.
 
 // choiceStatic is the view-independent analysis of one enumerated choice.
 type choiceStatic struct {
@@ -46,11 +39,6 @@ type choiceStatic struct {
 	// with two replicas, whose second replica always sees the first's CPU
 	// charge).
 	alwaysFails bool
-	// sig fingerprints everything the evaluator reads from the choice: the
-	// plan's key (resolved spec demands, link, communication values) and the
-	// friction value. Two choices with equal sigs produce bit-identical
-	// candidates on any view, so the later one can never strictly win.
-	sig string
 	// specs are the resolved per-spec demands (empty when alwaysFails).
 	specs []match.Demand
 	// wildcard is the total replica count over wildcard specs; they all
@@ -58,39 +46,25 @@ type choiceStatic struct {
 	wildcard int
 }
 
-// deadKind classifies why an option's choices can be skipped wholesale.
-type deadKind int
-
-const (
-	// deadTie: requirements provably identical to an earlier option, no
-	// performance model on either side. Candidates tie exactly, so the
-	// earlier option wins under any objective.
-	deadTie deadKind = iota + 1
-	// deadModel: requirements identical and the earlier model is never
-	// slower (with a nonnegative lower bound). Sound only for the built-in
-	// coordinate-monotone objectives.
-	deadModel
-)
-
 // bundleStatic caches a bundle's enumeration and per-choice analysis on
 // its appState; bundles are immutable after registration.
 type bundleStatic struct {
 	choices []Choice
 	stat    []choiceStatic
-	// optDead maps option names proven dominated by internal/bounds.
-	optDead map[string]deadKind
 }
 
 // PruneStats counts pruning activity since construction. Considered is the
 // number of enumerated candidates inspected; Unreachable counts candidates
 // skipped because their Match provably fails (statically, or against the
-// evaluation snapshot's aggregate free capacity); Dominated counts
-// candidates skipped because an earlier candidate always ties or beats
-// them (duplicate footprints and bounds-proven dominated options).
+// evaluation snapshot's aggregate free capacity).
 type PruneStats struct {
 	Considered  uint64
 	Unreachable uint64
-	Dominated   uint64
+	// Dominated is always 0: no rule skips a choice that could fit.
+	//
+	// Deprecated: it remains only because the bench harness still reads it,
+	// and goes with the harness's prune metric (ROADMAP item 7).
+	Dominated uint64
 }
 
 // PruneStats reports the pruning counters (next to MemoStats).
@@ -98,29 +72,6 @@ func (c *Controller) PruneStats() PruneStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.prune
-}
-
-// isMonotoneObjective reports whether fn is one of the built-in objectives
-// that are coordinate-monotone over nonnegative predictions. Model-based
-// dominance pruning (deadModel) is gated on this: with a custom objective
-// a worse per-job prediction could score better, so only exact ties may be
-// skipped.
-func isMonotoneObjective(fn objective.Func) bool {
-	if fn == nil {
-		return false
-	}
-	p := reflect.ValueOf(fn).Pointer()
-	for _, m := range []objective.Func{
-		objective.MeanResponseTime,
-		objective.TotalResponseTime,
-		objective.MaxResponseTime,
-		objective.WeightedMean,
-	} {
-		if reflect.ValueOf(m).Pointer() == p {
-			return true
-		}
-	}
-	return false
 }
 
 // staticForLocked returns the bundle's cached static analysis, computing
@@ -137,31 +88,8 @@ func (c *Controller) staticForLocked(app *appState) *bundleStatic {
 	}
 	for i, ch := range bs.choices {
 		if opt := byName[ch.Option]; opt != nil {
-			bs.stat[i] = analyzeChoice(app.bundle.App, opt, ch, newPlan(opt, ch))
+			bs.stat[i] = analyzeChoice(app.bundle.App, opt, newPlan(opt, ch))
 		}
-	}
-	for _, d := range bounds.Dominance(app.bundle) {
-		if d.Rule != bounds.RuleIdentical {
-			// Subset-replicas dominance changes the placement, and with it
-			// every other application's contention; that is sound for the
-			// vet-level claim but not bit-identity-preserving here.
-			continue
-		}
-		oi, oj := &app.bundle.Options[d.By], &app.bundle.Options[d.Dominated]
-		kind := deadTie
-		if len(oi.Performance) > 0 {
-			// The earlier model must stay nonnegative so scaling by the
-			// (shared, >= 1) contention factors preserves the ordering
-			// within the objective's monotone domain.
-			if bounds.ModelRange(oi.Performance, bounds.Option(oj).Nodes).Lo < 0 {
-				continue
-			}
-			kind = deadModel
-		}
-		if bs.optDead == nil {
-			bs.optDead = make(map[string]deadKind)
-		}
-		bs.optDead[oj.Name] = kind
 	}
 	app.static = bs
 	return bs
@@ -177,28 +105,22 @@ func newPlan(opt *rsl.OptionSpec, ch Choice) *match.Plan {
 // validation, seconds, exclusivity, links and communication — marks the
 // choice alwaysFails when the plan did not resolve or a spec can never be
 // placed whatever the view, and evaluates its friction.
-func analyzeChoice(app string, opt *rsl.OptionSpec, ch Choice, plan *match.Plan) choiceStatic {
+func analyzeChoice(app string, opt *rsl.OptionSpec, plan *match.Plan) choiceStatic {
 	st := choiceStatic{opt: opt, plan: plan}
 	demands, ok := plan.Demands()
 	if !ok {
 		st.alwaysFails = true
 		return st
 	}
-	fsig := ""
 	if opt.Friction != nil {
 		// A failing friction expression is a deferred warning, not a match
-		// failure; the error text is deterministic, so equal sigs still imply
-		// identical behavior.
+		// failure.
 		f, err := opt.Friction.Eval(plan.Env())
 		switch {
 		case err != nil:
 			st.frictionWarn = fmt.Sprintf("core: %s option %s: friction evaluation failed: %v", app, opt.Name, err)
-			fsig = "|f:err:" + err.Error()
-		default:
-			if f > 0 {
-				st.friction = f
-			}
-			fsig = fmt.Sprintf("|f:%x", math.Float64bits(f))
+		case f > 0:
+			st.friction = f
 		}
 	}
 	for _, d := range demands {
@@ -223,7 +145,6 @@ func analyzeChoice(app string, opt *rsl.OptionSpec, ch Choice, plan *match.Plan)
 		return st
 	}
 	st.specs = demands
-	st.sig = ch.Option + plan.Key() + fsig
 	return st
 }
 
@@ -340,44 +261,20 @@ func (av *availability) feasible(st *choiceStatic) bool {
 
 // pruneChoicesLocked filters a bundle's enumerated choices before
 // evaluation, returning the indices of those to evaluate, in enumeration
-// order. current (the app's adopted choice) is exempt: it is the one
-// candidate the friction surcharge never applies to, so an identical
-// earlier candidate does not subsume it. If every choice would be pruned,
-// nothing is: evaluating the full set preserves the no-feasible-option
-// error's diagnostic detail. nodes is the evaluation snapshot's node table;
-// in the exhaustive search that of the all-released base snapshot: deeper
-// levels only ever shrink capacity, so infeasibility against the base holds
-// for every branch.
+// order. current (the app's adopted choice) is never pruned. If every choice
+// would be pruned, nothing is: evaluating the full set preserves the
+// no-feasible-option error's diagnostic detail. nodes is the evaluation
+// snapshot's node table; in the exhaustive search that of the all-released
+// base snapshot: deeper levels only ever shrink capacity, so infeasibility
+// against the base holds for every branch.
 func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes []resource.NodeState) []int {
-	if c.cfg.DisablePruning {
+	if c.disablePruning {
 		return bs.all()
 	}
 	av := newAvailability(nodes)
 	kept := make([]int, 0, len(bs.choices))
-	seen := make(map[string]bool, len(bs.choices))
-	var unreachable, dominated uint64
-	monotone := c.monotoneObjective
 	for i, ch := range bs.choices {
-		st := &bs.stat[i]
-		if ch.Equal(current) {
-			if st.sig != "" {
-				seen[st.sig] = true
-			}
-			kept = append(kept, i)
-			continue
-		}
-		dead := bs.optDead[ch.Option]
-		switch {
-		case dead == deadTie || (dead == deadModel && monotone):
-			dominated++
-		case st.alwaysFails || !av.feasible(st):
-			unreachable++
-		case st.sig != "" && seen[st.sig]:
-			dominated++
-		default:
-			if st.sig != "" {
-				seen[st.sig] = true
-			}
+		if st := &bs.stat[i]; ch.Equal(current) || (!st.alwaysFails && av.feasible(st)) {
 			kept = append(kept, i)
 		}
 	}
@@ -385,8 +282,7 @@ func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes 
 	if len(kept) == 0 {
 		return bs.all()
 	}
-	c.prune.Unreachable += unreachable
-	c.prune.Dominated += dominated
+	c.prune.Unreachable += uint64(len(bs.choices) - len(kept))
 	return kept
 }
 
@@ -401,7 +297,7 @@ func (c *Controller) choiceStaticLocked(app *appState, ch Choice) *choiceStatic 
 		}
 	}
 	opt := app.bundle.Option(ch.Option)
-	st := analyzeChoice(app.bundle.App, opt, ch, newPlan(opt, ch))
+	st := analyzeChoice(app.bundle.App, opt, newPlan(opt, ch))
 	return &st
 }
 

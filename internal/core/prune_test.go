@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -62,11 +63,12 @@ harmonyBundle DBclient:%d where {
 }`, instance, clientHost, clientHost)
 }
 
-// prunableRSL exercises every prune rule at once: duplicate variable
-// values (duplicate footprints within "lead"), an option with identical
-// requirements but a never-faster model ("respelled", bounds dominance),
-// and an option whose memory demand exceeds any cluster this suite builds
-// ("hog", unreachable against the view).
+// prunableRSL mixes what pruning must skip with what it must not: an option
+// whose memory demand exceeds any cluster this suite builds ("hog",
+// unreachable against the view) beside duplicate variable values and an
+// option with identical requirements but a never-faster model and a friction
+// expression that fails ("respelled"), which tie or lose but whose warnings
+// are still raised.
 func prunableRSL(instance int) string {
 	return fmt.Sprintf(`
 harmonyBundle Mixed:%d plan {
@@ -79,6 +81,7 @@ harmonyBundle Mixed:%d plan {
 		{variable n {1 2 2 4}}
 		{node worker * {memory {n * 8}} {seconds {120 / n}} {replicate n}}
 		{performance {{1 45} {2 30} {4 20}}}
+		{friction {nosuch * 2}}
 	}
 	{hog
 		{node worker * {memory 100000}}
@@ -194,7 +197,8 @@ func pruneScenarios() []pruneScenario {
 }
 
 // compareStates fails unless both controllers agree bit-for-bit on every
-// decision, prediction and the system objective.
+// decision, prediction and the system objective, and raised the same
+// warnings in the same order.
 func compareStates(t *testing.T, stage string, pruned, plain *Controller) {
 	t.Helper()
 	pa, qa := pruned.Apps(), plain.Apps()
@@ -210,6 +214,9 @@ func compareStates(t *testing.T, stage string, pruned, plain *Controller) {
 				stage, pa[i].App, pa[i].PredictedSeconds, qa[i].PredictedSeconds)
 		}
 	}
+	if pw, qw := pruned.Warnings(), plain.Warnings(); !slices.Equal(pw, qw) {
+		t.Fatalf("%s: warnings diverged:\n pruned=%q\n  plain=%q", stage, pw, qw)
+	}
 	po, qo := pruned.Objective(), plain.Objective()
 	if math.Float64bits(po) != math.Float64bits(qo) {
 		t.Fatalf("%s: objective diverged: pruned=%v plain=%v", stage, po, qo)
@@ -219,15 +226,14 @@ func compareStates(t *testing.T, stage string, pruned, plain *Controller) {
 // TestPruningBitIdentical drives identical workloads through a pruning and
 // a non-pruning controller — greedy and exhaustive, Figure 4 and Figure 7
 // shapes plus rule-dense generated bundles — and requires bit-identical
-// choices, predictions and objectives after every operation.
+// choices, predictions, objectives and warnings after every operation.
 func TestPruningBitIdentical(t *testing.T) {
 	for _, sc := range pruneScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			base := Config{Exhaustive: sc.exhaustive}
-			pruned, pClock := sc.build(t, base)
-			plainCfg := base
-			plainCfg.DisablePruning = true
-			plain, qClock := sc.build(t, plainCfg)
+			cfg := Config{Exhaustive: sc.exhaustive}
+			pruned, pClock := sc.build(t, cfg)
+			plain, qClock := sc.build(t, cfg)
+			plain.disablePruning = true
 
 			var insts []int
 			for i, src := range sc.sources() {
@@ -274,8 +280,11 @@ func TestPruningBitIdentical(t *testing.T) {
 			if ps.Considered == 0 {
 				t.Fatal("pruning controller considered no candidates")
 			}
-			if sc.wantPrunes && ps.Unreachable+ps.Dominated == 0 {
+			if sc.wantPrunes && ps.Unreachable == 0 {
 				t.Fatalf("expected prunes, got %+v", ps)
+			}
+			if ps.Dominated != 0 {
+				t.Fatalf("dominance pruning is gone, yet %d candidates were counted dominated", ps.Dominated)
 			}
 		})
 	}

@@ -76,7 +76,6 @@ type OptBenchPoint struct {
 	// per-iteration ratios.
 	PruneConsidered  uint64 `json:"prune_considered"`
 	PruneUnreachable uint64 `json:"prune_unreachable"`
-	PruneDominated   uint64 `json:"prune_dominated"`
 	Iters            int    `json:"iters"`
 
 	// An accommodate point has these in place of everything from
@@ -441,7 +440,6 @@ func runOptBenchPoint(shape string, nodes int, minDur time.Duration, maxIters in
 	p1 := ctrl.PruneStats()
 	pt.PruneConsidered = p1.Considered - p0.Considered
 	pt.PruneUnreachable = p1.Unreachable - p0.Unreachable
-	pt.PruneDominated = p1.Dominated - p0.Dominated
 	if pt.NsPerReeval > 0 {
 		pt.EvalsPerSec = float64(evalsPerPass) / (pt.NsPerReeval / 1e9)
 	}
@@ -463,10 +461,9 @@ func OptBenchResult(report *OptBenchReport) *Result {
 				"accom", p.Nodes, p.Procs, p.Residents, p.Choices, took))
 			continue
 		}
-		pruned := p.PruneUnreachable + p.PruneDominated
 		prunedPct := 0.0
 		if p.PruneConsidered > 0 {
-			prunedPct = 100 * float64(pruned) / float64(p.PruneConsidered)
+			prunedPct = 100 * float64(p.PruneUnreachable) / float64(p.PruneConsidered)
 		}
 		res.Rows = append(res.Rows, fmt.Sprintf(
 			"%-5s n=%-4d procs=%-2d apps=%-4d choices/pass=%-5d pass=%.2fms evals/s=%.0f predictions/pass=%d pruned=%.0f%%",

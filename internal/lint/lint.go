@@ -1,12 +1,10 @@
 // Package lint implements harmonylint: a suite of project-specific static
-// analyzers that prove the Go implementation's own concurrency and snapshot
+// analyzers that prove the Go implementation's own concurrency and replay
 // invariants — the conventions that keep the controller correct but that no
 // compiler checks (see docs/ANALYZERS.md):
 //
 //   - lockdiscipline: *Locked functions are reached only with the owning
 //     mutex held, and never lock or unlock it themselves.
-//   - viewpurity: functions evaluating against a resource.View snapshot do
-//     not mutate the live ledger or type-assert the view back to it.
 //   - goroutinelife: every spawned goroutine has a shutdown path (stop/done
 //     channel, context, or WaitGroup registration).
 //   - protoexhaustive: switches over registered wire-message enums cover
@@ -102,7 +100,6 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LockDiscipline,
-		ViewPurity,
 		GoroutineLife,
 		ProtoExhaustive,
 		ReplayDeterminism,

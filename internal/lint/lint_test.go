@@ -287,8 +287,8 @@ func TestAnalyzerRegistry(t *testing.T) {
 			t.Errorf("%q collides with the reserved directive check name", a.Name)
 		}
 	}
-	if len(Analyzers()) < 5 {
-		t.Errorf("suite has %d analyzers, want at least 5", len(Analyzers()))
+	if len(Analyzers()) < 4 {
+		t.Errorf("suite has %d analyzers, want at least 4", len(Analyzers()))
 	}
 }
 

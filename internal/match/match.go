@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 
 	"harmony/internal/resource"
@@ -217,8 +216,7 @@ type Request struct {
 // Matcher places options onto a resource view (the live ledger, or a
 // snapshot of it for side-effect-free hypothetical placement).
 type Matcher struct {
-	ledger   resource.View
-	strategy Strategy
+	ledger resource.View
 }
 
 // New returns a matcher over the ledger.
@@ -231,14 +229,14 @@ func NewWithView(view resource.View) *Matcher {
 	return &Matcher{ledger: view}
 }
 
-// WithView returns a copy of the matcher (same strategy) bound to another
-// view, e.g. a ledger snapshot for hypothetical matching.
+// WithView returns a matcher bound to another view, e.g. a ledger snapshot
+// for hypothetical matching.
 func (m *Matcher) WithView(view resource.View) *Matcher {
-	return &Matcher{ledger: view, strategy: m.strategy}
+	return &Matcher{ledger: view}
 }
 
 // Scan is one state's node table as Match reads it: the rows in hostname
-// order, the order the strategy scans them in, and their free memory and load
+// order, the order first-fit scans them in, and their free memory and load
 // as columns. It holds for the state it was aimed at and for no other, so
 // whoever owns it resets it whenever that state changes. Between resets any
 // number of goroutines may Match over it at once: a call reads the rows
@@ -247,9 +245,8 @@ func (m *Matcher) WithView(view resource.View) *Matcher {
 // The order is built by the first call whose option has a wildcard spec;
 // options that name every host never need it.
 type Scan struct {
-	snap     *resource.Snapshot
-	strategy Strategy
-	rows     []resource.NodeState
+	snap *resource.Snapshot
+	rows []resource.NodeState
 	// cols, when set, is where free memory and load are read from in place of
 	// the rows' own: the snapshot's state with trial reservations on top.
 	cols *resource.Columns
@@ -261,15 +258,15 @@ type Scan struct {
 	builds int
 }
 
-// Reset aims the scan at a snapshot, to be scanned in the strategy's order.
-// rows must be the snapshot's node table (AppendNodes) and must not change
-// while the scan is in use; it is not read for options that name every host,
-// so a caller that only matches those may pass nil. cols, when not nil, holds
-// the free memory and load to match against by node index — the rows then give
-// only what a reservation cannot change — and must hold still until the next
-// Reset. Reset must not run beside Match.
-func (s *Scan) Reset(snap *resource.Snapshot, strategy Strategy, rows []resource.NodeState, cols *resource.Columns) {
-	s.snap, s.strategy, s.rows, s.cols = snap, strategy, rows, cols
+// Reset aims the scan at a snapshot. rows must be the snapshot's node table
+// (AppendNodes) and must not change while the scan is in use; it is not read
+// for options that name every host, so a caller that only matches those may
+// pass nil. cols, when not nil, holds the free memory and load to match
+// against by node index — the rows then give only what a reservation cannot
+// change — and must hold still until the next Reset. Reset must not run beside
+// Match.
+func (s *Scan) Reset(snap *resource.Snapshot, rows []resource.NodeState, cols *resource.Columns) {
+	s.snap, s.rows, s.cols = snap, rows, cols
 	s.once = sync.Once{}
 }
 
@@ -277,10 +274,8 @@ func (s *Scan) Reset(snap *resource.Snapshot, strategy Strategy, rows []resource
 // scan was made: at most once per Reset.
 func (s *Scan) Builds() int { return s.builds }
 
-// build orders the rows. Nodes are scanned least-loaded first (so concurrent
-// applications spread onto idle machines), with the configured strategy
-// breaking ties: first-fit by hostname, best-fit by least free memory,
-// worst-fit by most free memory.
+// build orders the rows: least-loaded first, so concurrent applications spread
+// onto idle machines, and by hostname within one load.
 func (s *Scan) build() {
 	s.builds++
 	if s.cols == nil {
@@ -290,8 +285,65 @@ func (s *Scan) build() {
 			s.load = append(s.load, s.rows[i].CPULoad)
 		}
 	}
-	free, load := s.columns()
-	s.order = scanOrder(s.strategy, load, free, s.order[:0])
+	_, load := s.columns()
+	s.order = scanOrder(load, s.order[:0])
+}
+
+// compareLoad orders the nodes at indices a and b of the load column: placing
+// work on busy machines is never preferable under the contention model.
+func compareLoad(load []float64, a, b int32) int {
+	switch {
+	case load[a] < load[b]:
+		return -1
+	case load[a] > load[b]:
+		return 1
+	}
+	return 0
+}
+
+// scanOrder appends to order, which must be empty, the indices of a node
+// table, whose load the column holds, in the order first-fit scans them: by
+// load, and within one load by index, which is the hostname order of the
+// table.
+//
+// Most of a cluster is usually idle, and hostname order already sorts nodes
+// of one load. So those are emitted in one pass and only the rest is sorted.
+func scanOrder(load []float64, order []int32) []int32 {
+	if len(load) == 0 {
+		return order
+	}
+	first := int32(0)
+	for i := range load {
+		if compareLoad(load, int32(i), first) < 0 {
+			first = int32(i)
+		}
+	}
+	smallest := 0
+	for i := range load {
+		if compareLoad(load, int32(i), first) == 0 {
+			smallest++
+		}
+	}
+	// Both parts are filled in index order, so when the rest share one load too
+	// (a machine of idle and of equally busy nodes) the sort finds them sorted.
+	order = append(order, make([]int32, len(load))...)
+	lo, hi := 0, smallest
+	for i := range load {
+		if compareLoad(load, int32(i), first) == 0 {
+			order[lo] = int32(i)
+			lo++
+		} else {
+			order[hi] = int32(i)
+			hi++
+		}
+	}
+	slices.SortFunc(order[smallest:], func(i, j int32) int {
+		if c := compareLoad(load, i, j); c != 0 {
+			return c
+		}
+		return int(i - j)
+	})
+	return order
 }
 
 // columns returns the free memory and load Match starts from, by row.
@@ -307,7 +359,7 @@ type table struct {
 	// rows holds the nodes in hostname order. Only what a placement cannot
 	// change is read from them: description and health.
 	rows []resource.NodeState
-	// order lists row numbers in the order the strategy scans them.
+	// order lists row numbers in the order first-fit scans them.
 	order []int32
 	// free and load are the rows' free memory and CPU load, private to the
 	// call and charged as replicas are placed.
@@ -521,37 +573,6 @@ func (p *Plan) Demands() ([]Demand, bool) {
 	return ds, true
 }
 
-// Key renders, bit for bit, everything of a resolved plan that placing it
-// reads — every node spec's demand, every link's bandwidth and latency bound
-// (or why the bound could not be evaluated), the communication requirement —
-// so that two plans of one option with equal keys place alike on every state.
-func (p *Plan) Key() string {
-	var b strings.Builder
-	for i := range p.specs {
-		ps := &p.specs[i]
-		fmt.Fprintf(&b, "|s:%s,%s,%s,%s,%d,%x,%x", ps.local, ps.demand.pattern, ps.demand.os, ps.demand.hostname,
-			ps.replicas, math.Float64bits(ps.demand.grant), math.Float64bits(ps.seconds))
-		if ps.demand.exclusive {
-			b.WriteString(",x")
-		}
-	}
-	for i := range p.links {
-		l := &p.links[i]
-		fmt.Fprintf(&b, "|l:%s-%s,%x", l.spec.A, l.spec.B, math.Float64bits(l.bw))
-		switch {
-		case l.spec.Latency == nil:
-		case l.latErr != nil:
-			b.WriteString(",lat:err:" + l.latErr.Error())
-		default:
-			fmt.Fprintf(&b, ",lat:%x", math.Float64bits(l.maxLat))
-		}
-	}
-	if p.opt.Communication != nil {
-		fmt.Fprintf(&b, "|c:%x", math.Float64bits(p.comm))
-	}
-	return b.String()
-}
-
 // Env is what the plan's link and communication expressions were evaluated
 // in: the granted memory and the seconds of each node spec (as
 // Assignment.MemoryEnv has them) over the request's variables.
@@ -645,7 +666,7 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 	if !namesEveryHost(req.Option) {
 		sc.ownRows = m.ledger.AppendNodes(sc.ownRows)
 	}
-	sc.own.Reset(m.ledger.Indexed(), m.Strategy(), sc.ownRows, nil)
+	sc.own.Reset(m.ledger.Indexed(), sc.ownRows, nil)
 	return sc.own.match(req, sc)
 }
 

@@ -13,9 +13,8 @@ import (
 
 // scanTestLedger is a seeded cluster with everything a scan orders by or a
 // spec filters on: two operating systems, uneven installed memory, memory-only
-// and loaded residents (so idle nodes differ in free memory and the three
-// strategies part ways), a down and a draining node, and every pair linked but
-// two.
+// and loaded residents (so nodes differ in free memory and in load), a down and
+// a draining node, and every pair linked but two.
 func scanTestLedger(t *testing.T, seed int64, nodes int) *resource.Ledger {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -112,69 +111,64 @@ func scanTestRequests(t *testing.T) []Request {
 
 // TestSharedScanMatchesBareView holds Match over a shared scan to Match on a
 // bare fork that reads and orders the table itself: the identical Assignment
-// (positions included) or the identical error text, for every request shape
-// and strategy, on several seeded clusters. Every request is matched twice
-// over one scan, the second time from several goroutines at once, so a charge
-// one call leaked into the shared columns would show as a difference, and
-// under -race as a report. The scan is handed the table, so it cannot read it
+// (positions included) or the identical error text, for every request shape,
+// on several seeded clusters. Every request is matched twice over one scan,
+// the second time from several goroutines at once, so a charge one call
+// leaked into the shared columns would show as a difference, and under -race
+// as a report. The scan is handed the table, so it cannot read it
 // again; it must order it once.
 func TestSharedScanMatchesBareView(t *testing.T) {
 	reqs := scanTestRequests(t)
 	for seed := int64(1); seed <= 4; seed++ {
 		l := scanTestLedger(t, seed, 16)
-		for _, strategy := range []Strategy{FirstFit, BestFit, WorstFit} {
-			t.Run(fmt.Sprintf("seed%d/%v", seed, strategy), func(t *testing.T) {
-				m := New(l)
-				if err := m.SetStrategy(strategy); err != nil {
-					t.Fatal(err)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			m := New(l)
+			snap := l.Snapshot()
+			type outcome struct {
+				asg *Assignment
+				err string
+			}
+			want := make([]outcome, len(reqs))
+			fits := 0
+			for i, req := range reqs {
+				asg, err := m.WithView(snap.Fork()).Match(req)
+				want[i] = outcome{asg, fmt.Sprint(err)}
+				if err == nil {
+					fits++
 				}
-				snap := l.Snapshot()
-				type outcome struct {
-					asg *Assignment
-					err string
-				}
-				want := make([]outcome, len(reqs))
-				fits := 0
-				for i, req := range reqs {
-					asg, err := m.WithView(snap.Fork()).Match(req)
-					want[i] = outcome{asg, fmt.Sprint(err)}
-					if err == nil {
-						fits++
-					}
-				}
-				if fits < len(reqs)/3 || fits > len(reqs)*5/6 {
-					t.Fatalf("%d of %d requests fit: the cases no longer cover both outcomes", fits, len(reqs))
-				}
+			}
+			if fits < len(reqs)/3 || fits > len(reqs)*5/6 {
+				t.Fatalf("%d of %d requests fit: the cases no longer cover both outcomes", fits, len(reqs))
+			}
 
-				var scan Scan
-				scan.Reset(snap, strategy, snap.AppendNodes(nil), nil)
-				check := func(i int) {
-					asg, err := scan.Match(reqs[i])
-					if got := fmt.Sprint(err); got != want[i].err {
-						t.Errorf("request %d: scan says %s, bare view says %s", i, got, want[i].err)
-					} else if !reflect.DeepEqual(asg, want[i].asg) {
-						t.Errorf("request %d: assignments differ:\n scan: %+v\n bare: %+v", i, asg, want[i].asg)
+			var scan Scan
+			scan.Reset(snap, snap.AppendNodes(nil), nil)
+			check := func(i int) {
+				asg, err := scan.Match(reqs[i])
+				if got := fmt.Sprint(err); got != want[i].err {
+					t.Errorf("request %d: scan says %s, bare view says %s", i, got, want[i].err)
+				} else if !reflect.DeepEqual(asg, want[i].asg) {
+					t.Errorf("request %d: assignments differ:\n scan: %+v\n bare: %+v", i, asg, want[i].asg)
+				}
+			}
+			for i := range reqs {
+				check(i)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < len(reqs); i += 2 {
+						check(i)
 					}
-				}
-				for i := range reqs {
-					check(i)
-				}
-				var wg sync.WaitGroup
-				for w := 0; w < 4; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i := w; i < len(reqs); i += 2 {
-							check(i)
-						}
-					}(w)
-				}
-				wg.Wait()
-				if scan.Builds() != 1 {
-					t.Errorf("the shared scan ordered the table %d times, want once", scan.Builds())
-				}
-			})
-		}
+				}(w)
+			}
+			wg.Wait()
+			if scan.Builds() != 1 {
+				t.Errorf("the shared scan ordered the table %d times, want once", scan.Builds())
+			}
+		})
 	}
 }
 
@@ -184,7 +178,7 @@ func TestScanNeverBuiltForNamedOptions(t *testing.T) {
 	l := scanTestLedger(t, 1, 16)
 	snap := l.Snapshot()
 	var scan Scan
-	scan.Reset(snap, FirstFit, nil, nil)
+	scan.Reset(snap, nil, nil)
 	named := mustBundle(t, `harmonyBundle T:1 b {{o {node s h00 {seconds 1} {memory 2}} {node c h05 {seconds 4} {memory 2}} {link c s 3}}}`).Option("o")
 	got, err := scan.Match(Request{Option: named})
 	if err != nil {

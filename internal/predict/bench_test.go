@@ -50,17 +50,6 @@ func BenchmarkExplicitModel(b *testing.B) {
 	}
 }
 
-func BenchmarkCriticalPathModel(b *testing.B) {
-	p, asg := benchSetup(b)
-	params := DefaultCriticalPathParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.CriticalPath(asg, false, params); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkInterpolate(b *testing.B) {
 	pts := []rsl.PerfPoint{{X: 1, Y: 300}, {X: 2, Y: 160}, {X: 4, Y: 90}, {X: 8, Y: 70}}
 	b.ResetTimer()

@@ -125,42 +125,6 @@ func (p byName) Explicit(points []rsl.PerfPoint, asg *match.Assignment, selfRese
 	return Prediction{Seconds: cpu * commScale, CPUSeconds: cpu, CommScale: commScale}, nil
 }
 
-func (p byName) CriticalPath(asg *match.Assignment, selfReserved bool, params CriticalPathParams) (Prediction, error) {
-	base, err := p.Default(asg, selfReserved)
-	if err != nil {
-		return Prediction{}, err
-	}
-	cpu := base.CPUSeconds
-	volume, wire := 0.0, 0.0
-	err = eachLink(asg, func(a, b string, rate float64) error {
-		if a == b || rate <= 0 {
-			return nil
-		}
-		ls, err := p.view.Link(a, b)
-		if err != nil {
-			return fmt.Errorf("predict: %w", err)
-		}
-		v := rate * cpu
-		volume += v
-		others := ls.ReservedMbps
-		if selfReserved {
-			others = math.Max(others-rate, 0)
-		}
-		avail := math.Max(ls.Link.BandwidthMbps-others, ls.Link.BandwidthMbps*0.1)
-		wire += v / avail
-		return nil
-	})
-	if err != nil {
-		return Prediction{}, err
-	}
-	total := cpu + params.OccupancySecondsPerMbit*volume + wire
-	scale := 1.0
-	if cpu > 0 {
-		scale = total / cpu
-	}
-	return Prediction{Seconds: total, CPUSeconds: cpu, CommScale: scale}, nil
-}
-
 // randomLedger builds a cluster of mixed speeds and CPU counts whose links
 // have mixed capacities; one pair in eight is left unlinked.
 func randomLedger(t *testing.T, rng *rand.Rand) (*resource.Ledger, []string) {
@@ -257,7 +221,6 @@ func samePrediction(a, b Prediction) bool {
 // refuses it. The guard stays in the one place the arithmetic lives.
 func TestIndexedMatchesByName(t *testing.T) {
 	points := []rsl.PerfPoint{{X: 1, Y: 30}, {X: 3, Y: 14}, {X: 6, Y: 9}}
-	params := DefaultCriticalPathParams()
 	models := []struct {
 		name    string
 		byName  func(byName, *match.Assignment, bool) (Prediction, error)
@@ -277,18 +240,6 @@ func TestIndexedMatchesByName(t *testing.T) {
 				return p.Explicit(points, a, self)
 			},
 			func(in Indexed, pl *Placement, self bool) (Prediction, error) { return in.Explicit(points, pl, self) },
-		},
-		{
-			"critical-path",
-			func(p byName, a *match.Assignment, self bool) (Prediction, error) {
-				return p.CriticalPath(a, self, params)
-			},
-			func(p *Predictor, a *match.Assignment, self bool) (Prediction, error) {
-				return p.CriticalPath(a, self, params)
-			},
-			func(in Indexed, pl *Placement, self bool) (Prediction, error) {
-				return in.CriticalPath(pl, self, params)
-			},
 		},
 	}
 	noNode, noLink, stacked := 0, 0, 0
