@@ -30,7 +30,6 @@ func startServer(t *testing.T) string {
 	}
 	t.Cleanup(func() {
 		_ = srv.Close()
-		ctrl.Stop()
 		clock.Stop()
 	})
 	return srv.Addr()
@@ -335,7 +334,6 @@ func startReplicatedServer(t *testing.T) string {
 	t.Cleanup(func() {
 		_ = srv.Close()
 		_ = rep.Close()
-		ctrl.Stop()
 		clock.Stop()
 	})
 	// A single member elects itself; wait so status reports a settled role.

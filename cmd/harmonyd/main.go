@@ -144,12 +144,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer ctrl.Stop()
 
-	// The controller is a state machine driven by the replicated log: its own
-	// periodic scheduler stays off (mutations may only enter through
-	// committed entries), and the leader re-harmonizes through replicated
-	// clock ticks instead.
+	// The controller is a state machine driven by the replicated log:
+	// mutations enter only through committed entries, and the leader
+	// re-harmonizes through replicated clock ticks.
 	var peerList []string
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {

@@ -57,7 +57,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer ctrl.Stop()
 	srv, err := harmony.ListenAndServe("127.0.0.1:0", harmony.ServerConfig{Controller: ctrl})
 	if err != nil {
 		return err

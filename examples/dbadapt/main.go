@@ -65,9 +65,17 @@ harmonyNode dbclient3 {speed 1} {memory 64} {os linux}
 	if err != nil {
 		return err
 	}
-	defer ctrl.Stop()
+
+	srv, err := harmony.ListenAndServe("127.0.0.1:0", harmony.ServerConfig{Controller: ctrl})
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	fmt.Printf("harmony server on %s\n", srv.Addr())
 
 	// The paper's configured rule, applied whenever the population changes.
+	// The server forces each choice through its replicated log: nothing
+	// beside a server mutates the controller directly.
 	const switchThreshold = 3
 	applyRule := func() {
 		active := ctrl.ActiveInstances("DBclient")
@@ -76,18 +84,11 @@ harmonyNode dbclient3 {speed 1} {memory 64} {os linux}
 			want = "DS"
 		}
 		for _, id := range active {
-			if _, err := ctrl.ForceChoice(id, harmony.Choice{Option: want}); err != nil {
+			if _, err := srv.ForceChoice(id, harmony.Choice{Option: want}); err != nil {
 				log.Printf("rule: %v", err)
 			}
 		}
 	}
-
-	srv, err := harmony.ListenAndServe("127.0.0.1:0", harmony.ServerConfig{Controller: ctrl})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Printf("harmony server on %s\n", srv.Addr())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

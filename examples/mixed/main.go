@@ -78,7 +78,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer ctrl.Stop()
 	if err := ctrl.Subscribe(func(ev harmony.Event) {
 		kind := "reconfigured"
 		if ev.Initial {

@@ -32,7 +32,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctrl.Stop()
 	srv, err := harmony.ListenAndServe("127.0.0.1:0", harmony.ServerConfig{Controller: ctrl})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +81,7 @@ harmonyBundle DBclient:1 where {
 		done <- client.WaitForUpdate(ctx)
 	}()
 	time.Sleep(20 * time.Millisecond)
-	if _, err := ctrl.ForceChoice(inst, harmony.Choice{Option: "DS"}); err != nil {
+	if _, err := srv.ForceChoice(inst, harmony.Choice{Option: "DS"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {

@@ -83,7 +83,7 @@ func (n *repSoakNode) start(t *testing.T) {
 
 func (n *repSoakNode) kill() {
 	n.mu.Lock()
-	ctrl, rep, srv := n.ctrl, n.rep, n.srv
+	rep, srv := n.rep, n.srv
 	n.ctrl, n.rep, n.srv = nil, nil, nil
 	n.mu.Unlock()
 	if srv != nil {
@@ -91,9 +91,6 @@ func (n *repSoakNode) kill() {
 	}
 	if rep != nil {
 		_ = rep.Close()
-	}
-	if ctrl != nil {
-		ctrl.Stop()
 	}
 }
 
@@ -333,17 +330,17 @@ func runReplicatedSoak(t *testing.T, seed int64) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// Every member converges to the same committed prefix: three ledgers,
-	// one byte-identical state.
+	// Every member converges to the same committed prefix: three ledgers and
+	// session tables, one byte-identical state, read on each member's loop.
 	convergeDeadline := time.Now().Add(10 * time.Second)
 	for {
 		states := make([][]byte, 0, members)
 		for _, n := range nodes {
-			ctrl, _ := n.live()
-			if ctrl == nil {
+			_, rep := n.live()
+			if rep == nil {
 				continue
 			}
-			b, err := ctrl.EncodeState()
+			b, err := rep.EncodeState()
 			if err == nil {
 				states = append(states, b)
 			}

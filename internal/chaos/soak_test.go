@@ -59,7 +59,6 @@ func runSoak(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctrl.Stop()
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -109,13 +108,23 @@ func runSoak(t *testing.T, seed int64) {
 		}
 	}()
 
-	// Node killer: cycles machines down and back up under load.
+	// Node killer: cycles machines down and back up under load, through the
+	// log like any operator (node_state). Calls may fail under the injected
+	// faults; the soak asserts invariants, not per-call success.
 	stopKill := make(chan struct{})
 	checkWg.Add(1)
 	go func() {
 		defer checkWg.Done()
 		rng := rand.New(rand.NewSource(seed ^ 0x6b696c6c))
 		hosts := cl.Hosts()
+		ops, err := hclient.DialWith(srv.Addr(), hclient.DialConfig{
+			Reconnect: true, BackoffBase: 5 * time.Millisecond, MaxAttempts: -1,
+		})
+		if err != nil {
+			return
+		}
+		defer ops.Close()
+		_ = ops.Startup("Ops", false) // a session makes reconnects transparent
 		for {
 			select {
 			case <-stopKill:
@@ -123,13 +132,9 @@ func runSoak(t *testing.T, seed int64) {
 			default:
 			}
 			host := hosts[rng.Intn(len(hosts))]
-			if _, err := ctrl.MarkNodeDown(host); err != nil {
-				t.Errorf("MarkNodeDown(%s): %v", host, err)
-			}
+			_ = ops.NodeState(host, "down")
 			time.Sleep(time.Duration(10+rng.Intn(30)) * time.Millisecond)
-			if _, err := ctrl.MarkNodeUp(host); err != nil {
-				t.Errorf("MarkNodeUp(%s): %v", host, err)
-			}
+			_ = ops.NodeState(host, "up")
 			time.Sleep(time.Duration(10+rng.Intn(30)) * time.Millisecond)
 		}
 	}()
@@ -178,10 +183,25 @@ func runSoak(t *testing.T, seed int64) {
 	close(stopKill)
 
 	// Quiesce: every node back up, all clients gone; parked sessions expire
-	// after the grace window and the ledger drains to empty.
+	// after the grace window and the ledger drains to empty. Each mark dials
+	// afresh — the injected faults may sever any one try.
+	markUp := func(host string) bool {
+		c, err := hclient.DialWith(srv.Addr(), hclient.DialConfig{
+			Reconnect: true, BackoffBase: 5 * time.Millisecond, MaxAttempts: -1,
+		})
+		if err != nil {
+			return false
+		}
+		defer c.Close()
+		return c.NodeState(host, "up") == nil
+	}
 	for _, host := range cl.Hosts() {
-		if _, err := ctrl.MarkNodeUp(host); err != nil {
-			t.Fatalf("MarkNodeUp(%s) during quiesce: %v", host, err)
+		deadline := time.Now().Add(10 * time.Second)
+		for !markUp(host) {
+			if time.Now().After(deadline) {
+				t.Fatalf("could not mark %s up during quiesce (CHAOS_SEED=%d)", host, seed)
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)

@@ -155,10 +155,10 @@ type PersistedState struct {
 
 // State serializes the controller for a replication snapshot. It fails if
 // any application was registered without RSL source (only possible outside
-// the replicated Apply path, which always records source).
+// the replicated Apply path, which always records source). It reads the
+// writer's state, so only the goroutine that runs the mutators may call it
+// (the replica's loop, under a server).
 func (c *Controller) State() (*PersistedState, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := &PersistedState{
 		Now:          c.cfg.Clock.Now(),
 		NextInstance: c.nextInstance,
@@ -200,7 +200,8 @@ func (c *Controller) State() (*PersistedState, error) {
 	return st, nil
 }
 
-// EncodeState is State as JSON, convenient for snapshot payloads.
+// EncodeState is State as JSON, convenient for snapshot payloads. Like State,
+// it is for the goroutine that runs the mutators.
 func (c *Controller) EncodeState() ([]byte, error) {
 	st, err := c.State()
 	if err != nil {
@@ -217,11 +218,10 @@ func (c *Controller) Restore(st *PersistedState) error {
 	if st == nil {
 		return errors.New("core: restore nil state")
 	}
-	// Advance the clock first, outside the controller lock (due scheduled
-	// events may call back into the controller).
+	// Advance the clock first: due scheduled events may call back into the
+	// controller.
 	c.cfg.Clock.AdvanceTo(st.Now)
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.publish(nil)
 	// Wipe current state.
 	for _, id := range c.order {
 		a := c.apps[id]
@@ -282,7 +282,7 @@ func (c *Controller) Restore(st *PersistedState) error {
 		c.apps[app.instance] = app
 		c.order = append(c.order, app.instance)
 		if app.assignment != nil {
-			c.writeNamespaceLocked(app)
+			c.writeNamespace(app)
 			if pa.NamespacePredicted != nil {
 				_ = c.ns.SetNum(app.owner()+".predicted", *pa.NamespacePredicted)
 			}

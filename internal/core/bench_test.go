@@ -59,7 +59,6 @@ harmonyBundle Bag:1 parallelism {
 
 func BenchmarkRegisterUnregisterDB(b *testing.B) {
 	ctrl := benchController(b, 4, Config{})
-	defer ctrl.Stop()
 	bundle := benchBundle(b, benchDBBundle)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,7 +74,6 @@ func BenchmarkRegisterUnregisterDB(b *testing.B) {
 
 func BenchmarkReevaluateGreedy(b *testing.B) {
 	ctrl := benchController(b, 8, Config{})
-	defer ctrl.Stop()
 	for i := 0; i < 2; i++ {
 		if _, _, err := ctrl.Register(benchBundle(b, benchBagBundle)); err != nil {
 			b.Fatal(err)
@@ -89,7 +87,6 @@ func BenchmarkReevaluateGreedy(b *testing.B) {
 
 func BenchmarkReevaluateExhaustive(b *testing.B) {
 	ctrl := benchController(b, 8, Config{Exhaustive: true})
-	defer ctrl.Stop()
 	for i := 0; i < 2; i++ {
 		if _, _, err := ctrl.Register(benchBundle(b, benchBagBundle)); err != nil {
 			b.Fatal(err)
@@ -103,7 +100,6 @@ func BenchmarkReevaluateExhaustive(b *testing.B) {
 
 func BenchmarkForceChoice(b *testing.B) {
 	ctrl := benchController(b, 4, Config{})
-	defer ctrl.Stop()
 	inst, _, err := ctrl.Register(benchBundle(b, benchDBBundle))
 	if err != nil {
 		b.Fatal(err)
@@ -144,7 +140,6 @@ func bagRSL(name string, job, max int, work float64) string {
 // without the wire.
 func BenchmarkWideGreedyCycle(b *testing.B) {
 	ctrl := benchController(b, 256, Config{})
-	defer ctrl.Stop()
 	for job := 1; job <= 8; job++ {
 		if _, _, err := ctrl.Register(benchBundle(b, wideBagRSL(fmt.Sprintf("Bag%d", job), job, 300))); err != nil {
 			b.Fatal(err)
@@ -227,7 +222,6 @@ func crowdController(tb testing.TB, residents int, cfg Config) *Controller {
 // so every resident's five choices are re-evaluated against the other 63.
 func BenchmarkCrowdCycle(b *testing.B) {
 	ctrl := crowdController(b, 64, Config{})
-	defer ctrl.Stop()
 	benchCycles(b, ctrl, benchBundle(b, crowdRSL(65, 65)))
 }
 
@@ -242,7 +236,6 @@ func BenchmarkSqueezeCycle(b *testing.B) {
 	for _, residents := range []int{2, 4} {
 		b.Run(fmt.Sprintf("residents=%d", residents), func(b *testing.B) {
 			ctrl := benchController(b, 10, Config{})
-			defer ctrl.Stop()
 			for job := 1; job <= residents; job++ {
 				if _, _, err := ctrl.Register(benchBundle(b, bagRSL(fmt.Sprintf("Bag%d", job), job, 8, 300))); err != nil {
 					b.Fatal(err)

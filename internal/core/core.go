@@ -13,9 +13,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"harmony/internal/cluster"
@@ -112,27 +113,22 @@ type Event struct {
 }
 
 // Listener receives reconfiguration events. Callbacks run on the goroutine
-// that triggered the re-evaluation, after the controller lock is released.
+// that called the mutator, after the controller has published the view the
+// events lead to, and must not call a mutator.
 type Listener func(Event)
 
 // Config parameterizes the controller.
 type Config struct {
 	// Cluster provides the resources under management. Required.
 	Cluster *cluster.Cluster
-	// Clock drives granularity gating and periodic re-evaluation. Required.
+	// Clock drives granularity gating. Required.
 	Clock *simclock.Clock
 	// Objective is minimized across all applications; default
-	// objective.MeanResponseTime. It is called with the controller lock
-	// held and must not call back into the controller.
+	// objective.MeanResponseTime. The mutators call it, and it must not call
+	// back into the controller.
 	Objective objective.Func
 	// Bus optionally receives decision and prediction metrics.
 	Bus *metric.Bus
-	// ReevalInterval schedules periodic re-evaluation on the clock when
-	// positive ("we continue this process on a periodic basis").
-	ReevalInterval time.Duration
-	// GrantSteps are the memory increments (MB) tried above OpMin minima;
-	// default {0, 8, 16, 32}.
-	GrantSteps []float64
 	// Exhaustive switches the optimizer from the paper's greedy
 	// one-bundle-at-a-time policy to a full cross-product search (used by
 	// the A2 ablation).
@@ -146,12 +142,6 @@ type Config struct {
 	// Deprecated: it remains so that configurations that set it still
 	// compile, and has no effect.
 	EvalWorkers int
-	// WarnFunc, when set, receives controller warnings (friction
-	// expressions that fail to evaluate, stale claims, failed rollbacks) as
-	// they are raised. It runs with the controller lock held and must not
-	// call back into the controller; nil keeps warnings in the ring buffer
-	// returned by Warnings.
-	WarnFunc func(string)
 }
 
 type appState struct {
@@ -185,20 +175,34 @@ type appState struct {
 
 func (a *appState) owner() string { return a.ownerPath }
 
-// Controller is the Harmony adaptation controller.
+// Controller is the Harmony adaptation controller: one central decision
+// maker, and a single-writer state machine. The mutators — Register,
+// Unregister, Reevaluate, ForceChoice, MarkNodeDown, DrainNode, MarkNodeUp,
+// Apply and Restore — run on one goroutine at a time. Under a server that
+// goroutine is the replica's loop, and the only way in is the replicated log:
+// nothing else may call a mutator on a controller a server fronts.
+//
+// Every mutator ends by publishing an immutable view of the state it left,
+// before any listener hears of its events. The readers — Status, Apps,
+// Objective, Bundles, ActiveInstances, CurrentChoice, EvaluationCount,
+// PruneStats, JointTrials, Predictions and Warnings — load that view and
+// nothing else, so they may run on any goroutine, never wait for an optimizer
+// pass, and always see one state. Subscribe may be called from any goroutine
+// too.
 type Controller struct {
 	cfg     Config
 	ledger  *resource.Ledger
 	matcher *match.Matcher
 	ns      *namespace.Tree
 
-	mu           sync.Mutex
+	// view is what the readers load; listeners is replaced, never modified.
+	view      atomic.Pointer[view]
+	listeners atomic.Pointer[[]Listener]
+
+	// The writer's state, touched by the mutators alone.
 	apps         map[int]*appState
 	order        []int // registration order (lexical evaluation order)
 	nextInstance int
-	listeners    []Listener
-	reevalTimer  simclock.EventID
-	stopped      bool
 
 	// evalCtx is the evaluation context, refilled for every evaluation
 	// (one is alive at a time); evalContexts counts the refills.
@@ -213,35 +217,37 @@ type Controller struct {
 	disablePruning bool
 	// jointTrials counts the choices the joint search has tried (JointTrials).
 	jointTrials uint64
-	// warnings is a bounded ring of recent controller warnings.
+	// warnings is a bounded ring of recent controller warnings. warn replaces
+	// it rather than writing into it, so a published view may share it.
 	warnings []string
+}
+
+// view is the controller's state as one mutator left it. Nothing in it is
+// written after it is published.
+type view struct {
+	objective   float64
+	apps        []Snapshot        // registration order
+	bundles     []*rsl.BundleSpec // registration order
+	prune       PruneStats
+	jointTrials uint64
+	predictions uint64
+	warnings    []string
 }
 
 // maxWarnings bounds the warning ring buffer.
 const maxWarnings = 64
 
-// warnLocked records a warning and forwards it to Config.WarnFunc.
-func (c *Controller) warnLocked(msg string) {
-	if len(c.warnings) >= maxWarnings {
-		copy(c.warnings, c.warnings[1:])
-		c.warnings[len(c.warnings)-1] = msg
-	} else {
-		c.warnings = append(c.warnings, msg)
-	}
-	if c.cfg.WarnFunc != nil {
-		c.cfg.WarnFunc(msg)
-	}
+// warn records a warning, dropping the oldest once maxWarnings are held.
+func (c *Controller) warn(msg string) {
+	kept := c.warnings[max(0, len(c.warnings)-maxWarnings+1):]
+	c.warnings = append(slices.Clip(kept), msg)
 }
 
 // Warnings returns the most recent controller warnings, oldest first.
-func (c *Controller) Warnings() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.warnings...)
-}
+func (c *Controller) Warnings() []string { return slices.Clone(c.view.Load().warnings) }
 
 // New builds a controller over the cluster. The clock is not started here;
-// callers drive it (or call Start to schedule periodic re-evaluation).
+// callers drive it.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Cluster == nil {
 		return nil, errors.New("core: config needs a cluster")
@@ -252,87 +258,43 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Objective == nil {
 		cfg.Objective = objective.MeanResponseTime
 	}
-	if cfg.GrantSteps == nil {
-		cfg.GrantSteps = []float64{0, 8, 16, 32}
-	}
 	ledger := cfg.Cluster.Ledger()
-	return &Controller{
+	c := &Controller{
 		cfg:     cfg,
 		ledger:  ledger,
 		matcher: match.New(ledger),
 		ns:      namespace.New(),
 		apps:    make(map[int]*appState),
-	}, nil
-}
-
-// SetObjective replaces the objective function at runtime ("in the future
-// we plan to investigate other objective functions", Section 4.2). The
-// next re-evaluation optimizes the new objective.
-func (c *Controller) SetObjective(fn objective.Func) error {
-	if fn == nil {
-		return errors.New("core: nil objective")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.Objective = fn
-	return nil
+	c.listeners.Store(new([]Listener))
+	c.view.Store(c.buildView())
+	return c, nil
 }
 
 // Namespace exposes the controller's shared namespace (Section 3.2).
 func (c *Controller) Namespace() *namespace.Tree { return c.ns }
 
-// Subscribe registers a reconfiguration listener for all applications.
+// Subscribe registers a reconfiguration listener for all applications. It may
+// be called from any goroutine, including while a mutator runs; a mutator that
+// has already started may or may not tell the new listener of its events.
 func (c *Controller) Subscribe(fn Listener) error {
 	if fn == nil {
 		return errors.New("core: nil listener")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.listeners = append(c.listeners, fn)
-	return nil
-}
-
-// Start schedules periodic re-evaluation on the clock when configured.
-func (c *Controller) Start() error {
-	if c.cfg.ReevalInterval <= 0 {
-		return nil
-	}
-	return c.scheduleReeval()
-}
-
-func (c *Controller) scheduleReeval() error {
-	id, err := c.cfg.Clock.ScheduleAfter(c.cfg.ReevalInterval, func(time.Duration) {
-		c.Reevaluate()
-		c.mu.Lock()
-		stopped := c.stopped
-		c.mu.Unlock()
-		if !stopped {
-			_ = c.scheduleReeval()
-		}
-	})
-	if err != nil {
-		if errors.Is(err, simclock.ErrStopped) {
+	for {
+		old := c.listeners.Load()
+		next := append(slices.Clip(*old), fn)
+		if c.listeners.CompareAndSwap(old, &next) {
 			return nil
 		}
-		return fmt.Errorf("core: schedule reeval: %w", err)
 	}
-	c.mu.Lock()
-	c.reevalTimer = id
-	c.mu.Unlock()
-	return nil
 }
 
-// Stop cancels periodic re-evaluation. Registered applications keep their
-// resources; Stop only quiesces the controller.
-func (c *Controller) Stop() {
-	c.mu.Lock()
-	c.stopped = true
-	timer := c.reevalTimer
-	c.mu.Unlock()
-	if timer != 0 {
-		c.cfg.Clock.Cancel(timer)
-	}
-}
+// Stop does nothing: the controller schedules no work of its own.
+//
+// Deprecated: it remains for the bench harness, which still calls it, and
+// goes with the harness's shadow controller (ROADMAP item 7).
+func (c *Controller) Stop() {}
 
 // Register admits an application bundle (harmony_bundle_setup): the
 // controller assigns an instance id, picks the best feasible choice for the
@@ -347,13 +309,13 @@ func (c *Controller) Register(bundle *rsl.BundleSpec) (int, []Event, error) {
 // registerAt is Register with an explicit decision time and the bundle's
 // RSL source, the deterministic entry point the replication Apply path uses
 // (the entry's virtual time stands in for the local clock).
-func (c *Controller) registerAt(bundle *rsl.BundleSpec, source string, now time.Duration) (int, []Event, error) {
+func (c *Controller) registerAt(bundle *rsl.BundleSpec, source string, now time.Duration) (inst int, events []Event, err error) {
+	defer func() { c.publish(events) }()
 	if bundle == nil || len(bundle.Options) == 0 {
 		return 0, nil, errors.New("core: bundle with no options")
 	}
-	c.mu.Lock()
 	c.nextInstance++
-	inst := c.nextInstance
+	inst = c.nextInstance
 	app := &appState{
 		instance:     inst,
 		bundle:       bundle,
@@ -363,13 +325,11 @@ func (c *Controller) registerAt(bundle *rsl.BundleSpec, source string, now time.
 		lastSwitch:   -1,
 	}
 
-	var events []Event
-	best, err := c.bestChoiceLocked(app, now, true)
+	best, err := c.bestChoice(app, now, true)
 	if err == nil {
-		ev, aerr := c.adoptLocked(app, best, now, true)
+		ev, aerr := c.adopt(app, best, now, true)
 		if aerr != nil {
 			c.nextInstance--
-			c.mu.Unlock()
 			return 0, nil, aerr
 		}
 		c.apps[inst] = app
@@ -378,39 +338,33 @@ func (c *Controller) registerAt(bundle *rsl.BundleSpec, source string, now time.
 
 		// "After defining the initial options for a new application, we
 		// re-evaluate the options for existing applications."
-		events = append(events, c.reevaluateLocked(now, inst)...)
-	} else if errors.Is(err, ErrNoFeasibleOption) && len(c.order) > 0 {
-		// Nothing fits while existing applications hold their resources:
-		// change existing allocations to accommodate the new application
-		// ("applications written to Harmony's interface ... enable changing
-		// existing resource allocations in order to accommodate new
-		// applications", Section 1). A joint search over all bundles finds
-		// the accommodation.
-		c.apps[inst] = app
-		c.order = append(c.order, inst)
-		events = c.reevaluateExhaustiveLocked(now, 0)
-		if app.claim == nil {
-			// Even the joint search could not place it: roll back.
-			delete(c.apps, inst)
-			c.order = c.order[:len(c.order)-1]
-			c.nextInstance--
-			c.mu.Unlock()
-			return 0, nil, err
-		}
-		for i := range events {
-			if events[i].Instance == inst {
-				events[i].Initial = true
-			}
-		}
-	} else {
+		return inst, append(events, c.reevaluate(now, inst)...), nil
+	}
+	if !errors.Is(err, ErrNoFeasibleOption) || len(c.order) == 0 {
 		c.nextInstance--
-		c.mu.Unlock()
 		return 0, nil, err
 	}
-	listeners := append([]Listener(nil), c.listeners...)
-	c.mu.Unlock()
-
-	c.publish(listeners, events)
+	// Nothing fits while existing applications hold their resources:
+	// change existing allocations to accommodate the new application
+	// ("applications written to Harmony's interface ... enable changing
+	// existing resource allocations in order to accommodate new
+	// applications", Section 1). A joint search over all bundles finds
+	// the accommodation.
+	c.apps[inst] = app
+	c.order = append(c.order, inst)
+	events = c.reevaluateExhaustive(now, 0)
+	if app.claim == nil {
+		// Even the joint search could not place it: roll back.
+		delete(c.apps, inst)
+		c.order = c.order[:len(c.order)-1]
+		c.nextInstance--
+		return 0, nil, err
+	}
+	for i := range events {
+		if events[i].Instance == inst {
+			events[i].Initial = true
+		}
+	}
 	return inst, events, nil
 }
 
@@ -421,16 +375,14 @@ func (c *Controller) Unregister(instance int) ([]Event, error) {
 }
 
 // unregisterAt is Unregister at an explicit decision time (see registerAt).
-func (c *Controller) unregisterAt(instance int, now time.Duration) ([]Event, error) {
-	c.mu.Lock()
+func (c *Controller) unregisterAt(instance int, now time.Duration) (events []Event, err error) {
+	defer func() { c.publish(events) }()
 	app, ok := c.apps[instance]
 	if !ok {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d", ErrUnknownInstance, instance)
 	}
 	if app.claim != nil {
 		if err := c.ledger.Release(app.claim.ID); err != nil {
-			c.mu.Unlock()
 			return nil, fmt.Errorf("core: release on unregister: %w", err)
 		}
 	}
@@ -442,12 +394,7 @@ func (c *Controller) unregisterAt(instance int, now time.Duration) ([]Event, err
 			break
 		}
 	}
-	events := c.reevaluateLocked(now, 0)
-	listeners := append([]Listener(nil), c.listeners...)
-	c.mu.Unlock()
-
-	c.publish(listeners, events)
-	return events, nil
+	return c.reevaluate(now, 0), nil
 }
 
 // Reevaluate runs one pass of the paper's greedy optimization over all
@@ -458,15 +405,18 @@ func (c *Controller) Reevaluate() []Event {
 
 // reevaluateAt is Reevaluate at an explicit decision time (see registerAt).
 func (c *Controller) reevaluateAt(now time.Duration) []Event {
-	c.mu.Lock()
-	events := c.reevaluateLocked(now, 0)
-	listeners := append([]Listener(nil), c.listeners...)
-	c.mu.Unlock()
-	c.publish(listeners, events)
+	events := c.reevaluate(now, 0)
+	c.publish(events)
 	return events
 }
 
-func (c *Controller) publish(listeners []Listener, events []Event) {
+// publish ends every mutator: it stores the view of the state the mutator
+// left, and only then hands the mutator's events to the listeners and the
+// bus, so whoever is told of an event and then reads the controller sees at
+// least the state the event describes.
+func (c *Controller) publish(events []Event) {
+	c.view.Store(c.buildView())
+	listeners := *c.listeners.Load()
 	for _, ev := range events {
 		for _, fn := range listeners {
 			fn(ev)
@@ -478,19 +428,52 @@ func (c *Controller) publish(listeners []Listener, events []Event) {
 	}
 }
 
-// Objective reports the current objective value over predicted times.
-func (c *Controller) Objective() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cfg.Objective(c.jobsLocked())
+// buildView captures the state for the readers. Degraded apps hold no
+// resources and have no meaningful prediction, so they do not contribute to
+// the objective.
+func (c *Controller) buildView() *view {
+	v := &view{
+		apps:        make([]Snapshot, 0, len(c.order)),
+		bundles:     make([]*rsl.BundleSpec, 0, len(c.order)),
+		prune:       c.prune,
+		jointTrials: c.jointTrials,
+		predictions: c.predictions,
+		warnings:    c.warnings,
+	}
+	jobs := make([]objective.JobPrediction, 0, len(c.order))
+	for _, id := range c.order {
+		a := c.apps[id]
+		var hosts []string
+		if a.assignment != nil {
+			hosts = a.assignment.Hosts()
+		}
+		v.apps = append(v.apps, Snapshot{
+			Instance:         a.instance,
+			App:              a.bundle.App,
+			Bundle:           a.bundle.Name,
+			Choice:           a.choice,
+			Hosts:            hosts,
+			PredictedSeconds: a.predicted,
+			Switches:         a.switches,
+			Degraded:         a.degraded,
+		})
+		v.bundles = append(v.bundles, a.bundle)
+		if !a.degraded {
+			jobs = append(jobs, objective.JobPrediction{App: a.owner(), Seconds: a.predicted})
+		}
+	}
+	v.objective = c.cfg.Objective(jobs)
+	return v
 }
 
+// Objective reports the current objective value over predicted times.
+func (c *Controller) Objective() float64 { return c.view.Load().objective }
+
 // Status reports the objective and the applications (Objective and Apps) as
-// of one state: no decision is applied between the two.
+// of one state: both come from one published view.
 func (c *Controller) Status() (objective float64, apps []Snapshot) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cfg.Objective(c.jobsLocked()), c.appsLocked()
+	v := c.view.Load()
+	return v.objective, slices.Clone(v.apps)
 }
 
 // Snapshot describes one application's current state.
@@ -512,46 +495,12 @@ type Snapshot struct {
 }
 
 // Apps lists registered applications in registration order.
-func (c *Controller) Apps() []Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.appsLocked()
-}
-
-func (c *Controller) appsLocked() []Snapshot {
-	out := make([]Snapshot, 0, len(c.order))
-	for _, id := range c.order {
-		a := c.apps[id]
-		var hosts []string
-		if a.assignment != nil {
-			hosts = a.assignment.Hosts()
-		}
-		out = append(out, Snapshot{
-			Instance:         a.instance,
-			App:              a.bundle.App,
-			Bundle:           a.bundle.Name,
-			Choice:           a.choice,
-			Hosts:            hosts,
-			PredictedSeconds: a.predicted,
-			Switches:         a.switches,
-			Degraded:         a.degraded,
-		})
-	}
-	return out
-}
+func (c *Controller) Apps() []Snapshot { return slices.Clone(c.view.Load().apps) }
 
 // Bundles returns the registered option bundles in registration order, so
 // workload-level analyses (package vet) can judge an incoming spec against
 // the demand already admitted.
-func (c *Controller) Bundles() []*rsl.BundleSpec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*rsl.BundleSpec, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.apps[id].bundle)
-	}
-	return out
-}
+func (c *Controller) Bundles() []*rsl.BundleSpec { return slices.Clone(c.view.Load().bundles) }
 
 // ClusterNodes describes the managed cluster as harmonyNode declarations,
 // so spec analyses (package vet) can validate incoming bundles against the
@@ -574,13 +523,12 @@ func (c *Controller) ClusterNodes() []*rsl.NodeDecl {
 
 // CurrentChoice reports an application's active configuration.
 func (c *Controller) CurrentChoice(instance int) (Choice, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	app, ok := c.apps[instance]
-	if !ok {
-		return Choice{}, fmt.Errorf("%w: %d", ErrUnknownInstance, instance)
+	for _, a := range c.view.Load().apps {
+		if a.Instance == instance {
+			return a.Choice, nil
+		}
 	}
-	return app.choice, nil
+	return Choice{}, fmt.Errorf("%w: %d", ErrUnknownInstance, instance)
 }
 
 // ForceChoice imposes a specific configuration on an application,
@@ -594,102 +542,79 @@ func (c *Controller) ForceChoice(instance int, ch Choice) (*Event, error) {
 
 // forceChoiceAt is ForceChoice at an explicit decision time (see registerAt).
 func (c *Controller) forceChoiceAt(instance int, ch Choice, now time.Duration) (*Event, error) {
-	c.mu.Lock()
+	var events []Event
+	defer func() { c.publish(events) }()
 	app, ok := c.apps[instance]
 	if !ok {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d", ErrUnknownInstance, instance)
 	}
 	if app.choice.Equal(ch) {
-		c.mu.Unlock()
 		return nil, nil
 	}
 	if app.bundle.Option(ch.Option) == nil {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("core: option %q not in bundle %s", ch.Option, app.bundle.Name)
 	}
 	// Evaluate the forced choice hypothetically: the app's claim stays in
 	// place until adoption, which handles release/rollback itself.
-	ctx := c.newEvalContextLocked(app)
-	cand, err := c.evaluateChoice(ctx, ch, c.choiceStaticLocked(app, ch))
+	ctx := c.newEvalContext(app)
+	cand, err := c.evaluateChoice(ctx, ch, c.choiceStaticFor(app, ch))
 	if err != nil {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("core: force choice: %w", err)
 	}
 	if cand.frictionWarn != "" {
-		c.warnLocked(cand.frictionWarn)
+		c.warn(cand.frictionWarn)
 	}
-	ev, err := c.adoptLocked(app, cand, now, false)
+	ev, err := c.adopt(app, cand, now, false)
 	if err != nil {
-		c.mu.Unlock()
 		return nil, err
 	}
-	listeners := append([]Listener(nil), c.listeners...)
-	c.mu.Unlock()
-	c.publish(listeners, []Event{ev})
+	events = []Event{ev}
 	return &ev, nil
 }
 
 // ActiveInstances reports the registered instance ids of one application
 // name (e.g. all DBclient instances), in registration order.
 func (c *Controller) ActiveInstances(appName string) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []int
-	for _, id := range c.order {
-		if c.apps[id].bundle.App == appName {
-			out = append(out, id)
+	for _, a := range c.view.Load().apps {
+		if a.App == appName {
+			out = append(out, a.Instance)
 		}
 	}
 	return out
 }
 
-// jobsLocked builds objective inputs from current predictions. Degraded
-// apps hold no resources and have no meaningful prediction, so they do not
-// contribute to the objective.
-func (c *Controller) jobsLocked() []objective.JobPrediction {
-	jobs := make([]objective.JobPrediction, 0, len(c.order))
-	for _, id := range c.order {
-		a := c.apps[id]
-		if a.degraded {
-			continue
-		}
-		jobs = append(jobs, objective.JobPrediction{App: a.owner(), Seconds: a.predicted})
-	}
-	return jobs
-}
-
-// predictCommittedLocked predicts an application against the committed
-// ledger state (all claims reserved), as captured in view.
-func (c *Controller) predictCommittedLocked(view *resource.Snapshot, a *appState) {
+// predictCommitted predicts an application against the committed
+// ledger state (all claims reserved), as captured in snap.
+func (c *Controller) predictCommitted(snap *resource.Snapshot, a *appState) {
 	opt := a.bundle.Option(a.choice.Option)
-	pred, err := c.predictIndexed(predict.Indexed{View: view}, opt, a.placedFor(view).pl)
+	pred, err := c.predictIndexed(predict.Indexed{View: snap}, opt, a.placedFor(snap).pl)
 	if err == nil {
 		a.predicted = pred.Seconds
 	}
 }
 
-// refreshPredictionsLocked recomputes every application's predicted time
+// refreshPredictions recomputes every application's predicted time
 // against current ledger state.
-func (c *Controller) refreshPredictionsLocked(view *resource.Snapshot) {
+func (c *Controller) refreshPredictions(snap *resource.Snapshot) {
 	for _, id := range c.order {
 		if a := c.apps[id]; a.assignment != nil {
-			c.predictCommittedLocked(view, a)
+			c.predictCommitted(snap, a)
 		}
 	}
 }
 
-// adoptLocked commits a choice for app: releases the app's previous claim
+// adopt commits a choice for app: releases the app's previous claim
 // (if any), reserves the candidate's resources, updates the namespace and
 // returns the event. On reservation failure the previous placement is
 // restored, so app.claim never points at a released claim: it either holds
 // a live claim or is nil.
-func (c *Controller) adoptLocked(app *appState, cand candidate, now time.Duration, initial bool) (Event, error) {
+func (c *Controller) adopt(app *appState, cand candidate, now time.Duration, initial bool) (Event, error) {
 	prevClaim, prevAsg := app.claim, app.assignment
 	if prevClaim != nil {
 		if err := c.ledger.Release(prevClaim.ID); err != nil {
 			// The ledger does not know this claim; nothing is actually held.
-			c.warnLocked(fmt.Sprintf("core: %s holds stale claim %d: %v", app.owner(), prevClaim.ID, err))
+			c.warn(fmt.Sprintf("core: %s holds stale claim %d: %v", app.owner(), prevClaim.ID, err))
 			prevClaim = nil
 		}
 		app.claim = nil
@@ -700,7 +625,7 @@ func (c *Controller) adoptLocked(app *appState, cand candidate, now time.Duratio
 			if rc, rerr := c.matcher.Reserve(app.owner(), prevAsg); rerr == nil {
 				app.claim = rc
 			} else {
-				c.warnLocked(fmt.Sprintf("core: %s: could not restore placement after failed adoption: %v", app.owner(), rerr))
+				c.warn(fmt.Sprintf("core: %s: could not restore placement after failed adoption: %v", app.owner(), rerr))
 			}
 		}
 		return Event{}, err
@@ -718,10 +643,10 @@ func (c *Controller) adoptLocked(app *appState, cand candidate, now time.Duratio
 	app.choice = cand.choice
 	// The snapshot is the one the next evaluation starts from.
 	committed := c.ledger.Snapshot()
-	c.refreshPredictionsLocked(committed)
+	c.refreshPredictions(committed)
 	// A just-registered app is not in c.order yet; predict it directly.
-	c.predictCommittedLocked(committed, app)
-	c.writeNamespaceLocked(app)
+	c.predictCommitted(committed, app)
+	c.writeNamespace(app)
 	return Event{
 		Instance:         app.instance,
 		App:              app.bundle.App,
@@ -734,10 +659,10 @@ func (c *Controller) adoptLocked(app *appState, cand candidate, now time.Duratio
 	}, nil
 }
 
-// writeNamespaceLocked publishes the app's configuration into the shared
+// writeNamespace publishes the app's configuration into the shared
 // namespace using the paper's layout:
 // application.instance.bundle.option plus per-resource tags.
-func (c *Controller) writeNamespaceLocked(app *appState) {
+func (c *Controller) writeNamespace(app *appState) {
 	base := app.owner() + "." + app.bundle.Name
 	_ = c.ns.Delete(base)
 	_ = c.ns.SetStr(base+".option", app.choice.Option)

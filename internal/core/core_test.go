@@ -69,7 +69,6 @@ func newController(t *testing.T, nodes int, cfg Config) (*Controller, *simclock.
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(ctrl.Stop)
 	return ctrl, clock
 }
 
@@ -306,7 +305,6 @@ func TestMemoryGrantLadderForDS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ctrl.Stop)
 	// DS-only bundle whose bandwidth need falls with granted memory:
 	// 60 - memory, so 17 MB -> 43 Mbps (over the 40 Mbps link, contended)
 	// while 33+ MB -> 27 Mbps (fits).
@@ -375,27 +373,6 @@ harmonyBundle Filler:1 b {
 	ch, _ = ctrl.CurrentChoice(inst)
 	if ch.Vars["w"] != 4 {
 		t.Fatalf("reconfigured inside granularity window: w = %g", ch.Vars["w"])
-	}
-}
-
-func TestPeriodicReevaluationRuns(t *testing.T) {
-	ctrl, clock := newController(t, 8, Config{ReevalInterval: 10 * time.Second})
-	if err := ctrl.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	if _, _, err := ctrl.Register(bagBundle(t)); err != nil {
-		t.Fatal(err)
-	}
-	// Drive the clock: periodic re-evals fire and keep rescheduling.
-	ran := clock.Run(60 * time.Second)
-	if ran < 6 {
-		t.Fatalf("periodic events ran %d times, want >= 6", ran)
-	}
-	ctrl.Stop()
-	before := clock.Len()
-	clock.Run(120 * time.Second)
-	if clock.Len() > before {
-		t.Fatal("reeval kept rescheduling after Stop")
 	}
 }
 

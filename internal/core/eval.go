@@ -18,7 +18,7 @@ import (
 // the columns of a ledger snapshot with the application's own claim released —
 // and the state is restored after each, so the shared ledger is not touched
 // until adoption. The candidates are evaluated and reduced in one serial loop,
-// in enumeration order, keeping the first strictly best (bestChoiceLocked).
+// in enumeration order, keeping the first strictly best (bestChoice).
 
 // resolved is a resident's placement as candidate evaluation reads it: the
 // assignment's hosts and links as indices into the ledger's tables, and the
@@ -119,11 +119,7 @@ func (c *Controller) predictIndexed(in predict.Indexed, opt *rsl.OptionSpec, pl 
 // construction: the unit an evaluation's cost is counted in. It depends on
 // the applications and the cluster alone, so it repeats exactly from run to
 // run.
-func (c *Controller) Predictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.predictions
-}
+func (c *Controller) Predictions() uint64 { return c.view.Load().predictions }
 
 // MemoStats reports 0 hits and, as misses, the number of predictions made
 // since construction. There is no prediction memo: a prediction over a
@@ -173,18 +169,18 @@ func (a hostSet) intersects(b hostSet) bool {
 	return false
 }
 
-// newEvalContextLocked snapshots the ledger, hypothetically releases the
+// newEvalContext snapshots the ledger, hypothetically releases the
 // app's own claim inside the snapshot (the paper's "one bundle at a time"
 // precondition), reads the snapshot's node table and columns out once, aims
 // the scan at them and lists every other application. Nothing is predicted
 // yet. The shared ledger is not touched.
-func (c *Controller) newEvalContextLocked(app *appState) *evalContext {
+func (c *Controller) newEvalContext(app *appState) *evalContext {
 	snap := c.ledger.Snapshot()
 	if app.claim != nil {
 		if err := snap.Release(app.claim.ID); err != nil {
 			// The claim is gone from the ledger (nothing is actually held):
 			// drop the stale pointer instead of carrying it forward.
-			c.warnLocked(fmt.Sprintf("core: %s holds stale claim %d: %v", app.owner(), app.claim.ID, err))
+			c.warn(fmt.Sprintf("core: %s holds stale claim %d: %v", app.owner(), app.claim.ID, err))
 			app.claim = nil
 		}
 	}

@@ -66,7 +66,6 @@ func newPairedControllers(t *testing.T, nodes int) (serial, par *Controller, clo
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(ctrl.Stop)
 		t.Cleanup(clock.Stop)
 		ctrls[i] = ctrl
 		clocks[i] = clock
@@ -180,7 +179,6 @@ func TestParallelMatchesSerialExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(ctrl.Stop)
 			t.Cleanup(clock.Stop)
 			ctrls[i] = ctrl
 		}
@@ -199,10 +197,11 @@ func TestParallelMatchesSerialExhaustive(t *testing.T) {
 	}
 }
 
-// TestConcurrentRegisterUnregisterStress hammers one controller with
-// concurrent Register/Unregister/Reevaluate calls beside Apps, Objective and
-// Status readers. Run with -race in CI; here it asserts the final state is
-// clean (no leaked reservations).
+// TestConcurrentRegisterUnregisterStress hammers one controller from several
+// goroutines: they take turns at Register/Unregister/Reevaluate (the
+// controller has one writer at a time) and read Apps, Objective and Status
+// whenever they like. Run with -race in CI; here it asserts the final state
+// is clean (no leaked reservations).
 func TestConcurrentRegisterUnregisterStress(t *testing.T) {
 	cl, err := cluster.NewSP2(40)
 	if err != nil {
@@ -214,11 +213,11 @@ func TestConcurrentRegisterUnregisterStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctrl.Stop()
 
 	const workers = 4
 	const opsPerWorker = 15
 	var wg sync.WaitGroup
+	var writer sync.Mutex
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -234,19 +233,23 @@ func TestConcurrentRegisterUnregisterStress(t *testing.T) {
 					t.Errorf("decode: %v", err)
 					return
 				}
+				writer.Lock()
 				inst, _, err := ctrl.Register(bundles[0])
+				writer.Unlock()
 				if err != nil {
 					continue // capacity exhaustion is legitimate under load
 				}
 				ctrl.Apps()
 				ctrl.Objective()
 				ctrl.Status()
+				writer.Lock()
 				if i%3 == 0 {
 					ctrl.Reevaluate()
 				}
 				if _, err := ctrl.Unregister(inst); err != nil {
 					t.Errorf("unregister %d: %v", inst, err)
 				}
+				writer.Unlock()
 			}
 		}()
 	}
@@ -262,25 +265,19 @@ func TestConcurrentRegisterUnregisterStress(t *testing.T) {
 
 // TestFrictionEvalErrorSurfaced is the regression test for friction
 // evaluation errors being silently discarded: an option whose friction
-// expression cannot be evaluated must raise a controller warning (both in
-// the ring buffer and through WarnFunc), not be treated as free to switch.
+// expression cannot be evaluated must raise a controller warning, not be
+// treated as free to switch.
 func TestFrictionEvalErrorSurfaced(t *testing.T) {
-	var hooked []string
 	cl, err := cluster.NewSP2(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock := simclock.New()
 	defer clock.Stop()
-	ctrl, err := New(Config{
-		Cluster:  cl,
-		Clock:    clock,
-		WarnFunc: func(msg string) { hooked = append(hooked, msg) },
-	})
+	ctrl, err := New(Config{Cluster: cl, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctrl.Stop()
 
 	// noSuchVar is not a bundle variable and not a memory-env name, so the
 	// friction expression fails to evaluate.
@@ -308,25 +305,30 @@ func TestFrictionEvalErrorSurfaced(t *testing.T) {
 	if !found {
 		t.Fatalf("warnings %v do not mention the friction failure", warns)
 	}
-	if len(hooked) == 0 {
-		t.Fatal("WarnFunc was not invoked")
-	}
 }
 
-// TestWarningsRingBounded checks the ring buffer drops oldest entries.
+// TestWarningsRingBounded checks the ring buffer drops oldest entries, and
+// that turning it over leaves the ring an earlier view published untouched.
 func TestWarningsRingBounded(t *testing.T) {
 	ctrl, _ := newController(t, 1, Config{})
-	ctrl.mu.Lock()
-	for i := 0; i < maxWarnings+10; i++ {
-		ctrl.warnLocked(fmt.Sprintf("w%d", i))
+	for i := 0; i < maxWarnings; i++ {
+		ctrl.warn(fmt.Sprintf("w%d", i))
 	}
-	ctrl.mu.Unlock()
+	ctrl.Reevaluate() // publishes the full ring
+	full := ctrl.view.Load().warnings
+	for i := maxWarnings; i < maxWarnings+10; i++ {
+		ctrl.warn(fmt.Sprintf("w%d", i))
+	}
+	ctrl.Reevaluate()
 	warns := ctrl.Warnings()
 	if len(warns) != maxWarnings {
 		t.Fatalf("ring holds %d, want %d", len(warns), maxWarnings)
 	}
 	if warns[0] != "w10" || warns[len(warns)-1] != fmt.Sprintf("w%d", maxWarnings+9) {
 		t.Fatalf("ring dropped wrong entries: first=%s last=%s", warns[0], warns[len(warns)-1])
+	}
+	if full[0] != "w0" || full[len(full)-1] != fmt.Sprintf("w%d", maxWarnings-1) {
+		t.Fatalf("an earlier view's ring changed under it: first=%s last=%s", full[0], full[len(full)-1])
 	}
 }
 
@@ -341,7 +343,6 @@ func TestAdoptionFailureNeverDanglesClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.mu.Lock()
 	app := ctrl.apps[inst]
 	prevID := app.claim.ID
 	// A candidate whose assignment names a host the cluster does not have:
@@ -350,9 +351,8 @@ func TestAdoptionFailureNeverDanglesClaim(t *testing.T) {
 		choice:     Choice{Option: "workers", Vars: map[string]float64{"workerNodes": 1}},
 		assignment: badAssignment(),
 	}
-	_, aerr := ctrl.adoptLocked(app, bad, ctrl.cfg.Clock.Now(), false)
+	_, aerr := ctrl.adopt(app, bad, ctrl.cfg.Clock.Now(), false)
 	claim := app.claim
-	ctrl.mu.Unlock()
 	if aerr == nil {
 		t.Fatal("adoption of an unreservable assignment succeeded")
 	}
@@ -363,9 +363,7 @@ func TestAdoptionFailureNeverDanglesClaim(t *testing.T) {
 		t.Fatalf("claim %d kept its released identity; want a fresh reservation", prevID)
 	}
 	// The restored claim must be live: releasing it through the ledger works.
-	ctrl.mu.Lock()
 	err = ctrl.ledger.Release(claim.ID)
-	ctrl.mu.Unlock()
 	if err != nil {
 		t.Fatalf("restored claim %d is not live in the ledger: %v", claim.ID, err)
 	}
@@ -381,18 +379,13 @@ func TestStaleClaimWarnsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.mu.Lock()
 	app := ctrl.apps[inst]
 	if err := ctrl.ledger.Release(app.claim.ID); err != nil {
-		ctrl.mu.Unlock()
 		t.Fatal(err)
 	}
-	ctrl.mu.Unlock()
 
 	ctrl.Reevaluate()
-	ctrl.mu.Lock()
 	claim := app.claim
-	ctrl.mu.Unlock()
 	warns := ctrl.Warnings()
 	found := false
 	for _, w := range warns {
@@ -406,9 +399,7 @@ func TestStaleClaimWarnsAndRecovers(t *testing.T) {
 	if claim == nil {
 		t.Fatal("controller did not re-place the app after losing its claim")
 	}
-	ctrl.mu.Lock()
 	err = ctrl.ledger.Release(claim.ID)
-	ctrl.mu.Unlock()
 	if err != nil {
 		t.Fatalf("recovered claim is not live: %v", err)
 	}
@@ -432,16 +423,20 @@ func TestOptimizerDocInSync(t *testing.T) {
 		t.Fatalf("docs/OPTIMIZER.md missing: %v", err)
 	}
 	for _, sym := range []string{
-		"WarnFunc", "Warnings", "MemoStats", "Predictions",
+		"Warnings", "MemoStats", "Predictions",
 		"Snapshot", "Fork", "Placement", "Reevaluate",
 		"PruneStats", "Misfit", "footprint",
 		"`EvalWorkers` is deprecated and ignored",
+		"One writer, one published view", "TestReadersNeverWaitForAPass",
 	} {
 		if !strings.Contains(string(doc), sym) {
 			t.Errorf("docs/OPTIMIZER.md does not mention %s", sym)
 		}
 	}
-	for _, gone := range []string{"fanOutMinSize", "CopyFrom", "candScratch", "DisablePruning", "UseCriticalPath", "BestFit", "Dominance"} {
+	for _, gone := range []string{
+		"fanOutMinSize", "CopyFrom", "candScratch", "DisablePruning", "UseCriticalPath", "BestFit", "Dominance",
+		"ReevalInterval", "WarnFunc", "GrantSteps", "SetObjective", "adoptLocked",
+	} {
 		if strings.Contains(string(doc), gone) {
 			t.Errorf("docs/OPTIMIZER.md still describes %s, which no longer exists", gone)
 		}

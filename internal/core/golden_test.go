@@ -301,7 +301,6 @@ func (s goldenScript) run(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctrl.Stop()
 	hosts := cl.Hosts()[1:] // sp2-01 is the shared database server
 	h := sha256.New()
 	for _, e := range s.log(hosts) {

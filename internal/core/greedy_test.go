@@ -186,18 +186,17 @@ func sameCandidate(t *testing.T, what string, got, want candidate) {
 	}
 }
 
-// compareGreedyLocked evaluates every choice of app the pass would evaluate,
+// compareGreedy evaluates every choice of app the pass would evaluate,
 // one after another on one context as the pass does, and by copyEvaluation,
 // and requires the same outcome for each: the same error text, or the same
 // candidate. Then it runs the pass's own loop and requires the winner, the
-// error and the warnings raised to be the reference reduction's. warned holds
-// what the controller's WarnFunc has received.
-func compareGreedyLocked(t *testing.T, c *Controller, app *appState, forInitial bool, warned *[]string, what string, tally *greedyTally) {
+// error and the warnings raised to be the reference reduction's.
+func compareGreedy(t *testing.T, c *Controller, app *appState, forInitial bool, what string, tally *greedyTally) {
 	t.Helper()
-	bs := c.staticForLocked(app)
-	ctx := c.newEvalContextLocked(app)
+	bs := c.staticFor(app)
+	ctx := c.newEvalContext(app)
 	p0 := c.predictions
-	ks := c.pruneChoicesLocked(bs, app.choice, ctx.nodes)
+	ks := c.pruneChoices(bs, app.choice, ctx.nodes)
 	gots, gotErrs := make([]candidate, len(ks)), make([]error, len(ks))
 	for i, k := range ks {
 		prints := len(ctx.prints)
@@ -232,10 +231,10 @@ func compareGreedyLocked(t *testing.T, c *Controller, app *appState, forInitial 
 		sameCandidate(t, at, gots[i], wants[i])
 	}
 
-	from := len(*warned)
-	got, gotErr := c.bestChoiceLocked(app, c.cfg.Clock.Now(), forInitial)
+	c.warnings = nil // what the pass raises, and no more, is held after it
+	got, gotErr := c.bestChoice(app, c.cfg.Clock.Now(), forInitial)
 	want, wantWarns, wantErr := ref.reduceByCopy(wants, wantErrs, forInitial)
-	if gotWarns := (*warned)[from:]; !slices.Equal(gotWarns, wantWarns) {
+	if gotWarns := c.warnings; !slices.Equal(gotWarns, wantWarns) {
 		t.Fatalf("%s: %s: warnings %q, the reference raises %q", what, app.owner(), gotWarns, wantWarns)
 	}
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -311,20 +310,16 @@ func runGreedyReference(t *testing.T, seed int64, disablePruning bool, what stri
 	if err := cl.AddNode(&rsl.NodeDecl{Hostname: slowHost, Speed: 5e-324, MemoryMB: 128, OS: "linux", CPUs: 1}); err != nil {
 		t.Fatal(err)
 	}
-	var warned []string
-	cfg := Config{Cluster: cl, Clock: simclock.New(), WarnFunc: func(w string) { warned = append(warned, w) }}
+	cfg := Config{Cluster: cl, Clock: simclock.New()}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.disablePruning = disablePruning
-	t.Cleanup(c.Stop)
 	hosts := cl.Hosts()[1:]
 	compareAll := func(at string) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		for _, id := range c.order {
-			compareGreedyLocked(t, c, c.apps[id], false, &warned, at, tally)
+			compareGreedy(t, c, c.apps[id], false, at, tally)
 		}
 	}
 	var live []int
@@ -334,13 +329,9 @@ func runGreedyReference(t *testing.T, seed int64, disablePruning bool, what stri
 		switch k := rng.Intn(10); {
 		case k < 5 || len(live) < 2:
 			bundle := greedyRSL(t, rng, op+1, hosts)
-			func() {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				inst := c.nextInstance + 1
-				arrival := &appState{instance: inst, bundle: bundle, ownerPath: namespace.InstancePath(bundle.App, inst), lastSwitch: -1}
-				compareGreedyLocked(t, c, arrival, true, &warned, at+", the arrival", tally)
-			}()
+			inst := c.nextInstance + 1
+			arrival := &appState{instance: inst, bundle: bundle, ownerPath: namespace.InstancePath(bundle.App, inst), lastSwitch: -1}
+			compareGreedy(t, c, arrival, true, at+", the arrival", tally)
 			if inst, _, err := c.Register(bundle); err == nil {
 				live = append(live, inst)
 			}
@@ -357,17 +348,13 @@ func runGreedyReference(t *testing.T, seed int64, disablePruning bool, what stri
 		if op == 12 && len(live) > 0 {
 			// One resident's prediction fails wherever it is read: every
 			// candidate that reaches it reports that.
-			c.mu.Lock()
 			app := c.apps[live[0]]
 			kept := app.assignment
 			lost := kept.Clone()
 			lost.Nodes[len(lost.Nodes)-1].Hostname = "no-such-host"
 			app.assignment = lost
-			c.mu.Unlock()
 			compareAll(at + ", a resident on a host that is gone")
-			c.mu.Lock()
 			app.assignment = kept
-			c.mu.Unlock()
 		}
 	}
 }

@@ -166,15 +166,15 @@ type jointTally struct {
 	trials                                                uint64
 }
 
-// compareJointSearchesLocked poses the joint problem the controller would
+// compareJointProblem poses the joint problem the controller would
 // search now, with skip held fixed, to searchJoint and to searchByFork, and
 // requires one answer: the same combination or none, the score and every
 // prediction and friction cost bit for bit, the same placements down to the
 // positions they carry and the bytes they encode to, the same warnings in the
 // same order, and as many predictions made.
-func compareJointSearchesLocked(t *testing.T, c *Controller, skip int, what string, tally *jointTally) {
+func compareJointProblem(t *testing.T, c *Controller, skip int, what string, tally *jointTally) {
 	t.Helper()
-	base, ids, perApp, degraded := c.jointProblemLocked(skip)
+	base, ids, perApp, degraded := c.jointProblem(skip)
 	if len(ids) == 0 {
 		return
 	}
@@ -237,16 +237,14 @@ func compareJointSearchesLocked(t *testing.T, c *Controller, skip int, what stri
 	}
 }
 
-// compareJointSearches is compareJointSearchesLocked on the controller as it
+// compareJointSearches is compareJointProblem on the controller as it
 // stands, with no application and then with the last one held fixed: the two
 // problems a controller in Exhaustive mode poses.
 func compareJointSearches(t *testing.T, c *Controller, what string, tally *jointTally) {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	compareJointSearchesLocked(t, c, 0, what, tally)
+	compareJointProblem(t, c, 0, what, tally)
 	if n := len(c.order); n > 1 {
-		compareJointSearchesLocked(t, c, c.order[n-1], what+", the last application fixed", tally)
+		compareJointProblem(t, c, c.order[n-1], what+", the last application fixed", tally)
 	}
 }
 
@@ -255,12 +253,10 @@ func compareJointSearches(t *testing.T, c *Controller, what string, tally *joint
 // not this arrival would have to fall back.
 func compareOnArrival(t *testing.T, c *Controller, bundle *rsl.BundleSpec, what string, tally *jointTally) {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	inst := c.nextInstance + 1
 	c.apps[inst] = &appState{instance: inst, bundle: bundle, ownerPath: namespace.InstancePath(bundle.App, inst), lastSwitch: -1}
 	c.order = append(c.order, inst)
-	compareJointSearchesLocked(t, c, 0, what, tally)
+	compareJointProblem(t, c, 0, what, tally)
 	delete(c.apps, inst)
 	c.order = c.order[:len(c.order)-1]
 }

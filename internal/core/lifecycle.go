@@ -25,15 +25,14 @@ func (c *Controller) MarkNodeDown(hostname string) ([]Event, error) {
 
 // markNodeDownAt is MarkNodeDown at an explicit decision time, the
 // deterministic entry point the replication Apply path uses.
-func (c *Controller) markNodeDownAt(hostname string, now time.Duration) ([]Event, error) {
-	c.mu.Lock()
+func (c *Controller) markNodeDownAt(hostname string, now time.Duration) (events []Event, err error) {
+	defer func() { c.publish(events) }()
 	if err := c.ledger.SetNodeHealth(hostname, resource.HealthDown); err != nil {
-		c.mu.Unlock()
 		return nil, err
 	}
 	evicted := c.ledger.EvictHost(hostname)
-	affected := c.dropEvictedClaimsLocked(evicted)
-	events := c.reevaluateLocked(now, 0)
+	affected := c.dropEvictedClaims(evicted)
+	events = c.reevaluate(now, 0)
 	// Anything still claimless after re-harmonization does not fit on the
 	// survivors: degrade it and tell listeners.
 	var newlyDegraded bool
@@ -54,17 +53,14 @@ func (c *Controller) markNodeDownAt(hostname string, now time.Duration) ([]Event
 	if newlyDegraded {
 		// Under the exhaustive policy an unplaceable evictee vetoes every
 		// joint combination; with it parked, the survivors get a real pass.
-		events = append(events, c.reevaluateLocked(now, 0)...)
+		events = append(events, c.reevaluate(now, 0)...)
 	}
-	listeners := append([]Listener(nil), c.listeners...)
-	c.mu.Unlock()
-	c.publish(listeners, events)
 	return events, nil
 }
 
-// dropEvictedClaimsLocked maps evicted claims back to their applications
+// dropEvictedClaims maps evicted claims back to their applications
 // and clears the dead placement state.
-func (c *Controller) dropEvictedClaimsLocked(evicted []*resource.Claim) []*appState {
+func (c *Controller) dropEvictedClaims(evicted []*resource.Claim) []*appState {
 	if len(evicted) == 0 {
 		return nil
 	}
@@ -96,13 +92,11 @@ func (c *Controller) DrainNode(hostname string) ([]Event, error) {
 }
 
 // drainNodeAt is DrainNode at an explicit decision time (see markNodeDownAt).
-func (c *Controller) drainNodeAt(hostname string, now time.Duration) ([]Event, error) {
-	c.mu.Lock()
+func (c *Controller) drainNodeAt(hostname string, now time.Duration) (events []Event, err error) {
+	defer func() { c.publish(events) }()
 	if err := c.ledger.SetNodeHealth(hostname, resource.HealthDraining); err != nil {
-		c.mu.Unlock()
 		return nil, err
 	}
-	var events []Event
 	for _, id := range append([]int(nil), c.order...) {
 		app, ok := c.apps[id]
 		if !ok || app.claim == nil || !claimTouches(app.claim, hostname) {
@@ -111,21 +105,18 @@ func (c *Controller) drainNodeAt(hostname string, now time.Duration) ([]Event, e
 		// The matcher refuses non-up nodes, so the best choice found here is
 		// guaranteed off the draining host. Granularity is bypassed: drain is
 		// an operator action, not optimizer churn.
-		best, err := c.bestChoiceLocked(app, now, false)
+		best, err := c.bestChoice(app, now, false)
 		if err != nil {
-			c.warnLocked(fmt.Sprintf("core: %s: no placement off draining %s: %v", app.owner(), hostname, err))
+			c.warn(fmt.Sprintf("core: %s: no placement off draining %s: %v", app.owner(), hostname, err))
 			continue
 		}
-		ev, err := c.adoptLocked(app, best, now, false)
+		ev, err := c.adopt(app, best, now, false)
 		if err != nil {
-			c.warnLocked(fmt.Sprintf("core: %s: move off draining %s failed: %v", app.owner(), hostname, err))
+			c.warn(fmt.Sprintf("core: %s: move off draining %s failed: %v", app.owner(), hostname, err))
 			continue
 		}
 		events = append(events, ev)
 	}
-	listeners := append([]Listener(nil), c.listeners...)
-	c.mu.Unlock()
-	c.publish(listeners, events)
 	return events, nil
 }
 
@@ -137,17 +128,12 @@ func (c *Controller) MarkNodeUp(hostname string) ([]Event, error) {
 }
 
 // markNodeUpAt is MarkNodeUp at an explicit decision time (see markNodeDownAt).
-func (c *Controller) markNodeUpAt(hostname string, now time.Duration) ([]Event, error) {
-	c.mu.Lock()
+func (c *Controller) markNodeUpAt(hostname string, now time.Duration) (events []Event, err error) {
+	defer func() { c.publish(events) }()
 	if err := c.ledger.SetNodeHealth(hostname, resource.HealthUp); err != nil {
-		c.mu.Unlock()
 		return nil, err
 	}
-	events := c.reevaluateLocked(now, 0)
-	listeners := append([]Listener(nil), c.listeners...)
-	c.mu.Unlock()
-	c.publish(listeners, events)
-	return events, nil
+	return c.reevaluate(now, 0), nil
 }
 
 // NodeHealth reports a machine's lifecycle state.

@@ -30,12 +30,12 @@ type candidate struct {
 // the cross product of its variable values, times the memory-grant ladder
 // for OpMin memory tags (Section 3.5: ">= 32 tells Harmony that ...
 // additional memory can be used profitably as well").
-func (c *Controller) enumerateChoices(bundle *rsl.BundleSpec) []Choice {
+func enumerateChoices(bundle *rsl.BundleSpec) []Choice {
 	var out []Choice
 	for i := range bundle.Options {
 		opt := &bundle.Options[i]
 		varSets := expandVariables(opt.Variables)
-		grantSets := c.expandGrants(opt, varSets)
+		grantSets := expandGrants(opt, varSets)
 		for _, vars := range varSets {
 			for _, grants := range grantSets {
 				out = append(out, Choice{Option: opt.Name, Vars: vars, Grants: grants})
@@ -66,10 +66,13 @@ func expandVariables(specs []rsl.VariableSpec) []map[string]float64 {
 	return sets
 }
 
+// grantSteps are the memory increments (MB) tried above OpMin minima.
+var grantSteps = []float64{0, 8, 16, 32}
+
 // expandGrants builds memory-grant alternatives for every node spec whose
-// memory tag is a minimum constraint. The ladder is minimum + each
-// configured step; one combined map per step keeps the search linear.
-func (c *Controller) expandGrants(opt *rsl.OptionSpec, varSets []map[string]float64) []map[string]float64 {
+// memory tag is a minimum constraint. The ladder is minimum + each of
+// grantSteps; one combined map per step keeps the search linear.
+func expandGrants(opt *rsl.OptionSpec, varSets []map[string]float64) []map[string]float64 {
 	var minNodes []string
 	mins := make(map[string]float64)
 	env := rsl.MapEnv(nil)
@@ -92,8 +95,8 @@ func (c *Controller) expandGrants(opt *rsl.OptionSpec, varSets []map[string]floa
 	if len(minNodes) == 0 {
 		return []map[string]float64{nil}
 	}
-	out := make([]map[string]float64, 0, len(c.cfg.GrantSteps))
-	for _, step := range c.cfg.GrantSteps {
+	out := make([]map[string]float64, 0, len(grantSteps))
+	for _, step := range grantSteps {
 		g := make(map[string]float64, len(minNodes))
 		for _, name := range minNodes {
 			g[name] = mins[name] + step
@@ -103,7 +106,7 @@ func (c *Controller) expandGrants(opt *rsl.OptionSpec, varSets []map[string]floa
 	return out
 }
 
-// bestChoiceLocked finds the objective-minimizing feasible choice for app.
+// bestChoice finds the objective-minimizing feasible choice for app.
 // The candidates are evaluated on the context's trial state, which is
 // restored after each, never in the shared ledger, so the app's real claim
 // stays in place until adoption. The loop keeps the first strictly better
@@ -113,14 +116,14 @@ func (c *Controller) expandGrants(opt *rsl.OptionSpec, varSets []map[string]floa
 // order. Only a candidate that becomes the best so far has its assignment
 // copied out of the context's. When nothing fits, the error quotes the last
 // candidate's failure, and a misfit is asked why only then.
-func (c *Controller) bestChoiceLocked(app *appState, now time.Duration, forInitial bool) (candidate, error) {
-	bs := c.staticForLocked(app)
-	ctx := c.newEvalContextLocked(app)
+func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial bool) (candidate, error) {
+	bs := c.staticFor(app)
+	ctx := c.newEvalContext(app)
 	best := candidate{objective: math.Inf(1)}
 	var lastErr error
 	var lastPlan *match.Plan
 	var warned []string
-	for _, k := range c.pruneChoicesLocked(bs, app.choice, ctx.nodes) {
+	for _, k := range c.pruneChoices(bs, app.choice, ctx.nodes) {
 		st := &bs.stat[k]
 		cand, err := c.evaluate(ctx, bs.choices[k], st)
 		if err != nil {
@@ -129,7 +132,7 @@ func (c *Controller) bestChoiceLocked(app *appState, now time.Duration, forIniti
 		}
 		if w := cand.frictionWarn; w != "" && !slices.Contains(warned, w) {
 			warned = append(warned, w)
-			c.warnLocked(w)
+			c.warn(w)
 		}
 		score := cand.objective
 		if !forInitial && !cand.choice.Equal(app.choice) && !c.cfg.IgnoreFriction {
@@ -157,12 +160,12 @@ func (c *Controller) bestChoiceLocked(app *appState, now time.Duration, forIniti
 	return best, nil
 }
 
-// reevaluateLocked runs the optimizer over registered applications in
+// reevaluate runs the optimizer over registered applications in
 // registration (lexical) order, skipping skipInstance (a just-registered
 // app). It returns events for every application whose choice changed.
-func (c *Controller) reevaluateLocked(now time.Duration, skipInstance int) []Event {
+func (c *Controller) reevaluate(now time.Duration, skipInstance int) []Event {
 	if c.cfg.Exhaustive {
-		return c.reevaluateExhaustiveLocked(now, skipInstance)
+		return c.reevaluateExhaustive(now, skipInstance)
 	}
 	var events []Event
 	for _, id := range append([]int(nil), c.order...) {
@@ -174,10 +177,10 @@ func (c *Controller) reevaluateLocked(now time.Duration, skipInstance int) []Eve
 		// a change (Table 1, "granularity" tag). A claimless app holds no
 		// placement at all (evicted or stale), so re-placing it is not a
 		// switch the gate should delay.
-		if app.claim != nil && !c.granularityAllowsLocked(app, now) {
+		if app.claim != nil && !c.granularityAllows(app, now) {
 			continue
 		}
-		best, err := c.bestChoiceLocked(app, now, false)
+		best, err := c.bestChoice(app, now, false)
 		if err != nil {
 			continue
 		}
@@ -188,9 +191,9 @@ func (c *Controller) reevaluateLocked(now time.Duration, skipInstance int) []Eve
 			// unchanged choice.)
 			continue
 		}
-		ev, err := c.adoptLocked(app, best, now, false)
+		ev, err := c.adopt(app, best, now, false)
 		if err != nil {
-			c.warnLocked(fmt.Sprintf("core: %s: adopting %s failed: %v", app.owner(), best.choice.String(), err))
+			c.warn(fmt.Sprintf("core: %s: adopting %s failed: %v", app.owner(), best.choice.String(), err))
 			continue
 		}
 		events = append(events, ev)
@@ -198,8 +201,8 @@ func (c *Controller) reevaluateLocked(now time.Duration, skipInstance int) []Eve
 	return events
 }
 
-// granularityAllowsLocked checks the option's declared switching rate.
-func (c *Controller) granularityAllowsLocked(app *appState, now time.Duration) bool {
+// granularityAllows checks the option's declared switching rate.
+func (c *Controller) granularityAllows(app *appState, now time.Duration) bool {
 	opt := app.bundle.Option(app.choice.Option)
 	if opt == nil || opt.Granularity == nil || app.lastSwitch < 0 {
 		return true
@@ -218,13 +221,13 @@ type comboResult struct {
 	warns []string
 }
 
-// jointProblemLocked sets up a joint search: the applications that take part
+// jointProblem sets up a joint search: the applications that take part
 // (ids, registration order, without skipInstance and the degraded ones, which
 // are returned apart), a snapshot with every one of their claims released, and
 // each one's choices pruned against that all-released base — reservations at
 // deeper search levels only shrink capacity, so a candidate infeasible here is
 // infeasible in every branch.
-func (c *Controller) jointProblemLocked(skipInstance int) (base *resource.Snapshot, ids []int, perApp [][]int, degraded []int) {
+func (c *Controller) jointProblem(skipInstance int) (base *resource.Snapshot, ids []int, perApp [][]int, degraded []int) {
 	// Degraded apps are searched separately afterwards: the cross product
 	// requires every participating app to be placeable in a branch, so one
 	// unplaceable evictee would otherwise veto the whole reshuffle.
@@ -250,7 +253,7 @@ func (c *Controller) jointProblemLocked(skipInstance int) (base *resource.Snapsh
 			continue
 		}
 		if err := base.Release(app.claim.ID); err != nil {
-			c.warnLocked(fmt.Sprintf("core: %s holds stale claim %d: %v", app.owner(), app.claim.ID, err))
+			c.warn(fmt.Sprintf("core: %s holds stale claim %d: %v", app.owner(), app.claim.ID, err))
 			app.claim = nil
 		}
 	}
@@ -259,29 +262,29 @@ func (c *Controller) jointProblemLocked(skipInstance int) (base *resource.Snapsh
 	c.evalCtx.nodes = nodes
 	for i, id := range ids {
 		app := c.apps[id]
-		perApp[i] = c.pruneChoicesLocked(c.staticForLocked(app), app.choice, nodes)
+		perApp[i] = c.pruneChoices(c.staticFor(app), app.choice, nodes)
 	}
 	return base, ids, perApp, degraded
 }
 
-// reevaluateExhaustiveLocked searches the full cross product of all
+// reevaluateExhaustive searches the full cross product of all
 // applications' choices: the A2 ablation baseline, and how Register makes
 // room for an arrival that fits nowhere. Exponential: intended for small
 // systems only. The search never touches the shared ledger, which changes
 // only if a combination is adopted.
-func (c *Controller) reevaluateExhaustiveLocked(now time.Duration, skipInstance int) []Event {
-	base, ids, perApp, degraded := c.jointProblemLocked(skipInstance)
+func (c *Controller) reevaluateExhaustive(now time.Duration, skipInstance int) []Event {
+	base, ids, perApp, degraded := c.jointProblem(skipInstance)
 	if len(ids) == 0 {
-		return c.readmitDegradedLocked(now, degraded, nil)
+		return c.readmitDegraded(now, degraded, nil)
 	}
 	best := c.searchJoint(base, ids, perApp, skipInstance)
 	for _, w := range best.warns {
-		c.warnLocked(w)
+		c.warn(w)
 	}
 	if best.combo == nil {
 		// Nothing feasible (shouldn't happen: previous state was feasible).
 		// The ledger was never touched, so every claim is still in place.
-		return c.readmitDegradedLocked(now, degraded, nil)
+		return c.readmitDegraded(now, degraded, nil)
 	}
 
 	// Adopt: release every movable claim, then reserve the combination in
@@ -292,7 +295,7 @@ func (c *Controller) reevaluateExhaustiveLocked(now time.Duration, skipInstance 
 			continue
 		}
 		if err := c.ledger.Release(app.claim.ID); err != nil {
-			c.warnLocked(fmt.Sprintf("core: %s: release for joint adoption: %v", app.owner(), err))
+			c.warn(fmt.Sprintf("core: %s: release for joint adoption: %v", app.owner(), err))
 		}
 		app.claim = nil
 	}
@@ -301,12 +304,12 @@ func (c *Controller) reevaluateExhaustiveLocked(now time.Duration, skipInstance 
 		app := c.apps[id]
 		cd := best.combo[i]
 		changed := !cd.choice.Equal(app.choice)
-		ev, err := c.adoptLocked(app, cd, now, false)
+		ev, err := c.adopt(app, cd, now, false)
 		if err != nil {
 			if claim, rerr := c.matcher.Reserve(app.owner(), app.assignment); rerr == nil {
 				app.claim = claim
 			} else {
-				c.warnLocked(fmt.Sprintf("core: %s: could not restore placement: %v", app.owner(), rerr))
+				c.warn(fmt.Sprintf("core: %s: could not restore placement: %v", app.owner(), rerr))
 			}
 			continue
 		}
@@ -314,24 +317,24 @@ func (c *Controller) reevaluateExhaustiveLocked(now time.Duration, skipInstance 
 			events = append(events, ev)
 		}
 	}
-	return c.readmitDegradedLocked(now, degraded, events)
+	return c.readmitDegraded(now, degraded, events)
 }
 
-// readmitDegradedLocked tries a greedy placement for each degraded app
+// readmitDegraded tries a greedy placement for each degraded app
 // (cheapest first by registration order); ones that fit rejoin the system.
-func (c *Controller) readmitDegradedLocked(now time.Duration, degraded []int, events []Event) []Event {
+func (c *Controller) readmitDegraded(now time.Duration, degraded []int, events []Event) []Event {
 	for _, id := range degraded {
 		app, ok := c.apps[id]
 		if !ok || !app.degraded {
 			continue
 		}
-		best, err := c.bestChoiceLocked(app, now, false)
+		best, err := c.bestChoice(app, now, false)
 		if err != nil {
 			continue
 		}
-		ev, err := c.adoptLocked(app, best, now, false)
+		ev, err := c.adopt(app, best, now, false)
 		if err != nil {
-			c.warnLocked(fmt.Sprintf("core: %s: re-admission failed: %v", app.owner(), err))
+			c.warn(fmt.Sprintf("core: %s: re-admission failed: %v", app.owner(), err))
 			continue
 		}
 		events = append(events, ev)
@@ -404,7 +407,7 @@ func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]
 	for i, id := range ids {
 		lv := &js.levels[i]
 		lv.app = c.apps[id]
-		bs := lv.app.static // made by jointProblemLocked, which pruned perApp
+		bs := lv.app.static // made by jointProblem, which pruned perApp
 		lv.choices = make([]jointChoice, len(perApp[i]))
 		for j, k := range perApp[i] {
 			lv.choices[j] = jointChoice{choice: bs.choices[k], st: &bs.stat[k], switches: !bs.choices[k].Equal(lv.app.choice)}
@@ -498,25 +501,20 @@ func (js *jointSearch) leaf() {
 // and when they fit charged and predicted — since construction: the unit the
 // search's cost is counted in. It depends on the applications and the cluster
 // alone, so it repeats exactly from run to run.
-func (c *Controller) JointTrials() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.jointTrials
-}
+func (c *Controller) JointTrials() uint64 { return c.view.Load().jointTrials }
 
 // EvaluationCount reports how many (choice, app) evaluations a greedy pass
 // performs versus an exhaustive pass for the current system; used by the A2
 // ablation bench to quantify search-space savings.
 func (c *Controller) EvaluationCount() (greedy, exhaustive int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	bundles := c.view.Load().bundles
 	exhaustive = 1
-	for _, id := range c.order {
-		n := len(c.enumerateChoices(c.apps[id].bundle))
+	for _, b := range bundles {
+		n := len(enumerateChoices(b))
 		greedy += n
 		exhaustive *= n
 	}
-	if len(c.order) == 0 {
+	if len(bundles) == 0 {
 		exhaustive = 0
 	}
 	return greedy, exhaustive

@@ -37,7 +37,6 @@ func TestStaleResolutionNeverRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(ctrl.Stop)
 		return ctrl, cl
 	}
 	kept, keptCluster := newCtrl()
@@ -107,11 +106,9 @@ func TestStaleResolutionNeverRead(t *testing.T) {
 		{"pass", pass(), false},
 	}
 	for _, step := range steps {
-		wiped.mu.Lock()
 		for _, a := range wiped.apps {
 			a.placed = nil
 		}
-		wiped.mu.Unlock()
 		errKept, errWiped := step.do(kept), step.do(wiped)
 		if fmt.Sprint(errKept) != fmt.Sprint(errWiped) {
 			t.Fatalf("%s: errors differ: %v / %v", step.name, errKept, errWiped)
@@ -128,7 +125,6 @@ func TestStaleResolutionNeverRead(t *testing.T) {
 			t.Fatalf("%s: the controller that kept its resolutions decided differently", step.name)
 		}
 
-		kept.mu.Lock()
 		committed := kept.ledger.Snapshot()
 		door := predict.NewWithView(kept.ledger)
 		for _, id := range kept.order {
@@ -152,7 +148,6 @@ func TestStaleResolutionNeverRead(t *testing.T) {
 				t.Errorf("%s: %s: predicted %v, by hostname %v", step.name, app.owner(), app.predicted, want.Seconds)
 			}
 		}
-		kept.mu.Unlock()
 	}
 	if n := len(kept.Apps()); n != 5 {
 		t.Fatalf("%d residents at the end, want 5", n)

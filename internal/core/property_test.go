@@ -42,7 +42,6 @@ func TestPropertyRegisterUnregisterRestoresLedger(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		defer ctrl.Stop()
 		var live []int
 		if len(ops) > 24 {
 			ops = ops[:24]
@@ -109,7 +108,6 @@ func TestPropertyObjectiveFinite(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		defer ctrl.Stop()
 		for i := 0; i < n; i++ {
 			src := fmt.Sprintf(`harmonyBundle App%d:%d b {{O {node x * {seconds 10} {memory 8}}}}`, i, i)
 			bundles, _, err := rsl.DecodeScript(src)
@@ -158,7 +156,6 @@ func TestPropertyForceChoiceConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		defer ctrl.Stop()
 		bundles, _, err := rsl.DecodeScript(`harmonyBundle DB:1 where {
 			{QS {node server sp2-01 {seconds 5} {memory 10}} {node client * {seconds 1} {memory 2}} {link client server 2}}
 			{DS {node server sp2-01 {seconds 1} {memory 10}} {node client * {seconds 10} {memory 2}} {link client server 4}}

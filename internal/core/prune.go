@@ -68,19 +68,15 @@ type PruneStats struct {
 }
 
 // PruneStats reports the pruning counters (next to MemoStats).
-func (c *Controller) PruneStats() PruneStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.prune
-}
+func (c *Controller) PruneStats() PruneStats { return c.view.Load().prune }
 
-// staticForLocked returns the bundle's cached static analysis, computing
+// staticFor returns the bundle's cached static analysis, computing
 // it on first use.
-func (c *Controller) staticForLocked(app *appState) *bundleStatic {
+func (c *Controller) staticFor(app *appState) *bundleStatic {
 	if app.static != nil {
 		return app.static
 	}
-	bs := &bundleStatic{choices: c.enumerateChoices(app.bundle)}
+	bs := &bundleStatic{choices: enumerateChoices(app.bundle)}
 	bs.stat = make([]choiceStatic, len(bs.choices))
 	byName := make(map[string]*rsl.OptionSpec, len(app.bundle.Options))
 	for i := range app.bundle.Options {
@@ -259,7 +255,7 @@ func (av *availability) feasible(st *choiceStatic) bool {
 	return true
 }
 
-// pruneChoicesLocked filters a bundle's enumerated choices before
+// pruneChoices filters a bundle's enumerated choices before
 // evaluation, returning the indices of those to evaluate, in enumeration
 // order. current (the app's adopted choice) is never pruned. If every choice
 // would be pruned, nothing is: evaluating the full set preserves the
@@ -267,7 +263,7 @@ func (av *availability) feasible(st *choiceStatic) bool {
 // snapshot's node table; in the exhaustive search that of the all-released
 // base snapshot: deeper levels only ever shrink capacity, so infeasibility
 // against the base holds for every branch.
-func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes []resource.NodeState) []int {
+func (c *Controller) pruneChoices(bs *bundleStatic, current Choice, nodes []resource.NodeState) []int {
 	if c.disablePruning {
 		return bs.all()
 	}
@@ -286,11 +282,11 @@ func (c *Controller) pruneChoicesLocked(bs *bundleStatic, current Choice, nodes 
 	return kept
 }
 
-// choiceStaticLocked returns the static analysis of the app's enumerated
+// choiceStaticFor returns the static analysis of the app's enumerated
 // choice equal to ch, or, for a choice the enumeration does not hold, a fresh
 // one. ch's option must be in the app's bundle.
-func (c *Controller) choiceStaticLocked(app *appState, ch Choice) *choiceStatic {
-	bs := c.staticForLocked(app)
+func (c *Controller) choiceStaticFor(app *appState, ch Choice) *choiceStatic {
+	bs := c.staticFor(app)
 	for i := range bs.choices {
 		if bs.choices[i].Equal(ch) {
 			return &bs.stat[i]

@@ -115,7 +115,6 @@ func newFig7Controller(t *testing.T, clients int, cfg Config) (*Controller, *sim
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(ctrl.Stop)
 	return ctrl, clock
 }
 

@@ -153,13 +153,11 @@ func takeFingerprint(t *testing.T, c *Controller) fingerprint {
 		ClaimSeq:  c.ledger.ClaimSeq(),
 		Now:       c.cfg.Clock.Now(),
 	}
-	c.mu.Lock()
 	fp.NextInst = c.nextInstance
 	owners := make(map[int]string, len(c.apps))
 	for id, a := range c.apps {
 		owners[id] = a.owner()
 	}
-	c.mu.Unlock()
 	for id, owner := range owners {
 		snap, err := c.ns.Snapshot(owner)
 		if err != nil {

@@ -126,7 +126,6 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(ctrl.Stop)
 		return ctrl, cl
 	}
 	kept, keptCluster := newCtrl()
@@ -199,9 +198,7 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 	}
 	candidates, misfits := 0, 0
 	for _, step := range steps {
-		wiped.mu.Lock()
 		wiped.evalCtx = evalContext{}
-		wiped.mu.Unlock()
 		errKept, errWiped := step.do(kept), step.do(wiped)
 		if fmt.Sprint(errKept) != fmt.Sprint(errWiped) {
 			t.Fatalf("%s: errors differ: %v / %v", step.name, errKept, errWiped)
@@ -218,11 +215,10 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 			t.Fatalf("%s: the controller that kept its evaluation context decided differently", step.name)
 		}
 
-		kept.mu.Lock()
 		for _, id := range kept.order {
 			app := kept.apps[id]
-			bs := kept.staticForLocked(app)
-			ctx := kept.newEvalContextLocked(app)
+			bs := kept.staticFor(app)
+			ctx := kept.newEvalContext(app)
 			for k, ch := range bs.choices {
 				got, gotErr := kept.evaluateChoice(ctx, ch, &bs.stat[k])
 				want, wantErr := evaluateChoiceByFork(kept, ctx, ch)
@@ -244,7 +240,6 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 				}
 			}
 		}
-		kept.mu.Unlock()
 	}
 	if n := len(kept.Apps()); n != 6 {
 		t.Fatalf("%d residents at the end, want 6", n)
@@ -260,8 +255,6 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 // wildcards, and never on db-crowd, whose options name their hosts.
 func TestOneScanPerEvaluation(t *testing.T) {
 	counts := func(c *Controller) (contexts, scans, candidates uint64) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		return c.evalContexts, uint64(c.evalCtx.scan.Builds()), c.prune.Considered - c.prune.Unreachable
 	}
 	cycle := func(c *Controller, arrival *rsl.BundleSpec) {
@@ -311,8 +304,8 @@ func TestSearchNeverForks(t *testing.T) {
 	allowed := map[string]map[string]bool{
 		"Fork":        {},
 		"Match":       {},
-		"Reserve":     {"adoptLocked": true, "reevaluateExhaustiveLocked": true},
-		"AppendNodes": {"newEvalContextLocked": true, "jointProblemLocked": true},
+		"Reserve":     {"adopt": true, "reevaluateExhaustive": true},
+		"AppendNodes": {"newEvalContext": true, "jointProblem": true},
 		"NewPlan":     {"newPlan": true},
 	}
 	seen := map[string]int{}

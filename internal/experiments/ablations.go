@@ -79,7 +79,6 @@ func RunAblationFriction(cfg AblationFrictionConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer ctrl.Stop()
 		bundles, _, err := rsl.DecodeScript(ablationAppRSL(cfg.Friction))
 		if err != nil {
 			return nil, err
@@ -153,7 +152,7 @@ func RunAblationSearch() (*Result, error) {
 			clock.Stop()
 			return nil, nil, err
 		}
-		cleanup := func() { ctrl.Stop(); clock.Stop() }
+		cleanup := clock.Stop
 		for j := 1; j <= 2; j++ {
 			src, err := figure4RSL(j, cfg.Nodes, cfg.TotalWork, cfg.CommCoeff)
 			if err != nil {
@@ -228,7 +227,6 @@ func RunAblationModel() (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		defer ctrl.Stop()
 		perfTag := ""
 		if withModel {
 			counts := []int{1, 2, 3, 4, 5, 6, 7, 8}

@@ -120,7 +120,6 @@ func runFigure4(cfg Figure4Config) (*Result, *Figure4Outcome, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	defer ctrl.Stop()
 
 	// One processor-sharing CPU per machine, shared by all applications.
 	group, err := procsim.NewGroup(clock)

@@ -119,7 +119,6 @@ func runFigure7(cfg Figure7Config) (*Result, *Figure7Outcome, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	defer ctrl.Stop()
 
 	engine, err := minidb.NewEngine(minidb.EngineConfig{
 		Clock:             clock,

@@ -389,7 +389,6 @@ func runAccommodatePoint(residents, choices int, cfg OptBenchConfig) (*OptBenchP
 		return pt, nil
 	}
 	defer clock.Stop()
-	defer ctrl.Stop()
 	if o.err != nil {
 		return nil, fmt.Errorf("optbench accommodate %dx%d: %w", residents, choices, o.err)
 	}
@@ -427,7 +426,6 @@ func runOptBenchPoint(shape string, nodes int, minDur time.Duration, maxIters in
 	if err != nil {
 		return nil, err
 	}
-	defer ctrl.Stop()
 	defer clock.Stop()
 
 	evalsPerPass, _ := ctrl.EvaluationCount()

@@ -60,9 +60,6 @@ func (n *repNode) kill() {
 		_ = n.rep.Close()
 		n.rep = nil
 	}
-	if n.ctrl != nil {
-		n.ctrl.Stop()
-	}
 }
 
 func reserveAddr(t *testing.T) string {

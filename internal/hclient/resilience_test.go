@@ -40,7 +40,6 @@ func startRealServer(t *testing.T, cfg server.Config) (*server.Server, *core.Con
 	}
 	t.Cleanup(func() {
 		_ = srv.Close()
-		ctrl.Stop()
 	})
 	return srv, ctrl
 }

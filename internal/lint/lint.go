@@ -3,8 +3,6 @@
 // invariants — the conventions that keep the controller correct but that no
 // compiler checks (see docs/ANALYZERS.md):
 //
-//   - lockdiscipline: *Locked functions are reached only with the owning
-//     mutex held, and never lock or unlock it themselves.
 //   - goroutinelife: every spawned goroutine has a shutdown path (stop/done
 //     channel, context, or WaitGroup registration).
 //   - protoexhaustive: switches over registered wire-message enums cover
@@ -99,7 +97,6 @@ func (d Diagnostic) String() string {
 // Analyzers returns the registered suite in its stable reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		LockDiscipline,
 		GoroutineLife,
 		ProtoExhaustive,
 		ReplayDeterminism,

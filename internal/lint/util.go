@@ -49,35 +49,9 @@ func isPkgType(t types.Type, pkgSuffix, name string) bool {
 	return n.Obj().Name() == name && strings.HasSuffix(n.Obj().Pkg().Path(), pkgSuffix)
 }
 
-// isMutex reports whether t is sync.Mutex or sync.RWMutex.
-func isMutex(t types.Type) bool {
-	return isPkgType(t, "sync", "Mutex") || isPkgType(t, "sync", "RWMutex")
-}
-
 // isWaitGroup reports whether t is sync.WaitGroup (possibly *sync.WaitGroup).
 func isWaitGroup(t types.Type) bool {
 	return isPkgType(t, "sync", "WaitGroup")
-}
-
-// mutexFields lists the names of recv's struct fields whose type is a sync
-// mutex. The *Locked convention always guards a method with a mutex on its
-// own receiver, so these are the lock paths lockdiscipline tracks.
-func mutexFields(recv types.Type) []string {
-	n := namedFrom(recv)
-	if n == nil {
-		return nil
-	}
-	st, ok := n.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	var out []string
-	for i := 0; i < st.NumFields(); i++ {
-		if isMutex(st.Field(i).Type()) {
-			out = append(out, st.Field(i).Name())
-		}
-	}
-	return out
 }
 
 // calleeFunc resolves the static callee of a call expression, or nil when the

@@ -1,6 +1,7 @@
 package replog
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -227,5 +228,62 @@ func TestStoreDropsTornTail(t *testing.T) {
 	defer st.Close()
 	if len(p.Entries) != 2 {
 		t.Fatalf("recovered %d entries, want 2 (torn line dropped)", len(p.Entries))
+	}
+}
+
+// A record whose bytes changed on disk ends the recovered tail like a torn
+// write, instead of surviving as a different entry; a log written before
+// records carried checksums is still read.
+func TestStoreChecksumsRecords(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := []Entry{entry(1, 1, OpReevaluate), entry(2, 1, OpNodeState), entry(3, 1, OpReevaluate)}
+	if err := st.AppendEntries(tail); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	path := filepath.Join(dir, "log.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "node_state" becomes "node_statf": still JSON, still an op string.
+	damaged := bytes.Replace(data, []byte(`"node_state"`), []byte(`"node_statf"`), 1)
+	if bytes.Equal(damaged, data) {
+		t.Fatal("the second record does not carry its op as expected")
+	}
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, p, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if !reflect.DeepEqual(p.Entries, tail[:1]) {
+		t.Fatalf("recovered %+v, want only the record before the damaged one", p.Entries)
+	}
+
+	var legacy []byte
+	for i := range tail {
+		line, err := json.Marshal(&tail[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy = append(append(legacy, line...), '\n')
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, p, err = OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if !reflect.DeepEqual(p.Entries, tail) {
+		t.Fatalf("recovered %+v from a pre-checksum log, want %+v", p.Entries, tail)
 	}
 }

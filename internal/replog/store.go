@@ -2,23 +2,31 @@ package replog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 )
 
 // Store persists a replica's durable state in a directory:
 //
-//	log.jsonl      — newline-delimited JSON entries following the snapshot
+//	log.jsonl      — the entries following the snapshot, one record a line
 //	snapshot.json  — the latest Snapshot
 //	state.json     — hard state (current term, voted-for)
 //
 // Writes are synchronous appends; snapshot installation rewrites the log so
 // it always holds exactly the tail after the snapshot.
+//
+// A record is an entry's JSON behind its CRC-32 (IEEE) in eight hex digits
+// and a space. Recovery ends the tail at the first record whose checksum does
+// not match, as at a torn write. A line that starts with '{' is a record
+// written before records carried a checksum, and is read as plain JSON.
 type Store struct {
 	mu  sync.Mutex
 	dir string
@@ -88,6 +96,37 @@ func readJSONFile(path string, v any) error {
 	return nil
 }
 
+// appendRecords appends the records of entries to buf. Both writers of the
+// log encode through it.
+func appendRecords(buf []byte, entries []Entry) ([]byte, error) {
+	for i := range entries {
+		line, err := json.Marshal(&entries[i])
+		if err != nil {
+			return nil, fmt.Errorf("replog: encode entry %d: %w", entries[i].Index, err)
+		}
+		buf = fmt.Appendf(buf, "%08x ", crc32.ChecksumIEEE(line))
+		buf = append(append(buf, line...), '\n')
+	}
+	return buf, nil
+}
+
+// parseRecord decodes one log line; false means the line is torn or damaged.
+func parseRecord(line []byte) (Entry, bool) {
+	var e Entry
+	if line[0] != '{' {
+		sum, body, ok := bytes.Cut(line, []byte{' '})
+		if !ok || len(sum) != 8 {
+			return e, false
+		}
+		want, err := strconv.ParseUint(string(sum), 16, 32)
+		if err != nil || uint32(want) != crc32.ChecksumIEEE(body) {
+			return e, false
+		}
+		line = body
+	}
+	return e, json.Unmarshal(line, &e) == nil
+}
+
 func readLogFile(path string, snapIndex uint64) ([]Entry, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -106,9 +145,9 @@ func readLogFile(path string, snapIndex uint64) ([]Entry, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			break // torn trailing write: keep what decoded cleanly
+		e, ok := parseRecord(line)
+		if !ok {
+			break // torn trailing write or damaged record: keep what came before
 		}
 		if e.Index <= snapIndex {
 			continue // covered by the snapshot after a non-rewritten install
@@ -130,17 +169,12 @@ func (s *Store) AppendEntries(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
+	buf, err := appendRecords(nil, entries)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var buf []byte
-	for i := range entries {
-		line, err := json.Marshal(&entries[i])
-		if err != nil {
-			return fmt.Errorf("replog: encode entry %d: %w", entries[i].Index, err)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-	}
 	if _, err := s.log.Write(buf); err != nil {
 		return fmt.Errorf("replog: append log: %w", err)
 	}
@@ -150,6 +184,10 @@ func (s *Store) AppendEntries(entries []Entry) error {
 // RewriteLog atomically replaces the log file with the given entries (used
 // after a follower truncates a conflicting suffix or installs a snapshot).
 func (s *Store) RewriteLog(entries []Entry) error {
+	buf, err := appendRecords(nil, entries)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tmp := filepath.Join(s.dir, "log.jsonl.tmp")
@@ -157,17 +195,7 @@ func (s *Store) RewriteLog(entries []Entry) error {
 	if err != nil {
 		return fmt.Errorf("replog: rewrite log: %w", err)
 	}
-	w := bufio.NewWriter(f)
-	for i := range entries {
-		line, err := json.Marshal(&entries[i])
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("replog: encode entry %d: %w", entries[i].Index, err)
-		}
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
 		return fmt.Errorf("replog: rewrite log: %w", err)
 	}

@@ -20,7 +20,6 @@ func BenchmarkStatusRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ctrl.Stop()
 	srv, err := Listen("127.0.0.1:0", Config{Controller: ctrl})
 	if err != nil {
 		b.Fatal(err)

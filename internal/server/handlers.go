@@ -194,9 +194,8 @@ func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Me
 // admitted.
 func (c *conn) vetBundle(src string) *protocol.Message {
 	if c.srv.cfg.Vet != VetOff {
-		rep := vet.Script(src, vet.Options{
-			ExtraNodes: c.srv.cfg.Controller.ClusterNodes(),
-		})
+		nodes := c.srv.cfg.Controller.ClusterNodes()
+		rep := vet.Script(src, vet.Options{ExtraNodes: nodes})
 		for _, d := range rep.Diags {
 			c.srv.cfg.Logf("harmony: vet: %s", d)
 		}
@@ -213,9 +212,7 @@ func (c *conn) vetBundle(src string) *protocol.Message {
 			specs = append(specs, vet.WorkloadSpec{File: "admitted", Bundles: admitted})
 		}
 		specs = append(specs, vet.WorkloadSpec{File: "incoming", Src: src})
-		wrep := vet.Workload(specs, vet.Options{
-			ExtraNodes: c.srv.cfg.Controller.ClusterNodes(),
-		})
+		wrep := vet.Workload(specs, vet.Options{ExtraNodes: nodes})
 		for _, d := range wrep.Diags {
 			c.srv.cfg.Logf("harmony: vet: %s", d)
 		}

@@ -570,12 +570,7 @@ func (r *Replica) takeSnapshot() {
 		r.appliedSince = 0
 		return
 	}
-	st, err := r.cfg.Controller.State()
-	if err == nil {
-		snap.Time = st.Now
-		snap.Data, err = json.Marshal(&snapshotPayload{Controller: st, Sessions: r.sessions.snapshot()})
-	}
-	if err != nil {
+	if snap.Time, snap.Data, err = r.encodeState(); err != nil {
 		r.cfg.Logf("harmony: replica %s: snapshot: %v", r.cfg.ID, err)
 		return
 	}
@@ -585,6 +580,35 @@ func (r *Replica) takeSnapshot() {
 		r.cfg.Logf("harmony: replica %s: persist snapshot: %v", r.cfg.ID, err)
 	}
 	r.cfg.Logf("harmony: replica %s: snapshot@%d (%d bytes)", r.cfg.ID, snap.Index, len(snap.Data))
+}
+
+// encodeState serializes the state machine — controller and session table —
+// as a snapshot carries it, with the controller's virtual time. Only the loop
+// may call it.
+func (r *Replica) encodeState() (time.Duration, []byte, error) {
+	st, err := r.cfg.Controller.State()
+	if err != nil {
+		return 0, nil, err
+	}
+	data, err := json.Marshal(&snapshotPayload{Controller: st, Sessions: r.sessions.snapshot()})
+	return st.Now, data, err
+}
+
+// EncodeState returns the payload a snapshot taken now would carry: the
+// controller and the session table, read on the loop between two steps, so
+// two members that applied the same entries return the same bytes.
+func (r *Replica) EncodeState() ([]byte, error) {
+	var data []byte
+	var err error
+	done := make(chan struct{})
+	if !r.post(event{run: func() {
+		_, data, err = r.encodeState()
+		close(done)
+	}}) {
+		return nil, errors.New("server: replica closed")
+	}
+	<-done // the loop runs what it took before it looks at stop again
+	return data, err
 }
 
 // installState replaces the controller and session table from a snapshot.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -17,7 +16,6 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/protocol"
 	"harmony/internal/replog"
-	"harmony/internal/rsl"
 	"harmony/internal/simclock"
 )
 
@@ -81,9 +79,6 @@ func (n *testNode) kill() {
 	if n.rep != nil {
 		_ = n.rep.Close()
 		n.rep = nil
-	}
-	if n.ctrl != nil {
-		n.ctrl.Stop()
 	}
 }
 
@@ -170,10 +165,11 @@ func waitTrue(t *testing.T, within time.Duration, what string, cond func() bool)
 	}
 }
 
-// stateJSON fingerprints a node's replicated controller state.
+// stateJSON fingerprints a node's replicated state — controller and session
+// table — read on its loop.
 func stateJSON(t *testing.T, n *testNode) string {
 	t.Helper()
-	data, err := n.ctrl.EncodeState()
+	data, err := n.rep.EncodeState()
 	if err != nil {
 		t.Fatalf("EncodeState: %v", err)
 	}
@@ -543,7 +539,6 @@ func TestPeerlessReplicaLeadsFromConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctrl.Stop()
 	rep, err := NewReplica("", ReplicaConfig{Controller: ctrl, ElectionTimeout: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -561,25 +556,20 @@ func TestPeerlessReplicaLeadsFromConstruction(t *testing.T) {
 }
 
 // The member a plain server builds for itself has no store and no peers, so
-// it bounds its log by dropping applied entries: the controller is never
-// serialized, which an application registered beside the server — off the
-// log, without RSL source — would make fail.
+// it bounds its log by dropping applied entries: the controller, with an
+// application registered, is never serialized.
 func TestEmbeddedReplicaLogStaysBounded(t *testing.T) {
 	var logged []string
 	var logMu sync.Mutex
-	srv, ctrl := startTestServer(t, Config{Logf: func(format string, args ...any) {
+	srv, _ := startTestServer(t, Config{Logf: func(format string, args ...any) {
 		logMu.Lock()
 		logged = append(logged, fmt.Sprintf(format, args...))
 		logMu.Unlock()
 	}})
-	bundles, _, err := rsl.DecodeScript(dbRSL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ctrl.Register(bundles[0]); err != nil {
-		t.Fatal(err)
-	}
 	rep := srv.rep
+	if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpRegister, RSL: dbRSL}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10000; i++ {
 		if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
 			t.Fatalf("proposal %d: %v", i, err)
@@ -675,7 +665,6 @@ func lonelyFollower(t *testing.T, dir string) (*Replica, *core.Controller) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ctrl.Stop)
 	rep, err := NewReplica("127.0.0.1:0", ReplicaConfig{
 		Controller: ctrl, Peers: []string{"127.0.0.1:1"}, DataDir: dir, ElectionTimeout: time.Hour,
 	})
@@ -721,12 +710,8 @@ func TestFailedHardStateSaveGrantsNoVote(t *testing.T) {
 // it installed in memory and must still see it written before it hears yes.
 func TestFailedSnapshotSaveIsNotAnAck(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	rep, ctrl := lonelyFollower(t, dir)
-	st, err := ctrl.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(&snapshotPayload{Controller: st})
+	rep, _ := lonelyFollower(t, dir)
+	data, err := rep.EncodeState()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,10 +100,10 @@ type Config struct {
 	// redirect. Reads (status, report, heartbeat) stay local. When nil the
 	// server builds a private member of its own — no peers, no listener, no
 	// store — and closes it on Close, so a standalone server takes the same
-	// path as a cluster. Code that mutates Controller directly beside such
-	// a server (ForceChoice, MarkNodeDown) bypasses the log; that is
-	// harmless only there, where one volatile member cannot diverge from
-	// itself.
+	// path as a cluster. The replica's loop is then the controller's only
+	// writer: code beside the server must not call a Controller mutator
+	// (ForceChoice, MarkNodeDown, ...), and goes through the server
+	// (Server.ForceChoice) or the protocol (node_state) instead.
 	Replica *Replica
 	// Logf logs server events; nil discards.
 	Logf func(format string, args ...any)
@@ -242,6 +242,19 @@ func (s *Server) sweepLeases(ttl time.Duration) {
 			}
 		}
 	}
+}
+
+// ForceChoice imposes a configuration on an application through the
+// replicated log (replog.OpForceChoice), as an operator rule does: once a
+// majority holds the entry, every member applies Controller.ForceChoice at the
+// entry's time. The event is nil when the choice was already active. A server
+// whose replica does not lead answers with *ErrNotLeader.
+func (s *Server) ForceChoice(instance int, ch core.Choice) (*core.Event, error) {
+	res, _, err := s.rep.Propose(&replog.Entry{Op: replog.OpForceChoice, Instance: instance, Choice: core.ChoiceToLog(ch)})
+	if err != nil || len(res.Events) == 0 {
+		return nil, err
+	}
+	return &res.Events[0], nil
 }
 
 // Addr reports the listening address.

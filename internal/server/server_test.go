@@ -48,7 +48,6 @@ func startTestServer(t *testing.T, cfg Config) (*Server, *core.Controller) {
 	}
 	t.Cleanup(func() {
 		_ = srv.Close()
-		ctrl.Stop()
 	})
 	return srv, ctrl
 }
@@ -120,7 +119,7 @@ func TestStartupValidation(t *testing.T) {
 }
 
 func TestForcedReconfigurationPushesUpdate(t *testing.T) {
-	srv, ctrl := startTestServer(t, Config{})
+	srv, _ := startTestServer(t, Config{})
 	c := dialTest(t, srv)
 	if err := c.Startup("DBclient", true); err != nil {
 		t.Fatal(err)
@@ -142,7 +141,7 @@ func TestForcedReconfigurationPushesUpdate(t *testing.T) {
 	}()
 	// Give the waiter a moment to arm, then force the QS->DS switch.
 	time.Sleep(20 * time.Millisecond)
-	if _, err := ctrl.ForceChoice(inst, core.Choice{Option: "DS"}); err != nil {
+	if _, err := srv.ForceChoice(inst, core.Choice{Option: "DS"}); err != nil {
 		t.Fatalf("ForceChoice: %v", err)
 	}
 	if err := <-waitErr; err != nil {
@@ -154,7 +153,7 @@ func TestForcedReconfigurationPushesUpdate(t *testing.T) {
 }
 
 func TestManualFlushBuffers(t *testing.T) {
-	srv, ctrl := startTestServer(t, Config{ManualFlush: true})
+	srv, _ := startTestServer(t, Config{ManualFlush: true})
 	c := dialTest(t, srv)
 	if err := c.Startup("DBclient", false); err != nil {
 		t.Fatal(err)
@@ -164,7 +163,7 @@ func TestManualFlushBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := c.Generation()
-	if _, err := ctrl.ForceChoice(inst, core.Choice{Option: "DS"}); err != nil {
+	if _, err := srv.ForceChoice(inst, core.Choice{Option: "DS"}); err != nil {
 		t.Fatal(err)
 	}
 	// No update until FlushPendingVars (polling shows old value).
@@ -291,7 +290,7 @@ func TestMultipleClientsShareServer(t *testing.T) {
 	}
 	// Force all to DS; each connected client sees its own update.
 	for _, inst := range insts {
-		if _, err := ctrl.ForceChoice(inst, core.Choice{Option: "DS"}); err != nil {
+		if _, err := srv.ForceChoice(inst, core.Choice{Option: "DS"}); err != nil {
 			t.Fatalf("force %d: %v", inst, err)
 		}
 	}

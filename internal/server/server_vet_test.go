@@ -119,7 +119,6 @@ func TestVetRejectJointWorkload(t *testing.T) {
 	}
 	t.Cleanup(func() {
 		_ = srv.Close()
-		ctrl.Stop()
 	})
 	c := dialTest(t, srv)
 	if err := c.Startup("Greedy", true); err != nil {
@@ -159,7 +158,6 @@ func TestVetWarnLogsJointWorkload(t *testing.T) {
 	}
 	t.Cleanup(func() {
 		_ = srv.Close()
-		ctrl.Stop()
 	})
 	c := dialTest(t, srv)
 	if err := c.Startup("Greedy", true); err != nil {
