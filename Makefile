@@ -37,7 +37,7 @@ fuzz:
 		$(GO) test -run='^$$' -fuzz="$${t%%:*}" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s "$${t#*:}"; \
 	done
 
-# Optimizer hot-path benchmark, gated against the committed BENCH_26.json.
+# Optimizer hot-path benchmark, gated against the committed BENCH_29.json.
 bench:
 	sh scripts/bench.sh
 

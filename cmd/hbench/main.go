@@ -8,11 +8,11 @@
 //	hbench            # run every experiment (T1 F2a F2b F3 F4 F7 A1 A2 A3)
 //	hbench F7 A1      # run selected experiments
 //	hbench -list      # list experiment ids
-//	hbench -json BENCH_26.json -bench-nodes 64,256,1024,fig4:4096,accommodate:2,accommodate:4
+//	hbench -json BENCH_29.json -bench-nodes 64,256,1024,fig4:4096,accommodate:2,accommodate:4
 //	                  # run the hot-path bench (fig4 and fig7 at three sizes,
 //	                  # fig4 alone at a fourth, the joint search making room
 //	                  # beside 2 and 4 residents), write report
-//	hbench -json out.json -baseline BENCH_26.json -tolerance 15
+//	hbench -json out.json -baseline BENCH_29.json -tolerance 15
 //	                  # ...and fail if the hot path regressed >15% vs baseline
 package main
 
@@ -135,10 +135,9 @@ func parseNodes(csv string) (all []int, byShape map[string][]int, err error) {
 }
 
 // compareBaseline fails when a point's re-evaluation or accommodation time
-// regressed more than tolerancePct against the baseline, or an accommodation
-// the baseline finished no longer does. Absolute timings only transfer
-// between runs of the same environment (GOMAXPROCS, OS, arch); when the
-// environments differ, deltas are reported as informational only.
+// regressed more than tolerancePct against the baseline. Absolute timings
+// only transfer between runs of the same environment (GOMAXPROCS, OS, arch);
+// when the environments differ, deltas are reported as informational only.
 func compareBaseline(report *experiments.OptBenchReport, baselinePath string, tolerancePct float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -177,7 +176,7 @@ func compareBaseline(report *experiments.OptBenchReport, baselinePath string, to
 		}
 		pct := (took(p) - base) / base * 100
 		status := "ok"
-		if pct > tolerancePct || p.DNF {
+		if pct > tolerancePct {
 			if enforce {
 				status = "REGRESSED"
 				regressed++

@@ -36,6 +36,11 @@ var (
 	ErrUnknownInstance = errors.New("core: unknown application instance")
 	// ErrNoFeasibleOption is returned when no option of a bundle fits.
 	ErrNoFeasibleOption = errors.New("core: no feasible option")
+	// ErrSearchBudget is returned when an arrival fits nowhere beside the
+	// applications already placed, and the joint search that would make room
+	// for it spent its trial budget before it found a combination that places
+	// everybody. It wraps ErrNoFeasibleOption.
+	ErrSearchBudget = fmt.Errorf("%w within the joint search budget", ErrNoFeasibleOption)
 )
 
 // Choice is one concrete configuration of a bundle: an option plus values
@@ -185,10 +190,10 @@ func (a *appState) owner() string { return a.ownerPath }
 // Every mutator ends by publishing an immutable view of the state it left,
 // before any listener hears of its events. The readers — Status, Apps,
 // Objective, Bundles, ActiveInstances, CurrentChoice, EvaluationCount,
-// PruneStats, JointTrials, Predictions and Warnings — load that view and
-// nothing else, so they may run on any goroutine, never wait for an optimizer
-// pass, and always see one state. Subscribe may be called from any goroutine
-// too.
+// PruneStats, JointTrials, JointBudgetHits, Predictions and Warnings — load
+// that view and nothing else, so they may run on any goroutine, never wait for
+// an optimizer pass, and always see one state. Subscribe may be called from
+// any goroutine too.
 type Controller struct {
 	cfg     Config
 	ledger  *resource.Ledger
@@ -215,8 +220,12 @@ type Controller struct {
 	// disablePruning evaluates every enumerated choice: the reference the
 	// differential tests hold pruning to.
 	disablePruning bool
-	// jointTrials counts the choices the joint search has tried (JointTrials).
-	jointTrials uint64
+	// jointTrials counts the choices the joint search has tried (JointTrials),
+	// jointBudgetHits the searches that stopped at jointBudget, how many trials
+	// one search may make: jointTrialBudget, which in-package tests lower.
+	jointTrials     uint64
+	jointBudgetHits uint64
+	jointBudget     int
 	// warnings is a bounded ring of recent controller warnings. warn replaces
 	// it rather than writing into it, so a published view may share it.
 	warnings []string
@@ -225,13 +234,14 @@ type Controller struct {
 // view is the controller's state as one mutator left it. Nothing in it is
 // written after it is published.
 type view struct {
-	objective   float64
-	apps        []Snapshot        // registration order
-	bundles     []*rsl.BundleSpec // registration order
-	prune       PruneStats
-	jointTrials uint64
-	predictions uint64
-	warnings    []string
+	objective       float64
+	apps            []Snapshot        // registration order
+	bundles         []*rsl.BundleSpec // registration order
+	prune           PruneStats
+	jointTrials     uint64
+	jointBudgetHits uint64
+	predictions     uint64
+	warnings        []string
 }
 
 // maxWarnings bounds the warning ring buffer.
@@ -260,11 +270,12 @@ func New(cfg Config) (*Controller, error) {
 	}
 	ledger := cfg.Cluster.Ledger()
 	c := &Controller{
-		cfg:     cfg,
-		ledger:  ledger,
-		matcher: match.New(ledger),
-		ns:      namespace.New(),
-		apps:    make(map[int]*appState),
+		cfg:         cfg,
+		ledger:      ledger,
+		matcher:     match.New(ledger),
+		ns:          namespace.New(),
+		apps:        make(map[int]*appState),
+		jointBudget: jointTrialBudget,
 	}
 	c.listeners.Store(new([]Listener))
 	c.view.Store(c.buildView())
@@ -352,12 +363,15 @@ func (c *Controller) registerAt(bundle *rsl.BundleSpec, source string, now time.
 	// the accommodation.
 	c.apps[inst] = app
 	c.order = append(c.order, inst)
-	events = c.reevaluateExhaustive(now, 0)
+	events, exhausted := c.reevaluateExhaustive(now, 0, true)
 	if app.claim == nil {
 		// Even the joint search could not place it: roll back.
 		delete(c.apps, inst)
 		c.order = c.order[:len(c.order)-1]
 		c.nextInstance--
+		if exhausted {
+			return 0, nil, fmt.Errorf("%w of %d trials for %s", ErrSearchBudget, c.jointBudget, bundle.App)
+		}
 		return 0, nil, err
 	}
 	for i := range events {
@@ -433,12 +447,13 @@ func (c *Controller) publish(events []Event) {
 // the objective.
 func (c *Controller) buildView() *view {
 	v := &view{
-		apps:        make([]Snapshot, 0, len(c.order)),
-		bundles:     make([]*rsl.BundleSpec, 0, len(c.order)),
-		prune:       c.prune,
-		jointTrials: c.jointTrials,
-		predictions: c.predictions,
-		warnings:    c.warnings,
+		apps:            make([]Snapshot, 0, len(c.order)),
+		bundles:         make([]*rsl.BundleSpec, 0, len(c.order)),
+		prune:           c.prune,
+		jointTrials:     c.jointTrials,
+		jointBudgetHits: c.jointBudgetHits,
+		predictions:     c.predictions,
+		warnings:        c.warnings,
 	}
 	jobs := make([]objective.JobPrediction, 0, len(c.order))
 	for _, id := range c.order {

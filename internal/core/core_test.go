@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -471,6 +472,19 @@ func TestExhaustiveMatchesGreedyOnSimpleSystem(t *testing.T) {
 	g, e := greedy.EvaluationCount()
 	if g <= 0 || e <= 0 || e < g {
 		t.Fatalf("evaluation counts greedy=%d exhaustive=%d", g, e)
+	}
+}
+
+// TestEvaluationCountSaturates holds the exhaustive count of db-crowd's 64
+// residents, five choices each — 5^64, far past an int — at math.MaxInt
+// instead of letting it wrap.
+func TestEvaluationCountSaturates(t *testing.T) {
+	g, e := crowdController(t, 64, Config{}).EvaluationCount()
+	if g != 64*5 || e != math.MaxInt {
+		t.Fatalf("evaluation counts greedy=%d exhaustive=%d, want %d and %d", g, e, 64*5, math.MaxInt)
+	}
+	if g, e := crowdController(t, 3, Config{}).EvaluationCount(); g != 15 || e != 125 {
+		t.Fatalf("evaluation counts greedy=%d exhaustive=%d, want 15 and 125", g, e)
 	}
 }
 

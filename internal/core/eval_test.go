@@ -428,6 +428,7 @@ func TestOptimizerDocInSync(t *testing.T) {
 		"PruneStats", "Misfit", "footprint",
 		"`EvalWorkers` is deprecated and ignored",
 		"One writer, one published view", "TestReadersNeverWaitForAPass",
+		"jointTrialBudget", "ErrSearchBudget", "objective.Func", "TestJointBudgetReplays",
 	} {
 		if !strings.Contains(string(doc), sym) {
 			t.Errorf("docs/OPTIMIZER.md does not mention %s", sym)
@@ -436,6 +437,7 @@ func TestOptimizerDocInSync(t *testing.T) {
 	for _, gone := range []string{
 		"fanOutMinSize", "CopyFrom", "candScratch", "DisablePruning", "UseCriticalPath", "BestFit", "Dominance",
 		"ReevalInterval", "WarnFunc", "GrantSteps", "SetObjective", "adoptLocked",
+		"once per first-level choice", "exponential and unbounded",
 	} {
 		if strings.Contains(string(doc), gone) {
 			t.Errorf("docs/OPTIMIZER.md still describes %s, which no longer exists", gone)

@@ -196,7 +196,7 @@ func compareGreedy(t *testing.T, c *Controller, app *appState, forInitial bool, 
 	bs := c.staticFor(app)
 	ctx := c.newEvalContext(app)
 	p0 := c.predictions
-	ks := c.pruneChoices(bs, app.choice, ctx.nodes)
+	ks := c.pruneChoices(bs, app.choice, ctx.nodes, &ctx.cols)
 	gots, gotErrs := make([]candidate, len(ks)), make([]error, len(ks))
 	for i, k := range ks {
 		prints := len(ctx.prints)

@@ -1,28 +1,35 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"harmony/internal/match"
 	"harmony/internal/namespace"
 	"harmony/internal/objective"
 	"harmony/internal/predict"
+	"harmony/internal/replog"
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
 )
 
-// searchByFork is the joint search as it was before it walked one trial state:
+// searchByFork is the joint search as it was before it walked one trial state
+// and before it was bounded: every choice is tried under every inner node,
 // every trial forks the snapshot of the level above, matches on the bare fork
 // (which reads and orders the node table itself), reserves through the view
 // and predicts by walking the fork's overlay chain; every request is resolved
 // again at every inner node. It shares nothing with searchJoint but the
-// problem, and is the reference searchJoint is held to. Warnings are collected
-// per first-level choice, as the walk that fanned those out collected them.
+// problem and the trial counter, and is the reference searchJoint is held to.
+// Warnings are collected per first-level choice, as the walk that fanned those
+// out collected them.
 func (c *Controller) searchByFork(base *resource.Snapshot, ids []int, perIndex [][]int, skipInstance int) comboResult {
 	perApp := make([][]Choice, len(ids))
 	for i, id := range ids {
@@ -50,6 +57,7 @@ func (c *Controller) searchByFork(base *resource.Snapshot, ids []int, perIndex [
 func (c *Controller) tryChoiceByFork(view *resource.Snapshot, id int, ch Choice, br *comboResult) (*resource.Snapshot, candidate, bool) {
 	app := c.apps[id]
 	opt := app.bundle.Option(ch.Option)
+	c.jointTrials++
 	fork := view.Fork()
 	matcher := c.matcher.WithView(fork)
 	asg, err := matcher.Match(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants})
@@ -159,19 +167,33 @@ func jointRSL(rng *rand.Rand, i int, hosts []string) string {
 }`, i, i, 10+rng.Intn(10), 3+rng.Intn(5), hosts[rng.Intn(len(hosts))])
 }
 
+// nearRSL is a bag whose model puts its two worker counts within 0.1% of each
+// other, the better one enumerated last: a bound that overshot a prediction by
+// 1% would cut the winner.
+func nearRSL(i, secs int) string {
+	return fmt.Sprintf(`harmonyBundle Near%d:%d parallelism {
+	{workers
+		{variable workerNodes {1 2}}
+		{node worker * {seconds {%d / workerNodes}} {memory 16} {replicate workerNodes}}
+		{performance {{1 %d} {2 %g}}}
+	}
+}`, i, i, secs, secs, float64(secs)*0.999)
+}
+
 // jointTally counts what the differential test compared, so that it can tell
 // a script that no longer reaches the cases it was written for.
 type jointTally struct {
-	problems, deep, infeasible, warned, degraded, skipped int
-	trials                                                uint64
+	problems, deep, infeasible, warned, degraded, skipped, cuts int
+	trials, forkTrials                                          uint64
 }
 
 // compareJointProblem poses the joint problem the controller would
 // search now, with skip held fixed, to searchJoint and to searchByFork, and
 // requires one answer: the same combination or none, the score and every
 // prediction and friction cost bit for bit, the same placements down to the
-// positions they carry and the bytes they encode to, the same warnings in the
-// same order, and as many predictions made.
+// positions they carry and the bytes they encode to. The bounded search may
+// try less than the fork walk, so it must make no more trials and predictions
+// than the fork walk, and raise only warnings the fork walk raised, each once.
 func compareJointProblem(t *testing.T, c *Controller, skip int, what string, tally *jointTally) {
 	t.Helper()
 	base, ids, perApp, degraded := c.jointProblem(skip)
@@ -180,12 +202,14 @@ func compareJointProblem(t *testing.T, c *Controller, skip int, what string, tal
 	}
 	p0, t0 := c.predictions, c.jointTrials
 	got := c.searchJoint(base, ids, perApp, skip)
-	p1 := c.predictions
+	p1, t1 := c.predictions, c.jointTrials
 	want := c.searchByFork(base, ids, perApp, skip)
-	p2 := c.predictions
+	p2, t2 := c.predictions, c.jointTrials
 
 	tally.problems++
-	tally.trials += c.jointTrials - t0
+	tally.trials += t1 - t0
+	tally.forkTrials += t2 - t1
+	tally.cuts += got.cuts
 	if len(ids) >= 3 {
 		tally.deep++
 	}
@@ -198,11 +222,16 @@ func compareJointProblem(t *testing.T, c *Controller, skip int, what string, tal
 	if len(want.warns) > 0 {
 		tally.warned++
 	}
-	if p1-p0 != p2-p1 {
-		t.Fatalf("%s: %d predictions, the fork walk made %d", what, p1-p0, p2-p1)
+	if got.exhausted {
+		t.Fatalf("%s: the search spent its budget", what)
 	}
-	if !reflect.DeepEqual(got.warns, want.warns) {
-		t.Fatalf("%s: warnings differ:\n  got %q\n want %q", what, got.warns, want.warns)
+	if p1-p0 > p2-p1 || t1-t0 > t2-t1 {
+		t.Fatalf("%s: %d trials and %d predictions, the fork walk made %d and %d", what, t1-t0, p1-p0, t2-t1, p2-p1)
+	}
+	for i, w := range got.warns {
+		if !slices.Contains(want.warns, w) || slices.Contains(got.warns[:i], w) {
+			t.Fatalf("%s: warnings are not the fork walk's, each once:\n  got %q\n want %q", what, got.warns, want.warns)
+		}
 	}
 	if (got.combo == nil) != (want.combo == nil) {
 		t.Fatalf("%s: found a combination: %v, the fork walk: %v", what, got.combo != nil, want.combo != nil)
@@ -261,12 +290,98 @@ func compareOnArrival(t *testing.T, c *Controller, bundle *rsl.BundleSpec, what 
 	c.order = c.order[:len(c.order)-1]
 }
 
+// TestAccommodationIsBounded is the outage the bounded search removes, counted
+// rather than timed: eight Figure-4 bags of nine choices fill a 40-node
+// machine, five exclusive workers each, and one more arrives. The exhaustive
+// walk did not decide that in 30 s (about 3 x 10^8 trials); the bounded one
+// must place the arrival below its budget, in a trial count that repeats
+// exactly.
+func TestAccommodationIsBounded(t *testing.T) {
+	c, _ := newController(t, 40, Config{})
+	for job := 1; job <= 8; job++ {
+		if _, _, err := c.Register(decodeBundle(t, bagRSL(fmt.Sprintf("Bag%d", job), job, 9, 300))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trials := c.JointTrials()
+	if _, _, err := c.Register(decodeBundle(t, bagRSL("Bag9", 9, 9, 310))); err != nil {
+		t.Fatal(err)
+	}
+	const want = 8177
+	if got := c.JointTrials() - trials; got != want || c.JointBudgetHits() != 0 || got >= jointTrialBudget {
+		t.Fatalf("accommodation took %d trials (want %d) against a budget of %d; budget hits %d", got, want, jointTrialBudget, c.JointBudgetHits())
+	}
+}
+
+// TestJointBudgetReplays lowers the trial budget on the squeeze system — two
+// Figure-4 bags fill ten nodes and a third arrives, which the whole search
+// decides in 57 trials. Stopped at 20 trials it places the arrival on the best
+// combination it has found; stopped at 2, before any, it turns the arrival
+// away with ErrSearchBudget, which is also an ErrNoFeasibleOption, and leaves
+// the state as it was. Either way two controllers applying the same entries
+// end in the same state. In Exhaustive mode a pass that runs out keeps the
+// placements it had.
+func TestJointBudgetReplays(t *testing.T) {
+	entries := []replog.Entry{
+		{Index: 1, Op: replog.OpRegister, RSL: bagRSL("Bag1", 1, 8, 300)},
+		{Index: 2, Op: replog.OpRegister, RSL: bagRSL("Bag2", 2, 8, 300)},
+		{Index: 3, Op: replog.OpRegister, RSL: bagRSL("Job", 3, 8, 310)},
+	}
+	for _, tc := range []struct {
+		budget   int
+		rejected bool
+	}{{20, false}, {2, true}} {
+		var states [2][]byte
+		for k := range states {
+			what := fmt.Sprintf("budget %d, controller %d", tc.budget, k)
+			c, _ := newController(t, 10, Config{})
+			c.jointBudget = tc.budget
+			if out := applyAll(t, c, entries[:2]); out[0]+out[1] != "" {
+				t.Fatalf("%s: %q", what, out)
+			}
+			before, _ := c.EncodeState()
+			trials := c.JointTrials()
+			_, err := c.Apply(&entries[2])
+			if got := c.JointTrials() - trials; got != uint64(tc.budget) || c.JointBudgetHits() != 1 {
+				t.Fatalf("%s: %d trials, %d budget hits; want the budget spent once", what, got, c.JointBudgetHits())
+			}
+			states[k], _ = c.EncodeState()
+			switch {
+			case !tc.rejected && (err != nil || len(c.Apps()) != 3):
+				t.Fatalf("%s: %v, %d apps; want the arrival placed", what, err, len(c.Apps()))
+			case tc.rejected && (!errors.Is(err, ErrSearchBudget) || !errors.Is(err, ErrNoFeasibleOption) || !bytes.Equal(states[k], before)):
+				t.Fatalf("%s: %v; want ErrSearchBudget and the state unchanged", what, err)
+			}
+			if w := c.Warnings(); len(w) == 0 || !strings.Contains(w[len(w)-1], "budget") {
+				t.Fatalf("%s: warnings %q do not name the budget", what, w)
+			}
+		}
+		if !bytes.Equal(states[0], states[1]) {
+			t.Fatalf("budget %d: replayed states differ:\n%s\n%s", tc.budget, states[0], states[1])
+		}
+	}
+
+	c, _ := newController(t, 10, Config{Exhaustive: true})
+	if out := applyAll(t, c, entries[:2]); out[0]+out[1] != "" {
+		t.Fatalf("exhaustive: %q", out)
+	}
+	c.jointBudget = 2
+	before, _ := c.EncodeState()
+	if events := c.Reevaluate(); len(events) != 0 || c.JointBudgetHits() != 1 {
+		t.Fatalf("exhaustive pass at its budget: %d events, %d budget hits", len(events), c.JointBudgetHits())
+	}
+	if after, _ := c.EncodeState(); !bytes.Equal(after, before) {
+		t.Fatalf("exhaustive pass at its budget changed the state:\n%s\n%s", before, after)
+	}
+}
+
 // TestJointSearchMatchesForkWalk holds the joint search to the walk it
 // replaced on seeded random systems of two to five applications — with
 // pruning on and off, on controllers that search jointly at every event
 // (Exhaustive) and on controllers that do so only to make room for an arrival
 // — before every arrival, after every event, with a node down and with an
-// application evicted and degraded.
+// application evicted and degraded — and on a system of near ties, where a
+// bound that was not a bound would show.
 func TestJointSearchMatchesForkWalk(t *testing.T) {
 	var tally jointTally
 	for seed := int64(1); seed <= 8; seed++ {
@@ -312,8 +427,18 @@ func TestJointSearchMatchesForkWalk(t *testing.T) {
 			}
 		}
 	}
+	c, _ := newController(t, 6, Config{Exhaustive: true})
+	for i := 1; i <= 4; i++ {
+		bundle := decodeBundle(t, nearRSL(i, 20+10*i))
+		at := fmt.Sprintf("near ties, arrival %d", i)
+		compareOnArrival(t, c, bundle, "before "+at, &tally)
+		if _, _, err := c.Register(bundle); err != nil {
+			t.Fatal(err)
+		}
+		compareJointSearches(t, c, "after "+at, &tally)
+	}
 	t.Logf("%+v", tally)
-	if tally.problems < 400 || tally.deep < 200 || tally.infeasible == 0 || tally.warned < 10 || tally.degraded < 10 || tally.skipped < 100 {
+	if tally.problems < 400 || tally.deep < 200 || tally.infeasible == 0 || tally.warned < 10 || tally.degraded < 10 || tally.skipped < 100 || tally.cuts == 0 {
 		t.Errorf("the systems drawn no longer cover what the test is for: %+v", tally)
 	}
 }

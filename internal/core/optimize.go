@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -123,7 +124,7 @@ func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial boo
 	var lastErr error
 	var lastPlan *match.Plan
 	var warned []string
-	for _, k := range c.pruneChoices(bs, app.choice, ctx.nodes) {
+	for _, k := range c.pruneChoices(bs, app.choice, ctx.nodes, &ctx.cols) {
 		st := &bs.stat[k]
 		cand, err := c.evaluate(ctx, bs.choices[k], st)
 		if err != nil {
@@ -165,7 +166,8 @@ func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial boo
 // app). It returns events for every application whose choice changed.
 func (c *Controller) reevaluate(now time.Duration, skipInstance int) []Event {
 	if c.cfg.Exhaustive {
-		return c.reevaluateExhaustive(now, skipInstance)
+		events, _ := c.reevaluateExhaustive(now, skipInstance, false)
+		return events
 	}
 	var events []Event
 	for _, id := range append([]int(nil), c.order...) {
@@ -219,11 +221,19 @@ type comboResult struct {
 	score float64
 	combo []candidate
 	warns []string
+	// cuts counts what the search skipped without trying it: inner nodes
+	// below which some level had no choice left that may fit, and choices
+	// whose bound could not beat the best leaf so far.
+	cuts int
+	// exhausted marks a search that stopped at its trial budget: combo is the
+	// best of the leaves it reached, not necessarily the best there is.
+	exhausted bool
 }
 
 // jointProblem sets up a joint search: the applications that take part
 // (ids, registration order, without skipInstance and the degraded ones, which
-// are returned apart), a snapshot with every one of their claims released, and
+// are returned apart), a snapshot with every one of their claims released,
+// whose node table and state the evaluation context holds afterwards, and
 // each one's choices pruned against that all-released base — reservations at
 // deeper search levels only shrink capacity, so a candidate infeasible here is
 // infeasible in every branch.
@@ -258,33 +268,43 @@ func (c *Controller) jointProblem(skipInstance int) (base *resource.Snapshot, id
 		}
 	}
 	perApp = make([][]int, len(ids))
-	nodes := base.AppendNodes(c.evalCtx.nodes[:0])
-	c.evalCtx.nodes = nodes
+	ctx := &c.evalCtx
+	ctx.nodes = base.AppendNodes(ctx.nodes[:0])
+	base.ReadColumns(&ctx.cols)
 	for i, id := range ids {
 		app := c.apps[id]
-		perApp[i] = c.pruneChoices(c.staticFor(app), app.choice, nodes)
+		perApp[i] = c.pruneChoices(c.staticFor(app), app.choice, ctx.nodes, &ctx.cols)
 	}
 	return base, ids, perApp, degraded
 }
 
-// reevaluateExhaustive searches the full cross product of all
-// applications' choices: the A2 ablation baseline, and how Register makes
-// room for an arrival that fits nowhere. Exponential: intended for small
-// systems only. The search never touches the shared ledger, which changes
-// only if a combination is adopted.
-func (c *Controller) reevaluateExhaustive(now time.Duration, skipInstance int) []Event {
+// reevaluateExhaustive searches the cross product of all applications'
+// choices: the A2 ablation baseline and, with accommodate, how Register makes
+// room for an arrival that fits nowhere. The search never touches the shared
+// ledger, which changes only if a combination is adopted. A search that spends
+// its trial budget adopts nothing, so the pass keeps the current state, unless
+// it is making room for an arrival: then the best combination it found, which
+// places the arrival, is adopted. exhausted reports the cut-off.
+func (c *Controller) reevaluateExhaustive(now time.Duration, skipInstance int, accommodate bool) (events []Event, exhausted bool) {
 	base, ids, perApp, degraded := c.jointProblem(skipInstance)
 	if len(ids) == 0 {
-		return c.readmitDegraded(now, degraded, nil)
+		return c.readmitDegraded(now, degraded, nil), false
 	}
 	best := c.searchJoint(base, ids, perApp, skipInstance)
 	for _, w := range best.warns {
 		c.warn(w)
 	}
+	if best.exhausted {
+		c.jointBudgetHits++
+		c.warn(fmt.Sprintf("core: joint search stopped at its budget of %d trials", c.jointBudget))
+		if !accommodate {
+			best.combo = nil
+		}
+	}
 	if best.combo == nil {
-		// Nothing feasible (shouldn't happen: previous state was feasible).
-		// The ledger was never touched, so every claim is still in place.
-		return c.readmitDegraded(now, degraded, nil)
+		// Nothing feasible, or the budget ran out. The ledger was never
+		// touched, so every claim is still in place.
+		return c.readmitDegraded(now, degraded, nil), best.exhausted
 	}
 
 	// Adopt: release every movable claim, then reserve the combination in
@@ -299,7 +319,6 @@ func (c *Controller) reevaluateExhaustive(now time.Duration, skipInstance int) [
 		}
 		app.claim = nil
 	}
-	var events []Event
 	for i, id := range ids {
 		app := c.apps[id]
 		cd := best.combo[i]
@@ -317,7 +336,7 @@ func (c *Controller) reevaluateExhaustive(now time.Duration, skipInstance int) [
 			events = append(events, ev)
 		}
 	}
-	return c.readmitDegraded(now, degraded, events)
+	return c.readmitDegraded(now, degraded, events), best.exhausted
 }
 
 // readmitDegraded tries a greedy placement for each degraded app
@@ -342,112 +361,265 @@ func (c *Controller) readmitDegraded(now time.Duration, degraded []int, events [
 	return events
 }
 
-// jointSearch is one depth-first walk of the cross product of the
-// applications' choices, one application a level. There is one trial state,
-// cols: a level charges its choice to it by index, the levels below see the
-// charge, and on the way back up the level restores what it wrote, so every
-// sibling is tried on the very bits the one before it was. A trial is a
+// jointTrialBudget is how many trials one joint search may make. The walk is
+// exponential in the number of applications, and it runs inside Apply, on the
+// replica's only loop, on every member: the budget keeps one admission against
+// a full machine from stalling that loop past an election timeout. It counts
+// trials, never time, so every member and every replay of a log stops a
+// search at the same trial and decides alike. The value is set from hbench's
+// accommodate sweep (docs/OPTIMIZER.md): above the 8 177 trials of the
+// largest point that must finish (8 residents x 9 choices; 12 x 5 takes
+// 5 879), and at the slowest trial measured there, on a busy host, about
+// 30 ms: a tenth of the 300 ms election timeout.
+const jointTrialBudget = 10_000
+
+// jointSearch is a depth-first branch-and-bound walk of the cross product of
+// the applications' choices, one application a level. There is one trial
+// state, cols: a level charges its choice to it by index, the levels below see
+// the charge, and on the way back up the level restores what it wrote, so
+// every sibling is tried on the very bits the one before it was. A trial is a
 // first-fit over columns, a charge and one prediction by index; what does not
 // depend on where a choice lands is worked out once per choice (match.Plan,
 // made with the bundle's static analysis and shared with the greedy search),
 // and nothing is formatted or allocated for a choice that does not fit.
 // Leaves are adopted on strict improvement in enumeration order.
+//
+// The walk skips only what cannot change the winner: a choice that provably
+// does not fit on the state (availability), an inner node below which some
+// level has no choice left that may fit, and a choice whose bound — the score
+// of the levels above, the choice and every level below at the least they can
+// predict — is no better than the best leaf so far. So it picks what the
+// exhaustive walk picks, bit for bit, unless it stops at its budget first.
 type jointSearch struct {
-	c      *Controller
-	base   *resource.Snapshot
-	rows   []resource.NodeState // base's node table: descriptions and health
-	cols   resource.Columns
-	undo   resource.Undo
+	c    *Controller
+	base *resource.Snapshot
+	rows []resource.NodeState // base's node table: descriptions and health
+	// cols and undo are the evaluation context's: the trial state and the log
+	// that restores it.
+	cols   *resource.Columns
+	undo   *resource.Undo
 	levels []jointLevel
-	// fixed is the skipped application, which still counts toward the
-	// objective with the prediction it holds.
-	fixed *appState
-	jobs  []objective.JobPrediction
-	best  comboResult
-	// branchWarns is where the warnings of the current first-level choice
-	// start in best.warns: a warning is reported once per such branch.
-	branchWarns int
+	// jobs is what the objective scores: a job per level, which holds the
+	// prediction of the level's trial while the walk is below it, then the
+	// skipped application, which still counts with the prediction it holds.
+	jobs []objective.JobPrediction
+	best comboResult
+	// trials counts this search's trials, which may not pass the controller's
+	// jointBudget.
+	trials int
 }
 
-// jointLevel is one application of a joint search: its choices, the scan of
-// the state the levels above it left (every choice of the level is matched
-// against that one state, so they share its order), and the trial that is
-// charged while the levels below are walked.
+// jointLevel is one application of a joint search: its choices, the scan and
+// the availability of the state the levels above it left (every choice of the
+// level is matched against that one state, so they share its order), and the
+// trial that is charged while the levels below are walked.
 type jointLevel struct {
 	app     *appState
 	choices []jointChoice
+	// byBound lists the choices in ascending order of lower bound, ties in
+	// enumeration order.
+	byBound []int32
 	scan    match.Scan
+	avail   availability
+	// least holds, for this level and each below it, where in that level's
+	// byBound the least-bound choice that may still fit on this level's state
+	// stands; rest holds the lower bounds of those below this level, and
+	// bounded whether every one of them is a bound (positive).
+	least   []int32
+	rest    []float64
+	bounded bool
 	// trial is the choice being tried; asg and placed are its placement,
-	// overwritten by the level's next trial, predicted its prediction.
-	trial     *jointChoice
-	asg       match.Assignment
-	placed    predict.Placement
-	predicted float64
+	// overwritten by the level's next trial. Its prediction is the level's job.
+	// fits counts the level's trials that fit; best is the level's placement in
+	// the best leaf so far, copied from asg when fits was copied, so a leaf
+	// whose level still holds that trial copies nothing.
+	trial        *jointChoice
+	asg          match.Assignment
+	placed       predict.Placement
+	best         match.Assignment
+	fits, copied int
 }
 
 // jointChoice is one choice of one application in a joint search.
 type jointChoice struct {
 	choice Choice
 	st     *choiceStatic
-	// switches is whether adopting the choice changes the application's.
-	switches bool
+	// charged is whether the choice's friction counts: it switches the
+	// application's choice, and friction is not ignored. surcharge is what
+	// it adds to a score then, its friction amortized over the jobs.
+	charged   bool
+	surcharge float64
+	// lb is what the choice's prediction can never go below on this machine,
+	// 0 when that is not known.
+	lb float64
 }
 
 // searchJoint finds the best combination of one choice per application over
 // base, which holds none of their claims; perApp holds each application's
-// choices to try, as indices into its bundle's enumeration. The winner is
-// what a walk that forked base for every trial would pick, bit for bit
-// (searchByFork, in the tests, is that walk).
+// choices to try, as indices into its bundle's enumeration. Unless the search
+// spends its budget, the winner is what a walk that forked base for every
+// trial and tried every choice would pick, bit for bit (searchByFork, in the
+// tests, is that walk). It runs on the evaluation context's node table and
+// columns, which jointProblem filled from base.
 func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]int, skipInstance int) comboResult {
-	js := &jointSearch{c: c, base: base, rows: c.evalCtx.nodes, levels: make([]jointLevel, len(ids))}
+	ctx := &c.evalCtx
+	js := &jointSearch{c: c, base: base, rows: ctx.nodes, cols: &ctx.cols, undo: &ctx.undo, levels: make([]jointLevel, len(ids))}
 	js.best.score = math.Inf(1)
-	// Fixed (skipped) apps still count toward the objective.
-	js.fixed = c.apps[skipInstance]
-	base.ReadColumns(&js.cols)
+	js.jobs = make([]objective.JobPrediction, len(ids), len(ids)+1)
+	if fixed := c.apps[skipInstance]; fixed != nil {
+		js.jobs = append(js.jobs, objective.JobPrediction{Seconds: fixed.predicted})
+	}
+	fastest := fastestSpeed(js.rows)
+	up := newAvailability(js.rows, js.cols).up
 	for i, id := range ids {
 		lv := &js.levels[i]
 		lv.app = c.apps[id]
 		bs := lv.app.static // made by jointProblem, which pruned perApp
 		lv.choices = make([]jointChoice, len(perApp[i]))
+		lv.byBound = make([]int32, len(perApp[i]))
 		for j, k := range perApp[i] {
-			lv.choices[j] = jointChoice{choice: bs.choices[k], st: &bs.stat[k], switches: !bs.choices[k].Equal(lv.app.choice)}
+			st := &bs.stat[k]
+			lv.choices[j] = jointChoice{
+				choice:    bs.choices[k],
+				st:        st,
+				charged:   !c.cfg.IgnoreFriction && !bs.choices[k].Equal(lv.app.choice),
+				surcharge: st.friction / float64(len(js.jobs)),
+				lb:        st.lowerBound(fastest),
+			}
+			lv.byBound[j] = int32(j)
 		}
+		slices.SortStableFunc(lv.byBound, func(a, b int32) int { return cmp.Compare(lv.choices[a].lb, lv.choices[b].lb) })
+		lv.avail = availability{nodes: js.rows, up: up}
+		lv.least = make([]int32, len(ids))
+		lv.rest = make([]float64, len(ids)-i-1)
 	}
 	js.walk(0)
+	for i := range js.best.combo {
+		js.best.combo[i].assignment = js.levels[i].best.Clone()
+	}
 	return js.best
 }
 
-// walk tries every choice of the application at level on the state the
-// levels above it charged, and under each that fits walks the levels below.
+// fastestSpeed is the highest node speed in the table; +Inf, which leaves the
+// default model's choices without a bound, when there is none or one is not a
+// number.
+func fastestSpeed(rows []resource.NodeState) float64 {
+	fastest := 0.0
+	for i := range rows {
+		s := rows[i].Node.Speed
+		if math.IsNaN(s) {
+			return math.Inf(1)
+		}
+		fastest = max(fastest, s)
+	}
+	if fastest == 0 {
+		return math.Inf(1)
+	}
+	return fastest
+}
+
+// walk tries the choices of the application at level on the state the levels
+// above it charged, and under each that fits walks the levels below. A choice
+// that cannot fit is passed over; the node is cut when some level from this
+// one down has no choice left that may fit, and a choice when its bound is no
+// better than the best leaf so far. The walk stops when the budget is spent.
 func (js *jointSearch) walk(level int) {
 	if level == len(js.levels) {
 		js.leaf()
 		return
 	}
+	if !js.reach(level) {
+		js.best.cuts++
+		return
+	}
 	lv := &js.levels[level]
-	lv.scan.Reset(js.base, js.rows, &js.cols)
+	lv.scan.Reset(js.base, js.rows, js.cols)
 	for k := range lv.choices {
-		if level == 0 {
-			js.branchWarns = len(js.best.warns)
+		jc := &lv.choices[k]
+		if !lv.avail.mayFit(jc.st) {
+			continue
+		}
+		if js.cut(lv, level, jc) {
+			js.best.cuts++
+			continue
+		}
+		if js.trials == js.c.jointBudget {
+			js.best.exhausted = true
+			return
 		}
 		mark := js.undo.Mark()
-		if js.try(lv, &lv.choices[k]) {
+		if js.try(level, jc) {
 			js.walk(level + 1)
 		}
-		js.cols.Restore(&js.undo, mark)
+		js.cols.Restore(js.undo, mark)
+		if js.best.exhausted {
+			return
+		}
 	}
+}
+
+// reach aims the level's availability at the state the levels above it left
+// and finds, for this level and each below it, the least-bound choice that may
+// still fit there. That is the parent's, or one further along the level's
+// byBound: a state only loses capacity further down, so a choice that could
+// not fit above cannot fit here. It reports false when some level has none
+// left, so that no leaf lies below.
+func (js *jointSearch) reach(level int) bool {
+	lv := &js.levels[level]
+	lv.avail.aim(js.cols)
+	lv.bounded = true
+	for l := level; l < len(js.levels); l++ {
+		next := &js.levels[l]
+		at := 0
+		if level > 0 {
+			at = int(js.levels[level-1].least[l])
+		}
+		for at < len(next.byBound) && !lv.avail.mayFit(next.choices[next.byBound[at]].st) {
+			at++
+		}
+		if at == len(next.byBound) {
+			return false
+		}
+		lv.least[l] = int32(at)
+		if l > level {
+			lb := next.choices[next.byBound[at]].lb
+			lv.rest[l-level-1] = lb
+			lv.bounded = lv.bounded && lb > 0
+		}
+	}
+	return true
+}
+
+// cut reports whether trying jc at the level can be skipped because no leaf
+// below it can strictly beat the best so far: its bound, with jc's lower bound
+// in its slot and the least of each level below, is not below the best score.
+// A leaf is adopted only on strict improvement, so a cut never changes the
+// winner or the tie-break. With no bound for jc or for a level below, there is
+// no cut.
+func (js *jointSearch) cut(lv *jointLevel, level int, jc *jointChoice) bool {
+	if !lv.bounded || jc.lb == 0 {
+		return false
+	}
+	lv.trial = jc
+	js.jobs[level].Seconds = jc.lb // until the trial, if there is one, predicts it
+	for i, lb := range lv.rest {
+		js.jobs[level+1+i].Seconds = lb
+	}
+	return js.score(level+1) >= js.best.score
 }
 
 // try places, charges and predicts one choice on the trial state, and reports
 // whether it fits. The charge of a choice that fits is left in place for the
-// caller to restore.
-func (js *jointSearch) try(lv *jointLevel, jc *jointChoice) bool {
-	c := js.c
+// caller to restore. A friction warning is kept once per search, the first
+// time a choice that raises it fits.
+func (js *jointSearch) try(level int, jc *jointChoice) bool {
+	c, lv := js.c, &js.levels[level]
 	c.jointTrials++
+	js.trials++
 	if !lv.scan.Place(jc.st.plan, &lv.asg) {
 		return false
 	}
-	if err := match.ReserveColumns(&js.cols, js.base, lv.app.owner(), &lv.asg, &js.undo); err != nil {
+	if err := match.ReserveColumns(js.cols, js.base, lv.app.owner(), &lv.asg, js.undo); err != nil {
 		return false
 	}
 	in := predict.Indexed{View: js.base, Loads: js.cols.CPULoad, Reserved: js.cols.ReservedMbps}
@@ -455,64 +627,88 @@ func (js *jointSearch) try(lv *jointLevel, jc *jointChoice) bool {
 	if err != nil {
 		return false
 	}
-	if w := jc.st.frictionWarn; w != "" && !slices.Contains(js.best.warns[js.branchWarns:], w) {
+	if w := jc.st.frictionWarn; w != "" && !slices.Contains(js.best.warns, w) {
 		js.best.warns = append(js.best.warns, w)
 	}
-	lv.trial, lv.predicted = jc, pred.Seconds
+	lv.trial, lv.fits = jc, lv.fits+1
+	js.jobs[level].Seconds = pred.Seconds
 	return true
 }
 
-// leaf scores the combination the levels hold and keeps it if it is strictly
-// better than the best so far. Only then are the trial assignments copied out
-// of the levels' buffers.
-func (js *jointSearch) leaf() {
-	jobs := js.jobs[:0]
-	for i := range js.levels {
-		jobs = append(jobs, objective.JobPrediction{Seconds: js.levels[i].predicted})
-	}
-	if js.fixed != nil {
-		jobs = append(jobs, objective.JobPrediction{Seconds: js.fixed.predicted})
-	}
-	js.jobs = jobs
-	score := js.c.cfg.Objective(jobs)
-	if !js.c.cfg.IgnoreFriction {
-		for i := range js.levels {
-			if jc := js.levels[i].trial; jc.switches {
-				score += jc.st.friction / float64(len(jobs))
-			}
+// score is the objective over jobs — a value for each level, in level order,
+// then the fixed application's prediction — plus the friction of each of the
+// first decided levels whose choice switches, added in level order. With every
+// level decided and each level's job its prediction it is a leaf's score. A
+// bound (cut) puts lower bounds in the jobs from the last decided level on, and
+// is then at most the score of any leaf below: the objective is
+// non-decreasing in each job's seconds (objective.Func), rounding is monotone,
+// and the friction left out is never negative.
+func (js *jointSearch) score(decided int) float64 {
+	score := js.c.cfg.Objective(js.jobs)
+	for i := range js.levels[:decided] {
+		if jc := js.levels[i].trial; jc.charged {
+			score += jc.surcharge
 		}
 	}
-	if score < js.best.score {
-		js.best.score = score
+	return score
+}
+
+// leaf scores the combination the levels hold and keeps it if it is strictly
+// better than the best so far. Only then are the trial assignments copied, into
+// the levels' best buffers, and only those of levels whose trial changed since
+// the last copy; searchJoint clones the winner's out of those.
+func (js *jointSearch) leaf() {
+	score := js.score(len(js.levels))
+	if !(score < js.best.score) {
+		return
+	}
+	js.best.score = score
+	if js.best.combo == nil {
 		js.best.combo = make([]candidate, len(js.levels))
-		for i := range js.levels {
-			lv := &js.levels[i]
-			js.best.combo[i] = candidate{
-				choice:     lv.trial.choice,
-				assignment: lv.asg.Clone(),
-				predicted:  lv.predicted,
-				friction:   lv.trial.st.friction,
-			}
+	}
+	for i := range js.levels {
+		lv := &js.levels[i]
+		if lv.copied != lv.fits {
+			lv.asg.CopyTo(&lv.best)
+			lv.copied = lv.fits
+		}
+		js.best.combo[i] = candidate{
+			choice:    lv.trial.choice,
+			predicted: js.jobs[i].Seconds,
+			friction:  lv.trial.st.friction,
 		}
 	}
 }
 
 // JointTrials reports how many choices the joint search has tried — matched,
 // and when they fit charged and predicted — since construction: the unit the
-// search's cost is counted in. It depends on the applications and the cluster
-// alone, so it repeats exactly from run to run.
+// search's cost and its budget are counted in. It depends on the applications
+// and the cluster alone, so it repeats exactly from run to run.
 func (c *Controller) JointTrials() uint64 { return c.view.Load().jointTrials }
+
+// JointBudgetHits reports how many joint searches have stopped at their trial
+// budget since construction.
+func (c *Controller) JointBudgetHits() uint64 { return c.view.Load().jointBudgetHits }
 
 // EvaluationCount reports how many (choice, app) evaluations a greedy pass
 // performs versus an exhaustive pass for the current system; used by the A2
-// ablation bench to quantify search-space savings.
+// ablation bench to quantify search-space savings. The exhaustive count is a
+// product that outgrows an int on a few dozen applications; it saturates at
+// math.MaxInt.
 func (c *Controller) EvaluationCount() (greedy, exhaustive int) {
 	bundles := c.view.Load().bundles
 	exhaustive = 1
 	for _, b := range bundles {
 		n := len(enumerateChoices(b))
 		greedy += n
-		exhaustive *= n
+		switch {
+		case n == 0:
+			exhaustive = 0
+		case exhaustive > math.MaxInt/n:
+			exhaustive = math.MaxInt
+		default:
+			exhaustive *= n
+		}
 	}
 	if len(bundles) == 0 {
 		exhaustive = 0

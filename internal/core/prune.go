@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"harmony/internal/match"
+	"harmony/internal/predict"
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
 )
@@ -44,6 +45,14 @@ type choiceStatic struct {
 	// wildcard is the total replica count over wildcard specs; they all
 	// take distinct hosts within one Match.
 	wildcard int
+
+	// floor is what the choice's prediction can never go below, wherever it
+	// lands and however loaded its nodes are (see lowerBound); 0 when nothing
+	// useful is known.
+	floor float64
+	// perSpeed marks a floor in reference seconds, which lowerBound divides by
+	// the fastest node's speed: the default model's.
+	perSpeed bool
 }
 
 // bundleStatic caches a bundle's enumeration and per-choice analysis on
@@ -141,33 +150,101 @@ func analyzeChoice(app string, opt *rsl.OptionSpec, plan *match.Plan) choiceStat
 		return st
 	}
 	st.specs = demands
+	st.floor, st.perSpeed = floorOf(opt, demands)
 	return st
 }
 
-// availability is a one-pass aggregate of an evaluation snapshot: its node
-// table, the number of healthy nodes in it, and memoized eligibility counts
-// per demand shape.
-type availability struct {
-	nodes  []resource.NodeState // hostname order
-	up     int
-	counts map[match.Demand]int
+// floorOf finds what a prediction of a choice with these demands can never go
+// below. The explicit model is the curve at the placement's node count times a
+// CPU and a communication slowdown, each at least 1, so the floor is the curve
+// there. The default model is the slowest placement's seconds over its node's
+// effective speed, times a communication slowdown of at least 1; an effective
+// speed is never above the node's speed, so the floor is the largest seconds
+// of a spec (each places at least one replica) over the fastest speed on
+// offer, which the caller supplies (perSpeed). Floating-point rounding is
+// monotone, so neither product nor quotient can round below its floor.
+func floorOf(opt *rsl.OptionSpec, demands []match.Demand) (floor float64, perSpeed bool) {
+	nodes := 0
+	for _, d := range demands {
+		nodes += d.Replicas
+		if d.Seconds > floor {
+			floor = d.Seconds
+		}
+	}
+	if len(opt.Performance) > 0 {
+		floor, _ = predict.Interpolate(opt.Performance, float64(nodes))
+		return floor, false
+	}
+	return floor, true
 }
 
-// newAvailability scans the evaluation snapshot's node table once. Only
-// HealthUp nodes accept placements, matching the matcher's scan.
-func newAvailability(nodes []resource.NodeState) *availability {
+// lowerBound is the choice's floor on a machine whose fastest node runs at
+// fastest, or 0 when there is none: a bound of 0 or less is no bound, and a
+// search does not cut on it.
+func (st *choiceStatic) lowerBound(fastest float64) float64 {
+	lb := st.floor
+	if st.perSpeed {
+		lb /= fastest
+	}
+	if !(lb > 0) {
+		return 0
+	}
+	return lb
+}
+
+// availability is what a placement may still find on one state: the node
+// table (descriptions and health), the state's free memory and CPU load by
+// node index, the number of healthy nodes, and eligibility counts memoized per
+// demand shape. It is the one proof that a choice cannot fit, read by greedy
+// pruning against an evaluation's base and by the joint search against its
+// trial columns at every inner node.
+type availability struct {
+	nodes      []resource.NodeState // hostname order
+	free, load []float64            // by node index
+	up         int
+	// counts holds the shapes counted on this state. An evaluation meets a
+	// handful of shapes (every choice of a bag has its workers'), so a list is
+	// searched faster than a map's key is hashed.
+	counts []shapeCount
+}
+
+// shapeCount is how many nodes a demand's shape may use. A shape is what
+// eligibility reads of a wildcard demand — its tags, memory and exclusivity,
+// not its name, seconds or replica count — and shape holds the first demand
+// counted with it.
+type shapeCount struct {
+	shape match.Demand
+	n     int
+}
+
+// newAvailability counts the table's healthy nodes — only HealthUp nodes
+// accept placements, matching the matcher's scan — and aims at cols.
+func newAvailability(nodes []resource.NodeState, cols *resource.Columns) *availability {
 	av := &availability{nodes: nodes}
 	for i := range av.nodes {
 		if av.nodes[i].Health == resource.HealthUp {
 			av.up++
 		}
 	}
+	av.aim(cols)
 	return av
 }
 
-// eligible mirrors the matcher's firstFit preconditions for one node
-// against one replica of a demand.
-func eligible(ns *resource.NodeState, d *match.Demand) bool {
+// aim points the availability at the free memory and load in cols, a state
+// of the same node table, and forgets the counts made on the last one.
+func (av *availability) aim(cols *resource.Columns) {
+	av.free, av.load = cols.FreeMemoryMB, cols.CPULoad
+	av.counts = av.counts[:0]
+}
+
+// eligible mirrors the matcher's firstFit preconditions for the node at
+// index i against one replica of a demand. The state's columns are read
+// first: on a busy machine they turn most nodes away.
+func (av *availability) eligible(i int, d *match.Demand) bool {
+	if av.free[i] < d.MemoryMB || (d.Exclusive && av.load[i] > 0) {
+		return false
+	}
+	ns := &av.nodes[i]
 	host := ns.Node.Hostname
 	if ns.Health != resource.HealthUp {
 		return false
@@ -181,45 +258,40 @@ func eligible(ns *resource.NodeState, d *match.Demand) bool {
 	if d.OS != "" && d.OS != ns.Node.OS {
 		return false
 	}
-	if ns.FreeMemoryMB < d.MemoryMB {
-		return false
-	}
-	if d.Exclusive && ns.CPULoad > 0 {
-		return false
-	}
 	return true
 }
 
 // eligibleCount counts hosts a wildcard demand could use, memoized by
-// demand shape (the key leaves out the name, seconds and replica count,
-// which do not affect per-host eligibility).
+// demand shape (every demand counted is a wildcard's).
 func (av *availability) eligibleCount(d *match.Demand) int {
-	key := match.Demand{Host: d.Host, OS: d.OS, Hostname: d.Hostname, MemoryMB: d.MemoryMB, Exclusive: d.Exclusive}
-	if n, ok := av.counts[key]; ok {
-		return n
+	for i := range av.counts {
+		if s := &av.counts[i].shape; s.MemoryMB == d.MemoryMB && s.Exclusive == d.Exclusive &&
+			s.OS == d.OS && s.Hostname == d.Hostname {
+			return av.counts[i].n
+		}
 	}
 	n := 0
 	for i := range av.nodes {
-		if eligible(&av.nodes[i], d) {
+		if av.eligible(i, d) {
 			n++
 		}
 	}
-	if av.counts == nil {
-		av.counts = make(map[match.Demand]int)
-	}
-	av.counts[key] = n
+	av.counts = append(av.counts, shapeCount{*d, n})
 	return n
 }
 
-// feasible checks necessary conditions for a Match of this choice against
-// the availability's view. Every condition is implied by a successful
-// Match, so a false result proves the matcher must fail: wildcard replicas
-// need that many distinct eligible hosts (the matcher's used-map spans all
-// specs, so their total is also bounded by the healthy-node count), and
-// fixed-host replicas stack their grants on one machine's free memory via
-// the same iterative comparison the matcher's scratch state performs.
-func (av *availability) feasible(st *choiceStatic) bool {
-	if st.wildcard > av.up {
+// mayFit checks necessary conditions for a Match of this choice against
+// the availability's state. Every condition is implied by a successful
+// Match, so a false result proves the matcher must fail: the choice must not
+// fail on every state, wildcard replicas need that many distinct eligible
+// hosts (the matcher's used-map spans all specs, so their total is also
+// bounded by the healthy-node count), and fixed-host replicas stack their
+// grants on one machine's free memory via the same iterative comparison the
+// matcher's scratch state performs. Charging a state only takes free memory
+// away and adds load, so a choice that cannot fit on a state cannot fit on any
+// state charged further.
+func (av *availability) mayFit(st *choiceStatic) bool {
+	if st.alwaysFails || st.wildcard > av.up {
 		return false
 	}
 	for i := range st.specs {
@@ -231,20 +303,10 @@ func (av *availability) feasible(st *choiceStatic) bool {
 			continue
 		}
 		i, ok := resource.FindNode(av.nodes, d.Host)
-		if !ok || av.nodes[i].Health != resource.HealthUp {
+		if !ok || !av.eligible(i, d) {
 			return false
 		}
-		ns := &av.nodes[i]
-		if d.Hostname != "" && d.Hostname != ns.Node.Hostname {
-			return false
-		}
-		if d.OS != "" && d.OS != ns.Node.OS {
-			return false
-		}
-		if d.Exclusive && ns.CPULoad > 0 {
-			return false
-		}
-		free := ns.FreeMemoryMB
+		free := av.free[i]
 		for r := 0; r < d.Replicas; r++ {
 			if free < d.MemoryMB {
 				return false
@@ -259,18 +321,18 @@ func (av *availability) feasible(st *choiceStatic) bool {
 // evaluation, returning the indices of those to evaluate, in enumeration
 // order. current (the app's adopted choice) is never pruned. If every choice
 // would be pruned, nothing is: evaluating the full set preserves the
-// no-feasible-option error's diagnostic detail. nodes is the evaluation
-// snapshot's node table; in the exhaustive search that of the all-released
-// base snapshot: deeper levels only ever shrink capacity, so infeasibility
-// against the base holds for every branch.
-func (c *Controller) pruneChoices(bs *bundleStatic, current Choice, nodes []resource.NodeState) []int {
+// no-feasible-option error's diagnostic detail. nodes and cols are the
+// evaluation snapshot's node table and state; in the exhaustive search those
+// of the all-released base snapshot: deeper levels only ever shrink capacity,
+// so infeasibility against the base holds for every branch.
+func (c *Controller) pruneChoices(bs *bundleStatic, current Choice, nodes []resource.NodeState, cols *resource.Columns) []int {
 	if c.disablePruning {
 		return bs.all()
 	}
-	av := newAvailability(nodes)
+	av := newAvailability(nodes, cols)
 	kept := make([]int, 0, len(bs.choices))
 	for i, ch := range bs.choices {
-		if st := &bs.stat[i]; ch.Equal(current) || (!st.alwaysFails && av.feasible(st)) {
+		if ch.Equal(current) || av.mayFit(&bs.stat[i]) {
 			kept = append(kept, i)
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -23,7 +24,7 @@ import (
 // second, predictions per pass and the share of candidates pruned. A third
 // shape, accommodate, measures the joint search instead: one arrival on a
 // machine its residents fill, in ns and in trials per accommodation.
-// cmd/hbench -json serializes the report (BENCH_26.json is the committed
+// cmd/hbench -json serializes the report (BENCH_29.json is the committed
 // baseline) and scripts/bench.sh gates CI on it.
 
 // OptBenchConfig parameterizes the hot-path benchmark.
@@ -38,9 +39,6 @@ type OptBenchConfig struct {
 	// has no others, and its sizes are resident counts: the machine is five
 	// nodes per resident, which the residents fill.
 	ShapeNodeCounts map[string][]int
-	// Deadline is how long one accommodation may take before its point, and
-	// every larger one, is recorded as not finished; 0 means 30 s.
-	Deadline time.Duration
 	// MinMeasure is the minimum wall-clock per measurement.
 	MinMeasure time.Duration
 	// MaxIters caps re-evaluation passes per measurement.
@@ -82,15 +80,17 @@ type OptBenchPoint struct {
 	// ChoicesPerPass on: Residents bags of Choices choices each (workerNodes
 	// 1..Choices) fill the machine, and one more arrives. TrialsPerAccommodation
 	// is the joint search's own count (core.Controller.JointTrials) and repeats
-	// exactly; DNF marks a point whose first accommodation outran the deadline.
+	// exactly; BudgetHit marks a point whose search stopped at its trial budget
+	// (and then placed the arrival on the best combination it had found, or
+	// turned it away).
 	Residents              int     `json:"residents,omitempty"`
 	Choices                int     `json:"choices,omitempty"`
 	NsPerAccommodation     float64 `json:"ns_per_accommodation,omitempty"`
 	TrialsPerAccommodation uint64  `json:"trials_per_accommodation,omitempty"`
-	DNF                    bool    `json:"dnf,omitempty"`
+	BudgetHit              bool    `json:"budget_hit,omitempty"`
 }
 
-// OptBenchReport is the machine-readable benchmark output (BENCH_26.json).
+// OptBenchReport is the machine-readable benchmark output (BENCH_29.json).
 // GoMaxProcs is the process's setting, the larger of the two every point is
 // measured at.
 type OptBenchReport struct {
@@ -170,7 +170,7 @@ func buildOptBenchController(shape string, nodes int) (*core.Controller, *simclo
 	case "fig7":
 		// The server's buffer pool scales with the client population so the
 		// bench measures evaluation cost, not admission-control fallout (a
-		// client that cannot fit would trigger the exponential joint search).
+		// client that cannot fit would trigger the joint search).
 		decls := []*rsl.NodeDecl{{Hostname: "dbserver", Speed: 1, MemoryMB: 64 + 24*float64(nodes), OS: "linux", CPUs: 1}}
 		for i := 1; i < nodes; i++ {
 			decls = append(decls, &rsl.NodeDecl{
@@ -282,20 +282,13 @@ func RunOptBench(cfg OptBenchConfig) (*OptBenchReport, error) {
 			}
 		}
 	}
-	// The accommodate points come last and smallest first: a search that
-	// outruns the deadline cannot be stopped, so nothing is measured beside it.
-	unfinished := false
 	for _, residents := range cfg.ShapeNodeCounts["accommodate"] {
 		for _, choices := range accommodateChoices {
 			for _, procs := range procsList {
-				pt := &OptBenchPoint{Shape: "accommodate", Nodes: 5 * residents, Residents: residents, Choices: choices, DNF: true}
-				if !unfinished {
-					runtime.GOMAXPROCS(procs)
-					var err error
-					if pt, err = runAccommodatePoint(residents, choices, cfg); err != nil {
-						return nil, err
-					}
-					unfinished = pt.DNF
+				runtime.GOMAXPROCS(procs)
+				pt, err := runAccommodatePoint(residents, choices, cfg)
+				if err != nil {
+					return nil, err
 				}
 				pt.Procs = procs
 				report.Points = append(report.Points, *pt)
@@ -325,9 +318,9 @@ func runAccommodatePoint(residents, choices int, cfg OptBenchConfig) (*OptBenchP
 		return nil, err
 	}
 	clock := simclock.New()
+	defer clock.Stop()
 	ctrl, err := core.New(core.Config{Cluster: cl, Clock: clock})
 	if err != nil {
-		clock.Stop()
 		return nil, err
 	}
 	bag := func(job int, work float64) (*rsl.BundleSpec, error) {
@@ -354,47 +347,30 @@ func runAccommodatePoint(residents, choices int, cfg OptBenchConfig) (*OptBenchP
 	if err != nil {
 		return nil, err
 	}
+	// An arrival turned away at the budget left the state as it found it, so
+	// the next accommodation repeats its work as one that was placed does.
 	accommodate := func() (time.Duration, error) {
 		start := time.Now()
 		inst, _, err := ctrl.Register(arrival)
 		took := time.Since(start)
-		if err == nil {
+		switch {
+		case err == nil:
 			_, err = ctrl.Unregister(inst)
+		case errors.Is(err, core.ErrSearchBudget):
+			err = nil
 		}
 		return took, err
 	}
 
-	// The first accommodation runs against the deadline. One that outruns it
-	// is left running, with its controller: there is no way to stop it.
-	type outcome struct {
-		took time.Duration
-		err  error
-	}
-	first := make(chan outcome, 1)
-	trials := ctrl.JointTrials()
-	//harmonylint:allow goroutinelife one Register call, which returns when its search does; past the deadline nothing waits for it, by design
-	go func() {
-		took, err := accommodate()
-		first <- outcome{took, err}
-	}()
-	deadline := cfg.Deadline
-	if deadline <= 0 {
-		deadline = 30 * time.Second
-	}
-	var o outcome
-	select {
-	case o = <-first:
-	case <-time.After(deadline):
-		pt.DNF = true
-		return pt, nil
-	}
-	defer clock.Stop()
-	if o.err != nil {
-		return nil, fmt.Errorf("optbench accommodate %dx%d: %w", residents, choices, o.err)
+	trials, hits := ctrl.JointTrials(), ctrl.JointBudgetHits()
+	took, err := accommodate()
+	if err != nil {
+		return nil, fmt.Errorf("optbench accommodate %dx%d: %w", residents, choices, err)
 	}
 	pt.TrialsPerAccommodation = ctrl.JointTrials() - trials
-	pt.NsPerAccommodation, pt.Iters = float64(o.took.Nanoseconds()), 1
-	if o.took >= cfg.MinMeasure {
+	pt.BudgetHit = ctrl.JointBudgetHits() > hits
+	pt.NsPerAccommodation, pt.Iters = float64(took.Nanoseconds()), 1
+	if took >= cfg.MinMeasure {
 		return pt, nil
 	}
 	pt.Iters = 0
@@ -450,10 +426,10 @@ func OptBenchResult(report *OptBenchReport) *Result {
 	res := &Result{ID: "B3", Title: "optimizer hot path: greedy passes and joint accommodations"}
 	for _, p := range report.Points {
 		if p.Shape == "accommodate" {
-			took := "did not finish"
-			if !p.DNF {
-				took = fmt.Sprintf("%.3fms trials=%d ns/trial=%.0f", p.NsPerAccommodation/1e6, p.TrialsPerAccommodation,
-					p.NsPerAccommodation/float64(p.TrialsPerAccommodation))
+			took := fmt.Sprintf("%.3fms trials=%d ns/trial=%.0f", p.NsPerAccommodation/1e6, p.TrialsPerAccommodation,
+				p.NsPerAccommodation/float64(p.TrialsPerAccommodation))
+			if p.BudgetHit {
+				took += " (budget hit)"
 			}
 			res.Rows = append(res.Rows, fmt.Sprintf("%-5s n=%-4d procs=%-2d residents=%d choices=%d accommodation=%s",
 				"accom", p.Nodes, p.Procs, p.Residents, p.Choices, took))
@@ -471,7 +447,7 @@ func OptBenchResult(report *OptBenchReport) *Result {
 	allPositive := true
 	for _, p := range report.Points {
 		if p.Shape == "accommodate" {
-			allPositive = allPositive && (p.DNF || (p.NsPerAccommodation > 0 && p.TrialsPerAccommodation > 0))
+			allPositive = allPositive && p.NsPerAccommodation > 0 && p.TrialsPerAccommodation > 0
 			continue
 		}
 		if !(p.EvalsPerSec > 0) {

@@ -71,9 +71,11 @@ func TestOptBenchRejectsEmptyConfig(t *testing.T) {
 }
 
 // TestOptBenchAccommodate measures the joint search beside two residents and
-// checks the count it is reported in: 5 choices tried under each of the
-// 1 + 5 + 25 inner nodes, 9 under each of 1 + 9 + 45 (a third bag only fits
-// beside two that leave it a node), the same at every accommodation.
+// checks the count it is reported in, the same at every accommodation: 47
+// trials with 5 choices a bag and 58 with 9, where trying every choice under
+// every inner node took 155 (5 under each of 1 + 5 + 25) and 495 (9 under each
+// of 1 + 9 + 45; a third bag only fits beside two that leave it a node). Such
+// a search is far from its budget.
 func TestOptBenchAccommodate(t *testing.T) {
 	cfg := OptBenchConfig{
 		Shapes:          []string{"accommodate"},
@@ -85,9 +87,9 @@ func TestOptBenchAccommodate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[int]uint64{5: 155, 9: 495}
+	want := map[int]uint64{5: 47, 9: 58}
 	for _, p := range rep.Points {
-		if p.Shape != "accommodate" || p.Nodes != 10 || p.Residents != 2 || p.DNF {
+		if p.Shape != "accommodate" || p.Nodes != 10 || p.Residents != 2 || p.BudgetHit {
 			t.Fatalf("unexpected point: %+v", p)
 		}
 		if p.TrialsPerAccommodation != want[p.Choices] || !(p.NsPerAccommodation > 0) || p.Iters < 1 {
@@ -100,20 +102,26 @@ func TestOptBenchAccommodate(t *testing.T) {
 	if res := OptBenchResult(rep); !res.Passed() || len(res.Rows) != len(rep.Points) {
 		t.Fatalf("result formatting broken: %+v", res)
 	}
+}
 
-	// An accommodation that outruns the deadline is reported as such, and so
-	// is every point after it, unmeasured.
-	cfg.Deadline = time.Nanosecond
-	rep, err = RunOptBench(cfg)
+// TestOptBenchAccommodateBudgetHit measures beside ten residents, where bags
+// of 5 choices are decided in 3 265 trials and bags of 9 run into the joint
+// search's budget of 10 000: that point is flagged, and the accommodation it
+// stops at still repeats exactly.
+func TestOptBenchAccommodateBudgetHit(t *testing.T) {
+	rep, err := RunOptBench(OptBenchConfig{
+		Shapes:          []string{"accommodate"},
+		ShapeNodeCounts: map[string][]int{"accommodate": {10}},
+		MinMeasure:      time.Millisecond,
+		MaxIters:        1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := map[int]uint64{5: 3265, 9: 10000}
 	for _, p := range rep.Points {
-		if !p.DNF || p.NsPerAccommodation != 0 {
-			t.Errorf("point past the deadline: %+v", p)
+		if p.TrialsPerAccommodation != want[p.Choices] || p.BudgetHit != (p.Choices == 9) {
+			t.Errorf("%d choices: %+v, want %d trials and a budget hit only with 9", p.Choices, p, want[p.Choices])
 		}
-	}
-	if res := OptBenchResult(rep); !res.Passed() {
-		t.Fatalf("unfinished points fail the report: %+v", res)
 	}
 }

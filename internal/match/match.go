@@ -318,26 +318,28 @@ func scanOrder(load []float64, order []int32) []int32 {
 			first = int32(i)
 		}
 	}
-	smallest := 0
-	for i := range load {
-		if compareLoad(load, int32(i), first) == 0 {
-			smallest++
-		}
-	}
-	// Both parts are filled in index order, so when the rest share one load too
-	// (a machine of idle and of equally busy nodes) the sort finds them sorted.
-	order = append(order, make([]int32, len(load))...)
-	lo, hi := 0, smallest
+	// The smallest fill the front in index order, the rest the back in reverse
+	// index order, which is then turned round: when the rest share one load too
+	// (a machine of idle and of equally busy nodes) they are sorted already.
+	n := len(load)
+	order = append(order, make([]int32, n)...)
+	lo, hi := 0, n
+	same := true
 	for i := range load {
 		if compareLoad(load, int32(i), first) == 0 {
 			order[lo] = int32(i)
 			lo++
 		} else {
+			hi--
+			same = same && (hi == n-1 || load[i] == load[order[n-1]])
 			order[hi] = int32(i)
-			hi++
 		}
 	}
-	slices.SortFunc(order[smallest:], func(i, j int32) int {
+	slices.Reverse(order[lo:])
+	if same {
+		return order
+	}
+	slices.SortFunc(order[lo:], func(i, j int32) int {
 		if c := compareLoad(load, i, j); c != 0 {
 			return c
 		}
@@ -912,6 +914,20 @@ func (a *Assignment) Clone() *Assignment {
 		c.comm = slices.Clone(a.comm)
 	}
 	return &c
+}
+
+// CopyTo makes dst a copy of the assignment in dst's own storage: for a
+// caller that keeps the best of many trial placements and clones only the one
+// it ends up with.
+func (a *Assignment) CopyTo(dst *Assignment) {
+	*dst = Assignment{
+		Option:            a.Option,
+		Nodes:             append(dst.Nodes[:0], a.Nodes...),
+		Links:             append(dst.Links[:0], a.Links...),
+		CommunicationMbps: a.CommunicationMbps,
+		topo:              a.topo,
+		comm:              append(dst.comm[:0], a.comm...),
+	}
 }
 
 // appendClaims appends the claims that reserving the assignment makes.

@@ -73,26 +73,44 @@ func SplitPath(path string) ([]string, error) {
 	if path == "" {
 		return nil, nil
 	}
-	parts := strings.Split(path, ".")
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
-		}
+	if err := checkPath(path); err != nil {
+		return nil, err
 	}
-	return parts, nil
+	return strings.Split(path, "."), nil
+}
+
+// checkPath rejects a path that is not the root and has an empty component.
+func checkPath(path string) error {
+	if path[0] == '.' || path[len(path)-1] == '.' || strings.Contains(path, "..") {
+		return fmt.Errorf("%w: %q", ErrBadPath, path)
+	}
+	return nil
 }
 
 // JoinPath assembles path components into a dotted path.
 func JoinPath(parts ...string) string { return strings.Join(parts, ".") }
 
 type node struct {
-	children map[string]*node
+	children map[string]*node // nil for a node made as a leaf
 	value    Value
 	isLeaf   bool
 }
 
 func newNode() *node {
 	return &node{children: make(map[string]*node)}
+}
+
+// splitLast validates a path that is not the root as SplitPath does and
+// splits off its last component, without allocating: writes walk the
+// directory part with strings.Cut.
+func splitLast(path string) (dir, last string, err error) {
+	if err := checkPath(path); err != nil {
+		return "", "", err
+	}
+	if i := strings.LastIndexByte(path, '.'); i >= 0 {
+		return path[:i], path[i+1:], nil
+	}
+	return "", path, nil
 }
 
 // WatchFunc is invoked after a mutation beneath the watched prefix with the
@@ -124,16 +142,18 @@ func New() *Tree {
 // Set stores a leaf value at path, creating intermediate directories as
 // needed. Setting a value on an existing directory fails with ErrNotLeaf.
 func (t *Tree) Set(path string, v Value) error {
-	parts, err := SplitPath(path)
+	if path == "" {
+		return fmt.Errorf("%w: cannot set root", ErrBadPath)
+	}
+	dir, last, err := splitLast(path)
 	if err != nil {
 		return err
 	}
-	if len(parts) == 0 {
-		return fmt.Errorf("%w: cannot set root", ErrBadPath)
-	}
 	t.mu.Lock()
 	cur := t.root
-	for _, p := range parts[:len(parts)-1] {
+	for dir != "" {
+		var p string
+		p, dir, _ = strings.Cut(dir, ".")
 		child, ok := cur.children[p]
 		if !ok {
 			child = newNode()
@@ -145,14 +165,14 @@ func (t *Tree) Set(path string, v Value) error {
 		}
 		cur = child
 	}
-	last := parts[len(parts)-1]
 	leaf, ok := cur.children[last]
 	if ok && !leaf.isLeaf && len(leaf.children) > 0 {
 		t.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotLeaf, path)
 	}
 	if !ok {
-		leaf = newNode()
+		// A leaf never gets children: Set refuses to cross it.
+		leaf = new(node)
 		cur.children[last] = leaf
 	}
 	leaf.isLeaf = true
@@ -215,16 +235,18 @@ func (t *Tree) Exists(path string) bool {
 // Delete removes the subtree at path. Deleting a missing path returns
 // ErrNotFound.
 func (t *Tree) Delete(path string) error {
-	parts, err := SplitPath(path)
+	if path == "" {
+		return fmt.Errorf("%w: cannot delete root", ErrBadPath)
+	}
+	dir, last, err := splitLast(path)
 	if err != nil {
 		return err
 	}
-	if len(parts) == 0 {
-		return fmt.Errorf("%w: cannot delete root", ErrBadPath)
-	}
 	t.mu.Lock()
 	cur := t.root
-	for _, p := range parts[:len(parts)-1] {
+	for dir != "" {
+		var p string
+		p, dir, _ = strings.Cut(dir, ".")
 		child, ok := cur.children[p]
 		if !ok {
 			t.mu.Unlock()
@@ -232,7 +254,6 @@ func (t *Tree) Delete(path string) error {
 		}
 		cur = child
 	}
-	last := parts[len(parts)-1]
 	if _, ok := cur.children[last]; !ok {
 		t.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, path)

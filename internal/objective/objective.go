@@ -27,6 +27,14 @@ type JobPrediction struct {
 // Func reduces a set of job predictions to a single value to MINIMIZE.
 // Implementations must return +Inf rather than an error for infeasible
 // states so the optimizer can rank them last.
+//
+// An objective must be non-decreasing in every job's Seconds over positive
+// values: raising one job's Seconds from a positive value, by however little,
+// must never lower the result, whatever the other jobs hold. The controller's
+// joint search rests on this: it skips a branch when the objective over lower
+// bounds of the predictions still to be made cannot beat the best combination
+// found, which is sound only if a larger prediction never scores better. Every
+// objective ByName returns complies (TestObjectivesAreMonotone).
 type Func func(jobs []JobPrediction) float64
 
 // MeanResponseTime is the paper's default objective: the average predicted

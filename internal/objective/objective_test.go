@@ -2,6 +2,8 @@ package objective
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +128,52 @@ func TestPropertyMeanBounds(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestObjectivesAreMonotone holds every objective ByName resolves to the
+// Func contract the joint search's bound rests on: on seeded random jobs —
+// seconds from denormal to the largest float, weights zero or positive —
+// raising any one job's positive seconds, by one ulp, by a random factor or to
+// +Inf, never lowers the result, compared as float64s.
+func TestObjectivesAreMonotone(t *testing.T) {
+	names := []string{"", "mean", "meanResponseTime", "total", "totalResponseTime", "throughput", "max", "makespan", "weighted", "weightedMean"}
+	rng := rand.New(rand.NewSource(1))
+	seconds := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return math.SmallestNonzeroFloat64
+		case 1:
+			return math.MaxFloat64
+		}
+		return math.Exp(40*rng.Float64() - 20)
+	}
+	checked := 0
+	for round := 0; round < 2000; round++ {
+		js := make([]JobPrediction, 1+rng.Intn(12))
+		for i := range js {
+			js[i].Seconds = seconds()
+			if rng.Intn(2) == 0 {
+				js[i].Weight = math.Exp(10*rng.Float64() - 5)
+			}
+		}
+		i := rng.Intn(len(js))
+		s := js[i].Seconds
+		for _, raised := range []float64{math.Nextafter(s, math.Inf(1)), s * (1 + rng.Float64()), s + seconds(), math.Inf(1)} {
+			up := slices.Clone(js)
+			up[i].Seconds = raised
+			for _, name := range names {
+				f, err := ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if before, after := f(js), f(up); after < before {
+					t.Fatalf("%q: raising job %d from %v to %v lowered %v to %v (jobs %+v)", name, i, s, raised, before, after, js)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d raises checked", checked)
 }
 
 // Property: improving (reducing) any single job's time never worsens mean,
