@@ -12,8 +12,8 @@ test:
 check:
 	sh scripts/check.sh
 
-# The three project invariant analyzers (goroutinelife, protoexhaustive,
-# replaydeterminism); see docs/ANALYZERS.md.
+# The two project invariant analyzers (protoexhaustive, replaydeterminism);
+# see docs/ANALYZERS.md.
 lint:
 	$(GO) run ./cmd/harmonylint ./...
 

@@ -7,13 +7,12 @@
 // every variable binding the option admits, plus the range of the
 // explicit performance model over the attainable node counts.
 //
-// Two consumers build on the vectors. Package vet proves options dead
-// before the controller ever sees them (dominated-option,
-// unreachable-option, and the workload checks' lower bounds). Package
-// core prunes statically dominated or unreachable candidates before the
-// expensive snapshot-fork + match + predict pipeline runs. Soundness is
-// the shared contract: every bound is an over-approximation, so a "never"
-// proved here is a "never" in the concrete system.
+// Package vet builds on the vectors to prove options dead before the
+// controller ever sees them (dominated-option, unreachable-option), and
+// harmonyctl analyze prints them. The controller does not use them: its
+// pruning proves infeasibility from each choice's resolved plan instead.
+// Soundness is the contract: every bound is an over-approximation, so a
+// "never" proved here is a "never" in the concrete system.
 package bounds
 
 import (

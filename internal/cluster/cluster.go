@@ -151,19 +151,6 @@ func (c *Cluster) AddNode(d *rsl.NodeDecl) error {
 // Ledger exposes the capacity ledger for matching and claims.
 func (c *Cluster) Ledger() *resource.Ledger { return c.ledger }
 
-// SetNodeState transitions a machine's lifecycle state (up, draining,
-// down). Down and draining machines accept no new placements; marking a
-// machine down does not evict existing claims — the controller owns that
-// (Controller.MarkNodeDown) so affected applications are re-harmonized.
-func (c *Cluster) SetNodeState(hostname string, h resource.NodeHealth) error {
-	return c.ledger.SetNodeHealth(hostname, h)
-}
-
-// NodeState reports a machine's lifecycle state.
-func (c *Cluster) NodeState(hostname string) (resource.NodeHealth, error) {
-	return c.ledger.NodeHealth(hostname)
-}
-
 // Hosts returns the sorted hostnames.
 func (c *Cluster) Hosts() []string {
 	c.mu.Lock()
@@ -180,11 +167,6 @@ func (c *Cluster) Size() int {
 	return len(c.hosts)
 }
 
-// LinkBetween reports the link state between two hosts.
-func (c *Cluster) LinkBetween(a, b string) (resource.LinkState, error) {
-	return c.ledger.Link(a, b)
-}
-
 // SharedSwitchUtilization reports total reserved bandwidth across all links
 // divided by the switch capacity; meaningful under the SharedSwitch
 // topology where every pair draws from the same physical budget.
@@ -197,38 +179,4 @@ func (c *Cluster) SharedSwitchUtilization() float64 {
 		return 0
 	}
 	return total / c.cfg.LinkBandwidthMbps
-}
-
-// ContentionFactor reports how much slower communication runs than nominal:
-// 1.0 when the switch is under-subscribed, proportionally larger when
-// over-subscribed. Under FullMesh each link is independent, so the factor
-// is the maximum per-link over-subscription.
-func (c *Cluster) ContentionFactor() float64 {
-	switch c.cfg.Topology {
-	case SharedSwitch:
-		u := c.SharedSwitchUtilization()
-		if u <= 1 {
-			return 1
-		}
-		return u
-	default:
-		worst := 1.0
-		for _, ls := range c.ledger.Links() {
-			if u := ls.Utilization(); u > worst {
-				worst = u
-			}
-		}
-		return worst
-	}
-}
-
-// Describe renders a human-readable summary for harmonyctl and examples.
-func (c *Cluster) Describe() string {
-	out := ""
-	for _, ns := range c.ledger.Nodes() {
-		out += fmt.Sprintf("node %-10s speed %.2f  mem %5.0f/%5.0f MB  load %.2f  os %s  %s\n",
-			ns.Node.Hostname, ns.Node.Speed, ns.FreeMemoryMB, ns.Node.MemoryMB, ns.CPULoad, ns.Node.OS, ns.Health)
-	}
-	out += fmt.Sprintf("switch utilization %.2f\n", c.SharedSwitchUtilization())
-	return out
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 
 	"harmony/internal/resource"
@@ -20,9 +19,9 @@ func TestNewSP2(t *testing.T) {
 	if hosts[0] != "sp2-01" || hosts[7] != "sp2-08" {
 		t.Fatalf("hosts = %v", hosts)
 	}
-	ls, err := c.LinkBetween("sp2-01", "sp2-08")
+	ls, err := c.Ledger().Link("sp2-01", "sp2-08")
 	if err != nil {
-		t.Fatalf("LinkBetween: %v", err)
+		t.Fatalf("Link: %v", err)
 	}
 	if ls.Link.BandwidthMbps != DefaultSwitchBandwidthMbps {
 		t.Fatalf("bandwidth = %g", ls.Link.BandwidthMbps)
@@ -51,7 +50,7 @@ func TestNewFromDecls(t *testing.T) {
 	if c.Size() != 2 {
 		t.Fatalf("Size = %d", c.Size())
 	}
-	ls, err := c.LinkBetween("slow", "fast")
+	ls, err := c.Ledger().Link("slow", "fast")
 	if err != nil || ls.Link.BandwidthMbps != 100 {
 		t.Fatalf("link = %+v, %v", ls, err)
 	}
@@ -79,8 +78,8 @@ func TestSharedSwitchUtilizationAndContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ContentionFactor(); got != 1 {
-		t.Fatalf("idle contention = %g, want 1", got)
+	if got := c.SharedSwitchUtilization(); got != 0 {
+		t.Fatalf("idle switch utilization = %g, want 0", got)
 	}
 	// Reserve 480 Mbps total across two links: 1.5x the 320 Mbps switch.
 	_, err = c.Ledger().Reserve("x", nil, []resource.LinkClaim{
@@ -92,9 +91,6 @@ func TestSharedSwitchUtilizationAndContention(t *testing.T) {
 	}
 	if got := c.SharedSwitchUtilization(); got != 1.5 {
 		t.Fatalf("switch utilization = %g, want 1.5", got)
-	}
-	if got := c.ContentionFactor(); got != 1.5 {
-		t.Fatalf("contention = %g, want 1.5", got)
 	}
 }
 
@@ -112,19 +108,10 @@ func TestFullMeshContention(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ContentionFactor(); got != 2 {
-		t.Fatalf("full mesh contention = %g, want 2", got)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	c, err := NewSP2(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := c.Describe()
-	if !strings.Contains(d, "sp2-01") || !strings.Contains(d, "switch utilization") {
-		t.Fatalf("Describe output missing fields:\n%s", d)
+	// Each pair has a link of its own: the one claim oversubscribes it twice.
+	ls, err := c.Ledger().Link("a", "b")
+	if err != nil || ls.Utilization() != 2 {
+		t.Fatalf("full mesh link = %+v, %v; want utilization 2", ls, err)
 	}
 }
 

@@ -3,8 +3,6 @@
 // invariants — the conventions that keep the controller correct but that no
 // compiler checks (see docs/ANALYZERS.md):
 //
-//   - goroutinelife: every spawned goroutine has a shutdown path (stop/done
-//     channel, context, or WaitGroup registration).
 //   - protoexhaustive: switches over registered wire-message enums cover
 //     every registered value or carry an explicit non-empty default.
 //   - replaydeterminism: the replicated state-machine apply path reads no
@@ -97,7 +95,6 @@ func (d Diagnostic) String() string {
 // Analyzers returns the registered suite in its stable reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		GoroutineLife,
 		ProtoExhaustive,
 		ReplayDeterminism,
 	}

@@ -153,13 +153,13 @@ func TestSuppressionDirectives(t *testing.T) {
 	}
 
 	if len(suppressed) != 1 {
-		t.Fatalf("suppressed = %v, want exactly the justified flush() finding", suppressed)
+		t.Fatalf("suppressed = %v, want exactly the justified() finding", suppressed)
 	}
-	if got := suppressed[0].SuppressReason; !strings.Contains(got, "drains a closed channel") {
+	if got := suppressed[0].SuppressReason; !strings.Contains(got, "only reached after run returns") {
 		t.Errorf("suppress reason = %q, want the directive's justification", got)
 	}
-	if len(open) != 1 || open[0].Check != "goroutinelife" {
-		t.Fatalf("open findings = %v, want only the reasonless() goroutine (a directive without a reason must not suppress)", open)
+	if len(open) != 1 || open[0].Check != "protoexhaustive" {
+		t.Fatalf("open findings = %v, want only the reasonless() switch (a directive without a reason must not suppress)", open)
 	}
 	wantDirectives := map[string]bool{"carries no reason": false, "matches no diagnostic": false}
 	for _, d := range directives {
@@ -208,7 +208,7 @@ func TestRepoCleanUnderSuite(t *testing.T) {
 // pipeline consumes.
 func TestReportOutputs(t *testing.T) {
 	rep := &Report{Diags: []Diagnostic{
-		{Check: "goroutinelife", Package: "p", Message: "leak"},
+		{Check: "protoexhaustive", Package: "p", Message: "missing"},
 		{Check: "replaydeterminism", Package: "p", Message: "ok", Suppressed: true, SuppressReason: "because"},
 	}}
 
@@ -287,8 +287,8 @@ func TestAnalyzerRegistry(t *testing.T) {
 			t.Errorf("%q collides with the reserved directive check name", a.Name)
 		}
 	}
-	if len(Analyzers()) < 3 {
-		t.Errorf("suite has %d analyzers, want at least 3", len(Analyzers()))
+	if len(Analyzers()) < 2 {
+		t.Errorf("suite has %d analyzers, want at least 2", len(Analyzers()))
 	}
 }
 

@@ -2,36 +2,44 @@
 // assertions live in TestSuppressionDirectives rather than want comments.
 package corpus
 
-type worker struct {
-	work chan int
-}
+type phase string
 
-// flush is a justified allowance: the finding is produced but suppressed.
-func (w *worker) flush() {
-	//harmonylint:allow goroutinelife drains a closed channel at exit, bounded by the sender
-	go func() {
-		for range w.work {
-		}
-	}()
+const (
+	phaseLoad  phase = "load"
+	phaseRun   phase = "run"
+	phaseDrain phase = "drain"
+)
+
+// justified is a justified allowance: the finding is produced but suppressed.
+func justified(p phase) int {
+	//harmonylint:allow protoexhaustive drain is only reached after run returns, which handles it
+	switch p {
+	case phaseLoad:
+		return 1
+	case phaseRun:
+		return 2
+	}
+	return 0
 }
 
 // reasonless carries a directive with no justification: it suppresses
 // nothing and is itself flagged.
-func (w *worker) reasonless() {
-	//harmonylint:allow goroutinelife
-	go func() {
-		for range w.work {
-		}
-	}()
+func reasonless(p phase) int {
+	//harmonylint:allow protoexhaustive
+	switch p {
+	case phaseLoad:
+		return 1
+	}
+	return 0
 }
 
 // stale allows a check that reports nothing here, so the directive itself
 // is flagged as unused.
-func (w *worker) stale() {
-	//harmonylint:allow protoexhaustive left over from an old refactor
-	done := make(chan struct{})
-	go func() {
-		<-done
-	}()
-	close(done)
+func stale(p phase) int {
+	//harmonylint:allow replaydeterminism left over from an old refactor
+	switch p {
+	case phaseLoad, phaseRun, phaseDrain:
+		return 1
+	}
+	return 0
 }

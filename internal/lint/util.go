@@ -6,25 +6,6 @@ import (
 	"strings"
 )
 
-// exprPath flattens a chain of identifier selections (c.ns.mu) into a dotted
-// path. It returns "" for any expression more complex than ident selectors,
-// which callers treat as unanalyzable.
-func exprPath(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		base := exprPath(e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + e.Sel.Name
-	case *ast.ParenExpr:
-		return exprPath(e.X)
-	}
-	return ""
-}
-
 // namedFrom unwraps at most one pointer and reports the named type, if any.
 func namedFrom(t types.Type) *types.Named {
 	if t == nil {
@@ -47,11 +28,6 @@ func isPkgType(t types.Type, pkgSuffix, name string) bool {
 		return false
 	}
 	return n.Obj().Name() == name && strings.HasSuffix(n.Obj().Pkg().Path(), pkgSuffix)
-}
-
-// isWaitGroup reports whether t is sync.WaitGroup (possibly *sync.WaitGroup).
-func isWaitGroup(t types.Type) bool {
-	return isPkgType(t, "sync", "WaitGroup")
 }
 
 // calleeFunc resolves the static callee of a call expression, or nil when the

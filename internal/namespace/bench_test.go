@@ -48,17 +48,3 @@ func BenchmarkWalk(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkEnvLookup(b *testing.B) {
-	tr := New()
-	if err := tr.SetNum("DBclient.66.where.DS.client.memory", 24); err != nil {
-		b.Fatal(err)
-	}
-	env := tr.EnvAt("DBclient.66.where.DS")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := env.Lookup("client.memory"); !ok {
-			b.Fatal("lookup failed")
-		}
-	}
-}

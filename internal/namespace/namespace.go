@@ -8,10 +8,11 @@
 //
 // e.g. DBclient.66.where.DS.client.memory holds the memory allocated to the
 // client node of the data-shipping option of instance 66 of DBclient. The
-// tree also publishes resource availability under a "resources" subtree.
-// Leaves hold either numeric or string values; interior nodes are pure
-// directories. The tree is safe for concurrent use and supports watches
-// that fire on any mutation beneath a prefix.
+// controller writes each instance's subtree; the server walks it to build
+// the variable updates it pushes to the application. Leaves hold either
+// numeric or string values; interior nodes are pure directories. The tree is
+// safe for concurrent use: the controller writes it while connection
+// goroutines walk it.
 package namespace
 
 import (
@@ -56,17 +57,6 @@ func (v Value) String() string {
 	return fmt.Sprintf("%g", v.Num)
 }
 
-// Equal reports value equality.
-func (v Value) Equal(o Value) bool {
-	if v.IsString != o.IsString {
-		return false
-	}
-	if v.IsString {
-		return v.Str == o.Str
-	}
-	return v.Num == o.Num
-}
-
 // SplitPath validates and splits a dotted path. Empty components are
 // rejected; an empty path denotes the root and yields nil.
 func SplitPath(path string) ([]string, error) {
@@ -86,9 +76,6 @@ func checkPath(path string) error {
 	}
 	return nil
 }
-
-// JoinPath assembles path components into a dotted path.
-func JoinPath(parts ...string) string { return strings.Join(parts, ".") }
 
 type node struct {
 	children map[string]*node // nil for a node made as a leaf
@@ -113,25 +100,10 @@ func splitLast(path string) (dir, last string, err error) {
 	return "", path, nil
 }
 
-// WatchFunc is invoked after a mutation beneath the watched prefix with the
-// full path and new value; for deletions ok is false.
-type WatchFunc func(path string, v Value, ok bool)
-
-// WatchID identifies a registered watch.
-type WatchID uint64
-
-type watch struct {
-	id     WatchID
-	prefix string
-	fn     WatchFunc
-}
-
 // Tree is a concurrent hierarchical namespace.
 type Tree struct {
-	mu      sync.RWMutex
-	root    *node
-	watches []watch
-	nextID  WatchID
+	mu   sync.RWMutex
+	root *node
 }
 
 // New returns an empty namespace tree.
@@ -150,6 +122,7 @@ func (t *Tree) Set(path string, v Value) error {
 		return err
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	cur := t.root
 	for dir != "" {
 		var p string
@@ -160,14 +133,12 @@ func (t *Tree) Set(path string, v Value) error {
 			cur.children[p] = child
 		}
 		if child.isLeaf {
-			t.mu.Unlock()
 			return fmt.Errorf("namespace: %q crosses leaf %q", path, p)
 		}
 		cur = child
 	}
 	leaf, ok := cur.children[last]
 	if ok && !leaf.isLeaf && len(leaf.children) > 0 {
-		t.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotLeaf, path)
 	}
 	if !ok {
@@ -177,11 +148,6 @@ func (t *Tree) Set(path string, v Value) error {
 	}
 	leaf.isLeaf = true
 	leaf.value = v
-	fns := t.watchersFor(path)
-	t.mu.Unlock()
-	for _, fn := range fns {
-		fn(path, v, true)
-	}
 	return nil
 }
 
@@ -221,17 +187,6 @@ func (t *Tree) GetNum(path string) (float64, error) {
 	return v.Num, nil
 }
 
-// Exists reports whether path names a leaf or directory.
-func (t *Tree) Exists(path string) bool {
-	parts, err := SplitPath(path)
-	if err != nil {
-		return false
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lookup(parts) != nil
-}
-
 // Delete removes the subtree at path. Deleting a missing path returns
 // ErrNotFound.
 func (t *Tree) Delete(path string) error {
@@ -243,49 +198,22 @@ func (t *Tree) Delete(path string) error {
 		return err
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	cur := t.root
 	for dir != "" {
 		var p string
 		p, dir, _ = strings.Cut(dir, ".")
 		child, ok := cur.children[p]
 		if !ok {
-			t.mu.Unlock()
 			return fmt.Errorf("%w: %q", ErrNotFound, path)
 		}
 		cur = child
 	}
 	if _, ok := cur.children[last]; !ok {
-		t.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, path)
 	}
 	delete(cur.children, last)
-	fns := t.watchersFor(path)
-	t.mu.Unlock()
-	for _, fn := range fns {
-		fn(path, Value{}, false)
-	}
 	return nil
-}
-
-// List returns the sorted child names of the directory at path (the root
-// when path is empty).
-func (t *Tree) List(path string) ([]string, error) {
-	parts, err := SplitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := t.lookup(parts)
-	if n == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, path)
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // Walk visits every leaf under prefix (the whole tree when empty) in
@@ -329,76 +257,6 @@ func (t *Tree) Walk(prefix string, visit func(path string, v Value)) error {
 	return nil
 }
 
-// Snapshot returns a copy of every leaf under prefix as a path->Value map.
-func (t *Tree) Snapshot(prefix string) (map[string]Value, error) {
-	out := make(map[string]Value)
-	err := t.Walk(prefix, func(path string, v Value) { out[path] = v })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Watch registers fn to run after every mutation at or beneath prefix.
-// Callbacks run outside the tree lock on the mutating goroutine.
-func (t *Tree) Watch(prefix string, fn WatchFunc) (WatchID, error) {
-	if fn == nil {
-		return 0, errors.New("namespace: nil watch func")
-	}
-	if _, err := SplitPath(prefix); err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.nextID++
-	t.watches = append(t.watches, watch{id: t.nextID, prefix: prefix, fn: fn})
-	return t.nextID, nil
-}
-
-// Unwatch removes a watch; unknown ids are a no-op returning false.
-func (t *Tree) Unwatch(id WatchID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range t.watches {
-		if t.watches[i].id == id {
-			t.watches = append(t.watches[:i], t.watches[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// EnvAt adapts the tree for RSL expression evaluation, resolving variable
-// names relative to base first and then absolutely. With base
-// "DBclient.66.where.DS", the name "client.memory" resolves to
-// DBclient.66.where.DS.client.memory before trying the absolute path.
-func (t *Tree) EnvAt(base string) EnvView {
-	return EnvView{tree: t, base: base}
-}
-
-// EnvView is an rsl.Env-compatible adapter over a subtree.
-type EnvView struct {
-	tree *Tree
-	base string
-}
-
-// Lookup resolves name relative to the view's base, then absolutely.
-func (e EnvView) Lookup(name string) (float64, bool) {
-	if e.tree == nil {
-		return 0, false
-	}
-	if e.base != "" {
-		if v, err := e.tree.GetNum(e.base + "." + name); err == nil {
-			return v, true
-		}
-	}
-	v, err := e.tree.GetNum(name)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
 // lookup walks parts from the root; caller holds at least a read lock.
 func (t *Tree) lookup(parts []string) *node {
 	cur := t.root
@@ -412,26 +270,8 @@ func (t *Tree) lookup(parts []string) *node {
 	return cur
 }
 
-// watchersFor collects callbacks whose prefix covers path; caller holds the
-// write lock.
-func (t *Tree) watchersFor(path string) []WatchFunc {
-	var fns []WatchFunc
-	for _, w := range t.watches {
-		if w.prefix == "" || w.prefix == path || strings.HasPrefix(path, w.prefix+".") {
-			fns = append(fns, w.fn)
-		}
-	}
-	return fns
-}
-
 // InstancePath builds the conventional application-instance prefix, e.g.
 // InstancePath("DBclient", 66) == "DBclient.66".
 func InstancePath(app string, instance int) string {
 	return fmt.Sprintf("%s.%d", app, instance)
-}
-
-// OptionPath builds the conventional bundle-option prefix, e.g.
-// OptionPath("DBclient", 66, "where", "DS") == "DBclient.66.where.DS".
-func OptionPath(app string, instance int, bundle, option string) string {
-	return fmt.Sprintf("%s.%d.%s.%s", app, instance, bundle, option)
 }

@@ -111,34 +111,11 @@ func TestDelete(t *testing.T) {
 	if err := tr.Delete("app.1"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if tr.Exists("app.1.x") || tr.Exists("app.1") {
-		t.Fatal("subtree survived Delete")
+	if err := tr.Walk("app.1", func(string, Value) {}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Walk after Delete err = %v, want ErrNotFound", err)
 	}
 	if err := tr.Delete("app.1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete err = %v, want ErrNotFound", err)
-	}
-}
-
-func TestList(t *testing.T) {
-	tr := New()
-	for _, p := range []string{"app.2.b", "app.1.a", "app.1.c"} {
-		if err := tr.SetNum(p, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	names, err := tr.List("app")
-	if err != nil {
-		t.Fatalf("List: %v", err)
-	}
-	if strings.Join(names, ",") != "1,2" {
-		t.Fatalf("List(app) = %v", names)
-	}
-	names, err = tr.List("")
-	if err != nil || strings.Join(names, ",") != "app" {
-		t.Fatalf("List(root) = %v, %v", names, err)
-	}
-	if _, err := tr.List("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("List missing err = %v", err)
 	}
 }
 
@@ -158,121 +135,12 @@ func TestWalkOrderAndSnapshot(t *testing.T) {
 	if got := strings.Join(visited, ","); got != want {
 		t.Fatalf("Walk order = %s, want %s", got, want)
 	}
-	snap, err := tr.Snapshot("a")
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	snap := map[string]Value{}
+	if err := tr.Walk("a", func(p string, v Value) { snap[p] = v }); err != nil {
+		t.Fatalf("Walk(a): %v", err)
 	}
 	if len(snap) != 2 || snap["a.1"].Num != 2 {
-		t.Fatalf("Snapshot = %v", snap)
-	}
-}
-
-func TestWatchFiresOnSetAndDelete(t *testing.T) {
-	tr := New()
-	var mu sync.Mutex
-	var events []string
-	id, err := tr.Watch("app.1", func(p string, v Value, ok bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		events = append(events, fmt.Sprintf("%s=%v ok=%v", p, v, ok))
-	})
-	if err != nil {
-		t.Fatalf("Watch: %v", err)
-	}
-	if err := tr.SetNum("app.1.x", 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetNum("app.2.x", 9); err != nil { // outside prefix
-		t.Fatal(err)
-	}
-	if err := tr.Delete("app.1.x"); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	got := strings.Join(events, "|")
-	mu.Unlock()
-	want := "app.1.x=5 ok=true|app.1.x=0 ok=false"
-	if got != want {
-		t.Fatalf("events = %q, want %q", got, want)
-	}
-	if !tr.Unwatch(id) {
-		t.Fatal("Unwatch returned false")
-	}
-	if tr.Unwatch(id) {
-		t.Fatal("double Unwatch returned true")
-	}
-}
-
-func TestWatchRootSeesAll(t *testing.T) {
-	tr := New()
-	count := 0
-	if _, err := tr.Watch("", func(string, Value, bool) { count++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetNum("a.b", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetNum("c", 2); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Fatalf("root watch fired %d times, want 2", count)
-	}
-}
-
-func TestWatchExactPrefixNoFalsePositive(t *testing.T) {
-	tr := New()
-	count := 0
-	if _, err := tr.Watch("app.1", func(string, Value, bool) { count++ }); err != nil {
-		t.Fatal(err)
-	}
-	// "app.10" shares the string prefix but is a different component.
-	if err := tr.SetNum("app.10.x", 1); err != nil {
-		t.Fatal(err)
-	}
-	if count != 0 {
-		t.Fatal("watch fired for sibling component app.10")
-	}
-}
-
-func TestWatchNil(t *testing.T) {
-	tr := New()
-	if _, err := tr.Watch("a", nil); err == nil {
-		t.Fatal("nil watch accepted")
-	}
-}
-
-func TestEnvAtRelativeThenAbsolute(t *testing.T) {
-	tr := New()
-	if err := tr.SetNum("DBclient.66.where.DS.client.memory", 24); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetNum("global.scale", 2); err != nil {
-		t.Fatal(err)
-	}
-	env := tr.EnvAt("DBclient.66.where.DS")
-	if v, ok := env.Lookup("client.memory"); !ok || v != 24 {
-		t.Fatalf("relative lookup = %g,%v", v, ok)
-	}
-	if v, ok := env.Lookup("global.scale"); !ok || v != 2 {
-		t.Fatalf("absolute fallback = %g,%v", v, ok)
-	}
-	if _, ok := env.Lookup("missing"); ok {
-		t.Fatal("missing var resolved")
-	}
-}
-
-func TestEnvAtRelativeShadowsAbsolute(t *testing.T) {
-	tr := New()
-	if err := tr.SetNum("base.x", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetNum("x", 9); err != nil {
-		t.Fatal(err)
-	}
-	env := tr.EnvAt("base")
-	if v, _ := env.Lookup("x"); v != 1 {
-		t.Fatalf("relative should shadow absolute, got %g", v)
+		t.Fatalf("Walk(a) = %v", snap)
 	}
 }
 
@@ -280,21 +148,9 @@ func TestPathHelpers(t *testing.T) {
 	if got := InstancePath("DBclient", 66); got != "DBclient.66" {
 		t.Fatalf("InstancePath = %s", got)
 	}
-	if got := OptionPath("DBclient", 66, "where", "DS"); got != "DBclient.66.where.DS" {
-		t.Fatalf("OptionPath = %s", got)
-	}
-	if got := JoinPath("a", "b", "c"); got != "a.b.c" {
-		t.Fatalf("JoinPath = %s", got)
-	}
 }
 
-func TestValueEqualAndString(t *testing.T) {
-	if !NumValue(3).Equal(NumValue(3)) || NumValue(3).Equal(NumValue(4)) {
-		t.Fatal("numeric Equal broken")
-	}
-	if !StrValue("x").Equal(StrValue("x")) || StrValue("x").Equal(NumValue(0)) {
-		t.Fatal("string Equal broken")
-	}
+func TestValueString(t *testing.T) {
 	if NumValue(2.5).String() != "2.5" || StrValue("hi").String() != "hi" {
 		t.Fatal("Value.String broken")
 	}
@@ -336,7 +192,7 @@ func TestPropertySetGetRoundTrip(t *testing.T) {
 		for i, s := range segs {
 			parts[i] = fmt.Sprintf("s%d", s%5)
 		}
-		path := JoinPath(parts...)
+		path := strings.Join(parts, ".")
 		tr := New()
 		if err := tr.SetNum(path, val); err != nil {
 			return false
@@ -349,8 +205,8 @@ func TestPropertySetGetRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Snapshot after a series of distinct Sets contains exactly those
-// entries (leaf-only paths).
+// Property: a Walk of the whole tree after a series of distinct Sets visits
+// exactly those entries (leaf-only paths).
 func TestPropertySnapshotComplete(t *testing.T) {
 	f := func(keys []uint8) bool {
 		tr := New()
@@ -363,10 +219,9 @@ func TestPropertySnapshotComplete(t *testing.T) {
 			}
 			want[p] = float64(i)
 		}
-		snap, err := tr.Snapshot("")
-		if err != nil {
-			// empty tree Snapshot("") should still succeed
-			return len(want) != 0
+		snap := map[string]Value{}
+		if err := tr.Walk("", func(p string, v Value) { snap[p] = v }); err != nil {
+			return false
 		}
 		if len(snap) != len(want) {
 			return false

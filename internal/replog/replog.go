@@ -43,8 +43,6 @@ const (
 	// OpSessionStart records a session: the leader mints Token at propose
 	// time, so the non-deterministic randomness is captured in the entry.
 	OpSessionStart Op = "session_start"
-	// OpSessionVar records a declared Harmony variable for replay on resume.
-	OpSessionVar Op = "session_var"
 	// OpSessionPark marks a session disconnected; the lease grace window
 	// runs on the leader's wall clock, but the decision is replicated.
 	OpSessionPark Op = "session_park"
@@ -81,8 +79,6 @@ type Entry struct {
 	// Op discriminates the operation.
 	Op Op `json:"op"`
 
-	// AppID names the program (OpSessionStart).
-	AppID string `json:"appId,omitempty"`
 	// RSL carries the bundle script (OpRegister).
 	RSL string `json:"rsl,omitempty"`
 	// Instance targets an existing registration (OpUnregister,
@@ -95,12 +91,6 @@ type Entry struct {
 	State    string `json:"state,omitempty"`
 	// Token identifies the client session for session ops and OpRegister.
 	Token string `json:"token,omitempty"`
-	// Name/NumValue/StrValue/IsString carry a variable declaration
-	// (OpSessionVar), mirroring protocol.VarValue.
-	Name     string  `json:"name,omitempty"`
-	NumValue float64 `json:"numValue,omitempty"`
-	StrValue string  `json:"strValue,omitempty"`
-	IsString bool    `json:"isString,omitempty"`
 }
 
 // Snapshot is a compact prefix of the log: the serialized state machine as

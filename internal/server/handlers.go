@@ -3,7 +3,8 @@
 // proposed replog.Entry; the reply is built from the committed apply result,
 // so a client ack means the operation survives leader failure. Followers
 // answer mutations with a not_leader redirect carrying the leader's client
-// address. Reads and connection-local bookkeeping are answered in place.
+// address. Reads, variable declarations (which change no state) and
+// connection-local bookkeeping are answered in place.
 
 package server
 
@@ -47,11 +48,10 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 		// log entry (and thus every replica's session table) carries it
 		// without any randomness on the apply path.
 		token := newResumeToken()
-		if _, _, err := r.Propose(&replog.Entry{Op: replog.OpSessionStart, Token: token, AppID: msg.AppID}); err != nil {
+		if _, _, err := r.Propose(&replog.Entry{Op: replog.OpSessionStart, Token: token}); err != nil {
 			return proposeFailed("startup", err)
 		}
 		c.mu.Lock()
-		c.appID = msg.AppID
 		c.resumeToken = token
 		c.mu.Unlock()
 		return &protocol.Message{Type: protocol.TypeAck, AppID: msg.AppID, ResumeToken: token}
@@ -68,24 +68,11 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 		return c.handleBundleSetup(r, msg)
 
 	case protocol.TypeAddVariable:
+		// The declaration changes no state: updates come from the
+		// controller's namespace, and the client keeps its own defaults.
 		if msg.Name == "" {
 			return errReply("add_variable requires a name")
 		}
-		c.mu.Lock()
-		token := c.resumeToken
-		c.mu.Unlock()
-		if token != "" {
-			e := &replog.Entry{
-				Op: replog.OpSessionVar, Token: token, Name: msg.Name,
-				NumValue: msg.Value.Num, StrValue: msg.Value.Str, IsString: msg.Value.IsString,
-			}
-			if _, _, err := r.Propose(e); err != nil {
-				return proposeFailed("add_variable", err)
-			}
-		}
-		c.mu.Lock()
-		c.variables[msg.Name] = msg.Value
-		c.mu.Unlock()
 		return &protocol.Message{Type: protocol.TypeAck, Name: msg.Name}
 
 	case protocol.TypeReport:
@@ -258,7 +245,7 @@ func (c *conn) ackBundleSetup(inst int, events []core.Event) *protocol.Message {
 // the resume token from its startup ack and gets its instance ids back
 // without re-registering. The resume is itself a log entry, so a new
 // leader's session table — rebuilt from the log or a snapshot — answers with
-// the same instances and variables the old leader held.
+// the same instances the old leader held.
 func (c *conn) handleResume(r *Replica, msg *protocol.Message) *protocol.Message {
 	token := msg.ResumeToken
 	if token == "" {
@@ -281,22 +268,15 @@ func (c *conn) handleResume(r *Replica, msg *protocol.Message) *protocol.Message
 		oc.mu.Lock()
 		if oc.resumeToken == token {
 			oc.instances = make(map[int]bool)
-			oc.variables = make(map[string]protocol.VarValue)
 			oc.resumeToken = ""
 		}
 		oc.mu.Unlock()
 	}
 	s.mu.Unlock()
 	c.mu.Lock()
-	c.appID = rec.AppID
 	c.resumeToken = token
 	for _, id := range rec.Instances {
 		c.instances[id] = true
-	}
-	for k, v := range rec.Vars {
-		if _, exists := c.variables[k]; !exists {
-			c.variables[k] = v
-		}
 	}
 	c.mu.Unlock()
 	s.mu.Lock()
@@ -307,10 +287,8 @@ func (c *conn) handleResume(r *Replica, msg *protocol.Message) *protocol.Message
 	s.cfg.Logf("harmony: %s: resumed session %.8s (%d instance(s))", c.netConn.RemoteAddr(), token, len(rec.Instances))
 	// Reconfigurations that landed while the client was away are flushed
 	// now; clients must tolerate updates arriving before the resume ack.
-	if !s.cfg.ManualFlush {
-		for _, id := range rec.Instances {
-			s.FlushPendingVars(id)
-		}
+	for _, id := range rec.Instances {
+		s.FlushPendingVars(id)
 	}
 	return &protocol.Message{Type: protocol.TypeAck, ResumeToken: token, Instances: rec.Instances}
 }

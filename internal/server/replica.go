@@ -497,10 +497,11 @@ func (r *Replica) applyEntry(e *replog.Entry) applyOutcome {
 	ctrl := r.cfg.Controller
 	switch e.Op {
 	case replog.OpSessionStart:
-		return applyOutcome{err: r.sessions.start(e.Token, e.AppID)}
-	case replog.OpSessionVar:
-		v := protocol.VarValue{Num: e.NumValue, Str: e.StrValue, IsString: e.IsString}
-		return applyOutcome{err: r.sessions.setVar(e.Token, e.Name, v)}
+		return applyOutcome{err: r.sessions.start(e.Token)}
+	case "session_var":
+		// Logs written before add_variable stopped being replicated hold
+		// these; nothing ever read what they recorded.
+		return applyOutcome{}
 	case replog.OpSessionPark:
 		return applyOutcome{err: r.sessions.park(e.Token)}
 	case replog.OpSessionResume:

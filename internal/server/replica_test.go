@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -257,6 +258,15 @@ func TestFollowerRedirectsMutations(t *testing.T) {
 		t.Fatalf("redirect leader = %q, want %q", reply.Leader, leader.clientAddr)
 	}
 
+	// A variable declaration changes no state on any member: a follower
+	// acknowledges it instead of redirecting.
+	if err := w.Write(&protocol.Message{Type: protocol.TypeAddVariable, Seq: 2, Name: "where", Value: protocol.StrVar("QS")}); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err = r.Read(); err != nil || reply.Type != protocol.TypeAck || reply.Name != "where" {
+		t.Fatalf("follower add_variable reply = %+v, %v; want an ack", reply, err)
+	}
+
 	// Reads are still served locally.
 	if err := w.Write(&protocol.Message{Type: protocol.TypeStatus, Seq: 2}); err != nil {
 		t.Fatal(err)
@@ -292,7 +302,6 @@ func TestLeaderFailoverPreservesSession(t *testing.T) {
 	p := dialNode(t, leader)
 	ack := p.call(t, &protocol.Message{Type: protocol.TypeStartup, AppID: "DBclient"})
 	setup := p.call(t, &protocol.Message{Type: protocol.TypeBundleSetup, RSL: dbRSL})
-	p.call(t, &protocol.Message{Type: protocol.TypeAddVariable, Name: "tunable", Value: protocol.NumVar(7)})
 
 	survivors := make([]*testNode, 0, 2)
 	for _, n := range nodes {
@@ -313,7 +322,7 @@ func TestLeaderFailoverPreservesSession(t *testing.T) {
 
 	next := waitLeader(t, survivors)
 	// The client reconnects to the new leader and resumes mid-session: its
-	// instance and declared variables crossed the failover.
+	// instance crossed the failover.
 	p2 := dialNode(t, next)
 	rack := p2.call(t, &protocol.Message{Type: protocol.TypeResume, ResumeToken: ack.ResumeToken})
 	if len(rack.Instances) != 1 || rack.Instances[0] != setup.Instance {
@@ -428,6 +437,102 @@ func TestFollowerCrashRecovery(t *testing.T) {
 	_ = setup
 }
 
+// TestRecoversOldSessionFormat restarts a member on a data directory in the
+// format written while sessions still recorded their appId and declared
+// variables: log records in plain JSON (no checksum) holding a session_start
+// with an appId and two session_var entries, and a snapshot whose session
+// carries appId and vars. Recovery ignores what nothing reads and keeps the
+// rest: a session_var applies as a no-op, and the parked session resumes.
+func TestRecoversOldSessionFormat(t *testing.T) {
+	newCtrl := func() *core.Controller {
+		cl, err := cluster.NewSP2(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := core.New(core.Config{Cluster: cl, Clock: simclock.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctrl
+	}
+	old := newCtrl()
+	if _, err := old.Apply(&replog.Entry{Op: replog.OpRegister, RSL: dbRSL}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := old.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(map[string]any{
+		"controller": st,
+		"sessions": []json.RawMessage{json.RawMessage(
+			`{"token":"a11ce","appId":"DBclient","instances":[1],"vars":{"where":{"str":"QS","isString":true}},"parked":true}`)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := json.Marshal(replog.Snapshot{Index: 5, Term: 1, Time: st.Now, Data: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"state.json":    `{"term":1}`,
+		"snapshot.json": string(snap),
+		"log.jsonl": `{"index":6,"term":1,"time":0,"op":"session_start","appId":"DBclient","token":"b0b"}
+{"index":7,"term":1,"time":0,"op":"session_var","token":"b0b","name":"tunable","numValue":7}
+{"index":8,"term":1,"time":0,"op":"session_var","token":"a11ce","name":"where","strValue":"DS","isString":true}
+`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctrl := newCtrl()
+	rep, err := NewReplica("", ReplicaConfig{Controller: ctrl, DataDir: dir})
+	if err != nil {
+		t.Fatalf("restart on the old data directory: %v", err)
+	}
+	t.Cleanup(func() { _ = rep.Close() })
+	if got := rep.Status().CommitIndex; got < 8 {
+		t.Fatalf("commit index %d, want the recovered tail (8) applied", got)
+	}
+	var sessions []sessionRecord
+	var varErr error
+	done := make(chan struct{})
+	rep.post(event{run: func() {
+		sessions = rep.sessions.snapshot()
+		varErr = rep.applyEntry(&replog.Entry{Op: "session_var", Token: "a11ce"}).err
+		close(done)
+	}})
+	<-done
+	want := []sessionRecord{{Token: "a11ce", Instances: []int{1}, Parked: true}, {Token: "b0b"}}
+	if fmt.Sprint(sessions) != fmt.Sprint(want) {
+		t.Fatalf("recovered sessions %+v, want %+v", sessions, want)
+	}
+	if varErr != nil {
+		t.Fatalf("a session_var entry does not apply as a no-op: %v", varErr)
+	}
+	if apps := ctrl.Apps(); len(apps) != 1 || apps[0].Instance != 1 {
+		t.Fatalf("recovered apps %+v, want instance 1", apps)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(ln, Config{Controller: ctrl, Replica: rep, LeaseGrace: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	rack := newProtoSession(t, srv).call(t, &protocol.Message{Type: protocol.TypeResume, ResumeToken: "a11ce"})
+	if len(rack.Instances) != 1 || rack.Instances[0] != 1 {
+		t.Fatalf("resume instances = %v, want [1]", rack.Instances)
+	}
+}
+
 func TestSingleNodeClusterCommitsAlone(t *testing.T) {
 	nodes := startTestCluster(t, 1, time.Second, 0)
 	leader := waitLeader(t, nodes)
@@ -506,7 +611,7 @@ func TestProposeOutcomeSurvivesEarlyApply(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			token := fmt.Sprintf("session-%d", p)
-			if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpSessionStart, Token: token, AppID: token}); err != nil {
+			if _, _, err := rep.Propose(&replog.Entry{Op: replog.OpSessionStart, Token: token}); err != nil {
 				t.Errorf("proposer %d: start: %v", p, err)
 				return
 			}

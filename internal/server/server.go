@@ -2,10 +2,9 @@
 // Figure 6 of the paper): a daemon that listens on a well-known port,
 // accepts connections from Harmony-aware applications, registers their
 // option bundles with the adaptation controller, and pushes buffered
-// variable updates back when the controller reconfigures them. New values
-// for Harmony variables are buffered until flushed (the paper's
-// flushPendingVars); by default the server flushes immediately after each
-// controller event.
+// variable updates back when the controller reconfigures them. An event's
+// new values for Harmony variables are buffered and flushed once the event
+// is fully built (the paper's flushPendingVars).
 package server
 
 import (
@@ -73,9 +72,6 @@ type Config struct {
 	Controller *core.Controller
 	// Bus optionally receives application-reported metrics.
 	Bus *metric.Bus
-	// ManualFlush buffers variable updates until FlushPendingVars is
-	// called, instead of flushing after every controller event.
-	ManualFlush bool
 	// Vet selects how bundle_setup specs are statically analyzed: the
 	// default logs findings (against the cluster's declared capacities)
 	// without changing accept/reject behavior.
@@ -136,10 +132,8 @@ type conn struct {
 	lastSeen atomic.Int64
 
 	mu          sync.Mutex
-	appID       string
 	resumeToken string
 	instances   map[int]bool
-	variables   map[string]protocol.VarValue
 }
 
 func (c *conn) touch() { c.lastSeen.Store(time.Now().UnixNano()) }
@@ -324,7 +318,6 @@ func (s *Server) acceptLoop() {
 			netConn:   nc,
 			writer:    protocol.NewWriter(nc),
 			instances: make(map[int]bool),
-			variables: make(map[string]protocol.VarValue),
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -342,9 +335,8 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// onEvent reacts to controller reconfigurations: it builds the variable
-// updates implied by the event and either flushes them to the owning
-// application or buffers them for a manual flush.
+// onEvent reacts to controller reconfigurations: it buffers the variable
+// updates implied by the event and flushes them to the owning application.
 func (s *Server) onEvent(ev core.Event) {
 	vars := s.eventVars(ev)
 	s.mu.Lock()
@@ -356,11 +348,8 @@ func (s *Server) onEvent(ev core.Event) {
 	for k, v := range vars {
 		p[k] = v
 	}
-	manual := s.cfg.ManualFlush
 	s.mu.Unlock()
-	if !manual {
-		s.FlushPendingVars(ev.Instance)
-	}
+	s.FlushPendingVars(ev.Instance)
 }
 
 // eventVars derives the update set for an event: the bundle variable takes
@@ -402,19 +391,6 @@ func (s *Server) FlushPendingVars(instance int) {
 	msg := &protocol.Message{Type: protocol.TypeUpdate, Instance: instance, Vars: vars}
 	if err := c.send(msg); err != nil {
 		s.cfg.Logf("harmony: flush to instance %d: %v", instance, err)
-	}
-}
-
-// FlushAll flushes every instance with pending updates.
-func (s *Server) FlushAll() {
-	s.mu.Lock()
-	ids := make([]int, 0, len(s.pending))
-	for id := range s.pending {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	for _, id := range ids {
-		s.FlushPendingVars(id)
 	}
 }
 

@@ -152,38 +152,6 @@ func TestForcedReconfigurationPushesUpdate(t *testing.T) {
 	}
 }
 
-func TestManualFlushBuffers(t *testing.T) {
-	srv, _ := startTestServer(t, Config{ManualFlush: true})
-	c := dialTest(t, srv)
-	if err := c.Startup("DBclient", false); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := c.BundleSetup(dbRSL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := c.Generation()
-	if _, err := srv.ForceChoice(inst, core.Choice{Option: "DS"}); err != nil {
-		t.Fatal(err)
-	}
-	// No update until FlushPendingVars (polling shows old value).
-	time.Sleep(30 * time.Millisecond)
-	if c.Generation() != gen {
-		t.Fatal("update arrived before manual flush")
-	}
-	srv.FlushAll()
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Generation() == gen {
-		if time.Now().After(deadline) {
-			t.Fatal("update never arrived after FlushAll")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if v, _ := c.Value("where"); v.Str != "DS" {
-		t.Fatalf("where = %+v", v)
-	}
-}
-
 func TestEndReleasesResources(t *testing.T) {
 	srv, ctrl := startTestServer(t, Config{})
 	c := dialTest(t, srv)

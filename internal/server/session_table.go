@@ -4,34 +4,25 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"harmony/internal/protocol"
 )
 
-// sessionRecord is one client session's replicated state: the resume token,
-// bound instances and declared variables that must survive leader failover
-// so a reconnecting client resumes against the new leader exactly as it
-// would have against the old one.
+// sessionRecord is one client session's replicated state: the resume token
+// and bound instances that must survive leader failover so a reconnecting
+// client resumes against the new leader exactly as it would have against the
+// old one. Snapshots written before the record lost its appId and vars fields
+// still decode: encoding/json skips the fields it does not know.
 type sessionRecord struct {
-	Token     string                       `json:"token"`
-	AppID     string                       `json:"appId"`
-	Instances []int                        `json:"instances,omitempty"`
-	Vars      map[string]protocol.VarValue `json:"vars,omitempty"`
+	Token     string `json:"token"`
+	Instances []int  `json:"instances,omitempty"`
 	// Parked marks a session whose connection dropped; its lease-grace
 	// window runs on the current leader's wall clock.
 	Parked bool `json:"parked,omitempty"`
 }
 
 func (r *sessionRecord) clone() *sessionRecord {
-	cp := &sessionRecord{Token: r.Token, AppID: r.AppID, Parked: r.Parked}
+	cp := *r
 	cp.Instances = append([]int(nil), r.Instances...)
-	if r.Vars != nil {
-		cp.Vars = make(map[string]protocol.VarValue, len(r.Vars))
-		for k, v := range r.Vars {
-			cp.Vars[k] = v
-		}
-	}
-	return cp
+	return &cp
 }
 
 // sessionTable is the replicated session state, mutated only by applied log
@@ -48,24 +39,11 @@ func newSessionTable() *sessionTable {
 }
 
 // start records a fresh session (OpSessionStart).
-func (t *sessionTable) start(token, appID string) error {
+func (t *sessionTable) start(token string) error {
 	if _, ok := t.m[token]; ok {
 		return fmt.Errorf("server: session %s already exists", token)
 	}
-	t.m[token] = &sessionRecord{Token: token, AppID: appID}
-	return nil
-}
-
-// setVar records a declared variable (OpSessionVar).
-func (t *sessionTable) setVar(token, name string, v protocol.VarValue) error {
-	rec, ok := t.m[token]
-	if !ok {
-		return fmt.Errorf("server: unknown session %s", token)
-	}
-	if rec.Vars == nil {
-		rec.Vars = make(map[string]protocol.VarValue)
-	}
-	rec.Vars[name] = v
+	t.m[token] = &sessionRecord{Token: token}
 	return nil
 }
 

@@ -5,9 +5,9 @@
 # CONTRIBUTING notes:
 #   - Run `sh scripts/check.sh` (or `make check`) before sending a change;
 #     CI runs exactly this script.
-#   - `make lint` runs just the harmonylint sweep (three project invariants:
-#     goroutinelife, protoexhaustive, replaydeterminism — see
-#     docs/ANALYZERS.md). Suppress a finding only
+#   - `make lint` runs just the harmonylint sweep (two project invariants:
+#     protoexhaustive, replaydeterminism — see docs/ANALYZERS.md; goroutine
+#     shutdown is a runtime test, TestCloseJoinsEveryGoroutine). Suppress a finding only
 #     with a justified `//harmonylint:allow <check> <reason>` directive;
 #     reasonless or stale directives are themselves reported.
 #   - Tests run shuffled in CI (`go test -shuffle=on`); keep tests free of
