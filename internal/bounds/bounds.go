@@ -8,9 +8,11 @@
 // explicit performance model over the attainable node counts.
 //
 // Package vet builds on the vectors to prove options dead before the
-// controller ever sees them (dominated-option, unreachable-option), and
-// harmonyctl analyze prints them. The controller does not use them: its
-// pruning proves infeasibility from each choice's resolved plan instead.
+// controller ever sees them (dominated-option, unreachable-option), and its
+// workload check — run by the server on every bundle_setup — sums their
+// lower ends over the admitted bundles and the incoming one; harmonyctl
+// analyze prints them. The controller does not use them: its pruning
+// proves infeasibility from each choice's resolved plan instead.
 // Soundness is the contract: every bound is an over-approximation, so a
 // "never" proved here is a "never" in the concrete system.
 package bounds
@@ -49,14 +51,48 @@ type Vector struct {
 	Seconds absint.Interval
 }
 
-// VarEnv is the convex-hull abstract environment of an option's declared
-// variable domains.
-func VarEnv(opt *rsl.OptionSpec) absint.MapEnv {
-	env := make(absint.MapEnv, len(opt.Variables))
-	for _, v := range opt.Variables {
-		env[v.Name] = absint.FromValues(v.Values)
+// optionEnv is the abstract environment of one option: each declared
+// variable bound to the convex hull of its domain and, once the node pass
+// has set grants, each node spec's granted local.memory and local.seconds,
+// for link, communication and friction expressions. Lookup scans the
+// option's own declarations, so resolving a name builds nothing.
+type optionEnv struct {
+	opt  *rsl.OptionSpec
+	vars []absint.Interval // parallel to opt.Variables
+	// grants holds the memory and seconds grant of each node spec, at 2i
+	// and 2i+1; nil before the node pass, when no granted name resolves.
+	grants []absint.Interval
+}
+
+func newOptionEnv(opt *rsl.OptionSpec) *optionEnv {
+	e := &optionEnv{opt: opt, vars: make([]absint.Interval, len(opt.Variables))}
+	for i, v := range opt.Variables {
+		e.vars[i] = absint.FromValues(v.Values)
 	}
-	return env
+	return e
+}
+
+// Lookup implements absint.Env. A later declaration shadows an earlier
+// one of the same name, and a granted name shadows a variable.
+func (e *optionEnv) Lookup(name string) (absint.Interval, bool) {
+	for i := len(e.grants)/2 - 1; i >= 0; i-- {
+		local := e.opt.Nodes[i].LocalName
+		if len(name) <= len(local) || name[len(local)] != '.' || name[:len(local)] != local {
+			continue
+		}
+		switch name[len(local)+1:] {
+		case "memory":
+			return e.grants[2*i], true
+		case "seconds":
+			return e.grants[2*i+1], true
+		}
+	}
+	for i := len(e.vars) - 1; i >= 0; i-- {
+		if e.opt.Variables[i].Name == name {
+			return e.vars[i], true
+		}
+	}
+	return absint.Interval{}, false
 }
 
 // clampNonneg restricts an interval to the non-negative axis; resource
@@ -119,7 +155,15 @@ func pinnedHost(spec *rsl.NodeSpec) string {
 
 // Option computes the bound vector of one option.
 func Option(opt *rsl.OptionSpec) Vector {
-	env := VarEnv(opt)
+	v, _ := option(opt)
+	return v
+}
+
+// option computes the bound vector of one option and returns the
+// environment it evaluated links and communication in, with every node
+// spec's grant set. Each memory and seconds tag is evaluated once.
+func option(opt *rsl.OptionSpec) (Vector, *optionEnv) {
+	env := newOptionEnv(opt)
 	v := Vector{
 		Nodes:          absint.Point(0),
 		DistinctHosts:  absint.Point(0),
@@ -127,12 +171,13 @@ func Option(opt *rsl.OptionSpec) Vector {
 		ExclusiveNodes: absint.Point(0),
 		BandwidthMbps:  absint.Point(0),
 		Seconds:        absint.Empty(),
-		PerHostMB:      make(map[string]absint.Interval),
 	}
-	locals := LocalEnv(opt)
+	grants := make([]absint.Interval, 2*len(opt.Nodes))
 	for i := range opt.Nodes {
 		spec := &opt.Nodes[i]
 		mem := tagInterval(spec, "memory", env)
+		grants[2*i] = mem
+		grants[2*i+1] = secondsGrant(spec, env)
 		rep := replicateInterval(spec, env)
 		v.Nodes = v.Nodes.Add(rep)
 		v.MemoryMB = v.MemoryMB.Add(rep.Mul(mem))
@@ -160,18 +205,22 @@ func Option(opt *rsl.OptionSpec) Vector {
 				share = rep.Mul(mem)
 				share = absint.Of(math.Max(share.Lo, mem.Lo), share.Hi)
 			}
+			if v.PerHostMB == nil {
+				v.PerHostMB = make(map[string]absint.Interval)
+			}
 			v.PerHostMB[host] = v.PerHostMB[host].Add(share)
 		}
 	}
+	env.grants = grants
 	for i := range opt.Links {
-		bw := absint.Eval(opt.Links[i].Bandwidth, locals).Val
+		bw := absint.Eval(opt.Links[i].Bandwidth, env).Val
 		if bw.IsEmpty() {
 			bw = unknown()
 		}
 		v.BandwidthMbps = v.BandwidthMbps.Add(clampNonneg(bw))
 	}
 	if opt.Communication != nil {
-		comm := absint.Eval(opt.Communication, locals).Val
+		comm := absint.Eval(opt.Communication, env).Val
 		if comm.IsEmpty() {
 			comm = unknown()
 		}
@@ -180,32 +229,21 @@ func Option(opt *rsl.OptionSpec) Vector {
 	if len(opt.Performance) > 0 {
 		v.Seconds = ModelRange(opt.Performance, v.Nodes)
 	}
-	return v
+	return v, env
 }
 
-// LocalEnv is VarEnv extended with the option's granted-resource names
-// (local.memory, local.seconds), for link, communication and friction
-// expressions.
-func LocalEnv(opt *rsl.OptionSpec) absint.MapEnv {
-	env := VarEnv(opt)
-	locals := make(absint.MapEnv, len(env)+2*len(opt.Nodes))
-	for k, iv := range env {
-		locals[k] = iv
+// secondsGrant bounds a spec's granted seconds: the matcher grants the
+// tag's value whatever its operator, and zero without one.
+func secondsGrant(spec *rsl.NodeSpec, env absint.Env) absint.Interval {
+	tag, ok := spec.Tags["seconds"]
+	if !ok || tag.IsString || tag.Expr == nil {
+		return absint.Point(0)
 	}
-	for i := range opt.Nodes {
-		spec := &opt.Nodes[i]
-		locals[spec.LocalName+".memory"] = tagInterval(spec, "memory", env)
-		sec := absint.Point(0)
-		if tag, ok := spec.Tags["seconds"]; ok && !tag.IsString && tag.Expr != nil {
-			sec = absint.Eval(tag.Expr, env).Val
-			if sec.IsEmpty() {
-				sec = unknown()
-			}
-			sec = clampNonneg(sec)
-		}
-		locals[spec.LocalName+".seconds"] = sec
+	sec := absint.Eval(tag.Expr, env).Val
+	if sec.IsEmpty() {
+		return unknown()
 	}
-	return locals
+	return clampNonneg(sec)
 }
 
 // ModelRange bounds a piecewise-linear performance model over an interval
@@ -231,16 +269,15 @@ type Unreachability struct {
 	Reason string
 }
 
-// Unreachable proves, when possible, that an option can never be matched
-// against the declared cluster: a resource LOWER bound (over every
-// binding and grant) exceeds what the full cluster provides even when
-// idle. A proof here holds in every live state, since live capacity never
-// exceeds declared capacity.
-func Unreachable(opt *rsl.OptionSpec, decls []*rsl.NodeDecl) (Unreachability, bool) {
+// Unreachable proves, when possible, that an option with bound vector v
+// can never be matched against the declared cluster: a resource LOWER
+// bound (over every binding and grant) exceeds what the full cluster
+// provides even when idle. A proof here holds in every live state, since
+// live capacity never exceeds declared capacity.
+func Unreachable(v Vector, decls []*rsl.NodeDecl) (Unreachability, bool) {
 	if len(decls) == 0 {
 		return Unreachability{}, false
 	}
-	v := Option(opt)
 	capMem, hostMem := 0.0, make(map[string]float64, len(decls))
 	for _, d := range decls {
 		capMem += d.MemoryMB

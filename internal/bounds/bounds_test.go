@@ -112,12 +112,12 @@ func TestUnreachable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		b := decodeBundle(t, tc.src)
-		u, got := bounds.Unreachable(&b.Options[0], decls)
+		u, got := bounds.Unreachable(bounds.Option(&b.Options[0]), decls)
 		if got != tc.want {
 			t.Errorf("%s: Unreachable = %v (%s), want %v", tc.name, got, u.Reason, tc.want)
 		}
 	}
-	if _, got := bounds.Unreachable(&decodeBundle(t, `harmonyBundle a:1 w {{o {node n * {memory 1e9}}}}`).Options[0], nil); got {
+	if _, got := bounds.Unreachable(bounds.Option(&decodeBundle(t, `harmonyBundle a:1 w {{o {node n * {memory 1e9}}}}`).Options[0]), nil); got {
 		t.Error("Unreachable proved something with no declared cluster")
 	}
 }

@@ -61,9 +61,10 @@ func dominates(b *rsl.BundleSpec, i, j int) (Domination, bool) {
 	if !varsEqual(oi, oj) {
 		return Domination{}, false
 	}
-	env := VarEnv(oj)
-	lenvI, lenvJ := LocalEnv(oi), LocalEnv(oj)
-	lenv := joinEnvs(lenvI, lenvJ)
+	vi, lenvI := option(oi)
+	vj, lenvJ := option(oj)
+	env := &optionEnv{opt: oj, vars: lenvJ.vars} // no granted names, as tags see
+	lenv := joinEnv{lenvI, lenvJ}
 
 	if identicalRequirements(oi, oj, env, lenv) {
 		okModel := false
@@ -74,7 +75,7 @@ func dominates(b *rsl.BundleSpec, i, j int) (Domination, bool) {
 			// and the earlier option wins.
 			okModel = true
 		case len(oi.Performance) > 0 && len(oj.Performance) > 0:
-			okModel = modelAlwaysLE(oi.Performance, oj.Performance, Option(oj).Nodes)
+			okModel = modelAlwaysLE(oi.Performance, oj.Performance, vj.Nodes)
 		}
 		if okModel && frictionLE(oi, oj, lenv, true) {
 			detail := fmt.Sprintf("requirements are identical to option %q and its prediction is never better", oi.Name)
@@ -85,7 +86,7 @@ func dominates(b *rsl.BundleSpec, i, j int) (Domination, bool) {
 		}
 	}
 
-	if detail, ok := subsetReplicas(oi, oj, env, lenv); ok {
+	if detail, ok := subsetReplicas(oi, oj, vi.Nodes, vj.Nodes, env, lenv); ok {
 		return Domination{Dominated: j, By: i, Rule: RuleSubset, Detail: detail}, true
 	}
 	return Domination{}, false
@@ -110,21 +111,21 @@ func varsEqual(oi, oj *rsl.OptionSpec) bool {
 	return key(oi.Variables) == key(oj.Variables)
 }
 
-// joinEnvs joins two abstract environments name-wise, so a shared name is
+// joinEnv joins two abstract environments name-wise, so a shared name is
 // bound to an interval covering both options' values for it.
-func joinEnvs(a, b absint.MapEnv) absint.MapEnv {
-	out := make(absint.MapEnv, len(a)+len(b))
-	for k, iv := range a {
-		out[k] = iv
+type joinEnv struct{ a, b absint.Env }
+
+// Lookup implements absint.Env.
+func (j joinEnv) Lookup(name string) (absint.Interval, bool) {
+	x, okA := j.a.Lookup(name)
+	y, okB := j.b.Lookup(name)
+	switch {
+	case okA && okB:
+		return absint.Join(x, y), true
+	case okA:
+		return x, true
 	}
-	for k, iv := range b {
-		if have, ok := out[k]; ok {
-			out[k] = absint.Join(have, iv)
-		} else {
-			out[k] = iv
-		}
-	}
-	return out
+	return y, okB
 }
 
 // one is the implicit replicate expression.
@@ -164,7 +165,7 @@ func provedLE(a, b rsl.Expr, env absint.Env) bool {
 // identicalRequirements proves that options i and j make identical
 // demands on the matcher for every shared binding: same node specs (all
 // tags proven equal relationally), same links and communication.
-func identicalRequirements(oi, oj *rsl.OptionSpec, env, lenv absint.MapEnv) bool {
+func identicalRequirements(oi, oj *rsl.OptionSpec, env, lenv absint.Env) bool {
 	if len(oi.Nodes) != len(oj.Nodes) || len(oi.Links) != len(oj.Links) {
 		return false
 	}
@@ -284,7 +285,7 @@ func refsSeconds(e rsl.Expr) bool {
 // so the proof on raw values carries over. When the options' granted
 // seconds are not provably equal, a friction referencing any .seconds
 // name is incomparable under a shared environment.
-func frictionLE(oi, oj *rsl.OptionSpec, lenv absint.MapEnv, secondsEqual bool) bool {
+func frictionLE(oi, oj *rsl.OptionSpec, lenv absint.Env, secondsEqual bool) bool {
 	fi, fj := orZero(oi.Friction), orZero(oj.Friction)
 	if !secondsEqual && (refsSeconds(fi) || refsSeconds(fj)) {
 		return false
@@ -323,8 +324,9 @@ func modelsEqual(a, b []rsl.PerfPoint) bool {
 // whenever j matches, i matches a subset of j's placement (the matcher
 // fills replicas first-fit over one shared host order), every other
 // application is slowed at most as much, and i's prediction is proven no
-// worse — so j can never strictly beat the earlier i.
-func subsetReplicas(oi, oj *rsl.OptionSpec, env, lenv absint.MapEnv) (string, bool) {
+// worse — so j can never strictly beat the earlier i. ni and nj are the
+// options' node-count bounds.
+func subsetReplicas(oi, oj *rsl.OptionSpec, ni, nj absint.Interval, env, lenv absint.Env) (string, bool) {
 	if len(oi.Nodes) != 1 || len(oj.Nodes) != 1 {
 		return "", false
 	}
@@ -354,8 +356,6 @@ func subsetReplicas(oi, oj *rsl.OptionSpec, env, lenv absint.MapEnv) (string, bo
 	// The earlier model must be no slower at its smaller node count, for
 	// every binding: either the shared curve never speeds up with nodes,
 	// or the two models' ranges are fully ordered.
-	ni := Option(oi).Nodes
-	nj := Option(oj).Nodes
 	sameCurveMonotone := modelsEqual(oi.Performance, oj.Performance) && modelNondecreasing(oi.Performance)
 	rangesOrdered := false
 	if !sameCurveMonotone {

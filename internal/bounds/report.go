@@ -72,7 +72,7 @@ func Analyze(b *rsl.BundleSpec, decls []*rsl.NodeDecl) *BundleReport {
 			or.DominanceRule = d.Rule
 			or.DominanceDetail = d.Detail
 		}
-		if u, ok := Unreachable(opt, decls); ok {
+		if u, ok := Unreachable(v, decls); ok {
 			or.Unreachable = u.Reason
 		}
 		rep.Options = append(rep.Options, or)

@@ -16,8 +16,9 @@
 // redials with jittered exponential backoff, first trying to resume its
 // server-side session by resume token (keeping its instance ids without
 // re-running bundle setup), and falling back to a full replay of the
-// startup/bundle_setup/add_variable handshake when the server's lease grace
-// window has lapsed.
+// startup/bundle_setup handshake when the server's lease grace window has
+// lapsed. Variable declarations are not replayed: the server keeps nothing
+// for add_variable, and the client holds the defaults itself.
 //
 // Dial accepts a comma-separated list of controller addresses for
 // replicated deployments. The client rotates through them on reconnect, and
@@ -152,12 +153,6 @@ func (v *Variable) Num() float64 { return v.Value().Num }
 // Str returns the string value ("" for numeric variables).
 func (v *Variable) Str() string { return v.Value().Str }
 
-// varDecl remembers one AddVariable call for handshake replay.
-type varDecl struct {
-	name string
-	def  protocol.VarValue
-}
-
 // Client is one application's connection to the Harmony server.
 type Client struct {
 	addrs   []string // candidate controller addresses, in dial order
@@ -170,7 +165,6 @@ type Client struct {
 	connGen    uint64
 	vars       map[string]protocol.VarValue
 	declared   map[string]*Variable
-	declOrder  []varDecl
 	instance   int
 	registered bool
 	closed     bool
@@ -449,7 +443,6 @@ func (c *Client) restoreSession(nc net.Conn) error {
 	appID, useInterrupts := c.appID, c.useInterrupts
 	rslText, registered := c.rslText, c.registered
 	started := c.started
-	decls := append([]varDecl(nil), c.declOrder...)
 	c.mu.Unlock()
 
 	// rejected classifies a non-ack reply: a follower's not_leader redirect
@@ -502,15 +495,6 @@ func (c *Client) restoreSession(nc net.Conn) error {
 			newInstance = setup.Instance
 			for k, v := range setup.Vars {
 				restored[k] = v
-			}
-		}
-		for _, d := range decls {
-			reply, err := roundTrip(&protocol.Message{Type: protocol.TypeAddVariable, Name: d.name, Value: d.def})
-			if err != nil {
-				return err
-			}
-			if err := rejected(reply); errors.Is(err, errRedirected) {
-				return err
 			}
 		}
 	}
@@ -786,7 +770,6 @@ func (c *Client) AddVariable(name string, def protocol.VarValue) (*Variable, err
 	}
 	v := &Variable{name: name, c: c}
 	c.declared[name] = v
-	c.declOrder = append(c.declOrder, varDecl{name: name, def: def})
 	return v, nil
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -321,6 +322,27 @@ func TestSlowLorisLeaseExpires(t *testing.T) {
 		t.Fatalf("server unhealthy after slow loris: %v", err)
 	}
 	_ = ctrl
+}
+
+// TestNewConnectionSurvivesSweep: the accept loop publishes a connection
+// before its serve goroutine runs, and the lease sweeper may look at it in
+// between. The lease must already run from the accept then, or the sweep
+// sees a connection idle since the epoch and closes it.
+func TestNewConnectionSurvivesSweep(t *testing.T) {
+	srv, _ := startTestServer(t, Config{LeaseTTL: 200 * time.Millisecond})
+	server, client := net.Pipe()
+	defer client.Close()
+	if _, ok := srv.addConn(server); !ok {
+		t.Fatal("addConn refused a connection on an open server")
+	}
+	// No serve goroutine: the connection stays where the accept loop left
+	// it while two sweeps (one every TTL/4) run inside its lease.
+	_ = client.SetReadDeadline(time.Now().Add(120 * time.Millisecond))
+	_, err := client.Read(make([]byte, 1))
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("the lease sweep closed a connection accepted %v ago (read: %v)", 120*time.Millisecond, err)
+	}
 }
 
 func TestResumeWithinGraceKeepsRegistration(t *testing.T) {

@@ -11,6 +11,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"harmony/internal/core"
 	"harmony/internal/protocol"
@@ -154,17 +155,38 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 
 // handleBundleSetup admits a bundle through the log. Vetting and parsing run
 // locally first (rejections need no quorum); the registration itself carries
-// the RSL text so every replica re-derives the same choice.
+// the RSL text so every replica re-derives the same choice. The script is
+// parsed twice here: once by vet.Script, which reports every problem, and
+// once strictly, and the joint workload check reads that decoded bundle.
 func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Message {
-	if reply := c.vetBundle(msg.RSL); reply != nil {
-		return reply
+	vetting := c.srv.cfg.Vet != VetOff
+	var nodes []*rsl.NodeDecl
+	if vetting {
+		nodes = c.srv.cfg.Controller.ClusterNodes()
+		if reply := c.vetReport(vet.Script(msg.RSL, vet.Options{ExtraNodes: nodes})); reply != nil {
+			return reply
+		}
 	}
-	bundles, _, err := rsl.DecodeScript(msg.RSL)
+	bundles, decls, err := rsl.DecodeScript(msg.RSL)
 	if err != nil {
 		return errReply("bundle_setup: %v", err)
 	}
 	if len(bundles) != 1 {
 		return errReply("bundle_setup: expected exactly one harmonyBundle, got %d", len(bundles))
+	}
+	if vetting {
+		// Judge the incoming spec jointly with everything already admitted:
+		// even an individually-fine bundle is rejected when the combined
+		// best-case demand provably exceeds the cluster. Node declarations
+		// in the script count, as they do for vet.Script.
+		specs := make([]vet.WorkloadSpec, 0, 2)
+		if admitted := c.srv.cfg.Controller.Bundles(); len(admitted) > 0 {
+			specs = append(specs, vet.WorkloadSpec{File: "admitted", Bundles: admitted})
+		}
+		specs = append(specs, vet.WorkloadSpec{File: "incoming", Bundles: bundles})
+		if reply := c.vetReport(vet.Workload(specs, vet.Options{ExtraNodes: slices.Concat(nodes, decls)})); reply != nil {
+			return reply
+		}
 	}
 	c.mu.Lock()
 	token := c.resumeToken
@@ -176,37 +198,15 @@ func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Me
 	return c.ackBundleSetup(res.Instance, res.Events)
 }
 
-// vetBundle statically analyzes an incoming spec per the configured vet
-// mode, returning a non-nil rejection reply when the bundle must not be
-// admitted.
-func (c *conn) vetBundle(src string) *protocol.Message {
-	if c.srv.cfg.Vet != VetOff {
-		nodes := c.srv.cfg.Controller.ClusterNodes()
-		rep := vet.Script(src, vet.Options{ExtraNodes: nodes})
-		for _, d := range rep.Diags {
-			c.srv.cfg.Logf("harmony: vet: %s", d)
-		}
-		if c.srv.cfg.Vet == VetReject {
-			if d, bad := rep.FirstError(); bad {
-				return errReply("bundle_setup: vet: %s", d)
-			}
-		}
-		// Judge the incoming spec jointly with everything already admitted:
-		// even an individually-fine bundle is rejected when the combined
-		// best-case demand provably exceeds the cluster.
-		specs := make([]vet.WorkloadSpec, 0, 2)
-		if admitted := c.srv.cfg.Controller.Bundles(); len(admitted) > 0 {
-			specs = append(specs, vet.WorkloadSpec{File: "admitted", Bundles: admitted})
-		}
-		specs = append(specs, vet.WorkloadSpec{File: "incoming", Src: src})
-		wrep := vet.Workload(specs, vet.Options{ExtraNodes: nodes})
-		for _, d := range wrep.Diags {
-			c.srv.cfg.Logf("harmony: vet: %s", d)
-		}
-		if c.srv.cfg.Vet == VetReject {
-			if d, bad := wrep.FirstError(); bad {
-				return errReply("bundle_setup: vet: %s", d)
-			}
+// vetReport logs a vet report's findings and, in reject mode, returns the
+// rejection reply for its first error; nil admits the bundle.
+func (c *conn) vetReport(rep *vet.Report) *protocol.Message {
+	for _, d := range rep.Diags {
+		c.srv.cfg.Logf("harmony: vet: %s", d)
+	}
+	if c.srv.cfg.Vet == VetReject {
+		if d, bad := rep.FirstError(); bad {
+			return errReply("bundle_setup: vet: %s", d)
 		}
 	}
 	return nil

@@ -313,26 +313,38 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // closed
 		}
-		c := &conn{
-			srv:       s,
-			netConn:   nc,
-			writer:    protocol.NewWriter(nc),
-			instances: make(map[int]bool),
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		c, ok := s.addConn(nc)
+		if !ok {
 			_ = nc.Close()
 			return
 		}
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			c.serve()
 		}()
 	}
+}
+
+// addConn wraps an accepted connection and publishes it to the lease
+// sweeper and Close; it reports false once the server is closed. The lease
+// starts here, not when serve first reads: a sweep that runs before the
+// serve goroutine does must not find the connection idle since the epoch.
+func (s *Server) addConn(nc net.Conn) (*conn, bool) {
+	c := &conn{
+		srv:       s,
+		netConn:   nc,
+		writer:    protocol.NewWriter(nc),
+		instances: make(map[int]bool),
+	}
+	c.touch()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, false
+	}
+	s.conns[c] = struct{}{}
+	return c, true
 }
 
 // onEvent reacts to controller reconfigurations: it buffers the variable
@@ -402,7 +414,6 @@ func (c *conn) send(m *protocol.Message) error {
 
 func (c *conn) serve() {
 	defer c.cleanup()
-	c.touch()
 	r := protocol.NewReader(c.netConn)
 	for {
 		msg, err := r.Read()

@@ -581,7 +581,7 @@ func (a *analysis) checkUnreachable(b *rsl.BundleSpec) {
 		if perSpec[opt.Name] {
 			continue
 		}
-		if u, ok := bounds.Unreachable(opt, a.decls); ok {
+		if u, ok := bounds.Unreachable(bounds.Option(opt), a.decls); ok {
 			a.diag("unreachable-option", SevError, opt.Pos, b.Name, opt.Name,
 				"%s; no cluster state can ever admit this option", u.Reason)
 		}

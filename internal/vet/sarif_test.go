@@ -16,7 +16,7 @@ func TestSARIFGolden(t *testing.T) {
 	}
 	script := Script(string(src), Options{})
 	script.File = "expr.rsl"
-	workload := Workload(workloadCorpus(t), Options{})
+	workload := Workload(workloadCorpus(t, "workload"), Options{})
 
 	got, err := SARIF([]*Report{script, nil, workload})
 	if err != nil {
@@ -42,7 +42,7 @@ func TestSARIFGolden(t *testing.T) {
 // valid JSON, one run, every registered rule present, results resolving
 // their ruleIndex, and severity-to-level mapping.
 func TestSARIFShape(t *testing.T) {
-	rep := Workload(workloadCorpus(t), Options{})
+	rep := Workload(workloadCorpus(t, "workload"), Options{})
 	out, err := SARIF([]*Report{rep})
 	if err != nil {
 		t.Fatal(err)

@@ -102,13 +102,14 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// workloadCorpus loads the joint-analysis corpus: a cluster declaration
-// plus bundle specs that are individually fine but jointly infeasible.
-func workloadCorpus(t *testing.T) []WorkloadSpec {
+// workloadCorpus loads a joint-analysis corpus from a directory under
+// testdata: a cluster declaration plus bundle specs that are individually
+// fine but jointly infeasible.
+func workloadCorpus(t *testing.T, dir string) []WorkloadSpec {
 	t.Helper()
 	var specs []WorkloadSpec
 	for _, name := range []string{"cluster.rsl", "a.rsl", "b.rsl"} {
-		src, err := os.ReadFile(filepath.Join("testdata", "workload", name))
+		src, err := os.ReadFile(filepath.Join("testdata", dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,53 +119,59 @@ func workloadCorpus(t *testing.T) []WorkloadSpec {
 }
 
 func TestWorkloadGolden(t *testing.T) {
-	specs := workloadCorpus(t)
+	for _, tc := range []struct {
+		dir  string
+		want []string
+	}{
+		{"workload", []string{"workload-bandwidth", "workload-host", "workload-memory", "workload-nodes"}},
+		// Each bundle stacks replicate 2 x 30 MB on the fixed host db, where
+		// the matcher puts every replica: together they pin 120 of its 100 MB.
+		{filepath.Join("workload", "fixedhost"), []string{"workload-host"}},
+	} {
+		t.Run(tc.dir, func(t *testing.T) {
+			specs := workloadCorpus(t, tc.dir)
 
-	// Each bundle spec alone must vet clean against the cluster — the
-	// whole point of the corpus is that only the joint analysis objects.
-	_, decls := decodeAll(t, specs[0].Src)
-	for _, s := range specs[1:] {
-		if rep := Script(s.Src, Options{ExtraNodes: decls}); len(rep.Diags) != 0 {
-			t.Errorf("%s alone should be clean, got %v", s.File, rep.Diags)
-		}
-	}
-
-	rep := Workload(specs, Options{})
-	for _, want := range []string{"workload-memory", "workload-nodes", "workload-host", "workload-bandwidth"} {
-		found := false
-		for _, d := range rep.Diags {
-			if d.Check == want {
-				found = true
+			// Each bundle spec alone must vet clean against the cluster — the
+			// whole point of the corpus is that only the joint analysis objects.
+			_, decls := decodeAll(t, specs[0].Src)
+			for _, s := range specs[1:] {
+				if rep := Script(s.Src, Options{ExtraNodes: decls}); len(rep.Diags) != 0 {
+					t.Errorf("%s alone should be clean, got %v", s.File, rep.Diags)
+				}
 			}
-		}
-		if !found {
-			t.Errorf("expected a %q diagnostic, got %v", want, rep.Diags)
-		}
-	}
-	for _, d := range rep.Diags {
-		if d.File == "" || d.Line <= 0 {
-			t.Errorf("workload diagnostic lacks file or line: %+v", d)
-		}
-	}
 
-	var sb strings.Builder
-	for _, d := range rep.Diags {
-		sb.WriteString(d.String())
-		sb.WriteByte('\n')
-	}
-	golden := filepath.Join("testdata", "workload", "workload.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	wantOut, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run go test -run Workload -update): %v", err)
-	}
-	if sb.String() != string(wantOut) {
-		t.Errorf("workload report mismatch\n--- got ---\n%s--- want ---\n%s", sb.String(), wantOut)
+			rep := Workload(specs, Options{})
+			var got []string
+			for _, d := range rep.Diags {
+				got = append(got, d.Check)
+				if d.File == "" || d.Line <= 0 {
+					t.Errorf("workload diagnostic lacks file or line: %+v", d)
+				}
+			}
+			if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+				t.Errorf("checks %v, want %v", got, tc.want)
+			}
+
+			var sb strings.Builder
+			for _, d := range rep.Diags {
+				sb.WriteString(d.String())
+				sb.WriteByte('\n')
+			}
+			golden := filepath.Join("testdata", tc.dir, "workload.golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			wantOut, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden file (run go test -run Workload -update): %v", err)
+			}
+			if sb.String() != string(wantOut) {
+				t.Errorf("workload report mismatch\n--- got ---\n%s--- want ---\n%s", sb.String(), wantOut)
+			}
+		})
 	}
 }
 
@@ -179,7 +186,7 @@ func decodeAll(t *testing.T, src string) ([]*rsl.BundleSpec, []*rsl.NodeDecl) {
 // TestWorkloadPreDecoded exercises the server path: bundles supplied
 // directly instead of source text.
 func TestWorkloadPreDecoded(t *testing.T) {
-	specs := workloadCorpus(t)
+	specs := workloadCorpus(t, "workload")
 	_, decls := decodeAll(t, specs[0].Src)
 	var pre []WorkloadSpec
 	for _, s := range specs[1:] {
@@ -194,7 +201,7 @@ func TestWorkloadPreDecoded(t *testing.T) {
 
 // TestWorkloadEmpty: no declarations in scope means no joint verdicts.
 func TestWorkloadEmpty(t *testing.T) {
-	specs := workloadCorpus(t)
+	specs := workloadCorpus(t, "workload")
 	if rep := Workload(specs[1:], Options{}); len(rep.Diags) != 0 {
 		t.Errorf("workload without a cluster should be silent, got %v", rep.Diags)
 	}
@@ -220,7 +227,7 @@ func TestRegistryCovered(t *testing.T) {
 			covered[d.Check] = true
 		}
 	}
-	for _, d := range Workload(workloadCorpus(t), Options{}).Diags {
+	for _, d := range Workload(workloadCorpus(t, "workload"), Options{}).Diags {
 		covered[d.Check] = true
 	}
 	for _, c := range Checks() {

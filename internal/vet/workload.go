@@ -6,8 +6,8 @@ import (
 	"sort"
 	"strings"
 
+	"harmony/internal/bounds"
 	"harmony/internal/rsl"
-	"harmony/internal/vet/absint"
 )
 
 // WorkloadSpec is one bundle spec participating in a joint workload
@@ -25,12 +25,13 @@ type WorkloadSpec struct {
 
 // Workload jointly analyzes a set of bundle specs against one cluster:
 // even when every spec is individually satisfiable, the set as a whole can
-// be infeasible. For each bundle it computes interval lower bounds on the
-// best case any option allows — total memory, exclusive node count,
-// per-host pinned memory, aggregate bandwidth — and compares the sums
-// against the declared cluster (opts.ExtraNodes plus any harmonyNode
-// commands inside the specs). Lower bounds mean no false alarms: a
-// workload-* finding holds for every option choice and variable binding.
+// be infeasible. For each bundle it takes the best case any option allows
+// — total memory, exclusive node count, per-host pinned memory, aggregate
+// bandwidth — from the lower ends of the options' bound vectors
+// (bounds.Option), and compares the sums against the declared cluster
+// (opts.ExtraNodes plus any harmonyNode commands inside the specs). Lower
+// bounds mean no false alarms: a workload-* finding holds for every option
+// choice and variable binding.
 //
 // Diagnostics carry the file of the last spec — the admission candidate
 // when the server asks whether one more bundle still fits — and the
@@ -168,8 +169,8 @@ func decodeLenient(src string) ([]*rsl.BundleSpec, []*rsl.NodeDecl) {
 	return bundles, decls
 }
 
-// demand is a vector of interval lower bounds on what a bundle or option
-// consumes in its best (cheapest) case.
+// demand is a vector of lower bounds on what a bundle consumes in its best
+// (cheapest) case.
 type demand struct {
 	mem     float64            // total memory, MB
 	excl    float64            // exclusively held nodes
@@ -177,117 +178,34 @@ type demand struct {
 	perHost map[string]float64 // memory pinned to specific hostnames, MB
 }
 
-// bundleDemand is the element-wise minimum over the bundle's options: no
-// matter which option the controller picks, the bundle consumes at least
-// this much.
+// bundleDemand is the element-wise minimum of the lower ends of the
+// bundle's option vectors (bounds.Option): no matter which option the
+// controller picks, the bundle consumes at least this much.
 func bundleDemand(b *rsl.BundleSpec) demand {
-	agg := demand{perHost: make(map[string]float64)}
-	hostSeen := make(map[string]bool)
+	var d demand
 	for i := range b.Options {
-		m := optionDemand(&b.Options[i])
+		v := bounds.Option(&b.Options[i])
 		if i == 0 {
-			agg.mem, agg.excl, agg.bw = m.mem, m.excl, m.bw
-			for h, v := range m.perHost {
-				agg.perHost[h] = v
-				hostSeen[h] = true
+			d = demand{mem: v.MemoryMB.Lo, excl: v.ExclusiveNodes.Lo, bw: v.BandwidthMbps.Lo}
+			if len(v.PerHostMB) > 0 {
+				d.perHost = make(map[string]float64, len(v.PerHostMB))
+				for h, iv := range v.PerHostMB {
+					d.perHost[h] = iv.Lo
+				}
 			}
 			continue
 		}
-		agg.mem = math.Min(agg.mem, m.mem)
-		agg.excl = math.Min(agg.excl, m.excl)
-		agg.bw = math.Min(agg.bw, m.bw)
+		d.mem = math.Min(d.mem, v.MemoryMB.Lo)
+		d.excl = math.Min(d.excl, v.ExclusiveNodes.Lo)
+		d.bw = math.Min(d.bw, v.BandwidthMbps.Lo)
 		// A host pinned by only some options is not pinned by the bundle.
-		for h := range hostSeen {
-			if v, ok := m.perHost[h]; ok {
-				agg.perHost[h] = math.Min(agg.perHost[h], v)
+		for h, lo := range d.perHost {
+			if iv, ok := v.PerHostMB[h]; ok {
+				d.perHost[h] = math.Min(lo, iv.Lo)
 			} else {
-				delete(agg.perHost, h)
-				delete(hostSeen, h)
+				delete(d.perHost, h)
 			}
 		}
 	}
-	return agg
-}
-
-// optionDemand computes interval lower bounds on one option's footprint.
-// Expressions evaluate over the convex hulls of the declared variable
-// domains; unanalyzable quantities contribute zero (per-spec vetting
-// reports them), keeping the bounds sound.
-func optionDemand(opt *rsl.OptionSpec) demand {
-	m := demand{perHost: make(map[string]float64)}
-	env := make(absint.MapEnv, len(opt.Variables))
-	for _, v := range opt.Variables {
-		env[v.Name] = absint.FromValues(v.Values)
-	}
-	lower := func(e rsl.Expr, env absint.MapEnv) (float64, bool) {
-		if e == nil {
-			return 0, false
-		}
-		val := absint.Eval(e, env).Val
-		if val.IsEmpty() || math.IsInf(val.Lo, -1) {
-			return 0, false
-		}
-		return val.Lo, true
-	}
-	locals := make(absint.MapEnv, len(env)+2*len(opt.Nodes))
-	for k, v := range env {
-		locals[k] = v
-	}
-	for i := range opt.Nodes {
-		spec := &opt.Nodes[i]
-		memLo := 0.0
-		if tag, ok := spec.Tags["memory"]; ok && !tag.IsString && tag.Op != rsl.OpMax {
-			if lo, ok := lower(tag.Expr, env); ok {
-				memLo = math.Max(lo, 0)
-			}
-		}
-		secLo := 0.0
-		if tag, ok := spec.Tags["seconds"]; ok && !tag.IsString && tag.Op != rsl.OpMax {
-			if lo, ok := lower(tag.Expr, env); ok {
-				secLo = math.Max(lo, 0)
-			}
-		}
-		locals[spec.LocalName+".memory"] = absint.Of(memLo, math.Inf(1))
-		locals[spec.LocalName+".seconds"] = absint.Of(secLo, math.Inf(1))
-
-		repLo := 1.0
-		if spec.Replicate != nil {
-			if lo, ok := lower(spec.Replicate, env); ok {
-				repLo = math.Max(lo, 0)
-			} else {
-				repLo = 0
-			}
-		}
-		m.mem += repLo * memLo
-
-		if tag, ok := spec.Tags["exclusive"]; ok && !tag.IsString {
-			if lo, ok := lower(tag.Expr, env); ok && lo > 0 {
-				m.excl += math.Max(repLo, 1)
-			}
-		}
-
-		host := ""
-		if spec.HostPattern != "*" {
-			host = spec.HostPattern
-		}
-		if tag, ok := spec.Tags["hostname"]; ok && tag.IsString {
-			host = tag.Str
-		}
-		if host != "" && memLo > 0 {
-			// At least one instance lands on the pinned host; replicas may
-			// spread, so only one share is charged to it.
-			m.perHost[host] += memLo
-		}
-	}
-	for i := range opt.Links {
-		if lo, ok := lower(opt.Links[i].Bandwidth, locals); ok {
-			m.bw += math.Max(lo, 0)
-		}
-	}
-	if opt.Communication != nil {
-		if lo, ok := lower(opt.Communication, locals); ok {
-			m.bw += math.Max(lo, 0)
-		}
-	}
-	return m
+	return d
 }

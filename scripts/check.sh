@@ -83,7 +83,10 @@ echo "== bench harness (vet + tests against this checkout's API)"
 # squeeze-small workloads: a few cycles, so the points the harness's numbers
 # are explained with cannot rot. Each is one benchmark, reporting the
 # predictions or joint-search trials a cycle makes, which repeat exactly.
+# Beside them, the admission vetting of one db-crowd arrival: the joint
+# workload check over 64 admitted bundles and the incoming script's own.
 go test -run '^$' -bench 'CrowdCycle|WideGreedyCycle|SqueezeCycle' -benchtime 20x ./internal/core
+go test -run '^$' -bench 'WorkloadCrowd|ScriptCrowd' -benchtime 20x ./internal/vet
 
 echo "== harmonyctl lint (examples/specs against the reference cluster)"
 sarif_out="${SARIF_OUT:-$(mktemp)}"
