@@ -29,6 +29,7 @@ FUZZ_TARGETS = \
 	FuzzInterval:./internal/vet/absint/ \
 	FuzzDominance:./internal/bounds/ \
 	FuzzDecodeMessage:./internal/protocol/ \
+	FuzzMayFit:./internal/match/ \
 	FuzzRecover:./internal/replog/
 
 fuzz:

@@ -124,7 +124,7 @@ func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial boo
 	var lastErr error
 	var lastPlan *match.Plan
 	var warned []string
-	for _, k := range c.pruneChoices(bs, app.choice, ctx.nodes, &ctx.cols) {
+	for _, k := range c.pruneChoices(bs, app.choice, &ctx.scan) {
 		st := &bs.stat[k]
 		cand, err := c.evaluate(ctx, bs.choices[k], st)
 		if err != nil {
@@ -234,9 +234,9 @@ type comboResult struct {
 // (ids, registration order, without skipInstance and the degraded ones, which
 // are returned apart), a snapshot with every one of their claims released,
 // whose node table and state the evaluation context holds afterwards, and
-// each one's choices pruned against that all-released base — reservations at
-// deeper search levels only shrink capacity, so a candidate infeasible here is
-// infeasible in every branch.
+// each one's choices pruned against that all-released base, on the context's
+// scan — reservations at deeper search levels only shrink capacity, so a
+// candidate infeasible here is infeasible in every branch.
 func (c *Controller) jointProblem(skipInstance int) (base *resource.Snapshot, ids []int, perApp [][]int, degraded []int) {
 	// Degraded apps are searched separately afterwards: the cross product
 	// requires every participating app to be placeable in a branch, so one
@@ -271,9 +271,10 @@ func (c *Controller) jointProblem(skipInstance int) (base *resource.Snapshot, id
 	ctx := &c.evalCtx
 	ctx.nodes = base.AppendNodes(ctx.nodes[:0])
 	base.ReadColumns(&ctx.cols)
+	ctx.scan.Reset(base, ctx.nodes, &ctx.cols)
 	for i, id := range ids {
 		app := c.apps[id]
-		perApp[i] = c.pruneChoices(c.staticFor(app), app.choice, ctx.nodes, &ctx.cols)
+		perApp[i] = c.pruneChoices(c.staticFor(app), app.choice, &ctx.scan)
 	}
 	return base, ids, perApp, degraded
 }
@@ -385,10 +386,10 @@ const jointTrialBudget = 10_000
 // Leaves are adopted on strict improvement in enumeration order.
 //
 // The walk skips only what cannot change the winner: a choice that provably
-// does not fit on the state (availability), an inner node below which some
-// level has no choice left that may fit, and a choice whose bound — the score
-// of the levels above, the choice and every level below at the least they can
-// predict — is no better than the best leaf so far. So it picks what the
+// does not fit on the state (match.Scan.MayFit), an inner node below which
+// some level has no choice left that may fit, and a choice whose bound — the
+// score of the levels above, the choice and every level below at the least
+// they can predict (predict.Floor) — is no better than the best leaf so far. So it picks what the
 // exhaustive walk picks, bit for bit, unless it stops at its budget first.
 type jointSearch struct {
 	c    *Controller
@@ -409,10 +410,10 @@ type jointSearch struct {
 	trials int
 }
 
-// jointLevel is one application of a joint search: its choices, the scan and
-// the availability of the state the levels above it left (every choice of the
-// level is matched against that one state, so they share its order), and the
-// trial that is charged while the levels below are walked.
+// jointLevel is one application of a joint search: its choices, the scan of
+// the state the levels above it left (every choice of the level is matched
+// against that one state, so they share its order and its MayFit counts), and
+// the trial that is charged while the levels below are walked.
 type jointLevel struct {
 	app     *appState
 	choices []jointChoice
@@ -420,7 +421,6 @@ type jointLevel struct {
 	// enumeration order.
 	byBound []int32
 	scan    match.Scan
-	avail   availability
 	// least holds, for this level and each below it, where in that level's
 	// byBound the least-bound choice that may still fit on this level's state
 	// stands; rest holds the lower bounds of those below this level, and
@@ -449,8 +449,8 @@ type jointChoice struct {
 	// it adds to a score then, its friction amortized over the jobs.
 	charged   bool
 	surcharge float64
-	// lb is what the choice's prediction can never go below on this machine,
-	// 0 when that is not known.
+	// lb is what the choice's prediction can never go below on this machine
+	// (predict.Floor), 0 when that is not known.
 	lb float64
 }
 
@@ -469,8 +469,7 @@ func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]
 	if fixed := c.apps[skipInstance]; fixed != nil {
 		js.jobs = append(js.jobs, objective.JobPrediction{Seconds: fixed.predicted})
 	}
-	fastest := fastestSpeed(js.rows)
-	up := newAvailability(js.rows, js.cols).up
+	fastest := predict.Fastest(js.rows)
 	for i, id := range ids {
 		lv := &js.levels[i]
 		lv.app = c.apps[id]
@@ -484,12 +483,11 @@ func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]
 				st:        st,
 				charged:   !c.cfg.IgnoreFriction && !bs.choices[k].Equal(lv.app.choice),
 				surcharge: st.friction / float64(len(js.jobs)),
-				lb:        st.lowerBound(fastest),
+				lb:        predict.Floor(st.opt, st.plan, fastest),
 			}
 			lv.byBound[j] = int32(j)
 		}
 		slices.SortStableFunc(lv.byBound, func(a, b int32) int { return cmp.Compare(lv.choices[a].lb, lv.choices[b].lb) })
-		lv.avail = availability{nodes: js.rows, up: up}
 		lv.least = make([]int32, len(ids))
 		lv.rest = make([]float64, len(ids)-i-1)
 	}
@@ -498,24 +496,6 @@ func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]
 		js.best.combo[i].assignment = js.levels[i].best.Clone()
 	}
 	return js.best
-}
-
-// fastestSpeed is the highest node speed in the table; +Inf, which leaves the
-// default model's choices without a bound, when there is none or one is not a
-// number.
-func fastestSpeed(rows []resource.NodeState) float64 {
-	fastest := 0.0
-	for i := range rows {
-		s := rows[i].Node.Speed
-		if math.IsNaN(s) {
-			return math.Inf(1)
-		}
-		fastest = max(fastest, s)
-	}
-	if fastest == 0 {
-		return math.Inf(1)
-	}
-	return fastest
 }
 
 // walk tries the choices of the application at level on the state the levels
@@ -528,15 +508,15 @@ func (js *jointSearch) walk(level int) {
 		js.leaf()
 		return
 	}
+	lv := &js.levels[level]
+	lv.scan.Reset(js.base, js.rows, js.cols)
 	if !js.reach(level) {
 		js.best.cuts++
 		return
 	}
-	lv := &js.levels[level]
-	lv.scan.Reset(js.base, js.rows, js.cols)
 	for k := range lv.choices {
 		jc := &lv.choices[k]
-		if !lv.avail.mayFit(jc.st) {
+		if !lv.scan.MayFit(jc.st.plan) {
 			continue
 		}
 		if js.cut(lv, level, jc) {
@@ -558,15 +538,14 @@ func (js *jointSearch) walk(level int) {
 	}
 }
 
-// reach aims the level's availability at the state the levels above it left
-// and finds, for this level and each below it, the least-bound choice that may
-// still fit there. That is the parent's, or one further along the level's
-// byBound: a state only loses capacity further down, so a choice that could
-// not fit above cannot fit here. It reports false when some level has none
-// left, so that no leaf lies below.
+// reach finds, for this level and each below it, the least-bound choice that
+// may still fit on the state the levels above it left, asking the level's
+// scan, which walk has aimed there. That is the parent's, or one further along
+// the level's byBound: a state only loses capacity further down, so a choice
+// that could not fit above cannot fit here. It reports false when some level
+// has none left, so that no leaf lies below.
 func (js *jointSearch) reach(level int) bool {
 	lv := &js.levels[level]
-	lv.avail.aim(js.cols)
 	lv.bounded = true
 	for l := level; l < len(js.levels); l++ {
 		next := &js.levels[l]
@@ -574,7 +553,7 @@ func (js *jointSearch) reach(level int) bool {
 		if level > 0 {
 			at = int(js.levels[level-1].least[l])
 		}
-		for at < len(next.byBound) && !lv.avail.mayFit(next.choices[next.byBound[at]].st) {
+		for at < len(next.byBound) && !lv.scan.MayFit(next.choices[next.byBound[at]].st.plan) {
 			at++
 		}
 		if at == len(next.byBound) {

@@ -306,7 +306,7 @@ func TestSearchNeverForks(t *testing.T) {
 		"Match":       {},
 		"Reserve":     {"adopt": true, "reevaluateExhaustive": true},
 		"AppendNodes": {"newEvalContext": true, "jointProblem": true},
-		"NewPlan":     {"newPlan": true},
+		"NewPlan":     {"analyzeChoice": true},
 	}
 	seen := map[string]int{}
 	fset := token.NewFileSet()

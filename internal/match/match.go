@@ -238,12 +238,11 @@ func (m *Matcher) WithView(view resource.View) *Matcher {
 // Scan is one state's node table as Match reads it: the rows in hostname
 // order, the order first-fit scans them in, and their free memory and load
 // as columns. It holds for the state it was aimed at and for no other, so
-// whoever owns it resets it whenever that state changes. Between resets any
-// number of goroutines may Match over it at once: a call reads the rows
-// (health, OS, hostname) where they are and charges the replicas it places to
-// its own copy of the two columns, so nothing a call does is seen by another.
-// The order is built by the first call whose option has a wildcard spec;
-// options that name every host never need it.
+// whoever owns it resets it whenever that state changes. A scan has one owner,
+// which places on it one call at a time: the scan keeps what it learns of its
+// state between calls (the order, MayFit's counts) and works in its own
+// scratch. The order is built by the first call whose option has a wildcard
+// spec; options that name every host never need it.
 type Scan struct {
 	snap *resource.Snapshot
 	rows []resource.NodeState
@@ -251,23 +250,40 @@ type Scan struct {
 	// the rows' own: the snapshot's state with trial reservations on top.
 	cols *resource.Columns
 
-	once   sync.Once
+	built  bool // whether order, free and load hold for the state
 	order  []int32
 	free   []float64 // the rows' own, read out when cols is nil
 	load   []float64
 	builds int
+
+	// up is the number of healthy rows, -1 until MayFit first needs it, and
+	// shapes the admitting-node counts MayFit has made since the last Reset.
+	// A state meets a handful of shapes (every choice of a bag has its
+	// workers'), so a list is searched faster than a map's key is hashed.
+	up     int
+	shapes []shapeCount
+
+	sc scratch // what a call places in
+}
+
+// shapeCount is how many rows admit one replica of a wildcard demand. The
+// demand is compared whole, since admits reads every field of it.
+type shapeCount struct {
+	shape demand
+	n     int
 }
 
 // Reset aims the scan at a snapshot. rows must be the snapshot's node table
 // (AppendNodes) and must not change while the scan is in use; it is not read
 // for options that name every host, so a caller that only matches those may
-// pass nil. cols, when not nil, holds the free memory and load to match
-// against by node index — the rows then give only what a reservation cannot
-// change — and must hold still until the next Reset. Reset must not run beside
-// Match.
+// pass nil, but MayFit always reads it. cols, when not nil, holds the free
+// memory and load to match against by node index — the rows then give only
+// what a reservation cannot change — and must hold still until the next
+// Reset.
 func (s *Scan) Reset(snap *resource.Snapshot, rows []resource.NodeState, cols *resource.Columns) {
 	s.snap, s.rows, s.cols = snap, rows, cols
-	s.once = sync.Once{}
+	s.built = false
+	s.up, s.shapes = -1, s.shapes[:0]
 }
 
 // Builds reports how many times the scan order has been worked out since the
@@ -277,6 +293,7 @@ func (s *Scan) Builds() int { return s.builds }
 // build orders the rows: least-loaded first, so concurrent applications spread
 // onto idle machines, and by hostname within one load.
 func (s *Scan) build() {
+	s.built = true
 	s.builds++
 	if s.cols == nil {
 		s.free, s.load = s.free[:0], s.load[:0]
@@ -379,9 +396,9 @@ func (t *table) at(row int32) int32 {
 	return t.pos[row]
 }
 
-// scratch is the working memory of one Match call, addressed by row. Calls
-// take one from the pool and hand it back, so a worker evaluating many
-// candidates reuses the same buffers.
+// scratch is the working memory of one Match call, addressed by row. Each
+// scan has its own, so an owner placing many candidates reuses the same
+// buffers.
 type scratch struct {
 	free, load []float64
 	// rows, order and pos make up the table of an option that names its hosts.
@@ -395,12 +412,16 @@ type scratch struct {
 	hosts []int32
 	// plan is the request of a Match call, resolved.
 	plan Plan
-	// own is the scan of a Match call that was not given one.
-	own     Scan
-	ownRows []resource.NodeState
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// oneOff is the scan of a Matcher.Match call, with the rows read into it.
+// Calls take one from the pool and hand it back.
+type oneOff struct {
+	scan Scan
+	rows []resource.NodeState
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(oneOff) }}
 
 // demand is what one node spec asks of a machine.
 type demand struct {
@@ -429,6 +450,13 @@ type Plan struct {
 
 	specs []planSpec
 	nodes int // replicas over all specs
+	// wildcards is the replicas over wildcard specs, which all take distinct
+	// hosts; maxSeconds the largest seconds of a spec.
+	wildcards  int
+	maxSeconds float64
+	// never marks a spec no machine can take, whatever the state: see
+	// resolve.
+	never bool
 	// fail is why resolving stopped at node spec len(specs). It is reported
 	// once every spec before it is placed.
 	fail *NoFitError
@@ -474,7 +502,6 @@ func (p *Plan) resolve(req Request) {
 	// CPU demand per node spec is the node's busy fraction of the job:
 	// the share of the job's critical-path seconds spent there. A database
 	// server doing 1 of a job's 10 seconds is charged 0.1 CPUs, not 1.0.
-	maxSeconds := 0.0
 	for i := range opt.Nodes {
 		spec := &opt.Nodes[i]
 		ps := planSpec{local: spec.LocalName}
@@ -514,8 +541,8 @@ func (p *Plan) resolve(req Request) {
 			p.fail = specFailed(spec, err)
 			return
 		}
-		if ps.seconds > maxSeconds {
-			maxSeconds = ps.seconds
+		if ps.seconds > p.maxSeconds {
+			p.maxSeconds = ps.seconds
 		}
 		d := demand{pattern: spec.HostPattern, wildcard: spec.HostPattern == "*", grant: grant, exclusive: exclusive}
 		if tag, ok := spec.Tags["os"]; ok && tag.IsString {
@@ -523,6 +550,22 @@ func (p *Plan) resolve(req Request) {
 		}
 		if tag, ok := spec.Tags["hostname"]; ok && tag.IsString {
 			d.hostname, d.hasHostname = tag.Str, true
+		}
+		switch {
+		case d.hasHostname && !d.wildcard && d.pattern != d.hostname:
+			// The spec's host can never be the one its tag names.
+			p.never = true
+		case d.hasHostname && d.wildcard && ps.replicas > 1:
+			// Wildcard replicas take distinct hosts, and only the tagged one
+			// qualifies.
+			p.never = true
+		case d.exclusive && !d.wildcard && ps.replicas > 1:
+			// Fixed-host replicas stack: the first charges a full CPU, so the
+			// second always finds the host busy.
+			p.never = true
+		}
+		if d.wildcard {
+			p.wildcards += ps.replicas
 		}
 		ps.demand = d
 		p.specs = append(p.specs, ps)
@@ -533,8 +576,8 @@ func (p *Plan) resolve(req Request) {
 	for i := range p.specs {
 		ps := &p.specs[i]
 		ps.cpuLoad = DefaultCPULoad
-		if maxSeconds > 0 {
-			ps.cpuLoad = p.specs[p.last(ps.local)].seconds / maxSeconds
+		if p.maxSeconds > 0 {
+			ps.cpuLoad = p.specs[p.last(ps.local)].seconds / p.maxSeconds
 		}
 	}
 	if len(opt.Links) > 0 || opt.Communication != nil {
@@ -542,38 +585,12 @@ func (p *Plan) resolve(req Request) {
 	}
 }
 
-// Demand is what one node spec of a plan asks of the machine of each of its
-// replicas, resolved.
-type Demand struct {
-	Local     string
-	Host      string // the spec's host: a hostname, or "*" for any
-	OS        string // the os tag, "" when there is none
-	Hostname  string // the hostname tag, "" when there is none
-	Replicas  int
-	MemoryMB  float64 // the grant
-	Seconds   float64
-	Exclusive bool
-}
+// Replicas is the number of machines the plan places on: its replicas over
+// every node spec (that resolved, when one did not).
+func (p *Plan) Replicas() int { return p.nodes }
 
-// Demands returns what each node spec of the plan asks for, in spec order, or
-// false when the request did not resolve — a requirement, link or
-// communication expression that fails or is out of range, a grant outside its
-// constraint, a link naming a node the option does not have — and so fails
-// to place on every state.
-func (p *Plan) Demands() ([]Demand, bool) {
-	if p.fail != nil || p.linkFail != nil {
-		return nil, false
-	}
-	ds := make([]Demand, len(p.specs))
-	for i := range p.specs {
-		ps := &p.specs[i]
-		ds[i] = Demand{
-			Local: ps.local, Host: ps.demand.pattern, OS: ps.demand.os, Hostname: ps.demand.hostname,
-			Replicas: ps.replicas, MemoryMB: ps.demand.grant, Seconds: ps.seconds, Exclusive: ps.demand.exclusive,
-		}
-	}
-	return ds, true
-}
+// MaxSeconds is the largest seconds requirement of the plan's node specs.
+func (p *Plan) MaxSeconds() float64 { return p.maxSeconds }
 
 // Env is what the plan's link and communication expressions were evaluated
 // in: the granted memory and the seconds of each node spec (as
@@ -662,31 +679,29 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 	if req.Option == nil {
 		return nil, errors.New("match: nil option")
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	sc.ownRows = sc.ownRows[:0]
+	o := scratchPool.Get().(*oneOff)
+	defer scratchPool.Put(o)
+	o.rows = o.rows[:0]
 	if !namesEveryHost(req.Option) {
-		sc.ownRows = m.ledger.AppendNodes(sc.ownRows)
+		o.rows = m.ledger.AppendNodes(o.rows)
 	}
-	sc.own.Reset(m.ledger.Indexed(), sc.ownRows, nil)
-	return sc.own.match(req, sc)
+	o.scan.Reset(m.ledger.Indexed(), o.rows, nil)
+	return o.scan.match(req)
 }
 
-// Match is Matcher.Match over the scan's state, sharing the scan with every
-// other call instead of reading and ordering the table again.
+// Match is Matcher.Match over the scan's state, reusing the scan's order
+// instead of reading and ordering the table again.
 func (s *Scan) Match(req Request) (*Assignment, error) {
 	if req.Option == nil {
 		return nil, errors.New("match: nil option")
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return s.match(req, sc)
+	return s.match(req)
 }
 
-func (s *Scan) match(req Request, sc *scratch) (*Assignment, error) {
-	sc.plan.resolve(req)
+func (s *Scan) match(req Request) (*Assignment, error) {
+	s.sc.plan.resolve(req)
 	asg := new(Assignment)
-	if err := s.misfit(&sc.plan, asg, sc); err != nil {
+	if err := s.misfit(&s.sc.plan, asg); err != nil {
 		return nil, err
 	}
 	return asg, nil
@@ -697,9 +712,7 @@ func (s *Scan) match(req Request, sc *scratch) (*Assignment, error) {
 // and is of no use when the plan does not fit. That is all Place reports of a
 // misfit, which costs it no formatting and no allocation.
 func (s *Scan) Place(p *Plan, asg *Assignment) bool {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return s.place(p, asg, sc, nil)
+	return s.place(p, asg, nil)
 }
 
 // Misfit places the plan once more, asking why it does not fit: the error
@@ -707,16 +720,14 @@ func (s *Scan) Place(p *Plan, asg *Assignment) bool {
 // the plan fits. A search that tried many plans calls it for the one whose
 // reason it reports.
 func (s *Scan) Misfit(p *Plan) error {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return s.misfit(p, new(Assignment), sc)
+	return s.misfit(p, new(Assignment))
 }
 
 // misfit places the plan into asg and returns why it does not fit, nil when
 // it does.
-func (s *Scan) misfit(p *Plan, asg *Assignment, sc *scratch) error {
+func (s *Scan) misfit(p *Plan, asg *Assignment) error {
 	var why NoFitError
-	if s.place(p, asg, sc, &why) {
+	if s.place(p, asg, &why) {
 		return nil
 	}
 	why.Option = p.opt.Name
@@ -725,7 +736,8 @@ func (s *Scan) misfit(p *Plan, asg *Assignment, sc *scratch) error {
 
 // place places the plan over the scan's state, leaving in why, when it is not
 // nil, the reason it does not fit.
-func (s *Scan) place(p *Plan, asg *Assignment, sc *scratch, why *NoFitError) bool {
+func (s *Scan) place(p *Plan, asg *Assignment, why *NoFitError) bool {
+	sc := &s.sc
 	misfit := func(e NoFitError) bool {
 		if why != nil {
 			*why = e
@@ -740,7 +752,9 @@ func (s *Scan) place(p *Plan, asg *Assignment, sc *scratch, why *NoFitError) boo
 	if namesEveryHost(opt) {
 		t = s.namedTable(sc, opt)
 	} else {
-		s.once.Do(s.build)
+		if !s.built {
+			s.build()
+		}
 		free, load := s.columns()
 		sc.free = append(sc.free[:0], free...)
 		sc.load = append(sc.load[:0], load...)
@@ -979,13 +993,14 @@ func ReserveColumns(cols *resource.Columns, snap *resource.Snapshot, owner strin
 	return nil
 }
 
-// rejection is why firstFit passed over a node. Only the last one is ever
-// reported, so the scan records the kind and the message is put together once,
-// on failure, instead of once per node passed over.
+// rejection is why a node turns a replica away. Only the last one firstFit
+// passes over is ever reported, so the scan records the kind and the message
+// is put together once, on failure, instead of once per node passed over.
 type rejection int
 
 const (
-	rejectNone rejection = iota
+	admitted   rejection = iota
+	rejectName           // the spec's host or hostname tag names another machine: passed over silently
 	rejectHealth
 	rejectUsed
 	rejectOS
@@ -993,55 +1008,64 @@ const (
 	rejectBusy // the remaining case: an exclusive spec met a loaded node
 )
 
-// firstFit scans the table's order (least-loaded first) from place from for
-// the first machine satisfying the demand, and returns its place in order:
-// where the next replica of the same spec resumes. The machine found is
-// looked at again then, so a wildcard spec that runs out of machines still
-// reports the last one it passed over, as a scan from the front would. When
-// there is none it leaves the reason in why, unless why is nil. Exclusive
-// specs — the paper's space-shared parallel workers, which the SP-2 allocator
+// admits is the one test of a node against one replica of a demand, which
+// placing (firstFit) and MayFit share: the node ns with free memory free and
+// CPU load load, taken when the request may not use it (excluded by the
+// caller, or already holding a wildcard replica of this request; a fixed-host
+// spec ignores it). It returns why the node turns the replica away, or
+// admitted. Draining and down nodes accept no new placements (existing claims
+// on a draining node survive until their owner moves), and exclusive specs —
+// the paper's space-shared parallel workers, which the SP-2 allocator
 // dedicates whole nodes to — only accept idle machines.
+func (d *demand) admits(ns *resource.NodeState, taken bool, free, load float64) rejection {
+	host := ns.Node.Hostname
+	switch {
+	case !d.wildcard && d.pattern != host:
+		return rejectName
+	case ns.Health != resource.HealthUp:
+		return rejectHealth
+	case d.wildcard && taken:
+		return rejectUsed
+	case d.hasOS && d.os != ns.Node.OS:
+		return rejectOS
+	case d.hasHostname && d.hostname != host:
+		return rejectName
+	case free < d.grant:
+		return rejectMemory
+	case d.exclusive && load > 0:
+		return rejectBusy
+	}
+	return admitted
+}
+
+// firstFit scans the table's order (least-loaded first) from place from for
+// the first machine that admits a replica of the demand, and returns its place
+// in order: where the next replica of the same spec resumes. The machine found
+// is looked at again then, so a wildcard spec that runs out of machines still
+// reports the last one it passed over, as a scan from the front would. When
+// there is none it leaves the reason in why, unless why is nil.
 func firstFit(t *table, from int, d *demand, used []bool, why *NoFitError) (int, bool) {
-	reject, whyAt := rejectNone, 0
+	reject, whyAt := rejectName, 0
 	for k := from; k < len(t.order); k++ {
 		i := int(t.order[k])
-		ns := &t.rows[i]
-		host := ns.Node.Hostname
-		switch {
-		case !d.wildcard && d.pattern != host:
-			continue
-		case ns.Health != resource.HealthUp:
-			// Draining and down nodes accept no new placements; existing
-			// claims on a draining node survive until their owner moves.
-			reject, whyAt = rejectHealth, i
-			continue
-		case d.wildcard && used[i]:
-			reject, whyAt = rejectUsed, i
-			continue
-		case d.hasOS && d.os != ns.Node.OS:
-			reject, whyAt = rejectOS, i
-			continue
-		case d.hasHostname && d.hostname != host:
-			continue
-		case t.free[i] < d.grant:
-			reject, whyAt = rejectMemory, i
-			continue
-		case d.exclusive && t.load[i] > 0:
-			reject, whyAt = rejectBusy, i
-			continue
+		switch r := d.admits(&t.rows[i], used[i], t.free[i], t.load[i]); r {
+		case admitted:
+			// Charge the call's columns so later replicas in this same Match
+			// call see reduced capacity.
+			t.free[i] -= d.grant
+			if d.exclusive {
+				t.load[i] += DefaultCPULoad
+			}
+			return k, true
+		case rejectName:
+		default:
+			reject, whyAt = r, i
 		}
-		// Found: charge the call's columns so later replicas in this same
-		// Match call see reduced capacity.
-		t.free[i] -= d.grant
-		if d.exclusive {
-			t.load[i] += DefaultCPULoad
-		}
-		return k, true
 	}
 	if why == nil {
 		return 0, false
 	}
-	if reject == rejectNone {
+	if reject == rejectName {
 		*why = NoFitError{format: "host %[1]s not registered", a: d.pattern}
 		if d.wildcard {
 			*why = NoFitError{format: "%[1]s", a: "no registered hosts"}
@@ -1063,6 +1087,89 @@ func firstFit(t *table, from int, d *demand, used []bool, why *NoFitError) (int,
 		*why = NoFitError{format: "%[1]s is busy (load %[4]g), spec requires an idle node", a: host, x: t.load[whyAt]}
 	}
 	return 0, false
+}
+
+// MayFit reports whether the plan may fit on the scan's state. false proves
+// that Place fails there, and on every state charged further, since a charge
+// only takes free memory away and adds load. Each condition it checks is
+// implied by a placement: the plan resolved and no spec contradicts itself;
+// wildcard replicas, which take distinct hosts across every spec, are no more
+// than the healthy rows, and each wildcard spec has as many rows that admit a
+// replica as it has replicas (counted once per shape and state); and the host
+// of a fixed-host spec admits the first replica and has the memory to stack
+// the rest, charged one by one as firstFit charges them. It reads the rows
+// whatever the plan, so the scan must be Reset with them.
+func (s *Scan) MayFit(p *Plan) bool {
+	if p.fail != nil || p.linkFail != nil || p.never {
+		return false
+	}
+	if p.wildcards > 0 && p.wildcards > s.healthy() {
+		return false
+	}
+	for i := range p.specs {
+		ps := &p.specs[i]
+		d := &ps.demand
+		if d.wildcard {
+			if s.admitting(d) < ps.replicas {
+				return false
+			}
+			continue
+		}
+		row, ok := resource.FindNode(s.rows, d.pattern)
+		if !ok {
+			return false
+		}
+		free, load := s.at(row)
+		if d.admits(&s.rows[row], false, free, load) != admitted {
+			return false
+		}
+		for r := 1; r < ps.replicas; r++ {
+			if free -= d.grant; free < d.grant {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// at is the free memory and CPU load of a row on the scan's state.
+func (s *Scan) at(row int) (free, load float64) {
+	if s.cols != nil {
+		return s.cols.FreeMemoryMB[row], s.cols.CPULoad[row]
+	}
+	return s.rows[row].FreeMemoryMB, s.rows[row].CPULoad
+}
+
+// healthy is the number of rows that accept placements at all.
+func (s *Scan) healthy() int {
+	if s.up < 0 {
+		s.up = 0
+		for i := range s.rows {
+			if s.rows[i].Health == resource.HealthUp {
+				s.up++
+			}
+		}
+	}
+	return s.up
+}
+
+// admitting counts the rows that admit one replica of a wildcard demand on
+// the scan's state, memoized by the demand's shape.
+func (s *Scan) admitting(d *demand) int {
+	for i := range s.shapes {
+		if s.shapes[i].shape == *d {
+			return s.shapes[i].n
+		}
+	}
+	n := 0
+	for i := range s.rows {
+		free, load := s.at(i)
+		if d.admits(&s.rows[i], false, free, load) == admitted {
+			n++
+		}
+	}
+	s.shapes = append(s.shapes, shapeCount{*d, n})
+	return n
 }
 
 func replicaCount(spec *rsl.NodeSpec, env rsl.Env) (int, error) {

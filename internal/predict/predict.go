@@ -9,6 +9,7 @@ package predict
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"harmony/internal/match"
@@ -337,6 +338,51 @@ func (in Indexed) cpuContention(pl *Placement, selfReserved bool) (float64, erro
 		}
 	}
 	return worst, nil
+}
+
+// Floor is what ForOption can never predict for a placement of the plan, an
+// option's choice resolved, wherever it lands and however loaded its nodes
+// and links are, on a machine whose fastest node runs at fastest (Fastest). It
+// is 0 when nothing useful is known, and a search that cuts on a floor must
+// not cut on 0.
+//
+// Explicit is the curve at the placement's node count — the plan's replicas —
+// times a CPU and a communication slowdown, each at least 1, so the floor is
+// the curve there. Default is the slowest placement's seconds over its node's
+// effective speed, times a communication slowdown of at least 1; an effective
+// speed is never above the node's speed (resource.EffectiveSpeed), so the
+// floor is the largest seconds of a spec (each places at least one replica)
+// over the fastest speed. Floating-point rounding is monotone, so neither
+// product nor quotient can round below its floor.
+func Floor(opt *rsl.OptionSpec, plan *match.Plan, fastest float64) float64 {
+	var floor float64
+	if len(opt.Performance) > 0 {
+		floor, _ = Interpolate(opt.Performance, float64(plan.Replicas()))
+	} else {
+		floor = plan.MaxSeconds() / fastest
+	}
+	if !(floor > 0) {
+		return 0
+	}
+	return floor
+}
+
+// Fastest is the highest node speed in a node table, for Floor; +Inf, which
+// leaves the default model without a floor, when there is none or one is not
+// a number.
+func Fastest(rows []resource.NodeState) float64 {
+	fastest := 0.0
+	for i := range rows {
+		s := rows[i].Node.Speed
+		if math.IsNaN(s) {
+			return math.Inf(1)
+		}
+		fastest = max(fastest, s)
+	}
+	if fastest == 0 {
+		return math.Inf(1)
+	}
+	return fastest
 }
 
 // ForOption predicts an assignment using the option's explicit model when

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 
-	"harmony/internal/core"
 	"harmony/internal/protocol"
 	"harmony/internal/replog"
 	"harmony/internal/resource"
@@ -157,7 +156,8 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 // locally first (rejections need no quorum); the registration itself carries
 // the RSL text so every replica re-derives the same choice. The script is
 // parsed twice here: once by vet.Script, which reports every problem, and
-// once strictly, and the joint workload check reads that decoded bundle.
+// once strictly, and the joint workload check reads that decoded bundle. An
+// admitted bundle is acked by ackBundleSetup itself, and the reply is nil.
 func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Message {
 	vetting := c.srv.cfg.Vet != VetOff
 	var nodes []*rsl.NodeDecl
@@ -195,7 +195,12 @@ func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Me
 	if err != nil {
 		return proposeFailed("bundle_setup", err)
 	}
-	return c.ackBundleSetup(res.Instance, res.Events)
+	if err := c.ackBundleSetup(res.Instance, msg.Seq); err != nil {
+		// As serve does when a reply cannot be written: the connection is
+		// dead, and closing it ends serve's read.
+		_ = c.netConn.Close()
+	}
+	return nil
 }
 
 // vetReport logs a vet report's findings and, in reject mode, returns the
@@ -212,33 +217,27 @@ func (c *conn) vetReport(rep *vet.Report) *protocol.Message {
 	return nil
 }
 
-// ackBundleSetup binds a fresh instance to this connection and builds the
-// registration ack, folding the initial configuration into it so the
-// application can start without waiting for a separate update.
-func (c *conn) ackBundleSetup(inst int, events []core.Event) *protocol.Message {
+// ackBundleSetup binds a fresh instance to this connection and writes the
+// registration ack, the reply to request seq, with the instance's
+// configuration folded in so the application can start without waiting for a
+// separate update. That configuration is whatever updates onEvent buffered
+// for the instance — its initial choice, and any reconfiguration applied
+// since — taken in the same critical section that publishes the binding, so
+// none is lost or sent twice. The ack goes out under the connection's write
+// lock, taken before the binding is published: an update flushed once the
+// binding is visible waits for it, and so reaches the client after the ack.
+func (c *conn) ackBundleSetup(inst int, seq uint64) error {
 	c.mu.Lock()
 	c.instances[inst] = true
 	c.mu.Unlock()
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	c.srv.mu.Lock()
 	c.srv.byInst[inst] = c
+	vars := c.srv.pending[inst]
+	delete(c.srv.pending, inst)
 	c.srv.mu.Unlock()
-
-	var initialVars map[string]protocol.VarValue
-	for _, ev := range events {
-		if ev.Instance == inst {
-			initialVars = c.srv.eventVars(ev)
-			// Consume the buffered copy created by onEvent.
-			c.srv.mu.Lock()
-			delete(c.srv.pending, inst)
-			c.srv.mu.Unlock()
-			break
-		}
-	}
-	return &protocol.Message{
-		Type:     protocol.TypeAck,
-		Instance: inst,
-		Vars:     initialVars,
-	}
+	return c.writer.Write(&protocol.Message{Type: protocol.TypeAck, Seq: seq, Instance: inst, Vars: vars})
 }
 
 // handleResume re-binds a session to this connection: the client presents

@@ -388,8 +388,9 @@ func (s *Server) eventVars(ev core.Event) map[string]protocol.VarValue {
 }
 
 // FlushPendingVars sends buffered variable updates for one instance (the
-// paper's flushPendingVars call). Unknown or disconnected instances keep
-// their buffer for delivery on reconnect-less polling via status.
+// paper's flushPendingVars call). An instance no connection is bound to keeps
+// its buffer: the registration ack takes it, a resume that binds the
+// instance again flushes it, and unregistering the instance drops it.
 func (s *Server) FlushPendingVars(instance int) {
 	s.mu.Lock()
 	c := s.byInst[instance]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"harmony/internal/metric"
 	"harmony/internal/objective"
 	"harmony/internal/protocol"
+	"harmony/internal/replog"
 	"harmony/internal/simclock"
 )
 
@@ -149,6 +151,61 @@ func TestForcedReconfigurationPushesUpdate(t *testing.T) {
 	}
 	if got := whereVar.Str(); got != "DS" {
 		t.Fatalf("where after update = %q, want DS", got)
+	}
+}
+
+// TestAckCarriesLatestConfiguration: a reconfiguration applied between a
+// registration and its ack is what the ack carries — the choice the
+// controller holds, not the one the registration made — and nothing of it is
+// left buffered to arrive after the ack.
+func TestAckCarriesLatestConfiguration(t *testing.T) {
+	srv, ctrl := startTestServer(t, Config{})
+	res, _, err := srv.rep.Propose(&replog.Entry{Op: replog.OpRegister, RSL: dbRSL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := res.Instance
+	if len(res.Events) == 0 {
+		t.Fatal("the registration made no configuration event")
+	}
+	latest := "DS"
+	if res.Events[0].Choice.Option == latest {
+		latest = "QS"
+	}
+	if _, err := srv.ForceChoice(inst, core.Choice{Option: latest}); err != nil {
+		t.Fatalf("ForceChoice: %v", err)
+	}
+	if apps := ctrl.Apps(); len(apps) != 1 || apps[0].Choice.Option != latest {
+		t.Fatalf("controller holds %+v, want option %s", apps, latest)
+	}
+
+	server, client := net.Pipe()
+	defer client.Close()
+	c, ok := srv.addConn(server)
+	if !ok {
+		t.Fatal("addConn refused a connection on an open server")
+	}
+	acked := make(chan error, 1)
+	go func() { acked <- c.ackBundleSetup(inst, 7) }()
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	ack, err := protocol.NewReader(client).Read()
+	if err != nil {
+		t.Fatalf("reading the ack: %v", err)
+	}
+	if err := <-acked; err != nil {
+		t.Fatalf("writing the ack: %v", err)
+	}
+	if ack.Type != protocol.TypeAck || ack.Seq != 7 || ack.Instance != inst {
+		t.Fatalf("ack = %+v, want an ack of request 7 for instance %d", ack, inst)
+	}
+	if got := ack.Vars["where"]; got.Str != latest {
+		t.Fatalf("ack says where=%q, the controller holds %s", got.Str, latest)
+	}
+	srv.mu.Lock()
+	left := len(srv.pending[inst])
+	srv.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d updates still buffered for instance %d after its ack", left, inst)
 	}
 }
 
