@@ -8,11 +8,11 @@
 //	hbench            # run every experiment (T1 F2a F2b F3 F4 F7 A1 A2 A3)
 //	hbench F7 A1      # run selected experiments
 //	hbench -list      # list experiment ids
-//	hbench -json BENCH_29.json -bench-nodes 64,256,1024,fig4:4096,accommodate:2,accommodate:4
+//	hbench -json BENCH_34.json -bench-nodes 64,256,1024,fig4:4096,accommodate:2,accommodate:4
 //	                  # run the hot-path bench (fig4 and fig7 at three sizes,
 //	                  # fig4 alone at a fourth, the joint search making room
 //	                  # beside 2 and 4 residents), write report
-//	hbench -json out.json -baseline BENCH_29.json -tolerance 15
+//	hbench -json out.json -baseline BENCH_34.json -tolerance 15
 //	                  # ...and fail if the hot path regressed >15% vs baseline
 package main
 

@@ -222,6 +222,7 @@ func (c *Controller) Restore(st *PersistedState) error {
 	// controller.
 	c.cfg.Clock.AdvanceTo(st.Now)
 	defer c.publish(nil)
+	c.endPass()
 	// Wipe current state.
 	for _, id := range c.order {
 		a := c.apps[id]

@@ -189,8 +189,14 @@ func crowdRSL(instance, host int) string {
 // pinned to the first hosts.
 func crowdController(tb testing.TB, residents int, cfg Config) *Controller {
 	tb.Helper()
-	const hosts = 127
-	decls := []*rsl.NodeDecl{{Hostname: "dbserver", Speed: 1, MemoryMB: 64 + 24*(hosts+1), OS: "linux", CPUs: 1}}
+	return crowdControllerOn(tb, 127, residents, cfg)
+}
+
+// crowdControllerOn is crowdController on a cluster of the given number of
+// client hosts.
+func crowdControllerOn(tb testing.TB, hosts, residents int, cfg Config) *Controller {
+	tb.Helper()
+	decls := []*rsl.NodeDecl{{Hostname: "dbserver", Speed: 1, MemoryMB: float64(64 + 24*(hosts+1)), OS: "linux", CPUs: 1}}
 	for i := 1; i <= hosts; i++ {
 		decls = append(decls, &rsl.NodeDecl{Hostname: fmt.Sprintf("dbclient%03d", i), Speed: 1, MemoryMB: 64, OS: "linux", CPUs: 1})
 	}

@@ -163,7 +163,7 @@ type appState struct {
 	assignment *match.Assignment
 	// placed is assignment resolved to ledger indices; read it through
 	// placedFor, which notices when it is missing or out of date.
-	placed       *resolved
+	placed       *predict.Placement
 	claim        *resource.Claim
 	predicted    float64
 	lastSwitch   time.Duration
@@ -209,10 +209,10 @@ type Controller struct {
 	order        []int // registration order (lexical evaluation order)
 	nextInstance int
 
-	// evalCtx is the evaluation context, refilled for every evaluation
-	// (one is alive at a time); evalContexts counts the refills.
-	evalCtx      evalContext
-	evalContexts uint64
+	// pass is the greedy evaluations' pass state (see eval.go);
+	// evaluations counts the evaluations opened on it.
+	pass        passState
+	evaluations uint64
 	// predictions counts model evaluations (Predictions).
 	predictions uint64
 	// prune counts static-pruning activity (see internal/core/prune.go).
@@ -402,6 +402,7 @@ func (c *Controller) unregisterAt(instance int, now time.Duration) (events []Eve
 	}
 	_ = c.ns.Delete(app.owner())
 	delete(c.apps, instance)
+	c.endPass()
 	for i, id := range c.order {
 		if id == instance {
 			c.order = append(c.order[:i], c.order[i+1:]...)
@@ -571,8 +572,8 @@ func (c *Controller) forceChoiceAt(instance int, ch Choice, now time.Duration) (
 	}
 	// Evaluate the forced choice hypothetically: the app's claim stays in
 	// place until adoption, which handles release/rollback itself.
-	ctx := c.newEvalContext(app)
-	cand, err := c.evaluateChoice(ctx, ch, c.choiceStaticFor(app, ch))
+	p := c.openEvaluation(app)
+	cand, err := c.evaluateChoice(p, ch, c.choiceStaticFor(app, ch))
 	if err != nil {
 		return nil, fmt.Errorf("core: force choice: %w", err)
 	}
@@ -603,7 +604,7 @@ func (c *Controller) ActiveInstances(appName string) []int {
 // ledger state (all claims reserved), as captured in snap.
 func (c *Controller) predictCommitted(snap *resource.Snapshot, a *appState) {
 	opt := a.bundle.Option(a.choice.Option)
-	pred, err := c.predictIndexed(predict.Indexed{View: snap}, opt, a.placedFor(snap).pl)
+	pred, err := c.predictIndexed(predict.Indexed{View: snap}, opt, a.placedFor(snap))
 	if err == nil {
 		a.predicted = pred.Seconds
 	}

@@ -13,93 +13,139 @@ import (
 	"harmony/internal/rsl"
 )
 
-// This file implements greedy candidate evaluation. Every candidate of one
-// application is placed on, charged to and predicted over one trial state —
-// the columns of a ledger snapshot with the application's own claim released —
-// and the state is restored after each, so the shared ledger is not touched
-// until adoption. The candidates are evaluated and reduced in one serial loop,
-// in enumeration order, keeping the first strictly best (bestChoice).
-
-// resolved is a resident's placement as candidate evaluation reads it: the
-// assignment's hosts and links as indices into the ledger's tables, and the
-// hosts again as a set. It is derived from an assignment and a topology and
-// from nothing else, so it is rebuilt rather than persisted: placedFor
-// resolves on first use after adoption or restore (adoption predicts every
-// resident, so that is when), and again when nodes or links were added to
-// the cluster.
-type resolved struct {
-	pl    *predict.Placement
-	hosts hostSet
-}
+// This file implements greedy candidate evaluation. The evaluations of one
+// pass share one pass state: the ledger's node table and columns, read once,
+// the residents' placements, and a table of what the residents predict under
+// each change a trial made to the ledger. Each evaluation releases its app's
+// claim into the columns and every candidate is charged on top, predicted and
+// restored, so the shared ledger is not touched until adoption. The
+// candidates are evaluated and reduced in one serial loop, in enumeration
+// order, keeping the first strictly best (bestChoice).
 
 // placedFor returns the app's assignment resolved against view's topology.
-// The app must hold an assignment.
-func (a *appState) placedFor(view *resource.Snapshot) *resolved {
-	if p := a.placed; p == nil || p.pl.Assignment() != a.assignment || !p.pl.Resolved(view) {
-		pl := predict.Resolve(view, a.assignment)
-		a.placed = &resolved{pl: pl, hosts: appendHostSet(nil, pl)}
+// The resolution is derived from the assignment and the topology and from
+// nothing else, so it is rebuilt rather than persisted: on first use after
+// adoption or restore (adoption predicts every resident, so that is when),
+// and again when nodes or links were added to the cluster. The app must hold
+// an assignment.
+func (a *appState) placedFor(view *resource.Snapshot) *predict.Placement {
+	if p := a.placed; p == nil || p.Assignment() != a.assignment || !p.Resolved(view) {
+		a.placed = predict.Resolve(view, a.assignment)
 	}
 	return a.placed
 }
 
-// otherApp is one already-placed application whose predicted time
-// contributes to the objective while a candidate is evaluated.
-type otherApp struct {
-	owner  string
-	opt    *rsl.OptionSpec
-	placed *resolved
-	// base and err are the app's prediction against the evaluation base,
-	// made the first time a candidate needs it (baseOf) and kept for
-	// the rest of the evaluation.
-	based bool
-	base  float64
-	err   error
-	// overlaps is whether the candidate being evaluated loads one of the
-	// app's hosts, which is when its trial charge can change the app's
-	// prediction.
-	overlaps bool
+// passState is one pass of greedy evaluations and the evaluation in progress.
+// A pass lasts as long as the ledger and the resident set stay as it found
+// them: an adoption, a release, a health change or an added node changes the
+// ledger, which Ledger.Unchanged notices, and Unregister, Restore and the
+// joint search end it outright (endPass). The controller has one, and only its
+// one writer touches it.
+//
+// The what-if table is why a pass is worth keeping. A trial state differs
+// from the pass base only at the entries the evaluated app's release and the
+// candidate's charge wrote, and a prediction reads only its own placement's
+// loads and link reservations. So what a resident other than the evaluated
+// app predicts on a trial state is fixed by the written entries it reads, and
+// a row keyed by the written entries some such resident reads, with their
+// bits, holds for every evaluation of the pass that meets the key: one row is
+// predicted once and read by every later candidate and every later app. A
+// resident that reads no key entry reads the pass base at every entry it
+// reads, and predicts its pass-base value.
+type passState struct {
+	// base is the ledger as the pass found it, every claim in place; nil when
+	// no pass is open. nodes is its node table in hostname order. cols holds
+	// its state, with the evaluated app's claim released on top and, while a
+	// candidate is evaluated, the candidate's charge on top of that: both are
+	// logged in undo and taken back through it, so undo from 0 lists every
+	// entry where cols differs from the pass base.
+	base  *resource.Snapshot
+	nodes []resource.NodeState
+	cols  resource.Columns
+	undo  resource.Undo
+
+	// residents are the applications holding a placement, in registration
+	// order. loadReaders and linkReaders count their placements' reads of each
+	// node's load and each link's reservation, less the evaluated app's.
+	residents   []resident
+	loadReaders []int32
+	linkReaders map[int32]int32
+
+	// The what-if table: rows, found by their key's hash (byHash holds the
+	// latest row of a hash, and each row the one before it). A row's key and
+	// its residents — every one that reads a key entry, the evaluated app of
+	// the evaluation that made it included — are spans of keys, and of who
+	// and slots.
+	rows   []whatIf
+	byHash map[uint64]int32
+	keys   []keyEntry
+	who    []int32
+	slots  []slot
+	// hits counts lookups that found their row already made.
+	hits int
+
+	// The evaluation in progress: its app (nil between evaluations), the
+	// app's index among the residents (-1 for an arrival or an app with no
+	// placement), the undo mark its release left and the scan of the released
+	// state.
+	app      *appState
+	self     int
+	released int
+	scan     match.Scan
+
+	// key is the last key worked out; node p is in it when stamp[p] == epoch.
+	key   []keyEntry
+	stamp []uint32
+	epoch uint32
+
+	// The candidate being evaluated: its placement, resolved, and the jobs
+	// the objective scores. The first others of jobs are the other residents'
+	// under row jobsRow (noRow: none yet this evaluation), which the next
+	// candidate of the evaluation keeps if it meets the same row.
+	asg     match.Assignment
+	pl      predict.Placement
+	jobs    []objective.JobPrediction
+	jobsRow int
+	others  int
 }
 
-// evalContext is one greedy evaluation: a base snapshot with the evaluated
-// app's own claim released, its node table and its columns read out once, the
-// matcher's scan over them, and every other application. The columns are the
-// trial state: a candidate is charged to them, predicted over them and
-// restored (resource.Columns.Restore writes back the very bits it found), so
-// the next candidate sees the base again. The controller has one context
-// (Controller.evalCtx) and refills it for every evaluation, so a pass over N
-// applications does not allocate N node tables: a context is dead once the
-// next one is built, and nothing in it — the scan and the footprints least of
-// all — is valid for any base but its own.
-type evalContext struct {
-	app    *appState
-	base   *resource.Snapshot
-	nodes  []resource.NodeState // base's node table, hostname order
-	cols   resource.Columns     // the trial state
-	undo   resource.Undo
-	scan   match.Scan // over nodes and cols
-	others []otherApp
+// noRow is no row of the table, nor the empty key's -1.
+const noRow = -2
 
-	// The candidate being evaluated: its placement, resolved, and its hosts.
-	asg   match.Assignment
-	pl    predict.Placement
-	hosts hostSet
-	jobs  []objective.JobPrediction
-
-	// keys holds the footprints of this evaluation's candidates so far whose
-	// other residents all predicted, one after another, each ending where
-	// prints says; secs holds those residents' seconds, len(others) to a
-	// footprint.
-	prints []int
-	keys   []footEntry
-	secs   []float64
+// resident is one application holding a placement during a pass.
+type resident struct {
+	app   *appState
+	owner string
+	opt   *rsl.OptionSpec
+	pl    *predict.Placement
+	// base is the prediction on the pass base, made when first needed.
+	base slot
 }
 
-// footEntry is one entry a trial charge wrote that another resident reads:
-// a node's CPU load (at >= 0, its index) or a link's reserved bandwidth
-// (at < 0, the complement of its id), as bits.
-type footEntry struct {
+// slot is one prediction of the pass, made when first needed.
+type slot struct {
+	made bool
+	secs float64
+	err  error
+}
+
+// keyEntry is one entry of a trial state: a node's CPU load (at >= 0, its
+// index) or a link's reserved bandwidth (at < 0, the complement of its id),
+// as bits.
+type keyEntry struct {
 	at   int32
 	bits uint64
+}
+
+// whatIf is one row of the table: keys[keyFrom:keyTo] is its key, and
+// who[whoFrom:whoTo], in ascending order, the residents that read an entry of
+// it, their predictions in the same span of slots. next is the row made before
+// it with the same hash, -1 for none.
+type whatIf struct {
+	hash           uint64
+	keyFrom, keyTo int32
+	whoFrom, whoTo int32
+	next           int32
 }
 
 // errMisfit stands for a candidate the scan could not place. Why it does not
@@ -122,9 +168,9 @@ func (c *Controller) predictIndexed(in predict.Indexed, opt *rsl.OptionSpec, pl 
 func (c *Controller) Predictions() uint64 { return c.view.Load().predictions }
 
 // MemoStats reports 0 hits and, as misses, the number of predictions made
-// since construction. There is no prediction memo: a prediction over a
-// resolved placement costs less than any key that could deduplicate it (see
-// docs/OPTIMIZER.md).
+// since construction. There is no prediction memo keyed by each prediction's
+// inputs: what a pass shares shows as predictions not made (see
+// docs/OPTIMIZER.md, "One pass, one table").
 //
 // Deprecated: use Predictions. MemoStats exists for the bench harness, which
 // still calls it, and goes with the harness's memo metric (ROADMAP item 7).
@@ -132,116 +178,147 @@ func (c *Controller) MemoStats() (hits, misses uint64) {
 	return 0, c.Predictions()
 }
 
-// hostSet is the set of nodes an assignment touches, one bit per node at
-// the node's index in the evaluation snapshot's hostname-ordered table.
-type hostSet []uint64
-
-// appendHostSet makes set, reusing its storage, the distinct registered hosts
-// a placement uses.
-func appendHostSet(set hostSet, pl *predict.Placement) hostSet {
-	set = set[:0]
-	for _, pos := range pl.NodeIndices() {
-		if pos < 0 {
-			continue
-		}
-		w := int(pos) / 64
-		for len(set) <= w {
-			set = append(set, 0)
-		}
-		set[w] |= 1 << (pos % 64)
+// openEvaluation starts the evaluation of app: it opens a pass unless the one
+// open still holds, releases the app's own claim into the columns (the
+// paper's "one bundle at a time" precondition) and aims the scan at the
+// result. Nothing is predicted yet, and the shared ledger is not touched.
+func (c *Controller) openEvaluation(app *appState) *passState {
+	p := &c.pass
+	p.closeEvaluation()
+	if p.base == nil || !c.ledger.Unchanged(p.base) {
+		c.openPass()
 	}
-	return set
-}
-
-// intersects reports whether two host sets share a member. A trial
-// reservation only perturbs the nodes it loads and the links between its
-// own hosts, so two assignments with disjoint host sets cannot affect each
-// other's predictions.
-func (a hostSet) intersects(b hostSet) bool {
-	if len(b) < len(a) {
-		a = a[:len(b)]
+	p.app = app
+	p.self = slices.IndexFunc(p.residents, func(r resident) bool { return r.app == app })
+	if p.self >= 0 {
+		p.countReads(p.self, -1)
 	}
-	for i, w := range a {
-		if w&b[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// newEvalContext snapshots the ledger, hypothetically releases the
-// app's own claim inside the snapshot (the paper's "one bundle at a time"
-// precondition), reads the snapshot's node table and columns out once, aims
-// the scan at them and lists every other application. Nothing is predicted
-// yet. The shared ledger is not touched.
-func (c *Controller) newEvalContext(app *appState) *evalContext {
-	snap := c.ledger.Snapshot()
 	if app.claim != nil {
-		if err := snap.Release(app.claim.ID); err != nil {
+		if err := p.cols.Release(p.base, app.claim.ID, &p.undo); err != nil {
 			// The claim is gone from the ledger (nothing is actually held):
 			// drop the stale pointer instead of carrying it forward.
 			c.warn(fmt.Sprintf("core: %s holds stale claim %d: %v", app.owner(), app.claim.ID, err))
 			app.claim = nil
 		}
 	}
-	ctx := &c.evalCtx
-	ctx.app, ctx.base = app, snap
-	ctx.nodes = snap.AppendNodes(ctx.nodes[:0])
-	snap.ReadColumns(&ctx.cols)
-	ctx.scan.Reset(snap, ctx.nodes, &ctx.cols)
-	c.evalContexts++
-	clear(ctx.others) // drop the last evaluation's pointers
-	ctx.others = ctx.others[:0]
+	p.released = p.undo.Mark()
+	p.jobsRow = noRow
+	p.scan.Reset(p.base, p.nodes, &p.cols)
+	c.evaluations++
+	return p
+}
+
+// closeEvaluation takes the evaluated app's release back out of the columns
+// and its reads back into the counts, leaving the pass base.
+func (p *passState) closeEvaluation() {
+	if p.app == nil {
+		return
+	}
+	p.cols.Restore(&p.undo, 0)
+	if p.self >= 0 {
+		p.countReads(p.self, 1)
+	}
+	p.app = nil
+}
+
+// openPass reads the ledger as it stands and the residents, and empties the
+// table.
+func (c *Controller) openPass() {
+	p := &c.pass
+	p.base = c.ledger.Snapshot()
+	p.nodes = p.base.AppendNodes(p.nodes[:0])
+	p.base.ReadColumns(&p.cols)
+	clear(p.residents) // drop the last pass's pointers
+	p.residents = p.residents[:0]
 	for _, id := range c.order {
-		other := c.apps[id]
-		if other == app {
-			continue
-		}
-		if other.assignment == nil {
+		a := c.apps[id]
+		if a.assignment == nil {
 			// Degraded (evicted, not re-placed) apps hold no resources and
 			// contribute neither contention nor an objective term.
 			continue
 		}
-		ctx.others = append(ctx.others, otherApp{
-			owner:  other.owner(),
-			opt:    other.bundle.Option(other.choice.Option),
-			placed: other.placedFor(snap),
+		p.residents = append(p.residents, resident{
+			app:   a,
+			owner: a.owner(),
+			opt:   a.bundle.Option(a.choice.Option),
+			pl:    a.placedFor(p.base),
 		})
 	}
-	ctx.prints, ctx.keys, ctx.secs = ctx.prints[:0], ctx.keys[:0], ctx.secs[:0]
-	return ctx
+	p.loadReaders = slices.Grow(p.loadReaders[:0], len(p.nodes))[:len(p.nodes)]
+	clear(p.loadReaders)
+	if p.linkReaders == nil {
+		p.linkReaders = make(map[int32]int32)
+	}
+	clear(p.linkReaders)
+	for i := range p.residents {
+		p.countReads(i, 1)
+	}
+	if len(p.stamp) != len(p.nodes) {
+		p.stamp, p.epoch = make([]uint32, len(p.nodes)), 0
+	}
+	if p.byHash == nil {
+		p.byHash = make(map[uint64]int32)
+	}
+	clear(p.byHash)
+	clear(p.slots)
+	p.rows, p.keys, p.who, p.slots = p.rows[:0], p.keys[:0], p.who[:0], p.slots[:0]
 }
 
-// evaluate places one choice of the context's app with the scan, charges it
+// endPass ends the pass, for whoever changes the resident set without the
+// ledger or takes the columns for something else.
+func (c *Controller) endPass() {
+	c.pass.closeEvaluation()
+	c.pass.base = nil
+}
+
+// countReads adds d to the read counts of every entry resident i reads.
+func (p *passState) countReads(i int, d int32) {
+	pl := p.residents[i].pl
+	for _, pos := range pl.NodeIndices() {
+		if pos >= 0 {
+			p.loadReaders[pos] += d
+		}
+	}
+	for _, id := range pl.LinkIDs() {
+		if id >= 0 {
+			p.linkReaders[id] += d
+		}
+	}
+}
+
+// indexed is where the models read the trial state.
+func (p *passState) indexed() predict.Indexed {
+	return predict.Indexed{View: p.base, Loads: p.cols.CPULoad, Reserved: p.cols.ReservedMbps}
+}
+
+// evaluate places one choice of the evaluated app with the scan, charges it
 // to the trial state, predicts it and every other application there and
 // scores the system objective; the state is restored before it returns. The
-// candidate's assignment is the context's own, overwritten by the next
+// candidate's assignment is the pass's own, overwritten by the next
 // candidate: whoever keeps it clones it. A choice that does not fit returns
 // errMisfit.
-func (c *Controller) evaluate(ctx *evalContext, ch Choice, st *choiceStatic) (candidate, error) {
-	if !ctx.scan.Place(st.plan, &ctx.asg) {
+func (c *Controller) evaluate(p *passState, ch Choice, st *choiceStatic) (candidate, error) {
+	if !p.scan.Place(st.plan, &p.asg) {
 		return candidate{}, errMisfit
 	}
-	mark := ctx.undo.Mark()
-	defer ctx.cols.Restore(&ctx.undo, mark)
-	if err := match.ReserveColumns(&ctx.cols, ctx.base, ctx.app.owner(), &ctx.asg, &ctx.undo); err != nil {
+	defer p.cols.Restore(&p.undo, p.released)
+	if err := match.ReserveColumns(&p.cols, p.base, p.app.owner(), &p.asg, &p.undo); err != nil {
 		return candidate{}, err
 	}
-	pl := ctx.pl.Resolve(ctx.base, &ctx.asg)
-	in := predict.Indexed{View: ctx.base, Loads: ctx.cols.CPULoad, Reserved: ctx.cols.ReservedMbps}
-	pred, err := c.predictIndexed(in, st.opt, pl)
+	pl := p.pl.Resolve(p.base, &p.asg)
+	pred, err := c.predictIndexed(p.indexed(), st.opt, pl)
 	if err != nil {
 		return candidate{}, err
 	}
-	jobs, err := c.predictOthers(ctx, in, mark)
+	jobs, err := c.predictOthers(p)
 	if err != nil {
 		return candidate{}, err
 	}
-	jobs = append(jobs, objective.JobPrediction{App: ctx.app.owner(), Seconds: pred.Seconds})
-	ctx.jobs = jobs
+	jobs = append(jobs, objective.JobPrediction{App: p.app.owner(), Seconds: pred.Seconds})
+	p.jobs = jobs
 	return candidate{
 		choice:       ch,
-		assignment:   &ctx.asg,
+		assignment:   &p.asg,
 		objective:    c.cfg.Objective(jobs),
 		predicted:    pred.Seconds,
 		friction:     st.friction,
@@ -251,10 +328,10 @@ func (c *Controller) evaluate(ctx *evalContext, ch Choice, st *choiceStatic) (ca
 
 // evaluateChoice is evaluate for a caller that keeps what it gets: a misfit
 // comes back with its reason, and the assignment is the candidate's own.
-func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice, st *choiceStatic) (candidate, error) {
-	cand, err := c.evaluate(ctx, ch, st)
+func (c *Controller) evaluateChoice(p *passState, ch Choice, st *choiceStatic) (candidate, error) {
+	cand, err := c.evaluate(p, ch, st)
 	if err == errMisfit {
-		err = ctx.scan.Misfit(st.plan)
+		err = p.scan.Misfit(st.plan)
 	}
 	if err != nil {
 		return candidate{}, err
@@ -263,132 +340,197 @@ func (c *Controller) evaluateChoice(ctx *evalContext, ch Choice, st *choiceStati
 	return cand, nil
 }
 
-// predictOthers predicts every other application with the candidate charged
-// to the trial state, in order, and returns them as the objective's jobs.
+// predictOthers predicts every other resident on the trial state, in order,
+// and returns them as the objective's jobs. Each value comes from the table:
+// the trial's row for a resident that reads one of its key entries, the
+// resident's pass-base value for any other, predicted on the trial state the
+// first time the pass needs it. A candidate that meets the row the one before
+// it met keeps that one's jobs: a made value never changes.
 //
-// An application whose hosts the candidate does not load reads none of the
-// entries the charge wrote — every model reads only its own placement's nodes
-// in the load column and its own links in the reserved one, and a link the
-// candidate charged joins two of the candidate's hosts — so its prediction on
-// the trial state is its base prediction, made by the first candidate that
-// needs it and kept (baseOf).
-//
-// An application the candidate does overlap is re-predicted on the trial
-// state, unless an earlier candidate of this evaluation left the same
-// footprint, in which case every application's seconds are that candidate's.
-// Its base prediction is needed only when the re-prediction fails: a failing
-// base prediction is the error to report, as it would be had every base been
-// predicted up front, in order. A trial only adds load (a charge adds a node's
-// busy fraction, a share of the job's seconds in [0, 1], and a link's
-// bandwidth), and every model error is either independent of load (a host or
-// link the cluster does not have, no performance points) or grows with it (a
-// node left no capacity: its effective speed only falls as load rises), so a
-// re-prediction that succeeds means the base prediction would have too. When
-// a re-prediction fails, the state is restored first and the base prediction
-// made there.
-func (c *Controller) predictOthers(ctx *evalContext, in predict.Indexed, mark int) ([]objective.JobPrediction, error) {
-	ctx.hosts = appendHostSet(ctx.hosts, &ctx.pl)
-	overlap := false
-	for i := range ctx.others {
-		o := &ctx.others[i]
-		o.overlaps = ctx.hosts.intersects(o.placed.hosts)
-		overlap = overlap || o.overlaps
+// A resident whose trial prediction fails reports, as its error, its
+// prediction on the evaluation base if that fails too: the base error is the
+// one to report, as it would be had every base been predicted up front, in
+// order. A trial only adds load (a charge adds a node's busy fraction, a share
+// of the job's seconds in [0, 1], and a link's bandwidth), and every model
+// error is either independent of load (a host or link the cluster does not
+// have, no performance points) or grows with it (a node left no capacity: its
+// effective speed only falls as load rises), so a trial prediction that
+// succeeds means the base prediction would have too.
+func (c *Controller) predictOthers(p *passState) ([]objective.JobPrediction, error) {
+	r := p.row()
+	if r == p.jobsRow {
+		return p.jobs[:p.others], nil
 	}
-	jobs := ctx.jobs[:0]
-	from := len(ctx.keys)
-	if overlap {
-		ctx.footprint(in)
-		if secs, ok := ctx.sharedSeconds(from); ok {
-			for i := range ctx.others {
-				jobs = append(jobs, objective.JobPrediction{App: ctx.others[i].owner, Seconds: secs[i]})
-			}
-			return jobs, nil
+	p.jobsRow = noRow
+	who, slots := p.rowOf(r)
+	jobs := p.jobs[:0]
+	for i := range p.residents {
+		v := &p.residents[i].base
+		if len(who) > 0 && int(who[0]) == i {
+			v, who, slots = &slots[0], who[1:], slots[1:]
 		}
-	}
-	for i := range ctx.others {
-		o := &ctx.others[i]
-		if !o.overlaps || (o.based && o.err != nil) {
-			if err := c.baseOf(o, in); err != nil {
-				ctx.keys = ctx.keys[:from]
-				return nil, err
-			}
-			jobs = append(jobs, objective.JobPrediction{App: o.owner, Seconds: o.base})
+		if i == p.self {
 			continue
 		}
-		p, err := c.predictIndexed(in, o.opt, o.placed.pl)
-		if err != nil {
-			ctx.keys = ctx.keys[:from]
-			ctx.cols.Restore(&ctx.undo, mark)
-			if berr := c.baseOf(o, in); berr != nil {
-				return nil, berr
-			}
-			return nil, err
+		if !v.made {
+			c.fill(p, v, i)
 		}
-		jobs = append(jobs, objective.JobPrediction{App: o.owner, Seconds: p.Seconds})
-	}
-	if overlap {
-		ctx.prints = append(ctx.prints, len(ctx.keys))
-		for _, j := range jobs {
-			ctx.secs = append(ctx.secs, j.Seconds)
+		if v.err != nil {
+			return nil, c.baseFailure(p, i, v.err)
 		}
+		jobs = append(jobs, objective.JobPrediction{App: p.residents[i].owner, Seconds: v.secs})
 	}
+	p.jobs, p.jobsRow, p.others = jobs, r, len(jobs)
 	return jobs, nil
 }
 
-// baseOf makes o's base prediction if no candidate has yet. in must read the
-// base at o's nodes and links.
-func (c *Controller) baseOf(o *otherApp, in predict.Indexed) error {
-	if !o.based {
-		p, err := c.predictIndexed(in, o.opt, o.placed.pl)
-		o.based, o.base, o.err = true, p.Seconds, err
-	}
-	return o.err
+// fill predicts resident i into v on the trial state, which must agree with
+// v's key at every entry i reads.
+func (c *Controller) fill(p *passState, v *slot, i int) {
+	r := &p.residents[i]
+	pred, err := c.predictIndexed(p.indexed(), r.opt, r.pl)
+	*v = slot{made: true, secs: pred.Seconds, err: err}
 }
 
-// footprint appends to keys the candidate's footprint: every node it charged
-// with its load on the trial state, then every link it charged that an
-// application it overlaps reads, with its reserved bandwidth there. Those are
-// all the entries of the trial state that another application's prediction
-// can read and the charge wrote, so two candidates with equal footprints give
-// every other application bit-identical predictions.
-func (ctx *evalContext) footprint(in predict.Indexed) {
-	for _, pos := range ctx.pl.NodeIndices() {
-		ctx.keys = append(ctx.keys, footEntry{pos, math.Float64bits(in.Loads[pos])})
+// baseFailure restores the evaluation base and returns resident i's error
+// there, or trialErr, its error on the trial state, when its base prediction
+// holds.
+func (c *Controller) baseFailure(p *passState, i int, trialErr error) error {
+	p.cols.Restore(&p.undo, p.released)
+	who, slots := p.rowOf(p.row())
+	v := &p.residents[i].base
+	if k, ok := slices.BinarySearch(who, int32(i)); ok {
+		v = &slots[k]
 	}
-	for _, id := range ctx.pl.LinkIDs() {
-		if id >= 0 && ctx.linkRead(id) {
-			ctx.keys = append(ctx.keys, footEntry{^id, math.Float64bits(in.Reserved[id])})
+	if !v.made {
+		c.fill(p, v, i)
+	}
+	if v.err != nil {
+		return v.err
+	}
+	return trialErr
+}
+
+// rowOf returns row r's residents and their slots; none for -1.
+func (p *passState) rowOf(r int) ([]int32, []slot) {
+	if r < 0 {
+		return nil, nil
+	}
+	w := &p.rows[r]
+	return p.who[w.whoFrom:w.whoTo], p.slots[w.whoFrom:w.whoTo]
+}
+
+// row returns the table's row for the state the columns hold: its key is every
+// entry written since the pass base — the release, and the candidate's charge
+// when one is on — that a resident other than the evaluated app reads, with
+// its bits. The row is made if the pass has not met the key yet; -1 stands
+// for the empty key, under which every resident predicts its pass-base value.
+//
+// The work is O(entries written). A node's load is in the key when some other
+// resident reads it. A link is looked at only when some node is: whoever reads
+// a link reads the loads of both its hosts, and whoever wrote a link — a claim
+// or a charge, which reserves every host of its assignment — wrote those loads
+// too.
+func (p *passState) row() int {
+	if p.epoch++; p.epoch == 0 {
+		clear(p.stamp)
+		p.epoch = 1
+	}
+	key := p.key[:0]
+	n := p.undo.Mark()
+	for i := 0; i < n; i++ {
+		if at, link := p.undo.Wrote(i); !link && p.loadReaders[at] > 0 && p.stamp[at] != p.epoch {
+			p.stamp[at] = p.epoch
+			key = append(key, keyEntry{at, math.Float64bits(p.cols.CPULoad[at])})
 		}
 	}
+	if nodes := len(key); nodes > 0 {
+		for i := 0; i < n; i++ {
+			if id, link := p.undo.Wrote(i); link && p.linkReaders[id] > 0 && !hasEntry(key[nodes:], ^id) {
+				key = append(key, keyEntry{^id, math.Float64bits(p.cols.ReservedMbps[id])})
+			}
+		}
+	}
+	p.key = key
+	if len(key) == 0 {
+		return -1
+	}
+	var h uint64
+	for _, e := range key {
+		h += mix(uint64(uint32(e.at))<<32 ^ mix(e.bits))
+	}
+	next := int32(-1)
+	if r, ok := p.byHash[h]; ok {
+		next = r
+		for ; r >= 0; r = p.rows[r].next {
+			if p.matches(&p.rows[r]) {
+				p.hits++
+				return int(r)
+			}
+		}
+	}
+	w := whatIf{hash: h, keyFrom: int32(len(p.keys)), whoFrom: int32(len(p.who)), next: next}
+	p.keys = append(p.keys, key...)
+	for i := range p.residents {
+		if p.readsKey(p.residents[i].pl) {
+			p.who = append(p.who, int32(i))
+			p.slots = append(p.slots, slot{})
+		}
+	}
+	w.keyTo, w.whoTo = int32(len(p.keys)), int32(len(p.who))
+	p.byHash[h] = int32(len(p.rows))
+	p.rows = append(p.rows, w)
+	return len(p.rows) - 1
 }
 
-// linkRead reports whether an application the candidate overlaps loads link
-// id. Only those can read a link the candidate charged.
-func (ctx *evalContext) linkRead(id int32) bool {
-	for i := range ctx.others {
-		if o := &ctx.others[i]; o.overlaps {
-			for _, l := range o.placed.pl.LinkIDs() {
-				if l == id {
-					return true
-				}
+// matches reports whether row w's key is the one row just worked out: as long
+// as it, and each of its entries in it with the same bits.
+func (p *passState) matches(w *whatIf) bool {
+	rk := p.keys[w.keyFrom:w.keyTo]
+	if len(rk) != len(p.key) {
+		return false
+	}
+	for _, e := range rk {
+		if e.at >= 0 {
+			if p.stamp[e.at] != p.epoch || math.Float64bits(p.cols.CPULoad[e.at]) != e.bits {
+				return false
+			}
+		} else if !hasEntry(p.key, e.at) || math.Float64bits(p.cols.ReservedMbps[^e.at]) != e.bits {
+			return false
+		}
+	}
+	return true
+}
+
+// readsKey reports whether a placement reads an entry of the key row just
+// worked out.
+func (p *passState) readsKey(pl *predict.Placement) bool {
+	for _, pos := range pl.NodeIndices() {
+		if pos >= 0 && p.stamp[pos] == p.epoch {
+			return true
+		}
+	}
+	if links := len(p.key) > 0 && p.key[len(p.key)-1].at < 0; links {
+		for _, id := range pl.LinkIDs() {
+			if id >= 0 && hasEntry(p.key, ^id) {
+				return true
 			}
 		}
 	}
 	return false
 }
 
-// sharedSeconds looks for an earlier candidate of this evaluation whose
-// footprint equals the one at keys[from:], and returns the other
-// applications' seconds under it, dropping the new footprint. Otherwise the
-// footprint stays, for predictOthers to record.
-func (ctx *evalContext) sharedSeconds(from int) ([]float64, bool) {
-	n, start := len(ctx.others), 0
-	for k, end := range ctx.prints {
-		if slices.Equal(ctx.keys[start:end], ctx.keys[from:]) {
-			ctx.keys = ctx.keys[:from]
-			return ctx.secs[k*n : (k+1)*n], true
-		}
-		start = end
-	}
-	return nil, false
+// hasEntry reports whether key holds an entry at at.
+func hasEntry(key []keyEntry, at int32) bool {
+	return slices.ContainsFunc(key, func(e keyEntry) bool { return e.at == at })
+}
+
+// mix is SplitMix64's finalizer. A key's hash is the sum of its entries'
+// mixes, so it does not depend on the order the entries were written in.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }

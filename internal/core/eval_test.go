@@ -425,7 +425,8 @@ func TestOptimizerDocInSync(t *testing.T) {
 	for _, sym := range []string{
 		"Warnings", "MemoStats", "Predictions",
 		"Snapshot", "Fork", "Placement", "Reevaluate",
-		"PruneStats", "Misfit", "footprint",
+		"PruneStats", "Misfit",
+		"One pass, one table", "passState", "Ledger.Unchanged", "Columns.Release", "TestPassPredictionCounts",
 		"`EvalWorkers` is deprecated and ignored",
 		"One writer, one published view", "TestReadersNeverWaitForAPass",
 		"jointTrialBudget", "ErrSearchBudget", "objective.Func", "TestJointBudgetReplays",
@@ -438,9 +439,53 @@ func TestOptimizerDocInSync(t *testing.T) {
 		"fanOutMinSize", "CopyFrom", "candScratch", "DisablePruning", "UseCriticalPath", "BestFit", "Dominance",
 		"ReevalInterval", "WarnFunc", "GrantSteps", "SetObjective", "adoptLocked",
 		"once per first-level choice", "exponential and unbounded",
+		"evalContext", "newEvalContext", "Base predictions are made lazily", "Candidates with one footprint share",
 	} {
 		if strings.Contains(string(doc), gone) {
 			t.Errorf("docs/OPTIMIZER.md still describes %s, which no longer exists", gone)
+		}
+	}
+}
+
+// TestPassPredictionCounts pins what the what-if table saves, in predictions,
+// which repeat exactly. One arrival and departure beside 64 db-crowd clients
+// (BenchmarkCrowdCycle's cycle) makes 1 096, where re-predicting the other
+// clients for every candidate made 17 094. On the Figure 7 shape — a client
+// on each host beside one server — a pass makes at most 6 predictions a
+// resident, at 64 and at 256 residents: linear in the residents, where
+// re-predicting made every evaluation cost O(residents) predictions and a
+// pass O(residents²).
+func TestPassPredictionCounts(t *testing.T) {
+	crowd := crowdController(t, 64, Config{})
+	arrival := decodeBundle(t, crowdRSL(65, 65))
+	before := crowd.Predictions()
+	inst, _, err := crowd.Register(arrival)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := crowd.Unregister(inst); err != nil {
+		t.Fatal(err)
+	}
+	if got := crowd.Predictions() - before; got != 1096 {
+		t.Errorf("a db-crowd cycle made %d predictions, want 1096", got)
+	}
+
+	for _, residents := range []int{64, 256} {
+		c := crowdControllerOn(t, residents, residents, Config{})
+		clock := c.cfg.Clock
+		for i := 0; i < 5; i++ {
+			clock.AdvanceTo(clock.Now() + 4000*time.Second)
+			if len(c.Reevaluate()) == 0 {
+				break
+			}
+		}
+		clock.AdvanceTo(clock.Now() + 4000*time.Second)
+		before := c.Predictions()
+		c.Reevaluate()
+		if got := c.Predictions() - before; got > uint64(6*residents) {
+			t.Errorf("a Figure 7 pass over %d residents made %d predictions, want at most %d", residents, got, 6*residents)
+		} else {
+			t.Logf("a Figure 7 pass over %d residents: %d predictions", residents, got)
 		}
 	}
 }

@@ -194,14 +194,14 @@ func sameCandidate(t *testing.T, what string, got, want candidate) {
 func compareGreedy(t *testing.T, c *Controller, app *appState, forInitial bool, what string, tally *greedyTally) {
 	t.Helper()
 	bs := c.staticFor(app)
-	ctx := c.newEvalContext(app)
+	p := c.openEvaluation(app)
 	p0 := c.predictions
-	ks := c.pruneChoices(bs, app.choice, &ctx.scan)
+	ks := c.pruneChoices(bs, app.choice, &p.scan)
 	gots, gotErrs := make([]candidate, len(ks)), make([]error, len(ks))
 	for i, k := range ks {
-		prints := len(ctx.prints)
-		gots[i], gotErrs[i] = c.evaluateChoice(ctx, bs.choices[k], &bs.stat[k])
-		if gotErrs[i] == nil && len(ctx.prints) == prints && slices.ContainsFunc(ctx.others, func(o otherApp) bool { return o.overlaps }) {
+		hits := p.hits
+		gots[i], gotErrs[i] = c.evaluateChoice(p, bs.choices[k], &bs.stat[k])
+		if gotErrs[i] == nil && p.hits > hits {
 			tally.shared++
 		}
 	}
@@ -277,9 +277,9 @@ func greedyRSL(t *testing.T, rng *rand.Rand, i int, hosts []string) *rsl.BundleS
 }
 
 // TestGreedyEvaluationMatchesReference holds greedy evaluation — one trial
-// state charged and restored per candidate, plans made once per bundle,
-// other applications' base predictions made lazily and their re-predictions
-// shared between candidates of one footprint — to copyEvaluation, on seeded
+// state charged and restored per candidate, plans made once per bundle, the
+// other applications' predictions read from the pass's what-if table — to
+// copyEvaluation, on seeded
 // random systems with pruning on and off (so that candidates that do not fit
 // are evaluated too). Before every arrival the arrival's own evaluation is
 // compared, after every event every resident's, and once per system with one
@@ -353,8 +353,10 @@ func runGreedyReference(t *testing.T, seed int64, disablePruning bool, what stri
 			lost := kept.Clone()
 			lost.Nodes[len(lost.Nodes)-1].Hostname = "no-such-host"
 			app.assignment = lost
+			c.endPass() // the resident set changed behind the controller's back
 			compareAll(at + ", a resident on a host that is gone")
 			app.assignment = kept
+			c.endPass()
 		}
 	}
 }

@@ -108,25 +108,25 @@ func expandGrants(opt *rsl.OptionSpec, varSets []map[string]float64) []map[strin
 }
 
 // bestChoice finds the objective-minimizing feasible choice for app.
-// The candidates are evaluated on the context's trial state, which is
+// The candidates are evaluated on the pass state's trial columns, which are
 // restored after each, never in the shared ledger, so the app's real claim
 // stays in place until adoption. The loop keeps the first strictly better
 // score in enumeration order, amortizes friction into the score of a
 // non-initial switch (when forInitial is true nothing is switching, so no
 // friction is charged), and raises each distinct friction warning once, in
 // order. Only a candidate that becomes the best so far has its assignment
-// copied out of the context's. When nothing fits, the error quotes the last
+// copied out of the pass state's. When nothing fits, the error quotes the last
 // candidate's failure, and a misfit is asked why only then.
 func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial bool) (candidate, error) {
 	bs := c.staticFor(app)
-	ctx := c.newEvalContext(app)
+	p := c.openEvaluation(app)
 	best := candidate{objective: math.Inf(1)}
 	var lastErr error
 	var lastPlan *match.Plan
 	var warned []string
-	for _, k := range c.pruneChoices(bs, app.choice, &ctx.scan) {
+	for _, k := range c.pruneChoices(bs, app.choice, &p.scan) {
 		st := &bs.stat[k]
-		cand, err := c.evaluate(ctx, bs.choices[k], st)
+		cand, err := c.evaluate(p, bs.choices[k], st)
 		if err != nil {
 			lastErr, lastPlan = err, st.plan
 			continue
@@ -151,7 +151,7 @@ func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial boo
 	}
 	if best.assignment == nil {
 		if lastErr == errMisfit {
-			lastErr = ctx.scan.Misfit(lastPlan)
+			lastErr = p.scan.Misfit(lastPlan)
 		}
 		if lastErr != nil {
 			return candidate{}, fmt.Errorf("%w for %s: %v", ErrNoFeasibleOption, app.bundle.App, lastErr)
@@ -233,10 +233,11 @@ type comboResult struct {
 // jointProblem sets up a joint search: the applications that take part
 // (ids, registration order, without skipInstance and the degraded ones, which
 // are returned apart), a snapshot with every one of their claims released,
-// whose node table and state the evaluation context holds afterwards, and
-// each one's choices pruned against that all-released base, on the context's
-// scan — reservations at deeper search levels only shrink capacity, so a
-// candidate infeasible here is infeasible in every branch.
+// whose node table and state the pass state's storage holds afterwards (the
+// search ends the pass), and each one's choices pruned against that
+// all-released base, on the pass state's scan — reservations at deeper search
+// levels only shrink capacity, so a candidate infeasible here is infeasible in
+// every branch.
 func (c *Controller) jointProblem(skipInstance int) (base *resource.Snapshot, ids []int, perApp [][]int, degraded []int) {
 	// Degraded apps are searched separately afterwards: the cross product
 	// requires every participating app to be placeable in a branch, so one
@@ -268,13 +269,14 @@ func (c *Controller) jointProblem(skipInstance int) (base *resource.Snapshot, id
 		}
 	}
 	perApp = make([][]int, len(ids))
-	ctx := &c.evalCtx
-	ctx.nodes = base.AppendNodes(ctx.nodes[:0])
-	base.ReadColumns(&ctx.cols)
-	ctx.scan.Reset(base, ctx.nodes, &ctx.cols)
+	c.endPass()
+	p := &c.pass
+	p.nodes = base.AppendNodes(p.nodes[:0])
+	base.ReadColumns(&p.cols)
+	p.scan.Reset(base, p.nodes, &p.cols)
 	for i, id := range ids {
 		app := c.apps[id]
-		perApp[i] = c.pruneChoices(c.staticFor(app), app.choice, &ctx.scan)
+		perApp[i] = c.pruneChoices(c.staticFor(app), app.choice, &p.scan)
 	}
 	return base, ids, perApp, degraded
 }
@@ -395,7 +397,7 @@ type jointSearch struct {
 	c    *Controller
 	base *resource.Snapshot
 	rows []resource.NodeState // base's node table: descriptions and health
-	// cols and undo are the evaluation context's: the trial state and the log
+	// cols and undo are the pass state's: the trial state and the log
 	// that restores it.
 	cols   *resource.Columns
 	undo   *resource.Undo
@@ -459,11 +461,11 @@ type jointChoice struct {
 // choices to try, as indices into its bundle's enumeration. Unless the search
 // spends its budget, the winner is what a walk that forked base for every
 // trial and tried every choice would pick, bit for bit (searchByFork, in the
-// tests, is that walk). It runs on the evaluation context's node table and
+// tests, is that walk). It runs on the pass state's node table and
 // columns, which jointProblem filled from base.
 func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]int, skipInstance int) comboResult {
-	ctx := &c.evalCtx
-	js := &jointSearch{c: c, base: base, rows: ctx.nodes, cols: &ctx.cols, undo: &ctx.undo, levels: make([]jointLevel, len(ids))}
+	p := &c.pass
+	js := &jointSearch{c: c, base: base, rows: p.nodes, cols: &p.cols, undo: &p.undo, levels: make([]jointLevel, len(ids))}
 	js.best.score = math.Inf(1)
 	js.jobs = make([]objective.JobPrediction, len(ids), len(ids)+1)
 	if fixed := c.apps[skipInstance]; fixed != nil {

@@ -109,6 +109,7 @@ func TestStaleResolutionNeverRead(t *testing.T) {
 		for _, a := range wiped.apps {
 			a.placed = nil
 		}
+		wiped.pass = passState{} // it holds resolutions too
 		errKept, errWiped := step.do(kept), step.do(wiped)
 		if fmt.Sprint(errKept) != fmt.Sprint(errWiped) {
 			t.Fatalf("%s: errors differ: %v / %v", step.name, errKept, errWiped)
@@ -132,9 +133,9 @@ func TestStaleResolutionNeverRead(t *testing.T) {
 			if app.assignment == nil {
 				continue
 			}
-			if app.placed != nil && app.placed.pl.Assignment() == app.assignment && !app.placed.pl.Resolved(committed) {
+			if app.placed != nil && app.placed.Assignment() == app.assignment && !app.placed.Resolved(committed) {
 				// Legal only until the next read; placedFor must replace it.
-				if app.placedFor(committed); !app.placed.pl.Resolved(committed) {
+				if app.placedFor(committed); !app.placed.Resolved(committed) {
 					t.Errorf("%s: %s: placedFor returned a stale resolution", step.name, app.owner())
 				}
 			}

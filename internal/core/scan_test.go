@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,18 +24,24 @@ import (
 )
 
 // evaluateChoiceByFork is the reference evaluateChoice is held to: it shares
-// nothing and carries nothing over. The candidate is matched on a bare fork
-// of the base (which reads and orders the node table itself), reserved in the
-// fork through the view interface, and every application — overlapping the
-// candidate or not — is resolved afresh and predicted against the base and
+// nothing and carries nothing over. It captures the ledger and releases the
+// app's claim in the capture itself; the candidate is matched on a bare fork
+// of that base (which reads and orders the node table itself), reserved in the
+// fork through the view interface, and every other application — overlapping
+// the candidate or not — is resolved afresh and predicted against the base and
 // then by walking the fork's overlay chain.
-func evaluateChoiceByFork(c *Controller, ctx *evalContext, ch Choice) (candidate, error) {
-	app := ctx.app
+func evaluateChoiceByFork(c *Controller, app *appState, ch Choice) (candidate, error) {
 	opt := app.bundle.Option(ch.Option)
 	if opt == nil {
 		return candidate{}, fmt.Errorf("core: option %q not in bundle", ch.Option)
 	}
-	fork := ctx.base.Fork()
+	base := c.ledger.Snapshot()
+	if app.claim != nil {
+		if err := base.Release(app.claim.ID); err != nil {
+			return candidate{}, err
+		}
+	}
+	fork := base.Fork()
 	matcher := c.matcher.WithView(fork)
 	env := rsl.MapEnv(ch.Vars)
 	asg, err := matcher.Match(match.Request{Option: opt, Env: env, MemoryGrants: ch.Grants})
@@ -50,17 +57,20 @@ func evaluateChoiceByFork(c *Controller, ctx *evalContext, ch Choice) (candidate
 		return candidate{}, err
 	}
 	var jobs []objective.JobPrediction
-	for i := range ctx.others {
-		o := &ctx.others[i]
-		asg := o.placed.pl.Assignment()
-		if _, err := c.predictIndexed(predict.Indexed{View: ctx.base}, o.opt, predict.Resolve(ctx.base, asg)); err != nil {
+	for _, id := range c.order {
+		other := c.apps[id]
+		if other == app || other.assignment == nil {
+			continue
+		}
+		opt := other.bundle.Option(other.choice.Option)
+		if _, err := c.predictIndexed(predict.Indexed{View: base}, opt, predict.Resolve(base, other.assignment)); err != nil {
 			return candidate{}, err
 		}
-		p, err := c.predictIndexed(in, o.opt, predict.Resolve(fork, asg))
+		p, err := c.predictIndexed(in, opt, predict.Resolve(fork, other.assignment))
 		if err != nil {
 			return candidate{}, err
 		}
-		jobs = append(jobs, objective.JobPrediction{App: o.owner, Seconds: p.Seconds})
+		jobs = append(jobs, objective.JobPrediction{App: other.owner(), Seconds: p.Seconds})
 	}
 	jobs = append(jobs, objective.JobPrediction{App: app.owner(), Seconds: pred.Seconds})
 	cand := candidate{choice: ch, assignment: asg, objective: c.cfg.Objective(jobs), predicted: pred.Seconds}
@@ -95,22 +105,25 @@ harmonyBundle Fric%d:%d where {
 }
 
 // TestScanNeverOutlivesItsBase drives two controllers through one script in
-// which the base of the shared scan and columns changes in every way it can
-// between two evaluations: an adoption (every Register re-evaluates the
-// residents after adopting the arrival, and a pass adopts between one
-// resident's evaluation and the next), a node going down and coming back, a
-// node whose hostname sorts before every other being added (each index moves
-// up by one and the link table grows), and a round trip through EncodeState
-// and Restore (whose assignments carry no positions). One controller keeps
-// its evaluation context from step to step, as it runs in production; the
-// other has the context — node table, columns, scan, buffers and all — thrown
-// away before every step. After every step their states must be
-// byte-identical. Then, on the controller that keeps its context, every choice
-// of every resident is evaluated both ways against one context: over the
-// shared scan and trial state, and by evaluateChoiceByFork, which rebuilds
-// everything for each candidate. The two must agree on the assignment (carried
-// positions included), bit for bit on the prediction and the objective, and
-// word for word on the error of a candidate that does not fit.
+// which the base of the pass state — columns, scan, residents and what-if
+// table — changes in every way it can between two evaluations: an adoption
+// (every Register re-evaluates the residents after adopting the arrival, and a
+// pass adopts between one resident's evaluation and the next), a node going
+// down and coming back, a node whose hostname sorts before every other being
+// added (each index moves up by one and the link table grows), and a round
+// trip through EncodeState and Restore (whose assignments carry no positions).
+// Two clients share a host and its link to the server, so a candidate of one
+// lands on the entries the other reads. One controller keeps its pass state
+// from step to step, as it runs in production; the other has it — node table,
+// columns, scan, table, buffers and all — thrown away before every step. After
+// every step their states must be byte-identical. Then, on the controller
+// that keeps its pass, every choice of every resident is evaluated both ways:
+// over the pass state, and by evaluateChoiceByFork, which rebuilds everything
+// for each candidate; in one step a resident is forced to another choice
+// halfway through, an adoption in the middle of the pass. The two must agree
+// on the assignment (carried positions included), bit for bit on the
+// prediction and the objective, and word for word on the error of a candidate
+// that does not fit.
 func TestScanNeverOutlivesItsBase(t *testing.T) {
 	// The subtest is named for the placement order the scan is checked under.
 	t.Run("first-fit", testScanNeverOutlivesItsBase)
@@ -169,36 +182,49 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 		return c.Restore(st)
 	}
 
+	// forceMidPass stamps, in script order, an entry that forces instance to
+	// another choice; which one is decided when it is applied.
+	forceMidPass := func(instance int) *replog.Entry {
+		index++
+		now += 90 * time.Second
+		return &replog.Entry{Index: index, Term: 1, Time: now, Op: replog.OpForceChoice, Instance: instance}
+	}
+
 	steps := []struct {
 		name string
 		do   func(*Controller) error
+		// midPass, when set, forces a resident to another choice halfway
+		// through the evaluations that follow the step.
+		midPass *replog.Entry
 	}{
-		{"register a communicating bag", register(goldenCommRSL(1, 60))},
-		{"register a second", register(goldenCommRSL(2, 45))},
-		{"register a client with a wildcard host", register(goldenDBRSL(3))},
-		{"register a memory-only cache", register(goldenCacheRSL(4))},
-		{"register a bag with friction", register(scanFrictionRSL(5))},
-		{"pass", pass()},
-		{"a bag's host goes down", nodeState("sp2-03", "down")},
-		{"pass on the smaller machine", pass()},
-		{"add a node that sorts first", addNode},
-		{"pass over moved indices", pass()},
-		{"register on the grown machine", register(goldenCommRSL(6, 80))},
-		{"the host comes back", nodeState("sp2-03", "up")},
-		{"the named server drains", nodeState("sp2-01", "drain")},
-		{"pass", pass()},
-		{"encode, decode, restore", roundTrip},
-		{"pass after restore", pass()},
-		{"the server is back", nodeState("sp2-01", "up")},
-		{"unregister the first bag", entry(replog.Entry{Op: replog.OpUnregister, Instance: 1})},
-		{"register one more", register(goldenCommRSL(7, 30))},
+		{"register a communicating bag", register(goldenCommRSL(1, 60)), nil},
+		{"register a second", register(goldenCommRSL(2, 45)), nil},
+		{"register a client with a wildcard host", register(goldenDBRSL(3)), nil},
+		{"register a memory-only cache", register(goldenCacheRSL(4)), nil},
+		{"register a bag with friction", register(scanFrictionRSL(5)), nil},
+		{"register a client on a shared host", register(goldenShareRSL(8, "sp2-06", true)), nil},
+		{"register a second client there", register(goldenShareRSL(9, "sp2-06", false)), nil},
+		{"pass", pass(), forceMidPass(6)},
+		{"a bag's host goes down", nodeState("sp2-03", "down"), nil},
+		{"pass on the smaller machine", pass(), nil},
+		{"add a node that sorts first", addNode, nil},
+		{"pass over moved indices", pass(), nil},
+		{"register on the grown machine", register(goldenCommRSL(6, 80)), nil},
+		{"the host comes back", nodeState("sp2-03", "up"), nil},
+		{"the named server drains", nodeState("sp2-01", "drain"), nil},
+		{"pass", pass(), nil},
+		{"encode, decode, restore", roundTrip, nil},
+		{"pass after restore", pass(), nil},
+		{"the server is back", nodeState("sp2-01", "up"), nil},
+		{"unregister the first bag", entry(replog.Entry{Op: replog.OpUnregister, Instance: 1}), nil},
+		{"register one more", register(goldenCommRSL(7, 30)), nil},
 		{"force a resident wide", entry(replog.Entry{Op: replog.OpForceChoice, Instance: 2,
-			Choice: &replog.Choice{Option: "workers", Vars: map[string]float64{"workerNodes": 8}}})},
-		{"pass", pass()},
+			Choice: &replog.Choice{Option: "workers", Vars: map[string]float64{"workerNodes": 8}}}), nil},
+		{"pass", pass(), nil},
 	}
-	candidates, misfits := 0, 0
+	candidates, misfits, forced := 0, 0, 0
 	for _, step := range steps {
-		wiped.evalCtx = evalContext{}
+		wiped.pass = passState{}
 		errKept, errWiped := step.do(kept), step.do(wiped)
 		if fmt.Sprint(errKept) != fmt.Sprint(errWiped) {
 			t.Fatalf("%s: errors differ: %v / %v", step.name, errKept, errWiped)
@@ -212,16 +238,33 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Fatalf("%s: the controller that kept its evaluation context decided differently", step.name)
+			t.Fatalf("%s: the controller that kept its pass state decided differently", step.name)
 		}
 
-		for _, id := range kept.order {
+		order := slices.Clone(kept.order)
+		for n, id := range order {
+			if step.midPass != nil && n == len(order)/2 {
+				e := *step.midPass
+				e.Choice = &replog.Choice{Option: "QS"}
+				if cur, _ := kept.CurrentChoice(e.Instance); cur.Option == "QS" {
+					e.Choice = &replog.Choice{Option: "DS", Grants: map[string]float64{"client": 25}}
+				}
+				e2 := e
+				res, err := kept.Apply(&e)
+				if err != nil || len(res.Events) != 1 {
+					t.Fatalf("%s: forcing %d mid-pass: %v, %+v", step.name, e.Instance, err, res)
+				}
+				if _, err := wiped.Apply(&e2); err != nil {
+					t.Fatal(err)
+				}
+				forced++
+			}
 			app := kept.apps[id]
 			bs := kept.staticFor(app)
-			ctx := kept.newEvalContext(app)
+			p := kept.openEvaluation(app)
 			for k, ch := range bs.choices {
-				got, gotErr := kept.evaluateChoice(ctx, ch, &bs.stat[k])
-				want, wantErr := evaluateChoiceByFork(kept, ctx, ch)
+				got, gotErr := kept.evaluateChoice(p, ch, &bs.stat[k])
+				want, wantErr := evaluateChoiceByFork(kept, app, ch)
 				candidates++
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 					t.Fatalf("%s: %s %s: shared says %v, rebuilt says %v", step.name, app.owner(), ch, gotErr, wantErr)
@@ -241,8 +284,8 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 			}
 		}
 	}
-	if n := len(kept.Apps()); n != 6 {
-		t.Fatalf("%d residents at the end, want 6", n)
+	if n := len(kept.Apps()); n != 8 || forced != 1 {
+		t.Fatalf("%d residents at the end, want 8; %d forced mid-pass, want 1", n, forced)
 	}
 	if candidates < 500 || misfits == 0 || misfits > candidates/2 {
 		t.Fatalf("%d candidates compared, %d of them misfits: the script no longer covers both outcomes", candidates, misfits)
@@ -250,12 +293,12 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 }
 
 // TestOneScanPerEvaluation counts how often the scan order is worked out: at
-// most once per evaluation context whatever the number of candidates — once
-// for every context of a wide-greedy cycle, whose candidates are all
-// wildcards, and never on db-crowd, whose options name their hosts.
+// most once per evaluation whatever the number of candidates — once for every
+// evaluation of a wide-greedy cycle, whose candidates are all wildcards, and
+// never on db-crowd, whose options name their hosts.
 func TestOneScanPerEvaluation(t *testing.T) {
-	counts := func(c *Controller) (contexts, scans, candidates uint64) {
-		return c.evalContexts, uint64(c.evalCtx.scan.Builds()), c.prune.Considered - c.prune.Unreachable
+	counts := func(c *Controller) (evaluations, scans, candidates uint64) {
+		return c.evaluations, uint64(c.pass.scan.Builds()), c.prune.Considered - c.prune.Unreachable
 	}
 	cycle := func(c *Controller, arrival *rsl.BundleSpec) {
 		t.Helper()
@@ -278,17 +321,17 @@ func TestOneScanPerEvaluation(t *testing.T) {
 	cycle(wide, decodeBundle(t, wideBagRSL("Job", 9, 310)))
 	c1, s1, n1 := counts(wide)
 	// The arrival and 8 residents on Register, 8 residents on Unregister.
-	if contexts := c1 - c0; contexts != 17 || s1-s0 != contexts || n1-n0 < 500 {
-		t.Errorf("wide-greedy cycle: %d contexts ordered the table %d times for %d candidates; want 17, 17 and over 500",
-			contexts, s1-s0, n1-n0)
+	if evaluations := c1 - c0; evaluations != 17 || s1-s0 != evaluations || n1-n0 < 500 {
+		t.Errorf("wide-greedy cycle: %d evaluations ordered the table %d times for %d candidates; want 17, 17 and over 500",
+			evaluations, s1-s0, n1-n0)
 	}
 
 	crowd := crowdController(t, 16, Config{})
 	c0, _, _ = counts(crowd)
 	cycle(crowd, decodeBundle(t, crowdRSL(17, 17)))
 	c1, s1, _ = counts(crowd)
-	if contexts := c1 - c0; contexts != 33 || s1 != 0 {
-		t.Errorf("db-crowd cycle: %d contexts ordered the table %d times; want 33 and 0", contexts, s1)
+	if evaluations := c1 - c0; evaluations != 33 || s1 != 0 {
+		t.Errorf("db-crowd cycle: %d evaluations ordered the table %d times; want 33 and 0", evaluations, s1)
 	}
 }
 
@@ -305,7 +348,7 @@ func TestSearchNeverForks(t *testing.T) {
 		"Fork":        {},
 		"Match":       {},
 		"Reserve":     {"adopt": true, "reevaluateExhaustive": true},
-		"AppendNodes": {"newEvalContext": true, "jointProblem": true},
+		"AppendNodes": {"openPass": true, "jointProblem": true},
 		"NewPlan":     {"analyzeChoice": true},
 	}
 	seen := map[string]int{}

@@ -24,7 +24,7 @@ import (
 // second, predictions per pass and the share of candidates pruned. A third
 // shape, accommodate, measures the joint search instead: one arrival on a
 // machine its residents fill, in ns and in trials per accommodation.
-// cmd/hbench -json serializes the report (BENCH_29.json is the committed
+// cmd/hbench -json serializes the report (BENCH_34.json is the committed
 // baseline) and scripts/bench.sh gates CI on it.
 
 // OptBenchConfig parameterizes the hot-path benchmark.
@@ -90,7 +90,7 @@ type OptBenchPoint struct {
 	BudgetHit              bool    `json:"budget_hit,omitempty"`
 }
 
-// OptBenchReport is the machine-readable benchmark output (BENCH_29.json).
+// OptBenchReport is the machine-readable benchmark output (BENCH_34.json).
 // GoMaxProcs is the process's setting, the larger of the two every point is
 // measured at.
 type OptBenchReport struct {

@@ -1,6 +1,9 @@
 package resource
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // Columns holds what reservations change in a snapshot — free memory and CPU
 // load by node index, reserved bandwidth by link id — as three dense columns
@@ -109,6 +112,17 @@ type savedEntry struct {
 // Mark is the log's length now; Restore takes the columns back to it.
 func (u *Undo) Mark() int { return len(u.saved) }
 
+// Wrote reports the entry the i-th logged write went to: a node's index, or a
+// link's id when link is set. Every entry written since a mark is logged, so
+// the log from 0 to Mark is where the columns may differ from the state they
+// were read from.
+func (u *Undo) Wrote(i int) (index int32, link bool) {
+	if at := u.saved[i].at; at < 0 {
+		return ^at, true
+	}
+	return u.saved[i].at, false
+}
+
 // Charge is Reserve that also logs in undo, when it is not nil, what every
 // entry it writes held before. A refused charge writes and logs nothing.
 func (c *Columns) Charge(nodes []NodeClaim, links []LinkClaim, at []int32, undo *Undo) error {
@@ -134,7 +148,33 @@ func (c *Columns) Charge(nodes []NodeClaim, links []LinkClaim, at []int32, undo 
 	return nil
 }
 
-// Restore takes back every charge logged since mark, newest first, by writing
+// Release returns claim id of snapshot s to the columns with Snapshot.Release's
+// lookup, arithmetic and clamping, so the columns end up bit for bit what the
+// snapshot's would after s.Release(id). It logs in undo what every entry it
+// writes held before, so Restore takes the release back like a charge. The
+// columns must have been read from s or from a snapshot of its Topology.
+func (c *Columns) Release(s *Snapshot, id uint64, undo *Undo) error {
+	cl, ok := s.lookupClaim(id)
+	if !ok {
+		return fmt.Errorf("%w: %d", ErrUnknownClaim, id)
+	}
+	t := s.base.topo
+	for _, nc := range cl.Nodes {
+		if p, ok := t.node(nc.Hostname); ok {
+			undo.saved = append(undo.saved, savedEntry{int32(p), c.FreeMemoryMB[p], c.CPULoad[p]})
+			c.FreeMemoryMB[p], c.CPULoad[p] = releaseNode(c.FreeMemoryMB[p], c.CPULoad[p], s.base.states[p].Node.MemoryMB, nc)
+		}
+	}
+	for _, lc := range cl.Links {
+		if lid, ok := t.link(lc.A, lc.B); ok {
+			undo.saved = append(undo.saved, savedEntry{at: ^int32(lid), a: c.ReservedMbps[lid]})
+			c.setReserved(lid, releaseBandwidth(c.ReservedMbps[lid], lc))
+		}
+	}
+	return nil
+}
+
+// Restore takes back every charge and release logged since mark, newest first, by writing
 // each saved value over the entry it was read from. The columns end up holding
 // the very bits they held at the mark, which adding the claims back could not
 // promise: (x - m) + m need not be x in floating point, and a search that tries

@@ -283,3 +283,72 @@ func TestColumnsRestoreIsExact(t *testing.T) {
 	other.ReadColumns(&cols)
 	requireColumnsEqualSnapshot(t, "re-aimed after the walk", &cols, other, links)
 }
+
+// TestColumnsReleaseMatchesSnapshot releases each resident's claim, alone and
+// then all of them one after another, both in a snapshot and in columns read
+// from it: the columns must hold what the snapshot holds, bit for bit, the log
+// must name every entry a release wrote, an unknown claim must be refused in
+// the snapshot's words, and Restore must take the columns back to the very
+// bits they were read with.
+func TestColumnsReleaseMatchesSnapshot(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l, residents := columnsTestLedger(t, rng, 6+rng.Intn(4))
+		links := len(l.Links())
+		base := l.Snapshot()
+		var cols Columns
+		base.ReadColumns(&cols)
+		var undo Undo
+		for _, c := range residents {
+			snap := l.Snapshot()
+			if err := snap.Release(c.ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := cols.Release(base, c.ID, &undo); err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("seed %d, release %d", seed, c.ID)
+			requireColumnsEqualSnapshot(t, what, &cols, snap, links)
+			wrote := map[[2]int32]bool{}
+			for i := 0; i < undo.Mark(); i++ {
+				at, link := undo.Wrote(i)
+				kind := int32(0)
+				if link {
+					kind = 1
+				}
+				wrote[[2]int32{kind, at}] = true
+			}
+			for _, nc := range c.Nodes {
+				p, _ := base.NodeIndex(nc.Hostname)
+				if !wrote[[2]int32{0, int32(p)}] {
+					t.Fatalf("%s: the log does not name node %s", what, nc.Hostname)
+				}
+			}
+			for _, lc := range c.Links {
+				id, _ := base.LinkIndex(lc.A, lc.B)
+				if !wrote[[2]int32{1, int32(id)}] {
+					t.Fatalf("%s: the log does not name link %s-%s", what, lc.A, lc.B)
+				}
+			}
+			cols.Restore(&undo, 0)
+			requireColumnsEqualSnapshot(t, what+", restored", &cols, base, links)
+		}
+		all := l.Snapshot()
+		for _, c := range residents {
+			if err := all.Release(c.ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := cols.Release(base, c.ID, &undo); err != nil {
+				t.Fatal(err)
+			}
+			requireColumnsEqualSnapshot(t, fmt.Sprintf("seed %d, releases up to %d", seed, c.ID), &cols, all, links)
+		}
+		cols.Restore(&undo, 0)
+		requireColumnsEqualSnapshot(t, fmt.Sprintf("seed %d, every release restored", seed), &cols, base, links)
+		snap := l.Snapshot()
+		wantErr := snap.Release(1 << 40)
+		if err := cols.Release(base, 1<<40, &undo); err == nil || err.Error() != wantErr.Error() || undo.Mark() != 0 {
+			t.Fatalf("seed %d: releasing an unknown claim: %v (log %d), the snapshot says %v", seed, err, undo.Mark(), wantErr)
+		}
+	}
+}

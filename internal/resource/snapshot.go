@@ -115,6 +115,16 @@ func (l *Ledger) Snapshot() *Snapshot {
 	return &Snapshot{base: l.snapCache, nextID: l.snapCache.nextID}
 }
 
+// Unchanged reports whether the ledger still holds the state snapshot s
+// captured: nothing reserved, released, added or changed in health since. It
+// compares captures, not contents, so it is O(1); s's own overlay, if it has
+// one, is not the ledger's and is not looked at.
+func (l *Ledger) Unchanged(s *Snapshot) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.snapCache != nil && l.snapCache == s.base
+}
+
 // Fork returns an independent copy-on-write child. The receiver must not be
 // mutated after forking: the child reads through it, so writes to the parent
 // would leak into (and race with) every fork.

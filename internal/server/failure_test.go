@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/hclient"
 	"harmony/internal/protocol"
+	"harmony/internal/replog"
 )
 
 // rawDial opens a plain TCP connection for protocol-level fault injection.
@@ -423,5 +425,56 @@ func TestResumeStealsLiveSession(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if got := len(ctrl.Apps()); got != 1 {
 		t.Fatalf("apps = %d after old conn died, want 1", got)
+	}
+}
+
+// TestUnreadClientDoesNotStallConsensus: updates are written on the replica's
+// loop, so a client that stops reading must not hold that loop. An instance is
+// bound to a connection nobody reads after the ack; forcing the instance to
+// another choice writes it an update, which may not block the mutation past
+// the write deadline, and the connection is closed.
+func TestUnreadClientDoesNotStallConsensus(t *testing.T) {
+	srv, _ := startTestServer(t, Config{})
+	res, _, err := srv.rep.Propose(&replog.Entry{Op: replog.OpRegister, RSL: dbRSL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := res.Instance
+	server, client := net.Pipe()
+	defer client.Close()
+	c, ok := srv.addConn(server)
+	if !ok {
+		t.Fatal("addConn refused a connection on an open server")
+	}
+	acked := make(chan error, 1)
+	go func() { acked <- c.ackBundleSetup(inst, 1) }()
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := protocol.NewReader(client).Read(); err != nil {
+		t.Fatalf("reading the ack: %v", err)
+	}
+	if err := <-acked; err != nil {
+		t.Fatalf("writing the ack: %v", err)
+	}
+
+	other := "DS"
+	if res.Events[0].Choice.Option == other {
+		other = "QS"
+	}
+	forced := make(chan error, 1)
+	go func() {
+		_, err := srv.ForceChoice(inst, core.Choice{Option: other})
+		forced <- err
+	}()
+	select {
+	case err := <-forced:
+		if err != nil {
+			t.Fatalf("ForceChoice: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("ForceChoice still waits on a client that does not read after 1 s")
+	}
+	_ = client.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := client.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("the unread connection is still open: read %v, want EOF", err)
 	}
 }

@@ -237,7 +237,7 @@ func (c *conn) ackBundleSetup(inst int, seq uint64) error {
 	vars := c.srv.pending[inst]
 	delete(c.srv.pending, inst)
 	c.srv.mu.Unlock()
-	return c.writer.Write(&protocol.Message{Type: protocol.TypeAck, Seq: seq, Instance: inst, Vars: vars})
+	return c.write(&protocol.Message{Type: protocol.TypeAck, Seq: seq, Instance: inst, Vars: vars})
 }
 
 // handleResume re-binds a session to this connection: the client presents

@@ -62,9 +62,15 @@ func (r *Replica) sender(addr string, out <-chan *protocol.Message) {
 	}
 }
 
+// ioDeadline bounds one exchange with a peer and one write to a client: half
+// an election timeout, and at least 50 ms.
+func (r *Replica) ioDeadline() time.Duration {
+	return max(r.cfg.ElectionTimeout/2, 50*time.Millisecond)
+}
+
 // rpc performs one synchronous request/reply exchange with a peer.
 func (r *Replica) rpc(addr string, p *peerConn, msg *protocol.Message) (*protocol.Message, error) {
-	deadline := max(r.cfg.ElectionTimeout/2, 50*time.Millisecond)
+	deadline := r.ioDeadline()
 	if p.Conn == nil {
 		conn, err := net.DialTimeout("tcp", addr, deadline)
 		if err != nil {

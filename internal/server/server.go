@@ -410,7 +410,21 @@ func (s *Server) FlushPendingVars(instance int) {
 func (c *conn) send(m *protocol.Message) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return c.writer.Write(m)
+	return c.write(m)
+}
+
+// write sends one message under the peer link's deadline rule. Updates are
+// written on the replica's loop, so a client that stops reading must not hold
+// that loop: a write that does not finish in time fails, and the connection is
+// closed, after which its session parks or ends under the lease rules like any
+// other dropped connection. The caller holds writeMu.
+func (c *conn) write(m *protocol.Message) error {
+	_ = c.netConn.SetWriteDeadline(time.Now().Add(c.srv.rep.ioDeadline()))
+	err := c.writer.Write(m)
+	if err != nil {
+		_ = c.netConn.Close()
+	}
+	return err
 }
 
 func (c *conn) serve() {

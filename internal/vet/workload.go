@@ -63,13 +63,11 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 	file := anchor.file
 	pos := anchor.bundles[0].Pos
 
-	var names []string
 	mem, excl, bw := 0.0, 0.0, 0.0
 	perHost := make(map[string]float64)
 	for _, w := range work {
 		for _, b := range w.bundles {
 			m := bundleDemand(b)
-			names = append(names, fmt.Sprintf("%s:%d", b.App, b.Instance))
 			mem += m.mem
 			excl += m.excl
 			bw += m.bw
@@ -88,7 +86,20 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 	if switchBW <= 0 {
 		switchBW = defaultSwitchBandwidthMbps
 	}
-	who := strings.Join(names, ", ")
+	// who names every bundle, for the message of a finding. Most workloads
+	// raise none, so the names are put together only when one fires.
+	who := func() string {
+		var names strings.Builder
+		for _, w := range work {
+			for _, b := range w.bundles {
+				if names.Len() > 0 {
+					names.WriteString(", ")
+				}
+				fmt.Fprintf(&names, "%s:%d", b.App, b.Instance)
+			}
+		}
+		return names.String()
+	}
 
 	diag := func(check string, sev Severity, format string, args ...any) {
 		rep.add(Diagnostic{
@@ -100,12 +111,12 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 	if mem > capMem {
 		diag("workload-memory", SevError,
 			"bundles %s demand at least %g MB of memory in their best case, but the cluster provides %g MB across %d node(s)",
-			who, mem, capMem, len(decls))
+			who(), mem, capMem, len(decls))
 	}
 	if excl > float64(len(decls)) {
 		diag("workload-nodes", SevError,
 			"bundles %s demand at least %g exclusive node(s), but the cluster has %d",
-			who, excl, len(decls))
+			who(), excl, len(decls))
 	}
 	hosts := make([]string, 0, len(perHost))
 	for h := range perHost {
@@ -120,13 +131,13 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 		if perHost[h] > have {
 			diag("workload-host", SevError,
 				"bundles %s pin at least %g MB on host %q, which has %g MB",
-				who, perHost[h], h, have)
+				who(), perHost[h], h, have)
 		}
 	}
 	if bw > switchBW {
 		diag("workload-bandwidth", SevWarn,
 			"bundles %s demand at least %g Mbps of aggregate bandwidth, but the interconnect provides %g Mbps",
-			who, bw, switchBW)
+			who(), bw, switchBW)
 	}
 
 	rep.Sort()
