@@ -38,7 +38,7 @@ fuzz:
 		$(GO) test -run='^$$' -fuzz="$${t%%:*}" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s "$${t#*:}"; \
 	done
 
-# Optimizer hot-path benchmark, gated against the committed BENCH_34.json.
+# Optimizer hot-path benchmark, gated against the committed BENCH_35.json.
 bench:
 	sh scripts/bench.sh
 

@@ -11,8 +11,8 @@
 // controller ever sees them (dominated-option, unreachable-option), and its
 // workload check — run by the server on every bundle_setup — sums their
 // lower ends over the admitted bundles and the incoming one; harmonyctl
-// analyze prints them. The controller does not use them: its pruning
-// proves infeasibility from each choice's resolved plan instead.
+// analyze prints them. The controller does not use them: its fit proof
+// (match.Scan.MayFit) works from each choice's resolved plan instead.
 // Soundness is the contract: every bound is an over-approximation, so a
 // "never" proved here is a "never" in the concrete system.
 package bounds

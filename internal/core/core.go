@@ -173,8 +173,8 @@ type appState struct {
 	// re-placed; it holds no claim and is excluded from the objective until
 	// a re-evaluation finds room for it again.
 	degraded bool
-	// static caches the bundle's choice enumeration and per-choice pruning
-	// analysis (bundles are immutable after registration).
+	// static caches the bundle's choice enumeration and per-choice analysis
+	// (bundles are immutable after registration).
 	static *bundleStatic
 }
 
@@ -190,7 +190,7 @@ func (a *appState) owner() string { return a.ownerPath }
 // Every mutator ends by publishing an immutable view of the state it left,
 // before any listener hears of its events. The readers — Status, Apps,
 // Objective, Bundles, ActiveInstances, CurrentChoice, EvaluationCount,
-// PruneStats, JointTrials, JointBudgetHits, Predictions and Warnings — load
+// JointTrials, JointBudgetHits, Predictions and Warnings — load
 // that view and nothing else, so they may run on any goroutine, never wait for
 // an optimizer pass, and always see one state. Subscribe may be called from
 // any goroutine too.
@@ -215,11 +215,6 @@ type Controller struct {
 	evaluations uint64
 	// predictions counts model evaluations (Predictions).
 	predictions uint64
-	// prune counts static-pruning activity (see internal/core/prune.go).
-	prune PruneStats
-	// disablePruning evaluates every enumerated choice: the reference the
-	// differential tests hold pruning to.
-	disablePruning bool
 	// jointTrials counts the choices the joint search has tried (JointTrials),
 	// jointBudgetHits the searches that stopped at jointBudget, how many trials
 	// one search may make: jointTrialBudget, which in-package tests lower.
@@ -237,7 +232,6 @@ type view struct {
 	objective       float64
 	apps            []Snapshot        // registration order
 	bundles         []*rsl.BundleSpec // registration order
-	prune           PruneStats
 	jointTrials     uint64
 	jointBudgetHits uint64
 	predictions     uint64
@@ -450,7 +444,6 @@ func (c *Controller) buildView() *view {
 	v := &view{
 		apps:            make([]Snapshot, 0, len(c.order)),
 		bundles:         make([]*rsl.BundleSpec, 0, len(c.order)),
-		prune:           c.prune,
 		jointTrials:     c.jointTrials,
 		jointBudgetHits: c.jointBudgetHits,
 		predictions:     c.predictions,

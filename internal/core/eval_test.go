@@ -425,7 +425,7 @@ func TestOptimizerDocInSync(t *testing.T) {
 	for _, sym := range []string{
 		"Warnings", "MemoStats", "Predictions",
 		"Snapshot", "Fork", "Placement", "Reevaluate",
-		"PruneStats", "Misfit",
+		"PruneStats", "Misfit", "Where the fit proof runs", "TestNoFitQuotesLastChoice",
 		"One pass, one table", "passState", "Ledger.Unchanged", "Columns.Release", "TestPassPredictionCounts",
 		"`EvalWorkers` is deprecated and ignored",
 		"One writer, one published view", "TestReadersNeverWaitForAPass",
@@ -440,6 +440,7 @@ func TestOptimizerDocInSync(t *testing.T) {
 		"ReevalInterval", "WarnFunc", "GrantSteps", "SetObjective", "adoptLocked",
 		"once per first-level choice", "exponential and unbounded",
 		"evalContext", "newEvalContext", "Base predictions are made lazily", "Candidates with one footprint share",
+		"pruneChoices", "disablePruning", "Static pruning", "TestPruningBitIdentical", "ExcludeHosts", "prune counter",
 	} {
 		if strings.Contains(string(doc), gone) {
 			t.Errorf("docs/OPTIMIZER.md still describes %s, which no longer exists", gone)

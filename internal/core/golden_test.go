@@ -24,8 +24,8 @@ import (
 // stopped forking a snapshot per trial, and the sharedlink hashes on the
 // commit before greedy evaluation moved onto one trial state with lazily
 // computed, footprint-shared resident predictions, the same way.
-// TestPruningBitIdentical compares the current code with itself; this test
-// compares it with what the map-based ledger decided. A hash changes only when a decision, placement, claim or prediction
+// The differential tests compare the current code with references in this
+// package; this test compares it with what the map-based ledger decided. A hash changes only when a decision, placement, claim or prediction
 // changes, so a mismatch after a representation change is a behaviour change.
 
 // goldenDBRSL is the Figure 3 client with a wildcard client host and a

@@ -21,26 +21,31 @@ import (
 	"harmony/internal/rsl"
 )
 
-// searchByFork is the joint search as it was before it walked one trial state
-// and before it was bounded: every choice is tried under every inner node,
-// every trial forks the snapshot of the level above, matches on the bare fork
-// (which reads and orders the node table itself), reserves through the view
-// and predicts by walking the fork's overlay chain; every request is resolved
-// again at every inner node. It shares nothing with searchJoint but the
-// problem and the trial counter, and is the reference searchJoint is held to.
+// searchByFork is the joint search as it was before it walked one trial state,
+// before it was bounded and before it filtered choices: it releases every
+// application's claim in its own fork of the ledger's capture base, every
+// enumerated choice is tried under every inner node, every trial forks the
+// snapshot of the level above, matches on the bare fork (which reads and
+// orders the node table itself), reserves through the view and predicts by
+// walking the fork's overlay chain; every request is resolved again at every
+// inner node. It shares nothing with searchJoint but the applications, the
+// capture and the trial counter, and is the reference searchJoint is held to.
 // Warnings are collected per first-level choice, as the walk that fanned those
 // out collected them.
-func (c *Controller) searchByFork(base *resource.Snapshot, ids []int, perIndex [][]int, skipInstance int) comboResult {
+func (c *Controller) searchByFork(base *resource.Snapshot, ids []int, skipInstance int) comboResult {
+	released := base.Fork()
 	perApp := make([][]Choice, len(ids))
 	for i, id := range ids {
-		for _, k := range perIndex[i] {
-			perApp[i] = append(perApp[i], c.apps[id].static.choices[k])
+		app := c.apps[id]
+		if app.claim != nil {
+			_ = released.Release(app.claim.ID) // jointProblem dropped stale claims
 		}
+		perApp[i] = enumerateChoices(app.bundle)
 	}
 	best := comboResult{score: math.Inf(1)}
 	for _, ch := range perApp[0] {
 		br := comboResult{score: math.Inf(1)}
-		if fork, cd, ok := c.tryChoiceByFork(base, ids[0], ch, &br); ok {
+		if fork, cd, ok := c.tryChoiceByFork(released, ids[0], ch, &br); ok {
 			c.walkByFork(fork, ids, perApp, skipInstance, 1, []candidate{cd}, &br)
 		}
 		best.warns = append(best.warns, br.warns...)
@@ -134,9 +139,11 @@ func (br *comboResult) addWarn(msg string) {
 // whose load reorders the scan from one level to the next, exclusive bags
 // under an explicit model, named and half-named clients with links and a
 // memory-grant ladder, bags under a communication tag, a memory-only cache,
-// and a bundle one of whose friction expressions cannot be evaluated.
+// a bundle one of whose friction expressions cannot be evaluated, and
+// prunableRSL's mix of an option that fits nowhere, duplicate variable values
+// and a failing friction expression.
 func jointRSL(rng *rand.Rand, i int, hosts []string) string {
-	switch rng.Intn(7) {
+	switch rng.Intn(8) {
 	case 0:
 		return fmt.Sprintf(`harmonyBundle Bag%d:%d parallelism {
 	{workers
@@ -160,6 +167,8 @@ func jointRSL(rng *rand.Rand, i int, hosts []string) string {
 }`, i, i, 20+rng.Intn(40), 30+rng.Intn(90))
 	case 5:
 		return goldenCacheRSL(i)
+	case 6:
+		return prunableRSL(i)
 	}
 	return fmt.Sprintf(`harmonyBundle Fric%d:%d speed {
 	{slow {node x * {seconds %d} {memory 8}} {friction {nosuch * 2}}}
@@ -188,8 +197,8 @@ type jointTally struct {
 }
 
 // compareJointProblem poses the joint problem the controller would
-// search now, with skip held fixed, to searchJoint and to searchByFork, and
-// requires one answer: the same combination or none, the score and every
+// search now, with skip held fixed, to searchJoint and to searchByFork, which
+// tries every enumerated choice, and requires one answer: the same combination or none, the score and every
 // prediction and friction cost bit for bit, the same placements down to the
 // positions they carry and the bytes they encode to. The bounded search may
 // try less than the fork walk, so it must make no more trials and predictions
@@ -203,7 +212,7 @@ func compareJointProblem(t *testing.T, c *Controller, skip int, what string, tal
 	p0, t0 := c.predictions, c.jointTrials
 	got := c.searchJoint(base, ids, perApp, skip)
 	p1, t1 := c.predictions, c.jointTrials
-	want := c.searchByFork(base, ids, perApp, skip)
+	want := c.searchByFork(base, ids, skip)
 	p2, t2 := c.predictions, c.jointTrials
 
 	tally.problems++
@@ -376,54 +385,51 @@ func TestJointBudgetReplays(t *testing.T) {
 }
 
 // TestJointSearchMatchesForkWalk holds the joint search to the walk it
-// replaced on seeded random systems of two to five applications — with
-// pruning on and off, on controllers that search jointly at every event
-// (Exhaustive) and on controllers that do so only to make room for an arrival
+// replaced on seeded random systems of two to five applications — on
+// controllers that search jointly at every event (Exhaustive) and on
+// controllers that do so only to make room for an arrival
 // — before every arrival, after every event, with a node down and with an
 // application evicted and degraded — and on a system of near ties, where a
 // bound that was not a bound would show.
 func TestJointSearchMatchesForkWalk(t *testing.T) {
 	var tally jointTally
-	for seed := int64(1); seed <= 8; seed++ {
-		for _, pruning := range []bool{true, false} {
-			for _, exhaustive := range []bool{false, true} {
-				what := fmt.Sprintf("seed %d, pruning %v, exhaustive %v", seed, pruning, exhaustive)
-				rng := rand.New(rand.NewSource(seed))
-				nodes := 5 + rng.Intn(4)
-				c, _ := newController(t, nodes, Config{Exhaustive: exhaustive})
-				c.disablePruning = !pruning
-				hosts := c.cfg.Cluster.Hosts()[1:]
-				apps := 2 + rng.Intn(4)
-				var insts []int
-				arrive := func(i int) {
-					bundle := decodeBundle(t, jointRSL(rng, i, hosts))
-					at := fmt.Sprintf("%s, arrival %d", what, i)
-					compareOnArrival(t, c, bundle, "before "+at, &tally)
-					if inst, _, err := c.Register(bundle); err == nil {
-						insts = append(insts, inst)
-					}
-					compareJointSearches(t, c, "after "+at, &tally)
-				}
-				for i := 1; i <= apps; i++ {
-					arrive(i)
-				}
-				// A client pinned to a host that then fails cannot be placed
-				// again: it stays registered, degraded, outside the search.
-				pinned := hosts[rng.Intn(len(hosts))]
-				if inst, _, err := c.Register(decodeBundle(t, replayDBRSL(apps+1, pinned))); err == nil {
+	for seed := int64(1); seed <= 16; seed++ {
+		for _, exhaustive := range []bool{false, true} {
+			what := fmt.Sprintf("seed %d, exhaustive %v", seed, exhaustive)
+			rng := rand.New(rand.NewSource(seed))
+			nodes := 5 + rng.Intn(4)
+			c, _ := newController(t, nodes, Config{Exhaustive: exhaustive})
+			hosts := c.cfg.Cluster.Hosts()[1:]
+			apps := 2 + rng.Intn(4)
+			var insts []int
+			arrive := func(i int) {
+				bundle := decodeBundle(t, jointRSL(rng, i, hosts))
+				at := fmt.Sprintf("%s, arrival %d", what, i)
+				compareOnArrival(t, c, bundle, "before "+at, &tally)
+				if inst, _, err := c.Register(bundle); err == nil {
 					insts = append(insts, inst)
 				}
-				if _, err := c.MarkNodeDown(pinned); err != nil {
+				compareJointSearches(t, c, "after "+at, &tally)
+			}
+			for i := 1; i <= apps; i++ {
+				arrive(i)
+			}
+			// A client pinned to a host that then fails cannot be placed
+			// again: it stays registered, degraded, outside the search.
+			pinned := hosts[rng.Intn(len(hosts))]
+			if inst, _, err := c.Register(decodeBundle(t, replayDBRSL(apps+1, pinned))); err == nil {
+				insts = append(insts, inst)
+			}
+			if _, err := c.MarkNodeDown(pinned); err != nil {
+				t.Fatal(err)
+			}
+			compareJointSearches(t, c, what+", a host down", &tally)
+			arrive(apps + 2)
+			if len(insts) > 1 {
+				if _, err := c.Unregister(insts[0]); err != nil {
 					t.Fatal(err)
 				}
-				compareJointSearches(t, c, what+", a host down", &tally)
-				arrive(apps + 2)
-				if len(insts) > 1 {
-					if _, err := c.Unregister(insts[0]); err != nil {
-						t.Fatal(err)
-					}
-					compareJointSearches(t, c, what+", a departure", &tally)
-				}
+				compareJointSearches(t, c, what+", a departure", &tally)
 			}
 		}
 	}

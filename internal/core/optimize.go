@@ -28,17 +28,19 @@ type candidate struct {
 }
 
 // enumerateChoices expands a bundle into concrete choices: for each option,
-// the cross product of its variable values, times the memory-grant ladder
-// for OpMin memory tags (Section 3.5: ">= 32 tells Harmony that ...
-// additional memory can be used profitably as well").
+// the cross product of its variable values, times each binding's
+// memory-grant ladder for OpMin memory tags (Section 3.5: ">= 32 tells
+// Harmony that ... additional memory can be used profitably as well").
 func enumerateChoices(bundle *rsl.BundleSpec) []Choice {
 	var out []Choice
 	for i := range bundle.Options {
 		opt := &bundle.Options[i]
-		varSets := expandVariables(opt.Variables)
-		grantSets := expandGrants(opt, varSets)
-		for _, vars := range varSets {
-			for _, grants := range grantSets {
+		for _, vars := range expandVariables(opt.Variables) {
+			ladder := expandGrants(opt, vars)
+			if ladder == nil {
+				out = append(out, Choice{Option: opt.Name, Vars: vars})
+			}
+			for _, grants := range ladder {
 				out = append(out, Choice{Option: opt.Name, Vars: vars, Grants: grants})
 			}
 		}
@@ -71,36 +73,33 @@ func expandVariables(specs []rsl.VariableSpec) []map[string]float64 {
 var grantSteps = []float64{0, 8, 16, 32}
 
 // expandGrants builds memory-grant alternatives for every node spec whose
-// memory tag is a minimum constraint. The ladder is minimum + each of
-// grantSteps; one combined map per step keeps the search linear.
-func expandGrants(opt *rsl.OptionSpec, varSets []map[string]float64) []map[string]float64 {
-	var minNodes []string
-	mins := make(map[string]float64)
-	env := rsl.MapEnv(nil)
-	if len(varSets) > 0 && varSets[0] != nil {
-		env = varSets[0]
-	}
+// memory tag is a minimum constraint, evaluated under one variable binding,
+// and nil when there is none. The ladder is minimum + each of grantSteps; one
+// combined map per step keeps the search linear.
+func expandGrants(opt *rsl.OptionSpec, vars map[string]float64) []map[string]float64 {
+	var names []string
+	var mins []float64
 	for i := range opt.Nodes {
 		spec := &opt.Nodes[i]
 		tag, ok := spec.Tags["memory"]
 		if !ok || tag.IsString || tag.Op != rsl.OpMin {
 			continue
 		}
-		v, err := tag.EvalNum(env)
+		v, err := tag.EvalNum(rsl.MapEnv(vars))
 		if err != nil {
 			continue
 		}
-		minNodes = append(minNodes, spec.LocalName)
-		mins[spec.LocalName] = v
+		names = append(names, spec.LocalName)
+		mins = append(mins, v)
 	}
-	if len(minNodes) == 0 {
-		return []map[string]float64{nil}
+	if names == nil {
+		return nil
 	}
 	out := make([]map[string]float64, 0, len(grantSteps))
 	for _, step := range grantSteps {
-		g := make(map[string]float64, len(minNodes))
-		for _, name := range minNodes {
-			g[name] = mins[name] + step
+		g := make(map[string]float64, len(names))
+		for k, name := range names {
+			g[name] = mins[k] + step
 		}
 		out = append(out, g)
 	}
@@ -115,8 +114,10 @@ func expandGrants(opt *rsl.OptionSpec, varSets []map[string]float64) []map[strin
 // non-initial switch (when forInitial is true nothing is switching, so no
 // friction is charged), and raises each distinct friction warning once, in
 // order. Only a candidate that becomes the best so far has its assignment
-// copied out of the pass state's. When nothing fits, the error quotes the last
-// candidate's failure, and a misfit is asked why only then.
+// copied out of the pass state's. Every enumerated choice is evaluated: one
+// that cannot fit costs a Place that says so before anything is charged or
+// predicted. When nothing fits, the error quotes the last enumerated choice's
+// failure, and a misfit is asked why only then.
 func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial bool) (candidate, error) {
 	bs := c.staticFor(app)
 	p := c.openEvaluation(app)
@@ -124,9 +125,9 @@ func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial boo
 	var lastErr error
 	var lastPlan *match.Plan
 	var warned []string
-	for _, k := range c.pruneChoices(bs, app.choice, &p.scan) {
+	for k, ch := range bs.choices {
 		st := &bs.stat[k]
-		cand, err := c.evaluate(p, bs.choices[k], st)
+		cand, err := c.evaluate(p, ch, st)
 		if err != nil {
 			lastErr, lastPlan = err, st.plan
 			continue
@@ -230,14 +231,16 @@ type comboResult struct {
 	exhausted bool
 }
 
-// jointProblem sets up a joint search: the applications that take part
-// (ids, registration order, without skipInstance and the degraded ones, which
-// are returned apart), a snapshot with every one of their claims released,
-// whose node table and state the pass state's storage holds afterwards (the
-// search ends the pass), and each one's choices pruned against that
-// all-released base, on the pass state's scan — reservations at deeper search
-// levels only shrink capacity, so a candidate infeasible here is infeasible in
-// every branch.
+// jointProblem sets up a joint search the way openEvaluation sets up a greedy
+// one. It returns the applications that take part (ids, registration order,
+// without skipInstance and the degraded ones, which are returned apart), the
+// ledger as it stands (base), and each one's choices to try. It ends the pass
+// and fills the pass state with base's node table and columns, releases each
+// participant's claim into the columns through the pass's undo log, and keeps
+// of each application's enumeration the choices that may fit there
+// (match.Scan.MayFit): a search level only charges more, so a choice that
+// cannot fit on the released state fits in no branch. searchJoint takes the
+// releases back when it is done.
 func (c *Controller) jointProblem(skipInstance int) (base *resource.Snapshot, ids []int, perApp [][]int, degraded []int) {
 	// Degraded apps are searched separately afterwards: the cross product
 	// requires every participating app to be placeable in a branch, so one
@@ -256,27 +259,30 @@ func (c *Controller) jointProblem(skipInstance int) (base *resource.Snapshot, id
 	if len(ids) == 0 {
 		return nil, nil, nil, degraded
 	}
+	c.endPass()
+	p := &c.pass
 	base = c.ledger.Snapshot()
-	// Hypothetically release every movable app inside the snapshot.
+	p.nodes = base.AppendNodes(p.nodes[:0])
+	base.ReadColumns(&p.cols)
 	for _, id := range ids {
 		app := c.apps[id]
 		if app.claim == nil {
 			continue
 		}
-		if err := base.Release(app.claim.ID); err != nil {
+		if err := p.cols.Release(base, app.claim.ID, &p.undo); err != nil {
 			c.warn(fmt.Sprintf("core: %s holds stale claim %d: %v", app.owner(), app.claim.ID, err))
 			app.claim = nil
 		}
 	}
-	perApp = make([][]int, len(ids))
-	c.endPass()
-	p := &c.pass
-	p.nodes = base.AppendNodes(p.nodes[:0])
-	base.ReadColumns(&p.cols)
 	p.scan.Reset(base, p.nodes, &p.cols)
+	perApp = make([][]int, len(ids))
 	for i, id := range ids {
-		app := c.apps[id]
-		perApp[i] = c.pruneChoices(c.staticFor(app), app.choice, &p.scan)
+		bs := c.staticFor(c.apps[id])
+		for k := range bs.stat {
+			if p.scan.MayFit(bs.stat[k].plan) {
+				perApp[i] = append(perApp[i], k)
+			}
+		}
 	}
 	return base, ids, perApp, degraded
 }
@@ -456,13 +462,14 @@ type jointChoice struct {
 	lb float64
 }
 
-// searchJoint finds the best combination of one choice per application over
-// base, which holds none of their claims; perApp holds each application's
-// choices to try, as indices into its bundle's enumeration. Unless the search
-// spends its budget, the winner is what a walk that forked base for every
-// trial and tried every choice would pick, bit for bit (searchByFork, in the
-// tests, is that walk). It runs on the pass state's node table and
-// columns, which jointProblem filled from base.
+// searchJoint finds the best combination of one choice per application on the
+// problem jointProblem set up: the pass state's node table and columns, read
+// from base, with every application's claim released into them; perApp holds
+// each application's choices to try, as indices into its bundle's
+// enumeration. Unless the search spends its budget, the winner is what a walk
+// that forked base for every trial and tried every choice would pick, bit for
+// bit (searchByFork, in the tests, is that walk). The releases are taken back
+// before it returns, so the columns hold base again.
 func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]int, skipInstance int) comboResult {
 	p := &c.pass
 	js := &jointSearch{c: c, base: base, rows: p.nodes, cols: &p.cols, undo: &p.undo, levels: make([]jointLevel, len(ids))}
@@ -475,7 +482,7 @@ func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]
 	for i, id := range ids {
 		lv := &js.levels[i]
 		lv.app = c.apps[id]
-		bs := lv.app.static // made by jointProblem, which pruned perApp
+		bs := lv.app.static // made by jointProblem, which filtered perApp
 		lv.choices = make([]jointChoice, len(perApp[i]))
 		lv.byBound = make([]int32, len(perApp[i]))
 		for j, k := range perApp[i] {
@@ -494,6 +501,7 @@ func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]
 		lv.rest = make([]float64, len(ids)-i-1)
 	}
 	js.walk(0)
+	p.cols.Restore(&p.undo, 0)
 	for i := range js.best.combo {
 		js.best.combo[i].assignment = js.levels[i].best.Clone()
 	}

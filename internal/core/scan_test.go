@@ -110,14 +110,17 @@ harmonyBundle Fric%d:%d where {
 // (every Register re-evaluates the residents after adopting the arrival, and a
 // pass adopts between one resident's evaluation and the next), a node going
 // down and coming back, a node whose hostname sorts before every other being
-// added (each index moves up by one and the link table grows), and a round
-// trip through EncodeState and Restore (whose assignments carry no positions).
-// Two clients share a host and its link to the server, so a candidate of one
+// added (each index moves up by one and the link table grows), a round trip
+// through EncodeState and Restore (whose assignments carry no positions), and
+// a joint search, which releases every claim into the pass's columns. Two
+// clients share a host and its link to the server, so a candidate of one
 // lands on the entries the other reads. One controller keeps its pass state
 // from step to step, as it runs in production; the other has it — node table,
 // columns, scan, table, buffers and all — thrown away before every step. After
-// every step their states must be byte-identical. Then, on the controller
-// that keeps its pass, every choice of every resident is evaluated both ways:
+// every step their states must be byte-identical, and the kept pass's undo log
+// must hold nothing beyond the open evaluation's release. Then, on the
+// controller that keeps its pass, every choice of every resident is evaluated
+// both ways:
 // over the pass state, and by evaluateChoiceByFork, which rebuilds everything
 // for each candidate; in one step a resident is forced to another choice
 // halfway through, an adoption in the middle of the pass. The two must agree
@@ -163,6 +166,14 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 		return entry(replog.Entry{Op: replog.OpNodeState, Hostname: host, State: state})
 	}
 	pass := func() func(*Controller) error { return entry(replog.Entry{Op: replog.OpReevaluate}) }
+	joint := func() func(*Controller) error {
+		now += 90 * time.Second
+		at := now
+		return func(c *Controller) error {
+			c.reevaluateExhaustive(at, 0, false)
+			return nil
+		}
+	}
 	addNode := func(c *Controller) error {
 		cl := keptCluster
 		if c == wiped {
@@ -204,6 +215,7 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 		{"register a bag with friction", register(scanFrictionRSL(5)), nil},
 		{"register a client on a shared host", register(goldenShareRSL(8, "sp2-06", true)), nil},
 		{"register a second client there", register(goldenShareRSL(9, "sp2-06", false)), nil},
+		{"a joint search over every resident", joint(), nil},
 		{"pass", pass(), forceMidPass(6)},
 		{"a bag's host goes down", nodeState("sp2-03", "down"), nil},
 		{"pass on the smaller machine", pass(), nil},
@@ -215,12 +227,26 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 		{"pass", pass(), nil},
 		{"encode, decode, restore", roundTrip, nil},
 		{"pass after restore", pass(), nil},
+		{"a joint search after restore", joint(), nil},
 		{"the server is back", nodeState("sp2-01", "up"), nil},
 		{"unregister the first bag", entry(replog.Entry{Op: replog.OpUnregister, Instance: 1}), nil},
 		{"register one more", register(goldenCommRSL(7, 30)), nil},
 		{"force a resident wide", entry(replog.Entry{Op: replog.OpForceChoice, Instance: 2,
 			Choice: &replog.Choice{Option: "workers", Vars: map[string]float64{"workerNodes": 8}}}), nil},
 		{"pass", pass(), nil},
+	}
+	// onlyOpenRelease fails unless the pass's undo log holds nothing but the
+	// open evaluation's release: every charge was taken back, and so were the
+	// joint search's releases.
+	onlyOpenRelease := func(at string) {
+		t.Helper()
+		want := 0
+		if kept.pass.app != nil {
+			want = kept.pass.released
+		}
+		if got := kept.pass.undo.Mark(); got != want {
+			t.Fatalf("%s: the pass's undo log holds %d entries, want %d", at, got, want)
+		}
 	}
 	candidates, misfits, forced := 0, 0, 0
 	for _, step := range steps {
@@ -229,6 +255,7 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 		if fmt.Sprint(errKept) != fmt.Sprint(errWiped) {
 			t.Fatalf("%s: errors differ: %v / %v", step.name, errKept, errWiped)
 		}
+		onlyOpenRelease(step.name)
 		a, err := kept.EncodeState()
 		if err != nil {
 			t.Fatal(err)
@@ -264,6 +291,7 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 			p := kept.openEvaluation(app)
 			for k, ch := range bs.choices {
 				got, gotErr := kept.evaluateChoice(p, ch, &bs.stat[k])
+				onlyOpenRelease(fmt.Sprintf("%s: %s %s", step.name, app.owner(), ch))
 				want, wantErr := evaluateChoiceByFork(kept, app, ch)
 				candidates++
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -297,8 +325,8 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 // evaluation of a wide-greedy cycle, whose candidates are all wildcards, and
 // never on db-crowd, whose options name their hosts.
 func TestOneScanPerEvaluation(t *testing.T) {
-	counts := func(c *Controller) (evaluations, scans, candidates uint64) {
-		return c.evaluations, uint64(c.pass.scan.Builds()), c.prune.Considered - c.prune.Unreachable
+	counts := func(c *Controller) (evaluations, scans uint64) {
+		return c.evaluations, uint64(c.pass.scan.Builds())
 	}
 	cycle := func(c *Controller, arrival *rsl.BundleSpec) {
 		t.Helper()
@@ -317,19 +345,23 @@ func TestOneScanPerEvaluation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c0, s0, n0 := counts(wide)
-	cycle(wide, decodeBundle(t, wideBagRSL("Job", 9, 310)))
-	c1, s1, n1 := counts(wide)
-	// The arrival and 8 residents on Register, 8 residents on Unregister.
-	if evaluations := c1 - c0; evaluations != 17 || s1-s0 != evaluations || n1-n0 < 500 {
+	c0, s0 := counts(wide)
+	arrival := decodeBundle(t, wideBagRSL("Job", 9, 310))
+	cycle(wide, arrival)
+	c1, s1 := counts(wide)
+	// The arrival and 8 residents on Register, 8 residents on Unregister; each
+	// has the arrival's enumeration, and an evaluation tries all of it.
+	evaluations := c1 - c0
+	candidates := evaluations * uint64(len(enumerateChoices(arrival)))
+	if evaluations != 17 || s1-s0 != evaluations || candidates < 500 {
 		t.Errorf("wide-greedy cycle: %d evaluations ordered the table %d times for %d candidates; want 17, 17 and over 500",
-			evaluations, s1-s0, n1-n0)
+			evaluations, s1-s0, candidates)
 	}
 
 	crowd := crowdController(t, 16, Config{})
-	c0, _, _ = counts(crowd)
+	c0, _ = counts(crowd)
 	cycle(crowd, decodeBundle(t, crowdRSL(17, 17)))
-	c1, s1, _ = counts(crowd)
+	c1, s1 = counts(crowd)
 	if evaluations := c1 - c0; evaluations != 33 || s1 != 0 {
 		t.Errorf("db-crowd cycle: %d evaluations ordered the table %d times; want 33 and 0", evaluations, s1)
 	}

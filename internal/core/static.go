@@ -7,15 +7,9 @@ import (
 	"harmony/internal/rsl"
 )
 
-// This file drives static candidate pruning: before any trial reservation,
-// each enumerated choice's plan is asked whether it may fit on the evaluation
-// snapshot (match.Scan.MayFit). A false answer proves the skipped candidate's
-// Match must fail on the same view, so it could never have been adopted,
-// warned about or scored. Pruning is therefore semantics-preserving — the
-// winning choice, its prediction, the objective and the warnings are
-// bit-identical with pruning on or off (only the diagnostic text inside an
-// ErrNoFeasibleOption error, which quotes the last match failure, may
-// differ). PruneStats reports the counters.
+// This file holds what an application's choices are before any search
+// places them: the bundle's enumeration and, per choice, its plan and
+// friction, worked out once per bundle and read by both searches.
 
 // choiceStatic is the view-independent analysis of one enumerated choice.
 type choiceStatic struct {
@@ -39,22 +33,23 @@ type bundleStatic struct {
 	stat    []choiceStatic
 }
 
-// PruneStats counts pruning activity since construction. Considered is the
-// number of enumerated candidates inspected; Unreachable counts candidates
-// skipped because their Match provably fails (statically, or against the
-// evaluation snapshot's aggregate free capacity).
+// PruneStats holds counters nothing increments: greedy evaluation tries every
+// enumerated choice, and the joint search's filter is not counted (see
+// docs/OPTIMIZER.md, "Where the fit proof runs").
+//
+// Deprecated: PruneStats remains only because the bench harness still reads
+// it, and goes with the harness's prune metric (ROADMAP item 7).
 type PruneStats struct {
 	Considered  uint64
 	Unreachable uint64
-	// Dominated is always 0: no rule skips a choice that could fit.
-	//
-	// Deprecated: it remains only because the bench harness still reads it,
-	// and goes with the harness's prune metric (ROADMAP item 7).
-	Dominated uint64
+	Dominated   uint64
 }
 
-// PruneStats reports the pruning counters (next to MemoStats).
-func (c *Controller) PruneStats() PruneStats { return c.view.Load().prune }
+// PruneStats reports zero counts, as MemoStats reports no hits.
+//
+// Deprecated: use Predictions and JointTrials. PruneStats exists for the
+// bench harness, which still calls it.
+func (c *Controller) PruneStats() PruneStats { return PruneStats{} }
 
 // staticFor returns the bundle's cached static analysis, computing
 // it on first use.
@@ -97,32 +92,6 @@ func analyzeChoice(app string, opt *rsl.OptionSpec, ch Choice) choiceStatic {
 	return st
 }
 
-// pruneChoices filters a bundle's enumerated choices before evaluation,
-// returning the indices of those to evaluate, in enumeration order: those
-// that may fit on the scan's state. current (the app's adopted choice) is
-// never pruned. If every choice would be pruned, nothing is: evaluating the
-// full set preserves the no-feasible-option error's diagnostic detail. In the
-// exhaustive search the scan is over the all-released base snapshot: deeper
-// levels only ever shrink capacity, so infeasibility against the base holds
-// for every branch.
-func (c *Controller) pruneChoices(bs *bundleStatic, current Choice, scan *match.Scan) []int {
-	if c.disablePruning {
-		return bs.all()
-	}
-	kept := make([]int, 0, len(bs.choices))
-	for i, ch := range bs.choices {
-		if ch.Equal(current) || scan.MayFit(bs.stat[i].plan) {
-			kept = append(kept, i)
-		}
-	}
-	c.prune.Considered += uint64(len(bs.choices))
-	if len(kept) == 0 {
-		return bs.all()
-	}
-	c.prune.Unreachable += uint64(len(bs.choices) - len(kept))
-	return kept
-}
-
 // choiceStaticFor returns the static analysis of the app's enumerated
 // choice equal to ch, or, for a choice the enumeration does not hold, a fresh
 // one. ch's option must be in the app's bundle.
@@ -135,13 +104,4 @@ func (c *Controller) choiceStaticFor(app *appState, ch Choice) *choiceStatic {
 	}
 	st := analyzeChoice(app.bundle.App, app.bundle.Option(ch.Option), ch)
 	return &st
-}
-
-// all is the index of every enumerated choice.
-func (bs *bundleStatic) all() []int {
-	all := make([]int, len(bs.choices))
-	for i := range all {
-		all[i] = i
-	}
-	return all
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -8,19 +9,23 @@ import (
 	"harmony/internal/objective"
 )
 
-// TestStatsReadsDuringReevaluate hammers the PruneStats accessor from
-// reader goroutines, each of which also subscribes a listener, while
-// re-evaluation passes mutate the counters it reports and publish to the
-// listeners, so the race detector proves the accessor reads the published
-// view and never the counters the passes are writing, and that Subscribe
-// needs no writer's help.
+// TestStatsReadsDuringReevaluate hammers the Predictions and JointTrials
+// accessors from reader goroutines, each of which also subscribes a listener,
+// while greedy passes and the joint search that makes room for an arrival
+// mutate the counters they report and publish to the listeners, so the race
+// detector proves the accessors read the published view and never the
+// counters the writer is moving, and that Subscribe needs no writer's help.
 func TestStatsReadsDuringReevaluate(t *testing.T) {
-	ctrl, clock := newController(t, 16, Config{})
-	for j := 1; j <= 3; j++ {
-		if _, _, err := ctrl.Register(decodeBundle(t, fig4ShapeRSL(j, 16))); err != nil {
-			t.Fatalf("register job %d: %v", j, err)
+	// Two bags of up to 8 exclusive workers fill ten nodes, so a third only
+	// gets in through the joint search (BenchmarkSqueezeCycle's system).
+	ctrl, clock := newController(t, 10, Config{})
+	for job := 1; job <= 2; job++ {
+		if _, _, err := ctrl.Register(decodeBundle(t, bagRSL(fmt.Sprintf("Bag%d", job), job, 8, 300))); err != nil {
+			t.Fatalf("register job %d: %v", job, err)
 		}
 	}
+	arrival := decodeBundle(t, bagRSL("Job", 3, 8, 310))
+	predictions, trials := ctrl.Predictions(), ctrl.JointTrials()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -36,7 +41,7 @@ func TestStatsReadsDuringReevaluate(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = ctrl.PruneStats()
+					_, _ = ctrl.Predictions(), ctrl.JointTrials()
 				}
 			}
 		}()
@@ -45,13 +50,20 @@ func TestStatsReadsDuringReevaluate(t *testing.T) {
 	for pass := 1; pass <= 5; pass++ {
 		clock.AdvanceTo(time.Duration(pass) * 40 * time.Second)
 		ctrl.Reevaluate()
+		inst, _, err := ctrl.Register(arrival)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctrl.Unregister(inst); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()
 
 	// The counters must have moved and still be readable after the passes.
-	if ps := ctrl.PruneStats(); ps == (PruneStats{}) {
-		t.Errorf("five re-evaluation passes left PruneStats untouched: %+v", ps)
+	if ctrl.Predictions() == predictions || ctrl.JointTrials() == trials {
+		t.Errorf("five cycles left the counters untouched: %d predictions, %d trials", ctrl.Predictions(), ctrl.JointTrials())
 	}
 	if n := len(*ctrl.listeners.Load()); n != 4 {
 		t.Errorf("%d listeners subscribed, want 4", n)
@@ -60,9 +72,9 @@ func TestStatsReadsDuringReevaluate(t *testing.T) {
 
 // TestReadersNeverWaitForAPass stops Register inside its first evaluation — the
 // objective blocks until the test lets it go — and requires Status, Apps,
-// Objective, Bundles and PruneStats to answer from another goroutine
-// meanwhile, each with the state from before the registration. Once the pass
-// finishes, Status shows the new application.
+// Objective, Bundles, Predictions and JointTrials to answer from another
+// goroutine meanwhile, each with the state from before the registration. Once
+// the pass finishes, Status shows the new application.
 func TestReadersNeverWaitForAPass(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var blockOnce sync.Once
@@ -93,7 +105,7 @@ func TestReadersNeverWaitForAPass(t *testing.T) {
 	type reading struct {
 		objective, statusObjective float64
 		apps, statusApps, bundles  int
-		prune                      PruneStats
+		predictions, jointTrials   uint64
 	}
 	read := make(chan reading, 1)
 	go func() {
@@ -101,7 +113,7 @@ func TestReadersNeverWaitForAPass(t *testing.T) {
 		read <- reading{
 			statusObjective: obj, statusApps: len(apps),
 			apps: len(ctrl.Apps()), objective: ctrl.Objective(), bundles: len(ctrl.Bundles()),
-			prune: ctrl.PruneStats(),
+			predictions: ctrl.Predictions(), jointTrials: ctrl.JointTrials(),
 		}
 	}()
 	select {

@@ -21,10 +21,10 @@ import (
 // at GOMAXPROCS 1 and at the process's own GOMAXPROCS. It measures a full
 // re-evaluation pass — every registered application's candidate set scored
 // under the system objective — and reports ns/pass, candidate evaluations per
-// second, predictions per pass and the share of candidates pruned. A third
-// shape, accommodate, measures the joint search instead: one arrival on a
-// machine its residents fill, in ns and in trials per accommodation.
-// cmd/hbench -json serializes the report (BENCH_34.json is the committed
+// second and predictions per pass. A third shape, accommodate, measures the
+// joint search instead: one arrival on a machine its residents fill, in ns and
+// in trials per accommodation.
+// cmd/hbench -json serializes the report (BENCH_35.json is the committed
 // baseline) and scripts/bench.sh gates CI on it.
 
 // OptBenchConfig parameterizes the hot-path benchmark.
@@ -69,12 +69,7 @@ type OptBenchPoint struct {
 	// PredictionsPerPass is core.Controller.Predictions over one pass; it
 	// depends on the workload alone and repeats exactly.
 	PredictionsPerPass uint64 `json:"predictions_per_pass,omitempty"`
-	// The Prune* counters are deltas over the measurement window, so points
-	// are comparable across runs of different lengths only via their
-	// per-iteration ratios.
-	PruneConsidered  uint64 `json:"prune_considered"`
-	PruneUnreachable uint64 `json:"prune_unreachable"`
-	Iters            int    `json:"iters"`
+	Iters              int    `json:"iters"`
 
 	// An accommodate point has these in place of everything from
 	// ChoicesPerPass on: Residents bags of Choices choices each (workerNodes
@@ -90,7 +85,7 @@ type OptBenchPoint struct {
 	BudgetHit              bool    `json:"budget_hit,omitempty"`
 }
 
-// OptBenchReport is the machine-readable benchmark output (BENCH_34.json).
+// OptBenchReport is the machine-readable benchmark output (BENCH_35.json).
 // GoMaxProcs is the process's setting, the larger of the two every point is
 // measured at.
 type OptBenchReport struct {
@@ -406,14 +401,10 @@ func runOptBenchPoint(shape string, nodes int, minDur time.Duration, maxIters in
 
 	evalsPerPass, _ := ctrl.EvaluationCount()
 	pt := &OptBenchPoint{Shape: shape, Nodes: nodes, Apps: len(ctrl.Apps()), ChoicesPerPass: evalsPerPass}
-	p0 := ctrl.PruneStats()
 	pt.NsPerReeval, pt.Iters, pt.PredictionsPerPass, err = measureReevals(ctrl, clock, minDur, maxIters)
 	if err != nil {
 		return nil, fmt.Errorf("optbench %s/%d: %w", shape, nodes, err)
 	}
-	p1 := ctrl.PruneStats()
-	pt.PruneConsidered = p1.Considered - p0.Considered
-	pt.PruneUnreachable = p1.Unreachable - p0.Unreachable
 	if pt.NsPerReeval > 0 {
 		pt.EvalsPerSec = float64(evalsPerPass) / (pt.NsPerReeval / 1e9)
 	}
@@ -435,14 +426,10 @@ func OptBenchResult(report *OptBenchReport) *Result {
 				"accom", p.Nodes, p.Procs, p.Residents, p.Choices, took))
 			continue
 		}
-		prunedPct := 0.0
-		if p.PruneConsidered > 0 {
-			prunedPct = 100 * float64(p.PruneUnreachable) / float64(p.PruneConsidered)
-		}
 		res.Rows = append(res.Rows, fmt.Sprintf(
-			"%-5s n=%-4d procs=%-2d apps=%-4d choices/pass=%-5d pass=%.2fms evals/s=%.0f predictions/pass=%d pruned=%.0f%%",
+			"%-5s n=%-4d procs=%-2d apps=%-4d choices/pass=%-5d pass=%.2fms evals/s=%.0f predictions/pass=%d",
 			p.Shape, p.Nodes, p.Procs, p.Apps, p.ChoicesPerPass,
-			p.NsPerReeval/1e6, p.EvalsPerSec, p.PredictionsPerPass, prunedPct))
+			p.NsPerReeval/1e6, p.EvalsPerSec, p.PredictionsPerPass))
 	}
 	allPositive := true
 	for _, p := range report.Points {

@@ -209,8 +209,6 @@ type Request struct {
 	// MemoryGrants optionally raises OpMin memory tags above their minimum,
 	// keyed by option-local node name. Grants below the minimum fail.
 	MemoryGrants map[string]float64
-	// ExcludeHosts are machines the matcher must not use (e.g. reserved).
-	ExcludeHosts map[string]bool
 }
 
 // Matcher places options onto a resource view (the live ledger, or a
@@ -405,8 +403,8 @@ type scratch struct {
 	rows  []resource.NodeState
 	order []int32
 	pos   []int32
-	// used marks rows the request may not take: excluded by the caller, or
-	// already given to a wildcard replica of this request.
+	// used marks rows already given to a wildcard replica of this request,
+	// which the request's other wildcard replicas may not take.
 	used []bool
 	// hosts is the node index of each distinct host placed, in placement order.
 	hosts []int32
@@ -444,9 +442,8 @@ type demand struct {
 // matching the request spec by spec would have. A plan is complete when made
 // and only read afterwards, so one plan serves every search that places it.
 type Plan struct {
-	opt     *rsl.OptionSpec
-	env     rsl.Env
-	exclude map[string]bool
+	opt *rsl.OptionSpec
+	env rsl.Env
 
 	specs []planSpec
 	nodes int // replicas over all specs
@@ -497,7 +494,7 @@ func NewPlan(req Request) *Plan {
 // resolve makes p the plan of req, reusing p's storage.
 func (p *Plan) resolve(req Request) {
 	opt := req.Option
-	*p = Plan{opt: opt, env: req.Env, exclude: req.ExcludeHosts, specs: p.specs[:0], links: p.links[:0]}
+	*p = Plan{opt: opt, env: req.Env, specs: p.specs[:0], links: p.links[:0]}
 
 	// CPU demand per node spec is the node's busy fraction of the job:
 	// the share of the job's critical-path seconds spent there. A database
@@ -762,11 +759,6 @@ func (s *Scan) place(p *Plan, asg *Assignment, why *NoFitError) bool {
 	}
 	sc.used = append(sc.used[:0], make([]bool, len(t.rows))...)
 	used := sc.used
-	for host, excluded := range p.exclude {
-		if i, ok := resource.FindNode(t.rows, host); ok && excluded {
-			used[i] = true
-		}
-	}
 
 	asg.Nodes = slices.Grow(asg.Nodes, p.nodes)
 	for i := range p.specs {
@@ -1010,13 +1002,12 @@ const (
 
 // admits is the one test of a node against one replica of a demand, which
 // placing (firstFit) and MayFit share: the node ns with free memory free and
-// CPU load load, taken when the request may not use it (excluded by the
-// caller, or already holding a wildcard replica of this request; a fixed-host
-// spec ignores it). It returns why the node turns the replica away, or
-// admitted. Draining and down nodes accept no new placements (existing claims
-// on a draining node survive until their owner moves), and exclusive specs —
-// the paper's space-shared parallel workers, which the SP-2 allocator
-// dedicates whole nodes to — only accept idle machines.
+// CPU load load, taken when it already holds a wildcard replica of this
+// request (a fixed-host spec ignores that). It returns why the node turns the
+// replica away, or admitted. Draining and down nodes accept no new placements
+// (existing claims on a draining node survive until their owner moves), and
+// exclusive specs — the paper's space-shared parallel workers, which the SP-2
+// allocator dedicates whole nodes to — only accept idle machines.
 func (d *demand) admits(ns *resource.NodeState, taken bool, free, load float64) rejection {
 	host := ns.Node.Hostname
 	switch {

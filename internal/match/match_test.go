@@ -181,21 +181,6 @@ func TestMatchOSConstraintPlacement(t *testing.T) {
 	}
 }
 
-func TestMatchExcludeHosts(t *testing.T) {
-	m, _ := sp2Matcher(t, 3)
-	b := mustBundle(t, `harmonyBundle A:1 b {{O {node n * {memory 1}}}}`)
-	asg, err := m.Match(Request{
-		Option:       &b.Options[0],
-		ExcludeHosts: map[string]bool{"sp2-01": true, "sp2-02": true},
-	})
-	if err != nil {
-		t.Fatalf("Match: %v", err)
-	}
-	if asg.Nodes[0].Hostname != "sp2-03" {
-		t.Fatalf("placed on %s, want sp2-03", asg.Nodes[0].Hostname)
-	}
-}
-
 func TestMatchMemoryFirstFitSkipsFullNodes(t *testing.T) {
 	m, c := sp2Matcher(t, 3)
 	// Fill sp2-01 memory.

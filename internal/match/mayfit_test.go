@@ -90,16 +90,12 @@ func mayFitCase(t *testing.T, in fuzzBytes) (*resource.Ledger, Request) {
 		specs.WriteString("} ")
 	}
 	opt := mustBundle(t, fmt.Sprintf("harmonyBundle T:1 b {{o %s}}", specs.String())).Option("o")
-	req := Request{Option: opt}
-	if in.next(4) == 0 {
-		req.ExcludeHosts = map[string]bool{host(in.next(nodes)): true}
-	}
-	return l, req
+	return l, Request{Option: opt}
 }
 
 // FuzzMayFit: a plan MayFit turns away does not place, on the scan's state or
-// on that state charged further with another placement — the proof greedy
-// pruning and the joint search's feasibility cut rest on. It runs over scans
+// on that state charged further with another placement — the proof the joint
+// search's choice filter and feasibility cut rest on. It runs over scans
 // with and without columns.
 func FuzzMayFit(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))

@@ -17,11 +17,10 @@ import (
 // placement must be the same but for the twin's extra node.
 func TestNamedHostsLookedUpLikeScanned(t *testing.T) {
 	cases := []struct {
-		name    string
-		specs   string
-		grants  map[string]float64
-		exclude map[string]bool
-		fits    bool
+		name   string
+		specs  string
+		grants map[string]float64
+		fits   bool
 		// reason is part of the rejection, when there is one.
 		reason string
 	}{
@@ -41,7 +40,6 @@ func TestNamedHostsLookedUpLikeScanned(t *testing.T) {
 				{node d sp2-06 {memory >=4}} {link c s {d.memory / 2}} {link c d 1}`,
 			grants: map[string]float64{"d": 6}, fits: true,
 		},
-		{name: "excluded host is still taken by name", specs: `{node a sp2-04 {seconds 1} {memory 8}}`, exclude: map[string]bool{"sp2-04": true}, fits: true},
 		{name: "names out of hostname order", specs: `{node b sp2-06 {seconds 3} {memory 1}} {node a sp2-04 {seconds 1} {memory 1}} {node c sp2-05 {memory 1}}`, fits: true},
 		{name: "link capacity", specs: `{node s sp2-01 {memory 1}} {node c sp2-04 {memory 1}} {link c s 5000}`, reason: "needs 5000 Mbps, capacity 320 Mbps"},
 	}
@@ -65,7 +63,7 @@ func TestNamedHostsLookedUpLikeScanned(t *testing.T) {
 			}
 			for _, view := range []resource.View{l, l.Snapshot().Fork()} {
 				mv := m.WithView(view)
-				req := Request{Option: named, MemoryGrants: tc.grants, ExcludeHosts: tc.exclude}
+				req := Request{Option: named, MemoryGrants: tc.grants}
 				got, gotErr := mv.Match(req)
 				req.Option = twin
 				want, wantErr := mv.Match(req)

@@ -96,9 +96,6 @@ func scanTestRequests(t *testing.T) []Request {
 		Request{Option: opt(`{node a * {memory 4000}}`)},
 		Request{Option: opt(`{node a * {memory >=16} {seconds 3} {replicate 3}}`), MemoryGrants: map[string]float64{"a": 48}},
 		Request{Option: opt(`{node a * {memory >=16}}`), MemoryGrants: map[string]float64{"a": 8}},
-		// Excluded hosts.
-		Request{Option: opt(`{node a * {seconds 1} {memory 2} {replicate 6}}`),
-			ExcludeHosts: map[string]bool{"h00": true, "h01": true, "h02": true, "h07": true, "nosuch": true}},
 		// Links: the two unlinked pairs, capacity, latency.
 		Request{Option: opt(`{node a h01 {memory 1}} {node b h02 {memory 1}} {node z *} {link a b 1}`)},
 		Request{Option: opt(`{node a * {memory 1} {replicate 2}} {node b h08 {memory 1}} {link a b 500}`)},
@@ -189,9 +186,12 @@ func TestScanNeverBuiltForNamedOptions(t *testing.T) {
 func TestPlacesCarriedOnlyForTheirTopology(t *testing.T) {
 	l := scanTestLedger(t, 2, 12)
 	opt := mustBundle(t, `harmonyBundle T:1 b {{o {node s h04 {seconds 1} {memory 2}} {node w * {seconds 4} {memory 2} {replicate 3}} {link w s 3} {communication 6}}}`).Option("o")
-	before := l.Snapshot()
 	// h01 and h02 are not linked; keep one of them out of the all-pairs check.
-	asg, err := New(l).Match(Request{Option: opt, ExcludeHosts: map[string]bool{"h01": true}})
+	if err := l.SetNodeHealth("h01", resource.HealthDraining); err != nil {
+		t.Fatal(err)
+	}
+	before := l.Snapshot()
+	asg, err := New(l).Match(Request{Option: opt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ go vet ./...
 echo "== go test -race -shuffle=on"
 # The differential suites run here with the rest: greedy evaluation against
 # the evaluator it replaced (TestGreedyEvaluationMatchesReference), the joint
-# search against the fork walk, pruning on against off, and the golden hashes.
+# search against the fork walk, and the golden hashes.
 go test -race -shuffle=on ./...
 
 echo "== bench harness (vet + tests against this checkout's API)"
