@@ -30,6 +30,7 @@ FUZZ_TARGETS = \
 	FuzzDominance:./internal/bounds/ \
 	FuzzDecodeMessage:./internal/protocol/ \
 	FuzzMayFit:./internal/match/ \
+	FuzzColumnsMatchLedger:./internal/resource/ \
 	FuzzRecover:./internal/replog/
 
 fuzz:

@@ -441,6 +441,7 @@ func TestOptimizerDocInSync(t *testing.T) {
 		"once per first-level choice", "exponential and unbounded",
 		"evalContext", "newEvalContext", "Base predictions are made lazily", "Candidates with one footprint share",
 		"pruneChoices", "disablePruning", "Static pruning", "TestPruningBitIdentical", "ExcludeHosts", "prune counter",
+		"overlay chain", "records only its own deltas", "WithView",
 	} {
 		if strings.Contains(string(doc), gone) {
 			t.Errorf("docs/OPTIMIZER.md still describes %s, which no longer exists", gone)

@@ -27,7 +27,7 @@ import (
 // enumerated choice is tried under every inner node, every trial forks the
 // snapshot of the level above, matches on the bare fork (which reads and
 // orders the node table itself), reserves through the view and predicts by
-// walking the fork's overlay chain; every request is resolved again at every
+// reading the fork's state by index; every request is resolved again at every
 // inner node. It shares nothing with searchJoint but the applications, the
 // capture and the trial counter, and is the reference searchJoint is held to.
 // Warnings are collected per first-level choice, as the walk that fanned those
@@ -64,7 +64,7 @@ func (c *Controller) tryChoiceByFork(view *resource.Snapshot, id int, ch Choice,
 	opt := app.bundle.Option(ch.Option)
 	c.jointTrials++
 	fork := view.Fork()
-	matcher := c.matcher.WithView(fork)
+	matcher := match.NewWithView(fork)
 	asg, err := matcher.Match(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants})
 	if err != nil {
 		return nil, candidate{}, false

@@ -29,7 +29,7 @@ import (
 // of that base (which reads and orders the node table itself), reserved in the
 // fork through the view interface, and every other application — overlapping
 // the candidate or not — is resolved afresh and predicted against the base and
-// then by walking the fork's overlay chain.
+// then against the fork.
 func evaluateChoiceByFork(c *Controller, app *appState, ch Choice) (candidate, error) {
 	opt := app.bundle.Option(ch.Option)
 	if opt == nil {
@@ -42,7 +42,7 @@ func evaluateChoiceByFork(c *Controller, app *appState, ch Choice) (candidate, e
 		}
 	}
 	fork := base.Fork()
-	matcher := c.matcher.WithView(fork)
+	matcher := match.NewWithView(fork)
 	env := rsl.MapEnv(ch.Vars)
 	asg, err := matcher.Match(match.Request{Option: opt, Env: env, MemoryGrants: ch.Grants})
 	if err != nil {

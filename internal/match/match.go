@@ -114,7 +114,7 @@ func (a *Assignment) EachLink(fn func(hostA, hostB string, mbps float64)) {
 // Places appends to at where the assignment sits in snap's tables: the index
 // of each node placement's host, then the id of each link EachLink visits, -1
 // standing for a host that is not registered or a pair that is not linked.
-// That is the form resource.Columns.Reserve takes. What Match recorded is
+// That is the form resource.Columns.Charge takes. What Match recorded is
 // used when snap is of the inventory Match placed the option on; otherwise
 // every name is looked up.
 func (a *Assignment) Places(snap *resource.Snapshot, at []int32) []int32 {
@@ -227,15 +227,9 @@ func NewWithView(view resource.View) *Matcher {
 	return &Matcher{ledger: view}
 }
 
-// WithView returns a matcher bound to another view, e.g. a ledger snapshot
-// for hypothetical matching.
-func (m *Matcher) WithView(view resource.View) *Matcher {
-	return &Matcher{ledger: view}
-}
-
 // Scan is one state's node table as Match reads it: the rows in hostname
-// order, the order first-fit scans them in, and their free memory and load
-// as columns. It holds for the state it was aimed at and for no other, so
+// order, the order first-fit scans them in, and the state's free memory and
+// load as columns. It holds for the state it was aimed at and for no other, so
 // whoever owns it resets it whenever that state changes. A scan has one owner,
 // which places on it one call at a time: the scan keeps what it learns of its
 // state between calls (the order, MayFit's counts) and works in its own
@@ -244,14 +238,12 @@ func (m *Matcher) WithView(view resource.View) *Matcher {
 type Scan struct {
 	snap *resource.Snapshot
 	rows []resource.NodeState
-	// cols, when set, is where free memory and load are read from in place of
-	// the rows' own: the snapshot's state with trial reservations on top.
+	// cols is where free memory and load are read from: the snapshot's state,
+	// with trial reservations on top when the owner charged any.
 	cols *resource.Columns
 
-	built  bool // whether order, free and load hold for the state
+	built  bool // whether order holds for the state
 	order  []int32
-	free   []float64 // the rows' own, read out when cols is nil
-	load   []float64
 	builds int
 
 	// up is the number of healthy rows, -1 until MayFit first needs it, and
@@ -274,10 +266,10 @@ type shapeCount struct {
 // Reset aims the scan at a snapshot. rows must be the snapshot's node table
 // (AppendNodes) and must not change while the scan is in use; it is not read
 // for options that name every host, so a caller that only matches those may
-// pass nil, but MayFit always reads it. cols, when not nil, holds the free
-// memory and load to match against by node index — the rows then give only
-// what a reservation cannot change — and must hold still until the next
-// Reset.
+// pass nil, but MayFit always reads it. cols holds the free memory and load to
+// match against by node index (Snapshot.ReadColumns, with any trial charges
+// on top) — the rows give only what a reservation cannot change — and must
+// hold still until the next Reset.
 func (s *Scan) Reset(snap *resource.Snapshot, rows []resource.NodeState, cols *resource.Columns) {
 	s.snap, s.rows, s.cols = snap, rows, cols
 	s.built = false
@@ -293,15 +285,7 @@ func (s *Scan) Builds() int { return s.builds }
 func (s *Scan) build() {
 	s.built = true
 	s.builds++
-	if s.cols == nil {
-		s.free, s.load = s.free[:0], s.load[:0]
-		for i := range s.rows {
-			s.free = append(s.free, s.rows[i].FreeMemoryMB)
-			s.load = append(s.load, s.rows[i].CPULoad)
-		}
-	}
-	_, load := s.columns()
-	s.order = scanOrder(load, s.order[:0])
+	s.order = scanOrder(s.cols.CPULoad, s.order[:0])
 }
 
 // compareLoad orders the nodes at indices a and b of the load column: placing
@@ -363,14 +347,6 @@ func scanOrder(load []float64, order []int32) []int32 {
 	return order
 }
 
-// columns returns the free memory and load Match starts from, by row.
-func (s *Scan) columns() (free, load []float64) {
-	if s.cols != nil {
-		return s.cols.FreeMemoryMB, s.cols.CPULoad
-	}
-	return s.free, s.load
-}
-
 // table is the node table of one Match call.
 type table struct {
 	// rows holds the nodes in hostname order. Only what a placement cannot
@@ -412,11 +388,12 @@ type scratch struct {
 	plan Plan
 }
 
-// oneOff is the scan of a Matcher.Match call, with the rows read into it.
-// Calls take one from the pool and hand it back.
+// oneOff is the scan of a Matcher.Match call, with the rows and columns read
+// into it. Calls take one from the pool and hand it back.
 type oneOff struct {
 	scan Scan
 	rows []resource.NodeState
+	cols resource.Columns
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(oneOff) }}
@@ -678,11 +655,13 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 	}
 	o := scratchPool.Get().(*oneOff)
 	defer scratchPool.Put(o)
+	snap := m.ledger.Indexed()
 	o.rows = o.rows[:0]
 	if !namesEveryHost(req.Option) {
-		o.rows = m.ledger.AppendNodes(o.rows)
+		o.rows = snap.AppendNodes(o.rows)
 	}
-	o.scan.Reset(m.ledger.Indexed(), o.rows, nil)
+	snap.ReadColumns(&o.cols)
+	o.scan.Reset(snap, o.rows, &o.cols)
 	return o.scan.match(req)
 }
 
@@ -752,9 +731,8 @@ func (s *Scan) place(p *Plan, asg *Assignment, why *NoFitError) bool {
 		if !s.built {
 			s.build()
 		}
-		free, load := s.columns()
-		sc.free = append(sc.free[:0], free...)
-		sc.load = append(sc.load[:0], load...)
+		sc.free = append(sc.free[:0], s.cols.FreeMemoryMB...)
+		sc.load = append(sc.load[:0], s.cols.CPULoad...)
 		t = table{rows: s.rows, order: s.order, free: sc.free, load: sc.load}
 	}
 	sc.used = append(sc.used[:0], make([]bool, len(t.rows))...)
@@ -894,12 +872,8 @@ func (s *Scan) namedTable(sc *scratch, opt *rsl.OptionSpec) table {
 	sc.free, sc.load = sc.free[:0], sc.load[:0]
 	for i := range sc.rows {
 		sc.order = append(sc.order, int32(i))
-		free, load := sc.rows[i].FreeMemoryMB, sc.rows[i].CPULoad
-		if s.cols != nil {
-			free, load = s.cols.FreeMemoryMB[sc.pos[i]], s.cols.CPULoad[sc.pos[i]]
-		}
-		sc.free = append(sc.free, free)
-		sc.load = append(sc.load, load)
+		sc.free = append(sc.free, s.cols.FreeMemoryMB[sc.pos[i]])
+		sc.load = append(sc.load, s.cols.CPULoad[sc.pos[i]])
 	}
 	return table{rows: sc.rows, order: sc.order, free: sc.free, load: sc.load, pos: sc.pos}
 }
@@ -1125,10 +1099,7 @@ func (s *Scan) MayFit(p *Plan) bool {
 
 // at is the free memory and CPU load of a row on the scan's state.
 func (s *Scan) at(row int) (free, load float64) {
-	if s.cols != nil {
-		return s.cols.FreeMemoryMB[row], s.cols.CPULoad[row]
-	}
-	return s.rows[row].FreeMemoryMB, s.rows[row].CPULoad
+	return s.cols.FreeMemoryMB[row], s.cols.CPULoad[row]
 }
 
 // healthy is the number of rows that accept placements at all.

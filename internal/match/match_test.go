@@ -369,7 +369,7 @@ func TestMatchAllocations(t *testing.T) {
 	var asg *Assignment
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
-		if asg, err = m.WithView(snap).Match(req); err != nil {
+		if asg, err = NewWithView(snap).Match(req); err != nil {
 			t.Fatal(err)
 		}
 	})

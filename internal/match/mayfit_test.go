@@ -95,8 +95,7 @@ func mayFitCase(t *testing.T, in fuzzBytes) (*resource.Ledger, Request) {
 
 // FuzzMayFit: a plan MayFit turns away does not place, on the scan's state or
 // on that state charged further with another placement — the proof the joint
-// search's choice filter and feasibility cut rest on. It runs over scans
-// with and without columns.
+// search's choice filter and feasibility cut rest on.
 func FuzzMayFit(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 256; i++ {
@@ -117,13 +116,6 @@ func FuzzMayFit(f *testing.F) {
 		rows := snap.AppendNodes(nil)
 		p := NewPlan(req)
 		var asg Assignment
-
-		var bare Scan
-		bare.Reset(snap, rows, nil)
-		if !bare.MayFit(p) && bare.Place(p, &asg) {
-			t.Fatalf("MayFit turned away %s, which places on %v", req.Option.Name, asg.Nodes)
-		}
-
 		var cols resource.Columns
 		snap.ReadColumns(&cols)
 		var scan Scan
@@ -132,7 +124,7 @@ func FuzzMayFit(f *testing.F) {
 			return
 		}
 		if scan.Place(p, &asg) {
-			t.Fatalf("MayFit over columns turned away %s, which places on %v", req.Option.Name, asg.Nodes)
+			t.Fatalf("MayFit turned away %s, which places on %v", req.Option.Name, asg.Nodes)
 		}
 		if !scan.Place(other, &asg) {
 			return

@@ -45,7 +45,7 @@ func TestNamedHostsLookedUpLikeScanned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, c := sp2Matcher(t, 8)
+			_, c := sp2Matcher(t, 8)
 			l := c.Ledger()
 			if err := l.SetNodeHealth("sp2-02", resource.HealthDown); err != nil {
 				t.Fatal(err)
@@ -62,7 +62,7 @@ func TestNamedHostsLookedUpLikeScanned(t *testing.T) {
 				t.Fatal("the pair does not exercise both tables")
 			}
 			for _, view := range []resource.View{l, l.Snapshot().Fork()} {
-				mv := m.WithView(view)
+				mv := NewWithView(view)
 				req := Request{Option: named, MemoryGrants: tc.grants}
 				got, gotErr := mv.Match(req)
 				req.Option = twin

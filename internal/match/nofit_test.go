@@ -77,11 +77,10 @@ func TestNoFitErrorTexts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, c := sp2Matcher(t, 8)
+			_, c := sp2Matcher(t, 8)
 			l := c.Ledger()
 			if tc.empty {
 				l = resource.NewLedger()
-				m = New(l)
 			} else {
 				if err := l.SetNodeHealth("sp2-02", resource.HealthDown); err != nil {
 					t.Fatal(err)
@@ -99,7 +98,7 @@ func TestNoFitErrorTexts(t *testing.T) {
 			}
 			opt := mustBundle(t, fmt.Sprintf(`harmonyBundle T:1 b {{o %s}}`, tc.specs)).Option("o")
 			for _, view := range []resource.View{l, l.Snapshot()} {
-				_, err := m.WithView(view).Match(Request{Option: opt, MemoryGrants: tc.grants})
+				_, err := NewWithView(view).Match(Request{Option: opt, MemoryGrants: tc.grants})
 				var nf *NoFitError
 				if !errors.As(err, &nf) || nf.Option != "o" {
 					t.Fatalf("err = %v, want a NoFitError for option o", err)

@@ -105,10 +105,10 @@ func scanTestRequests(t *testing.T) []Request {
 	return reqs
 }
 
-// TestSharedScanMatchesBareView holds Match over a shared scan to Match on a
-// bare fork that reads and orders the table itself: the identical Assignment
-// (positions included) or the identical error text, for every request shape,
-// on several seeded clusters. Every request is matched over one scan, one
+// TestSharedScanMatchesBareView holds Match over a shared scan to
+// Matcher.Match on the bare ledger, which reads and orders the table itself:
+// the identical Assignment (positions included) or the identical error text,
+// for every request shape, on several seeded clusters. Every request is matched over one scan, one
 // after another, so a charge one call leaked into the scan's columns would
 // show as a difference in the next. The scan is handed the table, so it
 // cannot read it again; it must order it once.
@@ -126,7 +126,7 @@ func TestSharedScanMatchesBareView(t *testing.T) {
 			want := make([]outcome, len(reqs))
 			fits := 0
 			for i, req := range reqs {
-				asg, err := m.WithView(snap.Fork()).Match(req)
+				asg, err := m.Match(req)
 				want[i] = outcome{asg, fmt.Sprint(err)}
 				if err == nil {
 					fits++
@@ -136,8 +136,10 @@ func TestSharedScanMatchesBareView(t *testing.T) {
 				t.Fatalf("%d of %d requests fit: the cases no longer cover both outcomes", fits, len(reqs))
 			}
 
+			var cols resource.Columns
+			snap.ReadColumns(&cols)
 			var scan Scan
-			scan.Reset(snap, snap.AppendNodes(nil), nil)
+			scan.Reset(snap, snap.AppendNodes(nil), &cols)
 			check := func(i int) {
 				asg, err := scan.Match(reqs[i])
 				if got := fmt.Sprint(err); got != want[i].err {
@@ -161,14 +163,16 @@ func TestSharedScanMatchesBareView(t *testing.T) {
 func TestScanNeverBuiltForNamedOptions(t *testing.T) {
 	l := scanTestLedger(t, 1, 16)
 	snap := l.Snapshot()
+	var cols resource.Columns
+	snap.ReadColumns(&cols)
 	var scan Scan
-	scan.Reset(snap, nil, nil)
+	scan.Reset(snap, nil, &cols)
 	named := mustBundle(t, `harmonyBundle T:1 b {{o {node s h00 {seconds 1} {memory 2}} {node c h05 {seconds 4} {memory 2}} {link c s 3}}}`).Option("o")
 	got, err := scan.Match(Request{Option: named})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewWithView(snap.Fork()).Match(Request{Option: named})
+	want, err := NewWithView(snap).Match(Request{Option: named})
 	if err != nil {
 		t.Fatal(err)
 	}

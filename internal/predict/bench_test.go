@@ -8,13 +8,13 @@ import (
 	"harmony/internal/rsl"
 )
 
-func benchSetup(b *testing.B) (*Predictor, *match.Assignment) {
+func benchSetup(b *testing.B) (byOption, *match.Assignment) {
 	b.Helper()
 	c, err := cluster.NewSP2(8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := New(c.Ledger())
+	p := byOption{NewWithView(c.Ledger())}
 	asg := &match.Assignment{
 		Nodes: []match.NodeAssignment{
 			{LocalName: "a", Hostname: "sp2-01", Seconds: 100, CPULoad: 1},

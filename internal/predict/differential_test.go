@@ -212,10 +212,12 @@ func samePrediction(a, b Prediction) bool {
 }
 
 // TestIndexedMatchesByName predicts random assignments on random clusters
-// three ways — by hostname (the oracle above), through the Predictor front
-// door, and over a placement resolved once with and without a dense load
-// column — against the ledger and against snapshots with zero, one and two
-// overlay layers. All must agree to the bit, and fail with the same words.
+// three ways — by hostname (the oracle above), through the Predictor's front
+// door (ForOption, handed an option without and with a performance curve),
+// and over a placement resolved once with and without a dense load column —
+// against the ledger, a capture of it, a fork holding reservations, and a
+// fork of that which also released one. All must agree to the bit, and fail
+// with the same words.
 //
 // A link of zero bandwidth, which commScale skips, cannot be built: AddLink
 // refuses it. The guard stays in the one place the arithmetic lives.
@@ -224,21 +226,19 @@ func TestIndexedMatchesByName(t *testing.T) {
 	models := []struct {
 		name    string
 		byName  func(byName, *match.Assignment, bool) (Prediction, error)
-		door    func(*Predictor, *match.Assignment, bool) (Prediction, error)
+		option  *rsl.OptionSpec // what the front door, ForOption, is handed
 		indexed func(Indexed, *Placement, bool) (Prediction, error)
 	}{
 		{
 			"default",
 			func(p byName, a *match.Assignment, self bool) (Prediction, error) { return p.Default(a, self) },
-			func(p *Predictor, a *match.Assignment, self bool) (Prediction, error) { return p.Default(a, self) },
+			&rsl.OptionSpec{},
 			func(in Indexed, pl *Placement, self bool) (Prediction, error) { return in.Default(pl, self) },
 		},
 		{
 			"explicit",
 			func(p byName, a *match.Assignment, self bool) (Prediction, error) { return p.Explicit(points, a, self) },
-			func(p *Predictor, a *match.Assignment, self bool) (Prediction, error) {
-				return p.Explicit(points, a, self)
-			},
+			&rsl.OptionSpec{Performance: points},
 			func(in Indexed, pl *Placement, self bool) (Prediction, error) { return in.Explicit(points, pl, self) },
 		},
 	}
@@ -294,7 +294,7 @@ func TestIndexedMatchesByName(t *testing.T) {
 								t.Fatalf("seed %d trial %d view %d %s self=%v %s: %+v, by name %+v", seed, trial, vi, m.name, self, how, got, want)
 							}
 						}
-						got, err := m.door(NewWithView(view), asg, self)
+						got, err := NewWithView(view).ForOption(m.option, asg, self)
 						check("front door", got, err)
 						got, err = m.indexed(Indexed{View: snap}, pl, self)
 						check("indexed", got, err)

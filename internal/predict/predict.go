@@ -28,47 +28,17 @@ type Prediction struct {
 }
 
 // Predictor predicts assignments named by hostname against a resource view
-// (the live ledger, or a snapshot for hypothetical evaluation). It is the
-// front door for callers that predict a placement once; each call resolves
-// the assignment against the view and hands it to the model in Indexed,
-// where the arithmetic lives.
+// (the live ledger, or a snapshot of it). It is the front door for callers
+// that predict a placement once, ForOption its one method: each call resolves
+// the assignment against the view and hands it to the model in Indexed, where
+// the arithmetic lives and where the controller's searches call it directly.
 type Predictor struct {
 	ledger resource.View
 }
 
-// New returns a predictor over the ledger.
-func New(ledger *resource.Ledger) *Predictor {
-	return &Predictor{ledger: ledger}
-}
-
-// NewWithView returns a predictor over an arbitrary resource view.
+// NewWithView returns a predictor over a resource view.
 func NewWithView(view resource.View) *Predictor {
 	return &Predictor{ledger: view}
-}
-
-// WithView returns a predictor bound to another view, e.g. a ledger
-// snapshot holding a trial reservation.
-func (p *Predictor) WithView(view resource.View) *Predictor {
-	return &Predictor{ledger: view}
-}
-
-// resolve reads the view by index and resolves asg against it.
-func (p *Predictor) resolve(asg *match.Assignment) (Indexed, *Placement, error) {
-	if asg == nil {
-		return Indexed{}, nil, errors.New("predict: nil assignment")
-	}
-	snap := p.ledger.Indexed()
-	return Indexed{View: snap}, Resolve(snap, asg), nil
-}
-
-// Default applies the paper's default model to an assignment; see
-// Indexed.Default.
-func (p *Predictor) Default(asg *match.Assignment, selfReserved bool) (Prediction, error) {
-	in, pl, err := p.resolve(asg)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return in.Default(pl, selfReserved)
 }
 
 // Placement is an assignment resolved against one topology: where each of
@@ -292,16 +262,6 @@ func Interpolate(points []rsl.PerfPoint, x float64) (float64, error) {
 	return last.Y, nil // unreachable with sorted points
 }
 
-// Explicit applies an application-supplied piecewise-linear model to an
-// assignment; see Indexed.Explicit.
-func (p *Predictor) Explicit(points []rsl.PerfPoint, asg *match.Assignment, selfReserved bool) (Prediction, error) {
-	in, pl, err := p.resolve(asg)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return in.Explicit(points, pl, selfReserved)
-}
-
 // Explicit applies an application-supplied piecewise-linear model: the
 // curve gives the unloaded running time at the assignment's node count, and
 // the same contention factors as the default model stretch it when the
@@ -392,11 +352,11 @@ func (p *Predictor) ForOption(opt *rsl.OptionSpec, asg *match.Assignment, selfRe
 	if opt == nil {
 		return Prediction{}, errors.New("predict: nil option")
 	}
-	in, pl, err := p.resolve(asg)
-	if err != nil {
-		return Prediction{}, err
+	if asg == nil {
+		return Prediction{}, errors.New("predict: nil assignment")
 	}
-	return in.ForOption(opt, pl, selfReserved)
+	snap := p.ledger.Indexed()
+	return Indexed{View: snap}.ForOption(opt, Resolve(snap, asg), selfReserved)
 }
 
 // ForOption is Predictor.ForOption for a resolved assignment.

@@ -11,13 +11,25 @@ import (
 	"harmony/internal/rsl"
 )
 
-func sp2(t *testing.T, n int) (*cluster.Cluster, *Predictor, *match.Matcher) {
+// byOption predicts through the Predictor's front door, ForOption, with an
+// option that has no performance curve (the default model) or one that has.
+type byOption struct{ p *Predictor }
+
+func (m byOption) Default(asg *match.Assignment, selfReserved bool) (Prediction, error) {
+	return m.p.ForOption(&rsl.OptionSpec{}, asg, selfReserved)
+}
+
+func (m byOption) Explicit(points []rsl.PerfPoint, asg *match.Assignment, selfReserved bool) (Prediction, error) {
+	return m.p.ForOption(&rsl.OptionSpec{Performance: points}, asg, selfReserved)
+}
+
+func sp2(t *testing.T, n int) (*cluster.Cluster, byOption, *match.Matcher) {
 	t.Helper()
 	c, err := cluster.NewSP2(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, New(c.Ledger()), match.New(c.Ledger())
+	return c, byOption{NewWithView(c.Ledger())}, match.New(c.Ledger())
 }
 
 func TestDefaultIdleCluster(t *testing.T) {
@@ -76,7 +88,7 @@ func TestDefaultSlowestNodeDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(c.Ledger())
+	p := byOption{NewWithView(c.Ledger())}
 	asg := &match.Assignment{Nodes: []match.NodeAssignment{
 		{LocalName: "a", Hostname: "fast", Seconds: 100, CPULoad: 1}, // 50 s
 		{LocalName: "b", Hostname: "slow", Seconds: 100, CPULoad: 1}, // 200 s
@@ -241,7 +253,7 @@ harmonyBundle A:1 b {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := p.ForOption(b.Option("explicit"), asgE, false)
+	pred, err := p.p.ForOption(b.Option("explicit"), asgE, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +264,14 @@ harmonyBundle A:1 b {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err = p.ForOption(b.Option("implicit"), asgI, false)
+	pred, err = p.p.ForOption(b.Option("implicit"), asgI, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pred.Seconds != 50 {
 		t.Fatalf("default via ForOption = %g, want 50", pred.Seconds)
 	}
-	if _, err := p.ForOption(nil, asgI, false); err == nil {
+	if _, err := p.p.ForOption(nil, asgI, false); err == nil {
 		t.Fatal("nil option accepted")
 	}
 }
@@ -286,7 +298,7 @@ func TestPropertyMonotonicContention(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p := New(c.Ledger())
+		p := byOption{NewWithView(c.Ledger())}
 		asg := &match.Assignment{Nodes: []match.NodeAssignment{
 			{LocalName: "a", Hostname: "sp2-01", Seconds: 100, CPULoad: 1},
 		}}

@@ -6,18 +6,18 @@ import (
 )
 
 // Columns holds what reservations change in a snapshot — free memory and CPU
-// load by node index, reserved bandwidth by link id — as three dense columns
-// a caller owns. It is the trial state of the controller's searches: the
-// greedy search charges each candidate to one Columns and restores it before
-// the next, the joint search charges one Columns level by level and restores
-// it on the way back up, and the prediction models read the result directly,
-// where a Snapshot fork would record each write in an overlay and walk the
-// overlay chain on each read.
+// load by node index, reserved bandwidth by link id — as three dense columns.
+// It is the one representation of hypothetical state: the greedy search
+// charges each candidate to one Columns and restores it before the next, the
+// joint search charges one Columns level by level and restores it on the way
+// back up, a written Snapshot keeps its state in one, and the prediction
+// models read the result directly. Its arithmetic is the Ledger's, which the
+// tests hold it to bit for bit.
 // The node descriptions, health and link descriptions are not here; they do
 // not change under a reservation and are read from the snapshot.
 //
 // Fill a Columns with Snapshot.ReadColumns and write to it only through
-// Reserve, or Charge and Restore; the columns themselves are exported for
+// Charge, Release and Restore; the columns themselves are exported for
 // reading. A Columns is not safe for concurrent use.
 type Columns struct {
 	FreeMemoryMB []float64 // by node index
@@ -69,32 +69,14 @@ func (s *Snapshot) ReadColumns(dst *Columns) {
 		dst.FreeMemoryMB[i], dst.CPULoad[i] = states[i].FreeMemoryMB, states[i].CPULoad
 	}
 	dst.rebase(s.base.reserved)
-	s.patchColumns(dst)
-}
-
-// patchColumns writes each layer's changes over the base's values, oldest
-// first.
-func (s *Snapshot) patchColumns(dst *Columns) {
-	if s.parent != nil {
-		s.parent.patchColumns(dst)
+	if s.own == nil {
+		return
 	}
-	for _, d := range s.nodes {
-		dst.FreeMemoryMB[d.pos], dst.CPULoad[d.pos] = d.freeMem, d.cpuLoad
+	copy(dst.FreeMemoryMB, s.own.FreeMemoryMB)
+	copy(dst.CPULoad, s.own.CPULoad)
+	for _, id := range s.own.dirty {
+		dst.setReserved(int(id), s.own.ReservedMbps[id])
 	}
-	for _, d := range s.links {
-		dst.setReserved(int(d.id), d.reserved)
-	}
-}
-
-// Reserve applies node and link claims to the columns with the validation
-// and arithmetic of Snapshot.Reserve, so the columns end up bit for bit what a
-// fork's would and a refused claim is refused in the same words. at holds each
-// claim's place: the node claims' indices (Snapshot.NodeIndex), then the link
-// claims' ids (LinkIndex), -1 for a node or link that is not registered. The
-// caller vouches that the indices are of the topology the columns were read
-// from. Nothing is recorded: there is no claim to release.
-func (c *Columns) Reserve(nodes []NodeClaim, links []LinkClaim, at []int32) error {
-	return c.Charge(nodes, links, at, nil)
 }
 
 // Undo is the log of what charges wrote over in a Columns: for every entry
@@ -123,8 +105,14 @@ func (u *Undo) Wrote(i int) (index int32, link bool) {
 	return u.saved[i].at, false
 }
 
-// Charge is Reserve that also logs in undo, when it is not nil, what every
-// entry it writes held before. A refused charge writes and logs nothing.
+// Charge applies node and link claims to the columns with the validation and
+// arithmetic of Ledger.Reserve, so the columns end up bit for bit what the
+// ledger's would and a refused claim is refused in the same words. at holds
+// each claim's place: the node claims' indices (Snapshot.NodeIndex), then the
+// link claims' ids (LinkIndex), -1 for a node or link that is not registered.
+// The caller vouches that the indices are of the topology the columns were
+// read from. No claim is recorded; undo, when it is not nil, logs what every
+// entry written held before. A refused charge writes and logs nothing.
 func (c *Columns) Charge(nodes []NodeClaim, links []LinkClaim, at []int32, undo *Undo) error {
 	err := checkClaims(at, nodes, links, func(p int) float64 { return c.FreeMemoryMB[p] })
 	if err != nil {
@@ -148,9 +136,9 @@ func (c *Columns) Charge(nodes []NodeClaim, links []LinkClaim, at []int32, undo 
 	return nil
 }
 
-// Release returns claim id of snapshot s to the columns with Snapshot.Release's
-// lookup, arithmetic and clamping, so the columns end up bit for bit what the
-// snapshot's would after s.Release(id). It logs in undo what every entry it
+// Release returns claim id of snapshot s to the columns with Ledger.Release's
+// arithmetic and clamping, so the columns end up bit for bit what the
+// ledger's would. It logs in undo, when it is not nil, what every entry it
 // writes held before, so Restore takes the release back like a charge. The
 // columns must have been read from s or from a snapshot of its Topology.
 func (c *Columns) Release(s *Snapshot, id uint64, undo *Undo) error {
@@ -161,13 +149,17 @@ func (c *Columns) Release(s *Snapshot, id uint64, undo *Undo) error {
 	t := s.base.topo
 	for _, nc := range cl.Nodes {
 		if p, ok := t.node(nc.Hostname); ok {
-			undo.saved = append(undo.saved, savedEntry{int32(p), c.FreeMemoryMB[p], c.CPULoad[p]})
+			if undo != nil {
+				undo.saved = append(undo.saved, savedEntry{int32(p), c.FreeMemoryMB[p], c.CPULoad[p]})
+			}
 			c.FreeMemoryMB[p], c.CPULoad[p] = releaseNode(c.FreeMemoryMB[p], c.CPULoad[p], s.base.states[p].Node.MemoryMB, nc)
 		}
 	}
 	for _, lc := range cl.Links {
 		if lid, ok := t.link(lc.A, lc.B); ok {
-			undo.saved = append(undo.saved, savedEntry{at: ^int32(lid), a: c.ReservedMbps[lid]})
+			if undo != nil {
+				undo.saved = append(undo.saved, savedEntry{at: ^int32(lid), a: c.ReservedMbps[lid]})
+			}
 			c.setReserved(lid, releaseBandwidth(c.ReservedMbps[lid], lc))
 		}
 	}

@@ -528,8 +528,8 @@ func (t *topology) locate(at []int32, nodes []NodeClaim, links []LinkClaim) []in
 // checkClaims decides whether node and link claims, at the places locate
 // reports for them, may be reserved against the free memory freeMem reports
 // per node index. Every claim is judged against the state before any of them
-// is applied. Ledger, Snapshot and Columns all reserve through it, so they
-// accept and refuse the same claims with the same words.
+// is applied. Ledger and Columns (and so Snapshot) both reserve through it, so
+// they accept and refuse the same claims with the same words.
 func checkClaims(at []int32, nodes []NodeClaim, links []LinkClaim, freeMem func(pos int) float64) error {
 	for i, nc := range nodes {
 		if at[i] < 0 {

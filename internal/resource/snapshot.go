@@ -6,11 +6,10 @@ import (
 )
 
 // View is the read/reserve surface shared by the live Ledger and
-// hypothetical Snapshots of it. The matcher and predictor operate against a
-// View, so the controller can evaluate candidate configurations
-// side-effect-free: trial reservations land in Columns read from a snapshot
-// (both of the controller's searches) or in a snapshot fork, never in the
-// shared ledger.
+// hypothetical Snapshots of it, for callers that place and predict by
+// hostname. A hypothetical reservation, whether one of the controller's
+// searches charges it to Columns read from a snapshot or a caller reserves it
+// in a Snapshot, lands in Columns and never in the shared ledger.
 //
 // Both implementations store their nodes in hostname order, so the order
 // Nodes and AppendNodes report is the order of the table itself: no
@@ -51,53 +50,41 @@ type snapBase struct {
 	nextID   uint64
 }
 
-// nodeDelta is one node's free memory and load as a snapshot layer left
-// them. Health and the node description never change inside a snapshot.
-type nodeDelta struct {
-	pos     int32 // index in hostname order
-	freeMem float64
-	cpuLoad float64
-}
-
-// linkDelta is one link's reservation as a snapshot layer left it.
-type linkDelta struct {
-	id       int32
-	reserved float64
-}
-
-// Snapshot is a copy-on-write view of a Ledger at the moment Snapshot() was
-// called. Reserve and Release mutate only the snapshot's private overlay;
-// the underlying ledger is untouched. Fork() produces an independent child
-// sharing all state accumulated so far, so a controller can release an
-// application's claim once in a parent snapshot and then trial-reserve many
-// candidate placements in cheap per-candidate forks.
+// Snapshot is a Ledger as it stood when Snapshot() was called: the capture,
+// shared by every snapshot taken while the ledger is unchanged and never
+// written, and from the first Reserve or Release on, a Columns of the
+// snapshot's own that holds the capture with those hypothetical reservations
+// and releases on top. The columns are charged and released with
+// Columns.Charge and Columns.Release, the one arithmetic of hypothetical
+// state; the ledger is never touched. Fork() produces an independent copy.
 //
-// Nodes reports the base's hostname-ordered table with the overlays written
-// over it by index, so it agrees with Ledger.Nodes on order by construction.
+// The controller's searches do not write snapshots: they read a capture into
+// Columns of their own (ReadColumns) and try placements there. Reserve,
+// Release and Fork are front doors over the same columns for callers that
+// place by hostname one claim at a time.
 //
-// A Snapshot is NOT safe for concurrent use; forks are independent and may
-// be used from different goroutines concurrently (the shared layers are
-// read-only once forked).
+// Nodes reports the capture's hostname-ordered table with the snapshot's own
+// free memory and load written over it by index, so it agrees with
+// Ledger.Nodes on order by construction.
+//
+// A Snapshot is NOT safe for concurrent use; forks share nothing writable
+// and may be used from different goroutines concurrently.
 type Snapshot struct {
-	base   *snapBase
-	parent *Snapshot // frozen once forked from
-
-	// The overlay: what this layer changed, at most one entry per node and
-	// link. nodes is in index order and bisected; links holds the handful of
-	// links one placement names and is searched linearly.
-	nodes    []nodeDelta
-	links    []linkDelta
-	claims   []*Claim // reserved in this layer and still held
-	released []uint64 // ids this layer released
-	nextID   uint64
+	base *snapBase
+	// own is the snapshot's state once it has been written to, nil until
+	// then: an unwritten snapshot reads the capture.
+	own *Columns
+	// claims is the outstanding claims in id order: the capture's until the
+	// first write, then a list of the snapshot's own.
+	claims []*Claim
+	nextID uint64
 }
 
-// Snapshot captures the ledger's current state as a copy-on-write view.
-// After a mutation the capture copies the node table and the claim list; the
-// link descriptions, the name index and the reserved-bandwidth column are
-// shared, the ledger cloning one before it next writes to it. While the
-// ledger is unchanged the capture is O(1), the immutable base being cached.
-// Fork calls are O(1) plus the size of the fork's own mutations.
+// Snapshot captures the ledger's current state. After a mutation the capture
+// copies the node table and the claim list; the link descriptions, the name
+// index and the reserved-bandwidth column are shared, the ledger cloning one
+// before it next writes to it. While the ledger is unchanged the capture is
+// O(1), the immutable base being cached.
 func (l *Ledger) Snapshot() *Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -112,97 +99,67 @@ func (l *Ledger) Snapshot() *Snapshot {
 			nextID: l.nextID,
 		}
 	}
-	return &Snapshot{base: l.snapCache, nextID: l.snapCache.nextID}
+	return &Snapshot{base: l.snapCache, claims: l.snapCache.claims, nextID: l.snapCache.nextID}
 }
 
 // Unchanged reports whether the ledger still holds the state snapshot s
 // captured: nothing reserved, released, added or changed in health since. It
-// compares captures, not contents, so it is O(1); s's own overlay, if it has
-// one, is not the ledger's and is not looked at.
+// compares captures, not contents, so it is O(1); what was reserved or
+// released in s itself is not the ledger's and is not looked at.
 func (l *Ledger) Unchanged(s *Snapshot) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.snapCache != nil && l.snapCache == s.base
 }
 
-// Fork returns an independent copy-on-write child. The receiver must not be
-// mutated after forking: the child reads through it, so writes to the parent
-// would leak into (and race with) every fork.
+// Fork returns an independent copy. Forking an unwritten snapshot is O(1);
+// forking a written one copies its columns, O(nodes + links). Either may be
+// written afterwards without the other seeing it.
 func (s *Snapshot) Fork() *Snapshot {
-	return &Snapshot{base: s.base, parent: s, nextID: s.nextID}
+	f := &Snapshot{base: s.base, claims: s.claims, nextID: s.nextID}
+	if s.own != nil {
+		f.own = new(Columns)
+		s.ReadColumns(f.own)
+		f.claims = slices.Clone(s.claims)
+	}
+	return f
 }
 
-// findNode locates index pos in a layer's node overlay, which is kept in
-// index order: a placement of hundreds of nodes is looked up and written
-// node by node, and a linear search would make that quadratic.
-func findNode(nodes []nodeDelta, pos int) (int, bool) {
-	return slices.BinarySearchFunc(nodes, pos, func(d nodeDelta, pos int) int { return int(d.pos) - pos })
+// write returns the snapshot's own columns, read from the capture on the
+// first write along with a claim list of its own.
+func (s *Snapshot) write() *Columns {
+	if s.own == nil {
+		own := new(Columns)
+		s.ReadColumns(own)
+		s.own, s.claims = own, slices.Clone(s.claims)
+	}
+	return s.own
 }
 
-// nodeAt walks the overlay chain for the free memory and load of the node at
-// index pos.
+// nodeAt reports the free memory and load of the node at index pos.
 func (s *Snapshot) nodeAt(pos int) (freeMem, cpuLoad float64) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if len(cur.nodes) == 0 {
-			continue
-		}
-		if i, ok := findNode(cur.nodes, pos); ok {
-			return cur.nodes[i].freeMem, cur.nodes[i].cpuLoad
-		}
+	if s.own != nil {
+		return s.own.FreeMemoryMB[pos], s.own.CPULoad[pos]
 	}
 	st := &s.base.states[pos]
 	return st.FreeMemoryMB, st.CPULoad
 }
 
 // ReservedAt reports the bandwidth reserved on the link with the given id
-// (see LinkIndex), walking the overlay chain.
+// (see LinkIndex).
 func (s *Snapshot) ReservedAt(id int) float64 {
-	for cur := s; cur != nil; cur = cur.parent {
-		for i := range cur.links {
-			if d := &cur.links[i]; int(d.id) == id {
-				return d.reserved
-			}
-		}
+	if s.own != nil {
+		return s.own.ReservedMbps[id]
 	}
 	return s.base.reserved[id]
 }
 
-// lookupClaim finds an outstanding claim, honouring releases recorded in
-// any layer of the chain.
+// lookupClaim finds an outstanding claim.
 func (s *Snapshot) lookupClaim(id uint64) (*Claim, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if slices.Contains(cur.released, id) {
-			return nil, false
-		}
-		for _, c := range cur.claims {
-			if c.ID == id {
-				return c, true
-			}
-		}
-	}
-	if i, ok := findClaim(s.base.claims, id); ok {
-		return s.base.claims[i], true
+	if i, ok := findClaim(s.claims, id); ok {
+		return s.claims[i], true
 	}
 	return nil, false
-}
-
-func (s *Snapshot) setNode(pos int, freeMem, cpuLoad float64) {
-	d := nodeDelta{pos: int32(pos), freeMem: freeMem, cpuLoad: cpuLoad}
-	if i, ok := findNode(s.nodes, pos); ok {
-		s.nodes[i] = d
-	} else {
-		s.nodes = slices.Insert(s.nodes, i, d)
-	}
-}
-
-func (s *Snapshot) setReserved(id int, reserved float64) {
-	for i := range s.links {
-		if d := &s.links[i]; int(d.id) == id {
-			d.reserved = reserved
-			return
-		}
-	}
-	s.links = append(s.links, linkDelta{id: int32(id), reserved: reserved})
 }
 
 // Nodes returns the state of all nodes sorted by hostname, matching
@@ -210,20 +167,17 @@ func (s *Snapshot) setReserved(id int, reserved float64) {
 func (s *Snapshot) Nodes() []NodeState { return s.AppendNodes(nil) }
 
 // AppendNodes appends every node's state to dst in hostname order: a copy of
-// the base table with each layer's changes written over it, oldest first.
+// the capture's table with the snapshot's own free memory and load written
+// over it.
 func (s *Snapshot) AppendNodes(dst []NodeState) []NodeState {
+	n := len(dst)
 	dst = append(dst, s.base.states...)
-	s.patch(dst[len(dst)-len(s.base.states):])
+	if s.own != nil {
+		for i := range dst[n:] {
+			dst[n+i].FreeMemoryMB, dst[n+i].CPULoad = s.own.FreeMemoryMB[i], s.own.CPULoad[i]
+		}
+	}
 	return dst
-}
-
-func (s *Snapshot) patch(out []NodeState) {
-	if s.parent != nil {
-		s.parent.patch(out)
-	}
-	for _, d := range s.nodes {
-		out[d.pos].FreeMemoryMB, out[d.pos].CPULoad = d.freeMem, d.cpuLoad
-	}
 }
 
 // Indexed implements View: a snapshot is read by index as it stands.
@@ -299,30 +253,13 @@ func (s *Snapshot) Link(a, b string) (LinkState, error) {
 	return LinkState{Link: s.base.topo.links[id], ReservedMbps: s.ReservedAt(id)}, nil
 }
 
-// Reserve applies node and link claims to the snapshot overlay with the
-// same validation and arithmetic as Ledger.Reserve, so a hypothetical
-// reservation is byte-identical to what committing it would produce.
+// Reserve charges node and link claims to the snapshot's columns with
+// Columns.Charge, whose validation and arithmetic are Ledger.Reserve's, so a
+// hypothetical reservation is bit for bit what committing it would produce.
 func (s *Snapshot) Reserve(owner string, nodes []NodeClaim, links []LinkClaim) (*Claim, error) {
-	// Validate first.
 	var buf [32]int32
-	at := s.base.topo.locate(buf[:0], nodes, links)
-	err := checkClaims(at, nodes, links, func(p int) float64 {
-		freeMem, _ := s.nodeAt(p)
-		return freeMem
-	})
-	if err != nil {
+	if err := s.write().Charge(nodes, links, s.base.topo.locate(buf[:0], nodes, links), nil); err != nil {
 		return nil, err
-	}
-	// Apply into the overlay.
-	s.nodes = slices.Grow(s.nodes, len(nodes))
-	for i, nc := range nodes {
-		p := int(at[i])
-		freeMem, cpuLoad := s.nodeAt(p)
-		s.setNode(p, freeMem-nc.MemoryMB, cpuLoad+nc.CPULoad)
-	}
-	for i, lc := range links {
-		id := int(at[len(nodes)+i])
-		s.setReserved(id, s.ReservedAt(id)+lc.BandwidthMbps)
 	}
 	s.nextID++
 	c := &Claim{ID: s.nextID, Owner: owner}
@@ -332,28 +269,14 @@ func (s *Snapshot) Reserve(owner string, nodes []NodeClaim, links []LinkClaim) (
 	return c, nil
 }
 
-// Release returns a claim's resources to the snapshot, whether the claim
-// was created in this snapshot or captured from the underlying ledger. The
-// clamping is Ledger.Release's own.
+// Release returns a claim's resources to the snapshot's columns with
+// Columns.Release, whether the claim was reserved in this snapshot or
+// captured from the underlying ledger.
 func (s *Snapshot) Release(id uint64) error {
-	c, ok := s.lookupClaim(id)
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownClaim, id)
+	if err := s.write().Release(s, id, nil); err != nil {
+		return err
 	}
-	t := s.base.topo
-	for _, nc := range c.Nodes {
-		if p, ok := t.node(nc.Hostname); ok {
-			freeMem, cpuLoad := s.nodeAt(p)
-			freeMem, cpuLoad = releaseNode(freeMem, cpuLoad, s.base.states[p].Node.MemoryMB, nc)
-			s.setNode(p, freeMem, cpuLoad)
-		}
-	}
-	for _, lc := range c.Links {
-		if lid, ok := t.link(lc.A, lc.B); ok {
-			s.setReserved(lid, releaseBandwidth(s.ReservedAt(lid), lc))
-		}
-	}
-	s.claims = slices.DeleteFunc(s.claims, func(held *Claim) bool { return held.ID == id })
-	s.released = append(s.released, id)
+	i, _ := findClaim(s.claims, id)
+	s.claims = slices.Delete(s.claims, i, i+1)
 	return nil
 }

@@ -86,10 +86,15 @@ func TestSnapshotReleasesLedgerClaim(t *testing.T) {
 	}
 }
 
+// TestSnapshotForkIsolation: a fork and the snapshot it was forked from are
+// independent both ways, whichever is written first — including a parent
+// written after it was forked, and a claim released in one and not the other.
 func TestSnapshotForkIsolation(t *testing.T) {
 	l := snapshotTestLedger(t, 2)
 	parent := l.Snapshot()
-	if _, err := parent.Reserve("base", []NodeClaim{{Hostname: "n00", MemoryMB: 28, CPULoad: 0.5}}, nil); err != nil {
+	base, err := parent.Reserve("base", []NodeClaim{{Hostname: "n00", MemoryMB: 28, CPULoad: 0.5}},
+		[]LinkClaim{{A: "n00", B: "n01", BandwidthMbps: 10}})
+	if err != nil {
 		t.Fatalf("parent reserve: %v", err)
 	}
 	forkA := parent.Fork()
@@ -97,20 +102,40 @@ func TestSnapshotForkIsolation(t *testing.T) {
 	if _, err := forkA.Reserve("a", []NodeClaim{{Hostname: "n00", MemoryMB: 100, CPULoad: 1}}, nil); err != nil {
 		t.Fatalf("forkA reserve: %v", err)
 	}
-	// forkA sees base + its own claim.
-	ns, _ := forkA.Node("n00")
-	if ns.FreeMemoryMB != 0 || ns.CPULoad != 1.5 {
-		t.Fatalf("forkA state = %+v, want 0 MB free, load 1.5", ns)
+	state := func(what string, s *Snapshot, free, load, reserved float64) {
+		t.Helper()
+		ns, _ := s.Node("n00")
+		ls, _ := s.Link("n00", "n01")
+		if ns.FreeMemoryMB != free || ns.CPULoad != load || ls.ReservedMbps != reserved {
+			t.Fatalf("%s: n00 %g MB free, load %g, link %g Mbps; want %g, %g, %g", what,
+				ns.FreeMemoryMB, ns.CPULoad, ls.ReservedMbps, free, load, reserved)
+		}
 	}
-	// forkB sees only the parent's claim.
-	ns, _ = forkB.Node("n00")
-	if ns.FreeMemoryMB != 100 || ns.CPULoad != 0.5 {
-		t.Fatalf("forkB state = %+v, want 100 MB free, load 0.5", ns)
-	}
+	// forkA sees base + its own claim; the parent and forkB only the base.
+	state("forkA", forkA, 0, 1.5, 10)
+	state("the parent after forkA was written", parent, 100, 0.5, 10)
+	state("forkB", forkB, 100, 0.5, 10)
 	// forkB can reserve the same capacity independently.
 	if _, err := forkB.Reserve("b", []NodeClaim{{Hostname: "n00", MemoryMB: 100, CPULoad: 1}}, nil); err != nil {
 		t.Fatalf("forkB reserve: %v", err)
 	}
+	// The parent is written after it was forked: its forks do not see it.
+	if _, err := parent.Reserve("late", []NodeClaim{{Hostname: "n00", MemoryMB: 50, CPULoad: 2}},
+		[]LinkClaim{{A: "n01", B: "n00", BandwidthMbps: 30}}); err != nil {
+		t.Fatalf("parent reserve after forking: %v", err)
+	}
+	if err := parent.Release(base.ID); err != nil {
+		t.Fatalf("parent release after forking: %v", err)
+	}
+	state("the parent written after forking", parent, 78, 2, 30)
+	state("forkA after the parent was written", forkA, 0, 1.5, 10)
+	state("forkB after the parent was written", forkB, 0, 1.5, 10)
+	// The claim the parent released is still held in the forks.
+	if err := forkA.Release(base.ID); err != nil {
+		t.Fatalf("forkA release of the claim its parent released: %v", err)
+	}
+	state("forkA after its release", forkA, 28, 1, 0)
+	state("the parent after forkA released", parent, 78, 2, 30)
 }
 
 func TestSnapshotUnknownEntities(t *testing.T) {
@@ -408,10 +433,10 @@ func TestSnapshotBaseCached(t *testing.T) {
 	}
 }
 
-// TestSnapshotNodesAllocations holds Nodes, three forks deep with overlays
-// in every layer, to the one allocation of the slice it returns, and
-// AppendNodes into a buffer with room to none. A sort, a map or a chain
-// lookup per node would show up here.
+// TestSnapshotNodesAllocations holds Nodes, on a snapshot written and forked
+// three times, to the one allocation of the slice it returns, and AppendNodes
+// into a buffer with room to none. A sort, a map or a lookup per node would
+// show up here.
 func TestSnapshotNodesAllocations(t *testing.T) {
 	l := snapshotTestLedger(t, 64)
 	snap := l.Snapshot()
