@@ -26,6 +26,7 @@ FUZZTIME ?= 30s
 FUZZ_TARGETS = \
 	FuzzParse:./internal/rsl/ \
 	FuzzVet:./internal/vet/ \
+	FuzzAdmissionMatchesWorkload:./internal/vet/ \
 	FuzzInterval:./internal/vet/absint/ \
 	FuzzDominance:./internal/bounds/ \
 	FuzzDecodeMessage:./internal/protocol/ \

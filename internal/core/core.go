@@ -530,6 +530,10 @@ func (c *Controller) ClusterNodes() []*rsl.NodeDecl {
 	return out
 }
 
+// NodeGeneration changes whenever a node is declared to the cluster, so a
+// reader that keeps what ClusterNodes returned knows when to read it again.
+func (c *Controller) NodeGeneration() uint64 { return c.ledger.NodeGeneration() }
+
 // CurrentChoice reports an application's active configuration.
 func (c *Controller) CurrentChoice(instance int) (Choice, error) {
 	for _, a := range c.view.Load().apps {

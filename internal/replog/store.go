@@ -21,7 +21,11 @@ import (
 //	state.json     — hard state (current term, voted-for)
 //
 // Writes are synchronous appends; snapshot installation rewrites the log so
-// it always holds exactly the tail after the snapshot.
+// it always holds exactly the tail after the snapshot. Every file other than
+// an append is replaced whole (writeAtomic): written beside its name as
+// NAME.tmp, synced, renamed over the name, and the directory synced, so a
+// crash leaves either the old file or the new one, and a leftover .tmp is
+// never read.
 //
 // A record is an entry's JSON behind its CRC-32 (IEEE) in eight hex digits
 // and a space. Recovery ends the tail at the first record whose checksum does
@@ -30,7 +34,12 @@ import (
 type Store struct {
 	mu  sync.Mutex
 	dir string
+	// log is the handle appends go through; nil after a rewrite that could
+	// not reopen the log, until a later rewrite succeeds.
 	log *os.File
+	// sync flushes a file, or the directory opened as one, to stable
+	// storage: (*os.File).Sync, but for tests that count the syncs.
+	sync func(*os.File) error
 }
 
 // HardState is the election state a replica must remember across restarts.
@@ -55,10 +64,14 @@ type Persisted struct {
 // state it holds. A truncated trailing log line (torn write from a crash)
 // is dropped; any entry breaking index contiguity ends the recovered tail.
 func OpenStore(dir string) (*Store, *Persisted, error) {
+	return openStore(dir, (*os.File).Sync)
+}
+
+func openStore(dir string, sync func(*os.File) error) (*Store, *Persisted, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("replog: open store: %w", err)
 	}
-	st := &Store{dir: dir}
+	st := &Store{dir: dir, sync: sync}
 	p := &Persisted{}
 	if err := readJSONFile(filepath.Join(dir, "state.json"), &p.State); err != nil {
 		return nil, nil, err
@@ -73,6 +86,12 @@ func OpenStore(dir string) (*Store, *Persisted, error) {
 	p.Entries = entries
 	f, err := os.OpenFile(filepath.Join(dir, "log.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, nil, fmt.Errorf("replog: open log: %w", err)
+	}
+	// The open may have created the log; its name lasts only once the
+	// directory is synced.
+	if err := st.syncDir(); err != nil {
+		f.Close()
 		return nil, nil, fmt.Errorf("replog: open log: %w", err)
 	}
 	st.log = f
@@ -175,10 +194,16 @@ func (s *Store) AppendEntries(entries []Entry) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.log == nil {
+		return errors.New("replog: append log: no log open since a failed rewrite")
+	}
 	if _, err := s.log.Write(buf); err != nil {
 		return fmt.Errorf("replog: append log: %w", err)
 	}
-	return s.log.Sync()
+	if err := s.sync(s.log); err != nil {
+		return fmt.Errorf("replog: append log: %w", err)
+	}
+	return nil
 }
 
 // RewriteLog atomically replaces the log file with the given entries (used
@@ -190,32 +215,22 @@ func (s *Store) RewriteLog(entries []Entry) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp := filepath.Join(s.dir, "log.jsonl.tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("replog: rewrite log: %w", err)
+	werr := s.writeAtomic("log.jsonl", buf)
+	// Once the rename is done the old handle names an unlinked file, and a
+	// failed write may have got that far: the old handle is closed either
+	// way, and appends go only through one opened on the log as it now is.
+	if s.log != nil {
+		_ = s.log.Close()
+		s.log = nil
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("replog: rewrite log: %w", err)
+	if werr != nil {
+		return fmt.Errorf("replog: rewrite log: %w", werr)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("replog: rewrite log: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("replog: rewrite log: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, "log.jsonl")); err != nil {
-		return fmt.Errorf("replog: rewrite log: %w", err)
-	}
-	old := s.log
-	nf, err := os.OpenFile(filepath.Join(s.dir, "log.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(s.dir, "log.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("replog: reopen log: %w", err)
 	}
-	s.log = nf
-	old.Close()
+	s.log = f
 	return nil
 }
 
@@ -223,14 +238,14 @@ func (s *Store) RewriteLog(entries []Entry) error {
 func (s *Store) SaveHardState(hs HardState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return writeJSONFile(s.dir, "state.json", &hs)
+	return s.writeJSONFile("state.json", &hs)
 }
 
 // SaveSnapshot durably records the snapshot, then rewrites the log to the
 // remaining tail so replay stays bounded.
 func (s *Store) SaveSnapshot(snap Snapshot, tail []Entry) error {
 	s.mu.Lock()
-	if err := writeJSONFile(s.dir, "snapshot.json", &snap); err != nil {
+	if err := s.writeJSONFile("snapshot.json", &snap); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -238,19 +253,52 @@ func (s *Store) SaveSnapshot(snap Snapshot, tail []Entry) error {
 	return s.RewriteLog(tail)
 }
 
-func writeJSONFile(dir, name string, v any) error {
+func (s *Store) writeJSONFile(name string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("replog: encode %s: %w", name, err)
 	}
-	tmp := filepath.Join(dir, name+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("replog: write %s: %w", name, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+	if err := s.writeAtomic(name, data); err != nil {
 		return fmt.Errorf("replog: write %s: %w", name, err)
 	}
 	return nil
+}
+
+// writeAtomic durably replaces the file name in the store's directory with
+// data: it writes name.tmp and syncs it, renames it over name, and syncs
+// the directory so the rename survives a crash.
+func (s *Store) writeAtomic(name string, data []byte) error {
+	tmp := filepath.Join(s.dir, name+".tmp")
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := s.sync(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
+		return err
+	}
+	return s.syncDir()
+}
+
+// syncDir syncs the store's directory, which makes the names created or
+// renamed in it durable.
+func (s *Store) syncDir() error {
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return s.sync(d)
 }
 
 // Close releases the log file handle.

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ReferenceMachineDescription documents the abstract machine against which
@@ -318,6 +319,8 @@ type Ledger struct {
 	// snapCache is the immutable base shared by snapshots taken since the
 	// last mutation; any write to the ledger drops it (see Snapshot).
 	snapCache *snapBase
+	// nodeGen counts the nodes registered or replaced (NodeGeneration).
+	nodeGen atomic.Uint64
 }
 
 // NewLedger returns an empty ledger.
@@ -359,6 +362,7 @@ func (l *Ledger) AddNode(n Node) error {
 		}
 		l.states[p] = fresh
 		l.snapCache = nil
+		l.nodeGen.Add(1)
 		return nil
 	}
 	t := l.ownTopology()
@@ -373,8 +377,14 @@ func (l *Ledger) AddNode(n Node) error {
 	t.pos = append(t.pos, int32(p))
 	t.pair = append(t.pair, make([]int32, len(t.pos))...)
 	l.snapCache = nil
+	l.nodeGen.Add(1)
 	return nil
 }
+
+// NodeGeneration changes whenever AddNode registers or replaces a node, and
+// only then: a copy of the node table taken after reading it is current
+// for as long as it reads the same. It takes no lock.
+func (l *Ledger) NodeGeneration() uint64 { return l.nodeGen.Load() }
 
 // AddLink registers a link between two already-registered nodes.
 func (l *Ledger) AddLink(lk Link) error {

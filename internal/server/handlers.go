@@ -11,7 +11,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"harmony/internal/protocol"
 	"harmony/internal/replog"
@@ -154,39 +153,11 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 
 // handleBundleSetup admits a bundle through the log. Vetting and parsing run
 // locally first (rejections need no quorum); the registration itself carries
-// the RSL text so every replica re-derives the same choice. The script is
-// parsed twice here: once by vet.Script, which reports every problem, and
-// once strictly, and the joint workload check reads that decoded bundle. An
-// admitted bundle is acked by ackBundleSetup itself, and the reply is nil.
+// the RSL text so every replica re-derives the same choice. An admitted
+// bundle is acked by ackBundleSetup itself, and the reply is nil.
 func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Message {
-	vetting := c.srv.cfg.Vet != VetOff
-	var nodes []*rsl.NodeDecl
-	if vetting {
-		nodes = c.srv.cfg.Controller.ClusterNodes()
-		if reply := c.vetReport(vet.Script(msg.RSL, vet.Options{ExtraNodes: nodes})); reply != nil {
-			return reply
-		}
-	}
-	bundles, decls, err := rsl.DecodeScript(msg.RSL)
-	if err != nil {
-		return errReply("bundle_setup: %v", err)
-	}
-	if len(bundles) != 1 {
-		return errReply("bundle_setup: expected exactly one harmonyBundle, got %d", len(bundles))
-	}
-	if vetting {
-		// Judge the incoming spec jointly with everything already admitted:
-		// even an individually-fine bundle is rejected when the combined
-		// best-case demand provably exceeds the cluster. Node declarations
-		// in the script count, as they do for vet.Script.
-		specs := make([]vet.WorkloadSpec, 0, 2)
-		if admitted := c.srv.cfg.Controller.Bundles(); len(admitted) > 0 {
-			specs = append(specs, vet.WorkloadSpec{File: "admitted", Bundles: admitted})
-		}
-		specs = append(specs, vet.WorkloadSpec{File: "incoming", Bundles: bundles})
-		if reply := c.vetReport(vet.Workload(specs, vet.Options{ExtraNodes: slices.Concat(nodes, decls)})); reply != nil {
-			return reply
-		}
+	if reply := c.admit(msg.RSL); reply != nil {
+		return reply
 	}
 	c.mu.Lock()
 	token := c.resumeToken
@@ -199,6 +170,39 @@ func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Me
 		// As serve does when a reply cannot be written: the connection is
 		// dead, and closing it ends serve's read.
 		_ = c.netConn.Close()
+	}
+	return nil
+}
+
+// admit decodes a bundle_setup script and, unless vetting is off, vets it:
+// on its own, then jointly with everything already admitted, since even an
+// individually-fine bundle is rejected when the combined best-case demand
+// provably exceeds the cluster. The script is parsed once, by the vetting;
+// the decode's error, when there is one, is rsl.DecodeScript's. It returns
+// the rejection, or nil to admit.
+func (c *conn) admit(src string) *protocol.Message {
+	adm := c.srv.admission
+	if adm == nil {
+		bundles, _, err := rsl.DecodeScript(src)
+		return oneBundle(bundles, err)
+	}
+	rep, ar := adm.Script(src)
+	if reply := c.vetReport(rep); reply != nil {
+		return reply
+	}
+	if reply := oneBundle(ar.Decode()); reply != nil {
+		return reply
+	}
+	return c.vetReport(adm.Workload(ar))
+}
+
+// oneBundle rejects a script that did not decode to exactly one bundle.
+func oneBundle(bundles []*rsl.BundleSpec, err error) *protocol.Message {
+	if err != nil {
+		return errReply("bundle_setup: %v", err)
+	}
+	if len(bundles) != 1 {
+		return errReply("bundle_setup: expected exactly one harmonyBundle, got %d", len(bundles))
 	}
 	return nil
 }

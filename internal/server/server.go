@@ -24,6 +24,7 @@ import (
 	"harmony/internal/namespace"
 	"harmony/internal/protocol"
 	"harmony/internal/replog"
+	"harmony/internal/vet"
 )
 
 // VetMode selects how the server treats static-analysis findings on
@@ -112,6 +113,8 @@ type Server struct {
 	listener net.Listener
 	rep      *Replica
 	ownsRep  bool // rep was built by Serve, not supplied in cfg
+	// admission vets bundle_setup scripts; nil when vetting is off.
+	admission *vet.Admission
 
 	mu      sync.Mutex
 	conns   map[*conn]struct{}
@@ -180,6 +183,9 @@ func Serve(ln net.Listener, cfg Config) (*Server, error) {
 		byInst:    make(map[int]*conn),
 		pending:   make(map[int]map[string]protocol.VarValue),
 		stopSweep: make(chan struct{}),
+	}
+	if cfg.Vet != VetOff {
+		s.admission = vet.NewAdmission(cfg.Controller, vet.Options{})
 	}
 	if err := cfg.Controller.Subscribe(s.onEvent); err != nil {
 		_ = ln.Close()

@@ -69,3 +69,28 @@ func BenchmarkScriptCrowd(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAdmissionCrowd is the joint check of BenchmarkWorkloadCrowd's
+// arrival as a server makes it: the admitted bundles' demands and the
+// cluster's capacity are kept from earlier arrivals, and the incoming
+// script was decoded once, by its own vetting.
+func BenchmarkAdmissionCrowd(b *testing.B) {
+	admitted, incoming, nodes := crowdShape(b)
+	ctrl := &fakeController{bundles: admitted}
+	for _, d := range nodes {
+		ctrl.nodes = append(ctrl.nodes, *d)
+	}
+	adm := NewAdmission(ctrl, Options{})
+	rep, ar := adm.Script(incoming)
+	if _, err := ar.Decode(); err != nil || rep.HasErrors() {
+		b.Fatal(err, rep.Diags)
+	}
+	adm.Workload(ar)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := adm.Workload(ar); rep.HasErrors() {
+			b.Fatal(rep.Diags)
+		}
+	}
+}

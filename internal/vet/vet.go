@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 
+	"harmony/internal/bounds"
 	"harmony/internal/rsl"
 )
 
@@ -167,6 +168,20 @@ func (r *Report) Sort() {
 
 func (r *Report) add(d Diagnostic) { r.Diags = append(r.Diags, d) }
 
+// drop removes the diagnostics of the disabled checks.
+func (r *Report) drop(disable map[string]bool) {
+	if disable == nil {
+		return
+	}
+	kept := r.Diags[:0]
+	for _, d := range r.Diags {
+		if !disable[d.Check] {
+			kept = append(kept, d)
+		}
+	}
+	r.Diags = kept
+}
+
 // Options parameterizes an analysis run.
 type Options struct {
 	// ExtraNodes supplies harmonyNode declarations from outside the script
@@ -229,16 +244,23 @@ var checkRegistry = []CheckInfo{
 // finding. Unlike rsl.DecodeScript it keeps going after a bad command, so
 // one malformed bundle does not hide findings in the rest of the script.
 func Script(src string, opts Options) *Report {
+	rep, _ := script(src, opts)
+	return rep
+}
+
+// script is Script, also handing back what it decoded.
+func script(src string, opts Options) (*Report, *Arrival) {
 	rep := &Report{}
+	ar := &Arrival{src: src}
 	cmds, err := rsl.ParseScript(src)
 	if err != nil {
 		rep.add(diagFromErr("parse", err))
-		return rep
+		return rep, ar
 	}
-	var bundles []*rsl.BundleSpec
-	var decls []*rsl.NodeDecl
+	ar.strict = true
 	for _, cmd := range cmds {
 		if len(cmd) == 0 {
+			ar.strict = false // rsl.DecodeScript refuses what this skips
 			continue
 		}
 		if cmd[0].IsList {
@@ -254,45 +276,41 @@ func Script(src string, opts Options) *Report {
 				rep.add(diagFromErr("decode", err))
 				continue
 			}
-			bundles = append(bundles, b)
+			ar.bundles = append(ar.bundles, b)
 		case "harmonyNode":
 			d, err := rsl.DecodeNodeCommand(cmd)
 			if err != nil {
 				rep.add(diagFromErr("decode", err))
 				continue
 			}
-			decls = append(decls, d)
+			ar.decls = append(ar.decls, d)
 		default:
 			rep.add(Diagnostic{Check: "decode", Severity: SevError,
 				Line: cmd[0].Line, Col: cmd[0].Col,
 				Message: fmt.Sprintf("unknown command %q", cmd[0].Word)})
 		}
 	}
+	// Every diagnostic so far is a decode error.
+	ar.strict = ar.strict && len(rep.Diags) == 0
 
 	a := &analysis{
 		rep:      rep,
 		opts:     opts,
-		decls:    append(append([]*rsl.NodeDecl(nil), decls...), opts.ExtraNodes...),
+		decls:    append(append([]*rsl.NodeDecl(nil), ar.decls...), opts.ExtraNodes...),
 		switchBW: opts.SwitchBandwidthMbps,
+		vectors:  make(map[*rsl.BundleSpec][]bounds.Vector),
 	}
 	if a.switchBW <= 0 {
 		a.switchBW = defaultSwitchBandwidthMbps
 	}
-	a.checkDecls(decls)
-	for _, b := range bundles {
+	a.checkDecls(ar.decls)
+	for _, b := range ar.bundles {
 		a.checkBundle(b)
 	}
+	ar.vectors = a.vectors
 	rep.Sort()
-	if opts.Disable != nil {
-		kept := rep.Diags[:0]
-		for _, d := range rep.Diags {
-			if !opts.Disable[d.Check] {
-				kept = append(kept, d)
-			}
-		}
-		rep.Diags = kept
-	}
-	return rep
+	rep.drop(opts.Disable)
+	return rep, ar
 }
 
 // diagFromErr converts an rsl parse/decode error into a positioned

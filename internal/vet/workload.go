@@ -2,6 +2,7 @@ package vet
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -36,14 +37,13 @@ type WorkloadSpec struct {
 // Diagnostics carry the file of the last spec — the admission candidate
 // when the server asks whether one more bundle still fits — and the
 // position of that spec's first bundle.
+//
+// Workload computes every demand and the capacity afresh. Admission makes
+// the same check with the same arithmetic for a running server, keeping
+// them between arrivals.
 func Workload(specs []WorkloadSpec, opts Options) *Report {
-	rep := &Report{}
 	decls := append([]*rsl.NodeDecl(nil), opts.ExtraNodes...)
-	type loaded struct {
-		file    string
-		bundles []*rsl.BundleSpec
-	}
-	var work []loaded
+	var parts []part
 	for _, s := range specs {
 		bundles := s.Bundles
 		if bundles == nil {
@@ -52,36 +52,84 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 			decls = append(decls, ds...)
 		}
 		if len(bundles) > 0 {
-			work = append(work, loaded{file: s.File, bundles: bundles})
+			parts = append(parts, part{file: s.File, bundles: bundles})
 		}
 	}
-	if len(decls) == 0 || len(work) == 0 {
+	return joint(parts, capacityOf(decls), opts)
+}
+
+// part is one spec's share of a joint check: its bundles and, when the
+// caller kept them, their demands (nil means compute them).
+type part struct {
+	file    string
+	bundles []*rsl.BundleSpec
+	demands []demand
+}
+
+func (p part) demand(i int) demand {
+	if p.demands != nil {
+		return p.demands[i]
+	}
+	return bundleDemand(p.bundles[i])
+}
+
+// capacity is the cluster side of a joint check: how many nodes are
+// declared, their total memory, and the memory declared under each hostname.
+type capacity struct {
+	nodes int
+	mem   float64
+	host  map[string]float64
+}
+
+func capacityOf(decls []*rsl.NodeDecl) capacity {
+	return capacity{}.add(decls)
+}
+
+// add returns c with decls declared after it. The sums run in declaration
+// order, so a capacity kept for a cluster and extended by a script's own
+// harmonyNode lines equals the one summed over both lists at once. c itself
+// is not changed.
+func (c capacity) add(decls []*rsl.NodeDecl) capacity {
+	if len(decls) == 0 {
+		return c
+	}
+	host := make(map[string]float64, len(c.host)+len(decls))
+	maps.Copy(host, c.host)
+	for _, d := range decls {
+		c.mem += d.MemoryMB
+		host[d.Hostname] += d.MemoryMB
+	}
+	c.nodes += len(decls)
+	c.host = host
+	return c
+}
+
+// joint sums the parts' demands, bundle by bundle in the order given, and
+// reports what the sums prove against the capacity. Diagnostics carry the
+// last part's file and the position of its first bundle.
+func joint(parts []part, capa capacity, opts Options) *Report {
+	rep := &Report{}
+	if capa.nodes == 0 || len(parts) == 0 {
 		return rep
 	}
-
-	anchor := work[len(work)-1]
+	anchor := parts[len(parts)-1]
 	file := anchor.file
 	pos := anchor.bundles[0].Pos
 
 	mem, excl, bw := 0.0, 0.0, 0.0
-	perHost := make(map[string]float64)
-	for _, w := range work {
-		for _, b := range w.bundles {
-			m := bundleDemand(b)
+	perHost := make(map[string]float64, len(capa.host))
+	for _, p := range parts {
+		for i := range p.bundles {
+			m := p.demand(i)
 			mem += m.mem
 			excl += m.excl
 			bw += m.bw
-			for h, v := range m.perHost {
-				perHost[h] += v
+			for _, pin := range m.perHost {
+				perHost[pin.host] += pin.mb
 			}
 		}
 	}
 
-	capMem, hostMem := 0.0, make(map[string]float64, len(decls))
-	for _, d := range decls {
-		capMem += d.MemoryMB
-		hostMem[d.Hostname] += d.MemoryMB
-	}
 	switchBW := opts.SwitchBandwidthMbps
 	if switchBW <= 0 {
 		switchBW = defaultSwitchBandwidthMbps
@@ -90,8 +138,8 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 	// raise none, so the names are put together only when one fires.
 	who := func() string {
 		var names strings.Builder
-		for _, w := range work {
-			for _, b := range w.bundles {
+		for _, p := range parts {
+			for _, b := range p.bundles {
 				if names.Len() > 0 {
 					names.WriteString(", ")
 				}
@@ -108,31 +156,29 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 			Message: fmt.Sprintf(format, args...),
 		})
 	}
-	if mem > capMem {
+	if mem > capa.mem {
 		diag("workload-memory", SevError,
 			"bundles %s demand at least %g MB of memory in their best case, but the cluster provides %g MB across %d node(s)",
-			who(), mem, capMem, len(decls))
+			who(), mem, capa.mem, capa.nodes)
 	}
-	if excl > float64(len(decls)) {
+	if excl > float64(capa.nodes) {
 		diag("workload-nodes", SevError,
 			"bundles %s demand at least %g exclusive node(s), but the cluster has %d",
-			who(), excl, len(decls))
+			who(), excl, capa.nodes)
 	}
-	hosts := make([]string, 0, len(perHost))
-	for h := range perHost {
-		hosts = append(hosts, h)
+	// A host no declaration names is left to per-spec vetting, which reports
+	// unsatisfiable hosts.
+	var over []string
+	for h, mb := range perHost {
+		if have, known := capa.host[h]; known && mb > have {
+			over = append(over, h)
+		}
 	}
-	sort.Strings(hosts)
-	for _, h := range hosts {
-		have, known := hostMem[h]
-		if !known {
-			continue // per-spec vetting reports unsatisfiable hosts
-		}
-		if perHost[h] > have {
-			diag("workload-host", SevError,
-				"bundles %s pin at least %g MB on host %q, which has %g MB",
-				who(), perHost[h], h, have)
-		}
+	sort.Strings(over)
+	for _, h := range over {
+		diag("workload-host", SevError,
+			"bundles %s pin at least %g MB on host %q, which has %g MB",
+			who(), perHost[h], h, capa.host[h])
 	}
 	if bw > switchBW {
 		diag("workload-bandwidth", SevWarn,
@@ -141,15 +187,7 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 	}
 
 	rep.Sort()
-	if opts.Disable != nil {
-		kept := rep.Diags[:0]
-		for _, d := range rep.Diags {
-			if !opts.Disable[d.Check] {
-				kept = append(kept, d)
-			}
-		}
-		rep.Diags = kept
-	}
+	rep.drop(opts.Disable)
 	return rep
 }
 
@@ -183,25 +221,38 @@ func decodeLenient(src string) ([]*rsl.BundleSpec, []*rsl.NodeDecl) {
 // demand is a vector of lower bounds on what a bundle consumes in its best
 // (cheapest) case.
 type demand struct {
-	mem     float64            // total memory, MB
-	excl    float64            // exclusively held nodes
-	bw      float64            // aggregate link+communication bandwidth, Mbps
-	perHost map[string]float64 // memory pinned to specific hostnames, MB
+	mem     float64  // total memory, MB
+	excl    float64  // exclusively held nodes
+	bw      float64  // aggregate link+communication bandwidth, Mbps
+	perHost []pinned // memory pinned to specific hostnames, one entry a host
+}
+
+// pinned is memory a bundle pins to one hostname.
+type pinned struct {
+	host string
+	mb   float64
 }
 
 // bundleDemand is the element-wise minimum of the lower ends of the
 // bundle's option vectors (bounds.Option): no matter which option the
 // controller picks, the bundle consumes at least this much.
 func bundleDemand(b *rsl.BundleSpec) demand {
+	return demandOf(len(b.Options), func(i int) bounds.Vector { return bounds.Option(&b.Options[i]) })
+}
+
+// demandOf is the demand of a bundle of n options whose i-th option has
+// the vector vec(i).
+func demandOf(n int, vec func(i int) bounds.Vector) demand {
 	var d demand
-	for i := range b.Options {
-		v := bounds.Option(&b.Options[i])
+	var perHost map[string]float64
+	for i := 0; i < n; i++ {
+		v := vec(i)
 		if i == 0 {
 			d = demand{mem: v.MemoryMB.Lo, excl: v.ExclusiveNodes.Lo, bw: v.BandwidthMbps.Lo}
 			if len(v.PerHostMB) > 0 {
-				d.perHost = make(map[string]float64, len(v.PerHostMB))
+				perHost = make(map[string]float64, len(v.PerHostMB))
 				for h, iv := range v.PerHostMB {
-					d.perHost[h] = iv.Lo
+					perHost[h] = iv.Lo
 				}
 			}
 			continue
@@ -210,12 +261,20 @@ func bundleDemand(b *rsl.BundleSpec) demand {
 		d.excl = math.Min(d.excl, v.ExclusiveNodes.Lo)
 		d.bw = math.Min(d.bw, v.BandwidthMbps.Lo)
 		// A host pinned by only some options is not pinned by the bundle.
-		for h, lo := range d.perHost {
+		for h, lo := range perHost {
 			if iv, ok := v.PerHostMB[h]; ok {
-				d.perHost[h] = math.Min(lo, iv.Lo)
+				perHost[h] = math.Min(lo, iv.Lo)
 			} else {
-				delete(d.perHost, h)
+				delete(perHost, h)
 			}
+		}
+	}
+	// The joint check adds each host's memory on its own, so the entries'
+	// order changes no sum.
+	if len(perHost) > 0 {
+		d.perHost = make([]pinned, 0, len(perHost))
+		for h, mb := range perHost {
+			d.perHost = append(d.perHost, pinned{h, mb})
 		}
 	}
 	return d

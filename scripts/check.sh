@@ -84,9 +84,11 @@ echo "== bench harness (vet + tests against this checkout's API)"
 # are explained with cannot rot. Each is one benchmark, reporting the
 # predictions or joint-search trials a cycle makes, which repeat exactly.
 # Beside them, the admission vetting of one db-crowd arrival: the joint
-# workload check over 64 admitted bundles and the incoming script's own.
+# workload check over 64 admitted bundles computed fresh, as harmonyctl lint
+# does, and as harmonyd makes it with each admitted bundle's demand kept
+# (AdmissionCrowd), and the incoming script's own.
 go test -run '^$' -bench 'CrowdCycle|WideGreedyCycle|SqueezeCycle' -benchtime 20x ./internal/core
-go test -run '^$' -bench 'WorkloadCrowd|ScriptCrowd' -benchtime 20x ./internal/vet
+go test -run '^$' -bench 'WorkloadCrowd|AdmissionCrowd|ScriptCrowd' -benchtime 20x ./internal/vet
 
 echo "== harmonyctl lint (examples/specs against the reference cluster)"
 sarif_out="${SARIF_OUT:-$(mktemp)}"
