@@ -185,7 +185,7 @@ func Serve(ln net.Listener, cfg Config) (*Server, error) {
 		stopSweep: make(chan struct{}),
 	}
 	if cfg.Vet != VetOff {
-		s.admission = vet.NewAdmission(cfg.Controller, vet.Options{})
+		s.admission = vet.NewAdmission(cfg.Controller)
 	}
 	if err := cfg.Controller.Subscribe(s.onEvent); err != nil {
 		_ = ln.Close()

@@ -3,7 +3,6 @@ package vet
 import (
 	"sync"
 
-	"harmony/internal/bounds"
 	"harmony/internal/rsl"
 )
 
@@ -33,7 +32,6 @@ type Controller interface {
 // every message, is the one Workload prints. It is safe for concurrent use.
 type Admission struct {
 	ctrl Controller
-	opts Options
 
 	mu      sync.Mutex
 	cluster *clusterCapacity
@@ -57,12 +55,10 @@ type keptDemand struct {
 	round uint64
 }
 
-// NewAdmission returns an admission for ctrl. Its reports honour
-// opts.Disable and opts.SwitchBandwidthMbps; opts.ExtraNodes is ignored,
-// since the cluster is the controller's.
-func NewAdmission(ctrl Controller, opts Options) *Admission {
-	opts.ExtraNodes = nil
-	return &Admission{ctrl: ctrl, opts: opts, demands: make(map[*rsl.BundleSpec]*keptDemand)}
+// NewAdmission returns an admission for ctrl. It vets with the default
+// Options: every check, and the default interconnect bandwidth.
+func NewAdmission(ctrl Controller) *Admission {
+	return &Admission{ctrl: ctrl, demands: make(map[*rsl.BundleSpec]*keptDemand)}
 }
 
 // Arrival is a script as Script decoded it, ready for Decode and
@@ -71,9 +67,6 @@ type Arrival struct {
 	src     string
 	bundles []*rsl.BundleSpec
 	decls   []*rsl.NodeDecl
-	// vectors are the bundles' option vectors unreachable-option read; a
-	// bundle it did not reach has none.
-	vectors map[*rsl.BundleSpec][]bounds.Vector
 	// strict is set when every command decoded, so bundles and decls are
 	// what rsl.DecodeScript returns for src.
 	strict bool
@@ -91,7 +84,7 @@ func (ar *Arrival) Decode() ([]*rsl.BundleSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		ar.bundles, ar.decls, ar.vectors, ar.strict = bundles, decls, nil, true
+		ar.bundles, ar.decls, ar.strict = bundles, decls, true
 	}
 	return ar.bundles, nil
 }
@@ -100,9 +93,7 @@ func (ar *Arrival) Decode() ([]*rsl.BundleSpec, error) {
 // does with the cluster as ExtraNodes.
 func (a *Admission) Script(src string) (*Report, *Arrival) {
 	cl := a.clusterNow()
-	opts := a.opts
-	opts.ExtraNodes = cl.nodes
-	rep, ar := script(src, opts)
+	rep, ar := script(src, Options{ExtraNodes: cl.nodes})
 	ar.cluster = cl
 	return rep, ar
 }
@@ -116,17 +107,9 @@ func (a *Admission) Workload(ar *Arrival) *Report {
 		parts = append(parts, part{file: "admitted", bundles: admitted, demands: kept})
 	}
 	if len(ar.bundles) > 0 {
-		in := part{file: "incoming", bundles: ar.bundles, demands: make([]demand, len(ar.bundles))}
-		for i, b := range ar.bundles {
-			if vs, ok := ar.vectors[b]; ok {
-				in.demands[i] = demandOf(len(vs), func(i int) bounds.Vector { return vs[i] })
-			} else {
-				in.demands[i] = bundleDemand(b)
-			}
-		}
-		parts = append(parts, in)
+		parts = append(parts, part{file: "incoming", bundles: ar.bundles})
 	}
-	return joint(parts, ar.cluster.capa.add(ar.decls), a.opts)
+	return joint(parts, ar.cluster.capa.add(ar.decls), Options{})
 }
 
 // clusterNow returns the controller's cluster, read again only when its

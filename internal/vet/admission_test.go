@@ -191,22 +191,13 @@ func checkAdmission(t *testing.T, ops []byte, seen map[string]int) {
 	for i, n := 0, 2+s.next(8); i < n; i++ {
 		ctrl.declare(rsl.NodeDecl{Hostname: fmt.Sprintf("h%d", i), Speed: 1, MemoryMB: s.megabytes(64), OS: "linux", CPUs: 1})
 	}
-	var opts Options
-	switch s.next(4) {
-	case 1:
-		opts.Disable = map[string]bool{"workload-memory": true, "unreachable-option": true}
-	case 2:
-		opts.Disable = map[string]bool{"decode": true, "parse": true, "workload-host": true, "node-unsatisfiable": true}
-	case 3:
-		opts.SwitchBandwidthMbps = 100
-	}
-	adm := NewAdmission(ctrl, opts)
+	adm := NewAdmission(ctrl)
 	for step := 1; step <= 48 && !s.done(); step++ {
 		switch op := s.next(10); {
 		case op < 6:
 			src := arrivalScript(s, step)
 			nodes := ctrl.ClusterNodes()
-			ref := Options{ExtraNodes: nodes, Disable: opts.Disable, SwitchBandwidthMbps: opts.SwitchBandwidthMbps}
+			ref := Options{ExtraNodes: nodes}
 			wantScript := Script(src, ref)
 			reads := ctrl.reads
 			gotScript, ar := adm.Script(src)
@@ -304,7 +295,7 @@ func FuzzAdmissionMatchesWorkload(f *testing.F) {
 func TestAdmissionReadsClusterOnce(t *testing.T) {
 	ctrl := &fakeController{}
 	ctrl.declare(rsl.NodeDecl{Hostname: "a", Speed: 1, MemoryMB: 64, OS: "linux", CPUs: 1})
-	adm := NewAdmission(ctrl, Options{})
+	adm := NewAdmission(ctrl)
 	src := "harmonyBundle A:1 w {{only {node n * {memory 100}}}}\n"
 	for i := 0; i < 3; i++ {
 		rep, _ := adm.Script(src)
@@ -364,7 +355,7 @@ func TestAdmissionConcurrentArrivals(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		ctrl.f.admit(t, script(i))
 	}
-	adm := NewAdmission(ctrl, Options{})
+	adm := NewAdmission(ctrl)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

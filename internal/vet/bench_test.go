@@ -80,7 +80,7 @@ func BenchmarkAdmissionCrowd(b *testing.B) {
 	for _, d := range nodes {
 		ctrl.nodes = append(ctrl.nodes, *d)
 	}
-	adm := NewAdmission(ctrl, Options{})
+	adm := NewAdmission(ctrl)
 	rep, ar := adm.Script(incoming)
 	if _, err := ar.Decode(); err != nil || rep.HasErrors() {
 		b.Fatal(err, rep.Diags)

@@ -29,10 +29,6 @@ type analysis struct {
 	opts     Options
 	decls    []*rsl.NodeDecl
 	switchBW float64
-	// vectors holds bounds.Option of each option of a bundle, once
-	// unreachable-option has read them; admission takes the bundle's
-	// demand from the same vectors.
-	vectors map[*rsl.BundleSpec][]bounds.Vector
 }
 
 func (a *analysis) diag(check string, sev Severity, pos rsl.Pos, bundle, option, format string, args ...any) {
@@ -580,15 +576,12 @@ func (a *analysis) checkUnreachable(b *rsl.BundleSpec) {
 			perSpec[d.Option] = true
 		}
 	}
-	vs := make([]bounds.Vector, len(b.Options))
-	a.vectors[b] = vs
 	for i := range b.Options {
 		opt := &b.Options[i]
-		vs[i] = bounds.Option(opt)
 		if perSpec[opt.Name] {
 			continue
 		}
-		if u, ok := bounds.Unreachable(vs[i], a.decls); ok {
+		if u, ok := bounds.Unreachable(bounds.Option(opt), a.decls); ok {
 			a.diag("unreachable-option", SevError, opt.Pos, b.Name, opt.Name,
 				"%s; no cluster state can ever admit this option", u.Reason)
 		}

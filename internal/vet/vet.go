@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 
-	"harmony/internal/bounds"
 	"harmony/internal/rsl"
 )
 
@@ -298,7 +297,6 @@ func script(src string, opts Options) (*Report, *Arrival) {
 		opts:     opts,
 		decls:    append(append([]*rsl.NodeDecl(nil), ar.decls...), opts.ExtraNodes...),
 		switchBW: opts.SwitchBandwidthMbps,
-		vectors:  make(map[*rsl.BundleSpec][]bounds.Vector),
 	}
 	if a.switchBW <= 0 {
 		a.switchBW = defaultSwitchBandwidthMbps
@@ -307,7 +305,6 @@ func script(src string, opts Options) (*Report, *Arrival) {
 	for _, b := range ar.bundles {
 		a.checkBundle(b)
 	}
-	ar.vectors = a.vectors
 	rep.Sort()
 	rep.drop(opts.Disable)
 	return rep, ar

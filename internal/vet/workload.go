@@ -124,8 +124,8 @@ func joint(parts []part, capa capacity, opts Options) *Report {
 			mem += m.mem
 			excl += m.excl
 			bw += m.bw
-			for _, pin := range m.perHost {
-				perHost[pin.host] += pin.mb
+			for h, v := range m.perHost {
+				perHost[h] += v
 			}
 		}
 	}
@@ -221,38 +221,25 @@ func decodeLenient(src string) ([]*rsl.BundleSpec, []*rsl.NodeDecl) {
 // demand is a vector of lower bounds on what a bundle consumes in its best
 // (cheapest) case.
 type demand struct {
-	mem     float64  // total memory, MB
-	excl    float64  // exclusively held nodes
-	bw      float64  // aggregate link+communication bandwidth, Mbps
-	perHost []pinned // memory pinned to specific hostnames, one entry a host
-}
-
-// pinned is memory a bundle pins to one hostname.
-type pinned struct {
-	host string
-	mb   float64
+	mem     float64            // total memory, MB
+	excl    float64            // exclusively held nodes
+	bw      float64            // aggregate link+communication bandwidth, Mbps
+	perHost map[string]float64 // memory pinned to specific hostnames, MB
 }
 
 // bundleDemand is the element-wise minimum of the lower ends of the
 // bundle's option vectors (bounds.Option): no matter which option the
 // controller picks, the bundle consumes at least this much.
 func bundleDemand(b *rsl.BundleSpec) demand {
-	return demandOf(len(b.Options), func(i int) bounds.Vector { return bounds.Option(&b.Options[i]) })
-}
-
-// demandOf is the demand of a bundle of n options whose i-th option has
-// the vector vec(i).
-func demandOf(n int, vec func(i int) bounds.Vector) demand {
 	var d demand
-	var perHost map[string]float64
-	for i := 0; i < n; i++ {
-		v := vec(i)
+	for i := range b.Options {
+		v := bounds.Option(&b.Options[i])
 		if i == 0 {
 			d = demand{mem: v.MemoryMB.Lo, excl: v.ExclusiveNodes.Lo, bw: v.BandwidthMbps.Lo}
 			if len(v.PerHostMB) > 0 {
-				perHost = make(map[string]float64, len(v.PerHostMB))
+				d.perHost = make(map[string]float64, len(v.PerHostMB))
 				for h, iv := range v.PerHostMB {
-					perHost[h] = iv.Lo
+					d.perHost[h] = iv.Lo
 				}
 			}
 			continue
@@ -261,20 +248,12 @@ func demandOf(n int, vec func(i int) bounds.Vector) demand {
 		d.excl = math.Min(d.excl, v.ExclusiveNodes.Lo)
 		d.bw = math.Min(d.bw, v.BandwidthMbps.Lo)
 		// A host pinned by only some options is not pinned by the bundle.
-		for h, lo := range perHost {
+		for h, lo := range d.perHost {
 			if iv, ok := v.PerHostMB[h]; ok {
-				perHost[h] = math.Min(lo, iv.Lo)
+				d.perHost[h] = math.Min(lo, iv.Lo)
 			} else {
-				delete(perHost, h)
+				delete(d.perHost, h)
 			}
-		}
-	}
-	// The joint check adds each host's memory on its own, so the entries'
-	// order changes no sum.
-	if len(perHost) > 0 {
-		d.perHost = make([]pinned, 0, len(perHost))
-		for h, mb := range perHost {
-			d.perHost = append(d.perHost, pinned{h, mb})
 		}
 	}
 	return d
