@@ -30,9 +30,7 @@
 // that log after a crash. -peer-addr and -peers name the other members, and
 // clients given every member in their address list survive this daemon's
 // death. The leader drives the cluster's virtual clock through the log — one
-// replicated tick per second, which is also the periodic re-evaluation — and
-// polls the cluster sensors; live metrics are leader-local and never enter
-// the log.
+// replicated tick per second, which is also the periodic re-evaluation.
 package main
 
 import (
@@ -138,7 +136,6 @@ func run(args []string) error {
 		Cluster:    cl,
 		Clock:      clock,
 		Objective:  obj,
-		Bus:        harmony.NewMetricBus(0),
 		Exhaustive: *exhaustive,
 	})
 	if err != nil {
@@ -189,15 +186,9 @@ func run(args []string) error {
 		return err
 	}
 
-	bus := harmony.NewMetricBus(0)
-	sensors, err := harmony.ClusterSensors(cl)
-	if err != nil {
-		return err
-	}
 	srv, err := harmony.ListenAndServe(*addr, harmony.ServerConfig{
 		Controller: ctrl,
 		Replica:    rep,
-		Bus:        bus,
 		Vet:        vetMode,
 		LeaseTTL:   *leaseTTL,
 		LeaseGrace: *leaseGrace,
@@ -218,8 +209,7 @@ func run(args []string) error {
 	// windows ("updates in Harmony are on the order of seconds not
 	// micro-seconds", Section 3.1). Only the leader maps wall time in, and it
 	// does so through the log: Advance replicates the tick so every member's
-	// clock moves in step, and a deposed leader simply stops ticking. The
-	// leader also polls the cluster sensors.
+	// clock moves in step, and a deposed leader simply stops ticking.
 	stopTicker := make(chan struct{})
 	tickerDone := make(chan struct{})
 	go func() {
@@ -233,12 +223,8 @@ func run(args []string) error {
 				if !rep.IsLeader() {
 					continue
 				}
-				now := time.Since(start)
-				if err := rep.Advance(now); err != nil {
+				if err := rep.Advance(time.Since(start)); err != nil {
 					log.Printf("harmonyd: advance: %v", err)
-				}
-				if err := harmony.PollSensors(bus, now, sensors); err != nil {
-					log.Printf("harmonyd: sensors: %v", err)
 				}
 			case <-stopTicker:
 				return

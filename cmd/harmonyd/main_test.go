@@ -7,10 +7,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"harmony/internal/protocol"
+	"harmony/internal/testport"
 )
 
 // TestMain lets the test binary stand in for the daemon: run with
@@ -97,10 +100,10 @@ const crashRSL = `harmonyBundle Crash:1 cfg {
 	{only {node n * {os linux} {seconds 5} {memory 20}}}
 }`
 
-// daemonChild runs this test binary as harmonyd on addr over dataDir.
-func daemonChild(t *testing.T, addr, dataDir string) *exec.Cmd {
+// daemonChild runs this test binary as harmonyd with args.
+func daemonChild(t *testing.T, args ...string) *exec.Cmd {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "harmonyd-child", "-addr", addr, "-sp2", "4", "-data-dir", dataDir, "-lease-grace", "30s")
+	cmd := exec.Command(os.Args[0], append([]string{"harmonyd-child"}, args...)...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -165,15 +168,11 @@ func (s *daemonSession) call(msg *protocol.Message) *protocol.Message {
 // an admission loses neither the ledger nor the session, and the restarted
 // daemon serves resume for the old token without an election wait.
 func TestStandaloneDataDirSurvivesKill(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
+	addr := testport.Addr(t)
 	dataDir := t.TempDir()
 
-	first := daemonChild(t, addr, dataDir)
+	daemonArgs := []string{"-addr", addr, "-sp2", "4", "-data-dir", dataDir, "-lease-grace", "30s"}
+	first := daemonChild(t, daemonArgs...)
 	s := dialDaemon(t, addr)
 	token := s.call(&protocol.Message{Type: protocol.TypeStartup, AppID: "Crash"}).ResumeToken
 	inst := s.call(&protocol.Message{Type: protocol.TypeBundleSetup, RSL: crashRSL}).Instance
@@ -186,7 +185,7 @@ func TestStandaloneDataDirSurvivesKill(t *testing.T) {
 	}
 	_ = first.Wait()
 
-	daemonChild(t, addr, dataDir)
+	daemonChild(t, daemonArgs...)
 	s2 := dialDaemon(t, addr)
 	resumed := s2.call(&protocol.Message{Type: protocol.TypeResume, ResumeToken: token})
 	if !reflect.DeepEqual(resumed.Instances, []int{inst}) {
@@ -197,4 +196,60 @@ func TestStandaloneDataDirSurvivesKill(t *testing.T) {
 	}
 	// The resumed connection owns the instance again.
 	s2.call(&protocol.Message{Type: protocol.TypeEnd, Instance: inst})
+}
+
+// An idle daemon keeps nothing per tick: on a 256-node SP-2 its resident
+// memory three replicated ticks after the first is what it was after the
+// first, give or take the runtime's own noise.
+func TestIdleDaemonHoldsNoPerTickState(t *testing.T) {
+	if _, err := os.Stat("/proc/self/status"); err != nil {
+		t.Skip("no /proc to read a process's resident memory from")
+	}
+	addr := testport.Addr(t)
+	child := daemonChild(t, "-addr", addr, "-sp2", "256")
+	s := dialDaemon(t, addr)
+	commit := func() uint64 {
+		return s.call(&protocol.Message{Type: protocol.TypeClusterStatus}).Replica.CommitIndex
+	}
+	// awaitTicks returns once n more ticks have committed.
+	awaitTicks := func(n uint64) {
+		t.Helper()
+		want := commit() + n
+		deadline := time.Now().Add(time.Duration(n+5) * time.Second)
+		for commit() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("commit index never reached %d", want)
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	awaitTicks(1)
+	before := rssKB(t, child.Process.Pid)
+	awaitTicks(3)
+	after := rssKB(t, child.Process.Pid)
+	t.Logf("resident %d kB after the first tick, %d kB three ticks later", before, after)
+	const slackKB = 3 << 10
+	if after > before+slackKB {
+		t.Fatalf("idle daemon grew from %d kB to %d kB over three ticks (slack %d kB)", before, after, slackKB)
+	}
+}
+
+// rssKB reads a process's resident set size from /proc.
+func rssKB(t *testing.T, pid int) int {
+	t.Helper()
+	data, err := os.ReadFile(fmt.Sprintf("/proc/%d/status", pid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "VmRSS:" {
+			kb, err := strconv.Atoi(f[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return kb
+		}
+	}
+	t.Fatal("no VmRSS line in /proc status")
+	return 0
 }

@@ -43,7 +43,6 @@ package harmony
 
 import (
 	"net"
-	"time"
 
 	"harmony/internal/bounds"
 	"harmony/internal/cluster"
@@ -230,18 +229,6 @@ func NewSP2Cluster(n int) (*Cluster, error) { return cluster.NewSP2(n) }
 // NewMetricBus builds a metric bus retaining up to limit samples per metric
 // (a default limit when limit <= 0).
 func NewMetricBus(limit int) *MetricBus { return metric.NewBus(limit) }
-
-// MetricSensor samples one quantity into the bus when polled.
-type MetricSensor = metric.Sensor
-
-// ClusterSensors builds the standard node/link/switch sensor set for a
-// cluster (the paper's Figure 1 metric interface inputs).
-func ClusterSensors(cl *Cluster) ([]MetricSensor, error) { return metric.ClusterSensors(cl) }
-
-// PollSensors records one observation from each sensor at virtual time now.
-func PollSensors(bus *MetricBus, now time.Duration, sensors []MetricSensor) error {
-	return metric.Poll(bus, now, sensors)
-}
 
 // ListenAndServe starts a Harmony server on addr.
 func ListenAndServe(addr string, cfg ServerConfig) (*Server, error) {

@@ -15,6 +15,7 @@ import (
 	"harmony/internal/hclient"
 	"harmony/internal/server"
 	"harmony/internal/simclock"
+	"harmony/internal/testport"
 )
 
 // repSoakNode is one member of the replicated soak cluster. Addresses are
@@ -101,17 +102,6 @@ func (n *repSoakNode) live() (*core.Controller, *server.Replica) {
 	return n.ctrl, n.rep
 }
 
-func reserveSoakAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
-	return addr
-}
-
 // TestSoakReplicatedLeaderKill is the replication soak: three replicas
 // serve churning clients through fault-injected listeners, the leader is
 // killed mid-churn and later restarted as a follower (crash recovery from
@@ -137,8 +127,8 @@ func runReplicatedSoak(t *testing.T, seed int64) {
 	nodes := make([]*repSoakNode, members)
 	for i := range nodes {
 		nodes[i] = &repSoakNode{
-			peerAddr:   reserveSoakAddr(t),
-			clientAddr: reserveSoakAddr(t),
+			peerAddr:   testport.Addr(t),
+			clientAddr: testport.Addr(t),
 			dir:        t.TempDir(),
 			seed:       seed*100 + int64(i),
 		}

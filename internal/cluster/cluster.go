@@ -166,17 +166,3 @@ func (c *Cluster) Size() int {
 	defer c.mu.Unlock()
 	return len(c.hosts)
 }
-
-// SharedSwitchUtilization reports total reserved bandwidth across all links
-// divided by the switch capacity; meaningful under the SharedSwitch
-// topology where every pair draws from the same physical budget.
-func (c *Cluster) SharedSwitchUtilization() float64 {
-	total := 0.0
-	for _, ls := range c.ledger.Links() {
-		total += ls.ReservedMbps
-	}
-	if c.cfg.LinkBandwidthMbps <= 0 {
-		return 0
-	}
-	return total / c.cfg.LinkBandwidthMbps
-}

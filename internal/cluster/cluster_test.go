@@ -73,27 +73,6 @@ func TestAddNodeInvalidDecl(t *testing.T) {
 	}
 }
 
-func TestSharedSwitchUtilizationAndContention(t *testing.T) {
-	c, err := NewSP2(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.SharedSwitchUtilization(); got != 0 {
-		t.Fatalf("idle switch utilization = %g, want 0", got)
-	}
-	// Reserve 480 Mbps total across two links: 1.5x the 320 Mbps switch.
-	_, err = c.Ledger().Reserve("x", nil, []resource.LinkClaim{
-		{A: "sp2-01", B: "sp2-02", BandwidthMbps: 240},
-		{A: "sp2-02", B: "sp2-03", BandwidthMbps: 240},
-	})
-	if err != nil {
-		t.Fatalf("Reserve: %v", err)
-	}
-	if got := c.SharedSwitchUtilization(); got != 1.5 {
-		t.Fatalf("switch utilization = %g, want 1.5", got)
-	}
-}
-
 func TestFullMeshContention(t *testing.T) {
 	decls := []*rsl.NodeDecl{
 		{Hostname: "a", Speed: 1, MemoryMB: 64, CPUs: 1},

@@ -10,6 +10,7 @@ import (
 	"harmony/internal/protocol"
 	"harmony/internal/server"
 	"harmony/internal/simclock"
+	"harmony/internal/testport"
 )
 
 // repNode is one replicated controller member for client-side tests.
@@ -62,22 +63,11 @@ func (n *repNode) kill() {
 	}
 }
 
-func reserveAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
-	return addr
-}
-
 func startRepCluster(t *testing.T, size int) []*repNode {
 	t.Helper()
 	nodes := make([]*repNode, size)
 	for i := range nodes {
-		nodes[i] = &repNode{peerAddr: reserveAddr(t), clientAddr: reserveAddr(t)}
+		nodes[i] = &repNode{peerAddr: testport.Addr(t), clientAddr: testport.Addr(t)}
 	}
 	for i, n := range nodes {
 		for j, other := range nodes {
@@ -142,7 +132,7 @@ harmonyBundle DBclient:1 where {
 func TestDialSkipsDeadAddresses(t *testing.T) {
 	nodes := startRepCluster(t, 1)
 	leader := repLeader(t, nodes)
-	dead := reserveAddr(t) // nothing listens here
+	dead := testport.Addr(t) // nothing listens here
 	c, err := Dial(dead + ", " + leader.clientAddr)
 	if err != nil {
 		t.Fatalf("multi-address dial: %v", err)

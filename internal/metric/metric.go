@@ -1,14 +1,14 @@
-// Package metric implements Harmony's metric interface (Figure 1 of the
-// paper): a unified way to gather data about the performance of
-// applications and their execution environment. Data about system
-// conditions and application resource usage flow into a Bus, and on to both
-// the adaptation controller and individual applications via subscriptions
-// and windowed aggregates.
+// Package metric implements the store behind Harmony's metric interface
+// (Figure 1 of the paper): a Bus of named samples with bounded per-metric
+// history, read back as the last sample, a time window or windowed
+// aggregates. Two writers feed it: the server records applications' report
+// messages, and the controller publishes each decision's predicted time. The
+// bus samples no system conditions of its own and pushes to no one; a reader
+// asks for what it wants.
 package metric
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -17,7 +17,7 @@ import (
 // Sample is one observation of a named metric.
 type Sample struct {
 	// Name identifies the metric, conventionally dotted like namespace
-	// paths (e.g. "DBclient.66.responseTime", "node.sp2-01.cpuLoad").
+	// paths (e.g. "DBclient.66.responseTime", "DBclient.66.predicted").
 	Name string
 	// Value is the observation.
 	Value float64
@@ -25,26 +25,12 @@ type Sample struct {
 	At time.Duration
 }
 
-// SubscribeFunc receives samples as they are reported.
-type SubscribeFunc func(Sample)
-
-// SubID identifies a subscription.
-type SubID uint64
-
-// Bus collects samples, retains bounded per-metric history, and fans out to
-// subscribers. It is safe for concurrent use.
+// Bus collects samples and retains bounded per-metric history. It is safe
+// for concurrent use.
 type Bus struct {
 	mu      sync.Mutex
 	history map[string][]Sample
 	limit   int
-	subs    []subscription
-	nextID  SubID
-}
-
-type subscription struct {
-	id     SubID
-	prefix string
-	fn     SubscribeFunc
 }
 
 // DefaultHistoryLimit bounds retained samples per metric.
@@ -59,67 +45,24 @@ func NewBus(limit int) *Bus {
 	return &Bus{history: make(map[string][]Sample), limit: limit}
 }
 
-// Report records a sample and notifies matching subscribers. Subscriber
-// callbacks run on the reporting goroutine, outside the bus lock.
+// Report records a sample.
 func (b *Bus) Report(s Sample) error {
 	if s.Name == "" {
 		return errors.New("metric: sample needs a name")
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	h := append(b.history[s.Name], s)
 	if len(h) > b.limit {
 		h = h[len(h)-b.limit:]
 	}
 	b.history[s.Name] = h
-	var fns []SubscribeFunc
-	for _, sub := range b.subs {
-		if matchesPrefix(s.Name, sub.prefix) {
-			fns = append(fns, sub.fn)
-		}
-	}
-	b.mu.Unlock()
-	for _, fn := range fns {
-		fn(s)
-	}
 	return nil
 }
 
 // ReportValue is Report with positional arguments.
 func (b *Bus) ReportValue(name string, value float64, at time.Duration) error {
 	return b.Report(Sample{Name: name, Value: value, At: at})
-}
-
-func matchesPrefix(name, prefix string) bool {
-	if prefix == "" || prefix == name {
-		return true
-	}
-	return len(name) > len(prefix) && name[:len(prefix)] == prefix && name[len(prefix)] == '.'
-}
-
-// Subscribe registers fn for every sample whose name equals prefix or lives
-// beneath it (dotted); empty prefix receives everything.
-func (b *Bus) Subscribe(prefix string, fn SubscribeFunc) (SubID, error) {
-	if fn == nil {
-		return 0, errors.New("metric: nil subscriber")
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.nextID++
-	b.subs = append(b.subs, subscription{id: b.nextID, prefix: prefix, fn: fn})
-	return b.nextID, nil
-}
-
-// Unsubscribe removes a subscription; unknown ids report false.
-func (b *Bus) Unsubscribe(id SubID) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range b.subs {
-		if b.subs[i].id == id {
-			b.subs = append(b.subs[:i], b.subs[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // Last returns the most recent sample of a metric.
@@ -186,26 +129,4 @@ func (b *Bus) WindowStats(name string, since time.Duration) Stats {
 	st.Mean = sum / float64(len(samples))
 	st.Last = samples[len(samples)-1].Value
 	return st
-}
-
-// Sensor periodically samples a source function into the bus; the paper's
-// metric interface gathers node and link conditions this way.
-type Sensor struct {
-	// Name is the metric reported.
-	Name string
-	// Sample produces the current value.
-	Sample func() float64
-}
-
-// Poll reports one observation from each sensor at time now.
-func Poll(b *Bus, now time.Duration, sensors []Sensor) error {
-	for _, s := range sensors {
-		if s.Sample == nil {
-			return fmt.Errorf("metric: sensor %q has no sample func", s.Name)
-		}
-		if err := b.ReportValue(s.Name, s.Sample(), now); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -76,56 +76,6 @@ func TestWindowStats(t *testing.T) {
 	}
 }
 
-func TestSubscribePrefix(t *testing.T) {
-	b := NewBus(0)
-	var got []string
-	id, err := b.Subscribe("app.1", func(s Sample) { got = append(got, s.Name) })
-	if err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	for _, n := range []string{"app.1", "app.1.rt", "app.10.rt", "other"} {
-		if err := b.ReportValue(n, 1, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != 2 || got[0] != "app.1" || got[1] != "app.1.rt" {
-		t.Fatalf("subscriber saw %v", got)
-	}
-	if !b.Unsubscribe(id) || b.Unsubscribe(id) {
-		t.Fatal("Unsubscribe semantics broken")
-	}
-	if err := b.ReportValue("app.1.rt", 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatal("unsubscribed callback fired")
-	}
-}
-
-func TestSubscribeEmptyPrefixSeesAll(t *testing.T) {
-	b := NewBus(0)
-	count := 0
-	if _, err := b.Subscribe("", func(Sample) { count++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ReportValue("x", 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ReportValue("y.z", 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
-func TestSubscribeNilFails(t *testing.T) {
-	b := NewBus(0)
-	if _, err := b.Subscribe("x", nil); err == nil {
-		t.Fatal("nil subscriber accepted")
-	}
-}
-
 func TestNames(t *testing.T) {
 	b := NewBus(0)
 	for _, n := range []string{"zeta", "alpha"} {
@@ -136,22 +86,6 @@ func TestNames(t *testing.T) {
 	names := b.Names()
 	if len(names) != 2 || names[0] != "alpha" {
 		t.Fatalf("Names = %v", names)
-	}
-}
-
-func TestPoll(t *testing.T) {
-	b := NewBus(0)
-	v := 3.5
-	sensors := []Sensor{{Name: "load", Sample: func() float64 { return v }}}
-	if err := Poll(b, 10*time.Second, sensors); err != nil {
-		t.Fatalf("Poll: %v", err)
-	}
-	s, ok := b.Last("load")
-	if !ok || s.Value != 3.5 || s.At != 10*time.Second {
-		t.Fatalf("polled sample = %+v", s)
-	}
-	if err := Poll(b, 0, []Sensor{{Name: "bad"}}); err == nil {
-		t.Fatal("nil sample func accepted")
 	}
 }
 

@@ -79,7 +79,7 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 			return errReply("report requires a name")
 		}
 		if c.srv.cfg.Bus != nil {
-			_ = c.srv.cfg.Bus.ReportValue(msg.Name, msg.Value.Num, 0)
+			_ = c.srv.cfg.Bus.ReportValue(msg.Name, msg.Value.Num, c.srv.cfg.Controller.Clock().Now())
 		}
 		return &protocol.Message{Type: protocol.TypeAck, Name: msg.Name}
 

@@ -18,6 +18,7 @@ import (
 	"harmony/internal/protocol"
 	"harmony/internal/replog"
 	"harmony/internal/simclock"
+	"harmony/internal/testport"
 )
 
 // testNode is one replica plus its client-facing server for cluster tests.
@@ -83,8 +84,8 @@ func (n *testNode) kill() {
 	}
 }
 
-// startTestCluster boots size replicas with pinned peer/client addresses
-// (pre-bound ephemeral ports) so any member can be killed and restarted.
+// startTestCluster boots size replicas with pinned peer/client addresses so
+// any member can be killed and restarted.
 func startTestCluster(t *testing.T, size int, grace time.Duration, snapEvery int) []*testNode {
 	t.Helper()
 	nodes := make([]*testNode, size)
@@ -95,16 +96,7 @@ func startTestCluster(t *testing.T, size int, grace time.Duration, snapEvery int
 			grace:     grace,
 			snapEvery: snapEvery,
 		}
-		// Reserve ephemeral ports by binding and releasing; the node rebinds
-		// the same address when it starts.
-		for _, addr := range []*string{&nodes[i].peerAddr, &nodes[i].clientAddr} {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			*addr = ln.Addr().String()
-			_ = ln.Close()
-		}
+		nodes[i].peerAddr, nodes[i].clientAddr = testport.Addr(t), testport.Addr(t)
 		peerAddrs[i] = nodes[i].peerAddr
 	}
 	for i, n := range nodes {

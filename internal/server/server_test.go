@@ -277,6 +277,8 @@ func TestStatusAndReevaluate(t *testing.T) {
 	}
 }
 
+// A report lands on the bus stamped with the controller's virtual time, so a
+// window that starts after zero still sees it.
 func TestReportFeedsBus(t *testing.T) {
 	bus := metric.NewBus(0)
 	srv, _ := startTestServer(t, Config{Bus: bus})
@@ -284,12 +286,19 @@ func TestReportFeedsBus(t *testing.T) {
 	if err := c.Startup("DBclient", false); err != nil {
 		t.Fatal(err)
 	}
+	const now = 7 * time.Second
+	if err := srv.rep.Advance(now); err != nil {
+		t.Fatalf("Advance: %v", err)
+	}
 	if err := c.Report("DBclient.1.responseTime", 12.5); err != nil {
 		t.Fatalf("Report: %v", err)
 	}
 	s, ok := bus.Last("DBclient.1.responseTime")
-	if !ok || s.Value != 12.5 {
-		t.Fatalf("bus sample = %+v, %v", s, ok)
+	if !ok || s.Value != 12.5 || s.At != now {
+		t.Fatalf("bus sample = %+v, %v; want value 12.5 at %v", s, ok, now)
+	}
+	if st := bus.WindowStats("DBclient.1.responseTime", now); st.Count != 1 {
+		t.Fatalf("window since %v holds %d samples, want 1", now, st.Count)
 	}
 }
 

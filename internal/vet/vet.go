@@ -250,11 +250,38 @@ func Script(src string, opts Options) *Report {
 // script is Script, also handing back what it decoded.
 func script(src string, opts Options) (*Report, *Arrival) {
 	rep := &Report{}
-	ar := &Arrival{src: src}
-	cmds, err := rsl.ParseScript(src)
+	ar, err := decode(src, rep)
 	if err != nil {
 		rep.add(diagFromErr("parse", err))
 		return rep, ar
+	}
+	a := &analysis{
+		rep:      rep,
+		opts:     opts,
+		decls:    append(append([]*rsl.NodeDecl(nil), ar.decls...), opts.ExtraNodes...),
+		switchBW: opts.SwitchBandwidthMbps,
+	}
+	if a.switchBW <= 0 {
+		a.switchBW = defaultSwitchBandwidthMbps
+	}
+	a.checkDecls(ar.decls)
+	for _, b := range ar.bundles {
+		a.checkBundle(b)
+	}
+	rep.Sort()
+	rep.drop(opts.Disable)
+	return rep, ar
+}
+
+// decode walks a parsed script's commands, keeping every bundle and node
+// declaration that decodes and adding a diagnostic to rep, which must hold
+// none yet, for each command that does not. A script that does not parse
+// yields no commands and the parse error.
+func decode(src string, rep *Report) (*Arrival, error) {
+	ar := &Arrival{src: src}
+	cmds, err := rsl.ParseScript(src)
+	if err != nil {
+		return ar, err
 	}
 	ar.strict = true
 	for _, cmd := range cmds {
@@ -291,23 +318,7 @@ func script(src string, opts Options) (*Report, *Arrival) {
 	}
 	// Every diagnostic so far is a decode error.
 	ar.strict = ar.strict && len(rep.Diags) == 0
-
-	a := &analysis{
-		rep:      rep,
-		opts:     opts,
-		decls:    append(append([]*rsl.NodeDecl(nil), ar.decls...), opts.ExtraNodes...),
-		switchBW: opts.SwitchBandwidthMbps,
-	}
-	if a.switchBW <= 0 {
-		a.switchBW = defaultSwitchBandwidthMbps
-	}
-	a.checkDecls(ar.decls)
-	for _, b := range ar.bundles {
-		a.checkBundle(b)
-	}
-	rep.Sort()
-	rep.drop(opts.Disable)
-	return rep, ar
+	return ar, nil
 }
 
 // diagFromErr converts an rsl parse/decode error into a positioned

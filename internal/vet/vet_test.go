@@ -179,8 +179,8 @@ func TestWorkloadGolden(t *testing.T) {
 // test setup.
 func decodeAll(t *testing.T, src string) ([]*rsl.BundleSpec, []*rsl.NodeDecl) {
 	t.Helper()
-	bundles, decls := decodeLenient(src)
-	return bundles, decls
+	ar, _ := decode(src, &Report{})
+	return ar.bundles, ar.decls
 }
 
 // TestWorkloadPreDecoded exercises the server path: bundles supplied

@@ -47,9 +47,8 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 	for _, s := range specs {
 		bundles := s.Bundles
 		if bundles == nil {
-			var ds []*rsl.NodeDecl
-			bundles, ds = decodeLenient(s.Src)
-			decls = append(decls, ds...)
+			ar, _ := decode(s.Src, &Report{})
+			bundles, decls = ar.bundles, append(decls, ar.decls...)
 		}
 		if len(bundles) > 0 {
 			parts = append(parts, part{file: s.File, bundles: bundles})
@@ -189,33 +188,6 @@ func joint(parts []part, capa capacity, opts Options) *Report {
 	rep.Sort()
 	rep.drop(opts.Disable)
 	return rep
-}
-
-// decodeLenient extracts whatever bundles and node declarations decode
-// cleanly from src, ignoring everything else.
-func decodeLenient(src string) ([]*rsl.BundleSpec, []*rsl.NodeDecl) {
-	cmds, err := rsl.ParseScript(src)
-	if err != nil {
-		return nil, nil
-	}
-	var bundles []*rsl.BundleSpec
-	var decls []*rsl.NodeDecl
-	for _, cmd := range cmds {
-		if len(cmd) == 0 || cmd[0].IsList {
-			continue
-		}
-		switch cmd[0].Word {
-		case "harmonyBundle":
-			if b, err := rsl.DecodeBundleCommand(cmd); err == nil {
-				bundles = append(bundles, b)
-			}
-		case "harmonyNode":
-			if d, err := rsl.DecodeNodeCommand(cmd); err == nil {
-				decls = append(decls, d)
-			}
-		}
-	}
-	return bundles, decls
 }
 
 // demand is a vector of lower bounds on what a bundle consumes in its best
