@@ -10,7 +10,8 @@
 // The package is a facade over the building blocks in internal/:
 //
 //   - RSL parsing and decoding (internal/rsl)
-//   - the hierarchical namespace (internal/namespace)
+//   - the hierarchical namespace's names (internal/namespace), computed
+//     from the controller's decisions
 //   - resource model, cluster and first-fit matching (internal/resource,
 //     internal/cluster, internal/match)
 //   - performance prediction and objectives (internal/predict,
@@ -49,7 +50,6 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/hclient"
 	"harmony/internal/metric"
-	"harmony/internal/namespace"
 	"harmony/internal/objective"
 	"harmony/internal/protocol"
 	"harmony/internal/rsl"
@@ -130,8 +130,6 @@ func NewReplica(peerAddr string, cfg ReplicaConfig) (*Replica, error) {
 
 // Supporting types.
 type (
-	// Namespace is the hierarchical controller/application namespace.
-	Namespace = namespace.Tree
 	// MetricBus is the metric interface's sample bus.
 	MetricBus = metric.Bus
 	// ObjectiveFunc reduces per-job predictions to one value to minimize.

@@ -130,9 +130,10 @@ type PersistedApp struct {
 	LastSwitch   time.Duration `json:"lastSwitch"`
 	RegisteredAt time.Duration `json:"registeredAt"`
 	Switches     int           `json:"switches"`
-	// NamespacePredicted preserves the published <owner>.predicted value,
-	// which is written at adoption time and so can lag PredictedSeconds
-	// (refreshed on every ledger change); nil when unpublished.
+	// NamespacePredicted preserves the namespace's <owner>.predicted, the
+	// prediction made when the assignment was adopted, which can lag
+	// PredictedSeconds (refreshed on every ledger change); nil when the app
+	// holds no assignment.
 	NamespacePredicted *float64 `json:"nsPredicted,omitempty"`
 	// Degraded marks an evicted, unplaced application.
 	Degraded bool `json:"degraded,omitempty"`
@@ -192,7 +193,8 @@ func (c *Controller) State() (*PersistedState, error) {
 			cp := *a.claim
 			pa.Claim = &cp
 		}
-		if v, err := c.ns.GetNum(a.owner() + ".predicted"); err == nil {
+		if a.assignment != nil {
+			v := a.adoptedPredicted
 			pa.NamespacePredicted = &v
 		}
 		st.Apps = append(st.Apps, pa)
@@ -229,7 +231,6 @@ func (c *Controller) Restore(st *PersistedState) error {
 		if a.claim != nil {
 			_ = c.ledger.Release(a.claim.ID)
 		}
-		_ = c.ns.Delete(a.owner())
 	}
 	c.apps = make(map[int]*appState)
 	c.order = nil
@@ -282,11 +283,9 @@ func (c *Controller) Restore(st *PersistedState) error {
 		}
 		c.apps[app.instance] = app
 		c.order = append(c.order, app.instance)
-		if app.assignment != nil {
-			c.writeNamespace(app)
-			if pa.NamespacePredicted != nil {
-				_ = c.ns.SetNum(app.owner()+".predicted", *pa.NamespacePredicted)
-			}
+		app.adoptedPredicted = app.predicted
+		if pa.NamespacePredicted != nil {
+			app.adoptedPredicted = *pa.NamespacePredicted
 		}
 	}
 	c.ledger.SetClaimSeq(st.ClaimSeq)

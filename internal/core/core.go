@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -169,6 +168,10 @@ type appState struct {
 	lastSwitch   time.Duration
 	registeredAt time.Duration
 	switches     int
+	// adoptedPredicted is predicted as it stood when the assignment was
+	// adopted: the namespace's <owner>.predicted. predicted moves on with
+	// every ledger change; this does not.
+	adoptedPredicted float64
 	// degraded marks an app evicted by a node failure that could not be
 	// re-placed; it holds no claim and is excluded from the objective until
 	// a re-evaluation finds room for it again.
@@ -190,15 +193,14 @@ func (a *appState) owner() string { return a.ownerPath }
 // Every mutator ends by publishing an immutable view of the state it left,
 // before any listener hears of its events. The readers — Status, Apps,
 // Objective, Bundles, ActiveInstances, CurrentChoice, EvaluationCount,
-// JointTrials, JointBudgetHits, Predictions and Warnings — load
-// that view and nothing else, so they may run on any goroutine, never wait for
-// an optimizer pass, and always see one state. Subscribe may be called from
-// any goroutine too.
+// JointTrials, JointBudgetHits, Predictions, Warnings and the Namespace's
+// Walk — load that view and nothing else, so they may run on any goroutine,
+// never wait for an optimizer pass, and always see one state. Subscribe may be
+// called from any goroutine too.
 type Controller struct {
 	cfg     Config
 	ledger  *resource.Ledger
 	matcher *match.Matcher
-	ns      *namespace.Tree
 
 	// view is what the readers load; listeners is replaced, never modified.
 	view      atomic.Pointer[view]
@@ -232,10 +234,21 @@ type view struct {
 	objective       float64
 	apps            []Snapshot        // registration order
 	bundles         []*rsl.BundleSpec // registration order
+	names           []appNames        // registration order
 	jointTrials     uint64
 	jointBudgetHits uint64
 	predictions     uint64
 	warnings        []string
+}
+
+// appNames is what the namespace reads of an application beside its
+// Snapshot: the instance path its names start with, its assignment (nil when
+// it holds none, and then it has no names) and the prediction made when that
+// assignment was adopted.
+type appNames struct {
+	owner      string
+	assignment *match.Assignment
+	predicted  float64
 }
 
 // maxWarnings bounds the warning ring buffer.
@@ -267,7 +280,6 @@ func New(cfg Config) (*Controller, error) {
 		cfg:         cfg,
 		ledger:      ledger,
 		matcher:     match.New(ledger),
-		ns:          namespace.New(),
 		apps:        make(map[int]*appState),
 		jointBudget: jointTrialBudget,
 	}
@@ -275,9 +287,6 @@ func New(cfg Config) (*Controller, error) {
 	c.view.Store(c.buildView())
 	return c, nil
 }
-
-// Namespace exposes the controller's shared namespace (Section 3.2).
-func (c *Controller) Namespace() *namespace.Tree { return c.ns }
 
 // Subscribe registers a reconfiguration listener for all applications. It may
 // be called from any goroutine, including while a mutator runs; a mutator that
@@ -394,7 +403,6 @@ func (c *Controller) unregisterAt(instance int, now time.Duration) (events []Eve
 			return nil, fmt.Errorf("core: release on unregister: %w", err)
 		}
 	}
-	_ = c.ns.Delete(app.owner())
 	delete(c.apps, instance)
 	c.endPass()
 	for i, id := range c.order {
@@ -444,6 +452,7 @@ func (c *Controller) buildView() *view {
 	v := &view{
 		apps:            make([]Snapshot, 0, len(c.order)),
 		bundles:         make([]*rsl.BundleSpec, 0, len(c.order)),
+		names:           make([]appNames, 0, len(c.order)),
 		jointTrials:     c.jointTrials,
 		jointBudgetHits: c.jointBudgetHits,
 		predictions:     c.predictions,
@@ -467,6 +476,7 @@ func (c *Controller) buildView() *view {
 			Degraded:         a.degraded,
 		})
 		v.bundles = append(v.bundles, a.bundle)
+		v.names = append(v.names, appNames{owner: a.owner(), assignment: a.assignment, predicted: a.adoptedPredicted})
 		if !a.degraded {
 			jobs = append(jobs, objective.JobPrediction{App: a.owner(), Seconds: a.predicted})
 		}
@@ -618,10 +628,10 @@ func (c *Controller) refreshPredictions(snap *resource.Snapshot) {
 }
 
 // adopt commits a choice for app: releases the app's previous claim
-// (if any), reserves the candidate's resources, updates the namespace and
-// returns the event. On reservation failure the previous placement is
-// restored, so app.claim never points at a released claim: it either holds
-// a live claim or is nil.
+// (if any), reserves the candidate's resources, keeps the prediction the
+// namespace names and returns the event. On reservation failure the previous
+// placement is restored, so app.claim never points at a released claim: it
+// either holds a live claim or is nil.
 func (c *Controller) adopt(app *appState, cand candidate, now time.Duration, initial bool) (Event, error) {
 	prevClaim, prevAsg := app.claim, app.assignment
 	if prevClaim != nil {
@@ -659,7 +669,7 @@ func (c *Controller) adopt(app *appState, cand candidate, now time.Duration, ini
 	c.refreshPredictions(committed)
 	// A just-registered app is not in c.order yet; predict it directly.
 	c.predictCommitted(committed, app)
-	c.writeNamespace(app)
+	app.adoptedPredicted = app.predicted
 	return Event{
 		Instance:         app.instance,
 		App:              app.bundle.App,
@@ -670,34 +680,4 @@ func (c *Controller) adopt(app *appState, cand candidate, now time.Duration, ini
 		At:               now,
 		Initial:          initial,
 	}, nil
-}
-
-// writeNamespace publishes the app's configuration into the shared
-// namespace using the paper's layout:
-// application.instance.bundle.option plus per-resource tags.
-func (c *Controller) writeNamespace(app *appState) {
-	base := app.owner() + "." + app.bundle.Name
-	_ = c.ns.Delete(base)
-	_ = c.ns.SetStr(base+".option", app.choice.Option)
-	optBase := base + "." + app.choice.Option
-	for k, v := range app.choice.Vars {
-		_ = c.ns.SetNum(optBase+"."+k, v)
-	}
-	counts := make(map[string]int)
-	for _, n := range app.assignment.Nodes {
-		counts[n.LocalName]++
-	}
-	seen := make(map[string]int)
-	for _, n := range app.assignment.Nodes {
-		local := n.LocalName
-		if counts[local] > 1 {
-			seen[local]++
-			local = local + "." + strconv.Itoa(seen[local])
-		}
-		p := optBase + "." + local
-		_ = c.ns.SetStr(p+".node", n.Hostname)
-		_ = c.ns.SetNum(p+".memory", n.MemoryMB)
-		_ = c.ns.SetNum(p+".seconds", n.Seconds)
-	}
-	_ = c.ns.SetNum(app.owner()+".predicted", app.predicted)
 }

@@ -9,6 +9,7 @@ import (
 
 	"harmony/internal/cluster"
 	"harmony/internal/metric"
+	"harmony/internal/namespace"
 	"harmony/internal/objective"
 	"harmony/internal/rsl"
 	"harmony/internal/simclock"
@@ -124,25 +125,32 @@ func TestRegisterWritesNamespace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := ctrl.Namespace()
-	optVal, err := tree.Get(fmt.Sprintf("DBclient.%d.where.option", inst))
-	if err != nil {
-		t.Fatalf("namespace option: %v", err)
+	leaves := namespaceLeaves(ctrl, fmt.Sprintf("DBclient.%d", inst))
+	optVal, ok := leaves[fmt.Sprintf("DBclient.%d.where.option", inst)]
+	if !ok {
+		t.Fatalf("namespace option missing: %v", leaves)
 	}
 	if optVal.Str != "QS" {
 		t.Fatalf("initial option = %q, want QS (faster on idle server)", optVal.Str)
 	}
-	mem, err := tree.GetNum(fmt.Sprintf("DBclient.%d.where.QS.server.memory", inst))
-	if err != nil || mem != 20 {
-		t.Fatalf("server memory = %g, %v", mem, err)
+	mem, ok := leaves[fmt.Sprintf("DBclient.%d.where.QS.server.memory", inst)]
+	if !ok || mem.IsString || mem.Num != 20 {
+		t.Fatalf("server memory = %+v, %v", mem, ok)
 	}
-	host, err := tree.Get(fmt.Sprintf("DBclient.%d.where.QS.server.node", inst))
-	if err != nil || host.Str != "sp2-01" {
-		t.Fatalf("server node = %+v, %v", host, err)
+	host, ok := leaves[fmt.Sprintf("DBclient.%d.where.QS.server.node", inst)]
+	if !ok || host.Str != "sp2-01" {
+		t.Fatalf("server node = %+v, %v", host, ok)
 	}
-	if _, err := tree.GetNum(fmt.Sprintf("DBclient.%d.predicted", inst)); err != nil {
-		t.Fatalf("predicted missing: %v", err)
+	if pred, ok := leaves[fmt.Sprintf("DBclient.%d.predicted", inst)]; !ok || pred.IsString {
+		t.Fatalf("predicted = %+v, %v", pred, ok)
 	}
+}
+
+// namespaceLeaves reads the controller's namespace leaves under prefix.
+func namespaceLeaves(c *Controller, prefix string) map[string]namespace.Value {
+	leaves := make(map[string]namespace.Value)
+	_ = c.Namespace().Walk(prefix, func(p string, v namespace.Value) { leaves[p] = v })
+	return leaves
 }
 
 func TestRegisterInfeasible(t *testing.T) {
@@ -280,9 +288,8 @@ func TestForceChoiceSwitchesOption(t *testing.T) {
 		t.Fatalf("unknown instance err = %v", err)
 	}
 	// Namespace reflects the switch.
-	v, err := ctrl.Namespace().Get(fmt.Sprintf("DBclient.%d.where.option", inst))
-	if err != nil || v.Str != "DS" {
-		t.Fatalf("namespace option = %+v, %v", v, err)
+	if v := namespaceLeaves(ctrl, "")[fmt.Sprintf("DBclient.%d.where.option", inst)]; v.Str != "DS" {
+		t.Fatalf("namespace option = %+v", v)
 	}
 	// Switch counter advanced exactly once.
 	if apps := ctrl.Apps(); apps[0].Switches != 1 {

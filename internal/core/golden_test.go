@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"harmony/internal/cluster"
+	"harmony/internal/namespace"
 	"harmony/internal/replog"
 	"harmony/internal/resource"
 	"harmony/internal/simclock"
@@ -280,10 +281,11 @@ func (s goldenScript) log(hosts []string) []replog.Entry {
 	return entries
 }
 
-// run applies the script on a fresh controller and returns the SHA-256 over
-// EncodeState after every entry, so a transient divergence that a later
-// entry happens to heal still changes the hash.
-func (s goldenScript) run(t *testing.T) string {
+// run applies the script on a fresh controller and returns two SHA-256
+// hashes, each taken after every entry so that a transient divergence a later
+// entry happens to heal still changes it: one over EncodeState, and one over
+// every live instance's namespace leaves as Namespace().Walk visits them.
+func (s goldenScript) run(t *testing.T) (state, names string) {
 	t.Helper()
 	cl, err := cluster.NewSP2(s.nodes)
 	if err != nil {
@@ -302,7 +304,7 @@ func (s goldenScript) run(t *testing.T) string {
 		t.Fatal(err)
 	}
 	hosts := cl.Hosts()[1:] // sp2-01 is the shared database server
-	h := sha256.New()
+	sh, nh := sha256.New(), sha256.New()
 	for _, e := range s.log(hosts) {
 		e := e
 		_, _ = ctrl.Apply(&e) // failures are part of the script; state shows them
@@ -310,16 +312,26 @@ func (s goldenScript) run(t *testing.T) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Write(data)
+		sh.Write(data)
+		for _, a := range ctrl.Apps() {
+			fmt.Fprintf(nh, "%d\n", a.Instance)
+			_ = ctrl.Namespace().Walk(namespace.InstancePath(a.App, a.Instance), func(p string, v namespace.Value) {
+				fmt.Fprintf(nh, "%s %t %q %g\n", p, v.IsString, v.Str, v.Num)
+			})
+		}
 	}
 	if err := ctrl.Ledger().CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(sh.Sum(nil)), hex.EncodeToString(nh.Sum(nil))
 }
 
 // TestGoldenStateHashes replays every script and compares the hash of the
-// states it went through with the one recorded, under first-fit matching.
+// states it went through, and the hash of the namespace leaves it published,
+// with the ones recorded, under first-fit matching. The namespace hashes were
+// recorded on the commit before the namespace stopped being a tree of its own
+// and became a reading of the controller's published view, by running this
+// very test there.
 func TestGoldenStateHashes(t *testing.T) {
 	golden := map[string]string{
 		"fig4":       "2f2b5d19da00658c46e5002721950942f991112cb31ad219a6e8918980148dc1",
@@ -330,12 +342,25 @@ func TestGoldenStateHashes(t *testing.T) {
 		"squeeze":    "ec444a96d4f09ed4ccdf420a0da976a3deb1a6f316746fa3910a052002872f1e",
 		"sharedlink": "83bf3148e75ee0418b9702c30ad873a8b153031a3c7f0dacec11ffaa823491bd",
 	}
+	goldenNames := map[string]string{
+		"fig4":       "ac7f897ab5ec9ad9d61a85b150e79f79af3f23e2707f4ead407ef8d197ff848f",
+		"fig7":       "40ea30d08a15a9746eb7d4d8de54be140c4936977ff3c5abe5b745e6cb063a47",
+		"wide":       "426962e80e31a6d175ee9c66ca49117ed1b3817fbc853da8628f63ec30c1d80b",
+		"crowd":      "f544d7e5f752206b4deed6f2c9492452c7bba54671683baa7d9dae15b8c1e960",
+		"widecomm":   "52697052f8e25ad9d6da1132c0623e7cb8a27d07a923afa46bb1f46d3e0fcd32",
+		"squeeze":    "ceda4bc2595337749c9b7f9c04f63e7b6b20a218b77f4206b5e9e8e2301ee928",
+		"sharedlink": "5d3b4ff4dc820e5a1b3da33106a5172d21bcc72aaff9bb2b5d67d6367fa9576f",
+	}
 	for _, s := range goldenScripts {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
 			t.Parallel()
-			if got := s.run(t); got != golden[s.name] {
-				t.Errorf("EncodeState hash = %s, want %s (recorded on the parent commit)", got, golden[s.name])
+			state, names := s.run(t)
+			if state != golden[s.name] {
+				t.Errorf("EncodeState hash = %s, want %s (recorded on the parent commit)", state, golden[s.name])
+			}
+			if names != goldenNames[s.name] {
+				t.Errorf("namespace hash = %s, want %s (recorded on the parent commit)", names, goldenNames[s.name])
 			}
 		})
 	}

@@ -77,7 +77,6 @@ func (c *Controller) dropEvictedClaims(evicted []*resource.Claim) []*appState {
 		app.claim = nil
 		app.assignment, app.placed = nil, nil
 		app.predicted = 0
-		_ = c.ns.Delete(app.owner())
 		affected = append(affected, app)
 	}
 	return affected

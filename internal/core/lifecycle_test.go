@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"harmony/internal/namespace"
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
 )
@@ -122,8 +124,8 @@ func TestMarkNodeDownDegradesUnplaceableApp(t *testing.T) {
 		t.Fatalf("conservation after eviction: %v", err)
 	}
 	// The degraded app's namespace entry is gone (it holds nothing).
-	if _, err := ctrl.Namespace().Get(fmt.Sprintf("Pin.%d.b.option", pinned)); err == nil {
-		t.Fatal("degraded app still published in namespace")
+	if err := ctrl.Namespace().Walk(fmt.Sprintf("Pin.%d", pinned), func(string, namespace.Value) {}); !errors.Is(err, namespace.ErrNotFound) {
+		t.Fatalf("degraded app still published in namespace: %v", err)
 	}
 }
 

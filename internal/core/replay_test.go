@@ -160,7 +160,7 @@ func takeFingerprint(t *testing.T, c *Controller) fingerprint {
 	}
 	for id, owner := range owners {
 		snap := map[string]namespace.Value{}
-		if err := c.ns.Walk(owner, func(p string, v namespace.Value) { snap[p] = v }); err != nil {
+		if err := c.Namespace().Walk(owner, func(p string, v namespace.Value) { snap[p] = v }); err != nil {
 			continue // degraded apps have no namespace entries
 		}
 		fp.NS[fmt.Sprintf("%d:%s", id, owner)] = snap

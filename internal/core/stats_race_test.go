@@ -6,15 +6,17 @@ import (
 	"testing"
 	"time"
 
+	"harmony/internal/namespace"
 	"harmony/internal/objective"
 )
 
 // TestStatsReadsDuringReevaluate hammers the Predictions and JointTrials
-// accessors from reader goroutines, each of which also subscribes a listener,
-// while greedy passes and the joint search that makes room for an arrival
-// mutate the counters they report and publish to the listeners, so the race
-// detector proves the accessors read the published view and never the
-// counters the writer is moving, and that Subscribe needs no writer's help.
+// accessors and the namespace's Walk from reader goroutines, each of which
+// also subscribes a listener, while greedy passes and the joint search that
+// makes room for an arrival mutate the counters they report, the choices and
+// assignments the namespace names, and publish to the listeners, so the race
+// detector proves the readers read the published view and never the state
+// the writer is moving, and that Subscribe needs no writer's help.
 func TestStatsReadsDuringReevaluate(t *testing.T) {
 	// Two bags of up to 8 exclusive workers fill ten nodes, so a third only
 	// gets in through the joint search (BenchmarkSqueezeCycle's system).
@@ -42,6 +44,7 @@ func TestStatsReadsDuringReevaluate(t *testing.T) {
 					return
 				default:
 					_, _ = ctrl.Predictions(), ctrl.JointTrials()
+					_ = ctrl.Namespace().Walk("", func(string, namespace.Value) {})
 				}
 			}
 		}()

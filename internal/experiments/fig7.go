@@ -56,20 +56,25 @@ func DefaultFigure7Config() Figure7Config {
 
 // figure7ClientRSL pins each client to its own machine (queries are
 // submitted where the user sits) while the server is fixed, as in Figure 3.
-func figure7ClientRSL(instance int, clientHost string) string {
+// A positive granularity (seconds) adds a granularity tag to both options.
+func figure7ClientRSL(instance int, clientHost string, granularity float64) string {
+	tag := ""
+	if granularity > 0 {
+		tag = fmt.Sprintf("\n\t\t{granularity %g}", granularity)
+	}
 	return fmt.Sprintf(`
 harmonyBundle DBclient:%d where {
 	{QS
 		{node server dbserver {seconds 5} {memory 20}}
 		{node client %s {os linux} {seconds 1} {memory 2}}
-		{link client server 2}
+		{link client server 2}%s
 	}
 	{DS
 		{node server dbserver {seconds 1} {memory 20}}
 		{node client %s {os linux} {memory >=17} {seconds 10}}
-		{link client server {44 + (client.memory > 24 ? 24 : client.memory) - 17}}
+		{link client server {44 + (client.memory > 24 ? 24 : client.memory) - 17}}%s
 	}
-}`, instance, clientHost, clientHost)
+}`, instance, clientHost, tag, clientHost, tag)
 }
 
 // Figure7Outcome carries the raw series for further analysis.
@@ -169,7 +174,7 @@ func runFigure7(cfg Figure7Config) (*Result, *Figure7Outcome, error) {
 
 	startClient := func(i int) error {
 		host := fmt.Sprintf("dbclient%d", i)
-		bundles, _, err := rsl.DecodeScript(figure7ClientRSL(i, host))
+		bundles, _, err := rsl.DecodeScript(figure7ClientRSL(i, host, 0))
 		if err != nil {
 			return err
 		}

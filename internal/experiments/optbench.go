@@ -108,29 +108,6 @@ func (r *OptBenchReport) EnvMatches(o *OptBenchReport) bool {
 	return o != nil && r.GoMaxProcs == o.GoMaxProcs && r.GOOS == o.GOOS && r.GOARCH == o.GOARCH
 }
 
-// optBenchFig7RSL is the Figure 3/7 client bundle with a granularity tag so
-// that building large workloads stays quadratic: during registration every
-// already-placed client is rate-limited out of re-evaluation, and the
-// measured passes advance the virtual clock past the limit so every client
-// is evaluated again.
-func optBenchFig7RSL(instance int, clientHost string) string {
-	return fmt.Sprintf(`
-harmonyBundle DBclient:%d where {
-	{QS
-		{node server dbserver {seconds 5} {memory 20}}
-		{node client %s {os linux} {seconds 1} {memory 2}}
-		{link client server 2}
-		{granularity 3600}
-	}
-	{DS
-		{node server dbserver {seconds 1} {memory 20}}
-		{node client %s {os linux} {memory >=17} {seconds 10}}
-		{link client server {44 + (client.memory > 24 ? 24 : client.memory) - 17}}
-		{granularity 3600}
-	}
-}`, instance, clientHost, clientHost)
-}
-
 // buildOptBenchController constructs one fully-registered workload.
 func buildOptBenchController(shape string, nodes int) (*core.Controller, *simclock.Clock, error) {
 	clock := simclock.New()
@@ -181,7 +158,11 @@ func buildOptBenchController(shape string, nodes int) (*core.Controller, *simclo
 			return fail(err)
 		}
 		for i := 1; i < nodes; i++ {
-			src := optBenchFig7RSL(i, fmt.Sprintf("dbclient%03d", i))
+			// The granularity tag keeps building large workloads quadratic:
+			// during registration every already-placed client is rate-limited
+			// out of re-evaluation, and the measured passes advance the
+			// virtual clock past the limit so every client is evaluated again.
+			src := figure7ClientRSL(i, fmt.Sprintf("dbclient%03d", i), 3600)
 			bundles, _, err := rsl.DecodeScript(src)
 			if err != nil {
 				return fail(err)

@@ -23,7 +23,7 @@ func TestSpecsAreVetClean(t *testing.T) {
 		"ablationAppRSL":   ablationAppRSL(5),
 		"ablationLoadRSL":  ablationLoadRSL,
 		"figure4RSL":       f4,
-		"figure7ClientRSL": figure7ClientRSL(1, "client1"),
+		"figure7ClientRSL": figure7ClientRSL(1, "client1", 0),
 	} {
 		for _, d := range vet.Script(src, vet.Options{}).Diags {
 			t.Errorf("%s: %s", name, d)

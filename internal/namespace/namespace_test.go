@@ -1,239 +1,232 @@
-package namespace
+package namespace_test
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"harmony/internal/cluster"
+	"harmony/internal/core"
+	"harmony/internal/namespace"
+	"harmony/internal/rsl"
+	"harmony/internal/simclock"
 )
 
-func TestSetGetNum(t *testing.T) {
-	tr := New()
-	const path = "DBclient.66.where.DS.client.memory"
-	if err := tr.SetNum(path, 24); err != nil {
-		t.Fatalf("SetNum: %v", err)
-	}
-	v, err := tr.GetNum(path)
-	if err != nil || v != 24 {
-		t.Fatalf("GetNum = %g, %v", v, err)
-	}
-}
-
-func TestSetGetStr(t *testing.T) {
-	tr := New()
-	if err := tr.SetStr("app.1.os", "linux"); err != nil {
-		t.Fatalf("SetStr: %v", err)
-	}
-	v, err := tr.Get("app.1.os")
-	if err != nil || !v.IsString || v.Str != "linux" {
-		t.Fatalf("Get = %+v, %v", v, err)
-	}
-	if _, err := tr.GetNum("app.1.os"); err == nil {
-		t.Fatal("GetNum on string leaf succeeded")
-	}
-}
-
-func TestOverwriteLeaf(t *testing.T) {
-	tr := New()
-	if err := tr.SetNum("a.b", 1); err != nil {
+// newController builds a controller over an idle four-node SP-2.
+func newController(t *testing.T) *core.Controller {
+	t.Helper()
+	cl, err := cluster.NewSP2(4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.SetNum("a.b", 2); err != nil {
+	clock := simclock.New()
+	t.Cleanup(clock.Stop)
+	c, err := core.New(core.Config{Cluster: cl, Clock: clock})
+	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := tr.GetNum("a.b")
-	if v != 2 {
-		t.Fatalf("overwrite = %g, want 2", v)
+	return c
+}
+
+// register admits application app, whose one option O sets variable v and
+// places node n, and returns its instance.
+func register(t *testing.T, c *core.Controller, app string, v int) int {
+	t.Helper()
+	bundles, _, err := rsl.DecodeScript(fmt.Sprintf(`
+harmonyBundle %s:1 b {
+	{O
+		{variable v {%d}}
+		{node n * {seconds 3} {memory 4}}
 	}
+}`, app, v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, _, err := c.Register(bundles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// leafNames are the names register's application is published under,
+// relative to its instance path.
+var leafNames = []string{"b.O.n.memory", "b.O.n.node", "b.O.n.seconds", "b.O.v", "b.option", "predicted"}
+
+// walk collects the paths and values Walk visits under prefix.
+func walk(c *core.Controller, prefix string) ([]string, map[string]namespace.Value, error) {
+	var paths []string
+	values := make(map[string]namespace.Value)
+	err := c.Namespace().Walk(prefix, func(p string, v namespace.Value) {
+		paths = append(paths, p)
+		values[p] = v
+	})
+	return paths, values, err
 }
 
 func TestGetMissing(t *testing.T) {
-	tr := New()
-	_, err := tr.Get("no.such.path")
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-}
-
-func TestGetDirectory(t *testing.T) {
-	tr := New()
-	if err := tr.SetNum("a.b.c", 1); err != nil {
-		t.Fatal(err)
-	}
-	_, err := tr.Get("a.b")
-	if !errors.Is(err, ErrNotLeaf) {
-		t.Fatalf("err = %v, want ErrNotLeaf", err)
-	}
-}
-
-func TestSetThroughLeafFails(t *testing.T) {
-	tr := New()
-	if err := tr.SetNum("a.b", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetNum("a.b.c", 2); err == nil {
-		t.Fatal("setting below a leaf succeeded")
-	}
-}
-
-func TestSetOnDirectoryFails(t *testing.T) {
-	tr := New()
-	if err := tr.SetNum("a.b.c", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetNum("a.b", 2); err == nil {
-		t.Fatal("setting a directory succeeded")
+	c := newController(t)
+	register(t, c, "app", 1)
+	for _, p := range []string{"no.such.path", "app.2", "app.1.b.P"} {
+		if _, _, err := walk(c, p); !errors.Is(err, namespace.ErrNotFound) {
+			t.Errorf("Walk(%q) err = %v, want ErrNotFound", p, err)
+		}
 	}
 }
 
 func TestBadPaths(t *testing.T) {
-	tr := New()
-	for _, p := range []string{"a..b", ".a", "a."} {
-		if err := tr.SetNum(p, 1); !errors.Is(err, ErrBadPath) {
-			t.Errorf("SetNum(%q) err = %v, want ErrBadPath", p, err)
+	c := newController(t)
+	register(t, c, "app", 1)
+	for _, p := range []string{"app..1", ".app", "app.", "app.1."} {
+		if paths, _, err := walk(c, p); !errors.Is(err, namespace.ErrNotFound) || len(paths) != 0 {
+			t.Errorf("Walk(%q) = %v, %v; want no leaf and ErrNotFound", p, paths, err)
 		}
-	}
-	if err := tr.SetNum("", 1); !errors.Is(err, ErrBadPath) {
-		t.Errorf("SetNum root err = %v, want ErrBadPath", err)
 	}
 }
 
 func TestDelete(t *testing.T) {
-	tr := New()
-	if err := tr.SetNum("app.1.x", 1); err != nil {
-		t.Fatal(err)
+	c := newController(t)
+	gone := register(t, c, "app", 1)
+	kept := register(t, c, "app", 2)
+	if _, err := c.Unregister(gone); err != nil {
+		t.Fatalf("Unregister: %v", err)
 	}
-	if err := tr.SetNum("app.1.y", 2); err != nil {
-		t.Fatal(err)
+	if _, _, err := walk(c, namespace.InstancePath("app", gone)); !errors.Is(err, namespace.ErrNotFound) {
+		t.Fatalf("Walk after Unregister err = %v, want ErrNotFound", err)
 	}
-	if err := tr.Delete("app.1"); err != nil {
-		t.Fatalf("Delete: %v", err)
+	if paths, _, err := walk(c, "app"); err != nil || len(paths) != len(leafNames) || !strings.HasPrefix(paths[0], namespace.InstancePath("app", kept)+".") {
+		t.Fatalf("Walk(app) = %v, %v; want the remaining instance's leaves", paths, err)
 	}
-	if err := tr.Walk("app.1", func(string, Value) {}); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Walk after Delete err = %v, want ErrNotFound", err)
-	}
-	if err := tr.Delete("app.1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete err = %v, want ErrNotFound", err)
+	if _, err := c.Unregister(gone); !errors.Is(err, core.ErrUnknownInstance) {
+		t.Fatalf("double unregister err = %v, want ErrUnknownInstance", err)
 	}
 }
 
 func TestWalkOrderAndSnapshot(t *testing.T) {
-	tr := New()
-	paths := []string{"z.1", "a.2", "a.1", "m.x.y"}
-	for i, p := range paths {
-		if err := tr.SetNum(p, float64(i)); err != nil {
-			t.Fatal(err)
-		}
+	c := newController(t)
+	for i, app := range []string{"z", "a", "m"} {
+		register(t, c, app, i)
 	}
-	var visited []string
-	if err := tr.Walk("", func(p string, v Value) { visited = append(visited, p) }); err != nil {
+	paths, values, err := walk(c, "")
+	if err != nil {
 		t.Fatalf("Walk: %v", err)
 	}
-	want := "a.1,a.2,m.x.y,z.1"
-	if got := strings.Join(visited, ","); got != want {
-		t.Fatalf("Walk order = %s, want %s", got, want)
+	var want []string
+	for i, app := range []string{"z", "a", "m"} {
+		for _, name := range leafNames {
+			want = append(want, namespace.InstancePath(app, i+1)+"."+name)
+		}
 	}
-	snap := map[string]Value{}
-	if err := tr.Walk("a", func(p string, v Value) { snap[p] = v }); err != nil {
-		t.Fatalf("Walk(a): %v", err)
+	slices.Sort(want)
+	if !slices.Equal(paths, want) {
+		t.Fatalf("Walk order = %v, want %v", paths, want)
 	}
-	if len(snap) != 2 || snap["a.1"].Num != 2 {
-		t.Fatalf("Walk(a) = %v", snap)
+	if v := values["a.2.b.O.v"]; v.IsString || v.Num != 1 {
+		t.Fatalf("a.2.b.O.v = %+v, want 1", v)
+	}
+	if v := values["m.3.b.option"]; v.Str != "O" {
+		t.Fatalf("m.3.b.option = %+v, want O", v)
+	}
+	sub, _, err := walk(c, "a.2.b.O.n")
+	if err != nil || len(sub) != 3 || sub[0] != "a.2.b.O.n.memory" {
+		t.Fatalf("Walk(a.2.b.O.n) = %v, %v", sub, err)
 	}
 }
 
 func TestPathHelpers(t *testing.T) {
-	if got := InstancePath("DBclient", 66); got != "DBclient.66" {
+	if got := namespace.InstancePath("DBclient", 66); got != "DBclient.66" {
 		t.Fatalf("InstancePath = %s", got)
 	}
 }
 
 func TestValueString(t *testing.T) {
-	if NumValue(2.5).String() != "2.5" || StrValue("hi").String() != "hi" {
+	if (namespace.Value{Num: 2.5}).String() != "2.5" || (namespace.Value{Str: "hi", IsString: true}).String() != "hi" {
 		t.Fatal("Value.String broken")
 	}
 }
 
+// TestConcurrentAccess walks the namespace from several goroutines while the
+// controller admits and removes applications: every walk sees one published
+// state, so it visits whole applications only.
 func TestConcurrentAccess(t *testing.T) {
-	tr := New()
+	c := newController(t)
+	register(t, c, "app", 0)
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				p := fmt.Sprintf("g%d.k%d", g, i%10)
-				if err := tr.SetNum(p, float64(i)); err != nil {
-					t.Errorf("SetNum: %v", err)
+			for {
+				select {
+				case <-stop:
 					return
+				default:
 				}
-				if _, err := tr.GetNum(p); err != nil {
-					t.Errorf("GetNum: %v", err)
+				paths, _, err := walk(c, "app")
+				if err != nil || len(paths)%len(leafNames) != 0 {
+					t.Errorf("Walk(app) = %d leaves, %v", len(paths), err)
 					return
 				}
 			}
-		}(g)
+		}()
 	}
+	for i := 1; i <= 20; i++ {
+		inst := register(t, c, "app", i)
+		if i%2 == 0 {
+			if _, err := c.Unregister(inst); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	close(stop)
 	wg.Wait()
 }
 
-// Property: Set then Get returns the same value for arbitrary valid paths.
-func TestPropertySetGetRoundTrip(t *testing.T) {
-	f := func(segs []uint8, val float64) bool {
-		if len(segs) == 0 {
-			return true
-		}
-		if len(segs) > 6 {
-			segs = segs[:6]
-		}
-		parts := make([]string, len(segs))
-		for i, s := range segs {
-			parts[i] = fmt.Sprintf("s%d", s%5)
-		}
-		path := strings.Join(parts, ".")
-		tr := New()
-		if err := tr.SetNum(path, val); err != nil {
-			return false
-		}
-		got, err := tr.GetNum(path)
-		return err == nil && got == val
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a Walk of the whole tree after a series of distinct Sets visits
-// exactly those entries (leaf-only paths).
+// Property: after any series of admissions and removals, a walk of the
+// whole namespace visits exactly the leaves of the applications still
+// admitted.
 func TestPropertySnapshotComplete(t *testing.T) {
-	f := func(keys []uint8) bool {
-		tr := New()
-		want := make(map[string]float64)
-		for i, k := range keys {
-			// two-level distinct paths avoid leaf/dir conflicts
-			p := fmt.Sprintf("k%d.v%d", k%8, k%8)
-			if err := tr.SetNum(p, float64(i)); err != nil {
-				return false
+	f := func(ops []uint8) bool {
+		c := newController(t)
+		live := make(map[int]string) // instance -> its instance path
+		var order []int
+		for _, op := range ops[:min(len(ops), 12)] {
+			if op%3 == 0 && len(order) > 0 {
+				j := int(op) % len(order)
+				if _, err := c.Unregister(order[j]); err != nil {
+					return false
+				}
+				delete(live, order[j])
+				order = slices.Delete(order, j, j+1)
+				continue
 			}
-			want[p] = float64(i)
+			app := fmt.Sprintf("k%d", op%4)
+			inst := register(t, c, app, int(op))
+			live[inst] = namespace.InstancePath(app, inst)
+			order = append(order, inst)
 		}
-		snap := map[string]Value{}
-		if err := tr.Walk("", func(p string, v Value) { snap[p] = v }); err != nil {
+		_, values, err := walk(c, "")
+		if len(live) == 0 {
+			return errors.Is(err, namespace.ErrNotFound)
+		}
+		if err != nil || len(values) != len(live)*len(leafNames) {
 			return false
 		}
-		if len(snap) != len(want) {
-			return false
-		}
-		for p, v := range want {
-			if snap[p].Num != v {
-				return false
+		for _, owner := range live {
+			for _, name := range leafNames {
+				if _, ok := values[owner+"."+name]; !ok {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

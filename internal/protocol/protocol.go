@@ -110,8 +110,8 @@ type ReplicaStatus struct {
 	Peers int `json:"peers"`
 }
 
-// VarValue is a Harmony variable value: a number or a string, matching the
-// namespace's leaf values.
+// VarValue is a Harmony variable value: a number or a string. It is also the
+// namespace's leaf value (namespace.Value).
 type VarValue struct {
 	// Num holds the value when IsString is false.
 	Num float64 `json:"num,omitempty"`

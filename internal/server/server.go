@@ -370,26 +370,21 @@ func (s *Server) onEvent(ev core.Event) {
 	s.FlushPendingVars(ev.Instance)
 }
 
-// eventVars derives the update set for an event: the bundle variable takes
-// the chosen option name, option variables take their values, and every
-// namespace leaf under the instance is exported under its dotted suffix so
-// applications can read assigned resources (nodes, memory).
+// eventVars derives the update set for an event: every namespace leaf under
+// the instance is exported under its dotted suffix so applications can read
+// assigned resources (nodes, memory), then the bundle variable takes the
+// chosen option name and option variables take their values, so an
+// application's own names win over a leaf of the same name.
 func (s *Server) eventVars(ev core.Event) map[string]protocol.VarValue {
-	vars := map[string]protocol.VarValue{
-		ev.Bundle: protocol.StrVar(ev.Choice.Option),
-	}
+	vars := make(map[string]protocol.VarValue)
+	prefix := namespace.InstancePath(ev.App, ev.Instance)
+	_ = s.cfg.Controller.Namespace().Walk(prefix, func(path string, v namespace.Value) {
+		vars[strings.TrimPrefix(path, prefix+".")] = v
+	})
+	vars[ev.Bundle] = protocol.StrVar(ev.Choice.Option)
 	for k, v := range ev.Choice.Vars {
 		vars[k] = protocol.NumVar(v)
 	}
-	prefix := namespace.InstancePath(ev.App, ev.Instance)
-	_ = s.cfg.Controller.Namespace().Walk(prefix, func(path string, v namespace.Value) {
-		rel := strings.TrimPrefix(path, prefix+".")
-		if v.IsString {
-			vars[rel] = protocol.StrVar(v.Str)
-		} else {
-			vars[rel] = protocol.NumVar(v.Num)
-		}
-	})
 	return vars
 }
 
