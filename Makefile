@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint fuzz bench chaos
+.PHONY: build test check fuzz bench chaos
 
 build:
 	$(GO) build ./...
@@ -11,11 +11,6 @@ test:
 # Tier-2 gate: gofmt, go vet, race detector.
 check:
 	sh scripts/check.sh
-
-# The two project invariant analyzers (protoexhaustive, replaydeterminism);
-# see docs/ANALYZERS.md.
-lint:
-	$(GO) run ./cmd/harmonylint ./...
 
 # Short fuzz smoke of every fuzz target, one after the other. This list is the
 # only one: CI's fuzz-smoke job runs `make fuzz FUZZTIME=10s`. Every

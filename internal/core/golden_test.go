@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -281,11 +282,9 @@ func (s goldenScript) log(hosts []string) []replog.Entry {
 	return entries
 }
 
-// run applies the script on a fresh controller and returns two SHA-256
-// hashes, each taken after every entry so that a transient divergence a later
-// entry happens to heal still changes it: one over EncodeState, and one over
-// every live instance's namespace leaves as Namespace().Walk visits them.
-func (s goldenScript) run(t *testing.T) (state, names string) {
+// controller builds the script's cluster and a fresh controller on it, and
+// returns it with the hosts the script's registrations may name.
+func (s goldenScript) controller(t *testing.T) (*Controller, []string) {
 	t.Helper()
 	cl, err := cluster.NewSP2(s.nodes)
 	if err != nil {
@@ -298,27 +297,45 @@ func (s goldenScript) run(t *testing.T) (state, names string) {
 		}
 	}
 	clock := simclock.New()
-	defer clock.Stop()
+	t.Cleanup(clock.Stop)
 	ctrl, err := New(Config{Cluster: cl, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosts := cl.Hosts()[1:] // sp2-01 is the shared database server
+	return ctrl, cl.Hosts()[1:] // sp2-01 is the shared database server
+}
+
+// applyOne applies one entry and returns what it left: EncodeState, and every
+// live instance's namespace leaves as Namespace().Walk visits them. A failed
+// entry is part of the log: the state shows the failure.
+func applyOne(t *testing.T, ctrl *Controller, e replog.Entry) (state, names []byte) {
+	t.Helper()
+	_, _ = ctrl.Apply(&e)
+	state, err := ctrl.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nb bytes.Buffer
+	for _, a := range ctrl.Apps() {
+		fmt.Fprintf(&nb, "%d\n", a.Instance)
+		_ = ctrl.Namespace().Walk(namespace.InstancePath(a.App, a.Instance), func(p string, v namespace.Value) {
+			fmt.Fprintf(&nb, "%s %t %q %g\n", p, v.IsString, v.Str, v.Num)
+		})
+	}
+	return state, nb.Bytes()
+}
+
+// run applies the script on a fresh controller and returns two SHA-256
+// hashes of what applyOne returned, each taken after every entry so that a
+// transient divergence a later entry happens to heal still changes it.
+func (s goldenScript) run(t *testing.T) (state, names string) {
+	t.Helper()
+	ctrl, hosts := s.controller(t)
 	sh, nh := sha256.New(), sha256.New()
 	for _, e := range s.log(hosts) {
-		e := e
-		_, _ = ctrl.Apply(&e) // failures are part of the script; state shows them
-		data, err := ctrl.EncodeState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh.Write(data)
-		for _, a := range ctrl.Apps() {
-			fmt.Fprintf(nh, "%d\n", a.Instance)
-			_ = ctrl.Namespace().Walk(namespace.InstancePath(a.App, a.Instance), func(p string, v namespace.Value) {
-				fmt.Fprintf(nh, "%s %t %q %g\n", p, v.IsString, v.Str, v.Num)
-			})
-		}
+		st, ns := applyOne(t, ctrl, e)
+		sh.Write(st)
+		nh.Write(ns)
 	}
 	if err := ctrl.Ledger().CheckConservation(); err != nil {
 		t.Fatal(err)

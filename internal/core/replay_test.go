@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -266,4 +267,64 @@ func TestRestoreOnUsedController(t *testing.T) {
 	if err := lagger.Ledger().CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReplayIsDeterministic is the replay differential: every golden script's
+// log and every genReplayLog seed log goes to several fresh controllers entry
+// by entry, and after each entry all of them must return the same bytes from
+// applyOne — EncodeState and the namespace leaves. Go randomises the order of
+// every map range, so an apply-path write that depends on it sets the
+// controllers apart, and so does a wall-clock or math/rand read that reaches
+// state.
+func TestReplayIsDeterministic(t *testing.T) {
+	const controllers = 4
+	lockstep := func(t *testing.T, ctrls []*Controller, entries []replog.Entry) {
+		for i, e := range entries {
+			state, names := applyOne(t, ctrls[0], e)
+			for k, c := range ctrls[1:] {
+				st, ns := applyOne(t, c, e)
+				if d := firstDiff(state, st); d != "" {
+					t.Fatalf("entry %d (%s): controller %d's EncodeState differs from controller 0's: %s", i+1, e.Op, k+1, d)
+				}
+				if d := firstDiff(names, ns); d != "" {
+					t.Fatalf("entry %d (%s): controller %d's namespace differs from controller 0's: %s", i+1, e.Op, k+1, d)
+				}
+			}
+		}
+	}
+	for _, s := range goldenScripts {
+		t.Run(s.name, func(t *testing.T) {
+			t.Parallel()
+			ctrls := make([]*Controller, controllers)
+			var hosts []string
+			for k := range ctrls {
+				ctrls[k], hosts = s.controller(t)
+			}
+			lockstep(t, ctrls, s.log(hosts))
+		})
+	}
+	for _, seed := range []int64{1, 2, 7, 42} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			ctrls := make([]*Controller, controllers)
+			for k := range ctrls {
+				ctrls[k] = newReplayController(t)
+			}
+			lockstep(t, ctrls, genReplayLog(seed, 60))
+		})
+	}
+}
+
+// firstDiff describes where got first departs from want, with the bytes
+// around that point, or returns "" when the two are equal.
+func firstDiff(want, got []byte) string {
+	if bytes.Equal(want, got) {
+		return ""
+	}
+	i := 0
+	for i < len(want) && i < len(got) && want[i] == got[i] {
+		i++
+	}
+	window := func(b []byte) []byte { return b[max(i-60, 0):min(i+60, len(b))] }
+	return fmt.Sprintf("at byte %d\nwant …%s…\ngot  …%s…", i, window(want), window(got))
 }

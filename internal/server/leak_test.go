@@ -57,6 +57,13 @@ func TestCloseJoinsEveryGoroutine(t *testing.T) {
 		closeWithin(t, "member "+n.peerAddr, func() error { n.kill(); return nil })
 	}
 
+	requireNoneOutlive(t, before)
+}
+
+// requireNoneOutlive fails the test, printing every stack, when a goroutine
+// of this module's that is not in before is still running five seconds on.
+func requireNoneOutlive(t *testing.T, before map[uint64]bool) {
+	t.Helper()
 	var leaked []string
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		leaked = leaked[:0]

@@ -491,8 +491,9 @@ func (r *Replica) applyCommitted(commit uint64) (released []func()) {
 }
 
 // applyEntry executes one entry against the controller and session table,
-// deterministically: the replaydeterminism analyzer (internal/lint) allows no
-// clock, no randomness and no map-order-dependent write on this path.
+// deterministically: no clock, no randomness and no map-order-dependent write
+// on this path. TestReplicaReplayIsDeterministic applies one log on two
+// replicas and compares their state after every entry.
 func (r *Replica) applyEntry(e *replog.Entry) applyOutcome {
 	ctrl := r.cfg.Controller
 	switch e.Op {

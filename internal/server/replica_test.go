@@ -576,7 +576,7 @@ func TestReplicationDocInSync(t *testing.T) {
 		"append_entries", "install_snapshot", "not_leader",
 		"SnapshotEvery", "DataDir", "LeaseGrace", "OpSessionExpire",
 		"ClusterStatus", "cluster status", "CheckConservation",
-		"peer-addr", "data-dir", "replaydeterminism",
+		"peer-addr", "data-dir", "TestReplayIsDeterministic", "TestReplicaReplayIsDeterministic",
 		"TestSoakReplicatedLeaderKill", "TestFollowerCrashRecovery",
 		"CHAOS_SEED", "make chaos",
 	} {
@@ -836,4 +836,115 @@ func TestFailedSnapshotSaveIsNotAnAck(t *testing.T) {
 	if persisted.Snapshot.Index != 3 {
 		t.Fatalf("recovered snapshot@%d, want the acknowledged snapshot@3", persisted.Snapshot.Index)
 	}
+}
+
+// sessionBagRSL is a variable-parallelism bag, small enough that a handful
+// share an 8-node SP-2 while their choices still depend on each other.
+func sessionBagRSL(i int) string {
+	return fmt.Sprintf(`
+harmonyBundle Bag%d:%d parallelism {
+	{workers
+		{variable workerNodes {1 2 3}}
+		{node worker * {os linux} {seconds {12 / workerNodes}} {memory 24} {replicate workerNodes}}
+	}
+}`, i, i)
+}
+
+// sessionLog is a churn of client sessions as the replica's apply path sees
+// it: each round starts three sessions, registers instances under their
+// tokens, parks two, resumes one, ends an instance, expires a parked session
+// with its instance, and expires the previous round's two survivors, one
+// active and one parked. Every entry succeeds, so instances are numbered in
+// registration order, and the table always holds sessions in both states.
+func sessionLog() []replog.Entry {
+	var log []replog.Entry
+	add := func(e replog.Entry) {
+		e.Index, e.Term, e.Time = uint64(len(log)+1), 1, time.Duration(len(log)+1)*time.Second
+		log = append(log, e)
+	}
+	inst := 0
+	register := func(token string) int {
+		inst++
+		add(replog.Entry{Op: replog.OpRegister, Token: token, RSL: sessionBagRSL(inst)})
+		return inst
+	}
+	session := func(op replog.Op, token string) { add(replog.Entry{Op: op, Token: token}) }
+	for round := 0; round < 16; round++ {
+		a, b, c := fmt.Sprintf("a%d", round), fmt.Sprintf("b%d", round), fmt.Sprintf("c%d", round)
+		for _, token := range []string{a, b, c} {
+			session(replog.OpSessionStart, token)
+		}
+		first := register(a)
+		register(a)
+		register(b)
+		register(c)
+		session(replog.OpSessionPark, a)
+		session(replog.OpSessionPark, c)
+		session(replog.OpSessionResume, a)
+		add(replog.Entry{Op: replog.OpUnregister, Instance: first})
+		session(replog.OpSessionExpire, c)
+		session(replog.OpSessionPark, b)
+		if round > 0 {
+			session(replog.OpSessionExpire, fmt.Sprintf("a%d", round-1))
+			session(replog.OpSessionExpire, fmt.Sprintf("b%d", round-1))
+		}
+	}
+	return log
+}
+
+// TestReplicaReplayIsDeterministic is the replay differential for what
+// core's TestReplayIsDeterministic does not reach: the session table and the
+// instances a session binds and releases. Two peerless replicas apply the
+// same session churn, each entry through applyEntry on the replica's own
+// loop, and after every entry their encodeState must be byte-identical. A
+// map-order-dependent write, a wall-clock read or a math/rand draw on that
+// path sets them apart. The replicas' goroutines must all end with Close.
+func TestReplicaReplayIsDeterministic(t *testing.T) {
+	before := goroutineIDs(allStacks())
+	var reps [2]*Replica
+	for k := range reps {
+		cl, err := cluster.NewSP2(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := core.New(core.Config{Cluster: cl, Clock: simclock.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reps[k], err = NewReplica("", ReplicaConfig{Controller: ctrl, ElectionTimeout: time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+		defer reps[k].Close()
+	}
+	apply := func(r *Replica, e replog.Entry) (applyOutcome, []byte) {
+		var out applyOutcome
+		var data []byte
+		var err error
+		done := make(chan struct{})
+		if !r.post(event{run: func() {
+			out = r.applyEntry(&e)
+			_, data, err = r.encodeState()
+			close(done)
+		}}) {
+			t.Fatal("replica closed")
+		}
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, data
+	}
+	for i, e := range sessionLog() {
+		out, want := apply(reps[0], e)
+		if out.err != nil {
+			t.Fatalf("entry %d (%s %s): %v", i+1, e.Op, e.Token, out.err)
+		}
+		if _, got := apply(reps[1], e); string(got) != string(want) {
+			t.Fatalf("entry %d (%s %s): the replicas' states differ:\nreplica 0 %s\nreplica 1 %s", i+1, e.Op, e.Token, want, got)
+		}
+	}
+	for k, r := range reps {
+		closeWithin(t, fmt.Sprintf("replica %d", k), r.Close)
+	}
+	requireNoneOutlive(t, before)
 }

@@ -28,8 +28,9 @@ func (r *sessionRecord) clone() *sessionRecord {
 // sessionTable is the replicated session state, mutated only by applied log
 // entries so every replica holds the same table. All methods called from
 // the apply path are deterministic (no clocks, no randomness, no
-// map-iteration-order-dependent results). It has no lock: the replica's loop
-// goroutine is its only user.
+// map-iteration-order-dependent results), which
+// TestReplicaReplayIsDeterministic checks by running two tables side by side.
+// It has no lock: the replica's loop goroutine is its only user.
 type sessionTable struct {
 	m map[string]*sessionRecord
 }
