@@ -82,9 +82,14 @@ type Failure struct {
 	Err   error
 }
 
-// Ready is what one Step asks of the owner, in this order: install Snapshot;
-// save HardState and Entries; answer Saved; send Msgs and Reply; apply
-// through Commit; release the proposers.
+// Ready is what one Step asks of the owner, in this order: send Msgs; install
+// Snapshot; save HardState and Entries; send Reply; apply through Commit;
+// release the proposers; answer Saved. Requests leave before the save and
+// replies after it: a request vouches for no write of its sender's, so a
+// leader's write runs while its entries cross to the followers and they write
+// theirs, and the leader's own copy counts toward a quorum only once Saved
+// has confirmed it. A candidate's vote requests come only in the Ready that
+// answers the Saved of its term, which has nothing to save.
 type Ready struct {
 	HardState *replog.HardState // when set, saved before anything below is acted on
 	// Entries were just taken into the log and belong at the end of the
@@ -93,7 +98,7 @@ type Ready struct {
 	Entries  []replog.Entry
 	Rewrite  bool
 	Snapshot *replog.Snapshot  // a leader's install: replaces the state machine and the log
-	Msgs     []Outbound        // for peers; they promise nothing, whatever becomes of the save
+	Msgs     []Outbound        // for peers; they promise nothing, whatever becomes of the save, and leave first
 	Reply    *protocol.Message // answers this Step's PeerMsg; what it grants vouches for the save
 	Commit   uint64            // the log's commit point
 	Index    uint64            // the index this Step's proposal took, or

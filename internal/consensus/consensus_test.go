@@ -283,3 +283,39 @@ func TestCoreCases(t *testing.T) {
 		t.Run(tc.name, tc.run)
 	}
 }
+
+// A leader's requests leave before its own write, so both followers can
+// acknowledge an entry the leader has not written yet. Two of three disks
+// then hold it: it commits on theirs, one follower's ack alone is not enough
+// while the leader's copy is unconfirmed, and the leader's save failing
+// afterwards neither takes the commit point back nor answers the proposer a
+// second time. (The shell answers Saved before it steps anything else; the
+// acks are stepped first here because the commit rule must not rely on it.)
+func TestLeaderCommitsBeforeItsOwnSave(t *testing.T) {
+	c, log := newCore("m", []string{"a", "b"}, 1)
+	lead(t, c)
+	at := t0.Add(time.Second)
+	_, term, _ := c.State()
+	c.Step(at, Input{Kind: PeerReply, From: "b", Msg: &protocol.Message{Type: protocol.TypeVoteReply, Term: term}})
+	rd := c.Step(at, Input{Kind: Propose, Entry: &replog.Entry{Op: replog.OpReevaluate}})
+	if rd.Index != 1 || !rd.MustSave() || len(rd.Msgs) != 2 {
+		t.Fatalf("proposal: %+v, want entry 1 to save and to ship to both followers", rd)
+	}
+	ack := &protocol.Message{Type: protocol.TypeAppendReply, Term: term, Success: true, MatchIndex: 1}
+	if rd = c.Step(at, Input{Kind: PeerReply, From: "a", Msg: ack}); rd.Commit != 0 {
+		t.Fatalf("committed on one follower's disk and the leader's unsaved copy: %+v", rd)
+	}
+	if rd = c.Step(at, Input{Kind: PeerReply, From: "b", Msg: ack}); rd.Commit != 1 || len(rd.Failed) != 0 {
+		t.Fatalf("both followers hold entry 1: %+v, want it committed", rd)
+	}
+	if rd = c.Step(at, Input{Kind: Saved, Err: errors.New("disk")}); rd.Commit != 1 || log.Commit() != 1 || len(rd.Failed) != 0 {
+		t.Fatalf("after the leader's failed save: %+v, want commit 1 and no failure for the committed proposal", rd)
+	}
+	later := at.Add(5 * electionT)
+	if rd = c.Step(later, Input{Kind: Tick}); rd.Commit != 1 || len(rd.Failed) != 0 {
+		t.Fatalf("past the proposal's deadline: %+v", rd)
+	}
+	if rd = c.Step(later, Input{Kind: Propose, Entry: &replog.Entry{Op: replog.OpReevaluate}}); !rd.Rewrite {
+		t.Fatalf("next write: %+v, want a rewrite that carries entry 1 to the leader's disk", rd)
+	}
+}

@@ -2,11 +2,14 @@ package server
 
 import (
 	"fmt"
+	"net"
 	"testing"
+	"time"
 
 	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/hclient"
+	"harmony/internal/replog"
 	"harmony/internal/rsl"
 	"harmony/internal/simclock"
 )
@@ -84,4 +87,77 @@ func BenchmarkStatusRoundTrip(b *testing.B) {
 		}
 		srv.Close()
 	}
+}
+
+// BenchmarkReplicaPropose measures one committed proposal on a three-member
+// loopback cluster, as a replicated client's session start or end waits for
+// it: propose, the leader's write and append_entries, the followers' writes,
+// quorum, apply. durable gives every member a data directory, so a proposal
+// costs an fsync on the leader and on the followers; memory keeps the logs in
+// memory and leaves the loop, the wire and the apply.
+func BenchmarkReplicaPropose(b *testing.B) {
+	for _, durable := range []bool{true, false} {
+		name := "memory"
+		if durable {
+			name = "durable"
+		}
+		b.Run(name, func(b *testing.B) {
+			leader := startBenchReplicas(b, durable)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := leader.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// startBenchReplicas starts three replicas on held loopback listeners and
+// returns the one elected.
+func startBenchReplicas(b *testing.B, durable bool) *Replica {
+	lns := make([]net.Listener, 3)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		lns[i] = ln
+	}
+	reps := make([]*Replica, 0, len(lns))
+	for i, ln := range lns {
+		var peers []string
+		for j, other := range lns {
+			if j != i {
+				peers = append(peers, other.Addr().String())
+			}
+		}
+		cl, err := cluster.NewSP2(8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctrl, err := core.New(core.Config{Cluster: cl, Clock: simclock.New()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := ReplicaConfig{Peers: peers, Controller: ctrl}
+		if durable {
+			cfg.DataDir = b.TempDir()
+		}
+		rep, err := NewReplicaFromListener(ln, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { rep.Close() })
+		reps = append(reps, rep)
+	}
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		for _, rep := range reps {
+			if rep.IsLeader() {
+				return rep
+			}
+		}
+	}
+	b.Fatal("no leader elected")
+	return nil
 }

@@ -333,8 +333,10 @@ func (r *Replica) submit(e *replog.Entry, done func(applyOutcome)) {
 }
 
 // step feeds one event to the core and does what the core asks, in a fixed
-// order: save; tell the core how that went; only then send what vouches for
-// the save; apply; publish; release the proposers.
+// order: hand the requests to the peers' senders, which promise nothing, so
+// that a leader's write overlaps the followers'; save; only then send the
+// reply, which vouches for the save; apply; publish; release the proposers;
+// fold a snapshot; and tell the core how the save went.
 func (r *Replica) step(ev event) {
 	if ev.run != nil {
 		ev.run()
@@ -346,18 +348,25 @@ func (r *Replica) step(ev event) {
 		e.Time = max(e.Time, r.cfg.Controller.Clock().Now())
 	}
 	rd := r.core.Step(time.Now(), ev.in)
-	if !rd.MustSave() {
+	if rd.MustSave() {
+		r.ship(&rd)
+		err := r.save(&rd)
+		if err != nil {
+			r.cfg.Logf("harmony: replica %s: persist: %v", r.cfg.ID, err)
+			rd.DropPromises()
+		}
 		r.finish(ev, &rd)
-		return
+		ev, rd = event{}, r.core.Step(time.Now(), consensus.Input{Kind: consensus.Saved, Err: err})
 	}
-	err := r.save(&rd)
-	if err != nil {
-		r.cfg.Logf("harmony: replica %s: persist: %v", r.cfg.ID, err)
-		rd.DropPromises()
-	}
+	r.ship(&rd)
 	r.finish(ev, &rd)
-	rd = r.core.Step(time.Now(), consensus.Input{Kind: consensus.Saved, Err: err})
-	r.finish(event{}, &rd)
+}
+
+// ship hands rd's requests to the peers' senders.
+func (r *Replica) ship(rd *consensus.Ready) {
+	for _, m := range rd.Msgs {
+		r.links[m.To] <- m.Msg
+	}
 }
 
 // save writes what rd names: a snapshot first replaces state machine and log;
@@ -395,18 +404,11 @@ func (r *Replica) finish(ev event, rd *consensus.Ready) {
 	if ev.done != nil && rd.Index > 0 {
 		r.waiters[rd.Index] = ev.done
 	}
-	for _, m := range rd.Msgs {
-		r.links[m.To] <- m.Msg
-	}
 	if ev.reply != nil {
 		ev.reply <- rd.Reply
 	}
 	released := r.applyCommitted(rd.Commit)
-	role, term, leaderClient := r.core.State()
-	st := published{role: role, term: term, leaderClient: leaderClient, snapTakenAt: r.snapTakenAt}
-	if old := r.status.Load(); old == nil || *old != st {
-		r.status.Store(&st)
-	}
+	r.publish()
 	if rd.Err != nil && ev.done != nil {
 		ev.done(applyOutcome{err: rd.Err})
 	} else if rd.Err != nil { // refused one of the loop's own: nobody else hears of it
@@ -421,6 +423,13 @@ func (r *Replica) finish(ev event, rd *consensus.Ready) {
 			done(applyOutcome{err: f.Err})
 		}
 	}
+	// The proposers are answered first: a snapshot is the members' own
+	// bookkeeping, and none of them waits for it.
+	if r.cfg.SnapshotEvery > 0 && r.appliedSince >= r.cfg.SnapshotEvery {
+		r.takeSnapshot()
+		r.publish()
+	}
+	_, term, _ := r.core.State()
 	if rd.SteppedDown {
 		r.cfg.Logf("harmony: replica %s: stepping down (term %d)", r.cfg.ID, term)
 		if srv := r.srv.Load(); srv != nil {
@@ -484,10 +493,16 @@ func (r *Replica) applyCommitted(commit uint64) (released []func()) {
 			released = append(released, func() { done(out) })
 		}
 	}
-	if r.cfg.SnapshotEvery > 0 && r.appliedSince >= r.cfg.SnapshotEvery {
-		r.takeSnapshot()
-	}
 	return released
+}
+
+// publish replaces what Status, IsLeader and LeaderClient read, if it changed.
+func (r *Replica) publish() {
+	role, term, leaderClient := r.core.State()
+	st := published{role: role, term: term, leaderClient: leaderClient, snapTakenAt: r.snapTakenAt}
+	if old := r.status.Load(); old == nil || *old != st {
+		r.status.Store(&st)
+	}
 }
 
 // applyEntry executes one entry against the controller and session table,
