@@ -20,9 +20,9 @@ check:
 FUZZTIME ?= 30s
 FUZZ_TARGETS = \
 	FuzzParse:./internal/rsl/ \
+	FuzzChoiceCount:./internal/rsl/ \
 	FuzzVet:./internal/vet/ \
 	FuzzAdmissionMatchesWorkload:./internal/vet/ \
-	FuzzInterval:./internal/vet/absint/ \
 	FuzzDominance:./internal/bounds/ \
 	FuzzDecodeMessage:./internal/protocol/ \
 	FuzzMayFit:./internal/match/ \

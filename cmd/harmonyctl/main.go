@@ -9,7 +9,7 @@
 //	harmonyctl [-addr a,b,c] cluster status [-json]         # replication status
 //	harmonyctl vet [-json|-sarif] <file.rsl>...    # static-analyze specs (offline)
 //	harmonyctl lint [-json|-sarif] -cluster <cluster.rsl> <file.rsl>...
-//	harmonyctl analyze [-json] [-cluster <cluster.rsl>] <file.rsl>...
+//	harmonyctl analyze [-json] [-cluster <cluster.rsl>] <file.rsl>...  # bounds over enumerated choices
 //
 // node marks a machine failed (down: evict and re-place its applications),
 // draining (migrate applications off but accept none back) or healthy
@@ -25,10 +25,12 @@
 // fit?). Passing "-" as a file reads RSL from standard input. Both exit
 // non-zero when any error-severity diagnostic is found.
 //
-// analyze prints each bundle's per-option bound vectors (interval facts —
-// node counts, memory, bandwidth, model range — valid for every variable
-// binding and grant), its dominance partial order, and, when -cluster is
-// given, options provably unable to ever match the declared capacity.
+// analyze prints each bundle's per-option bound vectors (the least and
+// greatest node count, memory, bandwidth and model time over the choices
+// the controller enumerates: every variable binding times the grant ladder),
+// its dominance partial order, and, when -cluster is given, options provably
+// unable to ever match the declared capacity. A bundle over the 4096 choices
+// the controller enumerates is reported as refused.
 package main
 
 import (

@@ -172,8 +172,8 @@ const (
 	VetModeReject = server.VetReject
 )
 
-// Bound-vector analysis types (package bounds): interval facts about
-// options that hold for every variable binding and grant.
+// Bound-vector analysis types (package bounds): each option's footprint
+// ranges over the choices the controller enumerates for it.
 type (
 	// AnalyzeBundleReport is one bundle's bound vectors, dominance partial
 	// order and unreachability verdicts.

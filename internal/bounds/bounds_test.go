@@ -1,12 +1,10 @@
 package bounds_test
 
 import (
-	"math"
 	"testing"
 
 	"harmony/internal/bounds"
 	"harmony/internal/rsl"
-	"harmony/internal/vet/absint"
 )
 
 // decodeBundle decodes a single harmonyBundle command for tests.
@@ -33,48 +31,58 @@ func TestOptionVector(t *testing.T) {
 		}
 	}`)
 	v := bounds.Option(&b.Options[0])
-	if want := absint.Of(3, 5); v.Nodes != want {
+	// Two bindings, each with the monitor's grant ladder 16, 24, 32, 48.
+	if v.Choices != 8 {
+		t.Errorf("Choices = %d, want 8", v.Choices)
+	}
+	if want := (bounds.Range{Lo: 3, Hi: 5}); v.Nodes != want {
 		t.Errorf("Nodes = %v, want %v", v.Nodes, want)
 	}
-	if want := absint.Of(2, 4); v.DistinctHosts != want {
+	if want := (bounds.Range{Lo: 2, Hi: 4}); v.DistinctHosts != want {
 		t.Errorf("DistinctHosts = %v, want %v", v.DistinctHosts, want)
 	}
-	// 32 MB per worker replica plus an open-ended >=16 on the monitor.
-	if v.MemoryMB.Lo != 2*32+16 || !math.IsInf(v.MemoryMB.Hi, 1) {
-		t.Errorf("MemoryMB = %v, want [80, inf]", v.MemoryMB)
+	// 32 MB per worker replica plus the monitor's grant, from 2*32+16 to
+	// 4*32+16+32.
+	if want := (bounds.Range{Lo: 80, Hi: 176}); v.MemoryMB != want {
+		t.Errorf("MemoryMB = %v, want %v", v.MemoryMB, want)
 	}
-	if want := absint.Of(2, 4); v.ExclusiveNodes != want {
+	if want := (bounds.Range{Lo: 2, Hi: 4}); v.ExclusiveNodes != want {
 		t.Errorf("ExclusiveNodes = %v, want %v", v.ExclusiveNodes, want)
 	}
-	if got := v.PerHostMB["dbserver"]; got.Lo != 16 || !math.IsInf(got.Hi, 1) {
-		t.Errorf("PerHostMB[dbserver] = %v, want [16, inf]", got)
+	if want := (bounds.Range{Lo: 16, Hi: 48}); v.PerHostMB["dbserver"] != want {
+		t.Errorf("PerHostMB[dbserver] = %v, want %v", v.PerHostMB["dbserver"], want)
 	}
-	// Model evaluated over Nodes = [3, 5]: interpolation between the
-	// knots plus flat extension gives [120, 160].
-	if want := absint.Of(120, 160); v.Seconds != want {
+	// The model at 3 and 5 nodes: interpolated 160, and 120 past the last
+	// knot.
+	if want := (bounds.Range{Lo: 120, Hi: 160}); v.Seconds != want {
 		t.Errorf("Seconds = %v, want %v", v.Seconds, want)
 	}
 }
 
+// TestModelRange: an option's model range is its model at the node count of
+// each choice, flat beyond the first and last knots.
 func TestModelRange(t *testing.T) {
-	pts := []rsl.PerfPoint{{X: 1, Y: 100}, {X: 4, Y: 40}, {X: 8, Y: 70}}
 	cases := []struct {
-		n    absint.Interval
-		want absint.Interval
+		domain string
+		want   bounds.Range
 	}{
-		{absint.Point(4), absint.Point(40)},
-		{absint.Of(1, 8), absint.Of(40, 100)},
-		{absint.Of(4, 100), absint.Of(40, 70)}, // flat beyond the last knot
-		{absint.Of(2, 3), absint.Of(60, 80)},   // interior interpolation only
-		{absint.Empty(), absint.Empty()},
+		{"4", bounds.Range{Lo: 40, Hi: 40}},
+		{"1 2 3", bounds.Range{Lo: 60, Hi: 100}},
+		{"4 8 100", bounds.Range{Lo: 40, Hi: 70}}, // flat beyond the last knot
+		{"2 3", bounds.Range{Lo: 60, Hi: 80}},     // interior interpolation only
 	}
 	for _, tc := range cases {
-		if got := bounds.ModelRange(pts, tc.n); got != tc.want {
-			t.Errorf("ModelRange(%v) = %v, want %v", tc.n, got, tc.want)
+		b := decodeBundle(t, `harmonyBundle app:1 w {
+			{o {variable n {`+tc.domain+`}} {node x * {memory 1} {replicate n}}
+				{performance {{1 100} {4 40} {8 70}}}}
+		}`)
+		if got := bounds.Option(&b.Options[0]).Seconds; got != tc.want {
+			t.Errorf("n in {%s}: Seconds = %v, want %v", tc.domain, got, tc.want)
 		}
 	}
-	if got := bounds.ModelRange(nil, absint.Point(1)); !got.IsEmpty() {
-		t.Errorf("ModelRange(no model) = %v, want empty", got)
+	b := decodeBundle(t, `harmonyBundle app:1 w {{o {node x * {memory 1}}}}`)
+	if got := bounds.Option(&b.Options[0]).Seconds; got != (bounds.Range{}) {
+		t.Errorf("Seconds without a model = %v, want zero", got)
 	}
 }
 
@@ -112,24 +120,26 @@ func TestUnreachable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		b := decodeBundle(t, tc.src)
-		u, got := bounds.Unreachable(bounds.Option(&b.Options[0]), decls)
+		u, got := bounds.Unreachable(bounds.Option(&b.Options[0]), bounds.CapacityOf(decls))
 		if got != tc.want {
 			t.Errorf("%s: Unreachable = %v (%s), want %v", tc.name, got, u.Reason, tc.want)
 		}
 	}
-	if _, got := bounds.Unreachable(bounds.Option(&decodeBundle(t, `harmonyBundle a:1 w {{o {node n * {memory 1e9}}}}`).Options[0]), nil); got {
+	if _, got := bounds.Unreachable(bounds.Option(&decodeBundle(t, `harmonyBundle a:1 w {{o {node n * {memory 1e9}}}}`).Options[0]), bounds.CapacityOf(nil)); got {
 		t.Error("Unreachable proved something with no declared cluster")
 	}
 }
 
 func TestRender(t *testing.T) {
-	if got := bounds.Render(absint.Point(3)); got != "3" {
-		t.Errorf("Render point = %q", got)
+	if got := (bounds.Range{Lo: 3, Hi: 3}).String(); got != "3" {
+		t.Errorf("point renders %q", got)
 	}
-	if got := bounds.Render(absint.Of(1, math.Inf(1))); got != "[1, inf]" {
-		t.Errorf("Render open = %q", got)
+	if got := (bounds.Range{Lo: 1, Hi: 5}).String(); got != "[1, 5]" {
+		t.Errorf("range renders %q", got)
 	}
-	if got := bounds.Render(absint.Empty()); got != "-" {
-		t.Errorf("Render empty = %q", got)
+	// No choice of the option resolves, so it has no footprint to print.
+	b := decodeBundle(t, `harmonyBundle a:1 w {{o {variable n {0 1}} {node x * {memory 1} {replicate {n - 5}}}}}`)
+	if got := bounds.Analyze(b, nil).Options[0]; got.Nodes != "-" || got.MemoryMB != "-" {
+		t.Errorf("unresolvable option renders nodes %q, memory %q; want -", got.Nodes, got.MemoryMB)
 	}
 }

@@ -5,20 +5,21 @@ import (
 	"sort"
 	"strings"
 
+	"harmony/internal/match"
 	"harmony/internal/predict"
 	"harmony/internal/rsl"
-	"harmony/internal/vet/absint"
 )
 
 // Dominance rule identifiers.
 const (
-	// RuleIdentical: the dominated option's requirements are provably
-	// identical to an earlier sibling's for every shared binding, and the
+	// RuleIdentical: the dominated option's requirements are identical to
+	// an earlier sibling's at every shared binding and grant, and the
 	// earlier model is never slower.
 	RuleIdentical = "identical-requirements"
 	// RuleSubset: the dominated option requests the same per-replica
-	// footprint as an earlier sibling but at least as many replicas, and
-	// the earlier model is never slower at its (smaller) node count.
+	// footprint as an earlier sibling but at least as many replicas at
+	// every shared binding, and the earlier model is never slower at its
+	// (smaller) node count.
 	RuleSubset = "subset-replicas"
 )
 
@@ -36,13 +37,18 @@ type Domination struct {
 }
 
 // Dominance computes the dominance partial order of a bundle's options.
-// Every claim is a proof valid for any variable binding, any grant, any
-// cluster state, and any coordinate-monotone objective: the controller
-// evaluates options in lexical order and adopts a later candidate only on
-// a strictly better score, so an option that an earlier sibling always
-// ties or beats is unreachable. Only the earliest dominator of each
-// option is reported.
+// Each claim is checked at every choice the controller enumerates for the
+// dominated option, against the earlier option's choice at the same
+// binding and grant step, and holds for any cluster state and any
+// coordinate-monotone objective: the controller evaluates choices in
+// enumeration order and adopts a later candidate only on a strictly better
+// score, so an option an earlier sibling always ties or beats is never
+// chosen. Only the earliest dominator of each option is reported. A bundle
+// over rsl.MaxChoices is not enumerated and has none.
 func Dominance(b *rsl.BundleSpec) []Domination {
+	if b.ChoiceCount() > rsl.MaxChoices {
+		return nil
+	}
 	var out []Domination
 	for j := 1; j < len(b.Options); j++ {
 		for i := 0; i < j; i++ {
@@ -61,33 +67,19 @@ func dominates(b *rsl.BundleSpec, i, j int) (Domination, bool) {
 	if !varsEqual(oi, oj) {
 		return Domination{}, false
 	}
-	vi, lenvI := option(oi)
-	vj, lenvJ := option(oj)
-	env := &optionEnv{opt: oj, vars: lenvJ.vars} // no granted names, as tags see
-	lenv := joinEnv{lenvI, lenvJ}
-
-	if identicalRequirements(oi, oj, env, lenv) {
-		okModel := false
-		switch {
-		case len(oi.Performance) == 0 && len(oj.Performance) == 0:
-			// Identical requirements and no model on either side: the
-			// default model sees identical assignments, so predictions tie
-			// and the earlier option wins.
-			okModel = true
-		case len(oi.Performance) > 0 && len(oj.Performance) > 0:
-			okModel = modelAlwaysLE(oi.Performance, oj.Performance, vj.Nodes)
+	if sameShape(oi, oj) && everyChoice(oi, oj, identicalAt) != nil {
+		detail := fmt.Sprintf("requirements are identical to option %q and its prediction is never better", oi.Name)
+		if len(oi.Performance) == 0 {
+			detail = fmt.Sprintf("requirements are identical to option %q and neither has a performance model", oi.Name)
 		}
-		if okModel && frictionLE(oi, oj, lenv, true) {
-			detail := fmt.Sprintf("requirements are identical to option %q and its prediction is never better", oi.Name)
-			if len(oi.Performance) == 0 {
-				detail = fmt.Sprintf("requirements are identical to option %q and neither has a performance model", oi.Name)
-			}
-			return Domination{Dominated: j, By: i, Rule: RuleIdentical, Detail: detail}, true
-		}
+		return Domination{Dominated: j, By: i, Rule: RuleIdentical, Detail: detail}, true
 	}
-
-	if detail, ok := subsetReplicas(oi, oj, vi.Nodes, vj.Nodes, env, lenv); ok {
-		return Domination{Dominated: j, By: i, Rule: RuleSubset, Detail: detail}, true
+	if subsetShape(oi, oj) {
+		if r := everyChoice(oi, oj, subsetAt); r != nil {
+			return Domination{Dominated: j, By: i, Rule: RuleSubset, Detail: fmt.Sprintf(
+				"requests the same per-replica footprint as option %q with at least as many replicas (%s vs %s), and that option's prediction is never better",
+				oi.Name, r.nodesJ, r.nodesI)}, true
+		}
 	}
 	return Domination{}, false
 }
@@ -111,21 +103,220 @@ func varsEqual(oi, oj *rsl.OptionSpec) bool {
 	return key(oi.Variables) == key(oj.Variables)
 }
 
-// joinEnv joins two abstract environments name-wise, so a shared name is
-// bound to an interval covering both options' values for it.
-type joinEnv struct{ a, b absint.Env }
+// pairing is one shared choice of options i and j: the same binding and
+// the same grant step, each resolved for placement.
+type pairing struct {
+	oi, oj *rsl.OptionSpec
+	vars   rsl.MapEnv
+	pi, pj *match.Plan
+}
 
-// Lookup implements absint.Env.
-func (j joinEnv) Lookup(name string) (absint.Interval, bool) {
-	x, okA := j.a.Lookup(name)
-	y, okB := j.b.Lookup(name)
-	switch {
-	case okA && okB:
-		return absint.Join(x, y), true
-	case okA:
-		return x, true
+// replicaRanges are the node counts of both options over the shared choices
+// a rule held at.
+type replicaRanges struct {
+	nodesI, nodesJ Range
+	n              int
+}
+
+// everyChoice checks rule at each of j's enumerated choices beside i's
+// choice at the same binding and grant step, skipping those where j does not
+// resolve: an option is not chosen where it cannot be placed. It returns the
+// node counts it saw, or nil when the rule failed somewhere or j resolved
+// nowhere.
+func everyChoice(oi, oj *rsl.OptionSpec, rule func(*pairing) bool) *replicaRanges {
+	r := &replicaRanges{}
+	for _, vars := range oj.Bindings() {
+		choicesI, choicesJ := oi.BindingChoices(vars), oj.BindingChoices(vars)
+		if len(choicesI) != len(choicesJ) {
+			return nil // one climbs the grant ladder, the other does not
+		}
+		plansI, plansJ := Plans(oi, choicesI), Plans(oj, choicesJ)
+		for step, pj := range plansJ {
+			if _, ok := pj.Footprint(); !ok {
+				continue
+			}
+			p := &pairing{oi: oi, oj: oj, vars: rsl.MapEnv(vars), pi: plansI[step], pj: pj}
+			if _, ok := p.pi.Footprint(); !ok || !rule(p) {
+				return nil
+			}
+			r.nodesI.widen(float64(p.pi.Replicas()), r.n == 0)
+			r.nodesJ.widen(float64(pj.Replicas()), r.n == 0)
+			r.n++
+		}
 	}
-	return y, okB
+	if r.n == 0 {
+		return nil
+	}
+	return r
+}
+
+// sameShape reports whether two options have the same structure: node
+// specs with the same local names, host patterns, tag names, string tags
+// and operators, and links between the same ends, so that only the values
+// of their expressions can tell them apart.
+func sameShape(oi, oj *rsl.OptionSpec) bool {
+	if len(oi.Nodes) != len(oj.Nodes) || len(oi.Links) != len(oj.Links) {
+		return false
+	}
+	for k := range oi.Nodes {
+		si, sj := &oi.Nodes[k], &oj.Nodes[k]
+		if si.LocalName != sj.LocalName || si.HostPattern != sj.HostPattern || !sameTags(si, sj) {
+			return false
+		}
+	}
+	for k := range oi.Links {
+		li, lj := &oi.Links[k], &oj.Links[k]
+		if li.A != lj.A || li.B != lj.B || (li.Latency == nil) != (lj.Latency == nil) {
+			return false
+		}
+	}
+	return (oi.Communication == nil) == (oj.Communication == nil)
+}
+
+// sameTags reports whether two specs have the same tag names, the same
+// string tags, and numeric tags with the same operators.
+func sameTags(si, sj *rsl.NodeSpec) bool {
+	if len(si.Tags) != len(sj.Tags) {
+		return false
+	}
+	for name, ti := range si.Tags {
+		tj, ok := sj.Tags[name]
+		if !ok || ti.IsString != tj.IsString {
+			return false
+		}
+		if ti.IsString && ti.Str != tj.Str || !ti.IsString && ti.Op != tj.Op {
+			return false
+		}
+	}
+	return true
+}
+
+// subsetShape reports whether the replica-monotone rule can apply: both
+// options request a single node spec on the same host pattern with the same
+// tag structure, no links or communication, and explicit models on both
+// sides.
+func subsetShape(oi, oj *rsl.OptionSpec) bool {
+	if len(oi.Nodes) != 1 || len(oj.Nodes) != 1 || oi.Nodes[0].HostPattern != oj.Nodes[0].HostPattern {
+		return false
+	}
+	if len(oi.Links) > 0 || len(oj.Links) > 0 || oi.Communication != nil || oj.Communication != nil {
+		return false
+	}
+	return len(oi.Performance) > 0 && len(oj.Performance) > 0 && sameTags(&oi.Nodes[0], &oj.Nodes[0])
+}
+
+// identicalAt checks the identical-requirements rule at one shared choice:
+// every numeric tag, replica count, link and communication of the two
+// options evaluates alike, and option i is predicted no slower and costs no
+// more friction. Two expressions that both fail to evaluate count as alike.
+func identicalAt(p *pairing) bool {
+	vars := p.vars
+	for k := range p.oi.Nodes {
+		si, sj := &p.oi.Nodes[k], &p.oj.Nodes[k]
+		if !sameTagValues(si, sj, vars, "") || !sameValue(orOne(si.Replicate), orOne(sj.Replicate), vars, vars) {
+			return false
+		}
+	}
+	ei, ej := p.pi.Env(), p.pj.Env()
+	for k := range p.oi.Links {
+		li, lj := &p.oi.Links[k], &p.oj.Links[k]
+		if !sameValue(li.Bandwidth, lj.Bandwidth, ei, ej) {
+			return false
+		}
+		if li.Latency != nil && !sameValue(li.Latency, lj.Latency, ei, ej) {
+			return false
+		}
+	}
+	if p.oi.Communication != nil && !sameValue(p.oi.Communication, p.oj.Communication, ei, ej) {
+		return false
+	}
+	switch {
+	case len(p.oi.Performance) == 0 && len(p.oj.Performance) == 0:
+		// The default model sees identical assignments, so predictions tie
+		// and the earlier option wins.
+	case len(p.oi.Performance) > 0 && len(p.oj.Performance) > 0:
+		if !modelLE(p) {
+			return false
+		}
+	default:
+		return false
+	}
+	return frictionLE(p, ei, ej)
+}
+
+// subsetAt checks the replica-monotone rule at one shared choice: the
+// single specs' numeric tags other than seconds evaluate alike, option i
+// asks for no more replicas, is predicted no slower at its node count, and
+// costs no more friction. Then whenever j matches, i matches a subset of
+// j's placement (the matcher fills replicas first-fit over one shared host
+// order), every other application is slowed at most as much, and j can
+// never strictly beat the earlier i. Granted seconds may differ, since a
+// single-spec option claims full CPU load per node regardless.
+func subsetAt(p *pairing) bool {
+	vars := p.vars
+	si, sj := &p.oi.Nodes[0], &p.oj.Nodes[0]
+	if !sameTagValues(si, sj, vars, "seconds") {
+		return false
+	}
+	ri, errI := orOne(si.Replicate).Eval(vars)
+	rj, errJ := orOne(sj.Replicate).Eval(vars)
+	if errI != nil || errJ != nil || ri > rj {
+		return false
+	}
+	return modelLE(p) && frictionLE(p, p.pi.Env(), p.pj.Env())
+}
+
+// modelLE reports whether option i's model predicts no slower at its node
+// count than option j's at its own.
+func modelLE(p *pairing) bool {
+	yi, err1 := predict.Interpolate(p.oi.Performance, float64(p.pi.Replicas()))
+	yj, err2 := predict.Interpolate(p.oj.Performance, float64(p.pj.Replicas()))
+	return err1 == nil && err2 == nil && yi <= yj
+}
+
+// frictionLE reports whether option i's friction is no more than j's as the
+// controller charges it: clamped at zero, and zero when it does not
+// evaluate. A friction of i that fails where j's evaluates is not compared.
+func frictionLE(p *pairing, ei, ej rsl.Env) bool {
+	fi, errI := orZero(p.oi.Friction).Eval(ei)
+	fj, errJ := orZero(p.oj.Friction).Eval(ej)
+	if errI != nil && errJ == nil {
+		return false
+	}
+	if errI != nil || fi < 0 {
+		fi = 0
+	}
+	if errJ != nil || fj < 0 {
+		fj = 0
+	}
+	return fi <= fj
+}
+
+// sameTagValues reports whether two specs' numeric tags, except skip,
+// evaluate alike under env.
+func sameTagValues(si, sj *rsl.NodeSpec, env rsl.Env, skip string) bool {
+	for name, ti := range si.Tags {
+		if ti.IsString || name == skip {
+			continue
+		}
+		x, errX := ti.EvalNum(env)
+		y, errY := sj.Tags[name].EvalNum(env)
+		if (errX != nil) != (errY != nil) || errX == nil && x != y {
+			return false
+		}
+	}
+	return true
+}
+
+// sameValue reports whether a under ea and b under eb evaluate to the same
+// value, or both fail.
+func sameValue(a, b rsl.Expr, ea, eb rsl.Env) bool {
+	x, errA := a.Eval(ea)
+	y, errB := b.Eval(eb)
+	if errA != nil || errB != nil {
+		return errA != nil && errB != nil
+	}
+	return x == y
 }
 
 // one is the implicit replicate expression.
@@ -146,237 +337,4 @@ func orZero(e rsl.Expr) rsl.Expr {
 		return zero
 	}
 	return e
-}
-
-// provedEq is ProvedEqual extended with the structural shortcut: two
-// identical expressions evaluate identically on every binding — and fail
-// identically on the bindings where they error — so equality holds even
-// when the interval analysis reports MayErr.
-func provedEq(a, b rsl.Expr, env absint.Env) bool {
-	return absint.ExprEqual(a, b) || absint.ProvedEqual(a, b, env)
-}
-
-// provedLE is ProvedLE with the same structural shortcut (a == b implies
-// a <= b wherever both evaluate, and neither evaluates alone).
-func provedLE(a, b rsl.Expr, env absint.Env) bool {
-	return absint.ExprEqual(a, b) || absint.ProvedLE(a, b, env)
-}
-
-// identicalRequirements proves that options i and j make identical
-// demands on the matcher for every shared binding: same node specs (all
-// tags proven equal relationally), same links and communication.
-func identicalRequirements(oi, oj *rsl.OptionSpec, env, lenv absint.Env) bool {
-	if len(oi.Nodes) != len(oj.Nodes) || len(oi.Links) != len(oj.Links) {
-		return false
-	}
-	for k := range oi.Nodes {
-		si, sj := &oi.Nodes[k], &oj.Nodes[k]
-		if si.LocalName != sj.LocalName || si.HostPattern != sj.HostPattern {
-			return false
-		}
-		if !tagsEqual(si, sj, env, nil) {
-			return false
-		}
-		if !provedEq(orOne(si.Replicate), orOne(sj.Replicate), env) {
-			return false
-		}
-	}
-	for k := range oi.Links {
-		li, lj := &oi.Links[k], &oj.Links[k]
-		if li.A != lj.A || li.B != lj.B {
-			return false
-		}
-		if !provedEq(li.Bandwidth, lj.Bandwidth, lenv) {
-			return false
-		}
-		if (li.Latency == nil) != (lj.Latency == nil) {
-			return false
-		}
-		if li.Latency != nil && !provedEq(li.Latency, lj.Latency, lenv) {
-			return false
-		}
-	}
-	if (oi.Communication == nil) != (oj.Communication == nil) {
-		return false
-	}
-	if oi.Communication != nil && !provedEq(oi.Communication, oj.Communication, lenv) {
-		return false
-	}
-	return true
-}
-
-// tagsEqual proves two specs' tag maps equal: same keys, string tags
-// byte-equal, numeric tags with the same operator and relationally equal
-// expressions. Keys in skip are exempt.
-func tagsEqual(si, sj *rsl.NodeSpec, env absint.Env, skip map[string]bool) bool {
-	if len(si.Tags) != len(sj.Tags) {
-		return false
-	}
-	for name, ti := range si.Tags {
-		tj, ok := sj.Tags[name]
-		if !ok {
-			return false
-		}
-		if skip[name] {
-			continue
-		}
-		if ti.IsString != tj.IsString {
-			return false
-		}
-		if ti.IsString {
-			if ti.Str != tj.Str {
-				return false
-			}
-			continue
-		}
-		if ti.Op != tj.Op || !provedEq(ti.Expr, tj.Expr, env) {
-			return false
-		}
-	}
-	return true
-}
-
-// modelAlwaysLE proves P_i(n) <= P_j(n) for every n in the node-count
-// interval. Both curves are piecewise linear with flat extension, so the
-// difference attains its extremes at the knots clamped into the range.
-func modelAlwaysLE(pi, pj []rsl.PerfPoint, n absint.Interval) bool {
-	if len(pi) == 0 || len(pj) == 0 || n.IsEmpty() {
-		return false
-	}
-	clamp := func(x float64) float64 {
-		if x < n.Lo {
-			return n.Lo
-		}
-		if x > n.Hi {
-			return n.Hi
-		}
-		return x
-	}
-	check := func(points []rsl.PerfPoint) bool {
-		for _, p := range points {
-			x := clamp(p.X)
-			yi, err1 := predict.Interpolate(pi, x)
-			yj, err2 := predict.Interpolate(pj, x)
-			if err1 != nil || err2 != nil || yi > yj {
-				return false
-			}
-		}
-		return true
-	}
-	return check(pi) && check(pj)
-}
-
-// refsSeconds reports whether an expression references any granted
-// seconds binding (name.seconds).
-func refsSeconds(e rsl.Expr) bool {
-	if e == nil {
-		return false
-	}
-	for _, name := range e.Vars(nil) {
-		if strings.HasSuffix(name, ".seconds") {
-			return true
-		}
-	}
-	return false
-}
-
-// frictionLE proves friction_i <= friction_j for every shared binding.
-// The controller clamps negative friction to zero, and max is monotone,
-// so the proof on raw values carries over. When the options' granted
-// seconds are not provably equal, a friction referencing any .seconds
-// name is incomparable under a shared environment.
-func frictionLE(oi, oj *rsl.OptionSpec, lenv absint.Env, secondsEqual bool) bool {
-	fi, fj := orZero(oi.Friction), orZero(oj.Friction)
-	if !secondsEqual && (refsSeconds(fi) || refsSeconds(fj)) {
-		return false
-	}
-	return provedLE(fi, fj, lenv)
-}
-
-// modelNondecreasing reports whether a model's running time never falls
-// as nodes are added (the regime where extra replicas never pay off).
-func modelNondecreasing(points []rsl.PerfPoint) bool {
-	for i := 1; i < len(points); i++ {
-		if points[i].Y < points[i-1].Y {
-			return false
-		}
-	}
-	return true
-}
-
-// modelsEqual reports point-for-point equality of two models.
-func modelsEqual(a, b []rsl.PerfPoint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// subsetReplicas proves the replica-monotone rule: both options request a
-// single wildcard-or-same-pattern node spec with a provably identical
-// per-replica footprint, no links or communication, explicit models on
-// both sides, and option i's replica count never exceeds option j's. Then
-// whenever j matches, i matches a subset of j's placement (the matcher
-// fills replicas first-fit over one shared host order), every other
-// application is slowed at most as much, and i's prediction is proven no
-// worse — so j can never strictly beat the earlier i. ni and nj are the
-// options' node-count bounds.
-func subsetReplicas(oi, oj *rsl.OptionSpec, ni, nj absint.Interval, env, lenv absint.Env) (string, bool) {
-	if len(oi.Nodes) != 1 || len(oj.Nodes) != 1 {
-		return "", false
-	}
-	si, sj := &oi.Nodes[0], &oj.Nodes[0]
-	if si.HostPattern != sj.HostPattern {
-		return "", false
-	}
-	if len(oi.Links) > 0 || len(oj.Links) > 0 || oi.Communication != nil || oj.Communication != nil {
-		return "", false
-	}
-	if len(oi.Performance) == 0 || len(oj.Performance) == 0 {
-		return "", false
-	}
-	// Per-replica footprint identical; granted seconds may differ, since a
-	// single-spec option always claims full CPU load per node regardless.
-	if !tagsEqual(si, sj, env, map[string]bool{"seconds": true}) {
-		return "", false
-	}
-	secondsEqual := provedEq(orZero(secondsExpr(si)), orZero(secondsExpr(sj)), env)
-	repI, repJ := orOne(si.Replicate), orOne(sj.Replicate)
-	if !absint.ExprEqual(repI, repJ) {
-		dRep := absint.Diff(repI, repJ, env)
-		if dRep.MayErr || dRep.Val.IsEmpty() || dRep.Val.Hi > 0 {
-			return "", false
-		}
-	}
-	// The earlier model must be no slower at its smaller node count, for
-	// every binding: either the shared curve never speeds up with nodes,
-	// or the two models' ranges are fully ordered.
-	sameCurveMonotone := modelsEqual(oi.Performance, oj.Performance) && modelNondecreasing(oi.Performance)
-	rangesOrdered := false
-	if !sameCurveMonotone {
-		ri, rj := ModelRange(oi.Performance, ni), ModelRange(oj.Performance, nj)
-		rangesOrdered = !ri.IsEmpty() && !rj.IsEmpty() && ri.Hi <= rj.Lo
-	}
-	if !sameCurveMonotone && !rangesOrdered {
-		return "", false
-	}
-	if !frictionLE(oi, oj, lenv, secondsEqual) {
-		return "", false
-	}
-	return fmt.Sprintf(
-		"requests the same per-replica footprint as option %q with at least as many replicas (%s vs %s), and that option's prediction is never better",
-		oi.Name, Render(absint.Eval(repJ, env).Val), Render(absint.Eval(repI, env).Val)), true
-}
-
-// secondsExpr is the spec's numeric seconds expression, or nil.
-func secondsExpr(spec *rsl.NodeSpec) rsl.Expr {
-	if tag, ok := spec.Tags["seconds"]; ok && !tag.IsString {
-		return tag.Expr
-	}
-	return nil
 }

@@ -12,8 +12,8 @@ import (
 // verdicts, rendered for tooling (harmonyctl analyze).
 type OptionReport struct {
 	Option string `json:"option"`
-	// Interval bounds, rendered as "lo", "[lo, hi]" or "[lo, inf]"; each
-	// holds for every admissible variable binding and grant.
+	// The least and greatest value over the option's resolved choices,
+	// rendered as "v" or "[lo, hi]", and "-" when no choice resolves.
 	Nodes          string            `json:"nodes"`
 	DistinctHosts  string            `json:"distinct_hosts"`
 	MemoryMB       string            `json:"memory_mb"`
@@ -33,16 +33,25 @@ type OptionReport struct {
 
 // BundleReport is the static analysis of one bundle.
 type BundleReport struct {
-	App     string         `json:"app"`
-	Bundle  string         `json:"bundle"`
+	App    string `json:"app"`
+	Bundle string `json:"bundle"`
+	// Refused says why the bundle was not analyzed: its choices exceed
+	// rsl.MaxChoices, and the controller refuses it.
+	Refused string         `json:"refused,omitempty"`
 	Options []OptionReport `json:"options"`
 }
 
 // Analyze computes one bundle's per-option bound vectors, its dominance
 // partial order, and — when cluster declarations are given — per-option
-// unreachability proofs.
+// unreachability proofs. A bundle over rsl.MaxChoices is not enumerated:
+// its report says so and lists no option.
 func Analyze(b *rsl.BundleSpec, decls []*rsl.NodeDecl) *BundleReport {
 	rep := &BundleReport{App: b.App, Bundle: b.Name}
+	if err := b.CheckChoices(); err != nil {
+		rep.Refused = err.Error()
+		return rep
+	}
+	capa := CapacityOf(decls)
 	domBy := make(map[int]Domination)
 	for _, d := range Dominance(b) {
 		domBy[d.Dominated] = d
@@ -50,21 +59,21 @@ func Analyze(b *rsl.BundleSpec, decls []*rsl.NodeDecl) *BundleReport {
 	for i := range b.Options {
 		opt := &b.Options[i]
 		v := Option(opt)
-		or := OptionReport{
-			Option:         opt.Name,
-			Nodes:          Render(v.Nodes),
-			DistinctHosts:  Render(v.DistinctHosts),
-			MemoryMB:       Render(v.MemoryMB),
-			ExclusiveNodes: Render(v.ExclusiveNodes),
-			BandwidthMbps:  Render(v.BandwidthMbps),
-		}
-		if !v.Seconds.IsEmpty() {
-			or.Seconds = Render(v.Seconds)
+		or := OptionReport{Option: opt.Name, Nodes: "-", DistinctHosts: "-", MemoryMB: "-", ExclusiveNodes: "-", BandwidthMbps: "-"}
+		if v.Choices > 0 {
+			or.Nodes = v.Nodes.String()
+			or.DistinctHosts = v.DistinctHosts.String()
+			or.MemoryMB = v.MemoryMB.String()
+			or.ExclusiveNodes = v.ExclusiveNodes.String()
+			or.BandwidthMbps = v.BandwidthMbps.String()
+			if len(opt.Performance) > 0 {
+				or.Seconds = v.Seconds.String()
+			}
 		}
 		if len(v.PerHostMB) > 0 {
 			or.PerHostMB = make(map[string]string, len(v.PerHostMB))
-			for h, iv := range v.PerHostMB {
-				or.PerHostMB[h] = Render(iv)
+			for h, r := range v.PerHostMB {
+				or.PerHostMB[h] = r.String()
 			}
 		}
 		if d, ok := domBy[i]; ok {
@@ -72,7 +81,7 @@ func Analyze(b *rsl.BundleSpec, decls []*rsl.NodeDecl) *BundleReport {
 			or.DominanceRule = d.Rule
 			or.DominanceDetail = d.Detail
 		}
-		if u, ok := Unreachable(v, decls); ok {
+		if u, ok := Unreachable(v, capa); ok {
 			or.Unreachable = u.Reason
 		}
 		rep.Options = append(rep.Options, or)
@@ -84,6 +93,10 @@ func Analyze(b *rsl.BundleSpec, decls []*rsl.NodeDecl) *BundleReport {
 // its bound vector, followed by the dominance partial order.
 func (r *BundleReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "bundle %s:%s\n", r.App, r.Bundle)
+	if r.Refused != "" {
+		fmt.Fprintf(w, "  refused: %s\n", r.Refused)
+		return
+	}
 	for _, o := range r.Options {
 		fmt.Fprintf(w, "  option %s\n", o.Option)
 		fmt.Fprintf(w, "    nodes          %s\n", o.Nodes)

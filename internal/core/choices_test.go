@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"harmony/internal/namespace"
+	"harmony/internal/replog"
 	"harmony/internal/rsl"
 )
 
@@ -87,7 +88,7 @@ func TestNoFitQuotesLastChoice(t *testing.T) {
 }
 
 // TestGrantLadderPerBinding: a memory minimum that reads a variable gets the
-// grant ladder of each binding, minimum + each of grantSteps (Section 3.5),
+// grant ladder of each binding, minimum + each of rsl.GrantSteps (Section 3.5),
 // in enumeration order; and every rung of every binding places, the top one
 // included.
 func TestGrantLadderPerBinding(t *testing.T) {
@@ -100,17 +101,46 @@ func TestGrantLadderPerBinding(t *testing.T) {
 }`)
 	app := &appState{instance: 1, bundle: bundle, ownerPath: namespace.InstancePath(bundle.App, 1), lastSwitch: -1}
 	bs := c.staticFor(app)
-	if len(bs.choices) != 3*len(grantSteps) {
-		t.Fatalf("%d choices, want %d", len(bs.choices), 3*len(grantSteps))
+	if len(bs.choices) != 3*len(rsl.GrantSteps) {
+		t.Fatalf("%d choices, want %d", len(bs.choices), 3*len(rsl.GrantSteps))
 	}
 	p := c.openEvaluation(app)
 	for k, ch := range bs.choices {
-		w := []float64{1, 2, 4}[k/len(grantSteps)]
-		if want := 16*w + grantSteps[k%len(grantSteps)]; ch.Vars["workerNodes"] != w || ch.Grants["worker"] != want {
+		w := []float64{1, 2, 4}[k/len(rsl.GrantSteps)]
+		if want := 16*w + rsl.GrantSteps[k%len(rsl.GrantSteps)]; ch.Vars["workerNodes"] != w || ch.Grants["worker"] != want {
 			t.Fatalf("choice %d is %s, want workerNodes=%g with %g MB", k, ch, w, want)
 		}
 		if _, err := c.evaluateChoice(p, ch, &bs.stat[k]); err != nil {
 			t.Fatalf("%s: %v", ch, err)
 		}
+	}
+}
+
+// TestOverCapRefused: a bundle whose choices exceed rsl.MaxChoices is refused
+// by Register and by Apply, before anything is enumerated, and leaves the
+// controller as it was; one exactly at the cap registers.
+func TestOverCapRefused(t *testing.T) {
+	c, _ := newController(t, 8, Config{})
+	values := func(n int) string {
+		var sb strings.Builder
+		for i := 1; i <= n; i++ {
+			fmt.Fprintf(&sb, "%d ", i)
+		}
+		return sb.String()
+	}
+	over := fmt.Sprintf(`harmonyBundle Big:1 b {{o {variable a {%s}} {variable b {%s}} {node n * {memory >=1} {seconds {a + b}}}}}`, values(100), values(100))
+	if _, _, err := c.Register(decodeBundle(t, over)); !errors.Is(err, rsl.ErrTooManyChoices) || !strings.Contains(err.Error(), "40000") {
+		t.Fatalf("Register: %v, want a refusal naming 40000 choices", err)
+	}
+	if _, err := c.Apply(&replog.Entry{Op: replog.OpRegister, RSL: over}); !errors.Is(err, rsl.ErrTooManyChoices) {
+		t.Fatalf("Apply: %v, want rsl.ErrTooManyChoices", err)
+	}
+	if apps := c.Apps(); len(apps) != 0 {
+		t.Fatalf("apps %+v after two refusals", apps)
+	}
+	at := fmt.Sprintf(`harmonyBundle Edge:1 b {{o {variable a {%s}} {node n * {memory 1} {seconds a}}}}`, values(rsl.MaxChoices))
+	inst, _, err := c.Register(decodeBundle(t, at))
+	if err != nil || inst != 1 {
+		t.Fatalf("Register at the cap: %d, %v; want instance 1", inst, err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -43,55 +42,9 @@ var (
 )
 
 // Choice is one concrete configuration of a bundle: an option plus values
-// for its variables and memory grants above declared minima.
-type Choice struct {
-	// Option is the chosen option name.
-	Option string
-	// Vars binds each option variable (e.g. workerNodes) to a value.
-	Vars map[string]float64
-	// Grants raises OpMin memory tags, keyed by option-local node name.
-	Grants map[string]float64
-}
-
-// Equal reports whether two choices configure the application identically.
-func (c Choice) Equal(o Choice) bool {
-	if c.Option != o.Option || len(c.Vars) != len(o.Vars) || len(c.Grants) != len(o.Grants) {
-		return false
-	}
-	for k, v := range c.Vars {
-		if o.Vars[k] != v {
-			return false
-		}
-	}
-	for k, v := range c.Grants {
-		if o.Grants[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the choice compactly.
-func (c Choice) String() string {
-	s := c.Option
-	keys := make([]string, 0, len(c.Vars))
-	for k := range c.Vars {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		s += fmt.Sprintf(" %s=%g", k, c.Vars[k])
-	}
-	keys = keys[:0]
-	for k := range c.Grants {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		s += fmt.Sprintf(" %s.memory=%g", k, c.Grants[k])
-	}
-	return s
-}
+// for its variables and memory grants above declared minima. The bundle's
+// choices are enumerated by rsl, which also caps how many there may be.
+type Choice = rsl.Choice
 
 // Event describes a configuration decision delivered to listeners (and,
 // through the server, to the application's Harmony variables).
@@ -316,6 +269,8 @@ func (c *Controller) Stop() {}
 // and then re-evaluates the options of existing applications (Section 4.3).
 // The returned events start with the new application's initial
 // configuration, followed by any reconfigurations of existing applications.
+// A bundle over rsl.MaxChoices is refused, with an error wrapping
+// rsl.ErrTooManyChoices, before any of its choices is enumerated.
 func (c *Controller) Register(bundle *rsl.BundleSpec) (int, []Event, error) {
 	return c.registerAt(bundle, "", c.cfg.Clock.Now())
 }
@@ -327,6 +282,9 @@ func (c *Controller) registerAt(bundle *rsl.BundleSpec, source string, now time.
 	defer func() { c.publish(events) }()
 	if bundle == nil || len(bundle.Options) == 0 {
 		return 0, nil, errors.New("core: bundle with no options")
+	}
+	if err := bundle.CheckChoices(); err != nil {
+		return 0, nil, fmt.Errorf("core: %w", err)
 	}
 	c.nextInstance++
 	inst = c.nextInstance

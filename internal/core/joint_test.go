@@ -40,7 +40,7 @@ func (c *Controller) searchByFork(base *resource.Snapshot, ids []int, skipInstan
 		if app.claim != nil {
 			_ = released.Release(app.claim.ID) // jointProblem dropped stale claims
 		}
-		perApp[i] = enumerateChoices(app.bundle)
+		perApp[i] = app.bundle.Choices()
 	}
 	best := comboResult{score: math.Inf(1)}
 	for _, ch := range perApp[0] {

@@ -27,85 +27,6 @@ type candidate struct {
 	frictionWarn string
 }
 
-// enumerateChoices expands a bundle into concrete choices: for each option,
-// the cross product of its variable values, times each binding's
-// memory-grant ladder for OpMin memory tags (Section 3.5: ">= 32 tells
-// Harmony that ... additional memory can be used profitably as well").
-func enumerateChoices(bundle *rsl.BundleSpec) []Choice {
-	var out []Choice
-	for i := range bundle.Options {
-		opt := &bundle.Options[i]
-		for _, vars := range expandVariables(opt.Variables) {
-			ladder := expandGrants(opt, vars)
-			if ladder == nil {
-				out = append(out, Choice{Option: opt.Name, Vars: vars})
-			}
-			for _, grants := range ladder {
-				out = append(out, Choice{Option: opt.Name, Vars: vars, Grants: grants})
-			}
-		}
-	}
-	return out
-}
-
-// expandVariables builds the cross product of variable value sets. A bundle
-// option with no variables yields the single empty binding.
-func expandVariables(specs []rsl.VariableSpec) []map[string]float64 {
-	sets := []map[string]float64{nil}
-	for _, vs := range specs {
-		next := make([]map[string]float64, 0, len(sets)*len(vs.Values))
-		for _, base := range sets {
-			for _, v := range vs.Values {
-				m := make(map[string]float64, len(base)+1)
-				for k, bv := range base {
-					m[k] = bv
-				}
-				m[vs.Name] = v
-				next = append(next, m)
-			}
-		}
-		sets = next
-	}
-	return sets
-}
-
-// grantSteps are the memory increments (MB) tried above OpMin minima.
-var grantSteps = []float64{0, 8, 16, 32}
-
-// expandGrants builds memory-grant alternatives for every node spec whose
-// memory tag is a minimum constraint, evaluated under one variable binding,
-// and nil when there is none. The ladder is minimum + each of grantSteps; one
-// combined map per step keeps the search linear.
-func expandGrants(opt *rsl.OptionSpec, vars map[string]float64) []map[string]float64 {
-	var names []string
-	var mins []float64
-	for i := range opt.Nodes {
-		spec := &opt.Nodes[i]
-		tag, ok := spec.Tags["memory"]
-		if !ok || tag.IsString || tag.Op != rsl.OpMin {
-			continue
-		}
-		v, err := tag.EvalNum(rsl.MapEnv(vars))
-		if err != nil {
-			continue
-		}
-		names = append(names, spec.LocalName)
-		mins = append(mins, v)
-	}
-	if names == nil {
-		return nil
-	}
-	out := make([]map[string]float64, 0, len(grantSteps))
-	for _, step := range grantSteps {
-		g := make(map[string]float64, len(names))
-		for k, name := range names {
-			g[name] = mins[k] + step
-		}
-		out = append(out, g)
-	}
-	return out
-}
-
 // bestChoice finds the objective-minimizing feasible choice for app.
 // The candidates are evaluated on the pass state's trial columns, which are
 // restored after each, never in the shared ledger, so the app's real claim
@@ -688,7 +609,7 @@ func (c *Controller) EvaluationCount() (greedy, exhaustive int) {
 	bundles := c.view.Load().bundles
 	exhaustive = 1
 	for _, b := range bundles {
-		n := len(enumerateChoices(b))
+		n := b.ChoiceCount()
 		greedy += n
 		switch {
 		case n == 0:

@@ -352,7 +352,7 @@ func TestOneScanPerEvaluation(t *testing.T) {
 	// The arrival and 8 residents on Register, 8 residents on Unregister; each
 	// has the arrival's enumeration, and an evaluation tries all of it.
 	evaluations := c1 - c0
-	candidates := evaluations * uint64(len(enumerateChoices(arrival)))
+	candidates := evaluations * uint64(arrival.ChoiceCount())
 	if evaluations != 17 || s1-s0 != evaluations || candidates < 500 {
 		t.Errorf("wide-greedy cycle: %d evaluations ordered the table %d times for %d candidates; want 17, 17 and over 500",
 			evaluations, s1-s0, candidates)

@@ -57,7 +57,7 @@ func (c *Controller) staticFor(app *appState) *bundleStatic {
 	if app.static != nil {
 		return app.static
 	}
-	bs := &bundleStatic{choices: enumerateChoices(app.bundle)}
+	bs := &bundleStatic{choices: app.bundle.Choices()}
 	bs.stat = make([]choiceStatic, len(bs.choices))
 	byName := make(map[string]*rsl.OptionSpec, len(app.bundle.Options))
 	for i := range app.bundle.Options {

@@ -440,6 +440,9 @@ type Plan struct {
 	// linkFail is why resolving stopped at link len(links), or at the
 	// communication tag when every link resolved.
 	linkFail *NoFitError
+	// linkEnv is Env as the links were resolved in; nil when the option has
+	// no links or communication, or a spec did not resolve.
+	linkEnv rsl.Env
 }
 
 // planSpec is one node spec, resolved.
@@ -472,6 +475,9 @@ func NewPlan(req Request) *Plan {
 func (p *Plan) resolve(req Request) {
 	opt := req.Option
 	*p = Plan{opt: opt, env: req.Env, specs: p.specs[:0], links: p.links[:0]}
+	if p.specs == nil {
+		p.specs = make([]planSpec, 0, len(opt.Nodes))
+	}
 
 	// CPU demand per node spec is the node's busy fraction of the job:
 	// the share of the job's critical-path seconds spent there. A database
@@ -566,10 +572,68 @@ func (p *Plan) Replicas() int { return p.nodes }
 // MaxSeconds is the largest seconds requirement of the plan's node specs.
 func (p *Plan) MaxSeconds() float64 { return p.maxSeconds }
 
+// Footprint is what a plan asks of a cluster, wherever it lands.
+type Footprint struct {
+	// Replicas is the machines the plan places on, and Wildcards those of
+	// them that wildcard specs place, each on a host of its own.
+	Replicas, Wildcards int
+	// MemoryMB is the memory granted over every replica.
+	MemoryMB float64
+	// ExclusiveNodes is the replicas that hold their machine alone.
+	ExclusiveNodes int
+	// BandwidthMbps is the links' bandwidth plus the communication tag's.
+	BandwidthMbps float64
+	// Pinned is the memory each spec bound to a named host puts there, in
+	// spec order: a fixed-host spec stacks every replica on its host, and a
+	// wildcard spec with a hostname tag places one replica there.
+	Pinned []HostShare
+}
+
+// HostShare is memory pinned to one hostname.
+type HostShare struct {
+	Host string
+	MB   float64
+}
+
+// Footprint reports what the plan asks of a cluster, and false when the plan
+// did not resolve, so that placing it fails whatever the state.
+func (p *Plan) Footprint() (Footprint, bool) {
+	if p.fail != nil || p.linkFail != nil {
+		return Footprint{}, false
+	}
+	f := Footprint{Replicas: p.nodes, Wildcards: p.wildcards}
+	for i := range p.specs {
+		ps := &p.specs[i]
+		d := &ps.demand
+		f.MemoryMB += float64(ps.replicas) * d.grant
+		if d.exclusive {
+			f.ExclusiveNodes += ps.replicas
+		}
+		host, share := d.pattern, float64(ps.replicas)*d.grant
+		if d.hasHostname {
+			host = d.hostname
+			if d.wildcard {
+				share = d.grant
+			}
+		}
+		if host != "*" {
+			f.Pinned = append(f.Pinned, HostShare{Host: host, MB: share})
+		}
+	}
+	for i := range p.links {
+		f.BandwidthMbps += p.links[i].bw
+	}
+	f.BandwidthMbps += p.comm
+	return f, true
+}
+
 // Env is what the plan's link and communication expressions were evaluated
 // in: the granted memory and the seconds of each node spec (as
 // Assignment.MemoryEnv has them) over the request's variables.
 func (p *Plan) Env() rsl.Env {
+	if p.linkEnv != nil {
+		return p.linkEnv
+	}
 	granted := make(rsl.MapEnv, 2*len(p.specs))
 	for i := range p.specs {
 		granted[p.specs[i].local+".memory"] = p.specs[i].demand.grant
@@ -599,6 +663,7 @@ func (p *Plan) last(local string) int {
 // not depend on the hosts).
 func (p *Plan) resolveLinks() {
 	linkEnv := p.Env()
+	p.linkEnv = linkEnv
 	for i := range p.opt.Links {
 		ls := &p.opt.Links[i]
 		// A link joins the first placements of its two node specs.

@@ -339,8 +339,8 @@ func boolVal(b bool) float64 {
 }
 
 // Walk visits e and every subexpression in prefix order. Static analyses
-// (package vet and its interval abstract interpreter) use it to inspect
-// expression trees without reimplementing the traversal.
+// (package vet) use it to inspect expression trees without reimplementing
+// the traversal.
 func Walk(e Expr, fn func(Expr)) {
 	if e == nil {
 		return
@@ -360,17 +360,6 @@ func Walk(e Expr, fn func(Expr)) {
 		for _, a := range n.Args {
 			Walk(a, fn)
 		}
-	}
-}
-
-// Builtins maps each built-in call function to its arity; -1 marks the
-// variadic functions taking at least one argument (min, max). Abstract
-// evaluators mirror CallExpr.Eval's arity rules through this table.
-func Builtins() map[string]int {
-	return map[string]int{
-		"min": -1, "max": -1,
-		"abs": 1, "floor": 1, "ceil": 1, "sqrt": 1, "log2": 1,
-		"pow": 2,
 	}
 }
 

@@ -178,7 +178,9 @@ func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Me
 // on its own, then jointly with everything already admitted, since even an
 // individually-fine bundle is rejected when the combined best-case demand
 // provably exceeds the cluster. The script is parsed once, by the vetting;
-// the decode's error, when there is one, is rsl.DecodeScript's. It returns
+// the decode's error, when there is one, is rsl.DecodeScript's. A bundle
+// over rsl.MaxChoices is refused in every vet mode, before anything is
+// enumerated or proposed: every member would refuse it on apply. It returns
 // the rejection, or nil to admit.
 func (c *conn) admit(src string) *protocol.Message {
 	adm := c.srv.admission
@@ -196,13 +198,17 @@ func (c *conn) admit(src string) *protocol.Message {
 	return c.vetReport(adm.Workload(ar))
 }
 
-// oneBundle rejects a script that did not decode to exactly one bundle.
+// oneBundle rejects a script that did not decode to exactly one bundle, and
+// a bundle over rsl.MaxChoices.
 func oneBundle(bundles []*rsl.BundleSpec, err error) *protocol.Message {
 	if err != nil {
 		return errReply("bundle_setup: %v", err)
 	}
 	if len(bundles) != 1 {
 		return errReply("bundle_setup: expected exactly one harmonyBundle, got %d", len(bundles))
+	}
+	if err := bundles[0].CheckChoices(); err != nil {
+		return errReply("bundle_setup: %v", err)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package vet
 import (
 	"sync"
 
+	"harmony/internal/bounds"
 	"harmony/internal/rsl"
 )
 
@@ -26,8 +27,9 @@ type Controller interface {
 //
 // What it costs is the arrival's, not the admitted workload's: each
 // admitted bundle's demand is computed once and kept beside the bundle, the
-// cluster's capacity is summed once per node generation, and the script is
-// parsed once. The joint sums still add the demands in registration order
+// cluster's capacity is summed once per node generation and read by both
+// the script's unreachable-option check and the joint check, and the script
+// is parsed once. The joint sums still add the demands in registration order
 // and then the incoming one, as Workload does, so every float, and with it
 // every message, is the one Workload prints. It is safe for concurrent use.
 type Admission struct {
@@ -47,7 +49,7 @@ type Admission struct {
 type clusterCapacity struct {
 	gen   uint64
 	nodes []*rsl.NodeDecl
-	capa  capacity
+	capa  bounds.Capacity
 }
 
 type keptDemand struct {
@@ -55,8 +57,7 @@ type keptDemand struct {
 	round uint64
 }
 
-// NewAdmission returns an admission for ctrl. It vets with the default
-// Options: every check, and the default interconnect bandwidth.
+// NewAdmission returns an admission for ctrl.
 func NewAdmission(ctrl Controller) *Admission {
 	return &Admission{ctrl: ctrl, demands: make(map[*rsl.BundleSpec]*keptDemand)}
 }
@@ -70,6 +71,9 @@ type Arrival struct {
 	// strict is set when every command decoded, so bundles and decls are
 	// what rsl.DecodeScript returns for src.
 	strict bool
+	// demands holds each bundle's demand as the vetting computed it, from
+	// the one enumeration of the bundle; nil means compute them.
+	demands []demand
 	// cluster is what Admission.Script vetted the script against; the
 	// joint check reads the same one.
 	cluster *clusterCapacity
@@ -84,7 +88,7 @@ func (ar *Arrival) Decode() ([]*rsl.BundleSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		ar.bundles, ar.decls, ar.strict = bundles, decls, true
+		ar.bundles, ar.decls, ar.strict, ar.demands = bundles, decls, true, nil
 	}
 	return ar.bundles, nil
 }
@@ -93,7 +97,7 @@ func (ar *Arrival) Decode() ([]*rsl.BundleSpec, error) {
 // does with the cluster as ExtraNodes.
 func (a *Admission) Script(src string) (*Report, *Arrival) {
 	cl := a.clusterNow()
-	rep, ar := script(src, Options{ExtraNodes: cl.nodes})
+	rep, ar := script(src, cl.nodes, cl.capa)
 	ar.cluster = cl
 	return rep, ar
 }
@@ -107,9 +111,9 @@ func (a *Admission) Workload(ar *Arrival) *Report {
 		parts = append(parts, part{file: "admitted", bundles: admitted, demands: kept})
 	}
 	if len(ar.bundles) > 0 {
-		parts = append(parts, part{file: "incoming", bundles: ar.bundles})
+		parts = append(parts, part{file: "incoming", bundles: ar.bundles, demands: ar.demands})
 	}
-	return joint(parts, ar.cluster.capa.add(ar.decls), Options{})
+	return joint(parts, ar.cluster.capa.Add(ar.decls))
 }
 
 // clusterNow returns the controller's cluster, read again only when its
@@ -122,7 +126,7 @@ func (a *Admission) clusterNow() *clusterCapacity {
 	defer a.mu.Unlock()
 	if a.cluster == nil || a.cluster.gen != gen {
 		nodes := a.ctrl.ClusterNodes()
-		a.cluster = &clusterCapacity{gen: gen, nodes: nodes, capa: capacityOf(nodes)}
+		a.cluster = &clusterCapacity{gen: gen, nodes: nodes, capa: bounds.CapacityOf(nodes)}
 	}
 	return a.cluster
 }

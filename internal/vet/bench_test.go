@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"harmony/internal/bag"
 	"harmony/internal/rsl"
 )
 
@@ -90,6 +91,48 @@ func BenchmarkAdmissionCrowd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if rep := adm.Workload(ar); rep.HasErrors() {
+			b.Fatal(rep.Diags)
+		}
+	}
+}
+
+// capShape is one bundle at the cap the controller enumerates, shaped like
+// Figure 4's at 4096 nodes: a worker count over 1..4096, each with its
+// replicas, seconds and model point, and the 4096-node SP-2 it is vetted
+// against.
+func capShape(b *testing.B) (src string, nodes []*rsl.NodeDecl) {
+	b.Helper()
+	counts := make([]int, rsl.MaxChoices)
+	values := make([]string, len(counts))
+	for i := range counts {
+		counts[i] = i + 1
+		values[i] = fmt.Sprint(i + 1)
+	}
+	points, err := bag.PerfModel(300, 1, 1.2, counts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src = fmt.Sprintf(`harmonyBundle Bag1:1 parallelism {
+	{workers
+		{variable workerNodes {%s}}
+		{node worker * {seconds {300 / workerNodes}} {memory 32} {replicate workerNodes} {exclusive 1}}
+		{performance {%s}}
+	}
+}`, strings.Join(values, " "), bag.RSLPerformanceList(points))
+	for i := 1; i <= len(counts); i++ {
+		nodes = append(nodes, &rsl.NodeDecl{Hostname: fmt.Sprintf("sp2-%04d", i), Speed: 1, MemoryMB: 128, OS: "linux", CPUs: 1})
+	}
+	return src, nodes
+}
+
+// BenchmarkScriptAtCap vets one bundle of exactly rsl.MaxChoices choices,
+// the most the door judges: every check evaluates each of them.
+func BenchmarkScriptAtCap(b *testing.B) {
+	src, nodes := capShape(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := Script(src, Options{ExtraNodes: nodes}); len(rep.Diags) != 0 {
 			b.Fatal(rep.Diags)
 		}
 	}

@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"harmony/internal/rsl"
 )
 
-// TestVetBigDomain is the acceptance test for the interval rewrite: a
-// spec whose variable domain (workerNodes 1..10000) is far beyond the
-// maxBindings enumeration budget still gets real dominance, div-zero and
-// range findings — plus the analysis-skipped markers for the degraded
-// witness searches — instead of a silent skip, and quickly.
+// TestVetBigDomain: a spec whose two options each range workerNodes over
+// 1..10000 expands to 20 000 choices, over the cap the controller
+// enumerates. Vet refuses it with one too-many-choices error, quickly and
+// without enumerating: the checks that need a binding stay silent, and those
+// that need none still run.
 func TestVetBigDomain(t *testing.T) {
 	var vals strings.Builder
 	for i := 1; i <= 10000; i++ {
@@ -26,43 +29,26 @@ func TestVetBigDomain(t *testing.T) {
 	{b
 		{node w * {memory 8} {seconds {300 / (workerNodes - 5000)}} {replicate workerNodes}}
 		{friction {workerNodes - 20000}}
+		{granularity -1}
 		{variable workerNodes {` + domain + `}}
 	}
 }
 `
-	rep := Script(src, Options{})
-	got := make(map[string][]Diagnostic)
+	start := time.Now()
+	rep := Script(src, Options{ExtraNodes: []*rsl.NodeDecl{{Hostname: "h", MemoryMB: 64}}})
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("vetting took %v", took)
+	}
+	var got []string
 	for _, d := range rep.Diags {
-		got[d.Check] = append(got[d.Check], d)
+		got = append(got, d.Check)
 	}
-	// The divisor workerNodes-5000 spans zero; enumeration cannot visit
-	// 10000 bindings, so the interval fallback must still warn.
-	if len(got["div-zero"]) == 0 {
-		t.Errorf("no div-zero finding on the 1..10000 domain: %v", rep.Diags)
+	// The constant granularity needs no binding; every other finding would.
+	if strings.Join(got, " ") != "too-many-choices negative-tag" {
+		t.Fatalf("checks %v, want too-many-choices and the constant negative-tag: %v", got, rep.Diags)
 	}
-	// friction is provably negative (at most -10000) for every binding:
-	// the interval analysis upgrades this to an error, no witness needed.
-	found := false
-	for _, d := range got["negative-tag"] {
-		if d.Severity == SevError && strings.Contains(d.Message, "friction") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no negative-tag error for the always-negative friction: %v", rep.Diags)
-	}
-	// Option b's requirements are identical to a's: dominance analysis is
-	// signature-based and must not care about domain size.
-	if len(got["dominated-option"]) == 0 {
-		t.Errorf("no dominated-option finding: %v", rep.Diags)
-	}
-	// The degraded witness searches must be visible, not silent.
-	if len(got["analysis-skipped"]) == 0 {
-		t.Errorf("no analysis-skipped marker: %v", rep.Diags)
-	}
-	for _, d := range got["analysis-skipped"] {
-		if d.Severity != SevInfo {
-			t.Errorf("analysis-skipped severity = %v, want info", d.Severity)
-		}
+	d := rep.Diags[0]
+	if d.Severity != SevError || d.Line != 1 || !strings.Contains(d.Message, "20000 choices, over the cap of 4096") {
+		t.Errorf("refusal = %s", d)
 	}
 }

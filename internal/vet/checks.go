@@ -2,33 +2,30 @@ package vet
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"harmony/internal/bounds"
 	"harmony/internal/cluster"
+	"harmony/internal/match"
 	"harmony/internal/rsl"
-	"harmony/internal/vet/absint"
 )
 
-// defaultSwitchBandwidthMbps mirrors the SP-2 switch assumed by the
-// cluster package when no capacity is given.
-const defaultSwitchBandwidthMbps = cluster.DefaultSwitchBandwidthMbps
-
-// maxBindings caps the variable-domain cross product the analyzer is
-// willing to enumerate for exact witnesses. Beyond it the domain-dependent
-// checks no longer skip silently: they fall back to the interval abstract
-// interpreter (package absint), which is sound for any domain size, and an
-// analysis-skipped info diagnostic records the lost witness precision.
-const maxBindings = 4096
+// switchBandwidthMbps is the interconnect the bandwidth checks assume: the
+// SP-2 switch of the paper's Section 6 testbed, as the cluster package
+// models it.
+const switchBandwidthMbps float64 = cluster.DefaultSwitchBandwidthMbps
 
 // analysis carries the per-script state shared by all checks.
 type analysis struct {
-	rep      *Report
-	opts     Options
-	decls    []*rsl.NodeDecl
-	switchBW float64
+	rep   *Report
+	decls []*rsl.NodeDecl
+	// capa sums decls, once per script.
+	capa bounds.Capacity
+	// demands holds each checked bundle's demand, in order, as the joint
+	// check reads it.
+	demands []demand
 }
 
 func (a *analysis) diag(check string, sev Severity, pos rsl.Pos, bundle, option, format string, args ...any) {
@@ -62,95 +59,102 @@ func (a *analysis) checkDecls(decls []*rsl.NodeDecl) {
 }
 
 // optScope is the Section 3.2 namespace visible to one option's
-// expressions: its declared variables and its node local names.
+// expressions: its declared variables and its node local names, and the
+// choices the controller enumerates for it.
 type optScope struct {
 	a      *analysis
+	opt    *rsl.OptionSpec
 	bundle string
 	option string
 	// vars maps declared variable names to their admissible values.
 	vars map[string][]float64
 	// locals is the set of option-local node names.
 	locals map[string]bool
-	// localMins binds each granted-resource name (local.memory,
-	// local.seconds) to its minimal value, for best-case evaluation.
-	localMins rsl.MapEnv
-	// ienvVars is the interval environment of the declared variables
-	// (each bound to the convex hull of its domain).
-	ienvVars absint.MapEnv
-	// ienvLocals extends ienvVars with the granted-resource names, each
-	// bound to [min, +inf): a grant meets the request's minimum but is
-	// otherwise unbounded, so interval claims stay sound for any grant.
-	ienvLocals absint.MapEnv
+	// enumerated is false when the bundle is over rsl.MaxChoices: then no
+	// check that needs a binding runs.
+	enumerated bool
+	// choices are the option's enumerated choices, plans each one resolved
+	// for placement as the controller resolves it, and envs what each
+	// plan's link, communication and friction expressions see (both built
+	// on first use).
+	choices []rsl.Choice
+	plans   []*match.Plan
+	envs    []rsl.Env
+	// vector is the option's bound vector over choices, once computed.
+	vector *bounds.Vector
 }
 
+// checkBundle runs every check of one bundle and notes its demand. The
+// bundle is enumerated once, as the controller enumerates it; over
+// rsl.MaxChoices it is not enumerated at all, and only the checks that need
+// no binding run beside the refusal.
 func (a *analysis) checkBundle(b *rsl.BundleSpec) {
+	enumerated := true
+	var choices []rsl.Choice
+	if n := b.ChoiceCount(); n > rsl.MaxChoices {
+		enumerated = false
+		a.diag("too-many-choices", SevError, b.Pos, b.Name, "",
+			"options expand to %d choices, over the cap of %d the controller enumerates; the bundle is refused", n, rsl.MaxChoices)
+	} else {
+		choices = b.Choices()
+	}
+	scopes := make([]*optScope, len(b.Options))
 	for i := range b.Options {
 		opt := &b.Options[i]
 		s := a.newScope(b, opt)
+		if enumerated {
+			n := opt.ChoiceCount()
+			s.enumerated, s.choices, choices = true, choices[:n:n], choices[n:]
+		}
 		s.checkOption(opt)
+		scopes[i] = s
 	}
+	if !enumerated {
+		a.demands = append(a.demands, demand{})
+		return
+	}
+	vs := make([]bounds.Vector, len(scopes))
+	for i, s := range scopes {
+		vs[i] = *s.boundVector()
+	}
+	a.demands = append(a.demands, demandOf(vs))
 	a.checkDominated(b)
-	a.checkUnreachable(b)
+	a.checkUnreachable(b, scopes)
 }
 
 func (a *analysis) newScope(b *rsl.BundleSpec, opt *rsl.OptionSpec) *optScope {
 	s := &optScope{
-		a:         a,
-		bundle:    b.Name,
-		option:    opt.Name,
-		vars:      make(map[string][]float64, len(opt.Variables)),
-		locals:    make(map[string]bool, len(opt.Nodes)),
-		localMins: make(rsl.MapEnv, 2*len(opt.Nodes)),
+		a:      a,
+		opt:    opt,
+		bundle: b.Name,
+		option: opt.Name,
+		vars:   make(map[string][]float64, len(opt.Variables)),
+		locals: make(map[string]bool, len(opt.Nodes)),
 	}
 	for _, v := range opt.Variables {
 		s.vars[v.Name] = v.Values
 	}
-	s.ienvVars = make(absint.MapEnv, len(s.vars))
-	for n, vals := range s.vars {
-		s.ienvVars[n] = absint.FromValues(vals)
-	}
 	for i := range opt.Nodes {
-		spec := &opt.Nodes[i]
-		s.locals[spec.LocalName] = true
-	}
-	// Bind granted-resource names to their best-case (minimal) values so
-	// link formulas like Figure 3's can be bounded from below.
-	for i := range opt.Nodes {
-		spec := &opt.Nodes[i]
-		mem, _, _, okM := s.minOfTag(spec, "memory")
-		if !okM {
-			mem = 0
-		}
-		sec, _, _, okS := s.minOfTag(spec, "seconds")
-		if !okS {
-			sec = 0
-		}
-		s.localMins[spec.LocalName+".memory"] = mem
-		s.localMins[spec.LocalName+".seconds"] = sec
-	}
-	s.ienvLocals = make(absint.MapEnv, len(s.ienvVars)+len(s.localMins))
-	for n, iv := range s.ienvVars {
-		s.ienvLocals[n] = iv
-	}
-	for n, v := range s.localMins {
-		s.ienvLocals[n] = absint.Of(v, math.Inf(1))
+		s.locals[opt.Nodes[i].LocalName] = true
 	}
 	return s
 }
 
-// ienv selects the interval environment matching an expression's scope.
-func (s *optScope) ienv(allowLocals bool) absint.MapEnv {
-	if allowLocals {
-		return s.ienvLocals
+// choicePlans is the plans of the option's enumerated choices.
+func (s *optScope) choicePlans() []*match.Plan {
+	if s.plans == nil {
+		s.plans = bounds.Plans(s.opt, s.choices)
 	}
-	return s.ienvVars
+	return s.plans
 }
 
-// skipped records that a witness-producing check degraded to interval
-// analysis because the variable-domain cross product exceeds maxBindings.
-func (s *optScope) skipped(check string, pos rsl.Pos, ctx string) {
-	s.diag("analysis-skipped", SevInfo, pos,
-		"%s: variable domains exceed %d combinations; the %s check fell back to interval analysis", ctx, maxBindings, check)
+// boundVector is the option's bound vector over its enumerated choices.
+func (s *optScope) boundVector() *bounds.Vector {
+	if s.vector == nil {
+		v := bounds.OptionOf(s.opt, s.choicePlans())
+		s.vector = &v
+	}
+	return s.vector
 }
 
 func (s *optScope) diag(check string, sev Severity, pos rsl.Pos, format string, args ...any) {
@@ -170,7 +174,7 @@ func (s *optScope) checkOption(opt *rsl.OptionSpec) {
 			if tag.IsString {
 				continue
 			}
-			ctx := fmt.Sprintf("node %q tag %q", spec.LocalName, tagName)
+			ctx := exprCtx{kind: tagCtx, a: spec.LocalName, b: tagName}
 			s.checkExpr(tag.Expr, tag.Pos, ctx, false)
 			switch tagName {
 			case "seconds", "memory":
@@ -178,7 +182,7 @@ func (s *optScope) checkOption(opt *rsl.OptionSpec) {
 			}
 		}
 		if spec.Replicate != nil {
-			ctx := fmt.Sprintf("node %q replicate", spec.LocalName)
+			ctx := exprCtx{kind: replicateCtx, a: spec.LocalName}
 			s.checkExpr(spec.Replicate, spec.ReplicatePos, ctx, false)
 			s.checkRange(spec.Replicate, spec.ReplicatePos, ctx, 1, false)
 		}
@@ -193,31 +197,63 @@ func (s *optScope) checkOption(opt *rsl.OptionSpec) {
 					end, strings.Join(s.localNames(), ", "))
 			}
 		}
-		ctx := fmt.Sprintf("link %s-%s bandwidth", ls.A, ls.B)
+		ctx := exprCtx{kind: linkCtx, a: ls.A, b: ls.B, what: "bandwidth"}
 		s.checkExpr(ls.Bandwidth, ls.Pos, ctx, true)
 		s.checkRange(ls.Bandwidth, ls.Pos, ctx, 0, true)
 		if ls.Latency != nil {
-			lctx := fmt.Sprintf("link %s-%s latency", ls.A, ls.B)
+			lctx := exprCtx{kind: linkCtx, a: ls.A, b: ls.B, what: "latency"}
 			s.checkExpr(ls.Latency, ls.Pos, lctx, true)
 			s.checkRange(ls.Latency, ls.Pos, lctx, 0, true)
 		}
 	}
 
 	if opt.Communication != nil {
-		s.checkExpr(opt.Communication, opt.CommunicationPos, "communication", true)
-		s.checkRange(opt.Communication, opt.CommunicationPos, "communication", 0, true)
+		s.checkExpr(opt.Communication, opt.CommunicationPos, exprCtx{what: "communication"}, true)
+		s.checkRange(opt.Communication, opt.CommunicationPos, exprCtx{what: "communication"}, 0, true)
 	}
 	if opt.Granularity != nil {
-		s.checkExpr(opt.Granularity, opt.GranularityPos, "granularity", false)
-		s.checkRange(opt.Granularity, opt.GranularityPos, "granularity", 0, false)
+		s.checkExpr(opt.Granularity, opt.GranularityPos, exprCtx{what: "granularity"}, false)
+		s.checkRange(opt.Granularity, opt.GranularityPos, exprCtx{what: "granularity"}, 0, false)
 	}
 	if opt.Friction != nil {
-		s.checkExpr(opt.Friction, opt.FrictionPos, "friction", true)
-		s.checkRange(opt.Friction, opt.FrictionPos, "friction", 0, true)
+		s.checkExpr(opt.Friction, opt.FrictionPos, exprCtx{what: "friction"}, true)
+		s.checkRange(opt.Friction, opt.FrictionPos, exprCtx{what: "friction"}, 0, true)
 	}
 
 	s.checkPerformance(opt)
 	s.checkCapacity(opt)
+}
+
+// exprCtx names what an expression belongs to, e.g. `node "n" tag
+// "seconds"`, and is put into words only when a finding is reported.
+type exprCtx struct {
+	kind ctxKind
+	// a and b are the node and tag names, or a link's two ends; what is the
+	// link field or the option tag.
+	a, b, what string
+}
+
+// ctxKind is what an exprCtx names; the zero kind is an option tag, named
+// by what alone.
+type ctxKind int
+
+const (
+	tagCtx ctxKind = iota + 1
+	replicateCtx
+	linkCtx
+)
+
+// String implements fmt.Stringer.
+func (c exprCtx) String() string {
+	switch c.kind {
+	case tagCtx:
+		return fmt.Sprintf("node %q tag %q", c.a, c.b)
+	case replicateCtx:
+		return fmt.Sprintf("node %q replicate", c.a)
+	case linkCtx:
+		return fmt.Sprintf("link %s-%s %s", c.a, c.b, c.what)
+	}
+	return c.what
 }
 
 func (s *optScope) localNames() []string {
@@ -243,7 +279,7 @@ func sortedTagNames(tags map[string]rsl.TagValue) []string {
 // (local.memory, local.seconds) are visible, which holds for link,
 // communication and friction expressions but not for node tags or
 // granularity (the matcher evaluates those under the variable env alone).
-func (s *optScope) checkExpr(e rsl.Expr, pos rsl.Pos, ctx string, allowLocals bool) {
+func (s *optScope) checkExpr(e rsl.Expr, pos rsl.Pos, ctx exprCtx, allowLocals bool) {
 	if e == nil {
 		return
 	}
@@ -289,12 +325,23 @@ func (s *optScope) checkExpr(e rsl.Expr, pos rsl.Pos, ctx string, allowLocals bo
 				return
 			}
 			// The condition varies syntactically but may still be decided
-			// by the admissible domains alone.
-			switch absint.Eval(n.Cond, s.ienv(allowLocals)).Val.Truth() {
-			case absint.TruthTrue:
+			// by the admissible bindings alone.
+			seen, trues := 0, 0
+			s.eachEnv(n.Cond, allowLocals, func(env rsl.Env, _ []string) bool {
+				if v, err := n.Cond.Eval(env); err == nil {
+					seen++
+					if v != 0 {
+						trues++
+					}
+				}
+				return true
+			})
+			switch {
+			case seen == 0:
+			case trues == seen:
 				s.diag("const-ternary", SevWarn, pos,
 					"%s: ternary condition %s is true for every admissible binding; the then branch always wins", ctx, n.Cond)
-			case absint.TruthFalse:
+			case trues == 0:
 				s.diag("const-ternary", SevWarn, pos,
 					"%s: ternary condition %s is false for every admissible binding; the else branch always wins", ctx, n.Cond)
 			}
@@ -309,47 +356,37 @@ func (s *optScope) checkExpr(e rsl.Expr, pos rsl.Pos, ctx string, allowLocals bo
 				}
 				return
 			}
-			div := absint.Eval(n.R, s.ienv(allowLocals)).Val
-			if v, ok := div.IsPoint(); ok && v == 0 {
-				s.diag("div-zero", SevError, pos,
-					"%s: divisor of %q is zero for every admissible binding", ctx, n.String())
-				return
-			}
-			if !div.ContainsZero() {
-				return // interval analysis proves the divisor nonzero
-			}
-			base := rsl.MapEnv(nil)
-			if allowLocals {
-				base = s.localMins
-			}
-			names, analyzable := s.scopeVarsOf(n.R, base)
-			if !analyzable {
-				return
-			}
-			complete := s.forEach(names, base, func(env rsl.MapEnv) bool {
-				v, err := n.R.Eval(env)
-				if err == nil && v == 0 {
-					s.diag("div-zero", SevWarn, pos,
-						"%s: divisor of %q may be zero (e.g. %s)", ctx, n.String(), describeBinding(env, names))
-					return false
+			seen, zeros, witness := 0, 0, ""
+			s.eachEnv(n.R, allowLocals, func(env rsl.Env, names []string) bool {
+				if v, err := n.R.Eval(env); err == nil {
+					seen++
+					if v == 0 {
+						if zeros == 0 {
+							witness = describeBinding(env, names)
+						}
+						zeros++
+					}
 				}
 				return true
 			})
-			if !complete {
-				s.skipped("div-zero", pos, ctx)
+			switch {
+			case zeros == 0:
+			case zeros == seen:
+				s.diag("div-zero", SevError, pos,
+					"%s: divisor of %q is zero for every admissible binding", ctx, n.String())
+			default:
 				s.diag("div-zero", SevWarn, pos,
-					"%s: divisor of %q may be zero (admissible range %s)", ctx, n.String(), div)
+					"%s: divisor of %q may be zero (e.g. %s)", ctx, n.String(), witness)
 			}
 		}
 	})
 }
 
-// checkRange verifies a quantity that must be at least minAllowed: an
-// error when the expression is provably out of range for every admissible
-// binding (constant, or interval-bounded below minAllowed), a warning when
-// some admissible variable binding puts it out of range. The interval
-// analysis also proves many expressions in range, skipping enumeration.
-func (s *optScope) checkRange(e rsl.Expr, pos rsl.Pos, ctx string, minAllowed float64, allowLocals bool) {
+// checkRange verifies a quantity that must be at least minAllowed over
+// every admissible binding: an error when it is out of range wherever it
+// evaluates (or is a constant out of range), a warning naming the first
+// binding that puts it out of range otherwise.
+func (s *optScope) checkRange(e rsl.Expr, pos rsl.Pos, ctx exprCtx, minAllowed float64, allowLocals bool) {
 	if e == nil {
 		return
 	}
@@ -360,38 +397,32 @@ func (s *optScope) checkRange(e rsl.Expr, pos rsl.Pos, ctx string, minAllowed fl
 		}
 		return
 	}
-	rng := absint.Eval(e, s.ienv(allowLocals)).Val
-	if !rng.IsEmpty() {
-		if rng.Hi < minAllowed {
-			s.diag("negative-tag", SevError, pos,
-				"%s is at most %g for every admissible binding; it must be at least %g", ctx, rng.Hi, minAllowed)
-			return
-		}
-		if rng.Lo >= minAllowed {
-			return // interval analysis proves the quantity in range
-		}
-	}
-	base := rsl.MapEnv(nil)
-	if allowLocals {
-		base = s.localMins
-	}
-	names, analyzable := s.scopeVarsOf(e, base)
-	if !analyzable {
-		return
-	}
-	complete := s.forEach(names, base, func(env rsl.MapEnv) bool {
+	seen, below, maxV, witness, witnessV := 0, 0, 0.0, "", 0.0
+	s.eachEnv(e, allowLocals, func(env rsl.Env, names []string) bool {
 		v, err := e.Eval(env)
-		if err == nil && v < minAllowed {
-			s.diag("negative-tag", SevWarn, pos,
-				"%s evaluates to %g when %s; it must be at least %g", ctx, v, describeBinding(env, names), minAllowed)
-			return false
+		if err != nil {
+			return true
+		}
+		if seen == 0 || v > maxV {
+			maxV = v
+		}
+		seen++
+		if v < minAllowed {
+			if below == 0 {
+				witness, witnessV = describeBinding(env, names), v
+			}
+			below++
 		}
 		return true
 	})
-	if !complete {
-		s.skipped("negative-tag", pos, ctx)
+	switch {
+	case below == 0:
+	case below == seen:
+		s.diag("negative-tag", SevError, pos,
+			"%s is at most %g for every admissible binding; it must be at least %g", ctx, maxV, minAllowed)
+	default:
 		s.diag("negative-tag", SevWarn, pos,
-			"%s may fall below %g (admissible range %s); it must be at least %g", ctx, minAllowed, rng, minAllowed)
+			"%s evaluates to %g when %s; it must be at least %g", ctx, witnessV, witness, minAllowed)
 	}
 }
 
@@ -416,27 +447,15 @@ func (s *optScope) checkPerformance(opt *rsl.OptionSpec) {
 
 	// perf-model-range: Section 4.2 interpolates expected time over the
 	// requested node count, so a model whose node-count span misses every
-	// count the option can request only ever extrapolates.
-	if len(opt.Nodes) == 0 {
+	// count the option's choices request only ever extrapolates.
+	if len(opt.Nodes) == 0 || !s.enumerated {
 		return
 	}
-	total := absint.Point(0)
-	for i := range opt.Nodes {
-		spec := &opt.Nodes[i]
-		rep := absint.Point(1)
-		if spec.Replicate != nil {
-			rv := absint.Eval(spec.Replicate, s.ienvVars).Val
-			if rv.IsEmpty() {
-				return // unanalyzable replicate; unbound-var reports it
-			}
-			rep = rv
-		}
-		total = total.Add(rep)
-	}
+	v := s.boundVector()
 	lo, hi := opt.Performance[0].X, opt.Performance[len(opt.Performance)-1].X
-	if absint.Meet(total, absint.Of(lo, hi)).IsEmpty() {
+	if v.Choices > 0 && (v.Nodes.Hi < lo || v.Nodes.Lo > hi) {
 		s.diag("perf-model-range", SevWarn, opt.PerformancePos,
-			"performance model covers %g to %g node(s), but the option always requests %s; every prediction extrapolates", lo, hi, total)
+			"performance model covers %g to %g node(s), but the option always requests %s; every prediction extrapolates", lo, hi, v.Nodes)
 	}
 }
 
@@ -451,11 +470,7 @@ func (s *optScope) checkCapacity(opt *rsl.OptionSpec) {
 	}
 	for i := range opt.Nodes {
 		spec := &opt.Nodes[i]
-		memMin, _, memBailed, memOK := s.minOfTag(spec, "memory")
-		if memBailed {
-			s.skipped("node-unsatisfiable", spec.Tags["memory"].Pos,
-				fmt.Sprintf("node %q tag \"memory\"", spec.LocalName))
-		}
+		memMin, memOK := s.minOfTag(spec, "memory")
 		var osWant, hostWant string
 		if tag, ok := spec.Tags["os"]; ok && tag.IsString {
 			osWant = tag.Str
@@ -486,11 +501,7 @@ func (s *optScope) checkCapacity(opt *rsl.OptionSpec) {
 			continue
 		}
 		if spec.Replicate != nil && spec.HostPattern == "*" {
-			repMin, _, repBailed, repOK := s.evalMin(spec.Replicate, nil)
-			if repBailed {
-				s.skipped("replicate-unsatisfiable", spec.ReplicatePos,
-					fmt.Sprintf("node %q replicate", spec.LocalName))
-			}
+			repMin, repOK := s.evalMin(spec.Replicate, false)
 			if repOK && repMin > float64(eligible) {
 				s.diag("replicate-unsatisfiable", SevError, spec.ReplicatePos,
 					"node %q needs at least %g distinct hosts, but only %d declared node(s) qualify",
@@ -501,25 +512,19 @@ func (s *optScope) checkCapacity(opt *rsl.OptionSpec) {
 
 	for i := range opt.Links {
 		ls := &opt.Links[i]
-		bwMin, _, bwBailed, ok := s.evalMin(ls.Bandwidth, s.localMins)
-		if bwBailed {
-			s.skipped("link-bandwidth", ls.Pos, fmt.Sprintf("link %s-%s bandwidth", ls.A, ls.B))
-		}
-		if ok && bwMin > s.a.switchBW {
+		bwMin, ok := s.evalMin(ls.Bandwidth, true)
+		if ok && bwMin > switchBandwidthMbps {
 			s.diag("link-bandwidth", SevWarn, ls.Pos,
 				"link %s-%s needs at least %g Mbps; the interconnect provides %g Mbps",
-				ls.A, ls.B, bwMin, s.a.switchBW)
+				ls.A, ls.B, bwMin, switchBandwidthMbps)
 		}
 	}
 	if opt.Communication != nil {
-		commMin, _, commBailed, ok := s.evalMin(opt.Communication, s.localMins)
-		if commBailed {
-			s.skipped("link-bandwidth", opt.CommunicationPos, "communication")
-		}
-		if ok && commMin > s.a.switchBW {
+		commMin, ok := s.evalMin(opt.Communication, true)
+		if ok && commMin > switchBandwidthMbps {
 			s.diag("link-bandwidth", SevWarn, opt.CommunicationPos,
 				"communication needs at least %g Mbps; the interconnect provides %g Mbps",
-				commMin, s.a.switchBW)
+				commMin, switchBandwidthMbps)
 		}
 	}
 }
@@ -544,12 +549,11 @@ func (s *optScope) describeDemand(spec *rsl.NodeSpec, memMin float64, memOK bool
 	return strings.Join(parts, ", ")
 }
 
-// checkDominated flags options the relational bounds engine proves
-// dominated by an earlier sibling: the controller evaluates options in
-// lexical order and adopts a later candidate only on a strictly better
-// score, so an option an earlier sibling always ties or beats can never
-// be chosen. The proof quantifies over every variable binding, grant and
-// cluster state, and is sound at any domain size — no enumeration.
+// checkDominated flags options that an earlier sibling dominates at every
+// choice the controller enumerates (bounds.Dominance): the controller
+// evaluates options in lexical order and adopts a later candidate only on a
+// strictly better score, so an option an earlier sibling always ties or
+// beats can never be chosen, whatever the cluster's state.
 func (a *analysis) checkDominated(b *rsl.BundleSpec) {
 	for _, d := range bounds.Dominance(b) {
 		oj := &b.Options[d.Dominated]
@@ -558,12 +562,13 @@ func (a *analysis) checkDominated(b *rsl.BundleSpec) {
 	}
 }
 
-// checkUnreachable flags options whose resource lower bound — over every
-// variable binding and every admissible grant — exceeds what the declared
-// cluster provides even when idle. Such an option can never be matched in
-// any live state, since live capacity never exceeds declared capacity.
-func (a *analysis) checkUnreachable(b *rsl.BundleSpec) {
-	if len(a.decls) == 0 {
+// checkUnreachable flags options whose least total memory, distinct host
+// count or pinned memory over their enumerated choices exceeds what the
+// declared cluster provides even when idle. Such an option can never be
+// matched in any live state, since live capacity never exceeds declared
+// capacity.
+func (a *analysis) checkUnreachable(b *rsl.BundleSpec, scopes []*optScope) {
+	if a.capa.Nodes == 0 {
 		return
 	}
 	// The per-spec capacity checks have already run; when one of them
@@ -581,7 +586,7 @@ func (a *analysis) checkUnreachable(b *rsl.BundleSpec) {
 		if perSpec[opt.Name] {
 			continue
 		}
-		if u, ok := bounds.Unreachable(bounds.Option(opt), a.decls); ok {
+		if u, ok := bounds.Unreachable(*scopes[i].boundVector(), a.capa); ok {
 			a.diag("unreachable-option", SevError, opt.Pos, b.Name, opt.Name,
 				"%s; no cluster state can ever admit this option", u.Reason)
 		}
@@ -622,48 +627,49 @@ func (s *optScope) isGrantedName(name string) bool {
 	return field == "memory" || field == "seconds"
 }
 
-// scopeVarsOf lists the free variables of e that range over declared
-// domains. analyzable is false when e references a name neither in scope
-// nor bound by base (the unbound-var check reports those separately).
-func (s *optScope) scopeVarsOf(e rsl.Expr, base rsl.MapEnv) (names []string, analyzable bool) {
-	seen := make(map[string]bool)
+// eachEnv calls fn with every environment e is evaluated in, and the
+// sorted names of e it binds, until fn returns false. An expression that
+// cannot see granted names is evaluated at every binding of its own
+// variables, the first in sorted order varying slowest; one that can is
+// evaluated at every enumerated choice, in its plan's environment
+// (match.Plan.Env: each node spec's granted memory and seconds, as far as
+// the plan resolved them). Nothing is enumerated when
+// the bundle is over the cap, or e references a name the scope does not
+// bind (the unbound-var check reports those).
+func (s *optScope) eachEnv(e rsl.Expr, allowLocals bool, fn func(env rsl.Env, names []string) bool) {
+	if !s.enumerated {
+		return
+	}
+	var names []string
 	for _, name := range e.Vars(nil) {
-		if seen[name] {
+		if slices.Contains(names, name) {
 			continue
 		}
-		seen[name] = true
-		if _, ok := s.vars[name]; ok {
-			names = append(names, name)
-			continue
+		if _, ok := s.vars[name]; !ok && !(allowLocals && s.isGrantedName(name)) {
+			return
 		}
-		if _, ok := base[name]; ok {
-			continue
-		}
-		return nil, false
+		names = append(names, name)
 	}
 	sort.Strings(names)
-	return names, true
-}
-
-// forEach enumerates every admissible binding of the named variables over
-// their domains (on top of base), calling fn until it returns false.
-// Returns false when the cross product exceeds maxBindings.
-func (s *optScope) forEach(names []string, base rsl.MapEnv, fn func(env rsl.MapEnv) bool) bool {
-	total := 1
-	for _, n := range names {
-		total *= len(s.vars[n])
-		if total > maxBindings {
-			return false
+	if allowLocals {
+		if s.envs == nil {
+			s.envs = make([]rsl.Env, len(s.choices))
+			for i, p := range s.choicePlans() {
+				s.envs[i] = p.Env()
+			}
 		}
+		for _, env := range s.envs {
+			if !fn(env, names) {
+				return
+			}
+		}
+		return
 	}
-	env := make(rsl.MapEnv, len(base)+len(names))
-	for k, v := range base {
-		env[k] = v
-	}
+	env := make(rsl.MapEnv, len(names))
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(names) {
-			return fn(env)
+			return fn(env, names)
 		}
 		for _, v := range s.vars[names[i]] {
 			env[names[i]] = v
@@ -674,58 +680,42 @@ func (s *optScope) forEach(names []string, base rsl.MapEnv, fn func(env rsl.MapE
 		return true
 	}
 	rec(0)
-	return true
 }
 
-// evalMin returns a sound lower bound for e over every admissible variable
-// binding (locals bound by base): the exact enumerated minimum when the
-// domain cross product fits under maxBindings (exact=true), the interval
-// lower bound otherwise (bailed=true; locals are then taken as unbounded
-// above their minimums). ok is false when e references unresolvable names
-// or provably never evaluates.
-func (s *optScope) evalMin(e rsl.Expr, base rsl.MapEnv) (lo float64, exact, bailed, ok bool) {
+// evalMin is the least value of e over every environment eachEnv visits;
+// ok is false when e evaluates in none.
+func (s *optScope) evalMin(e rsl.Expr, allowLocals bool) (lo float64, ok bool) {
 	if e == nil {
-		return 0, false, false, false
+		return 0, false
 	}
-	names, analyzable := s.scopeVarsOf(e, base)
-	if !analyzable {
-		return 0, false, false, false
-	}
-	minV, found := 0.0, false
-	complete := s.forEach(names, base, func(env rsl.MapEnv) bool {
-		v, err := e.Eval(env)
-		if err == nil && (!found || v < minV) {
-			minV, found = v, true
+	s.eachEnv(e, allowLocals, func(env rsl.Env, _ []string) bool {
+		if v, err := e.Eval(env); err == nil && (!ok || v < lo) {
+			lo, ok = v, true
 		}
 		return true
 	})
-	if complete {
-		return minV, true, false, found
-	}
-	val := absint.Eval(e, s.ienv(len(base) > 0)).Val
-	if val.IsEmpty() {
-		return 0, false, true, false
-	}
-	return val.Lo, false, true, true
+	return lo, ok
 }
 
-// minOfTag evaluates the best-case (minimal) value of a numeric node tag.
-func (s *optScope) minOfTag(spec *rsl.NodeSpec, tagName string) (lo float64, exact, bailed, ok bool) {
+// minOfTag is the least value of a numeric node tag over every binding.
+func (s *optScope) minOfTag(spec *rsl.NodeSpec, tagName string) (lo float64, ok bool) {
 	tag, tagOK := spec.Tags[tagName]
 	if !tagOK || tag.IsString || tag.Expr == nil {
-		return 0, false, false, false
+		return 0, false
 	}
-	return s.evalMin(tag.Expr, nil)
+	return s.evalMin(tag.Expr, false)
 }
 
-// describeBinding renders the named variables of env, e.g. "workerNodes=0".
-func describeBinding(env rsl.MapEnv, names []string) string {
+// describeBinding renders the named bindings of env, e.g. "workerNodes=0"
+// or "client.memory=25".
+func describeBinding(env rsl.Env, names []string) string {
 	if len(names) == 0 {
 		return "always"
 	}
 	parts := make([]string, len(names))
 	for i, n := range names {
-		parts[i] = fmt.Sprintf("%s=%g", n, env[n])
+		v, _ := env.Lookup(n)
+		parts[i] = fmt.Sprintf("%s=%g", n, v)
 	}
 	return strings.Join(parts, ", ")
 }

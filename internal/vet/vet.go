@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 
+	"harmony/internal/bounds"
 	"harmony/internal/rsl"
 )
 
@@ -167,32 +168,12 @@ func (r *Report) Sort() {
 
 func (r *Report) add(d Diagnostic) { r.Diags = append(r.Diags, d) }
 
-// drop removes the diagnostics of the disabled checks.
-func (r *Report) drop(disable map[string]bool) {
-	if disable == nil {
-		return
-	}
-	kept := r.Diags[:0]
-	for _, d := range r.Diags {
-		if !disable[d.Check] {
-			kept = append(kept, d)
-		}
-	}
-	r.Diags = kept
-}
-
 // Options parameterizes an analysis run.
 type Options struct {
 	// ExtraNodes supplies harmonyNode declarations from outside the script
 	// (e.g. the server's managed cluster), enabling the capacity checks even
 	// for bundle-only scripts.
 	ExtraNodes []*rsl.NodeDecl
-	// SwitchBandwidthMbps is the interconnect capacity assumed by the
-	// link-bandwidth check; 0 means the SP-2 default (320 Mbps, the paper's
-	// Section 6 testbed switch).
-	SwitchBandwidthMbps float64
-	// Disable names check IDs to skip.
-	Disable map[string]bool
 }
 
 // CheckInfo describes one registered check for documentation and tooling.
@@ -223,15 +204,15 @@ var checkRegistry = []CheckInfo{
 	{"link-bandwidth", SevWarn, "a link or communication demand exceeds the interconnect capacity even in the best case"},
 	{"perf-point", SevError, "a performance point has a node count below one or a negative time (piecewise-linear interpolation misbehaves)"},
 	{"perf-unsorted", SevWarn, "performance points were listed out of ascending node order (the decoder sorts them; the order given is likely a typo)"},
-	{"dominated-option", SevWarn, "an option is provably dominated by an earlier sibling — identical or subsumed requirements with a prediction that is never better — so the controller can never choose it (the relational bounds proof is sound at any variable domain size)"},
-	{"unreachable-option", SevError, "an option's resource lower bound over every variable binding (total memory, distinct hosts, or per-host pinned memory) exceeds the declared cluster's capacity even when idle, so it can never be matched"},
+	{"dominated-option", SevWarn, "an option is dominated by an earlier sibling at every choice the controller enumerates — identical or subsumed requirements with a prediction that is never better — so the controller can never choose it"},
+	{"unreachable-option", SevError, "an option's least total memory, distinct host count, or per-host pinned memory over the choices the controller enumerates exceeds the declared cluster's capacity even when idle, so it can never be matched"},
 	{"empty-option", SevWarn, "an option requests no nodes, so it never consumes or releases resources"},
 	{"const-ternary", SevWarn, "a ternary conditional's condition is constant, so one branch is dead"},
 	{"div-zero", SevError, "a division or modulo whose divisor is the constant zero (or, as a warning, may be zero for some variable value)"},
 	{"negative-tag", SevError, "a quantity that must be non-negative (seconds, memory, communication, granularity, friction, bandwidth) or at least one (replicate) is constant and out of range (or, as a warning, is out of range for some variable value)"},
 	{"dup-node-decl", SevError, "the same hostname is declared by more than one harmonyNode"},
 	{"node-decl-capacity", SevWarn, "a harmonyNode declares no memory, so every memory-bearing request will fail to match on it"},
-	{"analysis-skipped", SevInfo, "variable domains were too large to enumerate, so a witness-producing check fell back to interval analysis (still sound, but without concrete example bindings)"},
+	{"too-many-choices", SevError, "a bundle's options, variable domains and memory grant ladders expand to more choices than the controller enumerates (4096); the server and the controller refuse it, and no check that needs a binding runs"},
 	{"perf-model-range", SevWarn, "a performance model's node-count span is disjoint from every node count the option can request, so predictions always extrapolate"},
 	{"workload-memory", SevError, "the bundles' combined best-case memory demand exceeds the cluster's total memory, so no allocation of the whole workload can succeed"},
 	{"workload-nodes", SevError, "the bundles' combined best-case exclusive-node demand exceeds the cluster's node count"},
@@ -243,12 +224,13 @@ var checkRegistry = []CheckInfo{
 // finding. Unlike rsl.DecodeScript it keeps going after a bad command, so
 // one malformed bundle does not hide findings in the rest of the script.
 func Script(src string, opts Options) *Report {
-	rep, _ := script(src, opts)
+	rep, _ := script(src, opts.ExtraNodes, bounds.CapacityOf(opts.ExtraNodes))
 	return rep
 }
 
-// script is Script, also handing back what it decoded.
-func script(src string, opts Options) (*Report, *Arrival) {
+// script is Script against the cluster extra, whose capacity is capa, also
+// handing back what it decoded.
+func script(src string, extra []*rsl.NodeDecl, capa bounds.Capacity) (*Report, *Arrival) {
 	rep := &Report{}
 	ar, err := decode(src, rep)
 	if err != nil {
@@ -256,20 +238,16 @@ func script(src string, opts Options) (*Report, *Arrival) {
 		return rep, ar
 	}
 	a := &analysis{
-		rep:      rep,
-		opts:     opts,
-		decls:    append(append([]*rsl.NodeDecl(nil), ar.decls...), opts.ExtraNodes...),
-		switchBW: opts.SwitchBandwidthMbps,
-	}
-	if a.switchBW <= 0 {
-		a.switchBW = defaultSwitchBandwidthMbps
+		rep:   rep,
+		decls: append(append([]*rsl.NodeDecl(nil), ar.decls...), extra...),
+		capa:  capa.Add(ar.decls),
 	}
 	a.checkDecls(ar.decls)
 	for _, b := range ar.bundles {
 		a.checkBundle(b)
 	}
+	ar.demands = a.demands
 	rep.Sort()
-	rep.drop(opts.Disable)
 	return rep, ar
 }
 

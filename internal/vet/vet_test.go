@@ -3,6 +3,7 @@ package vet
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,8 +31,9 @@ var wantChecks = map[string][]string{
 	"decode.rsl":      {"decode"},
 	"dupnode.rsl":     {"dup-node-decl", "node-decl-capacity"},
 	"bandwidth.rsl":   {"link-bandwidth"},
-	"skipped.rsl":     {"analysis-skipped", "div-zero", "negative-tag"},
+	"toomany.rsl":     {"too-many-choices"},
 	"perfrange.rsl":   {"perf-model-range"},
+	"ladder.rsl":      {"div-zero", "negative-tag"},
 	"clean.rsl":       {},
 }
 
@@ -282,17 +284,6 @@ func TestReportJSON(t *testing.T) {
 	}
 }
 
-func TestDisable(t *testing.T) {
-	src := "harmonyNode h {speed 1}\n"
-	if rep := Script(src, Options{}); rep.Count(SevWarn) == 0 {
-		t.Fatal("expected a node-decl-capacity warning")
-	}
-	rep := Script(src, Options{Disable: map[string]bool{"node-decl-capacity": true}})
-	if len(rep.Diags) != 0 {
-		t.Errorf("disabled check still reported: %v", rep.Diags)
-	}
-}
-
 // TestExtraNodes verifies the capacity checks run against an externally
 // supplied cluster when the script declares no nodes itself (the server's
 // registration hook).
@@ -308,21 +299,20 @@ func TestExtraNodes(t *testing.T) {
 	}
 }
 
+// TestSwitchBandwidthOption: the link-bandwidth check holds a link to the
+// interconnect the cluster package models, the SP-2 switch's 320 Mbps.
 func TestSwitchBandwidthOption(t *testing.T) {
-	src := "harmonyBundle a:1 b {\n\t{o\n\t\t{node x * {memory 1}}\n\t\t{node y * {memory 1}}\n\t\t{link x y 200}\n\t}\n}\n"
+	link := func(mbps int) string {
+		return fmt.Sprintf("harmonyBundle a:1 b {\n\t{o\n\t\t{node x * {memory 1}}\n\t\t{node y * {memory 1}}\n\t\t{link x y %d}\n\t}\n}\n", mbps)
+	}
 	nodes := []*rsl.NodeDecl{{Hostname: "h1", MemoryMB: 64}, {Hostname: "h2", MemoryMB: 64}}
-	if rep := Script(src, Options{ExtraNodes: nodes}); len(rep.Diags) != 0 {
-		t.Fatalf("200 Mbps fits the default switch, got %v", rep.Diags)
+	if rep := Script(link(320), Options{ExtraNodes: nodes}); len(rep.Diags) != 0 {
+		t.Fatalf("320 Mbps fits the switch, got %v", rep.Diags)
 	}
-	rep := Script(src, Options{ExtraNodes: nodes, SwitchBandwidthMbps: 100})
-	found := false
-	for _, d := range rep.Diags {
-		if d.Check == "link-bandwidth" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("want link-bandwidth against a 100 Mbps switch, got %v", rep.Diags)
+	rep := Script(link(321), Options{ExtraNodes: nodes})
+	if len(rep.Diags) != 1 || rep.Diags[0].Check != "link-bandwidth" ||
+		!strings.Contains(rep.Diags[0].Message, "the interconnect provides 320 Mbps") {
+		t.Errorf("want one link-bandwidth warning against the 320 Mbps switch, got %v", rep.Diags)
 	}
 }
 

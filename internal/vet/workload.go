@@ -2,7 +2,6 @@ package vet
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -54,7 +53,7 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 			parts = append(parts, part{file: s.File, bundles: bundles})
 		}
 	}
-	return joint(parts, capacityOf(decls), opts)
+	return joint(parts, bounds.CapacityOf(decls))
 }
 
 // part is one spec's share of a joint check: its bundles and, when the
@@ -72,43 +71,12 @@ func (p part) demand(i int) demand {
 	return bundleDemand(p.bundles[i])
 }
 
-// capacity is the cluster side of a joint check: how many nodes are
-// declared, their total memory, and the memory declared under each hostname.
-type capacity struct {
-	nodes int
-	mem   float64
-	host  map[string]float64
-}
-
-func capacityOf(decls []*rsl.NodeDecl) capacity {
-	return capacity{}.add(decls)
-}
-
-// add returns c with decls declared after it. The sums run in declaration
-// order, so a capacity kept for a cluster and extended by a script's own
-// harmonyNode lines equals the one summed over both lists at once. c itself
-// is not changed.
-func (c capacity) add(decls []*rsl.NodeDecl) capacity {
-	if len(decls) == 0 {
-		return c
-	}
-	host := make(map[string]float64, len(c.host)+len(decls))
-	maps.Copy(host, c.host)
-	for _, d := range decls {
-		c.mem += d.MemoryMB
-		host[d.Hostname] += d.MemoryMB
-	}
-	c.nodes += len(decls)
-	c.host = host
-	return c
-}
-
 // joint sums the parts' demands, bundle by bundle in the order given, and
 // reports what the sums prove against the capacity. Diagnostics carry the
 // last part's file and the position of its first bundle.
-func joint(parts []part, capa capacity, opts Options) *Report {
+func joint(parts []part, capa bounds.Capacity) *Report {
 	rep := &Report{}
-	if capa.nodes == 0 || len(parts) == 0 {
+	if capa.Nodes == 0 || len(parts) == 0 {
 		return rep
 	}
 	anchor := parts[len(parts)-1]
@@ -116,7 +84,7 @@ func joint(parts []part, capa capacity, opts Options) *Report {
 	pos := anchor.bundles[0].Pos
 
 	mem, excl, bw := 0.0, 0.0, 0.0
-	perHost := make(map[string]float64, len(capa.host))
+	perHost := make(map[string]float64, len(capa.HostMB))
 	for _, p := range parts {
 		for i := range p.bundles {
 			m := p.demand(i)
@@ -129,10 +97,6 @@ func joint(parts []part, capa capacity, opts Options) *Report {
 		}
 	}
 
-	switchBW := opts.SwitchBandwidthMbps
-	if switchBW <= 0 {
-		switchBW = defaultSwitchBandwidthMbps
-	}
 	// who names every bundle, for the message of a finding. Most workloads
 	// raise none, so the names are put together only when one fires.
 	who := func() string {
@@ -155,21 +119,21 @@ func joint(parts []part, capa capacity, opts Options) *Report {
 			Message: fmt.Sprintf(format, args...),
 		})
 	}
-	if mem > capa.mem {
+	if mem > capa.MemoryMB {
 		diag("workload-memory", SevError,
 			"bundles %s demand at least %g MB of memory in their best case, but the cluster provides %g MB across %d node(s)",
-			who(), mem, capa.mem, capa.nodes)
+			who(), mem, capa.MemoryMB, capa.Nodes)
 	}
-	if excl > float64(capa.nodes) {
+	if excl > float64(capa.Nodes) {
 		diag("workload-nodes", SevError,
 			"bundles %s demand at least %g exclusive node(s), but the cluster has %d",
-			who(), excl, capa.nodes)
+			who(), excl, capa.Nodes)
 	}
 	// A host no declaration names is left to per-spec vetting, which reports
 	// unsatisfiable hosts.
 	var over []string
 	for h, mb := range perHost {
-		if have, known := capa.host[h]; known && mb > have {
+		if have, known := capa.HostMB[h]; known && mb > have {
 			over = append(over, h)
 		}
 	}
@@ -177,16 +141,15 @@ func joint(parts []part, capa capacity, opts Options) *Report {
 	for _, h := range over {
 		diag("workload-host", SevError,
 			"bundles %s pin at least %g MB on host %q, which has %g MB",
-			who(), perHost[h], h, capa.host[h])
+			who(), perHost[h], h, capa.HostMB[h])
 	}
-	if bw > switchBW {
+	if bw > switchBandwidthMbps {
 		diag("workload-bandwidth", SevWarn,
 			"bundles %s demand at least %g Mbps of aggregate bandwidth, but the interconnect provides %g Mbps",
-			who(), bw, switchBW)
+			who(), bw, switchBandwidthMbps)
 	}
 
 	rep.Sort()
-	rep.drop(opts.Disable)
 	return rep
 }
 
@@ -199,19 +162,37 @@ type demand struct {
 	perHost map[string]float64 // memory pinned to specific hostnames, MB
 }
 
-// bundleDemand is the element-wise minimum of the lower ends of the
-// bundle's option vectors (bounds.Option): no matter which option the
-// controller picks, the bundle consumes at least this much.
+// bundleDemand is the demand of a bundle (demandOf its options' bound
+// vectors). A bundle over rsl.MaxChoices is not enumerated, and demands
+// nothing.
 func bundleDemand(b *rsl.BundleSpec) demand {
-	var d demand
+	if b.ChoiceCount() > rsl.MaxChoices {
+		return demand{}
+	}
+	vs := make([]bounds.Vector, len(b.Options))
 	for i := range b.Options {
-		v := bounds.Option(&b.Options[i])
-		if i == 0 {
+		vs[i] = bounds.Option(&b.Options[i])
+	}
+	return demandOf(vs)
+}
+
+// demandOf is the element-wise minimum of the lower ends of a bundle's
+// option vectors, over the options that have a choice that resolves: no
+// matter which the controller picks, the bundle consumes at least this much.
+func demandOf(vs []bounds.Vector) demand {
+	var d demand
+	first := true
+	for _, v := range vs {
+		if v.Choices == 0 {
+			continue // never placed, so never the cheapest
+		}
+		if first {
+			first = false
 			d = demand{mem: v.MemoryMB.Lo, excl: v.ExclusiveNodes.Lo, bw: v.BandwidthMbps.Lo}
 			if len(v.PerHostMB) > 0 {
 				d.perHost = make(map[string]float64, len(v.PerHostMB))
-				for h, iv := range v.PerHostMB {
-					d.perHost[h] = iv.Lo
+				for h, r := range v.PerHostMB {
+					d.perHost[h] = r.Lo
 				}
 			}
 			continue
@@ -221,8 +202,8 @@ func bundleDemand(b *rsl.BundleSpec) demand {
 		d.bw = math.Min(d.bw, v.BandwidthMbps.Lo)
 		// A host pinned by only some options is not pinned by the bundle.
 		for h, lo := range d.perHost {
-			if iv, ok := v.PerHostMB[h]; ok {
-				d.perHost[h] = math.Min(lo, iv.Lo)
+			if r, ok := v.PerHostMB[h]; ok {
+				d.perHost[h] = math.Min(lo, r.Lo)
 			} else {
 				delete(d.perHost, h)
 			}
