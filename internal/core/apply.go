@@ -266,7 +266,6 @@ func (c *Controller) Restore(st *PersistedState) error {
 			bundle:       bundles[0],
 			ownerPath:    namespace.InstancePath(bundles[0].App, pa.Instance),
 			source:       pa.Source,
-			choice:       pa.Choice,
 			assignment:   pa.Assignment,
 			predicted:    pa.PredictedSeconds,
 			lastSwitch:   pa.LastSwitch,
@@ -274,6 +273,7 @@ func (c *Controller) Restore(st *PersistedState) error {
 			switches:     pa.Switches,
 			degraded:     pa.Degraded,
 		}
+		c.setChoice(app, pa.Choice)
 		if pa.Claim != nil {
 			cp := *pa.Claim
 			if err := c.ledger.RestoreClaim(cp); err != nil {

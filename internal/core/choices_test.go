@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"harmony/internal/namespace"
 	"harmony/internal/replog"
@@ -142,5 +143,154 @@ func TestOverCapRefused(t *testing.T) {
 	inst, _, err := c.Register(decodeBundle(t, at))
 	if err != nil || inst != 1 {
 		t.Fatalf("Register at the cap: %d, %v; want instance 1", inst, err)
+	}
+}
+
+// dupChurnRSL has a duplicate value in its variable's domain, so two of its
+// enumerated choices Equal each other, and a friction that grows with n.
+const dupChurnRSL = `harmonyBundle Dup:1 b {
+	{w {variable n {2 2 4}} {node x * {seconds {40 / n}} {memory 16} {replicate n} {exclusive 1}} {friction {n}}}
+	{one {node x * {seconds 30} {memory 16}} {friction 2}}
+}`
+
+// churnBag is an exclusive bag that competes with Dup for nodes.
+func churnBag(i int) string {
+	return fmt.Sprintf(`harmonyBundle Bag%d:%d p {
+	{w {variable m {1 2 4}} {node y * {seconds {%d / m}} {memory 16} {replicate m} {exclusive 1}} {friction 3}}
+}`, i, i, 50+10*i)
+}
+
+// TestFrictionReadByIndex: the searches read whether a choice switches from
+// the app's sameness vector, by enumeration index, instead of comparing
+// choices. Dup's domain holds 2 twice, so two of its choices are its current
+// one at once. Through arrivals that take the joint search, departures,
+// re-evaluations, forced choices and a restore into a fresh controller, the
+// decisions must be those the comparison made (want was recorded with it),
+// and after every step each app's vector must say exactly which of its
+// enumerated choices Equal its choice: adopt, ForceChoice and Restore each
+// rebuild it.
+func TestFrictionReadByIndex(t *testing.T) {
+	const want = `register Dup: 1=w n=4(initial) | Dup w n=4 x0
+register Bag1: 2=w m=4(initial) | Dup w n=4 x0 Bag1 w m=4 x0
+register Bag2: 1=w n=2 3=w m=2(initial) | Dup w n=2 x1 Bag1 w m=4 x0 Bag2 w m=2 x1
+reevaluate: | Dup w n=2 x1 Bag1 w m=4 x0 Bag2 w m=2 x1
+unregister 2: 1=w n=4 3=w m=4 | Dup w n=4 x2 Bag2 w m=4 x2
+force w n=2: 1=w n=2 | Dup w n=2 x3 Bag2 w m=4 x2
+reevaluate: 1=w n=4 | Dup w n=4 x4 Bag2 w m=4 x2
+register Bag3: 1=w n=2 4=w m=2(initial) | Dup w n=2 x5 Bag2 w m=4 x2 Bag3 w m=2 x1
+restore: | Dup w n=2 x5 Bag2 w m=4 x2 Bag3 w m=2 x1
+force one: 1=one | Dup one x6 Bag2 w m=4 x2 Bag3 w m=2 x1
+reevaluate: 1=w n=2 | Dup w n=2 x7 Bag2 w m=4 x2 Bag3 w m=2 x1
+unregister 3: 1=w n=4 4=w m=4 | Dup w n=4 x8 Bag3 w m=4 x2
+unregister 4: | Dup w n=4 x8
+reevaluate: | Dup w n=4 x8
+force w n=2: 1=w n=2 | Dup w n=2 x9
+register Bag4: 5=w m=4(initial) 1=w n=4 | Dup w n=4 x10 Bag4 w m=4 x0
+reevaluate: | Dup w n=4 x10 Bag4 w m=4 x0
+`
+	c, clock := newController(t, 8, Config{})
+	var got strings.Builder
+	twins := 0
+	// record writes a step's events and every app's choice and switch count
+	// after it, and holds every app's vector to Equal.
+	record := func(step string, events []Event, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		fmt.Fprintf(&got, "%s:", step)
+		for _, ev := range events {
+			fmt.Fprintf(&got, " %d=%s", ev.Instance, ev.Choice)
+			if ev.Initial {
+				got.WriteString("(initial)")
+			}
+		}
+		got.WriteString(" |")
+		for _, a := range c.Apps() {
+			fmt.Fprintf(&got, " %s %s x%d", a.App, a.Choice, a.Switches)
+		}
+		got.WriteString("\n")
+		for _, id := range c.order {
+			app := c.apps[id]
+			same := 0
+			for k, ch := range c.staticFor(app).choices {
+				if app.isCurrent(k) != ch.Equal(app.choice) {
+					t.Fatalf("%s: %s: isCurrent(%d) is %v for %s, whose choice is %s", step, app.owner(), k, app.isCurrent(k), ch, app.choice)
+				}
+				if app.isCurrent(k) {
+					same++
+				}
+			}
+			if same > 1 {
+				twins++
+			}
+		}
+	}
+	register := func(src string) int {
+		t.Helper()
+		// registerAt keeps the source, which EncodeState needs.
+		inst, events, err := c.registerAt(decodeBundle(t, src), src, clock.Now())
+		record("register "+src[len("harmonyBundle "):strings.Index(src, ":")], events, err)
+		return inst
+	}
+	unregister := func(inst int) {
+		t.Helper()
+		events, err := c.Unregister(inst)
+		record(fmt.Sprintf("unregister %d", inst), events, err)
+	}
+	force := func(inst int, ch Choice) {
+		t.Helper()
+		ev, err := c.ForceChoice(inst, ch)
+		var events []Event
+		if ev != nil {
+			events = []Event{*ev}
+		}
+		record("force "+ch.String(), events, err)
+	}
+	reevaluate := func() {
+		t.Helper()
+		clock.AdvanceTo(clock.Now() + time.Hour)
+		record("reevaluate", c.Reevaluate(), nil)
+	}
+	twoWorkers := Choice{Option: "w", Vars: map[string]float64{"n": 2}}
+
+	dup := register(dupChurnRSL)
+	bag1, bag2 := register(churnBag(1)), register(churnBag(2))
+	reevaluate()
+	unregister(bag1)
+	force(dup, twoWorkers)
+	reevaluate()
+	bag3 := register(churnBag(3))
+
+	data, err := c.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := DecodeState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, rclock := newController(t, 8, Config{})
+	rclock.AdvanceTo(clock.Now())
+	if err := restored.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	c, clock = restored, rclock
+	record("restore", nil, nil)
+
+	force(dup, Choice{Option: "one"})
+	reevaluate()
+	unregister(bag2)
+	unregister(bag3)
+	reevaluate()
+	force(dup, twoWorkers)
+	register(churnBag(4))
+	reevaluate()
+
+	if got.String() != want {
+		t.Fatalf("the churn went\n%s\nwhere comparing choices went\n%s", got.String(), want)
+	}
+	if twins == 0 {
+		t.Fatal("Dup never held a choice its domain lists twice")
 	}
 }

@@ -110,8 +110,12 @@ type appState struct {
 	// source is the RSL text the bundle was decoded from, kept so replicated
 	// snapshots (see apply.go) can rebuild the bundle on a follower. Empty
 	// for bundles registered directly with a decoded spec.
-	source     string
+	source string
+	// choice is the active configuration, set through setChoice, and
+	// current[k] whether the k-th enumerated choice Equals it: what the
+	// friction test reads (isCurrent).
 	choice     Choice
+	current    []bool
 	assignment *match.Assignment
 	// placed is assignment resolved to ledger indices; read it through
 	// placedFor, which notices when it is missing or out of date.
@@ -135,6 +139,22 @@ type appState struct {
 }
 
 func (a *appState) owner() string { return a.ownerPath }
+
+// setChoice makes ch the app's active configuration and works out which of
+// its enumerated choices Equal it, duplicates and NaN-valued choices as
+// Equal judges them, so that the searches compare by index.
+func (c *Controller) setChoice(app *appState, ch Choice) {
+	app.choice = ch
+	choices := c.staticFor(app).choices
+	app.current = slices.Grow(app.current[:0], len(choices))[:len(choices)]
+	for k := range choices {
+		app.current[k] = choices[k].Equal(ch)
+	}
+}
+
+// isCurrent reports whether the k-th enumerated choice is the app's active
+// configuration; none is before the app first adopts one.
+func (a *appState) isCurrent(k int) bool { return a.current != nil && a.current[k] }
 
 // Controller is the Harmony adaptation controller: one central decision
 // maker, and a single-writer state machine. The mutators — Register,
@@ -600,7 +620,10 @@ func (c *Controller) adopt(app *appState, cand candidate, now time.Duration, ini
 		}
 		app.claim = nil
 	}
-	claim, err := c.matcher.Reserve(app.owner(), cand.assignment)
+	// The searches hand over their own buffers: the assignment is copied out
+	// here, once, for the app to keep.
+	asg := cand.assignment.Clone()
+	claim, err := c.matcher.Reserve(app.owner(), asg)
 	if err != nil {
 		if prevClaim != nil {
 			if rc, rerr := c.matcher.Reserve(app.owner(), prevAsg); rerr == nil {
@@ -612,7 +635,7 @@ func (c *Controller) adopt(app *appState, cand candidate, now time.Duration, ini
 		return Event{}, err
 	}
 	app.claim = claim
-	app.assignment = cand.assignment
+	app.assignment = asg
 	app.degraded = false
 	if !initial && !app.choice.Equal(cand.choice) {
 		app.switches++
@@ -621,7 +644,7 @@ func (c *Controller) adopt(app *appState, cand candidate, now time.Duration, ini
 	if initial {
 		app.lastSwitch = now
 	}
-	app.choice = cand.choice
+	c.setChoice(app, cand.choice)
 	// The snapshot is the one the next evaluation starts from.
 	committed := c.ledger.Snapshot()
 	c.refreshPredictions(committed)
@@ -633,7 +656,7 @@ func (c *Controller) adopt(app *appState, cand candidate, now time.Duration, ini
 		App:              app.bundle.App,
 		Bundle:           app.bundle.Name,
 		Choice:           cand.choice,
-		Assignment:       cand.assignment,
+		Assignment:       asg,
 		PredictedSeconds: app.predicted,
 		At:               now,
 		Initial:          initial,

@@ -101,8 +101,11 @@ type passState struct {
 	// The candidate being evaluated: its placement, resolved, and the jobs
 	// the objective scores. The first others of jobs are the other residents'
 	// under row jobsRow (noRow: none yet this evaluation), which the next
-	// candidate of the evaluation keeps if it meets the same row.
+	// candidate of the evaluation keeps if it meets the same row. best holds
+	// the placement of bestChoice's best so far: the two swap storage when a
+	// candidate improves on it.
 	asg     match.Assignment
+	best    match.Assignment
 	pl      predict.Placement
 	jobs    []objective.JobPrediction
 	jobsRow int
@@ -295,7 +298,7 @@ func (p *passState) indexed() predict.Indexed {
 // to the trial state, predicts it and every other application there and
 // scores the system objective; the state is restored before it returns. The
 // candidate's assignment is the pass's own, overwritten by the next
-// candidate: whoever keeps it clones it. A choice that does not fit returns
+// candidate: adopt copies it out. A choice that does not fit returns
 // errMisfit.
 func (c *Controller) evaluate(p *passState, ch Choice, st *choiceStatic) (candidate, error) {
 	if !p.scan.Place(st.plan, &p.asg) {
@@ -326,18 +329,14 @@ func (c *Controller) evaluate(p *passState, ch Choice, st *choiceStatic) (candid
 	}, nil
 }
 
-// evaluateChoice is evaluate for a caller that keeps what it gets: a misfit
-// comes back with its reason, and the assignment is the candidate's own.
+// evaluateChoice is evaluate for a caller that adopts one choice: a misfit
+// comes back with its reason.
 func (c *Controller) evaluateChoice(p *passState, ch Choice, st *choiceStatic) (candidate, error) {
 	cand, err := c.evaluate(p, ch, st)
 	if err == errMisfit {
-		err = p.scan.Misfit(st.plan)
+		return candidate{}, p.scan.Misfit(st.plan)
 	}
-	if err != nil {
-		return candidate{}, err
-	}
-	cand.assignment = cand.assignment.Clone()
-	return cand, nil
+	return cand, err
 }
 
 // predictOthers predicts every other resident on the trial state, in order,

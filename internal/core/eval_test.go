@@ -491,3 +491,26 @@ func TestPassPredictionCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestGreedyEvaluationAllocs holds a warmed greedy evaluation to no heap
+// allocation: a db-crowd resident's five choices are placed, charged,
+// predicted and reduced in the pass state's own buffers, and the best so far
+// swaps storage with the trial instead of being copied out. Only adopt copies
+// an assignment.
+func TestGreedyEvaluationAllocs(t *testing.T) {
+	c := crowdController(t, 64, Config{})
+	app := c.apps[c.order[len(c.order)/2]]
+	now := c.cfg.Clock.Now()
+	if _, err := c.bestChoice(app, now, false); err != nil { // opens the pass and fills its table
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.bestChoice(app, now, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	c.endPass()
+	if allocs > 0 {
+		t.Fatalf("a warmed greedy evaluation allocated %v times, want 0", allocs)
+	}
+}

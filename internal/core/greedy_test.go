@@ -201,8 +201,12 @@ func compareGreedy(t *testing.T, c *Controller, app *appState, forInitial bool, 
 	for i, ch := range bs.choices {
 		hits := p.hits
 		gots[i], gotErrs[i] = c.evaluateChoice(p, ch, &bs.stat[i])
-		if gotErrs[i] == nil && p.hits > hits {
-			tally.shared++
+		if gotErrs[i] == nil {
+			// The assignment is the pass state's until adopt copies it out.
+			gots[i].assignment = gots[i].assignment.Clone()
+			if p.hits > hits {
+				tally.shared++
+			}
 		}
 	}
 	p1 := c.predictions

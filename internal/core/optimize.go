@@ -25,6 +25,9 @@ type candidate struct {
 	// frictionWarn carries a deferred warning when the option's friction
 	// expression failed to evaluate (surfaced once by the reduction).
 	frictionWarn string
+	// at is the choice's place in the app's enumeration, where bestChoice
+	// found it.
+	at int
 }
 
 // bestChoice finds the objective-minimizing feasible choice for app.
@@ -34,11 +37,12 @@ type candidate struct {
 // score in enumeration order, amortizes friction into the score of a
 // non-initial switch (when forInitial is true nothing is switching, so no
 // friction is charged), and raises each distinct friction warning once, in
-// order. Only a candidate that becomes the best so far has its assignment
-// copied out of the pass state's. Every enumerated choice is evaluated: one
-// that cannot fit costs a Place that says so before anything is charged or
-// predicted. When nothing fits, the error quotes the last enumerated choice's
-// failure, and a misfit is asked why only then.
+// order. A candidate that becomes the best so far swaps its assignment into
+// the pass state's best buffer, which the winner's points to until the next
+// evaluation: nothing is copied unless adopt keeps it. Every enumerated choice
+// is evaluated: one that cannot fit costs a Place that says so before anything
+// is charged or predicted. When nothing fits, the error quotes the last
+// enumerated choice's failure, and a misfit is asked why only then.
 func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial bool) (candidate, error) {
 	bs := c.staticFor(app)
 	p := c.openEvaluation(app)
@@ -58,7 +62,7 @@ func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial boo
 			c.warn(w)
 		}
 		score := cand.objective
-		if !forInitial && !cand.choice.Equal(app.choice) && !c.cfg.IgnoreFriction {
+		if !forInitial && !app.isCurrent(k) && !c.cfg.IgnoreFriction {
 			// Amortize the frictional switching cost into the objective: a
 			// switch must buy more improvement than it costs (Section 3,
 			// "frictional cost function ... to evaluate if a tuning option
@@ -66,9 +70,9 @@ func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial boo
 			score += cand.friction / float64(max(len(c.order), 1))
 		}
 		if score < best.objective {
+			p.asg, p.best = p.best, p.asg
 			best = cand
-			best.assignment = cand.assignment.Clone()
-			best.objective = score
+			best.assignment, best.objective, best.at = &p.best, score, k
 		}
 	}
 	if best.assignment == nil {
@@ -108,7 +112,7 @@ func (c *Controller) reevaluate(now time.Duration, skipInstance int) []Event {
 		if err != nil {
 			continue
 		}
-		if best.choice.Equal(app.choice) && app.claim != nil {
+		if app.isCurrent(best.at) && app.claim != nil {
 			// Nothing to do: evaluation left the ledger untouched, so the
 			// app's existing claim is still in place. (A nil claim means the
 			// claim went stale and the app must be re-placed even under an
@@ -411,7 +415,7 @@ func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]
 			lv.choices[j] = jointChoice{
 				choice:    bs.choices[k],
 				st:        st,
-				charged:   !c.cfg.IgnoreFriction && !bs.choices[k].Equal(lv.app.choice),
+				charged:   !c.cfg.IgnoreFriction && !lv.app.isCurrent(k),
 				surcharge: st.friction / float64(len(js.jobs)),
 				lb:        predict.Floor(st.opt, st.plan, fastest),
 			}
@@ -424,7 +428,7 @@ func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]
 	js.walk(0)
 	p.cols.Restore(&p.undo, 0)
 	for i := range js.best.combo {
-		js.best.combo[i].assignment = js.levels[i].best.Clone()
+		js.best.combo[i].assignment = &js.levels[i].best
 	}
 	return js.best
 }
@@ -566,7 +570,7 @@ func (js *jointSearch) score(decided int) float64 {
 // leaf scores the combination the levels hold and keeps it if it is strictly
 // better than the best so far. Only then are the trial assignments copied, into
 // the levels' best buffers, and only those of levels whose trial changed since
-// the last copy; searchJoint clones the winner's out of those.
+// the last copy; adopt copies the winner's out of those.
 func (js *jointSearch) leaf() {
 	score := js.score(len(js.levels))
 	if !(score < js.best.score) {

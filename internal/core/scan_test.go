@@ -301,7 +301,7 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 					misfits++
 					continue
 				}
-				if !reflect.DeepEqual(got.assignment, want.assignment.Clone()) {
+				if !reflect.DeepEqual(got.assignment.Clone(), want.assignment.Clone()) {
 					t.Fatalf("%s: %s %s: assignments differ:\n shared:  %+v\n rebuilt: %+v", step.name, app.owner(), ch, got.assignment, want.assignment)
 				}
 				if math.Float64bits(got.predicted) != math.Float64bits(want.predicted) ||

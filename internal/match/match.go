@@ -234,7 +234,8 @@ func NewWithView(view resource.View) *Matcher {
 // which places on it one call at a time: the scan keeps what it learns of its
 // state between calls (the order, MayFit's counts) and works in its own
 // scratch. The order is built by the first call whose option has a wildcard
-// spec; options that name every host never need it.
+// spec; an option that names every host is scanned in the order of its hosts'
+// rows.
 type Scan struct {
 	snap *resource.Snapshot
 	rows []resource.NodeState
@@ -264,12 +265,10 @@ type shapeCount struct {
 }
 
 // Reset aims the scan at a snapshot. rows must be the snapshot's node table
-// (AppendNodes) and must not change while the scan is in use; it is not read
-// for options that name every host, so a caller that only matches those may
-// pass nil, but MayFit always reads it. cols holds the free memory and load to
-// match against by node index (Snapshot.ReadColumns, with any trial charges
-// on top) — the rows give only what a reservation cannot change — and must
-// hold still until the next Reset.
+// (AppendNodes) and must not change while the scan is in use. cols holds the
+// free memory and load to match against by node index (Snapshot.ReadColumns,
+// with any trial charges on top) — the rows give only what a reservation
+// cannot change — and must hold still until the next Reset.
 func (s *Scan) Reset(snap *resource.Snapshot, rows []resource.NodeState, cols *resource.Columns) {
 	s.snap, s.rows, s.cols = snap, rows, cols
 	s.built = false
@@ -347,7 +346,8 @@ func scanOrder(load []float64, order []int32) []int32 {
 	return order
 }
 
-// table is the node table of one Match call.
+// table is the node table of one Match call: the view's, row i being the node
+// at index i.
 type table struct {
 	// rows holds the nodes in hostname order. Only what a placement cannot
 	// change is read from them: description and health.
@@ -355,19 +355,9 @@ type table struct {
 	// order lists row numbers in the order first-fit scans them.
 	order []int32
 	// free and load are the rows' free memory and CPU load, private to the
-	// call and charged as replicas are placed.
+	// call and charged as replicas are placed. Only the rows in order are
+	// read.
 	free, load []float64
-	// pos maps a row to the node's index in the view's table; nil when rows
-	// is that table.
-	pos []int32
-}
-
-// at is the index in the view's node table of the node in the given row.
-func (t *table) at(row int32) int32 {
-	if t.pos == nil {
-		return row
-	}
-	return t.pos[row]
 }
 
 // scratch is the working memory of one Match call, addressed by row. Each
@@ -375,10 +365,8 @@ func (t *table) at(row int32) int32 {
 // buffers.
 type scratch struct {
 	free, load []float64
-	// rows, order and pos make up the table of an option that names its hosts.
-	rows  []resource.NodeState
-	order []int32
-	pos   []int32
+	// named is the order of an option that names its hosts.
+	named []int32
 	// used marks rows already given to a wildcard replica of this request,
 	// which the request's other wildcard replicas may not take.
 	used []bool
@@ -721,10 +709,7 @@ func (m *Matcher) Match(req Request) (*Assignment, error) {
 	o := scratchPool.Get().(*oneOff)
 	defer scratchPool.Put(o)
 	snap := m.ledger.Indexed()
-	o.rows = o.rows[:0]
-	if !namesEveryHost(req.Option) {
-		o.rows = snap.AppendNodes(o.rows)
-	}
+	o.rows = snap.AppendNodes(o.rows[:0])
 	snap.ReadColumns(&o.cols)
 	o.scan.Reset(snap, o.rows, &o.cols)
 	return o.scan.match(req)
@@ -779,29 +764,23 @@ func (s *Scan) misfit(p *Plan, asg *Assignment) error {
 // nil, the reason it does not fit.
 func (s *Scan) place(p *Plan, asg *Assignment, why *NoFitError) bool {
 	sc := &s.sc
-	misfit := func(e NoFitError) bool {
-		if why != nil {
-			*why = e
-		}
-		return false
-	}
 	opt := p.opt
-	snap := s.snap
 	*asg = Assignment{Option: opt.Name, Nodes: asg.Nodes[:0], Links: asg.Links[:0], comm: asg.comm[:0]}
 
-	var t table
+	t := table{rows: s.rows}
 	if namesEveryHost(opt) {
-		t = s.namedTable(sc, opt)
+		t.order, t.free, t.load = s.named(p)
 	} else {
 		if !s.built {
 			s.build()
 		}
 		sc.free = append(sc.free[:0], s.cols.FreeMemoryMB...)
 		sc.load = append(sc.load[:0], s.cols.CPULoad...)
-		t = table{rows: s.rows, order: s.order, free: sc.free, load: sc.load}
+		t.order, t.free, t.load = s.order, sc.free, sc.load
 	}
-	sc.used = append(sc.used[:0], make([]bool, len(t.rows))...)
-	used := sc.used
+	used := slices.Grow(sc.used[:0], len(t.rows))[:len(t.rows)]
+	clear(used)
+	sc.used = used
 
 	asg.Nodes = slices.Grow(asg.Nodes, p.nodes)
 	for i := range p.specs {
@@ -830,10 +809,25 @@ func (s *Scan) place(p *Plan, asg *Assignment, why *NoFitError) bool {
 				Seconds:   ps.seconds,
 				MemoryMB:  ps.demand.grant,
 				CPULoad:   ps.cpuLoad,
-				pos:       t.at(row),
+				pos:       row,
 			})
 		}
 	}
+	return s.link(p, asg, why)
+}
+
+// link finishes placing the plan once asg holds its node placements: it
+// reports a node spec that did not resolve, then checks the links between the
+// hosts placed, and the communication tag's pairs of them, on the scan's
+// state and records them in asg. why is as for place.
+func (s *Scan) link(p *Plan, asg *Assignment, why *NoFitError) bool {
+	misfit := func(e NoFitError) bool {
+		if why != nil {
+			*why = e
+		}
+		return false
+	}
+	snap := s.snap
 	if p.fail != nil {
 		return misfit(*p.fail)
 	}
@@ -876,15 +870,15 @@ func (s *Scan) place(p *Plan, asg *Assignment, why *NoFitError) bool {
 	// Aggregate communication: all assigned hosts must be fully connected
 	// (Section 3.3: "communication is general and all nodes must be fully
 	// connected").
-	if opt.Communication != nil {
+	if p.opt.Communication != nil {
 		// The distinct hosts in placement order: Hosts(), by index.
-		hosts := sc.hosts[:0]
+		hosts := s.sc.hosts[:0]
 		for i := range asg.Nodes {
 			if pos := asg.Nodes[i].pos; !slices.Contains(hosts, pos) {
 				hosts = append(hosts, pos)
 			}
 		}
-		sc.hosts = hosts
+		s.sc.hosts = hosts
 		if asg.comm == nil {
 			asg.comm = make([]int32, 0, len(hosts)*(len(hosts)-1)/2)
 		}
@@ -913,34 +907,31 @@ func namesEveryHost(opt *rsl.OptionSpec) bool {
 	return true
 }
 
-// namedTable fills the scratch table for an option that names every host it
-// runs on: just those hosts, looked up instead of scanned for — the one time
-// their names are looked up, the index found going with the row. A named spec
-// only ever considers the row of its own host, so the rest of the cluster and
-// the order of the scan cannot change which machine it gets, what capacity a
-// stacked replica finds left there, or why it is turned away. The rows stay
-// in hostname order, as firstFit's callers expect of the table; a host that
-// is not registered has no row, which is how firstFit learns of it.
-func (s *Scan) namedTable(sc *scratch, opt *rsl.OptionSpec) table {
-	sc.rows, sc.order, sc.pos = sc.rows[:0], sc.order[:0], sc.pos[:0]
-	for i := range opt.Nodes {
-		host := opt.Nodes[i].HostPattern
-		row, dup := resource.FindNode(sc.rows, host)
-		if dup {
+// named orders the rows of an option that names every host it runs on: just
+// those hosts' rows, found by index, in ascending order, which is hostname
+// order, with their free memory and load copied into the call's columns. A
+// named spec only ever considers the row of its own host, so the rest of the
+// cluster and the order of the scan cannot change which machine it gets, what
+// capacity a stacked replica finds left there, or why it is turned away; a
+// host that is not registered has no row, which is how firstFit learns of it.
+// The columns are as long as the table, and only the rows in order are
+// written.
+func (s *Scan) named(p *Plan) (order []int32, free, load []float64) {
+	sc := &s.sc
+	n := len(s.rows)
+	order = sc.named[:0]
+	free, load = slices.Grow(sc.free[:0], n)[:n], slices.Grow(sc.load[:0], n)[:n]
+	for i := range p.specs {
+		pos, ok := s.snap.NodeIndex(p.specs[i].demand.pattern)
+		if !ok || slices.Contains(order, int32(pos)) {
 			continue
 		}
-		if pos, ok := s.snap.NodeIndex(host); ok {
-			sc.rows = slices.Insert(sc.rows, row, s.snap.StateAt(pos))
-			sc.pos = slices.Insert(sc.pos, row, int32(pos))
-		}
+		order = append(order, int32(pos))
+		free[pos], load[pos] = s.cols.FreeMemoryMB[pos], s.cols.CPULoad[pos]
 	}
-	sc.free, sc.load = sc.free[:0], sc.load[:0]
-	for i := range sc.rows {
-		sc.order = append(sc.order, int32(i))
-		sc.free = append(sc.free, s.cols.FreeMemoryMB[sc.pos[i]])
-		sc.load = append(sc.load, s.cols.CPULoad[sc.pos[i]])
-	}
-	return table{rows: sc.rows, order: sc.order, free: sc.free, load: sc.load, pos: sc.pos}
+	slices.Sort(order)
+	sc.named, sc.free, sc.load = order, free, load
+	return order, free, load
 }
 
 // Clone returns a copy of the assignment that shares no storage with it, for
@@ -1145,7 +1136,7 @@ func (s *Scan) MayFit(p *Plan) bool {
 			}
 			continue
 		}
-		row, ok := resource.FindNode(s.rows, d.pattern)
+		row, ok := s.snap.NodeIndex(d.pattern)
 		if !ok {
 			return false
 		}

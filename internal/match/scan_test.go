@@ -166,7 +166,7 @@ func TestScanNeverBuiltForNamedOptions(t *testing.T) {
 	var cols resource.Columns
 	snap.ReadColumns(&cols)
 	var scan Scan
-	scan.Reset(snap, nil, &cols)
+	scan.Reset(snap, snap.AppendNodes(nil), &cols)
 	named := mustBundle(t, `harmonyBundle T:1 b {{o {node s h00 {seconds 1} {memory 2}} {node c h05 {seconds 4} {memory 2}} {link c s 3}}}`).Option("o")
 	got, err := scan.Match(Request{Option: named})
 	if err != nil {

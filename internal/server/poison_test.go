@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -94,7 +95,8 @@ func TestPoisonBundleRefused(t *testing.T) {
 
 // TestPoisonEntryReplays: a durable replica whose log already holds a
 // register entry for such a bundle, written there before the cap existed,
-// restarts, refuses the entry on apply without enumerating it, and serves.
+// restarts, refuses the entry on apply without enumerating it, says so in its
+// log once, and serves.
 func TestPoisonEntryReplays(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := replog.OpenStore(dir)
@@ -121,8 +123,27 @@ func TestPoisonEntryReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var (
+		mu    sync.Mutex
+		lines []string
+	)
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	refusals := func() (n int, last string) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, l := range lines {
+			if strings.Contains(l, "apply: entry") {
+				n, last = n+1, l
+			}
+		}
+		return n, last
+	}
 	start := time.Now()
-	rep, err := NewReplica("", ReplicaConfig{Controller: ctrl, DataDir: dir})
+	rep, err := NewReplica("", ReplicaConfig{Controller: ctrl, DataDir: dir, Logf: logf})
 	if err != nil {
 		t.Fatalf("restart on a log holding the poison entry: %v", err)
 	}
@@ -135,6 +156,11 @@ func TestPoisonEntryReplays(t *testing.T) {
 	}
 	if apps := ctrl.Apps(); len(apps) != 0 {
 		t.Fatalf("apps %+v after replaying a refused entry", apps)
+	}
+	// Nobody proposed the entry in this run, so the log is where its
+	// refusal shows: once, with its index, its op and the controller's error.
+	if n, last := refusals(); n != 1 || !strings.Contains(last, "entry 1 (register)") || !strings.Contains(last, "choices") {
+		t.Fatalf("%d refusal lines, the last %q; want one naming entry 1, register and the choice cap", n, last)
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -155,5 +181,8 @@ func TestPoisonEntryReplays(t *testing.T) {
 	}
 	if _, err := c.BundleSetup(dbRSL); err != nil {
 		t.Fatalf("bundle_setup on the restarted member: %v", err)
+	}
+	if n, _ := refusals(); n != 1 {
+		t.Fatalf("%d refusal lines after an admitted bundle_setup, want still 1", n)
 	}
 }

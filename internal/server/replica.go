@@ -491,6 +491,10 @@ func (r *Replica) applyCommitted(commit uint64) (released []func()) {
 		if done := r.waiters[idx]; done != nil {
 			delete(r.waiters, idx)
 			released = append(released, func() { done(out) })
+		} else if out.err != nil {
+			// No proposer hears this refusal (a follower, or a restart
+			// replaying its log): the log is the only place it shows.
+			r.cfg.Logf("harmony: replica %s: apply: entry %d (%s): %v", r.cfg.ID, idx, e.Op, out.err)
 		}
 	}
 	return released

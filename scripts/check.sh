@@ -83,16 +83,17 @@ echo "== bench harness (vet + tests against this checkout's API)"
 # The in-process twins of the benchmark's db-crowd, wide-greedy and
 # squeeze-small workloads: a few cycles, so the points the harness's numbers
 # are explained with cannot rot. Each is one benchmark, reporting the
-# predictions or joint-search trials a cycle makes, which repeat exactly.
-# Beside them, the admission vetting of one db-crowd arrival: the joint
-# workload check over 64 admitted bundles computed fresh, as harmonyctl lint
+# predictions or joint-search trials a cycle makes, which repeat exactly, and
+# the bytes and allocations a cycle costs. Beside them, the admission vetting
+# of one db-crowd arrival: the joint workload check over 64 admitted bundles
+# computed fresh, as harmonyctl lint
 # does, and as harmonyd makes it with each admitted bundle's demand kept
 # (AdmissionCrowd), and the incoming script's own; and the vetting of one
 # bundle at the 4096 choices the controller enumerates, shaped like Figure 4
 # (ScriptAtCap). Then replica-squeeze's
 # replicated path without the wire to clients: one committed proposal on a
 # three-member loopback cluster, durable (an fsync per member) and in memory.
-go test -run '^$' -bench 'CrowdCycle|WideGreedyCycle|SqueezeCycle' -benchtime 20x ./internal/core
+go test -run '^$' -bench 'CrowdCycle|WideGreedyCycle|SqueezeCycle' -benchtime 20x -benchmem ./internal/core
 go test -run '^$' -bench 'WorkloadCrowd|AdmissionCrowd|ScriptCrowd|ScriptAtCap' -benchtime 20x ./internal/vet
 go test -run '^$' -bench 'ReplicaPropose' -benchtime 20x ./internal/server
 
