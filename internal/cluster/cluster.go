@@ -1,8 +1,9 @@
 // Package cluster assembles Harmony's view of the machines it manages: a
-// resource ledger populated from harmonyNode declarations plus a network
-// topology. The paper's experiments ran on an IBM SP-2 whose nodes share a
-// 320 Mbps high-performance switch; NewSP2 builds the equivalent simulated
-// topology, and New builds arbitrary clusters from RSL declarations.
+// resource ledger populated from harmonyNode declarations, with a dedicated
+// link between every pair of nodes. The paper's experiments ran on an IBM
+// SP-2 whose nodes share a 320 Mbps high-performance switch; NewSP2 builds
+// the simulated equivalent, every pair's link at the switch's bandwidth, and
+// New builds arbitrary clusters from RSL declarations.
 package cluster
 
 import (
@@ -24,23 +25,9 @@ const DefaultSwitchBandwidthMbps = 320
 // switch.
 const DefaultSwitchLatencyMs = 0.5
 
-// Topology selects how nodes are interconnected when links are not declared
-// explicitly.
-type Topology int
-
-const (
-	// FullMesh links every node pair with a dedicated link.
-	FullMesh Topology = iota + 1
-	// SharedSwitch links every node pair through one shared capacity pool,
-	// like the SP-2 switch: a claim on any pair draws from the same budget.
-	SharedSwitch
-)
-
 // Config parameterizes cluster construction.
 type Config struct {
-	// Topology selects the interconnect; default SharedSwitch.
-	Topology Topology
-	// LinkBandwidthMbps is each link's (or the switch's) capacity; default
+	// LinkBandwidthMbps is each link's capacity; default
 	// DefaultSwitchBandwidthMbps.
 	LinkBandwidthMbps float64
 	// LinkLatencyMs is each link's latency; default DefaultSwitchLatencyMs.
@@ -48,9 +35,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Topology == 0 {
-		c.Topology = SharedSwitch
-	}
 	if c.LinkBandwidthMbps == 0 {
 		c.LinkBandwidthMbps = DefaultSwitchBandwidthMbps
 	}
@@ -68,8 +52,6 @@ type Cluster struct {
 
 	mu    sync.Mutex
 	hosts []string
-	// switchPool tracks shared-switch bandwidth reservations by claim id.
-	switchReserved float64
 }
 
 // New builds a cluster from node declarations.
@@ -85,8 +67,8 @@ func New(cfg Config, decls []*rsl.NodeDecl) (*Cluster, error) {
 }
 
 // NewSP2 builds an n-node simulated SP-2: uniform nodes named sp2-01..n,
-// speed 1.0, 128 MB each, linux, one CPU, all behind a shared 320 Mbps
-// switch.
+// speed 1.0, 128 MB each, linux, one CPU, every pair linked at the 320 Mbps
+// of the SP-2's switch.
 func NewSP2(n int) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: SP-2 size %d must be >= 1", n)
@@ -101,7 +83,7 @@ func NewSP2(n int) (*Cluster, error) {
 			CPUs:     1,
 		}
 	}
-	return New(Config{Topology: SharedSwitch}, decls)
+	return New(Config{}, decls)
 }
 
 func pad2(i int) string {

@@ -78,7 +78,7 @@ func TestFullMeshContention(t *testing.T) {
 		{Hostname: "a", Speed: 1, MemoryMB: 64, CPUs: 1},
 		{Hostname: "b", Speed: 1, MemoryMB: 64, CPUs: 1},
 	}
-	c, err := New(Config{Topology: FullMesh, LinkBandwidthMbps: 100}, decls)
+	c, err := New(Config{LinkBandwidthMbps: 100}, decls)
 	if err != nil {
 		t.Fatal(err)
 	}

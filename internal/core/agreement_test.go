@@ -17,10 +17,10 @@ import (
 
 // agreement holds vet's "never fits" verdicts to the matcher's: an option
 // vet calls unreachable-option, node-unsatisfiable or
-// replicate-unsatisfiable has no enumerated choice whose match.Plan places
-// on the idle declared cluster. Options that no choice places but vet does
-// not flag are counted and logged: the door lets them in, and the controller
-// can never adopt them.
+// replicate-unsatisfiable, or raises a link-bandwidth error against, has no
+// enumerated choice whose match.Plan places on the idle declared cluster.
+// Options that no choice places but vet does not flag are counted and
+// logged: the door lets them in, and the controller can never adopt them.
 type agreement struct {
 	options, unplaced, unflagged int
 	// overCap names the scripts holding a bundle over rsl.MaxChoices.
@@ -43,8 +43,9 @@ func (ag *agreement) check(t *testing.T, name, src string, extra []*rsl.NodeDecl
 	t.Helper()
 	flagged := make(map[string]string)
 	for _, d := range vet.Script(src, vet.Options{ExtraNodes: extra}).Diags {
-		switch d.Check {
-		case "unreachable-option", "node-unsatisfiable", "replicate-unsatisfiable":
+		switch {
+		case d.Check == "unreachable-option", d.Check == "node-unsatisfiable", d.Check == "replicate-unsatisfiable",
+			d.Check == "link-bandwidth" && d.Severity == vet.SevError:
 			flagged[d.Bundle+"/"+d.Option] = d.Check
 		}
 	}
@@ -111,8 +112,9 @@ func declsOf(src string) []*rsl.NodeDecl {
 
 // TestVetAgreesWithMatcher runs the agreement over the golden scripts'
 // registrations on their own clusters, the vet corpus and the example specs:
-// no option vet calls unplaceable places, and only the corpus's deliberately
-// oversized bundle is over the cap.
+// no option vet calls unplaceable places, every option that places nowhere is
+// flagged, and only the corpus's deliberately oversized bundle is over the
+// cap.
 func TestVetAgreesWithMatcher(t *testing.T) {
 	var ag agreement
 	for _, s := range goldenScripts {
@@ -163,6 +165,9 @@ func TestVetAgreesWithMatcher(t *testing.T) {
 	}
 	t.Logf("%d options: %d place nowhere on the idle cluster, %d of them not flagged by vet",
 		ag.options, ag.unplaced, ag.unflagged)
+	if ag.unflagged != 0 {
+		t.Errorf("%d options place nowhere on the idle cluster and vet does not flag them", ag.unflagged)
+	}
 	if ag.options < 100 || !strings.Contains(strings.Join(files, " "), "figure3.rsl") {
 		t.Errorf("the corpus judged only %d options", ag.options)
 	}

@@ -58,11 +58,13 @@ type passState struct {
 	// its state, with the evaluated app's claim released on top and, while a
 	// candidate is evaluated, the candidate's charge on top of that: both are
 	// logged in undo and taken back through it, so undo from 0 lists every
-	// entry where cols differs from the pass base.
-	base  *resource.Snapshot
-	nodes []resource.NodeState
-	cols  resource.Columns
-	undo  resource.Undo
+	// entry where cols differs from the pass base. charges is the scratch a
+	// candidate's claims are built in on their way to cols.
+	base    *resource.Snapshot
+	nodes   []resource.NodeState
+	cols    resource.Columns
+	undo    resource.Undo
+	charges match.Charges
 
 	// residents are the applications holding a placement, in registration
 	// order. loadReaders and linkReaders count their placements' reads of each
@@ -197,11 +199,13 @@ func (c *Controller) openEvaluation(app *appState) *passState {
 		p.countReads(p.self, -1)
 	}
 	if app.claim != nil {
-		if err := p.cols.Release(p.base, app.claim.ID, &p.undo); err != nil {
+		if cl, err := p.base.Claim(app.claim.ID); err != nil {
 			// The claim is gone from the ledger (nothing is actually held):
 			// drop the stale pointer instead of carrying it forward.
 			c.warn(fmt.Sprintf("core: %s holds stale claim %d: %v", app.owner(), app.claim.ID, err))
 			app.claim = nil
+		} else {
+			p.cols.Release(cl, p.base.Topology(), &p.undo)
 		}
 	}
 	p.released = p.undo.Mark()
@@ -305,7 +309,7 @@ func (c *Controller) evaluate(p *passState, ch Choice, st *choiceStatic) (candid
 		return candidate{}, errMisfit
 	}
 	defer p.cols.Restore(&p.undo, p.released)
-	if err := match.ReserveColumns(&p.cols, p.base, p.app.owner(), &p.asg, &p.undo); err != nil {
+	if err := match.ReserveColumns(&p.cols, p.base, p.app.owner(), &p.asg, &p.undo, &p.charges); err != nil {
 		return candidate{}, err
 	}
 	pl := p.pl.Resolve(p.base, &p.asg)

@@ -493,24 +493,58 @@ func TestPassPredictionCounts(t *testing.T) {
 }
 
 // TestGreedyEvaluationAllocs holds a warmed greedy evaluation to no heap
-// allocation: a db-crowd resident's five choices are placed, charged,
-// predicted and reduced in the pass state's own buffers, and the best so far
-// swaps storage with the trial instead of being copied out. Only adopt copies
-// an assignment.
+// allocation: a resident's choices are placed, charged, predicted and reduced
+// in the pass state's own buffers, and the best so far swaps storage with the
+// trial instead of being copied out. Only adopt copies an assignment. The
+// cases are a db-crowd resident's five choices and a wildcard bag of 40
+// replicas under a communication tag, whose every choice charges more node
+// and link claims than a small fixed buffer would hold.
 func TestGreedyEvaluationAllocs(t *testing.T) {
-	c := crowdController(t, 64, Config{})
-	app := c.apps[c.order[len(c.order)/2]]
-	now := c.cfg.Clock.Now()
-	if _, err := c.bestChoice(app, now, false); err != nil { // opens the pass and fills its table
-		t.Fatal(err)
+	const wideBag = `
+harmonyBundle WideBag:1 spread {
+	{workers
+		{variable workerNodes {33 40}}
+		{node worker * {seconds {3000 / workerNodes}} {memory 8} {replicate workerNodes}}
+		{communication {workerNodes / 4}}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := c.bestChoice(app, now, false); err != nil {
-			t.Fatal(err)
-		}
-	})
-	c.endPass()
-	if allocs > 0 {
-		t.Fatalf("a warmed greedy evaluation allocated %v times, want 0", allocs)
+}`
+	cases := []struct {
+		name  string
+		build func(t *testing.T) *Controller
+	}{
+		{"db-crowd", func(t *testing.T) *Controller { return crowdController(t, 64, Config{}) }},
+		{"wildcard bag of 40 with communication", func(t *testing.T) *Controller {
+			c, _ := newController(t, 48, Config{})
+			bundles, _, err := rsl.DecodeScript(wideBag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.Register(bundles[0]); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.build(t)
+			app := c.apps[c.order[len(c.order)/2]]
+			if app.assignment == nil {
+				t.Fatal("the evaluated app holds no placement")
+			}
+			now := c.cfg.Clock.Now()
+			if _, err := c.bestChoice(app, now, false); err != nil { // opens the pass and fills its table
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := c.bestChoice(app, now, false); err != nil {
+					t.Fatal(err)
+				}
+			})
+			c.endPass()
+			if allocs > 0 {
+				t.Fatalf("a warmed greedy evaluation allocated %v times, want 0", allocs)
+			}
+		})
 	}
 }

@@ -88,7 +88,7 @@ func (r *copyEvaluation) evaluateByCopy(ch Choice) (candidate, error) {
 	}
 	var trial resource.Columns
 	r.base.ReadColumns(&trial)
-	if err := match.ReserveColumns(&trial, r.base, app.owner(), asg, nil); err != nil {
+	if err := match.ReserveColumns(&trial, r.base, app.owner(), asg, nil, new(match.Charges)); err != nil {
 		return candidate{}, err
 	}
 	pl := predict.Resolve(r.base, asg)

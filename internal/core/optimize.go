@@ -194,9 +194,11 @@ func (c *Controller) jointProblem(skipInstance int) (base *resource.Snapshot, id
 		if app.claim == nil {
 			continue
 		}
-		if err := p.cols.Release(base, app.claim.ID, &p.undo); err != nil {
+		if cl, err := base.Claim(app.claim.ID); err != nil {
 			c.warn(fmt.Sprintf("core: %s holds stale claim %d: %v", app.owner(), app.claim.ID, err))
 			app.claim = nil
+		} else {
+			p.cols.Release(cl, base.Topology(), &p.undo)
 		}
 	}
 	p.scan.Reset(base, p.nodes, &p.cols)
@@ -328,11 +330,12 @@ type jointSearch struct {
 	c    *Controller
 	base *resource.Snapshot
 	rows []resource.NodeState // base's node table: descriptions and health
-	// cols and undo are the pass state's: the trial state and the log
-	// that restores it.
-	cols   *resource.Columns
-	undo   *resource.Undo
-	levels []jointLevel
+	// cols, undo and charges are the pass state's: the trial state, the log
+	// that restores it and the scratch a trial's claims are built in.
+	cols    *resource.Columns
+	undo    *resource.Undo
+	charges *match.Charges
+	levels  []jointLevel
 	// jobs is what the objective scores: a job per level, which holds the
 	// prediction of the level's trial while the walk is below it, then the
 	// skipped application, which still counts with the prediction it holds.
@@ -397,7 +400,7 @@ type jointChoice struct {
 // before it returns, so the columns hold base again.
 func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]int, skipInstance int) comboResult {
 	p := &c.pass
-	js := &jointSearch{c: c, base: base, rows: p.nodes, cols: &p.cols, undo: &p.undo, levels: make([]jointLevel, len(ids))}
+	js := &jointSearch{c: c, base: base, rows: p.nodes, cols: &p.cols, undo: &p.undo, charges: &p.charges, levels: make([]jointLevel, len(ids))}
 	js.best.score = math.Inf(1)
 	js.jobs = make([]objective.JobPrediction, len(ids), len(ids)+1)
 	if fixed := c.apps[skipInstance]; fixed != nil {
@@ -533,7 +536,7 @@ func (js *jointSearch) try(level int, jc *jointChoice) bool {
 	if !lv.scan.Place(jc.st.plan, &lv.asg) {
 		return false
 	}
-	if err := match.ReserveColumns(js.cols, js.base, lv.app.owner(), &lv.asg, js.undo); err != nil {
+	if err := match.ReserveColumns(js.cols, js.base, lv.app.owner(), &lv.asg, js.undo, js.charges); err != nil {
 		return false
 	}
 	in := predict.Indexed{View: js.base, Loads: js.cols.CPULoad, Reserved: js.cols.ReservedMbps}

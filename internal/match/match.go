@@ -100,7 +100,16 @@ func (a *Assignment) EachLink(fn func(hostA, hostB string, mbps float64)) {
 		}
 	}
 	if a.CommunicationMbps > 0 {
-		hosts := a.Hosts()
+		// Hosts, found without its map: the pairs below cost more than the
+		// quadratic search, and a candidate of up to 64 hosts allocates
+		// nothing.
+		var buf [64]string
+		hosts := buf[:0]
+		for i := range a.Nodes {
+			if h := a.Nodes[i].Hostname; !slices.Contains(hosts, h) {
+				hosts = append(hosts, h)
+			}
+		}
 		pairs := len(hosts) * (len(hosts) - 1) / 2
 		per := a.CommunicationMbps / float64(pairs)
 		for i := 0; i < len(hosts); i++ {
@@ -320,7 +329,7 @@ func scanOrder(load []float64, order []int32) []int32 {
 	// index order, which is then turned round: when the rest share one load too
 	// (a machine of idle and of equally busy nodes) they are sorted already.
 	n := len(load)
-	order = append(order, make([]int32, n)...)
+	order = slices.Grow(order[:0], n)[:n] // every entry is written below
 	lo, hi := 0, n
 	same := true
 	for i := range load {
@@ -996,20 +1005,27 @@ func (m *Matcher) Reserve(owner string, asg *Assignment) (*resource.Claim, error
 	return claim, nil
 }
 
+// Charges is the scratch ReserveColumns builds an assignment's claims and
+// their places in. A caller that charges one candidate after another keeps
+// one and hands it to every call: once it has grown to the largest
+// candidate, charging allocates nothing, however many replicas and links a
+// candidate has.
+type Charges struct {
+	nodes []resource.NodeClaim
+	links []resource.LinkClaim
+	at    []int32
+}
+
 // ReserveColumns charges the assignment to cols, which hold snap's state or
 // what earlier trials made of it, as Reserve charges it to a view: the same
 // claims in the same order through the same checks, so a refusal reads the
 // same. Nothing records the charge but undo, when it is not nil, for
 // Columns.Restore to take it back; otherwise the columns are the caller's to
-// discard.
-func ReserveColumns(cols *resource.Columns, snap *resource.Snapshot, owner string, asg *Assignment, undo *resource.Undo) error {
-	var (
-		nodeBuf [32]resource.NodeClaim
-		linkBuf [8]resource.LinkClaim
-		atBuf   [40]int32
-	)
-	nodeClaims, linkClaims := asg.appendClaims(nodeBuf[:0], linkBuf[:0])
-	if err := cols.Charge(nodeClaims, linkClaims, asg.Places(snap, atBuf[:0]), undo); err != nil {
+// discard. The claims are built in buf.
+func ReserveColumns(cols *resource.Columns, snap *resource.Snapshot, owner string, asg *Assignment, undo *resource.Undo, buf *Charges) error {
+	buf.nodes, buf.links = asg.appendClaims(buf.nodes[:0], buf.links[:0])
+	buf.at = asg.Places(snap, buf.at[:0])
+	if err := cols.Charge(buf.nodes, buf.links, buf.at, undo); err != nil {
 		return fmt.Errorf("match: reserve %s: %w", owner, err)
 	}
 	return nil

@@ -129,7 +129,7 @@ func FuzzMayFit(f *testing.F) {
 		if !scan.Place(other, &asg) {
 			return
 		}
-		if err := ReserveColumns(&cols, snap, "other", &asg, nil); err != nil {
+		if err := ReserveColumns(&cols, snap, "other", &asg, nil, new(Charges)); err != nil {
 			return
 		}
 		scan.Reset(snap, rows, &cols)

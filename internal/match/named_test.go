@@ -100,7 +100,9 @@ func TestNamedHostsLookedUpLikeScanned(t *testing.T) {
 func namedTable(s *Scan, opt *rsl.OptionSpec) (t table, pos []int32) {
 	for i := range opt.Nodes {
 		host := opt.Nodes[i].HostPattern
-		row, dup := resource.FindNode(t.rows, host)
+		row, dup := slices.BinarySearchFunc(t.rows, host, func(ns resource.NodeState, h string) int {
+			return strings.Compare(ns.Node.Hostname, h)
+		})
 		if dup {
 			continue
 		}

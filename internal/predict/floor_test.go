@@ -96,7 +96,7 @@ func TestFloorBoundsEveryPrediction(t *testing.T) {
 			}
 		}
 		check("hypothetical", false)
-		if err := match.ReserveColumns(&cols, snap, "o", &asg, nil); err == nil {
+		if err := match.ReserveColumns(&cols, snap, "o", &asg, nil, new(match.Charges)); err == nil {
 			check("charged", true)
 		}
 	}

@@ -1,20 +1,18 @@
 package resource
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
-// Columns holds what reservations change in a snapshot — free memory and CPU
-// load by node index, reserved bandwidth by link id — as three dense columns.
-// It is the one representation of hypothetical state: the greedy search
-// charges each candidate to one Columns and restores it before the next, the
-// joint search charges one Columns level by level and restores it on the way
-// back up, a written Snapshot keeps its state in one, and the prediction
-// models read the result directly. Its arithmetic is the Ledger's, which the
-// tests hold it to bit for bit.
-// The node descriptions, health and link descriptions are not here; they do
-// not change under a reservation and are read from the snapshot.
+// Columns holds what reservations change — free memory and CPU load by node
+// index, reserved bandwidth by link id — as three dense columns. It is the
+// one representation of that state and Charge and Release are its one
+// arithmetic: the Ledger keeps its own state in a Columns, a written Snapshot
+// keeps its state in one, the greedy search charges each candidate to one and
+// restores it before the next, the joint search charges one level by level
+// and restores it on the way back up, and the prediction models read the
+// result directly.
+// The node and link descriptions and the nodes' health are not here; they do
+// not change under a reservation and are read from the topology and the
+// snapshot.
 //
 // Fill a Columns with Snapshot.ReadColumns and write to it only through
 // Charge, Release and Restore; the columns themselves are exported for
@@ -24,58 +22,65 @@ type Columns struct {
 	CPULoad      []float64 // by node index
 	ReservedMbps []float64 // by link id
 
-	// A full mesh has a link per node pair, so the reserved column is by far
-	// the longest, and copying it whole for every trial would cost more than
-	// the trial. Instead ReservedMbps is a copy of ledgerCol, the ledger's own
-	// column as the snapshot shares it (never written again once shared, see
-	// Ledger.ownReserved), taken once and kept; dirty lists the ids where
-	// ReservedMbps has been written since. Re-aiming the Columns at another
-	// state over the same ledger column restores those entries and nothing
-	// else.
-	ledgerCol []float64
-	dirty     []int32
+	// held lists, in no particular order, exactly the link ids whose
+	// reserved bandwidth is not zero. A full mesh has a link per node pair
+	// and few of them carry anything, so a capture of the ledger copies
+	// these entries, not the column, and re-aiming a Columns zeroes these
+	// entries and writes the capture's, not the whole column.
+	held []int32
 }
 
-// sameColumn reports whether two slices are the same column: same storage,
-// same length.
-func sameColumn(a, b []float64) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// rebase makes ReservedMbps equal col, a ledger column shared by a snapshot.
-func (c *Columns) rebase(col []float64) {
-	if sameColumn(c.ledgerCol, col) {
-		for _, id := range c.dirty {
-			c.ReservedMbps[id] = col[id]
-		}
-	} else {
-		c.ReservedMbps = append(c.ReservedMbps[:0], col...)
-		c.ledgerCol = col
-	}
-	c.dirty = c.dirty[:0]
-}
-
-func (c *Columns) setReserved(id int, reserved float64) {
+// setReserved writes the bandwidth reserved on link id, keeping held exact.
+// A charge and the Restore that takes it back come in pairs, so the id to
+// drop is looked for from the newest end.
+func (c *Columns) setReserved(id int32, reserved float64) {
+	was := c.ReservedMbps[id]
 	c.ReservedMbps[id] = reserved
-	c.dirty = append(c.dirty, int32(id))
+	switch {
+	case was == 0 && reserved != 0:
+		c.held = append(c.held, id)
+	case was != 0 && reserved == 0:
+		for i := len(c.held) - 1; i >= 0; i-- {
+			if c.held[i] == id {
+				last := len(c.held) - 1
+				c.held[i] = c.held[last]
+				c.held = c.held[:last]
+				break
+			}
+		}
+	}
 }
 
 // ReadColumns makes dst hold the snapshot's state, reusing dst's storage.
+// The reserved column is re-aimed in two steps: the entries dst holds are
+// zeroed, which leaves the column all zero, and the entries the snapshot
+// holds are written.
 func (s *Snapshot) ReadColumns(dst *Columns) {
-	states := s.base.states
-	dst.FreeMemoryMB = slices.Grow(dst.FreeMemoryMB[:0], len(states))[:len(states)]
-	dst.CPULoad = slices.Grow(dst.CPULoad[:0], len(states))[:len(states)]
-	for i := range states {
-		dst.FreeMemoryMB[i], dst.CPULoad[i] = states[i].FreeMemoryMB, states[i].CPULoad
+	nodes := len(s.base.topo.nodes)
+	dst.FreeMemoryMB = slices.Grow(dst.FreeMemoryMB[:0], nodes)[:nodes]
+	dst.CPULoad = slices.Grow(dst.CPULoad[:0], nodes)[:nodes]
+	for _, id := range dst.held {
+		dst.ReservedMbps[id] = 0
 	}
-	dst.rebase(s.base.reserved)
-	if s.own == nil {
+	dst.held = dst.held[:0]
+	// Every entry up to the capacity is zero now, so resizing within it
+	// exposes no old value, and growing past it appends zeros.
+	links := len(s.base.topo.links)
+	dst.ReservedMbps = slices.Grow(dst.ReservedMbps[:0], links)[:links]
+	if own := s.own; own != nil {
+		copy(dst.FreeMemoryMB, own.FreeMemoryMB)
+		copy(dst.CPULoad, own.CPULoad)
+		for _, id := range own.held {
+			dst.ReservedMbps[id] = own.ReservedMbps[id]
+		}
+		dst.held = append(dst.held, own.held...)
 		return
 	}
-	copy(dst.FreeMemoryMB, s.own.FreeMemoryMB)
-	copy(dst.CPULoad, s.own.CPULoad)
-	for _, id := range s.own.dirty {
-		dst.setReserved(int(id), s.own.ReservedMbps[id])
+	copy(dst.FreeMemoryMB, s.base.freeMem)
+	copy(dst.CPULoad, s.base.load)
+	for _, e := range s.base.reserved {
+		dst.ReservedMbps[e.id] = e.mbps
+		dst.held = append(dst.held, e.id)
 	}
 }
 
@@ -105,14 +110,15 @@ func (u *Undo) Wrote(i int) (index int32, link bool) {
 	return u.saved[i].at, false
 }
 
-// Charge applies node and link claims to the columns with the validation and
-// arithmetic of Ledger.Reserve, so the columns end up bit for bit what the
-// ledger's would and a refused claim is refused in the same words. at holds
-// each claim's place: the node claims' indices (Snapshot.NodeIndex), then the
-// link claims' ids (LinkIndex), -1 for a node or link that is not registered.
-// The caller vouches that the indices are of the topology the columns were
-// read from. No claim is recorded; undo, when it is not nil, logs what every
-// entry written held before. A refused charge writes and logs nothing.
+// Charge validates node and link claims and, if every one is acceptable,
+// applies them all: Ledger.Reserve and RestoreClaim charge through it, so a
+// hypothetical reservation is bit for bit what committing it produces and a
+// refused claim is refused in the same words. at holds each claim's place:
+// the node claims' indices (Snapshot.NodeIndex), then the link claims' ids
+// (LinkIndex), -1 for a node or link that is not registered. The caller
+// vouches that the indices are of the topology the columns hold. No claim is
+// recorded; undo, when it is not nil, logs what every entry written held
+// before. A refused charge writes and logs nothing.
 func (c *Columns) Charge(nodes []NodeClaim, links []LinkClaim, at []int32, undo *Undo) error {
 	err := checkClaims(at, nodes, links, func(p int) float64 { return c.FreeMemoryMB[p] })
 	if err != nil {
@@ -131,39 +137,34 @@ func (c *Columns) Charge(nodes []NodeClaim, links []LinkClaim, at []int32, undo 
 		if undo != nil {
 			undo.saved = append(undo.saved, savedEntry{at: ^id, a: c.ReservedMbps[id]})
 		}
-		c.setReserved(int(id), c.ReservedMbps[id]+lc.BandwidthMbps)
+		c.setReserved(id, c.ReservedMbps[id]+lc.BandwidthMbps)
 	}
 	return nil
 }
 
-// Release returns claim id of snapshot s to the columns with Ledger.Release's
-// arithmetic and clamping, so the columns end up bit for bit what the
-// ledger's would. It logs in undo, when it is not nil, what every entry it
-// writes held before, so Restore takes the release back like a charge. The
-// columns must have been read from s or from a snapshot of its Topology.
-func (c *Columns) Release(s *Snapshot, id uint64, undo *Undo) error {
-	cl, ok := s.lookupClaim(id)
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownClaim, id)
-	}
-	t := s.base.topo
+// Release returns claim cl to the columns, which hold a state over topology
+// t: every node claim's memory and load clamped at the node's installed
+// memory and at an idle CPU, every link claim's bandwidth clamped at zero,
+// nodes first. A node or link t does not have is passed over. Ledger.Release
+// releases through it. It logs in undo, when it is not nil, what every entry
+// it writes held before, so Restore takes the release back like a charge.
+func (c *Columns) Release(cl *Claim, t Topology, undo *Undo) {
 	for _, nc := range cl.Nodes {
-		if p, ok := t.node(nc.Hostname); ok {
+		if p, ok := t.t.node(nc.Hostname); ok {
 			if undo != nil {
 				undo.saved = append(undo.saved, savedEntry{int32(p), c.FreeMemoryMB[p], c.CPULoad[p]})
 			}
-			c.FreeMemoryMB[p], c.CPULoad[p] = releaseNode(c.FreeMemoryMB[p], c.CPULoad[p], s.base.states[p].Node.MemoryMB, nc)
+			c.FreeMemoryMB[p], c.CPULoad[p] = releaseNode(c.FreeMemoryMB[p], c.CPULoad[p], t.t.nodes[p].MemoryMB, nc)
 		}
 	}
 	for _, lc := range cl.Links {
-		if lid, ok := t.link(lc.A, lc.B); ok {
+		if lid, ok := t.t.link(lc.A, lc.B); ok {
 			if undo != nil {
 				undo.saved = append(undo.saved, savedEntry{at: ^int32(lid), a: c.ReservedMbps[lid]})
 			}
-			c.setReserved(lid, releaseBandwidth(c.ReservedMbps[lid], lc))
+			c.setReserved(int32(lid), releaseBandwidth(c.ReservedMbps[lid], lc))
 		}
 	}
-	return nil
 }
 
 // Restore takes back every charge and release logged since mark, newest first, by writing
@@ -178,8 +179,7 @@ func (c *Columns) Restore(undo *Undo, mark int) {
 		if e := undo.saved[i]; e.at >= 0 {
 			c.FreeMemoryMB[e.at], c.CPULoad[e.at] = e.a, e.b
 		} else {
-			c.ReservedMbps[^e.at] = e.a
-			c.dirty = c.dirty[:len(c.dirty)-1] // the charge's own entry
+			c.setReserved(^e.at, e.a)
 		}
 	}
 	undo.saved = undo.saved[:mark]

@@ -2,21 +2,19 @@ package resource
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// columnsTestLedger is a cluster with uneven memory, a link between most but
-// not all node pairs, and a few residents holding memory, load and bandwidth.
-// The seed decides all of it, so two calls with one seed build ledgers that
-// hold the same bits: a test replays a path of operations on a fresh one to
-// have the ledger's own answer for a state.
-func columnsTestLedger(t *testing.T, seed int64, nodes int) (*Ledger, []*Claim) {
+// buildColumnsTest builds, in l, a cluster with uneven memory, a link
+// between most but not all node pairs, and a few residents holding memory,
+// load and bandwidth. The seed decides all of it, so a Ledger and a model
+// built with one seed hold the same bits: a test replays a path of
+// operations on a fresh model to have the reference for a state.
+func buildColumnsTest(t *testing.T, l ledgerOps, seed int64, nodes int) []*Claim {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	l := NewLedger()
 	host := func(i int) string { return fmt.Sprintf("n%02d", i) }
 	for i := 0; i < nodes; i++ {
 		n := Node{Hostname: host(i), Speed: 1, MemoryMB: float64(64 + 32*rng.Intn(5)), OS: "linux", CPUs: 1}
@@ -48,52 +46,37 @@ func columnsTestLedger(t *testing.T, seed int64, nodes int) (*Ledger, []*Claim) 
 		}
 		residents = append(residents, c)
 	}
-	return l, residents
+	return residents
 }
 
-// requireColumnsEqual fails unless the columns hold, bit for bit, what the
-// capture reports at every node index and link id. The capture must be
-// unwritten: it then reads the tables its ledger held, and nothing of
-// Columns, so it is a reference the columns cannot agree with by sharing
-// code.
-func requireColumnsEqual(t *testing.T, what string, cols *Columns, capture *Snapshot) {
+// columnsTestLedger is buildColumnsTest on a fresh Ledger.
+func columnsTestLedger(t *testing.T, seed int64, nodes int) (*Ledger, []*Claim) {
 	t.Helper()
-	if capture.own != nil {
-		t.Fatalf("%s: the reference is a written snapshot, which reads Columns", what)
-	}
-	nodes, links := capture.Nodes(), len(capture.base.topo.links)
-	if len(cols.FreeMemoryMB) != len(nodes) || len(cols.CPULoad) != len(nodes) || len(cols.ReservedMbps) != links {
-		t.Fatalf("%s: columns are %d/%d/%d long, want %d/%d/%d", what,
-			len(cols.FreeMemoryMB), len(cols.CPULoad), len(cols.ReservedMbps), len(nodes), len(nodes), links)
-	}
-	for i, ns := range nodes {
-		if math.Float64bits(cols.FreeMemoryMB[i]) != math.Float64bits(ns.FreeMemoryMB) {
-			t.Fatalf("%s: free memory of %s: columns %v, ledger %v", what, ns.Node.Hostname, cols.FreeMemoryMB[i], ns.FreeMemoryMB)
-		}
-		if math.Float64bits(cols.CPULoad[i]) != math.Float64bits(ns.CPULoad) {
-			t.Fatalf("%s: load of %s: columns %v, ledger %v", what, ns.Node.Hostname, cols.CPULoad[i], ns.CPULoad)
-		}
-	}
-	for id := 0; id < links; id++ {
-		if got, want := cols.ReservedMbps[id], capture.ReservedAt(id); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: reserved on link %d: columns %v, ledger %v", what, id, got, want)
-		}
-	}
+	l := NewLedger()
+	return l, buildColumnsTest(t, l, seed, nodes)
+}
+
+// columnsTestModel is buildColumnsTest on a fresh model.
+func columnsTestModel(t *testing.T, seed int64, nodes int) *denseLedger {
+	t.Helper()
+	m := newDenseLedger()
+	buildColumnsTest(t, m, seed, nodes)
+	return m
 }
 
 // sameRefusal fails unless two errors are both nil or read the same.
 func sameRefusal(t *testing.T, what string, got, want error) {
 	t.Helper()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("%s: columns say %v, the ledger says %v", what, got, want)
+		t.Fatalf("%s: got %v, the model says %v", what, got, want)
 	}
 }
 
-// TestColumnsReserveMatchesLedger applies the same claims to the ledger and to
-// columns read from a capture of it: both must accept or refuse them with the
-// same error and end up with bit-equal free memory, load and reserved
-// bandwidth at every index. Accepted claims pile up, so later ones are judged
-// against earlier charges on both sides.
+// TestColumnsReserveMatchesLedger applies the same claims to the model, to
+// the ledger and to columns read from a capture of it: all three must accept
+// or refuse them with the same error and end up with bit-equal free memory,
+// load and reserved bandwidth at every index. Accepted claims pile up, so
+// later ones are judged against earlier charges on every side.
 func TestColumnsReserveMatchesLedger(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -133,57 +116,67 @@ func TestColumnsReserveMatchesLedger(t *testing.T) {
 			links: []LinkClaim{{A: "n03", B: "n01", BandwidthMbps: 66.7}}},
 	}
 	l, residents := columnsTestLedger(t, 20, 8)
+	model := columnsTestModel(t, 20, 8)
 	// The base of the trial is a capture with a resident's claim released into
-	// the columns, as the controller's evaluation base is; the ledger makes the
-	// same release.
+	// the columns, as the controller's evaluation base is; the ledger and the
+	// model make the same release.
 	snap := l.Snapshot()
 	var before, cols Columns
 	snap.ReadColumns(&before)
 	snap.ReadColumns(&cols)
-	if err := cols.Release(snap, residents[1].ID, nil); err != nil {
-		t.Fatal(err)
+	cols.Release(residents[1], snap.Topology(), nil)
+	for _, r := range []ledgerOps{l, model} {
+		if err := r.Release(residents[1].ID); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := l.Release(residents[1].ID); err != nil {
-		t.Fatal(err)
-	}
-	requireColumnsEqual(t, "before any claim", &cols, l.Snapshot())
+	requireColumnsEqual(t, "before any claim", &cols, model)
+	requireLedgerEqual(t, "before any claim", l, model)
 	for _, tc := range cases {
+		_, modelErr := model.Reserve("trial", tc.nodes, tc.links)
 		_, ledgerErr := l.Reserve("trial", tc.nodes, tc.links)
 		colsErr := cols.Charge(tc.nodes, tc.links, snap.base.topo.locate(nil, tc.nodes, tc.links), nil)
-		sameRefusal(t, tc.name, colsErr, ledgerErr)
-		if (tc.want == "") != (ledgerErr == nil) || (ledgerErr != nil && !strings.Contains(ledgerErr.Error(), tc.want)) {
-			t.Fatalf("%s: err = %v, want %q", tc.name, ledgerErr, tc.want)
+		sameRefusal(t, tc.name, colsErr, modelErr)
+		sameRefusal(t, tc.name+", in the ledger", ledgerErr, modelErr)
+		if (tc.want == "") != (modelErr == nil) || (modelErr != nil && !strings.Contains(modelErr.Error(), tc.want)) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, modelErr, tc.want)
 		}
-		requireColumnsEqual(t, tc.name, &cols, l.Snapshot())
+		requireColumnsEqual(t, tc.name, &cols, model)
+		requireLedgerEqual(t, tc.name, l, model)
 	}
 	// The capture the trial was read from is as it was: the trial wrote to
 	// storage of its own.
-	requireColumnsEqual(t, "the capture after the trial", &before, snap)
+	requireColumnsEqual(t, "the capture's columns after the trial", &before, columnsTestModel(t, 20, 8))
+	requireSnapshotEqual(t, "the capture after the trial", snap, columnsTestModel(t, 20, 8))
 }
 
 // TestColumnsReusedAcrossStates re-aims one pair of Columns — a base and a
-// trial, each read from the same snapshot — at a ledger that keeps changing:
-// claims with links reserved and released (each write after a snapshot moves
-// the ledger to a new reserved column), a link and a node added (other
-// lengths, another topology). Now and then the snapshot has a claim released
-// in it first, so the columns are read from a written snapshot. After every
-// change the reused columns must equal the ledger driven down the same path,
-// replayed on a fresh one. What a trial wrote must be gone from the next one.
+// trial — at captures of a ledger that keeps changing between them: claims
+// with links reserved and released, nodes marked draining or down and back,
+// a link registered again (its reservation back to zero), a node and a link
+// added (other lengths, another topology). One link is reserved, released to
+// zero and reserved again over and over. Now and then the snapshot has a
+// claim released in it first, so the columns are read from a written
+// snapshot, and the trial is re-aimed at the capture before last, so a
+// column also shrinks. After every read, every node and every link id of the
+// columns must hold what the model driven down the same path holds, bit for
+// bit: what a trial or an earlier capture wrote must be gone. The ledger
+// itself is held to the model at every step.
 func TestColumnsReusedAcrossStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	l, held := columnsTestLedger(t, 7, 8)
-	var path []func(*Ledger) error
-	apply := func(op func(*Ledger) error) {
+	var path []func(ledgerOps) error
+	apply := func(op func(ledgerOps) error) {
 		t.Helper()
 		if err := op(l); err != nil {
 			t.Fatal(err)
 		}
 		path = append(path, op)
 	}
-	// replay is the ledger down the path, then released id (when not 0).
-	replay := func(released uint64) *Ledger {
+	// replay is the model down the path, then released id (when not 0).
+	replay := func(released uint64) *denseLedger {
 		t.Helper()
-		r, _ := columnsTestLedger(t, 7, 8)
+		r := columnsTestModel(t, 7, 8)
 		for _, op := range path {
 			if err := op(r); err != nil {
 				t.Fatal(err)
@@ -196,19 +189,38 @@ func TestColumnsReusedAcrossStates(t *testing.T) {
 		}
 		return r
 	}
+	host := func(i int) string { return fmt.Sprintf("n%02d", i) }
+	// n07 is left out of the churn, so the n03-n07 link holds only what the
+	// flip-flop reserves there.
+	var flip uint64
+	var prev *Snapshot
+	var prevWant *denseLedger
 	var base, trial Columns
-	for step := 0; step < 200; step++ {
-		switch k := rng.Intn(10); {
+	for step := 0; step < 240; step++ {
+		switch k := rng.Intn(12); {
+		case step%3 == 0 && flip == 0:
+			apply(func(r ledgerOps) error {
+				c, err := r.Reserve("flip", []NodeClaim{{Hostname: "n07", MemoryMB: 1}},
+					[]LinkClaim{{A: "n03", B: "n07", BandwidthMbps: 0.7}})
+				if r == ledgerOps(l) && err == nil {
+					flip = c.ID
+				}
+				return err
+			})
+		case step%3 == 0:
+			id := flip
+			apply(func(r ledgerOps) error { return r.Release(id) })
+			flip = 0
 		case k < 4:
 			a, b := rng.Intn(7), rng.Intn(7)
 			if a == b {
 				b = (a + 1) % 7
 			}
-			nodes := []NodeClaim{{Hostname: fmt.Sprintf("n%02d", a), MemoryMB: rng.Float64(), CPULoad: rng.Float64()}}
-			lks := []LinkClaim{{A: fmt.Sprintf("n%02d", a), B: fmt.Sprintf("n%02d", b), BandwidthMbps: rng.Float64() * 10}}
-			apply(func(r *Ledger) error {
+			nodes := []NodeClaim{{Hostname: host(a), MemoryMB: rng.Float64(), CPULoad: rng.Float64()}}
+			lks := []LinkClaim{{A: host(a), B: host(b), BandwidthMbps: rng.Float64() * 10}}
+			apply(func(r ledgerOps) error {
 				c, err := r.Reserve("churn", nodes, lks)
-				if r == l && err == nil {
+				if r == ledgerOps(l) && err == nil {
 					held = append(held, c)
 				}
 				return err
@@ -216,17 +228,24 @@ func TestColumnsReusedAcrossStates(t *testing.T) {
 		case k < 7 && len(held) > 0:
 			i := rng.Intn(len(held))
 			id := held[i].ID
-			apply(func(r *Ledger) error { return r.Release(id) })
+			apply(func(r ledgerOps) error { return r.Release(id) })
 			held = append(held[:i], held[i+1:]...)
-		case k == 7 && step%20 == 7:
+		case k == 7:
+			h, health := host(rng.Intn(8)), NodeHealth(rng.Intn(3))
+			apply(func(r ledgerOps) error { return r.SetNodeHealth(h, health) })
+		case k == 8:
+			a, b := host(1+rng.Intn(3)), host(4+rng.Intn(3))
+			apply(func(r ledgerOps) error { return r.AddLink(Link{A: a, B: b, BandwidthMbps: 80, LatencyMs: 2}) })
+		case k == 9 && step%20 == 9:
 			h := fmt.Sprintf("a%03d", step) // sorts before every other: each index moves
-			apply(func(r *Ledger) error {
+			apply(func(r ledgerOps) error {
 				if err := r.AddNode(Node{Hostname: h, Speed: 1, MemoryMB: 64, OS: "linux", CPUs: 1}); err != nil {
 					return err
 				}
 				return r.AddLink(Link{A: h, B: "n03", BandwidthMbps: 50})
 			})
 		}
+		requireLedgerEqual(t, fmt.Sprintf("step %d: the ledger", step), l, replay(0))
 		snap := l.Snapshot()
 		var released uint64
 		if len(held) > 0 && rng.Intn(2) == 0 {
@@ -235,7 +254,7 @@ func TestColumnsReusedAcrossStates(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want := replay(released).Snapshot()
+		want := replay(released)
 		snap.ReadColumns(&base)
 		requireColumnsEqual(t, fmt.Sprintf("step %d: base", step), &base, want)
 		for trialNo := 0; trialNo < 2; trialNo++ {
@@ -250,17 +269,22 @@ func TestColumnsReusedAcrossStates(t *testing.T) {
 			if err := trial.Charge(nodes, lks, snap.base.topo.locate(nil, nodes, lks), nil); err != nil {
 				t.Fatal(err)
 			}
-			requireColumnsEqual(t, fmt.Sprintf("step %d: trial %d charged", step, trialNo), &trial, ref.Snapshot())
+			requireColumnsEqual(t, fmt.Sprintf("step %d: trial %d charged", step, trialNo), &trial, ref)
+		}
+		if prev != nil {
+			prev.ReadColumns(&trial)
+			requireColumnsEqual(t, fmt.Sprintf("step %d: trial re-aimed at the capture before", step), &trial, prevWant)
 		}
 		requireColumnsEqual(t, fmt.Sprintf("step %d: base after its trials", step), &base, want)
+		prev, prevWant = snap, want
 	}
 }
 
 // TestColumnsRestoreIsExact walks one Columns the way the joint search does
 // — charge, go deeper, come back, restore, try the next sibling — beside the
-// ledger, replayed down the walk's path at every level. Whatever the depth,
+// model, replayed down the walk's path at every level. Whatever the depth,
 // and however many siblings were charged and restored before, the columns
-// must hold bit for bit what the ledger holds at that depth: the values
+// must hold bit for bit what the model holds at that depth: the values
 // restored are the ones saved, not the ones subtraction would arrive at.
 // Claims stack on one node and on one link, some are refused (and must leave
 // no trace in the log), and once the walk is over the columns must be
@@ -272,17 +296,15 @@ func TestColumnsRestoreIsExact(t *testing.T) {
 	var cols Columns
 	var undo Undo
 	snap.ReadColumns(&cols)
-	if err := cols.Release(snap, residents[2].ID, &undo); err != nil {
-		t.Fatal(err)
-	}
+	cols.Release(residents[2], snap.Topology(), &undo)
 	released := undo.Mark()
 	type charge struct {
 		nodes []NodeClaim
 		links []LinkClaim
 	}
-	replay := func(path []charge) *Ledger {
+	replay := func(path []charge) *denseLedger {
 		t.Helper()
-		r, _ := columnsTestLedger(t, 21, 8)
+		r := columnsTestModel(t, 21, 8)
 		if err := r.Release(residents[2].ID); err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +320,7 @@ func TestColumnsRestoreIsExact(t *testing.T) {
 	var walk func(path []charge)
 	walk = func(path []charge) {
 		depth := len(path)
-		here := replay(path).Snapshot()
+		here := replay(path)
 		requireColumnsEqual(t, fmt.Sprintf("depth %d on entry", depth), &cols, here)
 		if depth == 4 {
 			return
@@ -317,10 +339,10 @@ func TestColumnsRestoreIsExact(t *testing.T) {
 			if rng.Intn(6) == 0 {
 				nodes[1].MemoryMB = 1e6 // refused
 			}
-			_, ledgerErr := replay(path).Reserve("trial", nodes, lks)
+			_, modelErr := replay(path).Reserve("trial", nodes, lks)
 			mark := undo.Mark()
 			colsErr := cols.Charge(nodes, lks, snap.base.topo.locate(nil, nodes, lks), &undo)
-			sameRefusal(t, fmt.Sprintf("depth %d", depth), colsErr, ledgerErr)
+			sameRefusal(t, fmt.Sprintf("depth %d", depth), colsErr, modelErr)
 			if colsErr != nil {
 				refused++
 				if undo.Mark() != mark {
@@ -339,40 +361,40 @@ func TestColumnsRestoreIsExact(t *testing.T) {
 		t.Fatalf("log holds %d entries (the release %d) after %d charges and %d refusals", undo.Mark(), released, charged, refused)
 	}
 	cols.Restore(&undo, 0)
-	requireColumnsEqual(t, "the release restored", &cols, snap)
+	captured := columnsTestModel(t, 21, 8)
+	requireColumnsEqual(t, "the release restored", &cols, captured)
 	// Nothing of the walk is left for the next user of the columns.
 	var trial Columns
 	snap.ReadColumns(&trial)
-	requireColumnsEqual(t, "a fresh read after the walk", &trial, snap)
+	requireColumnsEqual(t, "a fresh read after the walk", &trial, captured)
 	other := l.Snapshot()
 	other.ReadColumns(&cols)
-	requireColumnsEqual(t, "re-aimed after the walk", &cols, other)
+	requireColumnsEqual(t, "re-aimed after the walk", &cols, captured)
 }
 
 // TestColumnsReleaseMatchesLedger releases each resident's claim, alone and
-// then all of them one after another, both in the ledger and in columns read
-// from a capture of it: the columns must hold what the ledger holds, bit for
-// bit, the log must name every entry a release wrote, an unknown claim must
-// be refused in the ledger's words, and Restore must take the columns back to
-// the very bits they were read with.
+// then all of them one after another, in the model, in the ledger and in
+// columns read from a capture of it: the columns and the ledger must hold
+// what the model holds, bit for bit, the log must name every entry a release
+// wrote, an unknown claim must be refused in the model's words, and Restore
+// must take the columns back to the very bits they were read with.
 func TestColumnsReleaseMatchesLedger(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		nodes := 6 + int(seed%4)
 		l, residents := columnsTestLedger(t, seed, nodes)
 		base := l.Snapshot()
+		captured := columnsTestModel(t, seed, nodes)
 		var cols Columns
 		base.ReadColumns(&cols)
 		var undo Undo
 		for _, c := range residents {
-			ref, _ := columnsTestLedger(t, seed, nodes)
+			ref := columnsTestModel(t, seed, nodes)
 			if err := ref.Release(c.ID); err != nil {
 				t.Fatal(err)
 			}
-			if err := cols.Release(base, c.ID, &undo); err != nil {
-				t.Fatal(err)
-			}
+			cols.Release(c, base.Topology(), &undo)
 			what := fmt.Sprintf("seed %d, release %d", seed, c.ID)
-			requireColumnsEqual(t, what, &cols, ref.Snapshot())
+			requireColumnsEqual(t, what, &cols, ref)
 			wrote := map[[2]int32]bool{}
 			for i := 0; i < undo.Mark(); i++ {
 				at, link := undo.Wrote(i)
@@ -395,24 +417,29 @@ func TestColumnsReleaseMatchesLedger(t *testing.T) {
 				}
 			}
 			cols.Restore(&undo, 0)
-			requireColumnsEqual(t, what+", restored", &cols, base)
+			requireColumnsEqual(t, what+", restored", &cols, captured)
 		}
-		all, _ := columnsTestLedger(t, seed, nodes)
+		all := columnsTestModel(t, seed, nodes)
 		for _, c := range residents {
 			if err := all.Release(c.ID); err != nil {
 				t.Fatal(err)
 			}
-			if err := cols.Release(base, c.ID, &undo); err != nil {
+			if err := l.Release(c.ID); err != nil {
 				t.Fatal(err)
 			}
-			requireColumnsEqual(t, fmt.Sprintf("seed %d, releases up to %d", seed, c.ID), &cols, all.Snapshot())
+			cols.Release(c, base.Topology(), &undo)
+			what := fmt.Sprintf("seed %d, releases up to %d", seed, c.ID)
+			requireColumnsEqual(t, what, &cols, all)
+			requireLedgerEqual(t, what, l, all)
 		}
 		cols.Restore(&undo, 0)
-		requireColumnsEqual(t, fmt.Sprintf("seed %d, every release restored", seed), &cols, base)
-		wantErr := l.Release(1 << 40)
-		if err := cols.Release(base, 1<<40, &undo); err == nil || err.Error() != wantErr.Error() || undo.Mark() != 0 {
-			t.Fatalf("seed %d: releasing an unknown claim: %v (log %d), the ledger says %v", seed, err, undo.Mark(), wantErr)
+		requireColumnsEqual(t, fmt.Sprintf("seed %d, every release restored", seed), &cols, captured)
+		wantErr := all.Release(1 << 40)
+		if _, err := base.Claim(1 << 40); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("seed %d: looking up an unknown claim: %v, the model says %v", seed, err, wantErr)
 		}
+		sameRefusal(t, fmt.Sprintf("seed %d: releasing an unknown claim in the ledger", seed), l.Release(1<<40), wantErr)
+		sameRefusal(t, fmt.Sprintf("seed %d: releasing an unknown claim in a snapshot", seed), base.Release(1<<40), wantErr)
 	}
 }
 
@@ -429,37 +456,16 @@ func (in *fuzzInput) next(n int) int {
 	return v
 }
 
-// requireSnapshotEqual fails unless the snapshot reads, bit for bit, what the
-// unwritten capture does: node by node, link by link and through ReadColumns.
-func requireSnapshotEqual(t *testing.T, what string, s, capture *Snapshot) {
-	t.Helper()
-	want, got := capture.Nodes(), s.Nodes()
-	for i := range want {
-		if math.Float64bits(got[i].FreeMemoryMB) != math.Float64bits(want[i].FreeMemoryMB) ||
-			math.Float64bits(got[i].CPULoad) != math.Float64bits(want[i].CPULoad) {
-			t.Fatalf("%s: node %s: snapshot %+v, ledger %+v", what, want[i].Node.Hostname, got[i], want[i])
-		}
-	}
-	for id := range capture.base.topo.links {
-		if got, want := s.ReservedAt(id), capture.ReservedAt(id); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: reserved on link %d: snapshot %v, ledger %v", what, id, got, want)
-		}
-	}
-	var cols Columns
-	s.ReadColumns(&cols)
-	requireColumnsEqual(t, what+", read out", &cols, capture)
-}
-
 // FuzzColumnsMatchLedger drives one hypothetical state three ways — Columns
 // charged and released directly, a Snapshot through its Reserve, Release and
-// Fork front doors, and a Ledger, the reference — through a sequence of
-// reserves, releases, forks and charges taken back with Restore that the
-// input spells out. After every step the columns and the snapshot must hold,
-// bit for bit, what the ledger holds, and a refusal must read the same on all
-// three. A charge that is restored is held to the ledger replayed down the
-// path with that charge on the end; a fork leaves the side that is not
-// followed further written with one more claim, which must not show in the
-// side that is.
+// Fork front doors, and the Ledger the snapshot was taken of — beside the
+// model, through a sequence of reserves, releases, forks and charges taken
+// back with Restore that the input spells out. After every step the columns,
+// the snapshot and the ledger must hold, bit for bit, what the model holds,
+// and a refusal must read the same on all four. A charge that is restored is
+// held to the model replayed down the path with that charge on the end; a
+// fork leaves the side that is not followed further written with one more
+// claim, which must not show in the side that is.
 func FuzzColumnsMatchLedger(f *testing.F) {
 	// TestSnapshotDifferentialProperty's seeds.
 	for trial := 0; trial < 20; trial++ {
@@ -516,8 +522,7 @@ func columnsMatchLedger(t *testing.T, data []byte) {
 		nc, lc := claim()
 		residents = append(residents, reservation{nc, lc})
 	}
-	build := func() *Ledger {
-		l := NewLedger()
+	build := func(l ledgerOps) {
 		for i := 0; i < nodes; i++ {
 			if err := l.AddNode(Node{Hostname: host(i), Speed: 1, MemoryMB: mem[i], OS: "linux", CPUs: 1}); err != nil {
 				t.Fatal(err)
@@ -535,44 +540,58 @@ func columnsMatchLedger(t *testing.T, data []byte) {
 		for _, r := range residents {
 			_, _ = l.Reserve("resident", r.nodes, r.links) // a refusal is part of the shape
 		}
-		return l
 	}
 
-	ref := build()
-	var path []func(*Ledger) error
-	replay := func() *Ledger {
-		r := build()
+	ref, live := newDenseLedger(), NewLedger()
+	build(ref)
+	build(live)
+	var path []func(ledgerOps) error
+	replay := func() *denseLedger {
+		r := newDenseLedger()
+		build(r)
 		for _, op := range path {
 			_ = op(r) // refused as the reference was
 		}
 		return r
 	}
-	snap := ref.Snapshot()
+	snap := live.Snapshot()
 	topo := snap.base.topo
 	var cols Columns
 	var undo Undo
 	snap.ReadColumns(&cols)
+	requireLedgerEqual(t, "built", live, ref)
+	// release releases claim id in the columns as the controller does: the
+	// claim is looked up in the snapshot they were read alongside.
+	release := func(id uint64, undo *Undo) error {
+		cl, err := snap.Claim(id)
+		if err == nil {
+			cols.Release(cl, snap.Topology(), undo)
+		}
+		return err
+	}
 	for step := 0; len(in) > 0 && step < 64; step++ {
 		what := fmt.Sprintf("step %d", step)
 		switch in.next(5) {
 		case 0, 1: // reserve
 			nc, lc := claim()
-			want, ledgerErr := ref.Reserve("o", nc, lc)
+			want, modelErr := ref.Reserve("o", nc, lc)
+			_, ledgerErr := live.Reserve("o", nc, lc)
 			got, snapErr := snap.Reserve("o", nc, lc)
 			colsErr := cols.Charge(nc, lc, topo.locate(nil, nc, lc), nil)
-			sameRefusal(t, what+": reserve", colsErr, ledgerErr)
-			sameRefusal(t, what+": reserve through the snapshot", snapErr, ledgerErr)
-			if ledgerErr == nil && got.ID != want.ID {
-				t.Fatalf("%s: the snapshot issued claim %d, the ledger %d", what, got.ID, want.ID)
+			sameRefusal(t, what+": reserve", colsErr, modelErr)
+			sameRefusal(t, what+": reserve through the snapshot", snapErr, modelErr)
+			sameRefusal(t, what+": reserve in the ledger", ledgerErr, modelErr)
+			if modelErr == nil && got.ID != want.ID {
+				t.Fatalf("%s: the snapshot issued claim %d, the model %d", what, got.ID, want.ID)
 			}
-			path = append(path, func(l *Ledger) error { _, err := l.Reserve("o", nc, lc); return err })
+			path = append(path, func(l ledgerOps) error { _, err := l.Reserve("o", nc, lc); return err })
 		case 2: // release a claim: the capture's, one reserved since, or none
 			id := uint64(in.next(int(snap.nextID) + 2))
-			ledgerErr := ref.Release(id)
-			colsErr := cols.Release(snap, id, nil)
-			sameRefusal(t, what+": release", colsErr, ledgerErr)
-			sameRefusal(t, what+": release through the snapshot", snap.Release(id), ledgerErr)
-			path = append(path, func(l *Ledger) error { return l.Release(id) })
+			modelErr := ref.Release(id)
+			sameRefusal(t, what+": release", release(id, nil), modelErr)
+			sameRefusal(t, what+": release through the snapshot", snap.Release(id), modelErr)
+			sameRefusal(t, what+": release in the ledger", live.Release(id), modelErr)
+			path = append(path, func(l ledgerOps) error { return l.Release(id) })
 		case 3: // fork, and write the side not followed
 			other := snap.Fork()
 			if in.next(2) == 0 {
@@ -587,14 +606,14 @@ func columnsMatchLedger(t *testing.T, data []byte) {
 			// record no claim.
 			id := uint64(in.next(int(snap.nextID) + 1))
 			r := replay()
-			_, ledgerErr := r.Reserve("o", nc, lc)
-			sameRefusal(t, what+": logged charge", cols.Charge(nc, lc, topo.locate(nil, nc, lc), &undo), ledgerErr)
-			sameRefusal(t, what+": logged release", cols.Release(snap, id, &undo), r.Release(id))
-			requireColumnsEqual(t, what+": logged", &cols, r.Snapshot())
+			_, modelErr := r.Reserve("o", nc, lc)
+			sameRefusal(t, what+": logged charge", cols.Charge(nc, lc, topo.locate(nil, nc, lc), &undo), modelErr)
+			sameRefusal(t, what+": logged release", release(id, &undo), r.Release(id))
+			requireColumnsEqual(t, what+": logged", &cols, r)
 			cols.Restore(&undo, mark)
 		}
-		want := ref.Snapshot()
-		requireColumnsEqual(t, what, &cols, want)
-		requireSnapshotEqual(t, what, snap, want)
+		requireColumnsEqual(t, what, &cols, ref)
+		requireSnapshotEqual(t, what, snap, ref)
+		requireLedgerEqual(t, what, live, ref)
 	}
 }

@@ -215,19 +215,11 @@ func (ls LinkState) Utilization() float64 {
 	return ls.ReservedMbps / ls.Link.BandwidthMbps
 }
 
-// FindNode bisects a node table in hostname order, as Nodes returns it, for
-// hostname: its index and true, or where it would be inserted and false.
-func FindNode(states []NodeState, hostname string) (int, bool) {
-	return slices.BinarySearchFunc(states, hostname, func(ns NodeState, h string) int {
-		return strings.Compare(ns.Node.Hostname, h)
-	})
-}
-
-// topology is the cluster's inventory: which nodes and links exist, and
-// where each one sits in the tables of the ledger and its snapshots. It holds
-// everything reservations never change, so a snapshot shares its ledger's
-// topology instead of copying it, and the ledger clones it before the first
-// AddNode or AddLink that follows a snapshot.
+// topology is the cluster's inventory: which nodes and links exist, what
+// they are, and where each one sits in the tables of the ledger and its
+// snapshots. It holds everything reservations never change, so a snapshot
+// shares its ledger's topology instead of copying it, and the ledger clones
+// it before the first AddNode or AddLink that follows a snapshot.
 type topology struct {
 	// ids numbers the nodes in order of registration. It is the only table
 	// keyed by a string; everything past the API boundary is addressed by
@@ -238,6 +230,9 @@ type topology struct {
 	// maps the index back to the id.
 	pos   []int32
 	byPos []int32
+	// nodes holds the node descriptors by index: in hostname order, the
+	// order the matcher scans in.
+	nodes []Node
 	// links holds the link descriptors by link id, in order of registration.
 	links []Link
 	// pair is the lower triangle (diagonal included) of the node-id by
@@ -250,6 +245,7 @@ func (t *topology) clone() *topology {
 		ids:   make(map[string]int32, len(t.ids)),
 		pos:   slices.Clone(t.pos),
 		byPos: slices.Clone(t.byPos),
+		nodes: slices.Clone(t.nodes),
 		links: slices.Clone(t.links),
 		pair:  slices.Clone(t.pair),
 	}
@@ -300,19 +296,17 @@ func (t *topology) linkAt(a, b int) (int, bool) {
 // for concurrent use.
 type Ledger struct {
 	mu sync.Mutex
-	// topo indexes the tables below. topoShared is set once a snapshot
-	// holds it; the next AddNode or AddLink then works on a clone.
+	// topo indexes the tables below and describes the nodes and links.
+	// topoShared is set once a snapshot holds it; the next AddNode or
+	// AddLink then works on a clone.
 	topo       *topology
 	topoShared bool
-	// states holds every node in hostname order. The order the matcher
-	// scans in is how the table is stored, not a sort applied on the way out.
-	states []NodeState
-	// reserved is the bandwidth reserved on each link, by link id. It is by
-	// far the longest column and most claims leave it alone, so snapshots
-	// share it the way they share topo: reservedShared is set once one holds
-	// it, and the next write to it works on a clone.
-	reserved       []float64
-	reservedShared bool
+	// health is each node's lifecycle state, by node index.
+	health []NodeHealth
+	// cols is what reservations change, charged and released with the
+	// Columns arithmetic. It is the ledger's own: a capture copies the node
+	// columns and the links that hold a reservation, and shares nothing.
+	cols Columns
 	// claims holds the outstanding claims in id order.
 	claims []*Claim
 	nextID uint64
@@ -337,14 +331,9 @@ func (l *Ledger) ownTopology() *topology {
 	return l.topo
 }
 
-// ownReserved returns the reserved column for writing, cloning it first if a
-// snapshot shares it. A column a snapshot has seen is therefore never written
-// again, which Columns relies on to tell whether its copy is still good.
-func (l *Ledger) ownReserved() []float64 {
-	if l.reservedShared {
-		l.reserved, l.reservedShared = slices.Clone(l.reserved), false
-	}
-	return l.reserved
+// stateAt returns the state of the node at index p.
+func (l *Ledger) stateAt(p int) NodeState {
+	return NodeState{Node: l.topo.nodes[p], FreeMemoryMB: l.cols.FreeMemoryMB[p], CPULoad: l.cols.CPULoad[p], Health: l.health[p]}
 }
 
 // AddNode registers (or replaces an unclaimed) node.
@@ -354,19 +343,24 @@ func (l *Ledger) AddNode(n Node) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	fresh := NodeState{Node: n, FreeMemoryMB: n.MemoryMB}
-	p, exists := FindNode(l.states, n.Hostname)
+	p, exists := slices.BinarySearchFunc(l.topo.nodes, n.Hostname, func(old Node, h string) int {
+		return strings.Compare(old.Hostname, h)
+	})
 	if exists {
-		if old := &l.states[p]; old.CPULoad > 0 || old.FreeMemoryMB != old.Node.MemoryMB {
+		if l.cols.CPULoad[p] > 0 || l.cols.FreeMemoryMB[p] != l.topo.nodes[p].MemoryMB {
 			return fmt.Errorf("resource: node %s has outstanding claims", n.Hostname)
 		}
-		l.states[p] = fresh
+		l.ownTopology().nodes[p] = n
+		l.cols.FreeMemoryMB[p], l.cols.CPULoad[p], l.health[p] = n.MemoryMB, 0, HealthUp
 		l.snapCache = nil
 		l.nodeGen.Add(1)
 		return nil
 	}
 	t := l.ownTopology()
-	l.states = slices.Insert(l.states, p, fresh)
+	t.nodes = slices.Insert(t.nodes, p, n)
+	l.health = slices.Insert(l.health, p, HealthUp)
+	l.cols.FreeMemoryMB = slices.Insert(l.cols.FreeMemoryMB, p, n.MemoryMB)
+	l.cols.CPULoad = slices.Insert(l.cols.CPULoad, p, 0)
 	for id := range t.pos {
 		if int(t.pos[id]) >= p {
 			t.pos[id]++
@@ -387,6 +381,8 @@ func (l *Ledger) AddNode(n Node) error {
 func (l *Ledger) NodeGeneration() uint64 { return l.nodeGen.Load() }
 
 // AddLink registers a link between two already-registered nodes.
+// Registering a pair again replaces its description and sets its
+// reservation back to zero.
 func (l *Ledger) AddLink(lk Link) error {
 	if lk.BandwidthMbps <= 0 {
 		return fmt.Errorf("resource: link %s-%s bandwidth %g must be positive", lk.A, lk.B, lk.BandwidthMbps)
@@ -405,10 +401,10 @@ func (l *Ledger) AddLink(lk Link) error {
 	slot := pairSlot(ia, ib)
 	if id := t.pair[slot]; id != 0 {
 		t.links[id-1] = lk
-		l.ownReserved()[id-1] = 0
+		l.cols.setReserved(id-1, 0)
 	} else {
 		t.links = append(t.links, lk)
-		l.reserved = append(l.ownReserved(), 0)
+		l.cols.ReservedMbps = append(l.cols.ReservedMbps, 0)
 		t.pair[slot] = int32(len(t.links))
 	}
 	l.snapCache = nil
@@ -423,7 +419,7 @@ func (l *Ledger) Node(hostname string) (NodeState, error) {
 	if !ok {
 		return NodeState{}, fmt.Errorf("%w: %s", ErrUnknownNode, hostname)
 	}
-	return l.states[p], nil
+	return l.stateAt(p), nil
 }
 
 // SetNodeHealth transitions a node's lifecycle state. Claims already placed
@@ -436,10 +432,10 @@ func (l *Ledger) SetNodeHealth(hostname string, h NodeHealth) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, hostname)
 	}
-	if l.states[p].Health == h {
+	if l.health[p] == h {
 		return nil
 	}
-	l.states[p].Health = h
+	l.health[p] = h
 	l.snapCache = nil
 	return nil
 }
@@ -484,7 +480,7 @@ func (l *Ledger) Link(a, b string) (LinkState, error) {
 	if !ok {
 		return LinkState{}, fmt.Errorf("%w: %s-%s", ErrUnknownLink, a, b)
 	}
-	return LinkState{Link: l.topo.links[id], ReservedMbps: l.reserved[id]}, nil
+	return LinkState{Link: l.topo.links[id], ReservedMbps: l.cols.ReservedMbps[id]}, nil
 }
 
 // Indexed implements View: the ledger is read by index through a snapshot of
@@ -498,16 +494,19 @@ func (l *Ledger) Nodes() []NodeState { return l.AppendNodes(nil) }
 func (l *Ledger) AppendNodes(dst []NodeState) []NodeState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append(dst, l.states...)
+	for p := range l.topo.nodes {
+		dst = append(dst, l.stateAt(p))
+	}
+	return dst
 }
 
 // Links returns snapshots of all links sorted by key.
 func (l *Ledger) Links() []LinkState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]LinkState, len(l.reserved))
+	out := make([]LinkState, len(l.topo.links))
 	for id, lk := range l.topo.links {
-		out[id] = LinkState{Link: lk, ReservedMbps: l.reserved[id]}
+		out[id] = LinkState{Link: lk, ReservedMbps: l.cols.ReservedMbps[id]}
 	}
 	// Link ids follow registration, not the key order callers are promised.
 	sort.Slice(out, func(i, j int) bool { return out[i].Link.Key() < out[j].Link.Key() })
@@ -538,8 +537,7 @@ func (t *topology) locate(at []int32, nodes []NodeClaim, links []LinkClaim) []in
 // checkClaims decides whether node and link claims, at the places locate
 // reports for them, may be reserved against the free memory freeMem reports
 // per node index. Every claim is judged against the state before any of them
-// is applied. Ledger and Columns (and so Snapshot) both reserve through it, so
-// they accept and refuse the same claims with the same words.
+// is applied. It is Columns.Charge's validation.
 func checkClaims(at []int32, nodes []NodeClaim, links []LinkClaim, freeMem func(pos int) float64) error {
 	for i, nc := range nodes {
 		if at[i] < 0 {
@@ -564,22 +562,15 @@ func checkClaims(at []int32, nodes []NodeClaim, links []LinkClaim, freeMem func(
 	return nil
 }
 
-// charge validates the claims and, if every one is acceptable, applies them
-// all; Reserve and RestoreClaim differ only in the claim they then record.
+// charge charges the claims to the ledger's columns, all of them or, when one
+// is refused, none; Reserve and RestoreClaim differ only in the claim they
+// then record.
 func (l *Ledger) charge(nodes []NodeClaim, links []LinkClaim) error {
 	var buf [32]int32
-	at := l.topo.locate(buf[:0], nodes, links)
-	if err := checkClaims(at, nodes, links, func(p int) float64 { return l.states[p].FreeMemoryMB }); err != nil {
+	if err := l.cols.Charge(nodes, links, l.topo.locate(buf[:0], nodes, links), nil); err != nil {
 		return err
 	}
 	l.snapCache = nil
-	for i, nc := range nodes {
-		l.states[at[i]].FreeMemoryMB -= nc.MemoryMB
-		l.states[at[i]].CPULoad += nc.CPULoad
-	}
-	for i, lc := range links {
-		l.ownReserved()[at[len(nodes)+i]] += lc.BandwidthMbps
-	}
 	return nil
 }
 
@@ -639,19 +630,8 @@ func (l *Ledger) Release(id uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownClaim, id)
 	}
-	c := l.claims[i]
 	l.snapCache = nil
-	for _, nc := range c.Nodes {
-		if p, ok := l.topo.node(nc.Hostname); ok {
-			st := &l.states[p]
-			st.FreeMemoryMB, st.CPULoad = releaseNode(st.FreeMemoryMB, st.CPULoad, st.Node.MemoryMB, nc)
-		}
-	}
-	for _, lc := range c.Links {
-		if lid, ok := l.topo.link(lc.A, lc.B); ok {
-			l.ownReserved()[lid] = releaseBandwidth(l.reserved[lid], lc)
-		}
-	}
+	l.cols.Release(l.claims[i], Topology{l.topo}, nil)
 	l.claims = slices.Delete(l.claims, i, i+1)
 	return nil
 }
@@ -700,9 +680,9 @@ const conservationEpsilon = 1e-6
 func (l *Ledger) CheckConservation() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	wantMem := make([]float64, len(l.states))
-	wantLoad := make([]float64, len(l.states))
-	wantBw := make([]float64, len(l.reserved))
+	wantMem := make([]float64, len(l.topo.nodes))
+	wantLoad := make([]float64, len(l.topo.nodes))
+	wantBw := make([]float64, len(l.topo.links))
 	for _, c := range l.claims {
 		for _, nc := range c.Nodes {
 			if p, ok := l.topo.node(nc.Hostname); ok {
@@ -716,16 +696,15 @@ func (l *Ledger) CheckConservation() error {
 			}
 		}
 	}
-	for p, st := range l.states {
-		h := st.Node.Hostname
-		if used := st.Node.MemoryMB - st.FreeMemoryMB; math.Abs(used-wantMem[p]) > conservationEpsilon {
-			return fmt.Errorf("resource: node %s memory not conserved: %g MB in use, claims total %g MB", h, used, wantMem[p])
+	for p, n := range l.topo.nodes {
+		if used := n.MemoryMB - l.cols.FreeMemoryMB[p]; math.Abs(used-wantMem[p]) > conservationEpsilon {
+			return fmt.Errorf("resource: node %s memory not conserved: %g MB in use, claims total %g MB", n.Hostname, used, wantMem[p])
 		}
-		if math.Abs(st.CPULoad-wantLoad[p]) > conservationEpsilon {
-			return fmt.Errorf("resource: node %s load not conserved: %g charged, claims total %g", h, st.CPULoad, wantLoad[p])
+		if load := l.cols.CPULoad[p]; math.Abs(load-wantLoad[p]) > conservationEpsilon {
+			return fmt.Errorf("resource: node %s load not conserved: %g charged, claims total %g", n.Hostname, load, wantLoad[p])
 		}
 	}
-	for id, reserved := range l.reserved {
+	for id, reserved := range l.cols.ReservedMbps {
 		if math.Abs(reserved-wantBw[id]) > conservationEpsilon {
 			return fmt.Errorf("resource: link %s bandwidth not conserved: %g Mbps reserved, claims total %g Mbps",
 				l.topo.links[id].Key(), reserved, wantBw[id])

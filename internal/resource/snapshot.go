@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -40,14 +41,25 @@ var (
 
 // snapBase is the immutable capture of a ledger taken by Ledger.Snapshot.
 // It is shared by every fork of the snapshot and never written after
-// construction. The topology and the reserved column are the ledger's own,
-// shared until the ledger next writes to them; the rest are copies.
+// construction. The topology, and with it every node and link description,
+// is the ledger's own, shared until the ledger next writes to it; the rest
+// are copies.
 type snapBase struct {
-	topo     *topology
-	states   []NodeState // hostname order
-	reserved []float64   // by link id
-	claims   []*Claim    // id order
-	nextID   uint64
+	topo *topology
+	// freeMem, load and health are the nodes' state by index.
+	freeMem, load []float64
+	health        []NodeHealth
+	reserved      []linkReservation
+	claims        []*Claim // id order
+	nextID        uint64
+}
+
+// linkReservation is the bandwidth reserved on one link. A capture holds one
+// for every link whose reservation is not zero, in id order, and nothing for
+// the rest.
+type linkReservation struct {
+	id   int32
+	mbps float64
 }
 
 // Snapshot is a Ledger as it stood when Snapshot() was called: the capture,
@@ -55,17 +67,17 @@ type snapBase struct {
 // written, and from the first Reserve or Release on, a Columns of the
 // snapshot's own that holds the capture with those hypothetical reservations
 // and releases on top. The columns are charged and released with
-// Columns.Charge and Columns.Release, the one arithmetic of hypothetical
-// state; the ledger is never touched. Fork() produces an independent copy.
+// Columns.Charge and Columns.Release, the ledger's own arithmetic; the ledger
+// is never touched. Fork() produces an independent copy.
 //
 // The controller's searches do not write snapshots: they read a capture into
 // Columns of their own (ReadColumns) and try placements there. Reserve,
 // Release and Fork are front doors over the same columns for callers that
 // place by hostname one claim at a time.
 //
-// Nodes reports the capture's hostname-ordered table with the snapshot's own
-// free memory and load written over it by index, so it agrees with
-// Ledger.Nodes on order by construction.
+// Nodes reports the topology's hostname-ordered node table with the
+// snapshot's free memory, load and health beside it by index, so it agrees
+// with Ledger.Nodes on order by construction.
 //
 // A Snapshot is NOT safe for concurrent use; forks share nothing writable
 // and may be used from different goroutines concurrently.
@@ -81,19 +93,27 @@ type Snapshot struct {
 }
 
 // Snapshot captures the ledger's current state. After a mutation the capture
-// copies the node table and the claim list; the link descriptions, the name
-// index and the reserved-bandwidth column are shared, the ledger cloning one
-// before it next writes to it. While the ledger is unchanged the capture is
-// O(1), the immutable base being cached.
+// copies the nodes' free memory, load and health, the links that hold a
+// reservation and the claim list; the topology (the node and link
+// descriptions and the name index) is shared, the ledger cloning it before it
+// next writes to it. While the ledger is unchanged the capture is O(1), the
+// immutable base being cached.
 func (l *Ledger) Snapshot() *Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.snapCache == nil {
-		l.topoShared, l.reservedShared = true, true
+		l.topoShared = true
+		reserved := make([]linkReservation, len(l.cols.held))
+		for i, id := range l.cols.held {
+			reserved[i] = linkReservation{id, l.cols.ReservedMbps[id]}
+		}
+		slices.SortFunc(reserved, func(a, b linkReservation) int { return cmp.Compare(a.id, b.id) })
 		l.snapCache = &snapBase{
 			topo:     l.topo,
-			states:   slices.Clone(l.states),
-			reserved: l.reserved,
+			freeMem:  slices.Clone(l.cols.FreeMemoryMB),
+			load:     slices.Clone(l.cols.CPULoad),
+			health:   slices.Clone(l.health),
+			reserved: reserved,
 			// Claims are immutable after creation, so sharing pointers is safe.
 			claims: slices.Clone(l.claims),
 			nextID: l.nextID,
@@ -141,41 +161,41 @@ func (s *Snapshot) nodeAt(pos int) (freeMem, cpuLoad float64) {
 	if s.own != nil {
 		return s.own.FreeMemoryMB[pos], s.own.CPULoad[pos]
 	}
-	st := &s.base.states[pos]
-	return st.FreeMemoryMB, st.CPULoad
+	return s.base.freeMem[pos], s.base.load[pos]
 }
 
 // ReservedAt reports the bandwidth reserved on the link with the given id
-// (see LinkIndex).
+// (see LinkIndex). An unwritten snapshot looks the link up among the
+// capture's reservations.
 func (s *Snapshot) ReservedAt(id int) float64 {
 	if s.own != nil {
 		return s.own.ReservedMbps[id]
 	}
-	return s.base.reserved[id]
+	r := s.base.reserved
+	if i, ok := slices.BinarySearchFunc(r, int32(id), func(e linkReservation, id int32) int { return cmp.Compare(e.id, id) }); ok {
+		return r[i].mbps
+	}
+	return 0
 }
 
-// lookupClaim finds an outstanding claim.
-func (s *Snapshot) lookupClaim(id uint64) (*Claim, bool) {
+// Claim returns the outstanding claim with the given id.
+func (s *Snapshot) Claim(id uint64) (*Claim, error) {
 	if i, ok := findClaim(s.claims, id); ok {
-		return s.claims[i], true
+		return s.claims[i], nil
 	}
-	return nil, false
+	return nil, fmt.Errorf("%w: %d", ErrUnknownClaim, id)
 }
 
 // Nodes returns the state of all nodes sorted by hostname, matching
 // Ledger.Nodes ordering exactly (the matcher's scan order depends on it).
-func (s *Snapshot) Nodes() []NodeState { return s.AppendNodes(nil) }
+func (s *Snapshot) Nodes() []NodeState {
+	return s.AppendNodes(make([]NodeState, 0, len(s.base.topo.nodes)))
+}
 
-// AppendNodes appends every node's state to dst in hostname order: a copy of
-// the capture's table with the snapshot's own free memory and load written
-// over it.
+// AppendNodes appends every node's state to dst in hostname order.
 func (s *Snapshot) AppendNodes(dst []NodeState) []NodeState {
-	n := len(dst)
-	dst = append(dst, s.base.states...)
-	if s.own != nil {
-		for i := range dst[n:] {
-			dst[n+i].FreeMemoryMB, dst[n+i].CPULoad = s.own.FreeMemoryMB[i], s.own.CPULoad[i]
-		}
+	for p := range s.base.topo.nodes {
+		dst = append(dst, s.StateAt(p))
 	}
 	return dst
 }
@@ -186,8 +206,9 @@ func (s *Snapshot) Indexed() *Snapshot { return s }
 // Topology names the inventory of nodes and links a snapshot was taken over.
 // Node indices and link ids mean the same thing in two snapshots exactly when
 // their Topology values are equal: the ledger never writes to a topology a
-// snapshot holds, so AddNode (which re-sorts the indices) and AddLink always
-// show up as a different value. Holding one keeps it from being reused.
+// snapshot holds, so AddNode (which re-sorts the indices or replaces a node's
+// description) and AddLink always show up as a different value. Holding one
+// keeps it from being reused.
 type Topology struct{ t *topology }
 
 // Topology reports which inventory the snapshot's indices refer to. It is
@@ -215,8 +236,8 @@ func (s *Snapshot) LinkBetween(posA, posB int) (int, bool) {
 }
 
 // NodeAt returns the description of the node at index pos. It points into
-// the shared base and must not be written through.
-func (s *Snapshot) NodeAt(pos int) *Node { return &s.base.states[pos].Node }
+// the shared topology and must not be written through.
+func (s *Snapshot) NodeAt(pos int) *Node { return &s.base.topo.nodes[pos] }
 
 // LinkAt returns the description of the link with the given id. It points
 // into the shared topology and must not be written through.
@@ -230,9 +251,8 @@ func (s *Snapshot) LoadAt(pos int) float64 {
 
 // StateAt returns the state of the node at index pos.
 func (s *Snapshot) StateAt(pos int) NodeState {
-	ns := s.base.states[pos]
-	ns.FreeMemoryMB, ns.CPULoad = s.nodeAt(pos)
-	return ns
+	freeMem, cpuLoad := s.nodeAt(pos)
+	return NodeState{Node: s.base.topo.nodes[pos], FreeMemoryMB: freeMem, CPULoad: cpuLoad, Health: s.base.health[pos]}
 }
 
 // Node returns the snapshot state of one node.
@@ -273,9 +293,11 @@ func (s *Snapshot) Reserve(owner string, nodes []NodeClaim, links []LinkClaim) (
 // Columns.Release, whether the claim was reserved in this snapshot or
 // captured from the underlying ledger.
 func (s *Snapshot) Release(id uint64) error {
-	if err := s.write().Release(s, id, nil); err != nil {
+	cl, err := s.Claim(id)
+	if err != nil {
 		return err
 	}
+	s.write().Release(cl, s.Topology(), nil)
 	i, _ := findClaim(s.claims, id)
 	s.claims = slices.Delete(s.claims, i, i+1)
 	return nil

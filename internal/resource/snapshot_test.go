@@ -3,6 +3,7 @@ package resource
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -457,4 +458,57 @@ func TestSnapshotNodesAllocations(t *testing.T) {
 	if len(nodes) != 64 || nodes[7].CPULoad != 1 || nodes[14].FreeMemoryMB != 120 {
 		t.Fatalf("nodes = %d, n07 %+v, n14 %+v", len(nodes), nodes[7], nodes[14])
 	}
+}
+
+// TestCaptureCopiesOnlyHeldLinks holds a capture of a 256-node SP-2-shaped
+// ledger (a link per node pair, 32 640 links) with 64 links reserved to the
+// bytes of what changes under a reservation: one Reserve followed by a
+// Snapshot must allocate under 64 KB, where the reserved column alone is
+// 261 KB.
+func TestCaptureCopiesOnlyHeldLinks(t *testing.T) {
+	l := snapshotTestLedger(t, 256)
+	host := func(i int) string { return fmt.Sprintf("n%02d", i) }
+	for i := 0; i < 64; i++ {
+		nc := []NodeClaim{{Hostname: host(2 * i), MemoryMB: 1, CPULoad: 0.5}, {Hostname: host(2*i + 1), MemoryMB: 1, CPULoad: 0.5}}
+		lc := []LinkClaim{{A: host(2 * i), B: host(2*i + 1), BandwidthMbps: 10}}
+		if _, err := l.Reserve("resident", nc, lc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if links := len(l.Links()); links != 32640 {
+		t.Fatalf("%d links, want 32640", links)
+	}
+	nc := []NodeClaim{{Hostname: host(200), MemoryMB: 1, CPULoad: 0.5}}
+	lc := []LinkClaim{{A: host(200), B: host(201), BandwidthMbps: 10}}
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		c, err := l.Reserve("trial", nc, lc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Snapshot().ReservedAt(mustLink(t, l, host(200), host(201))); got != 10 {
+			t.Fatalf("the capture reads %v on the new link, want 10", got)
+		}
+		if err := l.Release(c.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("a Reserve and a Snapshot allocate %d bytes", perRound)
+	if perRound >= 64<<10 {
+		t.Fatalf("a Reserve and a Snapshot allocate %d bytes, want under 64 KB", perRound)
+	}
+}
+
+// mustLink returns the id of the link between a and b.
+func mustLink(t *testing.T, l *Ledger, a, b string) int {
+	t.Helper()
+	id, ok := l.topo.link(a, b)
+	if !ok {
+		t.Fatalf("no link %s-%s", a, b)
+	}
+	return id
 }

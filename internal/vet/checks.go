@@ -514,11 +514,17 @@ func (s *optScope) checkCapacity(opt *rsl.OptionSpec) {
 		ls := &opt.Links[i]
 		bwMin, ok := s.evalMin(ls.Bandwidth, true)
 		if ok && bwMin > switchBandwidthMbps {
-			s.diag("link-bandwidth", SevWarn, ls.Pos,
+			sev := SevWarn
+			if linksTwoHosts(opt, ls) {
+				sev = SevError
+			}
+			s.diag("link-bandwidth", sev, ls.Pos,
 				"link %s-%s needs at least %g Mbps; the interconnect provides %g Mbps",
 				ls.A, ls.B, bwMin, switchBandwidthMbps)
 		}
 	}
+	// Matching does not refuse a communication demand by capacity: it
+	// spreads it over the pairs, which it then over-subscribes.
 	if opt.Communication != nil {
 		commMin, ok := s.evalMin(opt.Communication, true)
 		if ok && commMin > switchBandwidthMbps {
@@ -527,6 +533,30 @@ func (s *optScope) checkCapacity(opt *rsl.OptionSpec) {
 				commMin, switchBandwidthMbps)
 		}
 	}
+}
+
+// linksTwoHosts reports whether the link's ends always land on two different
+// hosts, so matching checks its bandwidth against a link's capacity every
+// time: two different wildcard specs (matching puts an option's wildcard
+// replicas on distinct hosts) or two different fixed hosts. A wildcard and a
+// fixed host may share a host, and a link within one host loads no link.
+func linksTwoHosts(opt *rsl.OptionSpec, ls *rsl.LinkSpec) bool {
+	var a, b *rsl.NodeSpec
+	for i := range opt.Nodes {
+		switch opt.Nodes[i].LocalName {
+		case ls.A:
+			a = &opt.Nodes[i]
+		case ls.B:
+			b = &opt.Nodes[i]
+		}
+	}
+	if a == nil || b == nil {
+		return false
+	}
+	if a.HostPattern == "*" || b.HostPattern == "*" {
+		return a.HostPattern == b.HostPattern
+	}
+	return a.HostPattern != b.HostPattern
 }
 
 func (s *optScope) describeDemand(spec *rsl.NodeSpec, memMin float64, memOK bool, osWant, hostWant string) string {

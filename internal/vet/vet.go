@@ -201,7 +201,7 @@ var checkRegistry = []CheckInfo{
 	{"link-endpoint", SevError, "a link names an endpoint that is not a declared node of the option"},
 	{"node-unsatisfiable", SevError, "no declared harmonyNode can satisfy a node request's hostname, os and memory demands (Section 4.1 matching can never succeed)"},
 	{"replicate-unsatisfiable", SevError, "a wildcard node's replica count exceeds the number of distinct eligible hosts"},
-	{"link-bandwidth", SevWarn, "a link or communication demand exceeds the interconnect capacity even in the best case"},
+	{"link-bandwidth", SevError, "a link demand exceeds the interconnect capacity even in the best case between ends that are always two hosts — two wildcard specs, or two different fixed hosts — so it can never be matched (or, as a warning, a link whose ends may share a host, or a communication demand, which matching spreads over the pairs without refusing it)"},
 	{"perf-point", SevError, "a performance point has a node count below one or a negative time (piecewise-linear interpolation misbehaves)"},
 	{"perf-unsorted", SevWarn, "performance points were listed out of ascending node order (the decoder sorts them; the order given is likely a typo)"},
 	{"dominated-option", SevWarn, "an option is dominated by an earlier sibling at every choice the controller enumerates — identical or subsumed requirements with a prediction that is never better — so the controller can never choose it"},

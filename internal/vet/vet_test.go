@@ -300,19 +300,33 @@ func TestExtraNodes(t *testing.T) {
 }
 
 // TestSwitchBandwidthOption: the link-bandwidth check holds a link to the
-// interconnect the cluster package models, the SP-2 switch's 320 Mbps.
+// interconnect the cluster package models, the SP-2 switch's 320 Mbps. A link
+// over it is an error when its ends are always two hosts — two wildcard
+// specs, whose replicas matching puts on distinct hosts, or two different
+// fixed hosts — and a warning when they may share one.
 func TestSwitchBandwidthOption(t *testing.T) {
-	link := func(mbps int) string {
-		return fmt.Sprintf("harmonyBundle a:1 b {\n\t{o\n\t\t{node x * {memory 1}}\n\t\t{node y * {memory 1}}\n\t\t{link x y %d}\n\t}\n}\n", mbps)
+	link := func(hostX, hostY string, mbps int) string {
+		return fmt.Sprintf("harmonyBundle a:1 b {\n\t{o\n\t\t{node x %s {memory 1}}\n\t\t{node y %s {memory 1}}\n\t\t{link x y %d}\n\t}\n}\n", hostX, hostY, mbps)
 	}
 	nodes := []*rsl.NodeDecl{{Hostname: "h1", MemoryMB: 64}, {Hostname: "h2", MemoryMB: 64}}
-	if rep := Script(link(320), Options{ExtraNodes: nodes}); len(rep.Diags) != 0 {
+	if rep := Script(link("*", "*", 320), Options{ExtraNodes: nodes}); len(rep.Diags) != 0 {
 		t.Fatalf("320 Mbps fits the switch, got %v", rep.Diags)
 	}
-	rep := Script(link(321), Options{ExtraNodes: nodes})
-	if len(rep.Diags) != 1 || rep.Diags[0].Check != "link-bandwidth" ||
-		!strings.Contains(rep.Diags[0].Message, "the interconnect provides 320 Mbps") {
-		t.Errorf("want one link-bandwidth warning against the 320 Mbps switch, got %v", rep.Diags)
+	for _, tc := range []struct {
+		x, y string
+		want Severity
+	}{
+		{"*", "*", SevError},
+		{"h1", "h2", SevError},
+		{"*", "h2", SevWarn},
+		{"h1", "*", SevWarn},
+		{"h1", "h1", SevWarn},
+	} {
+		rep := Script(link(tc.x, tc.y, 321), Options{ExtraNodes: nodes})
+		if len(rep.Diags) != 1 || rep.Diags[0].Check != "link-bandwidth" || rep.Diags[0].Severity != tc.want ||
+			!strings.Contains(rep.Diags[0].Message, "the interconnect provides 320 Mbps") {
+			t.Errorf("link between %s and %s: want one link-bandwidth %v against the 320 Mbps switch, got %v", tc.x, tc.y, tc.want, rep.Diags)
+		}
 	}
 }
 

@@ -27,6 +27,23 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+echo "== fuzz targets (each one in the Makefile's FUZZ_TARGETS)"
+# FUZZ_TARGETS is the one list `make fuzz` and CI's fuzz smoke run: a fuzz
+# target missing from it is never fuzzed. bench/ is a module of its own.
+missing=0
+for f in $(grep -rlE '^func Fuzz[A-Za-z0-9_]*\(' --include='*_test.go' . | grep -v '^\./bench/' | sort); do
+	dir=$(dirname "$f")
+	for name in $(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(.*/\1/p' "$f"); do
+		if ! grep -qE "^[[:space:]]*$name:$dir/([[:space:]]|\$)" Makefile; then
+			echo "$f: $name is not in the Makefile's FUZZ_TARGETS as $name:$dir/" >&2
+			missing=1
+		fi
+	done
+done
+if [ "$missing" -ne 0 ]; then
+	exit 1
+fi
+
 echo "== workflow YAML (duplicate keys)"
 # A mapping that names a key twice is invalid YAML, and GitHub then drops the
 # whole workflow without a word: the gates below would not run in CI at all.
