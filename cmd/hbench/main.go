@@ -13,7 +13,8 @@
 //	                  # fig4 alone at a fourth, the joint search making room
 //	                  # beside 2 and 4 residents), write report
 //	hbench -json out.json -baseline BENCH_35.json -tolerance 15
-//	                  # ...and fail if the hot path regressed >15% vs baseline
+//	                  # ...and fail if a point's counts differ from the
+//	                  # baseline's, or its time regressed >15%
 package main
 
 import (
@@ -134,10 +135,12 @@ func parseNodes(csv string) (all []int, byShape map[string][]int, err error) {
 	return all, byShape, nil
 }
 
-// compareBaseline fails when a point's re-evaluation or accommodation time
-// regressed more than tolerancePct against the baseline. Absolute timings
-// only transfer between runs of the same environment (GOMAXPROCS, OS, arch);
-// when the environments differ, deltas are reported as informational only.
+// compareBaseline fails when a point's exact counts differ from the
+// baseline's, in any environment (compareCounts), and when its
+// re-evaluation or accommodation time regressed more than tolerancePct
+// against the baseline. Absolute timings only transfer between runs of the
+// same environment (GOMAXPROCS, OS, arch); when the environments differ,
+// timing deltas are reported as informational only.
 func compareBaseline(report *experiments.OptBenchReport, baselinePath string, tolerancePct float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -190,8 +193,43 @@ func compareBaseline(report *experiments.OptBenchReport, baselinePath string, to
 		}
 		fmt.Printf("%-5s n=%-4d procs=%-2d pass %+6.1f%% [%s]\n", p.Shape, p.Nodes, p.Procs, pct, status)
 	}
+	changed := compareCounts(report.Points, base.Points)
+	if changed > 0 {
+		return fmt.Errorf("bench: %d point(s) changed their counts vs %s, and %d regressed more than %.0f%%", changed, baselinePath, regressed, tolerancePct)
+	}
 	if regressed > 0 {
 		return fmt.Errorf("bench: %d point(s) regressed more than %.0f%% vs %s", regressed, tolerancePct, baselinePath)
 	}
 	return nil
+}
+
+// compareCounts reports and counts the points whose predictions or choices
+// per pass, trials per accommodation or budget hit differ from the baseline
+// point of the same shape, nodes, residents and choices. The counts depend on
+// the workload alone, not on GOMAXPROCS or the machine, so a change to one is
+// a change to what the optimizer computes; a PR that makes one re-records
+// the baseline.
+func compareCounts(points, base []experiments.OptBenchPoint) (changed int) {
+	type key struct {
+		shape                     string
+		nodes, residents, choices int
+	}
+	want := make(map[key]experiments.OptBenchPoint, len(base))
+	for _, b := range base {
+		if k := (key{b.Shape, b.Nodes, b.Residents, b.Choices}); want[k].Shape == "" {
+			want[k] = b
+		}
+	}
+	for _, p := range points {
+		b, ok := want[key{p.Shape, p.Nodes, p.Residents, p.Choices}]
+		if !ok || p.PredictionsPerPass == b.PredictionsPerPass && p.ChoicesPerPass == b.ChoicesPerPass &&
+			p.TrialsPerAccommodation == b.TrialsPerAccommodation && p.BudgetHit == b.BudgetHit {
+			continue
+		}
+		changed++
+		fmt.Printf("%-5s n=%-4d procs=%-2d residents=%d choices=%d counts changed: predictions %d -> %d, choices %d -> %d, trials %d -> %d, budget hit %v -> %v [CHANGED]\n",
+			p.Shape, p.Nodes, p.Procs, p.Residents, p.Choices, b.PredictionsPerPass, p.PredictionsPerPass,
+			b.ChoicesPerPass, p.ChoicesPerPass, b.TrialsPerAccommodation, p.TrialsPerAccommodation, b.BudgetHit, p.BudgetHit)
+	}
+	return changed
 }

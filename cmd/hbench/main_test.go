@@ -89,6 +89,28 @@ func TestRunBenchRegressionGate(t *testing.T) {
 	if err == nil {
 		t.Fatal("1000x slowdown passed the regression gate")
 	}
+
+	// In a foreign environment the timing is not enforced, but the counts
+	// are: the same 1000x faster baseline passes, and one prediction more
+	// per pass in it fails.
+	rep.GOOS = "plan9"
+	foreign := func(name string) string {
+		data, err := json.Marshal(&rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir+"/"+name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir + "/" + name
+	}
+	if err := run([]string{"-json", dir + "/bench3.json", "-bench-nodes", "4", "-bench-min", "5ms", "-baseline", foreign("same.json")}); err != nil {
+		t.Fatalf("unchanged counts failed in a foreign environment: %v", err)
+	}
+	rep.Points[0].PredictionsPerPass++
+	if err := run([]string{"-json", dir + "/bench4.json", "-bench-nodes", "4", "-bench-min", "5ms", "-baseline", foreign("counts.json")}); err == nil {
+		t.Fatal("a changed prediction count passed the gate in a foreign environment")
+	}
 }
 
 func TestRunBenchBadNodes(t *testing.T) {

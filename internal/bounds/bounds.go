@@ -1,27 +1,30 @@
-// Package bounds computes per-option resource bound vectors and an option
-// dominance partial order for RSL bundles, from the choices the controller
-// enumerates (rsl.OptionSpec.Choices): each option's variable bindings
-// times the grant ladder of its minimum memory tags. For each resource
-// dimension the matcher consumes (total memory, node count, distinct
-// wildcard hosts, exclusively held nodes, per-host pinned memory, aggregate
-// bandwidth) a vector holds the least and greatest value over the choices
-// that resolve, plus the explicit performance model's range at their node
-// counts.
+// Package bounds holds a bundle's analysis (Bundle): the choices the
+// controller enumerates (rsl.BundleSpec.Choices) — each option's variable
+// bindings times the grant ladder of its minimum memory tags — each
+// choice's match.Plan, per-option resource bound vectors over those plans,
+// and an option dominance partial order. For each resource dimension the
+// matcher consumes (total memory, node count, distinct wildcard hosts,
+// exclusively held nodes, per-host pinned memory, aggregate bandwidth) a
+// vector holds the least and greatest value over the choices that resolve,
+// plus the explicit performance model's range at their node counts.
 //
-// Package vet builds on the vectors to prove options dead before the
-// controller ever sees them (dominated-option, unreachable-option), and its
-// workload check — run by the server on every bundle_setup — sums their
-// lower ends over the admitted bundles and the incoming one; harmonyctl
-// analyze prints them. The controller does not use them: its fit proof
-// (match.Scan.MayFit) works from each choice's resolved plan instead. Every
-// end of a range is the value of one choice the controller tries, so a
-// "never" proved here is a "never" in the concrete system. A bundle over
-// rsl.MaxChoices is never enumerated; its options have empty vectors.
+// The controller decides among a Bundle's choices with its plans (its fit
+// proof, match.Scan.MayFit, works from each plan). Package vet builds on
+// the vectors to prove options dead before the controller ever sees them
+// (dominated-option, unreachable-option), and its workload check — run by
+// the server on every bundle_setup — sums the bundles' least demands over
+// the admitted bundles and the incoming one; harmonyctl analyze prints
+// them. Every end of a range is the value of one choice the controller
+// tries, so a "never" proved here is a "never" in the concrete system. A
+// bundle over rsl.MaxChoices is never enumerated; its options have empty
+// vectors.
 package bounds
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"sync"
 
 	"harmony/internal/match"
 	"harmony/internal/predict"
@@ -79,25 +82,92 @@ type Vector struct {
 	Seconds Range
 }
 
-// Plans resolves each of opt's choices for placement, as the controller
-// resolves them (match.NewPlan).
-func Plans(opt *rsl.OptionSpec, choices []rsl.Choice) []*match.Plan {
-	plans := make([]*match.Plan, len(choices))
-	for i, ch := range choices {
-		plans[i] = match.NewPlan(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants})
+// Bundle is one bundle's analysis, made once and shared by vet at the door,
+// the controller and the next arrival's joint check: the choices the
+// controller enumerates, each choice's plan and, computed once on first
+// use, each option's bound vector and the bundle's least demand. It is safe
+// for concurrent use.
+type Bundle struct {
+	// Spec is the bundle analysed.
+	Spec *rsl.BundleSpec
+	// Choices are Spec's choices, option by option, and Plans[k] resolves
+	// Choices[k] for placement. Both are empty for a bundle over
+	// rsl.MaxChoices, which is never enumerated.
+	Choices []rsl.Choice
+	Plans   []*match.Plan
+	// start[i] is where option i's choices begin in Choices, and
+	// start[len(Spec.Options)] is len(Choices); nil when not enumerated.
+	start []int
+
+	once    sync.Once
+	vectors []Vector
+	least   Demand
+}
+
+// NewBundle enumerates b's choices and resolves each for placement.
+func NewBundle(b *rsl.BundleSpec) *Bundle {
+	an := &Bundle{Spec: b}
+	if b.ChoiceCount() > rsl.MaxChoices {
+		return an
 	}
-	return plans
+	an.Choices = b.Choices()
+	an.Plans = make([]*match.Plan, len(an.Choices))
+	an.start = make([]int, len(b.Options)+1)
+	k := 0
+	for i := range b.Options {
+		opt := &b.Options[i]
+		an.start[i] = k
+		for end := k + opt.ChoiceCount(); k < end; k++ {
+			an.Plans[k] = Plan(opt, an.Choices[k])
+		}
+	}
+	an.start[len(b.Options)] = k
+	return an
 }
 
-// Option computes the bound vector of one option over its enumerated
-// choices. An option over rsl.MaxChoices has an empty vector.
-func Option(opt *rsl.OptionSpec) Vector {
-	return OptionOf(opt, Plans(opt, opt.Choices()))
+// Plan resolves one choice of opt for placement, as every search places it.
+func Plan(opt *rsl.OptionSpec, ch rsl.Choice) *match.Plan {
+	return match.NewPlan(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants})
 }
 
-// OptionOf computes the bound vector of opt over the plans of its choices,
-// usually of its whole enumeration.
-func OptionOf(opt *rsl.OptionSpec, plans []*match.Plan) Vector {
+// Enumerated is false for a bundle over rsl.MaxChoices.
+func (an *Bundle) Enumerated() bool { return an.start != nil }
+
+// Option returns option i's choices and their plans, empty when the bundle
+// is not enumerated.
+func (an *Bundle) Option(i int) ([]rsl.Choice, []*match.Plan) {
+	if an.start == nil {
+		return nil, nil
+	}
+	lo, hi := an.start[i], an.start[i+1]
+	return an.Choices[lo:hi:hi], an.Plans[lo:hi:hi]
+}
+
+// Vector is option i's bound vector over its choices.
+func (an *Bundle) Vector(i int) Vector {
+	an.bound()
+	return an.vectors[i]
+}
+
+// Least is the bundle's least demand over its options' vectors.
+func (an *Bundle) Least() Demand {
+	an.bound()
+	return an.least
+}
+
+func (an *Bundle) bound() {
+	an.once.Do(func() {
+		an.vectors = make([]Vector, len(an.Spec.Options))
+		for i := range an.vectors {
+			_, plans := an.Option(i)
+			an.vectors[i] = vectorOf(&an.Spec.Options[i], plans)
+		}
+		an.least = leastOf(an.vectors)
+	})
+}
+
+// vectorOf computes the bound vector of opt over the plans of its choices.
+func vectorOf(opt *rsl.OptionSpec, plans []*match.Plan) Vector {
 	var v Vector
 	var perHost map[string]float64
 	for _, p := range plans {
@@ -135,6 +205,50 @@ func OptionOf(opt *rsl.OptionSpec, plans []*match.Plan) Vector {
 		}
 	}
 	return v
+}
+
+// Demand is the least a bundle consumes whichever choice the controller
+// picks: per resource, the least lower end over its options' vectors.
+type Demand struct {
+	MemoryMB       float64
+	ExclusiveNodes float64
+	BandwidthMbps  float64
+	PerHostMB      map[string]float64
+}
+
+// leastOf is the element-wise minimum of the lower ends of a bundle's option
+// vectors, over the options that have a choice that resolves.
+func leastOf(vs []Vector) Demand {
+	var d Demand
+	first := true
+	for _, v := range vs {
+		if v.Choices == 0 {
+			continue // never placed, so never the cheapest
+		}
+		if first {
+			first = false
+			d = Demand{MemoryMB: v.MemoryMB.Lo, ExclusiveNodes: v.ExclusiveNodes.Lo, BandwidthMbps: v.BandwidthMbps.Lo}
+			if len(v.PerHostMB) > 0 {
+				d.PerHostMB = make(map[string]float64, len(v.PerHostMB))
+				for h, r := range v.PerHostMB {
+					d.PerHostMB[h] = r.Lo
+				}
+			}
+			continue
+		}
+		d.MemoryMB = math.Min(d.MemoryMB, v.MemoryMB.Lo)
+		d.ExclusiveNodes = math.Min(d.ExclusiveNodes, v.ExclusiveNodes.Lo)
+		d.BandwidthMbps = math.Min(d.BandwidthMbps, v.BandwidthMbps.Lo)
+		// A host pinned by only some options is not pinned by the bundle.
+		for h, lo := range d.PerHostMB {
+			if r, ok := v.PerHostMB[h]; ok {
+				d.PerHostMB[h] = math.Min(lo, r.Lo)
+			} else {
+				delete(d.PerHostMB, h)
+			}
+		}
+	}
+	return d
 }
 
 // Capacity is what a declared cluster provides when idle: how many nodes

@@ -30,7 +30,7 @@ func TestOptionVector(t *testing.T) {
 			{performance {{2 200} {4 120}}}
 		}
 	}`)
-	v := bounds.Option(&b.Options[0])
+	v := bounds.NewBundle(b).Vector(0)
 	// Two bindings, each with the monitor's grant ladder 16, 24, 32, 48.
 	if v.Choices != 8 {
 		t.Errorf("Choices = %d, want 8", v.Choices)
@@ -76,12 +76,12 @@ func TestModelRange(t *testing.T) {
 			{o {variable n {`+tc.domain+`}} {node x * {memory 1} {replicate n}}
 				{performance {{1 100} {4 40} {8 70}}}}
 		}`)
-		if got := bounds.Option(&b.Options[0]).Seconds; got != tc.want {
+		if got := bounds.NewBundle(b).Vector(0).Seconds; got != tc.want {
 			t.Errorf("n in {%s}: Seconds = %v, want %v", tc.domain, got, tc.want)
 		}
 	}
 	b := decodeBundle(t, `harmonyBundle app:1 w {{o {node x * {memory 1}}}}`)
-	if got := bounds.Option(&b.Options[0]).Seconds; got != (bounds.Range{}) {
+	if got := bounds.NewBundle(b).Vector(0).Seconds; got != (bounds.Range{}) {
 		t.Errorf("Seconds without a model = %v, want zero", got)
 	}
 }
@@ -120,12 +120,12 @@ func TestUnreachable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		b := decodeBundle(t, tc.src)
-		u, got := bounds.Unreachable(bounds.Option(&b.Options[0]), bounds.CapacityOf(decls))
+		u, got := bounds.Unreachable(bounds.NewBundle(b).Vector(0), bounds.CapacityOf(decls))
 		if got != tc.want {
 			t.Errorf("%s: Unreachable = %v (%s), want %v", tc.name, got, u.Reason, tc.want)
 		}
 	}
-	if _, got := bounds.Unreachable(bounds.Option(&decodeBundle(t, `harmonyBundle a:1 w {{o {node n * {memory 1e9}}}}`).Options[0]), bounds.CapacityOf(nil)); got {
+	if _, got := bounds.Unreachable(bounds.NewBundle(decodeBundle(t, `harmonyBundle a:1 w {{o {node n * {memory 1e9}}}}`)).Vector(0), bounds.CapacityOf(nil)); got {
 		t.Error("Unreachable proved something with no declared cluster")
 	}
 }

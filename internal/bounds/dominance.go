@@ -2,6 +2,7 @@ package bounds
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,23 +37,23 @@ type Domination struct {
 	Detail string
 }
 
-// Dominance computes the dominance partial order of a bundle's options.
-// Each claim is checked at every choice the controller enumerates for the
-// dominated option, against the earlier option's choice at the same
-// binding and grant step, and holds for any cluster state and any
-// coordinate-monotone objective: the controller evaluates choices in
+// Dominance computes the dominance partial order of the bundle's options
+// from its plans. Each claim is checked at every choice the controller
+// enumerates for the dominated option, against the earlier option's choice
+// at the same binding and grant step, and holds for any cluster state and
+// any coordinate-monotone objective: the controller evaluates choices in
 // enumeration order and adopts a later candidate only on a strictly better
 // score, so an option an earlier sibling always ties or beats is never
 // chosen. Only the earliest dominator of each option is reported. A bundle
 // over rsl.MaxChoices is not enumerated and has none.
-func Dominance(b *rsl.BundleSpec) []Domination {
-	if b.ChoiceCount() > rsl.MaxChoices {
+func (an *Bundle) Dominance() []Domination {
+	if !an.Enumerated() {
 		return nil
 	}
 	var out []Domination
-	for j := 1; j < len(b.Options); j++ {
+	for j := 1; j < len(an.Spec.Options); j++ {
 		for i := 0; i < j; i++ {
-			if d, ok := dominates(b, i, j); ok {
+			if d, ok := an.dominates(i, j); ok {
 				out = append(out, d)
 				break
 			}
@@ -62,12 +63,12 @@ func Dominance(b *rsl.BundleSpec) []Domination {
 }
 
 // dominates decides whether option i (earlier) dominates option j.
-func dominates(b *rsl.BundleSpec, i, j int) (Domination, bool) {
-	oi, oj := &b.Options[i], &b.Options[j]
+func (an *Bundle) dominates(i, j int) (Domination, bool) {
+	oi, oj := &an.Spec.Options[i], &an.Spec.Options[j]
 	if !varsEqual(oi, oj) {
 		return Domination{}, false
 	}
-	if sameShape(oi, oj) && everyChoice(oi, oj, identicalAt) != nil {
+	if sameShape(oi, oj) && an.everyChoice(i, j, identicalAt) != nil {
 		detail := fmt.Sprintf("requirements are identical to option %q and its prediction is never better", oi.Name)
 		if len(oi.Performance) == 0 {
 			detail = fmt.Sprintf("requirements are identical to option %q and neither has a performance model", oi.Name)
@@ -75,7 +76,7 @@ func dominates(b *rsl.BundleSpec, i, j int) (Domination, bool) {
 		return Domination{Dominated: j, By: i, Rule: RuleIdentical, Detail: detail}, true
 	}
 	if subsetShape(oi, oj) {
-		if r := everyChoice(oi, oj, subsetAt); r != nil {
+		if r := an.everyChoice(i, j, subsetAt); r != nil {
 			return Domination{Dominated: j, By: i, Rule: RuleSubset, Detail: fmt.Sprintf(
 				"requests the same per-replica footprint as option %q with at least as many replicas (%s vs %s), and that option's prediction is never better",
 				oi.Name, r.nodesJ, r.nodesI)}, true
@@ -123,19 +124,29 @@ type replicaRanges struct {
 // resolve: an option is not chosen where it cannot be placed. It returns the
 // node counts it saw, or nil when the rule failed somewhere or j resolved
 // nowhere.
-func everyChoice(oi, oj *rsl.OptionSpec, rule func(*pairing) bool) *replicaRanges {
+func (an *Bundle) everyChoice(i, j int, rule func(*pairing) bool) *replicaRanges {
+	oi, oj := &an.Spec.Options[i], &an.Spec.Options[j]
+	choicesJ, plansJ := an.Option(j)
+	_, plansI := an.Option(i)
+	// The options bind the same variables over the same values, so they
+	// have as many choices exactly when both climb the grant ladder or
+	// neither does.
+	if len(plansJ) == 0 || len(plansI) != len(plansJ) {
+		return nil
+	}
+	steps := len(plansJ)
+	for _, v := range oj.Variables {
+		steps /= len(v.Values)
+	}
 	r := &replicaRanges{}
-	for _, vars := range oj.Bindings() {
-		choicesI, choicesJ := oi.BindingChoices(vars), oj.BindingChoices(vars)
-		if len(choicesI) != len(choicesJ) {
-			return nil // one climbs the grant ladder, the other does not
-		}
-		plansI, plansJ := Plans(oi, choicesI), Plans(oj, choicesJ)
-		for step, pj := range plansJ {
+	for at := 0; at < len(plansJ); at += steps {
+		vars := choicesJ[at].Vars
+		from := bindingIndex(oi, vars) * steps
+		for step, pj := range plansJ[at : at+steps] {
 			if _, ok := pj.Footprint(); !ok {
 				continue
 			}
-			p := &pairing{oi: oi, oj: oj, vars: rsl.MapEnv(vars), pi: plansI[step], pj: pj}
+			p := &pairing{oi: oi, oj: oj, vars: rsl.MapEnv(vars), pi: plansI[from+step], pj: pj}
 			if _, ok := p.pi.Footprint(); !ok || !rule(p) {
 				return nil
 			}
@@ -148,6 +159,18 @@ func everyChoice(oi, oj *rsl.OptionSpec, rule func(*pairing) bool) *replicaRange
 		return nil
 	}
 	return r
+}
+
+// bindingIndex is where vars falls in o.Bindings(), the first declared
+// variable varying slowest; a value listed twice is found at its first
+// place, whose choices are the same.
+func bindingIndex(o *rsl.OptionSpec, vars map[string]float64) int {
+	idx := 0
+	for _, v := range o.Variables {
+		x := vars[v.Name]
+		idx = idx*len(v.Values) + slices.IndexFunc(v.Values, func(y float64) bool { return y == x || y != y && x != x })
+	}
+	return idx
 }
 
 // sameShape reports whether two options have the same structure: node

@@ -233,7 +233,7 @@ func TestDominanceSoundness(t *testing.T) {
 			},
 		}
 		pairs++
-		for _, d := range bounds.Dominance(b) {
+		for _, d := range bounds.NewBundle(b).Dominance() {
 			claims++
 			oi, oj := &b.Options[d.By], &b.Options[d.Dominated]
 			for _, n := range domain {

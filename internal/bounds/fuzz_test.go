@@ -47,7 +47,7 @@ func FuzzDominance(f *testing.F) {
 				buildOption("second", domain, pj),
 			},
 		}
-		for _, d := range bounds.Dominance(b) {
+		for _, d := range bounds.NewBundle(b).Dominance() {
 			oi, oj := &b.Options[d.By], &b.Options[d.Dominated]
 			for _, n := range domain {
 				if err := refute(oi, oj, n); err != nil {

@@ -52,13 +52,14 @@ func Analyze(b *rsl.BundleSpec, decls []*rsl.NodeDecl) *BundleReport {
 		return rep
 	}
 	capa := CapacityOf(decls)
+	an := NewBundle(b)
 	domBy := make(map[int]Domination)
-	for _, d := range Dominance(b) {
+	for _, d := range an.Dominance() {
 		domBy[d.Dominated] = d
 	}
 	for i := range b.Options {
 		opt := &b.Options[i]
-		v := Option(opt)
+		v := an.Vector(i)
 		or := OptionReport{Option: opt.Name, Nodes: "-", DistinctHosts: "-", MemoryMB: "-", ExclusiveNodes: "-", BandwidthMbps: "-"}
 		if v.Choices > 0 {
 			or.Nodes = v.Nodes.String()

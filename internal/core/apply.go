@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"harmony/internal/bounds"
 	"harmony/internal/match"
 	"harmony/internal/namespace"
 	"harmony/internal/replog"
@@ -42,6 +43,15 @@ func ChoiceToLog(ch Choice) *replog.Choice {
 	return &replog.Choice{Option: ch.Option, Vars: ch.Vars, Grants: ch.Grants}
 }
 
+// Decoded is a register entry's bundle as its proposer's door decoded it,
+// with the bundle's analysis when the door vetted it (nil leaves it to the
+// apply): the entry's replog.Entry.Decoded, which Apply registers in place
+// of decoding the RSL. It never leaves the proposer's memory.
+type Decoded struct {
+	Bundle   *rsl.BundleSpec
+	Analysis *bounds.Bundle
+}
+
 // Apply executes one replicated log entry deterministically. The clock is
 // advanced to the entry's time first (firing any due scheduled events), and
 // the entry's time — never the local clock — is the operation's decision
@@ -56,14 +66,18 @@ func (c *Controller) Apply(e *replog.Entry) (*ApplyResult, error) {
 	c.cfg.Clock.AdvanceTo(e.Time)
 	switch e.Op {
 	case replog.OpRegister:
-		bundles, _, err := rsl.DecodeScript(e.RSL)
-		if err != nil {
-			return nil, fmt.Errorf("core: apply register: %w", err)
+		d, _ := e.Decoded.(*Decoded)
+		if d == nil {
+			bundles, _, err := rsl.DecodeScript(e.RSL)
+			if err != nil {
+				return nil, fmt.Errorf("core: apply register: %w", err)
+			}
+			if len(bundles) != 1 {
+				return nil, fmt.Errorf("core: apply register: %d bundles, want 1", len(bundles))
+			}
+			d = &Decoded{Bundle: bundles[0]}
 		}
-		if len(bundles) != 1 {
-			return nil, fmt.Errorf("core: apply register: %d bundles, want 1", len(bundles))
-		}
-		inst, events, err := c.registerAt(bundles[0], e.RSL, e.Time)
+		inst, events, err := c.registerAt(d.Bundle, d.Analysis, e.RSL, e.Time)
 		if err != nil {
 			return nil, err
 		}
@@ -272,6 +286,9 @@ func (c *Controller) Restore(st *PersistedState) error {
 			registeredAt: pa.RegisteredAt,
 			switches:     pa.Switches,
 			degraded:     pa.Degraded,
+		}
+		if pa.Assignment != nil {
+			app.hosts = pa.Assignment.Hosts()
 		}
 		c.setChoice(app, pa.Choice)
 		if pa.Claim != nil {

@@ -229,7 +229,7 @@ reevaluate: | Dup w n=4 x10 Bag4 w m=4 x0
 	register := func(src string) int {
 		t.Helper()
 		// registerAt keeps the source, which EncodeState needs.
-		inst, events, err := c.registerAt(decodeBundle(t, src), src, clock.Now())
+		inst, events, err := c.registerAt(decodeBundle(t, src), nil, src, clock.Now())
 		record("register "+src[len("harmonyBundle "):strings.Index(src, ":")], events, err)
 		return inst
 	}

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"harmony/internal/bounds"
 	"harmony/internal/cluster"
 	"harmony/internal/match"
 	"harmony/internal/metric"
@@ -117,6 +118,8 @@ type appState struct {
 	choice     Choice
 	current    []bool
 	assignment *match.Assignment
+	// hosts lists assignment's hosts once: an adopted assignment never changes.
+	hosts []string
 	// placed is assignment resolved to ledger indices; read it through
 	// placedFor, which notices when it is missing or out of date.
 	placed       *predict.Placement
@@ -133,8 +136,8 @@ type appState struct {
 	// re-placed; it holds no claim and is excluded from the objective until
 	// a re-evaluation finds room for it again.
 	degraded bool
-	// static caches the bundle's choice enumeration and per-choice analysis
-	// (bundles are immutable after registration).
+	// static caches the bundle's analysis and per-choice statics (bundles
+	// are immutable after registration).
 	static *bundleStatic
 }
 
@@ -165,7 +168,7 @@ func (a *appState) isCurrent(k int) bool { return a.current != nil && a.current[
 //
 // Every mutator ends by publishing an immutable view of the state it left,
 // before any listener hears of its events. The readers — Status, Apps,
-// Objective, Bundles, ActiveInstances, CurrentChoice, EvaluationCount,
+// Objective, Bundles, Analyses, ActiveInstances, CurrentChoice, EvaluationCount,
 // JointTrials, JointBudgetHits, Predictions, Warnings and the Namespace's
 // Walk — load that view and nothing else, so they may run on any goroutine,
 // never wait for an optimizer pass, and always see one state. Subscribe may be
@@ -205,9 +208,9 @@ type Controller struct {
 // written after it is published.
 type view struct {
 	objective       float64
-	apps            []Snapshot        // registration order
-	bundles         []*rsl.BundleSpec // registration order
-	names           []appNames        // registration order
+	apps            []Snapshot       // registration order
+	analyses        []*bounds.Bundle // registration order
+	names           []appNames       // registration order
 	jointTrials     uint64
 	jointBudgetHits uint64
 	predictions     uint64
@@ -292,13 +295,14 @@ func (c *Controller) Stop() {}
 // A bundle over rsl.MaxChoices is refused, with an error wrapping
 // rsl.ErrTooManyChoices, before any of its choices is enumerated.
 func (c *Controller) Register(bundle *rsl.BundleSpec) (int, []Event, error) {
-	return c.registerAt(bundle, "", c.cfg.Clock.Now())
+	return c.registerAt(bundle, nil, "", c.cfg.Clock.Now())
 }
 
-// registerAt is Register with an explicit decision time and the bundle's
-// RSL source, the deterministic entry point the replication Apply path uses
-// (the entry's virtual time stands in for the local clock).
-func (c *Controller) registerAt(bundle *rsl.BundleSpec, source string, now time.Duration) (inst int, events []Event, err error) {
+// registerAt is Register with an explicit decision time, the bundle's RSL
+// source and, when the caller made it, the bundle's analysis: the
+// deterministic entry point the replication Apply path uses (the entry's
+// virtual time stands in for the local clock).
+func (c *Controller) registerAt(bundle *rsl.BundleSpec, an *bounds.Bundle, source string, now time.Duration) (inst int, events []Event, err error) {
 	defer func() { c.publish(events) }()
 	if bundle == nil || len(bundle.Options) == 0 {
 		return 0, nil, errors.New("core: bundle with no options")
@@ -315,6 +319,9 @@ func (c *Controller) registerAt(bundle *rsl.BundleSpec, source string, now time.
 		source:       source,
 		registeredAt: now,
 		lastSwitch:   -1,
+	}
+	if an != nil && an.Spec == bundle {
+		app.static = newBundleStatic(an)
 	}
 
 	best, err := c.bestChoice(app, now, true)
@@ -429,7 +436,7 @@ func (c *Controller) publish(events []Event) {
 func (c *Controller) buildView() *view {
 	v := &view{
 		apps:            make([]Snapshot, 0, len(c.order)),
-		bundles:         make([]*rsl.BundleSpec, 0, len(c.order)),
+		analyses:        make([]*bounds.Bundle, 0, len(c.order)),
 		names:           make([]appNames, 0, len(c.order)),
 		jointTrials:     c.jointTrials,
 		jointBudgetHits: c.jointBudgetHits,
@@ -439,21 +446,17 @@ func (c *Controller) buildView() *view {
 	jobs := make([]objective.JobPrediction, 0, len(c.order))
 	for _, id := range c.order {
 		a := c.apps[id]
-		var hosts []string
-		if a.assignment != nil {
-			hosts = a.assignment.Hosts()
-		}
 		v.apps = append(v.apps, Snapshot{
 			Instance:         a.instance,
 			App:              a.bundle.App,
 			Bundle:           a.bundle.Name,
 			Choice:           a.choice,
-			Hosts:            hosts,
+			Hosts:            a.hosts,
 			PredictedSeconds: a.predicted,
 			Switches:         a.switches,
 			Degraded:         a.degraded,
 		})
-		v.bundles = append(v.bundles, a.bundle)
+		v.analyses = append(v.analyses, c.staticFor(a).an)
 		v.names = append(v.names, appNames{owner: a.owner(), assignment: a.assignment, predicted: a.adoptedPredicted})
 		if !a.degraded {
 			jobs = append(jobs, objective.JobPrediction{App: a.owner(), Seconds: a.predicted})
@@ -481,7 +484,7 @@ type Snapshot struct {
 	Bundle   string
 	// Choice is the current configuration.
 	Choice Choice
-	// Hosts are the machines in use.
+	// Hosts are the machines in use. The slice is shared: do not modify it.
 	Hosts []string
 	// PredictedSeconds is the latest projection.
 	PredictedSeconds float64
@@ -494,10 +497,19 @@ type Snapshot struct {
 // Apps lists registered applications in registration order.
 func (c *Controller) Apps() []Snapshot { return slices.Clone(c.view.Load().apps) }
 
-// Bundles returns the registered option bundles in registration order, so
-// workload-level analyses (package vet) can judge an incoming spec against
-// the demand already admitted.
-func (c *Controller) Bundles() []*rsl.BundleSpec { return slices.Clone(c.view.Load().bundles) }
+// Bundles returns the registered option bundles in registration order.
+func (c *Controller) Bundles() []*rsl.BundleSpec {
+	var out []*rsl.BundleSpec
+	for _, an := range c.view.Load().analyses {
+		out = append(out, an.Spec)
+	}
+	return out
+}
+
+// Analyses returns the registered bundles' analyses in registration order,
+// so vet.Admission judges an arrival against the demand already admitted
+// without analysing an admitted bundle again.
+func (c *Controller) Analyses() []*bounds.Bundle { return slices.Clone(c.view.Load().analyses) }
 
 // ClusterNodes describes the managed cluster as harmonyNode declarations,
 // so spec analyses (package vet) can validate incoming bundles against the
@@ -635,7 +647,7 @@ func (c *Controller) adopt(app *appState, cand candidate, now time.Duration, ini
 		return Event{}, err
 	}
 	app.claim = claim
-	app.assignment = asg
+	app.assignment, app.hosts = asg, asg.Hosts()
 	app.degraded = false
 	if !initial && !app.choice.Equal(cand.choice) {
 		app.switches++

@@ -75,7 +75,7 @@ func (c *Controller) dropEvictedClaims(evicted []*resource.Claim) []*appState {
 			continue
 		}
 		app.claim = nil
-		app.assignment, app.placed = nil, nil
+		app.assignment, app.hosts, app.placed = nil, nil, nil
 		app.predicted = 0
 		affected = append(affected, app)
 	}

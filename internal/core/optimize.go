@@ -613,10 +613,10 @@ func (c *Controller) JointBudgetHits() uint64 { return c.view.Load().jointBudget
 // product that outgrows an int on a few dozen applications; it saturates at
 // math.MaxInt.
 func (c *Controller) EvaluationCount() (greedy, exhaustive int) {
-	bundles := c.view.Load().bundles
+	analyses := c.view.Load().analyses
 	exhaustive = 1
-	for _, b := range bundles {
-		n := b.ChoiceCount()
+	for _, an := range analyses {
+		n := len(an.Choices)
 		greedy += n
 		switch {
 		case n == 0:
@@ -627,7 +627,7 @@ func (c *Controller) EvaluationCount() (greedy, exhaustive int) {
 			exhaustive *= n
 		}
 	}
-	if len(bundles) == 0 {
+	if len(analyses) == 0 {
 		exhaustive = 0
 	}
 	return greedy, exhaustive

@@ -372,16 +372,20 @@ func TestOneScanPerEvaluation(t *testing.T) {
 // charged to columns — an assignment is reserved through a view only by
 // adoption, a node table is read out of a snapshot only where a search's
 // base is built, once per base, since neither function loops over it, and a
-// request is resolved (match.NewPlan) in one place, once per choice, never
-// matched from scratch (Match). Nor does anything in it start a goroutine:
-// evaluation is one serial loop.
+// bundle's requests are resolved where its analysis is made (bounds.NewBundle,
+// one plan per choice) and a forced choice outside the enumeration in one
+// place (bounds.Plan), never by match.NewPlan here and never matched from
+// scratch (Match). Nor does anything in it start a goroutine: evaluation is
+// one serial loop.
 func TestSearchNeverForks(t *testing.T) {
 	allowed := map[string]map[string]bool{
 		"Fork":        {},
 		"Match":       {},
 		"Reserve":     {"adopt": true, "reevaluateExhaustive": true},
 		"AppendNodes": {"openPass": true, "jointProblem": true},
-		"NewPlan":     {"analyzeChoice": true},
+		"NewPlan":     {},
+		"NewBundle":   {"staticFor": true},
+		"Plan":        {"choiceStaticFor": true},
 	}
 	seen := map[string]int{}
 	fset := token.NewFileSet()

@@ -3,13 +3,15 @@ package core
 import (
 	"fmt"
 
+	"harmony/internal/bounds"
 	"harmony/internal/match"
 	"harmony/internal/rsl"
 )
 
 // This file holds what an application's choices are before any search
-// places them: the bundle's enumeration and, per choice, its plan and
-// friction, worked out once per bundle and read by both searches.
+// places them: the bundle's analysis (bounds.Bundle: its enumeration and
+// one plan per choice) and, per choice, its friction, worked out once per
+// bundle and read by both searches.
 
 // choiceStatic is the view-independent analysis of one enumerated choice.
 type choiceStatic struct {
@@ -26,9 +28,10 @@ type choiceStatic struct {
 	frictionWarn string
 }
 
-// bundleStatic caches a bundle's enumeration and per-choice analysis on
-// its appState; bundles are immutable after registration.
+// bundleStatic caches a bundle's analysis and per-choice statics on its
+// appState; bundles are immutable after registration. choices are an's.
 type bundleStatic struct {
+	an      *bounds.Bundle
 	choices []Choice
 	stat    []choiceStatic
 }
@@ -51,32 +54,33 @@ type PruneStats struct {
 // bench harness, which still calls it.
 func (c *Controller) PruneStats() PruneStats { return PruneStats{} }
 
-// staticFor returns the bundle's cached static analysis, computing
-// it on first use.
+// staticFor returns the bundle's cached static analysis, computing it on
+// first use unless registration handed one in.
 func (c *Controller) staticFor(app *appState) *bundleStatic {
-	if app.static != nil {
-		return app.static
+	if app.static == nil {
+		app.static = newBundleStatic(bounds.NewBundle(app.bundle))
 	}
-	bs := &bundleStatic{choices: app.bundle.Choices()}
-	bs.stat = make([]choiceStatic, len(bs.choices))
-	byName := make(map[string]*rsl.OptionSpec, len(app.bundle.Options))
-	for i := range app.bundle.Options {
-		byName[app.bundle.Options[i].Name] = &app.bundle.Options[i]
-	}
-	for i, ch := range bs.choices {
-		if opt := byName[ch.Option]; opt != nil {
-			bs.stat[i] = analyzeChoice(app.bundle.App, opt, ch)
+	return app.static
+}
+
+// newBundleStatic works out each of an's choices' statics from its plan.
+func newBundleStatic(an *bounds.Bundle) *bundleStatic {
+	bs := &bundleStatic{an: an, choices: an.Choices, stat: make([]choiceStatic, len(an.Choices))}
+	k := 0
+	for i := range an.Spec.Options {
+		_, plans := an.Option(i)
+		for _, plan := range plans {
+			bs.stat[k] = analyzeChoice(an.Spec.App, &an.Spec.Options[i], plan)
+			k++
 		}
 	}
-	app.static = bs
 	return bs
 }
 
-// analyzeChoice resolves a choice of opt for placement and evaluates its
-// friction. A plan that did not resolve never fits, so nothing reads the
+// analyzeChoice evaluates the friction of a choice of opt that plan
+// resolves. A plan that did not resolve never fits, so nothing reads the
 // friction of its choice.
-func analyzeChoice(app string, opt *rsl.OptionSpec, ch Choice) choiceStatic {
-	plan := match.NewPlan(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants})
+func analyzeChoice(app string, opt *rsl.OptionSpec, plan *match.Plan) choiceStatic {
 	st := choiceStatic{opt: opt, plan: plan}
 	if opt.Friction != nil {
 		// A failing friction expression is a deferred warning, not a match
@@ -102,6 +106,7 @@ func (c *Controller) choiceStaticFor(app *appState, ch Choice) *choiceStatic {
 			return &bs.stat[i]
 		}
 	}
-	st := analyzeChoice(app.bundle.App, app.bundle.Option(ch.Option), ch)
+	opt := app.bundle.Option(ch.Option)
+	st := analyzeChoice(app.bundle.App, opt, bounds.Plan(opt, ch))
 	return &st
 }

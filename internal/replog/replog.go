@@ -91,6 +91,13 @@ type Entry struct {
 	State    string `json:"state,omitempty"`
 	// Token identifies the client session for session ops and OpRegister.
 	Token string `json:"token,omitempty"`
+
+	// Decoded is what the member that proposed the entry made of it before
+	// proposing: a register's bundle as its door decoded it, for that
+	// member's own apply (core.Decoded). It rides on that member's copy of
+	// the entry alone: JSON never carries it, so an entry from a peer, the
+	// disk or a snapshot, and one that replaced it, has none.
+	Decoded any `json:"-"`
 }
 
 // Snapshot is a compact prefix of the log: the serialized state machine as

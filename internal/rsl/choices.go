@@ -171,13 +171,6 @@ func (o *OptionSpec) Bindings() []map[string]float64 {
 	return sets
 }
 
-// BindingChoices is the option's choices under one binding of its
-// variables, in enumeration order: one per grant step when a node spec's
-// memory tag is a minimum, else the single choice without grants.
-func (o *OptionSpec) BindingChoices(vars map[string]float64) []Choice {
-	return o.appendBinding(nil, vars)
-}
-
 func (o *OptionSpec) appendBinding(out []Choice, vars map[string]float64) []Choice {
 	if !o.grantsMemory() {
 		return append(out, Choice{Option: o.Name, Vars: vars})

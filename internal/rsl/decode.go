@@ -592,34 +592,47 @@ func DecodeNodeCommand(cmd Command) (*NodeDecl, error) {
 }
 
 // DecodeScript parses src and decodes every harmonyBundle and harmonyNode
-// command, ignoring none: unknown commands are an error.
+// command, ignoring none: unknown commands are an error, and the first
+// command that does not decode is the script's error.
 func DecodeScript(src string) ([]*BundleSpec, []*NodeDecl, error) {
 	cmds, err := ParseScript(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	var bundles []*BundleSpec
-	var decls []*NodeDecl
+	bundles, decls, errs := DecodeCommands(cmds)
+	if len(errs) > 0 {
+		return nil, nil, errs[0]
+	}
+	return bundles, decls, nil
+}
+
+// DecodeCommands decodes parsed commands, keeping every bundle and node
+// declaration that decodes and, in order, the error of each command that
+// does not.
+func DecodeCommands(cmds []Command) (bundles []*BundleSpec, decls []*NodeDecl, errs []error) {
 	for _, cmd := range cmds {
 		if len(cmd) == 0 || cmd[0].IsList {
-			return nil, nil, decodeErrf(cmdPos(cmd), "command must start with a word")
+			errs = append(errs, decodeErrf(cmdPos(cmd), "command must start with a word"))
+			continue
 		}
 		switch cmd[0].Word {
 		case "harmonyBundle":
 			b, err := DecodeBundleCommand(cmd)
 			if err != nil {
-				return nil, nil, err
+				errs = append(errs, err)
+				continue
 			}
 			bundles = append(bundles, b)
 		case "harmonyNode":
 			n, err := DecodeNodeCommand(cmd)
 			if err != nil {
-				return nil, nil, err
+				errs = append(errs, err)
+				continue
 			}
 			decls = append(decls, n)
 		default:
-			return nil, nil, decodeErrf(cmdPos(cmd), "unknown command %q", cmd[0].Word)
+			errs = append(errs, decodeErrf(cmdPos(cmd), "unknown command %q", cmd[0].Word))
 		}
 	}
-	return bundles, decls, nil
+	return bundles, decls, errs
 }

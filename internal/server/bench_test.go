@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,6 +87,97 @@ func BenchmarkStatusRoundTrip(b *testing.B) {
 			c.Close()
 		}
 		srv.Close()
+	}
+}
+
+// wideBag is the benchmark's wide-greedy job: Figure 4's bag of tasks over
+// workerNodes 1..32 on exclusive nodes, with an explicit model whose optimum
+// for 300 s of work is five workers.
+func wideBag(name string, job int) string {
+	var values, perf strings.Builder
+	for n := 1; n <= 32; n++ {
+		fmt.Fprintf(&values, " %d", n)
+		fmt.Fprintf(&perf, " {%d %g}", n, 300/float64(n)+1.2*float64(n*n))
+	}
+	return fmt.Sprintf(`harmonyBundle %s:%d parallelism {
+	{workers
+		{variable workerNodes {%s}}
+		{node worker * {seconds {300 / workerNodes}} {memory 32} {replicate workerNodes} {exclusive 1}}
+		{performance {%s}}
+	}
+}`, name, job, values.String(), perf.String())
+}
+
+// BenchmarkArrival times one bundle_setup -> ack through a one-member server
+// with vet in its default mode: the door's script and joint checks, the
+// proposal, the apply of the door's decode and analysis, and the ack with
+// the arrival's configuration. db-crowd arrives beside 64 database clients
+// on the benchmark's database cluster, wide-greedy beside 8 wide bags on a
+// 256-node SP-2. Each iteration's departure is not timed.
+func BenchmarkArrival(b *testing.B) {
+	crowd := func() (*cluster.Cluster, []string, string, error) {
+		decls := []*rsl.NodeDecl{{Hostname: "dbserver", Speed: 1, MemoryMB: 64 + 24*128, OS: "linux", CPUs: 1}}
+		for i := 1; i <= 127; i++ {
+			decls = append(decls, &rsl.NodeDecl{Hostname: fmt.Sprintf("dbclient%03d", i), Speed: 1, MemoryMB: 64, OS: "linux", CPUs: 1})
+		}
+		var residents []string
+		for i := 1; i <= 64; i++ {
+			residents = append(residents, crowdBundle(i))
+		}
+		cl, err := cluster.New(cluster.Config{}, decls)
+		return cl, residents, crowdBundle(65), err
+	}
+	wide := func() (*cluster.Cluster, []string, string, error) {
+		var residents []string
+		for job := 1; job <= 8; job++ {
+			residents = append(residents, wideBag(fmt.Sprintf("Bag%d", job), job))
+		}
+		cl, err := cluster.NewSP2(256)
+		return cl, residents, wideBag("Job", 1), err
+	}
+	for _, tc := range []struct {
+		name  string
+		shape func() (*cluster.Cluster, []string, string, error)
+	}{{"db-crowd", crowd}, {"wide-greedy", wide}} {
+		b.Run(tc.name, func(b *testing.B) {
+			cl, residents, arrival, err := tc.shape()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctrl, err := core.New(core.Config{Cluster: cl, Clock: simclock.New()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv, err := Listen("127.0.0.1:0", Config{Controller: ctrl})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			for _, src := range residents {
+				if _, _, err := srv.rep.Propose(&replog.Entry{Op: replog.OpRegister, RSL: src}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			c, err := hclient.Dial(srv.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Startup("bench", false); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.BundleSetup(arrival); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := c.End(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"harmony/internal/core"
 	"harmony/internal/protocol"
 	"harmony/internal/replog"
 	"harmony/internal/resource"
@@ -153,16 +154,19 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 
 // handleBundleSetup admits a bundle through the log. Vetting and parsing run
 // locally first (rejections need no quorum); the registration itself carries
-// the RSL text so every replica re-derives the same choice. An admitted
+// the RSL text so every replica re-derives the same choice, and, on this
+// member's copy of the entry alone, the bundle and analysis its door made,
+// which this member's apply takes in place of decoding the RSL. An admitted
 // bundle is acked by ackBundleSetup itself, and the reply is nil.
 func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Message {
-	if reply := c.admit(msg.RSL); reply != nil {
+	d, reply := c.admit(msg.RSL)
+	if reply != nil {
 		return reply
 	}
 	c.mu.Lock()
 	token := c.resumeToken
 	c.mu.Unlock()
-	res, _, err := r.Propose(&replog.Entry{Op: replog.OpRegister, RSL: msg.RSL, Token: token})
+	res, _, err := r.Propose(&replog.Entry{Op: replog.OpRegister, RSL: msg.RSL, Token: token, Decoded: d})
 	if err != nil {
 		return proposeFailed("bundle_setup", err)
 	}
@@ -181,21 +185,29 @@ func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Me
 // the decode's error, when there is one, is rsl.DecodeScript's. A bundle
 // over rsl.MaxChoices is refused in every vet mode, before anything is
 // enumerated or proposed: every member would refuse it on apply. It returns
-// the rejection, or nil to admit.
-func (c *conn) admit(src string) *protocol.Message {
+// the bundle as decoded, with the analysis the vetting made of it, or the
+// rejection.
+func (c *conn) admit(src string) (*core.Decoded, *protocol.Message) {
 	adm := c.srv.admission
 	if adm == nil {
 		bundles, _, err := rsl.DecodeScript(src)
-		return oneBundle(bundles, err)
+		if reply := oneBundle(bundles, err); reply != nil {
+			return nil, reply
+		}
+		return &core.Decoded{Bundle: bundles[0]}, nil
 	}
 	rep, ar := adm.Script(src)
 	if reply := c.vetReport(rep); reply != nil {
-		return reply
+		return nil, reply
 	}
-	if reply := oneBundle(ar.Decode()); reply != nil {
-		return reply
+	bundles, err := ar.Decode()
+	if reply := oneBundle(bundles, err); reply != nil {
+		return nil, reply
 	}
-	return c.vetReport(adm.Workload(ar))
+	if reply := c.vetReport(adm.Workload(ar)); reply != nil {
+		return nil, reply
+	}
+	return &core.Decoded{Bundle: bundles[0], Analysis: ar.Analyses()[0]}, nil
 }
 
 // oneBundle rejects a script that did not decode to exactly one bundle, and

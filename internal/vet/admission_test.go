@@ -9,20 +9,25 @@ import (
 	"sync"
 	"testing"
 
+	"harmony/internal/bounds"
 	"harmony/internal/rsl"
 )
 
 // fakeController is the part of a running controller Admission reads: the
-// admitted bundles in registration order and the cluster's declarations.
+// admitted bundles' analyses in registration order and the cluster's
+// declarations. It keeps the bundles too, for the fresh reference analyses.
 type fakeController struct {
-	bundles []*rsl.BundleSpec
-	sources []string // RSL of each admitted bundle, for restore
-	nodes   []rsl.NodeDecl
-	gen     uint64
-	reads   int // ClusterNodes calls
+	bundles  []*rsl.BundleSpec
+	analyses []*bounds.Bundle
+	sources  []string // RSL of each admitted bundle, for restore
+	nodes    []rsl.NodeDecl
+	gen      uint64
+	reads    int // ClusterNodes calls
 }
 
 func (f *fakeController) Bundles() []*rsl.BundleSpec { return slices.Clone(f.bundles) }
+
+func (f *fakeController) Analyses() []*bounds.Bundle { return slices.Clone(f.analyses) }
 
 // ClusterNodes builds fresh declarations on every call, as the controller
 // does.
@@ -61,11 +66,13 @@ func (f *fakeController) admit(t *testing.T, src string) {
 		t.Fatalf("admit: %v (%d bundles)", err, len(bundles))
 	}
 	f.bundles = append(f.bundles, bundles[0])
+	f.analyses = append(f.analyses, bounds.NewBundle(bundles[0]))
 	f.sources = append(f.sources, src)
 }
 
 func (f *fakeController) end(i int) {
 	f.bundles = slices.Delete(f.bundles, i, i+1)
+	f.analyses = slices.Delete(f.analyses, i, i+1)
 	f.sources = slices.Delete(f.sources, i, i+1)
 }
 
@@ -79,6 +86,7 @@ func (f *fakeController) restore(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.bundles[i] = bundles[0]
+		f.analyses[i] = bounds.NewBundle(bundles[0])
 	}
 }
 
@@ -237,12 +245,6 @@ func checkAdmission(t *testing.T, ops []byte, seen map[string]int) {
 					seen[d.Check]++
 				}
 			}
-			adm.mu.Lock()
-			kept := len(adm.demands)
-			adm.mu.Unlock()
-			if kept != len(ctrl.bundles) {
-				t.Fatalf("step %d: admission keeps %d demands for %d admitted bundles", step, kept, len(ctrl.bundles))
-			}
 			if len(ctrl.bundles) < 24 {
 				ctrl.admit(t, src)
 			}
@@ -322,10 +324,10 @@ type lockedController struct {
 	f  *fakeController
 }
 
-func (l *lockedController) Bundles() []*rsl.BundleSpec {
+func (l *lockedController) Analyses() []*bounds.Bundle {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Bundles()
+	return l.f.Analyses()
 }
 
 func (l *lockedController) ClusterNodes() []*rsl.NodeDecl {
@@ -394,7 +396,45 @@ func TestAdmissionConcurrentArrivals(t *testing.T) {
 	if g, w := render(t, adm.Workload(ar)), render(t, want); g != w {
 		t.Fatalf("after the churn:\n got %s\nwant %s", g, w)
 	}
-	if len(adm.demands) != len(ctrl.f.bundles) {
-		t.Fatalf("admission keeps %d demands for %d admitted bundles", len(adm.demands), len(ctrl.f.bundles))
+}
+
+// TestAdmissionReadsAdmittedAnalyses: the joint check reads an admitted
+// bundle's demand from the analysis the controller keeps for it — for a
+// bundle a server admitted, the one its door made — and computes none
+// again. A bundle changed behind its analysis is judged as it was analysed.
+func TestAdmissionReadsAdmittedAnalyses(t *testing.T) {
+	ctrl := &fakeController{}
+	ctrl.declare(rsl.NodeDecl{Hostname: "h0", Speed: 1, MemoryMB: 64, OS: "linux", CPUs: 1})
+	adm := NewAdmission(ctrl)
+	arrive := func(src string) (*Arrival, *Report) {
+		t.Helper()
+		rep, ar := adm.Script(src)
+		if _, err := ar.Decode(); err != nil || rep.HasErrors() {
+			t.Fatal(err, rep.Diags)
+		}
+		return ar, adm.Workload(ar)
+	}
+	ar, rep := arrive("harmonyBundle Pinned:1 at {{only {node n h0 {memory 40}}}}\n")
+	if rep.HasErrors() {
+		t.Fatal(rep.Diags)
+	}
+	// Admitted as a leader applies its door's hand-off: with the door's
+	// analysis, whose demand the joint check above computed.
+	admitted := ar.Analyses()[0]
+	ctrl.bundles = append(ctrl.bundles, admitted.Spec)
+	ctrl.analyses = append(ctrl.analyses, admitted)
+	admitted.Spec.Options[0].Nodes[0].Tags["memory"] = rsl.TagValue{Expr: &rsl.NumberExpr{Value: 1000}}
+
+	next := "harmonyBundle Pinned:2 at {{only {node n h0 {memory 20}}}}\n"
+	if _, rep := arrive(next); rep.HasErrors() {
+		t.Fatalf("the admitted demand was computed again, from the changed bundle: %v", rep.Diags)
+	}
+	bundles, _, _ := rsl.DecodeScript(next)
+	fresh := Workload([]WorkloadSpec{
+		{File: "admitted", Bundles: ctrl.Bundles()},
+		{File: "incoming", Bundles: bundles},
+	}, Options{ExtraNodes: ctrl.ClusterNodes()})
+	if !fresh.HasErrors() {
+		t.Fatalf("a fresh analysis of the changed bundle raised nothing, so the test shows nothing: %v", fresh.Diags)
 	}
 }

@@ -72,12 +72,12 @@ func BenchmarkScriptCrowd(b *testing.B) {
 }
 
 // BenchmarkAdmissionCrowd is the joint check of BenchmarkWorkloadCrowd's
-// arrival as a server makes it: the admitted bundles' demands and the
-// cluster's capacity are kept from earlier arrivals, and the incoming
-// script was decoded once, by its own vetting.
+// arrival as a server makes it: the admitted bundles' analyses are the
+// controller's, the cluster's capacity is kept from earlier arrivals, and
+// the incoming script was decoded and analysed once, by its own vetting.
 func BenchmarkAdmissionCrowd(b *testing.B) {
 	admitted, incoming, nodes := crowdShape(b)
-	ctrl := &fakeController{bundles: admitted}
+	ctrl := &fakeController{bundles: admitted, analyses: analyze(admitted)}
 	for _, d := range nodes {
 		ctrl.nodes = append(ctrl.nodes, *d)
 	}

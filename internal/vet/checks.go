@@ -23,9 +23,9 @@ type analysis struct {
 	decls []*rsl.NodeDecl
 	// capa sums decls, once per script.
 	capa bounds.Capacity
-	// demands holds each checked bundle's demand, in order, as the joint
-	// check reads it.
-	demands []demand
+	// analyses holds each checked bundle's analysis, in order, as the joint
+	// check and the controller read it.
+	analyses []*bounds.Bundle
 }
 
 func (a *analysis) diag(check string, sev Severity, pos rsl.Pos, bundle, option, format string, args ...any) {
@@ -63,74 +63,56 @@ func (a *analysis) checkDecls(decls []*rsl.NodeDecl) {
 // choices the controller enumerates for it.
 type optScope struct {
 	a      *analysis
-	opt    *rsl.OptionSpec
 	bundle string
 	option string
 	// vars maps declared variable names to their admissible values.
 	vars map[string][]float64
 	// locals is the set of option-local node names.
 	locals map[string]bool
-	// enumerated is false when the bundle is over rsl.MaxChoices: then no
-	// check that needs a binding runs.
-	enumerated bool
-	// choices are the option's enumerated choices, plans each one resolved
-	// for placement as the controller resolves it, and envs what each
-	// plan's link, communication and friction expressions see (both built
-	// on first use).
-	choices []rsl.Choice
-	plans   []*match.Plan
-	envs    []rsl.Env
-	// vector is the option's bound vector over choices, once computed.
-	vector *bounds.Vector
+	// an is the bundle's analysis and index the option's place in it. When
+	// an is not enumerated (over rsl.MaxChoices), no check that needs a
+	// binding runs. plans resolve the option's choices for placement, and
+	// envs is what each plan's link, communication and friction
+	// expressions see, built on first use.
+	an    *bounds.Bundle
+	index int
+	plans []*match.Plan
+	envs  []rsl.Env
 }
 
-// checkBundle runs every check of one bundle and notes its demand. The
-// bundle is enumerated once, as the controller enumerates it; over
-// rsl.MaxChoices it is not enumerated at all, and only the checks that need
-// no binding run beside the refusal.
+// checkBundle runs every check of one bundle and keeps its analysis
+// (bounds.NewBundle): the bundle is enumerated and planned once, as the
+// controller enumerates and plans it. Over rsl.MaxChoices it is not
+// enumerated at all, and only the checks that need no binding run beside
+// the refusal.
 func (a *analysis) checkBundle(b *rsl.BundleSpec) {
-	enumerated := true
-	var choices []rsl.Choice
-	if n := b.ChoiceCount(); n > rsl.MaxChoices {
-		enumerated = false
+	an := bounds.NewBundle(b)
+	a.analyses = append(a.analyses, an)
+	if !an.Enumerated() {
 		a.diag("too-many-choices", SevError, b.Pos, b.Name, "",
-			"options expand to %d choices, over the cap of %d the controller enumerates; the bundle is refused", n, rsl.MaxChoices)
-	} else {
-		choices = b.Choices()
+			"options expand to %d choices, over the cap of %d the controller enumerates; the bundle is refused", b.ChoiceCount(), rsl.MaxChoices)
 	}
-	scopes := make([]*optScope, len(b.Options))
 	for i := range b.Options {
-		opt := &b.Options[i]
-		s := a.newScope(b, opt)
-		if enumerated {
-			n := opt.ChoiceCount()
-			s.enumerated, s.choices, choices = true, choices[:n:n], choices[n:]
-		}
-		s.checkOption(opt)
-		scopes[i] = s
+		a.newScope(an, i).checkOption(&b.Options[i])
 	}
-	if !enumerated {
-		a.demands = append(a.demands, demand{})
-		return
+	if an.Enumerated() {
+		a.checkDominated(an)
+		a.checkUnreachable(an)
 	}
-	vs := make([]bounds.Vector, len(scopes))
-	for i, s := range scopes {
-		vs[i] = *s.boundVector()
-	}
-	a.demands = append(a.demands, demandOf(vs))
-	a.checkDominated(b)
-	a.checkUnreachable(b, scopes)
 }
 
-func (a *analysis) newScope(b *rsl.BundleSpec, opt *rsl.OptionSpec) *optScope {
+func (a *analysis) newScope(an *bounds.Bundle, i int) *optScope {
+	b, opt := an.Spec, &an.Spec.Options[i]
 	s := &optScope{
 		a:      a,
-		opt:    opt,
+		an:     an,
+		index:  i,
 		bundle: b.Name,
 		option: opt.Name,
 		vars:   make(map[string][]float64, len(opt.Variables)),
 		locals: make(map[string]bool, len(opt.Nodes)),
 	}
+	_, s.plans = an.Option(i)
 	for _, v := range opt.Variables {
 		s.vars[v.Name] = v.Values
 	}
@@ -138,23 +120,6 @@ func (a *analysis) newScope(b *rsl.BundleSpec, opt *rsl.OptionSpec) *optScope {
 		s.locals[opt.Nodes[i].LocalName] = true
 	}
 	return s
-}
-
-// choicePlans is the plans of the option's enumerated choices.
-func (s *optScope) choicePlans() []*match.Plan {
-	if s.plans == nil {
-		s.plans = bounds.Plans(s.opt, s.choices)
-	}
-	return s.plans
-}
-
-// boundVector is the option's bound vector over its enumerated choices.
-func (s *optScope) boundVector() *bounds.Vector {
-	if s.vector == nil {
-		v := bounds.OptionOf(s.opt, s.choicePlans())
-		s.vector = &v
-	}
-	return s.vector
 }
 
 func (s *optScope) diag(check string, sev Severity, pos rsl.Pos, format string, args ...any) {
@@ -448,10 +413,10 @@ func (s *optScope) checkPerformance(opt *rsl.OptionSpec) {
 	// perf-model-range: Section 4.2 interpolates expected time over the
 	// requested node count, so a model whose node-count span misses every
 	// count the option's choices request only ever extrapolates.
-	if len(opt.Nodes) == 0 || !s.enumerated {
+	if len(opt.Nodes) == 0 || !s.an.Enumerated() {
 		return
 	}
-	v := s.boundVector()
+	v := s.an.Vector(s.index)
 	lo, hi := opt.Performance[0].X, opt.Performance[len(opt.Performance)-1].X
 	if v.Choices > 0 && (v.Nodes.Hi < lo || v.Nodes.Lo > hi) {
 		s.diag("perf-model-range", SevWarn, opt.PerformancePos,
@@ -584,8 +549,9 @@ func (s *optScope) describeDemand(spec *rsl.NodeSpec, memMin float64, memOK bool
 // evaluates options in lexical order and adopts a later candidate only on a
 // strictly better score, so an option an earlier sibling always ties or
 // beats can never be chosen, whatever the cluster's state.
-func (a *analysis) checkDominated(b *rsl.BundleSpec) {
-	for _, d := range bounds.Dominance(b) {
+func (a *analysis) checkDominated(an *bounds.Bundle) {
+	b := an.Spec
+	for _, d := range an.Dominance() {
 		oj := &b.Options[d.Dominated]
 		a.diag("dominated-option", SevWarn, oj.Pos, b.Name, oj.Name,
 			"%s; this option can never be chosen", d.Detail)
@@ -597,7 +563,8 @@ func (a *analysis) checkDominated(b *rsl.BundleSpec) {
 // declared cluster provides even when idle. Such an option can never be
 // matched in any live state, since live capacity never exceeds declared
 // capacity.
-func (a *analysis) checkUnreachable(b *rsl.BundleSpec, scopes []*optScope) {
+func (a *analysis) checkUnreachable(an *bounds.Bundle) {
+	b := an.Spec
 	if a.capa.Nodes == 0 {
 		return
 	}
@@ -616,7 +583,7 @@ func (a *analysis) checkUnreachable(b *rsl.BundleSpec, scopes []*optScope) {
 		if perSpec[opt.Name] {
 			continue
 		}
-		if u, ok := bounds.Unreachable(*scopes[i].boundVector(), a.capa); ok {
+		if u, ok := bounds.Unreachable(an.Vector(i), a.capa); ok {
 			a.diag("unreachable-option", SevError, opt.Pos, b.Name, opt.Name,
 				"%s; no cluster state can ever admit this option", u.Reason)
 		}
@@ -667,7 +634,7 @@ func (s *optScope) isGrantedName(name string) bool {
 // the bundle is over the cap, or e references a name the scope does not
 // bind (the unbound-var check reports those).
 func (s *optScope) eachEnv(e rsl.Expr, allowLocals bool, fn func(env rsl.Env, names []string) bool) {
-	if !s.enumerated {
+	if !s.an.Enumerated() {
 		return
 	}
 	var names []string
@@ -683,8 +650,8 @@ func (s *optScope) eachEnv(e rsl.Expr, allowLocals bool, fn func(env rsl.Env, na
 	sort.Strings(names)
 	if allowLocals {
 		if s.envs == nil {
-			s.envs = make([]rsl.Env, len(s.choices))
-			for i, p := range s.choicePlans() {
+			s.envs = make([]rsl.Env, len(s.plans))
+			for i, p := range s.plans {
 				s.envs[i] = p.Env()
 			}
 		}

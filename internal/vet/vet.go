@@ -246,56 +246,30 @@ func script(src string, extra []*rsl.NodeDecl, capa bounds.Capacity) (*Report, *
 	for _, b := range ar.bundles {
 		a.checkBundle(b)
 	}
-	ar.demands = a.demands
+	ar.analyses = a.analyses
 	rep.Sort()
 	return rep, ar
 }
 
-// decode walks a parsed script's commands, keeping every bundle and node
-// declaration that decodes and adding a diagnostic to rep, which must hold
-// none yet, for each command that does not. A script that does not parse
+// decode parses and decodes a script as rsl.DecodeScript does, keeping
+// every bundle and node declaration that decodes and adding a diagnostic
+// to rep for each command that does not. A script that does not parse
 // yields no commands and the parse error.
 func decode(src string, rep *Report) (*Arrival, error) {
-	ar := &Arrival{src: src}
+	ar := &Arrival{}
 	cmds, err := rsl.ParseScript(src)
 	if err != nil {
+		ar.err = err
 		return ar, err
 	}
-	ar.strict = true
-	for _, cmd := range cmds {
-		if len(cmd) == 0 {
-			ar.strict = false // rsl.DecodeScript refuses what this skips
-			continue
-		}
-		if cmd[0].IsList {
-			rep.add(Diagnostic{Check: "decode", Severity: SevError,
-				Line: cmd[0].Line, Col: cmd[0].Col,
-				Message: "command must start with a word"})
-			continue
-		}
-		switch cmd[0].Word {
-		case "harmonyBundle":
-			b, err := rsl.DecodeBundleCommand(cmd)
-			if err != nil {
-				rep.add(diagFromErr("decode", err))
-				continue
-			}
-			ar.bundles = append(ar.bundles, b)
-		case "harmonyNode":
-			d, err := rsl.DecodeNodeCommand(cmd)
-			if err != nil {
-				rep.add(diagFromErr("decode", err))
-				continue
-			}
-			ar.decls = append(ar.decls, d)
-		default:
-			rep.add(Diagnostic{Check: "decode", Severity: SevError,
-				Line: cmd[0].Line, Col: cmd[0].Col,
-				Message: fmt.Sprintf("unknown command %q", cmd[0].Word)})
-		}
+	var errs []error
+	ar.bundles, ar.decls, errs = rsl.DecodeCommands(cmds)
+	for _, err := range errs {
+		rep.add(diagFromErr("decode", err))
 	}
-	// Every diagnostic so far is a decode error.
-	ar.strict = ar.strict && len(rep.Diags) == 0
+	if len(errs) > 0 {
+		ar.err = errs[0]
+	}
 	return ar, nil
 }
 

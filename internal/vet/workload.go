@@ -2,7 +2,6 @@ package vet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -12,7 +11,7 @@ import (
 
 // WorkloadSpec is one bundle spec participating in a joint workload
 // analysis: a source file (for diagnostics) and either its pre-decoded
-// bundles (the server's registration path) or raw RSL source to decode.
+// bundles or raw RSL source to decode.
 type WorkloadSpec struct {
 	// File names the spec in diagnostics.
 	File string
@@ -27,19 +26,19 @@ type WorkloadSpec struct {
 // even when every spec is individually satisfiable, the set as a whole can
 // be infeasible. For each bundle it takes the best case any option allows
 // — total memory, exclusive node count, per-host pinned memory, aggregate
-// bandwidth — from the lower ends of the options' bound vectors
-// (bounds.Option), and compares the sums against the declared cluster
-// (opts.ExtraNodes plus any harmonyNode commands inside the specs). Lower
-// bounds mean no false alarms: a workload-* finding holds for every option
-// choice and variable binding.
+// bandwidth — from its least demand (bounds.Bundle.Least), and compares
+// the sums against the declared cluster (opts.ExtraNodes plus any
+// harmonyNode commands inside the specs). Lower bounds mean no false
+// alarms: a workload-* finding holds for every option choice and variable
+// binding.
 //
 // Diagnostics carry the file of the last spec — the admission candidate
 // when the server asks whether one more bundle still fits — and the
 // position of that spec's first bundle.
 //
-// Workload computes every demand and the capacity afresh. Admission makes
-// the same check with the same arithmetic for a running server, keeping
-// them between arrivals.
+// Workload analyses every bundle and sums the capacity afresh. Admission
+// makes the same check with the same arithmetic for a running server, from
+// the analyses the controller keeps.
 func Workload(specs []WorkloadSpec, opts Options) *Report {
 	decls := append([]*rsl.NodeDecl(nil), opts.ExtraNodes...)
 	var parts []part
@@ -50,30 +49,30 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 			bundles, decls = ar.bundles, append(decls, ar.decls...)
 		}
 		if len(bundles) > 0 {
-			parts = append(parts, part{file: s.File, bundles: bundles})
+			parts = append(parts, part{file: s.File, bundles: analyze(bundles)})
 		}
 	}
 	return joint(parts, bounds.CapacityOf(decls))
 }
 
-// part is one spec's share of a joint check: its bundles and, when the
-// caller kept them, their demands (nil means compute them).
+// analyze is each bundle's analysis, in order.
+func analyze(bundles []*rsl.BundleSpec) []*bounds.Bundle {
+	out := make([]*bounds.Bundle, len(bundles))
+	for i, b := range bundles {
+		out[i] = bounds.NewBundle(b)
+	}
+	return out
+}
+
+// part is one spec's share of a joint check: its bundles' analyses.
 type part struct {
 	file    string
-	bundles []*rsl.BundleSpec
-	demands []demand
+	bundles []*bounds.Bundle
 }
 
-func (p part) demand(i int) demand {
-	if p.demands != nil {
-		return p.demands[i]
-	}
-	return bundleDemand(p.bundles[i])
-}
-
-// joint sums the parts' demands, bundle by bundle in the order given, and
-// reports what the sums prove against the capacity. Diagnostics carry the
-// last part's file and the position of its first bundle.
+// joint sums the parts' least demands, bundle by bundle in the order given,
+// and reports what the sums prove against the capacity. Diagnostics carry
+// the last part's file and the position of its first bundle.
 func joint(parts []part, capa bounds.Capacity) *Report {
 	rep := &Report{}
 	if capa.Nodes == 0 || len(parts) == 0 {
@@ -81,17 +80,17 @@ func joint(parts []part, capa bounds.Capacity) *Report {
 	}
 	anchor := parts[len(parts)-1]
 	file := anchor.file
-	pos := anchor.bundles[0].Pos
+	pos := anchor.bundles[0].Spec.Pos
 
 	mem, excl, bw := 0.0, 0.0, 0.0
 	perHost := make(map[string]float64, len(capa.HostMB))
 	for _, p := range parts {
-		for i := range p.bundles {
-			m := p.demand(i)
-			mem += m.mem
-			excl += m.excl
-			bw += m.bw
-			for h, v := range m.perHost {
+		for _, an := range p.bundles {
+			m := an.Least()
+			mem += m.MemoryMB
+			excl += m.ExclusiveNodes
+			bw += m.BandwidthMbps
+			for h, v := range m.PerHostMB {
 				perHost[h] += v
 			}
 		}
@@ -102,11 +101,11 @@ func joint(parts []part, capa bounds.Capacity) *Report {
 	who := func() string {
 		var names strings.Builder
 		for _, p := range parts {
-			for _, b := range p.bundles {
+			for _, an := range p.bundles {
 				if names.Len() > 0 {
 					names.WriteString(", ")
 				}
-				fmt.Fprintf(&names, "%s:%d", b.App, b.Instance)
+				fmt.Fprintf(&names, "%s:%d", an.Spec.App, an.Spec.Instance)
 			}
 		}
 		return names.String()
@@ -151,63 +150,4 @@ func joint(parts []part, capa bounds.Capacity) *Report {
 
 	rep.Sort()
 	return rep
-}
-
-// demand is a vector of lower bounds on what a bundle consumes in its best
-// (cheapest) case.
-type demand struct {
-	mem     float64            // total memory, MB
-	excl    float64            // exclusively held nodes
-	bw      float64            // aggregate link+communication bandwidth, Mbps
-	perHost map[string]float64 // memory pinned to specific hostnames, MB
-}
-
-// bundleDemand is the demand of a bundle (demandOf its options' bound
-// vectors). A bundle over rsl.MaxChoices is not enumerated, and demands
-// nothing.
-func bundleDemand(b *rsl.BundleSpec) demand {
-	if b.ChoiceCount() > rsl.MaxChoices {
-		return demand{}
-	}
-	vs := make([]bounds.Vector, len(b.Options))
-	for i := range b.Options {
-		vs[i] = bounds.Option(&b.Options[i])
-	}
-	return demandOf(vs)
-}
-
-// demandOf is the element-wise minimum of the lower ends of a bundle's
-// option vectors, over the options that have a choice that resolves: no
-// matter which the controller picks, the bundle consumes at least this much.
-func demandOf(vs []bounds.Vector) demand {
-	var d demand
-	first := true
-	for _, v := range vs {
-		if v.Choices == 0 {
-			continue // never placed, so never the cheapest
-		}
-		if first {
-			first = false
-			d = demand{mem: v.MemoryMB.Lo, excl: v.ExclusiveNodes.Lo, bw: v.BandwidthMbps.Lo}
-			if len(v.PerHostMB) > 0 {
-				d.perHost = make(map[string]float64, len(v.PerHostMB))
-				for h, r := range v.PerHostMB {
-					d.perHost[h] = r.Lo
-				}
-			}
-			continue
-		}
-		d.mem = math.Min(d.mem, v.MemoryMB.Lo)
-		d.excl = math.Min(d.excl, v.ExclusiveNodes.Lo)
-		d.bw = math.Min(d.bw, v.BandwidthMbps.Lo)
-		// A host pinned by only some options is not pinned by the bundle.
-		for h, lo := range d.perHost {
-			if r, ok := v.PerHostMB[h]; ok {
-				d.perHost[h] = math.Min(lo, r.Lo)
-			} else {
-				delete(d.perHost, h)
-			}
-		}
-	}
-	return d
 }

@@ -104,15 +104,17 @@ echo "== bench harness (vet + tests against this checkout's API)"
 # the bytes and allocations a cycle costs. Beside them, the admission vetting
 # of one db-crowd arrival: the joint workload check over 64 admitted bundles
 # computed fresh, as harmonyctl lint
-# does, and as harmonyd makes it with each admitted bundle's demand kept
+# does, and as harmonyd makes it from the analyses its controller keeps
 # (AdmissionCrowd), and the incoming script's own; and the vetting of one
 # bundle at the 4096 choices the controller enumerates, shaped like Figure 4
-# (ScriptAtCap). Then replica-squeeze's
-# replicated path without the wire to clients: one committed proposal on a
-# three-member loopback cluster, durable (an fsync per member) and in memory.
+# (ScriptAtCap). Then one arrival's bundle_setup -> ack through a one-member
+# server, beside db-crowd's 64 clients and wide-greedy's 8 bags (Arrival),
+# and replica-squeeze's replicated path without the wire to clients: one
+# committed proposal on a three-member loopback cluster, durable (an fsync
+# per member) and in memory.
 go test -run '^$' -bench 'CrowdCycle|WideGreedyCycle|SqueezeCycle' -benchtime 20x -benchmem ./internal/core
 go test -run '^$' -bench 'WorkloadCrowd|AdmissionCrowd|ScriptCrowd|ScriptAtCap' -benchtime 20x ./internal/vet
-go test -run '^$' -bench 'ReplicaPropose' -benchtime 20x ./internal/server
+go test -run '^$' -bench 'Arrival|ReplicaPropose' -benchtime 20x ./internal/server
 
 echo "== harmonyctl lint (examples/specs against the reference cluster)"
 sarif_out="${SARIF_OUT:-$(mktemp)}"
