@@ -26,6 +26,7 @@ FUZZ_TARGETS = \
 	FuzzDominance:./internal/bounds/ \
 	FuzzDecodeMessage:./internal/protocol/ \
 	FuzzMayFit:./internal/match/ \
+	FuzzPlanRelations:./internal/match/ \
 	FuzzColumnsMatchLedger:./internal/resource/ \
 	FuzzRecover:./internal/replog/
 

@@ -68,14 +68,14 @@ func (an *Bundle) dominates(i, j int) (Domination, bool) {
 	if !varsEqual(oi, oj) {
 		return Domination{}, false
 	}
-	if sameShape(oi, oj) && an.everyChoice(i, j, identicalAt) != nil {
+	if an.everyChoice(i, j, identicalAt) != nil {
 		detail := fmt.Sprintf("requirements are identical to option %q and its prediction is never better", oi.Name)
 		if len(oi.Performance) == 0 {
 			detail = fmt.Sprintf("requirements are identical to option %q and neither has a performance model", oi.Name)
 		}
 		return Domination{Dominated: j, By: i, Rule: RuleIdentical, Detail: detail}, true
 	}
-	if subsetShape(oi, oj) {
+	if len(oi.Performance) > 0 && len(oj.Performance) > 0 {
 		if r := an.everyChoice(i, j, subsetAt); r != nil {
 			return Domination{Dominated: j, By: i, Rule: RuleSubset, Detail: fmt.Sprintf(
 				"requests the same per-replica footprint as option %q with at least as many replicas (%s vs %s), and that option's prediction is never better",
@@ -108,7 +108,6 @@ func varsEqual(oi, oj *rsl.OptionSpec) bool {
 // the same grant step, each resolved for placement.
 type pairing struct {
 	oi, oj *rsl.OptionSpec
-	vars   rsl.MapEnv
 	pi, pj *match.Plan
 }
 
@@ -140,14 +139,13 @@ func (an *Bundle) everyChoice(i, j int, rule func(*pairing) bool) *replicaRanges
 	}
 	r := &replicaRanges{}
 	for at := 0; at < len(plansJ); at += steps {
-		vars := choicesJ[at].Vars
-		from := bindingIndex(oi, vars) * steps
+		from := bindingIndex(oi, choicesJ[at].Vars) * steps
 		for step, pj := range plansJ[at : at+steps] {
 			if _, ok := pj.Footprint(); !ok {
 				continue
 			}
-			p := &pairing{oi: oi, oj: oj, vars: rsl.MapEnv(vars), pi: plansI[from+step], pj: pj}
-			if _, ok := p.pi.Footprint(); !ok || !rule(p) {
+			p := &pairing{oi: oi, oj: oj, pi: plansI[from+step], pj: pj}
+			if !rule(p) {
 				return nil
 			}
 			r.nodesI.widen(float64(p.pi.Replicas()), r.n == 0)
@@ -173,84 +171,12 @@ func bindingIndex(o *rsl.OptionSpec, vars map[string]float64) int {
 	return idx
 }
 
-// sameShape reports whether two options have the same structure: node
-// specs with the same local names, host patterns, tag names, string tags
-// and operators, and links between the same ends, so that only the values
-// of their expressions can tell them apart.
-func sameShape(oi, oj *rsl.OptionSpec) bool {
-	if len(oi.Nodes) != len(oj.Nodes) || len(oi.Links) != len(oj.Links) {
-		return false
-	}
-	for k := range oi.Nodes {
-		si, sj := &oi.Nodes[k], &oj.Nodes[k]
-		if si.LocalName != sj.LocalName || si.HostPattern != sj.HostPattern || !sameTags(si, sj) {
-			return false
-		}
-	}
-	for k := range oi.Links {
-		li, lj := &oi.Links[k], &oj.Links[k]
-		if li.A != lj.A || li.B != lj.B || (li.Latency == nil) != (lj.Latency == nil) {
-			return false
-		}
-	}
-	return (oi.Communication == nil) == (oj.Communication == nil)
-}
-
-// sameTags reports whether two specs have the same tag names, the same
-// string tags, and numeric tags with the same operators.
-func sameTags(si, sj *rsl.NodeSpec) bool {
-	if len(si.Tags) != len(sj.Tags) {
-		return false
-	}
-	for name, ti := range si.Tags {
-		tj, ok := sj.Tags[name]
-		if !ok || ti.IsString != tj.IsString {
-			return false
-		}
-		if ti.IsString && ti.Str != tj.Str || !ti.IsString && ti.Op != tj.Op {
-			return false
-		}
-	}
-	return true
-}
-
-// subsetShape reports whether the replica-monotone rule can apply: both
-// options request a single node spec on the same host pattern with the same
-// tag structure, no links or communication, and explicit models on both
-// sides.
-func subsetShape(oi, oj *rsl.OptionSpec) bool {
-	if len(oi.Nodes) != 1 || len(oj.Nodes) != 1 || oi.Nodes[0].HostPattern != oj.Nodes[0].HostPattern {
-		return false
-	}
-	if len(oi.Links) > 0 || len(oj.Links) > 0 || oi.Communication != nil || oj.Communication != nil {
-		return false
-	}
-	return len(oi.Performance) > 0 && len(oj.Performance) > 0 && sameTags(&oi.Nodes[0], &oj.Nodes[0])
-}
-
 // identicalAt checks the identical-requirements rule at one shared choice:
-// every numeric tag, replica count, link and communication of the two
-// options evaluates alike, and option i is predicted no slower and costs no
-// more friction. Two expressions that both fail to evaluate count as alike.
+// the two plans resolved to the same request (match.Plan.SameAs), so they
+// place and charge alike on any state, and option i is predicted no slower
+// and costs no more friction.
 func identicalAt(p *pairing) bool {
-	vars := p.vars
-	for k := range p.oi.Nodes {
-		si, sj := &p.oi.Nodes[k], &p.oj.Nodes[k]
-		if !sameTagValues(si, sj, vars, "") || !sameValue(orOne(si.Replicate), orOne(sj.Replicate), vars, vars) {
-			return false
-		}
-	}
-	ei, ej := p.pi.Env(), p.pj.Env()
-	for k := range p.oi.Links {
-		li, lj := &p.oi.Links[k], &p.oj.Links[k]
-		if !sameValue(li.Bandwidth, lj.Bandwidth, ei, ej) {
-			return false
-		}
-		if li.Latency != nil && !sameValue(li.Latency, lj.Latency, ei, ej) {
-			return false
-		}
-	}
-	if p.oi.Communication != nil && !sameValue(p.oi.Communication, p.oj.Communication, ei, ej) {
+	if !p.pi.SameAs(p.pj) {
 		return false
 	}
 	switch {
@@ -264,29 +190,18 @@ func identicalAt(p *pairing) bool {
 	default:
 		return false
 	}
-	return frictionLE(p, ei, ej)
+	return frictionLE(p)
 }
 
-// subsetAt checks the replica-monotone rule at one shared choice: the
-// single specs' numeric tags other than seconds evaluate alike, option i
-// asks for no more replicas, is predicted no slower at its node count, and
-// costs no more friction. Then whenever j matches, i matches a subset of
-// j's placement (the matcher fills replicas first-fit over one shared host
-// order), every other application is slowed at most as much, and j can
-// never strictly beat the earlier i. Granted seconds may differ, since a
+// subsetAt checks the replica-monotone rule at one shared choice: option i's
+// plan asks for the same single demand with no more replicas
+// (match.Plan.Within), is predicted no slower at its node count, and costs no
+// more friction. Then whenever j places, i places on a subset of j's hosts,
+// every other application is slowed at most as much, and j can never
+// strictly beat the earlier i. Granted seconds may differ, since a
 // single-spec option claims full CPU load per node regardless.
 func subsetAt(p *pairing) bool {
-	vars := p.vars
-	si, sj := &p.oi.Nodes[0], &p.oj.Nodes[0]
-	if !sameTagValues(si, sj, vars, "seconds") {
-		return false
-	}
-	ri, errI := orOne(si.Replicate).Eval(vars)
-	rj, errJ := orOne(sj.Replicate).Eval(vars)
-	if errI != nil || errJ != nil || ri > rj {
-		return false
-	}
-	return modelLE(p) && frictionLE(p, p.pi.Env(), p.pj.Env())
+	return p.pi.Within(p.pj) && modelLE(p) && frictionLE(p)
 }
 
 // modelLE reports whether option i's model predicts no slower at its node
@@ -300,9 +215,9 @@ func modelLE(p *pairing) bool {
 // frictionLE reports whether option i's friction is no more than j's as the
 // controller charges it: clamped at zero, and zero when it does not
 // evaluate. A friction of i that fails where j's evaluates is not compared.
-func frictionLE(p *pairing, ei, ej rsl.Env) bool {
-	fi, errI := orZero(p.oi.Friction).Eval(ei)
-	fj, errJ := orZero(p.oj.Friction).Eval(ej)
+func frictionLE(p *pairing) bool {
+	fi, errI := orZero(p.oi.Friction).Eval(p.pi.Env())
+	fj, errJ := orZero(p.oj.Friction).Eval(p.pj.Env())
 	if errI != nil && errJ == nil {
 		return false
 	}
@@ -315,45 +230,8 @@ func frictionLE(p *pairing, ei, ej rsl.Env) bool {
 	return fi <= fj
 }
 
-// sameTagValues reports whether two specs' numeric tags, except skip,
-// evaluate alike under env.
-func sameTagValues(si, sj *rsl.NodeSpec, env rsl.Env, skip string) bool {
-	for name, ti := range si.Tags {
-		if ti.IsString || name == skip {
-			continue
-		}
-		x, errX := ti.EvalNum(env)
-		y, errY := sj.Tags[name].EvalNum(env)
-		if (errX != nil) != (errY != nil) || errX == nil && x != y {
-			return false
-		}
-	}
-	return true
-}
-
-// sameValue reports whether a under ea and b under eb evaluate to the same
-// value, or both fail.
-func sameValue(a, b rsl.Expr, ea, eb rsl.Env) bool {
-	x, errA := a.Eval(ea)
-	y, errB := b.Eval(eb)
-	if errA != nil || errB != nil {
-		return errA != nil && errB != nil
-	}
-	return x == y
-}
-
-// one is the implicit replicate expression.
-var one rsl.Expr = &rsl.NumberExpr{Value: 1}
-
 // zero is the implicit friction expression.
 var zero rsl.Expr = &rsl.NumberExpr{Value: 0}
-
-func orOne(e rsl.Expr) rsl.Expr {
-	if e == nil {
-		return one
-	}
-	return e
-}
 
 func orZero(e rsl.Expr) rsl.Expr {
 	if e == nil {

@@ -595,7 +595,7 @@ type HostShare struct {
 // Footprint reports what the plan asks of a cluster, and false when the plan
 // did not resolve, so that placing it fails whatever the state.
 func (p *Plan) Footprint() (Footprint, bool) {
-	if p.fail != nil || p.linkFail != nil {
+	if !p.resolved() {
 		return Footprint{}, false
 	}
 	f := Footprint{Replicas: p.nodes, Wildcards: p.wildcards}
@@ -622,6 +622,85 @@ func (p *Plan) Footprint() (Footprint, bool) {
 	}
 	f.BandwidthMbps += p.comm
 	return f, true
+}
+
+// resolved reports whether every node spec, link and the communication tag of
+// the plan resolved.
+func (p *Plan) resolved() bool { return p.fail == nil && p.linkFail == nil }
+
+// Spec is node spec k of the plan resolved: its replica count, rounded as
+// placing rounds it, and the memory granted to each replica. ok is false when
+// resolving stopped at or before spec k.
+func (p *Plan) Spec(k int) (replicas int, grantMB float64, ok bool) {
+	if k >= len(p.specs) {
+		return 0, 0, false
+	}
+	return p.specs[k].replicas, p.specs[k].demand.grant, true
+}
+
+// LinkBandwidth is the bandwidth of the option's link k; ok is false when
+// resolving stopped at or before it.
+func (p *Plan) LinkBandwidth(k int) (mbps float64, ok bool) {
+	if k >= len(p.links) {
+		return 0, false
+	}
+	return p.links[k].bw, true
+}
+
+// Communication is the communication tag's bandwidth; ok is false when the
+// option has none or it did not resolve.
+func (p *Plan) Communication() (mbps float64, ok bool) {
+	return p.comm, p.opt.Communication != nil && p.resolved()
+}
+
+// Admitting counts the declared machines that admit one replica of node spec
+// k, resolved, when they are healthy and hold nothing; 0 when resolving
+// stopped at or before spec k.
+func (p *Plan) Admitting(k int, decls []*rsl.NodeDecl) int {
+	if k >= len(p.specs) {
+		return 0
+	}
+	d, n := &p.specs[k].demand, 0
+	ns := resource.NodeState{Health: resource.HealthUp} // admits reads health, hostname and OS
+	for _, decl := range decls {
+		ns.Node.Hostname, ns.Node.OS = decl.Hostname, decl.OS
+		if d.admits(&ns, false, decl.MemoryMB, 0) == admitted {
+			n++
+		}
+	}
+	return n
+}
+
+// SameAs reports whether both plans resolved to the same request: the same
+// node specs with the same demands, replicas, seconds and CPU loads, the same
+// links with the same bandwidths and latency bounds, and the same
+// communication. On any state two such plans place on the same hosts and
+// links and charge them alike, so a model predicts them alike.
+func (p *Plan) SameAs(q *Plan) bool {
+	if !p.resolved() || !q.resolved() || !slices.Equal(p.specs, q.specs) ||
+		(p.opt.Communication == nil) != (q.opt.Communication == nil) || p.comm != q.comm {
+		return false
+	}
+	return slices.EqualFunc(p.links, q.links, func(l, m planLink) bool {
+		if l.spec.A != m.spec.A || l.spec.B != m.spec.B || l.a != m.a || l.b != m.b || l.bw != m.bw ||
+			(l.spec.Latency == nil) != (m.spec.Latency == nil) || (l.latErr == nil) != (m.latErr == nil) {
+			return false
+		}
+		return l.latErr != nil || l.maxLat == m.maxLat
+	})
+}
+
+// Within reports whether both plans resolved to one node spec each with the
+// same demand, neither has links or communication, and p asks for no more
+// replicas than q. First-fit takes replicas of one demand in one order, so
+// wherever q places, p places its replicas on the first of q's hosts,
+// charging each as q charges it: a single spec's CPU load is one reference
+// CPU whatever its seconds.
+func (p *Plan) Within(q *Plan) bool {
+	return p.resolved() && q.resolved() && len(p.specs) == 1 && len(q.specs) == 1 &&
+		len(p.opt.Links) == 0 && len(q.opt.Links) == 0 &&
+		p.opt.Communication == nil && q.opt.Communication == nil &&
+		p.specs[0].demand == q.specs[0].demand && p.specs[0].replicas <= q.specs[0].replicas
 }
 
 // Env is what the plan's link and communication expressions were evaluated
@@ -1137,7 +1216,7 @@ func firstFit(t *table, from int, d *demand, used []bool, why *NoFitError) (int,
 // the rest, charged one by one as firstFit charges them. It reads the rows
 // whatever the plan, so the scan must be Reset with them.
 func (s *Scan) MayFit(p *Plan) bool {
-	if p.fail != nil || p.linkFail != nil || p.never {
+	if !p.resolved() || p.never {
 		return false
 	}
 	if p.wildcards > 0 && p.wildcards > s.healthy() {

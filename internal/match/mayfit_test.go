@@ -23,18 +23,26 @@ func (b *fuzzBytes) next(n int) int {
 	return v
 }
 
-// mayFitCase builds, from a fuzz input, a small cluster — up, draining and
-// down nodes, two operating systems, partly loaded and partly filled — and
-// one option over it: one to three specs, each a wildcard, a registered host
-// or an unregistered one, with OS and hostname tags, memory, replicas and
-// exclusivity drawn from the input.
+// mayFitCase builds, from a fuzz input, a small cluster (fuzzCluster) and one
+// option over it of one or two fuzzSpecs.
 func mayFitCase(t *testing.T, in fuzzBytes) (*resource.Ledger, Request) {
+	l, nodes := fuzzCluster(t, &in)
+	specs := fuzzSpecs(&in, nodes)
+	return l, Request{Option: fuzzOption(t, "o", specs, "")}
+}
+
+// fuzzHost names the generated cluster's node i.
+func fuzzHost(i int) string { return fmt.Sprintf("h%02d", i) }
+
+// fuzzCluster builds, from a fuzz input, a small cluster — up, draining and
+// down nodes, two operating systems, partly loaded and partly filled — and
+// returns it with its node count.
+func fuzzCluster(t *testing.T, in *fuzzBytes) (*resource.Ledger, int) {
 	l := resource.NewLedger()
-	host := func(i int) string { return fmt.Sprintf("h%02d", i) }
 	nodes := 1 + in.next(7)
 	health := make([]resource.NodeHealth, nodes)
 	for i := 0; i < nodes; i++ {
-		n := resource.Node{Hostname: host(i), Speed: 1, MemoryMB: float64(16 * (1 + in.next(4))), OS: "linux", CPUs: 1}
+		n := resource.Node{Hostname: fuzzHost(i), Speed: 1, MemoryMB: float64(16 * (1 + in.next(4))), OS: "linux", CPUs: 1}
 		if in.next(4) == 0 {
 			n.OS = "aix"
 		}
@@ -53,9 +61,9 @@ func mayFitCase(t *testing.T, in fuzzBytes) (*resource.Ledger, Request) {
 		var nc resource.NodeClaim
 		switch in.next(3) {
 		case 0:
-			nc = resource.NodeClaim{Hostname: host(i), MemoryMB: float64(4 * (1 + in.next(4)))}
+			nc = resource.NodeClaim{Hostname: fuzzHost(i), MemoryMB: float64(4 * (1 + in.next(4)))}
 		case 1:
-			nc = resource.NodeClaim{Hostname: host(i), MemoryMB: 4, CPULoad: float64(1+in.next(3)) / 2}
+			nc = resource.NodeClaim{Hostname: fuzzHost(i), MemoryMB: 4, CPULoad: float64(1+in.next(3)) / 2}
 		default:
 			continue
 		}
@@ -64,33 +72,70 @@ func mayFitCase(t *testing.T, in fuzzBytes) (*resource.Ledger, Request) {
 		}
 	}
 	for i, h := range health {
-		if err := l.SetNodeHealth(host(i), h); err != nil {
+		if err := l.SetNodeHealth(fuzzHost(i), h); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return l, nodes
+}
 
-	var specs strings.Builder
-	for k, n := 0, 1+in.next(2); k < n; k++ {
-		pattern := "*"
+// fuzzSpec is one node spec of a generated option.
+type fuzzSpec struct {
+	pattern                   string // a wildcard, a registered host or an unregistered one
+	seconds, memory, replicas int
+	os, hostname              string // "" when the tag is absent
+	exclusive                 bool
+	// respell writes the spec as the matcher reads it alike: a replica
+	// count it rounds to the same, a memory minimum it grants exactly, a
+	// product by one and a tag it does not read.
+	respell bool
+}
+
+// fuzzSpecs draws one to two node specs over a cluster of nodes hosts.
+func fuzzSpecs(in *fuzzBytes, nodes int) []fuzzSpec {
+	specs := make([]fuzzSpec, 1+in.next(2))
+	for k := range specs {
+		sp := &specs[k]
+		sp.pattern = "*"
 		if r := in.next(nodes + 3); r < nodes {
-			pattern = host(r)
+			sp.pattern = fuzzHost(r)
 		} else if r == nodes {
-			pattern = "hzz"
+			sp.pattern = "hzz"
 		}
-		fmt.Fprintf(&specs, "{node s%d %s {seconds %d} {memory %d} {replicate %d}", k, pattern, 1+in.next(5), 4*in.next(5), 1+in.next(3))
+		sp.seconds, sp.memory, sp.replicas = 1+in.next(5), 4*in.next(5), 1+in.next(3)
 		if os := in.next(6); os < 2 {
-			fmt.Fprintf(&specs, " {os %s}", []string{"linux", "aix"}[os])
+			sp.os = []string{"linux", "aix"}[os]
 		}
 		if in.next(6) == 0 {
-			fmt.Fprintf(&specs, " {hostname %s}", host(in.next(nodes)))
+			sp.hostname = fuzzHost(in.next(nodes))
 		}
-		if in.next(4) == 0 {
-			specs.WriteString(" {exclusive 1}")
-		}
-		specs.WriteString("} ")
+		sp.exclusive = in.next(4) == 0
 	}
-	opt := mustBundle(t, fmt.Sprintf("harmonyBundle T:1 b {{o %s}}", specs.String())).Option("o")
-	return l, Request{Option: opt}
+	return specs
+}
+
+// fuzzOption decodes an option called name of the specs, named s0, s1, ...,
+// with more appended to its body.
+func fuzzOption(t *testing.T, name string, specs []fuzzSpec, more string) *rsl.OptionSpec {
+	var b strings.Builder
+	for k, sp := range specs {
+		format := "{node s%d %s {seconds %d} {memory %d} {replicate %d}"
+		if sp.respell {
+			format = "{node s%d %s {seconds {%d * 1}} {memory >=%d} {replicate {%d + 0.4}} {arch any}"
+		}
+		fmt.Fprintf(&b, format, k, sp.pattern, sp.seconds, sp.memory, sp.replicas)
+		if sp.os != "" {
+			fmt.Fprintf(&b, " {os %s}", sp.os)
+		}
+		if sp.hostname != "" {
+			fmt.Fprintf(&b, " {hostname %s}", sp.hostname)
+		}
+		if sp.exclusive {
+			b.WriteString(" {exclusive 1}")
+		}
+		b.WriteString("} ")
+	}
+	return mustBundle(t, fmt.Sprintf("harmonyBundle T:1 b {{%s %s%s}}", name, b.String(), more)).Option(name)
 }
 
 // FuzzMayFit: a plan MayFit turns away does not place, on the scan's state or

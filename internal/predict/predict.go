@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"harmony/internal/match"
 	"harmony/internal/resource"
@@ -249,17 +250,15 @@ func Interpolate(points []rsl.PerfPoint, x float64) (float64, error) {
 		return points[0].Y, nil
 	}
 	last := points[len(points)-1]
-	if x >= last.X {
+	if !(x < last.X) { // at or past the last knot, or not a number
 		return last.Y, nil
 	}
-	for i := 1; i < len(points); i++ {
-		if x <= points[i].X {
-			p0, p1 := points[i-1], points[i]
-			frac := (x - p0.X) / (p1.X - p0.X)
-			return p0.Y + frac*(p1.Y-p0.Y), nil
-		}
-	}
-	return last.Y, nil // unreachable with sorted points
+	// The first knot with x <= X: not the first knot, which is below x, and
+	// at the latest the last, which is above it.
+	i := sort.Search(len(points), func(i int) bool { return x <= points[i].X })
+	p0, p1 := points[i-1], points[i]
+	frac := (x - p0.X) / (p1.X - p0.X)
+	return p0.Y + frac*(p1.Y-p0.Y), nil
 }
 
 // Explicit applies an application-supplied piecewise-linear model: the

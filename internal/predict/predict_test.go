@@ -1,7 +1,10 @@
 package predict
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -204,6 +207,42 @@ func TestInterpolate(t *testing.T) {
 	if _, err := Interpolate(nil, 1); err == nil {
 		t.Fatal("empty points accepted")
 	}
+
+	// Against a linear scan for the first knot with x <= X, bit for bit, over
+	// sorted curves whose knots may repeat an X, at every knot, between
+	// knots and beyond both ends.
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 2000; n++ {
+		pts := make([]rsl.PerfPoint, 1+rng.Intn(8))
+		for i := range pts {
+			pts[i] = rsl.PerfPoint{X: float64(rng.Intn(10)), Y: rng.Float64() * 100}
+		}
+		slices.SortFunc(pts, func(a, b rsl.PerfPoint) int { return cmp.Compare(a.X, b.X) })
+		for x := -0.5; x <= 10.5; x += 0.25 {
+			got, _ := Interpolate(pts, x)
+			if want := interpolateLinear(pts, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Interpolate(%v, %g) = %g, a linear scan gives %g", pts, x, got, want)
+			}
+		}
+	}
+}
+
+// interpolateLinear is Interpolate finding its segment by a linear scan.
+func interpolateLinear(points []rsl.PerfPoint, x float64) float64 {
+	last := points[len(points)-1]
+	if x <= points[0].X {
+		return points[0].Y
+	}
+	if x >= last.X {
+		return last.Y
+	}
+	for i := 1; i < len(points); i++ {
+		if x <= points[i].X {
+			p0, p1 := points[i-1], points[i]
+			return p0.Y + (x-p0.X)/(p1.X-p0.X)*(p1.Y-p0.Y)
+		}
+	}
+	return last.Y
 }
 
 func TestExplicitModel(t *testing.T) {

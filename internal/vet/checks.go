@@ -2,6 +2,7 @@ package vet
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -350,13 +351,20 @@ func (s *optScope) checkExpr(e rsl.Expr, pos rsl.Pos, ctx exprCtx, allowLocals b
 // checkRange verifies a quantity that must be at least minAllowed over
 // every admissible binding: an error when it is out of range wherever it
 // evaluates (or is a constant out of range), a warning naming the first
-// binding that puts it out of range otherwise.
+// binding that puts it out of range otherwise. A replica count is judged as
+// the matcher rounds it, so it is out of range only below minAllowed - 0.5.
 func (s *optScope) checkRange(e rsl.Expr, pos rsl.Pos, ctx exprCtx, minAllowed float64, allowLocals bool) {
 	if e == nil {
 		return
 	}
+	out := func(v float64) bool {
+		if ctx.kind == replicateCtx {
+			v = math.Round(v)
+		}
+		return v < minAllowed
+	}
 	if v, ok := constVal(e); ok {
-		if v < minAllowed {
+		if out(v) {
 			s.diag("negative-tag", SevError, pos,
 				"%s is %g; it must be at least %g", ctx, v, minAllowed)
 		}
@@ -372,7 +380,7 @@ func (s *optScope) checkRange(e rsl.Expr, pos rsl.Pos, ctx exprCtx, minAllowed f
 			maxV = v
 		}
 		seen++
-		if v < minAllowed {
+		if out(v) {
 			if below == 0 {
 				witness, witnessV = describeBinding(env, names), v
 			}
@@ -426,58 +434,53 @@ func (s *optScope) checkPerformance(opt *rsl.OptionSpec) {
 
 // checkCapacity verifies the option against declared harmonyNode
 // capacities: Section 4.1 matching can never succeed when no declared node
-// meets a request even in the best case. Skipped when no declarations are
-// in scope.
+// meets a request even in the best case. It reads the least each request
+// asks over the option's plans, and asks the matcher how many declared
+// nodes, idle, would take a replica. Skipped when no declarations are in scope.
 func (s *optScope) checkCapacity(opt *rsl.OptionSpec) {
 	decls := s.a.decls
 	if len(decls) == 0 {
 		return
 	}
-	for i := range opt.Nodes {
-		spec := &opt.Nodes[i]
-		memMin, memOK := s.minOfTag(spec, "memory")
-		var osWant, hostWant string
-		if tag, ok := spec.Tags["os"]; ok && tag.IsString {
-			osWant = tag.Str
+	for k := range opt.Nodes {
+		spec := &opt.Nodes[k]
+		// least is the plan granting the spec the least memory: its demand
+		// admits every node any other choice's does.
+		var least *match.Plan
+		var grant float64
+		replicas := 0
+		for _, p := range s.plans {
+			n, mb, ok := p.Spec(k)
+			if !ok {
+				continue
+			}
+			if least == nil || mb < grant {
+				least, grant = p, mb
+			}
+			if replicas == 0 || n < replicas {
+				replicas = n
+			}
 		}
-		if tag, ok := spec.Tags["hostname"]; ok && tag.IsString {
-			hostWant = tag.Str
+		if least == nil {
+			continue
 		}
-		eligible := 0
-		for _, d := range decls {
-			if spec.HostPattern != "*" && d.Hostname != spec.HostPattern {
-				continue
-			}
-			if hostWant != "" && d.Hostname != hostWant {
-				continue
-			}
-			if osWant != "" && d.OS != osWant {
-				continue
-			}
-			if memOK && d.MemoryMB < memMin {
-				continue
-			}
-			eligible++
-		}
+		eligible := least.Admitting(k, decls)
 		if eligible == 0 {
 			s.diag("node-unsatisfiable", SevError, spec.Pos,
 				"no declared harmonyNode satisfies node %q (%s; %d node(s) declared)",
-				spec.LocalName, s.describeDemand(spec, memMin, memOK, osWant, hostWant), len(decls))
+				spec.LocalName, describeDemand(spec, grant), len(decls))
 			continue
 		}
-		if spec.Replicate != nil && spec.HostPattern == "*" {
-			repMin, repOK := s.evalMin(spec.Replicate, false)
-			if repOK && repMin > float64(eligible) {
-				s.diag("replicate-unsatisfiable", SevError, spec.ReplicatePos,
-					"node %q needs at least %g distinct hosts, but only %d declared node(s) qualify",
-					spec.LocalName, repMin, eligible)
-			}
+		if spec.HostPattern == "*" && replicas > eligible {
+			s.diag("replicate-unsatisfiable", SevError, spec.ReplicatePos,
+				"node %q needs at least %d distinct hosts, but only %d declared node(s) qualify",
+				spec.LocalName, replicas, eligible)
 		}
 	}
 
-	for i := range opt.Links {
-		ls := &opt.Links[i]
-		bwMin, ok := s.evalMin(ls.Bandwidth, true)
+	for k := range opt.Links {
+		ls := &opt.Links[k]
+		bwMin, ok := s.least(func(p *match.Plan) (float64, bool) { return p.LinkBandwidth(k) })
 		if ok && bwMin > switchBandwidthMbps {
 			sev := SevWarn
 			if linksTwoHosts(opt, ls) {
@@ -490,14 +493,22 @@ func (s *optScope) checkCapacity(opt *rsl.OptionSpec) {
 	}
 	// Matching does not refuse a communication demand by capacity: it
 	// spreads it over the pairs, which it then over-subscribes.
-	if opt.Communication != nil {
-		commMin, ok := s.evalMin(opt.Communication, true)
-		if ok && commMin > switchBandwidthMbps {
-			s.diag("link-bandwidth", SevWarn, opt.CommunicationPos,
-				"communication needs at least %g Mbps; the interconnect provides %g Mbps",
-				commMin, switchBandwidthMbps)
+	if commMin, ok := s.least((*match.Plan).Communication); ok && commMin > switchBandwidthMbps {
+		s.diag("link-bandwidth", SevWarn, opt.CommunicationPos,
+			"communication needs at least %g Mbps; the interconnect provides %g Mbps",
+			commMin, switchBandwidthMbps)
+	}
+}
+
+// least is the least value of a quantity over the option's plans that
+// resolve it; ok is false when none does.
+func (s *optScope) least(of func(*match.Plan) (float64, bool)) (lo float64, ok bool) {
+	for _, p := range s.plans {
+		if v, resolved := of(p); resolved && (!ok || v < lo) {
+			lo, ok = v, true
 		}
 	}
+	return lo, ok
 }
 
 // linksTwoHosts reports whether the link's ends always land on two different
@@ -524,19 +535,20 @@ func linksTwoHosts(opt *rsl.OptionSpec, ls *rsl.LinkSpec) bool {
 	return a.HostPattern != b.HostPattern
 }
 
-func (s *optScope) describeDemand(spec *rsl.NodeSpec, memMin float64, memOK bool, osWant, hostWant string) string {
+// describeDemand puts into words what node spec asks of a machine, granted
+// grantMB of memory.
+func describeDemand(spec *rsl.NodeSpec, grantMB float64) string {
 	var parts []string
 	if spec.HostPattern != "*" {
 		parts = append(parts, "host "+spec.HostPattern)
 	}
-	if hostWant != "" {
-		parts = append(parts, "hostname "+hostWant)
+	for _, tag := range []string{"hostname", "os"} {
+		if t, ok := spec.Tags[tag]; ok && t.IsString {
+			parts = append(parts, tag+" "+t.Str)
+		}
 	}
-	if osWant != "" {
-		parts = append(parts, "os "+osWant)
-	}
-	if memOK {
-		parts = append(parts, fmt.Sprintf("memory >= %g MB", memMin))
+	if t, ok := spec.Tags["memory"]; ok && !t.IsString {
+		parts = append(parts, fmt.Sprintf("memory >= %g MB", grantMB))
 	}
 	if len(parts) == 0 {
 		return "no constraints"
@@ -677,30 +689,6 @@ func (s *optScope) eachEnv(e rsl.Expr, allowLocals bool, fn func(env rsl.Env, na
 		return true
 	}
 	rec(0)
-}
-
-// evalMin is the least value of e over every environment eachEnv visits;
-// ok is false when e evaluates in none.
-func (s *optScope) evalMin(e rsl.Expr, allowLocals bool) (lo float64, ok bool) {
-	if e == nil {
-		return 0, false
-	}
-	s.eachEnv(e, allowLocals, func(env rsl.Env, _ []string) bool {
-		if v, err := e.Eval(env); err == nil && (!ok || v < lo) {
-			lo, ok = v, true
-		}
-		return true
-	})
-	return lo, ok
-}
-
-// minOfTag is the least value of a numeric node tag over every binding.
-func (s *optScope) minOfTag(spec *rsl.NodeSpec, tagName string) (lo float64, ok bool) {
-	tag, tagOK := spec.Tags[tagName]
-	if !tagOK || tag.IsString || tag.Expr == nil {
-		return 0, false
-	}
-	return s.evalMin(tag.Expr, false)
 }
 
 // describeBinding renders the named bindings of env, e.g. "workerNodes=0"

@@ -34,6 +34,7 @@ var wantChecks = map[string][]string{
 	"toomany.rsl":     {"too-many-choices"},
 	"perfrange.rsl":   {"perf-model-range"},
 	"ladder.rsl":      {"div-zero", "negative-tag"},
+	"fraction.rsl":    {},
 	"clean.rsl":       {},
 }
 
@@ -174,6 +175,31 @@ func TestWorkloadGolden(t *testing.T) {
 				t.Errorf("workload report mismatch\n--- got ---\n%s--- want ---\n%s", sb.String(), wantOut)
 			}
 		})
+	}
+}
+
+// TestReplicateJudgedRounded: the matcher rounds a replica count before it
+// requires at least one, so negative-tag flags a count, constant or per
+// binding, only where it rounds below 1.
+func TestReplicateJudgedRounded(t *testing.T) {
+	for _, tc := range []struct{ rep, want string }{
+		{"0.5", ""},
+		{"0.4", `error: [negative-tag] b/o: node "w" replicate is 0.4; it must be at least 1`},
+		{"{n / 4}", `warning: [negative-tag] b/o: node "w" replicate evaluates to 0.25 when n=1; it must be at least 1`},
+		{"{n / 8}", `error: [negative-tag] b/o: node "w" replicate is at most 0.375 for every admissible binding; it must be at least 1`},
+		{"{n / 2}", ""},
+	} {
+		src := "harmonyBundle a:1 b {{o {variable n {1 3}} {node w * {memory 8} {replicate " + tc.rep + "}}}}"
+		var got []string
+		for _, d := range Script(src, Options{}).Diags {
+			if d.Check == "negative-tag" {
+				_, msg, _ := strings.Cut(d.String(), " ")
+				got = append(got, msg)
+			}
+		}
+		if strings.Join(got, "\n") != tc.want {
+			t.Errorf("replicate %s: got %q, want %q", tc.rep, got, tc.want)
+		}
 	}
 }
 
