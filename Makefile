@@ -23,7 +23,7 @@ FUZZ_TARGETS = \
 	FuzzChoiceCount:./internal/rsl/ \
 	FuzzVet:./internal/vet/ \
 	FuzzAdmissionMatchesWorkload:./internal/vet/ \
-	FuzzDominance:./internal/bounds/ \
+	FuzzDominance:./internal/vet/ \
 	FuzzDecodeMessage:./internal/protocol/ \
 	FuzzMayFit:./internal/match/ \
 	FuzzPlanRelations:./internal/match/ \

@@ -392,26 +392,19 @@ func runLint(args []string, stdin io.Reader, stdout io.Writer) error {
 		return fmt.Errorf("lint: cluster %s declares no harmonyNodes", clusterName)
 	}
 
-	var reports []*harmony.VetReport
 	var specs []harmony.VetWorkloadSpec
-	hadErrors := false
 	for _, file := range fs.Args() {
 		name, src, err := readSpec(file, stdin, &stdinUsed)
 		if err != nil {
 			return fmt.Errorf("lint: %w", err)
 		}
-		rep := harmony.VetScript(src, harmony.VetOptions{ExtraNodes: decls})
-		rep.File = name
-		reports = append(reports, rep)
-		if rep.HasErrors() {
-			hadErrors = true
-		}
 		specs = append(specs, harmony.VetWorkloadSpec{File: name, Src: src})
 	}
-	joint := harmony.VetWorkload(specs, harmony.VetOptions{ExtraNodes: decls})
+	reports, joint := harmony.VetLint(specs, harmony.VetOptions{ExtraNodes: decls})
 	reports = append(reports, joint)
-	if joint.HasErrors() {
-		hadErrors = true
+	hadErrors := false
+	for _, rep := range reports {
+		hadErrors = hadErrors || rep.HasErrors()
 	}
 	if err := emitReports(reports, *jsonOut, *sarifOut, stdout); err != nil {
 		return err

@@ -45,7 +45,6 @@ package harmony
 import (
 	"net"
 
-	"harmony/internal/bounds"
 	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/hclient"
@@ -172,21 +171,21 @@ const (
 	VetModeReject = server.VetReject
 )
 
-// Bound-vector analysis types (package bounds): each option's footprint
+// Bound-vector analysis types (package vet): each option's footprint
 // ranges over the choices the controller enumerates for it.
 type (
 	// AnalyzeBundleReport is one bundle's bound vectors, dominance partial
 	// order and unreachability verdicts.
-	AnalyzeBundleReport = bounds.BundleReport
+	AnalyzeBundleReport = vet.BundleReport
 	// AnalyzeOptionReport is one option's entry in an AnalyzeBundleReport.
-	AnalyzeOptionReport = bounds.OptionReport
+	AnalyzeOptionReport = vet.OptionReport
 )
 
 // AnalyzeBundle computes a bundle's per-option bound vectors and dominance
 // partial order; with cluster declarations it additionally proves options
 // unreachable against declared capacity (harmonyctl analyze).
 func AnalyzeBundle(b *BundleSpec, decls []*NodeDecl) *AnalyzeBundleReport {
-	return bounds.Analyze(b, decls)
+	return vet.Analyze(b, decls)
 }
 
 // VetScript statically analyzes an RSL script.
@@ -196,6 +195,12 @@ func VetScript(src string, opts VetOptions) *VetReport { return vet.Script(src, 
 // reporting workloads that provably cannot fit even in their best case.
 func VetWorkload(specs []VetWorkloadSpec, opts VetOptions) *VetReport {
 	return vet.Workload(specs, opts)
+}
+
+// VetLint vets each spec as VetScript does and the set as VetWorkload does,
+// analysing each spec once (harmonyctl lint).
+func VetLint(specs []VetWorkloadSpec, opts VetOptions) (scripts []*VetReport, workload *VetReport) {
+	return vet.Lint(specs, opts)
 }
 
 // VetSARIF renders reports as a SARIF 2.1.0 log for code-review tooling.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"harmony/internal/cluster"
 	"harmony/internal/match"
+	"harmony/internal/predict"
 	"harmony/internal/replog"
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
@@ -19,10 +21,13 @@ import (
 // vet calls unreachable-option, node-unsatisfiable or
 // replicate-unsatisfiable, or raises a link-bandwidth error against, has no
 // enumerated choice whose match.Plan places on the idle declared cluster.
-// Options that no choice places but vet does not flag are counted and
-// logged: the door lets them in, and the controller can never adopt them.
+// Options that no choice places but vet does not flag — with one of those,
+// or an out-of-range quantity (negative-tag) — are counted and logged: the
+// door lets them in, and the controller can never adopt them. And an option
+// vet raises no error against predicts a finite, non-negative time at every
+// choice that places there.
 type agreement struct {
-	options, unplaced, unflagged int
+	options, unplaced, unflagged, predicted int
 	// overCap names the scripts holding a bundle over rsl.MaxChoices.
 	overCap []string
 }
@@ -42,11 +47,17 @@ func (ag *agreement) count(name, src string) {
 func (ag *agreement) check(t *testing.T, name, src string, extra []*rsl.NodeDecl, snap *resource.Snapshot) {
 	t.Helper()
 	flagged := make(map[string]string)
+	excused, erred := make(map[string]bool), make(map[string]bool)
 	for _, d := range vet.Script(src, vet.Options{ExtraNodes: extra}).Diags {
 		switch {
 		case d.Check == "unreachable-option", d.Check == "node-unsatisfiable", d.Check == "replicate-unsatisfiable",
 			d.Check == "link-bandwidth" && d.Severity == vet.SevError:
 			flagged[d.Bundle+"/"+d.Option] = d.Check
+		case d.Check == "negative-tag" && d.Severity == vet.SevError:
+			excused[d.Bundle+"/"+d.Option] = true
+		}
+		if d.Severity == vet.SevError {
+			erred[d.Bundle+"/"+d.Option] = true
 		}
 	}
 	var scan match.Scan
@@ -57,11 +68,24 @@ func (ag *agreement) check(t *testing.T, name, src string, extra []*rsl.NodeDecl
 	for _, b := range decodeLeniently(src) {
 		for i := range b.Options {
 			opt := &b.Options[i]
-			places := slices.ContainsFunc(opt.Choices(), func(ch Choice) bool {
-				plan := match.NewPlan(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants})
-				return scan.Place(plan, &asg)
-			})
-			check, isFlagged := flagged[b.Name+"/"+opt.Name]
+			key := b.Name + "/" + opt.Name
+			passed := !erred[key] && !erred[b.Name+"/"]
+			places := false
+			for _, ch := range opt.Choices() {
+				if !scan.Place(match.ChoicePlan(opt, ch), &asg) {
+					continue
+				}
+				places = true
+				if !passed {
+					break
+				}
+				pred, err := predict.Indexed{View: snap}.ForOption(opt, predict.Resolve(snap, &asg), false)
+				if y := pred.Seconds; err != nil || math.IsNaN(y) || math.IsInf(y, 0) || y < 0 {
+					t.Errorf("%s: vet passes %s, and its choice %s predicts %g s (%v) on the idle cluster", name, key, ch, y, err)
+				}
+				ag.predicted++
+			}
+			check, isFlagged := flagged[key]
 			ag.options++
 			switch {
 			case places && isFlagged:
@@ -69,7 +93,7 @@ func (ag *agreement) check(t *testing.T, name, src string, extra []*rsl.NodeDecl
 					name, check, b.Name, opt.Name, asg.Hosts())
 			case !places:
 				ag.unplaced++
-				if !isFlagged {
+				if !isFlagged && !excused[key] {
 					ag.unflagged++
 					t.Logf("%s: no choice of %s/%s places on the idle cluster, and vet does not flag it", name, b.Name, opt.Name)
 				}
@@ -113,8 +137,9 @@ func declsOf(src string) []*rsl.NodeDecl {
 // TestVetAgreesWithMatcher runs the agreement over the golden scripts'
 // registrations on their own clusters, the vet corpus and the example specs:
 // no option vet calls unplaceable places, every option that places nowhere is
-// flagged, and only the corpus's deliberately oversized bundle is over the
-// cap.
+// flagged, every choice that places of an option vet passes predicts a finite,
+// non-negative time, and only the corpus's deliberately oversized bundle is
+// over the cap.
 func TestVetAgreesWithMatcher(t *testing.T) {
 	var ag agreement
 	for _, s := range goldenScripts {
@@ -163,12 +188,12 @@ func TestVetAgreesWithMatcher(t *testing.T) {
 	if want := []string{filepath.Join("..", "vet", "testdata", "toomany.rsl")}; !slices.Equal(ag.overCap, want) {
 		t.Errorf("bundles over the cap in %v, want only in %v", ag.overCap, want)
 	}
-	t.Logf("%d options: %d place nowhere on the idle cluster, %d of them not flagged by vet",
-		ag.options, ag.unplaced, ag.unflagged)
+	t.Logf("%d options: %d place nowhere on the idle cluster, %d of them not flagged by vet; %d predictions",
+		ag.options, ag.unplaced, ag.unflagged, ag.predicted)
 	if ag.unflagged != 0 {
 		t.Errorf("%d options place nowhere on the idle cluster and vet does not flag them", ag.unflagged)
 	}
-	if ag.options < 100 || !strings.Contains(strings.Join(files, " "), "figure3.rsl") {
+	if ag.options < 100 || ag.predicted < 100 || !strings.Contains(strings.Join(files, " "), "figure3.rsl") {
 		t.Errorf("the corpus judged only %d options", ag.options)
 	}
 }

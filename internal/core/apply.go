@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"time"
 
-	"harmony/internal/bounds"
 	"harmony/internal/match"
 	"harmony/internal/namespace"
 	"harmony/internal/replog"
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
+	"harmony/internal/vet"
 )
 
 // ApplyResult reports what an applied entry did.
@@ -43,22 +43,15 @@ func ChoiceToLog(ch Choice) *replog.Choice {
 	return &replog.Choice{Option: ch.Option, Vars: ch.Vars, Grants: ch.Grants}
 }
 
-// Decoded is a register entry's bundle as its proposer's door decoded it,
-// with the bundle's analysis when the door vetted it (nil leaves it to the
-// apply): the entry's replog.Entry.Decoded, which Apply registers in place
-// of decoding the RSL. It never leaves the proposer's memory.
-type Decoded struct {
-	Bundle   *rsl.BundleSpec
-	Analysis *bounds.Bundle
-}
-
 // Apply executes one replicated log entry deterministically. The clock is
 // advanced to the entry's time first (firing any due scheduled events), and
 // the entry's time — never the local clock — is the operation's decision
 // time, so leader and followers compute identical friction/granularity
 // gating even when their clocks drift. Failed operations (e.g. no feasible
 // option) fail identically on every replica; the error is returned for the
-// leader to report to its client.
+// leader to report to its client. A register entry whose Decoded holds the
+// analysis (*vet.Bundle) its proposer's door made of the bundle registers
+// that, in place of decoding and analysing the RSL.
 func (c *Controller) Apply(e *replog.Entry) (*ApplyResult, error) {
 	if e == nil {
 		return nil, errors.New("core: apply nil entry")
@@ -66,8 +59,8 @@ func (c *Controller) Apply(e *replog.Entry) (*ApplyResult, error) {
 	c.cfg.Clock.AdvanceTo(e.Time)
 	switch e.Op {
 	case replog.OpRegister:
-		d, _ := e.Decoded.(*Decoded)
-		if d == nil {
+		an, _ := e.Decoded.(*vet.Bundle)
+		if an == nil {
 			bundles, _, err := rsl.DecodeScript(e.RSL)
 			if err != nil {
 				return nil, fmt.Errorf("core: apply register: %w", err)
@@ -75,9 +68,9 @@ func (c *Controller) Apply(e *replog.Entry) (*ApplyResult, error) {
 			if len(bundles) != 1 {
 				return nil, fmt.Errorf("core: apply register: %d bundles, want 1", len(bundles))
 			}
-			d = &Decoded{Bundle: bundles[0]}
+			an = vet.NewBundle(bundles[0])
 		}
-		inst, events, err := c.registerAt(d.Bundle, d.Analysis, e.RSL, e.Time)
+		inst, events, err := c.registerAt(an, e.RSL, e.Time)
 		if err != nil {
 			return nil, err
 		}
@@ -278,6 +271,7 @@ func (c *Controller) Restore(st *PersistedState) error {
 		app := &appState{
 			instance:     pa.Instance,
 			bundle:       bundles[0],
+			an:           vet.NewBundle(bundles[0]),
 			ownerPath:    namespace.InstancePath(bundles[0].App, pa.Instance),
 			source:       pa.Source,
 			assignment:   pa.Assignment,

@@ -10,6 +10,7 @@ import (
 	"harmony/internal/namespace"
 	"harmony/internal/replog"
 	"harmony/internal/rsl"
+	"harmony/internal/vet"
 )
 
 // decodeBundle parses one bundle from RSL source.
@@ -100,18 +101,18 @@ func TestGrantLadderPerBinding(t *testing.T) {
 		{node worker * {seconds {60 / workerNodes}} {memory {>= 16 * workerNodes}} {replicate workerNodes}}
 	}
 }`)
-	app := &appState{instance: 1, bundle: bundle, ownerPath: namespace.InstancePath(bundle.App, 1), lastSwitch: -1}
-	bs := c.staticFor(app)
-	if len(bs.choices) != 3*len(rsl.GrantSteps) {
-		t.Fatalf("%d choices, want %d", len(bs.choices), 3*len(rsl.GrantSteps))
+	app := &appState{instance: 1, bundle: bundle, an: vet.NewBundle(bundle), ownerPath: namespace.InstancePath(bundle.App, 1), lastSwitch: -1}
+	an := app.an
+	if len(an.Choices) != 3*len(rsl.GrantSteps) {
+		t.Fatalf("%d choices, want %d", len(an.Choices), 3*len(rsl.GrantSteps))
 	}
 	p := c.openEvaluation(app)
-	for k, ch := range bs.choices {
+	for k, ch := range an.Choices {
 		w := []float64{1, 2, 4}[k/len(rsl.GrantSteps)]
 		if want := 16*w + rsl.GrantSteps[k%len(rsl.GrantSteps)]; ch.Vars["workerNodes"] != w || ch.Grants["worker"] != want {
 			t.Fatalf("choice %d is %s, want workerNodes=%g with %g MB", k, ch, w, want)
 		}
-		if _, err := c.evaluateChoice(p, ch, &bs.stat[k]); err != nil {
+		if _, err := c.evaluateChoice(p, ch, an.Plans[k]); err != nil {
 			t.Fatalf("%s: %v", ch, err)
 		}
 	}
@@ -213,7 +214,7 @@ reevaluate: | Dup w n=4 x10 Bag4 w m=4 x0
 		for _, id := range c.order {
 			app := c.apps[id]
 			same := 0
-			for k, ch := range c.staticFor(app).choices {
+			for k, ch := range app.an.Choices {
 				if app.isCurrent(k) != ch.Equal(app.choice) {
 					t.Fatalf("%s: %s: isCurrent(%d) is %v for %s, whose choice is %s", step, app.owner(), k, app.isCurrent(k), ch, app.choice)
 				}
@@ -229,7 +230,7 @@ reevaluate: | Dup w n=4 x10 Bag4 w m=4 x0
 	register := func(src string) int {
 		t.Helper()
 		// registerAt keeps the source, which EncodeState needs.
-		inst, events, err := c.registerAt(decodeBundle(t, src), nil, src, clock.Now())
+		inst, events, err := c.registerAt(vet.NewBundle(decodeBundle(t, src)), src, clock.Now())
 		record("register "+src[len("harmonyBundle "):strings.Index(src, ":")], events, err)
 		return inst
 	}

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"harmony/internal/bounds"
 	"harmony/internal/cluster"
 	"harmony/internal/match"
 	"harmony/internal/metric"
@@ -27,6 +26,7 @@ import (
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
 	"harmony/internal/simclock"
+	"harmony/internal/vet"
 )
 
 // Errors reported by the controller.
@@ -105,6 +105,9 @@ type Config struct {
 type appState struct {
 	instance int
 	bundle   *rsl.BundleSpec
+	// an is the bundle's analysis, made with the app: its choices and their
+	// plans, which both searches read.
+	an *vet.Bundle
 	// ownerPath is the app's namespace path and claim owner, built once:
 	// every evaluation names every application.
 	ownerPath string
@@ -136,9 +139,6 @@ type appState struct {
 	// re-placed; it holds no claim and is excluded from the objective until
 	// a re-evaluation finds room for it again.
 	degraded bool
-	// static caches the bundle's analysis and per-choice statics (bundles
-	// are immutable after registration).
-	static *bundleStatic
 }
 
 func (a *appState) owner() string { return a.ownerPath }
@@ -148,7 +148,7 @@ func (a *appState) owner() string { return a.ownerPath }
 // Equal judges them, so that the searches compare by index.
 func (c *Controller) setChoice(app *appState, ch Choice) {
 	app.choice = ch
-	choices := c.staticFor(app).choices
+	choices := app.an.Choices
 	app.current = slices.Grow(app.current[:0], len(choices))[:len(choices)]
 	for k := range choices {
 		app.current[k] = choices[k].Equal(ch)
@@ -208,9 +208,9 @@ type Controller struct {
 // written after it is published.
 type view struct {
 	objective       float64
-	apps            []Snapshot       // registration order
-	analyses        []*bounds.Bundle // registration order
-	names           []appNames       // registration order
+	apps            []Snapshot    // registration order
+	analyses        []*vet.Bundle // registration order
+	names           []appNames    // registration order
 	jointTrials     uint64
 	jointBudgetHits uint64
 	predictions     uint64
@@ -295,16 +295,20 @@ func (c *Controller) Stop() {}
 // A bundle over rsl.MaxChoices is refused, with an error wrapping
 // rsl.ErrTooManyChoices, before any of its choices is enumerated.
 func (c *Controller) Register(bundle *rsl.BundleSpec) (int, []Event, error) {
-	return c.registerAt(bundle, nil, "", c.cfg.Clock.Now())
+	if bundle == nil {
+		return 0, nil, errors.New("core: nil bundle")
+	}
+	return c.registerAt(vet.NewBundle(bundle), "", c.cfg.Clock.Now())
 }
 
-// registerAt is Register with an explicit decision time, the bundle's RSL
-// source and, when the caller made it, the bundle's analysis: the
-// deterministic entry point the replication Apply path uses (the entry's
-// virtual time stands in for the local clock).
-func (c *Controller) registerAt(bundle *rsl.BundleSpec, an *bounds.Bundle, source string, now time.Duration) (inst int, events []Event, err error) {
+// registerAt is Register of the bundle an analyses, with an explicit
+// decision time and the bundle's RSL source: the deterministic entry point
+// the replication Apply path uses (the entry's virtual time stands in for the
+// local clock).
+func (c *Controller) registerAt(an *vet.Bundle, source string, now time.Duration) (inst int, events []Event, err error) {
 	defer func() { c.publish(events) }()
-	if bundle == nil || len(bundle.Options) == 0 {
+	bundle := an.Spec
+	if len(bundle.Options) == 0 {
 		return 0, nil, errors.New("core: bundle with no options")
 	}
 	if err := bundle.CheckChoices(); err != nil {
@@ -315,13 +319,11 @@ func (c *Controller) registerAt(bundle *rsl.BundleSpec, an *bounds.Bundle, sourc
 	app := &appState{
 		instance:     inst,
 		bundle:       bundle,
+		an:           an,
 		ownerPath:    namespace.InstancePath(bundle.App, inst),
 		source:       source,
 		registeredAt: now,
 		lastSwitch:   -1,
-	}
-	if an != nil && an.Spec == bundle {
-		app.static = newBundleStatic(an)
 	}
 
 	best, err := c.bestChoice(app, now, true)
@@ -436,7 +438,7 @@ func (c *Controller) publish(events []Event) {
 func (c *Controller) buildView() *view {
 	v := &view{
 		apps:            make([]Snapshot, 0, len(c.order)),
-		analyses:        make([]*bounds.Bundle, 0, len(c.order)),
+		analyses:        make([]*vet.Bundle, 0, len(c.order)),
 		names:           make([]appNames, 0, len(c.order)),
 		jointTrials:     c.jointTrials,
 		jointBudgetHits: c.jointBudgetHits,
@@ -456,7 +458,7 @@ func (c *Controller) buildView() *view {
 			Switches:         a.switches,
 			Degraded:         a.degraded,
 		})
-		v.analyses = append(v.analyses, c.staticFor(a).an)
+		v.analyses = append(v.analyses, a.an)
 		v.names = append(v.names, appNames{owner: a.owner(), assignment: a.assignment, predicted: a.adoptedPredicted})
 		if !a.degraded {
 			jobs = append(jobs, objective.JobPrediction{App: a.owner(), Seconds: a.predicted})
@@ -509,7 +511,7 @@ func (c *Controller) Bundles() []*rsl.BundleSpec {
 // Analyses returns the registered bundles' analyses in registration order,
 // so vet.Admission judges an arrival against the demand already admitted
 // without analysing an admitted bundle again.
-func (c *Controller) Analyses() []*bounds.Bundle { return slices.Clone(c.view.Load().analyses) }
+func (c *Controller) Analyses() []*vet.Bundle { return slices.Clone(c.view.Load().analyses) }
 
 // ClusterNodes describes the managed cluster as harmonyNode declarations,
 // so spec analyses (package vet) can validate incoming bundles against the
@@ -570,7 +572,7 @@ func (c *Controller) forceChoiceAt(instance int, ch Choice, now time.Duration) (
 	// Evaluate the forced choice hypothetically: the app's claim stays in
 	// place until adoption, which handles release/rollback itself.
 	p := c.openEvaluation(app)
-	cand, err := c.evaluateChoice(p, ch, c.choiceStaticFor(app, ch))
+	cand, err := c.evaluateChoice(p, ch, match.ChoicePlan(app.bundle.Option(ch.Option), ch))
 	if err != nil {
 		return nil, fmt.Errorf("core: force choice: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,6 +167,29 @@ harmonyBundle Huge:1 b {{O {node n * {memory 10000}}}}`)
 	}
 	if _, _, err := ctrl.Register(nil); err == nil {
 		t.Fatal("nil bundle accepted")
+	}
+}
+
+// TestOverflowRefused: a bundle whose seconds overflow to +Inf is refused,
+// with an error that names the tag, and no node's CPU load becomes NaN or
+// infinite, whether the registration was refused or, if it was not, undone.
+func TestOverflowRefused(t *testing.T) {
+	ctrl, _ := newController(t, 4, Config{})
+	bundle := decodeBundle(t, `harmonyBundle Over:1 w {{only {node w * {memory 8} {seconds {10 ^ 400}}}}}`)
+	inst, _, err := ctrl.Register(bundle)
+	switch {
+	case err == nil:
+		t.Error("a bundle whose seconds overflow was registered")
+		if _, err := ctrl.Unregister(inst); err != nil {
+			t.Fatal(err)
+		}
+	case !errors.Is(err, ErrNoFeasibleOption) || !strings.Contains(err.Error(), "seconds"):
+		t.Errorf("err = %v, want ErrNoFeasibleOption naming seconds", err)
+	}
+	for _, ns := range ctrl.Ledger().Nodes() {
+		if math.IsNaN(ns.CPULoad) || math.IsInf(ns.CPULoad, 0) {
+			t.Errorf("node %s: CPU load %g", ns.Node.Hostname, ns.CPULoad)
+		}
 	}
 }
 

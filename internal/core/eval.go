@@ -183,6 +183,19 @@ func (c *Controller) MemoStats() (hits, misses uint64) {
 	return 0, c.Predictions()
 }
 
+// PruneStats holds counters nothing increments: nothing is pruned (see
+// docs/OPTIMIZER.md, "Where the fit proof runs").
+//
+// Deprecated: it remains for the bench harness's prune metric (ROADMAP item 7).
+type PruneStats struct {
+	Considered, Unreachable, Dominated uint64
+}
+
+// PruneStats reports zero counts.
+//
+// Deprecated: use Predictions and JointTrials.
+func (c *Controller) PruneStats() PruneStats { return PruneStats{} }
+
 // openEvaluation starts the evaluation of app: it opens a pass unless the one
 // open still holds, releases the app's own claim into the columns (the
 // paper's "one bundle at a time" precondition) and aims the scan at the
@@ -298,14 +311,14 @@ func (p *passState) indexed() predict.Indexed {
 	return predict.Indexed{View: p.base, Loads: p.cols.CPULoad, Reserved: p.cols.ReservedMbps}
 }
 
-// evaluate places one choice of the evaluated app with the scan, charges it
-// to the trial state, predicts it and every other application there and
-// scores the system objective; the state is restored before it returns. The
-// candidate's assignment is the pass's own, overwritten by the next
-// candidate: adopt copies it out. A choice that does not fit returns
-// errMisfit.
-func (c *Controller) evaluate(p *passState, ch Choice, st *choiceStatic) (candidate, error) {
-	if !p.scan.Place(st.plan, &p.asg) {
+// evaluate places one choice of the evaluated app, resolved by plan, with
+// the scan, charges it to the trial state, predicts it and every other
+// application there and scores the system objective; the state is restored
+// before it returns. The candidate's assignment is the pass's own,
+// overwritten by the next candidate: adopt copies it out. A choice that does
+// not fit returns errMisfit.
+func (c *Controller) evaluate(p *passState, ch Choice, plan *match.Plan) (candidate, error) {
+	if !p.scan.Place(plan, &p.asg) {
 		return candidate{}, errMisfit
 	}
 	defer p.cols.Restore(&p.undo, p.released)
@@ -313,7 +326,7 @@ func (c *Controller) evaluate(p *passState, ch Choice, st *choiceStatic) (candid
 		return candidate{}, err
 	}
 	pl := p.pl.Resolve(p.base, &p.asg)
-	pred, err := c.predictIndexed(p.indexed(), st.opt, pl)
+	pred, err := c.predictIndexed(p.indexed(), plan.Option(), pl)
 	if err != nil {
 		return candidate{}, err
 	}
@@ -323,24 +336,35 @@ func (c *Controller) evaluate(p *passState, ch Choice, st *choiceStatic) (candid
 	}
 	jobs = append(jobs, objective.JobPrediction{App: p.app.owner(), Seconds: pred.Seconds})
 	p.jobs = jobs
-	return candidate{
-		choice:       ch,
-		assignment:   &p.asg,
-		objective:    c.cfg.Objective(jobs),
-		predicted:    pred.Seconds,
-		friction:     st.friction,
-		frictionWarn: st.frictionWarn,
-	}, nil
+	friction, ferr := plan.Friction()
+	cand := candidate{
+		choice:     ch,
+		assignment: &p.asg,
+		objective:  c.cfg.Objective(jobs),
+		predicted:  pred.Seconds,
+		friction:   friction,
+	}
+	if ferr != nil {
+		cand.frictionWarn = frictionWarning(p.app, plan, ferr)
+	}
+	return cand, nil
 }
 
 // evaluateChoice is evaluate for a caller that adopts one choice: a misfit
 // comes back with its reason.
-func (c *Controller) evaluateChoice(p *passState, ch Choice, st *choiceStatic) (candidate, error) {
-	cand, err := c.evaluate(p, ch, st)
+func (c *Controller) evaluateChoice(p *passState, ch Choice, plan *match.Plan) (candidate, error) {
+	cand, err := c.evaluate(p, ch, plan)
 	if err == errMisfit {
-		return candidate{}, p.scan.Misfit(st.plan)
+		return candidate{}, p.scan.Misfit(plan)
 	}
 	return cand, err
+}
+
+// frictionWarning is the warning a choice of app raises once it fits when
+// its plan's friction does not evaluate, with err (it then costs none); the
+// searches raise each distinct one once.
+func frictionWarning(app *appState, plan *match.Plan, err error) string {
+	return fmt.Sprintf("core: %s option %s: friction evaluation failed: %v", app.bundle.App, plan.Option().Name, err)
 }
 
 // predictOthers predicts every other resident on the trial state, in order,

@@ -18,6 +18,7 @@ import (
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
 	"harmony/internal/simclock"
+	"harmony/internal/vet"
 )
 
 // copyEvaluation is greedy evaluation as it was before it moved onto one
@@ -193,14 +194,14 @@ func sameCandidate(t *testing.T, what string, got, want candidate) {
 // error and the warnings raised to be the reference reduction's.
 func compareGreedy(t *testing.T, c *Controller, app *appState, forInitial bool, what string, tally *greedyTally) {
 	t.Helper()
-	bs := c.staticFor(app)
+	an := app.an
 	p := c.openEvaluation(app)
 	p0 := c.predictions
-	n := len(bs.choices)
+	n := len(an.Choices)
 	gots, gotErrs := make([]candidate, n), make([]error, n)
-	for i, ch := range bs.choices {
+	for i, ch := range an.Choices {
 		hits := p.hits
-		gots[i], gotErrs[i] = c.evaluateChoice(p, ch, &bs.stat[i])
+		gots[i], gotErrs[i] = c.evaluateChoice(p, ch, an.Plans[i])
 		if gotErrs[i] == nil {
 			// The assignment is the pass state's until adopt copies it out.
 			gots[i].assignment = gots[i].assignment.Clone()
@@ -212,13 +213,13 @@ func compareGreedy(t *testing.T, c *Controller, app *appState, forInitial bool, 
 	p1 := c.predictions
 	ref := newCopyEvaluation(c, app)
 	wants, wantErrs := make([]candidate, n), make([]error, n)
-	for i, ch := range bs.choices {
+	for i, ch := range an.Choices {
 		wants[i], wantErrs[i] = ref.evaluateByCopy(ch)
 	}
 	tally.predictions += p1 - p0
 	tally.refPredictions += c.predictions - p1
 	tally.evaluations++
-	for i, ch := range bs.choices {
+	for i, ch := range an.Choices {
 		at := fmt.Sprintf("%s: %s %s", what, app.owner(), ch)
 		tally.candidates++
 		if fmt.Sprint(gotErrs[i]) != fmt.Sprint(wantErrs[i]) {
@@ -330,7 +331,7 @@ func runGreedyReference(t *testing.T, seed int64, what string, tally *greedyTall
 		case k < 5 || len(live) < 2:
 			bundle := greedyRSL(t, rng, op+1, hosts)
 			inst := c.nextInstance + 1
-			arrival := &appState{instance: inst, bundle: bundle, ownerPath: namespace.InstancePath(bundle.App, inst), lastSwitch: -1}
+			arrival := &appState{instance: inst, bundle: bundle, an: vet.NewBundle(bundle), ownerPath: namespace.InstancePath(bundle.App, inst), lastSwitch: -1}
 			compareGreedy(t, c, arrival, true, at+", the arrival", tally)
 			if inst, _, err := c.Register(bundle); err == nil {
 				live = append(live, inst)

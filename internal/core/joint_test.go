@@ -19,6 +19,7 @@ import (
 	"harmony/internal/replog"
 	"harmony/internal/resource"
 	"harmony/internal/rsl"
+	"harmony/internal/vet"
 )
 
 // searchByFork is the joint search as it was before it walked one trial state,
@@ -292,7 +293,7 @@ func compareJointSearches(t *testing.T, c *Controller, what string, tally *joint
 func compareOnArrival(t *testing.T, c *Controller, bundle *rsl.BundleSpec, what string, tally *jointTally) {
 	t.Helper()
 	inst := c.nextInstance + 1
-	c.apps[inst] = &appState{instance: inst, bundle: bundle, ownerPath: namespace.InstancePath(bundle.App, inst), lastSwitch: -1}
+	c.apps[inst] = &appState{instance: inst, bundle: bundle, an: vet.NewBundle(bundle), ownerPath: namespace.InstancePath(bundle.App, inst), lastSwitch: -1}
 	c.order = append(c.order, inst)
 	compareJointProblem(t, c, 0, what, tally)
 	delete(c.apps, inst)

@@ -44,17 +44,15 @@ type candidate struct {
 // is charged or predicted. When nothing fits, the error quotes the last
 // enumerated choice's failure, and a misfit is asked why only then.
 func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial bool) (candidate, error) {
-	bs := c.staticFor(app)
 	p := c.openEvaluation(app)
 	best := candidate{objective: math.Inf(1)}
 	var lastErr error
 	var lastPlan *match.Plan
 	var warned []string
-	for k, ch := range bs.choices {
-		st := &bs.stat[k]
-		cand, err := c.evaluate(p, ch, st)
+	for k, plan := range app.an.Plans {
+		cand, err := c.evaluate(p, app.an.Choices[k], plan)
 		if err != nil {
-			lastErr, lastPlan = err, st.plan
+			lastErr, lastPlan = err, plan
 			continue
 		}
 		if w := cand.frictionWarn; w != "" && !slices.Contains(warned, w) {
@@ -204,9 +202,8 @@ func (c *Controller) jointProblem(skipInstance int) (base *resource.Snapshot, id
 	p.scan.Reset(base, p.nodes, &p.cols)
 	perApp = make([][]int, len(ids))
 	for i, id := range ids {
-		bs := c.staticFor(c.apps[id])
-		for k := range bs.stat {
-			if p.scan.MayFit(bs.stat[k].plan) {
+		for k, plan := range c.apps[id].an.Plans {
+			if p.scan.MayFit(plan) {
 				perApp[i] = append(perApp[i], k)
 			}
 		}
@@ -316,7 +313,7 @@ const jointTrialBudget = 10_000
 // every sibling is tried on the very bits the one before it was. A trial is a
 // first-fit over columns, a charge and one prediction by index; what does not
 // depend on where a choice lands is worked out once per choice (match.Plan,
-// made with the bundle's static analysis and shared with the greedy search),
+// made with the bundle's analysis and shared with the greedy search),
 // and nothing is formatted or allocated for a choice that does not fit.
 // Leaves are adopted on strict improvement in enumeration order.
 //
@@ -379,7 +376,7 @@ type jointLevel struct {
 // jointChoice is one choice of one application in a joint search.
 type jointChoice struct {
 	choice Choice
-	st     *choiceStatic
+	plan   *match.Plan
 	// charged is whether the choice's friction counts: it switches the
 	// application's choice, and friction is not ignored. surcharge is what
 	// it adds to a score then, its friction amortized over the jobs.
@@ -410,17 +407,18 @@ func (c *Controller) searchJoint(base *resource.Snapshot, ids []int, perApp [][]
 	for i, id := range ids {
 		lv := &js.levels[i]
 		lv.app = c.apps[id]
-		bs := lv.app.static // made by jointProblem, which filtered perApp
+		an := lv.app.an
 		lv.choices = make([]jointChoice, len(perApp[i]))
 		lv.byBound = make([]int32, len(perApp[i]))
 		for j, k := range perApp[i] {
-			st := &bs.stat[k]
+			plan := an.Plans[k]
+			friction, _ := plan.Friction()
 			lv.choices[j] = jointChoice{
-				choice:    bs.choices[k],
-				st:        st,
+				choice:    an.Choices[k],
+				plan:      plan,
 				charged:   !c.cfg.IgnoreFriction && !lv.app.isCurrent(k),
-				surcharge: st.friction / float64(len(js.jobs)),
-				lb:        predict.Floor(st.opt, st.plan, fastest),
+				surcharge: friction / float64(len(js.jobs)),
+				lb:        predict.Floor(plan.Option(), plan, fastest),
 			}
 			lv.byBound[j] = int32(j)
 		}
@@ -454,7 +452,7 @@ func (js *jointSearch) walk(level int) {
 	}
 	for k := range lv.choices {
 		jc := &lv.choices[k]
-		if !lv.scan.MayFit(jc.st.plan) {
+		if !lv.scan.MayFit(jc.plan) {
 			continue
 		}
 		if js.cut(lv, level, jc) {
@@ -491,7 +489,7 @@ func (js *jointSearch) reach(level int) bool {
 		if level > 0 {
 			at = int(js.levels[level-1].least[l])
 		}
-		for at < len(next.byBound) && !lv.scan.MayFit(next.choices[next.byBound[at]].st.plan) {
+		for at < len(next.byBound) && !lv.scan.MayFit(next.choices[next.byBound[at]].plan) {
 			at++
 		}
 		if at == len(next.byBound) {
@@ -533,19 +531,21 @@ func (js *jointSearch) try(level int, jc *jointChoice) bool {
 	c, lv := js.c, &js.levels[level]
 	c.jointTrials++
 	js.trials++
-	if !lv.scan.Place(jc.st.plan, &lv.asg) {
+	if !lv.scan.Place(jc.plan, &lv.asg) {
 		return false
 	}
 	if err := match.ReserveColumns(js.cols, js.base, lv.app.owner(), &lv.asg, js.undo, js.charges); err != nil {
 		return false
 	}
 	in := predict.Indexed{View: js.base, Loads: js.cols.CPULoad, Reserved: js.cols.ReservedMbps}
-	pred, err := c.predictIndexed(in, jc.st.opt, lv.placed.Resolve(js.base, &lv.asg))
+	pred, err := c.predictIndexed(in, jc.plan.Option(), lv.placed.Resolve(js.base, &lv.asg))
 	if err != nil {
 		return false
 	}
-	if w := jc.st.frictionWarn; w != "" && !slices.Contains(js.best.warns, w) {
-		js.best.warns = append(js.best.warns, w)
+	if _, err := jc.plan.Friction(); err != nil {
+		if w := frictionWarning(lv.app, jc.plan, err); !slices.Contains(js.best.warns, w) {
+			js.best.warns = append(js.best.warns, w)
+		}
 	}
 	lv.trial, lv.fits = jc, lv.fits+1
 	js.jobs[level].Seconds = pred.Seconds
@@ -589,10 +589,11 @@ func (js *jointSearch) leaf() {
 			lv.asg.CopyTo(&lv.best)
 			lv.copied = lv.fits
 		}
+		friction, _ := lv.trial.plan.Friction()
 		js.best.combo[i] = candidate{
 			choice:    lv.trial.choice,
 			predicted: js.jobs[i].Seconds,
-			friction:  lv.trial.st.friction,
+			friction:  friction,
 		}
 	}
 }

@@ -287,10 +287,10 @@ func testScanNeverOutlivesItsBase(t *testing.T) {
 				forced++
 			}
 			app := kept.apps[id]
-			bs := kept.staticFor(app)
+			an := app.an
 			p := kept.openEvaluation(app)
-			for k, ch := range bs.choices {
-				got, gotErr := kept.evaluateChoice(p, ch, &bs.stat[k])
+			for k, ch := range an.Choices {
+				got, gotErr := kept.evaluateChoice(p, ch, an.Plans[k])
 				onlyOpenRelease(fmt.Sprintf("%s: %s %s", step.name, app.owner(), ch))
 				want, wantErr := evaluateChoiceByFork(kept, app, ch)
 				candidates++
@@ -372,9 +372,9 @@ func TestOneScanPerEvaluation(t *testing.T) {
 // charged to columns — an assignment is reserved through a view only by
 // adoption, a node table is read out of a snapshot only where a search's
 // base is built, once per base, since neither function loops over it, and a
-// bundle's requests are resolved where its analysis is made (bounds.NewBundle,
-// one plan per choice) and a forced choice outside the enumeration in one
-// place (bounds.Plan), never by match.NewPlan here and never matched from
+// bundle's requests are resolved where its analysis is made (vet.NewBundle,
+// one plan per choice, when the app is made) and a forced choice in one place
+// (match.ChoicePlan), never by match.NewPlan here and never matched from
 // scratch (Match). Nor does anything in it start a goroutine: evaluation is
 // one serial loop.
 func TestSearchNeverForks(t *testing.T) {
@@ -384,8 +384,8 @@ func TestSearchNeverForks(t *testing.T) {
 		"Reserve":     {"adopt": true, "reevaluateExhaustive": true},
 		"AppendNodes": {"openPass": true, "jointProblem": true},
 		"NewPlan":     {},
-		"NewBundle":   {"staticFor": true},
-		"Plan":        {"choiceStaticFor": true},
+		"NewBundle":   {"Register": true, "Apply": true, "Restore": true},
+		"ChoicePlan":  {"forceChoiceAt": true},
 	}
 	seen := map[string]int{}
 	fset := token.NewFileSet()

@@ -200,6 +200,9 @@ func (e *NoFitError) Error() string {
 	return fmt.Sprintf("match: option %q does not fit: %s", e.Option, e.Reason())
 }
 
+// Unwrap is the evaluation error the reason quotes, if any.
+func (e *NoFitError) Unwrap() error { return e.err }
+
 // Reason is why the option does not fit, without naming the option.
 func (e *NoFitError) Reason() string {
 	why := fmt.Sprintf(e.format, e.a, e.b, e.c, e.x, e.y, e.err)
@@ -440,6 +443,10 @@ type Plan struct {
 	// linkEnv is Env as the links were resolved in; nil when the option has
 	// no links or communication, or a spec did not resolve.
 	linkEnv rsl.Env
+
+	// friction and frictionErr are what Friction reports.
+	friction    float64
+	frictionErr error
 }
 
 // planSpec is one node spec, resolved.
@@ -461,11 +468,40 @@ type planLink struct {
 	latErr error
 }
 
-// NewPlan resolves a request for any number of Place and Misfit calls.
+// NewPlan resolves a request for any number of Place and Misfit calls, and
+// evaluates the option's friction over the plan's Env.
 func NewPlan(req Request) *Plan {
 	p := new(Plan)
 	p.resolve(req)
+	if f := req.Option.Friction; f != nil {
+		if p.friction, p.frictionErr = f.Eval(p.Env()); p.frictionErr != nil || p.friction < 0 {
+			p.friction = 0
+		}
+	}
 	return p
+}
+
+// ChoicePlan resolves one choice of opt, as every search places it.
+func ChoicePlan(opt *rsl.OptionSpec, ch rsl.Choice) *Plan {
+	return NewPlan(Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants})
+}
+
+// Option is the option the plan places.
+func (p *Plan) Option() *rsl.OptionSpec { return p.opt }
+
+// Friction is the cost of switching to the plan's choice as the controller
+// charges it: the option's friction expression over Env, clamped at zero,
+// and zero when there is none or, with err saying why, it does not evaluate.
+func (p *Plan) Friction() (f float64, err error) { return p.friction, p.frictionErr }
+
+// Failure is why the request did not resolve, nil when it did: placing the
+// plan fails with this Reason unless an earlier spec fails to place first.
+// It is the plan's own, with no Option set.
+func (p *Plan) Failure() *NoFitError {
+	if p.fail != nil {
+		return p.fail
+	}
+	return p.linkFail
 }
 
 // resolve makes p the plan of req, reusing p's storage.

@@ -93,8 +93,8 @@ type Entry struct {
 	Token string `json:"token,omitempty"`
 
 	// Decoded is what the member that proposed the entry made of it before
-	// proposing: a register's bundle as its door decoded it, for that
-	// member's own apply (core.Decoded). It rides on that member's copy of
+	// proposing: a register's bundle as its door analysed it, for that
+	// member's own apply (a *vet.Bundle). It rides on that member's copy of
 	// the entry alone: JSON never carries it, so an entry from a peer, the
 	// disk or a snapshot, and one that replaced it, has none.
 	Decoded any `json:"-"`

@@ -2,6 +2,7 @@ package resource
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -100,6 +101,13 @@ func TestColumnsReserveMatchesLedger(t *testing.T) {
 			nodes: []NodeClaim{{Hostname: "n02", MemoryMB: -1}}},
 		{name: "negative load", want: "negative claim on n02",
 			nodes: []NodeClaim{{Hostname: "n01", MemoryMB: 1}, {Hostname: "n02", CPULoad: -0.5}}},
+		{name: "NaN load", want: "non-finite claim on n02",
+			nodes: []NodeClaim{{Hostname: "n01", MemoryMB: 1}, {Hostname: "n02", CPULoad: math.NaN()}}},
+		{name: "infinite memory", want: "non-finite claim on n02",
+			nodes: []NodeClaim{{Hostname: "n02", MemoryMB: math.Inf(1)}}},
+		{name: "NaN bandwidth", want: "non-finite bandwidth claim on n01-n02",
+			nodes: []NodeClaim{{Hostname: "n00", MemoryMB: 1}},
+			links: []LinkClaim{{A: "n01", B: "n02", BandwidthMbps: math.NaN()}}},
 		{name: "unknown node", want: "unknown node: nosuch",
 			nodes: []NodeClaim{{Hostname: "n01", MemoryMB: 1}, {Hostname: "nosuch", MemoryMB: 1}}},
 		{name: "unknown link", want: "unknown link: n00-n07",

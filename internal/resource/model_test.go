@@ -103,6 +103,9 @@ func (d *denseLedger) Reserve(owner string, nodes []NodeClaim, links []LinkClaim
 		if nc.MemoryMB < 0 || nc.CPULoad < 0 {
 			return nil, fmt.Errorf("resource: negative claim on %s", nc.Hostname)
 		}
+		if math.IsNaN(nc.MemoryMB) || math.IsNaN(nc.CPULoad) || math.IsInf(nc.MemoryMB, 1) || math.IsInf(nc.CPULoad, 1) {
+			return nil, fmt.Errorf("resource: non-finite claim on %s", nc.Hostname)
+		}
 		if free := d.states[p].FreeMemoryMB; nc.MemoryMB > free {
 			return nil, fmt.Errorf("%w: %s memory (need %g MB, free %g MB)", ErrInsufficient, nc.Hostname, nc.MemoryMB, free)
 		}
@@ -113,6 +116,9 @@ func (d *denseLedger) Reserve(owner string, nodes []NodeClaim, links []LinkClaim
 		}
 		if lc.BandwidthMbps < 0 {
 			return nil, fmt.Errorf("resource: negative bandwidth claim on %s-%s", lc.A, lc.B)
+		}
+		if math.IsNaN(lc.BandwidthMbps) || math.IsInf(lc.BandwidthMbps, 1) {
+			return nil, fmt.Errorf("resource: non-finite bandwidth claim on %s-%s", lc.A, lc.B)
 		}
 	}
 	for _, nc := range nodes {

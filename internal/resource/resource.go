@@ -543,8 +543,12 @@ func checkClaims(at []int32, nodes []NodeClaim, links []LinkClaim, freeMem func(
 		if at[i] < 0 {
 			return fmt.Errorf("%w: %s", ErrUnknownNode, nc.Hostname)
 		}
+		// A NaN or an infinity fails <= MaxFloat64. Charged to a column, it
+		// would stay there after the claim's release.
 		if nc.MemoryMB < 0 || nc.CPULoad < 0 {
 			return fmt.Errorf("resource: negative claim on %s", nc.Hostname)
+		} else if !(nc.MemoryMB <= math.MaxFloat64 && nc.CPULoad <= math.MaxFloat64) {
+			return fmt.Errorf("resource: non-finite claim on %s", nc.Hostname)
 		}
 		if free := freeMem(int(at[i])); nc.MemoryMB > free {
 			return fmt.Errorf("%w: %s memory (need %g MB, free %g MB)",
@@ -557,6 +561,8 @@ func checkClaims(at []int32, nodes []NodeClaim, links []LinkClaim, freeMem func(
 		}
 		if lc.BandwidthMbps < 0 {
 			return fmt.Errorf("resource: negative bandwidth claim on %s-%s", lc.A, lc.B)
+		} else if !(lc.BandwidthMbps <= math.MaxFloat64) {
+			return fmt.Errorf("resource: non-finite bandwidth claim on %s-%s", lc.A, lc.B)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package resource
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -204,12 +205,12 @@ func (r *refLedger) sortedNodes() []NodeState {
 func (r *refLedger) reserve(nodes []NodeClaim, links []LinkClaim) (uint64, bool) {
 	for _, nc := range nodes {
 		ns, ok := r.nodes[nc.Hostname]
-		if !ok || nc.MemoryMB < 0 || nc.CPULoad < 0 || nc.MemoryMB > ns.FreeMemoryMB {
+		if !ok || !(nc.MemoryMB >= 0) || !(nc.CPULoad >= 0) || math.IsInf(nc.MemoryMB, 1) || math.IsInf(nc.CPULoad, 1) || nc.MemoryMB > ns.FreeMemoryMB {
 			return 0, false
 		}
 	}
 	for _, lc := range links {
-		if _, ok := r.links[LinkKey(lc.A, lc.B)]; !ok || lc.BandwidthMbps < 0 {
+		if _, ok := r.links[LinkKey(lc.A, lc.B)]; !ok || !(lc.BandwidthMbps >= 0) || math.IsInf(lc.BandwidthMbps, 1) {
 			return 0, false
 		}
 	}

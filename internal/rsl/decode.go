@@ -2,6 +2,7 @@ package rsl
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -521,6 +522,8 @@ func decodeVariableTag(opt *OptionSpec, items []Node) error {
 	return nil
 }
 
+// wordFloat reads a number word. NaN and the infinities are refused: no
+// quantity a spec or a node declares may be one.
 func wordFloat(n Node) (float64, error) {
 	if n.IsList {
 		return 0, decodeErrf(n.Pos(), "expected number, found list")
@@ -528,6 +531,9 @@ func wordFloat(n Node) (float64, error) {
 	v, err := strconv.ParseFloat(n.Word, 64)
 	if err != nil {
 		return 0, decodeErrf(n.Pos(), "bad number %q", n.Word)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, decodeErrf(n.Pos(), "%q is not a finite number", n.Word)
 	}
 	return v, nil
 }

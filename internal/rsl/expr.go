@@ -1,6 +1,7 @@
 package rsl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -62,6 +63,20 @@ type UnboundVarError struct {
 
 func (e *UnboundVarError) Error() string {
 	return fmt.Sprintf("rsl: unbound variable %q", e.Name)
+}
+
+// ErrNonFinite is wrapped by the error of an evaluation whose value is NaN or
+// an infinity, such as an overflowing {10 ^ 400}.
+var ErrNonFinite = errors.New("not a finite number")
+
+// finite is what an operator that can overflow returns: its value v, or an
+// error when v is NaN or an infinity. No other operator makes one from the
+// finite numbers literals and bindings hold.
+func finite(e Expr, v float64) (float64, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("rsl: %s is %g, %w", e, v, ErrNonFinite)
+	}
+	return v, nil
 }
 
 // NumberExpr is a literal constant.
@@ -167,23 +182,23 @@ func (e *BinaryExpr) Eval(env Env) (float64, error) {
 	}
 	switch e.Op {
 	case "+":
-		return l + r, nil
+		return finite(e, l+r)
 	case "-":
-		return l - r, nil
+		return finite(e, l-r)
 	case "*":
-		return l * r, nil
+		return finite(e, l*r)
 	case "/":
 		if r == 0 {
 			return 0, fmt.Errorf("rsl: division by zero in %s", e.String())
 		}
-		return l / r, nil
+		return finite(e, l/r)
 	case "%":
 		if r == 0 {
 			return 0, fmt.Errorf("rsl: modulo by zero in %s", e.String())
 		}
 		return math.Mod(l, r), nil
 	case "^":
-		return math.Pow(l, r), nil
+		return finite(e, math.Pow(l, r))
 	case "<":
 		return boolVal(l < r), nil
 	case "<=":
@@ -302,7 +317,7 @@ func (e *CallExpr) Eval(env Env) (float64, error) {
 		if err := need(2); err != nil {
 			return 0, err
 		}
-		return math.Pow(args[0], args[1]), nil
+		return finite(e, math.Pow(args[0], args[1]))
 	case "log2":
 		if err := need(1); err != nil {
 			return 0, err

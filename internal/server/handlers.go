@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 
-	"harmony/internal/core"
 	"harmony/internal/protocol"
 	"harmony/internal/replog"
 	"harmony/internal/resource"
@@ -155,18 +154,18 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 // handleBundleSetup admits a bundle through the log. Vetting and parsing run
 // locally first (rejections need no quorum); the registration itself carries
 // the RSL text so every replica re-derives the same choice, and, on this
-// member's copy of the entry alone, the bundle and analysis its door made,
+// member's copy of the entry alone, the analysis its door made of the bundle,
 // which this member's apply takes in place of decoding the RSL. An admitted
 // bundle is acked by ackBundleSetup itself, and the reply is nil.
 func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Message {
-	d, reply := c.admit(msg.RSL)
+	an, reply := c.admit(msg.RSL)
 	if reply != nil {
 		return reply
 	}
 	c.mu.Lock()
 	token := c.resumeToken
 	c.mu.Unlock()
-	res, _, err := r.Propose(&replog.Entry{Op: replog.OpRegister, RSL: msg.RSL, Token: token, Decoded: d})
+	res, _, err := r.Propose(&replog.Entry{Op: replog.OpRegister, RSL: msg.RSL, Token: token, Decoded: an})
 	if err != nil {
 		return proposeFailed("bundle_setup", err)
 	}
@@ -185,16 +184,16 @@ func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Me
 // the decode's error, when there is one, is rsl.DecodeScript's. A bundle
 // over rsl.MaxChoices is refused in every vet mode, before anything is
 // enumerated or proposed: every member would refuse it on apply. It returns
-// the bundle as decoded, with the analysis the vetting made of it, or the
+// the bundle's analysis, the one the vetting made when vetting is on, or the
 // rejection.
-func (c *conn) admit(src string) (*core.Decoded, *protocol.Message) {
+func (c *conn) admit(src string) (*vet.Bundle, *protocol.Message) {
 	adm := c.srv.admission
 	if adm == nil {
 		bundles, _, err := rsl.DecodeScript(src)
 		if reply := oneBundle(bundles, err); reply != nil {
 			return nil, reply
 		}
-		return &core.Decoded{Bundle: bundles[0]}, nil
+		return vet.NewBundle(bundles[0]), nil
 	}
 	rep, ar := adm.Script(src)
 	if reply := c.vetReport(rep); reply != nil {
@@ -207,7 +206,7 @@ func (c *conn) admit(src string) (*core.Decoded, *protocol.Message) {
 	if reply := c.vetReport(adm.Workload(ar)); reply != nil {
 		return nil, reply
 	}
-	return &core.Decoded{Bundle: bundles[0], Analysis: ar.Analyses()[0]}, nil
+	return ar.Analyses()[0], nil
 }
 
 // oneBundle rejects a script that did not decode to exactly one bundle, and

@@ -6,21 +6,20 @@ import (
 	"testing"
 	"time"
 
-	"harmony/internal/bounds"
-	"harmony/internal/core"
 	"harmony/internal/protocol"
 	"harmony/internal/replog"
 	"harmony/internal/rsl"
+	"harmony/internal/vet"
 )
 
 // doorOf is a connection of srv's, enough to run its door (conn.admit).
 func doorOf(srv *Server) *conn { return &conn{srv: srv, instances: make(map[int]bool)} }
 
 // TestLeaderAppliesTheDoorsDecode: the member that proposes a bundle_setup
-// registers the bundle its door decoded, with the analysis its vetting made,
-// and decodes nothing again; with vetting off the door hands over the
-// bundle alone and the apply analyses it. An entry proposed without a
-// hand-off is decoded.
+// registers the analysis its door made of the bundle, and decodes and
+// analyses nothing again, whether the door vetted the bundle or, with
+// vetting off, only analysed it. An entry proposed without a hand-off is
+// decoded.
 func TestLeaderAppliesTheDoorsDecode(t *testing.T) {
 	for _, mode := range []VetMode{VetWarn, VetOff} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -29,8 +28,8 @@ func TestLeaderAppliesTheDoorsDecode(t *testing.T) {
 			if reply != nil {
 				t.Fatal(reply.Error)
 			}
-			if (d.Analysis != nil) != (mode != VetOff) {
-				t.Fatalf("vet %s: the door handed over analysis %p", mode, d.Analysis)
+			if d == nil {
+				t.Fatalf("vet %s: the door handed over no analysis", mode)
 			}
 			if _, _, err := srv.rep.Propose(&replog.Entry{Op: replog.OpRegister, RSL: dbRSL, Decoded: d}); err != nil {
 				t.Fatal(err)
@@ -42,30 +41,27 @@ func TestLeaderAppliesTheDoorsDecode(t *testing.T) {
 			if len(ans) != 2 {
 				t.Fatalf("%d analyses, want 2", len(ans))
 			}
-			if ans[0].Spec != d.Bundle {
-				t.Fatal("the leader decoded its own proposal again")
-			}
-			if d.Analysis != nil && ans[0] != d.Analysis {
-				t.Fatal("the leader analysed the door's bundle again")
+			if ans[0] != d {
+				t.Fatal("the leader decoded or analysed its own proposal again")
 			}
 			if !ans[0].Enumerated() || len(ans[0].Choices) == 0 {
 				t.Fatal("the registered bundle has no analysis")
 			}
-			if ans[1].Spec == d.Bundle {
+			if ans[1].Spec == d.Spec {
 				t.Fatal("an entry proposed without a hand-off took the door's bundle")
 			}
 		})
 	}
 }
 
-// doorDecode decodes and analyses src as a vetting door does.
-func doorDecode(t *testing.T, src string) *core.Decoded {
+// doorDecode decodes and analyses src as a door does.
+func doorDecode(t *testing.T, src string) *vet.Bundle {
 	t.Helper()
 	bundles, _, err := rsl.DecodeScript(src)
 	if err != nil || len(bundles) != 1 {
 		t.Fatalf("decode: %v (%d bundles)", err, len(bundles))
 	}
-	return &core.Decoded{Bundle: bundles[0], Analysis: bounds.NewBundle(bundles[0])}
+	return vet.NewBundle(bundles[0])
 }
 
 // appliedTo waits until every node has applied exactly the leader's whole
@@ -146,7 +142,7 @@ func TestDeposedLeaderDecodesWhatReplacedItsProposal(t *testing.T) {
 		t.Fatal("the old leader still leads")
 	}
 	for _, an := range old.ctrl.Analyses() {
-		if an == d.Analysis || an.Spec == d.Bundle {
+		if an == d || an.Spec == d.Spec {
 			t.Fatal("the deposed leader applied the stale hand-off")
 		}
 	}

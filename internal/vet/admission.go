@@ -3,7 +3,6 @@ package vet
 import (
 	"sync"
 
-	"harmony/internal/bounds"
 	"harmony/internal/rsl"
 )
 
@@ -13,7 +12,7 @@ import (
 // so a copy of the declarations can tell when it is stale.
 // *core.Controller implements it.
 type Controller interface {
-	Analyses() []*bounds.Bundle
+	Analyses() []*Bundle
 	ClusterNodes() []*rsl.NodeDecl
 	NodeGeneration() uint64
 }
@@ -46,7 +45,7 @@ type Admission struct {
 type clusterCapacity struct {
 	gen   uint64
 	nodes []*rsl.NodeDecl
-	capa  bounds.Capacity
+	capa  Capacity
 }
 
 // NewAdmission returns an admission for ctrl.
@@ -63,7 +62,7 @@ type Arrival struct {
 	decls   []*rsl.NodeDecl
 	err     error
 	// analyses holds each bundle's analysis, as the vetting made it.
-	analyses []*bounds.Bundle
+	analyses []*Bundle
 	// cluster is what Admission.Script vetted the script against; the
 	// joint check reads the same one.
 	cluster *clusterCapacity
@@ -80,7 +79,7 @@ func (ar *Arrival) Decode() ([]*rsl.BundleSpec, error) {
 
 // Analyses returns the analysis the vetting made of each bundle Decode
 // returns, in order, for the controller that admits them.
-func (ar *Arrival) Analyses() []*bounds.Bundle { return ar.analyses }
+func (ar *Arrival) Analyses() []*Bundle { return ar.analyses }
 
 // Script vets src on its own against the controller's cluster, as Script
 // does with the cluster as ExtraNodes.
@@ -114,7 +113,7 @@ func (a *Admission) clusterNow() *clusterCapacity {
 	defer a.mu.Unlock()
 	if a.cluster == nil || a.cluster.gen != gen {
 		nodes := a.ctrl.ClusterNodes()
-		a.cluster = &clusterCapacity{gen: gen, nodes: nodes, capa: bounds.CapacityOf(nodes)}
+		a.cluster = &clusterCapacity{gen: gen, nodes: nodes, capa: CapacityOf(nodes)}
 	}
 	return a.cluster
 }

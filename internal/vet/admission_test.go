@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"harmony/internal/bounds"
 	"harmony/internal/rsl"
 )
 
@@ -18,7 +17,7 @@ import (
 // declarations. It keeps the bundles too, for the fresh reference analyses.
 type fakeController struct {
 	bundles  []*rsl.BundleSpec
-	analyses []*bounds.Bundle
+	analyses []*Bundle
 	sources  []string // RSL of each admitted bundle, for restore
 	nodes    []rsl.NodeDecl
 	gen      uint64
@@ -27,7 +26,7 @@ type fakeController struct {
 
 func (f *fakeController) Bundles() []*rsl.BundleSpec { return slices.Clone(f.bundles) }
 
-func (f *fakeController) Analyses() []*bounds.Bundle { return slices.Clone(f.analyses) }
+func (f *fakeController) Analyses() []*Bundle { return slices.Clone(f.analyses) }
 
 // ClusterNodes builds fresh declarations on every call, as the controller
 // does.
@@ -66,7 +65,7 @@ func (f *fakeController) admit(t *testing.T, src string) {
 		t.Fatalf("admit: %v (%d bundles)", err, len(bundles))
 	}
 	f.bundles = append(f.bundles, bundles[0])
-	f.analyses = append(f.analyses, bounds.NewBundle(bundles[0]))
+	f.analyses = append(f.analyses, NewBundle(bundles[0]))
 	f.sources = append(f.sources, src)
 }
 
@@ -86,7 +85,7 @@ func (f *fakeController) restore(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.bundles[i] = bundles[0]
-		f.analyses[i] = bounds.NewBundle(bundles[0])
+		f.analyses[i] = NewBundle(bundles[0])
 	}
 }
 
@@ -324,7 +323,7 @@ type lockedController struct {
 	f  *fakeController
 }
 
-func (l *lockedController) Analyses() []*bounds.Bundle {
+func (l *lockedController) Analyses() []*Bundle {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.f.Analyses()

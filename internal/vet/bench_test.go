@@ -77,7 +77,10 @@ func BenchmarkScriptCrowd(b *testing.B) {
 // the incoming script was decoded and analysed once, by its own vetting.
 func BenchmarkAdmissionCrowd(b *testing.B) {
 	admitted, incoming, nodes := crowdShape(b)
-	ctrl := &fakeController{bundles: admitted, analyses: analyze(admitted)}
+	ctrl := &fakeController{bundles: admitted}
+	for _, b := range admitted {
+		ctrl.analyses = append(ctrl.analyses, NewBundle(b))
+	}
 	for _, d := range nodes {
 		ctrl.nodes = append(ctrl.nodes, *d)
 	}

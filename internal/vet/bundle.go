@@ -1,24 +1,4 @@
-// Package bounds holds a bundle's analysis (Bundle): the choices the
-// controller enumerates (rsl.BundleSpec.Choices) — each option's variable
-// bindings times the grant ladder of its minimum memory tags — each
-// choice's match.Plan, per-option resource bound vectors over those plans,
-// and an option dominance partial order. For each resource dimension the
-// matcher consumes (total memory, node count, distinct wildcard hosts,
-// exclusively held nodes, per-host pinned memory, aggregate bandwidth) a
-// vector holds the least and greatest value over the choices that resolve,
-// plus the explicit performance model's range at their node counts.
-//
-// The controller decides among a Bundle's choices with its plans (its fit
-// proof, match.Scan.MayFit, works from each plan). Package vet builds on
-// the vectors to prove options dead before the controller ever sees them
-// (dominated-option, unreachable-option), and its workload check — run by
-// the server on every bundle_setup — sums the bundles' least demands over
-// the admitted bundles and the incoming one; harmonyctl analyze prints
-// them. Every end of a range is the value of one choice the controller
-// tries, so a "never" proved here is a "never" in the concrete system. A
-// bundle over rsl.MaxChoices is never enumerated; its options have empty
-// vectors.
-package bounds
+package vet
 
 import (
 	"fmt"
@@ -118,16 +98,11 @@ func NewBundle(b *rsl.BundleSpec) *Bundle {
 		opt := &b.Options[i]
 		an.start[i] = k
 		for end := k + opt.ChoiceCount(); k < end; k++ {
-			an.Plans[k] = Plan(opt, an.Choices[k])
+			an.Plans[k] = match.ChoicePlan(opt, an.Choices[k])
 		}
 	}
 	an.start[len(b.Options)] = k
 	return an
-}
-
-// Plan resolves one choice of opt for placement, as every search places it.
-func Plan(opt *rsl.OptionSpec, ch rsl.Choice) *match.Plan {
-	return match.NewPlan(match.Request{Option: opt, Env: rsl.MapEnv(ch.Vars), MemoryGrants: ch.Grants})
 }
 
 // Enumerated is false for a bundle over rsl.MaxChoices.
@@ -286,30 +261,23 @@ func (c Capacity) Add(decls []*rsl.NodeDecl) Capacity {
 	return c
 }
 
-// Unreachability is one proof that an option can never match a cluster.
-type Unreachability struct {
-	// Reason is a human-readable statement of the violated bound.
-	Reason string
-}
-
-// Unreachable proves, when possible, that an option with bound vector v
-// can never be matched against the declared cluster: the least of a
-// resource over its resolved choices exceeds what the full cluster provides
-// even when idle. A proof here holds in every live state, since live
-// capacity never exceeds declared capacity.
-func Unreachable(v Vector, capa Capacity) (Unreachability, bool) {
+// unreachable proves, when possible, that an option with bound vector v can
+// never be matched against the declared cluster, and says why: the least of
+// a resource over its resolved choices exceeds what the full cluster
+// provides even when idle. A proof here holds in every live state, since
+// live capacity never exceeds declared capacity. It returns "" when there
+// is none.
+func unreachable(v Vector, capa Capacity) string {
 	if capa.Nodes == 0 || v.Choices == 0 {
-		return Unreachability{}, false
+		return ""
 	}
 	if v.MemoryMB.Lo > capa.MemoryMB {
-		return Unreachability{Reason: fmt.Sprintf(
-			"needs at least %g MB of memory in total, but the cluster provides %g MB across %d node(s)",
-			v.MemoryMB.Lo, capa.MemoryMB, capa.Nodes)}, true
+		return fmt.Sprintf("needs at least %g MB of memory in total, but the cluster provides %g MB across %d node(s)",
+			v.MemoryMB.Lo, capa.MemoryMB, capa.Nodes)
 	}
 	if v.DistinctHosts.Lo > float64(capa.Nodes) {
-		return Unreachability{Reason: fmt.Sprintf(
-			"needs at least %g distinct hosts, but the cluster has %d node(s)",
-			v.DistinctHosts.Lo, capa.Nodes)}, true
+		return fmt.Sprintf("needs at least %g distinct hosts, but the cluster has %d node(s)",
+			v.DistinctHosts.Lo, capa.Nodes)
 	}
 	hosts := make([]string, 0, len(v.PerHostMB))
 	for h := range v.PerHostMB {
@@ -322,10 +290,9 @@ func Unreachable(v Vector, capa Capacity) (Unreachability, bool) {
 			continue // per-spec vetting reports unknown hosts
 		}
 		if v.PerHostMB[h].Lo > have {
-			return Unreachability{Reason: fmt.Sprintf(
-				"pins at least %g MB on host %q, which has %g MB",
-				v.PerHostMB[h].Lo, h, have)}, true
+			return fmt.Sprintf("pins at least %g MB on host %q, which has %g MB",
+				v.PerHostMB[h].Lo, h, have)
 		}
 	}
-	return Unreachability{}, false
+	return ""
 }

@@ -1,10 +1,10 @@
-package bounds_test
+package vet_test
 
 import (
 	"testing"
 
-	"harmony/internal/bounds"
 	"harmony/internal/rsl"
+	"harmony/internal/vet"
 )
 
 // decodeBundle decodes a single harmonyBundle command for tests.
@@ -30,31 +30,31 @@ func TestOptionVector(t *testing.T) {
 			{performance {{2 200} {4 120}}}
 		}
 	}`)
-	v := bounds.NewBundle(b).Vector(0)
+	v := vet.NewBundle(b).Vector(0)
 	// Two bindings, each with the monitor's grant ladder 16, 24, 32, 48.
 	if v.Choices != 8 {
 		t.Errorf("Choices = %d, want 8", v.Choices)
 	}
-	if want := (bounds.Range{Lo: 3, Hi: 5}); v.Nodes != want {
+	if want := (vet.Range{Lo: 3, Hi: 5}); v.Nodes != want {
 		t.Errorf("Nodes = %v, want %v", v.Nodes, want)
 	}
-	if want := (bounds.Range{Lo: 2, Hi: 4}); v.DistinctHosts != want {
+	if want := (vet.Range{Lo: 2, Hi: 4}); v.DistinctHosts != want {
 		t.Errorf("DistinctHosts = %v, want %v", v.DistinctHosts, want)
 	}
 	// 32 MB per worker replica plus the monitor's grant, from 2*32+16 to
 	// 4*32+16+32.
-	if want := (bounds.Range{Lo: 80, Hi: 176}); v.MemoryMB != want {
+	if want := (vet.Range{Lo: 80, Hi: 176}); v.MemoryMB != want {
 		t.Errorf("MemoryMB = %v, want %v", v.MemoryMB, want)
 	}
-	if want := (bounds.Range{Lo: 2, Hi: 4}); v.ExclusiveNodes != want {
+	if want := (vet.Range{Lo: 2, Hi: 4}); v.ExclusiveNodes != want {
 		t.Errorf("ExclusiveNodes = %v, want %v", v.ExclusiveNodes, want)
 	}
-	if want := (bounds.Range{Lo: 16, Hi: 48}); v.PerHostMB["dbserver"] != want {
+	if want := (vet.Range{Lo: 16, Hi: 48}); v.PerHostMB["dbserver"] != want {
 		t.Errorf("PerHostMB[dbserver] = %v, want %v", v.PerHostMB["dbserver"], want)
 	}
 	// The model at 3 and 5 nodes: interpolated 160, and 120 past the last
 	// knot.
-	if want := (bounds.Range{Lo: 120, Hi: 160}); v.Seconds != want {
+	if want := (vet.Range{Lo: 120, Hi: 160}); v.Seconds != want {
 		t.Errorf("Seconds = %v, want %v", v.Seconds, want)
 	}
 }
@@ -64,24 +64,24 @@ func TestOptionVector(t *testing.T) {
 func TestModelRange(t *testing.T) {
 	cases := []struct {
 		domain string
-		want   bounds.Range
+		want   vet.Range
 	}{
-		{"4", bounds.Range{Lo: 40, Hi: 40}},
-		{"1 2 3", bounds.Range{Lo: 60, Hi: 100}},
-		{"4 8 100", bounds.Range{Lo: 40, Hi: 70}}, // flat beyond the last knot
-		{"2 3", bounds.Range{Lo: 60, Hi: 80}},     // interior interpolation only
+		{"4", vet.Range{Lo: 40, Hi: 40}},
+		{"1 2 3", vet.Range{Lo: 60, Hi: 100}},
+		{"4 8 100", vet.Range{Lo: 40, Hi: 70}}, // flat beyond the last knot
+		{"2 3", vet.Range{Lo: 60, Hi: 80}},     // interior interpolation only
 	}
 	for _, tc := range cases {
 		b := decodeBundle(t, `harmonyBundle app:1 w {
 			{o {variable n {`+tc.domain+`}} {node x * {memory 1} {replicate n}}
 				{performance {{1 100} {4 40} {8 70}}}}
 		}`)
-		if got := bounds.NewBundle(b).Vector(0).Seconds; got != tc.want {
+		if got := vet.NewBundle(b).Vector(0).Seconds; got != tc.want {
 			t.Errorf("n in {%s}: Seconds = %v, want %v", tc.domain, got, tc.want)
 		}
 	}
 	b := decodeBundle(t, `harmonyBundle app:1 w {{o {node x * {memory 1}}}}`)
-	if got := bounds.NewBundle(b).Vector(0).Seconds; got != (bounds.Range{}) {
+	if got := vet.NewBundle(b).Vector(0).Seconds; got != (vet.Range{}) {
 		t.Errorf("Seconds without a model = %v, want zero", got)
 	}
 }
@@ -119,27 +119,26 @@ func TestUnreachable(t *testing.T) {
 		}`, false}, // best case n=1 fits: lower bounds stay sound
 	}
 	for _, tc := range cases {
-		b := decodeBundle(t, tc.src)
-		u, got := bounds.Unreachable(bounds.NewBundle(b).Vector(0), bounds.CapacityOf(decls))
-		if got != tc.want {
-			t.Errorf("%s: Unreachable = %v (%s), want %v", tc.name, got, u.Reason, tc.want)
+		why := vet.Analyze(decodeBundle(t, tc.src), decls).Options[0].Unreachable
+		if got := why != ""; got != tc.want {
+			t.Errorf("%s: unreachable = %v (%s), want %v", tc.name, got, why, tc.want)
 		}
 	}
-	if _, got := bounds.Unreachable(bounds.NewBundle(decodeBundle(t, `harmonyBundle a:1 w {{o {node n * {memory 1e9}}}}`)).Vector(0), bounds.CapacityOf(nil)); got {
-		t.Error("Unreachable proved something with no declared cluster")
+	if why := vet.Analyze(decodeBundle(t, `harmonyBundle a:1 w {{o {node n * {memory 1e9}}}}`), nil).Options[0].Unreachable; why != "" {
+		t.Errorf("unreachable proved with no declared cluster: %s", why)
 	}
 }
 
 func TestRender(t *testing.T) {
-	if got := (bounds.Range{Lo: 3, Hi: 3}).String(); got != "3" {
+	if got := (vet.Range{Lo: 3, Hi: 3}).String(); got != "3" {
 		t.Errorf("point renders %q", got)
 	}
-	if got := (bounds.Range{Lo: 1, Hi: 5}).String(); got != "[1, 5]" {
+	if got := (vet.Range{Lo: 1, Hi: 5}).String(); got != "[1, 5]" {
 		t.Errorf("range renders %q", got)
 	}
 	// No choice of the option resolves, so it has no footprint to print.
 	b := decodeBundle(t, `harmonyBundle a:1 w {{o {variable n {0 1}} {node x * {memory 1} {replicate {n - 5}}}}}`)
-	if got := bounds.Analyze(b, nil).Options[0]; got.Nodes != "-" || got.MemoryMB != "-" {
+	if got := vet.Analyze(b, nil).Options[0]; got.Nodes != "-" || got.MemoryMB != "-" {
 		t.Errorf("unresolvable option renders nodes %q, memory %q; want -", got.Nodes, got.MemoryMB)
 	}
 }

@@ -1,13 +1,14 @@
 package vet
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"strings"
 
-	"harmony/internal/bounds"
 	"harmony/internal/cluster"
 	"harmony/internal/match"
 	"harmony/internal/rsl"
@@ -23,10 +24,7 @@ type analysis struct {
 	rep   *Report
 	decls []*rsl.NodeDecl
 	// capa sums decls, once per script.
-	capa bounds.Capacity
-	// analyses holds each checked bundle's analysis, in order, as the joint
-	// check and the controller read it.
-	analyses []*bounds.Bundle
+	capa Capacity
 }
 
 func (a *analysis) diag(check string, sev Severity, pos rsl.Pos, bundle, option, format string, args ...any) {
@@ -75,20 +73,18 @@ type optScope struct {
 	// binding runs. plans resolve the option's choices for placement, and
 	// envs is what each plan's link, communication and friction
 	// expressions see, built on first use.
-	an    *bounds.Bundle
+	an    *Bundle
 	index int
 	plans []*match.Plan
 	envs  []rsl.Env
 }
 
-// checkBundle runs every check of one bundle and keeps its analysis
-// (bounds.NewBundle): the bundle is enumerated and planned once, as the
-// controller enumerates and plans it. Over rsl.MaxChoices it is not
-// enumerated at all, and only the checks that need no binding run beside
-// the refusal.
-func (a *analysis) checkBundle(b *rsl.BundleSpec) {
-	an := bounds.NewBundle(b)
-	a.analyses = append(a.analyses, an)
+// checkBundle runs every check of one bundle over its analysis: the bundle
+// enumerated and planned once, as the controller enumerates and plans it.
+// Over rsl.MaxChoices it is not enumerated at all, and only the checks that
+// need no binding run beside the refusal.
+func (a *analysis) checkBundle(an *Bundle) {
+	b := an.Spec
 	if !an.Enumerated() {
 		a.diag("too-many-choices", SevError, b.Pos, b.Name, "",
 			"options expand to %d choices, over the cap of %d the controller enumerates; the bundle is refused", b.ChoiceCount(), rsl.MaxChoices)
@@ -102,7 +98,7 @@ func (a *analysis) checkBundle(b *rsl.BundleSpec) {
 	}
 }
 
-func (a *analysis) newScope(an *bounds.Bundle, i int) *optScope {
+func (a *analysis) newScope(an *Bundle, i int) *optScope {
 	b, opt := an.Spec, &an.Spec.Options[i]
 	s := &optScope{
 		a:      a,
@@ -188,6 +184,28 @@ func (s *optScope) checkOption(opt *rsl.OptionSpec) {
 
 	s.checkPerformance(opt)
 	s.checkCapacity(opt)
+	s.checkFinite(opt)
+}
+
+// checkFinite reports as out of range (negative-tag) the choices never placed
+// because a quantity their plans evaluate is NaN or an infinity
+// (rsl.ErrNonFinite): an error when no choice is left, a warning otherwise.
+func (s *optScope) checkFinite(opt *rsl.OptionSpec) {
+	var first *match.NoFitError
+	failed := 0
+	for _, p := range s.plans {
+		if why := p.Failure(); why != nil && errors.Is(why, rsl.ErrNonFinite) {
+			first, failed = cmp.Or(first, why), failed+1
+		}
+	}
+	switch {
+	case failed > 0 && failed == len(s.plans):
+		s.diag("negative-tag", SevError, opt.Pos,
+			"no choice the controller enumerates can be placed: %s", first.Reason())
+	case failed > 0:
+		s.diag("negative-tag", SevWarn, opt.Pos,
+			"%d of the %d choices the controller enumerates can never be placed (e.g. %s)", failed, len(s.plans), first.Reason())
+	}
 }
 
 // exprCtx names what an expression belongs to, e.g. `node "n" tag
@@ -557,11 +575,11 @@ func describeDemand(spec *rsl.NodeSpec, grantMB float64) string {
 }
 
 // checkDominated flags options that an earlier sibling dominates at every
-// choice the controller enumerates (bounds.Dominance): the controller
+// choice the controller enumerates (Bundle.Dominance): the controller
 // evaluates options in lexical order and adopts a later candidate only on a
 // strictly better score, so an option an earlier sibling always ties or
 // beats can never be chosen, whatever the cluster's state.
-func (a *analysis) checkDominated(an *bounds.Bundle) {
+func (a *analysis) checkDominated(an *Bundle) {
 	b := an.Spec
 	for _, d := range an.Dominance() {
 		oj := &b.Options[d.Dominated]
@@ -575,7 +593,7 @@ func (a *analysis) checkDominated(an *bounds.Bundle) {
 // declared cluster provides even when idle. Such an option can never be
 // matched in any live state, since live capacity never exceeds declared
 // capacity.
-func (a *analysis) checkUnreachable(an *bounds.Bundle) {
+func (a *analysis) checkUnreachable(an *Bundle) {
 	b := an.Spec
 	if a.capa.Nodes == 0 {
 		return
@@ -595,9 +613,9 @@ func (a *analysis) checkUnreachable(an *bounds.Bundle) {
 		if perSpec[opt.Name] {
 			continue
 		}
-		if u, ok := bounds.Unreachable(an.Vector(i), a.capa); ok {
+		if why := unreachable(an.Vector(i), a.capa); why != "" {
 			a.diag("unreachable-option", SevError, opt.Pos, b.Name, opt.Name,
-				"%s; no cluster state can ever admit this option", u.Reason)
+				"%s; no cluster state can ever admit this option", why)
 		}
 	}
 }

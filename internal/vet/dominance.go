@@ -1,4 +1,4 @@
-package bounds
+package vet
 
 import (
 	"fmt"
@@ -161,12 +161,12 @@ func (an *Bundle) everyChoice(i, j int, rule func(*pairing) bool) *replicaRanges
 
 // bindingIndex is where vars falls in o.Bindings(), the first declared
 // variable varying slowest; a value listed twice is found at its first
-// place, whose choices are the same.
+// place, whose choices are the same. Values are never NaN: the decoder
+// refuses them.
 func bindingIndex(o *rsl.OptionSpec, vars map[string]float64) int {
 	idx := 0
 	for _, v := range o.Variables {
-		x := vars[v.Name]
-		idx = idx*len(v.Values) + slices.IndexFunc(v.Values, func(y float64) bool { return y == x || y != y && x != x })
+		idx = idx*len(v.Values) + slices.Index(v.Values, vars[v.Name])
 	}
 	return idx
 }
@@ -213,29 +213,13 @@ func modelLE(p *pairing) bool {
 }
 
 // frictionLE reports whether option i's friction is no more than j's as the
-// controller charges it: clamped at zero, and zero when it does not
-// evaluate. A friction of i that fails where j's evaluates is not compared.
+// controller charges it (match.Plan.Friction). A friction of i that fails
+// where j's evaluates is not compared.
 func frictionLE(p *pairing) bool {
-	fi, errI := orZero(p.oi.Friction).Eval(p.pi.Env())
-	fj, errJ := orZero(p.oj.Friction).Eval(p.pj.Env())
+	fi, errI := p.pi.Friction()
+	fj, errJ := p.pj.Friction()
 	if errI != nil && errJ == nil {
 		return false
 	}
-	if errI != nil || fi < 0 {
-		fi = 0
-	}
-	if errJ != nil || fj < 0 {
-		fj = 0
-	}
 	return fi <= fj
-}
-
-// zero is the implicit friction expression.
-var zero rsl.Expr = &rsl.NumberExpr{Value: 0}
-
-func orZero(e rsl.Expr) rsl.Expr {
-	if e == nil {
-		return zero
-	}
-	return e
 }

@@ -1,10 +1,10 @@
-package bounds_test
+package vet_test
 
 import (
 	"testing"
 
-	"harmony/internal/bounds"
 	"harmony/internal/rsl"
+	"harmony/internal/vet"
 )
 
 // pickFromBytes maps raw fuzz bytes onto the generator pools, so the
@@ -47,7 +47,7 @@ func FuzzDominance(f *testing.F) {
 				buildOption("second", domain, pj),
 			},
 		}
-		for _, d := range bounds.NewBundle(b).Dominance() {
+		for _, d := range vet.NewBundle(b).Dominance() {
 			oi, oj := &b.Options[d.By], &b.Options[d.Dominated]
 			for _, n := range domain {
 				if err := refute(oi, oj, n); err != nil {

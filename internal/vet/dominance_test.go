@@ -1,13 +1,13 @@
-package bounds_test
+package vet_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"harmony/internal/bounds"
 	"harmony/internal/predict"
 	"harmony/internal/rsl"
+	"harmony/internal/vet"
 )
 
 // --- generator -------------------------------------------------------------
@@ -233,7 +233,7 @@ func TestDominanceSoundness(t *testing.T) {
 			},
 		}
 		pairs++
-		for _, d := range bounds.NewBundle(b).Dominance() {
+		for _, d := range vet.NewBundle(b).Dominance() {
 			claims++
 			oi, oj := &b.Options[d.By], &b.Options[d.Dominated]
 			for _, n := range domain {

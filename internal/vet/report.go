@@ -1,4 +1,4 @@
-package bounds
+package vet
 
 import (
 	"fmt"
@@ -82,9 +82,7 @@ func Analyze(b *rsl.BundleSpec, decls []*rsl.NodeDecl) *BundleReport {
 			or.DominanceRule = d.Rule
 			or.DominanceDetail = d.Detail
 		}
-		if u, ok := Unreachable(v, capa); ok {
-			or.Unreachable = u.Reason
-		}
+		or.Unreachable = unreachable(v, capa)
 		rep.Options = append(rep.Options, or)
 	}
 	return rep

@@ -13,6 +13,8 @@
 // line:col source position. Error-severity findings mean the spec can never
 // behave as written (matching or evaluation is guaranteed to fail);
 // warnings flag constructs that are legal but almost certainly mistakes.
+// Every check reads one analysis per bundle (Bundle): its choices and their
+// plans, the ones the controller that admits the bundle decides with.
 package vet
 
 import (
@@ -20,7 +22,6 @@ import (
 	"sort"
 	"strings"
 
-	"harmony/internal/bounds"
 	"harmony/internal/rsl"
 )
 
@@ -224,13 +225,13 @@ var checkRegistry = []CheckInfo{
 // finding. Unlike rsl.DecodeScript it keeps going after a bad command, so
 // one malformed bundle does not hide findings in the rest of the script.
 func Script(src string, opts Options) *Report {
-	rep, _ := script(src, opts.ExtraNodes, bounds.CapacityOf(opts.ExtraNodes))
+	rep, _ := script(src, opts.ExtraNodes, CapacityOf(opts.ExtraNodes))
 	return rep
 }
 
 // script is Script against the cluster extra, whose capacity is capa, also
 // handing back what it decoded.
-func script(src string, extra []*rsl.NodeDecl, capa bounds.Capacity) (*Report, *Arrival) {
+func script(src string, extra []*rsl.NodeDecl, capa Capacity) (*Report, *Arrival) {
 	rep := &Report{}
 	ar, err := decode(src, rep)
 	if err != nil {
@@ -244,9 +245,10 @@ func script(src string, extra []*rsl.NodeDecl, capa bounds.Capacity) (*Report, *
 	}
 	a.checkDecls(ar.decls)
 	for _, b := range ar.bundles {
-		a.checkBundle(b)
+		an := NewBundle(b)
+		ar.analyses = append(ar.analyses, an)
+		a.checkBundle(an)
 	}
-	ar.analyses = a.analyses
 	rep.Sort()
 	return rep, ar
 }

@@ -34,6 +34,8 @@ var wantChecks = map[string][]string{
 	"toomany.rsl":     {"too-many-choices"},
 	"perfrange.rsl":   {"perf-model-range"},
 	"ladder.rsl":      {"div-zero", "negative-tag"},
+	"overflow.rsl":    {"negative-tag"},
+	"nonfinite.rsl":   {"decode"},
 	"fraction.rsl":    {},
 	"clean.rsl":       {},
 }
@@ -200,6 +202,56 @@ func TestReplicateJudgedRounded(t *testing.T) {
 		if strings.Join(got, "\n") != tc.want {
 			t.Errorf("replicate %s: got %q, want %q", tc.rep, got, tc.want)
 		}
+	}
+}
+
+// TestLintMatchesScriptAndWorkload: Lint's reports are Script's of each spec
+// and Workload's of the set, in text and JSON, over the workload corpora
+// with their cluster as a spec and as ExtraNodes, and over every
+// single-script spec at once beside a declared cluster.
+func TestLintMatchesScriptAndWorkload(t *testing.T) {
+	type lintCase struct {
+		name  string
+		specs []WorkloadSpec
+		opts  Options
+	}
+	var cases []lintCase
+	for _, dir := range []string{"workload", filepath.Join("workload", "fixedhost")} {
+		specs := workloadCorpus(t, dir)
+		_, decls := decodeAll(t, specs[0].Src)
+		cases = append(cases,
+			lintCase{dir + " with its cluster as a spec", specs, Options{}},
+			lintCase{dir + " with its cluster as ExtraNodes", specs[1:], Options{ExtraNodes: decls}})
+	}
+	files, _ := filepath.Glob(filepath.Join("testdata", "*.rsl"))
+	var corpus []WorkloadSpec
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, WorkloadSpec{File: filepath.Base(f), Src: string(src)})
+	}
+	_, decls := decodeAll(t, workloadCorpus(t, "workload")[0].Src)
+	cases = append(cases, lintCase{"every single-script spec", corpus, Options{ExtraNodes: decls}})
+
+	same := func(what string, got, want *Report) {
+		t.Helper()
+		if g, w := render(t, got), render(t, want); g != w {
+			t.Errorf("%s: lint reports\n%s\nwant\n%s", what, g, w)
+		}
+	}
+	for _, tc := range cases {
+		scripts, workload := Lint(tc.specs, tc.opts)
+		if len(scripts) != len(tc.specs) {
+			t.Fatalf("%s: %d script reports for %d specs", tc.name, len(scripts), len(tc.specs))
+		}
+		for i, s := range tc.specs {
+			want := Script(s.Src, tc.opts)
+			want.File = s.File
+			same(tc.name+": "+s.File, scripts[i], want)
+		}
+		same(tc.name+": joint", workload, Workload(tc.specs, tc.opts))
 	}
 }
 

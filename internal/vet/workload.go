@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"harmony/internal/bounds"
 	"harmony/internal/rsl"
 )
 
@@ -26,7 +25,7 @@ type WorkloadSpec struct {
 // even when every spec is individually satisfiable, the set as a whole can
 // be infeasible. For each bundle it takes the best case any option allows
 // — total memory, exclusive node count, per-host pinned memory, aggregate
-// bandwidth — from its least demand (bounds.Bundle.Least), and compares
+// bandwidth — from its least demand (Bundle.Least), and compares
 // the sums against the declared cluster (opts.ExtraNodes plus any
 // harmonyNode commands inside the specs). Lower bounds mean no false
 // alarms: a workload-* finding holds for every option choice and variable
@@ -49,31 +48,45 @@ func Workload(specs []WorkloadSpec, opts Options) *Report {
 			bundles, decls = ar.bundles, append(decls, ar.decls...)
 		}
 		if len(bundles) > 0 {
-			parts = append(parts, part{file: s.File, bundles: analyze(bundles)})
+			p := part{file: s.File}
+			for _, b := range bundles {
+				p.bundles = append(p.bundles, NewBundle(b))
+			}
+			parts = append(parts, p)
 		}
 	}
-	return joint(parts, bounds.CapacityOf(decls))
+	return joint(parts, CapacityOf(decls))
 }
 
-// analyze is each bundle's analysis, in order.
-func analyze(bundles []*rsl.BundleSpec) []*bounds.Bundle {
-	out := make([]*bounds.Bundle, len(bundles))
-	for i, b := range bundles {
-		out[i] = bounds.NewBundle(b)
+// Lint vets each spec's source as Script does, and then every spec jointly as
+// Workload does, from the analyses the vetting made: each spec is parsed,
+// decoded and planned once. Each script report carries its spec's File.
+func Lint(specs []WorkloadSpec, opts Options) (scripts []*Report, workload *Report) {
+	capa := CapacityOf(opts.ExtraNodes)
+	all := capa
+	var parts []part
+	for _, s := range specs {
+		rep, ar := script(s.Src, opts.ExtraNodes, capa)
+		rep.File = s.File
+		scripts = append(scripts, rep)
+		all = all.Add(ar.decls)
+		if len(ar.bundles) > 0 {
+			parts = append(parts, part{file: s.File, bundles: ar.analyses})
+		}
 	}
-	return out
+	return scripts, joint(parts, all)
 }
 
 // part is one spec's share of a joint check: its bundles' analyses.
 type part struct {
 	file    string
-	bundles []*bounds.Bundle
+	bundles []*Bundle
 }
 
 // joint sums the parts' least demands, bundle by bundle in the order given,
 // and reports what the sums prove against the capacity. Diagnostics carry
 // the last part's file and the position of its first bundle.
-func joint(parts []part, capa bounds.Capacity) *Report {
+func joint(parts []part, capa Capacity) *Report {
 	rep := &Report{}
 	if capa.Nodes == 0 || len(parts) == 0 {
 		return rep

@@ -103,7 +103,7 @@ echo "== bench harness (vet + tests against this checkout's API)"
 # predictions or joint-search trials a cycle makes, which repeat exactly, and
 # the bytes and allocations a cycle costs. Beside them, the admission vetting
 # of one db-crowd arrival: the joint workload check over 64 admitted bundles
-# computed fresh, as harmonyctl lint
+# computed fresh, analysing every bundle (vet.NewBundle) as vet.Workload
 # does, and as harmonyd makes it from the analyses its controller keeps
 # (AdmissionCrowd), and the incoming script's own; and the vetting of one
 # bundle at the 4096 choices the controller enumerates, shaped like Figure 4
