@@ -137,6 +137,7 @@ type Config struct {
 type peer struct {
 	addr        string
 	next, match uint64
+	told        uint64            // the commit point the last append carried
 	inflight    *protocol.Message // the request awaiting its PeerReply: one at a time
 	sent        time.Time
 	granted     bool
@@ -292,8 +293,12 @@ func (c *Core) tick(now time.Time, rd *Ready) {
 		}
 		return ErrNoQuorum
 	})
+	// An idle peer hears of a commit point it was not told at this tick,
+	// not with the next proposal or heartbeat: a follower answers reads
+	// from what it has applied. A proposal made before the tick carries the
+	// commit point itself, so a busy leader sends no notice.
 	for _, p := range c.peers {
-		if p.inflight == nil && now.Sub(p.sent) >= c.cfg.ElectionTimeout/4 {
+		if p.inflight == nil && (p.told < c.log.Commit() || now.Sub(p.sent) >= c.cfg.ElectionTimeout/4) {
 			c.sendAppend(now, p, rd)
 		}
 	}
@@ -386,6 +391,7 @@ func (c *Core) sendAppend(now time.Time, p *peer, rd *Ready) {
 	prevTerm, terr := c.log.Term(next - 1)
 	if err == nil && terr == nil {
 		msg.PrevIndex, msg.PrevTerm, msg.Entries, msg.CommitIndex = next-1, prevTerm, entries, c.log.Commit()
+		p.told = msg.CommitIndex
 	} else if snap := c.log.Snapshot(); snap.Index > 0 {
 		msg.Type, msg.LastIndex, msg.LastTerm, msg.Snapshot = protocol.TypeInstallSnapshot, snap.Index, snap.Term, &snap
 	} else {
@@ -396,7 +402,7 @@ func (c *Core) sendAppend(now time.Time, p *peer, rd *Ready) {
 
 // handleReply takes the answer (nil: none came) to the request in flight to
 // the peer at from, and sends the next at once while that makes progress: the
-// peer is still behind, or missed and can back off. Else the heartbeat will.
+// peer is still behind, or missed and can back off. Else the tick will.
 func (c *Core) handleReply(now time.Time, from string, reply *protocol.Message, rd *Ready) {
 	var p *peer
 	for _, q := range c.peers {

@@ -206,6 +206,26 @@ func TestCoreCases(t *testing.T) {
 				t.Fatalf("failed twice: %+v", rd.Failed)
 			}
 		}},
+		{"an idle peer is told a new commit point at the next tick", func(t *testing.T) {
+			c, _ := newCore("m", peers, 1)
+			lead(t, c)
+			at := t0.Add(time.Second)
+			saved(c, at, Input{Kind: Propose, Entry: &replog.Entry{Op: replog.OpReevaluate}})
+			_, term, _ := c.State()
+			rd := c.Step(at, Input{Kind: PeerReply, From: "a", Msg: &protocol.Message{Type: protocol.TypeAppendReply, Term: term, Success: true, MatchIndex: 1}})
+			if rd.Commit != 1 || len(rd.Msgs) != 0 {
+				t.Fatalf("on a's reply: %+v, want commit 1 and nothing sent", rd)
+			}
+			// No heartbeat is due; b's vote request is still in flight.
+			rd = c.Step(at, Input{Kind: Tick})
+			if len(rd.Msgs) != 1 || rd.Msgs[0].To != "a" || rd.Msgs[0].Msg.CommitIndex != 1 || len(rd.Msgs[0].Msg.Entries) != 0 {
+				t.Fatalf("tick after the commit sent %+v, want a's notice of commit 1", rd.Msgs)
+			}
+			c.Step(at, Input{Kind: PeerReply, From: "a", Msg: &protocol.Message{Type: protocol.TypeAppendReply, Term: term, Success: true, MatchIndex: 1}})
+			if rd = c.Step(at, Input{Kind: Tick}); len(rd.Msgs) != 0 {
+				t.Fatalf("a second tick sent %+v, want nothing: a was told", rd.Msgs)
+			}
+		}},
 		{"persist-failed is not counted", func(t *testing.T) {
 			c, log := newCore("m", nil, 0)
 			saved(c, t0, Input{Kind: Tick})

@@ -139,19 +139,35 @@ type appState struct {
 	// re-placed; it holds no claim and is excluded from the objective until
 	// a re-evaluation finds room for it again.
 	degraded bool
+	// granularity is the active choice's plan's Granularity, in seconds
+	// (setChoice).
+	granularity float64
+	// warned lists the friction warnings the app has raised (warnOnce).
+	warned []string
 }
 
 func (a *appState) owner() string { return a.ownerPath }
 
 // setChoice makes ch the app's active configuration and works out which of
 // its enumerated choices Equal it, duplicates and NaN-valued choices as
-// Equal judges them, so that the searches compare by index.
+// Equal judges them, so that the searches compare by index. The granularity
+// is the first such choice's plan's, or, for a forced choice the enumeration
+// does not hold, evaluated for it.
 func (c *Controller) setChoice(app *appState, ch Choice) {
 	app.choice = ch
 	choices := app.an.Choices
 	app.current = slices.Grow(app.current[:0], len(choices))[:len(choices)]
+	app.granularity = 0
+	planned := false
 	for k := range choices {
 		app.current[k] = choices[k].Equal(ch)
+		if app.current[k] && !planned {
+			app.granularity, _ = app.an.Plans[k].Granularity()
+			planned = true
+		}
+	}
+	if opt := app.bundle.Option(ch.Option); !planned && opt != nil {
+		app.granularity, _ = match.Granularity(opt, rsl.MapEnv(ch.Vars))
 	}
 }
 
@@ -234,6 +250,16 @@ const maxWarnings = 64
 func (c *Controller) warn(msg string) {
 	kept := c.warnings[max(0, len(c.warnings)-maxWarnings+1):]
 	c.warnings = append(slices.Clip(kept), msg)
+}
+
+// warnOnce raises w, unless it is empty or app has raised it before: a
+// choice's friction that does not evaluate is reported once per app, not on
+// every pass that evaluates the choice.
+func (c *Controller) warnOnce(app *appState, w string) {
+	if w != "" && !slices.Contains(app.warned, w) {
+		app.warned = append(app.warned, w)
+		c.warn(w)
+	}
 }
 
 // Warnings returns the most recent controller warnings, oldest first.
@@ -353,7 +379,7 @@ func (c *Controller) registerAt(an *vet.Bundle, source string, now time.Duration
 	// the accommodation.
 	c.apps[inst] = app
 	c.order = append(c.order, inst)
-	events, exhausted := c.reevaluateExhaustive(now, 0, true)
+	events, exhausted, why := c.reevaluateExhaustive(now, 0, true)
 	if app.claim == nil {
 		// Even the joint search could not place it: roll back.
 		delete(c.apps, inst)
@@ -361,6 +387,9 @@ func (c *Controller) registerAt(an *vet.Bundle, source string, now time.Duration
 		c.nextInstance--
 		if exhausted {
 			return 0, nil, fmt.Errorf("%w of %d trials for %s", ErrSearchBudget, c.jointBudget, bundle.App)
+		}
+		if why != nil {
+			return 0, nil, fmt.Errorf("%w for %s: %v", ErrNoFeasibleOption, bundle.App, why)
 		}
 		return 0, nil, err
 	}
@@ -576,9 +605,7 @@ func (c *Controller) forceChoiceAt(instance int, ch Choice, now time.Duration) (
 	if err != nil {
 		return nil, fmt.Errorf("core: force choice: %w", err)
 	}
-	if cand.frictionWarn != "" {
-		c.warn(cand.frictionWarn)
-	}
+	c.warnOnce(app, cand.frictionWarn)
 	ev, err := c.adopt(app, cand, now, false)
 	if err != nil {
 		return nil, err

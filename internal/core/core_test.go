@@ -193,6 +193,33 @@ func TestOverflowRefused(t *testing.T) {
 	}
 }
 
+// TestInfinitePredictionRefusedWithCause registers a bundle whose seconds
+// are finite but whose prediction on the cluster's only node is +Inf: alone,
+// through the greedy evaluation, and beside a resident that leaves no room,
+// through the joint search. Either way Register refuses it and says which
+// node's seconds overflowed, not a bare "no feasible option".
+func TestInfinitePredictionRefusedWithCause(t *testing.T) {
+	for _, resident := range []bool{false, true} {
+		cl, err := cluster.New(cluster.Config{}, []*rsl.NodeDecl{{Hostname: "a", Speed: 0.5, MemoryMB: 64, OS: "linux", CPUs: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := New(Config{Cluster: cl, Clock: simclock.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resident {
+			if _, _, err := ctrl.Register(decodeBundle(t, `harmonyBundle Hog:1 w {{big {node w * {memory 60} {seconds 1}}} {small {node w * {memory 4} {seconds 9}}}}`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, _, err = ctrl.Register(decodeBundle(t, `harmonyBundle Huge:1 w {{only {node w * {memory 8} {seconds 1e308}}}}`))
+		if !errors.Is(err, ErrNoFeasibleOption) || !strings.Contains(err.Error(), "node w: seconds 1e+308") || !strings.Contains(err.Error(), "not a finite time") {
+			t.Errorf("resident=%v: err = %v, want ErrNoFeasibleOption naming node w's seconds and the infinite time", resident, err)
+		}
+	}
+}
+
 func TestBagPicksBestParallelism(t *testing.T) {
 	ctrl, _ := newController(t, 8, Config{})
 	inst, events, err := ctrl.Register(bagBundle(t))

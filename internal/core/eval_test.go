@@ -307,6 +307,39 @@ func TestFrictionEvalErrorSurfaced(t *testing.T) {
 	}
 }
 
+// TestFrictionWarningOncePerApp evaluates a choice whose friction does not
+// evaluate on every pass that can: the registration, a re-evaluation, and a
+// forced switch back to it. Its warning enters the ring once.
+func TestFrictionWarningOncePerApp(t *testing.T) {
+	ctrl, _ := newController(t, 2, Config{})
+	bundles, _, err := rsl.DecodeScript(`harmonyBundle Fric:1 f {
+		{a {node x * {seconds 5} {memory 4}} {friction {noSuchVar * 2}}}
+		{b {node x * {seconds 9} {memory 4}}}
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, _, err := ctrl.Register(bundles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Reevaluate()
+	for _, option := range []string{"b", "a"} {
+		if _, err := ctrl.ForceChoice(inst, Choice{Option: option}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copies := 0
+	for _, w := range ctrl.Warnings() {
+		if strings.Contains(w, "friction evaluation failed") {
+			copies++
+		}
+	}
+	if copies != 1 {
+		t.Fatalf("%d copies of the friction warning in %q, want 1", copies, ctrl.Warnings())
+	}
+}
+
 // TestWarningsRingBounded checks the ring buffer drops oldest entries, and
 // that turning it over leaves the ring an earlier view published untouched.
 func TestWarningsRingBounded(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"harmony/internal/objective"
 	"harmony/internal/predict"
 	"harmony/internal/resource"
-	"harmony/internal/rsl"
 )
 
 // candidate is one evaluated configuration: a choice plus its matched
@@ -36,29 +35,26 @@ type candidate struct {
 // stays in place until adoption. The loop keeps the first strictly better
 // score in enumeration order, amortizes friction into the score of a
 // non-initial switch (when forInitial is true nothing is switching, so no
-// friction is charged), and raises each distinct friction warning once, in
-// order. A candidate that becomes the best so far swaps its assignment into
-// the pass state's best buffer, which the winner's points to until the next
-// evaluation: nothing is copied unless adopt keeps it. Every enumerated choice
-// is evaluated: one that cannot fit costs a Place that says so before anything
-// is charged or predicted. When nothing fits, the error quotes the last
-// enumerated choice's failure, and a misfit is asked why only then.
+// friction is charged), and raises each friction warning the app has not
+// raised before, in order. A candidate that becomes the best so far swaps its
+// assignment into the pass state's best buffer, which the winner's points to
+// until the next evaluation: nothing is copied unless adopt keeps it. Every
+// enumerated choice is evaluated: one that cannot fit costs a Place that says
+// so before anything is charged or predicted. When nothing fits, the error
+// quotes the last enumerated choice's failure, and a misfit is asked why only
+// then.
 func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial bool) (candidate, error) {
 	p := c.openEvaluation(app)
 	best := candidate{objective: math.Inf(1)}
 	var lastErr error
 	var lastPlan *match.Plan
-	var warned []string
 	for k, plan := range app.an.Plans {
 		cand, err := c.evaluate(p, app.an.Choices[k], plan)
 		if err != nil {
 			lastErr, lastPlan = err, plan
 			continue
 		}
-		if w := cand.frictionWarn; w != "" && !slices.Contains(warned, w) {
-			warned = append(warned, w)
-			c.warn(w)
-		}
+		c.warnOnce(app, cand.frictionWarn)
 		score := cand.objective
 		if !forInitial && !app.isCurrent(k) && !c.cfg.IgnoreFriction {
 			// Amortize the frictional switching cost into the objective: a
@@ -90,7 +86,7 @@ func (c *Controller) bestChoice(app *appState, now time.Duration, forInitial boo
 // app). It returns events for every application whose choice changed.
 func (c *Controller) reevaluate(now time.Duration, skipInstance int) []Event {
 	if c.cfg.Exhaustive {
-		events, _ := c.reevaluateExhaustive(now, skipInstance, false)
+		events, _, _ := c.reevaluateExhaustive(now, skipInstance, false)
 		return events
 	}
 	var events []Event
@@ -129,15 +125,8 @@ func (c *Controller) reevaluate(now time.Duration, skipInstance int) []Event {
 
 // granularityAllows checks the option's declared switching rate.
 func (c *Controller) granularityAllows(app *appState, now time.Duration) bool {
-	opt := app.bundle.Option(app.choice.Option)
-	if opt == nil || opt.Granularity == nil || app.lastSwitch < 0 {
-		return true
-	}
-	g, err := opt.Granularity.Eval(rsl.MapEnv(app.choice.Vars))
-	if err != nil || g <= 0 {
-		return true
-	}
-	return now-app.lastSwitch >= time.Duration(g*float64(time.Second))
+	g := app.granularity
+	return g <= 0 || app.lastSwitch < 0 || now-app.lastSwitch >= time.Duration(g*float64(time.Second))
 }
 
 // comboResult is the best full-system configuration a joint search found.
@@ -152,6 +141,10 @@ type comboResult struct {
 	// exhausted marks a search that stopped at its trial budget: combo is the
 	// best of the leaves it reached, not necessarily the best there is.
 	exhausted bool
+	// why is the first prediction a trial failed, which rules its choice out
+	// (one that is not a finite time among them): the cause to report when
+	// no leaf is reached.
+	why error
 }
 
 // jointProblem sets up a joint search the way openEvaluation sets up a greedy
@@ -218,10 +211,10 @@ func (c *Controller) jointProblem(skipInstance int) (base *resource.Snapshot, id
 // its trial budget adopts nothing, so the pass keeps the current state, unless
 // it is making room for an arrival: then the best combination it found, which
 // places the arrival, is adopted. exhausted reports the cut-off.
-func (c *Controller) reevaluateExhaustive(now time.Duration, skipInstance int, accommodate bool) (events []Event, exhausted bool) {
+func (c *Controller) reevaluateExhaustive(now time.Duration, skipInstance int, accommodate bool) (events []Event, exhausted bool, why error) {
 	base, ids, perApp, degraded := c.jointProblem(skipInstance)
 	if len(ids) == 0 {
-		return c.readmitDegraded(now, degraded, nil), false
+		return c.readmitDegraded(now, degraded, nil), false, nil
 	}
 	best := c.searchJoint(base, ids, perApp, skipInstance)
 	for _, w := range best.warns {
@@ -237,7 +230,7 @@ func (c *Controller) reevaluateExhaustive(now time.Duration, skipInstance int, a
 	if best.combo == nil {
 		// Nothing feasible, or the budget ran out. The ledger was never
 		// touched, so every claim is still in place.
-		return c.readmitDegraded(now, degraded, nil), best.exhausted
+		return c.readmitDegraded(now, degraded, nil), best.exhausted, best.why
 	}
 
 	// Adopt: release every movable claim, then reserve the combination in
@@ -269,7 +262,7 @@ func (c *Controller) reevaluateExhaustive(now time.Duration, skipInstance int, a
 			events = append(events, ev)
 		}
 	}
-	return c.readmitDegraded(now, degraded, events), best.exhausted
+	return c.readmitDegraded(now, degraded, events), best.exhausted, nil
 }
 
 // readmitDegraded tries a greedy placement for each degraded app
@@ -525,8 +518,9 @@ func (js *jointSearch) cut(lv *jointLevel, level int, jc *jointChoice) bool {
 
 // try places, charges and predicts one choice on the trial state, and reports
 // whether it fits. The charge of a choice that fits is left in place for the
-// caller to restore. A friction warning is kept once per search, the first
-// time a choice that raises it fits.
+// caller to restore. A friction warning is kept the first time a choice that
+// raises it fits, unless its app has raised it before: reevaluateExhaustive
+// raises what the search kept.
 func (js *jointSearch) try(level int, jc *jointChoice) bool {
 	c, lv := js.c, &js.levels[level]
 	c.jointTrials++
@@ -540,10 +534,12 @@ func (js *jointSearch) try(level int, jc *jointChoice) bool {
 	in := predict.Indexed{View: js.base, Loads: js.cols.CPULoad, Reserved: js.cols.ReservedMbps}
 	pred, err := c.predictIndexed(in, jc.plan.Option(), lv.placed.Resolve(js.base, &lv.asg))
 	if err != nil {
+		js.best.why = cmp.Or(js.best.why, err)
 		return false
 	}
 	if _, err := jc.plan.Friction(); err != nil {
-		if w := frictionWarning(lv.app, jc.plan, err); !slices.Contains(js.best.warns, w) {
+		if w := frictionWarning(lv.app, jc.plan, err); !slices.Contains(lv.app.warned, w) {
+			lv.app.warned = append(lv.app.warned, w)
 			js.best.warns = append(js.best.warns, w)
 		}
 	}

@@ -187,6 +187,46 @@ func TestReconnectResumesSession(t *testing.T) {
 	}
 }
 
+// TestReconnectWithoutInstanceReplays drops a client that started up but
+// registered nothing. Such a session is not in the server's log, so however
+// fast the client comes back and whatever the grace window, its resume token
+// is unknown: the reconnect replays the startup, and the client then
+// registers as usual.
+func TestReconnectWithoutInstanceReplays(t *testing.T) {
+	srv, ctrl := startRealServer(t, server.Config{
+		LeaseTTL:   200 * time.Millisecond,
+		LeaseGrace: 5 * time.Second,
+	})
+	proxy := newFlakyProxy(t, srv.Addr())
+	c, err := DialWith(proxy.Addr(), DialConfig{
+		Reconnect:         true,
+		HeartbeatInterval: 50 * time.Millisecond,
+		BackoffBase:       10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Startup("DBclient", true); err != nil {
+		t.Fatal(err)
+	}
+
+	proxy.sever()
+	waitFor(t, "reconnect", 5*time.Second, func() bool { return c.Stats().Reconnects >= 1 })
+	if st := c.Stats(); st.Reconnects != 1 || st.Replays != 1 || st.Resumes != 0 {
+		t.Fatalf("stats after the drop = %+v, want one reconnect, one replay, no resume", st)
+	}
+	if _, err := c.BundleSetup(resilienceRSL); err != nil {
+		t.Fatalf("BundleSetup after the replay: %v", err)
+	}
+	if got := len(ctrl.Apps()); got != 1 {
+		t.Fatalf("apps = %d after the registration, want 1", got)
+	}
+	if err := c.End(); err != nil {
+		t.Fatalf("End: %v", err)
+	}
+}
+
 func TestReconnectReplaysWhenGraceLapsed(t *testing.T) {
 	// No grace: a disconnect unregisters immediately, so the reconnecting
 	// client must fall back to a full handshake replay.

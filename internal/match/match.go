@@ -444,9 +444,12 @@ type Plan struct {
 	// no links or communication, or a spec did not resolve.
 	linkEnv rsl.Env
 
-	// friction and frictionErr are what Friction reports.
-	friction    float64
-	frictionErr error
+	// friction and frictionErr are what Friction reports, granularity and
+	// granularityErr what Granularity does.
+	friction       float64
+	frictionErr    error
+	granularity    float64
+	granularityErr error
 }
 
 // planSpec is one node spec, resolved.
@@ -469,16 +472,34 @@ type planLink struct {
 }
 
 // NewPlan resolves a request for any number of Place and Misfit calls, and
-// evaluates the option's friction over the plan's Env.
+// evaluates the option's friction over the plan's Env and its granularity
+// over the request's variables.
 func NewPlan(req Request) *Plan {
 	p := new(Plan)
 	p.resolve(req)
 	if f := req.Option.Friction; f != nil {
-		if p.friction, p.frictionErr = f.Eval(p.Env()); p.frictionErr != nil || p.friction < 0 {
-			p.friction = 0
-		}
+		p.friction, p.frictionErr = clamped(f.Eval(p.Env()))
 	}
+	p.granularity, p.granularityErr = Granularity(req.Option, req.Env)
 	return p
+}
+
+// Granularity evaluates opt's granularity tag over a choice's variables, as
+// Plan.Granularity reports it, for a choice that has no plan.
+func Granularity(opt *rsl.OptionSpec, vars rsl.Env) (float64, error) {
+	if opt.Granularity == nil {
+		return 0, nil
+	}
+	return clamped(opt.Granularity.Eval(vars))
+}
+
+// clamped is an optional tag's value as the controller reads it: clamped at
+// zero, and zero, with the error kept, when it does not evaluate.
+func clamped(v float64, err error) (float64, error) {
+	if err != nil || v < 0 {
+		return 0, err
+	}
+	return v, nil
 }
 
 // ChoicePlan resolves one choice of opt, as every search places it.
@@ -493,6 +514,11 @@ func (p *Plan) Option() *rsl.OptionSpec { return p.opt }
 // charges it: the option's friction expression over Env, clamped at zero,
 // and zero when there is none or, with err saying why, it does not evaluate.
 func (p *Plan) Friction() (f float64, err error) { return p.friction, p.frictionErr }
+
+// Granularity is the least time, in seconds, the controller leaves the
+// plan's choice in place once adopted: the option's granularity expression
+// over the request's variables, with Friction's clamp and error.
+func (p *Plan) Granularity() (g float64, err error) { return p.granularity, p.granularityErr }
 
 // Failure is why the request did not resolve, nil when it did: placing the
 // plan fails with this Reason unless an earlier spec fails to place first.
@@ -672,6 +698,15 @@ func (p *Plan) Spec(k int) (replicas int, grantMB float64, ok bool) {
 		return 0, 0, false
 	}
 	return p.specs[k].replicas, p.specs[k].demand.grant, true
+}
+
+// Seconds is node spec k's seconds requirement, resolved; ok is false when
+// resolving stopped at or before spec k.
+func (p *Plan) Seconds(k int) (seconds float64, ok bool) {
+	if k >= len(p.specs) {
+		return 0, false
+	}
+	return p.specs[k].seconds, true
 }
 
 // LinkBandwidth is the bandwidth of the option's link k; ok is false when

@@ -381,3 +381,23 @@ func TestMatchAllocations(t *testing.T) {
 		t.Errorf("Match allocates %.0f objects per call on 256 nodes, want at most 3", allocs)
 	}
 }
+
+// TestPlanTagsClampAndKeepErrors reads a plan's friction and granularity as
+// the controller charges them: a value below zero is zero, and one that does
+// not evaluate is zero with its error, for each choice of a variable.
+func TestPlanTagsClampAndKeepErrors(t *testing.T) {
+	opt := mustBundle(t, `harmonyBundle T:1 b {{o {variable v {1 2 3}} {node n * {memory 4}}
+		{friction {v == 1 ? -5 : (v == 2 ? 7 : 10 ^ 400)}} {granularity {v == 1 ? -5 : (v == 2 ? 7 : 10 ^ 400)}}}}`).Option("o")
+	for _, tc := range []struct {
+		v    float64
+		want float64
+		err  bool
+	}{{1, 0, false}, {2, 7, false}, {3, 0, true}} {
+		p := ChoicePlan(opt, rsl.Choice{Option: "o", Vars: map[string]float64{"v": tc.v}})
+		for name, tag := range map[string]func() (float64, error){"friction": p.Friction, "granularity": p.Granularity} {
+			if got, err := tag(); got != tc.want || (err != nil) != tc.err {
+				t.Errorf("v=%g: %s = %g, %v; want %g, error %v", tc.v, name, got, err, tc.want, tc.err)
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package match
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -23,12 +22,36 @@ func (b *fuzzBytes) next(n int) int {
 	return v
 }
 
-// mayFitCase builds, from a fuzz input, a small cluster (fuzzCluster) and one
-// option over it of one or two fuzzSpecs.
-func mayFitCase(t *testing.T, in fuzzBytes) (*resource.Ledger, Request) {
+// MayFitCase builds, from a fuzz input, FuzzMayFit's case: a small cluster
+// (fuzzCluster) and one option over it of one or two fuzzSpecs, whose seconds
+// and memory may be spelled with an exponent or a division — one that
+// overflows, divides by zero, or is finite but over half a speed's worth of
+// the largest float. It returns the option's script too, and a declared speed
+// for each of the cluster's nodes, 1 or 0.5, for vet and the model. It is
+// exported for FuzzMayFit, which lives in package match_test to reach them.
+func MayFitCase(t *testing.T, data []byte) (l *resource.Ledger, req Request, src string, speeds []float64) {
+	in := fuzzBytes(data)
 	l, nodes := fuzzCluster(t, &in)
 	specs := fuzzSpecs(&in, nodes)
-	return l, Request{Option: fuzzOption(t, "o", specs, "")}
+	for k := range specs {
+		specs[k].form = in.next(len(fuzzForms))
+	}
+	for i := 0; i < nodes; i++ {
+		speeds = append(speeds, []float64{1, 0.5}[in.next(2)])
+	}
+	src = fuzzScript("o", specs, "")
+	return l, Request{Option: mustBundle(t, src).Option("o")}, src, speeds
+}
+
+// fuzzForms spell a spec's seconds s and memory m: as written, or with an
+// exponent or a division. 2^1023 is finite, and overflows over a speed of 0.5
+// or stacked on one node.
+var fuzzForms = []struct{ seconds, memory string }{
+	{"%d", "%d"},
+	{"{%d ^ 2}", "{%d / 2}"},
+	{"{%d ^ 441}", "%d"},
+	{"{%d / 0}", "{%d / 0}"},
+	{"{%d + 2 ^ 1023}", "%d"},
 }
 
 // fuzzHost names the generated cluster's node i.
@@ -89,6 +112,8 @@ type fuzzSpec struct {
 	// count it rounds to the same, a memory minimum it grants exactly, a
 	// product by one and a tag it does not read.
 	respell bool
+	// form, when not 0, spells seconds and memory as fuzzForms[form] does.
+	form int
 }
 
 // fuzzSpecs draws one to two node specs over a cluster of nodes hosts.
@@ -117,10 +142,19 @@ func fuzzSpecs(in *fuzzBytes, nodes int) []fuzzSpec {
 // fuzzOption decodes an option called name of the specs, named s0, s1, ...,
 // with more appended to its body.
 func fuzzOption(t *testing.T, name string, specs []fuzzSpec, more string) *rsl.OptionSpec {
+	return mustBundle(t, fuzzScript(name, specs, more)).Option(name)
+}
+
+// fuzzScript writes the bundle fuzzOption decodes.
+func fuzzScript(name string, specs []fuzzSpec, more string) string {
 	var b strings.Builder
 	for k, sp := range specs {
 		format := "{node s%d %s {seconds %d} {memory %d} {replicate %d}"
-		if sp.respell {
+		switch {
+		case sp.form != 0:
+			form := fuzzForms[sp.form]
+			format = "{node s%d %s {seconds " + form.seconds + "} {memory " + form.memory + "} {replicate %d}"
+		case sp.respell:
 			format = "{node s%d %s {seconds {%d * 1}} {memory >=%d} {replicate {%d + 0.4}} {arch any}"
 		}
 		fmt.Fprintf(&b, format, k, sp.pattern, sp.seconds, sp.memory, sp.replicas)
@@ -135,51 +169,5 @@ func fuzzOption(t *testing.T, name string, specs []fuzzSpec, more string) *rsl.O
 		}
 		b.WriteString("} ")
 	}
-	return mustBundle(t, fmt.Sprintf("harmonyBundle T:1 b {{%s %s%s}}", name, b.String(), more)).Option(name)
-}
-
-// FuzzMayFit: a plan MayFit turns away does not place, on the scan's state or
-// on that state charged further with another placement — the proof the joint
-// search's choice filter and feasibility cut rest on.
-func FuzzMayFit(f *testing.F) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 256; i++ {
-		in := make([]byte, 48)
-		rng.Read(in)
-		f.Add(in)
-	}
-	// Another application's replica, charged to the state as a deeper
-	// joint-search level sees it.
-	others, _, err := rsl.DecodeScript("harmonyBundle U:1 b {{o {node r * {seconds 1} {memory 4}}}}")
-	if err != nil {
-		f.Fatal(err)
-	}
-	other := NewPlan(Request{Option: others[0].Option("o")})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		l, req := mayFitCase(t, fuzzBytes(data))
-		snap := l.Snapshot()
-		rows := snap.AppendNodes(nil)
-		p := NewPlan(req)
-		var asg Assignment
-		var cols resource.Columns
-		snap.ReadColumns(&cols)
-		var scan Scan
-		scan.Reset(snap, rows, &cols)
-		if scan.MayFit(p) {
-			return
-		}
-		if scan.Place(p, &asg) {
-			t.Fatalf("MayFit turned away %s, which places on %v", req.Option.Name, asg.Nodes)
-		}
-		if !scan.Place(other, &asg) {
-			return
-		}
-		if err := ReserveColumns(&cols, snap, "other", &asg, nil, new(Charges)); err != nil {
-			return
-		}
-		scan.Reset(snap, rows, &cols)
-		if scan.Place(p, &asg) {
-			t.Fatalf("%s places on %v once the state is charged further, not before", req.Option.Name, asg.Nodes)
-		}
-	})
+	return fmt.Sprintf("harmonyBundle T:1 b {{%s %s%s}}", name, b.String(), more)
 }

@@ -207,15 +207,32 @@ func (in Indexed) Default(pl *Placement, selfReserved bool) (Prediction, error) 
 		if err != nil {
 			return Prediction{}, err
 		}
-		if t := pl.asg.Nodes[i].Seconds / speed; t > cpu {
-			cpu = t
+		n := &pl.asg.Nodes[i]
+		t := n.Seconds / speed
+		if !finite(t) {
+			return Prediction{}, fmt.Errorf("predict: node %s: seconds %g at speed %g on %s is %g, not a finite time",
+				n.LocalName, n.Seconds, speed, n.Hostname, t)
 		}
+		cpu = max(cpu, t)
 	}
 	scale, err := in.commScale(pl, selfReserved)
 	if err != nil {
 		return Prediction{}, err
 	}
-	return Prediction{Seconds: cpu * scale, CPUSeconds: cpu, CommScale: scale}, nil
+	return checkFinite(Prediction{Seconds: cpu * scale, CPUSeconds: cpu, CommScale: scale}, "seconds")
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// checkFinite refuses a prediction that is not a finite time: it never beats
+// another, so a search would drop its choice without a word. tag names what
+// the time was computed from.
+func checkFinite(p Prediction, tag string) (Prediction, error) {
+	if !finite(p.Seconds) {
+		return Prediction{}, fmt.Errorf("predict: %s %g slowed down %g times by the links is %g, not a finite time",
+			tag, p.CPUSeconds, p.CommScale, p.Seconds)
+	}
+	return p, nil
 }
 
 // commScale finds the worst over-subscription among the assignment's links.
@@ -280,7 +297,11 @@ func (in Indexed) Explicit(points []rsl.PerfPoint, pl *Placement, selfReserved b
 		return Prediction{}, err
 	}
 	cpu := base * cpuScale
-	return Prediction{Seconds: cpu * commScale, CPUSeconds: cpu, CommScale: commScale}, nil
+	if !finite(cpu) {
+		return Prediction{}, fmt.Errorf("predict: performance %g at %d node(s), slowed down %g times by contention, is %g, not a finite time",
+			base, len(pl.nodes), cpuScale, cpu)
+	}
+	return checkFinite(Prediction{Seconds: cpu * commScale, CPUSeconds: cpu, CommScale: commScale}, "performance")
 }
 
 // cpuContention is the worst slowdown factor among assigned nodes: nominal
@@ -312,7 +333,9 @@ func (in Indexed) cpuContention(pl *Placement, selfReserved bool) (float64, erro
 // speed is never above the node's speed (resource.EffectiveSpeed), so the
 // floor is the largest seconds of a spec (each places at least one replica)
 // over the fastest speed. Floating-point rounding is monotone, so neither
-// product nor quotient can round below its floor.
+// product nor quotient can round below its floor. A floor that is an infinity
+// is 0 too: no placement then predicts a finite time, which the model refuses
+// with its cause, and a search learns the cause only by trying the choice.
 func Floor(opt *rsl.OptionSpec, plan *match.Plan, fastest float64) float64 {
 	var floor float64
 	if len(opt.Performance) > 0 {
@@ -320,7 +343,7 @@ func Floor(opt *rsl.OptionSpec, plan *match.Plan, fastest float64) float64 {
 	} else {
 		floor = plan.MaxSeconds() / fastest
 	}
-	if !(floor > 0) {
+	if !(floor > 0) || math.IsInf(floor, 1) {
 		return 0
 	}
 	return floor

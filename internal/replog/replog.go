@@ -40,8 +40,11 @@ const (
 // Session operations (applied to the replicated session table so resume
 // tokens and leases survive failover).
 const (
-	// OpSessionStart records a session: the leader mints Token at propose
-	// time, so the non-deterministic randomness is captured in the entry.
+	// OpSessionStart records a session that holds no instance yet. Nothing
+	// proposes it any more: a session enters the log with its first
+	// OpRegister, which carries the Token the leader minted at startup, and
+	// leaves it with its last OpUnregister or its OpSessionExpire. Logs
+	// written while startup was replicated still hold it, and replay it.
 	OpSessionStart Op = "session_start"
 	// OpSessionPark marks a session disconnected; the lease grace window
 	// runs on the leader's wall clock, but the decision is replicated.
@@ -96,7 +99,8 @@ type Entry struct {
 	// proposing: a register's bundle as its door analysed it, for that
 	// member's own apply (a *vet.Bundle). It rides on that member's copy of
 	// the entry alone: JSON never carries it, so an entry from a peer, the
-	// disk or a snapshot, and one that replaced it, has none.
+	// disk or a snapshot, and one that replaced it, has none. The member's
+	// log drops it once the entry is applied (Log.DropDecoded).
 	Decoded any `json:"-"`
 }
 
@@ -269,6 +273,17 @@ func (l *Log) Entry(index uint64) (Entry, error) {
 		return Entry{}, ErrOutOfRange
 	}
 	return l.entries[index-l.firstIndexLocked()], nil
+}
+
+// DropDecoded forgets the Decoded of the entry at index, once its apply has
+// taken it: the log would otherwise keep an analysis alive, after its
+// application is gone, until the entry is compacted.
+func (l *Log) DropDecoded(index uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if index >= l.firstIndexLocked() && index <= l.lastIndexLocked() {
+		l.entries[index-l.firstIndexLocked()].Decoded = nil
+	}
 }
 
 // Commit reports the commit point.

@@ -182,7 +182,7 @@ func BenchmarkArrival(b *testing.B) {
 }
 
 // BenchmarkReplicaPropose measures one committed proposal on a three-member
-// loopback cluster, as a replicated client's session start or end waits for
+// loopback cluster, as a replicated client's registration or end waits for
 // it: propose, the leader's write and append_entries, the followers' writes,
 // quorum, apply. durable gives every member a data directory, so a proposal
 // costs an fsync on the leader and on the followers; memory keeps the logs in
@@ -194,7 +194,7 @@ func BenchmarkReplicaPropose(b *testing.B) {
 			name = "durable"
 		}
 		b.Run(name, func(b *testing.B) {
-			leader := startBenchReplicas(b, durable)
+			leader := startLoopbackReplicas(b, durable)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := leader.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
@@ -205,14 +205,111 @@ func BenchmarkReplicaPropose(b *testing.B) {
 	}
 }
 
-// startBenchReplicas starts three replicas on held loopback listeners and
+// BenchmarkClientCycle times the benchmark writer's whole cycle over TCP —
+// dial, startup, bundle_setup, three heartbeats, end, close — against a
+// standalone server and against the leader of a three-member durable
+// loopback cluster, and reports the log entries a cycle writes (entries/op).
+// The count is taken once the server has cleaned up every connection.
+func BenchmarkClientCycle(b *testing.B) {
+	for _, replicated := range []bool{false, true} {
+		name := "standalone"
+		if replicated {
+			name = "replicated"
+		}
+		b.Run(name, func(b *testing.B) {
+			srv := startCycleServer(b, replicated)
+			before := srv.rep.log.LastIndex()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clientCycle(b, srv.Addr())
+			}
+			b.StopTimer()
+			drainConns(b, srv)
+			b.ReportMetric(float64(srv.rep.log.LastIndex()-before)/float64(b.N), "entries/op")
+		})
+	}
+}
+
+// startCycleServer starts a server on a loopback port in front of a
+// standalone member, or of the leader of three durable loopback replicas.
+func startCycleServer(tb testing.TB, replicated bool) *Server {
+	tb.Helper()
+	var cfg Config
+	if replicated {
+		cfg.Replica = startLoopbackReplicas(tb, true)
+		cfg.Controller = cfg.Replica.cfg.Controller
+	} else {
+		cl, err := cluster.NewSP2(8)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if cfg.Controller, err = core.New(core.Config{Cluster: cl, Clock: simclock.New()}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	srv, err := Listen("127.0.0.1:0", cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = srv.Close() })
+	return srv
+}
+
+// clientCycle runs the benchmark writer's cycle on a fresh connection:
+// startup, bundle_setup, three heartbeats, end, close.
+func clientCycle(tb testing.TB, addr string) {
+	tb.Helper()
+	c, err := hclient.Dial(addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Startup("Bag1", true); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := c.BundleSetup(sessionBagRSL(1)); err != nil {
+		tb.Fatal(err)
+	}
+	for h := 0; h < 3; h++ {
+		if err := c.Heartbeat(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := c.End(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// drainConns waits until the server has dropped every connection, then has
+// its replica's loop take a round, so what a cleanup proposed is in the log.
+func drainConns(tb testing.TB, srv *Server) {
+	tb.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		open := len(srv.conns)
+		srv.mu.Unlock()
+		if open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			tb.Fatalf("%d connection(s) still open", open)
+		}
+	}
+	settle(srv.rep)
+}
+
+// startLoopbackReplicas starts three replicas on held loopback listeners and
 // returns the one elected.
-func startBenchReplicas(b *testing.B, durable bool) *Replica {
+func startLoopbackReplicas(tb testing.TB, durable bool) *Replica {
+	tb.Helper()
 	lns := make([]net.Listener, 3)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		lns[i] = ln
 	}
@@ -226,21 +323,21 @@ func startBenchReplicas(b *testing.B, durable bool) *Replica {
 		}
 		cl, err := cluster.NewSP2(8)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		ctrl, err := core.New(core.Config{Cluster: cl, Clock: simclock.New()})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		cfg := ReplicaConfig{Peers: peers, Controller: ctrl}
 		if durable {
-			cfg.DataDir = b.TempDir()
+			cfg.DataDir = tb.TempDir()
 		}
 		rep, err := NewReplicaFromListener(ln, cfg)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		b.Cleanup(func() { rep.Close() })
+		tb.Cleanup(func() { rep.Close() })
 		reps = append(reps, rep)
 	}
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
@@ -250,6 +347,6 @@ func startBenchReplicas(b *testing.B, durable bool) *Replica {
 			}
 		}
 	}
-	b.Fatal("no leader elected")
+	tb.Fatal("no leader elected")
 	return nil
 }

@@ -43,13 +43,15 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 		if msg.AppID == "" {
 			return errReply("startup requires appId")
 		}
-		// The token is minted here — at propose time, on the leader — so the
-		// log entry (and thus every replica's session table) carries it
-		// without any randomness on the apply path.
-		token := newResumeToken()
-		if _, _, err := r.Propose(&replog.Entry{Op: replog.OpSessionStart, Token: token}); err != nil {
-			return proposeFailed("startup", err)
+		// A session is log state only while it holds an instance: the token
+		// minted here enters the log with the session's first registration,
+		// which carries it, so startup itself proposes nothing. A follower
+		// still redirects, so the client settles on the leader before it
+		// registers.
+		if !r.IsLeader() {
+			return proposeFailed("startup", &ErrNotLeader{LeaderClient: r.LeaderClient()})
 		}
+		token := newResumeToken()
 		c.mu.Lock()
 		c.resumeToken = token
 		c.mu.Unlock()
@@ -167,6 +169,13 @@ func (c *conn) handleBundleSetup(r *Replica, msg *protocol.Message) *protocol.Me
 	c.mu.Unlock()
 	res, _, err := r.Propose(&replog.Entry{Op: replog.OpRegister, RSL: msg.RSL, Token: token, Decoded: an})
 	if err != nil {
+		if errors.As(err, new(undecided)) {
+			// The registration may still commit and bind an instance
+			// to the session that this connection never hears of.
+			c.mu.Lock()
+			c.undecided = true
+			c.mu.Unlock()
+		}
 		return proposeFailed("bundle_setup", err)
 	}
 	if err := c.ackBundleSetup(res.Instance, msg.Seq); err != nil {

@@ -37,6 +37,13 @@ func TestLeaderAppliesTheDoorsDecode(t *testing.T) {
 			if _, _, err := srv.rep.Propose(&replog.Entry{Op: replog.OpRegister, RSL: dbRSL}); err != nil {
 				t.Fatal(err)
 			}
+			// Applied, the log's copy lets go of the analysis: the app holds it
+			// while it lives, and nothing else should.
+			for idx := srv.rep.log.Snapshot().Index + 1; idx <= srv.rep.log.LastIndex(); idx++ {
+				if e, err := srv.rep.log.Entry(idx); err == nil && e.Decoded != nil {
+					t.Fatalf("entry %d still holds the door's analysis once applied", idx)
+				}
+			}
 			ans := ctrl.Analyses()
 			if len(ans) != 2 {
 				t.Fatalf("%d analyses, want 2", len(ans))

@@ -37,6 +37,14 @@ type ErrNotLeader = consensus.ErrNotLeader
 // ErrNoQuorum is returned when a proposal cannot reach a majority.
 var ErrNoQuorum = consensus.ErrNoQuorum
 
+// undecided wraps why a proposer stopped waiting before its entry was applied
+// (no quorum in time, a failed write, a step-down, a close): the entry is in
+// the log and may still commit. A refusal before the append, and an apply's
+// own error, are answers and come unwrapped.
+type undecided struct{ error }
+
+func (u undecided) Unwrap() error { return u.error }
+
 // ReplicaConfig parameterizes one replica.
 type ReplicaConfig struct {
 	// ID names the replica; defaults to the peer listener's address, or
@@ -420,7 +428,7 @@ func (r *Replica) finish(ev event, rd *consensus.Ready) {
 	for _, f := range rd.Failed {
 		if done := r.waiters[f.Index]; done != nil {
 			delete(r.waiters, f.Index)
-			done(applyOutcome{err: f.Err})
+			done(applyOutcome{err: undecided{f.Err}})
 		}
 	}
 	// The proposers are answered first: a snapshot is the members' own
@@ -465,7 +473,7 @@ func (r *Replica) Propose(e *replog.Entry) (*core.ApplyResult, *sessionRecord, e
 		case <-r.stop:
 		}
 	}
-	return nil, nil, &ErrNotLeader{} // closed: whoever leads, it is not this member
+	return nil, nil, undecided{&ErrNotLeader{}} // closed: whoever leads, it is not this member
 }
 
 // Advance replicates a re-harmonization entry stamped at virtual time now
@@ -486,6 +494,9 @@ func (r *Replica) applyCommitted(commit uint64) (released []func()) {
 			return released
 		}
 		out := r.applyEntry(&e)
+		if e.Decoded != nil {
+			r.log.DropDecoded(idx)
+		}
 		r.lastApplied.Store(idx)
 		r.appliedSince++
 		if done := r.waiters[idx]; done != nil {

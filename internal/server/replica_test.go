@@ -851,11 +851,16 @@ harmonyBundle Bag%d:%d parallelism {
 }
 
 // sessionLog is a churn of client sessions as the replica's apply path sees
-// it: each round starts three sessions, registers instances under their
+// it. Each of the first rounds is written as logs were while startup was
+// replicated: it starts three sessions, registers instances under their
 // tokens, parks two, resumes one, ends an instance, expires a parked session
 // with its instance, and expires the previous round's two survivors, one
-// active and one parked. Every entry succeeds, so instances are numbered in
-// registration order, and the table always holds sessions in both states.
+// active and one parked. The later rounds start no session: a session enters
+// the table with its first registration and leaves it with its last
+// unregister, or with its expiry, and a session that never registered is
+// expired as a connection whose registration went unanswered expires it.
+// Every entry succeeds, so instances are numbered in registration order, and
+// the table always holds sessions in both states.
 func sessionLog() []replog.Entry {
 	var log []replog.Entry
 	add := func(e replog.Entry) {
@@ -887,6 +892,23 @@ func sessionLog() []replog.Entry {
 		if round > 0 {
 			session(replog.OpSessionExpire, fmt.Sprintf("a%d", round-1))
 			session(replog.OpSessionExpire, fmt.Sprintf("b%d", round-1))
+		}
+	}
+	for round := 0; round < 16; round++ {
+		d, e, f := fmt.Sprintf("d%d", round), fmt.Sprintf("e%d", round), fmt.Sprintf("f%d", round)
+		first := register(d)
+		second := register(d)
+		register(e)
+		add(replog.Entry{Op: replog.OpUnregister, Instance: first})
+		add(replog.Entry{Op: replog.OpUnregister, Instance: second})
+		register(d)
+		session(replog.OpSessionPark, d)
+		session(replog.OpSessionPark, e)
+		session(replog.OpSessionResume, d)
+		session(replog.OpSessionExpire, e)
+		session(replog.OpSessionExpire, f)
+		if round > 0 {
+			session(replog.OpSessionExpire, fmt.Sprintf("d%d", round-1))
 		}
 	}
 	return log
@@ -947,4 +969,87 @@ func TestReplicaReplayIsDeterministic(t *testing.T) {
 		closeWithin(t, fmt.Sprintf("replica %d", k), r.Close)
 	}
 	requireNoneOutlive(t, before)
+}
+
+// TestClientCycleWritesTwoEntries runs the benchmark writer's cycle (startup,
+// bundle_setup, three heartbeats, end, close) against a standalone server and
+// against the leader of three durable members: the registration and the end
+// are a cycle's only log entries. Startup proposes nothing, the session the
+// registration records leaves the table with the end, and the close of a
+// connection that holds no instance proposes nothing either.
+func TestClientCycleWritesTwoEntries(t *testing.T) {
+	for _, replicated := range []bool{false, true} {
+		t.Run(fmt.Sprintf("replicated=%v", replicated), func(t *testing.T) {
+			srv := startCycleServer(t, replicated)
+			before := srv.rep.log.LastIndex()
+			const cycles = 5
+			for i := 0; i < cycles; i++ {
+				clientCycle(t, srv.Addr())
+				drainConns(t, srv)
+			}
+			if got := srv.rep.log.LastIndex() - before; got != 2*cycles {
+				t.Fatalf("%d cycles wrote %d log entries, want %d", cycles, got, 2*cycles)
+			}
+			var sessions []sessionRecord
+			done := make(chan struct{})
+			srv.rep.post(event{run: func() {
+				sessions = srv.rep.sessions.snapshot()
+				close(done)
+			}})
+			<-done
+			if len(sessions) != 0 {
+				t.Fatalf("sessions after the cycles = %+v, want none", sessions)
+			}
+		})
+	}
+}
+
+// TestUnansweredRegistrationEndsSession has a bundle_setup proposal fail
+// without an answer: the leader's followers are down, so it reaches no
+// quorum. The connection holds no instance, yet the entry may still commit
+// and bind one to its session, so its close proposes the session's end. Once
+// a follower is back, both commit, and the instance the client never heard
+// of is released.
+func TestUnansweredRegistrationEndsSession(t *testing.T) {
+	nodes := startTestCluster(t, 3, time.Second, 0)
+	leader := waitLeader(t, nodes)
+	p := dialNode(t, leader)
+	ack := p.call(t, &protocol.Message{Type: protocol.TypeStartup, AppID: "DBclient"})
+	var followers []*testNode
+	for _, n := range nodes {
+		if n != leader {
+			followers = append(followers, n)
+			n.kill()
+		}
+	}
+	// call fails on an error reply; this one is the point.
+	if err := p.w.Write(&protocol.Message{Type: protocol.TypeBundleSetup, RSL: dbRSL, Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := p.r.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Type != protocol.TypeError || !strings.Contains(reply.Error, ErrNoQuorum.Error()) {
+		t.Fatalf("bundle_setup without followers = %+v, want a no-quorum error", reply)
+	}
+	registered := leader.rep.log.LastIndex()
+	_ = p.conn.Close()
+	waitTrue(t, 3*time.Second, "the session's end to be proposed", func() bool {
+		entries, err := leader.rep.log.EntriesFrom(registered + 1)
+		return err == nil && len(entries) == 1 &&
+			entries[0].Op == replog.OpSessionExpire && entries[0].Token == ack.ResumeToken
+	})
+	// One follower is a majority with the leader, and cannot win a vote
+	// without the leader's: the leader keeps the entries and commits them.
+	followers[0].start(t)
+	waitTrue(t, 3*time.Second, "the registration and the end to commit", func() bool {
+		return leader.rep.Status().CommitIndex >= registered+1
+	})
+	if apps := leader.ctrl.Apps(); len(apps) != 0 {
+		t.Fatalf("apps after the session's end = %+v, want none", apps)
+	}
+	if enc := stateJSON(t, leader); strings.Contains(enc, ack.ResumeToken) {
+		t.Fatalf("the ended session is still in the state: %s", enc)
+	}
 }

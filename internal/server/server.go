@@ -137,6 +137,9 @@ type conn struct {
 	mu          sync.Mutex
 	resumeToken string
 	instances   map[int]bool
+	// undecided is set once a bundle_setup proposal failed without an
+	// answer: its entry may yet bind an instance to the session.
+	undecided bool
 }
 
 func (c *conn) touch() { c.lastSeen.Store(time.Now().UnixNano()) }
@@ -458,9 +461,10 @@ func (c *conn) serve() {
 // cleanup handles a dying connection. Instances are never unregistered
 // directly — that would mutate the ledger off-log. The leader either parks
 // the session and arms a grace timer whose expiry proposes its end, or,
-// without a grace window or with nothing to hold, proposes the end at once;
-// a follower (or a deposed leader) does nothing, because the real leader's
-// grace timers own every session.
+// without a grace window, proposes the end at once; a follower (or a deposed
+// leader) does nothing, because the real leader's grace timers own every
+// session. A session that holds no instance is not in the log, and its end
+// is proposed only when a registration of it may yet commit.
 func (c *conn) cleanup() {
 	s, r := c.srv, c.srv.rep
 	c.mu.Lock()
@@ -469,7 +473,7 @@ func (c *conn) cleanup() {
 		instances = append(instances, id)
 	}
 	sort.Ints(instances)
-	token := c.resumeToken
+	token, undecided := c.resumeToken, c.undecided
 	c.mu.Unlock()
 	s.mu.Lock()
 	delete(s.conns, c)
@@ -481,7 +485,7 @@ func (c *conn) cleanup() {
 	closed := s.closed
 	s.mu.Unlock()
 	_ = c.netConn.Close()
-	if closed || !r.IsLeader() {
+	if closed || !r.IsLeader() || (len(instances) == 0 && !undecided) {
 		return
 	}
 	if token == "" {

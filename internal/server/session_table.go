@@ -39,7 +39,9 @@ func newSessionTable() *sessionTable {
 	return &sessionTable{m: make(map[string]*sessionRecord)}
 }
 
-// start records a fresh session (OpSessionStart).
+// start records a fresh session (OpSessionStart). Nothing proposes one any
+// more: a session enters the table with its first registration (bind). Logs
+// written while startup was replicated still hold them, and replay them here.
 func (t *sessionTable) start(token string) error {
 	if _, ok := t.m[token]; ok {
 		return fmt.Errorf("server: session %s already exists", token)
@@ -48,11 +50,13 @@ func (t *sessionTable) start(token string) error {
 	return nil
 }
 
-// bind attaches a registered instance to a session (OpRegister apply).
+// bind attaches a registered instance to a session (OpRegister apply),
+// recording the session if this is its first.
 func (t *sessionTable) bind(token string, instance int) {
 	rec, ok := t.m[token]
 	if !ok {
-		return
+		rec = &sessionRecord{Token: token}
+		t.m[token] = rec
 	}
 	for _, id := range rec.Instances {
 		if id == instance {
@@ -64,12 +68,16 @@ func (t *sessionTable) bind(token string, instance int) {
 }
 
 // unbindInstance detaches an instance from whichever session holds it
-// (OpUnregister apply).
+// (OpUnregister apply), and forgets a session left with none. An instance is
+// in at most one session, so the map's order does not matter.
 func (t *sessionTable) unbindInstance(instance int) {
-	for _, rec := range t.m {
+	for token, rec := range t.m {
 		for i, id := range rec.Instances {
 			if id == instance {
 				rec.Instances = append(rec.Instances[:i], rec.Instances[i+1:]...)
+				if len(rec.Instances) == 0 {
+					delete(t.m, token)
+				}
 				return
 			}
 		}

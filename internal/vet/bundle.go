@@ -233,6 +233,10 @@ type Capacity struct {
 	Nodes    int
 	MemoryMB float64
 	HostMB   map[string]float64
+	// FastestSpeed and SlowestSpeed are the highest and the lowest declared
+	// speed: no node runs a job's seconds faster than the one, and an idle
+	// node runs one replica no slower than the other.
+	FastestSpeed, SlowestSpeed float64
 }
 
 // CapacityOf sums the declarations.
@@ -255,6 +259,10 @@ func (c Capacity) Add(decls []*rsl.NodeDecl) Capacity {
 	for _, d := range decls {
 		c.MemoryMB += d.MemoryMB
 		host[d.Hostname] += d.MemoryMB
+		c.FastestSpeed = max(c.FastestSpeed, d.Speed)
+		if c.SlowestSpeed == 0 || d.Speed < c.SlowestSpeed {
+			c.SlowestSpeed = d.Speed
+		}
 	}
 	c.Nodes += len(decls)
 	c.HostMB = host

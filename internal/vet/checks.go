@@ -175,16 +175,17 @@ func (s *optScope) checkOption(opt *rsl.OptionSpec) {
 	}
 	if opt.Granularity != nil {
 		s.checkExpr(opt.Granularity, opt.GranularityPos, exprCtx{what: "granularity"}, false)
-		s.checkRange(opt.Granularity, opt.GranularityPos, exprCtx{what: "granularity"}, 0, false)
+		s.checkRange(opt.Granularity, opt.GranularityPos, exprCtx{what: "granularity", kept: true}, 0, false)
 	}
 	if opt.Friction != nil {
 		s.checkExpr(opt.Friction, opt.FrictionPos, exprCtx{what: "friction"}, true)
-		s.checkRange(opt.Friction, opt.FrictionPos, exprCtx{what: "friction"}, 0, true)
+		s.checkRange(opt.Friction, opt.FrictionPos, exprCtx{what: "friction", kept: true}, 0, true)
 	}
 
 	s.checkPerformance(opt)
 	s.checkCapacity(opt)
 	s.checkFinite(opt)
+	s.checkPrediction(opt)
 }
 
 // checkFinite reports as out of range (negative-tag) the choices never placed
@@ -208,6 +209,57 @@ func (s *optScope) checkFinite(opt *rsl.OptionSpec) {
 	}
 }
 
+// checkPrediction reports the choices whose default-model prediction is not
+// a finite time. The model divides a node's seconds by the node's speed,
+// scaled down by contention: never above the fastest declared speed, and on an
+// idle cluster never below the slowest over the replicas the plan may stack
+// on one node. A choice with a spec whose seconds over the fastest speed is an
+// infinity never predicts a finite time, and the controller refuses it: an
+// error when no choice that resolves is left. A choice that does so over the
+// slowest speed may, even on an idle cluster: a warning, as for some choices
+// that never do. Skipped without declarations, and for an explicit model.
+func (s *optScope) checkPrediction(opt *rsl.OptionSpec) {
+	capa := &s.a.capa
+	if capa.FastestSpeed <= 0 || len(opt.Performance) > 0 {
+		return
+	}
+	resolved, never, may, witness := 0, 0, 0, ""
+	for _, p := range s.plans {
+		if p.Failure() != nil {
+			continue
+		}
+		resolved++
+		stack := float64(p.Replicas())
+		why, always := "", false
+		for k := range opt.Nodes {
+			secs, _ := p.Seconds(k)
+			name := opt.Nodes[k].LocalName
+			if t := secs / capa.FastestSpeed; math.IsInf(t, 0) {
+				why, always = fmt.Sprintf("node %q: seconds %g over the fastest declared speed %g is %g", name, secs, capa.FastestSpeed, t), true
+				break
+			}
+			if t := secs * stack / capa.SlowestSpeed; why == "" && math.IsInf(t, 0) {
+				why = fmt.Sprintf("node %q: seconds %g times the %g replica(s) that may share a node over the slowest declared speed %g is %g", name, secs, stack, capa.SlowestSpeed, t)
+			}
+		}
+		switch {
+		case always:
+			never++
+		case why != "":
+			may++
+		}
+		witness = cmp.Or(witness, why)
+	}
+	switch {
+	case never > 0 && never == resolved:
+		s.diag("infinite-prediction", SevError, opt.Pos,
+			"no choice the controller enumerates predicts a finite time: %s", witness)
+	case never+may > 0:
+		s.diag("infinite-prediction", SevWarn, opt.Pos,
+			"%d of the %d choices the controller enumerates may predict no finite time (e.g. %s)", never+may, resolved, witness)
+	}
+}
+
 // exprCtx names what an expression belongs to, e.g. `node "n" tag
 // "seconds"`, and is put into words only when a finding is reported.
 type exprCtx struct {
@@ -215,6 +267,11 @@ type exprCtx struct {
 	// a and b are the node and tag names, or a link's two ends; what is the
 	// link field or the option tag.
 	a, b, what string
+	// kept marks a tag whose value the plan keeps, with the error, when it
+	// does not evaluate (friction, granularity): checkRange reports that.
+	// Any other quantity that does not evaluate fails its plan, and
+	// checkFinite reports it.
+	kept bool
 }
 
 // ctxKind is what an exprCtx names; the zero kind is an option tag, named
@@ -389,9 +446,17 @@ func (s *optScope) checkRange(e rsl.Expr, pos rsl.Pos, ctx exprCtx, minAllowed f
 		return
 	}
 	seen, below, maxV, witness, witnessV := 0, 0, 0.0, "", 0.0
+	failed, failure, failedAt := 0, error(nil), ""
 	s.eachEnv(e, allowLocals, func(env rsl.Env, names []string) bool {
 		v, err := e.Eval(env)
 		if err != nil {
+			// A division by zero is div-zero's to report.
+			if ctx.kept && errors.Is(err, rsl.ErrNonFinite) {
+				if failed == 0 {
+					failure, failedAt = err, describeBinding(env, names)
+				}
+				failed++
+			}
 			return true
 		}
 		if seen == 0 || v > maxV {
@@ -406,6 +471,14 @@ func (s *optScope) checkRange(e rsl.Expr, pos rsl.Pos, ctx exprCtx, minAllowed f
 		}
 		return true
 	})
+	switch {
+	case failed > 0 && seen == 0:
+		s.diag("negative-tag", SevError, pos,
+			"%s does not evaluate for any admissible binding: %v; the controller reads it as 0", ctx, failure)
+	case failed > 0:
+		s.diag("negative-tag", SevWarn, pos,
+			"%s does not evaluate when %s: %v; the controller reads it as 0 there", ctx, failedAt, failure)
+	}
 	switch {
 	case below == 0:
 	case below == seen:

@@ -214,6 +214,7 @@ var checkRegistry = []CheckInfo{
 	{"dup-node-decl", SevError, "the same hostname is declared by more than one harmonyNode"},
 	{"node-decl-capacity", SevWarn, "a harmonyNode declares no memory, so every memory-bearing request will fail to match on it"},
 	{"too-many-choices", SevError, "a bundle's options, variable domains and memory grant ladders expand to more choices than the controller enumerates (4096); the server and the controller refuse it, and no check that needs a binding runs"},
+	{"infinite-prediction", SevError, "a node's seconds over the fastest declared node's speed is an infinity, so the default model predicts no finite time and the controller refuses the choice (or, as a warning, some of the option's choices)"},
 	{"perf-model-range", SevWarn, "a performance model's node-count span is disjoint from every node count the option can request, so predictions always extrapolate"},
 	{"workload-memory", SevError, "the bundles' combined best-case memory demand exceeds the cluster's total memory, so no allocation of the whole workload can succeed"},
 	{"workload-nodes", SevError, "the bundles' combined best-case exclusive-node demand exceeds the cluster's node count"},

@@ -36,6 +36,8 @@ var wantChecks = map[string][]string{
 	"ladder.rsl":      {"div-zero", "negative-tag"},
 	"overflow.rsl":    {"negative-tag"},
 	"nonfinite.rsl":   {"decode"},
+	"hugeseconds.rsl": {"infinite-prediction"},
+	"noeval.rsl":      {"negative-tag"},
 	"fraction.rsl":    {},
 	"clean.rsl":       {},
 }

@@ -111,10 +111,12 @@ echo "== bench harness (vet + tests against this checkout's API)"
 # server, beside db-crowd's 64 clients and wide-greedy's 8 bags (Arrival),
 # and replica-squeeze's replicated path without the wire to clients: one
 # committed proposal on a three-member loopback cluster, durable (an fsync
-# per member) and in memory.
+# per member) and in memory. Then the benchmark writer's whole cycle over
+# TCP, standalone and on three durable members, with the log entries a cycle
+# writes (ClientCycle, entries/op: 2).
 go test -run '^$' -bench 'CrowdCycle|WideGreedyCycle|SqueezeCycle' -benchtime 20x -benchmem ./internal/core
 go test -run '^$' -bench 'WorkloadCrowd|AdmissionCrowd|ScriptCrowd|ScriptAtCap' -benchtime 20x ./internal/vet
-go test -run '^$' -bench 'Arrival|ReplicaPropose' -benchtime 20x ./internal/server
+go test -run '^$' -bench 'Arrival|ReplicaPropose|ClientCycle' -benchtime 20x ./internal/server
 
 echo "== harmonyctl lint (examples/specs against the reference cluster)"
 sarif_out="${SARIF_OUT:-$(mktemp)}"
