@@ -8,31 +8,38 @@
 //	harmony_wait_for_update()           -> Client.WaitForUpdate
 //	harmony_end()                       -> Client.End
 //
-// A background reader applies pushed variable updates (the paper's I/O
+// One background reader applies pushed variable updates (the paper's I/O
 // event handler); the application polls Harmony variables at natural phase
 // boundaries and adapts.
 //
-// With DialConfig.Reconnect set, the client survives connection loss: it
-// redials with jittered exponential backoff, first trying to resume its
-// server-side session by resume token (keeping its instance ids without
-// re-running bundle setup), and falling back to a full replay of the
-// startup/bundle_setup handshake when the server's lease grace window has
-// lapsed. Variable declarations are not replayed: the server keeps nothing
-// for add_variable, and the client holds the defaults itself.
-//
 // Dial accepts a comma-separated list of controller addresses for
-// replicated deployments. The client rotates through them on reconnect, and
-// when a follower rejects a mutation with a not_leader redirect the client
-// transparently re-dials the advertised leader and reissues the request —
+// replicated deployments. A connection comes up one way, whatever the
+// reason — the first dial, a broken connection, or a follower's not_leader
+// redirect: one pass over the members, a leader a follower named first and
+// then the others in rotation, each new connection restoring the session
+// before it is used. A follower that answers with not_leader sends the
+// client to the leader it names at once, and the request is reissued there:
 // applications never see the failover.
+//
+// With DialConfig.Reconnect set, the client survives connection loss: the
+// reader brings up the next connection itself, with jittered exponential
+// backoff between passes, first trying to resume its server-side session by
+// resume token (keeping its instance ids without re-running bundle setup),
+// and falling back to a full replay of the startup/bundle_setup handshake
+// when the server's lease grace window has lapsed. Variable declarations are
+// not replayed: the server keeps nothing for add_variable, and the client
+// holds the defaults itself. Without Reconnect, the client ends with its
+// connection.
 package hclient
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -69,11 +76,9 @@ func (e *ServerError) IsNotLeader() bool {
 	return strings.HasPrefix(e.Reason, protocol.ErrNotLeader)
 }
 
-// errRedirected marks a connection break forced to chase a leader redirect.
-var errRedirected = errors.New("hclient: redirected to leader")
-
-// maxRedirects bounds leader-chasing per call so a leaderless cluster (or a
-// stale redirect loop) fails instead of spinning.
+// maxRedirects bounds the leaders one call, or one pass over the members,
+// chases, so a leaderless cluster (or a stale redirect loop) fails instead
+// of spinning.
 const maxRedirects = 4
 
 // DialConfig tunes connection establishment and resilience. The zero value
@@ -95,8 +100,10 @@ type DialConfig struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential backoff; default 5 s.
 	BackoffMax time.Duration
-	// MaxAttempts bounds dial attempts per outage before the client gives
-	// up and reports ErrClosed; default 10, negative means unlimited.
+	// MaxAttempts bounds the passes over the members per outage before the
+	// client gives up and reports ErrClosed. A pass dials a leader a
+	// follower named first, then each address once; the backoff runs
+	// between passes. Default 10, negative means unlimited.
 	MaxAttempts int
 }
 
@@ -121,7 +128,8 @@ func (cfg DialConfig) withDefaults() DialConfig {
 
 // Stats counts resilience events since Dial.
 type Stats struct {
-	// Reconnects counts successfully re-established connections.
+	// Reconnects counts connections brought up after the first, for a
+	// broken connection and a leader redirect alike.
 	Reconnects uint64
 	// Resumes counts reconnects that kept the session by resume token.
 	Resumes uint64
@@ -158,11 +166,20 @@ type Client struct {
 	addrs   []string // candidate controller addresses, in dial order
 	cfg     DialConfig
 	writeMu sync.Mutex
+	// addrIdx indexes the address last connected to. Only connect touches
+	// it, on the reader (or in DialWith, before the reader starts).
+	addrIdx int
 
-	mu         sync.Mutex
-	netConn    net.Conn
-	writer     *protocol.Writer
-	connGen    uint64
+	mu sync.Mutex
+	// netConn and writer are the connection last brought up (nil before
+	// the first). While waitCh is set that connection is dead, the reader
+	// is bringing up the next one, and calls park on waitCh.
+	netConn net.Conn
+	writer  *protocol.Writer
+	waitCh  chan struct{}
+	// leaderHint, when set, is dialed first by the next connect: a
+	// follower's not_leader named it.
+	leaderHint string
 	vars       map[string]protocol.VarValue
 	declared   map[string]*Variable
 	instance   int
@@ -172,7 +189,7 @@ type Client struct {
 	genCh      chan struct{}
 	nextSeq    uint64
 	replies    map[uint64]chan *protocol.Message
-	readErr    error
+	stats      Stats
 
 	// Session replay state.
 	appID         string
@@ -181,22 +198,11 @@ type Client struct {
 	rslText       string
 	resumeToken   string
 
-	// Reconnection state: while reconnecting, calls park on waitCh.
-	reconnecting bool
-	waitCh       chan struct{}
-	stats        Stats
-	// addrIdx is the index of the address currently (or last) in use;
-	// leaderHint, when set, is dialed next regardless of rotation (a
-	// follower's not_leader redirect named it).
-	addrIdx    int
-	leaderHint string
-	// redirecting marks a connection deliberately broken to chase a
-	// not_leader redirect, so connBroken reconnects even for a client that
-	// never completed startup.
-	redirecting bool
-
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// ctx ends with Close, cancelling a dial, handshake or backoff under
+	// way.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // splitAddrs parses a comma-separated controller address list.
@@ -226,36 +232,23 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("hclient: no controller address")
 	}
-	var (
-		nc  net.Conn
-		idx int
-		err error
-	)
-	for i, a := range addrs {
-		nc, err = net.DialTimeout("tcp", a, cfg.Timeout)
-		if err == nil {
-			idx = i
-			break
-		}
-	}
-	if nc == nil {
-		return nil, fmt.Errorf("hclient: dial %s: %w", addr, err)
-	}
 	c := &Client{
 		addrs:    addrs,
-		addrIdx:  idx,
+		addrIdx:  len(addrs) - 1, // the first pass starts at addrs[0]
 		cfg:      cfg,
-		netConn:  nc,
-		writer:   protocol.NewWriter(nc),
-		connGen:  1,
 		vars:     make(map[string]protocol.VarValue),
 		declared: make(map[string]*Variable),
 		genCh:    make(chan struct{}),
 		replies:  make(map[uint64]chan *protocol.Message),
-		stop:     make(chan struct{}),
+	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	r, err := c.connect()
+	if err != nil {
+		c.cancel()
+		return nil, fmt.Errorf("hclient: dial %s: %w", addr, err)
 	}
 	c.wg.Add(1)
-	go c.readLoop(protocol.NewReader(nc), 1)
+	go c.readLoop(r)
 	if cfg.HeartbeatInterval > 0 {
 		c.wg.Add(1)
 		go c.heartbeatLoop()
@@ -263,154 +256,142 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 	return c, nil
 }
 
-// readLoop dispatches replies to waiting requests and applies pushed
-// updates; it is the paper's "I/O event handler function ... called when
-// the Harmony process sends variable updates". One loop runs per
-// connection generation; a stale loop exits without touching shared state.
-func (c *Client) readLoop(r *protocol.Reader, gen uint64) {
+// readLoop is the client's one reader, for its whole life. It dispatches
+// replies to waiting requests and applies pushed updates — the paper's "I/O
+// event handler function ... called when the Harmony process sends variable
+// updates". When its connection dies it brings up the next one and reads
+// on; it returns once the client has ended.
+func (c *Client) readLoop(r *protocol.Reader) {
 	defer c.wg.Done()
-	for {
+	for r != nil {
 		msg, err := r.Read()
-		if err != nil {
-			c.connBroken(gen, err)
-			return
-		}
-		if msg.Type == protocol.TypeUpdate {
-			c.applyUpdate(msg)
-			continue
-		}
-		c.mu.Lock()
-		if gen == c.connGen {
+		switch {
+		case err != nil:
+			r = c.reconnect()
+		case msg.Type == protocol.TypeUpdate:
+			c.mu.Lock()
+			c.applyVars(msg.Vars)
+			c.mu.Unlock()
+		default:
+			c.mu.Lock()
 			if ch, ok := c.replies[msg.Seq]; ok {
 				delete(c.replies, msg.Seq)
 				ch <- msg
 			}
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
 	}
 }
 
-// connBroken reacts to a dead connection: every in-flight call fails, and
-// the client either shuts down (no Reconnect, explicit Close, or never
-// started) or kicks off the reconnect loop.
-func (c *Client) connBroken(gen uint64, err error) {
+// reconnect retires the reader's dead connection and brings up the next:
+// passes over the members (connect) with jittered exponential backoff
+// between them, until one connects, Close is called, or MaxAttempts passes
+// have failed. It returns the new connection's reader, or nil once the
+// client has ended — at once without DialConfig.Reconnect.
+func (c *Client) reconnect() *protocol.Reader {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.connGen || c.reconnecting {
-		return // a newer connection exists or recovery is underway
+	c.retire(c.netConn)
+	if c.closed || !c.cfg.Reconnect {
+		c.end()
+		c.mu.Unlock()
+		return nil
 	}
-	for _, ch := range c.replies {
-		close(ch)
-	}
-	c.replies = make(map[uint64]chan *protocol.Message)
-	if c.readErr == nil {
-		c.readErr = err
-	}
-	// A never-started client normally dies with its connection (nothing to
-	// restore) — unless a leader redirect broke it on purpose, in which
-	// case the reconnect installs a fresh connection to the leader and the
-	// original call is reissued there.
-	if c.closed || !c.cfg.Reconnect || (!c.started && !c.redirecting) {
-		c.closed = true
-		if c.genCh != nil {
-			close(c.genCh)
-			c.genCh = nil
-		}
-		return
-	}
-	c.reconnecting = true
-	c.waitCh = make(chan struct{})
-	c.wg.Add(1)
-	go c.reconnectLoop()
-}
-
-// reconnectLoop redials with jittered exponential backoff until the session
-// is restored, Close is called, or the attempt budget runs out.
-func (c *Client) reconnectLoop() {
-	defer c.wg.Done()
+	c.mu.Unlock()
 	backoff := c.cfg.BackoffBase
-	for attempt := 1; ; attempt++ {
-		if c.isClosed() {
-			return // Close already released the waiters
+	for pass := 1; ; pass++ {
+		if r, err := c.connect(); err == nil {
+			return r
 		}
-		nc, err := c.dialOnce()
-		if err == nil {
-			err = c.restoreSession(nc)
-			if err == nil {
-				return
-			}
-			_ = nc.Close()
-			if errors.Is(err, ErrClosed) {
-				return
-			}
-		}
-		if c.cfg.MaxAttempts > 0 && attempt >= c.cfg.MaxAttempts {
-			c.giveUp(fmt.Errorf("hclient: reconnect gave up after %d attempts: %w", attempt, err))
-			return
+		if pass == c.cfg.MaxAttempts || c.ctx.Err() != nil {
+			break
 		}
 		// Full jitter on [backoff/2, backoff]: enough spread that a herd of
 		// clients dropped by one server restart does not redial in phase.
 		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		backoff *= 2
-		if backoff > c.cfg.BackoffMax {
-			backoff = c.cfg.BackoffMax
-		}
+		backoff = min(2*backoff, c.cfg.BackoffMax)
 		select {
-		case <-c.stop:
-			c.giveUp(ErrClosed)
-			return
+		case <-c.ctx.Done():
 		case <-time.After(d):
 		}
 	}
+	c.mu.Lock()
+	c.end()
+	c.mu.Unlock()
+	return nil
 }
 
-// nextAddr picks the next address to dial: a pending leader redirect wins,
-// otherwise the candidate list is rotated so an unreachable member does not
-// pin the client forever.
-func (c *Client) nextAddr() string {
+// connect brings up a connection, whatever the reason: DialWith, a broken
+// connection, or a follower's not_leader. It makes one pass over the
+// members — the leader a follower named first, then the addresses in
+// rotation from the one after the last connected — and installs the first
+// connection whose handshake succeeds. A not_leader answer to the handshake
+// sends the pass to the leader it names at once, at most maxRedirects times.
+func (c *Client) connect() (*protocol.Reader, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if hint := c.leaderHint; hint != "" {
-		c.leaderHint = ""
-		// Re-anchor the rotation when the hint is a known member, so the
-		// next plain reconnect starts from the leader's successor.
-		for i, a := range c.addrs {
-			if a == hint {
+	next := c.leaderHint
+	c.leaderHint = ""
+	c.mu.Unlock()
+	var err error
+	for tried, redirects := 0, 0; tried < len(c.addrs); {
+		if c.ctx.Err() != nil {
+			return nil, ErrClosed
+		}
+		addr := next
+		if addr == "" {
+			c.addrIdx = (c.addrIdx + 1) % len(c.addrs)
+			addr = c.addrs[c.addrIdx]
+			tried++
+		}
+		next = ""
+		var r *protocol.Reader
+		if r, err = c.dial(addr); err == nil {
+			// A later pass starts from the successor of the member that
+			// answered, a leader a follower named included.
+			if i := slices.Index(c.addrs, addr); i >= 0 {
 				c.addrIdx = i
 			}
+			return r, nil
 		}
-		return hint
+		var se *ServerError
+		if errors.As(err, &se) && se.IsNotLeader() && redirects < maxRedirects {
+			redirects++
+			next = se.Leader
+		}
 	}
-	c.addrIdx = (c.addrIdx + 1) % len(c.addrs)
-	return c.addrs[c.addrIdx]
+	return nil, err
 }
 
-// dialOnce makes one cancellable dial attempt.
-func (c *Client) dialOnce() (net.Conn, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
+// dial is the client's one dial site: it connects to addr, restores the
+// session on the connection and installs it (handshake). Close cancels it at
+// any point, a handshake the server never answers included.
+func (c *Client) dial(addr string) (*protocol.Reader, error) {
+	ctx, cancel := context.WithTimeout(c.ctx, c.cfg.Timeout)
 	defer cancel()
-	go func() {
-		select {
-		case <-c.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
 	var d net.Dialer
-	return d.DialContext(ctx, "tcp", c.nextAddr())
+	nc, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	defer context.AfterFunc(c.ctx, func() { _ = nc.Close() })()
+	r, err := c.handshake(nc)
+	if err != nil {
+		_ = nc.Close()
+	}
+	return r, err
 }
 
-// handshakeTimeout bounds each restore round trip.
+// handshakeTimeout bounds each round trip of a handshake.
 const handshakeTimeout = 10 * time.Second
 
-// restoreSession rebuilds the session on a fresh connection: resume by
-// token when the server still holds the session, full handshake replay
-// otherwise. On success the connection is installed and waiters released.
-func (c *Client) restoreSession(nc net.Conn) error {
-	w := protocol.NewWriter(nc)
-	r := protocol.NewReader(nc)
-	var seq uint64
+// handshake restores the session on a fresh connection, then installs it:
+// resume by token when the server still holds the session, a replay of
+// startup and bundle_setup otherwise; a client that never started has
+// nothing to restore. A not_leader answer fails it with that ServerError,
+// which names the leader to dial.
+func (c *Client) handshake(nc net.Conn) (*protocol.Reader, error) {
+	w, r := protocol.NewWriter(nc), protocol.NewReader(nc)
 	restored := make(map[string]protocol.VarValue)
+	var seq uint64
 	roundTrip := func(msg *protocol.Message) (*protocol.Message, error) {
 		seq++
 		msg.Seq = seq
@@ -420,138 +401,113 @@ func (c *Client) restoreSession(nc net.Conn) error {
 		}
 		for {
 			reply, err := r.Read()
-			if err != nil {
+			switch {
+			case err != nil:
 				return nil, err
-			}
-			if reply.Type == protocol.TypeUpdate {
+			case reply.Type == protocol.TypeUpdate:
 				// An update racing the handshake (e.g. the resume flush):
 				// fold it into the restored state.
-				for k, v := range reply.Vars {
-					restored[k] = v
-				}
-				continue
+				maps.Copy(restored, reply.Vars)
+			case reply.Seq != msg.Seq:
+			case reply.Type == protocol.TypeError:
+				return nil, &ServerError{Reason: reply.Error, Leader: reply.Leader}
+			default:
+				return reply, nil
 			}
-			if reply.Seq != msg.Seq {
-				continue
-			}
-			return reply, nil
 		}
 	}
 
 	c.mu.Lock()
-	token := c.resumeToken
-	appID, useInterrupts := c.appID, c.useInterrupts
-	rslText, registered := c.rslText, c.registered
-	started := c.started
+	token, started, registered := c.resumeToken, c.started, c.registered
+	startup := &protocol.Message{Type: protocol.TypeStartup, AppID: c.appID, UseInterrupts: c.useInterrupts}
+	setup := &protocol.Message{Type: protocol.TypeBundleSetup, RSL: c.rslText}
 	c.mu.Unlock()
-
-	// rejected classifies a non-ack reply: a follower's not_leader redirect
-	// records the advertised leader and fails this attempt so the reconnect
-	// loop re-dials against the hint.
-	rejected := func(reply *protocol.Message) error {
-		if reply.Type == protocol.TypeAck {
-			return nil
-		}
-		if strings.HasPrefix(reply.Error, protocol.ErrNotLeader) {
-			c.mu.Lock()
-			c.leaderHint = reply.Leader
-			c.mu.Unlock()
-			return errRedirected
-		}
-		return &ServerError{Reason: reply.Error, Leader: reply.Leader}
-	}
 
 	resumed := false
 	if token != "" {
-		reply, err := roundTrip(&protocol.Message{Type: protocol.TypeResume, ResumeToken: token})
-		if err != nil {
-			return err
+		_, err := roundTrip(&protocol.Message{Type: protocol.TypeResume, ResumeToken: token})
+		// Any other rejection means the grace window lapsed: replay on this
+		// same connection.
+		var se *ServerError
+		if err != nil && (!errors.As(err, &se) || se.IsNotLeader()) {
+			return nil, err
 		}
-		if err := rejected(reply); errors.Is(err, errRedirected) {
-			return err
-		}
-		resumed = reply.Type == protocol.TypeAck
-		// Any other TypeError means the grace window lapsed: fall through to
-		// a full replay on this same connection.
+		resumed = err == nil
 	}
-	newInstance := 0
-	if !resumed && started {
-		ack, err := roundTrip(&protocol.Message{Type: protocol.TypeStartup, AppID: appID, UseInterrupts: useInterrupts})
+	replayed := started && !resumed
+	instance := 0
+	if replayed {
+		ack, err := roundTrip(startup)
 		if err != nil {
-			return err
-		}
-		if err := rejected(ack); err != nil {
-			return err
+			return nil, err
 		}
 		token = ack.ResumeToken
 		if registered {
-			setup, err := roundTrip(&protocol.Message{Type: protocol.TypeBundleSetup, RSL: rslText})
-			if err != nil {
-				return err
+			if ack, err = roundTrip(setup); err != nil {
+				return nil, err
 			}
-			if err := rejected(setup); err != nil {
-				return err
-			}
-			newInstance = setup.Instance
-			for k, v := range setup.Vars {
-				restored[k] = v
-			}
+			instance = ack.Instance
+			maps.Copy(restored, ack.Vars)
 		}
 	}
 	_ = nc.SetDeadline(time.Time{})
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	c.netConn = nc
-	c.writer = w
-	c.connGen++
-	gen := c.connGen
+	if c.netConn != nil {
+		c.stats.Reconnects++
+	}
+	c.netConn, c.writer = nc, w
 	c.resumeToken = token
-	if newInstance != 0 {
-		c.instance = newInstance
+	if instance != 0 {
+		c.instance = instance
 	}
-	for k, v := range restored {
-		c.vars[k] = v
+	if resumed || replayed {
+		c.applyVars(restored)
 	}
-	c.generation++
-	if c.genCh != nil {
-		close(c.genCh)
-		c.genCh = make(chan struct{})
-	}
-	c.stats.Reconnects++
 	if resumed {
 		c.stats.Resumes++
-	} else {
+	} else if replayed {
 		c.stats.Replays++
 	}
-	c.reconnecting = false
-	c.redirecting = false
 	if c.waitCh != nil {
 		close(c.waitCh)
 		c.waitCh = nil
 	}
-	c.wg.Add(1)
-	c.mu.Unlock()
-	go c.readLoop(r, gen)
-	return nil
+	return r, nil
 }
 
-// giveUp ends the client after reconnection failed for good.
-func (c *Client) giveUp(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.readErr == nil || errors.Is(c.readErr, ErrClosed) {
-		c.readErr = err
+// retire marks nc dead if it is still the live connection: it is closed,
+// the calls in flight on it fail, and new calls wait for the reader to bring
+// up the next one. It reports whether nc was live. c.mu must be held.
+func (c *Client) retire(nc net.Conn) bool {
+	if c.closed || c.waitCh != nil || nc != c.netConn {
+		return false
 	}
-	c.closed = true
-	c.reconnecting = false
-	for _, ch := range c.replies {
+	_ = nc.Close()
+	c.waitCh = make(chan struct{})
+	c.failCalls()
+	return true
+}
+
+// failCalls fails every call in flight: its reply channel closes. c.mu must
+// be held.
+func (c *Client) failCalls() {
+	for seq, ch := range c.replies {
 		close(ch)
+		delete(c.replies, seq)
 	}
-	c.replies = make(map[uint64]chan *protocol.Message)
+}
+
+// end ends the client for good: calls in flight fail, and every waiter — on
+// a reconnect or in WaitForUpdate — is released to find it closed. c.mu must
+// be held.
+func (c *Client) end() {
+	c.closed = true
+	c.failCalls()
 	if c.genCh != nil {
 		close(c.genCh)
 		c.genCh = nil
@@ -559,6 +515,17 @@ func (c *Client) giveUp(err error) {
 	if c.waitCh != nil {
 		close(c.waitCh)
 		c.waitCh = nil
+	}
+}
+
+// applyVars applies new variable values as one generation and wakes
+// WaitForUpdate. c.mu must be held.
+func (c *Client) applyVars(vars map[string]protocol.VarValue) {
+	maps.Copy(c.vars, vars)
+	c.generation++
+	if c.genCh != nil {
+		close(c.genCh)
+		c.genCh = make(chan struct{})
 	}
 }
 
@@ -575,11 +542,11 @@ func (c *Client) heartbeatLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.stop:
+		case <-c.ctx.Done():
 			return
 		case <-t.C:
 			c.mu.Lock()
-			closed, reconnecting := c.closed, c.reconnecting
+			closed, reconnecting := c.closed, c.waitCh != nil
 			c.mu.Unlock()
 			if closed {
 				return
@@ -592,37 +559,23 @@ func (c *Client) heartbeatLoop() {
 	}
 }
 
-func (c *Client) applyUpdate(msg *protocol.Message) {
-	c.mu.Lock()
-	for k, v := range msg.Vars {
-		c.vars[k] = v
-	}
-	c.generation++
-	if c.genCh != nil {
-		close(c.genCh)
-		c.genCh = make(chan struct{})
-	}
-	c.mu.Unlock()
-}
-
-// call performs one request/reply round trip. While a reconnect is in
-// progress new calls wait for it; a call whose connection dies mid-flight
-// fails with ErrReconnecting rather than being silently retried.
+// call performs one request/reply round trip. While the reader brings a
+// connection up, calls wait for it. A call whose connection dies mid-flight
+// fails with ErrReconnecting rather than being silently retried; one that
+// cannot have changed anything — its write failed, or a follower redirected
+// it — is reissued on the next connection.
 func (c *Client) call(msg *protocol.Message) (*protocol.Message, error) {
-	redirects := 0
-	for {
+	for redirects := 0; ; {
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			return nil, ErrClosed
 		}
-		if c.reconnecting {
-			ch := c.waitCh
+		if wait := c.waitCh; wait != nil {
 			c.mu.Unlock()
-			<-ch
+			<-wait
 			continue
 		}
-		gen := c.connGen
 		nc, w := c.netConn, c.writer
 		c.nextSeq++
 		msg.Seq = c.nextSeq
@@ -630,49 +583,40 @@ func (c *Client) call(msg *protocol.Message) (*protocol.Message, error) {
 		c.replies[msg.Seq] = ch
 		c.mu.Unlock()
 
-		err := c.write(nc, w, msg)
-		if err != nil {
+		if err := c.write(nc, w, msg); err != nil {
+			// The write never completed a frame: the request can be
+			// reissued once the reader has the next connection up.
 			c.mu.Lock()
 			delete(c.replies, msg.Seq)
-			reconnect := c.cfg.Reconnect && c.started && !c.closed
+			c.retire(nc)
 			c.mu.Unlock()
-			if !reconnect {
+			if !c.cfg.Reconnect {
 				return nil, err
 			}
-			// The write never completed a frame, so reissuing is safe once a
-			// fresh connection exists. Force the break so the read loop
-			// notices immediately instead of waiting for a timeout.
-			_ = nc.Close()
-			c.connBroken(gen, err)
 			continue
 		}
 		reply, ok := <-ch
 		if !ok {
-			c.mu.Lock()
-			closed := c.closed
-			c.mu.Unlock()
-			if closed {
+			if c.isClosed() {
 				return nil, ErrClosed
 			}
 			return nil, ErrReconnecting
 		}
-		if reply.Type == protocol.TypeError {
-			if c.cfg.Reconnect && strings.HasPrefix(reply.Error, protocol.ErrNotLeader) && redirects < maxRedirects {
-				// A follower answered: chase the advertised leader. The
-				// rejected request changed nothing server-side, so reissuing
-				// it on the new connection is safe.
-				redirects++
-				c.mu.Lock()
-				c.leaderHint = reply.Leader
-				c.redirecting = true
-				c.mu.Unlock()
-				_ = nc.Close()
-				c.connBroken(gen, errRedirected)
-				continue
-			}
-			return nil, &ServerError{Reason: reply.Error, Leader: reply.Leader}
+		if reply.Type != protocol.TypeError {
+			return reply, nil
 		}
-		return reply, nil
+		se := &ServerError{Reason: reply.Error, Leader: reply.Leader}
+		if !c.cfg.Reconnect || !se.IsNotLeader() || redirects == maxRedirects {
+			return nil, se
+		}
+		// A follower answered and changed nothing: break the connection, so
+		// that the reader dials the leader it named, and reissue there.
+		redirects++
+		c.mu.Lock()
+		if c.retire(nc) {
+			c.leaderHint = se.Leader
+		}
+		c.mu.Unlock()
 	}
 }
 
@@ -721,14 +665,7 @@ func (c *Client) BundleSetup(rslText string) (int, error) {
 	c.instance = reply.Instance
 	c.registered = true
 	c.rslText = rslText
-	for k, v := range reply.Vars {
-		c.vars[k] = v
-	}
-	c.generation++
-	if c.genCh != nil {
-		close(c.genCh)
-		c.genCh = make(chan struct{})
-	}
+	c.applyVars(reply.Vars)
 	c.mu.Unlock()
 	return reply.Instance, nil
 }
@@ -895,27 +832,19 @@ func (c *Client) NodeState(hostname, state string) error {
 	return err
 }
 
-// Close tears down the connection and waits for all client goroutines
-// (reader, heartbeats, any reconnect attempt) to exit.
+// Close tears down the connection, cancels a dial or handshake under way,
+// and waits for the client's goroutines (the reader and heartbeats) to exit.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.wg.Wait()
-		return nil
-	}
-	c.closed = true
-	nc := c.netConn
-	if c.waitCh != nil {
-		close(c.waitCh)
-		c.waitCh = nil
+	var err error
+	if !c.closed {
+		if c.waitCh == nil {
+			err = c.netConn.Close()
+		}
+		c.end()
 	}
 	c.mu.Unlock()
-	close(c.stop)
-	var err error
-	if nc != nil {
-		err = nc.Close()
-	}
+	c.cancel()
 	c.wg.Wait()
 	return err
 }

@@ -244,3 +244,37 @@ func TestCloseUnblocksCalls(t *testing.T) {
 		t.Fatalf("WaitForUpdate after close err = %v", err)
 	}
 }
+
+// TestCloseEndsStuckReconnectHandshake drops a started client's connection;
+// the server accepts the redial and never answers the handshake. Close must
+// end that handshake at once, not wait out its timeout.
+func TestCloseEndsStuckReconnectHandshake(t *testing.T) {
+	fs := newFakeServer(t)
+	c, err := DialWith(fs.ln.Addr().String(), DialConfig{Reconnect: true, BackoffBase: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := fs.echoAck(t)
+	if err := c.Startup("app", false); err != nil {
+		t.Fatalf("Startup: %v", err)
+	}
+	_ = conn.Close()
+	var stuck net.Conn
+	select {
+	case stuck = <-fs.conns:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the client never redialed")
+	}
+	defer stuck.Close()
+	// The replayed startup arrives, and the client waits for its answer.
+	if msg, err := protocol.NewReader(stuck).Read(); err != nil || msg.Type != protocol.TypeStartup {
+		t.Fatalf("handshake read = %+v, %v; want the replayed startup", msg, err)
+	}
+	start := time.Now()
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v during a stuck handshake, want under 1s", took)
+	}
+}

@@ -172,6 +172,10 @@ func TestClientFollowsLeaderRedirect(t *testing.T) {
 	if err := c.Startup("DBclient", false); err != nil {
 		t.Fatalf("Startup via follower: %v", err)
 	}
+	// The redirect brought up one more connection and restored nothing.
+	if st := c.Stats(); st != (Stats{Reconnects: 1}) {
+		t.Fatalf("stats after the redirect = %+v, want one reconnect, no resume, no replay", st)
+	}
 	inst, err := c.BundleSetup(repRSL)
 	if err != nil {
 		t.Fatalf("BundleSetup via follower: %v", err)
@@ -181,6 +185,58 @@ func TestClientFollowsLeaderRedirect(t *testing.T) {
 	}
 	if err := c.End(); err != nil {
 		t.Fatalf("End: %v", err)
+	}
+}
+
+// TestReconnectFollowsRedirectAtOnce severs a client's connection to the
+// leader while a follower comes next in its address list. The follower
+// answers the resume with not_leader, and the client dials the leader it
+// names in the same pass, not after a backoff (2 s here).
+func TestReconnectFollowsRedirectAtOnce(t *testing.T) {
+	nodes := startRepCluster(t, 3)
+	leader := repLeader(t, nodes)
+	var follower *repNode
+	for _, n := range nodes {
+		if n != leader {
+			follower = n
+			break
+		}
+	}
+	waitFor(t, "the follower to learn the leader", 3*time.Second, func() bool {
+		return follower.rep.LeaderClient() == leader.clientAddr
+	})
+	proxy := newFlakyProxy(t, leader.clientAddr)
+	c, err := DialWith(proxy.Addr()+","+follower.clientAddr, DialConfig{
+		Reconnect:   true,
+		BackoffBase: 2 * time.Second,
+		BackoffMax:  2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Startup("DBclient", false); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := c.BundleSetup(repRSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	proxy.sever()
+	severed := time.Now()
+	waitFor(t, "the resume", 5*time.Second, func() bool { return c.Stats().Resumes >= 1 })
+	if took := time.Since(severed); took > 500*time.Millisecond {
+		t.Fatalf("the resume took %v after the sever, want under 500ms", took)
+	}
+	if st := c.Stats(); st != (Stats{Reconnects: 1, Resumes: 1}) {
+		t.Fatalf("stats after the resume = %+v, want one reconnect and one resume", st)
+	}
+	if got := c.Instance(); got != inst {
+		t.Fatalf("instance after the resume = %d, want %d", got, inst)
+	}
+	if err := c.End(); err != nil {
+		t.Fatalf("End after the resume: %v", err)
 	}
 }
 

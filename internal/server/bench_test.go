@@ -194,7 +194,7 @@ func BenchmarkReplicaPropose(b *testing.B) {
 			name = "durable"
 		}
 		b.Run(name, func(b *testing.B) {
-			leader := startLoopbackReplicas(b, durable)
+			leader, _ := startLoopbackReplicas(b, durable, false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := leader.Propose(&replog.Entry{Op: replog.OpReevaluate}); err != nil {
@@ -207,25 +207,35 @@ func BenchmarkReplicaPropose(b *testing.B) {
 
 // BenchmarkClientCycle times the benchmark writer's whole cycle over TCP —
 // dial, startup, bundle_setup, three heartbeats, end, close — against a
-// standalone server and against the leader of a three-member durable
-// loopback cluster, and reports the log entries a cycle writes (entries/op).
-// The count is taken once the server has cleaned up every connection.
+// standalone server, against the leader of a three-member durable loopback
+// cluster, and against that cluster as the benchmark's writer dials it
+// (redirected): a follower first, with Reconnect, so every cycle's startup
+// meets the follower's not_leader and the client brings up a connection to
+// the leader it names. It reports the log entries a cycle writes
+// (entries/op), counted once the server has cleaned up every connection, and
+// the connections a cycle brought up after its first (reconnects/op).
 func BenchmarkClientCycle(b *testing.B) {
-	for _, replicated := range []bool{false, true} {
-		name := "standalone"
-		if replicated {
-			name = "replicated"
-		}
+	for _, name := range []string{"standalone", "replicated", "redirected"} {
 		b.Run(name, func(b *testing.B) {
-			srv := startCycleServer(b, replicated)
+			var srv *Server
+			addrs, cfg := "", hclient.DialConfig{}
+			if name == "redirected" {
+				srv, addrs = startRedirectCluster(b)
+				cfg.Reconnect = true
+			} else {
+				srv = startCycleServer(b, name == "replicated")
+				addrs = srv.Addr()
+			}
 			before := srv.rep.log.LastIndex()
+			var reconnects uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				clientCycle(b, srv.Addr())
+				reconnects += clientCycle(b, addrs, cfg).Reconnects
 			}
 			b.StopTimer()
 			drainConns(b, srv)
 			b.ReportMetric(float64(srv.rep.log.LastIndex()-before)/float64(b.N), "entries/op")
+			b.ReportMetric(float64(reconnects)/float64(b.N), "reconnects/op")
 		})
 	}
 }
@@ -236,7 +246,7 @@ func startCycleServer(tb testing.TB, replicated bool) *Server {
 	tb.Helper()
 	var cfg Config
 	if replicated {
-		cfg.Replica = startLoopbackReplicas(tb, true)
+		cfg.Replica, _ = startLoopbackReplicas(tb, true, false)
 		cfg.Controller = cfg.Replica.cfg.Controller
 	} else {
 		cl, err := cluster.NewSP2(8)
@@ -255,11 +265,31 @@ func startCycleServer(tb testing.TB, replicated bool) *Server {
 	return srv
 }
 
-// clientCycle runs the benchmark writer's cycle on a fresh connection:
-// startup, bundle_setup, three heartbeats, end, close.
-func clientCycle(tb testing.TB, addr string) {
+// startRedirectCluster starts three durable loopback members that each serve
+// clients, and returns the leader's server and the members' client
+// addresses, the followers' first, so a client's first dial meets a
+// follower as the benchmark's writer does.
+func startRedirectCluster(tb testing.TB) (*Server, string) {
 	tb.Helper()
-	c, err := hclient.Dial(addr)
+	leader, srvs := startLoopbackReplicas(tb, true, true)
+	var leaderSrv *Server
+	var addrs []string
+	for _, srv := range srvs {
+		if srv.rep == leader {
+			leaderSrv = srv
+		} else {
+			addrs = append(addrs, srv.Addr())
+		}
+	}
+	return leaderSrv, strings.Join(append(addrs, leaderSrv.Addr()), ",")
+}
+
+// clientCycle runs the benchmark writer's cycle on a fresh connection:
+// startup, bundle_setup, three heartbeats, end, close. It returns the
+// client's resilience counters.
+func clientCycle(tb testing.TB, addrs string, cfg hclient.DialConfig) hclient.Stats {
+	tb.Helper()
+	c, err := hclient.DialWith(addrs, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -281,6 +311,7 @@ func clientCycle(tb testing.TB, addr string) {
 	if err := c.Close(); err != nil {
 		tb.Fatal(err)
 	}
+	return c.Stats()
 }
 
 // drainConns waits until the server has dropped every connection, then has
@@ -302,18 +333,21 @@ func drainConns(tb testing.TB, srv *Server) {
 }
 
 // startLoopbackReplicas starts three replicas on held loopback listeners and
-// returns the one elected.
-func startLoopbackReplicas(tb testing.TB, durable bool) *Replica {
+// returns the one elected. With serve, each member also serves clients on a
+// loopback port it advertises (ReplicaConfig.ClientAddr); the servers come
+// back in member order, once every follower names the leader's.
+func startLoopbackReplicas(tb testing.TB, durable, serve bool) (*Replica, []*Server) {
 	tb.Helper()
-	lns := make([]net.Listener, 3)
-	for i := range lns {
+	listen := func() net.Listener {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			tb.Fatal(err)
 		}
-		lns[i] = ln
+		return ln
 	}
+	lns := []net.Listener{listen(), listen(), listen()}
 	reps := make([]*Replica, 0, len(lns))
+	var srvs []*Server
 	for i, ln := range lns {
 		var peers []string
 		for j, other := range lns {
@@ -333,20 +367,44 @@ func startLoopbackReplicas(tb testing.TB, durable bool) *Replica {
 		if durable {
 			cfg.DataDir = tb.TempDir()
 		}
+		var clients net.Listener
+		if serve {
+			clients = listen()
+			cfg.ClientAddr = clients.Addr().String()
+		}
 		rep, err := NewReplicaFromListener(ln, cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(func() { rep.Close() })
 		reps = append(reps, rep)
+		if serve {
+			srv, err := Serve(clients, Config{Controller: ctrl, Replica: rep})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			tb.Cleanup(func() { _ = srv.Close() })
+			srvs = append(srvs, srv)
+		}
 	}
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-		for _, rep := range reps {
-			if rep.IsLeader() {
-				return rep
+		for _, leader := range reps {
+			if leader.IsLeader() && (!serve || namesLeader(reps, leader)) {
+				return leader, srvs
 			}
 		}
 	}
 	tb.Fatal("no leader elected")
-	return nil
+	return nil, nil
+}
+
+// namesLeader reports whether every other replica advertises leader's
+// client address as the leader's.
+func namesLeader(reps []*Replica, leader *Replica) bool {
+	for _, r := range reps {
+		if r != leader && r.LeaderClient() != leader.cfg.ClientAddr {
+			return false
+		}
+	}
+	return true
 }

@@ -14,12 +14,12 @@ import (
 
 // TestCloseJoinsEveryGoroutine proves at run time that every goroutine the
 // server and client packages start has ended once their Close returns. It
-// drives all twelve spawn sites: a standalone server with leases (accept
+// drives all nine spawn sites: a standalone server with leases (accept
 // loop, per-connection serve, lease sweeper, its own replica's loop); a
 // three-member cluster that commits a proposal (run loops, peer senders, peer
 // accept loops, per-peer handlers); and a reconnecting, heartbeating client
-// whose connection the server drops once (read loop, heartbeats, reconnect
-// loop, dial helper, and the read loop of the restored connection).
+// whose connection the server drops once (its one reader, which brings the
+// connection back up itself, and heartbeats).
 //
 // Goroutines are told apart by id, not counted: any goroutine that existed
 // before the test began is ignored, so what earlier tests left behind can
@@ -29,7 +29,7 @@ func TestCloseJoinsEveryGoroutine(t *testing.T) {
 
 	srv, _ := startTestServer(t, Config{LeaseTTL: 30 * time.Second, LeaseGrace: 30 * time.Second})
 	// The heartbeat interval is long on purpose: within the test's deadlines
-	// only Close's stop channel can end the heartbeat loop.
+	// only Close can end the heartbeat loop.
 	c, err := hclient.DialWith(srv.Addr(), hclient.DialConfig{Reconnect: true, HeartbeatInterval: time.Minute, MaxAttempts: -1})
 	if err != nil {
 		t.Fatal(err)

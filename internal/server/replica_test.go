@@ -15,6 +15,7 @@ import (
 	"harmony/internal/cluster"
 	"harmony/internal/consensus"
 	"harmony/internal/core"
+	"harmony/internal/hclient"
 	"harmony/internal/protocol"
 	"harmony/internal/replog"
 	"harmony/internal/simclock"
@@ -984,7 +985,7 @@ func TestClientCycleWritesTwoEntries(t *testing.T) {
 			before := srv.rep.log.LastIndex()
 			const cycles = 5
 			for i := 0; i < cycles; i++ {
-				clientCycle(t, srv.Addr())
+				clientCycle(t, srv.Addr(), hclient.DialConfig{})
 				drainConns(t, srv)
 			}
 			if got := srv.rep.log.LastIndex() - before; got != 2*cycles {

@@ -88,6 +88,9 @@ echo "== go test -race -shuffle=on"
 # search against the fork walk, the golden hashes, and the replay
 # differentials that apply one log to several copies of the state machine.
 go test -race -shuffle=on ./...
+# The client's reader brings its own connection back up when it dies: its
+# concurrency gets ten runs under the race detector.
+go test -race -count=10 ./internal/hclient
 
 echo "== bench harness (vet + tests against this checkout's API)"
 # bench/ is a module of its own, so ./... above does not reach it; an API
@@ -112,8 +115,10 @@ echo "== bench harness (vet + tests against this checkout's API)"
 # and replica-squeeze's replicated path without the wire to clients: one
 # committed proposal on a three-member loopback cluster, durable (an fsync
 # per member) and in memory. Then the benchmark writer's whole cycle over
-# TCP, standalone and on three durable members, with the log entries a cycle
-# writes (ClientCycle, entries/op: 2).
+# TCP, standalone, on three durable members, and redirected (a follower
+# dialed first, as the benchmark's writer does), with the log entries a cycle
+# writes and the connections it brings up after its first (ClientCycle,
+# entries/op: 2; reconnects/op: 1 when redirected, else 0).
 go test -run '^$' -bench 'CrowdCycle|WideGreedyCycle|SqueezeCycle' -benchtime 20x -benchmem ./internal/core
 go test -run '^$' -bench 'WorkloadCrowd|AdmissionCrowd|ScriptCrowd|ScriptAtCap' -benchtime 20x ./internal/vet
 go test -run '^$' -bench 'Arrival|ReplicaPropose|ClientCycle' -benchtime 20x ./internal/server
