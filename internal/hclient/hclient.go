@@ -325,14 +325,15 @@ func (c *Client) reconnect() *protocol.Reader {
 // members — the leader a follower named first, then the addresses in
 // rotation from the one after the last connected — and installs the first
 // connection whose handshake succeeds. A not_leader answer to the handshake
-// sends the pass to the leader it names at once, at most maxRedirects times.
+// sends the pass to the leader it names at once, at most maxRedirects times,
+// even when the member that answered was the pass's last.
 func (c *Client) connect() (*protocol.Reader, error) {
 	c.mu.Lock()
 	next := c.leaderHint
 	c.leaderHint = ""
 	c.mu.Unlock()
 	var err error
-	for tried, redirects := 0, 0; tried < len(c.addrs); {
+	for tried, redirects := 0, 0; tried < len(c.addrs) || next != ""; {
 		if c.ctx.Err() != nil {
 			return nil, ErrClosed
 		}

@@ -1,6 +1,7 @@
 package hclient
 
 import (
+	"cmp"
 	"net"
 	"testing"
 	"time"
@@ -20,6 +21,9 @@ type repNode struct {
 	srv        *server.Server
 	peerAddr   string
 	clientAddr string
+	// advertised, when set, is the client address the member's followers
+	// name in a not_leader redirect, in place of clientAddr.
+	advertised string
 	peers      []string
 }
 
@@ -35,7 +39,7 @@ func (n *repNode) start(t *testing.T) {
 	}
 	n.rep, err = server.NewReplica(n.peerAddr, server.ReplicaConfig{
 		Peers:           n.peers,
-		ClientAddr:      n.clientAddr,
+		ClientAddr:      cmp.Or(n.advertised, n.clientAddr),
 		Controller:      n.ctrl,
 		ElectionTimeout: 80 * time.Millisecond,
 	})
@@ -69,6 +73,13 @@ func startRepCluster(t *testing.T, size int) []*repNode {
 	for i := range nodes {
 		nodes[i] = &repNode{peerAddr: testport.Addr(t), clientAddr: testport.Addr(t)}
 	}
+	startRepNodes(t, nodes)
+	return nodes
+}
+
+// startRepNodes starts nodes as one cluster and kills them at cleanup.
+func startRepNodes(t *testing.T, nodes []*repNode) {
+	t.Helper()
 	for i, n := range nodes {
 		for j, other := range nodes {
 			if j != i {
@@ -82,7 +93,6 @@ func startRepCluster(t *testing.T, size int) []*repNode {
 			n.kill()
 		}
 	})
-	return nodes
 }
 
 func repLeader(t *testing.T, nodes []*repNode) *repNode {
@@ -231,6 +241,68 @@ func TestReconnectFollowsRedirectAtOnce(t *testing.T) {
 	}
 	if st := c.Stats(); st != (Stats{Reconnects: 1, Resumes: 1}) {
 		t.Fatalf("stats after the resume = %+v, want one reconnect and one resume", st)
+	}
+	if got := c.Instance(); got != inst {
+		t.Fatalf("instance after the resume = %d, want %d", got, inst)
+	}
+	if err := c.End(); err != nil {
+		t.Fatalf("End after the resume: %v", err)
+	}
+}
+
+// TestReconnectFollowsRedirectFromLastMember dials a single follower, so
+// that the leader a redirect names is in no pass's rotation. Each member's
+// followers name a proxy in front of it; severing the leader's proxy breaks
+// the client's connection. The pass's only member answers the resume with
+// not_leader, and the client must dial the leader it names in that same pass
+// (the backoff is 2 s) and resume the session there.
+func TestReconnectFollowsRedirectFromLastMember(t *testing.T) {
+	nodes := make([]*repNode, 3)
+	proxies := make(map[*repNode]*flakyProxy)
+	for i := range nodes {
+		n := &repNode{peerAddr: testport.Addr(t), clientAddr: testport.Addr(t)}
+		proxies[n] = newFlakyProxy(t, n.clientAddr)
+		n.advertised = proxies[n].Addr()
+		nodes[i] = n
+	}
+	startRepNodes(t, nodes)
+	leader := repLeader(t, nodes)
+	var follower *repNode
+	for _, n := range nodes {
+		if n != leader {
+			follower = n
+			break
+		}
+	}
+	waitFor(t, "the follower to learn the leader", 3*time.Second, func() bool {
+		return follower.rep.LeaderClient() == leader.advertised
+	})
+	c, err := DialWith(follower.clientAddr, DialConfig{
+		Reconnect:   true,
+		BackoffBase: 2 * time.Second,
+		BackoffMax:  2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Startup("DBclient", false); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := c.BundleSetup(repRSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	proxies[leader].sever()
+	severed := time.Now()
+	waitFor(t, "the resume", 5*time.Second, func() bool { return c.Stats().Resumes >= 1 })
+	if took := time.Since(severed); took > 500*time.Millisecond {
+		t.Fatalf("the resume took %v after the sever, want under 500ms", took)
+	}
+	// One connection for Startup's redirect, one for the resume.
+	if st := c.Stats(); st != (Stats{Reconnects: 2, Resumes: 1}) {
+		t.Fatalf("stats after the resume = %+v, want two reconnects and one resume", st)
 	}
 	if got := c.Instance(); got != inst {
 		t.Fatalf("instance after the resume = %d, want %d", got, inst)
