@@ -85,7 +85,9 @@ const maxRedirects = 4
 // reproduces the historical behavior: 10 s dial timeout, 10 s write
 // deadline, no heartbeats, no reconnection.
 type DialConfig struct {
-	// Timeout bounds each dial attempt; default 10 s.
+	// Timeout bounds each dial attempt, its handshake included: a member
+	// that accepts and never answers holds a reconnect pass no longer than
+	// this. Default 10 s.
 	Timeout time.Duration
 	// WriteDeadline bounds each message write so a wedged peer cannot
 	// block the application forever; default 10 s, negative disables.
@@ -363,8 +365,9 @@ func (c *Client) connect() (*protocol.Reader, error) {
 }
 
 // dial is the client's one dial site: it connects to addr, restores the
-// session on the connection and installs it (handshake). Close cancels it at
-// any point, a handshake the server never answers included.
+// session on the connection and installs it (handshake), all within one
+// DialConfig.Timeout. Close cancels it at any point, a handshake the server
+// never answers included.
 func (c *Client) dial(addr string) (*protocol.Reader, error) {
 	ctx, cancel := context.WithTimeout(c.ctx, c.cfg.Timeout)
 	defer cancel()
@@ -374,15 +377,14 @@ func (c *Client) dial(addr string) (*protocol.Reader, error) {
 		return nil, err
 	}
 	defer context.AfterFunc(c.ctx, func() { _ = nc.Close() })()
+	deadline, _ := ctx.Deadline()
+	_ = nc.SetDeadline(deadline)
 	r, err := c.handshake(nc)
 	if err != nil {
 		_ = nc.Close()
 	}
 	return r, err
 }
-
-// handshakeTimeout bounds each round trip of a handshake.
-const handshakeTimeout = 10 * time.Second
 
 // handshake restores the session on a fresh connection, then installs it:
 // resume by token when the server still holds the session, a replay of
@@ -396,7 +398,6 @@ func (c *Client) handshake(nc net.Conn) (*protocol.Reader, error) {
 	roundTrip := func(msg *protocol.Message) (*protocol.Message, error) {
 		seq++
 		msg.Seq = seq
-		_ = nc.SetDeadline(time.Now().Add(handshakeTimeout))
 		if err := w.Write(msg); err != nil {
 			return nil, err
 		}

@@ -187,6 +187,45 @@ func TestReconnectResumesSession(t *testing.T) {
 	}
 }
 
+// TestReconnectPassSkipsSilentMember: a member that accepts connections and
+// never answers holds a reconnect pass for one dial timeout, its handshake
+// included, and the pass then resumes the session on the live member.
+func TestReconnectPassSkipsSilentMember(t *testing.T) {
+	srv, _ := startRealServer(t, server.Config{
+		LeaseTTL:   200 * time.Millisecond,
+		LeaseGrace: 5 * time.Second,
+	})
+	proxy := newFlakyProxy(t, srv.Addr())
+	// Nothing accepts: the kernel completes the connection and the
+	// handshake's request goes unanswered.
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	c, err := DialWith(proxy.Addr()+","+silent.Addr().String(), DialConfig{
+		Reconnect:   true,
+		Timeout:     300 * time.Millisecond,
+		BackoffBase: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Startup("DBclient", true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.BundleSetup(resilienceRSL); err != nil {
+		t.Fatal(err)
+	}
+	// The pass after the drop starts at the member after the one that
+	// answered: the silent one.
+	proxy.sever()
+	waitFor(t, "session resume past the silent member", time.Second, func() bool {
+		return c.Stats().Resumes >= 1
+	})
+}
+
 // TestReconnectWithoutInstanceReplays drops a client that started up but
 // registered nothing. Such a session is not in the server's log, so however
 // fast the client comes back and whatever the grace window, its resume token

@@ -3,11 +3,18 @@
 // prototype's client library links into applications and talks to a server
 // listening on a well-known port; messages here are newline-delimited JSON
 // so they remain debuggable with standard tools.
+//
+// The codec is hand-written and reflects on nothing: Writer emits exactly
+// the bytes json.Marshal emits for a Message, and Reader decodes a line to
+// exactly what json.Unmarshal makes of it, failing where it fails.
+// FuzzDecodeMessage holds both directions to encoding/json. The
+// replication-only values (entries, snapshot, replica) are replog's types
+// and keep encoding/json for their value, so they have one encoding, on
+// disk and on the wire.
 package protocol
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -233,31 +240,41 @@ var ErrMessageTooLarge = errors.New("protocol: message too large")
 // Writer frames messages onto a stream. Not safe for concurrent use; guard
 // with a mutex when sharing.
 type Writer struct {
-	w *bufio.Writer
+	w   io.Writer
+	enc encoder
+	// err is the first write error: a line may have gone out in part, so
+	// the stream is dead and every later Write fails with it.
+	err error
 }
 
 // NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
+	return &Writer{w: w}
 }
 
-// Write sends one message.
+// keepBuffer bounds the buffer a Writer or Reader keeps between messages.
+const keepBuffer = 64 << 10
+
+// Write sends one message as one line, in one write to the stream.
 func (w *Writer) Write(m *Message) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("protocol: marshal: %w", err)
+	if w.err != nil {
+		return fmt.Errorf("protocol: write: %w", w.err)
 	}
-	if len(data) > MaxMessageBytes {
+	w.enc.err = nil
+	w.enc.message(m)
+	line := append(w.enc.b, '\n')
+	w.enc.b = line[:0]
+	if cap(line) > keepBuffer {
+		w.enc.b = nil
+	}
+	if w.enc.err != nil {
+		return fmt.Errorf("protocol: marshal: %w", w.enc.err)
+	}
+	if len(line) > MaxMessageBytes+1 {
 		return ErrMessageTooLarge
 	}
-	if _, err := w.w.Write(data); err != nil {
-		return fmt.Errorf("protocol: write: %w", err)
-	}
-	if err := w.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("protocol: write: %w", err)
-	}
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("protocol: flush: %w", err)
+	if _, w.err = w.w.Write(line); w.err != nil {
+		return fmt.Errorf("protocol: write: %w", w.err)
 	}
 	return nil
 }
@@ -286,13 +303,15 @@ func (e *WireError) Unwrap() error { return e.Err }
 
 // Reader deframes messages from a stream. Not safe for concurrent use.
 type Reader struct {
-	s *bufio.Scanner
+	s   *bufio.Scanner
+	dec decoder
 }
 
-// NewReader wraps r.
+// NewReader wraps r. Its line buffer starts small, as most messages are,
+// and grows up to a line of MaxMessageBytes and its newline.
 func NewReader(r io.Reader) *Reader {
 	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 64*1024), MaxMessageBytes)
+	s.Buffer(make([]byte, 0, 4<<10), MaxMessageBytes+1)
 	return &Reader{s: s}
 }
 
@@ -308,12 +327,12 @@ func (r *Reader) Read() (*Message, error) {
 		}
 		return nil, io.EOF
 	}
-	var m Message
-	if err := json.Unmarshal(r.s.Bytes(), &m); err != nil {
+	m, err := r.dec.decode(r.s.Bytes())
+	if err != nil {
 		return nil, &WireError{Reason: "malformed message", Err: err}
 	}
 	if m.Type == "" {
 		return nil, &WireError{Reason: "message without type"}
 	}
-	return &m, nil
+	return m, nil
 }

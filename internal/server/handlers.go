@@ -100,7 +100,7 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 		c.mu.Unlock()
 		c.srv.mu.Lock()
 		delete(c.srv.byInst, msg.Instance)
-		delete(c.srv.pending, msg.Instance)
+		delete(c.srv.dirty, msg.Instance)
 		c.srv.mu.Unlock()
 		return &protocol.Message{Type: protocol.TypeAck, Instance: msg.Instance}
 
@@ -120,7 +120,7 @@ func (c *conn) handle(msg *protocol.Message) *protocol.Message {
 
 	case protocol.TypeStatus:
 		obj, apps := c.srv.cfg.Controller.Status()
-		reply := &protocol.Message{Type: protocol.TypeStatusReply, Objective: obj}
+		reply := &protocol.Message{Type: protocol.TypeStatusReply, Objective: obj, Apps: make([]protocol.AppStatus, 0, len(apps))}
 		for _, a := range apps {
 			reply.Apps = append(reply.Apps, protocol.AppStatus{
 				Instance:         a.Instance,
@@ -250,12 +250,13 @@ func (c *conn) vetReport(rep *vet.Report) *protocol.Message {
 // ackBundleSetup binds a fresh instance to this connection and writes the
 // registration ack, the reply to request seq, with the instance's
 // configuration folded in so the application can start without waiting for a
-// separate update. That configuration is whatever updates onEvent buffered
-// for the instance — its initial choice, and any reconfiguration applied
-// since — taken in the same critical section that publishes the binding, so
-// none is lost or sent twice. The ack goes out under the connection's write
-// lock, taken before the binding is published: an update flushed once the
-// binding is visible waits for it, and so reaches the client after the ack.
+// separate update. The instance is dirty from its registration's event, so
+// the ack carries the configuration current when it is written — the initial
+// choice, or any reconfiguration applied since. The ack goes out under the
+// connection's write lock, taken before the binding is published: an update
+// flushed once the binding is visible waits for it, and so reaches the
+// client after the ack, and only if the instance changed after the ack took
+// its configuration.
 func (c *conn) ackBundleSetup(inst int, seq uint64) error {
 	c.mu.Lock()
 	c.instances[inst] = true
@@ -264,10 +265,8 @@ func (c *conn) ackBundleSetup(inst int, seq uint64) error {
 	defer c.writeMu.Unlock()
 	c.srv.mu.Lock()
 	c.srv.byInst[inst] = c
-	vars := c.srv.pending[inst]
-	delete(c.srv.pending, inst)
 	c.srv.mu.Unlock()
-	return c.write(&protocol.Message{Type: protocol.TypeAck, Seq: seq, Instance: inst, Vars: vars})
+	return c.write(&protocol.Message{Type: protocol.TypeAck, Seq: seq, Instance: inst, Vars: c.srv.takeVars(c, inst)})
 }
 
 // handleResume re-binds a session to this connection: the client presents

@@ -235,7 +235,7 @@ func NewReplicaFromListener(ln net.Listener, cfg ReplicaConfig) (_ *Replica, err
 }
 
 // attach links the client-facing server, whose connections the replica closes
-// on step-down and whose pending buffers it clears on unregister. It brings
+// on step-down and whose dirty marks it clears on unregister. It brings
 // the grace window, so a member already leading (a cluster of one restarted
 // on its data directory) opens the inherited sessions' windows here.
 func (r *Replica) attach(s *Server) {
@@ -550,7 +550,7 @@ func (r *Replica) applyEntry(e *replog.Entry) applyOutcome {
 			if _, err := ctrl.Apply(&sub); err != nil {
 				r.cfg.Logf("harmony: replica %s: expire %s: unregister %d: %v", r.cfg.ID, e.Token, inst, err)
 			}
-			r.clearPending(inst)
+			r.clearDirty(inst)
 		}
 		return applyOutcome{}
 	case replog.OpRegister:
@@ -563,7 +563,7 @@ func (r *Replica) applyEntry(e *replog.Entry) applyOutcome {
 		res, err := ctrl.Apply(e)
 		if err == nil {
 			r.sessions.unbindInstance(e.Instance)
-			r.clearPending(e.Instance)
+			r.clearDirty(e.Instance)
 		}
 		return applyOutcome{res: res, err: err}
 	default:
@@ -572,12 +572,12 @@ func (r *Replica) applyEntry(e *replog.Entry) applyOutcome {
 	}
 }
 
-// clearPending drops the attached server's buffered updates for a gone
-// instance (followers have no connection to consume them).
-func (r *Replica) clearPending(instance int) {
+// clearDirty drops the attached server's dirty mark for a gone instance
+// (followers have no connection to consume it).
+func (r *Replica) clearDirty(instance int) {
 	if srv := r.srv.Load(); srv != nil {
 		srv.mu.Lock()
-		delete(srv.pending, instance)
+		delete(srv.dirty, instance)
 		srv.mu.Unlock()
 	}
 }

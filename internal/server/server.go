@@ -116,11 +116,13 @@ type Server struct {
 	// admission vets bundle_setup scripts; nil when vetting is off.
 	admission *vet.Admission
 
-	mu      sync.Mutex
-	conns   map[*conn]struct{}
-	byInst  map[int]*conn
-	pending map[int]map[string]protocol.VarValue
-	closed  bool
+	mu     sync.Mutex
+	conns  map[*conn]struct{}
+	byInst map[int]*conn
+	// dirty holds, per instance, the latest reconfiguration its application
+	// has not been sent: the update is built when it is sent.
+	dirty  map[int]core.Event
+	closed bool
 
 	stopSweep chan struct{}
 	wg        sync.WaitGroup
@@ -184,7 +186,7 @@ func Serve(ln net.Listener, cfg Config) (*Server, error) {
 		rep:       cfg.Replica,
 		conns:     make(map[*conn]struct{}),
 		byInst:    make(map[int]*conn),
-		pending:   make(map[int]map[string]protocol.VarValue),
+		dirty:     make(map[int]core.Event),
 		stopSweep: make(chan struct{}),
 	}
 	if cfg.Vet != VetOff {
@@ -356,19 +358,13 @@ func (s *Server) addConn(nc net.Conn) (*conn, bool) {
 	return c, true
 }
 
-// onEvent reacts to controller reconfigurations: it buffers the variable
-// updates implied by the event and flushes them to the owning application.
+// onEvent reacts to controller reconfigurations: it marks the instance
+// dirty and flushes it to the owning application. The update's variables are
+// built only where a connection holds the instance, so a follower, which
+// holds none, builds none.
 func (s *Server) onEvent(ev core.Event) {
-	vars := s.eventVars(ev)
 	s.mu.Lock()
-	p, ok := s.pending[ev.Instance]
-	if !ok {
-		p = make(map[string]protocol.VarValue)
-		s.pending[ev.Instance] = p
-	}
-	for k, v := range vars {
-		p[k] = v
-	}
+	s.dirty[ev.Instance] = ev
 	s.mu.Unlock()
 	s.FlushPendingVars(ev.Instance)
 }
@@ -391,24 +387,44 @@ func (s *Server) eventVars(ev core.Event) map[string]protocol.VarValue {
 	return vars
 }
 
-// FlushPendingVars sends buffered variable updates for one instance (the
-// paper's flushPendingVars call). An instance no connection is bound to keeps
-// its buffer: the registration ack takes it, a resume that binds the
-// instance again flushes it, and unregistering the instance drops it.
+// FlushPendingVars sends a dirty instance its configuration (the paper's
+// flushPendingVars call). An instance no connection is bound to stays dirty:
+// the registration ack takes it, a resume that binds the instance again
+// flushes it, and unregistering the instance drops it.
 func (s *Server) FlushPendingVars(instance int) {
 	s.mu.Lock()
 	c := s.byInst[instance]
-	vars := s.pending[instance]
-	if len(vars) == 0 || c == nil {
-		s.mu.Unlock()
+	s.mu.Unlock()
+	if c == nil {
 		return
 	}
-	delete(s.pending, instance)
-	s.mu.Unlock()
-	msg := &protocol.Message{Type: protocol.TypeUpdate, Instance: instance, Vars: vars}
-	if err := c.send(msg); err != nil {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	vars := s.takeVars(c, instance)
+	if vars == nil {
+		return
+	}
+	if err := c.write(&protocol.Message{Type: protocol.TypeUpdate, Instance: instance, Vars: vars}); err != nil {
 		s.cfg.Logf("harmony: flush to instance %d: %v", instance, err)
 	}
+}
+
+// takeVars clears the instance's dirty mark and returns the variables of
+// the view current now, if it was dirty and c holds it. The caller holds
+// c.writeMu: variables are built and written under one lock, so a later
+// write never carries an older state.
+func (s *Server) takeVars(c *conn, instance int) map[string]protocol.VarValue {
+	s.mu.Lock()
+	ev, dirty := s.dirty[instance]
+	dirty = dirty && s.byInst[instance] == c
+	if dirty {
+		delete(s.dirty, instance)
+	}
+	s.mu.Unlock()
+	if !dirty {
+		return nil
+	}
+	return s.eventVars(ev)
 }
 
 func (c *conn) send(m *protocol.Message) error {

@@ -202,10 +202,10 @@ func TestAckCarriesLatestConfiguration(t *testing.T) {
 		t.Fatalf("ack says where=%q, the controller holds %s", got.Str, latest)
 	}
 	srv.mu.Lock()
-	left := len(srv.pending[inst])
+	_, left := srv.dirty[inst]
 	srv.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d updates still buffered for instance %d after its ack", left, inst)
+	if left {
+		t.Fatalf("instance %d still has an update buffered after its ack", inst)
 	}
 }
 
